@@ -762,7 +762,7 @@ func (s *Store) Forget(label string) ForgetResult {
 type RestorePolicy int
 
 const (
-	// RestoreLRU is the classic recency cache (the legacy restore path).
+	// RestoreLRU is the classic recency cache.
 	RestoreLRU RestorePolicy = iota
 	// RestoreOPT is Belady's offline-optimal eviction, computable online
 	// here because the full recipe is known before the restore starts.
@@ -794,7 +794,9 @@ type RestoreOptions struct {
 	CacheContainers int
 	// Policy selects LRU (default) or OPT eviction.
 	Policy RestorePolicy
-	// Workers is the number of parallel prefetch lanes (default 1, serial).
+	// Workers is the number of simulated read lanes (default 1): it only
+	// decides how extent reads are charged to the simulated clock. The bytes
+	// are always fetched one extent ahead of the assembler, whatever it says.
 	Workers int
 	// Coalesce merges reads of disk-adjacent containers into single
 	// sequential extents (one seek for k containers).
@@ -814,28 +816,25 @@ type RestoreOptions struct {
 }
 
 // DefaultRestoreOptions returns the default restore shape: an 8-container
-// LRU cache, one simulated prefetch lane, uncoalesced — the legacy timing
-// model — with the wall-clock decode pool at its automatic size.
+// LRU cache, one simulated read lane, uncoalesced — the timing model of a
+// serial reader — with the wall-clock decode pool at its automatic size.
 func DefaultRestoreOptions() RestoreOptions {
 	return RestoreOptions{CacheContainers: restore.DefaultConfig().CacheContainers, Workers: 1}
 }
 
 // Restore reconstructs backup b, writing the stream to w (nil w measures
 // without materializing). verify recomputes chunk fingerprints and requires
-// Options.StoreData. It runs the legacy shape (serial LRU cache); use
-// RestoreWith for the pipelined read path.
+// Options.StoreData. It runs the default shape (LRU cache, one simulated
+// lane); use RestoreWith for the other policies.
 func (s *Store) Restore(ctx context.Context, b *Backup, w io.Writer, verify bool) (RestoreStats, error) {
 	opts := DefaultRestoreOptions()
 	opts.Verify = verify
 	return s.RestoreWith(ctx, b, w, opts)
 }
 
-// RestoreWith reconstructs backup b under explicit restore options. The
-// legacy shape (LRU, one worker, no coalescing, no chunk cache, explicit
-// DecodeWorkers == 1) runs the original restore.Run code path; any other
-// shape — including the default DecodeWorkers of 0, which engages the
-// parallel decode pool — runs the pipelined engine, whose serial LRU
-// results are bit-identical to Run by construction (pinned in
+// RestoreWith reconstructs backup b under explicit restore options. Every
+// shape runs the pipelined engine; its LRU, one-lane, uncoalesced results
+// are bit-identical to the reference restore.Run (pinned in
 // internal/restore's tests).
 func (s *Store) RestoreWith(ctx context.Context, b *Backup, w io.Writer, opts RestoreOptions) (RestoreStats, error) {
 	ctx, span := telemetry.StartSpan(ctx, "store.restore")
@@ -846,26 +845,18 @@ func (s *Store) RestoreWith(ctx context.Context, b *Backup, w io.Writer, opts Re
 	if opts.CacheContainers <= 0 {
 		opts.CacheContainers = restore.DefaultConfig().CacheContainers
 	}
-	var st restore.Stats
-	var err error
-	if opts.Policy == RestoreLRU && opts.Workers <= 1 && !opts.Coalesce && !opts.ChunkCache &&
-		opts.DecodeWorkers == 1 {
-		cfg := restore.Config{CacheContainers: opts.CacheContainers, Verify: opts.Verify}
-		st, err = restore.Run(ctx, s.eng.Containers(), b.recipe(), cfg, w)
-	} else {
-		cfg := restore.PipelineConfig{
-			CacheContainers: opts.CacheContainers,
-			Workers:         opts.Workers,
-			Coalesce:        opts.Coalesce,
-			ChunkCache:      opts.ChunkCache,
-			Verify:          opts.Verify,
-			DecodeWorkers:   opts.DecodeWorkers,
-		}
-		if opts.Policy == RestoreOPT {
-			cfg.Policy = restore.PolicyOPT
-		}
-		st, err = restore.RunPipelined(ctx, s.eng.Containers(), b.recipe(), cfg, w)
+	cfg := restore.PipelineConfig{
+		CacheContainers: opts.CacheContainers,
+		Workers:         opts.Workers,
+		Coalesce:        opts.Coalesce,
+		ChunkCache:      opts.ChunkCache,
+		Verify:          opts.Verify,
+		DecodeWorkers:   opts.DecodeWorkers,
 	}
+	if opts.Policy == RestoreOPT {
+		cfg.Policy = restore.PolicyOPT
+	}
+	st, err := restore.RunPipelined(ctx, s.eng.Containers(), b.recipe(), cfg, w)
 	if err != nil {
 		return RestoreStats{}, err
 	}

@@ -51,7 +51,7 @@ func realMain() error {
 		verify     = flag.Bool("verify", false, "store real bytes and verify restored content (implies -restore)")
 		rMode      = flag.String("restore.mode", "lru", "restore strategy: lru, opt, pipelined (opt + coalescing + prefetch), faa")
 		rCache     = flag.Int("restore.cache", 0, "restore cache capacity in containers (0 = default, 8)")
-		rWorkers   = flag.Int("restore.workers", 1, "prefetch lanes for -restore.mode=pipelined (1 = serial)")
+		rWorkers   = flag.Int("restore.workers", 1, "simulated read lanes for -restore.mode=pipelined (timing model only)")
 		catalog    = flag.String("catalog", "", "directory to write recipe catalogs into")
 		workers    = flag.Int("workers", 0, "parallel fingerprinting workers (0 = auto/GOMAXPROCS, 1 = serial)")
 		streams    = flag.Int("streams", 1, "concurrent backup streams per round (>1 switches to a multi-user schedule)")

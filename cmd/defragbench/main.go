@@ -55,7 +55,7 @@ func realMain() error {
 		sbOut     = flag.String("scenariobench", "", "run the cross-scenario benchmark (backup/primary/workspace table plus the primary inline-filter ablation) and write JSON to this file (\"-\" = stdout)")
 		sbRounds  = flag.Int("scenario.rounds", 0, "backups per stream for -scenariobench (0 = default 4)")
 		sbBytes   = flag.Int64("scenario.bytes", 0, "approximate bytes per backup for -scenariobench (0 = default 4 MiB)")
-		rWorkers  = flag.Int("restore.workers", 8, "prefetch lanes for the pipelined restore (-restorebench and -json restores)")
+		rWorkers  = flag.Int("restore.workers", 8, "simulated read lanes for the pipelined restore (-restorebench and -json restores)")
 		rCache    = flag.Int("restore.cache", 0, "restore cache capacity in containers (0 = restore default, 8)")
 		telAddr   = flag.String("telemetry.addr", "", "serve live /metrics, /debug/snapshot and /debug/pprof on this address")
 		telEvents = flag.String("telemetry.events", "", "write JSONL span events to this file")

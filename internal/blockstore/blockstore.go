@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"syscall"
 
 	"repro/internal/chunk"
 )
@@ -56,6 +57,13 @@ type ContainerInfo struct {
 // Backend is the physical container store. All methods must be safe for
 // concurrent use; implementations must not retain the data slice passed to
 // Seal after returning.
+//
+// The slices ReadData and ReadDataRange return are shared, read-only views:
+// a backend may hand every caller the same sealed bytes (Sim does), so a
+// caller must never write into a fetched section — anything it wants to
+// change it copies first. The bytes stay valid for as long as the caller
+// holds the slice, including after the container is dropped or the backend
+// closed.
 type Backend interface {
 	// Name identifies the backend kind ("sim", "file", ...).
 	Name() string
@@ -67,14 +75,16 @@ type Backend interface {
 	// stores. Sealing the same ID again overwrites (retry after a partial
 	// failure re-seals the full container).
 	Seal(ctx context.Context, info ContainerInfo, data []byte) error
-	// ReadData returns the data section bytes of a sealed container.
-	// Metadata-only backends return a zero-filled slice of the recorded
-	// fill. A short return signals a torn container (see Corrupt).
+	// ReadData returns the data section bytes of a sealed container as a
+	// read-only view (see above). Metadata-only backends return a zero-filled
+	// slice of the recorded fill. A short return signals a torn container
+	// (see Corrupt).
 	ReadData(ctx context.Context, id uint32) ([]byte, error)
 	// ReadDataRange reads the data sections of several containers in one
-	// ranged pass, in input order. It is the coalesced-read primitive: the
-	// caller guarantees the ids are adjacent on the simulated device, and a
-	// fault-injecting backend treats the whole range as a single operation.
+	// ranged pass, in input order, each a read-only view like ReadData's. It
+	// is the coalesced-read primitive: the caller guarantees the ids are
+	// adjacent on the simulated device, and a fault-injecting backend treats
+	// the whole range as a single operation.
 	ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error)
 	// List returns every sealed container's info, in ID order.
 	List(ctx context.Context) ([]ContainerInfo, error)
@@ -198,16 +208,24 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 }
 
 // SyncDir fsyncs a directory so renames and file creations within it are
-// durable. Errors from filesystems that reject directory fsync are ignored
-// (the rename itself already happened).
+// durable. A filesystem that refuses directory fsync outright (EINVAL,
+// ENOTSUP) is tolerated — the rename itself already happened and there is
+// nothing more to ask of it; any other failure (EIO above all) is returned,
+// because the caller is about to report the entry as durable.
 func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, os.ErrInvalid) {
-		return nil // best effort: some filesystems refuse dir fsync
+	if err := d.Sync(); err != nil && !dirSyncUnsupported(err) {
+		return fmt.Errorf("fsync directory %s: %w", dir, err)
 	}
 	return nil
+}
+
+// dirSyncUnsupported classifies an fsync error as "this filesystem does not
+// fsync directories" rather than "the fsync failed".
+func dirSyncUnsupported(err error) bool {
+	return errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP)
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 
 	"repro/internal/chunk"
@@ -350,5 +351,94 @@ func TestMetadataOnlyFileBackend(t *testing.T) {
 	wantInfo, _ := mkInfo(2, 5)
 	if int64(len(data)) != wantInfo.DataFill {
 		t.Fatalf("hole read %d bytes, want %d", len(data), wantInfo.DataFill)
+	}
+}
+
+// TestSimReadDataIsASharedView pins the read-only contract from the Sim
+// side: every read of a sealed container returns the one sealed section,
+// not a copy, a re-seal installs a new section without touching a view
+// handed out earlier, and metadata-only stores serve all their reads out of
+// one zero buffer.
+func TestSimReadDataIsASharedView(t *testing.T) {
+	ctx := context.Background()
+	b := NewSim(true)
+	info, data := mkInfo(0, 4)
+	if err := b.Seal(ctx, info, data); err != nil {
+		t.Fatal(err)
+	}
+	first, err := b.ReadData(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranged, err := b.ReadDataRange(ctx, []uint32{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &first[0] != &ranged[0][0] {
+		t.Fatal("two reads of one sealed container returned different arrays")
+	}
+	if &first[0] == &data[0] {
+		t.Fatal("Seal retained the caller's buffer")
+	}
+	resealed := bytes.Repeat([]byte{0xEE}, len(data))
+	if err := b.Seal(ctx, info, resealed); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, data) {
+		t.Fatal("re-seal wrote into a section a reader still holds")
+	}
+	if again, _ := b.ReadData(ctx, 0); !bytes.Equal(again, resealed) {
+		t.Fatal("re-seal not visible to a new read")
+	}
+
+	hole := NewSim(false)
+	small, _ := mkInfo(1, 2)
+	big, _ := mkInfo(2, 6)
+	for _, in := range []ContainerInfo{small, big} {
+		if err := hole.Seal(ctx, in, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	z1, _ := hole.ReadData(ctx, 1)
+	z2, _ := hole.ReadData(ctx, 2) // larger: the shared buffer grows
+	z3, _ := hole.ReadData(ctx, 1)
+	if int64(len(z1)) != small.DataFill || int64(len(z2)) != big.DataFill || int64(len(z3)) != small.DataFill {
+		t.Fatalf("hole reads %d/%d/%d bytes, want %d/%d/%d", len(z1), len(z2), len(z3), small.DataFill, big.DataFill, small.DataFill)
+	}
+	if &z2[0] != &z3[0] {
+		t.Fatal("metadata-only reads do not share one zero buffer")
+	}
+	for _, z := range [][]byte{z1, z2, z3} {
+		if len(bytes.Trim(z, "\x00")) != 0 {
+			t.Fatal("metadata-only read is not zero-filled")
+		}
+	}
+}
+
+// TestDirSyncErrorClassification: only "this filesystem does not fsync
+// directories" is tolerated; a failed fsync is an error SyncDir returns.
+func TestDirSyncErrorClassification(t *testing.T) {
+	wrap := func(errno syscall.Errno) error {
+		return &os.PathError{Op: "sync", Path: "/d", Err: errno}
+	}
+	for _, tc := range []struct {
+		err         error
+		unsupported bool
+	}{
+		{wrap(syscall.EINVAL), true},
+		{wrap(syscall.ENOTSUP), true},
+		{wrap(syscall.EIO), false},
+		{wrap(syscall.ENOSPC), false},
+		{os.ErrInvalid, false}, // a closed or nil *os.File, not EINVAL
+	} {
+		if got := dirSyncUnsupported(tc.err); got != tc.unsupported {
+			t.Errorf("dirSyncUnsupported(%v) = %v, want %v", tc.err, got, tc.unsupported)
+		}
+	}
+	if err := SyncDir(t.TempDir()); err != nil {
+		t.Fatalf("SyncDir of a real directory: %v", err)
+	}
+	if err := SyncDir(filepath.Join(t.TempDir(), "absent")); err == nil {
+		t.Fatal("SyncDir of a missing directory must fail")
 	}
 }

@@ -699,23 +699,15 @@ func (s *Store) DataStart(id uint32) int64 { return s.info(id).DataStart(s.cfg) 
 // cache when one is attached (immediate release: the bytes stay valid, the
 // entry just becomes evictable right away).
 func (s *Store) fetchData(ctx context.Context, id uint32) ([]byte, error) {
-	data, release, err := s.fetchDataPinned(ctx, id)
+	c := s.DataCache()
+	if c == nil || !s.StoresData() {
+		return s.fetchDataDirect(ctx, id)
+	}
+	data, release, err := c.Acquire(ctx, id, func() ([]byte, error) { return s.fetchDataDirect(ctx, id) })
 	if release != nil {
 		release()
 	}
 	return data, err
-}
-
-// fetchDataPinned is fetchData returning a pin on the shared cache entry;
-// the caller must invoke release (never nil on success) when its prefetch
-// window no longer needs the container resident.
-func (s *Store) fetchDataPinned(ctx context.Context, id uint32) ([]byte, func(), error) {
-	c := s.DataCache()
-	if c == nil || !s.StoresData() {
-		data, err := s.fetchDataDirect(ctx, id)
-		return data, func() {}, err
-	}
-	return c.Acquire(ctx, id, func() ([]byte, error) { return s.fetchDataDirect(ctx, id) })
 }
 
 // fetchDataDirect pulls one container's data section from the backend and
@@ -850,36 +842,18 @@ func (s *Store) fetchDataRangeDirect(ctx context.Context, ids []uint32) ([][]byt
 // ReadDataRange reads the data sections of the given on-disk-adjacent
 // containers as one sequential extent — one seek plus a single combined
 // transfer — and returns each container's data section in order. A single
-// id degenerates to exactly ReadData.
+// id degenerates to exactly ReadData. Simulated time is charged identically
+// whether the bytes come from the shared cache or the backend.
 func (s *Store) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
-	out, release, err := s.ReadDataRangePinned(ctx, ids)
-	if release != nil {
-		release()
-	}
-	return out, err
-}
-
-// ReadDataRangePinned is ReadDataRange returning a pin on the shared data
-// cache: the fetched containers stay unevictable until the caller invokes
-// release (never nil on success), so a restore's prefetch window cannot be
-// torn out by concurrent streams. Simulated time is charged identically to
-// ReadDataRange whether the bytes came from the cache or the backend.
-func (s *Store) ReadDataRangePinned(ctx context.Context, ids []uint32) ([][]byte, func(), error) {
 	if len(ids) == 1 {
-		info := s.info(ids[0])
-		s.dev.AccountRead(info.DataStart(s.cfg), info.DataFill)
-		telDataReads.Inc()
-		data, release, err := s.fetchDataPinned(ctx, ids[0])
+		data, err := s.ReadData(ctx, ids[0])
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return [][]byte{data}, release, nil
+		return [][]byte{data}, nil
 	}
-	off, n := s.rangeSpan(ids)
-	s.dev.AccountRead(off, n)
-	telDataReads.Add(int64(len(ids)))
-	telRangedReads.Inc()
-	return s.fetchDataRangePinned(ctx, ids)
+	s.AccountDataRange(ids, nil)
+	return s.fetchDataRange(ctx, ids)
 }
 
 // PeekDataRange materializes the same per-container data sections as
@@ -894,8 +868,10 @@ func (s *Store) PeekDataRange(ctx context.Context, ids []uint32) ([][]byte, erro
 	return out, err
 }
 
-// PeekDataRangePinned is PeekDataRange returning a shared-cache pin (see
-// ReadDataRangePinned).
+// PeekDataRangePinned is PeekDataRange returning a pin on the shared data
+// cache: the fetched containers stay unevictable until the caller invokes
+// release (never nil on success), so the extent a restore has fetched ahead
+// of use cannot be torn out by concurrent streams.
 func (s *Store) PeekDataRangePinned(ctx context.Context, ids []uint32) ([][]byte, func(), error) {
 	if len(ids) > 1 {
 		s.rangeSpan(ids) // assert adjacency exactly like the charged path

@@ -13,6 +13,45 @@ import (
 	"repro/internal/segment"
 )
 
+// hashBatchChunks is how many chunks ride in one hash job: SHA-256 of an
+// 8 KiB chunk is far cheaper than a channel round trip, so per-chunk handoff
+// would make the pool slower than the serial loop.
+const hashBatchChunks = 64
+
+// hashJob is one batch of chunks on its way through the hash workers.
+type hashJob struct {
+	data []byte // concatenated chunk bytes
+	ends []int  // end offset of each chunk within data
+	res  []chunk.Chunk
+	err  error // injected worker fault (hashFaultHook)
+	out  chan []chunk.Chunk
+}
+
+// hashJobs recycles job buffers (chunk bytes, end offsets, result slices,
+// handoff channels) across every pipeline of the process, not per call: a
+// pool built per backup starts each stream with empty buffers and regrows
+// them by doubling on the chunker goroutine, which is ingest's critical
+// path. A job is only ever Put once its result has been received and, with
+// keepData, once a processed segment has consumed every chunk aliasing its
+// bytes, so a job drawn by another stream is never still in use.
+var hashJobs = sync.Pool{New: func() any { return &hashJob{out: make(chan []chunk.Chunk, 1)} }}
+
+// getHashJob draws an empty job whose byte buffer already holds a batch of
+// target-sized chunks (a batch of larger chunks grows it once, and the pool
+// keeps the growth).
+func getHashJob(targetChunk int) *hashJob {
+	j := hashJobs.Get().(*hashJob)
+	if want := hashBatchChunks * targetChunk; cap(j.data) < want {
+		j.data = make([]byte, 0, want)
+		j.ends = make([]int, 0, hashBatchChunks)
+		j.res = make([]chunk.Chunk, 0, hashBatchChunks)
+	}
+	j.data = j.data[:0]
+	j.ends = j.ends[:0]
+	j.err = nil
+	return j
+}
+
 // hashFaultHook, when non-nil, is called by hash workers for every chunk
 // they fingerprint and lets tests inject a mid-batch worker failure. It must
 // be set before a pipeline starts and cleared after it finishes.
@@ -73,31 +112,17 @@ func ParallelPipeline(
 		return 0, 0, 0, err
 	}
 
-	// Chunks are hashed in batches: SHA-256 of an 8 KiB chunk is far
-	// cheaper than a channel round trip, so per-chunk handoff would make
-	// the pool slower than the serial loop.
-	const batchChunks = 64
-	type job struct {
-		data []byte // concatenated chunk bytes
-		ends []int  // end offset of each chunk within data
-		res  []chunk.Chunk
-		err  error // injected worker fault (hashFaultHook)
-		out  chan []chunk.Chunk
-	}
-	// Job buffers (chunk bytes, end offsets, result slices, handoff
-	// channels) are recycled through a pool: steady-state ingest allocates
-	// no per-batch buffers, which matters once several streams run this
-	// pipeline at once. Without keepData a job recycles as soon as the
+	// Jobs recycle through hashJobs: steady-state ingest allocates no
+	// per-batch buffers. Without keepData a job recycles as soon as the
 	// consumer drains it; with keepData the emitted chunks alias job.data,
 	// so drained jobs park on a retire list until the next processed
 	// segment proves every chunk added so far has been consumed.
-	pool := sync.Pool{New: func() any { return &job{out: make(chan []chunk.Chunk, 1)} }}
 	// Bounded queue: the chunker stays ahead of the hashers without
 	// buffering the whole stream.
-	jobs := make(chan *job, workers*2)
+	jobs := make(chan *hashJob, workers*2)
 	// Order-preserving handoff: each job carries its own result channel;
 	// the consumer reads jobs' channels in submission order.
-	pending := make(chan *job, workers*2)
+	pending := make(chan *hashJob, workers*2)
 	// stop tells the producer the consumer gave up (process error, ctx
 	// cancellation) so it cuts the stream short instead of chunking to EOF.
 	stop := make(chan struct{})
@@ -133,24 +158,17 @@ func ParallelPipeline(
 	}
 
 	var chunkErr error
-	getJob := func() *job {
-		j := pool.Get().(*job)
-		j.data = j.data[:0]
-		j.ends = j.ends[:0]
-		j.err = nil
-		return j
-	}
 	go func() {
 		defer close(jobs)
 		defer close(pending)
-		cur := getJob()
+		cur := getHashJob(cp.Target)
 		flush := func() {
 			if len(cur.ends) == 0 {
 				return
 			}
 			pending <- cur
 			jobs <- cur
-			cur = getJob()
+			cur = getHashJob(cp.Target)
 		}
 		for {
 			select {
@@ -177,13 +195,13 @@ func ParallelPipeline(
 			// The chunker reuses its window; the job owns the single copy.
 			cur.data = append(cur.data, raw...)
 			cur.ends = append(cur.ends, len(cur.data))
-			if len(cur.ends) >= batchChunks {
+			if len(cur.ends) >= hashBatchChunks {
 				flush()
 			}
 		}
 	}()
 
-	var retired []*job
+	var retired []*hashJob
 	emit := func(seg *segment.Segment) error {
 		if seg == nil {
 			return nil
@@ -199,7 +217,7 @@ func ParallelPipeline(
 		// The processed segment contained every chunk added since the last
 		// emit, so all drained jobs' bytes are dead — recycle them.
 		for _, rj := range retired {
-			pool.Put(rj)
+			hashJobs.Put(rj)
 		}
 		retired = retired[:0]
 		return nil
@@ -233,7 +251,7 @@ func ParallelPipeline(
 			}
 		}
 		if !keepData {
-			pool.Put(j)
+			hashJobs.Put(j)
 		} else {
 			retired = append(retired, j)
 		}

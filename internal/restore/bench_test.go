@@ -129,3 +129,37 @@ func TestRestoreAllocsPerChunk(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoreAllocBytesPerByte guards the other half of zero-copy: a restore
+// off the sim backend reads sealed sections in place, so the bytes it
+// allocates (plan, cache maps, decode batches) stay a small fraction of the
+// bytes it restores. One private copy of each fetched section would alone
+// put the ratio at 1.
+func TestRestoreAllocBytesPerByte(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is slow under -short")
+	}
+	s, rec := benchStore(t, 2048, 8192, 256)
+	for _, dw := range []int{1, 4} {
+		t.Run(fmt.Sprintf("decode=%d", dw), func(t *testing.T) {
+			cfg := PipelineConfig{CacheContainers: 8, Policy: PolicyLRU, Workers: 1, Verify: true, DecodeWorkers: dw}
+			run := func() {
+				if _, err := RunPipelined(context.Background(), s, rec, cfg, io.Discard); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			const runs = 5
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*rec.Bytes())
+			if perByte > 0.05 {
+				t.Fatalf("%.3f bytes allocated per restored byte, want <= 0.05 (a fetched section is being copied)", perByte)
+			}
+		})
+	}
+}

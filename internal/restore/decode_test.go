@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -15,9 +17,10 @@ import (
 // TestDecodeWorkersDeterminism is the tentpole's contract: DecodeWorkers is
 // a wall-clock-only knob. Restored bytes, every Stats field (including the
 // simulated Duration), and the device-level seek/read/byte counters must be
-// bit-identical across decode worker counts and shared-cache budgets, for
-// every pipeline mode — the restore analogue of PR 7's ingest
-// TestParallelWorkersDeterminism.
+// bit-identical across decode worker counts, shared-cache budgets and
+// GOMAXPROCS (the extents are fetched ahead of use by another goroutine in
+// every mode, Workers == 1 included), for every pipeline mode — the restore
+// analogue of PR 7's ingest TestParallelWorkersDeterminism.
 func TestDecodeWorkersDeterminism(t *testing.T) {
 	modes := []struct {
 		name string
@@ -53,20 +56,25 @@ func TestDecodeWorkersDeterminism(t *testing.T) {
 				return result{st: st, out: buf.Bytes(), seek: ds.Seeks, read: ds.BytesRead}
 			}
 			base := run(1, 0)
-			for _, dw := range []int{0, 2, 8} {
-				for _, budget := range []int64{0, 2048, 1 << 20} {
-					got := run(dw, budget)
-					if got.st != base.st {
-						t.Errorf("decode=%d budget=%d: stats %+v != serial %+v", dw, budget, got.st, base.st)
+			for _, procs := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+					setProcs(t, procs)
+					for _, dw := range []int{0, 1, 2, 8} {
+						for _, budget := range []int64{0, 2048, 1 << 20} {
+							got := run(dw, budget)
+							if got.st != base.st {
+								t.Errorf("decode=%d budget=%d: stats %+v != serial %+v", dw, budget, got.st, base.st)
+							}
+							if !bytes.Equal(got.out, base.out) {
+								t.Errorf("decode=%d budget=%d: restored bytes differ", dw, budget)
+							}
+							if got.seek != base.seek || got.read != base.read {
+								t.Errorf("decode=%d budget=%d: device stats %d/%d != %d/%d",
+									dw, budget, got.seek, got.read, base.seek, base.read)
+							}
+						}
 					}
-					if !bytes.Equal(got.out, base.out) {
-						t.Errorf("decode=%d budget=%d: restored bytes differ", dw, budget)
-					}
-					if got.seek != base.seek || got.read != base.read {
-						t.Errorf("decode=%d budget=%d: device stats %d/%d != %d/%d",
-							dw, budget, got.seek, got.read, base.seek, base.read)
-					}
-				}
+				})
 			}
 		})
 	}
@@ -137,23 +145,26 @@ func TestDecodeWorkersWriteError(t *testing.T) {
 }
 
 // TestParallelDecodeFailureReleasesPins is the regression guard for the
-// early-stop pin leak: with Workers > 1 and the decode pool engaged, a
-// verify mismatch or writer error fails the resequencer, push() returns
-// false, and the assembler's run() returns nil without consuming every
-// planned extent — close() surfaces the error. The fetch scheduler must
-// still be drained in that case so the fetcher goroutines exit and every
-// prefetched extent's shared-cache pin is released; before the fix the
-// drain only ran on a non-nil run() error, leaving the scheduler blocked
-// and the prefetched containers pinned in the store's DataCache forever.
+// early-stop pin leak: with the decode pool engaged, a verify mismatch or
+// writer error fails the resequencer, push() returns false, and the
+// assembler's run() returns nil without consuming every planned extent —
+// close() surfaces the error. The fetcher, which is holding the next extent
+// pinned in the store's DataCache, must still be stopped and must release
+// it, at every lane count: the restore returns with no pin held and no
+// goroutine of its own left behind.
 func TestParallelDecodeFailureReleasesPins(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		corrupt bool // fingerprint mismatch vs writer error
+		workers int
 	}{
-		{"verify-mismatch", true},
-		{"writer-error", false},
+		{"verify-mismatch", true, 8},
+		{"writer-error", false, 8},
+		{"verify-mismatch-one-lane", true, 1},
+		{"writer-error-one-lane", false, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			goroutines := runtime.NumGoroutine()
 			s := rig(t, true)
 			datas := mkDatas(1500, 100)
 			seq := ingest(t, s, "base", datas)
@@ -166,21 +177,22 @@ func TestParallelDecodeFailureReleasesPins(t *testing.T) {
 			if !tc.corrupt {
 				w = &failAfterWriter{n: 300}
 			}
-			cfg := PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Workers: 8,
+			cfg := PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Workers: tc.workers,
 				Verify: true, DecodeWorkers: 4}
 			if _, err := RunPipelined(context.Background(), s, frag, cfg, w); err == nil {
 				t.Fatal("expected the restore to fail")
 			}
-			// The drain releases the remaining prefetched extents
-			// asynchronously; poll the cache for quiescence.
+			// run() joins the fetcher before it returns, so the pin count is
+			// exact here, not eventually.
+			if st := s.DataCache().Stats(); st.Pinned != 0 {
+				t.Fatalf("prefetched pins still held after failed restore: %+v", st)
+			}
+			// The decode workers exit on their own once close() has closed
+			// their queue; give them a moment.
 			deadline := time.Now().Add(10 * time.Second)
-			for {
-				st := s.DataCache().Stats()
-				if st.Pinned == 0 {
-					break
-				}
+			for runtime.NumGoroutine() > goroutines {
 				if time.Now().After(deadline) {
-					t.Fatalf("prefetched pins never released after failed restore: %+v", st)
+					t.Fatalf("%d goroutines before the failed restore, %d after", goroutines, runtime.NumGoroutine())
 				}
 				time.Sleep(time.Millisecond)
 			}

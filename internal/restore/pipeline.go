@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/chunk"
@@ -15,16 +14,12 @@ import (
 )
 
 // Telemetry of the pipelined restore path: extent coalescing (the seeks Eq. 1
-// no longer pays) and the prefetch depth the fetch pool sustains ahead of the
-// assembler.
+// no longer pays) and the backlog ahead of the decode pool.
 var (
 	telCoalescedReads = telemetry.NewCounter("restore_coalesced_reads_total",
 		"multi-container sequential extent reads issued by the restore pipeline")
 	telCoalescedContainers = telemetry.NewCounter("restore_coalesced_containers_total",
 		"container fetches folded into a preceding coalesced extent read (seeks saved)")
-	telPrefetchDepth = telemetry.NewHistogram("restore_prefetch_depth",
-		"extent reads in flight ahead of the restore assembler when a prefetch is scheduled",
-		telemetry.CountBuckets)
 	telDecodeQueueDepth = telemetry.NewHistogram("restore_decode_queue_depth",
 		"verify/decode batches queued ahead of the decode worker pool when a batch is submitted",
 		telemetry.CountBuckets)
@@ -38,11 +33,15 @@ type PipelineConfig struct {
 	// recipe's forward knowledge (Belady eviction); PolicyLRU reproduces the
 	// legacy cache exactly.
 	Policy CachePolicy
-	// Workers is the number of parallel prefetch lanes. 1 runs the serial
-	// pipeline, whose stats are bit-identical to Run for PolicyLRU with
-	// coalescing off. Workers > 1 models that many concurrent read streams
-	// on the simulated array with per-lane clocks (the round's duration is
-	// the slowest lane), consistent with the multi-stream ingest model.
+	// Workers is the number of simulated read lanes, and nothing else: it
+	// decides how extent reads are charged to the Eq. 1 clock, never how the
+	// bytes are fetched (one fetcher goroutine, one extent ahead of the
+	// assembler, whatever the value). 1 charges each extent to the store
+	// clock at the instant the assembler needs it, so stats are bit-identical
+	// to Run for PolicyLRU with coalescing off. Workers > 1 models that many
+	// concurrent read streams on the simulated array with per-lane clocks
+	// (the round's duration is the slowest lane), consistent with the
+	// multi-stream ingest model.
 	Workers int
 	// Coalesce merges schedule-consecutive fetches of disk-adjacent
 	// containers into single sequential extent reads: k containers for one
@@ -70,7 +69,7 @@ type PipelineConfig struct {
 
 // DefaultPipelineConfig returns the full read-optimized configuration: an
 // 8-container OPT cache, coalescing up to 8 adjacent containers per extent,
-// and 4 prefetch lanes.
+// and 4 simulated read lanes.
 func DefaultPipelineConfig() PipelineConfig {
 	return PipelineConfig{CacheContainers: 8, Policy: PolicyOPT, Workers: 4, Coalesce: true, MaxCoalesce: 8}
 }
@@ -78,11 +77,13 @@ func DefaultPipelineConfig() PipelineConfig {
 // RunPipelined restores a recipe through the planned, pipelined read path:
 // the recipe is first compiled into a fetch schedule (which container to
 // read before which ref, what to evict, which fetches coalesce into one
-// sequential extent), then executed. With Workers == 1 execution is serial
-// on the store's clock; with Workers > 1 extent reads are charged to
-// per-lane clocks in deterministic schedule order (earliest-free lane
-// first) while a pool of fetcher goroutines materializes the data ahead of
-// the serial assembler, and Stats.Duration is the slowest lane.
+// sequential extent), then executed by one assembler with one fetcher
+// goroutine materializing the next extent while the current one is
+// assembled. Simulated time is charged apart from the fetching: with
+// Workers == 1 each extent read lands on the store's clock at the instant
+// the assembler needs it; with Workers > 1 extent reads are charged up front
+// to per-lane clocks in deterministic schedule order (earliest-free lane
+// first) and Stats.Duration is the slowest lane.
 //
 // With PolicyLRU, Workers <= 1, Coalesce and ChunkCache off, the resulting
 // Stats are bit-identical to Run — pinned by TestSerialPipelinedMatchesRun.
@@ -136,21 +137,13 @@ func RunPipelined(ctx context.Context, store *container.Store, recipe *chunk.Rec
 
 	master := store.Device().Clock()
 	start := master.Now()
-	var runErr error
-	if cfg.Workers == 1 {
-		// Serial: extent reads charge the store clock at the instant the
-		// assembler needs them, exactly like the legacy path. The pin holds
-		// the extent in the shared data cache across the staging window.
-		runErr = as.run(func(e *extent) ([][]byte, func(), error) {
-			return store.ReadDataRangePinned(ctx, e.ids)
-		})
-	} else {
-		// Parallel: charge every extent to the earliest-free lane in
-		// deterministic schedule order, then run the wall-clock pipeline
-		// with uncharged fetches.
+	if cfg.Workers > 1 {
+		// Several lanes: every extent is charged to the earliest-free lane in
+		// deterministic schedule order before any byte moves. One lane is
+		// charged by the assembler as it goes (see run).
 		chargeLanes(store, plan, cfg.Workers)
-		runErr = as.runParallel(ctx)
 	}
+	runErr := as.run(ctx)
 	if as.emit != nil {
 		// Join the decode pool. A decode/write error happened at an earlier
 		// stream position than any fetch error (fetches fail at the ref
@@ -240,12 +233,55 @@ type assembly struct {
 	emit *decodePipe
 }
 
-// run drives the assembler, obtaining each extent's data from fetchExtent
-// the moment its first container is needed. Containers of a coalesced
-// extent that install later wait in a staging buffer bounded by
-// MaxCoalesce. The release returned with an extent's data pins it in the
-// shared container cache until its last container has been installed.
-func (as *assembly) run(fetchExtent func(e *extent) ([][]byte, func(), error)) error {
+// fetchedExtent is what the fetcher hands the assembler for one extent: the
+// data sections of its containers and the shared-cache pin that holds them.
+// With err set there is no data and release may be nil.
+type fetchedExtent struct {
+	datas   [][]byte
+	release func()
+	err     error
+}
+
+// run drives the assembler over the recipe while a fetcher goroutine
+// materializes the schedule's extents, in order and uncharged, one ahead:
+// the channel between them is unbuffered, so the fetcher sits in its send
+// holding extent k+1 while the assembler works through extent k, and the
+// bytes pinned ahead of use never exceed one extent. With one simulated
+// lane the extent read is charged to the store clock at the instant the
+// assembler asks for it — the order a serial reader would pay in.
+// Containers of a coalesced extent that install later wait in a staging
+// buffer bounded by MaxCoalesce. run returns only after the fetcher has
+// exited and released whatever it still held, however early the assembler
+// stopped.
+func (as *assembly) run(ctx context.Context) error {
+	fetched := make(chan fetchedExtent)
+	stop := make(chan struct{})
+	fetcherDone := make(chan struct{})
+	go func() {
+		defer close(fetcherDone)
+		for ei := range as.plan.extents {
+			// Fetched under the caller's ctx, not one cancelled by stop: a
+			// load aborted half-way would fail every other stream waiting on
+			// the same shared-cache entry.
+			datas, release, err := as.store.PeekDataRangePinned(ctx, as.plan.extents[ei].ids)
+			select {
+			case fetched <- fetchedExtent{datas: datas, release: release, err: err}:
+			case <-stop:
+				if release != nil {
+					release()
+				}
+				return
+			}
+			if err != nil {
+				return // the assembler stops at this extent
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-fetcherDone
+	}()
+
 	staged := make(map[uint32][]byte)
 	for i := range as.refs {
 		ref := &as.refs[i]
@@ -254,18 +290,19 @@ func (as *assembly) run(fetchExtent func(e *extent) ([][]byte, func(), error)) e
 			f := &as.plan.fetches[fx]
 			e := &as.plan.extents[f.extent]
 			if fx == e.lo {
-				datas, release, err := fetchExtent(e)
-				if err != nil {
-					return err
+				if as.cfg.Workers == 1 {
+					as.store.AccountDataRange(e.ids, nil)
+				}
+				res := <-fetched
+				if res.err != nil {
+					return res.err
 				}
 				for k, cid := range e.ids {
-					staged[cid] = datas[k]
+					staged[cid] = res.datas[k]
 				}
-				if release != nil {
-					// The cache residency served its purpose the moment the
-					// sections are staged in this restore's own memory.
-					release()
-				}
+				// The cache residency served its purpose the moment the
+				// sections are staged in this restore's own memory.
+				res.release()
 			}
 			data, ok := staged[id]
 			if !ok {
@@ -358,73 +395,6 @@ func (as *assembly) piece(id uint32, ref *chunk.Ref) []byte {
 		panic("restore: referenced container missing from cache")
 	}
 	return as.store.Extract(data, ref.Loc)
-}
-
-// runParallel overlaps extent fetches with assembly: a scheduler enqueues
-// extents in order, Workers fetcher goroutines materialize their data (time
-// was already charged by chargeLanes), and the assembler consumes results
-// strictly in schedule order through per-job reorder channels.
-func (as *assembly) runParallel(ctx context.Context) error {
-	type fetchResult struct {
-		datas   [][]byte
-		release func()
-		err     error
-	}
-	type fetchJob struct {
-		ids []uint32
-		out chan fetchResult
-	}
-	depth := as.cfg.Workers * 2
-	pending := make(chan *fetchJob, depth)
-	jobs := make(chan *fetchJob, depth)
-	var inFlight atomic.Int64
-	go func() {
-		defer close(pending)
-		defer close(jobs)
-		for ei := range as.plan.extents {
-			j := &fetchJob{ids: as.plan.extents[ei].ids, out: make(chan fetchResult, 1)}
-			telPrefetchDepth.Observe(float64(inFlight.Add(1)))
-			pending <- j
-			jobs <- j
-		}
-	}()
-	for k := 0; k < as.cfg.Workers; k++ {
-		go func() {
-			for j := range jobs {
-				// Pinned fetch: the extent stays resident in the shared data
-				// cache for the whole prefetch window, released by the
-				// assembler once staged (or by the drain on error).
-				datas, release, err := as.store.PeekDataRangePinned(ctx, j.ids)
-				j.out <- fetchResult{datas: datas, release: release, err: err}
-			}
-		}()
-	}
-	consumed := 0
-	err := as.run(func(e *extent) ([][]byte, func(), error) {
-		j := <-pending
-		consumed++
-		res := <-j.out
-		inFlight.Add(-1)
-		return res.datas, res.release, res.err
-	})
-	if consumed < len(as.plan.extents) {
-		// The assembler stopped before consuming every extent — either a
-		// fetch/write error (err != nil) or the decode resequencer failed, in
-		// which case run returns nil and close() surfaces the error. Either
-		// way, drain so the scheduler and fetchers can exit and every
-		// prefetched extent's shared-cache pin is released; the store
-		// outlives the restore call, so late PeekDataRange calls are
-		// harmless.
-		go func() {
-			for j := range pending {
-				res := <-j.out
-				if res.release != nil {
-					res.release()
-				}
-			}
-		}()
-	}
-	return err
 }
 
 // referencedLocations collects, per container, the distinct chunk locations

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -36,20 +37,30 @@ func wantBytes(datas [][]byte, rec *chunk.Recipe, seq *chunk.Recipe) []byte {
 	return out.Bytes()
 }
 
+// setProcs runs the rest of the test at GOMAXPROCS n. The fetcher and the
+// decode pool are scheduled differently at 1, 2 and 4 Ps; nothing the
+// simulated clock or the counters see may depend on that.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestSerialPipelinedMatchesRun is the tier-1 guard required by the PR: the
 // pipelined engine at workers=1 with the LRU policy and no coalescing must
 // produce byte-for-byte identical Stats — and identical device-level seek,
-// read, and byte counters — to the legacy Run on an identical store.
+// read, and byte counters — to the reference Run on an identical store,
+// although its extents are fetched ahead of use by another goroutine.
 func TestSerialPipelinedMatchesRun(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		cache int
-	}{
-		{"cache1", 1},
-		{"cache4", 4},
-		{"cache8", 8},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	type shape struct{ cache, procs int }
+	var shapes []shape
+	for _, cache := range []int{1, 4, 8} {
+		for _, procs := range []int{1, 2, 4} {
+			shapes = append(shapes, shape{cache, procs})
+		}
+	}
+	for _, tc := range shapes {
+		t.Run(fmt.Sprintf("cache%d-procs%d", tc.cache, tc.procs), func(t *testing.T) {
+			setProcs(t, tc.procs)
 			// Two independent stores ingesting the same stream produce an
 			// identical on-disk layout; restore each through one path.
 			s1 := rig(t, true)

@@ -1,0 +1,184 @@
+package repro
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/blockstore"
+)
+
+// sealedSections remembers every data section the sim backend has handed
+// out — the sealed arrays themselves, since Sim.ReadData does not copy —
+// with the digest each had when first seen. Holding the slice keeps a
+// section checkable after maintenance or compaction has dropped its
+// container.
+type sealedSections struct {
+	be   blockstore.Backend
+	data map[uint32][]byte
+	sum  map[uint32][sha256.Size]byte
+}
+
+// record digests the sections of containers not seen before.
+func (ss *sealedSections) record(t *testing.T) {
+	t.Helper()
+	ctx := context.Background()
+	infos, err := ss.be.List(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range infos {
+		if _, seen := ss.data[info.ID]; seen {
+			continue
+		}
+		data, err := ss.be.ReadData(ctx, info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss.data[info.ID] = data
+		ss.sum[info.ID] = sha256.Sum256(data)
+	}
+}
+
+// verify re-digests every recorded section in place.
+func (ss *sealedSections) verify(t *testing.T, after string) {
+	t.Helper()
+	for id, data := range ss.data {
+		if sha256.Sum256(data) != ss.sum[id] {
+			t.Fatalf("after %s: sealed section of container %d was written to", after, id)
+		}
+	}
+}
+
+// TestBackendReadsAreReadOnly holds every consumer of fetched data sections
+// to the blockstore.Backend contract: the sim backend returns its sealed
+// sections themselves, so a consumer that wrote into what it fetched would
+// corrupt the store. Every restore shape, the shared restore cache, fsck,
+// a maintenance epoch, compaction and export run over one store; each
+// sealed section must hash the same afterwards. Run under -race it also
+// shows the concurrent readers of one section only read.
+func TestBackendReadsAreReadOnly(t *testing.T) {
+	ctx := context.Background()
+	var ss *sealedSections
+	s, err := Open(Options{Engine: DeFrag, Alpha: 0.3, StoreData: true,
+		ExpectedBytes: 64 << 20, Maintenance: maintOptions(),
+		WrapBackend: func(be blockstore.Backend) blockstore.Backend {
+			ss = &sealedSections{be: be, data: map[uint32][]byte{}, sum: map[uint32][sha256.Size]byte{}}
+			return be
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck // test teardown
+	datas := ingestGens(t, s, 91, 6)
+	ss.record(t)
+	if len(ss.data) < 2 {
+		t.Fatalf("only %d sealed containers: the store is too small to say anything", len(ss.data))
+	}
+
+	restoreAllShapes := func(after string) {
+		t.Helper()
+		var shapes []RestoreOptions
+		for _, policy := range []RestorePolicy{RestoreLRU, RestoreOPT} {
+			for _, chunkCache := range []bool{false, true} {
+				for _, lanes := range []int{1, 4} {
+					shapes = append(shapes, RestoreOptions{CacheContainers: 3, Policy: policy, Workers: lanes,
+						Coalesce: lanes > 1, ChunkCache: chunkCache, Verify: true})
+				}
+			}
+		}
+		backups := s.Backups()
+		want := datas[len(datas)-len(backups):]
+		var wg sync.WaitGroup
+		errs := make(chan error, len(shapes)+1)
+		for _, opts := range shapes {
+			wg.Add(1)
+			go func(opts RestoreOptions) {
+				defer wg.Done()
+				for i, b := range backups {
+					var out bytes.Buffer
+					if _, err := s.RestoreWith(ctx, b, &out, opts); err != nil {
+						errs <- fmt.Errorf("%s %+v: %w", b.Label, opts, err)
+						return
+					}
+					if !bytes.Equal(out.Bytes(), want[i]) {
+						errs <- fmt.Errorf("%s %+v: restored stream differs", b.Label, opts)
+						return
+					}
+				}
+			}(opts)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, b := range backups {
+				var out bytes.Buffer
+				if _, err := s.RestoreFAA(ctx, b, &out, 8<<20, true); err != nil {
+					errs <- fmt.Errorf("%s faa: %w", b.Label, err)
+					return
+				}
+				if !bytes.Equal(out.Bytes(), want[i]) {
+					errs <- fmt.Errorf("%s faa: restored stream differs", b.Label)
+					return
+				}
+			}
+		}()
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		ss.verify(t, after)
+	}
+
+	restoreAllShapes("restores")
+
+	rep, err := s.Check(ctx, true)
+	if err != nil || !rep.OK() {
+		t.Fatalf("check: %v %v", err, rep.Problems)
+	}
+	ss.verify(t, "fsck")
+
+	// Export wants a dense container log, so it goes before anything drops
+	// a container.
+	if err := s.Export(ctx, t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	ss.verify(t, "export")
+
+	for _, b := range s.Backups()[:3] {
+		if res := s.Forget(b.Label); !res.Found {
+			t.Fatalf("forget %s: not found", b.Label)
+		}
+	}
+	var merged int64
+	for i := 0; i < 2; i++ {
+		st, err := s.MaintenanceEpoch(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged += st.ChunksMoved
+	}
+	ss.verify(t, "maintenance epochs")
+	ss.record(t)
+
+	// One more generation leaves superseded copies for Compact to collect.
+	datas = append(datas, ingestGens(t, s, 92, 1)...)
+	ss.record(t)
+	cs, err := s.Compact(ctx, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("maintenance moved %d chunks, compaction %d", merged, cs.ChunksMoved)
+	if merged == 0 || cs.ChunksMoved == 0 {
+		t.Fatal("maintenance or compaction read no victim section: nothing was tested")
+	}
+	ss.verify(t, "compaction")
+	ss.record(t)
+
+	s.SetRestoreCacheBudget(16 << 20)
+	restoreAllShapes("restores of the rewritten store through the shared cache")
+}
