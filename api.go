@@ -200,8 +200,8 @@ type Options struct {
 	// other engines. 0 uses the engine default (8).
 	MinRun int
 	// Workers controls the chunk-fingerprinting fan-out of every backup:
-	// 0 (the default) sizes the pool to GOMAXPROCS, 1 forces the serial
-	// pipeline, N > 1 uses exactly N goroutines. Purely a wall-clock
+	// 0 (the default) sizes the pool to GOMAXPROCS, 1 hashes inline on the
+	// calling goroutine, N > 1 uses exactly N goroutines. Purely a wall-clock
 	// optimization of the pipeline; all results and simulated timings are
 	// identical.
 	Workers int

@@ -84,8 +84,8 @@ type wallReport struct {
 	HostCPUs int `json:"hostCPUs"`
 
 	// Determinism pins the dual-clock contract at the system level: the same
-	// single-stream workload ingested with Workers=1 (serial pipeline) and
-	// Workers=auto (parallel pipeline) must produce byte-identical recipes
+	// single-stream workload ingested with Workers=1 (hashing inline) and
+	// Workers=auto (hashing on a worker pool) must produce byte-identical recipes
 	// and the same charged simulated time — wall parallelism buys wall time
 	// only.
 	Determinism struct {

@@ -48,9 +48,8 @@ func (s *Sim) Seal(ctx context.Context, info ContainerInfo, data []byte) error {
 	}
 	s.infos[info.ID] = cloneInfo(info)
 	if s.storeData {
-		buf := make([]byte, len(data))
-		copy(buf, data)
-		s.data[info.ID] = buf
+		// One pass: a make would zero the section first, only to copy over it.
+		s.data[info.ID] = append([]byte(nil), data...)
 	}
 	return nil
 }

@@ -1,6 +1,6 @@
 // Package chunker splits byte streams into chunks.
 //
-// Three chunkers are provided:
+// Four chunkers are provided:
 //
 //   - Gear: content-defined chunking with a gear rolling hash and
 //     FastCDC-style normalization (two masks around the target size plus a
@@ -11,9 +11,13 @@
 //     reference implementation and cross-check.
 //   - Fixed: fixed-size chunking, the degenerate baseline (no shift
 //     tolerance), used in tests and ablations.
+//   - TTTD: two-threshold two-divisor chunking, the classical answer to
+//     hard truncation at the maximum size.
 //
-// All chunkers implement the Chunker interface and stream: Next returns the
-// next chunk until io.EOF.
+// Each kind is a boundary search over bytes in memory. A Scanner runs one
+// over a stream, cutting in place in the caller's buffers (the ingest
+// pipeline's way in); a Stream wraps a Scanner as a Chunker, whose Next
+// returns one chunk at a time until io.EOF.
 package chunker
 
 import (
@@ -62,59 +66,139 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// buffered is the shared reader machinery: it keeps a sliding window buffer
-// over the input so chunk slices can be handed out without copying.
-type buffered struct {
-	r    io.Reader
-	buf  []byte
-	off  int // start of unconsumed bytes
-	n    int // end of valid bytes
-	err  error
-	done bool
+// cutter is the in-memory half of a chunker: where the first chunk of a
+// byte run ends. Each kind keeps its boundary search behind it, so one
+// Scanner serves all four.
+type cutter interface {
+	// cut returns the length of the first chunk of data, at least 1 and at
+	// most maxLen. The caller passes either maxLen or more bytes, of which
+	// only the first maxLen are looked at, or all that is left of the stream;
+	// never none.
+	cut(data []byte) int
+	// maxLen is the longest chunk cut returns.
+	maxLen() int
 }
 
-func newBuffered(r io.Reader, bufSize int) *buffered {
-	if bufSize < 1 {
-		bufSize = 1
-	}
-	return &buffered{r: r, buf: make([]byte, bufSize)}
+// maxEmptyReads bounds a run of (0, nil) reads before the stream counts as
+// stuck, as bufio does.
+const maxEmptyReads = 100
+
+// Scanner cuts a stream into chunks inside buffers its caller owns: bytes go
+// from the reader to where they are hashed with no window of the chunker's in
+// between. The ingest pipeline scans straight into its pooled hash-job
+// buffers; Stream is the same over one buffer of its own.
+type Scanner struct {
+	r   io.Reader
+	c   cutter
+	err error // how the stream ended: io.EOF or the read failure; nil until then
 }
 
-// fill ensures at least want unconsumed bytes are buffered, or the stream is
-// exhausted. It reports the number of unconsumed bytes available.
-func (b *buffered) fill(want int) int {
-	if b.n-b.off >= want || b.done {
-		return b.n - b.off
+// NewScanner returns a scanner of the given kind over r. For KindFixed the
+// Target parameter is the chunk size.
+func NewScanner(k Kind, r io.Reader, p Params) (*Scanner, error) {
+	var c cutter
+	var err error
+	switch k {
+	case KindGear:
+		c, err = newGear(p)
+	case KindRabin:
+		c, err = newRabin(p)
+	case KindFixed:
+		c, err = newFixed(p.Target)
+	case KindTTTD:
+		c, err = newTTTD(p)
+	default:
+		err = errBadParams
 	}
-	// Slide remaining bytes to the front to make room. In the common steady
-	// state the window is fully consumed (off == n) and the slide is a pure
-	// index reset with no copy.
-	if b.off > 0 {
-		if b.off == b.n {
-			b.off, b.n = 0, 0
-		} else {
-			copy(b.buf, b.buf[b.off:b.n])
-			b.n -= b.off
-			b.off = 0
-		}
+	if err != nil {
+		return nil, err
 	}
-	for b.n < len(b.buf) && b.n < want {
-		m, err := b.r.Read(b.buf[b.n:])
-		b.n += m
-		if err != nil {
-			b.done = true
-			if err != io.EOF {
-				b.err = err
+	return &Scanner{r: r, c: c}, nil
+}
+
+// MaxChunk is the longest chunk the scanner cuts, and the least buffer Scan
+// accepts.
+func (s *Scanner) MaxChunk() int { return s.c.maxLen() }
+
+// Err reports how the stream ended: nil while it has not, io.EOF after a
+// clean end, else the read failure (io.ErrNoProgress for a reader that keeps
+// returning no bytes and no error).
+func (s *Scanner) Err() error { return s.err }
+
+// Scan reads the stream into buf[n:], the caller having put the bytes left
+// over from its last call at buf[:n], and cuts every chunk whose end is
+// certain: it appends their exclusive end offsets to ends and returns the
+// count of valid bytes with it. What lies past the last end is shorter than
+// MaxChunk and opens the caller's next buffer, unless the stream has ended
+// (Err is then non-nil): a stream that ends, cleanly or not, has all of its
+// bytes cut first. No end appended means the stream is over and empty.
+// len(buf) must be at least MaxChunk.
+func (s *Scanner) Scan(buf []byte, n int, ends []int) (int, []int) {
+	for empty := 0; n < len(buf) && s.err == nil; {
+		m, err := s.r.Read(buf[n:])
+		n += m
+		switch {
+		case err != nil:
+			s.err = err
+		case m > 0:
+			empty = 0
+		default:
+			if empty++; empty == maxEmptyReads {
+				s.err = io.ErrNoProgress
 			}
-			break
 		}
 	}
-	return b.n - b.off
+	need := s.c.maxLen()
+	if s.err != nil {
+		need = 1
+	}
+	for pos := 0; n-pos >= need; {
+		pos += s.c.cut(buf[pos:n])
+		ends = append(ends, pos)
+	}
+	return n, ends
 }
 
-// take consumes k bytes and returns them.
-func (b *buffered) take(k int) []byte {
-	s := b.buf[b.off : b.off+k]
-	b.off += k
-	return s
+// Stream adapts a Scanner to the Chunker interface over a window of its own,
+// for callers that want one chunk at a time.
+type Stream struct {
+	s    *Scanner
+	buf  []byte
+	n    int   // valid bytes in buf
+	ends []int // chunks cut by the last Scan
+	next int   // index into ends of the chunk Next returns
+}
+
+// streamWindow sizes a Stream's buffer in longest chunks: the tail carried
+// from one Scan to the next is just under one of them.
+const streamWindow = 4
+
+// New constructs a chunker of the given kind over r. For KindFixed the
+// Target parameter is used as the fixed chunk size.
+func New(k Kind, r io.Reader, p Params) (*Stream, error) {
+	s, err := NewScanner(k, r, p)
+	if err != nil {
+		return nil, err
+	}
+	return &Stream{s: s, buf: make([]byte, streamWindow*s.MaxChunk())}, nil
+}
+
+// Next returns the next chunk or io.EOF. A read failure is returned once the
+// bytes read before it have been handed out.
+func (c *Stream) Next() ([]byte, error) {
+	start := 0
+	if c.next > 0 {
+		start = c.ends[c.next-1]
+	}
+	if c.next == len(c.ends) {
+		c.n = copy(c.buf, c.buf[start:c.n])
+		c.n, c.ends = c.s.Scan(c.buf, c.n, c.ends[:0])
+		start, c.next = 0, 0
+		if len(c.ends) == 0 {
+			return nil, c.s.Err()
+		}
+	}
+	end := c.ends[c.next]
+	c.next++
+	return c.buf[start:end], nil
 }

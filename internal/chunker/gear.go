@@ -25,36 +25,31 @@ var gearTable = func() [256]uint64 {
 // falls (the localized-boundary property the tests pin).
 const warmWindow = 64
 
-// Gear is a FastCDC-style content-defined chunker: a gear hash
+// gear is a FastCDC-style content-defined chunker: a gear hash
 // (h = h<<1 + table[byte]) with normalized chunking — a stricter boundary
 // mask before the target size and a looser one after, which tightens the
 // chunk-size distribution around Target without sacrificing shift tolerance.
 //
 // The production cut-point loop is the branch-reduced form (min-size
-// skip-ahead, per-phase sub-slicing for bounds-check elimination, 4-way
-// unroll); cutpointRef in gear_ref.go keeps the straight-line reference the
-// property tests compare it against byte for byte.
-type Gear struct {
-	b          *buffered
+// skip-ahead, per-phase sub-slicing, an 8-way unroll free of bounds checks);
+// cutpointRef in gear_ref.go keeps the straight-line reference the property
+// tests compare it against byte for byte.
+type gear struct {
 	p          Params
 	maskStrict uint64 // used before Target: ~4x fewer boundaries
 	maskLoose  uint64 // used after Target: ~4x more boundaries
 }
 
-// NewGear returns a gear chunker over r. Params must validate.
-func NewGear(r io.Reader, p Params) (*Gear, error) {
+func newGear(p Params) (*gear, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	strictBits, looseBits := normalizedBits(p.Target)
-	g := &Gear{
-		b:          newBuffered(r, 4*p.Max),
-		p:          p,
-		maskStrict: maskForBits(strictBits),
-		maskLoose:  maskForBits(looseBits),
-	}
-	return g, nil
+	return &gear{p: p, maskStrict: maskForBits(strictBits), maskLoose: maskForBits(looseBits)}, nil
 }
+
+// NewGear returns a gear chunker over r. Params must validate.
+func NewGear(r io.Reader, p Params) (*Stream, error) { return New(KindGear, r, p) }
 
 // normalizedBits derives the two FastCDC normalization mask widths from the
 // target size: 2 extra bits below target, 2 fewer above.
@@ -78,27 +73,18 @@ func maskForBits(bits uint) uint64 {
 	return (uint64(1)<<bits - 1) << (64 - bits)
 }
 
-// Next returns the next chunk or io.EOF.
-func (g *Gear) Next() ([]byte, error) {
-	avail := g.b.fill(g.p.Max)
-	if g.b.err != nil {
-		return nil, g.b.err
-	}
-	if avail == 0 {
-		return nil, io.EOF
-	}
-	if avail <= g.p.Min {
-		return g.b.take(avail), nil
-	}
-	data := g.b.buf[g.b.off : g.b.off+min(avail, g.p.Max)]
-	cut := g.cutpoint(data)
-	return g.b.take(cut), nil
-}
+func (g *gear) maxLen() int { return g.p.Max }
 
-// cutpoint finds the content-defined boundary in data (len > Min). It is the
-// hot loop of the ingest path; boundaries are pinned bit-identical to
-// cutpointRef by TestGearCutpointMatchesReference and the golden fixture.
-func (g *Gear) cutpoint(data []byte) int {
+// cut finds the content-defined boundary in data. It is the hot loop of the
+// ingest path; boundaries are pinned bit-identical to cutpointRef by
+// TestGearCutpointMatchesReference and the golden fixture.
+func (g *gear) cut(data []byte) int {
+	if len(data) <= g.p.Min {
+		return len(data)
+	}
+	if len(data) > g.p.Max {
+		data = data[:g.p.Max]
+	}
 	n := len(data)
 	normal := g.p.Target
 	if normal > n {
@@ -116,64 +102,74 @@ func (g *Gear) cutpoint(data []byte) int {
 	for _, b := range data[warm:i] {
 		h = h<<1 + gearTable[b]
 	}
-	// Phase 1: below target — strict mask. The sub-slice re-anchors the
-	// loop bound for the prover; the 4-way unroll cuts loop-control
-	// overhead on the ~Target-Min bytes every chunk walks.
-	if cut, ok := scanMask(data[:normal], i, &h, g.maskStrict); ok {
-		return cut
+	// Phase 1: below target — strict mask; phase 2: past it — loose mask.
+	cut, h := scanMask(data[:normal], i, h, g.maskStrict)
+	if cut == 0 {
+		cut, _ = scanMask(data, normal, h, g.maskLoose)
 	}
-	// Phase 2: past target — loose mask.
-	if cut, ok := scanMask(data, normal, &h, g.maskLoose); ok {
-		return cut
+	if cut == 0 {
+		return n
 	}
-	return n
+	return cut
 }
 
-// scanMask rolls the gear hash over d[i:], returning the first position
-// (exclusive) where the hash lands on mask, or ok=false at the end of d.
-// The hash state threads through *h so the caller can chain phases.
-func scanMask(d []byte, i int, h *uint64, mask uint64) (int, bool) {
-	x := *h
+// scanMask rolls the gear hash h over d[i:], returning the first position
+// (exclusive) where the hash lands on mask, or 0 and the hash at the end of d
+// for the caller to chain the next phase from.
+//
+// Four instructions a byte (load it, load its table entry, shift-add, test),
+// unrolled eight times over a slice that is advanced eight bytes at a go:
+// indexing p[0..7] under len(p) >= 8 needs no bounds check, where indexing
+// d[i+k] cost a compare and branch for every byte. Evaluation is byte at a
+// time, so the cut point is that of the straight loop. Ingest runs with every
+// CPU busy, and there the instructions issued per byte are what this loop
+// costs, not the latency of its shift-add chain: a form that halves the chain
+// by rolling two bytes per step (h<<2 + (t[a]<<1 + t[b])) scans 1.3x faster on
+// an otherwise idle host and 0.85x as fast beside a busy sibling thread, and
+// lost 8 % of ingest_wall_mbps on fulls-mem (EXPERIMENTS.md, PR 14).
+func scanMask(d []byte, i int, h uint64, mask uint64) (int, uint64) {
 	t := &gearTable
-	// 4-way unroll of the boundary test; the tail loop finishes the
-	// remainder. Order of evaluation is byte-at-a-time either way, so the
-	// cut point is identical to the straight loop.
-	for ; i+4 <= len(d); i += 4 {
-		x = x<<1 + t[d[i]]
-		if x&mask == 0 {
-			*h = x
-			return i + 1, true
+	p := d[i:]
+	for len(p) >= 8 {
+		h = h<<1 + t[p[0]]
+		if h&mask == 0 {
+			return len(d) - len(p) + 1, h
 		}
-		x = x<<1 + t[d[i+1]]
-		if x&mask == 0 {
-			*h = x
-			return i + 2, true
+		h = h<<1 + t[p[1]]
+		if h&mask == 0 {
+			return len(d) - len(p) + 2, h
 		}
-		x = x<<1 + t[d[i+2]]
-		if x&mask == 0 {
-			*h = x
-			return i + 3, true
+		h = h<<1 + t[p[2]]
+		if h&mask == 0 {
+			return len(d) - len(p) + 3, h
 		}
-		x = x<<1 + t[d[i+3]]
-		if x&mask == 0 {
-			*h = x
-			return i + 4, true
+		h = h<<1 + t[p[3]]
+		if h&mask == 0 {
+			return len(d) - len(p) + 4, h
+		}
+		h = h<<1 + t[p[4]]
+		if h&mask == 0 {
+			return len(d) - len(p) + 5, h
+		}
+		h = h<<1 + t[p[5]]
+		if h&mask == 0 {
+			return len(d) - len(p) + 6, h
+		}
+		h = h<<1 + t[p[6]]
+		if h&mask == 0 {
+			return len(d) - len(p) + 7, h
+		}
+		h = h<<1 + t[p[7]]
+		if h&mask == 0 {
+			return len(d) - len(p) + 8, h
+		}
+		p = p[8:]
+	}
+	for j, b := range p {
+		h = h<<1 + t[b]
+		if h&mask == 0 {
+			return len(d) - len(p) + j + 1, h
 		}
 	}
-	for ; i < len(d); i++ {
-		x = x<<1 + t[d[i]]
-		if x&mask == 0 {
-			*h = x
-			return i + 1, true
-		}
-	}
-	*h = x
-	return len(d), false
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return 0, h
 }

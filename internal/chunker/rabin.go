@@ -2,13 +2,12 @@ package chunker
 
 import "io"
 
-// Rabin implements classic Rabin-fingerprint content-defined chunking with a
+// rabin implements classic Rabin-fingerprint content-defined chunking with a
 // fixed 48-byte sliding window over an irreducible polynomial in GF(2). It
 // is slower than Gear and kept as a reference implementation: tests verify
 // that both chunkers are shift-tolerant and produce the configured average
 // chunk size.
-type Rabin struct {
-	b *buffered
+type rabin struct {
 	p Params
 	// outTable[b] is the precomputed contribution of byte b once it reaches
 	// the leaving edge of the window, so sliding is one XOR + one append.
@@ -45,12 +44,13 @@ func polyMod(value, poly uint64, deg int) uint64 {
 }
 
 // NewRabin returns a Rabin chunker over r.
-func NewRabin(r io.Reader, p Params) (*Rabin, error) {
+func NewRabin(r io.Reader, p Params) (*Stream, error) { return New(KindRabin, r, p) }
+
+func newRabin(p Params) (*rabin, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Rabin{
-		b:         newBuffered(r, 4*p.Max),
+	c := &rabin{
 		p:         p,
 		mask:      uint64(p.Target - 1),
 		windowLen: rabinWindow,
@@ -68,30 +68,21 @@ func NewRabin(r io.Reader, p Params) (*Rabin, error) {
 }
 
 // appendByteRaw appends one byte to the rolling fingerprint.
-func (c *Rabin) appendByteRaw(h uint64, b byte, deg int) uint64 {
+func (c *rabin) appendByteRaw(h uint64, b byte, deg int) uint64 {
 	h <<= 8
 	h |= uint64(b)
 	return polyMod(h, rabinPoly, deg)
 }
 
-// Next returns the next chunk or io.EOF.
-func (c *Rabin) Next() ([]byte, error) {
-	avail := c.b.fill(c.p.Max)
-	if c.b.err != nil {
-		return nil, c.b.err
-	}
-	if avail == 0 {
-		return nil, io.EOF
-	}
-	if avail <= c.p.Min {
-		return c.b.take(avail), nil
-	}
-	data := c.b.buf[c.b.off : c.b.off+min(avail, c.p.Max)]
-	cut := c.cutpoint(data)
-	return c.b.take(cut), nil
-}
+func (c *rabin) maxLen() int { return c.p.Max }
 
-func (c *Rabin) cutpoint(data []byte) int {
+func (c *rabin) cut(data []byte) int {
+	if len(data) <= c.p.Min {
+		return len(data)
+	}
+	if len(data) > c.p.Max {
+		data = data[:c.p.Max]
+	}
 	deg := polyDegree(rabinPoly)
 	n := len(data)
 	var h uint64

@@ -2,7 +2,7 @@ package chunker
 
 import "io"
 
-// TTTD is the Two-Threshold Two-Divisor chunker (Eshghi & Tang, HP Labs
+// tttd is the Two-Threshold Two-Divisor chunker (Eshghi & Tang, HP Labs
 // 2005): like basic content-defined chunking it cuts where a rolling hash
 // matches a divisor, but it also tracks the last position that matched a
 // smaller *backup divisor*; when the main divisor finds nothing before the
@@ -12,8 +12,7 @@ import "io"
 //
 // Included as the fourth chunking reference (gear/FastCDC, Rabin, fixed,
 // TTTD); engines default to gear.
-type TTTD struct {
-	b *buffered
+type tttd struct {
 	p Params
 	// Main divisor ≈ target; backup divisor is main/2 (twice as likely to
 	// fire), per the original paper's recommendation.
@@ -22,7 +21,9 @@ type TTTD struct {
 }
 
 // NewTTTD returns a TTTD chunker over r.
-func NewTTTD(r io.Reader, p Params) (*TTTD, error) {
+func NewTTTD(r io.Reader, p Params) (*Stream, error) { return New(KindTTTD, r, p) }
+
+func newTTTD(p Params) (*tttd, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -34,32 +35,22 @@ func NewTTTD(r io.Reader, p Params) (*TTTD, error) {
 	if backupBits < 1 {
 		backupBits = 1
 	}
-	return &TTTD{
-		b:          newBuffered(r, 4*p.Max),
+	return &tttd{
 		p:          p,
 		mainMask:   uint64(1)<<bits - 1,
 		backupMask: uint64(1)<<backupBits - 1,
 	}, nil
 }
 
-// Next returns the next chunk or io.EOF.
-func (c *TTTD) Next() ([]byte, error) {
-	avail := c.b.fill(c.p.Max)
-	if c.b.err != nil {
-		return nil, c.b.err
-	}
-	if avail == 0 {
-		return nil, io.EOF
-	}
-	if avail <= c.p.Min {
-		return c.b.take(avail), nil
-	}
-	data := c.b.buf[c.b.off : c.b.off+min(avail, c.p.Max)]
-	cut := c.cutpoint(data)
-	return c.b.take(cut), nil
-}
+func (c *tttd) maxLen() int { return c.p.Max }
 
-func (c *TTTD) cutpoint(data []byte) int {
+func (c *tttd) cut(data []byte) int {
+	if len(data) <= c.p.Min {
+		return len(data)
+	}
+	if len(data) > c.p.Max {
+		data = data[:c.p.Max]
+	}
 	var h uint64
 	n := len(data)
 	backup := -1

@@ -271,3 +271,78 @@ func TestConcurrentWritersFileBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFillBuffersBelongToStore: a stream cycles two DataCap-sized fill
+// buffers and Write never grows one; Finish hands them back and the store
+// keeps one, which the next writer's first container fills instead of
+// allocating — also when the stream ended in a failed persist, or never
+// wrote a byte.
+func TestFillBuffersBelongToStore(t *testing.T) {
+	s, be := newSlowStore(t)
+	ctx := context.Background()
+	chunkOf := func(i int) chunk.Chunk { return chunk.New(bytes.Repeat([]byte{byte(i)}, 300)) }
+	// stream writes n containers' worth (three 300-byte chunks fill a
+	// 1024-byte container) and returns the buffers it filled, in order of
+	// first use.
+	stream := func(w *Writer, n int) (used []*byte) {
+		for i := 0; i < 3*n; i++ {
+			if _, err := w.Write(ctx, chunkOf(i), 1); err != nil {
+				t.Fatal(err)
+			}
+			if int64(cap(w.data)) != s.cfg.DataCap {
+				t.Fatalf("fill buffer has capacity %d, want DataCap %d: Write grew or replaced it", cap(w.data), s.cfg.DataCap)
+			}
+			if b := &w.data[0]; len(used) == 0 || (b != used[0] && b != used[len(used)-1]) {
+				used = append(used, b)
+			}
+		}
+		return used
+	}
+	spare := func() *byte {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.spare == nil {
+			return nil
+		}
+		if len(s.spare) != 0 || int64(cap(s.spare)) != s.cfg.DataCap {
+			t.Fatalf("spare has len %d cap %d, want an empty DataCap buffer", len(s.spare), cap(s.spare))
+		}
+		return &s.spare[:1][0]
+	}
+
+	var kept *byte
+	for round, n := range []int{5, 1, 0, 6} {
+		w := s.NewWriter(nil)
+		used := stream(w, n)
+		if len(used) > 2 {
+			t.Fatalf("round %d: one stream filled %d distinct buffers, want 2 (one filling, one persisting)", round, len(used))
+		}
+		if round > 0 && n > 0 && used[0] != kept {
+			t.Fatalf("round %d: the writer's first container did not fill the store's spare", round)
+		}
+		if err := w.Finish(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if w.data != nil || w.spare != nil {
+			t.Fatal("writer kept a fill buffer past Finish")
+		}
+		if kept = spare(); kept == nil {
+			t.Fatalf("round %d: store kept no buffer after Finish", round)
+		}
+	}
+
+	// A stream whose persist fails still hands its buffers back.
+	be.mu.Lock()
+	be.sealErr = errors.New("backend exploded")
+	be.mu.Unlock()
+	w := s.NewWriter(nil)
+	if used := stream(w, 2); used[0] != kept {
+		t.Fatal("the failing stream did not start in the store's spare")
+	}
+	if err := w.Finish(ctx); err == nil {
+		t.Fatal("Finish swallowed the persist failure")
+	}
+	if w.data != nil || w.spare != nil || spare() == nil {
+		t.Fatal("fill buffers not handed back after a failed stream")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/cindex"
@@ -215,15 +216,14 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestParallelWorkersDeterminism pins the dual-clock contract at the engine
-// level: wall-clock parallelism in the chunk/hash pipeline (Cost.Workers)
-// must not change what the engine does — recipes bit-identical, the same
-// simulated time charged — only how fast the wall clock gets there.
+// level: wall-clock parallelism in the chunk/hash pipeline (Cost.Workers,
+// clamped by GOMAXPROCS, so inline on one CPU) must not change what the
+// engine does — recipes bit-identical, every BackupStats field and with it
+// the simulated time the same — only how fast the wall clock gets there.
 func TestParallelWorkersDeterminism(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4) // let the parallel path actually engage
-	defer runtime.GOMAXPROCS(prev)
-
-	run := func(workers int) []enginetest.Generation {
-		cfg := testConfig(0.1, true)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	run := func(workers int, storeData bool) []enginetest.Generation {
+		cfg := testConfig(0.1, storeData)
 		cfg.Cost.Workers = workers
 		e, err := New(cfg)
 		if err != nil {
@@ -231,26 +231,33 @@ func TestParallelWorkersDeterminism(t *testing.T) {
 		}
 		return enginetest.RunGenerations(t, e, enginetest.SmallConfig(29), 3)
 	}
-	serial := run(1)
-	parallel := run(4)
-
-	for g := range serial {
-		ss, ps := serial[g].Stats, parallel[g].Stats
-		if ps.Duration != ss.Duration {
-			t.Fatalf("gen %d: parallel workers changed simulated time: %v vs %v", g, ps.Duration, ss.Duration)
-		}
-		if ps.UniqueBytes != ss.UniqueBytes || ps.RewrittenBytes != ss.RewrittenBytes || ps.Chunks != ss.Chunks {
-			t.Fatalf("gen %d: parallel workers changed dedup outcome: %+v vs %+v", g, ps, ss)
-		}
-		var sb, pb bytes.Buffer
-		if err := trace.Save(&sb, serial[g].Recipe); err != nil {
+	recipeBytes := func(g enginetest.Generation) []byte {
+		var b bytes.Buffer
+		if err := trace.Save(&b, g.Recipe); err != nil {
 			t.Fatal(err)
 		}
-		if err := trace.Save(&pb, parallel[g].Recipe); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sb.Bytes(), pb.Bytes()) {
-			t.Fatalf("gen %d: recipes not bit-identical between serial and parallel pipelines", g)
+		return b.Bytes()
+	}
+	// The pipeline's own test walks the whole workers x GOMAXPROCS grid; here
+	// it is every worker count on four CPUs, and four workers clamped by
+	// fewer.
+	grid := []struct{ procs, workers int }{{4, 1}, {4, 2}, {4, 4}, {2, 4}, {1, 4}}
+	for _, storeData := range []bool{true, false} {
+		runtime.GOMAXPROCS(1)
+		want := run(1, storeData)
+		for _, c := range grid {
+			runtime.GOMAXPROCS(c.procs)
+			got := run(c.workers, storeData)
+			for g := range want {
+				if got[g].Stats != want[g].Stats {
+					t.Fatalf("storeData=%v procs=%d workers=%d gen %d: stats differ:\n%+v\n%+v",
+						storeData, c.procs, c.workers, g, got[g].Stats, want[g].Stats)
+				}
+				if !bytes.Equal(recipeBytes(got[g]), recipeBytes(want[g])) {
+					t.Fatalf("storeData=%v procs=%d workers=%d gen %d: recipes not bit-identical",
+						storeData, c.procs, c.workers, g)
+				}
+			}
 		}
 	}
 }
@@ -314,5 +321,52 @@ func TestPoliciesDivergeButBothHelp(t *testing.T) {
 	ddFrag := gd[7].Recipe.Fragments()
 	if fragSPL >= ddFrag && fragCTR >= ddFrag {
 		t.Fatalf("neither policy reduced fragmentation: spl=%d ctr=%d ddfs=%d", fragSPL, fragCTR, ddFrag)
+	}
+}
+
+// TestIngestAllocBytesPerByte pins what ingest allocates per byte it takes
+// in. The stream's bytes live in pooled hash-job buffers and in two container
+// fill buffers, one of them the store's own and the other allocated once per
+// stream at full size, so on a warmed store a backup allocates little more
+// than what it leaves behind: the sections Sim.Seal clones (every byte of an
+// all-unique stream), the recipe, index entries and container metadata.
+// Before, each backup regrew two 4 MiB fill buffers by doubling, ≈ 16 MiB or
+// 0.5 B per byte of this stream, and 0.84 B in all.
+func TestIngestAllocBytesPerByte(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops job buffers at random under the race detector")
+	}
+	// One P: the pipeline runs inline, so the number of jobs in flight does
+	// not depend on scheduling, and sync.Pool (per-P) never misses a job that
+	// another P put back.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := testConfig(0.1, true)
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, _, err := e.Backup(ctx, "warm", bytes.NewReader(randStream(32<<20, 31))); err != nil {
+		t.Fatal(err)
+	}
+	data := randStream(32<<20, 32)
+	// No collection while measuring: one would empty the job pool part-way
+	// and charge this backup for buffers the first one already paid for.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, stats, err := e.Backup(ctx, "second", bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.UniqueBytes != int64(len(data)) {
+		t.Fatalf("stream meant to be all unique: %d of %d bytes", stats.UniqueBytes, len(data))
+	}
+	fixed := stats.WrittenBytes() + cfg.ContainerCfg.DataCap // Sim's clones, and the stream's own fill buffer
+	perByte := (float64(after.TotalAlloc-before.TotalAlloc) - float64(fixed)) / float64(len(data))
+	t.Logf("allocated %.3f B per ingested byte beyond the %d MiB the backend retains and one fill buffer", perByte, stats.WrittenBytes()>>20)
+	if perByte > 0.15 {
+		t.Fatalf("ingest allocates %.3f B per byte beyond what Sim.Seal retains and one fill buffer, want <= 0.15", perByte)
 	}
 }

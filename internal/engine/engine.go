@@ -18,10 +18,8 @@ import (
 	"time"
 
 	"repro/internal/chunk"
-	"repro/internal/chunker"
 	"repro/internal/container"
 	"repro/internal/disk"
-	"repro/internal/segment"
 )
 
 // CostModel holds the CPU-side cost parameters.
@@ -29,9 +27,9 @@ type CostModel struct {
 	// CPUBandwidth is the modeled pipeline rate (bytes/second) of chunking
 	// plus fingerprinting plus in-RAM bookkeeping.
 	CPUBandwidth float64
-	// Workers sets the fingerprinting fan-out (see ParallelPipeline):
-	// 0 picks GOMAXPROCS automatically (the default path), 1 forces the
-	// serial pipeline, and N > 1 uses exactly N workers (clamped to
+	// Workers sets the fingerprinting fan-out (see Pipeline): 0 picks
+	// GOMAXPROCS automatically (the default path), 1 hashes inline on the
+	// calling goroutine, and N > 1 uses exactly N workers (clamped to
 	// GOMAXPROCS). Parallelism accelerates the simulation's own wall clock;
 	// the modeled CPU charge is unchanged — a system that also parallelizes
 	// its modeled CPU raises CPUBandwidth to match.
@@ -39,7 +37,7 @@ type CostModel struct {
 }
 
 // effectiveWorkers resolves the Workers knob: 0 = auto (GOMAXPROCS),
-// <= 1 after resolution = serial.
+// <= 1 after resolution = inline.
 func (m CostModel) effectiveWorkers() int {
 	w := m.Workers
 	if w == 0 {
@@ -159,110 +157,4 @@ type Adopter interface {
 	// Adopt ingests the container store's directory. It must be called on a
 	// freshly constructed engine, before any Backup.
 	Adopt(ctx context.Context) error
-}
-
-// Pipeline runs the shared front half of a backup — chunking, hashing, CPU
-// charging, segmenting — and hands each completed segment to process. It
-// returns the logical byte count and chunk/segment counts. The
-// fingerprinting stage fans out across cost.Workers goroutines by default
-// (ParallelPipeline; Workers == 1 forces the serial loop); results are
-// bit-identical either way.
-//
-// keepData controls whether chunk bytes are retained into the segments
-// (true when the engine's container backend stores data). Chunk Data slices
-// handed to process live in pooled buffers that are recycled as soon as
-// process returns: an engine that retains chunk bytes past its process
-// callback must copy them (every in-tree engine copies into its container
-// writer synchronously).
-//
-// Cancelling ctx stops the pipeline at the next segment boundary with
-// ctx's error; segments already handed to process are fully applied.
-func Pipeline(
-	ctx context.Context,
-	r io.Reader,
-	kind chunker.Kind,
-	cp chunker.Params,
-	sp segment.Params,
-	clock *disk.Clock,
-	cost CostModel,
-	keepData bool,
-	process func(*segment.Segment) error,
-) (logicalBytes, chunks, segments int64, err error) {
-	if w := cost.effectiveWorkers(); w > 1 {
-		return ParallelPipeline(ctx, r, kind, cp, sp, clock, cost, keepData, w, process)
-	}
-	ck, err := chunker.New(kind, r, cp)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	sg, err := segment.New(sp)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	// Segment-lifetime arena for chunk bytes: chunks alias this buffer until
-	// the segment holding them is processed, then the whole buffer is reused.
-	// One copy per chunk (chunker window → arena), zero steady-state
-	// allocations; capacity covers the largest possible segment (the
-	// segmenter force-emits at MaxBytes, so a segment never exceeds
-	// MaxBytes-1 plus one maximum-size chunk).
-	var arena []byte
-	if keepData {
-		arena = make([]byte, 0, int(sp.MaxBytes)+cp.Max)
-	}
-	emit := func(seg *segment.Segment) error {
-		if seg == nil {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		segments++
-		telSegments.Inc()
-		if err := process(seg); err != nil {
-			return err
-		}
-		// All chunks of seg (everything accumulated since the last emit)
-		// have been consumed; their arena bytes are dead.
-		arena = arena[:0]
-		return nil
-	}
-	for {
-		t0 := time.Now()
-		raw, cerr := ck.Next()
-		stageChunk.Observe(t0)
-		if cerr == io.EOF {
-			break
-		}
-		if cerr != nil {
-			return logicalBytes, chunks, segments, cerr
-		}
-		t1 := time.Now()
-		var c chunk.Chunk
-		if keepData {
-			// The chunker reuses its window; the arena owns the copy. If a
-			// pathological chunk overflows capacity, append reallocates —
-			// earlier chunks keep pointing into the old backing array, so
-			// aliasing stays valid and only the recycling degrades.
-			off := len(arena)
-			arena = append(arena, raw...)
-			c = chunk.New(arena[off:len(arena):len(arena)])
-		} else {
-			c = chunk.New(raw)
-			c.Data = nil
-		}
-		stageHash.Observe(t1)
-		cost.ChargeCPU(clock, int64(c.Size))
-		logicalBytes += int64(c.Size)
-		chunks++
-		telChunks.Inc()
-		telBytes.Add(int64(c.Size))
-		telChunkSize.Observe(float64(c.Size))
-		if err := emit(sg.Add(c)); err != nil {
-			return logicalBytes, chunks, segments, err
-		}
-	}
-	if err := emit(sg.Finish()); err != nil {
-		return logicalBytes, chunks, segments, err
-	}
-	return logicalBytes, chunks, segments, nil
 }

@@ -143,14 +143,14 @@ func TestPipelineKeepData(t *testing.T) {
 	}
 }
 
-type failReader struct{}
+type failReader struct{ err error }
 
-func (failReader) Read([]byte) (int, error) { return 0, io.ErrClosedPipe }
+func (r failReader) Read([]byte) (int, error) { return 0, r.err }
 
 func TestPipelineErrorPropagation(t *testing.T) {
 	var clk disk.Clock
 	_, _, _, err := Pipeline(context.Background(),
-		failReader{}, chunker.KindGear, chunker.DefaultParams(),
+		failReader{io.ErrClosedPipe}, chunker.KindGear, chunker.DefaultParams(),
 		segment.DefaultParams(), &clk, DefaultCostModel(), false,
 		func(*segment.Segment) error { return nil })
 	if err != io.ErrClosedPipe {

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -13,132 +14,159 @@ import (
 	"repro/internal/segment"
 )
 
-// runPipeline collects everything a pipeline run produces, for equivalence
+// pipelineTrace collects everything a pipeline run produces, for equivalence
 // comparison.
 type pipelineTrace struct {
 	logical, chunks, segments int64
 	clock                     disk.Clock
 	fps                       []chunk.Fingerprint
 	segSizes                  []int64
+	rebuilt                   []byte // the chunk bytes in order, with keepData
 }
 
-func tracePipeline(t *testing.T, data []byte, workers int, keepData bool) *pipelineTrace {
+// observe is the process callback of both the pipeline under test and the
+// reference: it records a segment and holds every chunk to the keepData
+// contract (bytes present, unrecycled and matching their fingerprint, or
+// absent).
+func (tr *pipelineTrace) observe(t *testing.T, keepData bool) func(*segment.Segment) error {
+	return func(s *segment.Segment) error {
+		tr.segSizes = append(tr.segSizes, s.Bytes)
+		for _, c := range s.Chunks {
+			tr.fps = append(tr.fps, c.FP)
+			switch {
+			case !keepData && c.Data != nil:
+				t.Fatal("data should be dropped")
+			case keepData && chunk.Of(c.Data) != c.FP:
+				t.Fatal("chunk bytes lost, or their buffer recycled too early")
+			}
+			tr.rebuilt = append(tr.rebuilt, c.Data...)
+		}
+		return nil
+	}
+}
+
+func tracePipeline(t *testing.T, kind chunker.Kind, data []byte, workers int, keepData bool) *pipelineTrace {
 	t.Helper()
 	tr := &pipelineTrace{}
 	cost := DefaultCostModel()
 	cost.Workers = workers
 	var err error
 	tr.logical, tr.chunks, tr.segments, err = Pipeline(context.Background(),
-		bytes.NewReader(data), chunker.KindGear, chunker.DefaultParams(),
-		segment.DefaultParams(), &tr.clock, cost, keepData,
-		func(s *segment.Segment) error {
-			tr.segSizes = append(tr.segSizes, s.Bytes)
-			for _, c := range s.Chunks {
-				tr.fps = append(tr.fps, c.FP)
-				if keepData && c.Data == nil {
-					t.Fatal("keepData lost")
-				}
-				if !keepData && c.Data != nil {
-					t.Fatal("data should be dropped")
-				}
-			}
-			return nil
-		})
+		bytes.NewReader(data), kind, chunker.DefaultParams(),
+		segment.DefaultParams(), &tr.clock, cost, keepData, tr.observe(t, keepData))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tr
 }
 
-// forceParallel raises GOMAXPROCS so the concurrent path actually runs
-// even on single-core hosts (the pipeline clamps workers to GOMAXPROCS).
-func forceParallel(t *testing.T) {
+// traceReference is the oracle now that the pipeline has no serial body of
+// its own to compare against: the straight-line loop that body was. One chunk
+// at a time out of the chunker, a private copy of its bytes, fingerprint,
+// charge, segment.
+func traceReference(t *testing.T, kind chunker.Kind, data []byte, keepData bool) *pipelineTrace {
 	t.Helper()
-	prev := runtime.GOMAXPROCS(4)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
-
-func TestParallelPipelineEquivalence(t *testing.T) {
-	forceParallel(t)
-	data := randBytes(6<<20, 1)
-	serial := tracePipeline(t, data, 1, false)
-	for _, workers := range []int{2, 4, 8} {
-		par := tracePipeline(t, data, workers, false)
-		if par.logical != serial.logical || par.chunks != serial.chunks || par.segments != serial.segments {
-			t.Fatalf("workers=%d counters differ: %+v vs %+v", workers, par, serial)
-		}
-		if par.clock.Now() != serial.clock.Now() {
-			t.Fatalf("workers=%d simulated time differs: %v vs %v", workers, par.clock.Now(), serial.clock.Now())
-		}
-		if len(par.fps) != len(serial.fps) {
-			t.Fatalf("workers=%d chunk count differs", workers)
-		}
-		for i := range par.fps {
-			if par.fps[i] != serial.fps[i] {
-				t.Fatalf("workers=%d chunk %d out of order", workers, i)
-			}
-		}
-		for i := range par.segSizes {
-			if par.segSizes[i] != serial.segSizes[i] {
-				t.Fatalf("workers=%d segment %d differs", workers, i)
-			}
-		}
-	}
-}
-
-func TestParallelPipelineKeepData(t *testing.T) {
-	forceParallel(t)
-	data := randBytes(2<<20, 2)
-	var rebuilt []byte
-	cost := DefaultCostModel()
-	cost.Workers = 4
-	var clk disk.Clock
-	_, _, _, err := Pipeline(context.Background(),
-		bytes.NewReader(data), chunker.KindGear, chunker.DefaultParams(),
-		segment.DefaultParams(), &clk, cost, true,
-		func(s *segment.Segment) error {
-			for _, c := range s.Chunks {
-				if chunk.Of(c.Data) != c.FP {
-					t.Fatal("fingerprint mismatch")
-				}
-				rebuilt = append(rebuilt, c.Data...)
-			}
-			return nil
-		})
+	ck, err := chunker.New(kind, bytes.NewReader(data), chunker.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(rebuilt, data) {
-		t.Fatal("parallel pipeline corrupted the stream")
+	sg, err := segment.New(segment.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &pipelineTrace{}
+	process := tr.observe(t, keepData)
+	emit := func(s *segment.Segment) {
+		if s != nil {
+			tr.segments++
+			process(s)
+		}
+	}
+	for {
+		raw, err := ck.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := chunk.New(append([]byte(nil), raw...))
+		if !keepData {
+			c.Data = nil
+		}
+		DefaultCostModel().ChargeCPU(&tr.clock, int64(c.Size))
+		tr.logical += int64(c.Size)
+		tr.chunks++
+		emit(sg.Add(c))
+	}
+	emit(sg.Finish())
+	return tr
+}
+
+func (tr *pipelineTrace) mustEqual(t *testing.T, want *pipelineTrace) {
+	t.Helper()
+	if tr.logical != want.logical || tr.chunks != want.chunks || tr.segments != want.segments {
+		t.Fatalf("counters differ: %d B %d chunks %d segments, want %d %d %d",
+			tr.logical, tr.chunks, tr.segments, want.logical, want.chunks, want.segments)
+	}
+	if tr.clock.Now() != want.clock.Now() {
+		t.Fatalf("simulated time differs: %v vs %v", tr.clock.Now(), want.clock.Now())
+	}
+	if len(tr.fps) != len(want.fps) || len(tr.segSizes) != len(want.segSizes) {
+		t.Fatalf("%d chunks in %d segments, want %d in %d", len(tr.fps), len(tr.segSizes), len(want.fps), len(want.segSizes))
+	}
+	for i := range tr.fps {
+		if tr.fps[i] != want.fps[i] {
+			t.Fatalf("chunk %d differs or is out of order", i)
+		}
+	}
+	for i := range tr.segSizes {
+		if tr.segSizes[i] != want.segSizes[i] {
+			t.Fatalf("segment %d differs", i)
+		}
+	}
+	if !bytes.Equal(tr.rebuilt, want.rebuilt) {
+		t.Fatal("chunk bytes differ from the stream")
 	}
 }
 
-func TestParallelPipelineErrorPropagation(t *testing.T) {
-	forceParallel(t)
-	cost := DefaultCostModel()
-	cost.Workers = 4
-	var clk disk.Clock
-	_, _, _, err := Pipeline(context.Background(),
-		failReader{}, chunker.KindGear, chunker.DefaultParams(),
-		segment.DefaultParams(), &clk, cost, false,
-		func(*segment.Segment) error { return nil })
-	if err != io.ErrClosedPipe {
-		t.Fatalf("err = %v, want ErrClosedPipe", err)
-	}
+// setProcs sets GOMAXPROCS for the rest of the test, so the fan-out actually
+// runs even on single-core hosts (the pipeline clamps workers to GOMAXPROCS).
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-func TestParallelPipelineProcessError(t *testing.T) {
-	forceParallel(t)
-	cost := DefaultCostModel()
-	cost.Workers = 4
-	var clk disk.Clock
-	sentinel := io.ErrShortWrite
-	_, _, _, err := Pipeline(context.Background(),
-		bytes.NewReader(randBytes(4<<20, 3)), chunker.KindGear, chunker.DefaultParams(),
-		segment.DefaultParams(), &clk, cost, false,
-		func(*segment.Segment) error { return sentinel })
-	if err != sentinel {
-		t.Fatalf("err = %v, want sentinel", err)
+// TestPipelineMatchesReference: chunks, segments, counters, chunk bytes and
+// the simulated clock are those of the straight-line reference for every
+// worker count, inline or fanned out, at every GOMAXPROCS, with and without
+// chunk data; and for every chunker kind.
+func TestPipelineMatchesReference(t *testing.T) {
+	data := randBytes(6<<20, 1)
+	for _, keepData := range []bool{false, true} {
+		want := traceReference(t, chunker.KindGear, data, keepData)
+		if keepData && !bytes.Equal(want.rebuilt, data) {
+			t.Fatal("reference does not reassemble the stream")
+		}
+		for _, procs := range []int{1, 2, 4} {
+			for _, workers := range []int{1, 2, 4, 8} {
+				t.Run(fmt.Sprintf("keep=%v/procs=%d/workers=%d", keepData, procs, workers), func(t *testing.T) {
+					setProcs(t, procs)
+					tracePipeline(t, chunker.KindGear, data, workers, keepData).mustEqual(t, want)
+				})
+			}
+		}
+	}
+	for _, kind := range []chunker.Kind{chunker.KindRabin, chunker.KindFixed, chunker.KindTTTD} {
+		t.Run(kind.String(), func(t *testing.T) {
+			setProcs(t, 2)
+			small := data[:1<<20]
+			want := traceReference(t, kind, small, true)
+			for _, workers := range []int{1, 2} {
+				tracePipeline(t, kind, small, workers, true).mustEqual(t, want)
+			}
+		})
 	}
 }
 

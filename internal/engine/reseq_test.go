@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -16,9 +18,8 @@ import (
 )
 
 // waitGoroutines polls until the goroutine count settles back to at most
-// base (plus slack for test machinery), failing with a full stack dump on a
-// leak. The resequencing stage must not strand its producer, workers, or
-// drainer no matter how the pipeline exits.
+// base, failing with a full stack dump on a leak. The pipeline must not
+// strand its producer or workers no matter how it exits.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -34,149 +35,174 @@ func waitGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutine leak: %d running, want <= %d\n%s", runtime.NumGoroutine(), base, buf[:n])
 }
 
-// TestPipelineAllocsPerChunk pins the zero-copy fix on the serial ingest
-// hot path: one pooled arena copy per chunk, no per-chunk allocation. The
-// old code allocated a fresh buffer per chunk (>= 1 alloc/chunk); the arena
-// path amortizes to well under half an allocation per chunk.
+// TestPipelineAllocsPerChunk pins the zero-copy ingest hot path: chunks are
+// cut and hashed inside pooled job buffers, with no per-chunk allocation
+// (the first pipeline allocated a buffer per chunk, >= 1 alloc/chunk).
 func TestPipelineAllocsPerChunk(t *testing.T) {
 	data := randBytes(4<<20, 11)
-	cost := DefaultCostModel()
-	cost.Workers = 1 // the serial loop is what owns the arena
-	var chunks int64
-	run := func() {
-		var clk disk.Clock
-		var sink int64
-		_, n, _, err := Pipeline(context.Background(),
-			bytes.NewReader(data), chunker.KindGear, chunker.DefaultParams(),
-			segment.DefaultParams(), &clk, cost, true,
-			func(s *segment.Segment) error {
-				for _, c := range s.Chunks {
-					sink += int64(len(c.Data))
-				}
-				return nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		chunks = n
-	}
-	allocs := testing.AllocsPerRun(3, run)
-	perChunk := allocs / float64(chunks)
-	if perChunk > 0.5 {
-		t.Fatalf("%.2f allocs/chunk (%.0f allocs, %d chunks); the per-chunk copy is back",
-			perChunk, allocs, chunks)
-	}
-}
-
-// TestParallelPipelineHashFault injects a hash-worker failure mid-batch:
-// the error must surface, every segment processed before it must be an
-// in-order prefix of the serial run, and no pipeline goroutine may leak.
-func TestParallelPipelineHashFault(t *testing.T) {
-	forceParallel(t)
-	data := randBytes(8<<20, 12)
-	serial := tracePipeline(t, data, 1, false)
-
-	base := runtime.NumGoroutine()
-	sentinel := errors.New("injected hash fault")
-	var seen atomic.Int64
-	hashFaultHook = func(chunk.Chunk) error {
-		// Fail deep enough into the stream that several batches are in
-		// flight out of order when the fault hits.
-		if seen.Add(1) == 300 {
-			return sentinel
-		}
-		return nil
-	}
-	defer func() { hashFaultHook = nil }()
-
-	cost := DefaultCostModel()
-	cost.Workers = 4
-	var clk disk.Clock
-	var fps []chunk.Fingerprint
-	_, _, _, err := Pipeline(context.Background(),
-		bytes.NewReader(data), chunker.KindGear, chunker.DefaultParams(),
-		segment.DefaultParams(), &clk, cost, false,
-		func(s *segment.Segment) error {
-			for _, c := range s.Chunks {
-				fps = append(fps, c.FP)
-			}
-			return nil
-		})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want injected fault", err)
-	}
-	if len(fps) >= len(serial.fps) {
-		t.Fatalf("fault did not cut the stream short (%d chunks processed)", len(fps))
-	}
-	for i, fp := range fps {
-		if fp != serial.fps[i] {
-			t.Fatalf("chunk %d out of order after mid-batch fault", i)
-		}
-	}
-	waitGoroutines(t, base)
-}
-
-// TestParallelPipelineCtxCancel cancels the context from inside process
-// while the producer is still far from EOF: the pipeline must return the
-// context error promptly and tear down its producer/workers without leaks.
-func TestParallelPipelineCtxCancel(t *testing.T) {
-	forceParallel(t)
-	base := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	cost := DefaultCostModel()
-	cost.Workers = 4
-	var clk disk.Clock
-	segs := 0
-	_, _, _, err := Pipeline(ctx,
-		bytes.NewReader(randBytes(32<<20, 13)), chunker.KindGear, chunker.DefaultParams(),
-		segment.DefaultParams(), &clk, cost, true,
-		func(*segment.Segment) error {
-			segs++
-			if segs == 2 {
-				cancel()
-			}
-			return nil
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if segs < 2 {
-		t.Fatalf("cancelled too early: %d segments", segs)
-	}
-	waitGoroutines(t, base)
-}
-
-// TestParallelPipelineKeepDataRecycled stresses the job-recycling path:
-// with keepData on, job buffers are reused across segments, and the
-// reassembled stream must still be byte-exact (a use-after-recycle would
-// corrupt it or trip the fingerprint check).
-func TestParallelPipelineKeepDataRecycled(t *testing.T) {
-	forceParallel(t)
-	data := randBytes(12<<20, 14)
-	for _, workers := range []int{2, 4} {
-		var rebuilt []byte
+	for _, workers := range []int{1, 2} {
+		setProcs(t, 2)
 		cost := DefaultCostModel()
 		cost.Workers = workers
-		var clk disk.Clock
-		_, _, _, err := Pipeline(context.Background(),
-			bytes.NewReader(data), chunker.KindGear, chunker.DefaultParams(),
-			segment.DefaultParams(), &clk, cost, true,
-			func(s *segment.Segment) error {
-				for _, c := range s.Chunks {
-					if chunk.Of(c.Data) != c.FP {
-						t.Fatal("fingerprint mismatch: recycled buffer reused too early")
+		var chunks int64
+		run := func() {
+			var clk disk.Clock
+			var sink int64
+			_, n, _, err := Pipeline(context.Background(),
+				bytes.NewReader(data), chunker.KindGear, chunker.DefaultParams(),
+				segment.DefaultParams(), &clk, cost, true,
+				func(s *segment.Segment) error {
+					for _, c := range s.Chunks {
+						sink += int64(len(c.Data))
 					}
-					rebuilt = append(rebuilt, c.Data...)
+					return nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks = n
+		}
+		allocs := testing.AllocsPerRun(3, run)
+		if perChunk := allocs / float64(chunks); perChunk > 0.5 {
+			t.Fatalf("workers=%d: %.2f allocs/chunk (%.0f allocs, %d chunks); the per-chunk copy is back",
+				workers, perChunk, allocs, chunks)
+		}
+	}
+}
+
+// TestInlinePipelineStartsNoGoroutine: with one worker the producer, hash
+// and consumer steps run in turn on the caller's goroutine.
+func TestInlinePipelineStartsNoGoroutine(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		setProcs(t, procs)
+		cost := DefaultCostModel()
+		cost.Workers = 1
+		if procs == 1 {
+			cost.Workers = 4 // clamped to the one CPU
+		}
+		base := runtime.NumGoroutine()
+		var clk disk.Clock
+		segs := 0
+		_, _, _, err := Pipeline(context.Background(),
+			bytes.NewReader(randBytes(4<<20, 15)), chunker.KindGear, chunker.DefaultParams(),
+			segment.DefaultParams(), &clk, cost, true,
+			func(*segment.Segment) error {
+				segs++
+				// A goroutine of an earlier test may still be on its way
+				// out, so fewer than before is fine; more is not.
+				if n := runtime.NumGoroutine(); n > base {
+					t.Errorf("procs=%d: %d goroutines while ingesting, %d before", procs, n, base)
 				}
 				return nil
 			})
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || segs == 0 {
+			t.Fatalf("procs=%d: %d segments, err %v", procs, segs, err)
 		}
-		if !bytes.Equal(rebuilt, data) {
-			t.Fatalf("workers=%d: recycled pipeline corrupted the stream", workers)
+	}
+}
+
+// failAfter delivers n bytes of a stream and then fails.
+func failAfter(data []byte, n int, err error) io.Reader {
+	return io.MultiReader(bytes.NewReader(data[:n]), failReader{err})
+}
+
+// TestPipelineAbortPaths cuts a stream short in each way a backup can die —
+// the engine's process callback fails, the context is cancelled mid-stream,
+// a hash worker faults mid-batch, the reader fails — inline and fanned out.
+// Every time the cause must surface, what was processed before it must be an
+// in-order prefix of the full run, and the pipeline must leave nothing
+// behind: no goroutine, and every job buffer back in the pool.
+func TestPipelineAbortPaths(t *testing.T) {
+	setProcs(t, 4)
+	data := randBytes(24<<20, 12)
+	full := tracePipeline(t, chunker.KindGear, data, 1, false)
+	sentinel := errors.New("injected failure")
+
+	type run struct {
+		ctx     context.Context
+		cancel  context.CancelFunc
+		r       io.Reader
+		segs    int
+		process func() error // called per segment, after it is recorded
+	}
+	causes := []struct {
+		name  string
+		want  error
+		setup func(*run)
+	}{
+		{"process error", sentinel, func(r *run) {
+			r.process = func() error {
+				if r.segs == 3 {
+					return sentinel
+				}
+				return nil
+			}
+		}},
+		{"ctx cancel", context.Canceled, func(r *run) {
+			r.process = func() error {
+				if r.segs == 2 {
+					r.cancel()
+				}
+				return nil
+			}
+		}},
+		{"hash fault", sentinel, func(r *run) {
+			var seen atomic.Int64
+			hashFaultHook = func(chunk.Chunk) error {
+				// Deep enough into the stream that several batches are in
+				// flight out of order when the fault hits.
+				if seen.Add(1) == 300 {
+					return sentinel
+				}
+				return nil
+			}
+		}},
+		{"read error", sentinel, func(r *run) { r.r = failAfter(data, 5<<20+123, sentinel) }},
+	}
+	for _, cause := range causes {
+		for _, workers := range []int{1, 4} {
+			for _, keepData := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/workers=%d/keep=%v", cause.name, workers, keepData), func(t *testing.T) {
+					defer func() { hashFaultHook = nil }()
+					baseG, baseJobs := runtime.NumGoroutine(), hashJobsLive.Load()
+					r := &run{r: bytes.NewReader(data), process: func() error { return nil }}
+					r.ctx, r.cancel = context.WithCancel(context.Background())
+					defer r.cancel()
+					cause.setup(r)
+
+					cost := DefaultCostModel()
+					cost.Workers = workers
+					var clk disk.Clock
+					var fps []chunk.Fingerprint
+					_, _, _, err := Pipeline(r.ctx, r.r, chunker.KindGear, chunker.DefaultParams(),
+						segment.DefaultParams(), &clk, cost, keepData,
+						func(s *segment.Segment) error {
+							r.segs++
+							for _, c := range s.Chunks {
+								fps = append(fps, c.FP)
+							}
+							return r.process()
+						})
+					if !errors.Is(err, cause.want) {
+						t.Fatalf("err = %v, want %v", err, cause.want)
+					}
+					if len(fps) >= len(full.fps) {
+						t.Fatalf("the stream was not cut short (%d chunks processed)", len(fps))
+					}
+					for i, fp := range fps {
+						if fp != full.fps[i] {
+							t.Fatalf("chunk %d is not the full run's: not an in-order prefix", i)
+						}
+					}
+					if cause.name == "read error" && len(fps) == 0 {
+						t.Fatal("bytes read before the failure were not processed")
+					}
+					waitGoroutines(t, baseG)
+					if n := hashJobsLive.Load(); n != baseJobs {
+						t.Fatalf("%d job buffers not returned to the pool", n-baseJobs)
+					}
+				})
+			}
 		}
 	}
 }

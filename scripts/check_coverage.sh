@@ -22,7 +22,7 @@ declare -A floors=(
   [repro/internal/container]=60
   [repro/internal/core]=72
   [repro/internal/disk]=50
-  [repro/internal/engine]=78
+  [repro/internal/engine]=80
   [repro/internal/engine/ddfs]=72
   [repro/internal/engine/idedup]=80
   [repro/internal/engine/silo]=85
