@@ -42,7 +42,6 @@ import (
 	"repro/internal/engine/silo"
 	"repro/internal/engine/sparse"
 	"repro/internal/fsck"
-	"repro/internal/gc"
 	"repro/internal/maintenance"
 	"repro/internal/restore"
 	"repro/internal/telemetry"
@@ -268,37 +267,47 @@ func (o Options) withDefaults() Options {
 
 // Store is a deduplicating backup store over a simulated disk.
 //
-// The batch entry points (Backup, BackupStreams, Compact, …) are written
-// for one caller at a time, as the CLIs use them. The network service path
-// instead goes through IngestStream (see session.go), which is safe for
-// concurrent use; mu guards the retained-backup bookkeeping those
-// concurrent commits share, and ingestMu serializes whole-engine ingests
-// for engines without a concurrent-stream path.
+// The batch entry points (Backup, BackupStreams, …) are written for one
+// caller at a time, as the CLIs use them. The network service path instead
+// goes through IngestStream (see session.go), which is safe for concurrent
+// use, beside concurrent restores and one maintenance operation.
+//
+// Locks. The order is maintOpMu → maintMu → mu; ingestMu is independent of
+// the maintenance locks (only the serial-ingest fallback takes it, under
+// maintMu's read side and before mu).
+//
+//   - maintOpMu serializes whole maintenance operations — an epoch, a
+//     Compact, a Repair — against each other, and guards maintPass.
+//   - maintMu is the foreground gate: while a goroutine holds it for read,
+//     no container leaves the store. Ingests, restores and Check hold it for
+//     read for their whole run; a maintenance merge takes it for write only
+//     for each batch's short revalidate-and-drop commit, Repair for its
+//     whole run.
+//   - mu guards the retained-backup bookkeeping (backups, logical,
+//     recipeSeq, closed) and the cumulative maintenance counters.
+//   - ingestMu serializes whole-engine ingests for engines without a
+//     concurrent-stream path.
 type Store struct {
 	opts   Options
 	eng    engine.Engine
 	oracle *cindex.Oracle
 	be     blockstore.Backend
 
-	mu        sync.RWMutex // guards backups, logical, recipeSeq, closed
-	ingestMu  sync.Mutex   // serializes eng.Backup for non-stream engines
-	backups   []*Backup
-	logical   int64
-	recipeSeq int
-	closed    bool
+	maintOpMu sync.Mutex
+	maintPass *maintenance.Pass
+	maintLoop *maintenance.Scheduler // set at Open, stopped by Close
 
-	// Maintenance gating (see maint.go). maintMu is the foreground gate:
-	// ingests and restores hold it for read for their whole duration; the
-	// maintenance commit (and the exclusive legacy passes Compact/Repair)
-	// take it for write. maintOpMu serializes whole maintenance operations
-	// against each other. Lock order: maintMu before mu.
-	maintMu     sync.RWMutex
-	maintOpMu   sync.Mutex
-	maintPass   *maintenance.Pass
-	maintLoop   *maintenance.Scheduler
-	maintStatMu sync.Mutex        // guards maintTotal, maintEpochs
-	maintTotal  maintenance.Stats // cumulative across epochs
+	maintMu sync.RWMutex
+
+	mu          sync.RWMutex
+	backups     []*Backup
+	logical     int64
+	recipeSeq   int
+	closed      bool
+	maintTotal  maintenance.Stats // cumulative across epochs and Compact runs
 	maintEpochs int
+
+	ingestMu sync.Mutex
 }
 
 // Backup is one ingested stream: its recipe (needed to restore) plus the
@@ -935,54 +944,49 @@ type StoreStats struct {
 
 // CompactStats summarizes one garbage-collection pass (see Compact).
 type CompactStats struct {
-	ContainersScanned   int
-	ContainersCollected int
-	ChunksMoved         int64
+	ContainersScanned   int   // sealed containers when the pass started
+	ContainersCollected int   // containers merged away and dropped
+	ChunksMoved         int64 // live chunks copied into fresh containers
 	BytesMoved          int64
-	BytesReclaimed      int64
+	BytesReclaimed      int64 // data bytes of the dropped containers
 	RecipeRefsPatched   int64
 }
 
 // Compact garbage-collects containers whose live-data fraction is below
 // threshold: superseded chunk copies (DeFrag rewrites leave the old copy
-// behind) are dropped, live chunks are copied into fresh containers, the
-// index is repointed, and every retained backup's recipe is patched so
-// restores keep working. Engines without an exposed chunk index (SiLo-Like)
-// do not support compaction.
+// behind) and copies only forgotten backups referenced are dropped, live
+// chunks are copied into fresh containers, the index is repointed, and
+// every retained backup's recipe is remapped so restores keep working.
+// Engines without an exposed chunk index (SiLo-Like) do not support
+// compaction.
+//
+// Compact is the maintenance merge (internal/maintenance) run to a
+// caller-chosen threshold: it works through the victims a bounded batch at a
+// time, safe under live ingest and restore traffic — only each batch's drop
+// commit briefly excludes foreground streams — and every drop goes through
+// the crash-safe merge intent. Cancelling ctx stops it at the next batch
+// boundary with the batches done so far committed; their statistics are
+// returned with the context's error.
 //
 // This is an extension beyond the paper (its future-work cleanup path);
-// the I/O it performs is charged to the simulated clock like any other
-// operation.
+// the I/O it performs is charged to the simulated clock as a maintenance
+// lane.
 func (s *Store) Compact(ctx context.Context, threshold float64) (CompactStats, error) {
 	ctx, span := telemetry.StartSpan(ctx, "store.compact")
 	defer span.End()
 	telCompacts.Inc()
-	// Compact is a maintenance operation and keeps the legacy fully-
-	// exclusive contract: it serializes against maintenance epochs
-	// (maintOpMu) and excludes all foreground streams for its whole run —
-	// its chunk moves go through the store frontier writer, which cannot
-	// tolerate concurrent reserve-mode writers.
-	s.maintOpMu.Lock()
-	defer s.maintOpMu.Unlock()
-	s.maintMu.Lock()
-	defer s.maintMu.Unlock()
-	eng, ok := s.eng.(indexed)
-	if !ok {
-		return CompactStats{}, fmt.Errorf("repro: engine %s does not support compaction", s.eng.Name())
-	}
-	recipes := s.snapshotRecipes()
-	res, err := gc.Collect(ctx, s.eng.Containers(), eng.Index(), recipes, threshold)
-	if err != nil {
-		return CompactStats{}, err
-	}
+	scanned := s.eng.Containers().NumContainers()
+	st, err := s.runMaintenance(ctx, func(p *maintenance.Pass, ctx context.Context) (maintenance.Stats, error) {
+		return p.Compact(ctx, threshold)
+	})
 	return CompactStats{
-		ContainersScanned:   res.ContainersScanned,
-		ContainersCollected: res.ContainersCollected,
-		ChunksMoved:         res.ChunksMoved,
-		BytesMoved:          res.BytesMoved,
-		BytesReclaimed:      res.BytesReclaimed,
-		RecipeRefsPatched:   res.RecipeRefsPatched,
-	}, nil
+		ContainersScanned:   scanned,
+		ContainersCollected: st.ContainersMerged,
+		ChunksMoved:         st.ChunksMoved,
+		BytesMoved:          st.BytesMoved,
+		BytesReclaimed:      st.BytesReclaimed,
+		RecipeRefsPatched:   st.RefsPatched,
+	}, err
 }
 
 // CheckReport summarizes a store consistency check (see Check).

@@ -16,7 +16,9 @@ import (
 // internal/archive for the on-disk format). With Options.StoreData the
 // archive carries real chunk content and restores from it verify; without,
 // it carries placement metadata only (timing experiments can resume, but
-// content restores cannot).
+// content restores cannot). The archive is a container log replayed in
+// order, so Export refuses a store that a maintenance merge (an epoch or
+// Compact) or Repair has dropped a container from: export first.
 func (s *Store) Export(ctx context.Context, dir string) error {
 	// Export is a foreground reader: hold maintenance out so the container
 	// set cannot shift (merges drop containers) mid-walk.

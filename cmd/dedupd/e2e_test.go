@@ -251,100 +251,137 @@ func TestE2EKillMidIngest(t *testing.T) {
 	reopenAndAudit(t, dir, map[string][]byte{"gen-complete": done})
 }
 
-// postMaintenance asks the server for one maintenance epoch. A transport
+// postAdmin POSTs to one of the server's maintenance routes. A transport
 // error is returned as-is: when a crash point is armed the process dies
 // mid-request and the dead connection is the expected signal.
-func postMaintenance(p *dedupdProc) error {
-	resp, err := http.Post(p.url("/v1/maintenance"), "", nil)
+func postAdmin(p *dedupdProc, path string) error {
+	resp, err := http.Post(p.url(path), "", nil)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close() //nolint:errcheck // status is the signal
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("maintenance: status %d: %s", resp.StatusCode, body)
+		return fmt.Errorf("%s: status %d: %s", path, resp.StatusCode, body)
 	}
 	return nil
 }
 
+// postMaintenance asks the server for one maintenance epoch.
+func postMaintenance(p *dedupdProc) error { return postAdmin(p, "/v1/maintenance") }
+
 // TestE2EKillMidMerge arms a blockstore crash point and drives the online
-// maintenance layer until an epoch reaches the crash-safe container drop,
-// at which instant the process exits uncleanly — after the merge intent is
-// durable but before (merge-intent) or halfway through (merge-files) the
-// destructive file deletes. Reopening must replay the WAL to a fsck-clean
-// store with every committed backup restoring bit-identically: the drop
-// commit ordering (recipes stop referencing victims durably before the
-// intent) is what makes any crash instant safe.
+// maintenance layer — by epochs, and by Compact — until a merge reaches the
+// crash-safe container drop, at which instant the process exits uncleanly:
+// after the merge intent is durable but before (merge-intent) or halfway
+// through (merge-files) the destructive file deletes. Reopening must replay
+// the WAL to a fsck-clean store with every committed backup restoring
+// bit-identically: the drop commit ordering (recipes stop referencing
+// victims durably before the intent) is what makes any crash instant safe,
+// whichever policy selected the victims.
 func TestE2EKillMidMerge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
 	}
-	for _, point := range []string{"merge-intent", "merge-files"} {
-		t.Run(point, func(t *testing.T) {
-			dir := t.TempDir()
-			p := startDedupd(t, dir,
-				"-alpha", "0.3", // more DeFrag rewrites → more superseded copies to merge
-				"-crash.point", point,
-				"-maintenance.util", "0.95",
-				"-maintenance.fill", "0.95",
-				"-maintenance.sparse", "0.9",
-				"-maintenance.batch", "64",
-			)
+	for _, trigger := range []struct {
+		name, path string
+		// forget drops the oldest backup before each trigger. An epoch makes
+		// its own victims by remapping old generations forward; Compact only
+		// collects what retention has already let go of.
+		forget bool
+	}{
+		{"maintenance", "/v1/maintenance", false},
+		{"compact", "/v1/compact?threshold=0.95", true},
+	} {
+		for _, point := range []string{"merge-intent", "merge-files"} {
+			t.Run(trigger.name+"/"+point, func(t *testing.T) {
+				dir := t.TempDir()
+				p := startDedupd(t, dir,
+					"-alpha", "0.3", // more DeFrag rewrites → more superseded copies to merge
+					"-crash.point", point,
+					"-maintenance.util", "0.95",
+					"-maintenance.fill", "0.95",
+					"-maintenance.sparse", "0.9",
+					"-maintenance.batch", "64",
+				)
 
-			// Mutating generations of one synthetic file system: dedup plus
-			// DeFrag rewrites leave older containers partly superseded, which
-			// is what maintenance merges away.
-			cfg := workload.DefaultConfig(99)
-			cfg.NumFiles = 8
-			cfg.MeanFileSize = 384 << 10
-			sched, err := workload.NewSingle(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := make(map[string][]byte)
-			upload := func() {
-				t.Helper()
-				bk := sched.Next()
-				data, err := io.ReadAll(bk.Stream)
+				// Mutating generations of one synthetic file system: dedup plus
+				// DeFrag rewrites leave older containers partly superseded, which
+				// is what a merge takes away.
+				cfg := workload.DefaultConfig(99)
+				cfg.NumFiles = 8
+				cfg.MeanFileSize = 384 << 10
+				sched, err := workload.NewSingle(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := uploadBackup(p, bk.Label, data); err != nil {
-					t.Fatal(err)
+				want := make(map[string][]byte)
+				var labels []string
+				upload := func() {
+					t.Helper()
+					bk := sched.Next()
+					data, err := io.ReadAll(bk.Stream)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := uploadBackup(p, bk.Label, data); err != nil {
+						t.Fatal(err)
+					}
+					want[bk.Label] = data
+					labels = append(labels, bk.Label)
 				}
-				want[bk.Label] = data
-			}
-			for i := 0; i < 4; i++ {
-				upload()
-			}
-
-			// Keep alternating epochs and fresh generations until one epoch
-			// selects victims and walks into the armed crash point. The POST
-			// dying on a broken connection is the success signal.
-			crashed := false
-			for round := 0; round < 10 && !crashed; round++ {
-				if err := postMaintenance(p); err != nil {
-					crashed = true
-					break
+				for i := 0; i < 4; i++ {
+					upload()
 				}
-				upload()
-			}
-			if !crashed {
-				t.Fatal("no maintenance epoch reached a container drop; crash point never fired")
-			}
-			waited := make(chan struct{})
-			go func() {
-				p.cmd.Wait() //nolint:errcheck // crash is the point
-				close(waited)
-			}()
-			select {
-			case <-waited:
-			case <-time.After(10 * time.Second):
-				t.Fatalf("server did not exit after crash point %s", point)
-			}
+				forgetOldest := func() {
+					t.Helper()
+					req, err := http.NewRequest(http.MethodDelete, p.url("/v1/backups/"+labels[0]), nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					resp.Body.Close() //nolint:errcheck // status is the signal
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("forget %s: status %d", labels[0], resp.StatusCode)
+					}
+					delete(want, labels[0])
+					labels = labels[1:]
+				}
 
-			reopenAndAudit(t, dir, want)
-		})
+				// Keep alternating triggers and fresh generations until one
+				// selects victims and walks into the armed crash point. The POST
+				// dying on a broken connection is the success signal.
+				crashed := false
+				for round := 0; round < 10 && !crashed; round++ {
+					if trigger.forget {
+						forgetOldest()
+					}
+					if err := postAdmin(p, trigger.path); err != nil {
+						crashed = true
+						break
+					}
+					upload()
+				}
+				if !crashed {
+					t.Fatalf("no %s reached a container drop; crash point never fired", trigger.name)
+				}
+				waited := make(chan struct{})
+				go func() {
+					p.cmd.Wait() //nolint:errcheck // crash is the point
+					close(waited)
+				}()
+				select {
+				case <-waited:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("server did not exit after crash point %s", point)
+				}
+
+				reopenAndAudit(t, dir, want)
+			})
+		}
 	}
 }
 

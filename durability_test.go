@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -317,5 +319,104 @@ func TestRepairQuarantinesCorruptContainer(t *testing.T) {
 	}
 	if qdir, err := os.ReadDir(filepath.Join(dir, "quarantine")); err != nil || len(qdir) == 0 {
 		t.Fatalf("quarantine directory empty (err=%v)", err)
+	}
+}
+
+// fileSizes maps every regular file under dir with the given suffix ("" for
+// all) to its size.
+func fileSizes(t *testing.T, dir, suffix string) map[string]int64 {
+	t.Helper()
+	sizes := make(map[string]int64)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, suffix) {
+			return err
+		}
+		info, err := d.Info()
+		sizes[path] = info.Size()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sizes
+}
+
+func sum(sizes map[string]int64) (n int64) {
+	for _, v := range sizes {
+		n += v
+	}
+	return n
+}
+
+func TestCompactDurableAcrossReopen(t *testing.T) {
+	// Compact on the durable backend must really give the space back, say
+	// truthfully how much, and leave nothing behind that a later epoch or a
+	// reopen trips over: its drops and its recipe remaps are as durable as
+	// the maintenance epoch's, because they are the same code.
+	for _, row := range []struct {
+		name       string
+		epochAfter bool
+	}{{"then an epoch", true}, {"straight to reopen", false}} {
+		t.Run(row.name, func(t *testing.T) {
+			ctx := context.Background()
+			dir := t.TempDir()
+			opts := Options{Engine: DeFrag, Alpha: 0.3, StoreData: true,
+				ExpectedBytes: 64 << 20, Backend: FileBackend, Dir: dir}
+			s, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			datas := ingestGens(t, s, 5, 6)
+			for _, b := range s.Backups()[:2] {
+				if !s.Forget(b.Label).Found {
+					t.Fatalf("forget %s: not found", b.Label)
+				}
+			}
+			want := datas[2:]
+
+			dataBefore, dirBefore := fileSizes(t, dir, ".data"), sum(fileSizes(t, dir, ""))
+			cs, err := s.Compact(ctx, 0.95)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cs.ContainersCollected == 0 {
+				t.Fatal("two forgotten generations left nothing to compact: nothing was tested")
+			}
+			dataAfter := fileSizes(t, dir, ".data")
+			var dropped int64
+			for path, n := range dataBefore {
+				if _, still := dataAfter[path]; !still {
+					dropped += n
+				}
+			}
+			if dropped != cs.BytesReclaimed {
+				t.Fatalf("BytesReclaimed = %d, but the data files that left the directory held %d", cs.BytesReclaimed, dropped)
+			}
+			if dirAfter := sum(fileSizes(t, dir, "")); dirAfter >= dirBefore {
+				t.Fatalf("store directory did not shrink: %d -> %d bytes", dirBefore, dirAfter)
+			}
+
+			if row.epochAfter {
+				if _, err := s.MaintenanceEpoch(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close() //nolint:errcheck
+			rep, err := re.Check(ctx, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.OK() {
+				t.Fatalf("reopened store not fsck-clean after Compact: %v", rep.Problems)
+			}
+			restoreVerifyAll(t, re, want)
+		})
 	}
 }

@@ -1,7 +1,8 @@
 // Operations: the lifecycle features around the paper's algorithm —
-// retention, garbage collection, consistency checking, and persistence.
-// Back up a week of generations, expire the oldest, compact the store,
-// verify its consistency, export it to disk, and restore from the archive.
+// persistence, retention, garbage collection, and consistency checking.
+// Back up a week of generations, export the store to disk and restore from
+// the archive, then expire the oldest generations, compact the store, and
+// verify its consistency.
 //
 //	go run ./examples/operations
 package main
@@ -54,29 +55,9 @@ func main() {
 	fmt.Printf("after 7 backups: %.1f MB stored, utilization %.1f%%, compression %.2fx\n",
 		float64(st.StoredBytes)/1e6, st.Utilization*100, st.CompressionRatio)
 
-	// Retention: keep the last 4 days.
-	for _, label := range []string{"g00", "g01", "g02"} {
-		store.Forget(label)
-	}
-	cs, err := store.Compact(ctx, 0.85)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("compaction: %d/%d containers collected, %.1f MB reclaimed, %d recipe refs patched\n",
-		cs.ContainersCollected, cs.ContainersScanned, float64(cs.BytesReclaimed)/1e6, cs.RecipeRefsPatched)
-
-	// Consistency: every surviving backup's chunks re-hash clean.
-	rep, err := store.Check(ctx, true)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if !rep.OK() {
-		log.Fatalf("consistency check failed: %v", rep.Problems)
-	}
-	fmt.Printf("fsck: OK (%d containers, %d recipe refs, %d chunks re-hashed)\n",
-		rep.Containers, rep.RecipeRefs, rep.HashedChunks)
-
 	// Persistence: export, reopen, restore the latest backup, verify bytes.
+	// An archive is a replayable container log, so it is taken before
+	// compaction drops containers out of the middle of it.
 	dir, err := os.MkdirTemp("", "defrag-archive-*")
 	if err != nil {
 		log.Fatal(err)
@@ -101,4 +82,26 @@ func main() {
 	}
 	fmt.Printf("archive: %d backups exported to %s; %s restored at %.1f MB/s and verified bit-exact\n",
 		len(backups), dir, latest.Label, rst.ThroughputMBps())
+
+	// Retention: keep the last 4 days.
+	for _, label := range []string{"g00", "g01", "g02"} {
+		store.Forget(label)
+	}
+	cs, err := store.Compact(ctx, 0.85)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("compaction: %d/%d containers collected, %.1f MB reclaimed, %d recipe refs patched\n",
+		cs.ContainersCollected, cs.ContainersScanned, float64(cs.BytesReclaimed)/1e6, cs.RecipeRefsPatched)
+
+	// Consistency: every surviving backup's chunks re-hash clean.
+	rep, err := store.Check(ctx, true)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !rep.OK() {
+		log.Fatalf("consistency check failed: %v", rep.Problems)
+	}
+	fmt.Printf("fsck: OK (%d containers, %d recipe refs, %d chunks re-hashed)\n",
+		rep.Containers, rep.RecipeRefs, rep.HashedChunks)
 }

@@ -444,8 +444,8 @@ func (s *Store) Quarantine(ctx context.Context, id uint32, reason string) error 
 // intent record on the file backend — see blockstore.Dropper). The IDs
 // become unsealed holes exactly like quarantined ones: Sealed turns false
 // and reads panic, so the caller must first have repointed every index
-// entry and recipe reference at the surviving copies. The maintenance
-// container-merge path is the only caller.
+// entry and recipe reference at the surviving copies. The maintenance merge
+// (epochs and Compact alike) is the only caller.
 func (s *Store) Drop(ctx context.Context, ids []uint32, reason string) error {
 	if len(ids) == 0 {
 		return nil
@@ -698,10 +698,10 @@ func (s *Store) Write(ctx context.Context, c chunk.Chunk, segID uint64) (chunk.L
 }
 
 // Flush seals the serial writer's open container, if any, and waits for its
-// backend persist to land. Engines call this at end of stream or before
-// maintenance (GC, defrag), both of which need the byte store caught up with
-// the directory, so it keeps the drain semantics of the old synchronous
-// seal; the hot-path auto-flush inside Write is what runs asynchronously.
+// backend persist to land. Engines call this at end of stream, which needs
+// the byte store caught up with the directory, so it keeps the drain
+// semantics of the old synchronous seal; the hot-path auto-flush inside
+// Write is what runs asynchronously.
 func (s *Store) Flush(ctx context.Context) error {
 	s.mu.Lock()
 	w := s.serialW

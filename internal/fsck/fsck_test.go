@@ -12,7 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/enginetest"
-	"repro/internal/gc"
+	"repro/internal/maintenance"
 )
 
 func rig(t *testing.T, storeData bool) (*container.Store, *cindex.Index) {
@@ -144,6 +144,26 @@ func TestProblemListCapped(t *testing.T) {
 	}
 }
 
+// memRecipes is the retained set as maintenance.RecipeStore sees it.
+type memRecipes []*chunk.Recipe
+
+func (m memRecipes) Snapshot() []*chunk.Recipe { return append([]*chunk.Recipe(nil), m...) }
+
+func (m memRecipes) Replace(_ context.Context, updated []*chunk.Recipe) error {
+	for _, u := range updated {
+		for i := range m {
+			if m[i].Label == u.Label {
+				m[i] = u
+			}
+		}
+	}
+	return nil
+}
+
+type openGate struct{}
+
+func (openGate) Exclusive(fn func() error) error { return fn() }
+
 func TestEngineAndGCLeaveConsistentState(t *testing.T) {
 	// The headline use: after a DeFrag run plus garbage collection, every
 	// invariant holds and all content hashes match.
@@ -154,12 +174,25 @@ func TestEngineAndGCLeaveConsistentState(t *testing.T) {
 		t.Fatal(err)
 	}
 	gens := enginetest.RunGenerations(t, eng, enginetest.SmallConfig(41), 6)
-	var recipes []*chunk.Recipe
-	for _, g := range gens {
+	// Retain the newer half: the forgotten generations' exclusive copies are
+	// the garbage compaction has to find.
+	var recipes memRecipes
+	for _, g := range gens[3:] {
 		recipes = append(recipes, g.Recipe)
 	}
-	if _, err := gc.Collect(context.Background(), eng.Containers(), eng.Index(), recipes, 0.7); err != nil {
+	pass, err := maintenance.New(maintenance.Config{
+		Containers: eng.Containers(), Index: eng.Index(), Recipes: recipes,
+		Gate: openGate{}, Dropper: eng, Clock: eng.Clock(),
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	st, err := pass.Compact(context.Background(), 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ContainersMerged == 0 {
+		t.Fatal("compaction dropped nothing: the check below would test an untouched store")
 	}
 	rep, err := Check(context.Background(), eng.Containers(), eng.Index(), recipes, true)
 	if err != nil {

@@ -1,36 +1,41 @@
-// Package maintenance is the online maintenance layer of the store: a
-// background pass that runs hybrid out-of-line deduplication under live
-// traffic, in the spirit of RevDedup (Ng & Lee, arXiv:1302.0621) and the
-// hybrid inline/out-of-line designs surveyed in arXiv:1405.5661.
+// Package maintenance is the online maintenance layer of the store: the one
+// copy-forward path that moves live chunks out of old containers and drops
+// what is left, under live traffic, in the spirit of RevDedup (Ng & Lee,
+// arXiv:1302.0621) and the hybrid inline/out-of-line designs surveyed in
+// arXiv:1405.5661.
 //
 // The inline engines (DeFrag et al.) keep ingest fast and the newest backup
 // reasonably sequential; what they cannot do inline is claw back the
 // fragmentation and garbage that accumulates in *old* containers as
-// generations pile up. The maintenance pass does that out of line, one
-// bounded epoch at a time:
+// generations pile up. A Pass does that out of line. Two policies drive the
+// same merge body:
 //
-//  1. Reverse remap ("reverse rewriting"): scan retained recipes oldest
+//   - RunEpoch, one bounded epoch of background maintenance:
+//     (1) reverse remap ("reverse rewriting") — scan retained recipes oldest
 //     first; references into low-fill or low-utilization sealed containers
-//     whose chunks also exist in newer containers (the chunk index points at
-//     a newer copy) are rewritten to the newer copy. Old generations absorb
-//     the delinearization; the shared copies migrate forward in time —
-//     exactly RevDedup's shift of fragmentation onto the backups least
-//     likely to be restored.
-//  2. Container merge: containers whose remaining live fraction is below a
-//     threshold, or that the latest generation touches only sparsely, are
-//     merged — their live chunks are copied into fresh dense containers
-//     (ordered by the latest recipe, so the newest backup's read path
-//     becomes more sequential), the index is repointed, every retained
-//     recipe is remapped copy-on-write, and the emptied victims are dropped
-//     through the crash-safe blockstore merge intent (blockstore.Dropper).
+//     whose chunks also exist in newer containers are rewritten to the newer
+//     copy, so old generations absorb the delinearization (RevDedup's shift
+//     of fragmentation onto the backups least likely to be restored); then
+//     (2) one merge batch whose victims are containers whose live fraction is
+//     below UtilThreshold or that the latest generation touches only
+//     sparsely.
+//   - Compact, operator-initiated garbage collection: merge batches repeat
+//     until no sealed container's live fraction is below the caller's
+//     threshold. No remap phase, no sparse rule.
 //
-// Epochs are incremental: all scanning, copying and remap preparation runs
-// concurrently with foreground ingest and restore traffic; only the final
-// victim-drop commit runs under the store's exclusive gate, and the commit
-// re-validates victim liveness there, so foreground streams that raced the
-// scan are never broken. Data movement is paced by a wall-clock token-bucket
-// throttle and charged to the simulated clock as a maintenance lane,
-// mirroring how concurrent ingest lanes are priced.
+// A merge batch copies the victims' live chunks into fresh dense containers
+// (ordered by the latest recipe, so the newest backup's read path becomes
+// more sequential), repoints the index, remaps every retained recipe
+// copy-on-write and durably, and drops the emptied victims through the
+// crash-safe blockstore merge intent (blockstore.Dropper).
+//
+// All scanning, copying and remap preparation runs concurrently with
+// foreground ingest and restore traffic; only a batch's final victim-drop
+// commit runs under the store's exclusive gate, and the commit re-validates
+// victim liveness there, so foreground streams that raced the scan are never
+// broken. Data movement is paced by a wall-clock token-bucket throttle and
+// charged to the simulated clock as a maintenance lane, mirroring how
+// concurrent ingest lanes are priced.
 package maintenance
 
 import (
@@ -49,7 +54,7 @@ import (
 // Telemetry: the maintenance_* surface on /metrics.
 var (
 	telEpochs = telemetry.NewCounter("maintenance_epochs_total",
-		"maintenance epochs completed")
+		"maintenance runs completed (epochs and compactions)")
 	telRemapped = telemetry.NewCounter("maintenance_refs_remapped_total",
 		"recipe references rewritten to newer chunk copies (reverse remap)")
 	telMerged = telemetry.NewCounter("maintenance_containers_merged_total",
@@ -77,7 +82,7 @@ type RecipeStore interface {
 	Replace(ctx context.Context, updated []*chunk.Recipe) error
 }
 
-// Gate serializes the epoch's drop commit against foreground streams: fn
+// Gate serializes a merge batch's drop commit against foreground streams: fn
 // runs while no ingest or restore is in flight, and new ones wait until it
 // returns. Everything else the pass does runs outside the gate.
 type Gate interface {
@@ -99,8 +104,8 @@ type Config struct {
 	Gate       Gate
 	// Dropper, when set, purges per-container engine caches at commit.
 	Dropper IndexDropper
-	// Clock is the store's master simulated clock. Each epoch charges its
-	// I/O to a private lane starting at the master reading and advances the
+	// Clock is the store's master simulated clock. Each run charges its I/O
+	// to a private lane starting at the master reading and advances the
 	// master on completion, like a concurrent ingest lane.
 	Clock *disk.Clock
 
@@ -118,8 +123,9 @@ type Config struct {
 	// reads consolidate, even if older generations keep them mostly live.
 	// Default 0.25.
 	SparseThreshold float64
-	// MaxBatch bounds the victims merged per epoch (incremental compaction).
-	// Default 8.
+	// MaxBatch bounds the victims of one merge batch — and with them the
+	// victim data sections held in RAM. An epoch runs one batch; Compact
+	// repeats batches. Default 8.
 	MaxBatch int
 	// ThrottleMBps paces merge data movement in wall-clock MB/s through a
 	// token bucket. 0 disables pacing.
@@ -162,7 +168,8 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Stats summarizes one epoch (or, accumulated, a pass's lifetime).
+// Stats summarizes one epoch or Compact run (or, accumulated, a pass's
+// lifetime).
 type Stats struct {
 	RecipesScanned   int     `json:"recipesScanned"`
 	RefsRemapped     int64   `json:"refsRemapped"`  // reverse-remap rewrites to newer copies
@@ -176,7 +183,8 @@ type Stats struct {
 	SimSeconds       float64 `json:"simSeconds"`     // simulated lane time charged
 }
 
-func (s *Stats) add(o Stats) {
+// Add accumulates o into s (cumulative pass statistics).
+func (s *Stats) Add(o Stats) {
 	s.RecipesScanned += o.RecipesScanned
 	s.RefsRemapped += o.RefsRemapped
 	s.RefsRededuped += o.RefsRededuped
@@ -189,12 +197,10 @@ func (s *Stats) add(o Stats) {
 	s.SimSeconds += o.SimSeconds
 }
 
-// Add accumulates o into s (cumulative pass statistics).
-func (s *Stats) Add(o Stats) { s.add(o) }
-
-// Pass is the reusable epoch runner. One Pass serves one store; RunEpoch is
-// not safe for concurrent use with itself (the store serializes maintenance
-// operations), but is safe against concurrent foreground traffic.
+// Pass is the reusable maintenance runner. One Pass serves one store;
+// RunEpoch and Compact are not safe for concurrent use with themselves or
+// each other (the store serializes maintenance operations), but are safe
+// against concurrent foreground traffic.
 type Pass struct {
 	cfg      Config
 	throttle *Throttle
@@ -209,24 +215,18 @@ func New(cfg Config) (*Pass, error) {
 	return &Pass{cfg: cfg, throttle: NewThrottle(cfg.ThrottleMBps * 1e6)}, nil
 }
 
-// copyKey identifies one physical chunk copy.
-type copyKey struct {
-	container uint32
-	offset    int64
-}
-
 // liveCopy is one chunk copy that must survive a merge.
 type liveCopy struct {
 	meta          container.Meta
 	authoritative bool // the chunk index points at this copy
 }
 
-// RunEpoch executes one maintenance epoch: reverse remap, victim selection,
-// merge copy, and the gated drop commit. It returns the epoch's statistics;
-// an epoch that finds nothing to do returns zero Stats and nil error.
-func (p *Pass) RunEpoch(ctx context.Context) (Stats, error) {
-	_, span := telemetry.StartSpan(ctx, "maintenance.epoch")
-	defer span.End()
+// run executes body on a private maintenance lane: the lane starts at the
+// master clock's reading, body's I/O is charged to it, and on success the
+// master advances to the lane's finish and the counters are published.
+func (p *Pass) run(ctx context.Context, span string, body func(lane *disk.Clock, st *Stats) error) (Stats, error) {
+	_, sp := telemetry.StartSpan(ctx, span)
+	defer sp.End()
 
 	var lane disk.Clock
 	master := p.cfg.Clock
@@ -236,20 +236,12 @@ func (p *Pass) RunEpoch(ctx context.Context) (Stats, error) {
 	laneStart := lane.Now()
 
 	var st Stats
-	if p.cfg.Rededup {
-		if err := p.rededupSpill(ctx, &st); err != nil {
-			return st, err
-		}
-	}
-	if err := p.reverseRemap(ctx, &st); err != nil {
-		return st, err
-	}
-	if err := p.merge(ctx, &lane, &st); err != nil {
+	if err := body(&lane, &st); err != nil {
 		return st, err
 	}
 
 	st.SimSeconds = (lane.Now() - laneStart).Seconds()
-	span.SetSim(lane.Now() - laneStart)
+	sp.SetSim(lane.Now() - laneStart)
 	if master != nil {
 		if d := lane.Now() - master.Now(); d > 0 {
 			master.Advance(d)
@@ -264,6 +256,52 @@ func (p *Pass) RunEpoch(ctx context.Context) (Stats, error) {
 	telReclaimed.Add(st.BytesReclaimed)
 	telSkipped.Add(int64(st.VictimsSkipped))
 	return st, nil
+}
+
+// RunEpoch executes one maintenance epoch: re-dedup of spilled references,
+// reverse remap, and one merge batch (victim selection, copy, gated drop
+// commit). It returns the epoch's statistics; an epoch that finds nothing to
+// do returns zero Stats and nil error.
+func (p *Pass) RunEpoch(ctx context.Context) (Stats, error) {
+	return p.run(ctx, "maintenance.epoch", func(lane *disk.Clock, st *Stats) error {
+		if p.cfg.Rededup {
+			if err := p.rededupSpill(ctx, st); err != nil {
+				return err
+			}
+		}
+		if err := p.reverseRemap(ctx, st); err != nil {
+			return err
+		}
+		_, err := p.merge(ctx, lane, p.cfg.UtilThreshold, p.cfg.SparseThreshold, st)
+		return err
+	})
+}
+
+// Compact merges away every sealed container whose live fraction is below
+// threshold, MaxBatch victims at a time, until none is left, a batch drops
+// nothing (racing traffic re-pinned all its victims), or ctx is cancelled —
+// which stops it cleanly at the next batch boundary, with the batches done
+// so far committed and the cancellation returned beside their statistics.
+func (p *Pass) Compact(ctx context.Context, threshold float64) (Stats, error) {
+	if threshold < 0 || threshold > 1 {
+		return Stats{}, fmt.Errorf("maintenance: compact threshold must be in [0,1], got %v", threshold)
+	}
+	var cancelled error
+	st, err := p.run(ctx, "maintenance.compact", func(lane *disk.Clock, st *Stats) error {
+		for {
+			if cancelled = ctx.Err(); cancelled != nil {
+				return nil
+			}
+			dropped, err := p.merge(ctx, lane, threshold, 0, st)
+			if err != nil || dropped == 0 {
+				return err
+			}
+		}
+	})
+	if err == nil {
+		err = cancelled
+	}
+	return st, err
 }
 
 // remapCandidate reports whether container id is worth reverse-remapping
@@ -281,53 +319,64 @@ func (p *Pass) remapCandidate(id uint32) bool {
 	return cs.LiveFraction(id) < p.cfg.UtilThreshold
 }
 
-// reverseRemap rewrites old generations' references into candidate
-// containers to point at newer copies of the same chunks, oldest recipe
-// first. The rewrite is pure metadata: copy-on-write recipes are installed
-// through the RecipeStore, and the abandoned old copies lose their pins so
-// a later merge can reclaim their containers.
-func (p *Pass) reverseRemap(ctx context.Context, st *Stats) error {
-	cs, ix := p.cfg.Containers, p.cfg.Index
-	recipes := p.cfg.Recipes.Snapshot()
-	st.RecipesScanned = len(recipes)
-	candidate := make(map[uint32]bool)
+// rewriteRefs is the one way the pass changes a recipe: every retained
+// recipe is scanned oldest first, each reference relocate returns a new
+// location for is repointed on a private copy (the snapshot stays
+// immutable), and the changed copies are installed durably through the
+// RecipeStore. relocate must not modify the reference. It returns the
+// number of references rewritten.
+func (p *Pass) rewriteRefs(ctx context.Context, relocate func(ref *chunk.Ref) (chunk.Location, bool)) (int64, error) {
+	var n int64
 	var updated []*chunk.Recipe
-	for _, r := range recipes {
+	for _, r := range p.cfg.Recipes.Snapshot() {
 		if err := ctx.Err(); err != nil {
-			return err
+			return n, err
 		}
 		var out *chunk.Recipe
 		for i := range r.Refs {
-			ref := &r.Refs[i]
-			cid := ref.Loc.Container
-			ok, seen := candidate[cid]
-			if !seen {
-				ok = p.remapCandidate(cid)
-				candidate[cid] = ok
-			}
+			loc, ok := relocate(&r.Refs[i])
 			if !ok {
-				continue
-			}
-			loc, found := ix.Peek(ref.FP)
-			// Only migrate forward: a strictly newer sealed copy of the
-			// same chunk. Same-container hits and unsealed targets stay.
-			if !found || loc.Container <= cid || loc.Size != ref.Size || !cs.Sealed(loc.Container) {
 				continue
 			}
 			if out == nil {
 				out = &chunk.Recipe{Label: r.Label, Refs: append([]chunk.Ref(nil), r.Refs...)}
 			}
 			out.Refs[i].Loc = loc
-			st.RefsRemapped++
+			n++
 		}
 		if out != nil {
 			updated = append(updated, out)
 		}
 	}
 	if len(updated) == 0 {
-		return nil
+		return n, nil
 	}
-	return p.cfg.Recipes.Replace(ctx, updated)
+	return n, p.cfg.Recipes.Replace(ctx, updated)
+}
+
+// reverseRemap rewrites old generations' references into candidate
+// containers to point at newer copies of the same chunks. The rewrite is
+// pure metadata: the abandoned old copies lose their pins so a later merge
+// can reclaim their containers.
+func (p *Pass) reverseRemap(ctx context.Context, st *Stats) (err error) {
+	cs, ix := p.cfg.Containers, p.cfg.Index
+	candidate := make(map[uint32]bool)
+	st.RefsRemapped, err = p.rewriteRefs(ctx, func(ref *chunk.Ref) (chunk.Location, bool) {
+		cid := ref.Loc.Container
+		ok, seen := candidate[cid]
+		if !seen {
+			ok = p.remapCandidate(cid)
+			candidate[cid] = ok
+		}
+		if !ok {
+			return chunk.Location{}, false
+		}
+		// Only migrate forward: a strictly newer sealed copy of the same
+		// chunk. Same-container hits and unsealed targets stay.
+		loc, found := ix.Peek(ref.FP)
+		return loc, found && loc.Container > cid && loc.Size == ref.Size && cs.Sealed(loc.Container)
+	})
+	return err
 }
 
 // rededupSpill is the out-of-line half of the inline filter's bargain
@@ -342,62 +391,32 @@ func (p *Pass) reverseRemap(ctx context.Context, st *Stats) error {
 // and the ordinary merge/drop machinery reclaims the space.
 //
 // Like reverseRemap, the remap itself is pure metadata and safe outside the
-// gate: the target copy is index-authoritative, so gc-liveness keeps it
-// resident, and any drop that might race this epoch revalidates under the
+// gate: the target copy is index-authoritative, so the liveness rule keeps
+// it resident, and any drop that might race this epoch revalidates under the
 // exclusive gate before committing.
-func (p *Pass) rededupSpill(ctx context.Context, st *Stats) error {
+func (p *Pass) rededupSpill(ctx context.Context, st *Stats) (err error) {
 	cs, ix := p.cfg.Containers, p.cfg.Index
-	recipes := p.cfg.Recipes.Snapshot()
-	if st.RecipesScanned == 0 {
-		st.RecipesScanned = len(recipes)
-	}
-	var updated []*chunk.Recipe
-	for _, r := range recipes {
-		if err := ctx.Err(); err != nil {
-			return err
+	st.RefsRededuped, err = p.rewriteRefs(ctx, func(ref *chunk.Ref) (chunk.Location, bool) {
+		loc, found := ix.Peek(ref.FP)
+		if !found || loc.Size != ref.Size || !cs.Sealed(loc.Container) {
+			return loc, false
 		}
-		var out *chunk.Recipe
-		for i := range r.Refs {
-			ref := &r.Refs[i]
-			loc, found := ix.Peek(ref.FP)
-			if !found || loc.Size != ref.Size || !cs.Sealed(loc.Container) {
-				continue
-			}
-			// Strictly-older means an earlier container, or an earlier
-			// offset of the same container (a short-distance spill whose
-			// authoritative copy landed in the same open container).
-			if loc.Container > ref.Loc.Container ||
-				(loc.Container == ref.Loc.Container && loc.Offset >= ref.Loc.Offset) {
-				continue
-			}
-			if out == nil {
-				out = &chunk.Recipe{Label: r.Label, Refs: append([]chunk.Ref(nil), r.Refs...)}
-			}
-			out.Refs[i].Loc = loc
-			st.RefsRededuped++
-		}
-		if out != nil {
-			updated = append(updated, out)
-		}
-	}
-	if len(updated) == 0 {
-		return nil
-	}
-	return p.cfg.Recipes.Replace(ctx, updated)
+		// Strictly-older means an earlier container, or an earlier offset
+		// of the same container (a short-distance spill whose authoritative
+		// copy landed in the same open container).
+		older := loc.Container < ref.Loc.Container ||
+			(loc.Container == ref.Loc.Container && loc.Offset < ref.Loc.Offset)
+		return loc, older
+	})
+	return err
 }
 
-// scanLiveness computes, per sealed container, the gc-liveness of each copy
-// (recipe-pinned or index-authoritative) plus how many bytes the latest
-// retained recipe references in it.
+// scanLiveness lists, per sealed container, the copies that must survive a
+// merge and their total bytes, plus how many bytes the latest retained
+// recipe references in each container.
 func (p *Pass) scanLiveness(recipes []*chunk.Recipe) (live map[uint32][]liveCopy, liveBytes, latestBytes map[uint32]int64) {
 	cs, ix := p.cfg.Containers, p.cfg.Index
-	pinned := make(map[copyKey]struct{}, 1024)
-	for _, r := range recipes {
-		for i := range r.Refs {
-			loc := r.Refs[i].Loc
-			pinned[copyKey{loc.Container, loc.Offset}] = struct{}{}
-		}
-	}
+	pinned := pinnedCopies(recipes)
 	latestBytes = make(map[uint32]int64)
 	if len(recipes) > 0 {
 		latest := recipes[len(recipes)-1]
@@ -419,25 +438,18 @@ func (p *Pass) scanLiveness(recipes []*chunk.Recipe) (live map[uint32][]liveCopy
 		if !cs.Sealed(id) {
 			continue
 		}
-		for _, m := range cs.PeekMeta(id) {
-			_, isPinned := pinned[copyKey{id, m.Offset}]
-			idxLoc, inIndex := ix.Peek(m.FP)
-			authoritative := inIndex && idxLoc.Container == id && idxLoc.Offset == m.Offset
-			if !isPinned && !authoritative {
-				continue
-			}
+		liveBytes[id] = eachLive(cs, ix, pinned, id, func(m container.Meta, authoritative bool) {
 			live[id] = append(live[id], liveCopy{meta: m, authoritative: authoritative})
-			liveBytes[id] += int64(m.Size)
-		}
+		})
 	}
 	return live, liveBytes, latestBytes
 }
 
 // selectVictims picks up to MaxBatch sealed containers to merge away,
 // lowest live fraction first: hollowed-out containers (live fraction below
-// UtilThreshold) and containers the latest generation only grazes
-// (referenced, but for less than SparseThreshold of their data).
-func (p *Pass) selectVictims(liveBytes, latestBytes map[uint32]int64) []uint32 {
+// util) and containers the latest generation only grazes (referenced, but
+// for less than sparse of their data; 0 turns that rule off).
+func (p *Pass) selectVictims(liveBytes, latestBytes map[uint32]int64, util, sparse float64) []uint32 {
 	cs := p.cfg.Containers
 	type cand struct {
 		id   uint32
@@ -455,9 +467,9 @@ func (p *Pass) selectVictims(liveBytes, latestBytes map[uint32]int64) []uint32 {
 		}
 		frac := float64(liveBytes[id]) / float64(total)
 		latestFrac := float64(latestBytes[id]) / float64(total)
-		hollow := frac < p.cfg.UtilThreshold
-		sparse := latestBytes[id] > 0 && latestFrac < p.cfg.SparseThreshold
-		if !hollow && !sparse {
+		hollow := frac < util
+		grazed := latestBytes[id] > 0 && latestFrac < sparse
+		if !hollow && !grazed {
 			continue
 		}
 		cands = append(cands, cand{id, frac})
@@ -479,17 +491,19 @@ func (p *Pass) selectVictims(liveBytes, latestBytes map[uint32]int64) []uint32 {
 	return ids
 }
 
-// merge runs the container-merge half of the epoch: copy the victims' live
-// chunks into fresh containers (latest-recipe order first, so the newest
-// backup linearizes), repoint the index, remap every recipe, and commit the
-// crash-safe drop under the gate.
-func (p *Pass) merge(ctx context.Context, lane *disk.Clock, st *Stats) error {
+// merge runs one merge batch: select victims by the (util, sparse) policy,
+// copy their live chunks into fresh containers (latest-recipe order first,
+// so the newest backup linearizes), repoint the index, remap every recipe,
+// and commit the crash-safe drop under the gate. It returns how many
+// victims the commit dropped.
+func (p *Pass) merge(ctx context.Context, lane *disk.Clock, util, sparse float64, st *Stats) (dropped int, err error) {
 	cs, ix := p.cfg.Containers, p.cfg.Index
 	recipes := p.cfg.Recipes.Snapshot()
+	st.RecipesScanned = len(recipes)
 	live, liveBytes, latestBytes := p.scanLiveness(recipes)
-	victims := p.selectVictims(liveBytes, latestBytes)
+	victims := p.selectVictims(liveBytes, latestBytes, util, sparse)
 	if len(victims) == 0 {
-		return nil
+		return 0, nil
 	}
 	victimSet := make(map[uint32]bool, len(victims))
 	for _, id := range victims {
@@ -549,18 +563,18 @@ func (p *Pass) merge(ctx context.Context, lane *disk.Clock, st *Stats) error {
 	moved := make(map[copyKey]chunk.Location, len(order))
 	for _, it := range order {
 		if err := ctx.Err(); err != nil {
-			return err
+			return 0, err
 		}
 		m := it.c.meta
 		if err := p.throttle.Wait(ctx, int64(m.Size)); err != nil {
-			return err
+			return 0, err
 		}
 		buf, ok := data[it.id]
 		if !ok {
 			var err error
 			buf, err = cs.PeekData(ctx, it.id)
 			if err != nil {
-				return fmt.Errorf("maintenance: reading victim container %d: %w", it.id, err)
+				return 0, fmt.Errorf("maintenance: reading victim container %d: %w", it.id, err)
 			}
 			cs.AccountDataRange([]uint32{it.id}, lane)
 			data[it.id] = buf
@@ -574,14 +588,14 @@ func (p *Pass) merge(ctx context.Context, lane *disk.Clock, st *Stats) error {
 		}
 		newLoc, err := w.Write(ctx, c, m.Segment)
 		if err != nil {
-			return fmt.Errorf("maintenance: moving chunk out of container %d: %w", it.id, err)
+			return 0, fmt.Errorf("maintenance: moving chunk out of container %d: %w", it.id, err)
 		}
 		moved[copyKey{it.id, m.Offset}] = newLoc
 		st.ChunksMoved++
 		st.BytesMoved += int64(m.Size)
 	}
 	if err := w.Finish(ctx); err != nil {
-		return fmt.Errorf("maintenance: sealing merged containers: %w", err)
+		return 0, fmt.Errorf("maintenance: sealing merged containers: %w", err)
 	}
 
 	// Repoint the index at the moved authoritative copies, then durably
@@ -599,8 +613,13 @@ func (p *Pass) merge(ctx context.Context, lane *disk.Clock, st *Stats) error {
 		ix.Update(it.c.meta.FP, newLoc)
 	}
 	ix.Flush()
-	if err := p.remapRecipes(ctx, moved, nil, st); err != nil {
-		return err
+	patched, err := p.rewriteRefs(ctx, func(ref *chunk.Ref) (chunk.Location, bool) {
+		loc, ok := moved[copyKey{ref.Loc.Container, ref.Loc.Offset}]
+		return loc, ok
+	})
+	st.RefsPatched += patched
+	if err != nil {
+		return 0, err
 	}
 
 	// Commit under the gate: no foreground stream is in flight. Re-validate
@@ -608,7 +627,7 @@ func (p *Pass) merge(ctx context.Context, lane *disk.Clock, st *Stats) error {
 	// recipe pinning a victim copy the scan called dead (e.g. through a
 	// locality-preserved cache hit). Pinned-but-moved refs are remapped
 	// here; refs to copies that never moved force the victim to survive.
-	return p.cfg.Gate.Exclusive(func() error {
+	err = p.cfg.Gate.Exclusive(func() error {
 		keep := p.revalidate(ctx, victimSet, moved, st)
 		if len(keep) == 0 {
 			return nil
@@ -625,60 +644,45 @@ func (p *Pass) merge(ctx context.Context, lane *disk.Clock, st *Stats) error {
 		if err := cs.Drop(ctx, keep, "maintenance merge"); err != nil {
 			return fmt.Errorf("maintenance: dropping merged containers: %w", err)
 		}
-		st.ContainersMerged += len(keep)
+		dropped = len(keep)
+		st.ContainersMerged += dropped
 		st.BytesReclaimed += reclaimed
 		return nil
 	})
+	return dropped, err
 }
 
 // revalidate runs inside the gate: it remaps any recipe references that
 // still land in victim containers (possible when foreground traffic
 // committed between the scan and the gate) and returns the victims that are
 // safe to drop. A victim still referenced by a copy that was not moved is
-// kept alive and skipped this epoch.
+// kept alive and skipped this batch.
 func (p *Pass) revalidate(ctx context.Context, victimSet map[uint32]bool, moved map[copyKey]chunk.Location, st *Stats) []uint32 {
 	cs, ix := p.cfg.Containers, p.cfg.Index
 	unsafe := make(map[uint32]bool)
-	recipes := p.cfg.Recipes.Snapshot()
-	var updated []*chunk.Recipe
-	for _, r := range recipes {
-		var out *chunk.Recipe
-		for i := range r.Refs {
-			ref := &r.Refs[i]
-			if !victimSet[ref.Loc.Container] {
-				continue
-			}
-			newLoc, ok := moved[copyKey{ref.Loc.Container, ref.Loc.Offset}]
-			if !ok {
-				// A copy the scan called dead got pinned: try the index's
-				// current copy, else the victim must survive.
-				idxLoc, found := ix.Peek(ref.FP)
-				if found && idxLoc.Size == ref.Size && !victimSet[idxLoc.Container] && cs.Sealed(idxLoc.Container) {
-					newLoc, ok = idxLoc, true
-				}
-			}
-			if !ok {
-				unsafe[ref.Loc.Container] = true
-				continue
-			}
-			if out == nil {
-				out = &chunk.Recipe{Label: r.Label, Refs: append([]chunk.Ref(nil), r.Refs...)}
-			}
-			out.Refs[i].Loc = newLoc
-			st.RefsPatched++
+	patched, err := p.rewriteRefs(ctx, func(ref *chunk.Ref) (chunk.Location, bool) {
+		if !victimSet[ref.Loc.Container] {
+			return chunk.Location{}, false
 		}
-		if out != nil {
-			updated = append(updated, out)
+		if loc, ok := moved[copyKey{ref.Loc.Container, ref.Loc.Offset}]; ok {
+			return loc, true
 		}
-	}
-	if len(updated) > 0 {
-		if err := p.cfg.Recipes.Replace(ctx, updated); err != nil {
-			// Without the durable remap the drop is not safe; keep every
-			// victim and let a later epoch retry.
-			telemetry.Logger().Warn("maintenance: remap commit failed; skipping drop", "err", err)
-			for id := range victimSet {
-				unsafe[id] = true
-			}
+		// A copy the scan called dead got pinned: try the index's current
+		// copy, else the victim must survive.
+		loc, found := ix.Peek(ref.FP)
+		if found && loc.Size == ref.Size && !victimSet[loc.Container] && cs.Sealed(loc.Container) {
+			return loc, true
+		}
+		unsafe[ref.Loc.Container] = true
+		return chunk.Location{}, false
+	})
+	st.RefsPatched += patched
+	if err != nil {
+		// Without the durable remap the drop is not safe; keep every victim
+		// and let a later batch retry.
+		telemetry.Logger().Warn("maintenance: remap commit failed; skipping drop", "err", err)
+		for id := range victimSet {
+			unsafe[id] = true
 		}
 	}
 	var keep []uint32
@@ -691,40 +695,6 @@ func (p *Pass) revalidate(ctx context.Context, victimSet map[uint32]bool, moved 
 	}
 	sort.Slice(keep, func(i, j int) bool { return keep[i] < keep[j] })
 	return keep
-}
-
-// remapRecipes rewrites retained recipes copy-on-write so references to
-// moved copies (and any extra explicit rewrites) point at the new
-// locations, then installs them through the RecipeStore.
-func (p *Pass) remapRecipes(ctx context.Context, moved map[copyKey]chunk.Location, extra map[copyKey]chunk.Location, st *Stats) error {
-	recipes := p.cfg.Recipes.Snapshot()
-	var updated []*chunk.Recipe
-	for _, r := range recipes {
-		var out *chunk.Recipe
-		for i := range r.Refs {
-			ref := &r.Refs[i]
-			key := copyKey{ref.Loc.Container, ref.Loc.Offset}
-			newLoc, ok := moved[key]
-			if !ok && extra != nil {
-				newLoc, ok = extra[key]
-			}
-			if !ok {
-				continue
-			}
-			if out == nil {
-				out = &chunk.Recipe{Label: r.Label, Refs: append([]chunk.Ref(nil), r.Refs...)}
-			}
-			out.Refs[i].Loc = newLoc
-			st.RefsPatched++
-		}
-		if out != nil {
-			updated = append(updated, out)
-		}
-	}
-	if len(updated) == 0 {
-		return nil
-	}
-	return p.cfg.Recipes.Replace(ctx, updated)
 }
 
 // Throttle is a wall-clock token bucket pacing maintenance byte movement so

@@ -3,6 +3,7 @@ package maintenance
 import (
 	"bytes"
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -11,9 +12,10 @@ import (
 	"repro/internal/cindex"
 	"repro/internal/container"
 	"repro/internal/disk"
+	"repro/internal/fsck"
 )
 
-// rig builds a store + index pair over one clock (mirrors gc's test rig).
+// rig builds a store + index pair over one clock.
 func rig(t *testing.T, storeData bool) (*container.Store, *cindex.Index, *disk.Clock) {
 	t.Helper()
 	var clk disk.Clock
@@ -90,16 +92,21 @@ func (f *fakeRecipes) byLabel(label string) *chunk.Recipe {
 	return nil
 }
 
-// plainGate runs fn directly, optionally after a hook (the "raced ingest").
+// plainGate runs fn directly, optionally after a hook (the "raced ingest")
+// and before another (what happens right after a drop commit).
 type plainGate struct {
-	before func()
+	before, after func()
 }
 
 func (g *plainGate) Exclusive(fn func() error) error {
 	if g.before != nil {
 		g.before()
 	}
-	return fn()
+	err := fn()
+	if g.after != nil {
+		g.after()
+	}
+	return err
 }
 
 func passFor(t *testing.T, s *container.Store, ix *cindex.Index, clk *disk.Clock, rs RecipeStore, gate Gate, mut func(*Config)) *Pass {
@@ -378,6 +385,257 @@ func TestSparseLatestConsolidation(t *testing.T) {
 			t.Fatalf("gen0 chunk %d corrupted after consolidation: %v", i, err)
 		}
 	}
+}
+
+// fill returns an n-byte chunk payload of one repeated byte.
+func fill(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
+
+// readBack asserts every reference of the recipe labelled label reads back
+// as the corresponding payload.
+func readBack(t *testing.T, s *container.Store, rs *fakeRecipes, label string, want ...[]byte) {
+	t.Helper()
+	r := rs.byLabel(label)
+	if len(r.Refs) != len(want) {
+		t.Fatalf("%s has %d refs, want %d", label, len(r.Refs), len(want))
+	}
+	for i := range r.Refs {
+		got, err := s.ReadChunk(context.Background(), r.Refs[i].Loc)
+		if err != nil || !bytes.Equal(got, want[i]) {
+			t.Fatalf("%s ref %d unreadable or corrupted after compaction: %v", label, i, err)
+		}
+	}
+}
+
+// halfDeadPlusLive builds container 0 = {A pinned 900B, garbage 900B} (live
+// fraction exactly 0.5) and container 1 = {B pinned 900B} (fully live).
+func halfDeadPlusLive(t *testing.T, s *container.Store, ix *cindex.Index, rs *fakeRecipes) {
+	rec := &chunk.Recipe{Label: "gen0"}
+	fp, loc := put(t, s, ix, fill(1, 900), 1)
+	rec.Append(fp, 900, loc)
+	mustWrite(t, s, chunk.New(fill(2, 900)), 1) // never indexed: garbage from birth
+	s.Flush(context.Background())
+	fp, loc = put(t, s, ix, fill(3, 900), 2)
+	rec.Append(fp, 900, loc)
+	s.Flush(context.Background())
+	rs.add(rec)
+}
+
+// TestCompactPolicy pins the compact row of the merge: which containers a
+// threshold selects, what survives, and what the statistics say.
+func TestCompactPolicy(t *testing.T) {
+	var pinned *chunk.Recipe // the recipe object one row installs, to show it is never patched in place
+	rows := []struct {
+		name      string
+		build     func(t *testing.T, s *container.Store, ix *cindex.Index, rs *fakeRecipes)
+		threshold float64
+		wantErr   bool
+		check     func(t *testing.T, s *container.Store, ix *cindex.Index, rs *fakeRecipes, st Stats)
+	}{
+		{name: "threshold below range", threshold: -0.1, wantErr: true},
+		{name: "threshold above range", threshold: 1.1, wantErr: true},
+		{name: "empty store is a no-op", threshold: 0.5,
+			check: func(t *testing.T, _ *container.Store, _ *cindex.Index, _ *fakeRecipes, st Stats) {
+				if st != (Stats{}) {
+					t.Fatalf("empty store did work: %+v", st)
+				}
+			}},
+		{name: "fully live containers untouched", threshold: 0.5,
+			build: func(t *testing.T, s *container.Store, ix *cindex.Index, rs *fakeRecipes) {
+				rec := &chunk.Recipe{Label: "gen0"}
+				for i := 0; i < 10; i++ {
+					fp, loc := put(t, s, ix, fill(byte(i), 300), 1)
+					rec.Append(fp, 300, loc)
+				}
+				s.Flush(context.Background())
+				rs.add(rec)
+			},
+			check: func(t *testing.T, _ *container.Store, _ *cindex.Index, rs *fakeRecipes, st Stats) {
+				if st.ContainersMerged != 0 || st.ChunksMoved != 0 || rs.replaces != 0 {
+					t.Fatalf("fully live store must not be touched: %+v, %d replaces", st, rs.replaces)
+				}
+			}},
+		{name: "threshold 0 selects nothing", threshold: 0, build: halfDeadPlusLive,
+			check: func(t *testing.T, _ *container.Store, _ *cindex.Index, _ *fakeRecipes, st Stats) {
+				if st.ContainersMerged != 0 || st.ChunksMoved != 0 {
+					t.Fatalf("a live fraction is never below 0: %+v", st)
+				}
+			}},
+		{name: "live fraction equal to the threshold stays", threshold: 0.5, build: halfDeadPlusLive,
+			check: func(t *testing.T, _ *container.Store, _ *cindex.Index, _ *fakeRecipes, st Stats) {
+				if st.ContainersMerged != 0 {
+					t.Fatalf("the comparison is strict; 0.5 is not below 0.5: %+v", st)
+				}
+			}},
+		{name: "live fraction just below the threshold goes", threshold: 0.51, build: halfDeadPlusLive,
+			check: func(t *testing.T, s *container.Store, _ *cindex.Index, rs *fakeRecipes, st Stats) {
+				if st.ContainersMerged != 1 || st.ChunksMoved != 1 || st.BytesReclaimed != 1800 {
+					t.Fatalf("the half-dead container alone must go: %+v", st)
+				}
+				readBack(t, s, rs, "gen0", fill(1, 900), fill(3, 900))
+			}},
+		{name: "threshold 1 selects exactly the containers with garbage", threshold: 1, build: halfDeadPlusLive,
+			check: func(t *testing.T, s *container.Store, _ *cindex.Index, rs *fakeRecipes, st Stats) {
+				if st.ContainersMerged != 1 || s.Sealed(0) || !s.Sealed(1) {
+					t.Fatalf("container 0 must go and fully-live container 1 must stay: %+v", st)
+				}
+				readBack(t, s, rs, "gen0", fill(1, 900), fill(3, 900))
+			}},
+		{name: "superseded copy reclaimed, pinned copy moved copy-on-write", threshold: 0.9,
+			build: func(t *testing.T, s *container.Store, ix *cindex.Index, rs *fakeRecipes) {
+				fpDead, _ := put(t, s, ix, fill(1, 900), 1)
+				fpLive, locLive := put(t, s, ix, fill(2, 900), 1)
+				s.Flush(context.Background())
+				// A rewrite supersedes fpDead with a copy in container 1.
+				ix.Update(fpDead, mustWrite(t, s, chunk.New(fill(1, 900)), 2))
+				put(t, s, ix, fill(3, 900), 2)
+				s.Flush(context.Background())
+				pinned = &chunk.Recipe{Label: "gen0"}
+				pinned.Append(fpLive, 900, locLive)
+				rs.add(pinned)
+			},
+			check: func(t *testing.T, s *container.Store, ix *cindex.Index, rs *fakeRecipes, st Stats) {
+				if st.ContainersMerged != 1 || st.BytesReclaimed != 1800 || st.BytesMoved != 900 || st.RefsPatched != 1 {
+					t.Fatalf("half-dead container: %+v", st)
+				}
+				ref := rs.byLabel("gen0").Refs[0]
+				if ref.Loc.Container == 0 {
+					t.Fatal("recipe still references the dropped container")
+				}
+				if pinned.Refs[0].Loc.Container != 0 {
+					t.Fatal("the snapshot recipe was patched in place")
+				}
+				if loc, ok := ix.Peek(ref.FP); !ok || loc != ref.Loc {
+					t.Fatalf("index %v and recipe %v disagree", loc, ref.Loc)
+				}
+				readBack(t, s, rs, "gen0", fill(2, 900))
+			}},
+		{name: "no recipes: only index-authoritative copies survive", threshold: 0.9,
+			build: func(t *testing.T, s *container.Store, ix *cindex.Index, _ *fakeRecipes) {
+				put(t, s, ix, fill(4, 900), 1)
+				mustWrite(t, s, chunk.New(fill(5, 900)), 1) // never indexed
+				s.Flush(context.Background())
+			},
+			check: func(t *testing.T, s *container.Store, ix *cindex.Index, _ *fakeRecipes, st Stats) {
+				if st.ContainersMerged != 1 || st.ChunksMoved != 1 || st.RefsPatched != 0 {
+					t.Fatalf("zero-recipe compaction: %+v", st)
+				}
+				loc, ok := ix.Peek(chunk.New(fill(4, 900)).FP)
+				if !ok || loc.Container == 0 {
+					t.Fatalf("authoritative copy not repointed: %v", loc)
+				}
+				if got, err := s.ReadChunk(context.Background(), loc); err != nil || !bytes.Equal(got, fill(4, 900)) {
+					t.Fatalf("moved authoritative copy unreadable: %v", err)
+				}
+			}},
+		{name: "all-dead store reclaims everything and moves nothing", threshold: 1,
+			build: func(t *testing.T, s *container.Store, ix *cindex.Index, _ *fakeRecipes) {
+				for i := 0; i < 4; i++ {
+					mustWrite(t, s, chunk.New(fill(byte(i+1), 900)), 1) // never indexed
+				}
+				s.Flush(context.Background())
+			},
+			check: func(t *testing.T, s *container.Store, _ *cindex.Index, _ *fakeRecipes, st Stats) {
+				if st.ChunksMoved != 0 || st.BytesReclaimed != 4*900 || s.NumContainers() != 0 {
+					t.Fatalf("all-dead store not fully reclaimed: %+v, %d containers left", st, s.NumContainers())
+				}
+			}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			s, ix, clk := rig(t, true)
+			rs := &fakeRecipes{}
+			if row.build != nil {
+				row.build(t, s, ix, rs)
+			}
+			p := passFor(t, s, ix, clk, rs, &plainGate{}, nil)
+			st, err := p.Compact(context.Background(), row.threshold)
+			if (err != nil) != row.wantErr {
+				t.Fatalf("Compact(%v) error = %v, want error %v", row.threshold, err, row.wantErr)
+			}
+			if row.check != nil {
+				row.check(t, s, ix, rs, st)
+			}
+		})
+	}
+}
+
+func TestCompactRunsBatchesUntilCancelled(t *testing.T) {
+	// Three half-dead containers, one victim per batch. Cancelling right
+	// after the first drop commit stops Compact at the batch boundary with
+	// that batch committed, the store fsck-clean and every chunk readable; a
+	// second run finishes the job.
+	s, ix, clk := rig(t, true)
+	rs := &fakeRecipes{}
+	rec := &chunk.Recipe{Label: "gen0"}
+	var want [][]byte
+	for i := 0; i < 3; i++ {
+		data := fill(byte(i+1), 900)
+		fp, loc := put(t, s, ix, data, uint64(i+1))
+		rec.Append(fp, 900, loc)
+		want = append(want, data)
+		mustWrite(t, s, chunk.New(fill(byte(0xA0+i), 900)), uint64(i+1)) // garbage
+		s.Flush(context.Background())
+	}
+	rs.add(rec)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	p := passFor(t, s, ix, clk, rs, &plainGate{after: cancel}, func(c *Config) { c.MaxBatch = 1 })
+	st, err := p.Compact(ctx, 0.9)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Compact returned %v", err)
+	}
+	if st.ContainersMerged != 1 || st.SimSeconds <= 0 {
+		t.Fatalf("exactly the first batch must be committed and charged: %+v", st)
+	}
+	rep, err := fsck.Check(context.Background(), s, ix, rs.Snapshot(), true)
+	if err != nil || !rep.OK() {
+		t.Fatalf("store not fsck-clean after a cancelled Compact: %v %v", err, rep.Problems)
+	}
+	readBack(t, s, rs, "gen0", want...)
+
+	p = passFor(t, s, ix, clk, rs, &plainGate{}, func(c *Config) { c.MaxBatch = 1 })
+	st2, err := p.Compact(context.Background(), 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.ContainersMerged != 2 {
+		t.Fatalf("resumed Compact must take the two remaining victims in two batches: %+v", st2)
+	}
+	readBack(t, s, rs, "gen0", want...)
+}
+
+func TestCompactStopsWhenABatchDropsNothing(t *testing.T) {
+	// Racing traffic re-pins a copy the scan called dead on every commit:
+	// the victim survives each batch, and Compact must give up instead of
+	// selecting it forever.
+	s, ix, clk := rig(t, true)
+	rs := &fakeRecipes{}
+	cX := chunk.New(fill(9, 1000))
+	locX := mustWrite(t, s, cX, 1) // dead at scan time
+	fpY, locY := put(t, s, ix, fill(7, 500), 1)
+	s.Flush(context.Background())
+	gen := &chunk.Recipe{Label: "gen0"}
+	gen.Append(fpY, 500, locY)
+	rs.add(gen)
+
+	commits := 0
+	gate := &plainGate{before: func() {
+		if commits++; commits == 1 {
+			raced := &chunk.Recipe{Label: "raced"}
+			raced.Append(cX.FP, 1000, locX)
+			rs.add(raced)
+		}
+	}}
+	p := passFor(t, s, ix, clk, rs, gate, nil)
+	st, err := p.Compact(context.Background(), 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if commits != 1 || st.VictimsSkipped != 1 || st.ContainersMerged != 0 {
+		t.Fatalf("Compact must stop after the batch that dropped nothing: %d commits, %+v", commits, st)
+	}
+	readBack(t, s, rs, "raced", fill(9, 1000))
+	readBack(t, s, rs, "gen0", fill(7, 500))
 }
 
 func TestEpochCancellation(t *testing.T) {

@@ -35,11 +35,11 @@
 // simulated-clock lane.
 //
 // Maintenance is gated inside the Store itself: foreground streams hold the
-// store's maintenance lock for read, the legacy exclusive passes (compact,
-// repair) take it for write for their whole run, and the incremental
-// maintenance epochs (POST /v1/maintenance, or the background scheduler)
-// run concurrently with traffic and exclude it only for their short
-// remap-and-drop commit.
+// store's maintenance lock for read; maintenance epochs (POST
+// /v1/maintenance, or the background scheduler) and compaction (POST
+// /v1/compact) run concurrently with traffic and take it for write only for
+// each short remap-and-drop commit; repair takes it for write for its whole
+// run.
 //
 // Shutdown drains: new work is refused with 503, in-flight ingest contexts
 // are cancelled so engines abort at the next segment boundary (the
@@ -561,8 +561,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // admin runs one administrative operation. Gating against concurrent
-// streams is the Store's business now: Compact and Repair exclude
-// everything for their whole run, maintenance epochs only for their commit.
+// streams is the Store's business: Repair excludes everything for its whole
+// run, maintenance epochs and Compact only for each drop commit.
 func (s *Server) admin(w http.ResponseWriter, fn func() (any, error)) {
 	telAdminReqs.Inc()
 	if !s.enter(w) {
@@ -596,14 +596,14 @@ func (s *Server) handleForget(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMaintenance runs one maintenance epoch (reverse remap + container
-// merge) and returns its statistics. Safe under live traffic.
+// merge) and returns its statistics. Safe under live traffic, as is
+// handleCompact; a drain or a gone client stops either at its next
+// cancellation point.
 func (s *Server) handleMaintenance(w http.ResponseWriter, r *http.Request) {
 	s.admin(w, func() (any, error) {
-		st, err := s.store.MaintenanceEpoch(r.Context())
-		if err != nil {
-			return nil, err
-		}
-		return st, nil
+		ctx, cancel := s.joinContext(r.Context())
+		defer cancel()
+		return s.store.MaintenanceEpoch(ctx)
 	})
 }
 
@@ -618,7 +618,9 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		threshold = v
 	}
 	s.admin(w, func() (any, error) {
-		return s.store.Compact(context.Background(), threshold)
+		ctx, cancel := s.joinContext(r.Context())
+		defer cancel()
+		return s.store.Compact(ctx, threshold)
 	})
 }
 

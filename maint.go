@@ -83,9 +83,11 @@ type MaintenanceReport struct {
 	Supported bool `json:"supported"`
 	// Enabled reports whether the background layer was opened with the
 	// store (scheduler or manual-only).
-	Enabled bool             `json:"enabled"`
-	Epochs  int              `json:"epochs"`
-	Totals  MaintenanceStats `json:"totals"`
+	Enabled bool `json:"enabled"`
+	// Epochs counts the maintenance runs folded into Totals: epochs and
+	// Compact calls.
+	Epochs int              `json:"epochs"`
+	Totals MaintenanceStats `json:"totals"`
 	// StoredBytes/DeadBytes/DeadFraction is the current garbage accounting
 	// (see ForgetResult); CompactRecommended mirrors the Forget heuristic.
 	StoredBytes        int64   `json:"storedBytes"`
@@ -217,9 +219,10 @@ func (s *Store) initMaintenance() error {
 	return nil
 }
 
-// runMaintenanceEpoch executes one epoch under the operation mutex and
-// folds its counters into the cumulative totals.
-func (s *Store) runMaintenanceEpoch(ctx context.Context) (maintenance.Stats, error) {
+// runMaintenance executes one maintenance operation on the store's pass
+// under the operation mutex and folds its counters into the cumulative
+// totals.
+func (s *Store) runMaintenance(ctx context.Context, op func(*maintenance.Pass, context.Context) (maintenance.Stats, error)) (maintenance.Stats, error) {
 	s.maintOpMu.Lock()
 	defer s.maintOpMu.Unlock()
 	s.mu.RLock()
@@ -232,19 +235,24 @@ func (s *Store) runMaintenanceEpoch(ctx context.Context) (maintenance.Stats, err
 	if err != nil {
 		return maintenance.Stats{}, err
 	}
-	st, err := p.RunEpoch(ctx)
-	s.maintStatMu.Lock()
+	st, err := op(p, ctx)
+	s.mu.Lock()
 	s.maintTotal.Add(st)
 	s.maintEpochs++
-	s.maintStatMu.Unlock()
+	s.mu.Unlock()
 	return st, err
+}
+
+func (s *Store) runMaintenanceEpoch(ctx context.Context) (maintenance.Stats, error) {
+	return s.runMaintenance(ctx, (*maintenance.Pass).RunEpoch)
 }
 
 // MaintenanceEpoch runs one maintenance epoch now: reverse remap, victim
 // selection, merge, and the gated crash-safe drop commit. It is safe to
 // call under live traffic (only the final commit briefly excludes
-// foreground streams) and serializes against the background scheduler and
-// Compact. Engines without a chunk index do not support maintenance.
+// foreground streams) and serializes against the background scheduler,
+// Compact and Repair. Engines without a chunk index do not support
+// maintenance.
 func (s *Store) MaintenanceEpoch(ctx context.Context) (MaintenanceStats, error) {
 	st, err := s.runMaintenanceEpoch(ctx)
 	return fromMaintStats(st), err
@@ -268,10 +276,10 @@ func (s *Store) deadScan() (stored, dead int64) {
 // statistics: cumulative counters plus the current dead-byte accounting.
 func (s *Store) MaintenanceReport() MaintenanceReport {
 	_, supported := s.eng.(indexed)
-	s.maintStatMu.Lock()
+	s.mu.RLock()
 	totals := s.maintTotal
 	epochs := s.maintEpochs
-	s.maintStatMu.Unlock()
+	s.mu.RUnlock()
 	stored, dead := s.deadScan()
 	rep := MaintenanceReport{
 		Supported:   supported,

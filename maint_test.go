@@ -58,71 +58,170 @@ func TestMaintenanceEpochKeepsBackupsRestorable(t *testing.T) {
 	}
 }
 
-func TestMaintenanceConcurrentWithRestores(t *testing.T) {
-	// Restores running while epochs remap recipes and drop containers must
-	// stay byte-identical: each restore works from the recipe snapshot it
-	// started with, and the drop commit waits them out. Run under -race in
-	// CI, this also pins the atomic recipe swap as race-clean.
-	s, err := Open(Options{Engine: DeFrag, Alpha: 0.3, StoreData: true,
-		ExpectedBytes: 64 << 20, Maintenance: maintOptions()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	datas := ingestGens(t, s, 73, 6)
-	backups := s.Backups()
+// parkedWriter accepts its first write, signals started, and blocks every
+// later write until release is closed: a restore streaming into it holds
+// the foreground gate for as long as the test wants.
+type parkedWriter struct {
+	bytes.Buffer
+	started chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
+func (w *parkedWriter) Write(p []byte) (int, error) {
+	parked := true
+	w.once.Do(func() { parked = false; close(w.started) })
+	if parked {
+		<-w.release
+	}
+	return w.Buffer.Write(p)
+}
+
+func TestMaintenanceConcurrentWithRestores(t *testing.T) {
+	// Foreground traffic running while a maintenance operation remaps
+	// recipes and drops containers must stay byte-identical: each restore
+	// works from the recipe snapshot it started with, and only the drop
+	// commit waits the streams out. Run under -race in CI, this also pins
+	// the atomic recipe swap as race-clean.
+	for _, row := range []struct {
+		name string
+		// prepare readies the store (after 6 generations are in) so the
+		// operation has work; it returns the generations still retained.
+		prepare func(t *testing.T, s *Store, datas [][]byte) [][]byte
+		// run performs the operation and reports whether it did any work.
+		run func(s *Store) (bool, error)
+	}{
+		{"epochs",
+			func(_ *testing.T, _ *Store, datas [][]byte) [][]byte { return datas },
+			func(s *Store) (worked bool, err error) {
+				for i := 0; i < 4; i++ {
+					st, err := s.MaintenanceEpoch(context.Background())
+					if err != nil {
+						return worked, err
+					}
+					worked = worked || st.RefsRemapped > 0 || st.ContainersMerged > 0
+					time.Sleep(10 * time.Millisecond) // let restores interleave
+				}
+				return worked, nil
+			}},
+		{"compact",
+			func(t *testing.T, s *Store, datas [][]byte) [][]byte {
+				for _, b := range s.Backups()[:2] {
+					if !s.Forget(b.Label).Found {
+						t.Fatalf("forget %s: not found", b.Label)
+					}
+				}
+				return datas[2:]
+			},
+			func(s *Store) (bool, error) {
+				cs, err := s.Compact(context.Background(), 0.95)
+				return cs.ContainersCollected > 0, err
+			}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s, err := Open(Options{Engine: DeFrag, Alpha: 0.3, StoreData: true,
+				ExpectedBytes: 64 << 20, Maintenance: maintOptions()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			datas := row.prepare(t, s, ingestGens(t, s, 73, 6))
+			backups := s.Backups()
+
+			// One restore is already streaming, and stays parked mid-stream,
+			// when the operation starts: whatever the operation does before
+			// its first drop commit, it does beside this restore.
+			parked := &parkedWriter{started: make(chan struct{}), release: make(chan struct{})}
+			parkedErr := make(chan error, 1)
+			go func() {
+				_, err := s.Restore(context.Background(), backups[0], parked, true)
+				parkedErr <- err
+			}()
+			<-parked.started
+			containersBefore := s.Stats().Containers
+
+			type result struct {
+				worked bool
+				err    error
+			}
+			done := make(chan result, 1)
+			go func() {
+				worked, err := row.run(s)
+				done <- result{worked, err}
+			}()
+
+			// The copy phase seals fresh containers; seeing one while the
+			// parked restore still holds the gate shows the operation is not
+			// waiting for exclusivity before it starts moving data.
+			deadline := time.After(20 * time.Second)
+			for s.Stats().Containers <= containersBefore {
 				select {
-				case <-stop:
-					return
-				default:
-				}
-				g := (w + i) % len(backups)
-				var buf bytes.Buffer
-				if _, err := s.Restore(context.Background(), backups[g], &buf, true); err != nil {
-					errs <- err
-					return
-				}
-				if !bytes.Equal(buf.Bytes(), datas[g]) {
-					errs <- fmt.Errorf("generation %d restored %d bytes not matching ingest", g, buf.Len())
-					return
+				case r := <-done:
+					t.Fatalf("operation finished before the parked restore was released: %+v", r)
+				case <-deadline:
+					t.Fatal("operation sealed nothing while a restore was streaming: it is waiting for the gate")
+				case <-time.After(time.Millisecond):
 				}
 			}
-		}(w)
-	}
 
-	var worked bool
-	for i := 0; i < 4; i++ {
-		st, err := s.MaintenanceEpoch(context.Background())
-		if err != nil {
+			// Now pile on: looping restores and one ingest in flight until
+			// the operation is through.
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			errs := make(chan error, 8)
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						g := (w + i) % len(backups)
+						var buf bytes.Buffer
+						if _, err := s.Restore(context.Background(), backups[g], &buf, true); err != nil {
+							errs <- err
+							return
+						}
+						if !bytes.Equal(buf.Bytes(), datas[g]) {
+							errs <- fmt.Errorf("generation %d restored %d bytes not matching ingest", g, buf.Len())
+							return
+						}
+					}
+				}(w)
+			}
+			fresh := randStream(2<<20, 173)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := s.IngestStream(context.Background(), "fresh", bytes.NewReader(fresh)); err != nil {
+					errs <- err
+				}
+			}()
+			close(parked.release)
+
+			r := <-done
 			close(stop)
 			wg.Wait()
-			t.Fatal(err)
-		}
-		if st.RefsRemapped > 0 || st.ContainersMerged > 0 {
-			worked = true
-		}
-		time.Sleep(10 * time.Millisecond) // let restores interleave
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if err := <-parkedErr; err != nil || !bytes.Equal(parked.Bytes(), datas[0]) {
+				t.Fatalf("the restore that was streaming throughout failed or returned wrong bytes: %v", err)
+			}
+			select {
+			case err := <-errs:
+				t.Fatalf("concurrent restore or ingest failed or returned wrong bytes: %v", err)
+			default:
+			}
+			if !r.worked {
+				t.Fatal("the operation did no work; the concurrency test exercised nothing")
+			}
+			restoreVerifyAll(t, s, append(datas, fresh))
+		})
 	}
-	close(stop)
-	wg.Wait()
-	select {
-	case err := <-errs:
-		t.Fatalf("concurrent restore failed or returned wrong bytes: %v", err)
-	default:
-	}
-	if !worked {
-		t.Fatal("no epoch did any work; the concurrency test exercised nothing")
-	}
-	restoreVerifyAll(t, s, datas)
 }
 
 func TestMaintenanceSchedulerRunsEpochs(t *testing.T) {

@@ -28,7 +28,6 @@ declare -A floors=(
   [repro/internal/engine/silo]=85
   [repro/internal/engine/sparse]=88
   [repro/internal/fsck]=40
-  [repro/internal/gc]=85
   [repro/internal/lru]=85
   [repro/internal/maintenance]=75
   [repro/internal/metrics]=88
