@@ -771,10 +771,14 @@ func (s *Store) Forget(label string) ForgetResult {
 type RestorePolicy int
 
 const (
-	// RestoreLRU is the classic recency cache.
+	// RestoreLRU is the classic recency cache — what the paper's figures are
+	// measured with, and what a zero RestoreOptions selects.
 	RestoreLRU RestorePolicy = iota
 	// RestoreOPT is Belady's offline-optimal eviction, computable online
-	// here because the full recipe is known before the restore starts.
+	// here because the full recipe is known before the restore starts. It is
+	// the default (DefaultRestoreOptions): never more container reads than
+	// LRU at the same capacity, and on fragmented recipes about a quarter
+	// fewer.
 	RestoreOPT
 )
 
@@ -801,7 +805,8 @@ type RestoreOptions struct {
 	// CacheContainers is the restore cache capacity in containers
 	// (default 8, the restore package default).
 	CacheContainers int
-	// Policy selects LRU (default) or OPT eviction.
+	// Policy selects LRU (the zero value) or OPT eviction (what
+	// DefaultRestoreOptions sets).
 	Policy RestorePolicy
 	// Workers is the number of simulated read lanes (default 1): it only
 	// decides how extent reads are charged to the simulated clock. The bytes
@@ -825,16 +830,19 @@ type RestoreOptions struct {
 }
 
 // DefaultRestoreOptions returns the default restore shape: an 8-container
-// LRU cache, one simulated read lane, uncoalesced — the timing model of a
-// serial reader — with the wall-clock decode pool at its automatic size.
+// cache evicted with the recipe's forward knowledge (RestoreOPT), one
+// simulated read lane, uncoalesced — the timing model of a serial reader who
+// has read the recipe first — with the wall-clock decode pool at its
+// automatic size. Set Policy to RestoreLRU for the recency cache of the
+// paper's figures.
 func DefaultRestoreOptions() RestoreOptions {
-	return RestoreOptions{CacheContainers: restore.DefaultConfig().CacheContainers, Workers: 1}
+	return RestoreOptions{CacheContainers: restore.DefaultConfig().CacheContainers, Policy: RestoreOPT, Workers: 1}
 }
 
 // Restore reconstructs backup b, writing the stream to w (nil w measures
 // without materializing). verify recomputes chunk fingerprints and requires
-// Options.StoreData. It runs the default shape (LRU cache, one simulated
-// lane); use RestoreWith for the other policies.
+// Options.StoreData. It runs the default shape (DefaultRestoreOptions: OPT
+// cache, one simulated lane); use RestoreWith for the other shapes.
 func (s *Store) Restore(ctx context.Context, b *Backup, w io.Writer, verify bool) (RestoreStats, error) {
 	opts := DefaultRestoreOptions()
 	opts.Verify = verify
@@ -845,6 +853,15 @@ func (s *Store) Restore(ctx context.Context, b *Backup, w io.Writer, verify bool
 // shape runs the pipelined engine; its LRU, one-lane, uncoalesced results
 // are bit-identical to the reference restore.Run (pinned in
 // internal/restore's tests).
+//
+// On a backend that copies sections out of files, the restore reads them
+// into a fixed set of its own buffers — CacheContainers plus what the
+// pipeline holds in flight (the extent just taken, the one read ahead and
+// the sections the decode pool has yet to emit: four on two cores, five on
+// four), each of one container's capacity — made as they are first needed and reused as the
+// cache evicts; the set is garbage when the call returns. With
+// Options.RestoreCacheBytes the sections are the shared cache's instead and
+// nothing is reused.
 func (s *Store) RestoreWith(ctx context.Context, b *Backup, w io.Writer, opts RestoreOptions) (RestoreStats, error) {
 	ctx, span := telemetry.StartSpan(ctx, "store.restore")
 	defer span.End()

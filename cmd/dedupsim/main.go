@@ -49,7 +49,7 @@ func realMain() error {
 		seed       = flag.Int64("seed", 1, "workload seed")
 		doRestore  = flag.Bool("restore", false, "restore every generation and report read performance")
 		verify     = flag.Bool("verify", false, "store real bytes and verify restored content (implies -restore)")
-		rMode      = flag.String("restore.mode", "lru", "restore strategy: lru, opt, pipelined (opt + coalescing + prefetch), faa")
+		rMode      = flag.String("restore.mode", "", "restore strategy: lru, opt, pipelined (opt + coalescing + prefetch), faa (default: the store's default, opt)")
 		rCache     = flag.Int("restore.cache", 0, "restore cache capacity in containers (0 = default, 8)")
 		rWorkers   = flag.Int("restore.workers", 1, "simulated read lanes for -restore.mode=pipelined (timing model only)")
 		catalog    = flag.String("catalog", "", "directory to write recipe catalogs into")
@@ -122,6 +122,15 @@ type params struct {
 	crashAfter int
 }
 
+// readAmp renders a restore's read amplification: container-section bytes
+// fetched per byte restored (RestoreStats.ReadBytes / Bytes).
+func readAmp(read, restored int64) string {
+	if restored == 0 {
+		return "-"
+	}
+	return metrics.F3(float64(read) / float64(restored))
+}
+
 // restoreOne restores one backup through the strategy selected by
 // -restore.mode, sharing the cache/workers knobs across both the
 // single-stream and multi-stream paths.
@@ -139,7 +148,9 @@ func restoreOne(ctx context.Context, p params, store *repro.Store, b *repro.Back
 		opts.CacheContainers = p.restoreCache
 	}
 	switch p.restoreMode {
-	case "", "lru":
+	case "": // the store's default shape
+	case "lru":
+		opts.Policy = repro.RestoreLRU
 	case "opt":
 		opts.Policy = repro.RestoreOPT
 	case "pipelined":
@@ -224,7 +235,7 @@ func run(p params) error {
 
 	cols := []string{"gen", "logical_MB", "tput_MBps", "unique_MB", "deduped_MB", "rewritten_MB", "efficiency"}
 	if doRestore || verify {
-		cols = append(cols, "read_MBps", "fragments")
+		cols = append(cols, "read_MBps", "fragments", "read_amp")
 	}
 	tb := metrics.NewTable(cols...)
 
@@ -248,7 +259,7 @@ func run(p params) error {
 			if err != nil {
 				return err
 			}
-			row = append(row, metrics.F1(rst.ThroughputMBps()), fmt.Sprint(rst.Fragments))
+			row = append(row, metrics.F1(rst.ThroughputMBps()), fmt.Sprint(rst.Fragments), readAmp(rst.ReadBytes, rst.Bytes))
 		}
 		tb.AddRow(row...)
 		if catalog != "" {
@@ -346,7 +357,7 @@ func runStreams(ctx context.Context, p params, store *repro.Store, wcfg workload
 	}
 	cols := []string{"round", "logical_MB", "tput_MBps", "unique_MB", "deduped_MB", "rewritten_MB", "efficiency"}
 	if p.doRestore || p.verify {
-		cols = append(cols, "read_MBps", "fragments")
+		cols = append(cols, "read_MBps", "fragments", "read_amp")
 	}
 	tb := metrics.NewTable(cols...)
 	for g := 0; g < p.gens; g++ {
@@ -371,6 +382,7 @@ func runStreams(ctx context.Context, p params, store *repro.Store, wcfg workload
 		if p.doRestore || p.verify {
 			var mbps float64
 			var frags int
+			var read, restored int64
 			for _, b := range backups {
 				rst, err := restoreOne(ctx, p, store, b)
 				if err != nil {
@@ -378,11 +390,13 @@ func runStreams(ctx context.Context, p params, store *repro.Store, wcfg workload
 				}
 				mbps += rst.ThroughputMBps()
 				frags += rst.Fragments
+				read += rst.ReadBytes
+				restored += rst.Bytes
 			}
 			if len(backups) > 0 {
 				mbps /= float64(len(backups))
 			}
-			row = append(row, metrics.F1(mbps), fmt.Sprint(frags))
+			row = append(row, metrics.F1(mbps), fmt.Sprint(frags), readAmp(read, restored))
 		}
 		tb.AddRow(row...)
 		if p.catalog != "" {

@@ -1,0 +1,67 @@
+package main
+
+import (
+	"context"
+	"testing"
+
+	"repro"
+	"repro/internal/workload"
+)
+
+// TestRestoreModeSelectsThePolicy is internal/serve's test of the same name
+// for -restore.mode: "" is the store's default shape (forward-knowledge
+// eviction) and "lru" selects LRU explicitly instead of by leaving the
+// default alone.
+func TestRestoreModeSelectsThePolicy(t *testing.T) {
+	ctx := context.Background()
+	store, err := repro.Open(repro.Options{Engine: repro.DeFrag, Alpha: 0.1, ExpectedBytes: 256 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	wcfg := workload.DefaultConfig(11)
+	wcfg.NumFiles = 24
+	sched, err := workload.NewSingle(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var newest *repro.Backup
+	for g := 0; g < 6; g++ {
+		b := sched.Next()
+		if newest, err = store.Backup(ctx, b.Label, b.Stream); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const cache = 2
+	reads := func(policy repro.RestorePolicy) int64 {
+		t.Helper()
+		rs, err := store.RestoreWith(ctx, newest, nil, repro.RestoreOptions{CacheContainers: cache, Policy: policy, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs.ContainerReads
+	}
+	lru, opt := reads(repro.RestoreLRU), reads(repro.RestoreOPT)
+	if opt >= lru {
+		t.Fatalf("OPT-%d reads %d containers, LRU-%d %d: the recipe cannot tell the modes apart", cache, opt, cache, lru)
+	}
+	faa, err := store.RestoreFAA(ctx, newest, nil, cache<<22, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mode, want := range map[string]int64{"": opt, "lru": lru, "opt": opt, "pipelined": opt, "faa": faa.ContainerReads} {
+		rs, err := restoreOne(ctx, params{restoreMode: mode, restoreCache: cache, restoreWorkers: 1}, store, newest)
+		if err != nil {
+			t.Fatalf("-restore.mode %q: %v", mode, err)
+		}
+		if rs.ContainerReads != want {
+			t.Errorf("-restore.mode %q: %d container reads, want %d (lru %d, opt %d)", mode, rs.ContainerReads, want, lru, opt)
+		}
+		if rs.ReadBytes < rs.Bytes/2 || readAmp(rs.ReadBytes, rs.Bytes) == "-" {
+			t.Errorf("-restore.mode %q: ReadBytes %d for %d restored", mode, rs.ReadBytes, rs.Bytes)
+		}
+	}
+	if _, err := restoreOne(ctx, params{restoreMode: "bogus"}, store, newest); err == nil {
+		t.Error("an unknown -restore.mode was accepted")
+	}
+}

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"syscall"
 
 	"repro/internal/chunk"
@@ -64,6 +65,19 @@ type ContainerInfo struct {
 // change it copies first. The bytes stay valid for as long as the caller
 // holds the slice, including after the container is dropped or the backend
 // closed.
+//
+// One exception, and only for a reader that asks for it: a ctx built with
+// WithLender offers the backend the reader's own buffers to read into. A
+// backend that copies bytes anyway (File) takes one per section and returns
+// exactly its prefix; the reader recognises its buffer in what comes back,
+// is that section's exclusive holder, and the section is valid until the
+// holder hands the buffer back to its own set — nobody else ever sees it. A
+// shared view (Sim's sealed sections, a metadata-only store's zeros) is
+// never a lent buffer, so it is never handed back and stays garbage-collected
+// as above. The ctx and the returned slices are all a wrapper has to forward
+// for this to work; a wrapper that keeps or shares the slices it returns
+// (a cache) must strip the lender — WithLender(ctx, nil) — before calling
+// inward, because a lent buffer is overwritten once its holder is done.
 type Backend interface {
 	// Name identifies the backend kind ("sim", "file", ...).
 	Name() string
@@ -167,6 +181,48 @@ func ReadDataRangeNaive(ctx context.Context, b Backend, ids []uint32) ([][]byte,
 		out[i] = data
 	}
 	return out, nil
+}
+
+// Lender hands out a buffer of at least n bytes for one data section to be
+// read into, or nil when it has none to spare (the backend then allocates, as
+// it would without a lender). See Backend for who may lend and what lending
+// means for the section's lifetime.
+type Lender func(n int64) []byte
+
+type lenderKey struct{}
+
+// WithLender returns a ctx whose reads may fill buffers lent by l. A nil l
+// strips any lender the ctx carried.
+func WithLender(ctx context.Context, l Lender) context.Context {
+	return context.WithValue(ctx, lenderKey{}, l)
+}
+
+// borrow returns n bytes to read a section into: the ctx's lender's buffer
+// when it offers one, else a new one.
+func borrow(ctx context.Context, n int64) []byte {
+	if l, _ := ctx.Value(lenderKey{}).(Lender); l != nil {
+		if buf := l(n); int64(len(buf)) >= n {
+			return buf[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+// zeroView serves the reads of a metadata-only store: n zero bytes out of
+// one shared buffer that is never written. It only ever grows; a slice handed
+// out earlier keeps its old array.
+type zeroView struct {
+	mu  sync.Mutex
+	buf []byte
+}
+
+func (z *zeroView) get(n int64) []byte {
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	if int64(len(z.buf)) < n {
+		z.buf = make([]byte, n)
+	}
+	return z.buf[:n:n]
 }
 
 // WriteFileAtomic writes data to path crash-safely: into a temp file in the

@@ -357,8 +357,8 @@ func TestMetadataOnlyFileBackend(t *testing.T) {
 // TestSimReadDataIsASharedView pins the read-only contract from the Sim
 // side: every read of a sealed container returns the one sealed section,
 // not a copy, a re-seal installs a new section without touching a view
-// handed out earlier, and metadata-only stores serve all their reads out of
-// one zero buffer.
+// handed out earlier, and metadata-only stores — Sim's and File's alike —
+// serve all their reads out of one zero buffer.
 func TestSimReadDataIsASharedView(t *testing.T) {
 	ctx := context.Background()
 	b := NewSim(true)
@@ -391,26 +391,38 @@ func TestSimReadDataIsASharedView(t *testing.T) {
 		t.Fatal("re-seal not visible to a new read")
 	}
 
-	hole := NewSim(false)
-	small, _ := mkInfo(1, 2)
-	big, _ := mkInfo(2, 6)
-	for _, in := range []ContainerInfo{small, big} {
-		if err := hole.Seal(ctx, in, nil); err != nil {
-			t.Fatal(err)
+	fileHole, err := OpenFile(t.TempDir(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fileHole.Close()
+	for name, hole := range map[string]Backend{"sim": NewSim(false), "file": fileHole} {
+		small, _ := mkInfo(1, 2)
+		big, _ := mkInfo(2, 6)
+		for _, in := range []ContainerInfo{small, big} {
+			if err := hole.Seal(ctx, in, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	z1, _ := hole.ReadData(ctx, 1)
-	z2, _ := hole.ReadData(ctx, 2) // larger: the shared buffer grows
-	z3, _ := hole.ReadData(ctx, 1)
-	if int64(len(z1)) != small.DataFill || int64(len(z2)) != big.DataFill || int64(len(z3)) != small.DataFill {
-		t.Fatalf("hole reads %d/%d/%d bytes, want %d/%d/%d", len(z1), len(z2), len(z3), small.DataFill, big.DataFill, small.DataFill)
-	}
-	if &z2[0] != &z3[0] {
-		t.Fatal("metadata-only reads do not share one zero buffer")
-	}
-	for _, z := range [][]byte{z1, z2, z3} {
-		if len(bytes.Trim(z, "\x00")) != 0 {
-			t.Fatal("metadata-only read is not zero-filled")
+		// A lender changes nothing: a zero view is shared, so it must never be
+		// read into a buffer somebody means to reuse.
+		lctx := WithLender(ctx, func(n int64) []byte {
+			t.Errorf("%s: metadata-only read borrowed a buffer", name)
+			return nil
+		})
+		z1, _ := hole.ReadData(ctx, 1)
+		z2, _ := hole.ReadData(lctx, 2) // larger: the shared buffer grows
+		z3, _ := hole.ReadData(ctx, 1)
+		if int64(len(z1)) != small.DataFill || int64(len(z2)) != big.DataFill || int64(len(z3)) != small.DataFill {
+			t.Fatalf("%s: hole reads %d/%d/%d bytes, want %d/%d/%d", name, len(z1), len(z2), len(z3), small.DataFill, big.DataFill, small.DataFill)
+		}
+		if &z2[0] != &z3[0] {
+			t.Fatalf("%s: metadata-only reads do not share one zero buffer", name)
+		}
+		for _, z := range [][]byte{z1, z2, z3} {
+			if len(bytes.Trim(z, "\x00")) != 0 {
+				t.Fatalf("%s: metadata-only read is not zero-filled", name)
+			}
 		}
 	}
 }

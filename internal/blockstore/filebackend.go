@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -36,6 +37,8 @@ type File struct {
 	walSeq     uint64 // last sequence appended to the WAL
 	checkpoint uint64 // last sequence folded into MANIFEST.json
 	closed     bool
+
+	zero zeroView // what a metadata-only store reads
 
 	// WAL group commit (see commitWAL): records enqueued while an fsync is
 	// in flight ride out together on the next one.
@@ -399,15 +402,37 @@ func (f *File) ReadData(ctx context.Context, id uint32) ([]byte, error) {
 		return nil, fmt.Errorf("file backend: container %d not sealed", id)
 	}
 	if !f.storesData {
-		return make([]byte, info.DataFill), nil
+		return f.zero.get(info.DataFill), nil
 	}
-	data, err := os.ReadFile(f.dataPath(id))
+	return f.readSection(ctx, id, info.DataFill)
+}
+
+// readSection reads container id's data file, which must hold exactly want
+// bytes — longer is as torn as shorter — in one exact-length read into a
+// buffer the ctx's lender offers (see Backend), else a new one. Checking the
+// length first means a torn file never costs a loan.
+func (f *File) readSection(ctx context.Context, id uint32, want int64) ([]byte, error) {
+	fh, err := os.Open(f.dataPath(id))
 	if err != nil {
 		return nil, fmt.Errorf("file backend: container %d: %w", id, err)
 	}
-	if int64(len(data)) != info.DataFill {
-		return nil, Corruptf("file backend: container %d torn: data section %d bytes, expected %d",
-			id, len(data), info.DataFill)
+	defer fh.Close()
+	st, err := fh.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("file backend: container %d: %w", id, err)
+	}
+	torn := func(have int64) error {
+		return Corruptf("file backend: container %d torn: data section %d bytes, expected %d", id, have, want)
+	}
+	if st.Size() != want {
+		return nil, torn(st.Size())
+	}
+	data := borrow(ctx, want)
+	if n, err := io.ReadFull(fh, data); err != nil {
+		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) { // shrank since Stat
+			return nil, torn(int64(n))
+		}
+		return nil, fmt.Errorf("file backend: container %d: %w", id, err)
 	}
 	return data, nil
 }

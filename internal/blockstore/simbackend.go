@@ -19,8 +19,7 @@ type Sim struct {
 	data      map[uint32][]byte // sealed sections: never written after Seal
 	closed    bool
 
-	zeroMu sync.Mutex
-	zero   []byte // metadata-only reads: one shared buffer, never written
+	zero zeroView // what a metadata-only store reads
 }
 
 // NewSim returns an in-memory backend. storeData selects whether Seal
@@ -68,22 +67,11 @@ func (s *Sim) ReadData(ctx context.Context, id uint32) ([]byte, error) {
 		return nil, fmt.Errorf("sim backend: container %d not sealed", id)
 	}
 	if !s.storeData {
-		return s.zeros(info.DataFill), nil
+		return s.zero.get(info.DataFill), nil
 	}
 	// The sealed section itself, not a copy: Seal stored a private buffer
 	// that nothing writes again, and readers hold it read-only (Backend).
 	return s.data[id], nil
-}
-
-// zeros returns n zero bytes out of a buffer shared by every metadata-only
-// read. It only ever grows; a slice handed out earlier keeps its old array.
-func (s *Sim) zeros(n int64) []byte {
-	s.zeroMu.Lock()
-	defer s.zeroMu.Unlock()
-	if int64(len(s.zero)) < n {
-		s.zero = make([]byte, n)
-	}
-	return s.zero[:n:n]
 }
 
 func (s *Sim) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {

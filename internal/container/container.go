@@ -746,6 +746,7 @@ func (s *Store) fetchData(ctx context.Context, id uint32) ([]byte, error) {
 	if c == nil || !s.StoresData() {
 		return s.fetchDataDirect(ctx, id)
 	}
+	ctx = blockstore.WithLender(ctx, nil) // a cached section is shared: see fetchDataRangePinned
 	data, release, err := c.Acquire(ctx, id, func() ([]byte, error) { return s.fetchDataDirect(ctx, id) })
 	if release != nil {
 		release()
@@ -847,12 +848,18 @@ func (s *Store) fetchDataRange(ctx context.Context, ids []uint32) ([][]byte, err
 // single backend range read (the same one physical operation the uncached
 // path issues), while containers another stream is already loading are
 // waited on rather than re-read.
+//
+// This is where a reader's blockstore.Lender stops or passes: straight to the
+// backend the caller is the only holder of what comes back, so its lender
+// rides along; through the shared cache every stream sees the same section,
+// which therefore must not be anybody's reusable buffer.
 func (s *Store) fetchDataRangePinned(ctx context.Context, ids []uint32) ([][]byte, func(), error) {
 	c := s.DataCache()
 	if c == nil || !s.StoresData() {
 		out, err := s.fetchDataRangeDirect(ctx, ids)
 		return out, func() {}, err
 	}
+	ctx = blockstore.WithLender(ctx, nil)
 	return c.AcquireRange(ctx, ids, func() ([][]byte, error) { return s.fetchDataRangeDirect(ctx, ids) })
 }
 

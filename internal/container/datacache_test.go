@@ -391,3 +391,64 @@ func TestDataCacheDoesNotChangeSimulatedTime(t *testing.T) {
 		}
 	}
 }
+
+// TestLenderStopsAtTheSharedCache pins the fetch gateway's half of the
+// lending contract (blockstore.Backend): straight to a file backend the
+// reader's lender is asked and the section comes back in its buffer; once the
+// shared cache is attached — every stream sees the same section — it is never
+// asked, on any fetch path.
+func TestLenderStopsAtTheSharedCache(t *testing.T) {
+	file, err := blockstore.OpenFile(t.TempDir(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	var clk disk.Clock
+	s, err := NewStoreWithBackend(disk.NewDevice(disk.DefaultModel(), &clk, true), Config{DataCap: 64, MaxChunks: 4}, file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []uint32
+	for i := 0; i < 3; i++ {
+		loc := mustWrite(s, chunk.New([]byte(fmt.Sprintf("chunk-%02d-padding-to-force-seal-%02d", i, i))), uint64(i))
+		if err := s.Flush(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, loc.Container)
+	}
+
+	buf := make([]byte, 64)
+	asked := 0
+	ctx := blockstore.WithLender(context.Background(), func(int64) []byte {
+		asked++
+		return buf
+	})
+	datas, release, err := s.PeekDataRangePinned(ctx, ids[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if asked != 1 || &datas[0][0] != &buf[0] {
+		t.Fatalf("uncached fetch: lender asked %d times, section in the lent buffer: %v", asked, &datas[0][0] == &buf[0])
+	}
+
+	s.SetDataCache(1 << 20)
+	asked = 0
+	datas, release, err = s.PeekDataRangePinned(ctx, ids[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	one, err := s.ReadData(ctx, ids[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if asked != 0 {
+		t.Fatalf("fetches through the shared cache asked the lender %d times", asked)
+	}
+	for _, d := range append(datas, one) {
+		if &d[0] == &buf[0] {
+			t.Fatal("a section in the shared cache sits in a reader's lent buffer")
+		}
+	}
+}

@@ -58,7 +58,7 @@ func BenchmarkDecode(b *testing.B) {
 			b.SetBytes(int64(nChunks * size))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p := newDecodePipe(workers, true, io.Discard)
+				p := newDecodePipe(workers, true, io.Discard, nil) // nothing retires: no set
 				for k := range jobs {
 					if !p.push(k, &refs[k], jobs[k].data) {
 						b.Fatal("pipe failed early")

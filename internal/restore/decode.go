@@ -29,11 +29,21 @@ type decodeJob struct {
 // decodeBatch is the unit flowing through the pool: the assembler fills it
 // in stream order, one worker verifies it, the resequencer emits it.
 type decodeBatch struct {
-	jobs   []decodeJob
-	done   chan struct{} // closed by the verifying worker
-	err    error         // first verify failure in the batch...
-	errIdx int           // ...at jobs[errIdx]
+	jobs    []decodeJob
+	retired [][]byte      // sections no batch after this one views (see retire)
+	done    chan struct{} // closed by the verifying worker
+	err     error         // first verify failure in the batch...
+	errIdx  int           // ...at jobs[errIdx]
 }
+
+// decodeBatches recycles batches across restores. It is the package's, not
+// the pipe's: the runtime keeps a used sync.Pool reachable until the
+// collection after next, and one inside the pipe would keep the pipe — and
+// through it the restore's whole section set — alive that long. Batches go
+// back empty (see resequence), so the pool itself views no section.
+var decodeBatches = sync.Pool{New: func() any {
+	return &decodeBatch{jobs: make([]decodeJob, 0, decodeBatchSize)}
+}}
 
 // decodePipe is the wall-clock decode/verify pool of the restore pipeline:
 // the assembler pushes chunk views in stream order, `workers` goroutines
@@ -43,30 +53,32 @@ type decodeBatch struct {
 // the wire, the error the caller sees, and the Bytes/Chunks tallies are all
 // bit-identical to the inline serial path. Only wall-clock time changes.
 type decodePipe struct {
-	verify  bool
-	w       io.Writer
-	jobs    chan *decodeBatch // unordered, to the verify workers
-	ordered chan *decodeBatch // submission order, to the resequencer
-	pool    sync.Pool
-	cur     *decodeBatch
-	failed  atomic.Bool // resequencer hit an error; assembler should stop
+	verify   bool
+	w        io.Writer
+	sections *sectionSet       // where retired sections go once emitted
+	jobs     chan *decodeBatch // unordered, to the verify workers
+	ordered  chan *decodeBatch // submission order, to the resequencer
+	cur      *decodeBatch
+	failed   atomic.Bool // resequencer hit an error; assembler should stop
 
 	writerDone    chan struct{}
 	bytes, chunks int64 // resequencer tallies (in-order, pre-error)
 	werr          error // first in-order verify/write error
 }
 
-func newDecodePipe(workers int, verify bool, w io.Writer) *decodePipe {
-	depth := workers * 4
+// decodeDepth is how many batches may queue between the assembler and the
+// resequencer.
+func decodeDepth(workers int) int { return workers * 4 }
+
+func newDecodePipe(workers int, verify bool, w io.Writer, sections *sectionSet) *decodePipe {
+	depth := decodeDepth(workers)
 	p := &decodePipe{
 		verify:     verify,
 		w:          w,
+		sections:   sections,
 		jobs:       make(chan *decodeBatch, depth),
 		ordered:    make(chan *decodeBatch, depth),
 		writerDone: make(chan struct{}),
-	}
-	p.pool.New = func() any {
-		return &decodeBatch{jobs: make([]decodeJob, 0, decodeBatchSize)}
 	}
 	for k := 0; k < workers; k++ {
 		go p.worker()
@@ -83,13 +95,28 @@ func (p *decodePipe) push(idx int, ref *chunk.Ref, piece []byte) bool {
 		return false
 	}
 	if p.cur == nil {
-		p.cur = p.pool.Get().(*decodeBatch)
+		p.cur = decodeBatches.Get().(*decodeBatch)
 	}
 	p.cur.jobs = append(p.cur.jobs, decodeJob{idx: idx, fp: ref.FP, size: ref.Size, data: piece})
 	if len(p.cur.jobs) >= decodeBatchSize {
 		p.submit()
 	}
 	return true
+}
+
+// retire takes a section the assembler's cache has evicted. Every chunk that
+// views it was pushed before this call, so it sits in the current batch or an
+// earlier one. The section rides on the current batch, which goes out now —
+// the fetcher may be waiting for the buffer — and the resequencer, which
+// finishes batches in submission order and each only after its verification,
+// returns it to the set once that batch's last chunk is written: from then on
+// nothing reads it.
+func (p *decodePipe) retire(data []byte) {
+	if p.cur == nil {
+		p.cur = decodeBatches.Get().(*decodeBatch)
+	}
+	p.cur.retired = append(p.cur.retired, data)
+	p.submit()
 }
 
 // submit hands the current batch to the pool: ordered first (the
@@ -165,8 +192,15 @@ func (p *decodePipe) resequence() {
 				p.chunks++
 			}
 		}
-		b.jobs = b.jobs[:0]
-		p.pool.Put(b)
+		for _, data := range b.retired {
+			p.sections.giveBack(data)
+		}
+		// A recycled batch must not keep viewing sections of a restore that
+		// is over.
+		clear(b.jobs)
+		clear(b.retired)
+		b.jobs, b.retired = b.jobs[:0], b.retired[:0]
+		decodeBatches.Put(b)
 	}
 }
 

@@ -78,6 +78,7 @@ func RunFAA(ctx context.Context, store *container.Store, recipe *chunk.Recipe, c
 			}
 			containerData[cid] = data
 			stats.ContainerReads++
+			stats.ReadBytes += int64(len(data))
 			telContainerReads.Inc()
 		}
 

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/blockstore"
 	"repro/internal/chunk"
 	"repro/internal/container"
 	"repro/internal/disk"
@@ -20,6 +21,10 @@ var (
 		"multi-container sequential extent reads issued by the restore pipeline")
 	telCoalescedContainers = telemetry.NewCounter("restore_coalesced_containers_total",
 		"container fetches folded into a preceding coalesced extent read (seeks saved)")
+	telReadBytes = telemetry.NewCounter("restore_backend_read_bytes_total",
+		"bytes of the container data sections restores fetched (read amplification = this over restore_bytes_total; sections the shared data cache served are counted too)")
+	telSectionsReused = telemetry.NewCounter("restore_sections_reused_total",
+		"container sections read into a buffer the same restore had used before, instead of a new one")
 	telDecodeQueueDepth = telemetry.NewHistogram("restore_decode_queue_depth",
 		"verify/decode batches queued ahead of the decode worker pool when a batch is submitted",
 		telemetry.CountBuckets)
@@ -124,15 +129,18 @@ func RunPipelined(ctx context.Context, store *container.Store, recipe *chunk.Rec
 		}
 	}
 
-	as := &assembly{store: store, cfg: cfg, plan: plan, refs: recipe.Refs, w: w, stats: &stats}
+	dw := decodeWorkerCount(cfg.DecodeWorkers)
+	dataCap := store.Config().DataCap
+	as := &assembly{store: store, cfg: cfg, plan: plan, refs: recipe.Refs, w: w, stats: &stats,
+		sections: newSectionSet(dataCap, cfg.CacheContainers+sectionsInFlight(plan, recipe, dw, dataCap))}
 	if cfg.ChunkCache {
 		as.refLocs = referencedLocations(recipe.Refs)
 		as.chunks = make(map[uint32]map[int64][]byte, cfg.CacheContainers)
 	} else {
 		as.whole = make(map[uint32][]byte, cfg.CacheContainers)
 	}
-	if dw := decodeWorkerCount(cfg.DecodeWorkers); dw > 1 {
-		as.emit = newDecodePipe(dw, cfg.Verify, w)
+	if dw > 1 {
+		as.emit = newDecodePipe(dw, cfg.Verify, w, as.sections)
 	}
 
 	master := store.Device().Clock()
@@ -156,6 +164,8 @@ func RunPipelined(ctx context.Context, store *container.Store, recipe *chunk.Rec
 			runErr = perr
 		}
 	}
+	telReadBytes.Add(stats.ReadBytes)
+	telSectionsReused.Add(as.sections.reused) // fetcher and resequencer have exited
 	if runErr != nil {
 		return stats, runErr
 	}
@@ -228,9 +238,36 @@ type assembly struct {
 	refLocs    map[uint32][]chunk.Location
 	cacheBytes int64
 
+	// sections holds the buffers file-backed sections are read into. A
+	// section leaves the cache by retire, never by a bare delete.
+	sections *sectionSet
+
 	// emit, when non-nil, routes verify/write through the parallel decode
 	// pool instead of doing it inline; see decodePipe.
 	emit *decodePipe
+}
+
+// sectionsInFlight is how many sections beyond its cache's capacity a restore
+// of recipe holds at once when it runs at full depth. Two extents (the plan's
+// largest): the one the assembler has taken and not yet installed — whose
+// victims are therefore still cached — and the one the fetcher is already
+// reading behind it. And the sections that were evicted while the decode pool
+// still held chunks viewing them: the resequencer trails the assembler by at
+// most the pool's queue, the batch being written and the one being filled,
+// which at the recipe's mean chunk size is so many bytes, and a section
+// retires for every container's worth of them. Inline decode trails by
+// nothing.
+func sectionsInFlight(plan *restorePlan, recipe *chunk.Recipe, decodeWorkers int, dataCap int64) int {
+	widest := 1
+	for i := range plan.extents {
+		widest = max(widest, len(plan.extents[i].ids))
+	}
+	n := 2 * widest
+	if decodeWorkers > 1 && len(recipe.Refs) > 0 {
+		lag := int64(decodeDepth(decodeWorkers)+2) * decodeBatchSize * (recipe.Bytes() / int64(len(recipe.Refs)))
+		n += int((lag + dataCap - 1) / dataCap)
+	}
+	return n
 }
 
 // fetchedExtent is what the fetcher hands the assembler for one extent: the
@@ -259,11 +296,13 @@ func (as *assembly) run(ctx context.Context) error {
 	fetcherDone := make(chan struct{})
 	go func() {
 		defer close(fetcherDone)
+		// Fetched under the caller's ctx, not one cancelled by stop: a load
+		// aborted half-way would fail every other stream waiting on the same
+		// shared-cache entry.
+		fctx := blockstore.WithLender(ctx, as.sections.lend)
 		for ei := range as.plan.extents {
-			// Fetched under the caller's ctx, not one cancelled by stop: a
-			// load aborted half-way would fail every other stream waiting on
-			// the same shared-cache entry.
-			datas, release, err := as.store.PeekDataRangePinned(ctx, as.plan.extents[ei].ids)
+			datas, release, err := as.store.PeekDataRangePinned(fctx, as.plan.extents[ei].ids)
+			as.sections.settle(datas)
 			select {
 			case fetched <- fetchedExtent{datas: datas, release: release, err: err}:
 			case <-stop:
@@ -299,6 +338,7 @@ func (as *assembly) run(ctx context.Context) error {
 				}
 				for k, cid := range e.ids {
 					staged[cid] = res.datas[k]
+					as.stats.ReadBytes += int64(len(res.datas[k]))
 				}
 				// The cache residency served its purpose the moment the
 				// sections are staged in this restore's own memory.
@@ -352,6 +392,7 @@ func (as *assembly) install(id uint32, data []byte, f *fetchOp) {
 			}
 			delete(as.chunks, f.victim)
 		} else {
+			as.retire(as.whole[f.victim])
 			delete(as.whole, f.victim)
 		}
 	}
@@ -376,8 +417,24 @@ func (as *assembly) install(id uint32, data []byte, f *fetchOp) {
 		if as.cacheBytes > as.stats.PeakCacheBytes {
 			as.stats.PeakCacheBytes = as.cacheBytes
 		}
+		as.sections.giveBack(data) // every piece was copied out; nothing views it
 	} else {
 		as.whole[id] = data
+	}
+}
+
+// retire lets go of a whole section the cache has evicted. Chunks assembled
+// earlier may still view it from inside the decode pool, so a section of the
+// restore's own goes back to its set only behind them (decodePipe.retire);
+// with inline decode they were written before the eviction.
+func (as *assembly) retire(data []byte) {
+	if !as.sections.owns(data) {
+		return
+	}
+	if as.emit != nil {
+		as.emit.retire(data)
+	} else {
+		as.sections.giveBack(data)
 	}
 }
 

@@ -74,7 +74,11 @@ type Stats struct {
 	Bytes          int64
 	Chunks         int64
 	ContainerReads int64 // cache misses: full data-section reads
-	CacheHits      int64 // chunks served from cached containers
+	// ReadBytes is the bytes of those sections: what the restore asked the
+	// backend for (less whatever a shared data cache served from memory).
+	// ReadBytes / Bytes is the restore's read amplification.
+	ReadBytes int64
+	CacheHits int64 // chunks served from cached containers
 	// ExtentReads counts physical discontiguous reads (Eq. 1's N). Without
 	// coalescing it equals ContainerReads; the pipelined engine folds
 	// adjacent containers into one extent, so ExtentReads < ContainerReads.
@@ -158,6 +162,7 @@ func Run(ctx context.Context, store *container.Store, recipe *chunk.Recipe, cfg 
 				return stats, err
 			}
 			telContainerReads.Inc()
+			stats.ReadBytes += int64(len(data))
 			cache.Put(ref.Loc.Container, data)
 		}
 		t0 := time.Now()

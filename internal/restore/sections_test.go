@@ -1,0 +1,296 @@
+package restore
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/blockstore"
+	"repro/internal/container"
+	"repro/internal/disk"
+)
+
+// spyBackend sits where a WrapBackend wrapper would — it forwards the ctx and
+// the returned slices, nothing else — and remembers every section it passed
+// up, by array, so a test can tell a reused buffer from a new one. Holding
+// the slices keeps their addresses from being recycled by the collector.
+type spyBackend struct {
+	blockstore.Backend
+	mu    sync.Mutex
+	seen  map[*byte]int
+	reads int
+	read  chan struct{} // one token per section read, never blocking
+	// corruptAt, when > 0, makes the corruptAt-th section read come back as a
+	// private copy with one byte flipped.
+	corruptAt int
+}
+
+func (b *spyBackend) note(data []byte) []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.reads++
+	if b.reads == b.corruptAt {
+		data = append([]byte(nil), data...)
+		data[len(data)/2] ^= 1
+	}
+	b.seen[&data[0]]++
+	select {
+	case b.read <- struct{}{}:
+	default:
+	}
+	return data
+}
+
+func (b *spyBackend) ReadData(ctx context.Context, id uint32) ([]byte, error) {
+	data, err := b.Backend.ReadData(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	return b.note(data), nil
+}
+
+func (b *spyBackend) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
+	out, err := b.Backend.ReadDataRange(ctx, ids)
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		out[i] = b.note(out[i])
+	}
+	return out, nil
+}
+
+// arrays returns how many distinct arrays the sections read so far sat in,
+// and how many sections were read.
+func (b *spyBackend) arrays() (distinct, reads int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.seen), b.reads
+}
+
+// fileRig is rig over the file backend, behind a spy: 4 KiB containers of
+// 300-byte chunks, so a 60-chunk stream spans five of them.
+func fileRig(t *testing.T) (*container.Store, *spyBackend) {
+	t.Helper()
+	file, err := blockstore.OpenFile(t.TempDir(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { file.Close() })
+	spy := &spyBackend{Backend: file, seen: map[*byte]int{}, read: make(chan struct{}, 1<<16)}
+	var clk disk.Clock
+	s, err := container.NewStoreWithBackend(disk.NewDevice(disk.DefaultModel(), &clk, true),
+		container.Config{DataCap: 4096, MaxChunks: 16}, spy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, spy
+}
+
+func TestSectionSetIsAFixedBudget(t *testing.T) {
+	s := newSectionSet(64, 2)
+	a, b := s.lend(64), s.lend(10)
+	if len(a) != 64 || len(b) != 64 || &a[0] == &b[0] {
+		t.Fatal("the first two loans must be two full-size buffers")
+	}
+	if s.lend(1) != nil {
+		t.Fatal("a third loan exceeds the budget")
+	}
+	if s.lend(65) != nil || s.lend(0) != nil {
+		t.Fatal("a section that does not fit one buffer, or an empty one, gets no loan")
+	}
+	// b came back as a section, a did not (the read failed): a is free again.
+	s.settle([][]byte{b[:10]})
+	if !s.owns(b[:10]) || s.owns([]byte("somebody else's")) || s.owns(nil) {
+		t.Fatal("owns must recognise exactly the set's buffers")
+	}
+	if again := s.lend(64); &again[0] != &a[0] || s.reused != 1 {
+		t.Fatalf("the unused loan was not lent again (reused %d)", s.reused)
+	}
+	s.settle(nil)
+	s.giveBack([]byte("somebody else's")) // a shared view: ignored
+	s.giveBack(b[:10])
+	if len(s.free) != 2 || len(s.free[1]) != 64 {
+		t.Fatalf("after handing everything back the set holds %d free buffers", len(s.free))
+	}
+}
+
+// TestFileRestoreReusesSectionsInEveryShape restores a fragmented recipe off
+// the file backend in every shape of the pipeline and checks, for each, the
+// bytes, and that sections did come back in buffers used before (a test of
+// reuse that never reuses proves nothing).
+// TestSectionNotReusedWhileADecodeBatchViewsIt is the one that makes the
+// decode pool reuse.
+func TestFileRestoreReusesSectionsInEveryShape(t *testing.T) {
+	for _, policy := range []CachePolicy{PolicyLRU, PolicyOPT} {
+		for _, chunkCache := range []bool{false, true} {
+			for _, coalesce := range []bool{false, true} {
+				for _, dw := range []int{1, 2, 4} {
+					cfg := PipelineConfig{CacheContainers: 2, Policy: policy, Workers: 1, Coalesce: coalesce,
+						ChunkCache: chunkCache, Verify: true, DecodeWorkers: dw}
+					t.Run(fmt.Sprintf("%v-chunk%v-coalesce%v-decode%d", policy, chunkCache, coalesce, dw), func(t *testing.T) {
+						s, spy := fileRig(t)
+						datas := mkDatas(120, 300)
+						seq := ingest(t, s, "base", datas)
+						frag := interleave(seq, "frag")
+						var out bytes.Buffer
+						st, err := RunPipelined(context.Background(), s, frag, cfg, &out)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(out.Bytes(), wantBytes(datas, frag, seq)) {
+							t.Fatal("restored stream differs")
+						}
+						distinct, reads := spy.arrays()
+						if int64(reads) != st.ContainerReads {
+							t.Fatalf("backend served %d sections, stats say %d", reads, st.ContainerReads)
+						}
+						if st.ContainerReads <= 2*int64(cfg.CacheContainers) {
+							t.Fatalf("only %d reads: the cache hardly evicted", st.ContainerReads)
+						}
+						// Only inline decode frees a buffer at a fixed point; how
+						// soon the pool's resequencer does is the scheduler's.
+						if dw == 1 && distinct >= reads {
+							t.Fatalf("%d reads landed in %d arrays: nothing was reused", reads, distinct)
+						}
+						if st.ReadBytes <= st.Bytes {
+							t.Fatalf("ReadBytes %d for %d restored bytes of a thrashing recipe", st.ReadBytes, st.Bytes)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// gateWriter compares what it is given with what it should be given, and
+// holds its first Write until the backend has served `more` sections in all
+// — the resequencer stands still on the restore's first chunk while the
+// assembler and the fetcher run as far ahead of it as the pipeline lets them.
+type gateWriter struct {
+	t    *testing.T
+	want []byte
+	off  int
+	spy  *spyBackend
+	more int
+	bad  bool
+}
+
+func (w *gateWriter) Write(p []byte) (int, error) {
+	if w.off == 0 {
+		for k := 0; k < w.more; k++ {
+			select {
+			case <-w.spy.read:
+			case <-time.After(5 * time.Second):
+				w.t.Errorf("only %d sections were read before the first chunk was written: the test forces no overlap", k)
+				k = w.more
+			}
+		}
+	}
+	if !w.bad && !bytes.Equal(p, w.want[w.off:w.off+len(p)]) {
+		w.bad = true
+		w.t.Errorf("chunk at offset %d was overwritten before it was written out", w.off)
+	}
+	w.off += len(p)
+	return len(p), nil
+}
+
+// TestSectionNotReusedWhileADecodeBatchViewsIt is the retire-after-emit rule:
+// with a one-container cache every ref of the interleaved recipe evicts the
+// section the previous ref views, and the output writer is held on the first
+// chunk until the fetcher has read eight sections. Handing an evicted buffer
+// straight back would let those reads land on chunks still waiting to be
+// written; the bytes
+// that reach the writer must be the original ones all the same. Verify is off
+// so that nothing but the writer looks at them.
+func TestSectionNotReusedWhileADecodeBatchViewsIt(t *testing.T) {
+	for _, dw := range []int{2, 4} {
+		t.Run(fmt.Sprintf("decode%d", dw), func(t *testing.T) {
+			s, spy := fileRig(t)
+			datas := mkDatas(120, 300)
+			seq := ingest(t, s, "base", datas)
+			frag := interleave(seq, "frag")
+			w := &gateWriter{t: t, want: wantBytes(datas, frag, seq), spy: spy, more: 8}
+			st, err := RunPipelined(context.Background(), s, frag,
+				PipelineConfig{CacheContainers: 1, Policy: PolicyLRU, Workers: 1, DecodeWorkers: dw}, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.off != len(w.want) {
+				t.Fatalf("wrote %d of %d bytes", w.off, len(w.want))
+			}
+			if distinct, reads := spy.arrays(); distinct >= reads {
+				t.Fatalf("%d reads in %d arrays: nothing was reused, so nothing was at risk", reads, distinct)
+			}
+			if st.ContainerReads < int64(len(frag.Refs))/2 {
+				t.Fatalf("only %d reads for %d refs: the recipe did not thrash", st.ContainerReads, len(frag.Refs))
+			}
+		})
+	}
+}
+
+// TestFileRestoreEarlyStops runs the two in-stream failures over reused
+// sections: a writer that fails part-way, and a section that comes back
+// corrupted (as a private copy, so the buffer lent for it is an unused loan).
+// With the decode pool each must stop at the ref, with the error and the
+// tallies, of inline decode; no goroutine may outlive the call; and the next
+// restore of the same store must be whole.
+func TestFileRestoreEarlyStops(t *testing.T) {
+	datas := mkDatas(120, 300)
+	for _, tc := range []struct {
+		name      string
+		failAfter int64 // bytes the writer takes; 0 = all
+		corruptAt int   // which section read comes back corrupted; 0 = none
+	}{
+		{"writer fails", 21000, 0},
+		{"fingerprint mismatch", 0, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want Stats
+			var wantErr string
+			for _, dw := range []int{1, 2, 4} {
+				s, spy := fileRig(t)
+				seq := ingest(t, s, "base", datas)
+				frag := interleave(seq, "frag")
+				spy.corruptAt = tc.corruptAt
+				var w io.Writer = io.Discard
+				if tc.failAfter > 0 {
+					w = &failAfterWriter{n: tc.failAfter}
+				}
+				before := runtime.NumGoroutine()
+				cfg := PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Workers: 1, Verify: true, DecodeWorkers: dw}
+				st, err := RunPipelined(context.Background(), s, frag, cfg, w)
+				if err == nil {
+					t.Fatalf("decode %d: the restore succeeded", dw)
+				}
+				if st.Bytes == 0 || st.Bytes >= frag.Bytes() {
+					t.Fatalf("decode %d: stopped after %d of %d bytes, not mid-stream", dw, st.Bytes, frag.Bytes())
+				}
+				if dw == 1 {
+					want, wantErr = st, err.Error()
+				} else if st.Bytes != want.Bytes || st.Chunks != want.Chunks || err.Error() != wantErr {
+					t.Fatalf("decode %d: stopped at %d bytes, %d chunks, %q; inline decode at %d, %d, %q",
+						dw, st.Bytes, st.Chunks, err, want.Bytes, want.Chunks, wantErr)
+				}
+				for i := 0; runtime.NumGoroutine() > before && i < 200; i++ {
+					time.Sleep(5 * time.Millisecond) // decode workers exit on their own after close
+				}
+				if n := runtime.NumGoroutine(); n > before {
+					t.Fatalf("decode %d: %d goroutines before the failed restore, %d after", dw, before, n)
+				}
+				var out bytes.Buffer
+				if _, err := RunPipelined(context.Background(), s, frag, cfg, &out); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(out.Bytes(), wantBytes(datas, frag, seq)) {
+					t.Fatalf("decode %d: the restore after the failed one differs", dw)
+				}
+			}
+		})
+	}
+}

@@ -442,7 +442,9 @@ func restoreOptions(r *http.Request, forceVerify bool) (repro.RestoreOptions, st
 		opts.DecodeWorkers = n
 	}
 	switch mode {
-	case "", "lru", "faa":
+	case "", "faa": // "" is the store's default shape
+	case "lru":
+		opts.Policy = repro.RestoreLRU
 	case "opt":
 		opts.Policy = repro.RestoreOPT
 	case "pipelined":

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"io"
@@ -207,5 +208,67 @@ func TestServeForgetAndErrors(t *testing.T) {
 	resp4.Body.Close() //nolint:errcheck // status only
 	if resp4.StatusCode != http.StatusBadRequest {
 		t.Fatalf("reserved-suffix label: got %s, want 400", resp4.Status)
+	}
+}
+
+// TestRestoreModeSelectsThePolicy pins what each ?mode= asks the store for.
+// "" is the store's default shape — forward-knowledge eviction — and "lru"
+// must say LRU out loud: it used to select it by leaving the default alone,
+// which would have turned it into OPT the day the default changed. Each
+// mode's ContainerReads is compared with the explicit RestoreOptions it
+// stands for (root TestFileRestoreReadGuard ties those to the
+// planner), on a recipe where the two policies differ.
+func TestRestoreModeSelectsThePolicy(t *testing.T) {
+	store, _, _ := newTestServer(t, repro.Options{Engine: repro.DeFrag, Alpha: 0.1, ExpectedBytes: 256 << 20}, Config{})
+	wcfg := workload.DefaultConfig(11)
+	wcfg.NumFiles = 24
+	sched, err := workload.NewSingle(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var newest *repro.Backup
+	for g := 0; g < 6; g++ {
+		b := sched.Next()
+		if newest, err = store.Backup(ctx, b.Label, b.Stream); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const cache = 2
+	reads := func(opts repro.RestoreOptions) int64 {
+		t.Helper()
+		rs, err := store.RestoreWith(ctx, newest, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs.ContainerReads
+	}
+	lru := reads(repro.RestoreOptions{CacheContainers: cache, Policy: repro.RestoreLRU, Workers: 1})
+	opt := reads(repro.RestoreOptions{CacheContainers: cache, Policy: repro.RestoreOPT, Workers: 1})
+	if opt >= lru {
+		t.Fatalf("OPT-%d reads %d containers, LRU-%d %d: the recipe cannot tell the modes apart", cache, opt, cache, lru)
+	}
+	faa, err := store.RestoreFAA(ctx, newest, nil, cache<<22, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mode, want := range map[string]int64{"": opt, "lru": lru, "opt": opt, "pipelined": opt, "faa": faa.ContainerReads} {
+		r := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/backups/%s/restore?cache=%d&mode=%s", newest.Label, cache, mode), nil)
+		opts, gotMode, err := restoreOptions(r, false)
+		if err != nil {
+			t.Fatalf("mode %q: %v", mode, err)
+		}
+		var rs repro.RestoreStats
+		if gotMode == "faa" { // the handler's dispatch
+			rs, err = store.RestoreFAA(ctx, newest, nil, int64(opts.CacheContainers)<<22, opts.Verify)
+		} else {
+			rs, err = store.RestoreWith(ctx, newest, nil, opts)
+		}
+		if err != nil {
+			t.Fatalf("mode %q: %v", mode, err)
+		}
+		if rs.ContainerReads != want {
+			t.Errorf("mode %q: %d container reads, want %d (lru %d, opt %d)", mode, rs.ContainerReads, want, lru, opt)
+		}
 	}
 }

@@ -11,10 +11,10 @@ import (
 	"repro/internal/blockstore"
 )
 
-// sealedSections remembers every data section the sim backend has handed
-// out — the sealed arrays themselves, since Sim.ReadData does not copy —
-// with the digest each had when first seen. Holding the slice keeps a
-// section checkable after maintenance or compaction has dropped its
+// sealedSections remembers every data section the backend has handed out —
+// on the sim backend the sealed arrays themselves, since Sim.ReadData does
+// not copy — with the digest each had when first seen. Holding the slice
+// keeps a section checkable after maintenance or compaction has dropped its
 // container.
 type sealedSections struct {
 	be   blockstore.Backend
@@ -43,7 +43,9 @@ func (ss *sealedSections) record(t *testing.T) {
 	}
 }
 
-// verify re-digests every recorded section in place.
+// verify re-digests every recorded section in place, and reads every one
+// still sealed again: on the file backend the held slices are private copies
+// and it is the second look that says the store's bytes are as they were.
 func (ss *sealedSections) verify(t *testing.T, after string) {
 	t.Helper()
 	for id, data := range ss.data {
@@ -51,24 +53,61 @@ func (ss *sealedSections) verify(t *testing.T, after string) {
 			t.Fatalf("after %s: sealed section of container %d was written to", after, id)
 		}
 	}
+	ctx := context.Background()
+	infos, err := ss.be.List(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range infos {
+		want, seen := ss.sum[info.ID]
+		if !seen {
+			continue
+		}
+		data, err := ss.be.ReadData(ctx, info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sha256.Sum256(data) != want {
+			t.Fatalf("after %s: container %d reads back different bytes", after, info.ID)
+		}
+	}
 }
 
 // TestBackendReadsAreReadOnly holds every consumer of fetched data sections
-// to the blockstore.Backend contract: the sim backend returns its sealed
-// sections themselves, so a consumer that wrote into what it fetched would
-// corrupt the store. Every restore shape, the shared restore cache, fsck,
-// a maintenance epoch, compaction and export run over one store; each
-// sealed section must hash the same afterwards. Run under -race it also
-// shows the concurrent readers of one section only read.
+// to both halves of the blockstore.Backend contract. Shared views: the sim
+// backend returns its sealed sections themselves, so a consumer that wrote
+// into what it fetched would corrupt the store. Lent buffers: the file
+// backend reads into a buffer the restore lends it, which only that restore
+// may see again — not a sibling restore, not the shared cache, not fsck,
+// maintenance or export (holderSpy, with every restore stream its own
+// holder). Every restore shape, the shared restore cache, fsck, a maintenance
+// epoch, compaction and export run over one store of each kind; each sealed
+// section must hash the same afterwards. Run under -race it also shows the
+// concurrent readers of one section only read.
 func TestBackendReadsAreReadOnly(t *testing.T) {
+	for _, backend := range []BackendKind{SimBackend, FileBackend} {
+		t.Run(backend.String(), func(t *testing.T) { testBackendReadsAreReadOnly(t, backend) })
+	}
+}
+
+func testBackendReadsAreReadOnly(t *testing.T, backend BackendKind) {
 	ctx := context.Background()
 	var ss *sealedSections
-	s, err := Open(Options{Engine: DeFrag, Alpha: 0.3, StoreData: true,
-		ExpectedBytes: 64 << 20, Maintenance: maintOptions(),
+	var spy *holderSpy
+	opts := Options{Engine: DeFrag, Alpha: 0.3, StoreData: true,
+		ExpectedBytes: 64 << 20, Maintenance: maintOptions(), Backend: backend,
 		WrapBackend: func(be blockstore.Backend) blockstore.Backend {
+			if backend == FileBackend {
+				spy = &holderSpy{Backend: be, t: t, by: map[*byte]any{}}
+				be = spy
+			}
 			ss = &sealedSections{be: be, data: map[uint32][]byte{}, sum: map[uint32][sha256.Size]byte{}}
 			return be
-		}})
+		}}
+	if backend == FileBackend {
+		opts.Dir = t.TempDir()
+	}
+	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +133,11 @@ func TestBackendReadsAreReadOnly(t *testing.T) {
 		want := datas[len(datas)-len(backups):]
 		var wg sync.WaitGroup
 		errs := make(chan error, len(shapes)+1)
-		for _, opts := range shapes {
+		for k, opts := range shapes {
 			wg.Add(1)
-			go func(opts RestoreOptions) {
+			go func(opts RestoreOptions, holder string) {
 				defer wg.Done()
+				ctx := context.WithValue(ctx, holderKey{}, holder)
 				for i, b := range backups {
 					var out bytes.Buffer
 					if _, err := s.RestoreWith(ctx, b, &out, opts); err != nil {
@@ -109,7 +149,7 @@ func TestBackendReadsAreReadOnly(t *testing.T) {
 						return
 					}
 				}
-			}(opts)
+			}(opts, fmt.Sprintf("%s: shape %d", after, k))
 		}
 		wg.Add(1)
 		go func() {
@@ -180,5 +220,10 @@ func TestBackendReadsAreReadOnly(t *testing.T) {
 	ss.record(t)
 
 	s.SetRestoreCacheBudget(16 << 20)
+	if spy != nil {
+		spy.mu.Lock()
+		spy.shared = true
+		spy.mu.Unlock()
+	}
 	restoreAllShapes("restores of the rewritten store through the shared cache")
 }

@@ -102,7 +102,11 @@ type RestoreStats struct {
 	Bytes          int64
 	Chunks         int64
 	ContainerReads int64 // restore-cache misses: full container reads
-	CacheHits      int64
+	// ReadBytes is the bytes of those container sections — what the restore
+	// asked the backend for, less whatever Options.RestoreCacheBytes served
+	// from memory. ReadBytes / Bytes is the restore's read amplification.
+	ReadBytes int64
+	CacheHits int64
 	// ExtentReads is the count of physical discontiguous reads (Eq. 1's N
 	// after coalescing); equals ContainerReads on uncoalesced paths.
 	ExtentReads int64
@@ -131,6 +135,7 @@ func fromRestoreStats(st restore.Stats) RestoreStats {
 		Bytes:               st.Bytes,
 		Chunks:              st.Chunks,
 		ContainerReads:      st.ContainerReads,
+		ReadBytes:           st.ReadBytes,
 		CacheHits:           st.CacheHits,
 		ExtentReads:         st.ExtentReads,
 		CoalescedContainers: st.CoalescedContainers,
