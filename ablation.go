@@ -3,7 +3,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/cindex"
 	"repro/internal/core"
@@ -211,6 +210,12 @@ func RunContainerAblation(cfg ExperimentConfig, sizesMB []int) (*FigureResult, e
 	return res, nil
 }
 
+// restoreAblationLanes is the simulated prefetch-lane count of the pipelined
+// row of RunRestoreAblation. It is part of the figure, not of the host:
+// ExperimentConfig.Workers sizes the wall-clock fingerprinting pool and must
+// not move a simulated column.
+const restoreAblationLanes = 4
+
 // RunRestoreAblation compares the four restore strategies — LRU container
 // cache, recipe-aware OPT cache, forward assembly area, and the fully
 // pipelined engine (OPT + coalescing + parallel prefetch) — on a
@@ -244,25 +249,14 @@ func RunRestoreAblation(cfg ExperimentConfig) (*FigureResult, error) {
 	res := &FigureResult{
 		Figure:  "Ablation: restore strategy",
 		Title:   "LRU vs OPT vs FAA vs pipelined restore (final-generation restore)",
-		Columns: []string{"budget_MB", "lru_read_MBps", "lru_creads", "opt_read_MBps", "opt_creads", "faa_read_MBps", "faa_creads", "pipe_read_MBps", "pipe_extents", "lru_wall_MBps", "pipe_wall_MBps"},
+		Columns: []string{"budget_MB", "lru_read_MBps", "lru_creads", "opt_read_MBps", "opt_creads", "faa_read_MBps", "faa_creads", "pipe_read_MBps", "pipe_extents"},
 		Summary: map[string]float64{},
 	}
 	containerMB := ecfg.ContainerCfg.DataCap >> 20
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 4
-	}
 	for _, budgetMB := range []int64{8, 16, 32, 64, 128} {
 		cap := int(budgetMB / containerMB)
-		// Both the serial-LRU baseline and the full pipeline run through
-		// RunPipelined (the LRU row with the serial fetch path, the pipe row
-		// with coalescing, prefetch lanes and the parallel decode pool), so
-		// the wall columns compare the shipped paths. Simulated stats are
-		// decode-pool-invariant (TestDecodeWorkersDeterminism).
-		t0 := time.Now()
 		lruSt, err := restore.RunPipelined(context.Background(), eng.Containers(), last.recipe(),
-			restore.PipelineConfig{CacheContainers: cap, Policy: restore.PolicyLRU, Workers: 1, DecodeWorkers: 1}, nil)
-		lruWall := time.Since(t0)
+			restore.PipelineConfig{CacheContainers: cap, Policy: restore.PolicyLRU, Workers: 1}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -275,10 +269,8 @@ func RunRestoreAblation(cfg ExperimentConfig) (*FigureResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		t1 := time.Now()
 		pipeSt, err := restore.RunPipelined(context.Background(), eng.Containers(), last.recipe(),
-			restore.PipelineConfig{CacheContainers: cap, Policy: restore.PolicyOPT, Workers: workers, Coalesce: true, MaxCoalesce: 8}, nil)
-		pipeWall := time.Since(t1)
+			restore.PipelineConfig{CacheContainers: cap, Policy: restore.PolicyOPT, Workers: restoreAblationLanes, Coalesce: true, MaxCoalesce: 8}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -292,8 +284,6 @@ func RunRestoreAblation(cfg ExperimentConfig) (*FigureResult, error) {
 			fmt.Sprint(faaSt.ContainerReads),
 			metrics.F1(pipeSt.ThroughputMBps()),
 			fmt.Sprint(pipeSt.ExtentReads),
-			metrics.F1(wallMBps(lruSt.Bytes, lruWall)),
-			metrics.F1(wallMBps(pipeSt.Bytes, pipeWall)),
 		})
 		if optSt.ContainerReads > lruSt.ContainerReads {
 			res.Summary["opt_exceeded_lru"] = 1

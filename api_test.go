@@ -235,3 +235,51 @@ func TestWorkersProduceIdenticalResults(t *testing.T) {
 			serial, fragS, parallel, fragP)
 	}
 }
+
+func TestRestoreWithOptionsRoundTrip(t *testing.T) {
+	store, err := Open(Options{Engine: DDFSLike, StoreData: true, ExpectedBytes: 1 << 22})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("restore-with options round trip "), 4096)
+	b, err := store.Backup(context.Background(), "b1", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []RestoreOptions{
+		{Policy: RestoreLRU, Workers: 1, Verify: true},
+		{Policy: RestoreOPT, Workers: 1, Verify: true},
+		{Policy: RestoreOPT, Workers: 4, Coalesce: true, Verify: true},
+		{Policy: RestoreOPT, Workers: 4, Coalesce: true, ChunkCache: true, Verify: true},
+	} {
+		var out bytes.Buffer
+		st, err := store.RestoreWith(context.Background(), b, &out, opts)
+		if err != nil {
+			t.Fatalf("opts %+v: %v", opts, err)
+		}
+		if !bytes.Equal(out.Bytes(), payload) {
+			t.Fatalf("opts %+v: restored stream differs", opts)
+		}
+		if st.ExtentReads > st.ContainerReads {
+			t.Fatalf("opts %+v: extents exceed container reads: %+v", opts, st)
+		}
+	}
+}
+
+func TestParseRestorePolicy(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want RestorePolicy
+	}{{"lru", RestoreLRU}, {"opt", RestoreOPT}} {
+		got, err := ParseRestorePolicy(tc.in)
+		if err != nil || got != tc.want {
+			t.Fatalf("ParseRestorePolicy(%q) = %v, %v", tc.in, got, err)
+		}
+		if got.String() != tc.in {
+			t.Fatalf("String() = %q, want %q", got.String(), tc.in)
+		}
+	}
+	if _, err := ParseRestorePolicy("belady"); err == nil {
+		t.Fatal("unknown policy must error")
+	}
+}

@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -501,4 +503,71 @@ func TestE2ECrashAfterIngest(t *testing.T) {
 	}
 
 	reopenAndAudit(t, dir, want)
+}
+
+// TestE2ELoadgenWritesOnlyWhatIsAsked runs the smoke client as a real
+// process, flags parsed as a user's would be: with no -loadgen.out it
+// verifies its restores, prints the summary line with the trace round trip,
+// and leaves its working directory empty; with one it writes that file and
+// nothing else.
+func TestE2ELoadgenWritesOnlyWhatIsAsked(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real processes")
+	}
+	// A fresh server per run: labels are per tenant and generation, so a
+	// second run against the same store would upload them twice.
+	loadgen := func(cwd string, extra ...string) string {
+		t.Helper()
+		p := startDedupd(t, t.TempDir())
+		args := append([]string{"-loadgen", "-addr", p.addr, "-log.level", "warn",
+			"-loadgen.tenants", "2", "-loadgen.gens", "2", "-loadgen.files", "4", "-loadgen.filekb", "64"}, extra...)
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), childEnv+"=1")
+		cmd.Dir = cwd
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("dedupd %v: %v\n%s", args, err, out)
+		}
+		return string(out)
+	}
+	left := func(dir string) []string {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+
+	cwd := t.TempDir()
+	out := loadgen(cwd)
+	for _, want := range []string{"verified=true", "0 failed", "trace round-trip: true"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("summary line lacks %q:\n%s", want, out)
+		}
+	}
+	if names := left(cwd); len(names) != 0 {
+		t.Errorf("-loadgen with no output flag left %v in its working directory", names)
+	}
+
+	cwd = t.TempDir()
+	loadgen(cwd, "-loadgen.out", "traj.json")
+	if names := left(cwd); len(names) != 1 || names[0] != "traj.json" {
+		t.Fatalf("-loadgen.out traj.json left %v", names)
+	}
+	var rep loadgenReport
+	raw, err := os.ReadFile(filepath.Join(cwd, "traj.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Ops) != 8 || !rep.Summary.AllVerified || rep.Summary.Failed != 0 {
+		t.Fatalf("trajectory: %d ops, summary %+v", len(rep.Ops), rep.Summary)
+	}
 }

@@ -8,15 +8,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/blockstore"
-	"repro/internal/serve"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -30,14 +27,12 @@ type loadgenParams struct {
 	fileKB      int64
 	seed        int64
 	scenario    string
-	out         string
-	stagesOut   string
-	sweep       string
+	out         string // trajectory file; "" = none
 	mode        string
 	skipRestore bool
 }
 
-// opRecord is one client-observed operation in the BENCH_PR5 trajectory.
+// opRecord is one client-observed operation in the -loadgen.out trajectory.
 // Failed operations are recorded too (Status + Error), not silently dropped:
 // the trajectory is the debugging artifact, and Trace is the W3C trace ID the
 // client minted for the request — paste it into /debug/traces to pull the
@@ -88,39 +83,6 @@ type loadgenReport struct {
 	Summary loadgenSummary `json:"summary"`
 }
 
-// stagePhase is one entry of the BENCH_PR6 per-stage breakdown: the
-// server-side stage wall-time deltas accumulated while this phase's ingest
-// ran, as absolute nanoseconds and as shares of the stage total.
-type stagePhase struct {
-	Phase       string             `json:"phase"`
-	Streams     int                `json:"streams"`
-	Gens        int                `json:"gens"`
-	IngestBytes int64              `json:"ingestBytes"`
-	WallSeconds float64            `json:"wallSeconds"`
-	MBps        float64            `json:"mbps"`
-	StageNanos  map[string]int64   `json:"stageNanos"`
-	StageShares map[string]float64 `json:"stageShares"`
-	// TopStage is the stage with the largest share of this phase's stage time.
-	TopStage string `json:"topStage"`
-}
-
-// stageReport is BENCH_PR6.json: where the pipeline's wall time goes per
-// stream count, from the always-on per-stage counters on /v1/stats.
-type stageReport struct {
-	Config     loadgenConfig `json:"config"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Phases     []stagePhase  `json:"phases"`
-	// SerialBottleneck names the dominant stage at the highest stream count —
-	// the place added streams serialize (resolver-mutex wait is charged to
-	// "lookup", so index contention surfaces there).
-	SerialBottleneck string `json:"serialBottleneck"`
-	TraceCheck       struct {
-		ClientTrace        string `json:"clientTrace"`
-		FoundInDebugTraces bool   `json:"foundInDebugTraces"`
-	} `json:"traceCheck"`
-	Note string `json:"note"`
-}
-
 // tenantRun drives one tenant: gens sequential backup generations of a
 // seeded synthetic file system, uploaded over HTTP, content-hashed on the
 // way out so restores can be verified bit-identical later.
@@ -138,35 +100,19 @@ func runLoadgen(p loadgenParams) error {
 	if p.tenants < 1 || p.gens < 1 {
 		return fmt.Errorf("loadgen: need at least 1 tenant and 1 generation")
 	}
-	sweep, err := parseSweep(p.sweep)
-	if err != nil {
-		return err
-	}
 	base := "http://" + p.addr
 	client := &http.Client{}
 	if err := waitHealthy(client, base, 10*time.Second); err != nil {
 		return err
 	}
 
-	stages := stageReport{GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	stages.Note = "stageNanos are server-side cumulative per-stage wall-time deltas over each phase's ingest; " +
-		"lookup includes resolver-mutex wait, so cross-stream index serialization is charged there"
-
-	// Main phase: p.tenants concurrent streams, ops recorded in full.
-	before, err := fetchStageNanos(client, base)
-	if err != nil {
-		return err
-	}
+	// Ingest phase: p.tenants concurrent streams, ops recorded in full.
 	wallStart := time.Now()
-	runs, err := runIngestPhase(client, base, p, p.tenants, 0, "t")
+	runs, err := runIngestPhase(client, base, p)
 	if err != nil {
 		return err
 	}
 	ingestWall := time.Since(wallStart).Seconds()
-	after, err := fetchStageNanos(client, base)
-	if err != nil {
-		return err
-	}
 
 	rep := loadgenReport{}
 	rep.Config = loadgenConfig{
@@ -175,7 +121,6 @@ func runLoadgen(p loadgenParams) error {
 		Scenario: p.scenario, Mode: p.mode,
 	}
 	rep.Summary.AllVerified = true
-	stages.Config = rep.Config
 
 	var latencies []float64
 	for _, tr := range runs {
@@ -196,65 +141,15 @@ func runLoadgen(p loadgenParams) error {
 	rep.Summary.LatencyP95 = percentile(latencies, 0.95)
 	rep.Summary.LatencyP99 = percentile(latencies, 0.99)
 
-	stages.Phases = append(stages.Phases,
-		makePhase("main", p.tenants, p.gens, rep.Summary.IngestBytes, ingestWall, before, after))
-
-	// Sweep phases: extra ingest-only rounds at the requested stream counts,
-	// each with fresh labels and fresh content (different seeds), bracketted
-	// by /v1/stats stage-counter reads.
-	for i, streams := range sweep {
-		sb, err := fetchStageNanos(client, base)
-		if err != nil {
-			return err
-		}
-		t0 := time.Now()
-		sruns, err := runIngestPhase(client, base, p, streams, (i+1)*10000, fmt.Sprintf("s%d-t", streams))
-		if err != nil {
-			return err
-		}
-		wall := time.Since(t0).Seconds()
-		sa, err := fetchStageNanos(client, base)
-		if err != nil {
-			return err
-		}
-		var phaseBytes int64
-		for _, tr := range sruns {
-			phaseBytes += tenantBytes(tr)
-			rep.Summary.Failed += tr.failed
-		}
-		stages.Phases = append(stages.Phases,
-			makePhase(fmt.Sprintf("sweep-%d", streams), streams, p.gens, phaseBytes, wall, sb, sa))
-	}
-	if n := len(stages.Phases); n > 0 {
-		maxPhase := stages.Phases[0]
-		for _, ph := range stages.Phases[1:] {
-			if ph.Streams > maxPhase.Streams {
-				maxPhase = ph
-			}
-		}
-		stages.SerialBottleneck = maxPhase.TopStage
-	}
-
 	// Trace round-trip check: the first backup's client-minted trace ID must
 	// appear in the server's tail-captured /debug/traces (the warmup policy
 	// always retains the first requests).
-	for _, tr := range runs {
-		for _, op := range tr.ops {
-			if op.Trace != "" {
-				stages.TraceCheck.ClientTrace = op.Trace
-				break
-			}
-		}
-		if stages.TraceCheck.ClientTrace != "" {
-			break
-		}
-	}
-	if stages.TraceCheck.ClientTrace != "" {
-		found, err := traceRetained(client, base, stages.TraceCheck.ClientTrace)
+	traceFound := false
+	if len(rep.Ops) > 0 {
+		traceFound, err = traceRetained(client, base, rep.Ops[0].Trace)
 		if err != nil {
 			telemetry.Logger().Warn("loadgen: /debug/traces check failed", "err", err)
 		}
-		stages.TraceCheck.FoundInDebugTraces = found
 	}
 
 	// Restore phase: every tenant's every generation, streamed back and
@@ -284,19 +179,14 @@ func runLoadgen(p loadgenParams) error {
 		}
 	}
 
-	blob, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := blockstore.WriteFileAtomic(p.out, blob, 0o644); err != nil {
-		return err
-	}
-	sblob, err := json.MarshalIndent(&stages, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := blockstore.WriteFileAtomic(p.stagesOut, sblob, 0o644); err != nil {
-		return err
+	if p.out != "" {
+		blob, err := json.MarshalIndent(&rep, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := blockstore.WriteFileAtomic(p.out, blob, 0o644); err != nil {
+			return err
+		}
 	}
 	fmt.Printf("loadgen: %d tenants × %d gens: %.1f MB ingested at %.1f MB/s "+
 		"(p50 %.3fs, p95 %.3fs, p99 %.3fs, %d×429, %d failed)",
@@ -307,10 +197,13 @@ func runLoadgen(p loadgenParams) error {
 		fmt.Printf("; %.1f MB restored at %.1f MB/s, verified=%v",
 			float64(rep.Summary.RestoreBytes)/1e6, rep.Summary.RestoreMBps, rep.Summary.AllVerified)
 	}
-	fmt.Printf("; trajectory → %s, stages → %s (bottleneck: %s, trace round-trip: %v)\n",
-		p.out, p.stagesOut, stages.SerialBottleneck, stages.TraceCheck.FoundInDebugTraces)
+	fmt.Printf("; trace round-trip: %v", traceFound)
+	if p.out != "" {
+		fmt.Printf("; trajectory → %s", p.out)
+	}
+	fmt.Println()
 	if rep.Summary.Failed > 0 {
-		return fmt.Errorf("loadgen: %d operations failed (see %s)", rep.Summary.Failed, p.out)
+		return fmt.Errorf("loadgen: %d operations failed", rep.Summary.Failed)
 	}
 	if !rep.Summary.AllVerified {
 		return fmt.Errorf("loadgen: restored content diverged from uploaded content")
@@ -318,30 +211,13 @@ func runLoadgen(p loadgenParams) error {
 	return nil
 }
 
-// parseSweep parses "1,2,4" into stream counts.
-func parseSweep(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("loadgen: bad -loadgen.sweep entry %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// runIngestPhase uploads gens generations from `streams` concurrent tenants
-// named prefix0..prefixN-1, with workload seeds offset by idBase so every
-// phase ingests fresh content.
-func runIngestPhase(client *http.Client, base string, p loadgenParams, streams, idBase int, prefix string) ([]*tenantRun, error) {
-	runs := make([]*tenantRun, streams)
+// runIngestPhase uploads p.gens generations from p.tenants concurrent
+// tenants named t0..tN-1.
+func runIngestPhase(client *http.Client, base string, p loadgenParams) ([]*tenantRun, error) {
+	runs := make([]*tenantRun, p.tenants)
 	var wg sync.WaitGroup
-	for t := 0; t < streams; t++ {
-		runs[t] = &tenantRun{id: idBase + t, name: fmt.Sprintf("%s%d", prefix, t)}
+	for t := range runs {
+		runs[t] = &tenantRun{id: t, name: fmt.Sprintf("t%d", t)}
 		wg.Add(1)
 		go func(tr *tenantRun) {
 			defer wg.Done()
@@ -355,65 +231,6 @@ func runIngestPhase(client *http.Client, base string, p loadgenParams, streams, 
 		}
 	}
 	return runs, nil
-}
-
-func tenantBytes(tr *tenantRun) int64 {
-	var n int64
-	for _, op := range tr.ops {
-		if op.Op == "backup" && op.Error == "" {
-			n += op.Bytes
-		}
-	}
-	return n
-}
-
-// fetchStageNanos reads the cumulative per-stage wall-time counters from the
-// server's /v1/stats.
-func fetchStageNanos(client *http.Client, base string) (map[string]int64, error) {
-	resp, err := client.Get(base + "/v1/stats")
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: stats: %w", err)
-	}
-	defer resp.Body.Close() //nolint:errcheck // read-only
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("loadgen: stats: %s", resp.Status)
-	}
-	var sv serve.StatsView
-	if err := json.NewDecoder(resp.Body).Decode(&sv); err != nil {
-		return nil, fmt.Errorf("loadgen: stats: %w", err)
-	}
-	if sv.Stages == nil {
-		sv.Stages = map[string]int64{}
-	}
-	return sv.Stages, nil
-}
-
-// makePhase folds the before/after stage counters into one breakdown entry.
-func makePhase(name string, streams, gens int, bytes int64, wall float64, before, after map[string]int64) stagePhase {
-	ph := stagePhase{
-		Phase: name, Streams: streams, Gens: gens,
-		IngestBytes: bytes, WallSeconds: wall,
-		StageNanos:  map[string]int64{},
-		StageShares: map[string]float64{},
-	}
-	if wall > 0 {
-		ph.MBps = float64(bytes) / wall / 1e6
-	}
-	var total int64
-	for stage, a := range after {
-		if d := a - before[stage]; d > 0 {
-			ph.StageNanos[stage] = d
-			total += d
-		}
-	}
-	var topNS int64
-	for stage, d := range ph.StageNanos {
-		ph.StageShares[stage] = float64(d) / float64(total)
-		if d > topNS {
-			topNS, ph.TopStage = d, stage
-		}
-	}
-	return ph
 }
 
 // traceRetained reports whether /debug/traces holds a span tree of the given

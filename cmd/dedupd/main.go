@@ -1,9 +1,9 @@
 // Command dedupd serves a deduplicating backup store over HTTP: streaming
 // multi-tenant ingest and restore on top of the repro engines, with
-// per-tenant backpressure and graceful drain. It doubles as its own load
-// generator (-loadgen), a seeded client that replays synthetic tenant
-// streams against a running server and writes a throughput/latency
-// trajectory.
+// per-tenant backpressure and graceful drain. It doubles as its own smoke
+// client (-loadgen): seeded synthetic tenant streams replayed against a
+// running server, every one of them restored, and a non-zero exit unless
+// each comes back bit-identical.
 //
 // Server:
 //
@@ -17,10 +17,9 @@
 // ingests are cancelled at a segment boundary (the store stays fsck-clean),
 // then the store is closed (manifest checkpoint, WAL fold).
 //
-// Load generator (against an already-running server):
+// Smoke client (against an already-running server):
 //
-//	dedupd -loadgen -addr 127.0.0.1:8080 -loadgen.tenants 4 -loadgen.gens 3 \
-//	       -loadgen.out BENCH_PR5.json
+//	dedupd -loadgen -addr 127.0.0.1:8080 -loadgen.tenants 4 -loadgen.gens 3
 package main
 
 import (
@@ -71,11 +70,9 @@ type serverParams struct {
 
 func realMain() error {
 	var (
-		p         serverParams
-		loadgen   = flag.Bool("loadgen", false, "run as load-generating client instead of server")
-		lg        loadgenParams
-		wallbench = flag.Bool("wallbench", false, "run the in-process GOMAXPROCS × streams wall-clock ingest sweep and exit")
-		wb        wallbenchParams
+		p       serverParams
+		loadgen = flag.Bool("loadgen", false, "run as load-generating client instead of server")
+		lg      loadgenParams
 
 		telAddr   = flag.String("telemetry.addr", "", "serve live /metrics, /debug/snapshot and /debug/pprof on this address")
 		telEvents = flag.String("telemetry.events", "", "write JSONL span events to this file")
@@ -113,25 +110,10 @@ func realMain() error {
 	flag.Int64Var(&lg.fileKB, "loadgen.filekb", 256, "loadgen: mean file size in KiB")
 	flag.Int64Var(&lg.seed, "seed", 1, "loadgen: workload seed")
 	flag.StringVar(&lg.scenario, "loadgen.scenario", "backup", "loadgen: per-tenant workload scenario: backup, primary, workspace, or mixed (rotate tenants across all three)")
-	flag.StringVar(&lg.out, "loadgen.out", "BENCH_PR5.json", "loadgen: write the run trajectory to this file")
-	flag.StringVar(&lg.stagesOut, "loadgen.stages.out", "BENCH_PR6.json", "loadgen: write the per-stage time breakdown to this file")
-	flag.StringVar(&lg.sweep, "loadgen.sweep", "", "loadgen: extra ingest-only phases at these stream counts for the stage sweep (e.g. \"1,2,8\")")
+	flag.StringVar(&lg.out, "loadgen.out", "", "loadgen: also write the per-operation trajectory (JSON) to this file (empty = print the summary line only)")
 	flag.StringVar(&lg.mode, "loadgen.restore.mode", "pipelined", "loadgen: restore mode to verify with (lru, opt, pipelined, faa)")
 	flag.BoolVar(&lg.skipRestore, "loadgen.norestore", false, "loadgen: skip the restore+verify phase")
 
-	flag.StringVar(&wb.out, "wallbench.out", "BENCH_PR7.json", "wallbench: write the sweep report to this file")
-	flag.StringVar(&wb.procs, "wallbench.procs", "", "wallbench: GOMAXPROCS values to sweep, e.g. \"1,2,8\" (empty = host setting)")
-	flag.StringVar(&wb.streams, "wallbench.streams", "1,2,4,8", "wallbench: stream concurrency values to sweep")
-	flag.IntVar(&wb.tenants, "wallbench.tenants", 8, "wallbench: tenants in the fixed workload every cell ingests")
-	flag.IntVar(&wb.gens, "wallbench.gens", 2, "wallbench: backup generations per tenant")
-	flag.IntVar(&wb.files, "wallbench.files", 8, "wallbench: files per tenant file system")
-	flag.Int64Var(&wb.fileKB, "wallbench.filekb", 128, "wallbench: mean file size in KiB")
-	flag.Float64Var(&wb.floor, "wallbench.floor", 4.0, "wallbench: minimum 8-vs-1-stream wall speedup (enforced only on hosts with >= 8 CPUs)")
-	flag.BoolVar(&wb.restore, "wallbench.restore", false, "wallbench: sweep restore wall-clock scaling (decode workers × cache budgets) instead of ingest")
-	flag.StringVar(&wb.restoreOut, "wallbench.restore.out", "BENCH_PR8.json", "wallbench: write the restore sweep report to this file")
-	flag.StringVar(&wb.restoreWorkers, "wallbench.restore.workers", "1,2,4,8", "wallbench: restore decode worker counts to sweep")
-	flag.StringVar(&wb.restoreCacheMB, "wallbench.restore.cachemb", "0,64", "wallbench: shared sealed-container cache budgets (MB) to sweep; 0 = cache off")
-	flag.Float64Var(&wb.restoreFloor, "wallbench.restore.floor", 2.0, "wallbench: minimum 8-vs-1-decode-worker restore wall speedup (enforced only on hosts with >= 8 CPUs)")
 	logLevel := flag.String("log.level", "info", "structured log level: debug, info, warn, error")
 	noTracing := flag.Bool("tracing.off", false, "disable span tracing (stage counters stay on)")
 	flag.Parse()
@@ -147,16 +129,6 @@ func realMain() error {
 	defer ep.Close()
 	if a := ep.Addr(); a != "" {
 		telemetry.Logger().Info("telemetry endpoint up", "url", "http://"+a+"/metrics")
-	}
-	if *wallbench {
-		wb.seed = lg.seed
-		wb.engine = p.engineName
-		wb.alpha = p.alpha
-		wb.workers = p.workers
-		if wb.restore {
-			return runWallbenchRestore(wb)
-		}
-		return runWallbench(wb)
 	}
 	if *loadgen {
 		lg.addr = p.addr

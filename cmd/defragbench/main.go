@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	defragbench [-fig all|2|3|4|5|6|eq1|alpha|ablations] [flags]
+//	defragbench [-fig all|eq1|2|3|4|5|6|extended|layout|alpha|ablations] [flags]
 //	defragbench -json [-engine defrag] [-gens N] [flags]
 //
 // Examples:
@@ -13,19 +13,16 @@
 //	defragbench -fig alpha             # the α trade-off sweep
 //	defragbench -fig all -files 32     # everything, at reduced scale
 //	defragbench -json > bench.jsonl    # one JSONL record per generation
-//	defragbench -multistream BENCH_PR2.json   # multi-stream scaling sweep
-//	defragbench -restorebench BENCH_PR3.json  # restore strategy sweep (LRU/OPT/FAA/pipelined)
-//	defragbench -maintbench BENCH_PR9.json    # online maintenance restore-of-latest curve
-//	defragbench -scenariobench BENCH_PR10.json # cross-scenario table + filter ablation
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro"
@@ -37,7 +34,7 @@ func main() { cli.Main("defragbench", realMain) }
 
 func realMain() error {
 	var (
-		fig       = flag.String("fig", "all", "which figure to regenerate: all, 2, 3, 4, 5, 6, eq1, extended, layout, alpha, ablations (comma-separated)")
+		fig       = flag.String("fig", "all", "which figures to regenerate, comma-separated: "+strings.Join(figureNames, ", "))
 		seed      = flag.Int64("seed", 42, "workload seed")
 		gens      = flag.Int("gens", 20, "generations for single-user experiments (Figs. 2, 3, 6)")
 		backups   = flag.Int("backups", 66, "backups for multi-user experiments (Figs. 4, 5)")
@@ -48,14 +45,6 @@ func realMain() error {
 		jsonOut   = flag.Bool("json", false, "emit a per-generation JSONL trajectory to stdout instead of figure tables")
 		engine    = flag.String("engine", "defrag", "engine for -json trajectories: defrag, ddfs, silo, sparse, idedup")
 		workers   = flag.Int("workers", 0, "parallel fingerprinting workers per backup (0 = auto/GOMAXPROCS, 1 = serial)")
-		msOut     = flag.String("multistream", "", "run the multi-stream scaling benchmark and write JSON to this file (\"-\" = stdout)")
-		streams   = flag.String("streams", "1,2,4,8", "comma-separated concurrency levels for -multistream")
-		rbOut     = flag.String("restorebench", "", "run the restore strategy sweep (LRU/OPT/FAA/pipelined per generation) and write JSON to this file (\"-\" = stdout)")
-		mbOut     = flag.String("maintbench", "", "run the maintenance benchmark (restore-of-latest vs generation, with and without the online pass) and write JSON to this file (\"-\" = stdout)")
-		sbOut     = flag.String("scenariobench", "", "run the cross-scenario benchmark (backup/primary/workspace table plus the primary inline-filter ablation) and write JSON to this file (\"-\" = stdout)")
-		sbRounds  = flag.Int("scenario.rounds", 0, "backups per stream for -scenariobench (0 = default 4)")
-		sbBytes   = flag.Int64("scenario.bytes", 0, "approximate bytes per backup for -scenariobench (0 = default 4 MiB)")
-		rWorkers  = flag.Int("restore.workers", 8, "simulated read lanes for the pipelined restore (-restorebench and -json restores)")
 		rCache    = flag.Int("restore.cache", 0, "restore cache capacity in containers (0 = restore default, 8)")
 		telAddr   = flag.String("telemetry.addr", "", "serve live /metrics, /debug/snapshot and /debug/pprof on this address")
 		telEvents = flag.String("telemetry.events", "", "write JSONL span events to this file")
@@ -81,32 +70,15 @@ func realMain() error {
 	cfg.Workers = *workers
 	cfg.RestoreCache = *rCache
 
-	if *rbOut != "" {
-		return emitRestoreBench(cfg, *engine, *rCache, *rWorkers, *rbOut)
-	}
-	if *sbOut != "" {
-		return emitScenarioBench(repro.ScenarioBenchConfig{
-			Seed:           *seed,
-			Users:          *users,
-			Rounds:         *sbRounds,
-			BytesPerStream: *sbBytes,
-		}, *sbOut)
-	}
-	if *mbOut != "" {
-		return emitMaintBench(cfg, *mbOut)
-	}
-	if *msOut != "" {
-		return emitMultiStream(cfg, *engine, *streams, *msOut)
-	}
 	if *jsonOut {
 		return emitTrajectory(cfg, *engine)
 	}
-	return dispatch(*fig, cfg, *csvDir)
+	return dispatch(os.Stdout, *fig, cfg, *csvDir)
 }
 
 // emitTrajectory runs one per-generation benchmark trajectory and writes it
 // as JSONL (one record per generation: throughput, rewrite ratio, fragments,
-// restore performance) so BENCH_*.json files can be captured mechanically.
+// restore performance).
 func emitTrajectory(cfg repro.ExperimentConfig, engineName string) error {
 	kind, err := repro.ParseEngineKind(engineName)
 	if err != nil {
@@ -119,108 +91,19 @@ func emitTrajectory(cfg repro.ExperimentConfig, engineName string) error {
 	return repro.WriteTrajectoryJSONL(os.Stdout, points)
 }
 
-// emitRestoreBench runs the restore strategy sweep — every generation's
-// recipe restored through LRU, OPT, FAA and the full pipeline — and writes
-// the JSON result (BENCH_PR3.json's format) to out.
-func emitRestoreBench(cfg repro.ExperimentConfig, engineName string, cache, workers int, out string) error {
-	kind, err := repro.ParseEngineKind(engineName)
-	if err != nil {
-		return err
-	}
-	bench, err := repro.RunRestoreBench(cfg, kind, cache, workers)
-	if err != nil {
-		return err
-	}
-	w := os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return repro.WriteRestoreBenchJSON(w, bench)
-}
+// figureNames is every name -fig accepts, in the order the figures print.
+var figureNames = []string{"all", "eq1", "2", "3", "4", "5", "6", "extended", "layout", "alpha", "ablations"}
 
-// emitMaintBench runs the maintenance benchmark — the same mutating
-// workload ingested into a maintained and an unmaintained DeFrag store,
-// restore-of-latest measured every generation — and writes the JSON result
-// (BENCH_PR9.json's format) to out.
-func emitMaintBench(cfg repro.ExperimentConfig, out string) error {
-	bench, err := repro.RunMaintBench(cfg, repro.MaintenanceOptions{})
-	if err != nil {
-		return err
-	}
-	w := os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return repro.WriteMaintBenchJSON(w, bench)
-}
-
-// emitScenarioBench runs the cross-scenario benchmark — one seeded run per
-// scenario (backup, primary, workspace) through a DeFrag store, every
-// restore hash-verified, plus the primary-storage filter-vs-baseline
-// ablation — and writes the JSON result (BENCH_PR10.json's format) to out.
-func emitScenarioBench(cfg repro.ScenarioBenchConfig, out string) error {
-	bench, err := repro.RunScenarioBench(cfg)
-	if err != nil {
-		return err
-	}
-	w := os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return repro.WriteScenarioBenchJSON(w, bench)
-}
-
-// emitMultiStream runs the multi-stream scaling benchmark — the same
-// multi-user schedule ingested at each concurrency level — and writes the
-// JSON result (wall and simulated speedups per level) to out.
-func emitMultiStream(cfg repro.ExperimentConfig, engineName, levelsCSV, out string) error {
-	kind, err := repro.ParseEngineKind(engineName)
-	if err != nil {
-		return err
-	}
-	var levels []int
-	for _, f := range strings.Split(levelsCSV, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad -streams level %q", f)
-		}
-		levels = append(levels, n)
-	}
-	bench, err := repro.RunMultiStreamBench(cfg, kind, levels)
-	if err != nil {
-		return err
-	}
-	w := os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return repro.WriteMultiStreamJSON(w, bench)
-}
-
-func dispatch(fig string, cfg repro.ExperimentConfig, csvDir string) error {
+// dispatch writes the figures named in the comma-separated fig to w. An
+// unknown name is a usage error, raised before any figure runs.
+func dispatch(w io.Writer, fig string, cfg repro.ExperimentConfig, csvDir string) error {
 	want := map[string]bool{}
 	for _, f := range strings.Split(fig, ",") {
-		want[strings.TrimSpace(f)] = true
+		f = strings.TrimSpace(f)
+		if !slices.Contains(figureNames, f) {
+			return cli.Usagef("unknown figure %q for -fig (valid: %s)", f, strings.Join(figureNames, ", "))
+		}
+		want[f] = true
 	}
 	all := want["all"]
 
@@ -228,10 +111,10 @@ func dispatch(fig string, cfg repro.ExperimentConfig, csvDir string) error {
 		if err != nil {
 			return err
 		}
-		if err := res.WriteTable(os.Stdout); err != nil {
+		if err := res.WriteTable(w); err != nil {
 			return err
 		}
-		printSummary(res)
+		printSummary(w, res)
 		if csvDir != "" {
 			if err := writeCSV(csvDir, res); err != nil {
 				return err
@@ -325,7 +208,7 @@ func writeCSV(dir string, res *repro.FigureResult) error {
 	return res.WriteCSV(f)
 }
 
-func printSummary(res *repro.FigureResult) {
+func printSummary(w io.Writer, res *repro.FigureResult) {
 	if len(res.Summary) == 0 {
 		return
 	}
@@ -334,9 +217,9 @@ func printSummary(res *repro.FigureResult) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	fmt.Println("summary:")
+	fmt.Fprintln(w, "summary:")
 	for _, k := range keys {
-		fmt.Printf("  %-28s %.3f\n", k, res.Summary[k])
+		fmt.Fprintf(w, "  %-28s %.3f\n", k, res.Summary[k])
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }

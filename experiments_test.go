@@ -3,6 +3,8 @@ package repro
 import (
 	"bytes"
 	"context"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -199,15 +201,60 @@ func TestFigureWriteTable(t *testing.T) {
 	}
 }
 
+// TestRunRestoreAblation holds the restore-strategy table to what it claims:
+// Belady's bound and coalescing row by row, the pipelined restore at >= 2x
+// the serial LRU one where the cache is smallest (PR 3's acceptance bar), and
+// a table that is a function of the workload alone — Workers sizes the
+// wall-clock fingerprinting pool and must not move a simulated column.
 func TestRunRestoreAblation(t *testing.T) {
-	cfg := tinyCfg()
-	cfg.Generations = 6
-	res, err := RunRestoreAblation(cfg)
-	if err != nil {
-		t.Fatal(err)
+	table := func(workers int) *FigureResult {
+		t.Helper()
+		cfg := tinyCfg()
+		cfg.Generations = 6
+		cfg.Workers = workers
+		res, err := RunRestoreAblation(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
+	res := table(0)
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d", len(res.Rows))
+	}
+	col := func(row []string, name string) float64 {
+		t.Helper()
+		for i, c := range res.Columns {
+			if c == name {
+				v, err := strconv.ParseFloat(row[i], 64)
+				if err != nil {
+					t.Fatalf("column %s of row %v: %v", name, row, err)
+				}
+				return v
+			}
+		}
+		t.Fatalf("no column %s in %v", name, res.Columns)
+		return 0
+	}
+	for _, row := range res.Rows {
+		if col(row, "opt_creads") > col(row, "lru_creads") {
+			t.Errorf("budget %s MB: OPT fetched more containers than LRU: %v", row[0], row)
+		}
+		if col(row, "pipe_extents") > col(row, "opt_creads") {
+			t.Errorf("budget %s MB: coalescing issued more reads than OPT fetches: %v", row[0], row)
+		}
+	}
+	first := res.Rows[0] // the smallest cache, where the strategies differ most
+	if first[0] != "8" || col(first, "pipe_read_MBps") < 2*col(first, "lru_read_MBps") {
+		t.Errorf("8 MB row: pipelined restore below 2x serial LRU: %v", first)
+	}
+	if col(first, "pipe_extents") >= col(first, "opt_creads") {
+		t.Errorf("8 MB row: coalescing merged no reads: %v", first)
+	}
+	for _, workers := range []int{1, 8} {
+		if got := table(workers); !reflect.DeepEqual(got, res) {
+			t.Errorf("Workers=%d moved the table:\n%v\nwant\n%v", workers, got.Rows, res.Rows)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/workload"
 )
@@ -132,6 +133,101 @@ func TestFilterSpillRoundtripAndRededup(t *testing.T) {
 	}
 	if !rep.OK() {
 		t.Fatalf("fsck after re-dedup: %v", rep.Problems)
+	}
+}
+
+// TestFilterIngestsPrimaryFasterAtEqualDedup is what the prioritized inline
+// filter is for, as a paired comparison on the simulated clock (the retired
+// cross-scenario ablation, EXPERIMENTS.md "Retired harnesses"): the same
+// seeded primary-storage streams go into a filter-on and a filter-off DeFrag
+// store. The filter must spill, must not make ingest slower, and once
+// maintenance has re-deduplicated the spill must have cost no live dedup:
+// logical bytes over stored-minus-dead bytes, both stores merged at the same
+// aggressive threshold so neither is credited for garbage the other still
+// holds. Every stream restores bit-identical from both.
+func TestFilterIngestsPrimaryFasterAtEqualDedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ingests 2 x 64 MiB")
+	}
+	const users, rounds, perStream = 4, 4, 4 << 20
+	ctx := context.Background()
+	type side struct {
+		store  *Store
+		ingest time.Duration // simulated
+		datas  [][]byte
+	}
+	run := func(filter FilterOptions) *side {
+		t.Helper()
+		s, err := Open(Options{Engine: DeFrag, StoreData: true, ExpectedBytes: users * rounds * perStream * 2,
+			Filter: filter, Maintenance: MaintenanceOptions{UtilThreshold: 0.85}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() }) //nolint:errcheck // test teardown
+		sched, err := workload.NewScenario(workload.ScenarioPrimary,
+			workload.ScenarioParams{Seed: 42, Users: users, BytesPerStream: perStream})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sd := &side{store: s}
+		for i := 0; i < users*rounds; i++ {
+			bk := sched.Next()
+			data, err := io.ReadAll(bk.Stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := s.Backup(ctx, bk.Label, bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sd.ingest += b.Stats.Duration
+			sd.datas = append(sd.datas, data)
+		}
+		return sd
+	}
+	baseline, filtered := run(FilterOptions{}), run(FilterOptions{Enabled: true})
+
+	if st := filtered.store.Stats(); st.SpilledStreams == 0 || st.SpilledBytes == 0 {
+		t.Fatalf("the filter never spilled on the primary workload: %+v", st)
+	}
+	if filtered.ingest > baseline.ingest {
+		t.Errorf("filter-on ingest took %v simulated, filter-off %v", filtered.ingest, baseline.ingest)
+	}
+
+	var rededuped int64
+	for _, sd := range []*side{baseline, filtered} {
+		for i := 0; i < 8; i++ {
+			ms, err := sd.store.MaintenanceEpoch(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sd == filtered {
+				rededuped += ms.RefsRededuped
+			}
+			if ms.RefsRededuped == 0 && ms.RefsRemapped == 0 && ms.ContainersMerged == 0 {
+				break
+			}
+		}
+	}
+	if rededuped == 0 {
+		t.Error("eight epochs re-deduplicated none of the spill")
+	}
+	liveRatio := func(s *Store) float64 {
+		rep := s.MaintenanceReport()
+		return float64(s.Stats().LogicalBytes) / float64(rep.StoredBytes-rep.DeadBytes)
+	}
+	if f, b := liveRatio(filtered.store), liveRatio(baseline.store); f < 0.999*b {
+		t.Errorf("live dedup ratio with the filter %.4f, without %.4f", f, b)
+	}
+	for _, sd := range []*side{baseline, filtered} {
+		restoreVerifyAll(t, sd.store, sd.datas)
+		rep, err := sd.store.Check(ctx, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() {
+			t.Fatalf("fsck after the epochs: %v", rep.Problems)
+		}
 	}
 }
 

@@ -2,8 +2,10 @@ package engine_test
 
 import (
 	"context"
+	"io"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -103,6 +105,83 @@ func TestRunStreamsSerialEquivalence(t *testing.T) {
 			if e1.Clock().Now() != e2.Clock().Now() {
 				t.Errorf("simulated time diverges: serial %v, RunStreams(context.Background(), 1) %v",
 					e1.Clock().Now(), e2.Clock().Now())
+			}
+		})
+	}
+}
+
+// firstWave makes the first n streams wait, at their first Read, until all n
+// have been started. RunStreams hands streams to whichever lane is free, so
+// without this a lane that is scheduled early can finish its stream and take
+// a second before another lane has taken its first — and the simulated time
+// of the round would depend on the host's scheduler.
+func firstWave(streams []engine.Stream, n int) {
+	started := new(sync.WaitGroup)
+	started.Add(n)
+	for i := 0; i < n; i++ {
+		streams[i].R = &gatedReader{r: streams[i].R, started: started}
+	}
+}
+
+type gatedReader struct {
+	r       io.Reader
+	once    sync.Once
+	started *sync.WaitGroup
+}
+
+func (g *gatedReader) Read(p []byte) (int, error) {
+	g.once.Do(func() { g.started.Done(); g.started.Wait() })
+	return g.r.Read(p)
+}
+
+// TestRunStreamsLanesCostTheSlowest is the timing model's claim (and the
+// retired multi-stream scaling table's, EXPERIMENTS.md "Retired harnesses"):
+// K concurrent backups cost the slowest of K lanes, not the sum. The same two
+// seeded rounds of four users go through a fresh engine at concurrency 1, 2
+// and 4; the simulated time of the whole run strictly falls with each level
+// while what was written, and what was deduplicated, does not move.
+func TestRunStreamsLanesCostTheSlowest(t *testing.T) {
+	for _, mk := range []struct {
+		name string
+		make func(t *testing.T) engine.Engine
+	}{
+		{"ddfs", func(t *testing.T) engine.Engine { return newDDFS(t) }},
+		{"defrag", func(t *testing.T) engine.Engine { return newDeFrag(t) }},
+	} {
+		t.Run(mk.name, func(t *testing.T) {
+			const nstreams = 4
+			var below engine.BackupStats
+			for _, level := range []int{1, 2, 4} {
+				e := mk.make(t)
+				var total engine.BackupStats
+				for round := 0; round < 2; round++ {
+					streams := streamSet(t, nstreams, round, 31)
+					firstWave(streams, level)
+					_, merged, err := engine.RunStreams(context.Background(), e, streams, level)
+					if err != nil {
+						t.Fatal(err)
+					}
+					total.LogicalBytes += merged.LogicalBytes
+					total.UniqueBytes += merged.UniqueBytes
+					total.DedupedBytes += merged.DedupedBytes
+					total.Duration += merged.Duration
+				}
+				if level == 1 {
+					if total.DedupedBytes == 0 || total.UniqueBytes == 0 {
+						t.Fatalf("the rounds do not exercise both paths: %+v", total)
+					}
+				} else {
+					if total.Duration >= below.Duration {
+						t.Errorf("concurrency %d took %v simulated, no less than %v one level down", level, total.Duration, below.Duration)
+					}
+					if total.LogicalBytes != below.LogicalBytes || total.UniqueBytes != below.UniqueBytes || total.DedupedBytes != below.DedupedBytes {
+						t.Errorf("concurrency %d changed the dedup outcome: logical/unique/deduped %d/%d/%d, one level down %d/%d/%d",
+							level, total.LogicalBytes, total.UniqueBytes, total.DedupedBytes,
+							below.LogicalBytes, below.UniqueBytes, below.DedupedBytes)
+					}
+				}
+				t.Logf("concurrency %d: %v", level, total.Duration)
+				below = total
 			}
 		})
 	}

@@ -15,7 +15,7 @@ import (
 // counters answer the question flat throughput numbers cannot: which stage
 // serializes a multi-stream run. Because they are wall-clock sums across
 // all goroutines, a stage whose share does not shrink as streams are added
-// is the serial bottleneck (see the BENCH_PR6 stage sweep).
+// is the serial bottleneck (EXPERIMENTS.md "Retired harnesses": the PR 6 row).
 //
 // Counters surface as pipeline_stage_ns_total{stage=...} and
 // pipeline_stage_ops_total{stage=...} on /metrics, and as a stage→ns map on

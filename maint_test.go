@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/workload"
 )
 
 // maintOptions returns aggressive maintenance thresholds that fire on the
@@ -221,6 +224,83 @@ func TestMaintenanceConcurrentWithRestores(t *testing.T) {
 			}
 			restoreVerifyAll(t, s, append(datas, fresh))
 		})
+	}
+}
+
+// TestMaintenanceSpeedsUpRestoreOfLatest is the out-of-line half of the
+// paper's claim, as a paired comparison on the simulated clock: two DeFrag
+// stores ingest the same ten seeded generations and one of them runs a
+// maintenance epoch after each. Restoring the newest backup through the
+// serial LRU cache — the shape most sensitive to placement — never costs the
+// maintained store more container reads or more simulated time than its
+// twin, costs it strictly less by the last generation, and no generation's
+// bytes change for it. (The retired maintenance curve, EXPERIMENTS.md
+// "Retired harnesses", at test scale.)
+func TestMaintenanceSpeedsUpRestoreOfLatest(t *testing.T) {
+	ctx := context.Background()
+	open := func() *Store {
+		t.Helper()
+		s, err := Open(Options{Engine: DeFrag, Alpha: 0.1, StoreData: true, ExpectedBytes: 64 << 20,
+			Maintenance: MaintenanceOptions{UtilThreshold: 0.6, SparseThreshold: 0.5, MaxBatch: 16}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() }) //nolint:errcheck // test teardown
+		return s
+	}
+	twin, maintained := open(), open()
+	wcfg := workload.DefaultConfig(42)
+	wcfg.NumFiles = 8
+	sched, err := workload.NewSingle(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restoreLatest := func(s *Store, b *Backup) RestoreStats {
+		t.Helper()
+		rs, err := s.RestoreWith(ctx, b, nil, RestoreOptions{Policy: RestoreLRU, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	const gens = 10
+	var datas [][]byte
+	for g := 1; g <= gens; g++ {
+		bk := sched.Next()
+		data, err := io.ReadAll(bk.Stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		datas = append(datas, data)
+		tb, err := twin.Backup(ctx, bk.Label, bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mb, err := maintained.Backup(ctx, bk.Label, bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := maintained.MaintenanceEpoch(ctx); err != nil {
+			t.Fatal(err)
+		}
+
+		left, kept := restoreLatest(twin, tb), restoreLatest(maintained, mb)
+		if kept.ContainerReads > left.ContainerReads || kept.Duration > left.Duration {
+			t.Errorf("generation %d: maintained store restores the latest backup in %d reads / %v, its twin in %d / %v",
+				g, kept.ContainerReads, kept.Duration, left.ContainerReads, left.Duration)
+		}
+		if g == gens && (kept.ContainerReads >= left.ContainerReads || kept.Duration >= left.Duration) {
+			t.Errorf("after %d generations maintenance bought nothing: %d reads / %v against %d / %v",
+				gens, kept.ContainerReads, kept.Duration, left.ContainerReads, left.Duration)
+		}
+	}
+	restoreVerifyAll(t, maintained, datas)
+	rep, err := maintained.Check(ctx, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("maintained store not fsck-clean: %v", rep.Problems)
 	}
 }
 

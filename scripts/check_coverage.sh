@@ -6,12 +6,21 @@
 #
 # Adding a package: land its tests, run `go test -cover ./...`, and add a
 # floor a handful of points below what you measured.
+#
+# repro/cmd/dedupd is the exception: its tests re-exec the test binary as a
+# real dedupd, and a child's statements count only if the child exits on its
+# own and the toolchain merges the counters it leaves in GOCOVERDIR. Measured
+# at PR 18 on go1.24: 73.8 % with the smoke-client test (children that run to
+# completion), 22.4 % from the kill tests alone (server children die by
+# SIGKILL or a simulated crash). The floor stays at 15, under the lower
+# figure, so it reads the same on a toolchain that merges nothing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 declare -A floors=(
   [repro]=75
   [repro/cmd/dedupd]=15
+  [repro/cmd/defragbench]=58
   [repro/internal/analysis]=90
   [repro/internal/archive]=70
   [repro/internal/blockstore]=60

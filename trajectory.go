@@ -9,7 +9,7 @@ import (
 )
 
 // TrajectoryPoint is one generation of a benchmark trajectory: the
-// per-generation quantities BENCH_*.json files capture mechanically
+// per-generation quantities `defragbench -json` emits, one JSONL record each
 // (throughput decay of paper Fig. 2, the rewrite ratio behind Fig. 6's
 // trade-off, and the fragment count of Eq. 1).
 type TrajectoryPoint struct {
