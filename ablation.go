@@ -56,7 +56,7 @@ func runDefragVariant(cfg ExperimentConfig, mutate func(*core.Config)) (defragRu
 		logical += st.LogicalBytes
 		lastStats = st
 		if g == cfg.Generations-1 {
-			lastRead, err = restore.Run(context.Background(), eng.Containers(), b.recipe(), restore.DefaultConfig(), nil)
+			lastRead, err = restore.RunPipelined(context.Background(), eng.Containers(), b.recipe(), restore.DefaultConfig(), nil)
 			if err != nil {
 				return defragRunResult{}, err
 			}
@@ -216,13 +216,13 @@ func RunContainerAblation(cfg ExperimentConfig, sizesMB []int) (*FigureResult, e
 // not move a simulated column.
 const restoreAblationLanes = 4
 
-// RunRestoreAblation compares the four restore strategies — LRU container
-// cache, recipe-aware OPT cache, forward assembly area, and the fully
-// pipelined engine (OPT + coalescing + parallel prefetch) — on a
-// late-generation (fragmented) DeFrag recipe across equivalent memory
-// budgets. OPT's container reads are never above LRU's at the same budget
-// (Belady optimality); the pipelined column shows what coalescing and
-// prefetch lanes add on top of the better eviction.
+// RunRestoreAblation compares four shapes of the one restore engine — LRU
+// container cache, recipe-aware OPT cache, forward assembly, and everything
+// on (OPT + coalescing + parallel read lanes) — on a late-generation
+// (fragmented) DeFrag recipe across equivalent memory budgets. OPT's
+// container reads are never above LRU's at the same budget (Belady
+// optimality); the pipelined column shows what coalescing and prefetch
+// lanes add on top of the better eviction.
 func RunRestoreAblation(cfg ExperimentConfig) (*FigureResult, error) {
 	cfg = cfg.withDefaults()
 	expected, lpc, _ := cfg.sizing(1, cfg.Generations)
@@ -265,12 +265,13 @@ func RunRestoreAblation(cfg ExperimentConfig) (*FigureResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		faaSt, err := restore.RunFAA(context.Background(), eng.Containers(), last.recipe(), restore.FAAConfig{AreaBytes: budgetMB << 20}, nil)
+		faaSt, err := restore.RunPipelined(context.Background(), eng.Containers(), last.recipe(),
+			restore.PipelineConfig{CacheContainers: cap, Policy: restore.PolicyFAA, Workers: 1}, nil)
 		if err != nil {
 			return nil, err
 		}
 		pipeSt, err := restore.RunPipelined(context.Background(), eng.Containers(), last.recipe(),
-			restore.PipelineConfig{CacheContainers: cap, Policy: restore.PolicyOPT, Workers: restoreAblationLanes, Coalesce: true, MaxCoalesce: 8}, nil)
+			restore.PipelineConfig{CacheContainers: cap, Policy: restore.PolicyOPT, Workers: restoreAblationLanes, Coalesce: true}, nil)
 		if err != nil {
 			return nil, err
 		}

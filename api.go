@@ -767,46 +767,47 @@ func (s *Store) Forget(label string) ForgetResult {
 	return res
 }
 
-// RestorePolicy selects the restore cache replacement policy.
+// RestorePolicy selects the schedule a restore follows: a container cache
+// with LRU or OPT eviction, or forward assembly.
 type RestorePolicy int
 
 const (
 	// RestoreLRU is the classic recency cache — what the paper's figures are
 	// measured with, and what a zero RestoreOptions selects.
-	RestoreLRU RestorePolicy = iota
+	RestoreLRU = RestorePolicy(restore.PolicyLRU)
 	// RestoreOPT is Belady's offline-optimal eviction, computable online
 	// here because the full recipe is known before the restore starts. It is
 	// the default (DefaultRestoreOptions): never more container reads than
 	// LRU at the same capacity, and on fragmented recipes about a quarter
 	// fewer.
-	RestoreOPT
+	RestoreOPT = RestorePolicy(restore.PolicyOPT)
+	// RestoreFAA is forward assembly: the stream is rebuilt in windows of
+	// CacheContainers containers' worth of bytes, and within one window
+	// every container is read exactly once, however badly fragmentation
+	// interleaves the recipe.
+	RestoreFAA = RestorePolicy(restore.PolicyFAA)
 )
 
-func (p RestorePolicy) String() string {
-	if p == RestoreOPT {
-		return "opt"
-	}
-	return "lru"
-}
+func (p RestorePolicy) String() string { return restore.CachePolicy(p).String() }
 
-// ParseRestorePolicy converts "lru" or "opt" to a RestorePolicy.
+// ParseRestorePolicy converts "lru", "opt" or "faa" to a RestorePolicy.
 func ParseRestorePolicy(s string) (RestorePolicy, error) {
-	switch s {
-	case "lru":
-		return RestoreLRU, nil
-	case "opt":
-		return RestoreOPT, nil
+	for _, p := range []RestorePolicy{RestoreLRU, RestoreOPT, RestoreFAA} {
+		if s == p.String() {
+			return p, nil
+		}
 	}
-	return 0, fmt.Errorf("repro: unknown restore policy %q", s)
+	return 0, fmt.Errorf("repro: unknown restore policy %q (want lru, opt or faa)", s)
 }
 
 // RestoreOptions parameterizes Store.RestoreWith.
 type RestoreOptions struct {
 	// CacheContainers is the restore cache capacity in containers
-	// (default 8, the restore package default).
+	// (default 8, the restore package default); under RestoreFAA, the size
+	// of the assembly window in containers.
 	CacheContainers int
-	// Policy selects LRU (the zero value) or OPT eviction (what
-	// DefaultRestoreOptions sets).
+	// Policy selects LRU (the zero value), OPT eviction (what
+	// DefaultRestoreOptions sets) or forward assembly.
 	Policy RestorePolicy
 	// Workers is the number of simulated read lanes (default 1): it only
 	// decides how extent reads are charged to the simulated clock. The bytes
@@ -815,26 +816,15 @@ type RestoreOptions struct {
 	// Coalesce merges reads of disk-adjacent containers into single
 	// sequential extents (one seek for k containers).
 	Coalesce bool
-	// ChunkCache retains only recipe-referenced chunks instead of whole
-	// container data sections.
-	ChunkCache bool
 	// Verify recomputes chunk fingerprints; requires Options.StoreData.
 	Verify bool
-	// DecodeWorkers sizes the wall-clock verify/decode worker pool of the
-	// restore pipeline: 0 (the default) sizes it to GOMAXPROCS, 1 forces
-	// inline serial decode, N > 1 uses exactly N goroutines. Like
-	// Options.Workers on the ingest side this is purely a wall-clock
-	// optimization — restored bytes, simulated time, and every statistic
-	// are bit-identical across values.
-	DecodeWorkers int
 }
 
 // DefaultRestoreOptions returns the default restore shape: an 8-container
 // cache evicted with the recipe's forward knowledge (RestoreOPT), one
 // simulated read lane, uncoalesced — the timing model of a serial reader who
-// has read the recipe first — with the wall-clock decode pool at its
-// automatic size. Set Policy to RestoreLRU for the recency cache of the
-// paper's figures.
+// has read the recipe first. Set Policy to RestoreLRU for the recency cache
+// of the paper's figures.
 func DefaultRestoreOptions() RestoreOptions {
 	return RestoreOptions{CacheContainers: restore.DefaultConfig().CacheContainers, Policy: RestoreOPT, Workers: 1}
 }
@@ -850,9 +840,9 @@ func (s *Store) Restore(ctx context.Context, b *Backup, w io.Writer, verify bool
 }
 
 // RestoreWith reconstructs backup b under explicit restore options. Every
-// shape runs the pipelined engine; its LRU, one-lane, uncoalesced results
-// are bit-identical to the reference restore.Run (pinned in
-// internal/restore's tests).
+// shape is a schedule for the one restore engine (restore.RunPipelined),
+// which verifies and writes on a pool of GOMAXPROCS goroutines; restored
+// bytes and every statistic are the same at any pool size.
 //
 // On a backend that copies sections out of files, the restore reads them
 // into a fixed set of its own buffers — CacheContainers plus what the
@@ -871,41 +861,18 @@ func (s *Store) RestoreWith(ctx context.Context, b *Backup, w io.Writer, opts Re
 	if opts.CacheContainers <= 0 {
 		opts.CacheContainers = restore.DefaultConfig().CacheContainers
 	}
-	cfg := restore.PipelineConfig{
+	st, err := restore.RunPipelined(ctx, s.eng.Containers(), b.recipe(), restore.PipelineConfig{
 		CacheContainers: opts.CacheContainers,
+		Policy:          restore.CachePolicy(opts.Policy),
 		Workers:         opts.Workers,
 		Coalesce:        opts.Coalesce,
-		ChunkCache:      opts.ChunkCache,
 		Verify:          opts.Verify,
-		DecodeWorkers:   opts.DecodeWorkers,
-	}
-	if opts.Policy == RestoreOPT {
-		cfg.Policy = restore.PolicyOPT
-	}
-	st, err := restore.RunPipelined(ctx, s.eng.Containers(), b.recipe(), cfg, w)
+	}, w)
 	if err != nil {
 		return RestoreStats{}, err
 	}
 	span.SetSim(st.Duration)
-	return fromRestoreStats(st), nil
-}
-
-// RestoreFAA reconstructs backup b with the forward-assembly-area
-// algorithm instead of the LRU container cache: memory is bounded by
-// areaBytes and every container is read at most once per assembly window,
-// regardless of how badly fragmentation interleaves the recipe.
-func (s *Store) RestoreFAA(ctx context.Context, b *Backup, w io.Writer, areaBytes int64, verify bool) (RestoreStats, error) {
-	ctx, span := telemetry.StartSpan(ctx, "store.restore")
-	defer span.End()
-	telRestores.Inc()
-	s.maintMu.RLock()
-	defer s.maintMu.RUnlock()
-	st, err := restore.RunFAA(ctx, s.eng.Containers(), b.recipe(), restore.FAAConfig{AreaBytes: areaBytes, Verify: verify}, w)
-	if err != nil {
-		return RestoreStats{}, err
-	}
-	span.SetSim(st.Duration)
-	return fromRestoreStats(st), nil
+	return RestoreStats(st), nil
 }
 
 // SetRestoreCacheBudget attaches (or, with bytes <= 0, removes) the shared

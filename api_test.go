@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func randStream(n int, seed int64) []byte {
@@ -206,7 +208,7 @@ func TestRestoreFAAMatchesLRURestore(t *testing.T) {
 	if _, err := s.Restore(context.Background(), b, &lru, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RestoreFAA(context.Background(), b, &faa, 8<<20, true); err != nil {
+	if _, err := s.RestoreWith(context.Background(), b, &faa, RestoreOptions{CacheContainers: 2, Policy: RestoreFAA, Verify: true}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(lru.Bytes(), faa.Bytes()) || !bytes.Equal(faa.Bytes(), data) {
@@ -250,7 +252,8 @@ func TestRestoreWithOptionsRoundTrip(t *testing.T) {
 		{Policy: RestoreLRU, Workers: 1, Verify: true},
 		{Policy: RestoreOPT, Workers: 1, Verify: true},
 		{Policy: RestoreOPT, Workers: 4, Coalesce: true, Verify: true},
-		{Policy: RestoreOPT, Workers: 4, Coalesce: true, ChunkCache: true, Verify: true},
+		{Policy: RestoreFAA, Workers: 1, Verify: true},
+		{CacheContainers: 1, Policy: RestoreFAA, Workers: 4, Coalesce: true, Verify: true},
 	} {
 		var out bytes.Buffer
 		st, err := store.RestoreWith(context.Background(), b, &out, opts)
@@ -266,11 +269,68 @@ func TestRestoreWithOptionsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreCacheCountersFollowThePlan: restore_cache_{hits,misses,evictions}_total
+// move on the product path, by exactly what the restore's schedule says —
+// every ref that fetched nothing, every fetch, and every section a fetch
+// retired: one per fetch once the 8-container cache is full; under forward
+// assembly whole windows at a time, so fewer than the fetches and more than
+// none.
+func TestRestoreCacheCountersFollowThePlan(t *testing.T) {
+	ctx := context.Background()
+	s, err := Open(Options{Engine: DeFrag, Alpha: 0.1, ExpectedBytes: 256 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck // test teardown
+	wcfg := workload.DefaultConfig(11)
+	wcfg.NumFiles = 24
+	sched, err := workload.NewSingle(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var newest *Backup
+	for g := 0; g < 6; g++ {
+		b := sched.Next()
+		if newest, err = s.Backup(ctx, b.Label, b.Stream); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counters := func() (hits, misses, evictions int64) {
+		c := telemetry.Default().Snapshot().Counters
+		return c["restore_cache_hits_total"], c["restore_cache_misses_total"], c["restore_cache_evictions_total"]
+	}
+
+	h0, m0, e0 := counters()
+	rs, err := s.Restore(ctx, newest, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1, m1, e1 := counters()
+	cache := int64(DefaultRestoreOptions().CacheContainers)
+	if rs.ContainerReads <= cache || rs.CacheHits == 0 {
+		t.Fatalf("%d container reads, %d hits: the backup is not fragmented enough to evict", rs.ContainerReads, rs.CacheHits)
+	}
+	if h1-h0 != rs.CacheHits || m1-m0 != rs.ContainerReads || e1-e0 != rs.ContainerReads-cache {
+		t.Errorf("default restore moved hits/misses/evictions by %d/%d/%d, its stats say %d/%d/%d",
+			h1-h0, m1-m0, e1-e0, rs.CacheHits, rs.ContainerReads, rs.ContainerReads-cache)
+	}
+
+	rs, err = s.RestoreWith(ctx, newest, nil, RestoreOptions{CacheContainers: 2, Policy: RestoreFAA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2, m2, e2 := counters()
+	if h2-h1 != rs.CacheHits || m2-m1 != rs.ContainerReads || e2-e1 <= 0 || e2-e1 >= rs.ContainerReads {
+		t.Errorf("FAA restore moved hits/misses/evictions by %d/%d/%d, its stats say %d hits, %d reads",
+			h2-h1, m2-m1, e2-e1, rs.CacheHits, rs.ContainerReads)
+	}
+}
+
 func TestParseRestorePolicy(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want RestorePolicy
-	}{{"lru", RestoreLRU}, {"opt", RestoreOPT}} {
+	}{{"lru", RestoreLRU}, {"opt", RestoreOPT}, {"faa", RestoreFAA}} {
 		got, err := ParseRestorePolicy(tc.in)
 		if err != nil || got != tc.want {
 			t.Fatalf("ParseRestorePolicy(%q) = %v, %v", tc.in, got, err)

@@ -58,11 +58,11 @@ func (a *Archive) Backups() []*Backup { return a.backups }
 func (a *Archive) Restore(ctx context.Context, b *Backup, w io.Writer, verify bool) (RestoreStats, error) {
 	cfg := restore.DefaultConfig()
 	cfg.Verify = verify
-	st, err := restore.Run(ctx, a.store, b.recipe(), cfg, w)
+	st, err := restore.RunPipelined(ctx, a.store, b.recipe(), cfg, w)
 	if err != nil {
 		return RestoreStats{}, err
 	}
-	return fromRestoreStats(st), nil
+	return RestoreStats(st), nil
 }
 
 // Check validates the archive's internal consistency (see Store.Check).

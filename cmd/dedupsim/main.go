@@ -135,13 +135,6 @@ func readAmp(read, restored int64) string {
 // -restore.mode, sharing the cache/workers knobs across both the
 // single-stream and multi-stream paths.
 func restoreOne(ctx context.Context, p params, store *repro.Store, b *repro.Backup) (repro.RestoreStats, error) {
-	if p.restoreMode == "faa" {
-		cache := p.restoreCache
-		if cache <= 0 {
-			cache = repro.DefaultRestoreOptions().CacheContainers
-		}
-		return store.RestoreFAA(ctx, b, nil, int64(cache)<<22, p.verify)
-	}
 	opts := repro.DefaultRestoreOptions()
 	opts.Verify = p.verify
 	if p.restoreCache > 0 {
@@ -149,16 +142,16 @@ func restoreOne(ctx context.Context, p params, store *repro.Store, b *repro.Back
 	}
 	switch p.restoreMode {
 	case "": // the store's default shape
-	case "lru":
-		opts.Policy = repro.RestoreLRU
-	case "opt":
-		opts.Policy = repro.RestoreOPT
 	case "pipelined":
 		opts.Policy = repro.RestoreOPT
 		opts.Coalesce = true
 		opts.Workers = p.restoreWorkers
 	default:
-		return repro.RestoreStats{}, fmt.Errorf("unknown -restore.mode %q (want lru, opt, pipelined or faa)", p.restoreMode)
+		policy, err := repro.ParseRestorePolicy(p.restoreMode)
+		if err != nil {
+			return repro.RestoreStats{}, fmt.Errorf("-restore.mode: %w", err)
+		}
+		opts.Policy = policy
 	}
 	return store.RestoreWith(ctx, b, nil, opts)
 }

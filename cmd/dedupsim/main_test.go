@@ -41,21 +41,17 @@ func TestRestoreModeSelectsThePolicy(t *testing.T) {
 		}
 		return rs.ContainerReads
 	}
-	lru, opt := reads(repro.RestoreLRU), reads(repro.RestoreOPT)
-	if opt >= lru {
-		t.Fatalf("OPT-%d reads %d containers, LRU-%d %d: the recipe cannot tell the modes apart", cache, opt, cache, lru)
+	lru, opt, faa := reads(repro.RestoreLRU), reads(repro.RestoreOPT), reads(repro.RestoreFAA)
+	if opt >= lru || faa == opt || faa == lru {
+		t.Fatalf("OPT-%d reads %d containers, LRU-%d %d, FAA-%d %d: the recipe cannot tell the modes apart", cache, opt, cache, lru, cache, faa)
 	}
-	faa, err := store.RestoreFAA(ctx, newest, nil, cache<<22, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for mode, want := range map[string]int64{"": opt, "lru": lru, "opt": opt, "pipelined": opt, "faa": faa.ContainerReads} {
+	for mode, want := range map[string]int64{"": opt, "lru": lru, "opt": opt, "pipelined": opt, "faa": faa} {
 		rs, err := restoreOne(ctx, params{restoreMode: mode, restoreCache: cache, restoreWorkers: 1}, store, newest)
 		if err != nil {
 			t.Fatalf("-restore.mode %q: %v", mode, err)
 		}
 		if rs.ContainerReads != want {
-			t.Errorf("-restore.mode %q: %d container reads, want %d (lru %d, opt %d)", mode, rs.ContainerReads, want, lru, opt)
+			t.Errorf("-restore.mode %q: %d container reads, want %d (lru %d, opt %d, faa %d)", mode, rs.ContainerReads, want, lru, opt, faa)
 		}
 		if rs.ReadBytes < rs.Bytes/2 || readAmp(rs.ReadBytes, rs.Bytes) == "-" {
 			t.Errorf("-restore.mode %q: ReadBytes %d for %d restored", mode, rs.ReadBytes, rs.Bytes)

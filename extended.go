@@ -103,7 +103,7 @@ func RunExtendedComparison(cfg ExperimentConfig) (*FigureResult, error) {
 			lastStats, lastBackup = st, b
 			logical += st.LogicalBytes
 		}
-		rst, err := restore.Run(context.Background(), eng.Containers(), lastBackup.recipe(), restore.DefaultConfig(), nil)
+		rst, err := restore.RunPipelined(context.Background(), eng.Containers(), lastBackup.recipe(), restore.DefaultConfig(), nil)
 		if err != nil {
 			return nil, err
 		}

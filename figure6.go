@@ -57,7 +57,7 @@ func RunFigure6(cfg ExperimentConfig) (*FigureResult, error) {
 		if err != nil {
 			return restore.Stats{}, err
 		}
-		return restore.Run(context.Background(), eng.Containers(), b.recipe(), restore.DefaultConfig(), nil)
+		return restore.RunPipelined(context.Background(), eng.Containers(), b.recipe(), restore.DefaultConfig(), nil)
 	}
 
 	for g := 0; g < cfg.Generations; g++ {

@@ -150,12 +150,12 @@ func TestFileRestoreReadGuard(t *testing.T) {
 	if amp > ampCeiling {
 		t.Fatalf("read amplification %.2f (%d bytes read for %d restored), ceiling %.1f", amp, rs.ReadBytes, rs.Bytes, ampCeiling)
 	}
-	// (c) A further restore of the warmed store, once with inline decode —
-	// where a buffer is free the moment its section is evicted, so the set is
-	// never found empty: the cache's buffers, the section taken but not yet
-	// installed and the one read ahead — and once in the
-	// default shape, where the decode pool's lag decides how many reads find
-	// the set empty and get a buffer of their own. The set itself, one
+	// (c) A further restore of the warmed store, once with inline decode
+	// (GOMAXPROCS 1: the pool is sized from it) — where a buffer is free the
+	// moment its section is evicted, so the set is never found empty: the
+	// cache's buffers, the section taken but not yet installed and the one
+	// read ahead — and once with a pool of two, where its lag decides how
+	// many reads find the set empty and get a buffer of their own. The set itself, one
 	// container's capacity per buffer, is the allowance; what is allocated
 	// beyond it is held to 0.25 B per restored byte (a buffer per fetch, the
 	// parent's way, is the read amplification: 1.22 here).
@@ -163,18 +163,19 @@ func TestFileRestoreReadGuard(t *testing.T) {
 		return // the race detector's shadow allocations are not the restore's
 	}
 	dataCap := uint64(s.eng.Containers().Config().DataCap)
-	inline, pooled := DefaultRestoreOptions(), DefaultRestoreOptions()
-	inline.DecodeWorkers, pooled.DecodeWorkers = 1, 2
+	opts := DefaultRestoreOptions()
+	opts.Verify = true
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tc := range []struct {
 		name    string
-		opts    RestoreOptions
+		procs   int
 		buffers int
 		limit   float64
 	}{
-		{"inline decode", inline, cache + 2, 0.02},
-		{"two decode workers", pooled, cache + 4, 0.25},
+		{"inline decode", 1, cache + 2, 0.02},
+		{"two decode workers", 2, cache + 4, 0.25},
 	} {
-		tc.opts.Verify = true
+		runtime.GOMAXPROCS(tc.procs)
 		// TotalAlloc is the process's: whatever else allocates meanwhile only
 		// adds, so the least of three restores is the restore's own.
 		alloc := math.Inf(1)
@@ -183,7 +184,7 @@ func TestFileRestoreReadGuard(t *testing.T) {
 			var m0, m1 runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&m0)
-			if _, err := s.RestoreWith(ctx, newest, &out, tc.opts); err != nil {
+			if _, err := s.RestoreWith(ctx, newest, &out, opts); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&m1)

@@ -80,12 +80,12 @@ func TestExportImportMetadataOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Metadata-only: restores run (timing) but cannot verify content.
-	if _, err := restore.Run(context.Background(), store, loaded[0], restore.DefaultConfig(), nil); err != nil {
+	if _, err := restore.RunPipelined(context.Background(), store, loaded[0], restore.DefaultConfig(), nil); err != nil {
 		t.Fatal(err)
 	}
 	rcfg := restore.DefaultConfig()
 	rcfg.Verify = true
-	if _, err := restore.Run(context.Background(), store, loaded[0], rcfg, nil); err == nil {
+	if _, err := restore.RunPipelined(context.Background(), store, loaded[0], rcfg, nil); err == nil {
 		t.Fatal("verify must fail on a metadata-only archive")
 	}
 }

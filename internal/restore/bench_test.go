@@ -74,18 +74,23 @@ func BenchmarkDecode(b *testing.B) {
 
 // BenchmarkRestorePipeline measures the full restore path end to end —
 // plan, coalesced fetch, decode pool, resequenced write — at several decode
-// worker counts. Simulated stats are identical across sub-benchmarks
+// worker counts, under the OPT cache and under forward assembly. Simulated
+// stats are identical across the decode counts of one policy
 // (TestDecodeWorkersDeterminism); only wall time moves.
 func BenchmarkRestorePipeline(b *testing.B) {
 	s, rec := benchStore(b, 2048, 1024, 256)
-	for _, dw := range []int{1, 2, 0} {
-		name := fmt.Sprintf("decode=%d", dw)
-		if dw == 0 {
-			name = "decode=auto"
+	type shape struct {
+		policy CachePolicy
+		dw     int
+	}
+	for _, sh := range []shape{{PolicyOPT, 1}, {PolicyOPT, 2}, {PolicyOPT, 0}, {PolicyFAA, 1}, {PolicyFAA, 0}} {
+		name := fmt.Sprintf("%v/decode=%d", sh.policy, sh.dw)
+		if sh.dw == 0 {
+			name = fmt.Sprintf("%v/decode=auto", sh.policy)
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := PipelineConfig{CacheContainers: 8, Policy: PolicyOPT, Workers: 2,
-				Coalesce: true, MaxCoalesce: 8, Verify: true, DecodeWorkers: dw}
+			cfg := PipelineConfig{CacheContainers: 8, Policy: sh.policy, Workers: 2,
+				Coalesce: true, Verify: true, DecodeWorkers: sh.dw}
 			b.SetBytes(rec.Bytes())
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -100,7 +105,7 @@ func BenchmarkRestorePipeline(b *testing.B) {
 // TestRestoreAllocsPerChunk is the zero-copy guard: on the whole-container
 // hot path (sequential recipe, verify on) a restore must stay under 0.5
 // heap allocations per chunk — chunk payloads are views into the fetched
-// container sections (or the chunk-cache arena), never per-chunk copies.
+// container sections, never per-chunk copies.
 func TestRestoreAllocsPerChunk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is slow under -short")
@@ -111,8 +116,8 @@ func TestRestoreAllocsPerChunk(t *testing.T) {
 		name string
 		cfg  PipelineConfig
 	}{
-		{"serial", PipelineConfig{CacheContainers: 8, Policy: PolicyOPT, Workers: 1, Coalesce: true, MaxCoalesce: 8, Verify: true, DecodeWorkers: 1}},
-		{"decode-pool", PipelineConfig{CacheContainers: 8, Policy: PolicyOPT, Workers: 1, Coalesce: true, MaxCoalesce: 8, Verify: true, DecodeWorkers: 4}},
+		{"serial", PipelineConfig{CacheContainers: 8, Policy: PolicyOPT, Workers: 1, Coalesce: true, Verify: true, DecodeWorkers: 1}},
+		{"decode-pool", PipelineConfig{CacheContainers: 8, Policy: PolicyOPT, Workers: 1, Coalesce: true, Verify: true, DecodeWorkers: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() {

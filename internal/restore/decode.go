@@ -17,8 +17,7 @@ import (
 const decodeBatchSize = 64
 
 // decodeJob is one chunk awaiting verify/emit. data is a zero-copy view
-// into the fetched container section (or the chunk-cache arena) — never a
-// private copy.
+// into the fetched container section — never a private copy.
 type decodeJob struct {
 	idx  int // ref index, for error attribution
 	fp   chunk.Fingerprint
@@ -104,18 +103,18 @@ func (p *decodePipe) push(idx int, ref *chunk.Ref, piece []byte) bool {
 	return true
 }
 
-// retire takes a section the assembler's cache has evicted. Every chunk that
-// views it was pushed before this call, so it sits in the current batch or an
-// earlier one. The section rides on the current batch, which goes out now —
-// the fetcher may be waiting for the buffer — and the resequencer, which
-// finishes batches in submission order and each only after its verification,
-// returns it to the set once that batch's last chunk is written: from then on
-// nothing reads it.
-func (p *decodePipe) retire(data []byte) {
+// retire takes the sections one fetch has evicted from the assembler's cache.
+// Every chunk that views them was pushed before this call, so it sits in the
+// current batch or an earlier one. The sections ride on the current batch,
+// which goes out now — the fetcher may be waiting for a buffer — and the
+// resequencer, which finishes batches in submission order and each only after
+// its verification, returns them to the set once that batch's last chunk is
+// written: from then on nothing reads them.
+func (p *decodePipe) retire(sections [][]byte) {
 	if p.cur == nil {
 		p.cur = decodeBatches.Get().(*decodeBatch)
 	}
-	p.cur.retired = append(p.cur.retired, data)
+	p.cur.retired = append(p.cur.retired, sections...)
 	p.submit()
 }
 

@@ -29,7 +29,8 @@ func TestDecodeWorkersDeterminism(t *testing.T) {
 		{"lru-serial", PipelineConfig{CacheContainers: 4, Policy: PolicyLRU, Workers: 1, Verify: true}},
 		{"opt-coalesce", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1, Coalesce: true, Verify: true}},
 		{"opt-lanes", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 4, Coalesce: true, Verify: true}},
-		{"chunk-cache", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1, ChunkCache: true, Verify: true}},
+		{"faa", PipelineConfig{CacheContainers: 1, Policy: PolicyFAA, Workers: 1, Verify: true}},
+		{"faa-lanes", PipelineConfig{CacheContainers: 1, Policy: PolicyFAA, Workers: 4, Coalesce: true, Verify: true}},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {

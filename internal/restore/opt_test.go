@@ -34,11 +34,11 @@ func TestOPTNeverWorseThanLRUProperty(t *testing.T) {
 		}
 		capacity := 1 + rng.Intn(6)
 
-		lruPlan, err := buildPlan(s, refs, capacity, PolicyLRU, false, 0)
+		lruPlan, err := buildPlan(s, refs, capacity, PolicyLRU, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		optPlan, err := buildPlan(s, refs, capacity, PolicyOPT, false, 0)
+		optPlan, err := buildPlan(s, refs, capacity, PolicyOPT, false)
 		if err != nil {
 			t.Fatal(err)
 		}

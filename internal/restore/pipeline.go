@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/blockstore"
@@ -32,54 +34,45 @@ var (
 
 // PipelineConfig parameterizes RunPipelined.
 type PipelineConfig struct {
-	// CacheContainers is the restore cache capacity in containers.
+	// CacheContainers is the restore cache capacity in containers; under
+	// PolicyFAA, the assembly window in containers' worth of stream bytes.
 	CacheContainers int
-	// Policy selects the cache replacement policy. PolicyOPT exploits the
-	// recipe's forward knowledge (Belady eviction); PolicyLRU reproduces the
-	// legacy cache exactly.
+	// Policy selects the schedule: LRU or OPT eviction, or forward assembly.
 	Policy CachePolicy
 	// Workers is the number of simulated read lanes, and nothing else: it
 	// decides how extent reads are charged to the Eq. 1 clock, never how the
 	// bytes are fetched (one fetcher goroutine, one extent ahead of the
 	// assembler, whatever the value). 1 charges each extent to the store
-	// clock at the instant the assembler needs it, so stats are bit-identical
-	// to Run for PolicyLRU with coalescing off. Workers > 1 models that many
-	// concurrent read streams on the simulated array with per-lane clocks
-	// (the round's duration is the slowest lane), consistent with the
-	// multi-stream ingest model.
+	// clock at the instant the assembler needs it — the order a serial reader
+	// pays in. Workers > 1 models that many concurrent read streams on the
+	// simulated array with per-lane clocks (the round's duration is the
+	// slowest lane), consistent with the multi-stream ingest model.
 	Workers int
 	// Coalesce merges schedule-consecutive fetches of disk-adjacent
-	// containers into single sequential extent reads: k containers for one
-	// seek plus a combined transfer.
+	// containers into single sequential extent reads: k containers (at most
+	// maxCoalesce) for one seek plus a combined transfer.
 	Coalesce bool
-	// MaxCoalesce caps the containers merged into one extent (default 8).
-	MaxCoalesce int
-	// ChunkCache retains only the recipe-referenced chunks of each cached
-	// container instead of its whole data section, bounding cache memory by
-	// live bytes; Stats.PeakCacheBytes reports the high-water mark.
-	ChunkCache bool
 	// Verify recomputes chunk fingerprints (requires a data-storing device).
 	Verify bool
 	// DecodeWorkers sizes the wall-clock verify/decode worker pool that
 	// overlaps SHA-256 verification with container fetches, with an in-order
 	// resequencer emitting chunks to the output writer: 0 sizes the pool to
 	// GOMAXPROCS, 1 forces inline serial decode, N > 1 uses exactly N
-	// goroutines. Unlike Workers — which models
-	// simulated prefetch lanes and changes Stats.Duration by design — this
-	// knob is purely a wall-clock optimization: restored bytes, simulated
-	// time, and every Stats field are bit-identical across values (pinned by
-	// TestDecodeWorkersDeterminism).
+	// goroutines. Callers outside this package leave it 0; it is the lever
+	// the tests use to run the pool on a one-CPU host. Restored bytes,
+	// simulated time, and every Stats field are bit-identical across values
+	// (pinned by TestDecodeWorkersDeterminism).
 	DecodeWorkers int
 }
 
-// DefaultPipelineConfig returns the full read-optimized configuration: an
-// 8-container OPT cache, coalescing up to 8 adjacent containers per extent,
-// and 4 simulated read lanes.
-func DefaultPipelineConfig() PipelineConfig {
-	return PipelineConfig{CacheContainers: 8, Policy: PolicyOPT, Workers: 4, Coalesce: true, MaxCoalesce: 8}
+// DefaultConfig returns the restore shape of the paper's figures: an
+// 8-container LRU cache read by one simulated lane, uncoalesced, unverified.
+func DefaultConfig() PipelineConfig {
+	return PipelineConfig{CacheContainers: 8, Policy: PolicyLRU, Workers: 1}
 }
 
-// RunPipelined restores a recipe through the planned, pipelined read path:
+// RunPipelined restores recipe from store, writing reconstructed bytes to w
+// (pass nil to measure without materializing). It is the only restore loop:
 // the recipe is first compiled into a fetch schedule (which container to
 // read before which ref, what to evict, which fetches coalesce into one
 // sequential extent), then executed by one assembler with one fetcher
@@ -90,17 +83,16 @@ func DefaultPipelineConfig() PipelineConfig {
 // to per-lane clocks in deterministic schedule order (earliest-free lane
 // first) and Stats.Duration is the slowest lane.
 //
-// With PolicyLRU, Workers <= 1, Coalesce and ChunkCache off, the resulting
-// Stats are bit-identical to Run — pinned by TestSerialPipelinedMatchesRun.
+// With one lane and Coalesce off, Stats and the device counters are
+// bit-identical to the serial reference loops the tests keep: Run for
+// PolicyLRU (TestSerialPipelinedMatchesRun), RunFAA for PolicyFAA
+// (TestFAAPlanMatchesReference).
 func RunPipelined(ctx context.Context, store *container.Store, recipe *chunk.Recipe, cfg PipelineConfig, w io.Writer) (Stats, error) {
 	if cfg.CacheContainers < 1 {
 		cfg.CacheContainers = 1
 	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
-	}
-	if cfg.MaxCoalesce < 2 {
-		cfg.MaxCoalesce = 8
 	}
 	if err := checkVerify(store, cfg.Verify); err != nil {
 		return Stats{}, err
@@ -110,7 +102,7 @@ func RunPipelined(ctx context.Context, store *container.Store, recipe *chunk.Rec
 	defer span.End()
 
 	_, pspan := telemetry.StartSpan(ctx, "restore.plan")
-	plan, err := buildPlan(store, recipe.Refs, cfg.CacheContainers, cfg.Policy, cfg.Coalesce, cfg.MaxCoalesce)
+	plan, err := buildPlan(store, recipe.Refs, cfg.CacheContainers, cfg.Policy, cfg.Coalesce)
 	pspan.End()
 	if err != nil {
 		return Stats{}, err
@@ -122,6 +114,9 @@ func RunPipelined(ctx context.Context, store *container.Store, recipe *chunk.Rec
 	stats.ExtentReads = int64(len(plan.extents))
 	stats.CoalescedContainers = stats.ContainerReads - stats.ExtentReads
 	telContainerReads.Add(stats.ContainerReads)
+	telRestoreCacheHits.Add(int64(len(recipe.Refs)) - stats.ContainerReads)
+	telRestoreCacheMisses.Add(stats.ContainerReads)
+	telRestoreCacheEvictions.Add(plan.evictions)
 	telCoalescedContainers.Add(stats.CoalescedContainers)
 	for i := range plan.extents {
 		if len(plan.extents[i].ids) > 1 {
@@ -132,13 +127,8 @@ func RunPipelined(ctx context.Context, store *container.Store, recipe *chunk.Rec
 	dw := decodeWorkerCount(cfg.DecodeWorkers)
 	dataCap := store.Config().DataCap
 	as := &assembly{store: store, cfg: cfg, plan: plan, refs: recipe.Refs, w: w, stats: &stats,
+		resident: make(map[uint32][]byte, cfg.CacheContainers),
 		sections: newSectionSet(dataCap, cfg.CacheContainers+sectionsInFlight(plan, recipe, dw, dataCap))}
-	if cfg.ChunkCache {
-		as.refLocs = referencedLocations(recipe.Refs)
-		as.chunks = make(map[uint32]map[int64][]byte, cfg.CacheContainers)
-	} else {
-		as.whole = make(map[uint32][]byte, cfg.CacheContainers)
-	}
 	if dw > 1 {
 		as.emit = newDecodePipe(dw, cfg.Verify, w, as.sections)
 	}
@@ -233,10 +223,7 @@ type assembly struct {
 	w     io.Writer
 	stats *Stats
 
-	whole      map[uint32][]byte           // whole-container cache mode
-	chunks     map[uint32]map[int64][]byte // chunk-level cache mode: offset → bytes
-	refLocs    map[uint32][]chunk.Location
-	cacheBytes int64
+	resident map[uint32][]byte // the cache: container sections by id
 
 	// sections holds the buffers file-backed sections are read into. A
 	// section leaves the cache by retire, never by a bare delete.
@@ -287,7 +274,7 @@ type fetchedExtent struct {
 // lane the extent read is charged to the store clock at the instant the
 // assembler asks for it — the order a serial reader would pay in.
 // Containers of a coalesced extent that install later wait in a staging
-// buffer bounded by MaxCoalesce. run returns only after the fetcher has
+// buffer bounded by maxCoalesce. run returns only after the fetcher has
 // exited and released whatever it still held, however early the assembler
 // stopped.
 func (as *assembly) run(ctx context.Context) error {
@@ -381,96 +368,47 @@ func (as *assembly) run(ctx context.Context) error {
 	return nil
 }
 
-// install adds a fetched container to the cache, evicting the planned
-// victim. In chunk mode only the recipe-referenced pieces are retained and
-// the full data section is released immediately.
+// install adds a fetched container to the cache, evicting what the plan
+// says its fetch evicts: one victim, or at a window's end every resident.
 func (as *assembly) install(id uint32, data []byte, f *fetchOp) {
-	if f.hasVictim {
-		if as.cfg.ChunkCache {
-			for _, piece := range as.chunks[f.victim] {
-				as.cacheBytes -= int64(len(piece))
-			}
-			delete(as.chunks, f.victim)
-		} else {
-			as.retire(as.whole[f.victim])
-			delete(as.whole, f.victim)
-		}
+	if f.flush {
+		as.retire(slices.Collect(maps.Values(as.resident))...)
+		clear(as.resident)
+	} else if f.hasVictim {
+		as.retire(as.resident[f.victim])
+		delete(as.resident, f.victim)
 	}
-	if as.cfg.ChunkCache {
-		locs := as.refLocs[id]
-		// One arena allocation per container, sliced into immutable views —
-		// not one copy per chunk. Full-capacity sub-slicing keeps a view
-		// from growing into its neighbour.
-		var total int
-		for _, loc := range locs {
-			total += int(loc.Size)
-		}
-		arena := make([]byte, 0, total)
-		m := make(map[int64][]byte, len(locs))
-		for _, loc := range locs {
-			off := len(arena)
-			arena = append(arena, as.store.Extract(data, loc)...)
-			m[loc.Offset] = arena[off:len(arena):len(arena)]
-		}
-		as.cacheBytes += int64(total)
-		as.chunks[id] = m
-		if as.cacheBytes > as.stats.PeakCacheBytes {
-			as.stats.PeakCacheBytes = as.cacheBytes
-		}
-		as.sections.giveBack(data) // every piece was copied out; nothing views it
-	} else {
-		as.whole[id] = data
-	}
+	as.resident[id] = data
 }
 
-// retire lets go of a whole section the cache has evicted. Chunks assembled
-// earlier may still view it from inside the decode pool, so a section of the
-// restore's own goes back to its set only behind them (decodePipe.retire);
+// retire lets go of sections the cache has evicted. Chunks assembled earlier
+// may still view them from inside the decode pool, so sections of the
+// restore's own go back to its set only behind them (decodePipe.retire);
 // with inline decode they were written before the eviction.
-func (as *assembly) retire(data []byte) {
-	if !as.sections.owns(data) {
+func (as *assembly) retire(evicted ...[]byte) {
+	mine := evicted[:0]
+	for _, data := range evicted {
+		if as.sections.owns(data) {
+			mine = append(mine, data)
+		}
+	}
+	if len(mine) == 0 {
 		return
 	}
 	if as.emit != nil {
-		as.emit.retire(data)
-	} else {
+		as.emit.retire(mine)
+		return
+	}
+	for _, data := range mine {
 		as.sections.giveBack(data)
 	}
 }
 
-// piece returns the bytes of ref out of the cached residency of id.
+// piece returns the bytes of ref out of the cached section of id.
 func (as *assembly) piece(id uint32, ref *chunk.Ref) []byte {
-	if as.cfg.ChunkCache {
-		p, ok := as.chunks[id][ref.Loc.Offset]
-		if !ok {
-			panic("restore: referenced chunk missing from chunk cache")
-		}
-		return p
-	}
-	data, ok := as.whole[id]
+	data, ok := as.resident[id]
 	if !ok {
 		panic("restore: referenced container missing from cache")
 	}
 	return as.store.Extract(data, ref.Loc)
-}
-
-// referencedLocations collects, per container, the distinct chunk locations
-// the recipe references — the residency set of chunk-level caching.
-func referencedLocations(refs []chunk.Ref) map[uint32][]chunk.Location {
-	byC := make(map[uint32][]chunk.Location)
-	seen := make(map[uint32]map[int64]bool)
-	for i := range refs {
-		loc := refs[i].Loc
-		s := seen[loc.Container]
-		if s == nil {
-			s = make(map[int64]bool)
-			seen[loc.Container] = s
-		}
-		if s[loc.Offset] {
-			continue
-		}
-		s[loc.Offset] = true
-		byC[loc.Container] = append(byC[loc.Container], loc)
-	}
-	return byC
 }

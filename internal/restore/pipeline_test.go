@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/chunk"
+	"repro/internal/container"
 )
 
 // interleave builds the pathological fragmented recipe used throughout the
@@ -35,6 +35,12 @@ func wantBytes(datas [][]byte, rec *chunk.Recipe, seq *chunk.Recipe) []byte {
 		out.Write(index[rec.Refs[i].FP])
 	}
 	return out.Bytes()
+}
+
+// fullShape is the read-optimized configuration mode=pipelined selects: an
+// 8-container OPT cache, coalesced extents, 4 simulated read lanes.
+func fullShape() PipelineConfig {
+	return PipelineConfig{CacheContainers: 8, Policy: PolicyOPT, Workers: 4, Coalesce: true}
 }
 
 // setProcs runs the rest of the test at GOMAXPROCS n. The fetcher and the
@@ -95,6 +101,77 @@ func TestSerialPipelinedMatchesRun(t *testing.T) {
 	}
 }
 
+// TestFAAPlanMatchesReference is the FAA twin of the test above: PolicyFAA at
+// one lane, uncoalesced, must return the Stats (== , Duration included), the
+// device-level seek, read and byte counters and the bytes of the reference
+// RunFAA on an identical store, over windows from one chunk to the whole
+// recipe, with chunks larger than the window, on the sim and the file
+// backend, at GOMAXPROCS 1, 2 and 4 and with the decode pool forced on.
+func TestFAAPlanMatchesReference(t *testing.T) {
+	oversized := [][]byte{
+		mkDatas(1, 300)[0], bytes.Repeat([]byte{7}, 2000), mkDatas(1, 300)[0],
+		bytes.Repeat([]byte{8}, 2500), bytes.Repeat([]byte{9}, 900), mkDatas(1, 300)[0],
+	}
+	for _, tc := range []struct {
+		name    string
+		dataCap int64 // × containers = the window
+		datas   [][]byte
+	}{
+		{"one-chunk-windows", 350, mkDatas(24, 300)}, // 350, 700, 1050: one to three chunks
+		{"small-windows", 1500, mkDatas(60, 300)},    // 1500, 3000, 4500
+		{"containers", 4096, mkDatas(60, 300)},       // 4096, 8192, 12288
+		{"oversized-chunks", 350, oversized},         // every window smaller than three of the chunks
+	} {
+		for _, containers := range []int{1, 2, 3} {
+			for _, backend := range []string{"sim", "file"} {
+				t.Run(fmt.Sprintf("%s/window%d/%s", tc.name, int64(containers)*tc.dataCap, backend), func(t *testing.T) {
+					build := func() (*container.Store, *chunk.Recipe) {
+						var s *container.Store
+						if backend == "file" {
+							s, _ = fileRigCap(t, tc.dataCap)
+						} else {
+							s = rigCap(t, true, tc.dataCap)
+						}
+						return s, interleave(ingest(t, s, "base", tc.datas), "frag")
+					}
+					s1, frag1 := build()
+					var want bytes.Buffer
+					ref, err := RunFAA(context.Background(), s1, frag1,
+						FAAConfig{AreaBytes: int64(containers) * tc.dataCap, Verify: true}, &want)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ref.ContainerReads < int64(s1.NumContainers()) || want.Len() == 0 {
+						t.Fatalf("the reference read %d of %d containers for %d bytes", ref.ContainerReads, s1.NumContainers(), want.Len())
+					}
+					for _, procs := range []int{1, 2, 4} {
+						for _, dw := range []int{1, 4} {
+							setProcs(t, procs)
+							s2, frag2 := build()
+							var got bytes.Buffer
+							st, err := RunPipelined(context.Background(), s2, frag2,
+								PipelineConfig{CacheContainers: containers, Policy: PolicyFAA, Workers: 1, Verify: true, DecodeWorkers: dw}, &got)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if st != ref {
+								t.Fatalf("procs %d decode %d: stats diverge:\nreference %+v\nplanned   %+v", procs, dw, ref, st)
+							}
+							if !bytes.Equal(got.Bytes(), want.Bytes()) {
+								t.Fatalf("procs %d decode %d: restored streams differ", procs, dw)
+							}
+							if s1.Device().Stats() != s2.Device().Stats() {
+								t.Fatalf("procs %d decode %d: device stats diverge:\nreference %v\nplanned   %v",
+									procs, dw, s1.Device().Stats(), s2.Device().Stats())
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // Every pipelined mode must reconstruct the exact original stream.
 func TestPipelinedRoundTripAllModes(t *testing.T) {
 	for _, tc := range []struct {
@@ -105,9 +182,10 @@ func TestPipelinedRoundTripAllModes(t *testing.T) {
 		{"opt-coalesce", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1, Coalesce: true, Verify: true}},
 		{"lru-coalesce", PipelineConfig{CacheContainers: 4, Policy: PolicyLRU, Workers: 1, Coalesce: true, Verify: true}},
 		{"opt-parallel", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 4, Coalesce: true, Verify: true}},
-		{"chunk-cache", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1, ChunkCache: true, Verify: true}},
-		{"everything", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 4, Coalesce: true, ChunkCache: true, Verify: true}},
-		{"default", DefaultPipelineConfig()},
+		{"everything", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 4, Coalesce: true, Verify: true, DecodeWorkers: 4}},
+		{"faa", PipelineConfig{CacheContainers: 1, Policy: PolicyFAA, Workers: 1, Verify: true}},
+		{"faa-everything", PipelineConfig{CacheContainers: 1, Policy: PolicyFAA, Workers: 4, Coalesce: true, Verify: true, DecodeWorkers: 4}},
+		{"default", fullShape()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := rig(t, true)
@@ -115,9 +193,7 @@ func TestPipelinedRoundTripAllModes(t *testing.T) {
 			seq := ingest(t, s, "base", datas)
 			frag := interleave(seq, "frag")
 			want := wantBytes(datas, frag, seq)
-			if err := VerifyAgainstFunc(func(w io.Writer) (Stats, error) {
-				return RunPipelined(context.Background(), s, frag, tc.cfg, w)
-			}, want); err != nil {
+			if err := VerifyAgainst(context.Background(), s, frag, tc.cfg, want); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -210,41 +286,6 @@ func TestParallelTimingDeterministic(t *testing.T) {
 	}
 }
 
-// Chunk-level caching keeps only referenced bytes: the peak footprint must
-// be positive but below the whole-container footprint of the same capacity.
-func TestChunkCacheBoundsMemory(t *testing.T) {
-	s := rig(t, true)
-	datas := mkDatas(60, 300)
-	seq := ingest(t, s, "base", datas)
-	// Reference only every 4th chunk: most of each container is dead weight
-	// a whole-container cache would still hold.
-	sparse := &chunk.Recipe{Label: "sparse"}
-	for i := 0; i < len(seq.Refs); i += 4 {
-		sparse.Refs = append(sparse.Refs, seq.Refs[i])
-	}
-	st, err := RunPipelined(context.Background(), s, sparse,
-		PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1, ChunkCache: true, Verify: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.PeakCacheBytes <= 0 {
-		t.Fatal("chunk cache must report its peak footprint")
-	}
-	wholeFootprint := int64(4 * 4096) // capacity × DataCap of the test rig
-	if st.PeakCacheBytes >= wholeFootprint {
-		t.Fatalf("chunk cache footprint %d should undercut whole-container %d",
-			st.PeakCacheBytes, wholeFootprint)
-	}
-	whole, err := RunPipelined(context.Background(), s, sparse,
-		PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if whole.PeakCacheBytes != 0 {
-		t.Fatalf("whole-container mode must not report a chunk footprint: %+v", whole)
-	}
-}
-
 // Race-hygiene stress: several concurrent pipelined restores at workers=8
 // with verification on a shared store (run under go test -race).
 func TestPipelinedConcurrentStress(t *testing.T) {
@@ -288,13 +329,13 @@ func TestPipelinedRejectsUnsealedAndHoleVerify(t *testing.T) {
 	rec := &chunk.Recipe{Label: "u"}
 	loc := mustWrite(s, chunk.New([]byte("pending")), 0)
 	rec.Append(chunk.Of([]byte("pending")), 7, loc)
-	if _, err := RunPipelined(context.Background(), s, rec, DefaultPipelineConfig(), nil); err == nil {
+	if _, err := RunPipelined(context.Background(), s, rec, fullShape(), nil); err == nil {
 		t.Fatal("unsealed container must be rejected")
 	}
 
 	s2 := rig(t, false)
 	rec2 := ingest(t, s2, "v", mkDatas(2, 100))
-	cfg := DefaultPipelineConfig()
+	cfg := fullShape()
 	cfg.Verify = true
 	if _, err := RunPipelined(context.Background(), s2, rec2, cfg, nil); err == nil {
 		t.Fatal("Verify on hole device must error")
@@ -319,7 +360,7 @@ func TestPipelinedVerifyCatchesCorruption(t *testing.T) {
 	s := rig(t, true)
 	rec := ingest(t, s, "c", mkDatas(3, 100))
 	rec.Refs[1].FP = chunk.Of([]byte("not the real content"))
-	cfg := DefaultPipelineConfig()
+	cfg := fullShape()
 	cfg.Verify = true
 	if _, err := RunPipelined(context.Background(), s, rec, cfg, nil); err == nil {
 		t.Fatal("fingerprint mismatch must be detected")

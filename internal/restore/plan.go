@@ -9,12 +9,13 @@ import (
 	"repro/internal/lru"
 )
 
-// CachePolicy selects the replacement policy of the pipelined restore cache.
+// CachePolicy selects the schedule RunPipelined executes: which refs fetch
+// their container and what each fetch evicts.
 type CachePolicy int
 
 const (
-	// PolicyLRU evicts the least-recently-used container — the behaviour of
-	// the classic restore cache in Run.
+	// PolicyLRU evicts the least-recently-used container — the classic
+	// restore cache, and the schedule behind the paper's figures.
 	PolicyLRU CachePolicy = iota
 	// PolicyOPT evicts the container whose next use lies farthest ahead in
 	// the recipe (Belady's offline-optimal replacement). The full recipe is
@@ -23,22 +24,39 @@ const (
 	// online. At equal capacity OPT never performs more container reads
 	// than LRU (Belady's optimality), which the property tests pin.
 	PolicyOPT
+	// PolicyFAA is forward assembly (the restore-side counterpart of
+	// Lillibridge et al.'s FAST'13 analysis): the stream is cut into windows
+	// of CacheContainers × DataCap logical bytes, a container is fetched at
+	// its first reference in a window and stays until the window ends, so
+	// each is read exactly once per window however badly the recipe
+	// interleaves. The budget bounds the stream bytes assembled at once, not
+	// the containers held. Which of FAA and a cache wins depends on the
+	// fragmentation structure; RunRestoreAblation compares them.
+	PolicyFAA
 )
 
 func (p CachePolicy) String() string {
-	if p == PolicyOPT {
+	switch p {
+	case PolicyOPT:
 		return "opt"
+	case PolicyFAA:
+		return "faa"
 	}
 	return "lru"
 }
 
+// maxCoalesce caps the containers merged into one extent read.
+const maxCoalesce = 8
+
 // fetchOp is one planned cache miss: container must be fetched just before
-// recipe ref needAt is assembled, evicting victim (when the cache is full).
+// recipe ref needAt is assembled, evicting victim (when the cache is full)
+// or, with flush, every resident container (a forward-assembly window ends).
 type fetchOp struct {
 	container uint32
 	needAt    int
 	victim    uint32
 	hasVictim bool
+	flush     bool
 	extent    int // index of the physical extent read that carries this fetch
 }
 
@@ -54,14 +72,15 @@ type extent struct {
 // evicts, and how fetches group into coalesced extent reads. The plan is
 // pure metadata — building it performs no simulated I/O.
 type restorePlan struct {
-	fetchAt []int // per ref: index into fetches when the ref triggers a miss, else -1
-	fetches []fetchOp
-	extents []extent
+	fetchAt   []int // per ref: index into fetches when the ref triggers a miss, else -1
+	fetches   []fetchOp
+	extents   []extent
+	evictions int64 // containers the fetches evict, over the whole schedule
 }
 
-// buildPlan simulates the chosen cache policy over the recipe and returns
-// the fetch schedule. All referenced containers must be sealed.
-func buildPlan(store *container.Store, refs []chunk.Ref, capacity int, policy CachePolicy, coalesce bool, maxCoalesce int) (*restorePlan, error) {
+// buildPlan simulates the chosen policy over the recipe and returns the
+// fetch schedule. All referenced containers must be sealed.
+func buildPlan(store *container.Store, refs []chunk.Ref, capacity int, policy CachePolicy, coalesce bool) (*restorePlan, error) {
 	seen := make(map[uint32]bool)
 	for i := range refs {
 		id := refs[i].Loc.Container
@@ -74,23 +93,29 @@ func buildPlan(store *container.Store, refs []chunk.Ref, capacity int, policy Ca
 		}
 	}
 	p := &restorePlan{fetchAt: make([]int, len(refs))}
-	if policy == PolicyOPT {
+	switch policy {
+	case PolicyOPT:
 		p.simulateOPT(refs, capacity)
-	} else {
+	case PolicyFAA:
+		p.simulateFAA(refs, int64(capacity)*store.Config().DataCap)
+	default:
 		p.simulateLRU(refs, capacity)
 	}
-	p.buildExtents(store, coalesce, maxCoalesce)
+	p.buildExtents(store, coalesce)
 	return p, nil
 }
 
-// simulateLRU replays the exact Get/Put sequence Run performs against the
-// shared lru package, so the planned miss schedule is bit-identical to the
-// legacy restore cache.
+// simulateLRU replays the Get/Put sequence of a restore reading through the
+// shared lru package (the reference Run of the tests), so the planned miss
+// schedule is bit-identical to that cache's.
 func (p *restorePlan) simulateLRU(refs []chunk.Ref, capacity int) {
 	c := lru.New[uint32, struct{}](capacity)
 	var victim uint32
 	var hasVictim bool
-	c.OnEvict(func(k uint32, _ struct{}) { victim, hasVictim = k, true })
+	c.OnEvict(func(k uint32, _ struct{}) {
+		victim, hasVictim = k, true
+		p.evictions++
+	})
 	for i := range refs {
 		id := refs[i].Loc.Container
 		if _, ok := c.Get(id); ok {
@@ -148,10 +173,37 @@ func (p *restorePlan) simulateOPT(refs []chunk.Ref, capacity int) {
 			}
 			delete(cached, victim)
 			f.victim, f.hasVictim = victim, true
+			p.evictions++
 		}
 		cached[id] = true
 		p.fetchAt[i] = len(p.fetches)
 		p.fetches = append(p.fetches, f)
+	}
+}
+
+// simulateFAA cuts the recipe into windows of at most window logical bytes
+// (always at least one chunk, so an oversized chunk still restores) and
+// fetches each container at its first reference in a window. The ref that
+// opens a window always fetches, and that fetch flushes the window before.
+func (p *restorePlan) simulateFAA(refs []chunk.Ref, window int64) {
+	resident := make(map[uint32]bool)
+	start, filled := 0, int64(0)
+	for i := range refs {
+		size := int64(refs[i].Size)
+		if i > start && filled+size > window {
+			start, filled = i, 0
+			p.evictions += int64(len(resident))
+			clear(resident)
+		}
+		filled += size
+		id := refs[i].Loc.Container
+		if resident[id] {
+			p.fetchAt[i] = -1
+			continue
+		}
+		resident[id] = true
+		p.fetchAt[i] = len(p.fetches)
+		p.fetches = append(p.fetches, fetchOp{container: id, needAt: i, flush: i == start})
 	}
 }
 
@@ -161,7 +213,7 @@ func (p *restorePlan) simulateOPT(refs []chunk.Ref, capacity int) {
 // maxCoalesce) until their scheduled install, so cache occupancy — and
 // therefore the miss schedule — is unchanged by coalescing; only the seek
 // count drops.
-func (p *restorePlan) buildExtents(store *container.Store, coalesce bool, maxCoalesce int) {
+func (p *restorePlan) buildExtents(store *container.Store, coalesce bool) {
 	for fi := range p.fetches {
 		f := &p.fetches[fi]
 		if coalesce && len(p.extents) > 0 {

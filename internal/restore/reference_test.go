@@ -1,14 +1,104 @@
 package restore
 
+// The serial reference loops RunPipelined replaced, kept word for word as
+// the oracles its schedules are compared with: Run is the LRU container
+// cache (TestSerialPipelinedMatchesRun), RunFAA the forward assembly area
+// (TestFAAPlanMatchesReference).
+
 import (
 	"context"
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/chunk"
 	"repro/internal/container"
+	"repro/internal/lru"
 	"repro/internal/telemetry"
 )
+
+// Config parameterizes a restore run.
+type Config struct {
+	// CacheContainers is the restore cache capacity in containers.
+	CacheContainers int
+	// Verify recomputes each chunk's fingerprint and compares (requires a
+	// data-storing container device; silently meaningless otherwise, so Run
+	// rejects Verify on a hole device).
+	Verify bool
+}
+
+// Run restores recipe from store, writing reconstructed bytes to w (pass
+// nil to measure without materializing). The simulated time consumed is
+// charged to the store's device clock and reported in Stats.Duration.
+//
+// Cache accounting has a single source of truth: the LRU's own counters,
+// read back into Stats on every exit path (including errors, where Stats
+// carries the partial counts). The telemetry counters are mirrored by
+// lru.Instrument from those same counters, so Stats and /metrics cannot
+// drift.
+func Run(ctx context.Context, store *container.Store, recipe *chunk.Recipe, cfg Config, w io.Writer) (stats Stats, err error) {
+	if cfg.CacheContainers < 1 {
+		cfg.CacheContainers = 1
+	}
+	if err := checkVerify(store, cfg.Verify); err != nil {
+		return Stats{}, err
+	}
+	stats = Stats{Label: recipe.Label, Fragments: recipe.Fragments()}
+	clock := store.Device().Clock()
+	start := clock.Now()
+	ctx, span := telemetry.StartSpan(ctx, "restore.run")
+	defer span.End()
+	telFragments.Observe(float64(stats.Fragments))
+
+	cache := lru.New[uint32, []byte](cfg.CacheContainers)
+	cache.Instrument(telRestoreCacheHits, telRestoreCacheMisses, telRestoreCacheEvictions)
+	defer func() {
+		hits, misses, _ := cache.Stats()
+		stats.CacheHits = int64(hits)
+		stats.ContainerReads = int64(misses)
+		// Every legacy-path container read is its own discontiguous access.
+		stats.ExtentReads = stats.ContainerReads
+	}()
+	for i := range recipe.Refs {
+		ref := &recipe.Refs[i]
+		if !store.Sealed(ref.Loc.Container) {
+			return stats, fmt.Errorf("restore: recipe references unsealed container %d", ref.Loc.Container)
+		}
+		data, ok := cache.Get(ref.Loc.Container)
+		if !ok {
+			data, err = store.ReadData(ctx, ref.Loc.Container)
+			if err != nil {
+				return stats, err
+			}
+			telContainerReads.Inc()
+			stats.ReadBytes += int64(len(data))
+			cache.Put(ref.Loc.Container, data)
+		}
+		t0 := time.Now()
+		piece := store.Extract(data, ref.Loc)
+		if cfg.Verify {
+			if got := chunk.Of(piece); got != ref.FP {
+				return stats, fmt.Errorf("restore: chunk %d fingerprint mismatch (%s != %s)", i, got.Short(), ref.FP.Short())
+			}
+		}
+		stageDecode.Observe(t0)
+		if w != nil {
+			t1 := time.Now()
+			_, err := w.Write(piece)
+			stageCopy.Observe(t1)
+			if err != nil {
+				return stats, err
+			}
+		}
+		stats.Bytes += int64(ref.Size)
+		stats.Chunks++
+	}
+	stats.Duration = clock.Now() - start
+	telRestoreBytes.Add(stats.Bytes)
+	telRestoreChunks.Add(stats.Chunks)
+	span.SetSim(stats.Duration)
+	return stats, nil
+}
 
 // FAAConfig parameterizes a forward-assembly-area restore.
 type FAAConfig struct {

@@ -10,12 +10,20 @@ import (
 	"repro/internal/disk"
 )
 
-// rig builds a container store with storeData and returns it.
+// rig builds a store of 4 KiB containers with storeData and returns it.
 func rig(t *testing.T, storeData bool) *container.Store {
+	t.Helper()
+	return rigCap(t, storeData, 4096)
+}
+
+// rigCap is rig with containers of dataCap bytes: the unit PolicyFAA's
+// window is counted in. A chunk larger than dataCap gets a container of its
+// own, so a small dataCap also makes oversized chunks.
+func rigCap(t *testing.T, storeData bool, dataCap int64) *container.Store {
 	t.Helper()
 	var clk disk.Clock
 	s, err := container.NewStore(disk.NewDevice(disk.DefaultModel(), &clk, storeData),
-		container.Config{DataCap: 4096, MaxChunks: 16})
+		container.Config{DataCap: dataCap, MaxChunks: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +73,7 @@ func TestStatsFields(t *testing.T) {
 	s := rig(t, true)
 	datas := mkDatas(20, 300)
 	rec := ingest(t, s, "st", datas)
-	st, err := Run(context.Background(), s, rec, DefaultConfig(), nil)
+	st, err := RunPipelined(context.Background(), s, rec, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +98,7 @@ func TestSequentialRecipeReadsEachContainerOnce(t *testing.T) {
 	s := rig(t, false)
 	datas := mkDatas(40, 300) // ~13 chunks per 4KB container
 	rec := ingest(t, s, "seq", datas)
-	st, err := Run(context.Background(), s, rec, DefaultConfig(), nil)
+	st, err := RunPipelined(context.Background(), s, rec, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +120,9 @@ func TestFragmentedRecipeThrashesCache(t *testing.T) {
 	for i := 0; i < n/2; i++ {
 		frag.Refs = append(frag.Refs, seq.Refs[i], seq.Refs[n/2+i])
 	}
-	cfg := Config{CacheContainers: 1}
-	stSeq, _ := Run(context.Background(), s, seq, cfg, nil)
-	stFrag, _ := Run(context.Background(), s, frag, cfg, nil)
+	cfg := PipelineConfig{CacheContainers: 1}
+	stSeq, _ := RunPipelined(context.Background(), s, seq, cfg, nil)
+	stFrag, _ := RunPipelined(context.Background(), s, frag, cfg, nil)
 	if stFrag.ContainerReads <= stSeq.ContainerReads {
 		t.Fatalf("interleaved recipe should thrash: %d <= %d reads",
 			stFrag.ContainerReads, stSeq.ContainerReads)
@@ -129,7 +137,7 @@ func TestVerifyRequiresDataDevice(t *testing.T) {
 	rec := ingest(t, s, "v", mkDatas(2, 100))
 	cfg := DefaultConfig()
 	cfg.Verify = true
-	if _, err := Run(context.Background(), s, rec, cfg, nil); err == nil {
+	if _, err := RunPipelined(context.Background(), s, rec, cfg, nil); err == nil {
 		t.Fatal("Verify on hole device must error")
 	}
 }
@@ -141,7 +149,7 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	rec.Refs[1].FP = chunk.Of([]byte("not the real content"))
 	cfg := DefaultConfig()
 	cfg.Verify = true
-	if _, err := Run(context.Background(), s, rec, cfg, nil); err == nil {
+	if _, err := RunPipelined(context.Background(), s, rec, cfg, nil); err == nil {
 		t.Fatal("fingerprint mismatch must be detected")
 	}
 }
@@ -152,14 +160,14 @@ func TestUnsealedContainerRejected(t *testing.T) {
 	loc := mustWrite(s, chunk.New([]byte("pending")), 0)
 	rec.Append(chunk.Of([]byte("pending")), 7, loc)
 	// No flush: container 0 unsealed.
-	if _, err := Run(context.Background(), s, rec, DefaultConfig(), nil); err == nil {
+	if _, err := RunPipelined(context.Background(), s, rec, DefaultConfig(), nil); err == nil {
 		t.Fatal("unsealed container must be rejected")
 	}
 }
 
 func TestEmptyRecipe(t *testing.T) {
 	s := rig(t, false)
-	st, err := Run(context.Background(), s, &chunk.Recipe{Label: "empty"}, DefaultConfig(), nil)
+	st, err := RunPipelined(context.Background(), s, &chunk.Recipe{Label: "empty"}, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +179,7 @@ func TestEmptyRecipe(t *testing.T) {
 func TestCacheCapacityClamp(t *testing.T) {
 	s := rig(t, false)
 	rec := ingest(t, s, "cl", mkDatas(5, 100))
-	if _, err := Run(context.Background(), s, rec, Config{CacheContainers: 0}, nil); err != nil {
+	if _, err := RunPipelined(context.Background(), s, rec, PipelineConfig{CacheContainers: 0}, nil); err != nil {
 		t.Fatalf("zero cache config should clamp, got %v", err)
 	}
 }
@@ -181,7 +189,7 @@ func TestWriterReceivesStream(t *testing.T) {
 	datas := mkDatas(10, 123)
 	rec := ingest(t, s, "w", datas)
 	var buf bytes.Buffer
-	if _, err := Run(context.Background(), s, rec, DefaultConfig(), &buf); err != nil {
+	if _, err := RunPipelined(context.Background(), s, rec, DefaultConfig(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer

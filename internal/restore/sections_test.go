@@ -77,6 +77,12 @@ func (b *spyBackend) arrays() (distinct, reads int) {
 // 300-byte chunks, so a 60-chunk stream spans five of them.
 func fileRig(t *testing.T) (*container.Store, *spyBackend) {
 	t.Helper()
+	return fileRigCap(t, 4096)
+}
+
+// fileRigCap is rigCap over the file backend, behind a spy.
+func fileRigCap(t *testing.T, dataCap int64) (*container.Store, *spyBackend) {
+	t.Helper()
 	file, err := blockstore.OpenFile(t.TempDir(), true)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +91,7 @@ func fileRig(t *testing.T) (*container.Store, *spyBackend) {
 	spy := &spyBackend{Backend: file, seen: map[*byte]int{}, read: make(chan struct{}, 1<<16)}
 	var clk disk.Clock
 	s, err := container.NewStoreWithBackend(disk.NewDevice(disk.DefaultModel(), &clk, true),
-		container.Config{DataCap: 4096, MaxChunks: 16}, spy)
+		container.Config{DataCap: dataCap, MaxChunks: 16}, spy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,42 +133,41 @@ func TestSectionSetIsAFixedBudget(t *testing.T) {
 // TestSectionNotReusedWhileADecodeBatchViewsIt is the one that makes the
 // decode pool reuse.
 func TestFileRestoreReusesSectionsInEveryShape(t *testing.T) {
-	for _, policy := range []CachePolicy{PolicyLRU, PolicyOPT} {
-		for _, chunkCache := range []bool{false, true} {
-			for _, coalesce := range []bool{false, true} {
-				for _, dw := range []int{1, 2, 4} {
-					cfg := PipelineConfig{CacheContainers: 2, Policy: policy, Workers: 1, Coalesce: coalesce,
-						ChunkCache: chunkCache, Verify: true, DecodeWorkers: dw}
-					t.Run(fmt.Sprintf("%v-chunk%v-coalesce%v-decode%d", policy, chunkCache, coalesce, dw), func(t *testing.T) {
-						s, spy := fileRig(t)
-						datas := mkDatas(120, 300)
-						seq := ingest(t, s, "base", datas)
-						frag := interleave(seq, "frag")
-						var out bytes.Buffer
-						st, err := RunPipelined(context.Background(), s, frag, cfg, &out)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(out.Bytes(), wantBytes(datas, frag, seq)) {
-							t.Fatal("restored stream differs")
-						}
-						distinct, reads := spy.arrays()
-						if int64(reads) != st.ContainerReads {
-							t.Fatalf("backend served %d sections, stats say %d", reads, st.ContainerReads)
-						}
-						if st.ContainerReads <= 2*int64(cfg.CacheContainers) {
-							t.Fatalf("only %d reads: the cache hardly evicted", st.ContainerReads)
-						}
-						// Only inline decode frees a buffer at a fixed point; how
-						// soon the pool's resequencer does is the scheduler's.
-						if dw == 1 && distinct >= reads {
-							t.Fatalf("%d reads landed in %d arrays: nothing was reused", reads, distinct)
-						}
-						if st.ReadBytes <= st.Bytes {
-							t.Fatalf("ReadBytes %d for %d restored bytes of a thrashing recipe", st.ReadBytes, st.Bytes)
-						}
-					})
-				}
+	for _, policy := range []CachePolicy{PolicyLRU, PolicyOPT, PolicyFAA} {
+		for _, coalesce := range []bool{false, true} {
+			for _, dw := range []int{1, 2, 4} {
+				cfg := PipelineConfig{CacheContainers: 2, Policy: policy, Workers: 1, Coalesce: coalesce,
+					Verify: true, DecodeWorkers: dw}
+				// The ids keep a constant "chunkfalse": test history is keyed on them.
+				t.Run(fmt.Sprintf("%v-chunkfalse-coalesce%v-decode%d", policy, coalesce, dw), func(t *testing.T) {
+					s, spy := fileRig(t)
+					datas := mkDatas(120, 300)
+					seq := ingest(t, s, "base", datas)
+					frag := interleave(seq, "frag")
+					var out bytes.Buffer
+					st, err := RunPipelined(context.Background(), s, frag, cfg, &out)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(out.Bytes(), wantBytes(datas, frag, seq)) {
+						t.Fatal("restored stream differs")
+					}
+					distinct, reads := spy.arrays()
+					if int64(reads) != st.ContainerReads {
+						t.Fatalf("backend served %d sections, stats say %d", reads, st.ContainerReads)
+					}
+					if st.ContainerReads <= 2*int64(cfg.CacheContainers) {
+						t.Fatalf("only %d reads: the cache hardly evicted", st.ContainerReads)
+					}
+					// Only inline decode frees a buffer at a fixed point; how
+					// soon the pool's resequencer does is the scheduler's.
+					if dw == 1 && distinct >= reads {
+						t.Fatalf("%d reads landed in %d arrays: nothing was reused", reads, distinct)
+					}
+					if st.ReadBytes <= st.Bytes {
+						t.Fatalf("ReadBytes %d for %d restored bytes of a thrashing recipe", st.ReadBytes, st.Bytes)
+					}
+				})
 			}
 		}
 	}
@@ -207,30 +212,47 @@ func (w *gateWriter) Write(p []byte) (int, error) {
 // straight back would let those reads land on chunks still waiting to be
 // written; the bytes
 // that reach the writer must be the original ones all the same. Verify is off
-// so that nothing but the writer looks at them.
+// so that nothing but the writer looks at them. Under PolicyFAA the evictions
+// are the flushes at the end of each one-container window, of every section
+// the window read; the recipe is longer there, so that most windows come
+// after the writer is let go and find buffers to reuse.
 func TestSectionNotReusedWhileADecodeBatchViewsIt(t *testing.T) {
-	for _, dw := range []int{2, 4} {
-		t.Run(fmt.Sprintf("decode%d", dw), func(t *testing.T) {
-			s, spy := fileRig(t)
-			datas := mkDatas(120, 300)
-			seq := ingest(t, s, "base", datas)
-			frag := interleave(seq, "frag")
-			w := &gateWriter{t: t, want: wantBytes(datas, frag, seq), spy: spy, more: 8}
-			st, err := RunPipelined(context.Background(), s, frag,
-				PipelineConfig{CacheContainers: 1, Policy: PolicyLRU, Workers: 1, DecodeWorkers: dw}, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if w.off != len(w.want) {
-				t.Fatalf("wrote %d of %d bytes", w.off, len(w.want))
-			}
-			if distinct, reads := spy.arrays(); distinct >= reads {
-				t.Fatalf("%d reads in %d arrays: nothing was reused, so nothing was at risk", reads, distinct)
-			}
-			if st.ContainerReads < int64(len(frag.Refs))/2 {
-				t.Fatalf("only %d reads for %d refs: the recipe did not thrash", st.ContainerReads, len(frag.Refs))
-			}
-		})
+	for _, tc := range []struct {
+		prefix string
+		policy CachePolicy
+		chunks int
+	}{
+		{"", PolicyLRU, 120},
+		{"faa-", PolicyFAA, 480},
+	} {
+		for _, dw := range []int{2, 4} {
+			t.Run(fmt.Sprintf("%sdecode%d", tc.prefix, dw), func(t *testing.T) {
+				s, spy := fileRig(t)
+				datas := mkDatas(tc.chunks, 300)
+				seq := ingest(t, s, "base", datas)
+				frag := interleave(seq, "frag")
+				w := &gateWriter{t: t, want: wantBytes(datas, frag, seq), spy: spy, more: 8}
+				st, err := RunPipelined(context.Background(), s, frag,
+					PipelineConfig{CacheContainers: 1, Policy: tc.policy, Workers: 1, DecodeWorkers: dw}, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w.off != len(w.want) {
+					t.Fatalf("wrote %d of %d bytes", w.off, len(w.want))
+				}
+				if distinct, reads := spy.arrays(); distinct >= reads {
+					t.Fatalf("%d reads in %d arrays: nothing was reused, so nothing was at risk", reads, distinct)
+				}
+				thrash := int64(len(frag.Refs)) / 2
+				if tc.policy == PolicyFAA {
+					thrash = 2 * int64(s.NumContainers())
+				}
+				if st.ContainerReads < thrash {
+					t.Fatalf("only %d reads for %d refs in %d containers: the recipe did not thrash",
+						st.ContainerReads, len(frag.Refs), s.NumContainers())
+				}
+			})
+		}
 	}
 }
 

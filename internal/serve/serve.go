@@ -408,20 +408,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// restoreOptions parses ?mode=&cache=&workers=&decode=&verify= into
-// RestoreOptions. mode faa is handled by the caller (different Store entry
-// point). decode sets the wall-clock-only decode/verify worker count
-// (0 = auto, 1 = inline serial); it never changes the restored bytes or the
-// simulated clock.
-func restoreOptions(r *http.Request, forceVerify bool) (repro.RestoreOptions, string, error) {
+// restoreOptions parses ?mode=&cache=&workers=&verify= into RestoreOptions.
+// No mode is the store's default shape; pipelined is OPT with coalesced
+// reads; anything else is a policy name.
+func restoreOptions(r *http.Request, forceVerify bool) (repro.RestoreOptions, error) {
 	q := r.URL.Query()
-	mode := q.Get("mode")
 	opts := repro.DefaultRestoreOptions()
 	opts.Verify = forceVerify || q.Get("verify") == "1" || q.Get("verify") == "true"
 	if c := q.Get("cache"); c != "" {
 		n, err := strconv.Atoi(c)
 		if err != nil || n < 0 {
-			return opts, mode, fmt.Errorf("bad cache %q", c)
+			return opts, fmt.Errorf("bad cache %q", c)
 		}
 		if n > 0 {
 			opts.CacheContainers = n
@@ -430,23 +427,12 @@ func restoreOptions(r *http.Request, forceVerify bool) (repro.RestoreOptions, st
 	if ws := q.Get("workers"); ws != "" {
 		n, err := strconv.Atoi(ws)
 		if err != nil || n < 0 {
-			return opts, mode, fmt.Errorf("bad workers %q", ws)
+			return opts, fmt.Errorf("bad workers %q", ws)
 		}
 		opts.Workers = n
 	}
-	if ds := q.Get("decode"); ds != "" {
-		n, err := strconv.Atoi(ds)
-		if err != nil || n < 0 {
-			return opts, mode, fmt.Errorf("bad decode %q", ds)
-		}
-		opts.DecodeWorkers = n
-	}
-	switch mode {
-	case "", "faa": // "" is the store's default shape
-	case "lru":
-		opts.Policy = repro.RestoreLRU
-	case "opt":
-		opts.Policy = repro.RestoreOPT
+	switch mode := q.Get("mode"); mode {
+	case "":
 	case "pipelined":
 		opts.Policy = repro.RestoreOPT
 		opts.Coalesce = true
@@ -454,9 +440,13 @@ func restoreOptions(r *http.Request, forceVerify bool) (repro.RestoreOptions, st
 			opts.Workers = 1
 		}
 	default:
-		return opts, mode, fmt.Errorf("unknown mode %q (want lru, opt, pipelined or faa)", mode)
+		p, err := repro.ParseRestorePolicy(mode)
+		if err != nil {
+			return opts, err
+		}
+		opts.Policy = p
 	}
-	return opts, mode, nil
+	return opts, nil
 }
 
 // handleBackupGet serves both GET /v1/backups/{label} (stats) and
@@ -506,7 +496,7 @@ func (s *Server) restore(w http.ResponseWriter, r *http.Request, lbl string) {
 		httpError(w, http.StatusNotFound, "no backup %q", lbl)
 		return
 	}
-	opts, mode, err := restoreOptions(r, s.cfg.RestoreVerify)
+	opts, err := restoreOptions(r, s.cfg.RestoreVerify)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -523,11 +513,7 @@ func (s *Server) restore(w http.ResponseWriter, r *http.Request, lbl string) {
 	h.Set("Content-Length", strconv.FormatInt(b.Stats.LogicalBytes, 10))
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriterSize(cw, restoreWriteBuffer)
-	if mode == "faa" {
-		_, err = s.store.RestoreFAA(ctx, b, bw, int64(opts.CacheContainers)<<22, opts.Verify)
-	} else {
-		_, err = s.store.RestoreWith(ctx, b, bw, opts)
-	}
+	_, err = s.store.RestoreWith(ctx, b, bw, opts)
 	if err == nil {
 		err = bw.Flush()
 	}

@@ -245,30 +245,40 @@ func TestRestoreModeSelectsThePolicy(t *testing.T) {
 	}
 	lru := reads(repro.RestoreOptions{CacheContainers: cache, Policy: repro.RestoreLRU, Workers: 1})
 	opt := reads(repro.RestoreOptions{CacheContainers: cache, Policy: repro.RestoreOPT, Workers: 1})
-	if opt >= lru {
-		t.Fatalf("OPT-%d reads %d containers, LRU-%d %d: the recipe cannot tell the modes apart", cache, opt, cache, lru)
+	faa := reads(repro.RestoreOptions{CacheContainers: cache, Policy: repro.RestoreFAA, Workers: 1})
+	if opt >= lru || faa == opt || faa == lru {
+		t.Fatalf("OPT-%d reads %d containers, LRU-%d %d, FAA-%d %d: the recipe cannot tell the modes apart", cache, opt, cache, lru, cache, faa)
 	}
-	faa, err := store.RestoreFAA(ctx, newest, nil, cache<<22, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for mode, want := range map[string]int64{"": opt, "lru": lru, "opt": opt, "pipelined": opt, "faa": faa.ContainerReads} {
+	for _, tc := range []struct {
+		mode   string
+		policy repro.RestorePolicy
+		want   int64
+	}{
+		{"", repro.RestoreOPT, opt},
+		{"lru", repro.RestoreLRU, lru},
+		{"opt", repro.RestoreOPT, opt},
+		{"pipelined", repro.RestoreOPT, opt},
+		{"faa", repro.RestoreFAA, faa},
+	} {
+		mode, want := tc.mode, tc.want
 		r := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/backups/%s/restore?cache=%d&mode=%s", newest.Label, cache, mode), nil)
-		opts, gotMode, err := restoreOptions(r, false)
+		opts, err := restoreOptions(r, false)
 		if err != nil {
 			t.Fatalf("mode %q: %v", mode, err)
 		}
-		var rs repro.RestoreStats
-		if gotMode == "faa" { // the handler's dispatch
-			rs, err = store.RestoreFAA(ctx, newest, nil, int64(opts.CacheContainers)<<22, opts.Verify)
-		} else {
-			rs, err = store.RestoreWith(ctx, newest, nil, opts)
+		if opts.Policy != tc.policy {
+			t.Errorf("mode %q asks for policy %v, want %v", mode, opts.Policy, tc.policy)
 		}
+		rs, err := store.RestoreWith(ctx, newest, nil, opts)
 		if err != nil {
 			t.Fatalf("mode %q: %v", mode, err)
 		}
 		if rs.ContainerReads != want {
-			t.Errorf("mode %q: %d container reads, want %d (lru %d, opt %d)", mode, rs.ContainerReads, want, lru, opt)
+			t.Errorf("mode %q: %d container reads, want %d (lru %d, opt %d, faa %d)", mode, rs.ContainerReads, want, lru, opt, faa)
 		}
+	}
+	r := httptest.NewRequest(http.MethodGet, "/v1/backups/x/restore?mode=belady", nil)
+	if _, err := restoreOptions(r, false); err == nil {
+		t.Error("an unknown mode was accepted")
 	}
 }

@@ -121,18 +121,16 @@ func testBackendReadsAreReadOnly(t *testing.T, backend BackendKind) {
 	restoreAllShapes := func(after string) {
 		t.Helper()
 		var shapes []RestoreOptions
-		for _, policy := range []RestorePolicy{RestoreLRU, RestoreOPT} {
-			for _, chunkCache := range []bool{false, true} {
-				for _, lanes := range []int{1, 4} {
-					shapes = append(shapes, RestoreOptions{CacheContainers: 3, Policy: policy, Workers: lanes,
-						Coalesce: lanes > 1, ChunkCache: chunkCache, Verify: true})
-				}
+		for _, policy := range []RestorePolicy{RestoreLRU, RestoreOPT, RestoreFAA} {
+			for _, lanes := range []int{1, 4} {
+				shapes = append(shapes, RestoreOptions{CacheContainers: 3, Policy: policy, Workers: lanes,
+					Coalesce: lanes > 1, Verify: true})
 			}
 		}
 		backups := s.Backups()
 		want := datas[len(datas)-len(backups):]
 		var wg sync.WaitGroup
-		errs := make(chan error, len(shapes)+1)
+		errs := make(chan error, len(shapes))
 		for k, opts := range shapes {
 			wg.Add(1)
 			go func(opts RestoreOptions, holder string) {
@@ -151,21 +149,6 @@ func testBackendReadsAreReadOnly(t *testing.T, backend BackendKind) {
 				}
 			}(opts, fmt.Sprintf("%s: shape %d", after, k))
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i, b := range backups {
-				var out bytes.Buffer
-				if _, err := s.RestoreFAA(ctx, b, &out, 8<<20, true); err != nil {
-					errs <- fmt.Errorf("%s faa: %w", b.Label, err)
-					return
-				}
-				if !bytes.Equal(out.Bytes(), want[i]) {
-					errs <- fmt.Errorf("%s faa: restored stream differs", b.Label)
-					return
-				}
-			}
-		}()
 		wg.Wait()
 		close(errs)
 		for err := range errs {

@@ -29,11 +29,8 @@ func allRestoreModes() []restoreMode {
 		{"lru", with(RestoreOptions{})},
 		{"opt", with(RestoreOptions{Policy: RestoreOPT})},
 		{"pipelined", with(RestoreOptions{Policy: RestoreOPT, Coalesce: true, Workers: 2})},
-		{"chunkcache", with(RestoreOptions{ChunkCache: true})},
-		{"faa", func(ctx context.Context, s *Store, b *Backup, w io.Writer) error {
-			_, err := s.RestoreFAA(ctx, b, w, 8<<22, true)
-			return err
-		}},
+		{"faa", with(RestoreOptions{Policy: RestoreFAA})},
+		{"faa-pipelined", with(RestoreOptions{CacheContainers: 1, Policy: RestoreFAA, Coalesce: true, Workers: 2})},
 	}
 }
 

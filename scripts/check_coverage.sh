@@ -41,7 +41,7 @@ declare -A floors=(
   [repro/internal/maintenance]=75
   [repro/internal/metrics]=88
   [repro/internal/minhash]=90
-  [repro/internal/restore]=85
+  [repro/internal/restore]=92
   [repro/internal/segment]=90
   [repro/internal/serve]=70
   [repro/internal/telemetry]=75

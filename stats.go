@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/restore"
 )
 
 // BackupStats are the measurements of one backup through the store. All
@@ -96,7 +95,8 @@ func fromEngineStats(st engine.BackupStats) BackupStats {
 }
 
 // RestoreStats are the measurements of one restore — the paper's Fig. 6
-// metric plus the fragmentation evidence behind Eq. 1.
+// metric plus the fragmentation evidence behind Eq. 1. Field for field it is
+// restore.Stats, which converts to it.
 type RestoreStats struct {
 	Label          string
 	Bytes          int64
@@ -113,11 +113,8 @@ type RestoreStats struct {
 	// CoalescedContainers is the number of container fetches folded into a
 	// preceding sequential extent read — the seeks saved by coalescing.
 	CoalescedContainers int64
-	// PeakCacheBytes is the chunk-level cache's memory high-water mark
-	// (0 unless RestoreOptions.ChunkCache).
-	PeakCacheBytes int64
-	Fragments      int // placement fragments (Eq. 1's N)
-	Duration       time.Duration
+	Fragments           int // placement fragments (Eq. 1's N)
+	Duration            time.Duration
 }
 
 // ThroughputMBps returns the restore bandwidth in MB/s.
@@ -127,20 +124,4 @@ func (s RestoreStats) ThroughputMBps() float64 {
 		return 0
 	}
 	return float64(s.Bytes) / sec / 1e6
-}
-
-func fromRestoreStats(st restore.Stats) RestoreStats {
-	return RestoreStats{
-		Label:               st.Label,
-		Bytes:               st.Bytes,
-		Chunks:              st.Chunks,
-		ContainerReads:      st.ContainerReads,
-		ReadBytes:           st.ReadBytes,
-		CacheHits:           st.CacheHits,
-		ExtentReads:         st.ExtentReads,
-		CoalescedContainers: st.CoalescedContainers,
-		PeakCacheBytes:      st.PeakCacheBytes,
-		Fragments:           st.Fragments,
-		Duration:            st.Duration,
-	}
 }
