@@ -9,6 +9,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/blockstore"
@@ -66,20 +67,98 @@ func churnedFileStore(t *testing.T, opts Options, seed int64, files, gens, keep 
 	return s, datas
 }
 
+// loanSpy is a WrapBackend wrapper that watches the loans go by
+// (blockstore.LenderFrom): it adds up what every read asked of the backend
+// beneath it — the ranges lent with the buffer a section came back in, the
+// whole section when there was no loan, no ranges, or the loan went unused —
+// and, with poison set, fills every lent buffer with 0xA5 before the backend
+// sees it, so that whatever a ranged read leaves unread is not, by luck, the
+// bytes the same buffer held for the same container a moment ago.
+type loanSpy struct {
+	blockstore.Backend
+	poison bool
+	asked  atomic.Int64 // bytes asked of the backend
+	ranged atomic.Int64 // sections that came back in a buffer lent with ranges
+}
+
+// watch returns ctx with its lender, if any, wrapped, and the loans made
+// through it: what each lent buffer, by array, was lent to have read into it
+// (-1: the whole section).
+func (l *loanSpy) watch(ctx context.Context) (context.Context, map[*byte]int64) {
+	inner := blockstore.LenderFrom(ctx)
+	if inner == nil {
+		return ctx, nil
+	}
+	loans := make(map[*byte]int64)
+	return blockstore.WithLender(ctx, func(id uint32, n int64) ([]byte, []blockstore.Range) {
+		buf, want := inner(id, n)
+		if len(buf) == 0 {
+			return buf, want
+		}
+		if l.poison {
+			for i := range buf {
+				buf[i] = 0xA5
+			}
+		}
+		loans[&buf[0]] = -1
+		if want != nil {
+			loans[&buf[0]] = 0
+			for _, r := range want {
+				loans[&buf[0]] += r.Len
+			}
+		}
+		return buf, want
+	}), loans
+}
+
+func (l *loanSpy) count(loans map[*byte]int64, data []byte) {
+	if asked, lent := loans[&data[0]]; lent && asked >= 0 {
+		l.asked.Add(asked)
+		l.ranged.Add(1)
+		return
+	}
+	l.asked.Add(int64(len(data)))
+}
+
+func (l *loanSpy) ReadData(ctx context.Context, id uint32) ([]byte, error) {
+	ctx, loans := l.watch(ctx)
+	data, err := l.Backend.ReadData(ctx, id)
+	if err == nil && len(data) > 0 {
+		l.count(loans, data)
+	}
+	return data, err
+}
+
+func (l *loanSpy) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
+	ctx, loans := l.watch(ctx)
+	out, err := l.Backend.ReadDataRange(ctx, ids)
+	for _, data := range out {
+		if len(data) > 0 {
+			l.count(loans, data)
+		}
+	}
+	return out, err
+}
+
+func (l *loanSpy) Drop(ctx context.Context, ids []uint32, reason string) error {
+	return l.Backend.(blockstore.Dropper).Drop(ctx, ids, reason)
+}
+
 // TestFileRestoreReadGuard is the count-based guard of the file-backend
 // restore path — no clock in it. Over a churned store, the default restore of
 // the newest backup must (a) issue exactly the reads its forward-knowledge
-// plan has, and no more than the recency plan would, (b) stay under a pinned
-// read amplification, and (c) once its buffers exist, allocate next to
-// nothing per restored byte: the sections land in the restore's own fixed
-// set, not in a new buffer per fetch. It is the file-backend sibling of
-// internal/restore's TestRestoreAllocBytesPerByte. On the way it pins which
-// planner the default, a zero RestoreOptions and each explicit policy reach.
+// plan has, and no more than the recency plan would, (b) ask the backend for
+// exactly the bytes it reports, which stay under a pinned multiple of the
+// bytes restored. On the way it pins which planner the default, a zero
+// RestoreOptions and each explicit policy reach. What it allocates is
+// TestSectionBuffersOutliveTheRestore's.
 func TestFileRestoreReadGuard(t *testing.T) {
 	ctx := context.Background()
 	var counts *blockstore.Counting
+	loans := &loanSpy{}
 	s, datas := churnedFileStore(t, Options{WrapBackend: func(be blockstore.Backend) blockstore.Backend {
-		counts = blockstore.NewCounting(be)
+		loans.Backend = be
+		counts = blockstore.NewCounting(loans)
 		return counts
 	}}, 42, 56, 9, 4)
 	newest := s.Backups()[len(s.Backups())-1]
@@ -119,14 +198,17 @@ func TestFileRestoreReadGuard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.ContainerReads != tc.want.ContainerReads || got.ReadBytes != tc.want.ReadBytes {
-			t.Errorf("%s: %d container reads of %d bytes, its plan has %d of %d (OPT %d, LRU %d)", tc.name,
-				got.ContainerReads, got.ReadBytes, tc.want.ContainerReads, tc.want.ReadBytes, opt.ContainerReads, lru.ContainerReads)
+		// (ReadBytes is not the plan's alone: a read that finds every buffer
+		// out on loan asks for its whole section.)
+		if got.ContainerReads != tc.want.ContainerReads {
+			t.Errorf("%s: %d container reads, its plan has %d (OPT %d, LRU %d)", tc.name,
+				got.ContainerReads, tc.want.ContainerReads, opt.ContainerReads, lru.ContainerReads)
 		}
 	}
 
 	// (a)
 	counts.ResetCounts()
+	loans.asked.Store(0)
 	var out bytes.Buffer
 	rs, err := s.Restore(ctx, newest, &out, true)
 	if err != nil {
@@ -139,50 +221,59 @@ func TestFileRestoreReadGuard(t *testing.T) {
 		t.Fatalf("default restore: %d backend reads, stats say %d, the OPT-%d plan has %d (LRU-%d: %d)",
 			got, rs.ContainerReads, cache, opt.ContainerReads, cache, lru.ContainerReads)
 	}
-	// (b) Pinned: this store and seed measure 1.22 (LRU: 1.73).
-	if got := counts.DataBytesRead(); got != rs.ReadBytes {
-		t.Fatalf("backend served %d bytes, RestoreStats.ReadBytes says %d", got, rs.ReadBytes)
+	// (b) What the restore says it asked for is what the backend was asked
+	// for: the ranges its refs lie in, not the whole sections Counting sees
+	// come back. Pinned: this store and seed ask for 1.01 × the bytes restored,
+	// in sections of 1.22 × (LRU: 1.73 ×).
+	if got := loans.asked.Load(); got != rs.ReadBytes {
+		t.Fatalf("the backend was asked for %d bytes, RestoreStats.ReadBytes says %d", got, rs.ReadBytes)
 	}
-	const ampCeiling = 1.4
+	whole := counts.DataBytesRead()
+	if rs.ReadBytes > whole {
+		t.Fatalf("asked for %d bytes of sections of %d", rs.ReadBytes, whole)
+	}
+	const askCeiling = 1.25
 	amp := float64(rs.ReadBytes) / float64(rs.Bytes)
-	t.Logf("%d reads (LRU %d) over %d distinct containers, read amplification %.2f (LRU %.2f)",
-		rs.ContainerReads, lru.ContainerReads, newest.recipe().ContainersTouched(), amp, float64(lru.ReadBytes)/float64(lru.Bytes))
-	if amp > ampCeiling {
-		t.Fatalf("read amplification %.2f (%d bytes read for %d restored), ceiling %.1f", amp, rs.ReadBytes, rs.Bytes, ampCeiling)
+	t.Logf("%d reads (LRU %d) over %d distinct containers; asked for %.2f × the bytes restored (LRU %.2f), in sections of %.2f ×",
+		rs.ContainerReads, lru.ContainerReads, newest.recipe().ContainersTouched(), amp,
+		float64(lru.ReadBytes)/float64(lru.Bytes), float64(whole)/float64(rs.Bytes))
+	if amp > askCeiling {
+		t.Fatalf("asked for %d bytes to restore %d: %.2f ×, ceiling %.2f", rs.ReadBytes, rs.Bytes, amp, askCeiling)
 	}
-	// (c) A further restore of the warmed store, once with inline decode
-	// (GOMAXPROCS 1: the pool is sized from it) — where a buffer is free the
-	// moment its section is evicted, so the set is never found empty: the
-	// cache's buffers, the section taken but not yet installed and the one
-	// read ahead — and once with a pool of two, where its lag decides how
-	// many reads find the set empty and get a buffer of their own. The set itself, one
-	// container's capacity per buffer, is the allowance; what is allocated
-	// beyond it is held to 0.25 B per restored byte (a buffer per fetch, the
-	// parent's way, is the read amplification: 1.22 here).
+}
+
+// TestSectionBuffersOutliveTheRestore is the allocation guard of the same
+// path, the file-backend sibling of internal/restore's
+// TestRestoreAllocBytesPerByte: a restore of a store that has been restored
+// from before finds its section buffers where the last one left them, and
+// allocates next to nothing per restored byte — the plan, the ranges, a decode
+// batch. (A buffer per fetch, the way before PR 16, is the read amplification
+// in sections: 1.22 B per byte here; a set of its own per restore, PR 16's
+// way, 0.7 to 0.8.) Once with inline decode (GOMAXPROCS 1: the pool is sized
+// from it) and once with a pool of two.
+func TestSectionBuffersOutliveTheRestore(t *testing.T) {
 	if raceEnabled {
-		return // the race detector's shadow allocations are not the restore's
+		t.Skip("the race detector's sync.Pool drops a share of what it is given, and its shadow allocations are not the restore's")
 	}
-	dataCap := uint64(s.eng.Containers().Config().DataCap)
+	ctx := context.Background()
+	s, _ := churnedFileStore(t, Options{}, 42, 56, 9, 4)
+	newest := s.Backups()[len(s.Backups())-1]
 	opts := DefaultRestoreOptions()
 	opts.Verify = true
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, tc := range []struct {
-		name    string
-		procs   int
-		buffers int
-		limit   float64
-	}{
-		{"inline decode", 1, cache + 2, 0.02},
-		{"two decode workers", 2, cache + 4, 0.25},
-	} {
-		runtime.GOMAXPROCS(tc.procs)
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		var out bytes.Buffer
+		rs, err := s.RestoreWith(ctx, newest, &out, opts) // the one that makes the buffers
+		if err != nil {
+			t.Fatal(err)
+		}
 		// TotalAlloc is the process's: whatever else allocates meanwhile only
 		// adds, so the least of three restores is the restore's own.
 		alloc := math.Inf(1)
 		for try := 0; try < 3; try++ {
 			out.Reset()
 			var m0, m1 runtime.MemStats
-			runtime.GC()
 			runtime.ReadMemStats(&m0)
 			if _, err := s.RestoreWith(ctx, newest, &out, opts); err != nil {
 				t.Fatal(err)
@@ -190,26 +281,68 @@ func TestFileRestoreReadGuard(t *testing.T) {
 			runtime.ReadMemStats(&m1)
 			alloc = min(alloc, float64(m1.TotalAlloc-m0.TotalAlloc))
 		}
-		allowance := float64(uint64(tc.buffers) * dataCap)
-		t.Logf("%s: allocated %.0f bytes (its %d buffers are %.0f of them) for %d restored", tc.name, alloc, tc.buffers, allowance, rs.Bytes)
-		if beyond := (alloc - allowance) / float64(rs.Bytes); beyond > tc.limit {
-			t.Errorf("%s: allocated %.0f bytes, %.3f B per restored byte beyond its %d-buffer set (limit %.2f)",
-				tc.name, alloc, beyond, tc.buffers, tc.limit)
+		perByte := alloc / float64(rs.Bytes)
+		t.Logf("GOMAXPROCS %d: allocated %.0f bytes for %d restored, %.4f B per byte", procs, alloc, rs.Bytes, perByte)
+		if perByte > 0.15 {
+			t.Errorf("GOMAXPROCS %d: a restore after the first allocated %.0f bytes, %.3f B per restored byte (limit 0.15)", procs, alloc, perByte)
 		}
+	}
+}
+
+// TestRangedRestoreOverPoisonedBuffers restores with nothing between a range
+// bug and the output: every buffer is filled with 0xA5 just before the backend
+// reads into it, so a chunk cut from outside the ranges its fetch asked for is
+// 0xA5s and not the right bytes a reused buffer might happen to hold there, and
+// Verify is off, so only the comparison with the source looks. Every policy,
+// inline decode (GOMAXPROCS 1) and the pool (2, 4), the oldest retained backup
+// — merged and rewritten containers — and the newest.
+func TestRangedRestoreOverPoisonedBuffers(t *testing.T) {
+	ctx := context.Background()
+	loans := &loanSpy{poison: true}
+	s, datas := churnedFileStore(t, Options{WrapBackend: func(be blockstore.Backend) blockstore.Backend {
+		loans.Backend = be
+		return loans
+	}}, 11, 24, 7, 4)
+	backups := s.Backups()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, policy := range []RestorePolicy{RestoreLRU, RestoreOPT, RestoreFAA} {
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			for _, i := range []int{0, len(backups) - 1} {
+				opts := DefaultRestoreOptions()
+				opts.Policy, opts.CacheContainers, opts.Verify = policy, 3, false
+				var out bytes.Buffer
+				rs, err := s.RestoreWith(ctx, backups[i], &out, opts)
+				if err != nil {
+					t.Fatalf("%v, GOMAXPROCS %d, %s: %v", policy, procs, backups[i].Label, err)
+				}
+				if !bytes.Equal(out.Bytes(), datas[i]) {
+					t.Fatalf("%v, GOMAXPROCS %d, %s: restored stream differs from the source", policy, procs, backups[i].Label)
+				}
+				if rs.ReadBytes < rs.Bytes {
+					t.Fatalf("%v, GOMAXPROCS %d, %s: asked for %d bytes to restore %d", policy, procs, backups[i].Label, rs.ReadBytes, rs.Bytes)
+				}
+			}
+		}
+	}
+	if loans.ranged.Load() == 0 {
+		t.Fatal("no section came back in a buffer lent with ranges: nothing was tested")
 	}
 }
 
 // holderSpy is a WrapBackend wrapper of the kind the contract must work
 // through: it forwards ctx and slices. It keeps every section the backend
-// returned, keyed by array, with the holder (a ctx value the test's streams
-// set) it was returned to. A lent buffer may come back any number of times to
-// the restore that owns it; it must never reach a second holder, and a read
-// nobody lent for must always be a new array.
+// returned, keyed by array, with the holding (one restore call of one of the
+// test's streams, see hold) it was returned to. A lent buffer may come back any
+// number of times to the restore that owns it, and to anybody's once that
+// restore has returned — its buffers outlive it; it must never reach a second
+// holder while the first still runs, and a read nobody lent for must always be
+// a new array.
 type holderSpy struct {
 	blockstore.Backend
 	t  *testing.T
 	mu sync.Mutex
-	by map[*byte]any
+	by map[*byte]*holding
 	// shared is set while the store's shared data cache is attached: then
 	// every section belongs to everybody and none may be a reused buffer.
 	shared bool
@@ -219,13 +352,30 @@ type holderSpy struct {
 	failRead int
 }
 
+// holding is one restore call, from hold until its done.
+type holding struct {
+	name string
+	over bool
+}
+
 type holderKey struct{}
+
+// hold returns the ctx of one restore call by the named stream, and the func
+// that says the call has returned.
+func (h *holderSpy) hold(ctx context.Context, name string) (context.Context, func()) {
+	hd := &holding{name: name}
+	return context.WithValue(ctx, holderKey{}, hd), func() {
+		h.mu.Lock()
+		hd.over = true
+		h.mu.Unlock()
+	}
+}
 
 func (h *holderSpy) note(ctx context.Context, data []byte) []byte {
 	if len(data) == 0 {
 		return data
 	}
-	holder := ctx.Value(holderKey{})
+	holder, _ := ctx.Value(holderKey{}).(*holding)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.failRead > 0 {
@@ -240,8 +390,10 @@ func (h *holderSpy) note(ctx context.Context, data []byte) []byte {
 		switch {
 		case h.shared:
 			h.t.Errorf("a section loaded for the shared cache came back in a buffer used before")
-		case holder == nil || prev != holder:
-			h.t.Errorf("a section buffer of holder %v was handed to holder %v", prev, holder)
+		case holder == nil || prev == nil:
+			h.t.Errorf("a section buffer was shared between a restore and a reader that lends nothing (%v, %v)", prev, holder)
+		case prev != holder && !prev.over:
+			h.t.Errorf("a section buffer of %s, still restoring, was handed to %s", prev.name, holder.name)
 		}
 	}
 	h.by[&data[0]] = holder
@@ -277,13 +429,14 @@ func (h *holderSpy) Drop(ctx context.Context, ids []uint32, reason string) error
 // while a maintenance epoch merges and drops containers beside them, some of
 // the streams stopping early on a failing writer and one on a corrupted
 // section. Every stream that completes is compared byte for byte, every
-// section buffer stays with the one restore it was lent by (holderSpy), and
-// no early stop disturbs its siblings.
+// section buffer stays with the one restore it was lent by until that restore
+// returns — failed ones too — (holderSpy), and no early stop disturbs its
+// siblings.
 func TestFileRestoreReuseSafety(t *testing.T) {
 	for _, cacheBytes := range []int64{0, 24 << 20} {
 		t.Run(fmt.Sprintf("RestoreCacheBytes=%d", cacheBytes), func(t *testing.T) {
 			ctx := context.Background()
-			spy := &holderSpy{t: t, by: map[*byte]any{}, shared: cacheBytes > 0}
+			spy := &holderSpy{t: t, by: map[*byte]*holding{}, shared: cacheBytes > 0}
 			s, datas := churnedFileStore(t, Options{RestoreCacheBytes: cacheBytes,
 				WrapBackend: func(be blockstore.Backend) blockstore.Backend {
 					spy.Backend = be
@@ -300,7 +453,6 @@ func TestFileRestoreReuseSafety(t *testing.T) {
 			var wg sync.WaitGroup
 			stream := func(holder string, i int, mode string) {
 				defer wg.Done()
-				hctx := context.WithValue(ctx, holderKey{}, holder)
 				for round := 0; round < 2; round++ {
 					var out bytes.Buffer
 					out.Grow(len(datas[i]))
@@ -308,7 +460,9 @@ func TestFileRestoreReuseSafety(t *testing.T) {
 					if mode == "writer fails" {
 						w = &limitWriter{w: &out, left: int64(len(datas[i]) / 3), err: errWriter}
 					}
+					hctx, done := spy.hold(ctx, holder)
 					_, err := s.Restore(hctx, backups[i], w, true)
+					done()
 					switch {
 					case mode == "writer fails":
 						if !errors.Is(err, errWriter) {
@@ -348,12 +502,15 @@ func TestFileRestoreReuseSafety(t *testing.T) {
 			spy.failRead = 3
 			spy.mu.Unlock()
 			s.SetRestoreCacheBudget(cacheBytes) // drop residency so the read happens
-			hctx := context.WithValue(ctx, holderKey{}, "corrupted")
+			hctx, done := spy.hold(ctx, "corrupted")
 			if _, err := s.Restore(hctx, backups[newest], io.Discard, true); err == nil {
 				t.Fatal("a restore over a corrupted section succeeded")
 			}
+			done()
 			s.SetRestoreCacheBudget(cacheBytes) // ...and so the bad copy is not served again
 			var out bytes.Buffer
+			hctx, done = spy.hold(ctx, "after the corrupted one")
+			defer done()
 			if _, err := s.Restore(hctx, backups[newest], &out, true); err != nil || !bytes.Equal(out.Bytes(), datas[newest]) {
 				t.Fatalf("restore after the corrupted one: %v", err)
 			}

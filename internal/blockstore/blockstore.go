@@ -74,10 +74,22 @@ type ContainerInfo struct {
 // holder hands the buffer back to its own set — nobody else ever sees it. A
 // shared view (Sim's sealed sections, a metadata-only store's zeros) is
 // never a lent buffer, so it is never handed back and stays garbage-collected
-// as above. The ctx and the returned slices are all a wrapper has to forward
-// for this to work; a wrapper that keeps or shares the slices it returns
-// (a cache) must strip the lender — WithLender(ctx, nil) — before calling
-// inward, because a lent buffer is overwritten once its holder is done.
+// as above.
+//
+// A loan may be ranged: with the buffer the lender names the byte ranges of
+// the section its holder will look at, and the backend need fill only those,
+// each at its own offset. What a section in a lent buffer holds outside them
+// is unspecified — stale bytes of whatever the buffer held before — and
+// nobody may look there: not the holder, who said it would not, and not a
+// wrapper, which cannot tell a ranged section from a whole one and so must
+// not hash, compare or copy-and-share what it forwards. A section that is not
+// in a lent buffer is always whole.
+//
+// The ctx and the returned slices are all a wrapper has to forward for this
+// to work; a wrapper that keeps or shares the slices it returns (a cache)
+// must strip the lender — WithLender(ctx, nil) — before calling inward,
+// because a lent buffer is overwritten once its holder is done and may never
+// have been whole.
 type Backend interface {
 	// Name identifies the backend kind ("sim", "file", ...).
 	Name() string
@@ -183,11 +195,17 @@ func ReadDataRangeNaive(ctx context.Context, b Backend, ids []uint32) ([][]byte,
 	return out, nil
 }
 
-// Lender hands out a buffer of at least n bytes for one data section to be
-// read into, or nil when it has none to spare (the backend then allocates, as
-// it would without a lender). See Backend for who may lend and what lending
-// means for the section's lifetime.
-type Lender func(n int64) []byte
+// Range is a byte range of one container's data section.
+type Range struct{ Off, Len int64 }
+
+// Lender hands out a buffer of at least n bytes for the data section of
+// container id to be read into, or nil when it has none to spare (the backend
+// then allocates and reads the whole section, as it would without a lender).
+// With the buffer it may name the ranges of the section it will look at —
+// sorted, disjoint, inside [0, n) — and the backend may leave the rest of the
+// buffer as it found it; nil ranges ask for the whole section. See Backend for
+// who may lend and what lending means for the section's lifetime.
+type Lender func(id uint32, n int64) (buf []byte, want []Range)
 
 type lenderKey struct{}
 
@@ -197,15 +215,12 @@ func WithLender(ctx context.Context, l Lender) context.Context {
 	return context.WithValue(ctx, lenderKey{}, l)
 }
 
-// borrow returns n bytes to read a section into: the ctx's lender's buffer
-// when it offers one, else a new one.
-func borrow(ctx context.Context, n int64) []byte {
-	if l, _ := ctx.Value(lenderKey{}).(Lender); l != nil {
-		if buf := l(n); int64(len(buf)) >= n {
-			return buf[:n]
-		}
-	}
-	return make([]byte, n)
+// LenderFrom returns the lender ctx carries, or nil. A backend that copies
+// sections asks it; a wrapper that wants to watch the loans go by wraps it and
+// passes the wrapped one inward with WithLender.
+func LenderFrom(ctx context.Context) Lender {
+	l, _ := ctx.Value(lenderKey{}).(Lender)
+	return l
 }
 
 // zeroView serves the reads of a metadata-only store: n zero bytes out of

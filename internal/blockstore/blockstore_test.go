@@ -406,9 +406,9 @@ func TestSimReadDataIsASharedView(t *testing.T) {
 		}
 		// A lender changes nothing: a zero view is shared, so it must never be
 		// read into a buffer somebody means to reuse.
-		lctx := WithLender(ctx, func(n int64) []byte {
+		lctx := WithLender(ctx, func(uint32, int64) ([]byte, []Range) {
 			t.Errorf("%s: metadata-only read borrowed a buffer", name)
-			return nil
+			return nil, nil
 		})
 		z1, _ := hole.ReadData(ctx, 1)
 		z2, _ := hole.ReadData(lctx, 2) // larger: the shared buffer grows

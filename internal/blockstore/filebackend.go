@@ -408,9 +408,10 @@ func (f *File) ReadData(ctx context.Context, id uint32) ([]byte, error) {
 }
 
 // readSection reads container id's data file, which must hold exactly want
-// bytes — longer is as torn as shorter — in one exact-length read into a
-// buffer the ctx's lender offers (see Backend), else a new one. Checking the
-// length first means a torn file never costs a loan.
+// bytes — longer is as torn as shorter — into a buffer the ctx's lender
+// offers (see Backend), else a new one. Checking the length first means a torn
+// file never costs a loan. A ranged loan is filled range by range, each with
+// one pread at its own offset; anything else is one read of the whole file.
 func (f *File) readSection(ctx context.Context, id uint32, want int64) ([]byte, error) {
 	fh, err := os.Open(f.dataPath(id))
 	if err != nil {
@@ -427,12 +428,37 @@ func (f *File) readSection(ctx context.Context, id uint32, want int64) ([]byte, 
 	if st.Size() != want {
 		return nil, torn(st.Size())
 	}
-	data := borrow(ctx, want)
-	if n, err := io.ReadFull(fh, data); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) { // shrank since Stat
-			return nil, torn(int64(n))
+	var data []byte
+	whole := [1]Range{{Off: 0, Len: want}}
+	ranges := whole[:]
+	if l := LenderFrom(ctx); l != nil {
+		if buf, wanted := l(id, want); int64(len(buf)) >= want {
+			data = buf[:want]
+			if wanted != nil {
+				ranges = wanted
+			}
 		}
-		return nil, fmt.Errorf("file backend: container %d: %w", id, err)
+	}
+	if data == nil {
+		data = make([]byte, want)
+	}
+	// All of them before the first read: a section is filled as asked or not
+	// returned at all.
+	end := int64(0)
+	for _, r := range ranges {
+		if r.Off < end || r.Len < 0 || r.Len > want-r.Off {
+			return nil, fmt.Errorf("file backend: container %d: lender wants [%d,+%d) after byte %d of a %d-byte section: ranges must be sorted, disjoint and inside it",
+				id, r.Off, r.Len, end, want)
+		}
+		end = r.Off + r.Len
+	}
+	for _, r := range ranges {
+		if n, err := fh.ReadAt(data[r.Off:r.Off+r.Len], r.Off); err != nil {
+			if errors.Is(err, io.EOF) { // shrank since Stat
+				return nil, torn(r.Off + int64(n))
+			}
+			return nil, fmt.Errorf("file backend: container %d: %w", id, err)
+		}
 	}
 	return data, nil
 }

@@ -6,26 +6,43 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
 
 // loans is a test lender: it hands out the buffers it was given, in order,
-// and remembers how often it was asked.
+// each with the same wanted ranges (nil: the whole section), and remembers how
+// often it was asked.
 type loans struct {
 	bufs  [][]byte
+	want  []Range
 	asked int
 }
 
-func (l *loans) lend(n int64) []byte {
+func (l *loans) lend(id uint32, n int64) ([]byte, []Range) {
 	l.asked++
 	if len(l.bufs) == 0 {
-		return nil
+		return nil, nil
 	}
 	b := l.bufs[0]
 	l.bufs = l.bufs[1:]
-	return b
+	return b, l.want
 }
+
+// forwardingStacks is the file backend alone and under the wrappers that
+// forward only the ctx and the returned slices: a loan must survive each.
+func forwardingStacks(file *File) map[string]Backend {
+	return map[string]Backend{
+		"file":     file,
+		"counting": NewCounting(file),
+		"retry(fault)": WithRetry(NewFault(file, FaultConfig{Seed: 3, TransientRate: 0.5}),
+			RetryPolicy{MaxAttempts: 50, BaseDelay: time.Microsecond}),
+	}
+}
+
+// poisoned returns n bytes of 0xA5, which no test container holds.
+func poisoned(n int) []byte { return bytes.Repeat([]byte{0xA5}, n) }
 
 // TestFileReadsIntoLentBuffers pins the lending half of the Backend contract
 // on the file backend, and that it survives every wrapper which forwards only
@@ -42,12 +59,7 @@ func TestFileReadsIntoLentBuffers(t *testing.T) {
 	defer file.Close()
 	want := sealN(t, file, 3)
 
-	stacks := map[string]Backend{
-		"file":     file,
-		"counting": NewCounting(file),
-		"retry(fault)": WithRetry(NewFault(file, FaultConfig{Seed: 3, TransientRate: 0.5}),
-			RetryPolicy{MaxAttempts: 50, BaseDelay: time.Microsecond}),
-	}
+	stacks := forwardingStacks(file)
 	for name, be := range stacks {
 		big := make([]byte, 1<<16)
 		l := &loans{bufs: [][]byte{big}}
@@ -92,6 +104,167 @@ func TestFileReadsIntoLentBuffers(t *testing.T) {
 				t.Fatalf("%s, %s: section must be a correct private copy", name, what)
 			}
 		}
+	}
+}
+
+// TestFileReadsOnlyWantedRanges is the ranged half of the contract, through
+// the same wrappers: inside the ranges the lent buffer holds the file's bytes
+// at the file's offsets, outside them it is not touched, and what comes back is
+// still the full-length prefix of the lent buffer. Ranges that touch, an empty
+// one and one that ends at the section's last byte are all in order; a ranged
+// lender whose buffer is too short, or which has none, gets a whole private
+// section.
+func TestFileReadsOnlyWantedRanges(t *testing.T) {
+	ctx := context.Background()
+	file, err := OpenFile(t.TempDir(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	want := sealN(t, file, 3)
+	fill := int64(len(want[1]))
+
+	stacks := forwardingStacks(file)
+	for name, be := range stacks {
+		for _, ranges := range [][]Range{
+			{{Off: 3, Len: 40}, {Off: 200, Len: 1}, {Off: 400, Len: fill - 400}},
+			{{Off: 0, Len: 10}, {Off: 10, Len: 10}, {Off: 100, Len: 0}},
+			{{Off: fill - 1, Len: 1}},
+			{},
+		} {
+			big := poisoned(1 << 16)
+			l := &loans{bufs: [][]byte{big}, want: ranges}
+			got, err := be.ReadData(WithLender(ctx, l.lend), 1)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, ranges, err)
+			}
+			if &got[0] != &big[0] || int64(len(got)) != fill {
+				t.Fatalf("%s %v: section is not the full-length prefix of the lent buffer (len %d, want %d)", name, ranges, len(got), fill)
+			}
+			expect := poisoned(len(big))
+			for _, r := range ranges {
+				copy(expect[r.Off:r.Off+r.Len], want[1][r.Off:r.Off+r.Len])
+			}
+			if !bytes.Equal(big, expect) {
+				t.Fatalf("%s %v: the lent buffer must hold the file inside the ranges and be untouched outside them", name, ranges)
+			}
+		}
+
+		// Ranges change nothing about who gets a loan: a short buffer or none
+		// is a whole, private section.
+		small := poisoned(8)
+		for what, l := range map[string]*loans{
+			"short loan": {bufs: [][]byte{small}, want: []Range{{Off: 3, Len: 2}}},
+			"no buffer":  {want: []Range{{Off: 3, Len: 2}}},
+		} {
+			got, err := be.ReadData(WithLender(ctx, l.lend), 1)
+			if err != nil || !bytes.Equal(got, want[1]) || &got[0] == &small[0] {
+				t.Fatalf("%s, %s: want a whole private section (err %v)", name, what, err)
+			}
+		}
+		if !bytes.Equal(small, poisoned(8)) {
+			t.Fatalf("%s: a refused short loan was written into", name)
+		}
+	}
+}
+
+// TestFileValidatesWantedRanges: ranges the lender has no business asking for
+// are an error that names the container — never a panic, and never a buffer
+// filled half-way and passed off as a section: nothing is read before every
+// range has been checked.
+func TestFileValidatesWantedRanges(t *testing.T) {
+	file, err := OpenFile(t.TempDir(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	want := sealN(t, file, 3)
+	fill := int64(len(want[1]))
+	for what, ranges := range map[string][]Range{
+		"starts before the section": {{Off: -1, Len: 4}},
+		"ends after the section":    {{Off: 0, Len: 8}, {Off: fill - 2, Len: 3}},
+		"starts after the section":  {{Off: fill + 1, Len: 0}},
+		"negative length":           {{Off: 0, Len: 8}, {Off: 16, Len: -1}},
+		"length overflows":          {{Off: 8, Len: 1<<63 - 1}},
+		"unsorted":                  {{Off: 64, Len: 8}, {Off: 0, Len: 8}},
+		"overlapping":               {{Off: 0, Len: 8}, {Off: 7, Len: 8}},
+	} {
+		big := poisoned(1 << 12)
+		l := &loans{bufs: [][]byte{big}, want: ranges}
+		got, err := file.ReadData(WithLender(context.Background(), l.lend), 1)
+		if err == nil || got != nil || !strings.Contains(err.Error(), "container 1") {
+			t.Fatalf("%s: got %d bytes and %v, want an error naming container 1", what, len(got), err)
+		}
+		if errors.Is(err, ErrCorrupt) || IsTransient(err) {
+			t.Fatalf("%s: %v: a lender's mistake is neither corruption nor worth a retry", what, err)
+		}
+		if !bytes.Equal(big, poisoned(len(big))) {
+			t.Fatalf("%s: the buffer was written before the ranges were checked", what)
+		}
+	}
+	if got, err := file.ReadData(context.Background(), 1); err != nil || !bytes.Equal(got, want[1]) {
+		t.Fatalf("the container must still read: %v", err)
+	}
+}
+
+// flakyAfterRead fails its first ReadData after the inner backend has served
+// it: the loan that read took is spent on nothing.
+type flakyAfterRead struct {
+	Backend
+	failed bool
+}
+
+func (f *flakyAfterRead) ReadData(ctx context.Context, id uint32) ([]byte, error) {
+	data, err := f.Backend.ReadData(ctx, id)
+	if err == nil && !f.failed {
+		f.failed = true
+		return nil, Transient(errors.New("lost on the way up"))
+	}
+	return data, err
+}
+
+// TestFailedRangedReadReturnsNoLoan: a ranged read that fails after it has
+// borrowed — the file shrank under the pread, or a wrapper above lost the
+// result and retried — hands back an error and no section, so the lender's
+// holder finds that loan unreturned and may lend it again (sectionSet.settle
+// in internal/restore); the retry asks for a new one.
+func TestFailedRangedReadReturnsNoLoan(t *testing.T) {
+	dir := t.TempDir()
+	file, err := OpenFile(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	want := sealN(t, file, 3)
+	ranges := []Range{{Off: 0, Len: 16}, {Off: 300, Len: 100}}
+
+	first, second := poisoned(1<<12), poisoned(1<<12)
+	l := &loans{bufs: [][]byte{first, second}, want: ranges}
+	be := WithRetry(&flakyAfterRead{Backend: file}, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond})
+	got, err := be.ReadData(WithLender(context.Background(), l.lend), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.asked != 2 || &got[0] != &second[0] {
+		t.Fatalf("the retried read asked the lender %d times (want 2) and must come back in its second loan", l.asked)
+	}
+	for _, r := range ranges {
+		if !bytes.Equal(got[r.Off:r.Off+r.Len], want[1][r.Off:r.Off+r.Len]) {
+			t.Fatalf("range %v of the retried read has the wrong bytes", r)
+		}
+	}
+
+	// The lender is asked after the length check; a file that shrinks between
+	// that and the pread of its second range is torn all the same.
+	path := filepath.Join(dir, "containers", "000002.data")
+	shrink := func(id uint32, n int64) ([]byte, []Range) {
+		if err := os.Truncate(path, 200); err != nil {
+			t.Error(err)
+		}
+		return poisoned(1 << 12), ranges
+	}
+	if got, err := file.ReadData(WithLender(context.Background(), shrink), 2); !errors.Is(err, ErrCorrupt) || got != nil || !strings.Contains(err.Error(), "torn") {
+		t.Fatalf("a file that shrank under a ranged read: %d bytes and %v, want ErrCorrupt torn", len(got), err)
 	}
 }
 

@@ -394,9 +394,10 @@ func TestDataCacheDoesNotChangeSimulatedTime(t *testing.T) {
 
 // TestLenderStopsAtTheSharedCache pins the fetch gateway's half of the
 // lending contract (blockstore.Backend): straight to a file backend the
-// reader's lender is asked and the section comes back in its buffer; once the
-// shared cache is attached — every stream sees the same section — it is never
-// asked, on any fetch path.
+// reader's lender is asked, by container and fill, and the section comes back
+// in its buffer with only the ranges it named read; once the shared cache is
+// attached — every stream sees the same section, whole — it is never asked,
+// on any fetch path.
 func TestLenderStopsAtTheSharedCache(t *testing.T) {
 	file, err := blockstore.OpenFile(t.TempDir(), true)
 	if err != nil {
@@ -417,19 +418,25 @@ func TestLenderStopsAtTheSharedCache(t *testing.T) {
 		ids = append(ids, loc.Container)
 	}
 
-	buf := make([]byte, 64)
+	buf := bytes.Repeat([]byte{0xA5}, 64)
 	asked := 0
-	ctx := blockstore.WithLender(context.Background(), func(int64) []byte {
+	ctx := blockstore.WithLender(context.Background(), func(id uint32, n int64) ([]byte, []blockstore.Range) {
 		asked++
-		return buf
+		if id != ids[0] || n != s.DataFill(id) {
+			t.Errorf("lender asked for container %d, %d bytes; the fetch is of container %d, %d bytes", id, n, ids[0], s.DataFill(ids[0]))
+		}
+		return buf, []blockstore.Range{{Off: 6, Len: 2}}
 	})
 	datas, release, err := s.PeekDataRangePinned(ctx, ids[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	release()
-	if asked != 1 || &datas[0][0] != &buf[0] {
+	if asked != 1 || &datas[0][0] != &buf[0] || int64(len(datas[0])) != s.DataFill(ids[0]) {
 		t.Fatalf("uncached fetch: lender asked %d times, section in the lent buffer: %v", asked, &datas[0][0] == &buf[0])
+	}
+	if string(buf[:9]) != "\xa5\xa5\xa5\xa5\xa5\xa500\xa5" {
+		t.Fatalf("uncached ranged fetch read %q, want only bytes 6 and 7 of the section", buf[:9])
 	}
 
 	s.SetDataCache(1 << 20)
@@ -446,9 +453,12 @@ func TestLenderStopsAtTheSharedCache(t *testing.T) {
 	if asked != 0 {
 		t.Fatalf("fetches through the shared cache asked the lender %d times", asked)
 	}
-	for _, d := range append(datas, one) {
+	for i, d := range append(datas, one) {
 		if &d[0] == &buf[0] {
 			t.Fatal("a section in the shared cache sits in a reader's lent buffer")
+		}
+		if whole, err := file.ReadData(context.Background(), ids[i]); err != nil || !bytes.Equal(d, whole) {
+			t.Fatalf("a section in the shared cache is not the whole section (%v)", err)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/blockstore"
@@ -24,9 +25,9 @@ var (
 	telCoalescedContainers = telemetry.NewCounter("restore_coalesced_containers_total",
 		"container fetches folded into a preceding coalesced extent read (seeks saved)")
 	telReadBytes = telemetry.NewCounter("restore_backend_read_bytes_total",
-		"bytes of the container data sections restores fetched (read amplification = this over restore_bytes_total; sections the shared data cache served are counted too)")
+		"bytes of container data sections restores asked for: the ranges their refs lie in where the backend reads only those, whole sections otherwise (read amplification = this over restore_bytes_total; sections the shared data cache served are counted too)")
 	telSectionsReused = telemetry.NewCounter("restore_sections_reused_total",
-		"container sections read into a buffer the same restore had used before, instead of a new one")
+		"container sections read into a buffer this restore or an earlier one had used before, instead of a new one")
 	telDecodeQueueDepth = telemetry.NewHistogram("restore_decode_queue_depth",
 		"verify/decode batches queued ahead of the decode worker pool when a batch is submitted",
 		telemetry.CountBuckets)
@@ -129,6 +130,7 @@ func RunPipelined(ctx context.Context, store *container.Store, recipe *chunk.Rec
 	as := &assembly{store: store, cfg: cfg, plan: plan, refs: recipe.Refs, w: w, stats: &stats,
 		resident: make(map[uint32][]byte, cfg.CacheContainers),
 		sections: newSectionSet(dataCap, cfg.CacheContainers+sectionsInFlight(plan, recipe, dw, dataCap))}
+	defer as.sections.release() // after the fetcher and the resequencer have exited
 	if dw > 1 {
 		as.emit = newDecodePipe(dw, cfg.Verify, w, as.sections)
 	}
@@ -228,6 +230,7 @@ type assembly struct {
 	// sections holds the buffers file-backed sections are read into. A
 	// section leaves the cache by retire, never by a bare delete.
 	sections *sectionSet
+	wants    sync.Once // plan.buildWants, at the first loan a backend asks for
 
 	// emit, when non-nil, routes verify/write through the parallel decode
 	// pool instead of doing it inline; see decodePipe.
@@ -286,9 +289,13 @@ func (as *assembly) run(ctx context.Context) error {
 		// Fetched under the caller's ctx, not one cancelled by stop: a load
 		// aborted half-way would fail every other stream waiting on the same
 		// shared-cache entry.
-		fctx := blockstore.WithLender(ctx, as.sections.lend)
 		for ei := range as.plan.extents {
-			datas, release, err := as.store.PeekDataRangePinned(fctx, as.plan.extents[ei].ids)
+			e := &as.plan.extents[ei]
+			fctx := blockstore.WithLender(ctx, func(id uint32, n int64) ([]byte, []blockstore.Range) {
+				as.wants.Do(func() { as.plan.buildWants(as.store, as.refs) })
+				return as.sections.lend(n), as.plan.want(e, id)
+			})
+			datas, release, err := as.store.PeekDataRangePinned(fctx, e.ids)
 			as.sections.settle(datas)
 			select {
 			case fetched <- fetchedExtent{datas: datas, release: release, err: err}:
@@ -325,7 +332,7 @@ func (as *assembly) run(ctx context.Context) error {
 				}
 				for k, cid := range e.ids {
 					staged[cid] = res.datas[k]
-					as.stats.ReadBytes += int64(len(res.datas[k]))
+					as.stats.ReadBytes += as.asked(&as.plan.fetches[e.lo+k], res.datas[k])
 				}
 				// The cache residency served its purpose the moment the
 				// sections are staged in this restore's own memory.
@@ -366,6 +373,20 @@ func (as *assembly) run(ctx context.Context) error {
 		as.stats.Chunks++
 	}
 	return nil
+}
+
+// asked is how many bytes of its section the fetch f asked the backend for:
+// the ranges it wants when the section came back in the buffer lent with
+// them, the whole of it when nothing was lent or the loan was refused.
+func (as *assembly) asked(f *fetchOp, data []byte) int64 {
+	if f.want == nil || !as.sections.owns(data) {
+		return int64(len(data))
+	}
+	var n int64
+	for _, r := range f.want {
+		n += r.Len
+	}
+	return n
 }
 
 // install adds a fetched container to the cache, evicting what the plan

@@ -1,9 +1,12 @@
 package restore
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
+	"repro/internal/blockstore"
 	"repro/internal/chunk"
 	"repro/internal/container"
 	"repro/internal/lru"
@@ -48,6 +51,15 @@ func (p CachePolicy) String() string {
 // maxCoalesce caps the containers merged into one extent read.
 const maxCoalesce = 8
 
+// Wanted ranges of a fetch closer than wantHole are read as one (a pread costs
+// more than copying that little), and a fetch whose ranges leave out no more
+// than one part in wholeReadCut of its section reads it whole. Neither is
+// sensitive: a fragmented backup's ranges are few and long (EXPERIMENTS.md, PR 20).
+const (
+	wantHole     = 8 << 10
+	wholeReadCut = 16
+)
+
 // fetchOp is one planned cache miss: container must be fetched just before
 // recipe ref needAt is assembled, evicting victim (when the cache is full)
 // or, with flush, every resident container (a forward-assembly window ends).
@@ -58,6 +70,11 @@ type fetchOp struct {
 	hasVictim bool
 	flush     bool
 	extent    int // index of the physical extent read that carries this fetch
+	// want is the ranges of the data section that the refs this residency
+	// serves — from needAt until eviction or the next fetch — lie in: sorted,
+	// disjoint, section-relative; nil is all of it. A backend that copies
+	// sections may read only these (blockstore.Lender).
+	want []blockstore.Range
 }
 
 // extent is one physical read: the containers of fetch ops [lo,hi) are
@@ -103,6 +120,64 @@ func buildPlan(store *container.Store, refs []chunk.Ref, capacity int, policy Ca
 	}
 	p.buildExtents(store, coalesce)
 	return p, nil
+}
+
+// buildWants gives every fetch the ranges of its section that it will be
+// asked for. Whatever the policy, a ref is served by the latest fetch of its
+// container at or before it: a container is never resident twice. The pass is
+// the executor's to make, the first time a backend asks for a loan: a restore
+// off a backend that never does (Sim, anything behind the shared cache) is not
+// charged for it.
+func (p *restorePlan) buildWants(store *container.Store, refs []chunk.Ref) {
+	type residency struct {
+		fetch *fetchOp
+		start int64 // device offset of the container's data section
+	}
+	serving := make(map[uint32]residency)
+	for i := range refs {
+		loc := &refs[i].Loc
+		if fx := p.fetchAt[i]; fx >= 0 {
+			serving[loc.Container] = residency{&p.fetches[fx], store.DataStart(loc.Container)}
+		}
+		r := serving[loc.Container]
+		r.fetch.want = append(r.fetch.want, blockstore.Range{Off: loc.Offset - r.start, Len: int64(loc.Size)})
+	}
+	for fx := range p.fetches {
+		f := &p.fetches[fx]
+		f.want = mergeRanges(f.want, store.DataFill(f.container))
+	}
+}
+
+// want returns the wanted ranges of container id's fetch in extent e.
+func (p *restorePlan) want(e *extent, id uint32) []blockstore.Range {
+	for fx := e.lo; fx < e.hi; fx++ {
+		if p.fetches[fx].container == id {
+			return p.fetches[fx].want
+		}
+	}
+	return nil
+}
+
+// mergeRanges sorts rs, merges what overlaps or lies within wantHole, and
+// returns nil when the result is as good as the whole section of fill bytes.
+func mergeRanges(rs []blockstore.Range, fill int64) []blockstore.Range {
+	slices.SortFunc(rs, func(a, b blockstore.Range) int { return cmp.Compare(a.Off, b.Off) })
+	out, covered := rs[:0], int64(0)
+	for _, r := range rs {
+		if k := len(out) - 1; k >= 0 && r.Off <= out[k].Off+out[k].Len+wantHole {
+			if grow := r.Off + r.Len - (out[k].Off + out[k].Len); grow > 0 {
+				out[k].Len += grow
+				covered += grow
+			}
+			continue
+		}
+		out = append(out, r)
+		covered += r.Len
+	}
+	if fill-covered <= fill/wholeReadCut {
+		return nil
+	}
+	return out
 }
 
 // simulateLRU replays the Get/Put sequence of a restore reading through the

@@ -63,10 +63,12 @@ type Stats struct {
 	Label          string
 	Bytes          int64
 	Chunks         int64
-	ContainerReads int64 // cache misses: full data-section reads
-	// ReadBytes is the bytes of those sections: what the restore asked the
-	// backend for (less whatever a shared data cache served from memory).
-	// ReadBytes / Bytes is the restore's read amplification.
+	ContainerReads int64 // cache misses: data-section fetches
+	// ReadBytes is what those fetches asked the backend for: the ranges the
+	// recipe's refs lie in where it reads into a lent buffer (File), else —
+	// no loan taken, none to spare, a shared data cache in between — whole
+	// sections, cached ones included. ReadBytes / Bytes is the restore's read
+	// amplification; the simulated clock charges whole containers regardless.
 	ReadBytes int64
 	CacheHits int64 // chunks served from cached containers
 	// ExtentReads counts physical discontiguous reads (Eq. 1's N). Without

@@ -3,7 +3,7 @@
 //
 // Endpoints (all JSON unless noted):
 //
-//	POST   /v1/backups/{label}          ingest: chunked request body → Store.IngestStream
+//	POST   /v1/backups/{label}          ingest: chunked request body → Store.IngestStream (409 when the label is taken)
 //	GET    /v1/backups                  list retained backups
 //	GET    /v1/backups/{label}          one backup's stats
 //	GET    /v1/backups/{label}/restore  restore: streamed response body (?mode=&cache=&workers=&verify=)
@@ -130,7 +130,8 @@ type Server struct {
 	slo      *sloTracker
 	mu       sync.Mutex
 	draining bool
-	ingested int // successful ingests, for the OnIngest hook
+	ingested int                 // successful ingests, for the OnIngest hook
+	taken    map[string]struct{} // labels with an ingest in flight
 }
 
 // New builds a Server over an open store.
@@ -144,6 +145,7 @@ func New(cfg Config) *Server {
 		cancel: cancel,
 		limits: newLimiter(cfg.MaxTenantInflight, cfg.MaxTotalInflight, cfg.TenantBandwidth),
 		slo:    newSLOTracker(),
+		taken:  map[string]struct{}{},
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/backups/", s.handleIngest)
@@ -349,8 +351,30 @@ func backupInfo(b *repro.Backup) BackupInfo {
 	return BackupInfo{Label: b.Label, Chunks: b.Chunks(), Fragments: b.Fragments(), Stats: b.Stats}
 }
 
+// claim reserves lbl for one ingest, or reports false: a backup of that name is
+// committed or another upload of it is in flight. (The store keeps every backup
+// it is given and finds them by label, first match first: a second one would
+// never be restored.) A claim is given up only after its ingest has committed
+// or failed, so of concurrent uploads of one new label exactly one goes through.
+func (s *Server) claim(lbl string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, inflight := s.taken[lbl]; inflight || s.store.FindBackup(lbl) != nil {
+		return false
+	}
+	s.taken[lbl] = struct{}{}
+	return true
+}
+
+func (s *Server) unclaim(lbl string) {
+	s.mu.Lock()
+	delete(s.taken, lbl)
+	s.mu.Unlock()
+}
+
 // handleIngest streams the request body into the store under the tenant's
-// in-flight and bandwidth budgets.
+// in-flight and bandwidth budgets. A label that is taken is a 409, answered
+// before any of the body is read.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	telIngests.Inc()
 	lbl := label(r)
@@ -362,6 +386,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "label suffix %q is reserved", "/restore")
 		return
 	}
+	if !s.claim(lbl) {
+		// Without this net/http drains up to 256 KiB of an unread body before
+		// it sends the status; a backup nobody will keep is not worth reading.
+		w.Header().Set("Connection", "close")
+		httpError(w, http.StatusConflict, "backup %q already exists", lbl)
+		return
+	}
+	defer s.unclaim(lbl)
 	ten := tenant(r)
 	release, ok := s.limits.acquire(ten)
 	if !ok {

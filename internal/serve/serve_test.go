@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/workload"
@@ -208,6 +209,127 @@ func TestServeForgetAndErrors(t *testing.T) {
 	resp4.Body.Close() //nolint:errcheck // status only
 	if resp4.StatusCode != http.StatusBadRequest {
 		t.Fatalf("reserved-suffix label: got %s, want 400", resp4.Status)
+	}
+}
+
+// gatedBody is a request body that holds its first Read until open is closed:
+// a server that answers without reading it answers while it is still shut.
+type gatedBody struct {
+	open <-chan struct{}
+	r    io.Reader
+}
+
+func (g *gatedBody) Read(p []byte) (int, error) {
+	<-g.open
+	return g.r.Read(p)
+}
+
+// TestIngestRefusesATakenLabel: the store finds backups by label, first match
+// first, so a second backup under a committed label used to be accepted and
+// never restored. It is a 409 now, answered before the body is read (the body
+// here is not even sent until the answer is in), and the first backup is what
+// restores. And of several uploads of one new label in flight at once exactly
+// one commits, whichever the server saw first; the others are 409s, not
+// further backups.
+func TestIngestRefusesATakenLabel(t *testing.T) {
+	store, _, ts := newTestServer(t,
+		repro.Options{Engine: repro.DeFrag, Alpha: 0.1, StoreData: true},
+		Config{})
+	datas := tenantStreams(t, 9, 2)
+	resp := upload(t, ts.URL, "t0", "t0/g00", datas[0])
+	resp.Body.Close() //nolint:errcheck // status only
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload: %s", resp.Status)
+	}
+
+	post := func(label string, data []byte, open <-chan struct{}) (int, error) {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/backups/"+label,
+			&gatedBody{open: open, r: bytes.NewReader(data)})
+		if err != nil {
+			return 0, err
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close() //nolint:errcheck // status only
+		_, err = io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode, err
+	}
+
+	shut := make(chan struct{})
+	answered := make(chan struct{})
+	go func() {
+		select {
+		case <-answered:
+		case <-time.After(10 * time.Second):
+			t.Error("no answer to a duplicate label while its body is held back: the server wants to read it first")
+		}
+		close(shut)
+	}()
+	code, err := post("t0/g00", datas[1], shut)
+	close(answered)
+	if err != nil || code != http.StatusConflict {
+		t.Fatalf("second POST of a committed label: %d, %v; want 409", code, err)
+	}
+	if n := len(store.Backups()); n != 1 {
+		t.Fatalf("%d backups after a refused duplicate, want 1", n)
+	}
+	got, err := http.Get(ts.URL + "/v1/backups/t0/g00/restore")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(got.Body)
+	got.Body.Close() //nolint:errcheck // fully read
+	if err != nil || !bytes.Equal(body, datas[0]) {
+		t.Fatalf("restore after the refused duplicate is not the first upload (%v)", err)
+	}
+
+	// Four uploads of one new label, none of which can finish until three
+	// have been refused.
+	const n = 4
+	open := make(chan struct{})
+	codes := make(chan int, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			code, err := post("t0/g01", datas[1], open)
+			if err != nil {
+				t.Errorf("concurrent POST: %v", err)
+			}
+			codes <- code
+		}()
+	}
+	for i := 0; i < n-1; i++ {
+		select {
+		case code := <-codes:
+			if code != http.StatusConflict {
+				t.Fatalf("an upload racing another of the same label finished with %d while the bodies were held back, want 409", code)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d racing uploads were refused", i, n-1)
+		}
+	}
+	close(open)
+	if code := <-codes; code != http.StatusCreated {
+		t.Fatalf("the upload that was not refused finished with %d, want 201", code)
+	}
+	if n := len(store.Backups()); n != 2 {
+		t.Fatalf("%d backups, want 2: the label must have been committed exactly once", n)
+	}
+	if b := store.FindBackup("t0/g01"); b == nil || b.Stats.LogicalBytes != int64(len(datas[1])) {
+		t.Fatalf("the committed backup is not the whole upload: %+v", b)
+	}
+	// The label is free again once it is forgotten.
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/backups/t0/g01", nil)
+	del, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del.Body.Close() //nolint:errcheck // status only
+	resp = upload(t, ts.URL, "t0", "t0/g01", datas[0])
+	resp.Body.Close() //nolint:errcheck // status only
+	if del.StatusCode != http.StatusOK || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("forget, then upload again: %s, %s", del.Status, resp.Status)
 	}
 }
 

@@ -78,9 +78,12 @@ func (ss *sealedSections) verify(t *testing.T, after string) {
 // backend returns its sealed sections themselves, so a consumer that wrote
 // into what it fetched would corrupt the store. Lent buffers: the file
 // backend reads into a buffer the restore lends it, which only that restore
-// may see again — not a sibling restore, not the shared cache, not fsck,
-// maintenance or export (holderSpy, with every restore stream its own
-// holder). Every restore shape, the shared restore cache, fsck, a maintenance
+// may see again while it runs — not a sibling restore, not the shared cache,
+// not fsck, maintenance or export (holderSpy, with every restore call its own
+// holder) — and of which it reads only the ranges the restore named: every
+// lent buffer is poisoned first (loanSpy), so a restore that looked outside
+// them fails its verify, and the readers that lend nothing must still get
+// whole sections. Every restore shape, the shared restore cache, fsck, a maintenance
 // epoch, compaction and export run over one store of each kind; each sealed
 // section must hash the same afterwards. Run under -race it also shows the
 // concurrent readers of one section only read.
@@ -94,11 +97,13 @@ func testBackendReadsAreReadOnly(t *testing.T, backend BackendKind) {
 	ctx := context.Background()
 	var ss *sealedSections
 	var spy *holderSpy
+	loans := &loanSpy{poison: true}
 	opts := Options{Engine: DeFrag, Alpha: 0.3, StoreData: true,
 		ExpectedBytes: 64 << 20, Maintenance: maintOptions(), Backend: backend,
 		WrapBackend: func(be blockstore.Backend) blockstore.Backend {
 			if backend == FileBackend {
-				spy = &holderSpy{Backend: be, t: t, by: map[*byte]any{}}
+				loans.Backend = be
+				spy = &holderSpy{Backend: loans, t: t, by: map[*byte]*holding{}}
 				be = spy
 			}
 			ss = &sealedSections{be: be, data: map[uint32][]byte{}, sum: map[uint32][sha256.Size]byte{}}
@@ -135,10 +140,15 @@ func testBackendReadsAreReadOnly(t *testing.T, backend BackendKind) {
 			wg.Add(1)
 			go func(opts RestoreOptions, holder string) {
 				defer wg.Done()
-				ctx := context.WithValue(ctx, holderKey{}, holder)
 				for i, b := range backups {
 					var out bytes.Buffer
-					if _, err := s.RestoreWith(ctx, b, &out, opts); err != nil {
+					ctx, done := ctx, func() {}
+					if spy != nil {
+						ctx, done = spy.hold(ctx, holder)
+					}
+					_, err := s.RestoreWith(ctx, b, &out, opts)
+					done()
+					if err != nil {
 						errs <- fmt.Errorf("%s %+v: %w", b.Label, opts, err)
 						return
 					}
@@ -209,4 +219,7 @@ func testBackendReadsAreReadOnly(t *testing.T, backend BackendKind) {
 		spy.mu.Unlock()
 	}
 	restoreAllShapes("restores of the rewritten store through the shared cache")
+	if backend == FileBackend && loans.ranged.Load() == 0 {
+		t.Fatal("no file-backend restore read into a buffer lent with ranges")
+	}
 }

@@ -101,10 +101,12 @@ type RestoreStats struct {
 	Label          string
 	Bytes          int64
 	Chunks         int64
-	ContainerReads int64 // restore-cache misses: full container reads
-	// ReadBytes is the bytes of those container sections — what the restore
-	// asked the backend for, less whatever Options.RestoreCacheBytes served
-	// from memory. ReadBytes / Bytes is the restore's read amplification.
+	ContainerReads int64 // restore-cache misses: container fetches
+	// ReadBytes is what those fetches asked the backend for: on the file
+	// backend the ranges of each section the backup's chunks lie in, else —
+	// the sim backend, no buffer to spare, Options.RestoreCacheBytes set —
+	// whole sections, cached ones included. ReadBytes / Bytes is the read
+	// amplification; simulated time is charged for whole containers.
 	ReadBytes int64
 	CacheHits int64
 	// ExtentReads is the count of physical discontiguous reads (Eq. 1's N
