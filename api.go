@@ -342,23 +342,27 @@ func (b *Backup) Chunks() int { return b.recipe().Len() }
 func (b *Backup) WriteRecipe(w io.Writer) error { return trace.Save(w, b.recipe()) }
 
 // buildBackend constructs the physical backend selected by opts, layering
-// the fault injector and retry wrapper when faults are configured.
-func buildBackend(opts Options) (blockstore.Backend, error) {
-	var be blockstore.Backend
+// the fault injector and retry wrapper when faults are configured. raw is the
+// file backend under the layers, which open containers stage their fill to
+// (container.Store.StageTo); nil on the sim backend.
+func buildBackend(opts Options) (be blockstore.Backend, raw *blockstore.File, err error) {
 	switch opts.Backend {
 	case SimBackend:
 		be = blockstore.NewSim(opts.StoreData)
 	case FileBackend:
 		if opts.Dir == "" {
-			return nil, fmt.Errorf("repro: FileBackend requires Options.Dir")
+			return nil, nil, fmt.Errorf("repro: FileBackend requires Options.Dir")
 		}
-		f, err := blockstore.OpenFile(opts.Dir, opts.StoreData)
-		if err != nil {
-			return nil, err
+		// OpenFile sweeps the temp files a crash left in Dir and Dir/containers.
+		if err := blockstore.RemoveTemps(filepath.Join(opts.Dir, recipeDirName)); err != nil {
+			return nil, nil, err
 		}
-		be = f
+		if raw, err = blockstore.OpenFile(opts.Dir, opts.StoreData); err != nil {
+			return nil, nil, err
+		}
+		be = raw
 	default:
-		return nil, fmt.Errorf("repro: unknown backend kind %d", opts.Backend)
+		return nil, nil, fmt.Errorf("repro: unknown backend kind %d", opts.Backend)
 	}
 	if opts.Faults.enabled() {
 		be = blockstore.WithRetry(blockstore.NewFault(be, blockstore.FaultConfig{
@@ -371,7 +375,7 @@ func buildBackend(opts Options) (blockstore.Backend, error) {
 	if opts.WrapBackend != nil {
 		be = opts.WrapBackend(be)
 	}
-	return be, nil
+	return be, raw, nil
 }
 
 // Open creates a store with the selected engine and backend. With
@@ -383,7 +387,7 @@ func buildBackend(opts Options) (blockstore.Backend, error) {
 // support reopening a populated store.
 func Open(opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	be, err := buildBackend(opts)
+	be, raw, err := buildBackend(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -472,6 +476,7 @@ func Open(opts Options) (*Store, error) {
 		be.Close() //nolint:errcheck // surfacing the construction error
 		return nil, err
 	}
+	s.eng.Containers().StageTo(raw)
 	if err := s.adoptExisting(context.Background()); err != nil {
 		be.Close() //nolint:errcheck // surfacing the adoption error
 		return nil, err

@@ -253,6 +253,47 @@ func TestE2EKillMidIngest(t *testing.T) {
 	reopenAndAudit(t, dir, map[string][]byte{"gen-complete": done})
 }
 
+// TestE2EKillMidSeal kills the server inside a container's seal, at the point
+// the streaming seal moved: the data file — most of it written while the
+// container filled — and the metadata file renamed in, no WAL line yet
+// (seal-data). A first server commits one backup and drains; a second, armed,
+// dies on the first container of the next upload. The reopen ignores the
+// orphan files, is fsck-clean, restores the committed backup bit-identically
+// and has never heard of the other. (The kill before Seal, with the section
+// staged in its temp file, is the root package's
+// TestReopenAfterCrashWhileStaging.)
+func TestE2EKillMidSeal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real processes")
+	}
+	dir := t.TempDir()
+	p := startDedupd(t, dir)
+	done := seededData(1, 3<<20)
+	if err := uploadBackup(p, "gen-complete", done); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.cmd.Wait(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	p = startDedupd(t, dir, "-crash.point", "seal-data")
+	if err := uploadBackup(p, "gen-doomed", seededData(2, 3<<20)); err == nil {
+		t.Fatal("the upload was acknowledged: the crash point never fired")
+	}
+	p.cmd.Wait() //nolint:errcheck // the crash is the point
+	if orphan, _ := filepath.Glob(filepath.Join(dir, "containers", "000001.*")); len(orphan) != 2 {
+		t.Fatalf("files of the container being sealed at the crash: %v, want its .meta and .data", orphan)
+	}
+
+	reopenAndAudit(t, dir, map[string][]byte{"gen-complete": done})
+	if left, _ := filepath.Glob(filepath.Join(dir, "*", ".*.tmp*")); len(left) != 0 {
+		t.Fatalf("temp files survived the reopen: %v", left)
+	}
+}
+
 // postAdmin POSTs to one of the server's maintenance routes. A transport
 // error is returned as-is: when a crash point is armed the process dies
 // mid-request and the dead connection is the expected signal.

@@ -335,9 +335,18 @@ func TestRangedRestoreOverPoisonedBuffers(t *testing.T) {
 // returned, keyed by array, with the holding (one restore call of one of the
 // test's streams, see hold) it was returned to. A lent buffer may come back any
 // number of times to the restore that owns it, and to anybody's once that
-// restore has returned — its buffers outlive it; it must never reach a second
+// restore is over — its buffers outlive it; it must never reach a second
 // holder while the first still runs, and a read nobody lent for must always be
 // a new array.
+//
+// "Over" has to be judged from outside: RunPipelined returns its buffers to
+// the pool as it returns, so a sibling can draw one before the caller has had
+// the chance to say its restore returned (which failed this spy about one run
+// in twenty when it went by the caller's word alone). A buffer that reaches a
+// second holder while the first has not said so is therefore taken as the
+// first one's claim to have finished, and the claim is held to: a holder whose
+// buffer was passed on may neither read a section nor write a byte (watch)
+// again.
 type holderSpy struct {
 	blockstore.Backend
 	t  *testing.T
@@ -354,8 +363,9 @@ type holderSpy struct {
 
 // holding is one restore call, from hold until its done.
 type holding struct {
-	name string
-	over bool
+	name     string
+	over     bool
+	passedOn string // the holder one of its buffers reached before done
 }
 
 type holderKey struct{}
@@ -371,6 +381,34 @@ func (h *holderSpy) hold(ctx context.Context, name string) (context.Context, fun
 	}
 }
 
+// watch returns the writer the restore under ctx's holding is to write to:
+// w, failing the test on a byte written after one of the holding's buffers
+// went to another.
+func (h *holderSpy) watch(ctx context.Context, w io.Writer) io.Writer {
+	return watchedWriter{w, h, ctx.Value(holderKey{}).(*holding)}
+}
+
+type watchedWriter struct {
+	io.Writer
+	h  *holderSpy
+	hd *holding
+}
+
+func (w watchedWriter) Write(p []byte) (int, error) {
+	w.h.mu.Lock()
+	w.h.stillRuns(w.hd, "wrote")
+	w.h.mu.Unlock()
+	return w.Writer.Write(p)
+}
+
+// stillRuns fails the test if one of hd's buffers has already been handed to
+// another holder. Caller holds h.mu.
+func (h *holderSpy) stillRuns(hd *holding, did string) {
+	if hd != nil && hd.passedOn != "" {
+		h.t.Errorf("%s %s after a section buffer of its own was handed to %s", hd.name, did, hd.passedOn)
+	}
+}
+
 func (h *holderSpy) note(ctx context.Context, data []byte) []byte {
 	if len(data) == 0 {
 		return data
@@ -378,6 +416,7 @@ func (h *holderSpy) note(ctx context.Context, data []byte) []byte {
 	holder, _ := ctx.Value(holderKey{}).(*holding)
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.stillRuns(holder, "read a section")
 	if h.failRead > 0 {
 		if h.failRead--; h.failRead == 0 {
 			data = append([]byte(nil), data...)
@@ -393,7 +432,7 @@ func (h *holderSpy) note(ctx context.Context, data []byte) []byte {
 		case holder == nil || prev == nil:
 			h.t.Errorf("a section buffer was shared between a restore and a reader that lends nothing (%v, %v)", prev, holder)
 		case prev != holder && !prev.over:
-			h.t.Errorf("a section buffer of %s, still restoring, was handed to %s", prev.name, holder.name)
+			prev.passedOn = holder.name
 		}
 	}
 	h.by[&data[0]] = holder
@@ -461,7 +500,7 @@ func TestFileRestoreReuseSafety(t *testing.T) {
 						w = &limitWriter{w: &out, left: int64(len(datas[i]) / 3), err: errWriter}
 					}
 					hctx, done := spy.hold(ctx, holder)
-					_, err := s.Restore(hctx, backups[i], w, true)
+					_, err := s.Restore(hctx, backups[i], spy.watch(hctx, w), true)
 					done()
 					switch {
 					case mode == "writer fails":
@@ -503,7 +542,7 @@ func TestFileRestoreReuseSafety(t *testing.T) {
 			spy.mu.Unlock()
 			s.SetRestoreCacheBudget(cacheBytes) // drop residency so the read happens
 			hctx, done := spy.hold(ctx, "corrupted")
-			if _, err := s.Restore(hctx, backups[newest], io.Discard, true); err == nil {
+			if _, err := s.Restore(hctx, backups[newest], spy.watch(hctx, io.Discard), true); err == nil {
 				t.Fatal("a restore over a corrupted section succeeded")
 			}
 			done()
@@ -511,7 +550,7 @@ func TestFileRestoreReuseSafety(t *testing.T) {
 			var out bytes.Buffer
 			hctx, done = spy.hold(ctx, "after the corrupted one")
 			defer done()
-			if _, err := s.Restore(hctx, backups[newest], &out, true); err != nil || !bytes.Equal(out.Bytes(), datas[newest]) {
+			if _, err := s.Restore(hctx, backups[newest], spy.watch(hctx, &out), true); err != nil || !bytes.Equal(out.Bytes(), datas[newest]) {
 				t.Fatalf("restore after the corrupted one: %v", err)
 			}
 			if rep, err := s.Check(ctx, true); err != nil || !rep.OK() {

@@ -21,6 +21,9 @@ const (
 	// CrashMergeFiles fires after the first victim's files are deleted,
 	// mid-way through the merge's destructive phase.
 	CrashMergeFiles = "merge-files"
+	// CrashSealData fires after a container's files have been renamed in and
+	// before the WAL line that makes the container exist.
+	CrashSealData = "seal-data"
 )
 
 var armedCrashPoint atomic.Pointer[string]

@@ -7,12 +7,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"repro/internal/telemetry"
 )
 
 // File is the durable directory-backed backend. Layout under its root:
@@ -39,6 +42,10 @@ type File struct {
 	closed     bool
 
 	zero zeroView // what a metadata-only store reads
+
+	// staged holds, per container still filling, the head of its data section
+	// that Stage has already put into the temp file Seal will rename.
+	staged map[uint32]*stagedSection
 
 	// WAL group commit (see commitWAL): records enqueued while an fsync is
 	// in flight ride out together on the next one.
@@ -103,8 +110,15 @@ func OpenFile(dir string, storesData bool) (*File, error) {
 			return nil, err
 		}
 	}
-	f := &File{dir: dir, storesData: storesData, infos: make(map[uint32]ContainerInfo)}
+	f := &File{dir: dir, storesData: storesData, infos: make(map[uint32]ContainerInfo),
+		staged: make(map[uint32]*stagedSection)}
 	f.quiet = sync.NewCond(&f.mu)
+	// What a crash left half-written was never renamed in, so never referenced.
+	for _, sub := range []string{dir, filepath.Join(dir, containerDir)} {
+		if err := RemoveTemps(sub); err != nil {
+			return nil, err
+		}
+	}
 
 	// The WAL is scanned before the manifest is materialised: a "merge"
 	// intent past the checkpoint means its victims' files may already be
@@ -297,6 +311,82 @@ func (f *File) StoresData() bool { return f.storesData }
 // Dir returns the backend's root directory.
 func (f *File) Dir() string { return f.dir }
 
+// stagedSection is the head of one filling container's data section, already
+// in the temp file its .data will be renamed from. The container's one writer
+// orders Stage, Seal and Unstage of an id, so only the map is under f.mu.
+type stagedSection struct {
+	tmp atomicFile
+	n   int64  // bytes in tmp: section bytes [0, n)
+	crc uint32 // CRC32C of them
+	bad bool   // a stage call failed or came out of order: tmp is not a prefix
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+var (
+	telStagedBytes = telemetry.NewCounter("container_staged_bytes_total",
+		"data-section bytes written to a container's file while it was still filling")
+	telSealsStaged = telemetry.NewCounter("container_seals_staged_total",
+		"seals that found a staged prefix, proved it and wrote only the rest")
+	telRestagedError = telemetry.NewCounter(telemetry.Name("container_seals_restaged_total", "reason", "stage_error"),
+		"seals that rejected their staged prefix and wrote the whole section, by reason")
+	telRestagedShort    = telemetry.NewCounter(telemetry.Name("container_seals_restaged_total", "reason", "short_data"), "")
+	telRestagedMismatch = telemetry.NewCounter(telemetry.Name("container_seals_restaged_total", "reason", "mismatch"), "")
+)
+
+// Stage puts p, bytes [off, off+len(p)) of the data section container id is
+// still filling, into the file that section will be sealed as, so that Seal —
+// still handed the whole section, and believing only that — has less left to
+// write. Calls for one id come in offset order, one at a time, before its
+// Seal; a piece that cannot be staged only means Seal writes everything. Not a
+// Backend method: see Backend.
+func (f *File) Stage(id uint32, off int64, p []byte) {
+	f.mu.Lock()
+	st, open := f.staged[id], f.storesData && !f.closed
+	f.mu.Unlock()
+	if !open {
+		return
+	}
+	if st == nil {
+		tmp, err := createAtomic(f.dataPath(id))
+		if err != nil {
+			return
+		}
+		st = &stagedSection{tmp: tmp}
+		f.mu.Lock()
+		if f.closed {
+			f.mu.Unlock()
+			tmp.abort()
+			return
+		}
+		f.staged[id] = st
+		f.mu.Unlock()
+	}
+	if st.bad || off != st.n || st.tmp.write(off, p) != nil {
+		st.bad = true
+		return
+	}
+	st.n += int64(len(p))
+	st.crc = crc32.Update(st.crc, castagnoli, p)
+	telStagedBytes.Add(int64(len(p)))
+}
+
+// Unstage forgets what was staged for a container that will not be sealed
+// (or whose Seal never got here) and removes its temp file.
+func (f *File) Unstage(id uint32) {
+	if st := f.takeStaged(id); st != nil {
+		st.tmp.abort()
+	}
+}
+
+func (f *File) takeStaged(id uint32) *stagedSection {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	st := f.staged[id]
+	delete(f.staged, id)
+	return st
+}
+
 func (f *File) Seal(ctx context.Context, info ContainerInfo, data []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -307,18 +397,55 @@ func (f *File) Seal(ctx context.Context, info ContainerInfo, data []byte) error 
 	if closed {
 		return ErrClosed
 	}
+	st := f.takeStaged(info.ID)
 	// Container files are keyed by ID and each ID is sealed by exactly one
 	// writer at a time, so concurrent seals of distinct containers write
-	// their meta/data files in parallel without holding the table lock.
-	if err := WriteFileAtomic(f.metaPath(info.ID), EncodeMeta(info.Entries), 0o644); err != nil {
+	// their meta/data files in parallel without holding the table lock. So
+	// are the two files of one container, which know nothing of each other
+	// until the WAL line: the small one's fsync and rename ride the other's.
+	metaDone := make(chan error, 1)
+	go func() { metaDone <- WriteFileAtomic(f.metaPath(info.ID), EncodeMeta(info.Entries), 0o644) }()
+	var err error
+	if f.storesData {
+		err = f.sealData(st, info.ID, data)
+	}
+	if merr := <-metaDone; err == nil {
+		err = merr
+	}
+	if err != nil {
 		return err
 	}
-	if f.storesData {
-		if err := WriteFileAtomic(f.dataPath(info.ID), data, 0o644); err != nil {
-			return err
-		}
-	}
+	maybeCrash(CrashSealData)
 	return f.commitWAL(walRecord{ID: info.ID, Start: info.Start, DataFill: info.DataFill, End: info.End}, cloneInfo(info))
+}
+
+// sealData makes data the content of container id's data file. data is the
+// truth and st a cache of its head: used if every piece was staged, data is at
+// least that long (Fault's torn half is not) and starts with bytes of the same
+// CRC32C — then only the rest is written. Otherwise the whole section is.
+func (f *File) sealData(st *stagedSection, id uint32, data []byte) error {
+	if st != nil {
+		var reject *telemetry.Counter
+		switch {
+		case st.bad:
+			reject = telRestagedError
+		case st.n > int64(len(data)):
+			reject = telRestagedShort
+		case crc32.Checksum(data[:st.n], castagnoli) != st.crc:
+			reject = telRestagedMismatch
+		}
+		if reject == nil {
+			telSealsStaged.Inc()
+			if err := st.tmp.write(st.n, data[st.n:]); err != nil {
+				st.tmp.abort()
+				return err
+			}
+			return st.tmp.commit(f.dataPath(id), 0o644)
+		}
+		reject.Inc()
+		st.tmp.abort()
+	}
+	return WriteFileAtomic(f.dataPath(id), data, 0o644)
 }
 
 // commitWAL appends rec to the WAL with group commit: the first arrival
@@ -538,6 +665,10 @@ func (f *File) Close() error {
 		err = cerr
 	}
 	f.closed = true
+	for id, st := range f.staged { // containers nobody will seal now
+		st.tmp.abort()
+		delete(f.staged, id)
+	}
 	return err
 }
 

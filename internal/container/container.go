@@ -54,11 +54,16 @@ import (
 // Per-stage wall clocks of the container layer (the always-on layer; see
 // telemetry/stage.go). "seal" is the in-RAM work of closing a container
 // (device accounting, directory Info assembly, metadata copy);
-// "backend_write" is the blockstore persist of the sealed container;
+// "backend_write" is the blockstore persist of the sealed container and
+// "backend_stage" the part of it done ahead, while the container filled (the
+// two add up to the write cost); "seal_wait" is the time a stream's Finish
+// spent blocked on its own last persist;
 // "container_read" is a backend data-section fetch on the restore path.
 var (
 	stageSeal          = telemetry.Stage("seal")
 	stageBackendWrite  = telemetry.Stage("backend_write")
+	stageBackendStage  = telemetry.Stage("backend_stage")
+	stageSealWait      = telemetry.Stage("seal_wait")
 	stageContainerRead = telemetry.Stage("container_read")
 )
 
@@ -152,6 +157,10 @@ type Store struct {
 
 	serialW *Writer // lazily created legacy writer behind Store.Write/Flush
 
+	// stager, when non-nil, is the file backend underneath be: writers hand it
+	// the fill of their open containers as it accumulates (see Writer.stage).
+	stager *blockstore.File
+
 	// spare is one DataCap-sized fill buffer kept between streams: a writer's
 	// first container fills it, and Finish hands it back, so the buffer is
 	// the store's and outlives the per-backup writers. Only one is kept: a
@@ -206,8 +215,15 @@ func NewStoreWithBackend(dev *disk.Device, cfg Config, be blockstore.Backend) (*
 	if be == nil {
 		return nil, fmt.Errorf("container: nil backend")
 	}
-	return &Store{cfg: cfg, dev: dev, be: be}, nil
+	s := &Store{cfg: cfg, dev: dev, be: be}
+	s.stager, _ = be.(*blockstore.File) // under wrappers it has to be named: StageTo
+	return s, nil
 }
+
+// StageTo names the file backend be ends in, so that open containers stage
+// their fill there around whatever wraps it (blockstore.File.Stage). Call it
+// before the first write.
+func (s *Store) StageTo(f *blockstore.File) { s.stager = f }
 
 // Config returns the store geometry.
 func (s *Store) Config() Config { return s.cfg }
@@ -293,7 +309,7 @@ type sealResult struct {
 // container is unpublished (a directory hole, like a quarantine) and the
 // error surfaces at the writer's next Flush/Finish, aborting its backup
 // exactly as a synchronous seal failure would have.
-func (s *Store) beginSeal(ctx context.Context, info Info, data []byte) chan sealResult {
+func (s *Store) beginSeal(ctx context.Context, info Info, data []byte, staged <-chan struct{}) chan sealResult {
 	s.mu.Lock()
 	s.sealed[info.ID] = info
 	s.sealedOK[info.ID] = true
@@ -312,9 +328,15 @@ func (s *Store) beginSeal(ctx context.Context, info Info, data []byte) chan seal
 	// tear out a container that other streams' dedup decisions already saw.
 	pctx := context.WithoutCancel(ctx)
 	go func() {
+		if staged != nil {
+			<-staged // the pieces of data still on their way to the file
+		}
 		t0 := time.Now()
 		err := s.be.Seal(pctx, toBackendInfo(info), data)
 		stageBackendWrite.Observe(t0)
+		if err != nil && s.stager != nil {
+			s.stager.Unstage(info.ID) // a Seal that failed above the file never took them
+		}
 		s.mu.Lock()
 		if err != nil {
 			// Unpublish. The Info struct itself is left in place (readers
@@ -532,6 +554,43 @@ type Writer struct {
 	// completed persist for the next open().
 	sealCh chan sealResult
 	spare  []byte
+
+	// staged is how much of data has been handed to the store's stager, and
+	// stageCh is closed when the last piece handed over has been written.
+	staged  int
+	stageCh chan struct{}
+}
+
+// stagePiece is the fill a writer lets gather before handing it to the file
+// backend: enough that the goroutine and the write(2) are noise, little enough
+// that a container's seal has almost nothing left to write.
+const stagePiece = 512 << 10
+
+// stage hands the next piece of the open container's fill to the file backend
+// on a goroutine behind the piece before it. The fill buffer has its full
+// capacity from the start (getBuf): the piece stays put while Write appends.
+func (w *Writer) stage() {
+	f, id, off, prev := w.s.stager, w.id, w.staged, w.stageCh
+	piece, done := w.data[off:off+stagePiece], make(chan struct{})
+	w.staged, w.stageCh = off+stagePiece, done
+	go func() {
+		defer close(done)
+		if prev != nil {
+			<-prev
+		}
+		t0 := time.Now()
+		f.Stage(id, int64(off), piece)
+		stageBackendStage.Observe(t0)
+	}()
+}
+
+// unstage gives up what the open container has staged, once the pieces in
+// flight have landed: none recreates the temp file or still reads the buffer.
+func (w *Writer) unstage() {
+	if w.stageCh != nil {
+		<-w.stageCh
+		w.s.stager.Unstage(w.id)
+	}
 }
 
 // SerialWriter returns the store's shared frontier-mode writer: containers
@@ -566,6 +625,7 @@ func (w *Writer) open() {
 	}
 	w.fill = 0
 	w.meta = w.meta[:0]
+	w.staged, w.stageCh = 0, nil
 	if w.s.StoresData() {
 		if w.data == nil {
 			// The previous buffer is riding with an in-flight persist;
@@ -619,6 +679,9 @@ func (w *Writer) Write(ctx context.Context, c chunk.Chunk, segID uint64) (chunk.
 		} else {
 			w.data = append(w.data, make([]byte, c.Size)...)
 		}
+		for w.s.stager != nil && len(w.data)-w.staged >= stagePiece {
+			w.stage()
+		}
 	}
 	w.fill += int64(c.Size)
 	return chunk.Location{Container: w.id, Segment: segID, Offset: off, Size: c.Size}, nil
@@ -639,6 +702,7 @@ func (w *Writer) Flush(ctx context.Context) error {
 	}
 	if err := w.waitSeal(); err != nil {
 		w.hasOpen = false
+		w.unstage()
 		return err
 	}
 	t0 := time.Now()
@@ -667,7 +731,7 @@ func (w *Writer) Flush(ctx context.Context) error {
 	}
 	w.hasOpen = false
 	stageSeal.Observe(t0) // pre-seal close work only; the backend persist is "backend_write"
-	w.sealCh = w.s.beginSeal(ctx, info, w.data)
+	w.sealCh = w.s.beginSeal(ctx, info, w.data, w.stageCh)
 	w.data = nil // buffer now rides with the persist; open() falls back to spare
 	return nil
 }
@@ -680,12 +744,31 @@ func (w *Writer) Flush(ctx context.Context) error {
 func (w *Writer) Finish(ctx context.Context) error {
 	err := w.Flush(ctx)
 	if err == nil {
+		t0 := time.Now()
 		err = w.waitSeal()
+		stageSealWait.Observe(t0)
 	}
+	w.putBufs()
+	return err
+}
+
+func (w *Writer) putBufs() {
 	w.s.putBuf(w.spare)
 	w.s.putBuf(w.data) // an open container that stayed empty never sealed
 	w.data, w.spare = nil, nil
-	return err
+}
+
+// Discard ends a writer whose stream failed where sealing what it placed
+// (Finish) is not wanted: the open container is given up, its ID a hole and
+// its staged bytes removed; the persist in flight is waited out. A no-op
+// after Finish.
+func (w *Writer) Discard() {
+	if w.hasOpen {
+		w.hasOpen = false
+		w.unstage()
+	}
+	w.waitSeal() //nolint:errcheck // the stream has its error already
+	w.putBufs()
 }
 
 // ReadMeta is Store.ReadMeta with the disk time charged to the writer's

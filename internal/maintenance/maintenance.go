@@ -559,6 +559,7 @@ func (p *Pass) merge(ctx context.Context, lane *disk.Clock, util, sparse float64
 	// lane. Victim data sections are fetched once each and the reads are
 	// charged to the lane; the wall-clock throttle paces the byte movement.
 	w := cs.NewWriter(lane)
+	defer w.Discard() // a merge that fails midway seals nothing more
 	data := make(map[uint32][]byte, len(victims))
 	moved := make(map[copyKey]chunk.Location, len(order))
 	for _, it := range order {

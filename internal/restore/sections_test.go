@@ -327,3 +327,66 @@ func TestFileRestoreEarlyStops(t *testing.T) {
 		})
 	}
 }
+
+// TestReleasedSectionsHaveNoViewers is the restore's half of the question the
+// root package's holderSpy asks ("may a sibling draw this buffer yet?"): when
+// RunPipelined returns — whole, on a failing writer, on a corrupted section,
+// cancelled — its buffers are in sectionBufs, and nothing of that restore
+// looks at them again. The test takes every pooled buffer the moment the
+// call returns and writes over it; a straggler still hashing or copying out
+// of one is a report under -race, and a wrong byte in a later restore without.
+func TestReleasedSectionsHaveNoViewers(t *testing.T) {
+	datas := mkDatas(120, 300)
+	scribble := func() (n int) {
+		for {
+			kept, _ := sectionBufs.Get().(*[]byte)
+			if kept == nil {
+				return n
+			}
+			buf := (*kept)[:cap(*kept)]
+			for i := range buf {
+				buf[i] ^= 0x5A
+			}
+			n++
+		}
+	}
+	scribble() // what earlier tests left
+	var scribbled int
+	for _, dw := range []int{1, 2, 4} {
+		s, spy := fileRig(t)
+		seq := ingest(t, s, "base", datas)
+		frag := interleave(seq, "frag")
+		cfg := PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Workers: 1, Verify: true, DecodeWorkers: dw}
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		for _, end := range []struct {
+			name    string
+			ctx     context.Context
+			w       io.Writer
+			corrupt int // which of its section reads comes back corrupted; 0 = none
+		}{
+			{"whole", context.Background(), io.Discard, 0},
+			{"writer fails", context.Background(), &failAfterWriter{n: 21000}, 0},
+			{"corrupted section", context.Background(), io.Discard, 4},
+			{"cancelled", cancelled, io.Discard, 0},
+		} {
+			if end.corrupt > 0 {
+				spy.corruptAt = spy.reads + end.corrupt
+			}
+			_, err := RunPipelined(end.ctx, s, frag, cfg, end.w)
+			scribbled += scribble()
+			if (err == nil) != (end.name == "whole") {
+				t.Fatalf("decode %d, %s: %v", dw, end.name, err)
+			}
+			spy.corruptAt = 0
+			var out bytes.Buffer
+			if _, err := RunPipelined(context.Background(), s, frag, cfg, &out); err != nil || !bytes.Equal(out.Bytes(), wantBytes(datas, frag, seq)) {
+				t.Fatalf("decode %d: the restore after %q differs (%v)", dw, end.name, err)
+			}
+			scribbled += scribble()
+		}
+	}
+	if scribbled == 0 {
+		t.Fatal("no buffer was ever found in the pool: nothing was tested")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -142,11 +143,13 @@ func testBackendReadsAreReadOnly(t *testing.T, backend BackendKind) {
 				defer wg.Done()
 				for i, b := range backups {
 					var out bytes.Buffer
+					var w io.Writer = &out
 					ctx, done := ctx, func() {}
 					if spy != nil {
 						ctx, done = spy.hold(ctx, holder)
+						w = spy.watch(ctx, w)
 					}
-					_, err := s.RestoreWith(ctx, b, &out, opts)
+					_, err := s.RestoreWith(ctx, b, w, opts)
 					done()
 					if err != nil {
 						errs <- fmt.Errorf("%s %+v: %w", b.Label, opts, err)

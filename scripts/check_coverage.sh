@@ -23,12 +23,12 @@ declare -A floors=(
   [repro/cmd/defragbench]=58
   [repro/internal/analysis]=90
   [repro/internal/archive]=70
-  [repro/internal/blockstore]=60
+  [repro/internal/blockstore]=70
   [repro/internal/bloom]=90
   [repro/internal/chunk]=95
   [repro/internal/chunker]=85
   [repro/internal/cindex]=75
-  [repro/internal/container]=60
+  [repro/internal/container]=75
   [repro/internal/core]=72
   [repro/internal/disk]=50
   [repro/internal/engine]=80
