@@ -36,6 +36,7 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/cindex"
 	"repro/internal/core"
+	"repro/internal/disk"
 	"repro/internal/engine"
 	"repro/internal/engine/ddfs"
 	"repro/internal/engine/idedup"
@@ -132,7 +133,8 @@ const (
 	// FileBackend is the durable directory store: one file pair per sealed
 	// container plus an fsync'd, atomically-renamed manifest and a small
 	// write-ahead log. A Store opened over it survives Close and re-Open
-	// with containers, index, and backups intact.
+	// with containers, index, and backups intact. Store.Export writes the
+	// same directory from any store.
 	FileBackend
 )
 
@@ -338,9 +340,6 @@ func (b *Backup) Fragments() int { return b.recipe().Fragments() }
 // Chunks returns the number of chunk references in the backup's recipe.
 func (b *Backup) Chunks() int { return b.recipe().Len() }
 
-// WriteRecipe serializes the backup's recipe (see internal/trace format).
-func (b *Backup) WriteRecipe(w io.Writer) error { return trace.Save(w, b.recipe()) }
-
 // buildBackend constructs the physical backend selected by opts, layering
 // the fault injector and retry wrapper when faults are configured. raw is the
 // file backend under the layers, which open containers stage their fill to
@@ -383,10 +382,14 @@ func buildBackend(opts Options) (be blockstore.Backend, raw *blockstore.File, er
 // the store: the engine adopts the persisted containers (rebuilding its
 // chunk index and segment sequence) and the recorded backups are reloaded,
 // so restores and further dedup continue where the previous process left
-// off. Only engines with a full rebuildable index (DeFrag, DDFSLike)
-// support reopening a populated store.
+// off. Only the engines that can do that (engine.Adopter: DeFrag and DDFSLike,
+// which keep a full rebuildable index) open a FileBackend at all; the others
+// run on SimBackend, and Export is their durable form.
 func Open(opts Options) (*Store, error) {
 	opts = opts.withDefaults()
+	if opts.Backend == FileBackend && opts.Engine != DeFrag && opts.Engine != DDFSLike {
+		return nil, fmt.Errorf("repro: engine %s could never reopen a store directory (no index rebuild), so it is not given one: run it on SimBackend and Export the store, which DeFrag or DDFSLike opens", opts.Engine)
+	}
 	be, raw, err := buildBackend(opts)
 	if err != nil {
 		return nil, err
@@ -506,11 +509,8 @@ func (s *Store) adoptExisting(ctx context.Context) error {
 	if len(infos) == 0 {
 		return nil
 	}
-	ad, ok := s.eng.(engine.Adopter)
-	if !ok {
-		return fmt.Errorf("repro: engine %s cannot reopen a populated store (no index rebuild); use DeFrag or DDFSLike", s.eng.Name())
-	}
-	if err := ad.Adopt(ctx); err != nil {
+	// Open let only adopting engines near a directory.
+	if err := s.eng.(engine.Adopter).Adopt(ctx); err != nil {
 		return fmt.Errorf("repro: adopting existing store: %w", err)
 	}
 	return s.loadBackups()
@@ -570,33 +570,43 @@ func (s *Store) durable() bool { return s.opts.Backend == FileBackend }
 
 // saveBackupsManifest atomically rewrites Dir/backups.json to the current
 // retained set.
-func (s *Store) saveBackupsManifest() error {
-	entries := make([]backupManifestEntry, len(s.backups))
-	for i, b := range s.backups {
+func (s *Store) saveBackupsManifest() error { return writeBackupsManifest(s.opts.Dir, s.backups) }
+
+// writeBackupsManifest is the one writer of a store directory's backups.json.
+func writeBackupsManifest(dir string, backups []*Backup) error {
+	entries := make([]backupManifestEntry, len(backups))
+	for i, b := range backups {
 		entries[i] = backupManifestEntry{Label: b.Label, Recipe: b.recipeFile, Stats: b.Stats}
 	}
 	blob, err := json.MarshalIndent(entries, "", "  ")
 	if err != nil {
 		return err
 	}
-	return blockstore.WriteFileAtomic(filepath.Join(s.opts.Dir, backupsManifestName), blob, 0o644)
+	return blockstore.WriteFileAtomic(filepath.Join(dir, backupsManifestName), blob, 0o644)
+}
+
+func recipeFileName(seq int) string { return fmt.Sprintf("%06d.recipe", seq) }
+
+// writeRecipe is the one writer of a recipe file: rec becomes dir/recipes/name
+// by an fsync'd atomic rename.
+func writeRecipe(dir, name string, rec *chunk.Recipe) error {
+	var buf bytes.Buffer
+	if err := trace.Save(&buf, rec); err != nil {
+		return err
+	}
+	if err := os.MkdirAll(filepath.Join(dir, recipeDirName), 0o755); err != nil {
+		return err
+	}
+	return blockstore.WriteFileAtomic(filepath.Join(dir, recipeDirName, name), buf.Bytes(), 0o644)
 }
 
 // persistBackup writes b's recipe under Dir/recipes and updates the backup
 // manifest, both via fsync'd atomic renames, so a crash between backups
 // loses at most the backup in flight.
 func (s *Store) persistBackup(b *Backup) error {
-	dir := filepath.Join(s.opts.Dir, recipeDirName)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	name := fmt.Sprintf("%06d.recipe", s.recipeSeq)
+	name := recipeFileName(s.recipeSeq)
 	s.recipeSeq++
-	var buf bytes.Buffer
-	if err := trace.Save(&buf, b.recipe()); err != nil {
-		return err
-	}
-	if err := blockstore.WriteFileAtomic(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
+	if err := writeRecipe(s.opts.Dir, name, b.recipe()); err != nil {
 		return err
 	}
 	b.recipeFile = name
@@ -655,21 +665,28 @@ func (s *Store) Backup(ctx context.Context, label string, r io.Reader) (*Backup,
 	}
 	span.SetSim(st.Duration)
 	b := newBackup(label, fromEngineStats(st), rec)
-	if err := s.commitBackup(b); err != nil {
-		return b, fmt.Errorf("repro: persisting backup %q: %w", label, err)
-	}
-	return b, nil
+	return b, s.commitBackup(b, nil)
 }
 
-// commitBackup records b in the retained set (and, on durable backends,
-// persists its recipe and the backup manifest). Safe for concurrent use.
-func (s *Store) commitBackup(b *Backup) error {
+// commitBackup records b in the retained set and, on durable backends,
+// persists its recipe and the backup manifest. A stream that ran on its own
+// lane (IngestStream) passes it, and the master clock advances to the lane's
+// finish time if that is ahead. All of it is one step under the store lock,
+// so concurrent lanes cannot interleave half-committed state.
+func (s *Store) commitBackup(b *Backup, lane *disk.Clock) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if lane != nil {
+		if d := lane.Now() - s.eng.Clock().Now(); d > 0 {
+			s.eng.Clock().Advance(d)
+		}
+	}
 	s.backups = append(s.backups, b)
 	s.logical += b.Stats.LogicalBytes
 	if s.durable() {
-		return s.persistBackup(b)
+		if err := s.persistBackup(b); err != nil {
+			return fmt.Errorf("repro: persisting backup %q: %w", b.Label, err)
+		}
 	}
 	return nil
 }
@@ -710,8 +727,8 @@ func (s *Store) BackupStreams(ctx context.Context, inputs []StreamInput, concurr
 		telBackups.Inc()
 		b := newBackup(inputs[i].Label, fromEngineStats(results[i].Stats), results[i].Recipe)
 		backups = append(backups, b)
-		if perr := s.commitBackup(b); perr != nil && err == nil {
-			err = fmt.Errorf("repro: persisting backup %q: %w", b.Label, perr)
+		if perr := s.commitBackup(b, nil); perr != nil && err == nil {
+			err = perr
 		}
 	}
 	return backups, fromEngineStats(merged), err

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -149,17 +148,6 @@ func TestBackupAccessors(t *testing.T) {
 	b, _ := s.Backup(context.Background(), "acc", bytes.NewReader(randStream(1<<20, 13)))
 	if b.Chunks() == 0 || b.Fragments() == 0 {
 		t.Fatalf("accessors: chunks=%d fragments=%d", b.Chunks(), b.Fragments())
-	}
-	var buf bytes.Buffer
-	if err := b.WriteRecipe(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := trace.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Label != "acc" || rec.Len() != b.Chunks() {
-		t.Fatal("recipe serialization mismatch")
 	}
 }
 

@@ -11,7 +11,7 @@
 //	dedupsim -engine ddfs -gens 20             # watch the disk bottleneck emerge
 //	dedupsim -engine defrag -alpha 0.2 -restore
 //	dedupsim -engine defrag -verify            # end-to-end content verification
-//	dedupsim -catalog /tmp/catalog             # save recipes for later analysis
+//	dedupsim -verify -export /tmp/exp          # leave a store directory: -backend file -store.dir /tmp/exp reopens it
 //	dedupsim -scenario primary -filter -gens 16   # primary volumes through the inline filter
 //	dedupsim -scenario workspace -streams 4       # tenant workspace trees, 4 tenants
 //
@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro"
 	"repro/internal/cli"
@@ -52,13 +51,12 @@ func realMain() error {
 		rMode      = flag.String("restore.mode", "", "restore strategy: lru, opt, pipelined (opt + coalescing + prefetch), faa (default: the store's default, opt)")
 		rCache     = flag.Int("restore.cache", 0, "restore cache capacity in containers (0 = default, 8)")
 		rWorkers   = flag.Int("restore.workers", 1, "simulated read lanes for -restore.mode=pipelined (timing model only)")
-		catalog    = flag.String("catalog", "", "directory to write recipe catalogs into")
 		workers    = flag.Int("workers", 0, "parallel fingerprinting workers (0 = auto/GOMAXPROCS, 1 = serial)")
 		streams    = flag.Int("streams", 1, "concurrent backup streams per round (>1 switches to a multi-user schedule)")
 		scenario   = flag.String("scenario", "backup", "workload scenario: backup (multi-generation file sets), primary (hot/cold block volumes), workspace (tenant directory trees)")
 		filterOn   = flag.Bool("filter", false, "enable the prioritized inline filter (DeFrag): poorly clustered streams write through and are re-deduped by maintenance")
 		check      = flag.Bool("check", false, "run a consistency check (fsck) at the end")
-		export     = flag.String("export", "", "directory to export the store archive into")
+		export     = flag.String("export", "", "empty or absent directory to write the store into as a file-backend store: containers, recipes/ and backups.json; reopen it with -backend file -store.dir DIR (engine defrag or ddfs)")
 		backend    = flag.String("backend", "sim", "storage backend: sim (in-memory) or file (durable directory store)")
 		storeDir   = flag.String("store.dir", "", "file backend root directory (required for -backend file)")
 		faultSeed  = flag.Int64("faults.seed", 0, "fault injector PRNG seed (with any -faults.* rate)")
@@ -80,7 +78,7 @@ func realMain() error {
 	if a := ep.Addr(); a != "" {
 		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics\n", a)
 	}
-	if err := run(params{*engineName, *gens, *files, *fileKB, *alpha, *seed, *doRestore, *verify, *catalog, *workers, *streams, *scenario, *filterOn, *check, *export, *rMode, *rCache, *rWorkers,
+	if err := run(params{*engineName, *gens, *files, *fileKB, *alpha, *seed, *doRestore, *verify, *workers, *streams, *scenario, *filterOn, *check, *export, *rMode, *rCache, *rWorkers,
 		*backend, *storeDir, *faultSeed, *faultTrans, *faultTorn, *fsckOnly, *repair, *crashAfter}); err != nil {
 		return err
 	}
@@ -100,7 +98,6 @@ type params struct {
 	seed       int64
 	doRestore  bool
 	verify     bool
-	catalog    string
 	workers    int
 	streams    int
 	scenario   string
@@ -159,7 +156,7 @@ func restoreOne(ctx context.Context, p params, store *repro.Store, b *repro.Back
 func run(p params) error {
 	ctx := context.Background()
 	engineName, gens, files, fileKB := p.engineName, p.gens, p.files, p.fileKB
-	alpha, seed, doRestore, verify, catalog := p.alpha, p.seed, p.doRestore, p.verify, p.catalog
+	alpha, seed, doRestore, verify := p.alpha, p.seed, p.doRestore, p.verify
 	kind, err := repro.ParseEngineKind(engineName)
 	if err != nil {
 		return err
@@ -255,11 +252,6 @@ func run(p params) error {
 			row = append(row, metrics.F1(rst.ThroughputMBps()), fmt.Sprint(rst.Fragments), readAmp(rst.ReadBytes, rst.Bytes))
 		}
 		tb.AddRow(row...)
-		if catalog != "" {
-			if err := saveCatalog(catalog, b); err != nil {
-				return err
-			}
-		}
 		if p.crashAfter > 0 && g+1 >= p.crashAfter {
 			// Simulated crash: exit without closing the store, so neither
 			// the backend manifest nor the WAL gets a clean shutdown. A
@@ -296,7 +288,7 @@ func run(p params) error {
 		if err := store.Export(ctx, p.export); err != nil {
 			return err
 		}
-		fmt.Printf("archive exported to %s\n", p.export)
+		fmt.Printf("store exported to %s (reopen: -backend file -store.dir %s)\n", p.export, p.export)
 	}
 	return nil
 }
@@ -392,13 +384,6 @@ func runStreams(ctx context.Context, p params, store *repro.Store, wcfg workload
 			row = append(row, metrics.F1(mbps), fmt.Sprint(frags), readAmp(read, restored))
 		}
 		tb.AddRow(row...)
-		if p.catalog != "" {
-			for _, b := range backups {
-				if err := saveCatalog(p.catalog, b); err != nil {
-					return err
-				}
-			}
-		}
 	}
 	fmt.Printf("engine: %s  alpha: %.2f  users/streams: %d  rounds: %d\n\n",
 		store.Engine(), p.alpha, p.streams, p.gens)
@@ -422,27 +407,4 @@ func runStreams(ctx context.Context, p params, store *repro.Store, wcfg workload
 			rep.Containers, rep.RecipeRefs, rep.HashedChunks)
 	}
 	return nil
-}
-
-func saveCatalog(dir string, b *repro.Backup) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	name := filepath.Join(dir, sanitize(b.Label)+".recipe")
-	f, err := os.Create(name)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return b.WriteRecipe(f)
-}
-
-func sanitize(s string) string {
-	out := []rune(s)
-	for i, r := range out {
-		if r == '/' || r == '\\' {
-			out[i] = '_'
-		}
-	}
-	return string(out)
 }

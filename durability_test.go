@@ -126,21 +126,20 @@ func TestFileBackendRoundTripAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestFileBackendReopenRequiresAdoptingEngine: an engine that could not
+// reopen a store directory does not get to write one. The refusal comes on the
+// first Open, before anything is in the directory, and names the way that
+// works: Export from a sim store.
 func TestFileBackendReopenRequiresAdoptingEngine(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{Engine: DeFrag, StoreData: true, ExpectedBytes: 32 << 20, Backend: FileBackend, Dir: dir}
-	s, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestGens(t, s, 3, 1)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	bad := opts
-	bad.Engine = SiLoLike
-	if _, err := Open(bad); err == nil {
-		t.Fatal("reopening a populated store with a non-adopting engine must fail")
+	for _, ek := range []EngineKind{SiLoLike, SparseIndex, IDedup} {
+		dir := filepath.Join(t.TempDir(), "store")
+		_, err := Open(Options{Engine: ek, StoreData: true, ExpectedBytes: 32 << 20, Backend: FileBackend, Dir: dir})
+		if err == nil || !strings.Contains(err.Error(), "Export") {
+			t.Fatalf("%s on the file backend: %v, want a refusal that names Export", ek, err)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Fatalf("%s: the refused Open made %s", ek, dir)
+		}
 	}
 }
 

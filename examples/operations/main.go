@@ -1,8 +1,8 @@
 // Operations: the lifecycle features around the paper's algorithm —
 // persistence, retention, garbage collection, and consistency checking.
-// Back up a week of generations, export the store to disk and restore from
-// the archive, then expire the oldest generations, compact the store, and
-// verify its consistency.
+// Back up a week of generations, expire the oldest, compact the store, export
+// it to a directory and restore from the reopened directory, and verify the
+// original's consistency.
 //
 //	go run ./examples/operations
 package main
@@ -55,34 +55,6 @@ func main() {
 	fmt.Printf("after 7 backups: %.1f MB stored, utilization %.1f%%, compression %.2fx\n",
 		float64(st.StoredBytes)/1e6, st.Utilization*100, st.CompressionRatio)
 
-	// Persistence: export, reopen, restore the latest backup, verify bytes.
-	// An archive is a replayable container log, so it is taken before
-	// compaction drops containers out of the middle of it.
-	dir, err := os.MkdirTemp("", "defrag-archive-*")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	if err := store.Export(ctx, dir); err != nil {
-		log.Fatal(err)
-	}
-	arch, err := repro.OpenArchive(ctx, dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	backups := arch.Backups()
-	latest := backups[len(backups)-1]
-	var out bytes.Buffer
-	rst, err := arch.Restore(ctx, latest, &out, true)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), lastData) {
-		log.Fatal("archived restore differs from original stream")
-	}
-	fmt.Printf("archive: %d backups exported to %s; %s restored at %.1f MB/s and verified bit-exact\n",
-		len(backups), dir, latest.Label, rst.ThroughputMBps())
-
 	// Retention: keep the last 4 days.
 	for _, label := range []string{"g00", "g01", "g02"} {
 		store.Forget(label)
@@ -93,6 +65,37 @@ func main() {
 	}
 	fmt.Printf("compaction: %d/%d containers collected, %.1f MB reclaimed, %d recipe refs patched\n",
 		cs.ContainersCollected, cs.ContainersScanned, float64(cs.BytesReclaimed)/1e6, cs.RecipeRefsPatched)
+
+	// Persistence: export what retention and compaction left, reopen the
+	// directory as a durable store, restore the latest backup, verify bytes.
+	dir, err := os.MkdirTemp("", "defrag-export-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	if err := store.Export(ctx, dir); err != nil {
+		log.Fatal(err)
+	}
+	reopened, err := repro.Open(repro.Options{
+		Engine: repro.DeFrag, ExpectedBytes: 256 << 20, StoreData: true,
+		Backend: repro.FileBackend, Dir: dir,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer reopened.Close()
+	backups := reopened.Backups()
+	latest := backups[len(backups)-1]
+	var out bytes.Buffer
+	rst, err := reopened.Restore(ctx, latest, &out, true)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), lastData) {
+		log.Fatal("restore from the exported store differs from the original stream")
+	}
+	fmt.Printf("export: %d backups in %s; reopened, %s restored at %.1f MB/s and verified bit-exact\n",
+		len(backups), dir, latest.Label, rst.ThroughputMBps())
 
 	// Consistency: every surviving backup's chunks re-hash clean.
 	rep, err := store.Check(ctx, true)

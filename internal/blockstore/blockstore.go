@@ -102,7 +102,7 @@ type ContainerInfo struct {
 // and otherwise writes data whole. So a wrapper may do to Seal's data what it
 // likes — count it, hash it, cut it short (Fault's torn write), fail before
 // forwarding and forward on a retry, replace it — and forwards nothing for
-// staging; Sim, a metadata-only store and internal/archive stage nothing.
+// staging; Sim, a metadata-only store and Store.Export's copy stage nothing.
 type Backend interface {
 	// Name identifies the backend kind ("sim", "file", ...).
 	Name() string

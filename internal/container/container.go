@@ -433,6 +433,31 @@ func (s *Store) Adopt(ctx context.Context) error {
 	return nil
 }
 
+// CopyTo seals every sealed container into dst under its own directory entry
+// — ID, extent and chunk offsets verbatim, holes staying holes — so that a
+// store which Adopts dst places every chunk where this one has it. No
+// simulated time is charged. The caller keeps containers from being dropped
+// meanwhile; ones sealed after the walk began may or may not be copied.
+func (s *Store) CopyTo(ctx context.Context, dst blockstore.Backend) error {
+	for id := uint32(0); int(id) < s.Slots(); id++ {
+		// A persist still in flight may yet fail and unpublish its container.
+		if err := s.awaitSeal(ctx, id); err != nil {
+			return err
+		}
+		if !s.Sealed(id) {
+			continue
+		}
+		data, err := s.fetchData(ctx, id)
+		if err != nil {
+			return err
+		}
+		if err := dst.Seal(ctx, toBackendInfo(*s.info(id)), data); err != nil {
+			return fmt.Errorf("container: copying %d: %w", id, err)
+		}
+	}
+	return nil
+}
+
 // Quarantine removes a damaged container from the live directory and asks
 // the backend to move its bytes aside. The ID becomes an unsealed hole:
 // Sealed(id) turns false and reads of it panic, so callers must first drop

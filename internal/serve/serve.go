@@ -664,9 +664,9 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 }
 
 // StatsView is the /v1/stats response. Stages is the always-on per-stage
-// cumulative wall time of the pipeline (nanoseconds, process-wide) — the
-// loadgen sweep diffs it across phases to attribute time; SLO is the
-// per-tenant SLI/SLO summary.
+// cumulative wall time of the pipeline (nanoseconds, process-wide: diff two
+// reads to attribute the time between them); SLO is the per-tenant SLI/SLO
+// summary.
 type StatsView struct {
 	Engine        string           `json:"engine"`
 	Backend       string           `json:"backend"`

@@ -1,17 +1,13 @@
 package repro
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"path/filepath"
 	"time"
 
-	"repro/internal/blockstore"
 	"repro/internal/chunk"
 	"repro/internal/cindex"
 	"repro/internal/maintenance"
-	"repro/internal/trace"
 )
 
 // MaintenanceOptions configures the store's online maintenance layer (see
@@ -149,12 +145,7 @@ func (r storeRecipes) Replace(ctx context.Context, updated []*chunk.Recipe) erro
 				continue
 			}
 			if s.durable() && b.recipeFile != "" {
-				var buf bytes.Buffer
-				if err := trace.Save(&buf, u); err != nil {
-					return err
-				}
-				path := filepath.Join(s.opts.Dir, recipeDirName, b.recipeFile)
-				if err := blockstore.WriteFileAtomic(path, buf.Bytes(), 0o644); err != nil {
+				if err := writeRecipe(s.opts.Dir, b.recipeFile, u); err != nil {
 					return fmt.Errorf("repro: persisting remapped recipe %q: %w", b.Label, err)
 				}
 			}

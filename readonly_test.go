@@ -178,8 +178,7 @@ func testBackendReadsAreReadOnly(t *testing.T, backend BackendKind) {
 	}
 	ss.verify(t, "fsck")
 
-	// Export wants a dense container log, so it goes before anything drops
-	// a container.
+	// Export reads every sealed section once more, into another store.
 	if err := s.Export(ctx, t.TempDir()); err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ declare -A floors=(
   [repro/cmd/dedupd]=15
   [repro/cmd/defragbench]=58
   [repro/internal/analysis]=90
-  [repro/internal/archive]=70
   [repro/internal/blockstore]=70
   [repro/internal/bloom]=90
   [repro/internal/chunk]=95

@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"repro/internal/disk"
@@ -39,34 +38,15 @@ func (s *Store) IngestStream(ctx context.Context, label string, r io.Reader) (*B
 		return s.ingestSerial(ctx, label, r)
 	}
 
-	master := s.eng.Clock()
 	var lane disk.Clock
-	lane.Advance(master.Now())
+	lane.Advance(s.eng.Clock().Now())
 	rec, st, err := sb.BackupStream(ctx, label, r, &lane)
 	if err != nil {
 		return nil, err
 	}
 	span.SetSim(st.Duration)
 	b := newBackup(label, fromEngineStats(st), rec)
-
-	// Commit under the store lock: retained-set bookkeeping, durable
-	// persistence, and the master-clock advance are one atomic step, so
-	// concurrent lanes cannot interleave half-committed state.
-	s.mu.Lock()
-	if d := lane.Now() - master.Now(); d > 0 {
-		master.Advance(d)
-	}
-	s.backups = append(s.backups, b)
-	s.logical += st.LogicalBytes
-	var perr error
-	if s.durable() {
-		perr = s.persistBackup(b)
-	}
-	s.mu.Unlock()
-	if perr != nil {
-		return b, fmt.Errorf("repro: persisting backup %q: %w", label, perr)
-	}
-	return b, nil
+	return b, s.commitBackup(b, &lane)
 }
 
 // ingestSerial is the IngestStream fallback for engines whose ingest path
@@ -79,8 +59,5 @@ func (s *Store) ingestSerial(ctx context.Context, label string, r io.Reader) (*B
 		return nil, err
 	}
 	b := newBackup(label, fromEngineStats(st), rec)
-	if err := s.commitBackup(b); err != nil {
-		return b, fmt.Errorf("repro: persisting backup %q: %w", label, err)
-	}
-	return b, nil
+	return b, s.commitBackup(b, nil)
 }
