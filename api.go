@@ -21,18 +21,21 @@
 package repro
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/blockstore"
+	"repro/internal/catalog"
 	"repro/internal/chunk"
 	"repro/internal/cindex"
 	"repro/internal/core"
@@ -46,7 +49,6 @@ import (
 	"repro/internal/maintenance"
 	"repro/internal/restore"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Store-level telemetry: one span per public operation (wall plus
@@ -132,9 +134,10 @@ const (
 	SimBackend BackendKind = iota
 	// FileBackend is the durable directory store: one file pair per sealed
 	// container plus an fsync'd, atomically-renamed manifest and a small
-	// write-ahead log. A Store opened over it survives Close and re-Open
-	// with containers, index, and backups intact. Store.Export writes the
-	// same directory from any store.
+	// write-ahead log, and beside them the retained backups in one
+	// append-only catalog log (internal/catalog). A Store opened over it
+	// survives Close and re-Open with containers, index, and backups intact.
+	// Store.Export writes the same directory from any store.
 	FileBackend
 )
 
@@ -285,8 +288,9 @@ func (o Options) withDefaults() Options {
 //     read for their whole run; a maintenance merge takes it for write only
 //     for each batch's short revalidate-and-drop commit, Repair for its
 //     whole run.
-//   - mu guards the retained-backup bookkeeping (backups, logical,
-//     recipeSeq, closed) and the cumulative maintenance counters.
+//   - mu guards the retained-backup bookkeeping (backups, logical, closed),
+//     every append to the catalog log, and the cumulative maintenance
+//     counters.
 //   - ingestMu serializes whole-engine ingests for engines without a
 //     concurrent-stream path.
 type Store struct {
@@ -304,7 +308,7 @@ type Store struct {
 	mu          sync.RWMutex
 	backups     []*Backup
 	logical     int64
-	recipeSeq   int
+	cat         *catalog.Log // the durable form of backups; nil on SimBackend
 	closed      bool
 	maintTotal  maintenance.Stats // cumulative across epochs and Compact runs
 	maintEpochs int
@@ -317,10 +321,9 @@ type Store struct {
 // installs remapped recipes copy-on-write while restores keep reading the
 // snapshot they started with.
 type Backup struct {
-	Label      string
-	Stats      BackupStats
-	rec        atomic.Pointer[chunk.Recipe]
-	recipeFile string // file under Dir/recipes (durable backends only)
+	Label string
+	Stats BackupStats
+	rec   atomic.Pointer[chunk.Recipe]
 }
 
 // newBackup builds a Backup around its recipe.
@@ -352,10 +355,11 @@ func buildBackend(opts Options) (be blockstore.Backend, raw *blockstore.File, er
 		if opts.Dir == "" {
 			return nil, nil, fmt.Errorf("repro: FileBackend requires Options.Dir")
 		}
-		// OpenFile sweeps the temp files a crash left in Dir and Dir/containers.
-		if err := blockstore.RemoveTemps(filepath.Join(opts.Dir, recipeDirName)); err != nil {
+		if err := refuseOldLayout(opts.Dir); err != nil {
 			return nil, nil, err
 		}
+		// OpenFile sweeps the temp files a crash left in Dir — a catalog
+		// checkpoint's among them — and Dir/containers.
 		if raw, err = blockstore.OpenFile(opts.Dir, opts.StoreData); err != nil {
 			return nil, nil, err
 		}
@@ -489,15 +493,17 @@ func Open(opts Options) (*Store, error) {
 	}
 	if opts.Maintenance.Enabled {
 		if err := s.initMaintenance(); err != nil {
-			be.Close() //nolint:errcheck // surfacing the construction error
+			s.Close() //nolint:errcheck // surfacing the construction error
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-// adoptExisting detects a populated durable backend and replays it into the
-// fresh engine: container adoption plus backup-manifest reload.
+// adoptExisting replays a durable store directory into the fresh engine: the
+// engine adopts the containers the backend lists, and the catalog log is
+// replayed into the retained set whatever that list holds — a store whose
+// backups were all empty streams has backups and no container.
 func (s *Store) adoptExisting(ctx context.Context) error {
 	if s.opts.Backend != FileBackend {
 		return nil
@@ -506,14 +512,27 @@ func (s *Store) adoptExisting(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if len(infos) == 0 {
-		return nil
+	if len(infos) > 0 {
+		// Open let only adopting engines near a directory.
+		if err := s.eng.(engine.Adopter).Adopt(ctx); err != nil {
+			return fmt.Errorf("repro: adopting existing store: %w", err)
+		}
 	}
-	// Open let only adopting engines near a directory.
-	if err := s.eng.(engine.Adopter).Adopt(ctx); err != nil {
-		return fmt.Errorf("repro: adopting existing store: %w", err)
+	log, entries, err := catalog.Open(filepath.Join(s.opts.Dir, catalog.FileName))
+	if err != nil {
+		return fmt.Errorf("repro: %w", err)
 	}
-	return s.loadBackups()
+	for _, e := range entries {
+		var st BackupStats
+		if err := json.Unmarshal(e.Stats, &st); err != nil {
+			log.Close() //nolint:errcheck // surfacing the decode error
+			return fmt.Errorf("repro: catalog: statistics of backup %q: %w", e.Label, err)
+		}
+		s.backups = append(s.backups, newBackup(e.Label, st, e.Recipe))
+		s.logical += st.LogicalBytes
+	}
+	s.cat = log
+	return nil
 }
 
 // Engine returns the engine's name.
@@ -546,113 +565,80 @@ func (s *Store) Close() error {
 	// Settle any container persists still draining in the background so the
 	// backend close (manifest checkpoint, WAL fold) sees the final state.
 	s.eng.Containers().WaitSeals()
-	if s.durable() {
-		if err := s.saveBackupsManifest(); err != nil {
-			return err
+	// Every acknowledged catalog record is already durable; what is left is
+	// to not hand the next open more log than the rule allows.
+	err := s.checkpointIfDue()
+	if s.cat != nil {
+		if cerr := s.cat.Close(); err == nil {
+			err = cerr
 		}
 	}
-	return s.be.Close()
+	if cerr := s.be.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-const (
-	backupsManifestName = "backups.json"
-	recipeDirName       = "recipes"
-)
-
-// backupManifestEntry is one line of the durable backup manifest.
-type backupManifestEntry struct {
-	Label  string      `json:"label"`
-	Recipe string      `json:"recipe"`
-	Stats  BackupStats `json:"stats"`
-}
-
-func (s *Store) durable() bool { return s.opts.Backend == FileBackend }
-
-// saveBackupsManifest atomically rewrites Dir/backups.json to the current
-// retained set.
-func (s *Store) saveBackupsManifest() error { return writeBackupsManifest(s.opts.Dir, s.backups) }
-
-// writeBackupsManifest is the one writer of a store directory's backups.json.
-func writeBackupsManifest(dir string, backups []*Backup) error {
-	entries := make([]backupManifestEntry, len(backups))
-	for i, b := range backups {
-		entries[i] = backupManifestEntry{Label: b.Label, Recipe: b.recipeFile, Stats: b.Stats}
-	}
-	blob, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	return blockstore.WriteFileAtomic(filepath.Join(dir, backupsManifestName), blob, 0o644)
-}
-
-func recipeFileName(seq int) string { return fmt.Sprintf("%06d.recipe", seq) }
-
-// writeRecipe is the one writer of a recipe file: rec becomes dir/recipes/name
-// by an fsync'd atomic rename.
-func writeRecipe(dir, name string, rec *chunk.Recipe) error {
-	var buf bytes.Buffer
-	if err := trace.Save(&buf, rec); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Join(dir, recipeDirName), 0o755); err != nil {
-		return err
-	}
-	return blockstore.WriteFileAtomic(filepath.Join(dir, recipeDirName, name), buf.Bytes(), 0o644)
-}
-
-// persistBackup writes b's recipe under Dir/recipes and updates the backup
-// manifest, both via fsync'd atomic renames, so a crash between backups
-// loses at most the backup in flight.
-func (s *Store) persistBackup(b *Backup) error {
-	name := recipeFileName(s.recipeSeq)
-	s.recipeSeq++
-	if err := writeRecipe(s.opts.Dir, name, b.recipe()); err != nil {
-		return err
-	}
-	b.recipeFile = name
-	return s.saveBackupsManifest()
-}
-
-// loadBackups reloads the retained backups recorded by a previous process.
-func (s *Store) loadBackups() error {
-	blob, err := os.ReadFile(filepath.Join(s.opts.Dir, backupsManifestName))
-	if os.IsNotExist(err) {
+// refuseOldLayout refuses a store directory from before the catalog log:
+// backups.json (with recipes/ beside it) and no catalog.log. Opening it as a
+// store with no backups would let the next maintenance epoch reclaim theirs.
+func refuseOldLayout(dir string) error {
+	if _, err := os.Stat(filepath.Join(dir, "backups.json")); err != nil {
 		return nil
 	}
+	if _, err := os.Stat(filepath.Join(dir, catalog.FileName)); !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	return fmt.Errorf("repro: %s holds backups.json and no %s: it was written before the catalog log and this version does not read it; Export it with the version that wrote it", dir, catalog.FileName)
+}
+
+// catalogEntry is b as the catalog log holds it: Stats ride as their JSON.
+func catalogEntry(b *Backup) (catalog.Entry, error) {
+	stats, err := json.Marshal(b.Stats)
+	return catalog.Entry{Label: b.Label, Stats: stats, Recipe: b.recipe()}, err
+}
+
+func catalogEntries(backups []*Backup) ([]catalog.Entry, error) {
+	entries := make([]catalog.Entry, len(backups))
+	for i, b := range backups {
+		var err error
+		if entries[i], err = catalogEntry(b); err != nil {
+			return nil, err
+		}
+	}
+	return entries, nil
+}
+
+// checkpointIfDue rewrites the catalog log, where there is one, as the
+// retained set once it has outgrown its rule (see
+// catalog.Log.NeedsCheckpoint); called where garbage is made. Caller holds
+// s.mu.
+func (s *Store) checkpointIfDue() error {
+	if s.cat == nil || !s.cat.NeedsCheckpoint() {
+		return nil
+	}
+	entries, err := catalogEntries(s.backups)
 	if err != nil {
 		return err
 	}
-	var entries []backupManifestEntry
-	if err := json.Unmarshal(blob, &entries); err != nil {
-		return fmt.Errorf("repro: bad backups manifest: %w", err)
+	return s.cat.Checkpoint(entries)
+}
+
+// checkpointAfter is checkpointIfDue for an operation whose own record is
+// already durable: a checkpoint that fails leaves the log as it was, longer
+// than it should be and no less right, so the operation stands.
+func (s *Store) checkpointAfter(op string) {
+	if err := s.checkpointIfDue(); err != nil {
+		telemetry.Logger().Warn("repro: catalog checkpoint failed; the log stays as it is", "after", op, "err", err)
 	}
-	for _, e := range entries {
-		f, err := os.Open(filepath.Join(s.opts.Dir, recipeDirName, e.Recipe))
-		if err != nil {
-			return err
-		}
-		rec, err := trace.Load(f)
-		f.Close() //nolint:errcheck // read-only
-		if err != nil {
-			return fmt.Errorf("repro: recipe %s: %w", e.Recipe, err)
-		}
-		b := newBackup(e.Label, e.Stats, rec)
-		b.recipeFile = e.Recipe
-		s.backups = append(s.backups, b)
-		s.logical += e.Stats.LogicalBytes
-		var seq int
-		if _, err := fmt.Sscanf(e.Recipe, "%d.recipe", &seq); err == nil && seq >= s.recipeSeq {
-			s.recipeSeq = seq + 1
-		}
-	}
-	return nil
 }
 
 // Backup ingests one full-backup stream under label and returns the
 // recorded backup. Cancelling ctx aborts the backup between segments; the
 // store stays consistent (sealed containers stay sealed, the index
 // flushes), the aborted backup is simply absent. On durable backends the
-// recipe and backup manifest are persisted before Backup returns.
+// backup's catalog record is durable before Backup returns; if it cannot be
+// made so, the backup is not retained and the error says why.
 func (s *Store) Backup(ctx context.Context, label string, r io.Reader) (*Backup, error) {
 	ctx, span := telemetry.StartSpan(ctx, "store.backup")
 	defer span.End()
@@ -664,16 +650,16 @@ func (s *Store) Backup(ctx context.Context, label string, r io.Reader) (*Backup,
 		return nil, err
 	}
 	span.SetSim(st.Duration)
-	b := newBackup(label, fromEngineStats(st), rec)
-	return b, s.commitBackup(b, nil)
+	return s.commitBackup(newBackup(label, fromEngineStats(st), rec), nil)
 }
 
-// commitBackup records b in the retained set and, on durable backends,
-// persists its recipe and the backup manifest. A stream that ran on its own
-// lane (IngestStream) passes it, and the master clock advances to the lane's
-// finish time if that is ahead. All of it is one step under the store lock,
-// so concurrent lanes cannot interleave half-committed state.
-func (s *Store) commitBackup(b *Backup, lane *disk.Clock) error {
+// commitBackup makes b durable as one catalog record, on durable backends,
+// and then records it in the retained set: a backup that is retained is one
+// a reopen will find. A stream that ran on its own lane (IngestStream) passes
+// it, and the master clock advances to the lane's finish time if that is
+// ahead. All of it is one step under the store lock, so concurrent lanes
+// cannot interleave half-committed state.
+func (s *Store) commitBackup(b *Backup, lane *disk.Clock) (*Backup, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if lane != nil {
@@ -681,14 +667,18 @@ func (s *Store) commitBackup(b *Backup, lane *disk.Clock) error {
 			s.eng.Clock().Advance(d)
 		}
 	}
-	s.backups = append(s.backups, b)
-	s.logical += b.Stats.LogicalBytes
-	if s.durable() {
-		if err := s.persistBackup(b); err != nil {
-			return fmt.Errorf("repro: persisting backup %q: %w", b.Label, err)
+	if s.cat != nil {
+		e, err := catalogEntry(b)
+		if err == nil {
+			err = s.cat.Commit(e)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("repro: persisting backup %q: %w", b.Label, err)
 		}
 	}
-	return nil
+	s.backups = append(s.backups, b)
+	s.logical += b.Stats.LogicalBytes
+	return b, nil
 }
 
 // StreamInput is one labeled backup stream for BackupStreams.
@@ -725,11 +715,14 @@ func (s *Store) BackupStreams(ctx context.Context, inputs []StreamInput, concurr
 			continue
 		}
 		telBackups.Inc()
-		b := newBackup(inputs[i].Label, fromEngineStats(results[i].Stats), results[i].Recipe)
-		backups = append(backups, b)
-		if perr := s.commitBackup(b, nil); perr != nil && err == nil {
-			err = perr
+		b, perr := s.commitBackup(newBackup(inputs[i].Label, fromEngineStats(results[i].Stats), results[i].Recipe), nil)
+		if perr != nil {
+			if err == nil {
+				err = perr
+			}
+			continue
 		}
+		backups = append(backups, b)
 	}
 	return backups, fromEngineStats(merged), err
 }
@@ -748,12 +741,17 @@ func (s *Store) Backups() []*Backup {
 func (s *Store) FindBackup(label string) *Backup {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, b := range s.backups {
-		if b.Label == label {
-			return b
-		}
+	if i := s.indexOf(label); i >= 0 {
+		return s.backups[i]
 	}
 	return nil
+}
+
+// indexOf returns the position of the first retained backup labelled label —
+// the one a label means, here and in the catalog log — or -1. Caller holds
+// s.mu.
+func (s *Store) indexOf(label string) int {
+	return slices.IndexFunc(s.backups, func(b *Backup) bool { return b.Label == label })
 }
 
 // Forget drops a backup from the retained set. Its chunks stay on disk
@@ -761,32 +759,43 @@ func (s *Store) FindBackup(label string) *Backup {
 // (dedup stores cannot free shared chunks eagerly — that is what
 // retention-aware garbage collection is for). The result reports whether
 // the label existed and how much physical garbage the store now carries,
-// so callers can decide whether a compaction pass is worth scheduling.
+// so callers can decide whether a compaction pass is worth scheduling. On
+// durable backends the forget is a catalog record, durable before the backup
+// leaves the retained set; if it cannot be made so, the backup stays retained
+// and the result's Error says why.
 func (s *Store) Forget(label string) ForgetResult {
-	found := false
+	var res ForgetResult
 	s.mu.Lock()
-	for i, b := range s.backups {
-		if b.Label == label {
-			s.backups = append(s.backups[:i:i], s.backups[i+1:]...)
-			s.logical -= b.Stats.LogicalBytes
-			if s.durable() {
-				if b.recipeFile != "" {
-					os.Remove(filepath.Join(s.opts.Dir, recipeDirName, b.recipeFile)) //nolint:errcheck // best-effort
-				}
-				s.saveBackupsManifest() //nolint:errcheck // next successful save repairs it
-			}
-			found = true
-			break
+	if i := s.indexOf(label); i >= 0 {
+		res.Found = true
+		if err := s.forgetLocked(i); err != nil {
+			res.Error = err.Error()
+		} else {
+			s.checkpointAfter("forget")
 		}
 	}
 	s.mu.Unlock()
-	res := ForgetResult{Found: found}
 	res.StoredBytes, res.DeadBytes = s.deadScan()
 	if res.StoredBytes > 0 {
 		res.DeadFraction = float64(res.DeadBytes) / float64(res.StoredBytes)
 		res.CompactRecommended = res.DeadFraction >= compactRecommendThreshold
 	}
 	return res
+}
+
+// forgetLocked drops s.backups[i], which must be the first retained backup
+// with its label: from the catalog first, so a backup that has left the
+// retained set is one a reopen will not bring back. Caller holds s.mu.
+func (s *Store) forgetLocked(i int) error {
+	b := s.backups[i]
+	if s.cat != nil {
+		if err := s.cat.Forget(b.Label); err != nil {
+			return err
+		}
+	}
+	s.backups = append(s.backups[:i:i], s.backups[i+1:]...)
+	s.logical -= b.Stats.LogicalBytes
+	return nil
 }
 
 // RestorePolicy selects the schedule a restore follows: a container cache
@@ -1053,8 +1062,8 @@ type RepairReport struct {
 // content-hash mismatches — and quarantines them: the durable file backend
 // moves their files into quarantine/ with a reason note, the engine's index
 // forgets their fingerprints so future backups re-store that data, and
-// backups that referenced them are dropped from the retained set and
-// reported. After a successful Repair, Check is clean.
+// backups that referenced them are dropped from the retained set, each as
+// Forget drops one, and reported. After a successful Repair, Check is clean.
 func (s *Store) Repair(ctx context.Context, verifyData bool) (RepairReport, error) {
 	s.maintOpMu.Lock()
 	defer s.maintOpMu.Unlock()
@@ -1081,20 +1090,16 @@ func (s *Store) Repair(ctx context.Context, verifyData bool) (RepairReport, erro
 		for _, l := range res.LostBackups {
 			lost[l] = true
 		}
-		kept := s.backups[:0]
-		for _, b := range s.backups {
-			if lost[b.Label] {
-				s.logical -= b.Stats.LogicalBytes
+		for i := 0; i < len(s.backups); {
+			if !lost[s.backups[i].Label] {
+				i++
 				continue
 			}
-			kept = append(kept, b)
-		}
-		s.backups = kept
-		if s.durable() {
-			if merr := s.saveBackupsManifest(); merr != nil && err == nil {
-				err = merr
+			if ferr := s.forgetLocked(i); ferr != nil {
+				return rep, errors.Join(err, fmt.Errorf("repro: repair: dropping lost backup %q: %w", s.backups[i].Label, ferr))
 			}
 		}
+		s.checkpointAfter("repair")
 	}
 	return rep, err
 }

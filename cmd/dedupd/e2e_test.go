@@ -316,8 +316,10 @@ func postMaintenance(p *dedupdProc) error { return postAdmin(p, "/v1/maintenance
 // TestE2EKillMidMerge arms a blockstore crash point and drives the online
 // maintenance layer — by epochs, and by Compact — until a merge reaches the
 // crash-safe container drop, at which instant the process exits uncleanly:
-// after the merge intent is durable but before (merge-intent) or halfway
-// through (merge-files) the destructive file deletes. Reopening must replay
+// as the drop is entered, the remap's catalog record durable and the merge
+// intent not yet written (merge-remapped), after the intent is durable but
+// before (merge-intent) or halfway through (merge-files) the destructive file
+// deletes. Reopening must replay
 // the WAL to a fsck-clean store with every committed backup restoring
 // bit-identically: the drop commit ordering (recipes stop referencing
 // victims durably before the intent) is what makes any crash instant safe,
@@ -336,7 +338,7 @@ func TestE2EKillMidMerge(t *testing.T) {
 		{"maintenance", "/v1/maintenance", false},
 		{"compact", "/v1/compact?threshold=0.95", true},
 	} {
-		for _, point := range []string{"merge-intent", "merge-files"} {
+		for _, point := range []string{"merge-remapped", "merge-intent", "merge-files"} {
 			t.Run(trigger.name+"/"+point, func(t *testing.T) {
 				dir := t.TempDir()
 				p := startDedupd(t, dir,

@@ -56,7 +56,7 @@ func realMain() error {
 		scenario   = flag.String("scenario", "backup", "workload scenario: backup (multi-generation file sets), primary (hot/cold block volumes), workspace (tenant directory trees)")
 		filterOn   = flag.Bool("filter", false, "enable the prioritized inline filter (DeFrag): poorly clustered streams write through and are re-deduped by maintenance")
 		check      = flag.Bool("check", false, "run a consistency check (fsck) at the end")
-		export     = flag.String("export", "", "empty or absent directory to write the store into as a file-backend store: containers, recipes/ and backups.json; reopen it with -backend file -store.dir DIR (engine defrag or ddfs)")
+		export     = flag.String("export", "", "empty or absent directory to write the store into as a file-backend store: containers and catalog.log; reopen it with -backend file -store.dir DIR (engine defrag or ddfs)")
 		backend    = flag.String("backend", "sim", "storage backend: sim (in-memory) or file (durable directory store)")
 		storeDir   = flag.String("store.dir", "", "file backend root directory (required for -backend file)")
 		faultSeed  = flag.Int64("faults.seed", 0, "fault injector PRNG seed (with any -faults.* rate)")

@@ -4,14 +4,16 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"repro/internal/blockstore"
+	"repro/internal/catalog"
 )
 
 // Export writes the store into dir, which must be absent or empty, as a
 // file-backend store directory: every sealed container under its own ID and
-// device extent, then the retained backups' recipes and backups.json with
-// their statistics. The way back is Open with Backend: FileBackend and
+// device extent, then the retained backups — recipes and statistics — as a
+// checkpoint of the catalog log. The way back is Open with Backend: FileBackend and
 // Dir: dir (and an engine that can reopen one, DeFrag or DDFSLike, whatever
 // engine wrote the containers): restores, Check and further deduplicating
 // backups continue from it. With Options.StoreData the directory carries the
@@ -23,10 +25,9 @@ func (s *Store) Export(ctx context.Context, dir string) error {
 	// remapped ones meanwhile, but cannot drop what these point at.
 	s.maintMu.RLock()
 	defer s.maintMu.RUnlock()
-	backups := s.Backups()
-	for i, b := range backups {
-		backups[i] = newBackup(b.Label, b.Stats, b.recipe())
-		backups[i].recipeFile = recipeFileName(i)
+	entries, err := catalogEntries(s.Backups())
+	if err != nil {
+		return err
 	}
 	if ents, err := os.ReadDir(dir); err == nil && len(ents) > 0 {
 		return fmt.Errorf("repro: export: %s is not empty", dir)
@@ -42,10 +43,5 @@ func (s *Store) Export(ctx context.Context, dir string) error {
 	if err != nil {
 		return fmt.Errorf("repro: export: %w", err)
 	}
-	for _, b := range backups {
-		if err := writeRecipe(dir, b.recipeFile, b.recipe()); err != nil {
-			return err
-		}
-	}
-	return writeBackupsManifest(dir, backups)
+	return catalog.WriteCheckpoint(filepath.Join(dir, catalog.FileName), entries)
 }

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"repro/internal/blockstore"
-	"repro/internal/trace"
+	"repro/internal/catalog"
 	"repro/internal/workload"
 )
 
@@ -133,19 +133,21 @@ func TestExportReopens(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// recipes/ holds each retained recipe in the trace format.
+			// catalog.log is a checkpoint: one commit record per retained
+			// backup, in order, and not a byte more.
+			entries := replayCatalogFile(t, dir)
+			if len(entries) != len(src.Backups()) {
+				t.Fatalf("catalog holds %d backups, the store %d", len(entries), len(src.Backups()))
+			}
 			for k, b := range src.Backups() {
-				f, err := os.Open(filepath.Join(dir, recipeDirName, recipeFileName(k)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				rec, err := trace.Load(f)
-				f.Close() //nolint:errcheck // read-only
-				if err != nil {
-					t.Fatal(err)
-				}
+				rec := entries[k].Recipe
 				if rec.Label != b.Label || rec.Len() != b.Chunks() || rec.Fragments() != b.Fragments() {
-					t.Fatalf("recipe file %d: %s, %d chunks; backup %s has %d", k, rec.Label, rec.Len(), b.Label, b.Chunks())
+					t.Fatalf("catalog entry %d: %s, %d chunks; backup %s has %d", k, rec.Label, rec.Len(), b.Label, b.Chunks())
+				}
+			}
+			for _, old := range []string{"backups.json", "recipes"} {
+				if _, err := os.Stat(filepath.Join(dir, old)); !os.IsNotExist(err) {
+					t.Fatalf("export wrote %s: %v", old, err)
 				}
 			}
 
@@ -259,7 +261,7 @@ func TestExportCancelledLeavesNoBackup(t *testing.T) {
 	if err := src.Export(ctx, dir); err == nil {
 		t.Fatal("cancelled Export returned nil")
 	}
-	if _, err := os.Stat(filepath.Join(dir, backupsManifestName)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, catalog.FileName)); !os.IsNotExist(err) {
 		t.Fatalf("cancelled Export left a catalog: %v", err)
 	}
 	re, err := Open(Options{Engine: DeFrag, StoreData: true, ExpectedBytes: 64 << 20, Backend: FileBackend, Dir: dir})

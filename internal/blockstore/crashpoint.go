@@ -15,6 +15,10 @@ import (
 // arms them; the dedupd e2e crash tests do, via a flag on the re-exec'd
 // child.
 const (
+	// CrashMergeRemapped fires as a container merge's Drop is entered: the
+	// recipes' remap away from the victims is durable in the catalog log, the
+	// merge intent is not yet written.
+	CrashMergeRemapped = "merge-remapped"
 	// CrashMergeIntent fires after a container-merge intent record is
 	// durably in the WAL but before any victim file is deleted.
 	CrashMergeIntent = "merge-intent"

@@ -686,6 +686,7 @@ func (f *File) Drop(ctx context.Context, ids []uint32, reason string) error {
 	if len(ids) == 0 {
 		return nil
 	}
+	maybeCrash(CrashMergeRemapped)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {

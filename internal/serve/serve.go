@@ -609,6 +609,10 @@ func (s *Server) handleForget(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no backup %q", lbl)
 		return
 	}
+	if res.Error != "" {
+		httpError(w, http.StatusInternalServerError, "backup %q is still retained: %s", lbl, res.Error)
+		return
+	}
 	writeJSON(w, http.StatusOK, struct {
 		Forgotten string `json:"forgotten"`
 		repro.ForgetResult

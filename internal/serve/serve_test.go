@@ -212,6 +212,60 @@ func TestServeForgetAndErrors(t *testing.T) {
 	}
 }
 
+// TestForgetThatIsNotDurableIs500: on the file backend a forget is a catalog
+// record, and a DELETE whose record could not be written answers 500 with the
+// backup still there — not 200 and a backup that is back after a restart. On
+// the way, /metrics shows the catalog's counters, gauges and stage clock.
+func TestForgetThatIsNotDurableIs500(t *testing.T) {
+	store, _, ts := newTestServer(t,
+		repro.Options{Engine: repro.DeFrag, Alpha: 0.1, StoreData: true, Backend: repro.FileBackend, Dir: t.TempDir()},
+		Config{})
+	for _, label := range []string{"t0/g00", "t0/g01"} {
+		resp := upload(t, ts.URL, "t0", label, tenantStreams(t, 8, 1)[0])
+		resp.Body.Close() //nolint:errcheck // status only
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("upload: %s", resp.Status)
+		}
+	}
+	forget := func(label string) int {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/backups/"+label, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close() //nolint:errcheck // status only
+		return resp.StatusCode
+	}
+	if got := forget("t0/g00"); got != http.StatusOK {
+		t.Fatalf("forget: %d", got)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close() //nolint:errcheck // read to the end
+	for _, want := range []string{
+		`catalog_appends_total{kind="commit"}`, `catalog_appends_total{kind="forget"}`, `catalog_appends_total{kind="remap"}`,
+		"catalog_checkpoints_total", "catalog_log_bytes", "catalog_live_bytes", `pipeline_stage_ns_total{stage="catalog_sync"}`,
+	} {
+		if !bytes.Contains(metrics, []byte(want)) {
+			t.Errorf("/metrics lacks %s", want)
+		}
+	}
+	// The store is closed under the server, as a DELETE racing a shutdown
+	// finds it: the catalog takes no more records.
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := forget("t0/g01"); got != http.StatusInternalServerError {
+		t.Fatalf("forget with the catalog closed: %d, want 500", got)
+	}
+	if store.FindBackup("t0/g01") == nil {
+		t.Fatal("the backup whose forget failed is gone")
+	}
+}
+
 // gatedBody is a request body that holds its first Read until open is closed:
 // a server that answers without reading it answers while it is still shut.
 type gatedBody struct {

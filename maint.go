@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/chunk"
 	"repro/internal/cindex"
 	"repro/internal/maintenance"
@@ -112,6 +113,9 @@ type ForgetResult struct {
 	// CompactRecommended is true when DeadFraction crosses the
 	// recommendation threshold (20%).
 	CompactRecommended bool `json:"compactRecommended"`
+	// Error is set when the backup was found and the forget could not be made
+	// durable: the backup is still retained.
+	Error string `json:"error,omitempty"`
 }
 
 // storeGate adapts the store's maintenance gate to maintenance.Gate: fn
@@ -129,31 +133,71 @@ type storeRecipes struct{ s *Store }
 
 func (r storeRecipes) Snapshot() []*chunk.Recipe { return r.s.snapshotRecipes() }
 
-// Replace durably rewrites the recipe files of the updated backups, then
-// swaps the in-memory recipe pointers. Restores in flight keep the
-// snapshot they loaded; new restores see the remapped recipes.
+// Replace installs the updated recipes, each in place of the retained one
+// with its label. On durable backends the references whose location moved
+// become one catalog record first — all of the update durable, or none of it
+// installed — so a container the old locations named may be dropped as soon
+// as Replace returns nil. Restores in flight keep the snapshot they loaded;
+// new restores see the remapped recipes.
 func (r storeRecipes) Replace(ctx context.Context, updated []*chunk.Recipe) error {
 	s := r.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, u := range updated {
-		if err := ctx.Err(); err != nil {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	targets := make([]*Backup, len(updated))
+	var remaps []catalog.Remap
+	for k, u := range updated {
+		i := s.indexOf(u.Label)
+		if i < 0 {
+			continue // forgotten since the snapshot
+		}
+		targets[k] = s.backups[i]
+		if s.cat == nil {
+			continue // nothing to make durable
+		}
+		moves, err := movedRefs(targets[k].recipe(), u)
+		if err != nil {
 			return err
 		}
-		for _, b := range s.backups {
-			if b.Label != u.Label {
-				continue
-			}
-			if s.durable() && b.recipeFile != "" {
-				if err := writeRecipe(s.opts.Dir, b.recipeFile, u); err != nil {
-					return fmt.Errorf("repro: persisting remapped recipe %q: %w", b.Label, err)
-				}
-			}
-			b.rec.Store(u)
-			break
+		if len(moves) > 0 {
+			remaps = append(remaps, catalog.Remap{Label: u.Label, Moves: moves})
 		}
 	}
+	if len(remaps) > 0 {
+		if err := s.cat.Remap(remaps); err != nil {
+			return fmt.Errorf("repro: persisting remapped recipes: %w", err)
+		}
+	}
+	for k, b := range targets {
+		if b != nil {
+			b.rec.Store(updated[k])
+		}
+	}
+	s.checkpointAfter("remap")
 	return nil
+}
+
+// movedRefs diffs an updated recipe against the one it replaces: the
+// references whose location changed. A remap moves references and nothing
+// else, so anything else that differs is refused.
+func movedRefs(old, updated *chunk.Recipe) ([]catalog.Move, error) {
+	if len(old.Refs) != len(updated.Refs) {
+		return nil, fmt.Errorf("repro: remapped recipe %q has %d refs, the retained one %d", updated.Label, len(updated.Refs), len(old.Refs))
+	}
+	var moves []catalog.Move
+	for i := range updated.Refs {
+		o, u := &old.Refs[i], &updated.Refs[i]
+		if u.Loc == o.Loc {
+			continue
+		}
+		if u.FP != o.FP || u.Size != o.Size || u.Loc.Size != u.Size {
+			return nil, fmt.Errorf("repro: remapped recipe %q: ref %d is not the chunk it was", updated.Label, i)
+		}
+		moves = append(moves, catalog.Move{Index: uint32(i), Loc: u.Loc})
+	}
+	return moves, nil
 }
 
 // indexed is the engine capability maintenance (and Compact) needs.

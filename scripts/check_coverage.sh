@@ -24,6 +24,7 @@ declare -A floors=(
   [repro/internal/analysis]=90
   [repro/internal/blockstore]=70
   [repro/internal/bloom]=90
+  [repro/internal/catalog]=85
   [repro/internal/chunk]=95
   [repro/internal/chunker]=85
   [repro/internal/cindex]=75
@@ -44,7 +45,6 @@ declare -A floors=(
   [repro/internal/segment]=90
   [repro/internal/serve]=70
   [repro/internal/telemetry]=75
-  [repro/internal/trace]=70
   [repro/internal/workload]=85
 )
 

@@ -45,8 +45,7 @@ func (s *Store) IngestStream(ctx context.Context, label string, r io.Reader) (*B
 		return nil, err
 	}
 	span.SetSim(st.Duration)
-	b := newBackup(label, fromEngineStats(st), rec)
-	return b, s.commitBackup(b, &lane)
+	return s.commitBackup(newBackup(label, fromEngineStats(st), rec), &lane)
 }
 
 // ingestSerial is the IngestStream fallback for engines whose ingest path
@@ -58,6 +57,5 @@ func (s *Store) ingestSerial(ctx context.Context, label string, r io.Reader) (*B
 	if err != nil {
 		return nil, err
 	}
-	b := newBackup(label, fromEngineStats(st), rec)
-	return b, s.commitBackup(b, nil)
+	return s.commitBackup(newBackup(label, fromEngineStats(st), rec), nil)
 }
