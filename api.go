@@ -132,10 +132,10 @@ const (
 	// SimBackend keeps sealed containers in memory (the historical
 	// behavior): fast, volatile, bit-identical statistics.
 	SimBackend BackendKind = iota
-	// FileBackend is the durable directory store: one file pair per sealed
-	// container plus an fsync'd, atomically-renamed manifest and a small
-	// write-ahead log, and beside them the retained backups in one
-	// append-only catalog log (internal/catalog). A Store opened over it
+	// FileBackend is the durable directory store: one data file per sealed
+	// container and the container table in one append-only record log, and
+	// beside them the retained backups in the catalog log (internal/catalog),
+	// in the same record format. A Store opened over it
 	// survives Close and re-Open with containers, index, and backups intact.
 	// Store.Export writes the same directory from any store.
 	FileBackend
@@ -413,53 +413,25 @@ func Open(opts Options) (*Store, error) {
 			MinClusterScore:   opts.Filter.MinClusterScore,
 			RecencyContainers: opts.Filter.RecencyContainers,
 		}
-		var e *core.Engine
-		if e, err = core.New(cfg); err == nil {
-			s.eng = e
-			if opts.TrackEfficiency {
-				s.oracle = cindex.NewOracle()
-				e.SetOracle(s.oracle)
-			}
-		}
+		s.eng, err = core.New(cfg)
 	case DDFSLike:
 		cfg := ddfs.DefaultConfig(opts.ExpectedBytes)
 		cfg.Cost.Workers = opts.Workers
 		cfg.StoreData = opts.StoreData
 		cfg.Backend = be
-		var e *ddfs.Engine
-		if e, err = ddfs.New(cfg); err == nil {
-			s.eng = e
-			if opts.TrackEfficiency {
-				s.oracle = cindex.NewOracle()
-				e.SetOracle(s.oracle)
-			}
-		}
+		s.eng, err = ddfs.New(cfg)
 	case SiLoLike:
 		cfg := silo.DefaultConfig(opts.ExpectedBytes)
 		cfg.Cost.Workers = opts.Workers
 		cfg.StoreData = opts.StoreData
 		cfg.Backend = be
-		var e *silo.Engine
-		if e, err = silo.New(cfg); err == nil {
-			s.eng = e
-			if opts.TrackEfficiency {
-				s.oracle = cindex.NewOracle()
-				e.SetOracle(s.oracle)
-			}
-		}
+		s.eng, err = silo.New(cfg)
 	case SparseIndex:
 		cfg := sparse.DefaultConfig(opts.ExpectedBytes)
 		cfg.Cost.Workers = opts.Workers
 		cfg.StoreData = opts.StoreData
 		cfg.Backend = be
-		var e *sparse.Engine
-		if e, err = sparse.New(cfg); err == nil {
-			s.eng = e
-			if opts.TrackEfficiency {
-				s.oracle = cindex.NewOracle()
-				e.SetOracle(s.oracle)
-			}
-		}
+		s.eng, err = sparse.New(cfg)
 	case IDedup:
 		cfg := idedup.DefaultConfig(opts.ExpectedBytes)
 		cfg.Cost.Workers = opts.Workers
@@ -468,20 +440,17 @@ func Open(opts Options) (*Store, error) {
 		if opts.MinRun > 0 {
 			cfg.MinRun = opts.MinRun
 		}
-		var e *idedup.Engine
-		if e, err = idedup.New(cfg); err == nil {
-			s.eng = e
-			if opts.TrackEfficiency {
-				s.oracle = cindex.NewOracle()
-				e.SetOracle(s.oracle)
-			}
-		}
+		s.eng, err = idedup.New(cfg)
 	default:
 		err = fmt.Errorf("repro: unknown engine kind %d", opts.Engine)
 	}
 	if err != nil {
 		be.Close() //nolint:errcheck // surfacing the construction error
 		return nil, err
+	}
+	if opts.TrackEfficiency {
+		s.oracle = cindex.NewOracle()
+		s.eng.(interface{ SetOracle(*cindex.Oracle) }).SetOracle(s.oracle)
 	}
 	s.eng.Containers().StageTo(raw)
 	if err := s.adoptExisting(context.Background()); err != nil {
@@ -542,10 +511,10 @@ func (s *Store) Engine() string { return s.eng.Name() }
 // wrapped form like "retry(fault(file))").
 func (s *Store) BackendName() string { return s.be.Name() }
 
-// Close flushes the durable backend (manifest checkpoint, WAL fold) and
-// releases it. The Store must not be used afterwards. Close is a no-op on
-// the second call and for the in-memory backend is equivalent to dropping
-// the Store.
+// Close waits for the container seals in flight and releases the durable
+// backend and the catalog, checkpointing either log if its rule says so. The
+// Store must not be used afterwards. Close is a no-op on the second call and
+// for the in-memory backend is equivalent to dropping the Store.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -563,7 +532,7 @@ func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Settle any container persists still draining in the background so the
-	// backend close (manifest checkpoint, WAL fold) sees the final state.
+	// backend close sees the final state.
 	s.eng.Containers().WaitSeals()
 	// Every acknowledged catalog record is already durable; what is left is
 	// to not hand the next open more log than the rule allows.
@@ -638,11 +607,15 @@ func (s *Store) checkpointAfter(op string) {
 // store stays consistent (sealed containers stay sealed, the index
 // flushes), the aborted backup is simply absent. On durable backends the
 // backup's catalog record is durable before Backup returns; if it cannot be
-// made so, the backup is not retained and the error says why.
+// made so, the backup is not retained and the error says why. A label that a
+// retained backup already has is refused (ErrLabelRetained).
 func (s *Store) Backup(ctx context.Context, label string, r io.Reader) (*Backup, error) {
 	ctx, span := telemetry.StartSpan(ctx, "store.backup")
 	defer span.End()
 	telBackups.Inc()
+	if s.FindBackup(label) != nil { // before any byte is ingested
+		return nil, labelRetained(label)
+	}
 	s.maintMu.RLock()
 	defer s.maintMu.RUnlock()
 	rec, st, err := s.eng.Backup(ctx, label, r)
@@ -653,15 +626,27 @@ func (s *Store) Backup(ctx context.Context, label string, r io.Reader) (*Backup,
 	return s.commitBackup(newBackup(label, fromEngineStats(st), rec), nil)
 }
 
+// ErrLabelRetained refuses a backup under a label a retained backup already
+// has: a label names one backup, in the store and in its catalog alike.
+var ErrLabelRetained = errors.New("a retained backup has this label")
+
+func labelRetained(label string) error {
+	return fmt.Errorf("repro: backup %q: %w", label, ErrLabelRetained)
+}
+
 // commitBackup makes b durable as one catalog record, on durable backends,
 // and then records it in the retained set: a backup that is retained is one
-// a reopen will find. A stream that ran on its own lane (IngestStream) passes
-// it, and the master clock advances to the lane's finish time if that is
-// ahead. All of it is one step under the store lock, so concurrent lanes
-// cannot interleave half-committed state.
+// a reopen will find. A label already retained is refused here, whatever was
+// checked before the ingest. A stream that ran on its own lane
+// (IngestStream) passes it, and the master clock advances to the lane's
+// finish time if that is ahead. All of it is one step under the store lock,
+// so concurrent lanes cannot interleave half-committed state.
 func (s *Store) commitBackup(b *Backup, lane *disk.Clock) (*Backup, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.indexOf(b.Label) >= 0 {
+		return nil, labelRetained(b.Label)
+	}
 	if lane != nil {
 		if d := lane.Now() - s.eng.Clock().Now(); d > 0 {
 			s.eng.Clock().Advance(d)
@@ -697,7 +682,9 @@ type StreamInput struct {
 // parallel over the shared index, Bloom filter and container store; each
 // stream pays its simulated costs on its own clock, and the merged
 // Duration is the slowest lane of the round, not the sum. Engines without
-// concurrent ingest fall back to the serial loop.
+// concurrent ingest fall back to the serial loop. A stream whose label is
+// retained by the time it commits — before the round, or by a stream of the
+// round that committed first — is not retained, and err says so.
 func (s *Store) BackupStreams(ctx context.Context, inputs []StreamInput, concurrency int) ([]*Backup, BackupStats, error) {
 	ctx, span := telemetry.StartSpan(ctx, "store.backup_streams")
 	defer span.End()

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -23,18 +24,13 @@ import (
 // instant, the way a fresh process would.
 func replayCatalogFile(t testing.TB, dir string) []catalog.Entry {
 	t.Helper()
-	f, err := os.Open(filepath.Join(dir, catalog.FileName))
+	img, err := os.ReadFile(filepath.Join(dir, catalog.FileName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close() //nolint:errcheck // read-only
-	fi, err := f.Stat()
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, valid, err := catalog.Replay(f, fi.Size())
-	if err != nil || valid != fi.Size() {
-		t.Fatalf("replay of %s: %d of %d bytes valid, %v", f.Name(), valid, fi.Size(), err)
+	entries, valid, err := catalog.Replay(img)
+	if err != nil || valid != int64(len(img)) {
+		t.Fatalf("replay of %s: %d of %d bytes valid, %v", dir, valid, len(img), err)
 	}
 	return entries
 }
@@ -222,6 +218,24 @@ func TestCatalogReplayEquivalenceThroughTheStore(t *testing.T) {
 		if _, err := s.Restore(ctx, b, &out, true); err != nil || !bytes.Equal(out.Bytes(), want[b.Label]) {
 			t.Fatalf("restore of %s: %v", b.Label, err)
 		}
+	}
+	storeDirHoldsOnlyTheLogs(t, dir)
+}
+
+// storeDirHoldsOnlyTheLogs: a store directory is its two record logs, one
+// data file per container and quarantine/ — no manifest, WAL or .meta file.
+func storeDirHoldsOnlyTheLogs(t *testing.T, dir string) {
+	t.Helper()
+	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		rel, _ := filepath.Rel(dir, p)
+		data, _ := filepath.Match("containers/[0-9][0-9][0-9][0-9][0-9][0-9].data", rel)
+		if err == nil && !data && !slices.Contains([]string{".", "containers", "quarantine", "containers.log", catalog.FileName}, rel) {
+			t.Errorf("the store directory holds %s", rel)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -134,7 +134,7 @@ func tenantsInflight(p *dedupdProc) (int, error) {
 }
 
 // reopenAndAudit opens the store directory the dead server left behind and
-// asserts the WAL replay produced a consistent store: fsck passes, every
+// asserts the replay of its two logs produced a consistent store: fsck passes, every
 // label in want restores bit-identically, and no other backups survived.
 func reopenAndAudit(t *testing.T, dir string, want map[string][]byte) {
 	t.Helper()
@@ -184,7 +184,7 @@ func reopenAndAudit(t *testing.T, dir string, want map[string][]byte) {
 
 // TestE2EKillMidIngest is the hard-crash path: a completed upload, then a
 // second upload held mid-stream while the server takes SIGKILL. No drain, no
-// store.Close — recovery has only the WAL. Reopening must be fsck-clean, the
+// store.Close — recovery has only the two logs. Reopening must be fsck-clean, the
 // completed backup must restore bit-identically, and the half-ingested one
 // must have vanished entirely.
 func TestE2EKillMidIngest(t *testing.T) {
@@ -255,12 +255,12 @@ func TestE2EKillMidIngest(t *testing.T) {
 
 // TestE2EKillMidSeal kills the server inside a container's seal, at the point
 // the streaming seal moved: the data file — most of it written while the
-// container filled — and the metadata file renamed in, no WAL line yet
+// container filled — renamed in, no seal record in containers.log yet
 // (seal-data). A first server commits one backup and drains; a second, armed,
-// dies on the first container of the next upload. The reopen ignores the
-// orphan files, is fsck-clean, restores the committed backup bit-identically
-// and has never heard of the other. (The kill before Seal, with the section
-// staged in its temp file, is the root package's
+// dies on the first container of the next upload. The reopen removes the
+// orphan data file, is fsck-clean, restores the committed backup
+// bit-identically and has never heard of the other. (The kill before Seal,
+// with the section staged in its temp file, is the root package's
 // TestReopenAfterCrashWhileStaging.)
 func TestE2EKillMidSeal(t *testing.T) {
 	if testing.Short() {
@@ -284,11 +284,15 @@ func TestE2EKillMidSeal(t *testing.T) {
 		t.Fatal("the upload was acknowledged: the crash point never fired")
 	}
 	p.cmd.Wait() //nolint:errcheck // the crash is the point
-	if orphan, _ := filepath.Glob(filepath.Join(dir, "containers", "000001.*")); len(orphan) != 2 {
-		t.Fatalf("files of the container being sealed at the crash: %v, want its .meta and .data", orphan)
+	orphan := filepath.Join(dir, "containers", "000001.data")
+	if files, _ := filepath.Glob(filepath.Join(dir, "containers", "000001.*")); len(files) != 1 || files[0] != orphan {
+		t.Fatalf("files of the container being sealed at the crash: %v, want its .data alone", files)
 	}
 
 	reopenAndAudit(t, dir, map[string][]byte{"gen-complete": done})
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Fatalf("the orphan data file survived the reopen: %v", err)
+	}
 	if left, _ := filepath.Glob(filepath.Join(dir, "*", ".*.tmp*")); len(left) != 0 {
 		t.Fatalf("temp files survived the reopen: %v", left)
 	}
@@ -320,7 +324,7 @@ func postMaintenance(p *dedupdProc) error { return postAdmin(p, "/v1/maintenance
 // intent not yet written (merge-remapped), after the intent is durable but
 // before (merge-intent) or halfway through (merge-files) the destructive file
 // deletes. Reopening must replay
-// the WAL to a fsck-clean store with every committed backup restoring
+// the logs to a fsck-clean store with every committed backup restoring
 // bit-identically: the drop commit ordering (recipes stop referencing
 // victims durably before the intent) is what makes any crash instant safe,
 // whichever policy selected the victims.
@@ -512,7 +516,8 @@ func TestE2EKillDuringFilteredMaintenance(t *testing.T) {
 
 // TestE2ECrashAfterIngest exercises the deterministic -crash.after
 // machinery: the server exits without closing the store immediately after
-// the Nth ingest commits, so the WAL's last record is a live container. Both
+// the Nth ingest commits, so the logs' last records are a live container and
+// its backup. Both
 // committed backups must survive replay.
 func TestE2ECrashAfterIngest(t *testing.T) {
 	if testing.Short() {

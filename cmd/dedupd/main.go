@@ -15,7 +15,7 @@
 //
 // SIGINT/SIGTERM triggers a graceful drain: new requests get 503, in-flight
 // ingests are cancelled at a segment boundary (the store stays fsck-clean),
-// then the store is closed (manifest checkpoint, WAL fold).
+// then the store is closed.
 //
 // Smoke client (against an already-running server):
 //
@@ -175,9 +175,8 @@ func runServer(p serverParams) error {
 	if p.crashAfter > 0 {
 		scfg.OnIngest = func(n int) {
 			if n >= p.crashAfter {
-				// Simulated crash: exit without closing the store, so neither
-				// the backend manifest nor the WAL gets a clean shutdown. A
-				// later reopen must recover from the WAL alone.
+				// Simulated crash: exit without closing the store. A later
+				// reopen must recover from what its two logs acknowledged.
 				telemetry.Logger().Warn("simulating crash", "after_ingest", n)
 				os.Exit(0)
 			}
@@ -211,7 +210,7 @@ func runServer(p serverParams) error {
 	defer cancel()
 	drainErr := srv.Shutdown(ctx)    // cancel in-flight ingests, wait for handlers
 	httpErr := httpSrv.Shutdown(ctx) //nolint:contextcheck // same deadline
-	closeErr := store.Close()        // manifest checkpoint + WAL fold
+	closeErr := store.Close()        // both logs are durable already; checkpoints if due
 	telemetry.Logger().Info("drained, store closed")
 	if drainErr != nil {
 		return drainErr

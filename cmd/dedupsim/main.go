@@ -253,9 +253,9 @@ func run(p params) error {
 		}
 		tb.AddRow(row...)
 		if p.crashAfter > 0 && g+1 >= p.crashAfter {
-			// Simulated crash: exit without closing the store, so neither
-			// the backend manifest nor the WAL gets a clean shutdown. A
-			// later -fsckonly run must recover from the WAL alone.
+			// Simulated crash: exit without closing the store. A later
+			// -fsckonly run must recover from what its two logs
+			// acknowledged.
 			fmt.Fprintf(os.Stderr, "dedupsim: simulating crash after generation %d\n", g+1)
 			os.Exit(0)
 		}

@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
@@ -14,7 +15,8 @@ import (
 )
 
 // ingestGens runs n workload generations into s and returns each
-// generation's full stream bytes for later content verification.
+// generation's full stream bytes for later content verification. Labels carry
+// the seed, so a second call into the same store takes new ones.
 func ingestGens(t *testing.T, s *Store, seed int64, n int) [][]byte {
 	t.Helper()
 	wcfg := workload.DefaultConfig(seed)
@@ -30,7 +32,7 @@ func ingestGens(t *testing.T, s *Store, seed int64, n int) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Backup(context.Background(), b.Label, bytes.NewReader(data)); err != nil {
+		if _, err := s.Backup(context.Background(), fmt.Sprintf("s%d/%s", seed, b.Label), bytes.NewReader(data)); err != nil {
 			t.Fatal(err)
 		}
 		datas = append(datas, data)

@@ -9,10 +9,10 @@
 //   - Sim keeps sealed containers in process memory, reproducing the
 //     behaviour the engines always had (bit-identical stats and recipes —
 //     pinned by TestSimBackendEquivalence in the repo root).
-//   - File is a durable directory-backed store: one file pair per sealed
-//     container, an fsync'd write-ahead log, and an atomically-renamed
-//     manifest, so a store can be closed (or killed) and re-opened with its
-//     containers intact.
+//   - File is a durable directory-backed store: one data file per sealed
+//     container and a CRC-framed record log of the table (recordlog.go, the
+//     catalog's format too), so a store can be closed (or killed) and
+//     re-opened with its containers intact.
 //   - Fault wraps any backend with deterministic, seed-controlled failure
 //     injection (transient EIO, torn writes, latency spikes) for recovery
 //     testing.
@@ -26,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -127,8 +126,8 @@ type Backend interface {
 	ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error)
 	// List returns every sealed container's info, in ID order.
 	List(ctx context.Context) ([]ContainerInfo, error)
-	// Sync makes all previously sealed containers durable (checkpoints the
-	// manifest on durable backends; a no-op for in-memory ones).
+	// Sync waits for the seals in flight and compacts durable metadata now
+	// (File checkpoints its container log); a no-op for in-memory ones.
 	Sync(ctx context.Context) error
 	// Close syncs and releases the backend. The backend is unusable after.
 	Close() error
@@ -144,10 +143,11 @@ type Quarantiner interface {
 // Dropper is implemented by backends that can atomically remove a batch of
 // containers whose live chunks were first copied elsewhere (container
 // merge). Unlike Quarantine the bytes are reclaimed, not preserved. On
-// durable backends the whole batch commits through one fsync'd intent
+// durable backends the whole batch commits through one fdatasync'd merge
 // record: either the drop never happened (every id still listed and
-// readable) or it completes — by the call itself, or by WAL roll-forward
-// when a crashed process reopens the store mid-deletion.
+// readable) or it completes — by the call itself, or, when a crashed process
+// left victim files behind, by the next open, which removes every data file
+// the log does not name.
 type Dropper interface {
 	Drop(ctx context.Context, ids []uint32, reason string) error
 }
@@ -257,7 +257,7 @@ func (z *zeroView) get(n int64) []byte {
 // same directory, fsync'd, then atomically renamed over path, then the
 // directory entry is fsync'd. A crash at any point leaves either the old
 // file or the new one, never a torn mix — and, before the rename, a temp file
-// that RemoveTemps sweeps when the store is next opened.
+// that OpenFile sweeps when the store is next opened.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	a, err := createAtomic(path)
 	if err != nil {
@@ -319,25 +319,6 @@ func (a atomicFile) commit(path string, perm os.FileMode) error {
 func (a atomicFile) abort() {
 	a.f.Close()
 	os.Remove(a.f.Name())
-}
-
-// RemoveTemps deletes the temp files a crash left in dir — inside
-// WriteFileAtomic, or with a container half-staged. Only for a directory
-// nobody is writing into: a store's, as it opens. A missing dir has none.
-func RemoveTemps(dir string) error {
-	ents, err := os.ReadDir(dir)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	for _, e := range ents {
-		if ok, _ := filepath.Match(".*.tmp*", e.Name()); !ok {
-			continue
-		}
-		if rerr := os.Remove(filepath.Join(dir, e.Name())); rerr != nil && err == nil {
-			err = rerr
-		}
-	}
-	return err
 }
 
 // SyncDir fsyncs a directory so renames and file creations within it are

@@ -122,48 +122,21 @@ func TestFileRoundTripAcrossReopen(t *testing.T) {
 	checkRoundTrip(t, re, want)
 }
 
-func TestFileWALReplayWithoutSync(t *testing.T) {
-	// Simulate a crash: seal containers, never Sync/Close, reopen from the
-	// WAL alone. The manifest on disk is stale (or absent); replay must
-	// recover every seal.
+// TestFileReplayWithoutClose: a store abandoned without Close — killed —
+// reopens from its log alone with every acknowledged seal. (A torn last
+// record is TestContainerLogTornTailAtEveryOffset.)
+func TestFileReplayWithoutClose(t *testing.T) {
 	dir := t.TempDir()
 	b, err := OpenFile(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := sealN(t, b, 3)
-	// Abandon b without Close — its WAL records are already fsync'd.
+	// Abandon b without Close — its seal records are already fdatasync'd.
 
 	re, err := OpenFile(dir, true)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
-	}
-	defer re.Close()
-	checkRoundTrip(t, re, want)
-	_ = b
-}
-
-func TestFileTornWALTailIgnored(t *testing.T) {
-	dir := t.TempDir()
-	b, err := OpenFile(dir, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sealN(t, b, 2)
-	// Tear the WAL tail: append half a record, as a crash mid-append would.
-	wal := filepath.Join(dir, "wal.jsonl")
-	f, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"seq":99,"id":7,"sta`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	re, err := OpenFile(dir, true)
-	if err != nil {
-		t.Fatalf("reopen with torn tail: %v", err)
 	}
 	defer re.Close()
 	checkRoundTrip(t, re, want)
@@ -224,6 +197,10 @@ func TestFileQuarantine(t *testing.T) {
 		if _, err := os.Stat(p); err != nil {
 			t.Fatalf("quarantined %s missing: %v", suffix, err)
 		}
+	}
+	info, _ := mkInfo(1, 4)
+	if raw, _ := os.ReadFile(filepath.Join(dir, "quarantine", "000001.meta")); !bytes.Equal(raw, EncodeMeta(info.Entries)) {
+		t.Fatal("the quarantined metadata is not the table entry's")
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
@@ -336,13 +313,13 @@ func TestMetadataOnlyFileBackend(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenFile(dir, true) // argument loses: manifest says holes
+	re, err := OpenFile(dir, true) // argument loses: the log's header says holes
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
 	if re.StoresData() {
-		t.Fatal("manifest storesData=false must win over reopen argument")
+		t.Fatal("the header's storesData=false must win over the reopen argument")
 	}
 	data, err := re.ReadData(context.Background(), 2)
 	if err != nil {

@@ -1,13 +1,14 @@
 package blockstore
 
 import (
-	"bytes"
 	"encoding/binary"
 
 	"repro/internal/chunk"
 )
 
-// Container metadata files use a fixed little-endian binary layout:
+// A container's metadata section — the tail of its seal record in
+// containers.log, and a quarantined container's .meta — has a fixed
+// little-endian binary layout:
 //
 //	u32 count
 //	count × { fp[32] | u32 size | u64 segment | i64 offset }
@@ -18,45 +19,33 @@ const metaEntryWire = chunk.FingerprintSize + 4 + 8 + 8
 
 // EncodeMeta serialises a container's chunk metadata entries.
 func EncodeMeta(entries []ChunkMeta) []byte {
-	buf := bytes.NewBuffer(make([]byte, 0, 4+len(entries)*metaEntryWire))
-	var u32 [4]byte
-	var u64 [8]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(entries)))
-	buf.Write(u32[:])
-	for _, e := range entries {
-		buf.Write(e.FP[:])
-		binary.LittleEndian.PutUint32(u32[:], e.Size)
-		buf.Write(u32[:])
-		binary.LittleEndian.PutUint64(u64[:], e.Segment)
-		buf.Write(u64[:])
-		binary.LittleEndian.PutUint64(u64[:], uint64(e.Offset))
-		buf.Write(u64[:])
-	}
-	return buf.Bytes()
+	return appendMeta(make([]byte, 0, 4+len(entries)*metaEntryWire), entries)
 }
 
-// DecodeMeta parses a metadata file produced by EncodeMeta. Truncated or
-// over-long input is reported as corruption.
-func DecodeMeta(data []byte) ([]ChunkMeta, error) {
-	if len(data) < 4 {
-		return nil, Corruptf("meta: short header (%d bytes)", len(data))
+func appendMeta(buf []byte, entries []ChunkMeta) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
+	for _, e := range entries {
+		buf = append(buf, e.FP[:]...)
+		buf = binary.LittleEndian.AppendUint32(buf, e.Size)
+		buf = binary.LittleEndian.AppendUint64(buf, e.Segment)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Offset))
 	}
-	count := binary.LittleEndian.Uint32(data)
-	data = data[4:]
-	if want := int(count) * metaEntryWire; len(data) != want {
-		return nil, Corruptf("meta: %d entries need %d bytes, have %d", count, want, len(data))
+	return buf
+}
+
+// DecodeMeta parses what EncodeMeta produced. Truncated or over-long input is
+// reported as corruption.
+func DecodeMeta(data []byte) ([]ChunkMeta, error) {
+	r := NewPayload(data)
+	count := r.U32()
+	if r.Bad() || int64(len(r.Rest())) != int64(count)*metaEntryWire {
+		return nil, Corruptf("meta: %d bytes do not hold %d entries", len(data), count)
 	}
 	entries := make([]ChunkMeta, count)
 	for i := range entries {
 		e := &entries[i]
-		copy(e.FP[:], data[:chunk.FingerprintSize])
-		data = data[chunk.FingerprintSize:]
-		e.Size = binary.LittleEndian.Uint32(data)
-		data = data[4:]
-		e.Segment = binary.LittleEndian.Uint64(data)
-		data = data[8:]
-		e.Offset = int64(binary.LittleEndian.Uint64(data))
-		data = data[8:]
+		copy(e.FP[:], r.Take(chunk.FingerprintSize))
+		e.Size, e.Segment, e.Offset = r.U32(), r.U64(), int64(r.U64())
 	}
 	return entries, nil
 }

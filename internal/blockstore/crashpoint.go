@@ -11,22 +11,21 @@ import (
 // moments of a multi-step durable operation — between an intent record's
 // fsync and the destructive work it authorizes, or halfway through that
 // work. They model a SIGKILL: the process exits immediately, with no
-// manifest checkpoint, WAL fold, or deferred cleanup. Production code never
-// arms them; the dedupd e2e crash tests do, via a flag on the re-exec'd
-// child.
+// checkpoint or deferred cleanup. Production code never arms them; the dedupd
+// e2e crash tests do, via a flag on the re-exec'd child.
 const (
 	// CrashMergeRemapped fires as a container merge's Drop is entered: the
 	// recipes' remap away from the victims is durable in the catalog log, the
-	// merge intent is not yet written.
+	// merge record is not yet written.
 	CrashMergeRemapped = "merge-remapped"
-	// CrashMergeIntent fires after a container-merge intent record is
-	// durably in the WAL but before any victim file is deleted.
+	// CrashMergeIntent fires after a container merge's record is durably in
+	// containers.log but before any victim file is deleted.
 	CrashMergeIntent = "merge-intent"
-	// CrashMergeFiles fires after the first victim's files are deleted,
+	// CrashMergeFiles fires after the first victim's file is deleted,
 	// mid-way through the merge's destructive phase.
 	CrashMergeFiles = "merge-files"
-	// CrashSealData fires after a container's files have been renamed in and
-	// before the WAL line that makes the container exist.
+	// CrashSealData fires after a container's data file has been renamed in
+	// and before the seal record that makes the container exist.
 	CrashSealData = "seal-data"
 )
 

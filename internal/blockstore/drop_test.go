@@ -2,7 +2,6 @@ package blockstore
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -39,10 +38,8 @@ func TestFileDropReclaimsAndSurvivesReopen(t *testing.T) {
 	checkRoundTrip(t, b, want)
 	// Files are reclaimed, not quarantined.
 	for _, id := range []string{"000000", "000002"} {
-		for _, suffix := range []string{".meta", ".data"} {
-			if _, err := os.Stat(filepath.Join(dir, "containers", id+suffix)); !errors.Is(err, os.ErrNotExist) {
-				t.Fatalf("victim file %s%s still present: %v", id, suffix, err)
-			}
+		if _, err := os.Stat(filepath.Join(dir, "containers", id+".data")); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("victim file %s.data still present: %v", id, err)
 		}
 	}
 	if err := b.Close(); err != nil {
@@ -57,9 +54,9 @@ func TestFileDropReclaimsAndSurvivesReopen(t *testing.T) {
 }
 
 func TestFileDropOfUnsyncedSealsReplaysClean(t *testing.T) {
-	// Seal and drop entirely inside one WAL window (no manifest checkpoint
-	// in between): replay must skip the victims' seal records, whose files
-	// are already deleted, instead of failing to load them.
+	// Seal and drop with no checkpoint in between: replay must take the
+	// victims' seal records back out at the merge record, whose files are
+	// already deleted, instead of listing them.
 	dir := t.TempDir()
 	b, err := OpenFile(dir, true)
 	if err != nil {
@@ -82,8 +79,8 @@ func TestFileDropOfUnsyncedSealsReplaysClean(t *testing.T) {
 }
 
 func TestFileMergeIntentRollsForwardOnReopen(t *testing.T) {
-	// Crash between the merge intent's fsync and the file deletions: the
-	// reopen must honour the durable intent — victims unlisted, their files
+	// Crash between the merge record's fdatasync and the file deletions: the
+	// reopen must honour the durable record — victims unlisted, their files
 	// deleted — even though the dying process never touched them.
 	dir := t.TempDir()
 	b, err := OpenFile(dir, true)
@@ -91,51 +88,33 @@ func TestFileMergeIntentRollsForwardOnReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := sealN(t, b, 3)
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Hand-append the intent record the crashed process would have left.
-	var m manifest
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	// Append the record the crashed process would have left, and die.
+	rec, err := appendRetire(nil, recMerge, []uint32{0, 2}, "merged")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(raw, &m); err != nil {
+	if err := b.log.Append(rec); err != nil {
 		t.Fatal(err)
 	}
-	rec := walRecord{Seq: m.Checkpoint + 1, Op: "merge", Victims: []uint32{0, 2}, Reason: "merged"}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wf, err := os.OpenFile(filepath.Join(dir, walName), os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wf.Write(append(line, '\n')); err != nil {
-		t.Fatal(err)
-	}
-	wf.Close()
-	// Simulate a crash halfway through the deletions too: one victim's meta
-	// file already gone.
-	if err := os.Remove(filepath.Join(dir, "containers", "000000.meta")); err != nil {
+	// Halfway through the deletions too: one victim's file already gone.
+	if err := os.Remove(filepath.Join(dir, "containers", "000000.data")); err != nil {
 		t.Fatal(err)
 	}
 
 	re, err := OpenFile(dir, true)
 	if err != nil {
-		t.Fatalf("reopen with pending merge intent: %v", err)
+		t.Fatalf("reopen with a merge record and its files: %v", err)
 	}
 	defer re.Close()
 	delete(want, 0)
 	delete(want, 2)
 	checkRoundTrip(t, re, want)
-	for _, name := range []string{"000000.meta", "000000.data", "000002.meta", "000002.data"} {
+	for _, name := range []string{"000000.data", "000002.data"} {
 		if _, err := os.Stat(filepath.Join(dir, "containers", name)); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("roll-forward left victim file %s: %v", name, err)
 		}
 	}
-	// And the next checkpoint folds the intent away for good.
+	// And a checkpoint folds the record away for good.
 	if err := re.Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}

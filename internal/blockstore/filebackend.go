@@ -1,10 +1,7 @@
 package blockstore
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -13,33 +10,26 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/telemetry"
 )
 
-// File is the durable directory-backed backend. Layout under its root:
-//
-//	MANIFEST.json        checkpointed container table (atomic tmp+fsync+rename)
-//	wal.jsonl            fsync'd seal log since the last manifest checkpoint
-//	containers/N.meta    binary chunk-metadata section (EncodeMeta)
-//	containers/N.data    raw data section (only when StoresData)
-//	quarantine/          containers moved aside by fsck -repair
-//
-// Seal ordering makes crashes safe: the meta (and data) files are written
-// and fsync'd first, then a WAL line referencing them is appended and
-// fsync'd. Opening replays the manifest, then WAL records past its
-// checkpoint sequence; a torn WAL tail is ignored. Sync folds the WAL into
-// a fresh manifest and truncates it.
+// File is the durable directory-backed backend: containers.log (the container
+// table, containerlog.go), containers/NNNNNN.data (a sealed container's data
+// section, when StoresData) and quarantine/ (what fsck -repair moved aside). A
+// seal's data file is written, fsync'd and renamed in, the directory fsync'd,
+// and only then is the record that makes the container exist appended (seals
+// in flight together share one append: commitSeal). Opening replays the log
+// and removes the data files no record names.
 type File struct {
-	mu         sync.Mutex
-	dir        string
-	storesData bool
-	infos      map[uint32]ContainerInfo
-	wal        *os.File
-	walSeq     uint64 // last sequence appended to the WAL
-	checkpoint uint64 // last sequence folded into MANIFEST.json
-	closed     bool
+	mu     sync.Mutex
+	dir    string
+	table  // storesData is fixed by the log's header
+	log    *RecordLog
+	closed bool
 
 	zero zeroView // what a metadata-only store reads
 
@@ -47,17 +37,16 @@ type File struct {
 	// that Stage has already put into the temp file Seal will rename.
 	staged map[uint32]*stagedSection
 
-	// WAL group commit (see commitWAL): records enqueued while an fsync is
+	// Group commit (see commitSeal): seal records enqueued while an append is
 	// in flight ride out together on the next one.
-	cohort     *walCohort
+	cohort     *sealCohort
 	committing bool
-	quiet      *sync.Cond // broadcast when commitWAL goes idle
+	quiet      *sync.Cond // broadcast when commitSeal goes idle
 }
 
-// walCohort is one group-commit batch: the concatenated WAL lines of every
-// seal waiting on the same fsync, plus the table entries to publish once it
-// lands.
-type walCohort struct {
+// sealCohort is one group-commit batch: the seal records waiting on the same
+// append, and the table entries to publish once it lands.
+type sealCohort struct {
 	buf   []byte
 	infos []ContainerInfo
 	done  chan struct{}
@@ -65,240 +54,69 @@ type walCohort struct {
 }
 
 const (
-	manifestName = "MANIFEST.json"
-	walName      = "wal.jsonl"
 	containerDir = "containers"
 	quarDir      = "quarantine"
 )
 
-type manifest struct {
-	Version    int             `json:"version"`
-	StoresData bool            `json:"storesData"`
-	Checkpoint uint64          `json:"checkpoint"`
-	Containers []manifestEntry `json:"containers"`
-}
-
-type manifestEntry struct {
-	ID       uint32 `json:"id"`
-	Start    int64  `json:"start"`
-	DataFill int64  `json:"dataFill"`
-	End      int64  `json:"end"`
-}
-
-// walRecord is one fsync'd line in wal.jsonl. Op is "seal" (default),
-// "drop" (quarantine tombstone), or "merge" — a container-merge intent
-// whose Victims are reclaimed as a unit. A durable merge record is the
-// commit point of the drop: replay rolls it forward (table entries removed,
-// remaining files deleted) even if the process died mid-deletion.
-type walRecord struct {
-	Seq      uint64   `json:"seq"`
-	Op       string   `json:"op,omitempty"`
-	ID       uint32   `json:"id"`
-	Start    int64    `json:"start"`
-	DataFill int64    `json:"dataFill"`
-	End      int64    `json:"end"`
-	Victims  []uint32 `json:"victims,omitempty"`
-	Reason   string   `json:"reason,omitempty"`
-}
-
 // OpenFile opens (or initialises) a directory-backed store rooted at dir.
-// When the directory already holds a manifest, its storesData setting wins
-// over the argument — the physical store's nature is fixed at creation.
+// When the directory already holds a container log, its storesData setting
+// wins over the argument — the physical store's nature is fixed at creation.
 func OpenFile(dir string, storesData bool) (*File, error) {
+	if err := refuseOldLayout(dir); err != nil {
+		return nil, err
+	}
 	for _, sub := range []string{dir, filepath.Join(dir, containerDir), filepath.Join(dir, quarDir)} {
 		if err := os.MkdirAll(sub, 0o755); err != nil {
 			return nil, err
 		}
 	}
-	f := &File{dir: dir, storesData: storesData, infos: make(map[uint32]ContainerInfo),
-		staged: make(map[uint32]*stagedSection)}
+	var t *table
+	log, err := OpenRecordLog(filepath.Join(dir, logName), func(img []byte) (valid int64, err error) {
+		t, valid, err = replayTable(img)
+		return valid, err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("file backend: %w", err)
+	}
+	f := &File{dir: dir, table: *t, log: log, staged: make(map[uint32]*stagedSection)}
 	f.quiet = sync.NewCond(&f.mu)
-	// What a crash left half-written was never renamed in, so never referenced.
-	for _, sub := range []string{dir, filepath.Join(dir, containerDir)} {
-		if err := RemoveTemps(sub); err != nil {
-			return nil, err
-		}
+	err = f.sweep()
+	if err == nil && !t.headed {
+		f.storesData = storesData
+		err = log.Append(appendHeader(nil, storesData))
 	}
-
-	// The WAL is scanned before the manifest is materialised: a "merge"
-	// intent past the checkpoint means its victims' files may already be
-	// gone, so their manifest entries (and earlier seal records) must not be
-	// loaded at all.
-	recs, err := f.scanWAL()
 	if err != nil {
+		log.Close() //nolint:errcheck // surfacing the sweep or header error
 		return nil, err
 	}
-
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	switch {
-	case err == nil:
-		var m manifest
-		if err := json.Unmarshal(raw, &m); err != nil {
-			return nil, fmt.Errorf("file backend: parse %s: %w", manifestName, err)
-		}
-		if m.Version != 1 {
-			return nil, fmt.Errorf("file backend: unsupported manifest version %d", m.Version)
-		}
-		f.storesData = m.StoresData
-		f.checkpoint = m.Checkpoint
-		f.walSeq = m.Checkpoint
-
-		// dropped[id] = latest WAL sequence past the checkpoint at which the
-		// container was dropped or merged away.
-		dropped := make(map[uint32]uint64)
-		for _, rec := range recs {
-			if rec.Seq <= f.checkpoint {
-				continue
-			}
-			switch rec.Op {
-			case "drop":
-				dropped[rec.ID] = rec.Seq
-			case "merge":
-				for _, id := range rec.Victims {
-					dropped[id] = rec.Seq
-				}
-			}
-		}
-		for _, e := range m.Containers {
-			if _, gone := dropped[e.ID]; gone {
-				continue
-			}
-			info, err := f.loadInfo(e.ID, e.Start, e.DataFill, e.End)
-			if err != nil {
-				return nil, err
-			}
-			f.infos[e.ID] = info
-		}
-		if err := f.replayWAL(recs, dropped); err != nil {
-			return nil, err
-		}
-	case errors.Is(err, fs.ErrNotExist):
-		// fresh store: replay everything the WAL holds
-		dropped := make(map[uint32]uint64)
-		for _, rec := range recs {
-			switch rec.Op {
-			case "drop":
-				dropped[rec.ID] = rec.Seq
-			case "merge":
-				for _, id := range rec.Victims {
-					dropped[id] = rec.Seq
-				}
-			}
-		}
-		if err := f.replayWAL(recs, dropped); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, err
-	}
-
-	wal, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	f.wal = wal
 	return f, nil
 }
 
-// scanWAL decodes wal.jsonl into records without applying them. A torn
-// final line (crash mid-append) is ignored; anything torn *before* a
-// complete line means real corruption and is reported.
-func (f *File) scanWAL() ([]walRecord, error) {
-	walPath := filepath.Join(f.dir, walName)
-	wf, err := os.Open(walPath)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer wf.Close()
-	sc := bufio.NewScanner(wf)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var recs []walRecord
-	var torn bool
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var rec walRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			torn = true
-			continue
-		}
-		if torn {
-			return nil, Corruptf("file backend: wal record after torn line")
-		}
-		recs = append(recs, rec)
-	}
-	return recs, sc.Err()
-}
-
-// replayWAL applies records newer than the manifest checkpoint. dropped
-// maps container IDs to the sequence of the record that removed them: a
-// seal superseded by a later drop/merge is skipped entirely (its files may
-// no longer exist), and a merge intent is rolled forward — the remaining
-// victim files are deleted, making a crash at any point of Drop idempotent.
-func (f *File) replayWAL(recs []walRecord, dropped map[uint32]uint64) error {
-	for _, rec := range recs {
-		if rec.Seq <= f.checkpoint {
-			continue // already folded into the manifest
-		}
-		if rec.Seq > f.walSeq {
-			f.walSeq = rec.Seq
-		}
-		switch rec.Op {
-		case "drop":
-			delete(f.infos, rec.ID)
-		case "merge":
-			for _, id := range rec.Victims {
-				delete(f.infos, id)
-				if err := f.removeContainerFiles(id); err != nil {
-					return err
-				}
-			}
-		default: // seal
-			if dseq, gone := dropped[rec.ID]; gone && dseq > rec.Seq {
-				continue
-			}
-			info, err := f.loadInfo(rec.ID, rec.Start, rec.DataFill, rec.End)
-			if err != nil {
-				return err
-			}
-			f.infos[rec.ID] = info
-		}
-	}
-	return nil
-}
-
-// removeContainerFiles deletes a container's meta/data files, tolerating
-// files already gone (merge roll-forward re-runs after a crash).
-func (f *File) removeContainerFiles(id uint32) error {
-	for _, p := range []string{f.metaPath(id), f.dataPath(id)} {
-		if err := os.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
+// sweep removes what a crash left that nothing will read: a temp file in the
+// root or containers/ — a write that never reached its rename, a container
+// half-staged — and a data file the table does not name: a seal's, renamed in
+// before the crash kept its record from the log, or a dropped container's.
+func (f *File) sweep() error {
+	for _, sub := range []string{f.dir, filepath.Join(f.dir, containerDir)} {
+		ents, err := os.ReadDir(sub)
+		if err != nil {
 			return err
 		}
+		for _, e := range ents {
+			num, data := strings.CutSuffix(e.Name(), ".data")
+			id, perr := strconv.ParseUint(num, 10, 32)
+			_, live := f.infos[uint32(id)]
+			temp, _ := filepath.Match(".*.tmp*", e.Name())
+			orphan := sub != f.dir && data && perr == nil && !live
+			if !temp && !orphan {
+				continue
+			}
+			if err := os.Remove(filepath.Join(sub, e.Name())); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
-}
-
-// loadInfo materialises a container table entry, parsing its fsync'd
-// metadata file.
-func (f *File) loadInfo(id uint32, start, fill, end int64) (ContainerInfo, error) {
-	raw, err := os.ReadFile(f.metaPath(id))
-	if err != nil {
-		return ContainerInfo{}, fmt.Errorf("file backend: container %d: %w", id, err)
-	}
-	entries, err := DecodeMeta(raw)
-	if err != nil {
-		return ContainerInfo{}, fmt.Errorf("file backend: container %d: %w", id, err)
-	}
-	return ContainerInfo{ID: id, Start: start, DataFill: fill, End: end, Entries: entries}, nil
-}
-
-func (f *File) metaPath(id uint32) string {
-	return filepath.Join(f.dir, containerDir, fmt.Sprintf("%06d.meta", id))
 }
 
 func (f *File) dataPath(id uint32) string {
@@ -320,8 +138,6 @@ type stagedSection struct {
 	crc uint32 // CRC32C of them
 	bad bool   // a stage call failed or came out of order: tmp is not a prefix
 }
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 var (
 	telStagedBytes = telemetry.NewCounter("container_staged_bytes_total",
@@ -397,26 +213,21 @@ func (f *File) Seal(ctx context.Context, info ContainerInfo, data []byte) error 
 	if closed {
 		return ErrClosed
 	}
-	st := f.takeStaged(info.ID)
 	// Container files are keyed by ID and each ID is sealed by exactly one
-	// writer at a time, so concurrent seals of distinct containers write
-	// their meta/data files in parallel without holding the table lock. So
-	// are the two files of one container, which know nothing of each other
-	// until the WAL line: the small one's fsync and rename ride the other's.
-	metaDone := make(chan error, 1)
-	go func() { metaDone <- WriteFileAtomic(f.metaPath(info.ID), EncodeMeta(info.Entries), 0o644) }()
-	var err error
+	// writer at a time, so concurrent seals of distinct containers write their
+	// data files in parallel without holding the table lock.
+	st := f.takeStaged(info.ID)
 	if f.storesData {
-		err = f.sealData(st, info.ID, data)
+		if err := f.sealData(st, info.ID, data); err != nil {
+			return err
+		}
 	}
-	if merr := <-metaDone; err == nil {
-		err = merr
-	}
+	maybeCrash(CrashSealData)
+	rec, err := appendSeal(nil, info)
 	if err != nil {
 		return err
 	}
-	maybeCrash(CrashSealData)
-	return f.commitWAL(walRecord{ID: info.ID, Start: info.Start, DataFill: info.DataFill, End: info.End}, cloneInfo(info))
+	return f.commitSeal(rec, cloneInfo(info))
 }
 
 // sealData makes data the content of container id's data file. data is the
@@ -448,35 +259,27 @@ func (f *File) sealData(st *stagedSection, id uint32, data []byte) error {
 	return WriteFileAtomic(f.dataPath(id), data, 0o644)
 }
 
-// commitWAL appends rec to the WAL with group commit: the first arrival
-// becomes the leader and fsyncs; records enqueued while that fsync is in
+// commitSeal appends rec to the log with group commit: the first arrival
+// becomes the leader and appends; records enqueued while that append is in
 // flight accumulate into the next cohort, which the same leader pushes out
-// with a single write+sync. N concurrent seals thus pay ~1 fsync instead of
-// N. The leader publishes every cohort member's table entry (under f.mu)
-// before waking it, so at any quiescent point f.infos matches the durable
-// WAL exactly — the invariant Sync relies on to fold and truncate safely.
-func (f *File) commitWAL(rec walRecord, info ContainerInfo) error {
+// with a single write + fdatasync. N concurrent seals thus pay ~1 fdatasync
+// instead of N. The leader publishes every cohort member's table entry (under
+// f.mu) before waking it, so at any quiescent point f.infos matches the
+// durable log exactly — the invariant a checkpoint relies on.
+func (f *File) commitSeal(rec []byte, info ContainerInfo) error {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
 		return ErrClosed
 	}
-	f.walSeq++
-	rec.Seq = f.walSeq
-	line, err := json.Marshal(rec)
-	if err != nil {
-		f.mu.Unlock()
-		return err
-	}
 	if f.cohort == nil {
-		f.cohort = &walCohort{done: make(chan struct{})}
+		f.cohort = &sealCohort{done: make(chan struct{})}
 	}
 	mine := f.cohort
-	mine.buf = append(mine.buf, line...)
-	mine.buf = append(mine.buf, '\n')
+	mine.buf = append(mine.buf, rec...)
 	mine.infos = append(mine.infos, info)
 	if f.committing {
-		// A sync is in flight; its leader will carry this cohort too.
+		// An append is in flight; its leader will carry this cohort too.
 		f.mu.Unlock()
 		<-mine.done
 		return mine.err
@@ -485,15 +288,11 @@ func (f *File) commitWAL(rec walRecord, info ContainerInfo) error {
 	for c := mine; ; {
 		f.cohort = nil
 		f.mu.Unlock()
-		_, werr := f.wal.Write(c.buf)
-		if werr == nil {
-			werr = f.wal.Sync()
-		}
-		c.err = werr
+		c.err = f.log.Append(c.buf)
 		f.mu.Lock()
-		if werr == nil {
+		if c.err == nil {
 			for _, ci := range c.infos {
-				f.infos[ci.ID] = ci
+				f.put(ci)
 			}
 		}
 		close(c.done)
@@ -506,8 +305,8 @@ func (f *File) commitWAL(rec walRecord, info ContainerInfo) error {
 	}
 }
 
-// quiesceLocked waits until no WAL group commit is in flight or queued.
-// Caller holds f.mu.
+// quiesceLocked waits until no group commit is in flight or queued. Caller
+// holds f.mu.
 func (f *File) quiesceLocked() {
 	for f.committing || f.cohort != nil {
 		f.quiet.Wait()
@@ -611,8 +410,7 @@ func (f *File) List(ctx context.Context) ([]ContainerInfo, error) {
 	return out, nil
 }
 
-// Sync folds the WAL into a fresh manifest (atomic rename) and truncates
-// the WAL. After a successful Sync the store opens without replay work.
+// Sync waits for the seals in flight and checkpoints the container log now.
 func (f *File) Sync(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -623,34 +421,28 @@ func (f *File) Sync(ctx context.Context) error {
 		return ErrClosed
 	}
 	f.quiesceLocked()
-	return f.syncLocked()
+	return f.checkpoint(true)
 }
 
-func (f *File) syncLocked() error {
-	m := manifest{Version: 1, StoresData: f.storesData, Checkpoint: f.walSeq}
-	for _, info := range f.infos {
-		m.Containers = append(m.Containers, manifestEntry{
-			ID: info.ID, Start: info.Start, DataFill: info.DataFill, End: info.End,
-		})
+// checkpoint rewrites the log as the table if forced or due. Caller holds
+// f.mu, quiesced.
+func (f *File) checkpoint(force bool) error {
+	if !force && !f.log.Due(f.live) {
+		return nil
 	}
-	sort.Slice(m.Containers, func(i, j int) bool { return m.Containers[i].ID < m.Containers[j].ID })
-	raw, err := json.MarshalIndent(&m, "", "  ")
-	if err != nil {
-		return err
+	image, err := appendTable(nil, f.storesData, f.infos)
+	if err == nil {
+		_, err = f.log.Checkpoint(image)
 	}
-	if err := WriteFileAtomic(filepath.Join(f.dir, manifestName), raw, 0o644); err != nil {
-		return err
+	return err
+}
+
+// checkpointAfter is checkpoint(false) after an operation whose record is
+// durable: a failed checkpoint leaves the log longer, no less right.
+func (f *File) checkpointAfter(op string) {
+	if err := f.checkpoint(false); err != nil {
+		telemetry.Logger().Warn("file backend: container log checkpoint failed; the log stays as it is", "after", op, "err", err)
 	}
-	f.checkpoint = f.walSeq
-	// The manifest now covers every WAL record; dropping the log is safe
-	// even if the truncate itself is lost (replay skips seq <= checkpoint).
-	if err := f.wal.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := f.wal.Seek(0, 0); err != nil {
-		return err
-	}
-	return f.wal.Sync()
 }
 
 func (f *File) Close() error {
@@ -660,8 +452,8 @@ func (f *File) Close() error {
 		return nil
 	}
 	f.quiesceLocked()
-	err := f.syncLocked()
-	if cerr := f.wal.Close(); err == nil {
+	err := f.checkpoint(false)
+	if cerr := f.log.Close(); err == nil {
 		err = cerr
 	}
 	f.closed = true
@@ -672,13 +464,10 @@ func (f *File) Close() error {
 	return err
 }
 
-// Drop reclaims a batch of merged-away containers. The commit point is one
-// fsync'd WAL "merge" intent record: before it lands, the drop never
-// happened and every victim stays listed and readable; after it lands the
-// drop is guaranteed to complete — the victims' files are deleted and the
-// manifest checkpointed by this call, or by WAL roll-forward when a crashed
-// process reopens the store (see replayWAL). Callers must have copied any
-// still-live chunks out of the victims first.
+// Drop reclaims merged-away containers, whose live chunks the caller copied
+// out first. The merge record is the commit point: before it the drop never
+// happened; after it the victims are out of the table, and their files are
+// removed by this call or, after a crash, by the next open.
 func (f *File) Drop(ctx context.Context, ids []uint32, reason string) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -698,37 +487,25 @@ func (f *File) Drop(ctx context.Context, ids []uint32, reason string) error {
 			return fmt.Errorf("file backend: drop: container %d not sealed", id)
 		}
 	}
-	f.walSeq++
-	rec := walRecord{Seq: f.walSeq, Op: "merge", Victims: ids, Reason: reason}
-	line, err := json.Marshal(rec)
-	if err != nil {
+	if err := f.retire(recMerge, ids, reason); err != nil {
 		return err
 	}
-	line = append(line, '\n')
-	if _, err := f.wal.Write(line); err != nil {
-		return err
-	}
-	if err := f.wal.Sync(); err != nil {
-		return err
-	}
-	// The intent is durable: from here the drop completes, by us now or by
-	// roll-forward on the next open.
 	maybeCrash(CrashMergeIntent)
 	for i, id := range ids {
-		delete(f.infos, id)
-		if err := f.removeContainerFiles(id); err != nil {
-			return err
+		if err := os.Remove(f.dataPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			telemetry.Logger().Warn("file backend: a dropped container's file stays until the next open", "id", id, "err", err)
 		}
 		if i == 0 {
 			maybeCrash(CrashMergeFiles)
 		}
 	}
-	return f.syncLocked()
+	f.checkpointAfter("drop")
+	return nil
 }
 
-// Quarantine moves a container's files into quarantine/ alongside a reason
-// note, drops it from the table, and checkpoints. The bytes survive for
-// forensics; List no longer reports the id.
+// Quarantine moves a container's data file into quarantine/ beside its
+// metadata section and a reason note, for forensics, then takes it out of the
+// table with one quarantine record.
 func (f *File) Quarantine(ctx context.Context, id uint32, reason string) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -739,23 +516,43 @@ func (f *File) Quarantine(ctx context.Context, id uint32, reason string) error {
 		return ErrClosed
 	}
 	f.quiesceLocked()
-	if _, ok := f.infos[id]; !ok {
+	info, ok := f.infos[id]
+	if !ok {
 		return fmt.Errorf("file backend: quarantine: container %d not sealed", id)
 	}
 	qdir := filepath.Join(f.dir, quarDir)
-	for _, src := range []string{f.metaPath(id), f.dataPath(id)} {
-		dst := filepath.Join(qdir, filepath.Base(src))
-		if err := os.Rename(src, dst); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return err
-		}
+	base := filepath.Join(qdir, fmt.Sprintf("%06d", id))
+	if err := os.Rename(f.dataPath(id), base+".data"); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
 	}
-	note := filepath.Join(qdir, fmt.Sprintf("%06d.reason", id))
-	if err := os.WriteFile(note, []byte(reason+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(base+".meta", EncodeMeta(info.Entries), 0o644); err != nil {
+		return err
+	}
+	if err := os.WriteFile(base+".reason", []byte(reason+"\n"), 0o644); err != nil {
 		return err
 	}
 	if err := SyncDir(qdir); err != nil {
 		return err
 	}
-	delete(f.infos, id)
-	return f.syncLocked()
+	if err := f.retire(recQuarantine, []uint32{id}, reason); err != nil {
+		return err
+	}
+	f.checkpointAfter("quarantine")
+	return nil
+}
+
+// retire appends the merge or quarantine record that takes ids out of the
+// table, and takes them out. Caller holds f.mu, quiesced.
+func (f *File) retire(kind byte, ids []uint32, reason string) error {
+	rec, err := appendRetire(nil, kind, ids, reason)
+	if err == nil {
+		err = f.log.Append(rec)
+	}
+	if err != nil {
+		return err
+	}
+	for _, id := range ids {
+		f.remove(id)
+	}
+	return nil
 }

@@ -58,11 +58,11 @@ func openFDs(t *testing.T) int {
 }
 
 // storeFiles reads every file a File backend keeps for its containers, plus
-// the WAL, by name relative to the root.
+// the container log, by name relative to the root.
 func storeFiles(t *testing.T, root string) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
-	for _, pat := range []string{walName, containerDir + "/*"} {
+	for _, pat := range []string{logName, containerDir + "/*"} {
 		paths, _ := filepath.Glob(filepath.Join(root, pat))
 		for _, p := range paths {
 			raw, err := os.ReadFile(p)
@@ -81,7 +81,7 @@ func counterNamed(name string, labels ...string) int64 {
 }
 
 // TestStagedSealEqualsWholeSeal: whatever was staged, and however it went
-// wrong, Seal leaves exactly the files, WAL line and table entry that sealing
+// wrong, Seal leaves exactly the files, seal record and table entry that sealing
 // the same container with nothing staged leaves — Seal's data is the truth.
 func TestStagedSealEqualsWholeSeal(t *testing.T) {
 	ctx := context.Background()
@@ -173,8 +173,8 @@ func TestStagedSealEqualsWholeSeal(t *testing.T) {
 			}
 
 			want, got := storeFiles(t, plainDir), storeFiles(t, stagedDir)
-			if len(want) != 3 || len(got) != len(want) {
-				t.Fatalf("files: unstaged %d, staged %d, want 3 each", len(want), len(got))
+			if len(want) != 2 || len(got) != len(want) {
+				t.Fatalf("files: unstaged %d, staged %d, want 2 each", len(want), len(got))
 			}
 			for name, raw := range want {
 				if !bytes.Equal(got[name], raw) {
@@ -239,7 +239,7 @@ func TestUnstageAndCloseLeaveNothingOpen(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if left := tempFiles(t, dir); len(left) != 0 || openFDs(t) != fds-1 { // the WAL's went too
+	if left := tempFiles(t, dir); len(left) != 0 || openFDs(t) != fds-1 { // the log's went too
 		t.Fatalf("after Close: temp files %v, %d descriptors against %d before staging", left, openFDs(t), fds)
 	}
 	f.Stage(4, 0, data) // a straggler after Close stages nothing
@@ -277,7 +277,7 @@ func TestOpenFileSweepsTemps(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close() //nolint:errcheck // the original is done with
-	for _, torn := range []string{".MANIFEST.json.tmp123", containerDir + "/.000001.meta.tmp9", containerDir + "/.000004.data.tmp77"} {
+	for _, torn := range []string{".containers.log.tmp123", containerDir + "/.000001.data.tmp9", containerDir + "/.000004.data.tmp77"} {
 		if err := os.WriteFile(filepath.Join(crashed, torn), []byte("half a fi"), 0o600); err != nil {
 			t.Fatal(err)
 		}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/blockstore"
 	"repro/internal/chunk"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -61,25 +62,18 @@ func sameEntries(t *testing.T, what string, got, want []Entry) {
 // replayFile replays the file at path as a fresh reader would.
 func replayFile(t *testing.T, path string) ([]Entry, int64, int64) {
 	t.Helper()
-	f, err := os.Open(path)
+	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close() //nolint:errcheck // read-only
-	fi, err := f.Stat()
+	entries, valid, err := Replay(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, valid, err := Replay(f, fi.Size())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return entries, valid, fi.Size()
+	return entries, valid, int64(len(img))
 }
 
-func replayBytes(img []byte) ([]Entry, int64, error) {
-	return Replay(bytes.NewReader(img), int64(len(img)))
-}
+func replayBytes(img []byte) ([]Entry, int64, error) { return Replay(img) }
 
 func mustOpen(t *testing.T, path string) (*Log, []Entry) {
 	t.Helper()
@@ -345,7 +339,7 @@ func TestTornTailAtEveryOffset(t *testing.T) {
 				t.Fatalf("record with its head zeroed: %d entries, valid %d, %v", len(got), valid, err)
 			}
 
-			for _, cut := range []int{tail, tail + 1, tail + headerSize, (tail + len(img)) / 2, len(img) - 1} {
+			for _, cut := range []int{tail, tail + 1, tail + blockstore.FrameHeader, (tail + len(img)) / 2, len(img) - 1} {
 				path := filepath.Join(t.TempDir(), FileName)
 				if err := os.WriteFile(path, img[:cut], 0o644); err != nil {
 					t.Fatal(err)
@@ -410,7 +404,7 @@ func TestBitFlipInAnInteriorRecordIsRefused(t *testing.T) {
 	// Open says the same, and leaves the file as it found it.
 	path := filepath.Join(t.TempDir(), FileName)
 	bad := bytes.Clone(img)
-	bad[starts[1]+headerSize+3] ^= 0x04
+	bad[starts[1]+blockstore.FrameHeader+3] ^= 0x04
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -431,24 +425,24 @@ func TestRecordsThatCannotApplyAreRefused(t *testing.T) {
 	a := sampleEntry("a", 4)
 	unknownKind := func(b []byte) ([]byte, error) {
 		start := len(b)
-		return endFrame(append(beginFrame(b, 9), "x"...), start)
+		return blockstore.EndFrame(append(blockstore.BeginFrame(b, magic, 9), "x"...), start)
 	}
 	trailing := func(b []byte) ([]byte, error) {
 		start := len(b)
-		b, _ = appendLabel(beginFrame(b, kindForget), "a")
-		return endFrame(append(b, 0), start)
+		b, _ = blockstore.AppendLabel(blockstore.BeginFrame(b, magic, kindForget), "a")
+		return blockstore.EndFrame(append(b, 0), start)
 	}
 	shortRemap := func(b []byte) ([]byte, error) {
 		start := len(b)
-		b = binary.LittleEndian.AppendUint32(beginFrame(b, kindRemap), 1)
-		b, _ = appendLabel(b, "a")
-		return endFrame(binary.LittleEndian.AppendUint32(b, 3), start) // three moves promised, none there
+		b = binary.LittleEndian.AppendUint32(blockstore.BeginFrame(b, magic, kindRemap), 1)
+		b, _ = blockstore.AppendLabel(b, "a")
+		return blockstore.EndFrame(binary.LittleEndian.AppendUint32(b, 3), start) // three moves promised, none there
 	}
 	shortCommit := func(b []byte) ([]byte, error) {
 		start := len(b)
-		b, _ = appendLabel(beginFrame(b, kindCommit), "z")
+		b, _ = blockstore.AppendLabel(blockstore.BeginFrame(b, magic, kindCommit), "z")
 		b = binary.LittleEndian.AppendUint32(b, 0)
-		return endFrame(binary.LittleEndian.AppendUint32(b, 0xFFFFFFFF), start) // 4 G refs promised
+		return blockstore.EndFrame(binary.LittleEndian.AppendUint32(b, 0xFFFFFFFF), start) // 4 G refs promised
 	}
 	for name, rec := range map[string]func([]byte) ([]byte, error){
 		"forget of a label not held":  forgetRec("nobody"),
@@ -513,7 +507,7 @@ func TestCheckpointRule(t *testing.T) {
 			m = m[1:]
 		}
 		log, live := l.Sizes()
-		if due := log > 2*live+checkpointSlack; due != l.NeedsCheckpoint() {
+		if due := log > 2*live+1<<20; due != l.NeedsCheckpoint() {
 			t.Fatalf("log %d, live %d: NeedsCheckpoint is %v", log, live, !due)
 		}
 		if l.NeedsCheckpoint() {

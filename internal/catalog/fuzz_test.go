@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"slices"
 	"testing"
+
+	"repro/internal/blockstore"
 )
 
 // FuzzCatalogReplay feeds arbitrary bytes to the log's replay. Whatever they
@@ -30,10 +32,10 @@ func FuzzCatalogReplay(f *testing.F) {
 	f.Add(img[:len(img)-3])                                // torn tail
 	f.Add(append(bytes.Clone(img), "DFC1\xff\xff\xff"...)) // torn header after a whole log
 	flipped := bytes.Clone(img)
-	flipped[headerSize+7] ^= 0x20 // damage with valid records after it
+	flipped[blockstore.FrameHeader+7] ^= 0x20 // damage with valid records after it
 	f.Add(flipped)
 	f.Add([]byte("DFC1\xff\xff\xff\xff\x01\x00\x00\x00\x00")) // a 4 GiB frame in 13 bytes
-	huge, _ := endFrame(append(beginFrame(nil, kindCommit), 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff), 0)
+	huge, _ := blockstore.EndFrame(append(blockstore.BeginFrame(nil, magic, kindCommit), 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff), 0)
 	f.Add(huge) // a good CRC over a ref count of 4 G
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, valid, err := replayBytes(data)

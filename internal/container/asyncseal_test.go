@@ -176,8 +176,8 @@ func TestWaitSealsDrains(t *testing.T) {
 }
 
 // TestConcurrentWritersFileBackend drives several reserve-mode writers over
-// the durable file backend at once — exercising parallel meta/data file
-// writes plus WAL group commit — then reopens the directory and verifies
+// the durable file backend at once — exercising parallel data file writes
+// plus the container log's group commit — then reopens the directory and verifies
 // every chunk from a fresh store.
 func TestConcurrentWritersFileBackend(t *testing.T) {
 	dir := t.TempDir()
@@ -238,7 +238,7 @@ func TestConcurrentWritersFileBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen: manifest + WAL replay must reconstruct the full directory.
+	// Reopen: the container log's replay must reconstruct the full directory.
 	be2, err := blockstore.OpenFile(dir, true)
 	if err != nil {
 		t.Fatal(err)

@@ -384,7 +384,7 @@ func TestForgetReportsDeadBytes(t *testing.T) {
 }
 
 func TestMaintenanceDurableAcrossReopen(t *testing.T) {
-	// Epochs on a durable store: remapped recipes and the WAL'd container
+	// Epochs on a durable store: remapped recipes and the logged container
 	// drops must survive Close and reopen with every backup bit-identical.
 	dir := t.TempDir()
 	open := func() *Store {

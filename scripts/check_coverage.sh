@@ -36,7 +36,7 @@ declare -A floors=(
   [repro/internal/engine/idedup]=80
   [repro/internal/engine/silo]=85
   [repro/internal/engine/sparse]=88
-  [repro/internal/fsck]=40
+  [repro/internal/fsck]=83
   [repro/internal/lru]=85
   [repro/internal/maintenance]=75
   [repro/internal/metrics]=88

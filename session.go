@@ -25,11 +25,15 @@ import (
 //
 // Cancelling ctx aborts the backup between segments; the store stays
 // consistent and the aborted backup is simply absent (the cancelled-ingest
-// contract of Store.Backup).
+// contract of Store.Backup). A label already retained is refused
+// (ErrLabelRetained), as by Backup.
 func (s *Store) IngestStream(ctx context.Context, label string, r io.Reader) (*Backup, error) {
 	ctx, span := telemetry.StartSpan(ctx, "store.ingest_stream")
 	defer span.End()
 	telBackups.Inc()
+	if s.FindBackup(label) != nil { // before any byte is ingested
+		return nil, labelRetained(label)
+	}
 	s.maintMu.RLock()
 	defer s.maintMu.RUnlock()
 

@@ -323,7 +323,7 @@ func TestReopenAfterCrashWhileStaging(t *testing.T) {
 				t.Fatal("the image holds no staged section")
 			}
 
-			for _, torn := range []string{".catalog.log.tmp5", ".MANIFEST.json.tmp6", "containers/.000002.meta.tmp8"} {
+			for _, torn := range []string{".catalog.log.tmp5", ".containers.log.tmp6", "containers/.000002.data.tmp8"} {
 				if err := os.WriteFile(filepath.Join(image, torn), []byte("half a fi"), 0o600); err != nil {
 					t.Fatal(err)
 				}
