@@ -212,8 +212,8 @@ func RunContainerAblation(cfg ExperimentConfig, sizesMB []int) (*FigureResult, e
 
 // restoreAblationLanes is the simulated prefetch-lane count of the pipelined
 // row of RunRestoreAblation. It is part of the figure, not of the host:
-// ExperimentConfig.Workers sizes the wall-clock fingerprinting pool and must
-// not move a simulated column.
+// GOMAXPROCS sizes the wall-clock hashing and decode pools and must not move
+// a simulated column.
 const restoreAblationLanes = 4
 
 // RunRestoreAblation compares four shapes of the one restore engine — LRU

@@ -82,8 +82,8 @@ const (
 	SparseIndex
 	// IDedup is an iDedup-style engine (Srinivasan et al. FAST'12, the
 	// paper's citation [3]): selective inline dedup that removes only
-	// duplicate runs of at least Options.MinRun physically contiguous
-	// chunks, bounding restore fragmentation by construction.
+	// duplicate runs of at least eight physically contiguous chunks,
+	// bounding restore fragmentation by construction.
 	IDedup
 )
 
@@ -200,15 +200,6 @@ type Options struct {
 	// TrackEfficiency attaches the exact ground-truth oracle so
 	// BackupStats.Efficiency is populated.
 	TrackEfficiency bool
-	// MinRun is IDedup's duplicate-run threshold in chunks; ignored by
-	// other engines. 0 uses the engine default (8).
-	MinRun int
-	// Workers controls the chunk-fingerprinting fan-out of every backup:
-	// 0 (the default) sizes the pool to GOMAXPROCS, 1 hashes inline on the
-	// calling goroutine, N > 1 uses exactly N goroutines. Purely a wall-clock
-	// optimization of the pipeline; all results and simulated timings are
-	// identical.
-	Workers int
 	// Backend selects where sealed containers physically live: SimBackend
 	// (default, in-memory) or FileBackend (durable directory store).
 	Backend BackendKind
@@ -402,7 +393,6 @@ func Open(opts Options) (*Store, error) {
 	switch opts.Engine {
 	case DeFrag:
 		cfg := core.DefaultConfig(opts.ExpectedBytes)
-		cfg.Cost.Workers = opts.Workers
 		cfg.Alpha = opts.Alpha
 		cfg.StoreData = opts.StoreData
 		cfg.Backend = be
@@ -416,30 +406,23 @@ func Open(opts Options) (*Store, error) {
 		s.eng, err = core.New(cfg)
 	case DDFSLike:
 		cfg := ddfs.DefaultConfig(opts.ExpectedBytes)
-		cfg.Cost.Workers = opts.Workers
 		cfg.StoreData = opts.StoreData
 		cfg.Backend = be
 		s.eng, err = ddfs.New(cfg)
 	case SiLoLike:
 		cfg := silo.DefaultConfig(opts.ExpectedBytes)
-		cfg.Cost.Workers = opts.Workers
 		cfg.StoreData = opts.StoreData
 		cfg.Backend = be
 		s.eng, err = silo.New(cfg)
 	case SparseIndex:
 		cfg := sparse.DefaultConfig(opts.ExpectedBytes)
-		cfg.Cost.Workers = opts.Workers
 		cfg.StoreData = opts.StoreData
 		cfg.Backend = be
 		s.eng, err = sparse.New(cfg)
 	case IDedup:
 		cfg := idedup.DefaultConfig(opts.ExpectedBytes)
-		cfg.Cost.Workers = opts.Workers
 		cfg.StoreData = opts.StoreData
 		cfg.Backend = be
-		if opts.MinRun > 0 {
-			cfg.MinRun = opts.MinRun
-		}
 		s.eng, err = idedup.New(cfg)
 	default:
 		err = fmt.Errorf("repro: unknown engine kind %d", opts.Engine)
@@ -891,13 +874,6 @@ func (s *Store) RestoreWith(ctx context.Context, b *Backup, w io.Writer, opts Re
 	}
 	span.SetSim(st.Duration)
 	return RestoreStats(st), nil
-}
-
-// SetRestoreCacheBudget attaches (or, with bytes <= 0, removes) the shared
-// sealed-container data cache, replacing any existing cache and dropping
-// its residency. See Options.RestoreCacheBytes.
-func (s *Store) SetRestoreCacheBudget(bytes int64) {
-	s.eng.Containers().SetDataCache(bytes)
 }
 
 // RestoreCacheStats reports cumulative behaviour of the shared restore data

@@ -5,6 +5,8 @@ import (
 	"context"
 	"io"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -204,9 +206,21 @@ func TestRestoreFAAMatchesLRURestore(t *testing.T) {
 	}
 }
 
+// setProcs sets GOMAXPROCS, which sizes the ingest hashing and restore
+// decode pools (inline at one), for the rest of the test. Never under
+// t.Parallel.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestWorkersProduceIdenticalResults: a Store hashes on a pool of GOMAXPROCS
+// workers, inline at one; the stats, fragments and recipe of a backup are the
+// same either way.
 func TestWorkersProduceIdenticalResults(t *testing.T) {
-	run := func(workers int) (BackupStats, int) {
-		s, err := Open(Options{Engine: DeFrag, Alpha: 0.1, ExpectedBytes: 32 << 20, Workers: workers})
+	run := func(procs int) *Backup {
+		setProcs(t, procs)
+		s, err := Open(Options{Engine: DeFrag, Alpha: 0.1, ExpectedBytes: 32 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,13 +230,18 @@ func TestWorkersProduceIdenticalResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b.Stats, b.Fragments()
+		return b
 	}
-	serial, fragS := run(0)
-	parallel, fragP := run(8)
-	if serial != parallel || fragS != fragP {
-		t.Fatalf("parallel ingest diverged:\nserial   %+v (%d frags)\nparallel %+v (%d frags)",
-			serial, fragS, parallel, fragP)
+	serial := run(1)
+	for _, procs := range []int{2, 8} {
+		parallel := run(procs)
+		if serial.Stats != parallel.Stats || serial.Fragments() != parallel.Fragments() {
+			t.Fatalf("procs=%d: parallel ingest diverged:\nserial   %+v (%d frags)\nparallel %+v (%d frags)",
+				procs, serial.Stats, serial.Fragments(), parallel.Stats, parallel.Fragments())
+		}
+		if !slices.Equal(serial.recipe().Refs, parallel.recipe().Refs) {
+			t.Fatalf("procs=%d: recipes not bit-identical", procs)
+		}
 	}
 }
 
@@ -237,10 +256,10 @@ func TestRestoreWithOptionsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range []RestoreOptions{
-		{Policy: RestoreLRU, Workers: 1, Verify: true},
-		{Policy: RestoreOPT, Workers: 1, Verify: true},
+		{Policy: RestoreLRU, Verify: true},
+		{Policy: RestoreOPT, Verify: true},
 		{Policy: RestoreOPT, Workers: 4, Coalesce: true, Verify: true},
-		{Policy: RestoreFAA, Workers: 1, Verify: true},
+		{Policy: RestoreFAA, Verify: true},
 		{CacheContainers: 1, Policy: RestoreFAA, Workers: 4, Coalesce: true, Verify: true},
 	} {
 		var out bytes.Buffer

@@ -49,7 +49,6 @@ type serverParams struct {
 	storeDir   string
 	expectedGB float64
 	storeData  bool
-	workers    int
 	// restoreCacheMB budgets the shared sealed-container data cache that
 	// single-flights container fetches across concurrent restores (0 = off).
 	restoreCacheMB int64
@@ -84,7 +83,6 @@ func realMain() error {
 	flag.StringVar(&p.storeDir, "store.dir", "", "file backend root directory (required for -backend file)")
 	flag.Float64Var(&p.expectedGB, "expected.gb", 1, "expected total ingest in GiB (sizes caches, Bloom filter, index)")
 	flag.BoolVar(&p.storeData, "store.data", true, "store real chunk bytes so restores return content (disable for timing-only runs)")
-	flag.IntVar(&p.workers, "workers", 0, "parallel fingerprinting workers per stream (0 = auto/GOMAXPROCS, 1 = serial)")
 	flag.Int64Var(&p.restoreCacheMB, "restore.cache.mb", 64, "shared restore container-cache budget in MiB, single-flighted across concurrent restores (0 = off)")
 	flag.IntVar(&p.tenantInflight, "tenant.inflight", 4, "max concurrent ingests per tenant before 429")
 	flag.IntVar(&p.totalInflight, "max.inflight", 32, "max concurrent ingests server-wide before 429")
@@ -155,7 +153,6 @@ func runServer(p serverParams) error {
 		Alpha:             p.alpha,
 		ExpectedBytes:     int64(p.expectedGB * (1 << 30)),
 		StoreData:         p.storeData,
-		Workers:           p.workers,
 		Backend:           bkind,
 		Dir:               p.storeDir,
 		RestoreCacheBytes: p.restoreCacheMB << 20,

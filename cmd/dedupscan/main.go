@@ -37,7 +37,6 @@ func realMain() error {
 	var (
 		engineName = flag.String("engine", "defrag", "engine: defrag, ddfs, silo, sparse, idedup")
 		alpha      = flag.Float64("alpha", 0.1, "DeFrag SPL threshold α")
-		workers    = flag.Int("workers", 0, "parallel fingerprinting workers (0 = auto/GOMAXPROCS, 1 = serial)")
 		telAddr    = flag.String("telemetry.addr", "", "serve live /metrics, /debug/snapshot and /debug/pprof on this address")
 		telEvents  = flag.String("telemetry.events", "", "write JSONL span events to this file")
 	)
@@ -53,10 +52,10 @@ func realMain() error {
 	if a := ep.Addr(); a != "" {
 		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics\n", a)
 	}
-	return run(*engineName, *alpha, *workers, flag.Args())
+	return run(*engineName, *alpha, flag.Args())
 }
 
-func run(engineName string, alpha float64, workers int, dirs []string) error {
+func run(engineName string, alpha float64, dirs []string) error {
 	ctx := context.Background()
 	kind, err := repro.ParseEngineKind(engineName)
 	if err != nil {
@@ -71,7 +70,6 @@ func run(engineName string, alpha float64, workers int, dirs []string) error {
 		Engine:        kind,
 		Alpha:         alpha,
 		ExpectedBytes: estimate * int64(len(dirs)+1),
-		Workers:       workers,
 	})
 	if err != nil {
 		return err

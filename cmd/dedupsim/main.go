@@ -50,8 +50,6 @@ func realMain() error {
 		verify     = flag.Bool("verify", false, "store real bytes and verify restored content (implies -restore)")
 		rMode      = flag.String("restore.mode", "", "restore strategy: lru, opt, pipelined (opt + coalescing + prefetch), faa (default: the store's default, opt)")
 		rCache     = flag.Int("restore.cache", 0, "restore cache capacity in containers (0 = default, 8)")
-		rWorkers   = flag.Int("restore.workers", 1, "simulated read lanes for -restore.mode=pipelined (timing model only)")
-		workers    = flag.Int("workers", 0, "parallel fingerprinting workers (0 = auto/GOMAXPROCS, 1 = serial)")
 		streams    = flag.Int("streams", 1, "concurrent backup streams per round (>1 switches to a multi-user schedule)")
 		scenario   = flag.String("scenario", "backup", "workload scenario: backup (multi-generation file sets), primary (hot/cold block volumes), workspace (tenant directory trees)")
 		filterOn   = flag.Bool("filter", false, "enable the prioritized inline filter (DeFrag): poorly clustered streams write through and are re-deduped by maintenance")
@@ -78,7 +76,7 @@ func realMain() error {
 	if a := ep.Addr(); a != "" {
 		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics\n", a)
 	}
-	if err := run(params{*engineName, *gens, *files, *fileKB, *alpha, *seed, *doRestore, *verify, *workers, *streams, *scenario, *filterOn, *check, *export, *rMode, *rCache, *rWorkers,
+	if err := run(params{*engineName, *gens, *files, *fileKB, *alpha, *seed, *doRestore, *verify, *streams, *scenario, *filterOn, *check, *export, *rMode, *rCache,
 		*backend, *storeDir, *faultSeed, *faultTrans, *faultTorn, *fsckOnly, *repair, *crashAfter}); err != nil {
 		return err
 	}
@@ -98,16 +96,14 @@ type params struct {
 	seed       int64
 	doRestore  bool
 	verify     bool
-	workers    int
 	streams    int
 	scenario   string
 	filterOn   bool
 	check      bool
 	export     string
 
-	restoreMode    string
-	restoreCache   int
-	restoreWorkers int
+	restoreMode  string
+	restoreCache int
 
 	backend    string
 	storeDir   string
@@ -129,8 +125,8 @@ func readAmp(read, restored int64) string {
 }
 
 // restoreOne restores one backup through the strategy selected by
-// -restore.mode, sharing the cache/workers knobs across both the
-// single-stream and multi-stream paths.
+// -restore.mode, sharing the cache knob across both the single-stream and
+// multi-stream paths.
 func restoreOne(ctx context.Context, p params, store *repro.Store, b *repro.Backup) (repro.RestoreStats, error) {
 	opts := repro.DefaultRestoreOptions()
 	opts.Verify = p.verify
@@ -142,7 +138,6 @@ func restoreOne(ctx context.Context, p params, store *repro.Store, b *repro.Back
 	case "pipelined":
 		opts.Policy = repro.RestoreOPT
 		opts.Coalesce = true
-		opts.Workers = p.restoreWorkers
 	default:
 		policy, err := repro.ParseRestorePolicy(p.restoreMode)
 		if err != nil {
@@ -183,7 +178,6 @@ func run(p params) error {
 		ExpectedBytes:   nstreams * int64(gens) * int64(files) * (fileKB << 10),
 		StoreData:       verify,
 		TrackEfficiency: true,
-		Workers:         p.workers,
 		Filter:          repro.FilterOptions{Enabled: p.filterOn},
 		Backend:         bkind,
 		Dir:             p.storeDir,

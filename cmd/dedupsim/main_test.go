@@ -35,7 +35,7 @@ func TestRestoreModeSelectsThePolicy(t *testing.T) {
 	const cache = 2
 	reads := func(policy repro.RestorePolicy) int64 {
 		t.Helper()
-		rs, err := store.RestoreWith(ctx, newest, nil, repro.RestoreOptions{CacheContainers: cache, Policy: policy, Workers: 1})
+		rs, err := store.RestoreWith(ctx, newest, nil, repro.RestoreOptions{CacheContainers: cache, Policy: policy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestRestoreModeSelectsThePolicy(t *testing.T) {
 		t.Fatalf("OPT-%d reads %d containers, LRU-%d %d, FAA-%d %d: the recipe cannot tell the modes apart", cache, opt, cache, lru, cache, faa)
 	}
 	for mode, want := range map[string]int64{"": opt, "lru": lru, "opt": opt, "pipelined": opt, "faa": faa} {
-		rs, err := restoreOne(ctx, params{restoreMode: mode, restoreCache: cache, restoreWorkers: 1}, store, newest)
+		rs, err := restoreOne(ctx, params{restoreMode: mode, restoreCache: cache}, store, newest)
 		if err != nil {
 			t.Fatalf("-restore.mode %q: %v", mode, err)
 		}

@@ -44,7 +44,6 @@ func realMain() error {
 		csvDir    = flag.String("csvdir", "", "also write each figure as CSV into this directory")
 		jsonOut   = flag.Bool("json", false, "emit a per-generation JSONL trajectory to stdout instead of figure tables")
 		engine    = flag.String("engine", "defrag", "engine for -json trajectories: defrag, ddfs, silo, sparse, idedup")
-		workers   = flag.Int("workers", 0, "parallel fingerprinting workers per backup (0 = auto/GOMAXPROCS, 1 = serial)")
 		rCache    = flag.Int("restore.cache", 0, "restore cache capacity in containers (0 = restore default, 8)")
 		telAddr   = flag.String("telemetry.addr", "", "serve live /metrics, /debug/snapshot and /debug/pprof on this address")
 		telEvents = flag.String("telemetry.events", "", "write JSONL span events to this file")
@@ -67,7 +66,6 @@ func realMain() error {
 	cfg.Users = *users
 	cfg.FilesPerUser = *files
 	cfg.Alpha = *alpha
-	cfg.Workers = *workers
 	cfg.RestoreCache = *rCache
 
 	if *jsonOut {

@@ -29,9 +29,6 @@ type ExperimentConfig struct {
 	// rewriting — the α-sweep needs it); a negative value selects the
 	// paper's default 0.1. DefaultExperimentConfig sets 0.1.
 	Alpha float64
-	// Workers parallelizes each backup's fingerprinting stage (see
-	// Options.Workers): 0 = auto (GOMAXPROCS), 1 = serial.
-	Workers int
 	// RestoreCache overrides the restore cache capacity in containers for
 	// experiment restores. 0 keeps the restore package default (8).
 	RestoreCache int

@@ -204,21 +204,21 @@ func TestFigureWriteTable(t *testing.T) {
 // TestRunRestoreAblation holds the restore-strategy table to what it claims:
 // Belady's bound and coalescing row by row, the pipelined restore at >= 2x
 // the serial LRU one where the cache is smallest (PR 3's acceptance bar), and
-// a table that is a function of the workload alone — Workers sizes the
-// wall-clock fingerprinting pool and must not move a simulated column.
+// a table that is a function of the workload alone — GOMAXPROCS sizes the
+// wall-clock hashing and decode pools and must not move a simulated column.
 func TestRunRestoreAblation(t *testing.T) {
-	table := func(workers int) *FigureResult {
+	table := func(procs int) *FigureResult {
 		t.Helper()
+		setProcs(t, procs)
 		cfg := tinyCfg()
 		cfg.Generations = 6
-		cfg.Workers = workers
 		res, err := RunRestoreAblation(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	res := table(0)
+	res := table(1)
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -251,9 +251,9 @@ func TestRunRestoreAblation(t *testing.T) {
 	if col(first, "pipe_extents") >= col(first, "opt_creads") {
 		t.Errorf("8 MB row: coalescing merged no reads: %v", first)
 	}
-	for _, workers := range []int{1, 8} {
-		if got := table(workers); !reflect.DeepEqual(got, res) {
-			t.Errorf("Workers=%d moved the table:\n%v\nwant\n%v", workers, got.Rows, res.Rows)
+	for _, procs := range []int{2, 8} {
+		if got := table(procs); !reflect.DeepEqual(got, res) {
+			t.Errorf("GOMAXPROCS=%d moved the table:\n%v\nwant\n%v", procs, got.Rows, res.Rows)
 		}
 	}
 }

@@ -540,13 +540,13 @@ func TestFileRestoreReuseSafety(t *testing.T) {
 			spy.mu.Lock()
 			spy.failRead = 3
 			spy.mu.Unlock()
-			s.SetRestoreCacheBudget(cacheBytes) // drop residency so the read happens
+			s.eng.Containers().SetDataCache(cacheBytes) // drop residency so the read happens
 			hctx, done := spy.hold(ctx, "corrupted")
 			if _, err := s.Restore(hctx, backups[newest], spy.watch(hctx, io.Discard), true); err == nil {
 				t.Fatal("a restore over a corrupted section succeeded")
 			}
 			done()
-			s.SetRestoreCacheBudget(cacheBytes) // ...and so the bad copy is not served again
+			s.eng.Containers().SetDataCache(cacheBytes) // ...and so the bad copy is not served again
 			var out bytes.Buffer
 			hctx, done = spy.hold(ctx, "after the corrupted one")
 			defer done()

@@ -37,15 +37,3 @@ func benchNext(b *testing.B, mk func(r io.Reader) (Chunker, error)) {
 func BenchmarkGearNext(b *testing.B) {
 	benchNext(b, func(r io.Reader) (Chunker, error) { return NewGear(r, DefaultParams()) })
 }
-
-func BenchmarkRabinNext(b *testing.B) {
-	benchNext(b, func(r io.Reader) (Chunker, error) { return NewRabin(r, DefaultParams()) })
-}
-
-func BenchmarkFixedNext(b *testing.B) {
-	benchNext(b, func(r io.Reader) (Chunker, error) { return NewFixed(r, DefaultTarget) })
-}
-
-func BenchmarkTTTDNext(b *testing.B) {
-	benchNext(b, func(r io.Reader) (Chunker, error) { return NewTTTD(r, DefaultParams()) })
-}

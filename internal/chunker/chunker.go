@@ -1,23 +1,12 @@
-// Package chunker splits byte streams into chunks.
+// Package chunker splits byte streams into content-defined chunks with a
+// gear rolling hash and FastCDC-style normalization (two masks around the
+// target size plus a hard minimum/maximum). It is fast and shift-tolerant, so
+// an insertion early in a file only disturbs chunk boundaries locally.
 //
-// Four chunkers are provided:
-//
-//   - Gear: content-defined chunking with a gear rolling hash and
-//     FastCDC-style normalization (two masks around the target size plus a
-//     hard minimum/maximum). This is the default for all experiments; it is
-//     fast and shift-tolerant, so an insertion early in a file only disturbs
-//     chunk boundaries locally.
-//   - Rabin: classic Rabin-fingerprint content-defined chunking, kept as a
-//     reference implementation and cross-check.
-//   - Fixed: fixed-size chunking, the degenerate baseline (no shift
-//     tolerance), used in tests and ablations.
-//   - TTTD: two-threshold two-divisor chunking, the classical answer to
-//     hard truncation at the maximum size.
-//
-// Each kind is a boundary search over bytes in memory. A Scanner runs one
-// over a stream, cutting in place in the caller's buffers (the ingest
-// pipeline's way in); a Stream wraps a Scanner as a Chunker, whose Next
-// returns one chunk at a time until io.EOF.
+// The boundary search works over bytes in memory. A Scanner runs it over a
+// stream, cutting in place in the caller's buffers (the ingest pipeline's way
+// in); a Stream wraps a Scanner as a Chunker, whose Next returns one chunk at
+// a time until io.EOF.
 package chunker
 
 import (
@@ -66,19 +55,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// cutter is the in-memory half of a chunker: where the first chunk of a
-// byte run ends. Each kind keeps its boundary search behind it, so one
-// Scanner serves all four.
-type cutter interface {
-	// cut returns the length of the first chunk of data, at least 1 and at
-	// most maxLen. The caller passes either maxLen or more bytes, of which
-	// only the first maxLen are looked at, or all that is left of the stream;
-	// never none.
-	cut(data []byte) int
-	// maxLen is the longest chunk cut returns.
-	maxLen() int
-}
-
 // maxEmptyReads bounds a run of (0, nil) reads before the stream counts as
 // stuck, as bufio does.
 const maxEmptyReads = 100
@@ -89,36 +65,22 @@ const maxEmptyReads = 100
 // buffers; Stream is the same over one buffer of its own.
 type Scanner struct {
 	r   io.Reader
-	c   cutter
+	g   *gear
 	err error // how the stream ended: io.EOF or the read failure; nil until then
 }
 
-// NewScanner returns a scanner of the given kind over r. For KindFixed the
-// Target parameter is the chunk size.
-func NewScanner(k Kind, r io.Reader, p Params) (*Scanner, error) {
-	var c cutter
-	var err error
-	switch k {
-	case KindGear:
-		c, err = newGear(p)
-	case KindRabin:
-		c, err = newRabin(p)
-	case KindFixed:
-		c, err = newFixed(p.Target)
-	case KindTTTD:
-		c, err = newTTTD(p)
-	default:
-		err = errBadParams
-	}
+// NewScanner returns a scanner over r. Params must validate.
+func NewScanner(r io.Reader, p Params) (*Scanner, error) {
+	g, err := newGear(p)
 	if err != nil {
 		return nil, err
 	}
-	return &Scanner{r: r, c: c}, nil
+	return &Scanner{r: r, g: g}, nil
 }
 
 // MaxChunk is the longest chunk the scanner cuts, and the least buffer Scan
 // accepts.
-func (s *Scanner) MaxChunk() int { return s.c.maxLen() }
+func (s *Scanner) MaxChunk() int { return s.g.p.Max }
 
 // Err reports how the stream ended: nil while it has not, io.EOF after a
 // clean end, else the read failure (io.ErrNoProgress for a reader that keeps
@@ -148,12 +110,12 @@ func (s *Scanner) Scan(buf []byte, n int, ends []int) (int, []int) {
 			}
 		}
 	}
-	need := s.c.maxLen()
+	need := s.MaxChunk()
 	if s.err != nil {
 		need = 1
 	}
 	for pos := 0; n-pos >= need; {
-		pos += s.c.cut(buf[pos:n])
+		pos += s.g.cut(buf[pos:n])
 		ends = append(ends, pos)
 	}
 	return n, ends
@@ -173,10 +135,9 @@ type Stream struct {
 // from one Scan to the next is just under one of them.
 const streamWindow = 4
 
-// New constructs a chunker of the given kind over r. For KindFixed the
-// Target parameter is used as the fixed chunk size.
-func New(k Kind, r io.Reader, p Params) (*Stream, error) {
-	s, err := NewScanner(k, r, p)
+// NewGear returns a chunker over r. Params must validate.
+func NewGear(r io.Reader, p Params) (*Stream, error) {
+	s, err := NewScanner(r, p)
 	if err != nil {
 		return nil, err
 	}

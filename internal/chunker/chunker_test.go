@@ -35,18 +35,15 @@ func collect(t testing.TB, c Chunker) [][]byte {
 	}
 }
 
+// Several tests of this package run their body as the one subtest "gear":
+// test history is keyed on those names.
+
 func reassemble(chunks [][]byte) []byte {
 	var buf bytes.Buffer
 	for _, c := range chunks {
 		buf.Write(c)
 	}
 	return buf.Bytes()
-}
-
-func eachKind(t *testing.T, fn func(t *testing.T, k Kind)) {
-	for _, k := range []Kind{KindGear, KindRabin, KindFixed, KindTTTD} {
-		t.Run(k.String(), func(t *testing.T) { fn(t, k) })
-	}
 }
 
 func TestParamsValidate(t *testing.T) {
@@ -68,26 +65,10 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
-func TestKindString(t *testing.T) {
-	if KindGear.String() != "gear" || KindRabin.String() != "rabin" ||
-		KindFixed.String() != "fixed" || KindTTTD.String() != "tttd" {
-		t.Fatal("Kind.String mismatch")
-	}
-	if Kind(99).String() != "unknown" {
-		t.Fatal("unknown kind")
-	}
-}
-
-func TestNewRejectsBadKind(t *testing.T) {
-	if _, err := New(Kind(99), bytes.NewReader(nil), DefaultParams()); err == nil {
-		t.Fatal("want error for bad kind")
-	}
-}
-
 func TestReassemblyIdentity(t *testing.T) {
 	data := randBytes(t, 1<<20, 42)
-	eachKind(t, func(t *testing.T, k Kind) {
-		c, err := New(k, bytes.NewReader(data), DefaultParams())
+	t.Run("gear", func(t *testing.T) {
+		c, err := NewGear(bytes.NewReader(data), DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,8 +80,8 @@ func TestReassemblyIdentity(t *testing.T) {
 }
 
 func TestEmptyInput(t *testing.T) {
-	eachKind(t, func(t *testing.T, k Kind) {
-		c, err := New(k, bytes.NewReader(nil), DefaultParams())
+	t.Run("gear", func(t *testing.T) {
+		c, err := NewGear(bytes.NewReader(nil), DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,8 +93,8 @@ func TestEmptyInput(t *testing.T) {
 
 func TestTinyInput(t *testing.T) {
 	data := []byte("tiny")
-	eachKind(t, func(t *testing.T, k Kind) {
-		c, err := New(k, bytes.NewReader(data), DefaultParams())
+	t.Run("gear", func(t *testing.T) {
+		c, err := NewGear(bytes.NewReader(data), DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,65 +108,38 @@ func TestTinyInput(t *testing.T) {
 func TestSizeBounds(t *testing.T) {
 	p := DefaultParams()
 	data := randBytes(t, 4<<20, 7)
-	for _, k := range []Kind{KindGear, KindRabin, KindTTTD} {
-		t.Run(k.String(), func(t *testing.T) {
-			c, err := New(k, bytes.NewReader(data), p)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("gear", func(t *testing.T) {
+		c, err := NewGear(bytes.NewReader(data), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks := collect(t, c)
+		for i, ch := range chunks {
+			if len(ch) > p.Max {
+				t.Fatalf("chunk %d size %d exceeds max %d", i, len(ch), p.Max)
 			}
-			chunks := collect(t, c)
-			for i, ch := range chunks {
-				if len(ch) > p.Max {
-					t.Fatalf("chunk %d size %d exceeds max %d", i, len(ch), p.Max)
-				}
-				if i < len(chunks)-1 && len(ch) < p.Min {
-					t.Fatalf("non-final chunk %d size %d below min %d", i, len(ch), p.Min)
-				}
+			if i < len(chunks)-1 && len(ch) < p.Min {
+				t.Fatalf("non-final chunk %d size %d below min %d", i, len(ch), p.Min)
 			}
-		})
-	}
+		}
+	})
 }
 
 func TestAverageChunkSizeNearTarget(t *testing.T) {
 	p := DefaultParams()
 	data := randBytes(t, 8<<20, 3)
-	for _, k := range []Kind{KindGear, KindRabin, KindTTTD} {
-		t.Run(k.String(), func(t *testing.T) {
-			c, err := New(k, bytes.NewReader(data), p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			chunks := collect(t, c)
-			avg := float64(len(data)) / float64(len(chunks))
-			// Accept a broad band: CDC averages land within ~2x of target.
-			if avg < float64(p.Target)/2 || avg > float64(p.Target)*2 {
-				t.Fatalf("average chunk size %.0f too far from target %d", avg, p.Target)
-			}
-		})
-	}
-}
-
-func TestFixedChunkSizes(t *testing.T) {
-	data := randBytes(t, 100*1024+17, 9)
-	c, err := NewFixed(bytes.NewReader(data), 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunks := collect(t, c)
-	for i, ch := range chunks {
-		if i < len(chunks)-1 && len(ch) != 4096 {
-			t.Fatalf("chunk %d size = %d, want 4096", i, len(ch))
+	t.Run("gear", func(t *testing.T) {
+		c, err := NewGear(bytes.NewReader(data), p)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got := len(chunks[len(chunks)-1]); got != (100*1024+17)%4096 {
-		t.Fatalf("final chunk size = %d", got)
-	}
-}
-
-func TestNewFixedRejectsBadSize(t *testing.T) {
-	if _, err := NewFixed(bytes.NewReader(nil), 0); err == nil {
-		t.Fatal("want error")
-	}
+		chunks := collect(t, c)
+		avg := float64(len(data)) / float64(len(chunks))
+		// Accept a broad band: CDC averages land within ~2x of target.
+		if avg < float64(p.Target)/2 || avg > float64(p.Target)*2 {
+			t.Fatalf("average chunk size %.0f too far from target %d", avg, p.Target)
+		}
+	})
 }
 
 // TestShiftTolerance is the core CDC property: inserting bytes near the
@@ -195,57 +149,32 @@ func TestShiftTolerance(t *testing.T) {
 	base := randBytes(t, 2<<20, 11)
 	shifted := append(append(append([]byte(nil), base[:1000]...), []byte("INSERTED BYTES")...), base[1000:]...)
 
-	for _, k := range []Kind{KindGear, KindRabin, KindTTTD} {
-		t.Run(k.String(), func(t *testing.T) {
-			c1, _ := New(k, bytes.NewReader(base), DefaultParams())
-			c2, _ := New(k, bytes.NewReader(shifted), DefaultParams())
-			set := make(map[string]bool)
-			var total int
-			for _, ch := range collect(t, c1) {
-				set[string(ch)] = true
-				total++
-			}
-			var common int
-			for _, ch := range collect(t, c2) {
-				if set[string(ch)] {
-					common++
-				}
-			}
-			if frac := float64(common) / float64(total); frac < 0.95 {
-				t.Fatalf("only %.1f%% of chunks survive a front insertion; CDC should preserve >95%%", frac*100)
-			}
-		})
-	}
-}
-
-// TestFixedNotShiftTolerant documents the baseline failure mode: fixed-size
-// chunking loses nearly all chunks after an unaligned insertion.
-func TestFixedNotShiftTolerant(t *testing.T) {
-	base := randBytes(t, 1<<20, 13)
-	shifted := append(append(append([]byte(nil), base[:999]...), byte('X')), base[999:]...)
-	c1, _ := NewFixed(bytes.NewReader(base), 4096)
-	c2, _ := NewFixed(bytes.NewReader(shifted), 4096)
-	set := make(map[string]bool)
-	for _, ch := range collect(t, c1) {
-		set[string(ch)] = true
-	}
-	var common, total int
-	for _, ch := range collect(t, c2) {
-		total++
-		if set[string(ch)] {
-			common++
+	t.Run("gear", func(t *testing.T) {
+		c1, _ := NewGear(bytes.NewReader(base), DefaultParams())
+		c2, _ := NewGear(bytes.NewReader(shifted), DefaultParams())
+		set := make(map[string]bool)
+		var total int
+		for _, ch := range collect(t, c1) {
+			set[string(ch)] = true
+			total++
 		}
-	}
-	if frac := float64(common) / float64(total); frac > 0.10 {
-		t.Fatalf("fixed chunking preserved %.1f%% after shift; expected near-total loss", frac*100)
-	}
+		var common int
+		for _, ch := range collect(t, c2) {
+			if set[string(ch)] {
+				common++
+			}
+		}
+		if frac := float64(common) / float64(total); frac < 0.95 {
+			t.Fatalf("only %.1f%% of chunks survive a front insertion; CDC should preserve >95%%", frac*100)
+		}
+	})
 }
 
 func TestDeterminism(t *testing.T) {
 	data := randBytes(t, 1<<20, 21)
-	eachKind(t, func(t *testing.T, k Kind) {
-		c1, _ := New(k, bytes.NewReader(data), DefaultParams())
-		c2, _ := New(k, bytes.NewReader(data), DefaultParams())
+	t.Run("gear", func(t *testing.T) {
+		c1, _ := NewGear(bytes.NewReader(data), DefaultParams())
+		c2, _ := NewGear(bytes.NewReader(data), DefaultParams())
 		a, b := collect(t, c1), collect(t, c2)
 		if len(a) != len(b) {
 			t.Fatalf("chunk counts differ: %d vs %d", len(a), len(b))
@@ -336,91 +265,6 @@ func TestReaderErrorPropagates(t *testing.T) {
 		}
 		if err != nil {
 			t.Fatalf("unexpected error %v", err)
-		}
-	}
-}
-
-func TestRabinPolyHelpers(t *testing.T) {
-	if d := polyDegree(rabinPoly); d != 53 {
-		t.Fatalf("polyDegree = %d, want 53", d)
-	}
-	if polyDegree(1) != 0 {
-		t.Fatal("degree of 1 is 0")
-	}
-	// polyMod result must always have degree < deg.
-	deg := polyDegree(rabinPoly)
-	for _, v := range []uint64{0, 1, rabinPoly, ^uint64(0), 0xDEADBEEFCAFE} {
-		m := polyMod(v, rabinPoly, deg)
-		if m>>uint(deg) != 0 {
-			t.Fatalf("polyMod(%x) = %x has degree >= %d", v, m, deg)
-		}
-	}
-	if polyMod(rabinPoly, rabinPoly, deg) != 0 {
-		t.Fatal("poly mod itself must be zero")
-	}
-}
-
-func BenchmarkGearChunking(b *testing.B) {
-	data := randBytes(b, 8<<20, 1)
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		c, _ := NewGear(bytes.NewReader(data), DefaultParams())
-		for {
-			if _, err := c.Next(); err != nil {
-				break
-			}
-		}
-	}
-}
-
-func BenchmarkRabinChunking(b *testing.B) {
-	data := randBytes(b, 8<<20, 1)
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		c, _ := NewRabin(bytes.NewReader(data), DefaultParams())
-		for {
-			if _, err := c.Next(); err != nil {
-				break
-			}
-		}
-	}
-}
-
-// TestTTTDBackupDivisorSoftensTruncation: with a tight maximum, a plain
-// single-divisor chunker would hard-truncate ~e^-(Max-Min)/Target ≈ 17% of
-// chunks. TTTD's backup divisor must rescue most of those. (Gear's FastCDC
-// normalization attacks the same tail by loosening its mask past the
-// target; TTTD is the classical alternative.)
-func TestTTTDBackupDivisorSoftensTruncation(t *testing.T) {
-	data := randBytes(t, 8<<20, 77)
-	p := Params{Min: 2048, Target: 8192, Max: 16384} // tight max provokes truncation
-	c, err := NewTTTD(bytes.NewReader(data), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxed, total := 0, 0
-	for _, ch := range collect(t, c) {
-		total++
-		if len(ch) == p.Max {
-			maxed++
-		}
-	}
-	// Analytic no-backup truncation rate: exp(-(Max-Min)/Target) ≈ 0.17.
-	// The backup divisor (2x firing rate) should cut that well below half.
-	if frac := float64(maxed) / float64(total); frac > 0.08 {
-		t.Fatalf("TTTD truncation fraction %.3f; backup divisor ineffective (plain CDC ≈ 0.17)", frac)
-	}
-}
-
-func BenchmarkTTTDChunking(b *testing.B) {
-	data := randBytes(b, 8<<20, 1)
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		c, _ := NewTTTD(bytes.NewReader(data), DefaultParams())
-		for {
-			if _, err := c.Next(); err != nil {
-				break
-			}
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package chunker
 
-import "io"
-
 // gearTable is the 256-entry random table driving the gear rolling hash.
 // Entries are fixed (generated once from a splitmix64 sequence, seed 1) so
 // chunk boundaries are stable across runs and machines.
@@ -48,9 +46,6 @@ func newGear(p Params) (*gear, error) {
 	return &gear{p: p, maskStrict: maskForBits(strictBits), maskLoose: maskForBits(looseBits)}, nil
 }
 
-// NewGear returns a gear chunker over r. Params must validate.
-func NewGear(r io.Reader, p Params) (*Stream, error) { return New(KindGear, r, p) }
-
 // normalizedBits derives the two FastCDC normalization mask widths from the
 // target size: 2 extra bits below target, 2 fewer above.
 func normalizedBits(target int) (strict, loose uint) {
@@ -73,11 +68,11 @@ func maskForBits(bits uint) uint64 {
 	return (uint64(1)<<bits - 1) << (64 - bits)
 }
 
-func (g *gear) maxLen() int { return g.p.Max }
-
-// cut finds the content-defined boundary in data. It is the hot loop of the
-// ingest path; boundaries are pinned bit-identical to cutpointRef by
-// TestGearCutpointMatchesReference and the golden fixture.
+// cut returns the length of the first chunk of data: at least 1 and at most
+// p.Max. The caller passes either p.Max or more bytes, of which only the first
+// p.Max are looked at, or all that is left of the stream; never none. It is
+// the hot loop of the ingest path; boundaries are pinned bit-identical to
+// cutpointRef by TestGearCutpointMatchesReference and the golden fixture.
 func (g *gear) cut(data []byte) int {
 	if len(data) <= g.p.Min {
 		return len(data)

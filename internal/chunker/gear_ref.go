@@ -1,8 +1,8 @@
 package chunker
 
 // cutpointRef is the straight-line reference form of the gear cut-point
-// search: one byte, one mask test, no unrolling. The optimized Gear.cutpoint
-// must return identical boundaries for every input; the property tests and
+// search: one byte, one mask test, no unrolling. The optimized gear.cut must
+// return identical boundaries for every input; the property tests and
 // the golden fixture in gear_ref_test.go enforce that, so any change to the
 // production loop that shifts a single boundary fails loudly instead of
 // silently changing every stored recipe.
@@ -37,7 +37,7 @@ func cutpointRef(data []byte, p Params, maskStrict, maskLoose uint64) int {
 }
 
 // boundariesRef chunks data entirely in memory with cutpointRef, mirroring
-// Gear.Next's windowing exactly (Max-capped window, Min-or-less tail taken
+// the Scanner's windowing exactly (Max-capped window, Min-or-less tail taken
 // whole). It returns the exclusive end offset of every chunk.
 func boundariesRef(data []byte, p Params) []int {
 	strictBits, looseBits := normalizedBits(p.Target)

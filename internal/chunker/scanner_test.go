@@ -13,15 +13,15 @@ import (
 // cutAll is the oracle of the in-place tests: the whole stream in memory and
 // one cut after another over what is left of it, so no buffer, carried tail
 // or read size is involved.
-func cutAll(t testing.TB, k Kind, p Params, data []byte) []int {
+func cutAll(t testing.TB, p Params, data []byte) []int {
 	t.Helper()
-	s, err := NewScanner(k, nil, p)
+	s, err := NewScanner(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ends []int
 	for pos := 0; pos < len(data); {
-		pos += s.c.cut(data[pos:])
+		pos += s.g.cut(data[pos:])
 		ends = append(ends, pos)
 	}
 	return ends
@@ -31,9 +31,9 @@ func cutAll(t testing.TB, k Kind, p Params, data []byte) []int {
 // bufSize bytes, the tail past the last boundary carried into the next one.
 // It returns every chunk's end offset in the stream, the bytes it saw, and
 // how the stream ended.
-func scanInPlace(t testing.TB, k Kind, p Params, r io.Reader, bufSize int) (ends []int, seen []byte, err error) {
+func scanInPlace(t testing.TB, p Params, r io.Reader, bufSize int) (ends []int, seen []byte, err error) {
 	t.Helper()
-	s, serr := NewScanner(k, r, p)
+	s, serr := NewScanner(r, p)
 	if serr != nil {
 		t.Fatal(serr)
 	}
@@ -98,9 +98,8 @@ func equalEnds(t *testing.T, what string, got, want []int) {
 }
 
 // TestCutInPlaceMatchesReference: whatever the read sizes and however often
-// a buffer rolls over, the in-place scanner and the Next adapter cut every
-// kind exactly where the in-memory oracle does (and, for gear, where the
-// straight-line boundariesRef does).
+// a buffer rolls over, the in-place scanner and the Next adapter cut exactly
+// where the in-memory oracle and the straight-line boundariesRef do.
 func TestCutInPlaceMatchesReference(t *testing.T) {
 	p := Params{Min: 64, Target: 256, Max: 1024}
 	data := randBytes(t, 96<<10, 21)
@@ -118,18 +117,16 @@ func TestCutInPlaceMatchesReference(t *testing.T) {
 			return &randomReader{r: bytes.NewReader(b), rng: rand.New(rand.NewSource(5)), max: 3 * p.Max}
 		},
 	}
-	eachKind(t, func(t *testing.T, k Kind) {
+	t.Run("gear", func(t *testing.T) {
 		for sname, data := range streams {
-			want := cutAll(t, k, p, data)
-			if k == KindGear {
-				equalEnds(t, sname+": oracle against boundariesRef", want, boundariesRef(data, p))
-			}
+			want := cutAll(t, p, data)
+			equalEnds(t, sname+": oracle against boundariesRef", want, boundariesRef(data, p))
 			for rname, mk := range readers {
 				// The smallest buffer Scan accepts, one that fits a few
 				// chunks, and one that takes the stream whole.
 				for _, bufSize := range []int{p.Max, 3*p.Max + 17, len(data) + p.Max} {
 					what := fmt.Sprintf("%s/%s/buf=%d", sname, rname, bufSize)
-					got, seen, err := scanInPlace(t, k, p, mk(data), bufSize)
+					got, seen, err := scanInPlace(t, p, mk(data), bufSize)
 					if err != io.EOF {
 						t.Fatalf("%s: stream ended with %v", what, err)
 					}
@@ -138,7 +135,7 @@ func TestCutInPlaceMatchesReference(t *testing.T) {
 						t.Fatalf("%s: chunks do not reassemble the stream", what)
 					}
 				}
-				c, err := New(k, mk(data), p)
+				c, err := NewGear(mk(data), p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,9 +159,9 @@ func (r *emptyReader) Read([]byte) (int, error) { r.reads++; return 0, nil }
 // TestStuckReaderReturnsNoProgress: a reader that never delivers used to
 // spin the chunker for ever; it must give up like bufio does.
 func TestStuckReaderReturnsNoProgress(t *testing.T) {
-	eachKind(t, func(t *testing.T, k Kind) {
+	t.Run("gear", func(t *testing.T) {
 		r := &emptyReader{}
-		c, err := New(k, r, DefaultParams())
+		c, err := NewGear(r, DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +173,7 @@ func TestStuckReaderReturnsNoProgress(t *testing.T) {
 		}
 		// Bytes delivered before the reader got stuck are still cut first.
 		data := randBytes(t, 3000, 8)
-		c, err = New(k, io.MultiReader(bytes.NewReader(data), &emptyReader{}), DefaultParams())
+		c, err = NewGear(io.MultiReader(bytes.NewReader(data), &emptyReader{}), DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,10 +200,10 @@ func TestStuckReaderReturnsNoProgress(t *testing.T) {
 func TestReadErrorAfterBufferedBytes(t *testing.T) {
 	p := Params{Min: 64, Target: 256, Max: 1024}
 	data := randBytes(t, 10<<10, 9)
-	eachKind(t, func(t *testing.T, k Kind) {
+	t.Run("gear", func(t *testing.T) {
 		// TimeoutReader fails its second Read; OneByteReader in front of it
 		// makes the first one deliver a single byte.
-		c, err := New(k, iotest.TimeoutReader(iotest.OneByteReader(bytes.NewReader(data))), p)
+		c, err := NewGear(iotest.TimeoutReader(iotest.OneByteReader(bytes.NewReader(data))), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,37 +222,32 @@ func TestReadErrorAfterBufferedBytes(t *testing.T) {
 		// is cut as if the stream had ended there.
 		cutoff := 5*p.Max + 123
 		r := io.MultiReader(bytes.NewReader(data[:cutoff]), iotest.ErrReader(io.ErrClosedPipe))
-		got, seen, err := scanInPlace(t, k, p, r, 2*p.Max)
+		got, seen, err := scanInPlace(t, p, r, 2*p.Max)
 		if err != io.ErrClosedPipe {
 			t.Fatalf("scan ended with %v, want ErrClosedPipe", err)
 		}
-		equalEnds(t, "before the failure", got, cutAll(t, k, p, data[:cutoff]))
+		equalEnds(t, "before the failure", got, cutAll(t, p, data[:cutoff]))
 		if !bytes.Equal(seen, data[:cutoff]) {
 			t.Fatal("bytes read before the failure were not all cut")
 		}
 	})
 }
 
-// FuzzCutInPlace: for any bytes, kind, buffer size and read pattern the
-// in-place scanner cuts where the in-memory oracle does.
+// FuzzCutInPlace: for any bytes, buffer size and read pattern the in-place
+// scanner cuts where the in-memory oracle does.
 func FuzzCutInPlace(f *testing.F) {
 	// Small seeds and small chunks: the fuzzer minimizes every input that
 	// reaches new code, one run per byte it tries to drop.
-	f.Add([]byte("tiny"), uint8(0), uint16(0), int64(1))
-	f.Add(bytes.Repeat([]byte{0}, 700), uint8(3), uint16(17), int64(2))
-	f.Add(randBytes(f, 1500, 3), uint8(0), uint16(100), int64(3))
-	f.Add(randBytes(f, 900, 4), uint8(1), uint16(1), int64(4))
-	f.Add(randBytes(f, 300, 5), uint8(2), uint16(4096), int64(5))
-	f.Fuzz(func(t *testing.T, data []byte, kind uint8, extra uint16, seed int64) {
+	f.Add([]byte("tiny"), uint16(0), int64(1))
+	f.Add(bytes.Repeat([]byte{0}, 700), uint16(17), int64(2))
+	f.Add(randBytes(f, 1500, 3), uint16(100), int64(3))
+	f.Add(randBytes(f, 900, 4), uint16(1), int64(4))
+	f.Add(randBytes(f, 300, 5), uint16(4096), int64(5))
+	f.Fuzz(func(t *testing.T, data []byte, extra uint16, seed int64) {
 		p := Params{Min: 8, Target: 32, Max: 128}
-		k := Kind(kind % 4)
-		want := cutAll(t, k, p, data)
-		maxChunk := p.Max
-		if k == KindFixed {
-			maxChunk = p.Target
-		}
+		want := cutAll(t, p, data)
 		r := &randomReader{r: bytes.NewReader(data), rng: rand.New(rand.NewSource(seed)), max: 2 * p.Max}
-		got, seen, err := scanInPlace(t, k, p, r, maxChunk+int(extra))
+		got, seen, err := scanInPlace(t, p, r, p.Max+int(extra))
 		if err != io.EOF {
 			t.Fatalf("stream ended with %v", err)
 		}

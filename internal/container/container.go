@@ -796,9 +796,16 @@ func (w *Writer) Discard() {
 	w.putBufs()
 }
 
-// ReadMeta is Store.ReadMeta with the disk time charged to the writer's
-// stream clock.
-func (w *Writer) ReadMeta(id uint32) []Meta { return w.s.readMeta(w.dev, id) }
+// ReadMeta performs a metadata-section read of container id: it charges one
+// disk access of MetaCap bytes to the writer's device view and returns the
+// chunk descriptors. This is the operation behind DDFS's
+// locality-preserved-cache prefetch.
+func (w *Writer) ReadMeta(id uint32) []Meta {
+	info := w.s.info(id)
+	w.dev.AccountRead(info.Start, w.s.cfg.MetaCap())
+	telMetaReads.Inc()
+	return info.Entries
+}
 
 // Write appends one chunk through the store's serial writer.
 func (s *Store) Write(ctx context.Context, c chunk.Chunk, segID uint64) (chunk.Location, error) {
@@ -818,18 +825,6 @@ func (s *Store) Flush(ctx context.Context) error {
 		return w.Finish(ctx)
 	}
 	return nil
-}
-
-// ReadMeta performs a metadata-section read of container id: it charges one
-// disk access of MetaCap bytes and returns the chunk descriptors. This is
-// the operation behind DDFS's locality-preserved-cache prefetch.
-func (s *Store) ReadMeta(id uint32) []Meta { return s.readMeta(s.dev, id) }
-
-func (s *Store) readMeta(dev *disk.Device, id uint32) []Meta {
-	info := s.info(id)
-	dev.AccountRead(info.Start, s.cfg.MetaCap())
-	telMetaReads.Inc()
-	return info.Entries
 }
 
 // PeekMeta returns container metadata without charging any disk time. It is

@@ -111,7 +111,7 @@ func TestMetaRoundTrip(t *testing.T) {
 	fp := chunk.Of([]byte("x"))
 	loc := mustWrite(s, chunk.Meta(fp, 123), 77)
 	s.Flush(context.Background())
-	entries := s.ReadMeta(loc.Container)
+	entries := s.SerialWriter().ReadMeta(loc.Container)
 	if len(entries) != 1 {
 		t.Fatalf("entries = %d", len(entries))
 	}
@@ -126,7 +126,7 @@ func TestReadMetaChargesDisk(t *testing.T) {
 	loc := mustWrite(s, chunk.Meta(chunk.Of([]byte("x")), 10), 0)
 	s.Flush(context.Background())
 	before := clk.Now()
-	s.ReadMeta(loc.Container)
+	s.SerialWriter().ReadMeta(loc.Container)
 	if clk.Now() <= before {
 		t.Fatal("ReadMeta must charge disk time")
 	}
@@ -174,7 +174,7 @@ func TestInfoUnsealedPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	s.ReadMeta(0)
+	s.SerialWriter().ReadMeta(0)
 }
 
 func TestSealed(t *testing.T) {

@@ -100,7 +100,6 @@ func (p RewritePolicy) String() string {
 type Config struct {
 	Alpha          float64       // SPL threshold α (paper default 0.1)
 	Policy         RewritePolicy // rewrite grouping policy (default PolicySPL)
-	Chunker        chunker.Kind
 	ChunkParams    chunker.Params
 	SegParams      segment.Params
 	ContainerCfg   container.Config
@@ -133,7 +132,6 @@ func DefaultConfig(expectedLogicalBytes int64) Config {
 	}
 	return Config{
 		Alpha:          0.1,
-		Chunker:        chunker.KindGear,
 		ChunkParams:    cp,
 		SegParams:      segment.DefaultParams(),
 		ContainerCfg:   ccfg,
@@ -263,7 +261,7 @@ func (e *Engine) backup(ctx context.Context, label string, r io.Reader, clk *dis
 	defer span.End()
 
 	logical, chunks, segs, err := engine.Pipeline(
-		ctx, r, e.cfg.Chunker, e.cfg.ChunkParams, e.cfg.SegParams,
+		ctx, r, e.cfg.ChunkParams, e.cfg.SegParams,
 		timing, e.cfg.Cost, e.store.StoresData(),
 		func(seg *segment.Segment) error {
 			return e.processSegment(ctx, seg, recipe, &stats, timing, w, sr, flt)
@@ -432,7 +430,7 @@ func (e *Engine) processSegment(ctx context.Context, seg *segment.Segment, recip
 // measurement. Chunks the Bloom filter clears as definitely-new register in
 // the index as usual; probable duplicates are written again without touching
 // the index — the earlier copy stays authoritative, so the maintenance
-// pass's re-dedup step (maintenance.Config.Rededup) can later remap this
+// pass's re-dedup step (maintenance.Pass.RunEpoch) can later remap this
 // stream's recipe onto it and reclaim the spilled container space.
 func (e *Engine) spillSegment(ctx context.Context, seg *segment.Segment, recipe *chunk.Recipe, stats *engine.BackupStats, w *container.Writer, sr *engine.StreamResolver) error {
 	segID := e.segSeq.Add(1)

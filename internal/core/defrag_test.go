@@ -216,39 +216,32 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestParallelWorkersDeterminism pins the dual-clock contract at the engine
-// level: wall-clock parallelism in the chunk/hash pipeline (Cost.Workers,
-// clamped by GOMAXPROCS, so inline on one CPU) must not change what the
-// engine does — recipes bit-identical, every BackupStats field and with it
-// the simulated time the same — only how fast the wall clock gets there.
+// level: wall-clock parallelism in the chunk/hash pipeline (a pool of
+// GOMAXPROCS hash workers, inline at one) must not change what the engine
+// does — recipes bit-identical, every BackupStats field and with it the
+// simulated time the same — only how fast the wall clock gets there.
 func TestParallelWorkersDeterminism(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	run := func(workers int, storeData bool) []enginetest.Generation {
-		cfg := testConfig(0.1, storeData)
-		cfg.Cost.Workers = workers
-		e, err := New(cfg)
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	run := func(procs int, storeData bool) []enginetest.Generation {
+		runtime.GOMAXPROCS(procs)
+		e, err := New(testConfig(0.1, storeData))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return enginetest.RunGenerations(t, e, enginetest.SmallConfig(29), 3)
 	}
-	// The pipeline's own test walks the whole workers x GOMAXPROCS grid; here
-	// it is every worker count on four CPUs, and four workers clamped by
-	// fewer.
-	grid := []struct{ procs, workers int }{{4, 1}, {4, 2}, {4, 4}, {2, 4}, {1, 4}}
 	for _, storeData := range []bool{true, false} {
-		runtime.GOMAXPROCS(1)
 		want := run(1, storeData)
-		for _, c := range grid {
-			runtime.GOMAXPROCS(c.procs)
-			got := run(c.workers, storeData)
+		for _, procs := range []int{2, 4} {
+			got := run(procs, storeData)
 			for g := range want {
 				if got[g].Stats != want[g].Stats {
-					t.Fatalf("storeData=%v procs=%d workers=%d gen %d: stats differ:\n%+v\n%+v",
-						storeData, c.procs, c.workers, g, got[g].Stats, want[g].Stats)
+					t.Fatalf("storeData=%v procs=%d gen %d: stats differ:\n%+v\n%+v",
+						storeData, procs, g, got[g].Stats, want[g].Stats)
 				}
 				if got[g].Recipe.Label != want[g].Recipe.Label || !slices.Equal(got[g].Recipe.Refs, want[g].Recipe.Refs) {
-					t.Fatalf("storeData=%v procs=%d workers=%d gen %d: recipes not bit-identical",
-						storeData, c.procs, c.workers, g)
+					t.Fatalf("storeData=%v procs=%d gen %d: recipes not bit-identical", storeData, procs, g)
 				}
 			}
 		}

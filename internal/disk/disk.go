@@ -6,7 +6,7 @@
 // quantities on the authors' testbed. We reproduce them with an analytic
 // timing model rather than real hardware:
 //
-//   - a Device is a log-structured, byte-addressable store with a tracked
+//   - a Device is a log-structured, byte-addressed extent map with a tracked
 //     head position; any access that is not contiguous with the current
 //     position costs one seek (Model.Seek), and every byte moves at the
 //     sequential bandwidth (Model.ReadBW / Model.WriteBW). This is exactly
@@ -15,15 +15,16 @@
 //   - a Clock accumulates simulated time across all devices and the CPU
 //     cost model, so throughput = bytes / clock time.
 //
-// Devices can store real bytes (correctness tests, examples) or run
-// metadata-only (large experiments), with identical time accounting.
+// A Device holds no bytes: it charges time and counts. The bytes live in a
+// blockstore.Backend; the device's storeData flag only tells the container
+// store whether its default backend keeps them.
 //
 // Concurrency: Clock is atomic and Device state is mutex-guarded, so
 // multiple backup streams may drive the same device in parallel. Each
 // stream charges its own Clock through a device *view* (see Device.View):
-// views share all device state — head position, frontier, stored bytes,
-// stats — but route time charges to a per-stream clock, which is what makes
-// per-stream throughput measurable under concurrent ingest.
+// views share all device state — head position, frontier, stats — but route
+// time charges to a per-stream clock, which is what makes per-stream
+// throughput measurable under concurrent ingest.
 package disk
 
 import (
@@ -108,18 +109,14 @@ type devState struct {
 	model    Model
 	pos      int64 // current head position
 	frontier int64 // append point (device size so far)
-	data     []byte
 	stores   bool
 	stats    Stats
 }
 
-// Device is a simulated log-structured disk. Writes append at the frontier;
-// reads address any previously written range. The head position is tracked:
-// contiguous accesses are free of seeks, discontiguous ones pay Model.Seek.
-//
-// If constructed with NewDevice(model, clock, true), the device stores real
-// bytes and ReadAt returns them; otherwise only sizes and offsets are
-// tracked ("hole" mode) and ReadAt fills zeros.
+// Device is a simulated log-structured disk. Writes append at the frontier
+// or land in reserved space behind it; reads address any range below it. The
+// head position is tracked: contiguous accesses are free of seeks,
+// discontiguous ones pay Model.Seek.
 //
 // A Device value is a handle: View returns a second handle onto the same
 // underlying device that charges its time to a different clock. All handles
@@ -129,8 +126,8 @@ type Device struct {
 	clock *Clock
 }
 
-// NewDevice creates a device over model and clock. storeData selects whether
-// real bytes are retained.
+// NewDevice creates a device over model and clock. storeData is what
+// StoresData reports: whether the store above keeps real chunk bytes.
 func NewDevice(model Model, clock *Clock, storeData bool) *Device {
 	if clock == nil {
 		panic("disk: nil clock")
@@ -142,9 +139,9 @@ func NewDevice(model Model, clock *Clock, storeData bool) *Device {
 }
 
 // View returns a handle onto the same device that charges simulated time to
-// clk instead of this handle's clock. Head position, frontier, stored bytes
-// and stats are shared with every other view; only the time destination
-// differs. A nil clk returns the receiver unchanged.
+// clk instead of this handle's clock. Head position, frontier and stats are
+// shared with every other view; only the time destination differs. A nil clk
+// returns the receiver unchanged.
 func (d *Device) View(clk *Clock) *Device {
 	if clk == nil {
 		return d
@@ -152,7 +149,7 @@ func (d *Device) View(clk *Clock) *Device {
 	return &Device{st: d.st, clock: clk}
 }
 
-// StoresData reports whether the device retains real bytes.
+// StoresData reports the storeData flag the device was made with.
 func (d *Device) StoresData() bool { return d.st.stores }
 
 // Size returns the number of bytes written so far (the append frontier).
@@ -184,35 +181,14 @@ func (d *Device) seekTo(off int64) {
 	}
 }
 
-// Append writes p at the frontier and returns its offset.
-func (d *Device) Append(p []byte) int64 {
-	d.st.mu.Lock()
-	defer d.st.mu.Unlock()
-	off := d.appendCommon(int64(len(p)))
-	if d.st.stores {
-		d.st.data = append(d.st.data, p...)
-	}
-	return off
-}
-
-// AppendHole accounts an n-byte append without storing data (metadata-only
-// mode; also valid on a storing device, where the range reads back as
-// zeros). Returns the offset.
+// AppendHole charges an n-byte write at the frontier, a seek first if the
+// head is elsewhere, and returns its offset.
 func (d *Device) AppendHole(n int64) int64 {
 	if n < 0 {
 		panic("disk: negative append")
 	}
 	d.st.mu.Lock()
 	defer d.st.mu.Unlock()
-	off := d.appendCommon(n)
-	if d.st.stores {
-		d.st.data = append(d.st.data, make([]byte, n)...)
-	}
-	return off
-}
-
-// appendCommon charges and accounts an n-byte frontier write. Caller holds mu.
-func (d *Device) appendCommon(n int64) int64 {
 	off := d.st.frontier
 	d.seekTo(off)
 	d.clock.Advance(d.st.model.WriteTime(n))
@@ -227,8 +203,7 @@ func (d *Device) appendCommon(n int64) int64 {
 // and returns the reserved offset. It is space allocation, not I/O: a
 // concurrent container writer reserves its container's full extent up front
 // so parallel streams can assign stable chunk offsets, then pays the actual
-// write cost when the buffered container seals (see WriteAt/AccountWrite).
-// On a storing device the reserved range reads back as zeros until written.
+// write cost when the buffered container seals (see AccountWrite).
 func (d *Device) ReserveExtent(n int64) int64 {
 	if n < 0 {
 		panic("disk: negative reservation")
@@ -237,36 +212,16 @@ func (d *Device) ReserveExtent(n int64) int64 {
 	defer d.st.mu.Unlock()
 	off := d.st.frontier
 	d.st.frontier += n
-	if d.st.stores {
-		d.st.data = append(d.st.data, make([]byte, n)...)
-	}
 	return off
 }
 
-// WriteAt writes p into a previously reserved range at off, charging seek
-// and transfer time. Writing beyond the frontier panics: reservations must
-// cover the range first.
-func (d *Device) WriteAt(p []byte, off int64) {
-	d.st.mu.Lock()
-	defer d.st.mu.Unlock()
-	n := int64(len(p))
-	d.writeAtCommon(off, n)
-	if d.st.stores {
-		copy(d.st.data[off:off+n], p)
-	}
-}
-
 // AccountWrite charges the time of an n-byte write at off into previously
-// reserved space without storing data (the metadata-only write path for
-// reserved extents).
+// reserved space: a seek if the head is elsewhere, then the transfer.
+// Writing beyond the frontier panics: reservations must cover the range
+// first.
 func (d *Device) AccountWrite(off, n int64) {
 	d.st.mu.Lock()
 	defer d.st.mu.Unlock()
-	d.writeAtCommon(off, n)
-}
-
-// writeAtCommon charges an in-place write into reserved space. Caller holds mu.
-func (d *Device) writeAtCommon(off, n int64) {
 	if off < 0 || n < 0 || off+n > d.st.frontier {
 		panic(fmt.Sprintf("disk: write [%d,%d) beyond frontier %d", off, off+n, d.st.frontier))
 	}
@@ -277,62 +232,14 @@ func (d *Device) writeAtCommon(off, n int64) {
 	d.st.stats.BytesWritten += n
 }
 
-// ReadAt reads len(p) bytes from off into p, charging seek and transfer
-// time. Reading beyond the frontier panics — it indicates a logic bug in a
-// caller, never valid input.
-func (d *Device) ReadAt(p []byte, off int64) {
-	d.st.mu.Lock()
-	defer d.st.mu.Unlock()
-	n := int64(len(p))
-	d.accountRead(off, n)
-	if d.st.stores {
-		copy(p, d.st.data[off:off+n])
-	} else {
-		for i := range p {
-			p[i] = 0
-		}
-	}
-}
-
-// ReadRange reads n bytes at off as one sequential extent — at most one
-// seek plus a single n-byte transfer — and returns the data (zero-filled on
-// hole devices). It is the coalesced-read primitive of the restore path:
-// k adjacent containers fetched through one ReadRange pay 1·T_seek in the
-// Eq. 1 cost model where k separate ReadAt calls would pay k·T_seek.
-func (d *Device) ReadRange(off, n int64) []byte {
-	p := make([]byte, n)
-	d.ReadAt(p, off)
-	return p
-}
-
-// PeekAt copies stored bytes into p without charging time or moving the
-// head. For checkers and diagnostics only; zero-fills on hole devices.
-func (d *Device) PeekAt(p []byte, off int64) {
-	d.st.mu.Lock()
-	defer d.st.mu.Unlock()
-	n := int64(len(p))
-	if off < 0 || n < 0 || off+n > d.st.frontier {
-		panic(fmt.Sprintf("disk: peek [%d,%d) beyond frontier %d", off, off+n, d.st.frontier))
-	}
-	if d.st.stores {
-		copy(p, d.st.data[off:off+n])
-	} else {
-		for i := range p {
-			p[i] = 0
-		}
-	}
-}
-
-// AccountRead charges the time of an n-byte read at off without returning
-// data. It is the metadata-only read path.
+// AccountRead charges an n-byte read at off as one sequential extent: a seek
+// if the head is elsewhere, then the transfer. k adjacent containers read
+// through one call pay 1·T_seek in the Eq. 1 cost model where k separate
+// calls would pay k·T_seek. Reading beyond the frontier panics — it
+// indicates a logic bug in a caller, never valid input.
 func (d *Device) AccountRead(off, n int64) {
 	d.st.mu.Lock()
 	defer d.st.mu.Unlock()
-	d.accountRead(off, n)
-}
-
-// accountRead charges an n-byte read at off. Caller holds mu.
-func (d *Device) accountRead(off, n int64) {
 	if off < 0 || n < 0 || off+n > d.st.frontier {
 		panic(fmt.Sprintf("disk: read [%d,%d) beyond frontier %d", off, off+n, d.st.frontier))
 	}
@@ -341,12 +248,4 @@ func (d *Device) accountRead(off, n int64) {
 	d.st.pos = off + n
 	d.st.stats.Reads++
 	d.st.stats.BytesRead += n
-}
-
-// Position returns the current head position (exported for tests and the
-// restore path's contiguity reasoning).
-func (d *Device) Position() int64 {
-	d.st.mu.Lock()
-	defer d.st.mu.Unlock()
-	return d.st.pos
 }

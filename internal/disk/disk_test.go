@@ -1,7 +1,6 @@
 package disk
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 	"time"
@@ -49,9 +48,9 @@ func TestNewDeviceNilClockPanics(t *testing.T) {
 func TestAppendSequentialCostsOneSeek(t *testing.T) {
 	var c Clock
 	d := NewDevice(testModel(), &c, false)
-	d.Append(make([]byte, 1000))
-	d.Append(make([]byte, 1000))
-	d.Append(make([]byte, 1000))
+	d.AppendHole(1000)
+	d.AppendHole(1000)
+	d.AppendHole(1000)
 	st := d.Stats()
 	if st.Seeks != 1 {
 		t.Fatalf("sequential appends should seek once, got %d", st.Seeks)
@@ -65,43 +64,173 @@ func TestAppendSequentialCostsOneSeek(t *testing.T) {
 	}
 }
 
-func TestReadBackData(t *testing.T) {
-	var c Clock
-	d := NewDevice(testModel(), &c, true)
-	off1 := d.Append([]byte("hello"))
-	off2 := d.Append([]byte("world"))
-	buf := make([]byte, 5)
-	d.ReadAt(buf, off2)
-	if string(buf) != "world" {
-		t.Fatalf("read %q", buf)
+// TestAppendHoleOnStoringDevice: the storeData flag is reported and nothing
+// else; a device made with it charges and counts exactly what one made
+// without it does.
+func TestAppendHoleOnStoringDevice(t *testing.T) {
+	var cs, ch Clock
+	storing, hole := NewDevice(testModel(), &cs, true), NewDevice(testModel(), &ch, false)
+	if !storing.StoresData() || hole.StoresData() {
+		t.Fatal("StoresData does not report the flag")
 	}
-	d.ReadAt(buf, off1)
-	if string(buf) != "hello" {
-		t.Fatalf("read %q", buf)
+	for _, d := range []*Device{storing, hole} {
+		d.AppendHole(8)
+		d.AppendHole(2)
+		d.AccountRead(8, 2)
+		d.AccountRead(0, 10)
+	}
+	if cs.Now() != ch.Now() || storing.Stats() != hole.Stats() || storing.Size() != hole.Size() {
+		t.Fatalf("storing device %v %+v size %d, hole device %v %+v size %d",
+			cs.Now(), storing.Stats(), storing.Size(), ch.Now(), hole.Stats(), hole.Size())
 	}
 }
 
-func TestHoleModeReadsZeros(t *testing.T) {
+// TestCharges is Eq. 1 per access: a seek is charged only when the head is
+// not already where the access starts, transfer at the model's sequential
+// bandwidth, and the head ends up past the access — through each of the
+// three charged calls.
+func TestCharges(t *testing.T) {
+	m := Model{Seek: 10 * time.Millisecond, ReadBW: 100e6, WriteBW: 50e6}
+	// The head starts parked off the log, so a fresh device's first access
+	// seeks even at offset 0.
+	type op struct {
+		kind   string // "append", "reserve", "write" or "read"
+		off, n int64  // off is ignored by append and reserve
+		seek   bool
+		xfer   time.Duration
+		reads  int64
+		writes int64
+	}
+	for _, tc := range []struct {
+		name string
+		ops  []op
+	}{
+		{"appends: one seek, then contiguous", []op{
+			{kind: "append", n: 1000, seek: true, xfer: m.WriteTime(1000), writes: 1},
+			{kind: "append", n: 500, xfer: m.WriteTime(500), writes: 1},
+		}},
+		{"reads: contiguous free of seeks, a jump pays one", []op{
+			{kind: "append", n: 4000, seek: true, xfer: m.WriteTime(4000), writes: 1},
+			{kind: "read", off: 0, n: 1000, seek: true, xfer: m.ReadTime(1000), reads: 1},
+			{kind: "read", off: 1000, n: 1000, xfer: m.ReadTime(1000), reads: 1},
+			{kind: "read", off: 3000, n: 1000, seek: true, xfer: m.ReadTime(1000), reads: 1},
+			{kind: "read", off: 3000, n: 0, seek: true, reads: 1},
+		}},
+		{"writes into reserved space", []op{
+			{kind: "reserve", n: 4096},
+			{kind: "write", off: 0, n: 1024, seek: true, xfer: m.WriteTime(1024), writes: 1},
+			{kind: "write", off: 1024, n: 1024, xfer: m.WriteTime(1024), writes: 1},
+			{kind: "write", off: 3072, n: 1024, seek: true, xfer: m.WriteTime(1024), writes: 1},
+			{kind: "append", n: 10, xfer: m.WriteTime(10), writes: 1},
+		}},
+		{"a write then reading it back seeks back", []op{
+			{kind: "append", n: 2048, seek: true, xfer: m.WriteTime(2048), writes: 1},
+			{kind: "read", off: 0, n: 2048, seek: true, xfer: m.ReadTime(2048), reads: 1},
+			{kind: "append", n: 1, xfer: m.WriteTime(1), writes: 1},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var c Clock
+			d := NewDevice(m, &c, false)
+			for i, o := range tc.ops {
+				before, t0 := d.Stats(), c.Now()
+				end := o.off + o.n
+				switch o.kind {
+				case "append":
+					o.off = d.Size()
+					end = o.off + o.n
+					if got := d.AppendHole(o.n); got != o.off {
+						t.Fatalf("op %d: append at %d, want the frontier %d", i, got, o.off)
+					}
+				case "reserve":
+					d.ReserveExtent(o.n)
+				case "write":
+					d.AccountWrite(o.off, o.n)
+				case "read":
+					d.AccountRead(o.off, o.n)
+				}
+				want, wantSeeks := o.xfer, int64(0)
+				if o.seek {
+					want, wantSeeks = want+m.Seek, 1
+				}
+				after := d.Stats()
+				if got := c.Now() - t0; got != want {
+					t.Errorf("op %d (%s %d+%d): charged %v, want %v", i, o.kind, o.off, o.n, got, want)
+				}
+				if seeks := after.Seeks - before.Seeks; seeks != wantSeeks {
+					t.Errorf("op %d (%s): %d seeks, want %d", i, o.kind, seeks, wantSeeks)
+				}
+				if after.Reads-before.Reads != o.reads || after.Writes-before.Writes != o.writes {
+					t.Errorf("op %d (%s): %d reads %d writes, want %d and %d",
+						i, o.kind, after.Reads-before.Reads, after.Writes-before.Writes, o.reads, o.writes)
+				}
+				if o.kind != "reserve" && d.st.pos != end {
+					t.Errorf("op %d (%s): head at %d, want %d", i, o.kind, d.st.pos, end)
+				}
+			}
+		})
+	}
+}
+
+// TestViewChargesItsOwnClock: a view charges time to its own clock only, and
+// shares the head, the frontier and the stats with the device it was made
+// from, so a view's access contiguous with another's pays no seek.
+func TestViewChargesItsOwnClock(t *testing.T) {
+	m := testModel()
+	var base, lane Clock
+	d := NewDevice(m, &base, false)
+	if d.View(nil) != d {
+		t.Fatal("View(nil) must return the device itself")
+	}
+	v := d.View(&lane)
+	if v.Clock() != &lane || d.Clock() != &base || v.Model() != d.Model() {
+		t.Fatal("a view must charge its own clock over the same model")
+	}
+	d.AppendHole(1000)
+	baseAfterAppend := base.Now()
+	v.AccountRead(500, 500) // the head is at 1000: a seek, on the view's clock
+	if base.Now() != baseAfterAppend {
+		t.Fatalf("the view charged the device's clock: %v", base.Now()-baseAfterAppend)
+	}
+	if want := m.Seek + m.ReadTime(500); lane.Now() != want {
+		t.Fatalf("view clock %v, want %v", lane.Now(), want)
+	}
+	v.AppendHole(100) // the head is at 1000, where the frontier is: no seek
+	if want := m.Seek + m.ReadTime(500) + m.WriteTime(100); lane.Now() != want {
+		t.Fatalf("view clock %v, want %v", lane.Now(), want)
+	}
+	if d.Size() != 1100 || v.Size() != 1100 {
+		t.Fatalf("frontier %d / %d, want 1100 on both", d.Size(), v.Size())
+	}
+	want := Stats{Seeks: 2, Reads: 1, Writes: 2, BytesRead: 500, BytesWritten: 1100}
+	if d.Stats() != want || v.Stats() != want {
+		t.Fatalf("stats %+v / %+v, want %+v on both", d.Stats(), v.Stats(), want)
+	}
+}
+
+// TestReserveExtentChargesNothing: a reservation moves the frontier and
+// neither the clock, the head nor the stats.
+func TestReserveExtentChargesNothing(t *testing.T) {
 	var c Clock
 	d := NewDevice(testModel(), &c, false)
-	off := d.Append([]byte("xxxx"))
-	buf := []byte{1, 2, 3, 4}
-	d.ReadAt(buf, off)
-	if !bytes.Equal(buf, make([]byte, 4)) {
-		t.Fatalf("hole mode must read zeros, got %v", buf)
+	d.AppendHole(100)
+	t0, st := c.Now(), d.Stats()
+	if off := d.ReserveExtent(4096); off != 100 {
+		t.Fatalf("reserved at %d, want the frontier 100", off)
 	}
-}
-
-func TestAppendHoleOnStoringDevice(t *testing.T) {
-	var c Clock
-	d := NewDevice(testModel(), &c, true)
-	d.AppendHole(8)
-	off := d.Append([]byte("ab"))
-	buf := make([]byte, 2)
-	d.ReadAt(buf, off)
-	if string(buf) != "ab" {
-		t.Fatal("data after hole corrupted")
+	if off := d.ReserveExtent(0); off != 4196 {
+		t.Fatalf("reserved at %d, want 4196", off)
 	}
+	if c.Now() != t0 || d.Stats() != st || d.st.pos != 100 || d.Size() != 4196 {
+		t.Fatalf("a reservation charged or moved something: clock %v stats %+v head %d size %d",
+			c.Now()-t0, d.Stats(), d.st.pos, d.Size())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a negative reservation must panic")
+		}
+	}()
+	d.ReserveExtent(-1)
 }
 
 func TestSeekAccounting(t *testing.T) {
@@ -175,6 +304,25 @@ func TestReadBeyondFrontierPanics(t *testing.T) {
 	}
 }
 
+// TestWriteBeyondFrontierPanics: a write into reserved space must lie inside
+// what was reserved.
+func TestWriteBeyondFrontierPanics(t *testing.T) {
+	var c Clock
+	d := NewDevice(testModel(), &c, false)
+	d.ReserveExtent(100)
+	d.AccountWrite(0, 100) // the whole reservation is fine
+	for _, r := range [][2]int64{{50, 51}, {100, 1}, {-1, 10}, {0, -5}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("write [%d,+%d) should panic", r[0], r[1])
+				}
+			}()
+			d.AccountWrite(r[0], r[1])
+		}()
+	}
+}
+
 func TestNegativeAppendPanics(t *testing.T) {
 	var c Clock
 	d := NewDevice(testModel(), &c, false)
@@ -210,21 +358,27 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-// Property: device data integrity — whatever is appended reads back intact
-// regardless of interleaving, and offsets are strictly increasing.
+// Property: every append lands at the frontier, and reading it straight
+// back costs one seek back to its start (none for an empty one) and its
+// transfer.
 func TestAppendReadProperty(t *testing.T) {
+	m := testModel()
 	var c Clock
-	d := NewDevice(testModel(), &c, true)
+	d := NewDevice(m, &c, false)
 	var frontier int64
-	fn := func(data []byte) bool {
-		off := d.Append(data)
+	fn := func(n uint16) bool {
+		off := d.AppendHole(int64(n))
 		if off != frontier {
 			return false
 		}
-		frontier += int64(len(data))
-		got := make([]byte, len(data))
-		d.ReadAt(got, off)
-		return bytes.Equal(got, data)
+		frontier += int64(n)
+		t0 := c.Now()
+		d.AccountRead(off, int64(n))
+		want := m.ReadTime(int64(n))
+		if n > 0 {
+			want += m.Seek
+		}
+		return c.Now()-t0 == want
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -258,21 +412,19 @@ func TestTimeAccountingProperty(t *testing.T) {
 	}
 }
 
+// TestReadRange: two adjacent containers read as one extent are one device
+// read and one seek — the coalesced read of the restore path.
 func TestReadRange(t *testing.T) {
 	m := testModel()
 	var c Clock
-	d := NewDevice(m, &c, true)
-	a := []byte("first-container-data")
-	b := []byte("second-container-data")
-	offA := d.Append(a)
-	d.Append(b)
+	d := NewDevice(m, &c, false)
+	a, b := int64(20), int64(21)
+	offA := d.AppendHole(a)
+	d.AppendHole(b)
 
 	before := d.Stats()
 	start := c.Now()
-	got := d.ReadRange(offA, int64(len(a)+len(b)))
-	if !bytes.Equal(got, append(append([]byte{}, a...), b...)) {
-		t.Fatal("ReadRange returned wrong bytes")
-	}
+	d.AccountRead(offA, a+b)
 	after := d.Stats()
 	if after.Reads != before.Reads+1 {
 		t.Fatalf("one ranged read must be one device read, got %d", after.Reads-before.Reads)
@@ -280,20 +432,7 @@ func TestReadRange(t *testing.T) {
 	if after.Seeks != before.Seeks+1 {
 		t.Fatalf("one ranged read must pay at most one seek, got %d", after.Seeks-before.Seeks)
 	}
-	want := m.Seek + m.ReadTime(int64(len(a)+len(b)))
-	if got, diff := c.Now()-start, time.Duration(2); got < want-diff || got > want+diff {
-		t.Fatalf("ranged read charged %v, want ~%v", got, want)
-	}
-}
-
-func TestReadRangeHoleDeviceZeroFills(t *testing.T) {
-	var c Clock
-	d := NewDevice(testModel(), &c, false)
-	off := d.AppendHole(64)
-	got := d.ReadRange(off, 64)
-	for _, b := range got {
-		if b != 0 {
-			t.Fatal("hole device must zero-fill ranged reads")
-		}
+	if want := m.Seek + m.ReadTime(a+b); c.Now()-start != want {
+		t.Fatalf("ranged read charged %v, want %v", c.Now()-start, want)
 	}
 }

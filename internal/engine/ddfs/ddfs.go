@@ -37,7 +37,6 @@ import (
 
 // Config parameterizes a DDFS-Like engine.
 type Config struct {
-	Chunker        chunker.Kind
 	ChunkParams    chunker.Params
 	SegParams      segment.Params
 	ContainerCfg   container.Config
@@ -67,7 +66,6 @@ func DefaultConfig(expectedLogicalBytes int64) Config {
 		lpc = 4
 	}
 	return Config{
-		Chunker:        chunker.KindGear,
 		ChunkParams:    cp,
 		SegParams:      segment.DefaultParams(),
 		ContainerCfg:   ccfg,
@@ -182,7 +180,7 @@ func (e *Engine) backup(ctx context.Context, label string, r io.Reader, clk *dis
 	start := timing.Now()
 
 	logical, chunks, segs, err := engine.Pipeline(
-		ctx, r, e.cfg.Chunker, e.cfg.ChunkParams, e.cfg.SegParams,
+		ctx, r, e.cfg.ChunkParams, e.cfg.SegParams,
 		timing, e.cfg.Cost, e.store.StoresData(),
 		func(seg *segment.Segment) error {
 			return e.processSegment(ctx, seg, recipe, &stats, w, sr)

@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"repro/internal/chunk"
@@ -27,29 +26,6 @@ type CostModel struct {
 	// CPUBandwidth is the modeled pipeline rate (bytes/second) of chunking
 	// plus fingerprinting plus in-RAM bookkeeping.
 	CPUBandwidth float64
-	// Workers sets the fingerprinting fan-out (see Pipeline): 0 picks
-	// GOMAXPROCS automatically (the default path), 1 hashes inline on the
-	// calling goroutine, and N > 1 uses exactly N workers (clamped to
-	// GOMAXPROCS). Parallelism accelerates the simulation's own wall clock;
-	// the modeled CPU charge is unchanged — a system that also parallelizes
-	// its modeled CPU raises CPUBandwidth to match.
-	Workers int
-}
-
-// effectiveWorkers resolves the Workers knob: 0 = auto (GOMAXPROCS),
-// <= 1 after resolution = inline.
-func (m CostModel) effectiveWorkers() int {
-	w := m.Workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if g := runtime.GOMAXPROCS(0); w > g {
-		w = g
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // DefaultCostModel returns 750 MB/s, calibrated so that a first-generation

@@ -89,7 +89,7 @@ func TestPipelineConservation(t *testing.T) {
 	var total int64
 	var segBytes int64
 	logical, chunks, segs, err := Pipeline(context.Background(),
-		bytes.NewReader(data), chunker.KindGear, chunker.DefaultParams(),
+		bytes.NewReader(data), chunker.DefaultParams(),
 		segment.DefaultParams(), &clk, DefaultCostModel(), false,
 		func(s *segment.Segment) error {
 			segBytes += s.Bytes
@@ -121,7 +121,7 @@ func TestPipelineKeepData(t *testing.T) {
 	var clk disk.Clock
 	var rebuilt []byte
 	_, _, _, err := Pipeline(context.Background(),
-		bytes.NewReader(data), chunker.KindGear, chunker.DefaultParams(),
+		bytes.NewReader(data), chunker.DefaultParams(),
 		segment.DefaultParams(), &clk, DefaultCostModel(), true,
 		func(s *segment.Segment) error {
 			for _, c := range s.Chunks {
@@ -150,7 +150,7 @@ func (r failReader) Read([]byte) (int, error) { return 0, r.err }
 func TestPipelineErrorPropagation(t *testing.T) {
 	var clk disk.Clock
 	_, _, _, err := Pipeline(context.Background(),
-		failReader{io.ErrClosedPipe}, chunker.KindGear, chunker.DefaultParams(),
+		failReader{io.ErrClosedPipe}, chunker.DefaultParams(),
 		segment.DefaultParams(), &clk, DefaultCostModel(), false,
 		func(*segment.Segment) error { return nil })
 	if err != io.ErrClosedPipe {
@@ -162,7 +162,7 @@ func TestPipelineProcessError(t *testing.T) {
 	var clk disk.Clock
 	sentinel := io.ErrShortWrite
 	_, _, _, err := Pipeline(context.Background(),
-		bytes.NewReader(randBytes(2<<20, 3)), chunker.KindGear, chunker.DefaultParams(),
+		bytes.NewReader(randBytes(2<<20, 3)), chunker.DefaultParams(),
 		segment.DefaultParams(), &clk, DefaultCostModel(), false,
 		func(*segment.Segment) error { return sentinel })
 	if err != sentinel {
@@ -172,12 +172,12 @@ func TestPipelineProcessError(t *testing.T) {
 
 func TestPipelineBadParams(t *testing.T) {
 	var clk disk.Clock
-	if _, _, _, err := Pipeline(context.Background(), bytes.NewReader(nil), chunker.KindGear,
+	if _, _, _, err := Pipeline(context.Background(), bytes.NewReader(nil),
 		chunker.Params{}, segment.DefaultParams(), &clk, DefaultCostModel(), false,
 		func(*segment.Segment) error { return nil }); err == nil {
 		t.Fatal("bad chunk params must error")
 	}
-	if _, _, _, err := Pipeline(context.Background(), bytes.NewReader(nil), chunker.KindGear,
+	if _, _, _, err := Pipeline(context.Background(), bytes.NewReader(nil),
 		chunker.DefaultParams(), segment.Params{}, &clk, DefaultCostModel(), false,
 		func(*segment.Segment) error { return nil }); err == nil {
 		t.Fatal("bad segment params must error")
@@ -186,7 +186,9 @@ func TestPipelineBadParams(t *testing.T) {
 
 // --- Resolver ---
 
-func newResolverRig(t *testing.T) (*Resolver, *container.Store, *disk.Clock) {
+// newResolverRig builds a resolver over a fresh store and returns it bound to
+// the serial path: the resolver's own devices and the store's serial writer.
+func newResolverRig(t *testing.T) (*StreamResolver, *container.Store, *disk.Clock) {
 	t.Helper()
 	var clk disk.Clock
 	store, err := container.NewStore(disk.NewDevice(disk.DefaultModel(), &clk, false), container.DefaultConfig())
@@ -197,7 +199,7 @@ func newResolverRig(t *testing.T) (*Resolver, *container.Store, *disk.Clock) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewResolver(ix, store, 4, 10000), store, &clk
+	return NewResolver(ix, store, 4, 10000).Stream(nil, store.SerialWriter()), store, &clk
 }
 
 func mkChunk(i byte) chunk.Chunk { return chunk.Meta(chunk.Of([]byte{i}), 100) }

@@ -27,7 +27,7 @@ var (
 // watches each stream through a probation prefix and demotes poorly
 // clustered streams to spill mode: their probable duplicates are written
 // through at sequential-write speed and reclaimed later by the maintenance
-// pass's out-of-line re-dedup (maintenance.Config.Rededup).
+// pass's out-of-line re-dedup (maintenance.Pass.RunEpoch).
 type FilterConfig struct {
 	// Enabled turns the filter on. Off, every stream dedups inline.
 	Enabled bool

@@ -32,7 +32,6 @@ import (
 
 // Config parameterizes an iDedup-style engine.
 type Config struct {
-	Chunker      chunker.Kind
 	ChunkParams  chunker.Params
 	SegParams    segment.Params
 	ContainerCfg container.Config
@@ -54,7 +53,6 @@ type Config struct {
 func DefaultConfig(expectedLogicalBytes int64) Config {
 	_ = expectedLogicalBytes // in-RAM index: no size-dependent structures
 	return Config{
-		Chunker:      chunker.KindGear,
 		ChunkParams:  chunker.DefaultParams(),
 		SegParams:    segment.DefaultParams(),
 		ContainerCfg: container.DefaultConfig(),
@@ -126,7 +124,7 @@ func (e *Engine) Backup(ctx context.Context, label string, r io.Reader) (*chunk.
 	start := e.clock.Now()
 
 	logical, chunks, segs, err := engine.Pipeline(
-		ctx, r, e.cfg.Chunker, e.cfg.ChunkParams, e.cfg.SegParams,
+		ctx, r, e.cfg.ChunkParams, e.cfg.SegParams,
 		e.clock, e.cfg.Cost, e.store.StoresData(),
 		func(seg *segment.Segment) error {
 			return e.processSegment(ctx, seg, recipe, &stats)

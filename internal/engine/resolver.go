@@ -92,20 +92,12 @@ func (r *Resolver) Stream(clk *disk.Clock, w *container.Writer) *StreamResolver 
 }
 
 // Resolve decides whether c is a duplicate, charging the costs of the DDFS
-// lookup path (free RAM checks; on LPC miss with positive summary vector,
-// one index page read; on index hit, one container-metadata prefetch). It
-// returns the stored location when c is a duplicate.
-func (r *Resolver) Resolve(c chunk.Chunk, stats *BackupStats) (chunk.Location, bool) {
-	return r.resolve(c, stats, r.index.Handle(nil), r.store.ReadMeta)
-}
-
-// Resolve is Resolver.Resolve with costs charged to the stream.
+// lookup path to the stream (free RAM checks; on LPC miss with positive
+// summary vector, one index page read; on index hit, one container-metadata
+// prefetch). It returns the stored location when c is a duplicate.
 func (sr *StreamResolver) Resolve(c chunk.Chunk, stats *BackupStats) (chunk.Location, bool) {
-	return sr.r.resolve(c, stats, sr.ih, sr.w.ReadMeta)
-}
-
-func (r *Resolver) resolve(c chunk.Chunk, stats *BackupStats, ih cindex.Handle, readMeta func(uint32) []container.Meta) (chunk.Location, bool) {
 	defer stageLookup.Observe(time.Now())
+	r := sr.r
 	r.mu.Lock()
 	// 0. Current-location table (RAM, free): chunks whose newest copy is a
 	// DeFrag rewrite resolve to the linearized placement, never a stale
@@ -134,14 +126,14 @@ func (r *Resolver) resolve(c chunk.Chunk, stats *BackupStats, ih cindex.Handle, 
 	// stream's modeled page read never serializes the others' RAM hits.
 	stats.IndexLookups++
 	telResolverLookups.Inc()
-	loc, found := ih.Lookup(c.FP)
+	loc, found := sr.ih.Lookup(c.FP)
 	if !found {
 		return chunk.Location{}, false // Bloom false positive
 	}
 	// 4. Locality-preserved caching: prefetch the whole container's
 	// metadata (charged) so the duplicates that follow in the stream
 	// resolve from RAM.
-	r.prefetch(loc.Container, stats, readMeta)
+	sr.prefetch(loc.Container, stats)
 	return loc, true
 }
 
@@ -151,7 +143,8 @@ func (r *Resolver) resolve(c chunk.Chunk, stats *BackupStats, ih cindex.Handle, 
 // on the same container may both charge a prefetch (one insert wins), the
 // same way two real controllers would both issue the read; the single-stream
 // decision sequence is unchanged.
-func (r *Resolver) prefetch(cid uint32, stats *BackupStats, readMeta func(uint32) []container.Meta) {
+func (sr *StreamResolver) prefetch(cid uint32, stats *BackupStats) {
+	r := sr.r
 	r.mu.Lock()
 	cached := r.lpc.Contains(cid)
 	r.mu.Unlock()
@@ -160,7 +153,7 @@ func (r *Resolver) prefetch(cid uint32, stats *BackupStats, readMeta func(uint32
 	}
 	stats.MetaPrefetches++
 	telResolverPrefetches.Inc()
-	metas := readMeta(cid)
+	metas := sr.w.ReadMeta(cid)
 	r.mu.Lock()
 	if !r.lpc.Contains(cid) {
 		r.insertLPC(cid, metas)
@@ -179,20 +172,12 @@ type Resolution struct {
 // decision sequence and counters as per-chunk Resolve, plus a same-bucket
 // lookahead: when a chunk must go to the on-disk index, every later chunk of
 // the batch that is also headed for the index and hashes to the same bucket
-// page is looked up in the same modeled page read. Costs are therefore never
-// higher than per-chunk resolution, and strictly lower whenever chunks of
-// one segment collide on index pages.
-func (r *Resolver) ResolveBatch(chunks []chunk.Chunk, stats *BackupStats) []Resolution {
-	return r.resolveBatch(chunks, stats, r.index.Handle(nil), r.store.ReadMeta)
-}
-
-// ResolveBatch is Resolver.ResolveBatch with costs charged to the stream.
+// page is looked up in the same modeled page read. Costs, charged to the
+// stream, are therefore never higher than per-chunk resolution, and strictly
+// lower whenever chunks of one segment collide on index pages.
 func (sr *StreamResolver) ResolveBatch(chunks []chunk.Chunk, stats *BackupStats) []Resolution {
-	return sr.r.resolveBatch(chunks, stats, sr.ih, sr.w.ReadMeta)
-}
-
-func (r *Resolver) resolveBatch(chunks []chunk.Chunk, stats *BackupStats, ih cindex.Handle, readMeta func(uint32) []container.Meta) []Resolution {
 	defer stageLookup.Observe(time.Now())
+	r, ih := sr.r, sr.ih
 	out := make([]Resolution, len(chunks))
 	// memo holds index results fetched ahead of their turn by a same-bucket
 	// group lookup. Entries are only consulted if the chunk still needs the
@@ -273,7 +258,7 @@ func (r *Resolver) resolveBatch(chunks []chunk.Chunk, stats *BackupStats, ih cin
 			continue // Bloom false positive → new
 		}
 		out[i] = Resolution{res.Loc, true}
-		r.prefetch(res.Loc.Container, stats, readMeta)
+		sr.prefetch(res.Loc.Container, stats)
 	}
 	return out
 }
@@ -288,34 +273,21 @@ func (r *Resolver) insertLPC(cid uint32, metas []container.Meta) {
 	}
 }
 
-// RegisterNew records a newly written chunk in the index and summary vector.
-func (r *Resolver) RegisterNew(fp chunk.Fingerprint, loc chunk.Location) {
-	r.index.Insert(fp, loc)
-	r.filter.Add(fp)
-}
-
-// RegisterNew is Resolver.RegisterNew with index writes charged to the stream.
+// RegisterNew records a newly written chunk in the index and summary vector,
+// with index writes charged to the stream.
 func (sr *StreamResolver) RegisterNew(fp chunk.Fingerprint, loc chunk.Location) {
 	sr.ih.Insert(fp, loc)
 	sr.r.filter.Add(fp)
 }
 
 // Repoint updates the index to a chunk's newest copy (the DeFrag rewrite
-// path) so future generations dedupe against the linearized placement.
-func (r *Resolver) Repoint(fp chunk.Fingerprint, loc chunk.Location) {
-	r.repoint(r.index.Handle(nil), fp, loc)
-}
-
-// Repoint is Resolver.Repoint with index writes charged to the stream.
+// path) so future generations dedupe against the linearized placement. Index
+// writes are charged to the stream.
 func (sr *StreamResolver) Repoint(fp chunk.Fingerprint, loc chunk.Location) {
-	sr.r.repoint(sr.ih, fp, loc)
-}
-
-func (r *Resolver) repoint(ih cindex.Handle, fp chunk.Fingerprint, loc chunk.Location) {
-	ih.Update(fp, loc)
-	r.mu.Lock()
-	r.current[fp] = loc
-	r.mu.Unlock()
+	sr.ih.Update(fp, loc)
+	sr.r.mu.Lock()
+	sr.r.current[fp] = loc
+	sr.r.mu.Unlock()
 }
 
 // AdoptIndex rebuilds the chunk index and summary vector from the container
@@ -367,10 +339,8 @@ func (r *Resolver) DropFromIndex(cid uint32) int {
 	return dropped
 }
 
-// FlushIndex flushes buffered index writes (end of stream).
-func (r *Resolver) FlushIndex() { r.index.Flush() }
-
-// FlushIndex flushes buffered index writes, charged to the stream.
+// FlushIndex flushes buffered index writes (end of stream), charged to the
+// stream.
 func (sr *StreamResolver) FlushIndex() { sr.ih.Flush() }
 
 // Writer returns the container writer this stream resolver is bound to.

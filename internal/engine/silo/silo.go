@@ -38,7 +38,6 @@ import (
 
 // Config parameterizes a SiLo-Like engine.
 type Config struct {
-	Chunker       chunker.Kind
 	ChunkParams   chunker.Params
 	SegParams     segment.Params
 	ContainerCfg  container.Config
@@ -67,7 +66,6 @@ func DefaultConfig(expectedLogicalBytes int64) Config {
 		bc = 2
 	}
 	return Config{
-		Chunker:       chunker.KindGear,
 		ChunkParams:   chunker.DefaultParams(),
 		SegParams:     sp,
 		ContainerCfg:  container.DefaultConfig(),
@@ -199,7 +197,7 @@ func (e *Engine) Backup(ctx context.Context, label string, r io.Reader) (*chunk.
 	start := e.clock.Now()
 
 	logical, chunks, segs, err := engine.Pipeline(
-		ctx, r, e.cfg.Chunker, e.cfg.ChunkParams, e.cfg.SegParams,
+		ctx, r, e.cfg.ChunkParams, e.cfg.SegParams,
 		e.clock, e.cfg.Cost, e.store.StoresData(),
 		func(seg *segment.Segment) error {
 			return e.processSegment(ctx, seg, recipe, &stats)

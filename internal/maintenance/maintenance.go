@@ -130,14 +130,6 @@ type Config struct {
 	// ThrottleMBps paces merge data movement in wall-clock MB/s through a
 	// token bucket. 0 disables pacing.
 	ThrottleMBps float64
-	// Rededup enables the out-of-line re-dedup step for spilled streams:
-	// recipe references pointing at a chunk copy written *after* the copy
-	// the index considers authoritative (only the inline filter's
-	// write-through path produces those) are remapped back onto the
-	// authoritative copy, so the spilled containers go dead and the merge
-	// machinery reclaims them. The Store enables this whenever maintenance
-	// runs; it is a no-op for stores that never spill.
-	Rededup bool
 }
 
 func (c Config) withDefaults() Config {
@@ -258,16 +250,15 @@ func (p *Pass) run(ctx context.Context, span string, body func(lane *disk.Clock,
 	return st, nil
 }
 
-// RunEpoch executes one maintenance epoch: re-dedup of spilled references,
-// reverse remap, and one merge batch (victim selection, copy, gated drop
-// commit). It returns the epoch's statistics; an epoch that finds nothing to
-// do returns zero Stats and nil error.
+// RunEpoch executes one maintenance epoch: re-dedup of spilled references
+// (a no-op on stores that never spill), reverse remap, and one merge batch
+// (victim selection, copy, gated drop commit). It returns the epoch's
+// statistics; an epoch that finds nothing to do returns zero Stats and nil
+// error.
 func (p *Pass) RunEpoch(ctx context.Context) (Stats, error) {
 	return p.run(ctx, "maintenance.epoch", func(lane *disk.Clock, st *Stats) error {
-		if p.cfg.Rededup {
-			if err := p.rededupSpill(ctx, st); err != nil {
-				return err
-			}
+		if err := p.rededupSpill(ctx, st); err != nil {
+			return err
 		}
 		if err := p.reverseRemap(ctx, st); err != nil {
 			return err
@@ -382,7 +373,7 @@ func (p *Pass) reverseRemap(ctx context.Context, st *Stats) (err error) {
 // rededupSpill is the out-of-line half of the inline filter's bargain
 // (HPDedup, arXiv 1702.08153): spilled streams wrote their probable
 // duplicates through without consulting the on-disk index, leaving the
-// earlier copy authoritative. This step scans every retained recipe for
+// earlier copy authoritative. Every epoch scans every retained recipe for
 // references whose chunk the index locates at a *strictly older* sealed
 // container — only the write-through path produces that inversion, since
 // inline dedup references the authoritative copy and rewrites repoint the

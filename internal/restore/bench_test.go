@@ -74,9 +74,9 @@ func BenchmarkDecode(b *testing.B) {
 
 // BenchmarkRestorePipeline measures the full restore path end to end —
 // plan, coalesced fetch, decode pool, resequenced write — at several decode
-// worker counts, under the OPT cache and under forward assembly. Simulated
-// stats are identical across the decode counts of one policy
-// (TestDecodeWorkersDeterminism); only wall time moves.
+// worker counts (GOMAXPROCS; auto is the host's), under the OPT cache and
+// under forward assembly. Simulated stats are identical across the decode
+// counts of one policy (TestDecodeWorkersDeterminism); only wall time moves.
 func BenchmarkRestorePipeline(b *testing.B) {
 	s, rec := benchStore(b, 2048, 1024, 256)
 	type shape struct {
@@ -89,8 +89,10 @@ func BenchmarkRestorePipeline(b *testing.B) {
 			name = fmt.Sprintf("%v/decode=auto", sh.policy)
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := PipelineConfig{CacheContainers: 8, Policy: sh.policy, Workers: 2,
-				Coalesce: true, Verify: true, DecodeWorkers: sh.dw}
+			if sh.dw > 0 {
+				setProcs(b, sh.dw)
+			}
+			cfg := PipelineConfig{CacheContainers: 8, Policy: sh.policy, Workers: 2, Coalesce: true, Verify: true}
 			b.SetBytes(rec.Bytes())
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -112,16 +114,18 @@ func TestRestoreAllocsPerChunk(t *testing.T) {
 	}
 	const nChunks = 2048
 	s, rec := benchStore(t, nChunks, 512, 256)
+	cfg := PipelineConfig{CacheContainers: 8, Policy: PolicyOPT, Workers: 1, Coalesce: true, Verify: true}
 	for _, tc := range []struct {
-		name string
-		cfg  PipelineConfig
+		name  string
+		procs int
 	}{
-		{"serial", PipelineConfig{CacheContainers: 8, Policy: PolicyOPT, Workers: 1, Coalesce: true, Verify: true, DecodeWorkers: 1}},
-		{"decode-pool", PipelineConfig{CacheContainers: 8, Policy: PolicyOPT, Workers: 1, Coalesce: true, Verify: true, DecodeWorkers: 4}},
+		{"serial", 1},
+		{"decode-pool", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			setProcs(t, tc.procs)
 			run := func() {
-				if _, err := RunPipelined(context.Background(), s, rec, tc.cfg, io.Discard); err != nil {
+				if _, err := RunPipelined(context.Background(), s, rec, cfg, io.Discard); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -147,7 +151,8 @@ func TestRestoreAllocBytesPerByte(t *testing.T) {
 	s, rec := benchStore(t, 2048, 8192, 256)
 	for _, dw := range []int{1, 4} {
 		t.Run(fmt.Sprintf("decode=%d", dw), func(t *testing.T) {
-			cfg := PipelineConfig{CacheContainers: 8, Policy: PolicyLRU, Workers: 1, Verify: true, DecodeWorkers: dw}
+			setProcs(t, dw)
+			cfg := PipelineConfig{CacheContainers: 8, Policy: PolicyLRU, Workers: 1, Verify: true}
 			run := func() {
 				if _, err := RunPipelined(context.Background(), s, rec, cfg, io.Discard); err != nil {
 					t.Fatal(err)

@@ -14,13 +14,14 @@ import (
 	"repro/internal/chunk"
 )
 
-// TestDecodeWorkersDeterminism is the tentpole's contract: DecodeWorkers is
-// a wall-clock-only knob. Restored bytes, every Stats field (including the
-// simulated Duration), and the device-level seek/read/byte counters must be
-// bit-identical across decode worker counts, shared-cache budgets and
-// GOMAXPROCS (the extents are fetched ahead of use by another goroutine in
-// every mode, Workers == 1 included), for every pipeline mode — the restore
-// analogue of PR 7's ingest TestParallelWorkersDeterminism.
+// TestDecodeWorkersDeterminism: the decode pool is wall-clock only. Restored
+// bytes, every Stats field (including the simulated Duration), and the
+// device-level seek/read/byte counters must be bit-identical with inline
+// decode (GOMAXPROCS 1) and with a pool of two or four decode workers
+// (GOMAXPROCS 2, 4), at every shared-cache budget (the extents are fetched
+// ahead of use by another goroutine in every mode, Workers == 1 included),
+// for every pipeline mode — the restore analogue of the ingest
+// TestParallelWorkersDeterminism.
 func TestDecodeWorkersDeterminism(t *testing.T) {
 	modes := []struct {
 		name string
@@ -40,39 +41,36 @@ func TestDecodeWorkersDeterminism(t *testing.T) {
 				seek int64
 				read int64
 			}
-			run := func(decodeWorkers int, cacheBudget int64) result {
+			run := func(cacheBudget int64) result {
 				s := rig(t, true)
 				datas := mkDatas(60, 300)
 				seq := ingest(t, s, "base", datas)
 				frag := interleave(seq, "frag")
 				s.SetDataCache(cacheBudget)
-				cfg := mode.cfg
-				cfg.DecodeWorkers = decodeWorkers
 				var buf bytes.Buffer
-				st, err := RunPipelined(context.Background(), s, frag, cfg, &buf)
+				st, err := RunPipelined(context.Background(), s, frag, mode.cfg, &buf)
 				if err != nil {
 					t.Fatal(err)
 				}
 				ds := s.Device().Stats()
 				return result{st: st, out: buf.Bytes(), seek: ds.Seeks, read: ds.BytesRead}
 			}
-			base := run(1, 0)
+			setProcs(t, 1)
+			base := run(0)
 			for _, procs := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
 					setProcs(t, procs)
-					for _, dw := range []int{0, 1, 2, 8} {
-						for _, budget := range []int64{0, 2048, 1 << 20} {
-							got := run(dw, budget)
-							if got.st != base.st {
-								t.Errorf("decode=%d budget=%d: stats %+v != serial %+v", dw, budget, got.st, base.st)
-							}
-							if !bytes.Equal(got.out, base.out) {
-								t.Errorf("decode=%d budget=%d: restored bytes differ", dw, budget)
-							}
-							if got.seek != base.seek || got.read != base.read {
-								t.Errorf("decode=%d budget=%d: device stats %d/%d != %d/%d",
-									dw, budget, got.seek, got.read, base.seek, base.read)
-							}
+					for _, budget := range []int64{0, 2048, 1 << 20} {
+						got := run(budget)
+						if got.st != base.st {
+							t.Errorf("budget=%d: stats %+v != serial %+v", budget, got.st, base.st)
+						}
+						if !bytes.Equal(got.out, base.out) {
+							t.Errorf("budget=%d: restored bytes differ", budget)
+						}
+						if got.seek != base.seek || got.read != base.read {
+							t.Errorf("budget=%d: device stats %d/%d != %d/%d",
+								budget, got.seek, got.read, base.seek, base.read)
 						}
 					}
 				})
@@ -85,23 +83,23 @@ func TestDecodeWorkersDeterminism(t *testing.T) {
 // pool must surface the same first-in-stream fingerprint mismatch, with the
 // same in-order partial progress, as the inline serial path.
 func TestDecodeWorkersVerifyError(t *testing.T) {
-	run := func(decodeWorkers int) (Stats, error) {
+	run := func(procs int) (Stats, error) {
+		setProcs(t, procs)
 		s := rig(t, true)
 		datas := mkDatas(60, 300)
 		rec := ingest(t, s, "bad", datas)
 		rec.Refs[37].FP = chunk.Of([]byte("not the real content"))
-		cfg := PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1, Coalesce: true,
-			Verify: true, DecodeWorkers: decodeWorkers}
+		cfg := PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1, Coalesce: true, Verify: true}
 		return RunPipelined(context.Background(), s, rec, cfg, &bytes.Buffer{})
 	}
 	_, serialErr := run(1)
 	if serialErr == nil {
 		t.Fatal("serial path must detect the mismatch")
 	}
-	for _, dw := range []int{2, 8} {
-		_, err := run(dw)
+	for _, procs := range []int{2, 8} {
+		_, err := run(procs)
 		if err == nil || err.Error() != serialErr.Error() {
-			t.Fatalf("decode=%d: err %v, want %v", dw, err, serialErr)
+			t.Fatalf("procs=%d: err %v, want %v", procs, err, serialErr)
 		}
 	}
 }
@@ -121,26 +119,26 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 }
 
 func TestDecodeWorkersWriteError(t *testing.T) {
-	run := func(decodeWorkers int) (Stats, error) {
+	run := func(procs int) (Stats, error) {
+		setProcs(t, procs)
 		s := rig(t, true)
 		datas := mkDatas(40, 300)
 		rec := ingest(t, s, "we", datas)
-		cfg := PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1,
-			Verify: true, DecodeWorkers: decodeWorkers}
+		cfg := PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1, Verify: true}
 		return RunPipelined(context.Background(), s, rec, cfg, &failAfterWriter{n: 5000})
 	}
 	stSerial, serialErr := run(1)
 	if serialErr == nil {
 		t.Fatal("serial path must surface the write error")
 	}
-	for _, dw := range []int{2, 8} {
-		st, err := run(dw)
+	for _, procs := range []int{2, 8} {
+		st, err := run(procs)
 		if err == nil || err.Error() != serialErr.Error() {
-			t.Fatalf("decode=%d: err %v, want %v", dw, err, serialErr)
+			t.Fatalf("procs=%d: err %v, want %v", procs, err, serialErr)
 		}
 		if st.Bytes != stSerial.Bytes || st.Chunks != stSerial.Chunks {
-			t.Fatalf("decode=%d: partial progress %d/%d, want %d/%d",
-				dw, st.Bytes, st.Chunks, stSerial.Bytes, stSerial.Chunks)
+			t.Fatalf("procs=%d: partial progress %d/%d, want %d/%d",
+				procs, st.Bytes, st.Chunks, stSerial.Bytes, stSerial.Chunks)
 		}
 	}
 }
@@ -165,6 +163,7 @@ func TestParallelDecodeFailureReleasesPins(t *testing.T) {
 		{"writer-error-one-lane", false, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			setProcs(t, 4)
 			goroutines := runtime.NumGoroutine()
 			s := rig(t, true)
 			datas := mkDatas(1500, 100)
@@ -178,8 +177,7 @@ func TestParallelDecodeFailureReleasesPins(t *testing.T) {
 			if !tc.corrupt {
 				w = &failAfterWriter{n: 300}
 			}
-			cfg := PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Workers: tc.workers,
-				Verify: true, DecodeWorkers: 4}
+			cfg := PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Workers: tc.workers, Verify: true}
 			if _, err := RunPipelined(context.Background(), s, frag, cfg, w); err == nil {
 				t.Fatal("expected the restore to fail")
 			}
@@ -206,6 +204,7 @@ func TestParallelDecodeFailureReleasesPins(t *testing.T) {
 // attached, asserting every stream gets byte-identical output. Run under
 // -race this is the pipeline-level concurrency guard for the shared cache.
 func TestConcurrentRestoresSharedCache(t *testing.T) {
+	setProcs(t, 4)
 	s := rig(t, true)
 	datas := mkDatas(60, 300)
 	seq := ingest(t, s, "base", datas)
@@ -222,8 +221,7 @@ func TestConcurrentRestoresSharedCache(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var buf bytes.Buffer
-			cfg := PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 2,
-				Coalesce: true, Verify: true, DecodeWorkers: 4}
+			cfg := PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 2, Coalesce: true, Verify: true}
 			_, err := RunPipelined(context.Background(), s, frag, cfg, &buf)
 			outs[i], errs[i] = buf.Bytes(), err
 		}(i)

@@ -55,15 +55,6 @@ type PipelineConfig struct {
 	Coalesce bool
 	// Verify recomputes chunk fingerprints (requires a data-storing device).
 	Verify bool
-	// DecodeWorkers sizes the wall-clock verify/decode worker pool that
-	// overlaps SHA-256 verification with container fetches, with an in-order
-	// resequencer emitting chunks to the output writer: 0 sizes the pool to
-	// GOMAXPROCS, 1 forces inline serial decode, N > 1 uses exactly N
-	// goroutines. Callers outside this package leave it 0; it is the lever
-	// the tests use to run the pool on a one-CPU host. Restored bytes,
-	// simulated time, and every Stats field are bit-identical across values
-	// (pinned by TestDecodeWorkersDeterminism).
-	DecodeWorkers int
 }
 
 // DefaultConfig returns the restore shape of the paper's figures: an
@@ -83,6 +74,12 @@ func DefaultConfig() PipelineConfig {
 // the assembler needs it; with Workers > 1 extent reads are charged up front
 // to per-lane clocks in deterministic schedule order (earliest-free lane
 // first) and Stats.Duration is the slowest lane.
+//
+// With GOMAXPROCS above one, SHA-256 verification and the writes to w run on
+// a pool of that many decode goroutines behind an in-order resequencer,
+// overlapping container fetches; at one they run inline on the assembler.
+// Restored bytes, simulated time and every Stats field are bit-identical
+// either way; decode_test.go pins that at GOMAXPROCS 1, 2 and 4.
 //
 // With one lane and Coalesce off, Stats and the device counters are
 // bit-identical to the serial reference loops the tests keep: Run for
@@ -125,7 +122,7 @@ func RunPipelined(ctx context.Context, store *container.Store, recipe *chunk.Rec
 		}
 	}
 
-	dw := decodeWorkerCount(cfg.DecodeWorkers)
+	dw := runtime.GOMAXPROCS(0)
 	dataCap := store.Config().DataCap
 	as := &assembly{store: store, cfg: cfg, plan: plan, refs: recipe.Refs, w: w, stats: &stats,
 		resident: make(map[uint32][]byte, cfg.CacheContainers),
@@ -166,18 +163,6 @@ func RunPipelined(ctx context.Context, store *container.Store, recipe *chunk.Rec
 	telRestoreChunks.Add(stats.Chunks)
 	span.SetSim(stats.Duration)
 	return stats, nil
-}
-
-// decodeWorkerCount resolves the DecodeWorkers knob: 0 = GOMAXPROCS, any
-// explicit count is used as-is. An explicit count above GOMAXPROCS is
-// deliberately NOT clamped — extra goroutines cost little, and honoring the
-// request keeps the pool (and its determinism tests) exercised even on
-// single-core hosts where a clamp would silently fall back to inline decode.
-func decodeWorkerCount(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }
 
 // chargeLanes assigns each extent read to the lane that frees earliest

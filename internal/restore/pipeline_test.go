@@ -43,12 +43,13 @@ func fullShape() PipelineConfig {
 	return PipelineConfig{CacheContainers: 8, Policy: PolicyOPT, Workers: 4, Coalesce: true}
 }
 
-// setProcs runs the rest of the test at GOMAXPROCS n. The fetcher and the
-// decode pool are scheduled differently at 1, 2 and 4 Ps; nothing the
-// simulated clock or the counters see may depend on that.
-func setProcs(t *testing.T, n int) {
+// setProcs runs the rest of the test at GOMAXPROCS n, which sizes the decode
+// pool: inline at 1, n workers above it. The fetcher and the decode pool are
+// scheduled differently at 1, 2 and 4 Ps; nothing the simulated clock or the
+// counters see may depend on that. Never under t.Parallel.
+func setProcs(tb testing.TB, n int) {
 	prev := runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // TestSerialPipelinedMatchesRun is the tier-1 guard required by the PR: the
@@ -106,7 +107,8 @@ func TestSerialPipelinedMatchesRun(t *testing.T) {
 // device-level seek, read and byte counters and the bytes of the reference
 // RunFAA on an identical store, over windows from one chunk to the whole
 // recipe, with chunks larger than the window, on the sim and the file
-// backend (where ReadBytes alone may be less: ranges, not whole sections), at GOMAXPROCS 1, 2 and 4 and with the decode pool forced on.
+// backend (where ReadBytes alone may be less: ranges, not whole sections), at
+// GOMAXPROCS 1 (inline decode), 2 and 4 (the decode pool).
 func TestFAAPlanMatchesReference(t *testing.T) {
 	oversized := [][]byte{
 		mkDatas(1, 300)[0], bytes.Repeat([]byte{7}, 2000), mkDatas(1, 300)[0],
@@ -145,34 +147,32 @@ func TestFAAPlanMatchesReference(t *testing.T) {
 						t.Fatalf("the reference read %d of %d containers for %d bytes", ref.ContainerReads, s1.NumContainers(), want.Len())
 					}
 					for _, procs := range []int{1, 2, 4} {
-						for _, dw := range []int{1, 4} {
-							setProcs(t, procs)
-							s2, frag2 := build()
-							var got bytes.Buffer
-							st, err := RunPipelined(context.Background(), s2, frag2,
-								PipelineConfig{CacheContainers: containers, Policy: PolicyFAA, Workers: 1, Verify: true, DecodeWorkers: dw}, &got)
-							if err != nil {
-								t.Fatal(err)
+						setProcs(t, procs)
+						s2, frag2 := build()
+						var got bytes.Buffer
+						st, err := RunPipelined(context.Background(), s2, frag2,
+							PipelineConfig{CacheContainers: containers, Policy: PolicyFAA, Workers: 1, Verify: true}, &got)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if backend == "file" {
+							// The reference reads whole sections; off files the
+							// engine asks only for the ranges its refs lie in.
+							if st.ReadBytes < st.Bytes || st.ReadBytes > ref.ReadBytes {
+								t.Fatalf("procs %d: asked the file backend for %d bytes: want between the %d restored and the reference's %d of whole sections",
+									procs, st.ReadBytes, st.Bytes, ref.ReadBytes)
 							}
-							if backend == "file" {
-								// The reference reads whole sections; off files the
-								// engine asks only for the ranges its refs lie in.
-								if st.ReadBytes < st.Bytes || st.ReadBytes > ref.ReadBytes {
-									t.Fatalf("procs %d decode %d: asked the file backend for %d bytes: want between the %d restored and the reference's %d of whole sections",
-										procs, dw, st.ReadBytes, st.Bytes, ref.ReadBytes)
-								}
-								st.ReadBytes = ref.ReadBytes
-							}
-							if st != ref {
-								t.Fatalf("procs %d decode %d: stats diverge:\nreference %+v\nplanned   %+v", procs, dw, ref, st)
-							}
-							if !bytes.Equal(got.Bytes(), want.Bytes()) {
-								t.Fatalf("procs %d decode %d: restored streams differ", procs, dw)
-							}
-							if s1.Device().Stats() != s2.Device().Stats() {
-								t.Fatalf("procs %d decode %d: device stats diverge:\nreference %v\nplanned   %v",
-									procs, dw, s1.Device().Stats(), s2.Device().Stats())
-							}
+							st.ReadBytes = ref.ReadBytes
+						}
+						if st != ref {
+							t.Fatalf("procs %d: stats diverge:\nreference %+v\nplanned   %+v", procs, ref, st)
+						}
+						if !bytes.Equal(got.Bytes(), want.Bytes()) {
+							t.Fatalf("procs %d: restored streams differ", procs)
+						}
+						if s1.Device().Stats() != s2.Device().Stats() {
+							t.Fatalf("procs %d: device stats diverge:\nreference %v\nplanned   %v",
+								procs, s1.Device().Stats(), s2.Device().Stats())
 						}
 					}
 				})
@@ -181,22 +181,28 @@ func TestFAAPlanMatchesReference(t *testing.T) {
 	}
 }
 
-// Every pipelined mode must reconstruct the exact original stream.
+// Every pipelined mode must reconstruct the exact original stream. The
+// "everything" shapes run the decode pool at four workers; the rest run at
+// the host's GOMAXPROCS.
 func TestPipelinedRoundTripAllModes(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  PipelineConfig
+		name  string
+		cfg   PipelineConfig
+		procs int
 	}{
-		{"opt-serial", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1, Verify: true}},
-		{"opt-coalesce", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1, Coalesce: true, Verify: true}},
-		{"lru-coalesce", PipelineConfig{CacheContainers: 4, Policy: PolicyLRU, Workers: 1, Coalesce: true, Verify: true}},
-		{"opt-parallel", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 4, Coalesce: true, Verify: true}},
-		{"everything", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 4, Coalesce: true, Verify: true, DecodeWorkers: 4}},
-		{"faa", PipelineConfig{CacheContainers: 1, Policy: PolicyFAA, Workers: 1, Verify: true}},
-		{"faa-everything", PipelineConfig{CacheContainers: 1, Policy: PolicyFAA, Workers: 4, Coalesce: true, Verify: true, DecodeWorkers: 4}},
-		{"default", fullShape()},
+		{"opt-serial", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1, Verify: true}, 0},
+		{"opt-coalesce", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1, Coalesce: true, Verify: true}, 0},
+		{"lru-coalesce", PipelineConfig{CacheContainers: 4, Policy: PolicyLRU, Workers: 1, Coalesce: true, Verify: true}, 0},
+		{"opt-parallel", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 4, Coalesce: true, Verify: true}, 0},
+		{"everything", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 4, Coalesce: true, Verify: true}, 4},
+		{"faa", PipelineConfig{CacheContainers: 1, Policy: PolicyFAA, Workers: 1, Verify: true}, 0},
+		{"faa-everything", PipelineConfig{CacheContainers: 1, Policy: PolicyFAA, Workers: 4, Coalesce: true, Verify: true}, 4},
+		{"default", fullShape(), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.procs > 0 {
+				setProcs(t, tc.procs)
+			}
 			s := rig(t, true)
 			datas := mkDatas(60, 300)
 			seq := ingest(t, s, "base", datas)

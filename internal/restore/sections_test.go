@@ -135,7 +135,8 @@ func TestSectionSetIsAFixedBudget(t *testing.T) {
 }
 
 // TestFileRestoreReusesSectionsInEveryShape restores a fragmented recipe off
-// the file backend in every shape of the pipeline and checks, for each, the
+// the file backend in every shape of the pipeline, inline (decode1: GOMAXPROCS
+// 1) and through the decode pool (decode2, decode4), and checks, for each, the
 // bytes, and that sections did come back in buffers used before (a test of
 // reuse that never reuses proves nothing).
 // TestSectionNotReusedWhileADecodeBatchViewsIt is the one that makes the
@@ -144,10 +145,10 @@ func TestFileRestoreReusesSectionsInEveryShape(t *testing.T) {
 	for _, policy := range []CachePolicy{PolicyLRU, PolicyOPT, PolicyFAA} {
 		for _, coalesce := range []bool{false, true} {
 			for _, dw := range []int{1, 2, 4} {
-				cfg := PipelineConfig{CacheContainers: 2, Policy: policy, Workers: 1, Coalesce: coalesce,
-					Verify: true, DecodeWorkers: dw}
+				cfg := PipelineConfig{CacheContainers: 2, Policy: policy, Workers: 1, Coalesce: coalesce, Verify: true}
 				// The ids keep a constant "chunkfalse": test history is keyed on them.
 				t.Run(fmt.Sprintf("%v-chunkfalse-coalesce%v-decode%d", policy, coalesce, dw), func(t *testing.T) {
+					setProcs(t, dw)
 					s, spy := fileRig(t)
 					datas := mkDatas(120, 300)
 					seq := ingest(t, s, "base", datas)
@@ -226,7 +227,8 @@ func (w *gateWriter) Write(p []byte) (int, error) {
 // so that nothing but the writer looks at them. Under PolicyFAA the evictions
 // are the flushes at the end of each one-container window, of every section
 // the window read; the recipe is longer there, so that most windows come
-// after the writer is let go and find buffers to reuse.
+// after the writer is let go and find buffers to reuse. decodeN runs a pool
+// of N decode workers (GOMAXPROCS N).
 func TestSectionNotReusedWhileADecodeBatchViewsIt(t *testing.T) {
 	for _, tc := range []struct {
 		prefix string
@@ -238,13 +240,14 @@ func TestSectionNotReusedWhileADecodeBatchViewsIt(t *testing.T) {
 	} {
 		for _, dw := range []int{2, 4} {
 			t.Run(fmt.Sprintf("%sdecode%d", tc.prefix, dw), func(t *testing.T) {
+				setProcs(t, dw)
 				s, spy := fileRig(t)
 				datas := mkDatas(tc.chunks, 300)
 				seq := ingest(t, s, "base", datas)
 				frag := interleave(seq, "frag")
 				w := &gateWriter{t: t, want: wantBytes(datas, frag, seq), spy: spy, more: 8}
 				st, err := RunPipelined(context.Background(), s, frag,
-					PipelineConfig{CacheContainers: 1, Policy: tc.policy, Workers: 1, DecodeWorkers: dw}, w)
+					PipelineConfig{CacheContainers: 1, Policy: tc.policy, Workers: 1}, w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -270,9 +273,9 @@ func TestSectionNotReusedWhileADecodeBatchViewsIt(t *testing.T) {
 // TestFileRestoreEarlyStops runs the two in-stream failures over reused
 // sections: a writer that fails part-way, and a section that comes back
 // corrupted (as a private copy, so the buffer lent for it is an unused loan).
-// With the decode pool each must stop at the ref, with the error and the
-// tallies, of inline decode; no goroutine may outlive the call; and the next
-// restore of the same store must be whole.
+// With the decode pool (GOMAXPROCS 2, 4) each must stop at the ref, with the
+// error and the tallies, of inline decode (GOMAXPROCS 1); no goroutine may
+// outlive the call; and the next restore of the same store must be whole.
 func TestFileRestoreEarlyStops(t *testing.T) {
 	datas := mkDatas(120, 300)
 	for _, tc := range []struct {
@@ -287,6 +290,7 @@ func TestFileRestoreEarlyStops(t *testing.T) {
 			var want Stats
 			var wantErr string
 			for _, dw := range []int{1, 2, 4} {
+				setProcs(t, dw)
 				s, spy := fileRig(t)
 				seq := ingest(t, s, "base", datas)
 				frag := interleave(seq, "frag")
@@ -296,7 +300,7 @@ func TestFileRestoreEarlyStops(t *testing.T) {
 					w = &failAfterWriter{n: tc.failAfter}
 				}
 				before := runtime.NumGoroutine()
-				cfg := PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Workers: 1, Verify: true, DecodeWorkers: dw}
+				cfg := PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Workers: 1, Verify: true}
 				st, err := RunPipelined(context.Background(), s, frag, cfg, w)
 				if err == nil {
 					t.Fatalf("decode %d: the restore succeeded", dw)
@@ -353,10 +357,11 @@ func TestReleasedSectionsHaveNoViewers(t *testing.T) {
 	scribble() // what earlier tests left
 	var scribbled int
 	for _, dw := range []int{1, 2, 4} {
+		setProcs(t, dw)
 		s, spy := fileRig(t)
 		seq := ingest(t, s, "base", datas)
 		frag := interleave(seq, "frag")
-		cfg := PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Workers: 1, Verify: true, DecodeWorkers: dw}
+		cfg := PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Workers: 1, Verify: true}
 		cancelled, cancel := context.WithCancel(context.Background())
 		cancel()
 		for _, end := range []struct {

@@ -66,7 +66,7 @@ func TestConcurrentRestoresSingleFlight(t *testing.T) {
 				go func(tn, g int) {
 					defer wg.Done()
 					label := fmt.Sprintf("t%d/g%02d", tn, g)
-					url := fmt.Sprintf("%s/v1/backups/%s/restore?mode=pipelined&workers=2&verify=1",
+					url := fmt.Sprintf("%s/v1/backups/%s/restore?mode=pipelined&verify=1",
 						ts.URL, label)
 					resp, err := http.Get(url)
 					if err != nil {

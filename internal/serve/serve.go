@@ -6,7 +6,7 @@
 //	POST   /v1/backups/{label}          ingest: chunked request body → Store.IngestStream (409 when the label is taken)
 //	GET    /v1/backups                  list retained backups
 //	GET    /v1/backups/{label}          one backup's stats
-//	GET    /v1/backups/{label}/restore  restore: streamed response body (?mode=&cache=&workers=&verify=)
+//	GET    /v1/backups/{label}/restore  restore: streamed response body (?mode=&cache=&verify=)
 //	DELETE /v1/backups/{label}          forget
 //	POST   /v1/compact                  garbage-collect (?threshold=)
 //	POST   /v1/check                    fsck (?verify=)
@@ -440,7 +440,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// restoreOptions parses ?mode=&cache=&workers=&verify= into RestoreOptions.
+// restoreOptions parses ?mode=&cache=&verify= into RestoreOptions.
 // No mode is the store's default shape; pipelined is OPT with coalesced
 // reads; anything else is a policy name.
 func restoreOptions(r *http.Request, forceVerify bool) (repro.RestoreOptions, error) {
@@ -456,21 +456,11 @@ func restoreOptions(r *http.Request, forceVerify bool) (repro.RestoreOptions, er
 			opts.CacheContainers = n
 		}
 	}
-	if ws := q.Get("workers"); ws != "" {
-		n, err := strconv.Atoi(ws)
-		if err != nil || n < 0 {
-			return opts, fmt.Errorf("bad workers %q", ws)
-		}
-		opts.Workers = n
-	}
 	switch mode := q.Get("mode"); mode {
 	case "":
 	case "pipelined":
 		opts.Policy = repro.RestoreOPT
 		opts.Coalesce = true
-		if opts.Workers < 1 {
-			opts.Workers = 1
-		}
 	default:
 		p, err := repro.ParseRestorePolicy(mode)
 		if err != nil {

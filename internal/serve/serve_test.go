@@ -171,7 +171,7 @@ func TestServeForgetAndErrors(t *testing.T) {
 	}{
 		{"/v1/backups/absent/restore", http.StatusNotFound},
 		{"/v1/backups/t0/g00/restore?mode=bogus", http.StatusBadRequest},
-		{"/v1/backups/t0/g00/restore?workers=-1", http.StatusBadRequest},
+		{"/v1/backups/t0/g00/restore?cache=-1", http.StatusBadRequest},
 		{"/v1/backups/absent", http.StatusNotFound},
 		{"/v1/backups/t0/g00", http.StatusOK},
 	} {

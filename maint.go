@@ -35,12 +35,6 @@ type MaintenanceOptions struct {
 	MaxBatch int
 	// ThrottleMBps paces maintenance data movement (wall clock). 0 = off.
 	ThrottleMBps float64
-	// NoRededup disables the out-of-line re-dedup of spilled (write-through)
-	// stream references. By default every epoch remaps spilled copies back
-	// onto their index-authoritative originals so the inline filter's
-	// deferred duplicates are reclaimed; stores that never spill pay nothing
-	// for the scan. See Options.Filter.
-	NoRededup bool
 }
 
 // MaintenanceStats mirrors one epoch's (or the cumulative) maintenance
@@ -225,7 +219,6 @@ func (s *Store) maintenancePass() (*maintenance.Pass, error) {
 		SparseThreshold: m.SparseThreshold,
 		MaxBatch:        m.MaxBatch,
 		ThrottleMBps:    m.ThrottleMBps,
-		Rededup:         !m.NoRededup,
 	}
 	if d, ok := s.eng.(maintenance.IndexDropper); ok {
 		cfg.Dropper = d

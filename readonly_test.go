@@ -214,7 +214,7 @@ func testBackendReadsAreReadOnly(t *testing.T, backend BackendKind) {
 	ss.verify(t, "compaction")
 	ss.record(t)
 
-	s.SetRestoreCacheBudget(16 << 20)
+	s.eng.Containers().SetDataCache(16 << 20)
 	if spy != nil {
 		spy.mu.Lock()
 		spy.shared = true

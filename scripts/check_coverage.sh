@@ -30,7 +30,7 @@ declare -A floors=(
   [repro/internal/cindex]=75
   [repro/internal/container]=75
   [repro/internal/core]=72
-  [repro/internal/disk]=50
+  [repro/internal/disk]=85
   [repro/internal/engine]=80
   [repro/internal/engine/ddfs]=72
   [repro/internal/engine/idedup]=80

@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -240,9 +241,10 @@ func stagedTemps(t *testing.T, dir string) (n int) {
 
 // imageMidFill is a backup's reader that, once `after` bytes have gone by,
 // copies the store directory at the first Read that finds a container
-// half-staged. The store hashes inline (Options.Workers 1), so while Read
-// runs nothing fills a container, and settled waits out the persist in
-// flight: no file is renamed under the copy.
+// half-staged. The store hashes inline (GOMAXPROCS 1), so while Read runs
+// nothing fills a container, and settled waits out the persist in flight: no
+// file is renamed under the copy. With one P the pieces staged in flight only
+// land while Read yields, so it yields before it looks.
 type imageMidFill struct {
 	t       *testing.T
 	r       io.Reader
@@ -255,7 +257,9 @@ type imageMidFill struct {
 func (c *imageMidFill) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	if c.after -= n; c.after <= 0 && c.image == "" {
-		if c.settled(); stagedTemps(c.t, c.dir) > 0 {
+		c.settled()
+		runtime.Gosched()
+		if stagedTemps(c.t, c.dir) > 0 {
 			c.image = copyStore(c.t, c.dir)
 		}
 	}
@@ -290,10 +294,11 @@ func TestReopenAfterCrashWhileStaging(t *testing.T) {
 	ctx := context.Background()
 	for _, moment := range []string{"a container half-staged", "staged and not yet sealed"} {
 		t.Run(moment, func(t *testing.T) {
+			setProcs(t, 1)
 			dir := t.TempDir()
 			atSeal := &imageAtSeal{t: t, dir: dir}
 			opts := Options{Engine: DeFrag, Alpha: 0.1, StoreData: true, ExpectedBytes: 64 << 20,
-				Backend: FileBackend, Dir: dir, Workers: 1}
+				Backend: FileBackend, Dir: dir}
 			live := opts
 			live.WrapBackend = func(be blockstore.Backend) blockstore.Backend {
 				atSeal.Backend = be

@@ -40,8 +40,9 @@ func TestIngestStreamTracePropagation(t *testing.T) {
 	var sink syncBuffer
 	telemetry.SetSink(&sink)
 	defer telemetry.SetSink(nil)
+	setProcs(t, 2) // hashing on a pool, not inline
 
-	store, err := Open(Options{Engine: DeFrag, Alpha: 0.1, ExpectedBytes: 64 << 20, StoreData: true, Workers: 2})
+	store, err := Open(Options{Engine: DeFrag, Alpha: 0.1, ExpectedBytes: 64 << 20, StoreData: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,6 @@ func RunTrajectory(cfg ExperimentConfig, kind EngineKind) ([]TrajectoryPoint, er
 		Alpha:           cfg.Alpha,
 		ExpectedBytes:   cfg.perGenBytes() * int64(cfg.Generations),
 		TrackEfficiency: true,
-		Workers:         cfg.Workers,
 	})
 	if err != nil {
 		return nil, err
