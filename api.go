@@ -269,8 +269,8 @@ func (o Options) withDefaults() Options {
 // use, beside concurrent restores and one maintenance operation.
 //
 // Locks. The order is maintOpMu → maintMu → mu; ingestMu is independent of
-// the maintenance locks (only the serial-ingest fallback takes it, under
-// maintMu's read side and before mu).
+// the maintenance locks (only ingests on engines without a concurrent-stream
+// path take it, under maintMu's read side and before mu).
 //
 //   - maintOpMu serializes whole maintenance operations — an epoch, a
 //     Compact, a Repair — against each other, and guards maintPass.
@@ -593,20 +593,7 @@ func (s *Store) checkpointAfter(op string) {
 // made so, the backup is not retained and the error says why. A label that a
 // retained backup already has is refused (ErrLabelRetained).
 func (s *Store) Backup(ctx context.Context, label string, r io.Reader) (*Backup, error) {
-	ctx, span := telemetry.StartSpan(ctx, "store.backup")
-	defer span.End()
-	telBackups.Inc()
-	if s.FindBackup(label) != nil { // before any byte is ingested
-		return nil, labelRetained(label)
-	}
-	s.maintMu.RLock()
-	defer s.maintMu.RUnlock()
-	rec, st, err := s.eng.Backup(ctx, label, r)
-	if err != nil {
-		return nil, err
-	}
-	span.SetSim(st.Duration)
-	return s.commitBackup(newBackup(label, fromEngineStats(st), rec), nil)
+	return s.ingest(ctx, "store.backup", label, r, false)
 }
 
 // ErrLabelRetained refuses a backup under a label a retained backup already

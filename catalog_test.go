@@ -222,14 +222,15 @@ func TestCatalogReplayEquivalenceThroughTheStore(t *testing.T) {
 	storeDirHoldsOnlyTheLogs(t, dir)
 }
 
-// storeDirHoldsOnlyTheLogs: a store directory is its two record logs, one
-// data file per container and quarantine/ — no manifest, WAL or .meta file.
+// storeDirHoldsOnlyTheLogs: a store directory is its two record logs, its
+// lock file, one data file per container and quarantine/ — no manifest, WAL
+// or .meta file.
 func storeDirHoldsOnlyTheLogs(t *testing.T, dir string) {
 	t.Helper()
 	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
 		rel, _ := filepath.Rel(dir, p)
 		data, _ := filepath.Match("containers/[0-9][0-9][0-9][0-9][0-9][0-9].data", rel)
-		if err == nil && !data && !slices.Contains([]string{".", "containers", "quarantine", "containers.log", catalog.FileName}, rel) {
+		if err == nil && !data && !slices.Contains([]string{".", "containers", "quarantine", "containers.log", "LOCK", catalog.FileName}, rel) {
 			t.Errorf("the store directory holds %s", rel)
 		}
 		return err

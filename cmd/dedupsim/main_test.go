@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro"
@@ -59,5 +60,20 @@ func TestRestoreModeSelectsThePolicy(t *testing.T) {
 	}
 	if _, err := restoreOne(ctx, params{restoreMode: "bogus"}, store, newest); err == nil {
 		t.Error("an unknown -restore.mode was accepted")
+	}
+}
+
+// TestFsckOnlyRefusesAStoreInUse: -fsckonly on a directory another store
+// holds fails with the directory's name instead of replaying under it.
+func TestFsckOnlyRefusesAStoreInUse(t *testing.T) {
+	dir := t.TempDir()
+	store, err := repro.Open(repro.Options{Engine: repro.DeFrag, ExpectedBytes: 32 << 20, Backend: repro.FileBackend, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	err = run(params{engineName: "defrag", backend: "file", storeDir: dir, fsckOnly: true, scenario: "backup", gens: 1, files: 1, fileKB: 1})
+	if err == nil || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("-fsckonly on a store in use: %v, want a refusal naming %s", err, dir)
 	}
 }

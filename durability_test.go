@@ -128,6 +128,35 @@ func TestFileBackendRoundTripAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesAStoreDirectoryInUse: while one Store holds a directory, a
+// second Open of it is refused by name and leaves the first one whole; after
+// Close the directory opens again.
+func TestOpenRefusesAStoreDirectoryInUse(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Engine: DeFrag, Alpha: 0.1, StoreData: true, ExpectedBytes: 64 << 20, Backend: FileBackend, Dir: dir}
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	datas := ingestGens(t, s, 5, 2)
+	if s2, err := Open(opts); err == nil {
+		s2.Close() //nolint:errcheck // already failing
+		t.Fatal("a second Open of a store directory in use succeeded")
+	} else if !strings.Contains(err.Error(), dir) {
+		t.Fatalf("refusal %q does not name the directory", err)
+	}
+	restoreVerifyAll(t, s, datas)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(opts)
+	if err != nil {
+		t.Fatalf("reopen after Close: %v", err)
+	}
+	defer s.Close() //nolint:errcheck
+	restoreVerifyAll(t, s, datas)
+}
+
 // TestFileBackendReopenRequiresAdoptingEngine: an engine that could not
 // reopen a store directory does not get to write one. The refusal comes on the
 // first Open, before anything is in the directory, and names the way that

@@ -232,11 +232,11 @@ type cancelAfterReads struct {
 	cancel context.CancelFunc
 }
 
-func (c *cancelAfterReads) ReadData(ctx context.Context, id uint32) ([]byte, error) {
+func (c *cancelAfterReads) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
 	if c.n--; c.n == 0 {
 		defer c.cancel()
 	}
-	return c.Backend.ReadData(ctx, id)
+	return c.Backend.ReadDataRange(ctx, ids)
 }
 
 // TestExportCancelledLeavesNoBackup: the catalog is written after the last

@@ -53,6 +53,10 @@ func sealN(t *testing.T, b Backend, n int) map[uint32][]byte {
 	return want
 }
 
+// kill abandons f as a killed process leaves it: nothing is flushed or
+// checkpointed, and the kernel drops the directory lock.
+func kill(f *File) { f.lock.Close() }
+
 func checkRoundTrip(t *testing.T, b Backend, want map[uint32][]byte) {
 	t.Helper()
 	ctx := context.Background()
@@ -133,6 +137,7 @@ func TestFileReplayWithoutClose(t *testing.T) {
 	}
 	want := sealN(t, b, 3)
 	// Abandon b without Close — its seal records are already fdatasync'd.
+	kill(b)
 
 	re, err := OpenFile(dir, true)
 	if err != nil {

@@ -18,10 +18,9 @@ import (
 type Counting struct {
 	be Backend
 
-	seals      atomic.Int64
-	dataReads  atomic.Int64 // container data sections fetched (ReadData + ids per ReadDataRange)
-	dataBytes  atomic.Int64 // bytes of those sections
-	rangeReads atomic.Int64 // ReadDataRange calls
+	seals     atomic.Int64
+	dataReads atomic.Int64 // container data sections fetched (ReadData + ids per ReadDataRange)
+	dataBytes atomic.Int64 // bytes of those sections
 }
 
 // NewCounting wraps be with operation counters.
@@ -37,15 +36,11 @@ func (c *Counting) DataSectionReads() int64 { return c.dataReads.Load() }
 // DataBytesRead returns the bytes of the data sections fetched.
 func (c *Counting) DataBytesRead() int64 { return c.dataBytes.Load() }
 
-// RangeReads returns the number of ReadDataRange calls.
-func (c *Counting) RangeReads() int64 { return c.rangeReads.Load() }
-
 // ResetCounts zeroes all counters (between benchmark phases).
 func (c *Counting) ResetCounts() {
 	c.seals.Store(0)
 	c.dataReads.Store(0)
 	c.dataBytes.Store(0)
-	c.rangeReads.Store(0)
 }
 
 func (c *Counting) Name() string     { return c.be.Name() }
@@ -65,7 +60,6 @@ func (c *Counting) ReadData(ctx context.Context, id uint32) ([]byte, error) {
 
 func (c *Counting) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
 	c.dataReads.Add(int64(len(ids)))
-	c.rangeReads.Add(1)
 	out, err := c.be.ReadDataRange(ctx, ids)
 	for _, data := range out {
 		c.dataBytes.Add(int64(len(data)))

@@ -68,6 +68,7 @@ func TestFileDropOfUnsyncedSealsReplaysClean(t *testing.T) {
 	}
 	delete(want, 1)
 	// Abandon b without Close — crash after the drop completed.
+	kill(b)
 
 	re, err := OpenFile(dir, true)
 	if err != nil {
@@ -75,7 +76,6 @@ func TestFileDropOfUnsyncedSealsReplaysClean(t *testing.T) {
 	}
 	defer re.Close()
 	checkRoundTrip(t, re, want)
-	_ = b
 }
 
 func TestFileMergeIntentRollsForwardOnReopen(t *testing.T) {
@@ -100,6 +100,7 @@ func TestFileMergeIntentRollsForwardOnReopen(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "containers", "000000.data")); err != nil {
 		t.Fatal(err)
 	}
+	kill(b)
 
 	re, err := OpenFile(dir, true)
 	if err != nil {
@@ -118,6 +119,7 @@ func TestFileMergeIntentRollsForwardOnReopen(t *testing.T) {
 	if err := re.Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	kill(re)
 	re2, err := OpenFile(dir, true)
 	if err != nil {
 		t.Fatalf("reopen after checkpoint: %v", err)

@@ -27,7 +27,8 @@ import (
 type File struct {
 	mu     sync.Mutex
 	dir    string
-	table  // storesData is fixed by the log's header
+	lock   *os.File // holds the flock on dir's lockName until Close
+	table           // storesData is fixed by the log's header
 	log    *RecordLog
 	closed bool
 
@@ -56,11 +57,18 @@ type sealCohort struct {
 const (
 	containerDir = "containers"
 	quarDir      = "quarantine"
+	lockName     = "LOCK"
 )
+
+// errLocked is what flock returns when another open File holds the lock.
+var errLocked = errors.New("locked")
 
 // OpenFile opens (or initialises) a directory-backed store rooted at dir.
 // When the directory already holds a container log, its storesData setting
 // wins over the argument — the physical store's nature is fixed at creation.
+// The File holds an exclusive lock on dir until Close: while it is open, a
+// second OpenFile of dir, in this process or another, is refused before it
+// replays or sweeps anything.
 func OpenFile(dir string, storesData bool) (*File, error) {
 	if err := refuseOldLayout(dir); err != nil {
 		return nil, err
@@ -70,15 +78,27 @@ func OpenFile(dir string, storesData bool) (*File, error) {
 			return nil, err
 		}
 	}
+	lock, err := os.OpenFile(filepath.Join(dir, lockName), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := flock(lock); err != nil {
+		lock.Close() //nolint:errcheck // surfacing the lock error
+		if errors.Is(err, errLocked) {
+			return nil, fmt.Errorf("file backend: %s is already open (another process, or another store in this one, holds %s)", dir, lockName)
+		}
+		return nil, err
+	}
 	var t *table
 	log, err := OpenRecordLog(filepath.Join(dir, logName), func(img []byte) (valid int64, err error) {
 		t, valid, err = replayTable(img)
 		return valid, err
 	})
 	if err != nil {
+		lock.Close() //nolint:errcheck // surfacing the replay error
 		return nil, fmt.Errorf("file backend: %w", err)
 	}
-	f := &File{dir: dir, table: *t, log: log, staged: make(map[uint32]*stagedSection)}
+	f := &File{dir: dir, lock: lock, table: *t, log: log, staged: make(map[uint32]*stagedSection)}
 	f.quiet = sync.NewCond(&f.mu)
 	err = f.sweep()
 	if err == nil && !t.headed {
@@ -86,7 +106,8 @@ func OpenFile(dir string, storesData bool) (*File, error) {
 		err = log.Append(appendHeader(nil, storesData))
 	}
 	if err != nil {
-		log.Close() //nolint:errcheck // surfacing the sweep or header error
+		log.Close()  //nolint:errcheck // surfacing the sweep or header error
+		lock.Close() //nolint:errcheck // likewise
 		return nil, err
 	}
 	return f, nil
@@ -461,6 +482,7 @@ func (f *File) Close() error {
 		st.tmp.abort()
 		delete(f.staged, id)
 	}
+	f.lock.Close() //nolint:errcheck // closing drops the flock; nothing was written
 	return err
 }
 

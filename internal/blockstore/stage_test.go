@@ -239,7 +239,7 @@ func TestUnstageAndCloseLeaveNothingOpen(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if left := tempFiles(t, dir); len(left) != 0 || openFDs(t) != fds-1 { // the log's went too
+	if left := tempFiles(t, dir); len(left) != 0 || openFDs(t) != fds-2 { // the log's and the lock's went too
 		t.Fatalf("after Close: temp files %v, %d descriptors against %d before staging", left, openFDs(t), fds)
 	}
 	f.Stage(4, 0, data) // a straggler after Close stages nothing
@@ -322,5 +322,49 @@ func TestWriteFileAtomicInPieces(t *testing.T) {
 	}
 	if left := tempFiles(t, dir); len(left) != 0 {
 		t.Fatalf("temp files left: %v", left)
+	}
+}
+
+// TestFileOpenIsExclusive: a second OpenFile of a directory an open File
+// holds is refused by name, and sweeps nothing on its way out — the first
+// store's staged sections are still there for it to seal. Once the first is
+// closed, the directory opens again.
+func TestFileOpenIsExclusive(t *testing.T) {
+	dir := t.TempDir()
+	f, err := OpenFile(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, data := bigInfo(0, 200_000, 3)
+	stagePieces(f, 0, data, len(data)/2, 64<<10)
+	if got := len(tempFiles(t, dir)); got != 1 {
+		t.Fatalf("one container staged: %d temp files", got)
+	}
+
+	g, err := OpenFile(dir, true)
+	if err == nil {
+		g.Close()
+		t.Fatal("a second OpenFile of an open store directory succeeded")
+	}
+	if !strings.Contains(err.Error(), dir) {
+		t.Fatalf("refusal %q does not name the directory", err)
+	}
+	if got := len(tempFiles(t, dir)); got != 1 {
+		t.Fatalf("the refused open left %d of the first store's staged sections, want 1", got)
+	}
+	if err := f.Seal(context.Background(), info, data); err != nil {
+		t.Fatalf("seal over the staged section after the refused open: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	g, err = OpenFile(dir, true)
+	if err != nil {
+		t.Fatalf("reopen after Close: %v", err)
+	}
+	defer g.Close()
+	if got, err := g.ReadData(context.Background(), 0); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("the container sealed over its staged section does not read back (%v)", err)
 	}
 }

@@ -69,7 +69,7 @@ func TestAsyncSealReadBarrier(t *testing.T) {
 
 	got := make(chan error, 1)
 	go func() {
-		buf, err := s.ReadChunk(context.Background(), loc)
+		buf, err := readChunk(context.Background(), s, loc)
 		if err == nil && !bytes.Equal(buf, data) {
 			err = errors.New("read tore the chunk")
 		}
@@ -128,7 +128,7 @@ func TestAsyncSealBarrierCtxCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.ReadChunk(ctx, loc); !errors.Is(err, context.Canceled) {
+	if _, err := readChunk(ctx, s, loc); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -224,7 +224,7 @@ func TestConcurrentWritersFileBackend(t *testing.T) {
 	}
 	for st := range results {
 		for i, wr := range results[st] {
-			got, err := s.ReadChunk(context.Background(), wr.loc)
+			got, err := readChunk(context.Background(), s, wr.loc)
 			if err != nil {
 				t.Fatalf("stream %d chunk %d: %v", st, i, err)
 			}
@@ -257,7 +257,7 @@ func TestConcurrentWritersFileBackend(t *testing.T) {
 	}
 	for st := range results {
 		for i, wr := range results[st] {
-			got, err := s2.ReadChunk(context.Background(), wr.loc)
+			got, err := readChunk(context.Background(), s2, wr.loc)
 			if err != nil {
 				t.Fatalf("reopened stream %d chunk %d: %v", st, i, err)
 			}

@@ -447,11 +447,12 @@ func (s *Store) CopyTo(ctx context.Context, dst blockstore.Backend) error {
 		if !s.Sealed(id) {
 			continue
 		}
-		data, err := s.fetchData(ctx, id)
+		datas, release, err := s.Fetch(ctx, []uint32{id})
+		release()
 		if err != nil {
 			return err
 		}
-		if err := dst.Seal(ctx, toBackendInfo(*s.info(id)), data); err != nil {
+		if err := dst.Seal(ctx, toBackendInfo(*s.info(id)), datas[0]); err != nil {
 			return fmt.Errorf("container: copying %d: %w", id, err)
 		}
 	}
@@ -841,59 +842,6 @@ func (s *Store) DataFill(id uint32) int64 { return s.info(id).DataFill }
 // for container id is [DataStart, DataStart+DataFill).
 func (s *Store) DataStart(id uint32) int64 { return s.info(id).DataStart(s.cfg) }
 
-// fetchData pulls one container's data section, consulting the shared data
-// cache when one is attached (immediate release: the bytes stay valid, the
-// entry just becomes evictable right away).
-func (s *Store) fetchData(ctx context.Context, id uint32) ([]byte, error) {
-	c := s.DataCache()
-	if c == nil || !s.StoresData() {
-		return s.fetchDataDirect(ctx, id)
-	}
-	ctx = blockstore.WithLender(ctx, nil) // a cached section is shared: see fetchDataRangePinned
-	data, release, err := c.Acquire(ctx, id, func() ([]byte, error) { return s.fetchDataDirect(ctx, id) })
-	if release != nil {
-		release()
-	}
-	return data, err
-}
-
-// fetchDataDirect pulls one container's data section from the backend and
-// validates its length against the directory — a short section is a torn
-// write surfacing (blockstore.ErrCorrupt).
-func (s *Store) fetchDataDirect(ctx context.Context, id uint32) ([]byte, error) {
-	if err := s.awaitSeal(ctx, id); err != nil {
-		return nil, err
-	}
-	info := s.info(id)
-	t0 := time.Now()
-	data, err := s.be.ReadData(ctx, id)
-	stageContainerRead.Observe(t0)
-	if err != nil {
-		return nil, fmt.Errorf("container %d: %w", id, err)
-	}
-	if int64(len(data)) != info.DataFill {
-		return nil, blockstore.Corruptf("container %d torn: data section %d bytes, expected %d",
-			id, len(data), info.DataFill)
-	}
-	return data, nil
-}
-
-// PeekData returns the container's data section without charging any disk
-// time (checker/diagnostic use). Zero-filled on metadata-only backends.
-func (s *Store) PeekData(ctx context.Context, id uint32) ([]byte, error) {
-	return s.fetchData(ctx, id)
-}
-
-// ReadData reads the full data section of container id (the restore path's
-// unit of caching), charging one disk access. It returns the raw data bytes
-// when the backend stores data, else a zero slice of the correct length.
-func (s *Store) ReadData(ctx context.Context, id uint32) ([]byte, error) {
-	info := s.info(id)
-	s.dev.AccountRead(info.DataStart(s.cfg), info.DataFill)
-	telDataReads.Inc()
-	return s.fetchData(ctx, id)
-}
-
 // Adjacent reports whether container b's data section can be picked up by
 // extending a sequential read past container a's data section more cheaply
 // than paying a separate seek: b must sit at or after a's data end, and
@@ -931,105 +879,75 @@ func (s *Store) rangeSpan(ids []uint32) (off, n int64) {
 	return off, n
 }
 
-// RangeSpan returns the device offset and length of the sequential extent
-// covering the data sections of ids (exposed for the restore pipeline's
-// timing model and tests). ids must be pairwise Adjacent in order.
-func (s *Store) RangeSpan(ids []uint32) (off, n int64) { return s.rangeSpan(ids) }
-
-// fetchDataRange pulls several containers' data sections, consulting the
-// shared data cache when one is attached.
-func (s *Store) fetchDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
-	out, release, err := s.fetchDataRangePinned(ctx, ids)
-	if release != nil {
-		release()
-	}
-	return out, err
-}
-
-// fetchDataRangePinned is fetchDataRange under one combined cache pin: when
-// any container of the extent is missing, the whole extent is loaded with a
-// single backend range read (the same one physical operation the uncached
-// path issues), while containers another stream is already loading are
-// waited on rather than re-read.
+// Fetch returns the data sections of ids — one container, or a run that is
+// pairwise Adjacent in order — without charging disk time; callers charge it
+// through AccountDataRange (or use ReadDataRange). It is the one way a sealed
+// container's bytes are read: in-flight persists are awaited, a section
+// shorter than its directory fill is a torn write surfacing
+// (blockstore.ErrCorrupt), and with a shared data cache attached the fetch
+// goes through it, a run with any container missing costing one backend range
+// read. Zero-filled on metadata-only backends.
 //
-// This is where a reader's blockstore.Lender stops or passes: straight to the
-// backend the caller is the only holder of what comes back, so its lender
-// rides along; through the shared cache every stream sees the same section,
-// which therefore must not be anybody's reusable buffer.
-func (s *Store) fetchDataRangePinned(ctx context.Context, ids []uint32) ([][]byte, func(), error) {
-	c := s.DataCache()
-	if c == nil || !s.StoresData() {
-		out, err := s.fetchDataRangeDirect(ctx, ids)
-		return out, func() {}, err
-	}
-	ctx = blockstore.WithLender(ctx, nil)
-	return c.AcquireRange(ctx, ids, func() ([][]byte, error) { return s.fetchDataRangeDirect(ctx, ids) })
-}
-
-// fetchDataRangeDirect pulls several containers' data sections from the
-// backend with per-container length validation.
-func (s *Store) fetchDataRangeDirect(ctx context.Context, ids []uint32) ([][]byte, error) {
-	for _, id := range ids {
-		if err := s.awaitSeal(ctx, id); err != nil {
-			return nil, err
-		}
-	}
-	t0 := time.Now()
-	out, err := s.be.ReadDataRange(ctx, ids)
-	stageContainerRead.Observe(t0)
-	if err != nil {
-		return nil, err
-	}
-	if len(out) != len(ids) {
-		return nil, fmt.Errorf("container: backend returned %d sections for %d containers", len(out), len(ids))
-	}
-	for i, id := range ids {
-		if want := s.info(id).DataFill; int64(len(out[i])) != want {
-			return nil, blockstore.Corruptf("container %d torn: data section %d bytes, expected %d",
-				id, len(out[i]), want)
-		}
-	}
-	return out, nil
-}
-
-// ReadDataRange reads the data sections of the given on-disk-adjacent
-// containers as one sequential extent — one seek plus a single combined
-// transfer — and returns each container's data section in order. A single
-// id degenerates to exactly ReadData. Simulated time is charged identically
-// whether the bytes come from the shared cache or the backend.
-func (s *Store) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
-	if len(ids) == 1 {
-		data, err := s.ReadData(ctx, ids[0])
-		if err != nil {
-			return nil, err
-		}
-		return [][]byte{data}, nil
-	}
-	s.AccountDataRange(ids, nil)
-	return s.fetchDataRange(ctx, ids)
-}
-
-// PeekDataRange materializes the same per-container data sections as
-// ReadDataRange without charging any disk time. The parallel restore
-// pipeline charges its extent reads deterministically through
-// AccountDataRange on per-lane clocks and fetches the bytes here.
-func (s *Store) PeekDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
-	out, release, err := s.PeekDataRangePinned(ctx, ids)
-	if release != nil {
-		release()
-	}
-	return out, err
-}
-
-// PeekDataRangePinned is PeekDataRange returning a pin on the shared data
-// cache: the fetched containers stay unevictable until the caller invokes
-// release (never nil on success), so the extent a restore has fetched ahead
-// of use cannot be torn out by concurrent streams.
-func (s *Store) PeekDataRangePinned(ctx context.Context, ids []uint32) ([][]byte, func(), error) {
+// The fetched containers stay pinned in the cache until the caller invokes
+// release (never nil), so an extent a restore fetched ahead of use cannot be
+// torn out by concurrent streams; the slices stay valid after it. A reader's
+// blockstore.Lender passes to the backend only when there is no cache: through
+// it every stream sees the same section, which therefore must not be anybody's
+// reusable buffer.
+func (s *Store) Fetch(ctx context.Context, ids []uint32) ([][]byte, func(), error) {
 	if len(ids) > 1 {
 		s.rangeSpan(ids) // assert adjacency exactly like the charged path
 	}
-	return s.fetchDataRangePinned(ctx, ids)
+	noop := func() {}
+	for _, id := range ids {
+		if err := s.awaitSeal(ctx, id); err != nil {
+			return nil, noop, err
+		}
+	}
+	c := s.DataCache()
+	cached := c != nil && s.StoresData()
+	if cached {
+		ctx = blockstore.WithLender(ctx, nil)
+	}
+	read := func() ([][]byte, error) {
+		t0 := time.Now()
+		out, err := s.be.ReadDataRange(ctx, ids)
+		stageContainerRead.Observe(t0)
+		if err != nil {
+			return nil, err
+		}
+		if len(out) != len(ids) {
+			return nil, fmt.Errorf("container: backend returned %d sections for %d containers", len(out), len(ids))
+		}
+		for i, id := range ids {
+			if want := s.info(id).DataFill; int64(len(out[i])) != want {
+				return nil, blockstore.Corruptf("container %d torn: data section %d bytes, expected %d",
+					id, len(out[i]), want)
+			}
+		}
+		return out, nil
+	}
+	if !cached {
+		out, err := read()
+		return out, noop, err
+	}
+	out, release, err := c.AcquireRange(ctx, ids, read)
+	if err != nil {
+		return nil, noop, err
+	}
+	return out, release, nil
+}
+
+// ReadDataRange reads the data sections of the given on-disk-adjacent
+// containers (or of one container) as one sequential extent — one seek plus
+// a single combined transfer charged to the store's clock — and returns each
+// container's data section in order. Simulated time is charged identically
+// whether the bytes come from the shared cache or the backend.
+func (s *Store) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
+	s.AccountDataRange(ids, nil)
+	out, release, err := s.Fetch(ctx, ids)
+	release()
+	return out, err
 }
 
 // AccountDataRange charges the sequential extent read of ids to clk's view
@@ -1045,19 +963,8 @@ func (s *Store) AccountDataRange(ids []uint32, clk *disk.Clock) {
 	}
 }
 
-// ReadChunk reads one chunk at loc, charging one disk access of the chunk's
-// size. Used by chunk-at-a-time restore (the un-cached baseline).
-func (s *Store) ReadChunk(ctx context.Context, loc chunk.Location) ([]byte, error) {
-	s.dev.AccountRead(loc.Offset, int64(loc.Size))
-	data, err := s.fetchData(ctx, loc.Container)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), s.Extract(data, loc)...), nil
-}
-
-// Extract returns chunk data for loc out of a data-section buffer obtained
-// from ReadData of loc.Container.
+// Extract returns chunk data for loc out of loc.Container's data section as
+// Fetch or ReadDataRange returned it.
 func (s *Store) Extract(data []byte, loc chunk.Location) []byte {
 	info := s.info(loc.Container)
 	rel := loc.Offset - info.DataStart(s.cfg)

@@ -40,7 +40,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	data := []byte("some chunk content")
 	loc := mustWrite(s, chunk.New(data), 1)
 	s.Flush(context.Background())
-	got, err := s.ReadChunk(context.Background(), loc)
+	got, err := readChunk(context.Background(), s, loc)
 	if err != nil {
 		t.Fatalf("ReadChunk: %v", err)
 	}
@@ -96,7 +96,7 @@ func TestLocationsMatchFlushedLayout(t *testing.T) {
 	}
 	s.Flush(context.Background())
 	for i, loc := range locs {
-		got, err := s.ReadChunk(context.Background(), loc)
+		got, err := readChunk(context.Background(), s, loc)
 		if err != nil {
 			t.Fatalf("chunk %d: %v", i, err)
 		}
@@ -143,7 +143,7 @@ func TestReadDataAndExtract(t *testing.T) {
 	l1 := mustWrite(s, chunk.New(d1), 0)
 	l2 := mustWrite(s, chunk.New(d2), 0)
 	s.Flush(context.Background())
-	data := mustReadData(s, l1.Container)
+	data := mustReadDataRange(s, []uint32{l1.Container})[0]
 	if int64(len(data)) != int64(len(d1)+len(d2)) {
 		t.Fatalf("data section length = %d", len(data))
 	}
@@ -156,7 +156,7 @@ func TestExtractOutOfRangePanics(t *testing.T) {
 	s, _ := newTestStore(t, true, smallConfig())
 	l := mustWrite(s, chunk.New([]byte("abc")), 0)
 	s.Flush(context.Background())
-	data := mustReadData(s, l.Container)
+	data := mustReadDataRange(s, []uint32{l.Container})[0]
 	bad := l
 	bad.Offset += 1000
 	defer func() {
@@ -302,7 +302,7 @@ func TestDataIntegrityProperty(t *testing.T) {
 	}
 	s.Flush(context.Background())
 	for k, w := range all {
-		got, err := s.ReadChunk(context.Background(), w.loc)
+		got, err := readChunk(context.Background(), s, w.loc)
 		if err != nil {
 			t.Fatalf("ReadChunk: %v", err)
 		}
@@ -379,16 +379,15 @@ func TestRangeSpanAndReadDataRange(t *testing.T) {
 	ids := fillContainers(t, s, 3)
 	pair := ids[:2]
 
-	off, n := s.RangeSpan(pair)
-	if off <= 0 || n <= 0 {
-		t.Fatalf("span = (%d, %d)", off, n)
-	}
-
 	before := s.Device().Stats()
 	got := mustReadDataRange(s, pair)
 	after := s.Device().Stats()
 	if after.Reads != before.Reads+1 || after.Seeks > before.Seeks+1 {
 		t.Fatalf("coalesced read must be one device access: %v -> %v", before, after)
+	}
+	// The span runs from the first data section's start to the last one's end.
+	if span := s.DataStart(pair[1]) + s.DataFill(pair[1]) - s.DataStart(pair[0]); after.BytesRead-before.BytesRead != span {
+		t.Fatalf("charged %d bytes, want the span %d", after.BytesRead-before.BytesRead, span)
 	}
 	if len(got) != 2 {
 		t.Fatalf("want 2 data sections, got %d", len(got))
@@ -400,22 +399,29 @@ func TestRangeSpanAndReadDataRange(t *testing.T) {
 	}
 }
 
+// TestReadDataRangeSingleDelegates: one id charges exactly its own data
+// section, one access, as a whole-section read always did.
 func TestReadDataRangeSingleDelegates(t *testing.T) {
 	s1, clk1 := newTestStore(t, true, smallConfig())
 	s2, clk2 := newTestStore(t, true, smallConfig())
 	ids1 := fillContainers(t, s1, 2)
 	ids2 := fillContainers(t, s2, 2)
 
-	a := mustReadData(s1, ids1[0])
+	before := s1.Device().Stats()
+	s1.Device().AccountRead(s1.DataStart(ids1[0]), s1.DataFill(ids1[0]))
+	a := mustPeekData(s1, ids1[0])
 	b := mustReadDataRange(s2, []uint32{ids2[0]})[0]
 	if !bytes.Equal(a, b) {
-		t.Fatal("single-id ranged read must equal ReadData")
+		t.Fatal("single-id ranged read must equal the data section")
 	}
 	if clk1.Now() != clk2.Now() {
 		t.Fatalf("single-id ranged read must charge identically: %v vs %v", clk1.Now(), clk2.Now())
 	}
 	if s1.Device().Stats() != s2.Device().Stats() {
 		t.Fatal("single-id ranged read must account identically")
+	}
+	if after := s1.Device().Stats(); after.Reads != before.Reads+1 {
+		t.Fatalf("one section must be one access: %v -> %v", before, after)
 	}
 }
 
@@ -427,16 +433,17 @@ func TestAccountAndPeekDataRangeMatchReadDataRange(t *testing.T) {
 
 	datas := mustReadDataRange(s1, ids1)
 	s2.AccountDataRange(ids2, nil)
-	peeked, err := s2.PeekDataRange(context.Background(), ids2)
+	fetched, release, err := s2.Fetch(context.Background(), ids2)
+	release()
 	if err != nil {
-		t.Fatalf("PeekDataRange: %v", err)
+		t.Fatalf("Fetch: %v", err)
 	}
 	if clk1.Now() != clk2.Now() {
-		t.Fatalf("Account+Peek must charge like ReadDataRange: %v vs %v", clk1.Now(), clk2.Now())
+		t.Fatalf("Account+Fetch must charge like ReadDataRange: %v vs %v", clk1.Now(), clk2.Now())
 	}
 	for i := range datas {
-		if !bytes.Equal(datas[i], peeked[i]) {
-			t.Fatalf("container %d bytes differ between read and peek paths", ids1[i])
+		if !bytes.Equal(datas[i], fetched[i]) {
+			t.Fatalf("container %d bytes differ between read and fetch paths", ids1[i])
 		}
 	}
 }
@@ -444,12 +451,19 @@ func TestAccountAndPeekDataRangeMatchReadDataRange(t *testing.T) {
 func TestRangeSpanRejectsNonAdjacent(t *testing.T) {
 	s := adjacencyStore(t)
 	ids := fillContainers(t, s, 3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-adjacent range must panic")
-		}
-	}()
-	s.RangeSpan([]uint32{ids[0], ids[2]})
+	for name, read := range map[string]func([]uint32){
+		"AccountDataRange": func(ids []uint32) { s.AccountDataRange(ids, nil) },
+		"Fetch":            func(ids []uint32) { s.Fetch(context.Background(), ids) }, //nolint:errcheck // must panic
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: non-adjacent range must panic", name)
+				}
+			}()
+			read([]uint32{ids[0], ids[2]})
+		}()
+	}
 }
 
 // mustWrite appends c through the store frontier; the in-memory backends
@@ -462,22 +476,15 @@ func mustWrite(s *Store, c chunk.Chunk, seg uint64) chunk.Location {
 	return loc
 }
 
-// mustReadData, mustPeekData and mustReadDataRange mirror mustWrite: the
+// mustPeekData and mustReadDataRange mirror mustWrite: the
 // in-memory backends cannot fail, so errors are test bugs.
-func mustReadData(s *Store, id uint32) []byte {
-	data, err := s.ReadData(context.Background(), id)
-	if err != nil {
-		panic(err)
-	}
-	return data
-}
-
 func mustPeekData(s *Store, id uint32) []byte {
-	data, err := s.PeekData(context.Background(), id)
+	datas, release, err := s.Fetch(context.Background(), []uint32{id})
+	release()
 	if err != nil {
 		panic(err)
 	}
-	return data
+	return datas[0]
 }
 
 func mustReadDataRange(s *Store, ids []uint32) [][]byte {
@@ -486,4 +493,14 @@ func mustReadDataRange(s *Store, ids []uint32) [][]byte {
 		panic(err)
 	}
 	return datas
+}
+
+// readChunk reads loc's container with a charged one-section read and copies
+// the chunk out of it.
+func readChunk(ctx context.Context, s *Store, loc chunk.Location) ([]byte, error) {
+	datas, err := s.ReadDataRange(ctx, []uint32{loc.Container})
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), s.Extract(datas[0], loc)...), nil
 }

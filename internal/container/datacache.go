@@ -49,10 +49,10 @@ var (
 //     it — the budget bounds retention, not concurrency.
 //
 // The cache holds bytes only. Simulated-clock charges (Eq. 1 seeks and
-// transfers) are accounted by Store.ReadData*/AccountDataRange before the
-// bytes are ever consulted, so attaching, resizing, or dropping a DataCache
-// never changes any simulated timing — pinned by
-// TestDataCacheDoesNotChangeSimulatedTime.
+// transfers) are made by Store.AccountDataRange, never by Store.Fetch, the
+// one path the bytes come through (ReadDataRange calls both), so attaching,
+// resizing, or dropping a DataCache never changes any simulated timing —
+// pinned by TestDataCacheDoesNotChangeSimulatedTime.
 type DataCache struct {
 	mu     sync.Mutex
 	budget int64
@@ -125,66 +125,15 @@ func (c *DataCache) Stats() DataCacheStats {
 	}
 }
 
-// Acquire returns container id's data section, loading it via load exactly
-// once across concurrent callers. The returned release must be called when
-// the bytes are no longer needed for prefetch-window pinning; the slice
-// itself stays valid after release (readers must treat it as immutable).
-// A load error is returned to every waiter and the entry is dropped, so the
+// AcquireRange returns the data sections of ids (one container, or an extent
+// the caller has validated as on-disk-adjacent) under one combined pin, which
+// release drops; the slices stay valid after it (readers must treat them as
+// immutable). Missing containers are loaded with a single load call covering
+// the whole extent — one backend range read, exactly as the uncached path —
+// while containers another stream is already loading are waited on, never
+// re-read: two streams racing over the same extent cost one physical read. A
+// load error is returned to every waiter and the entries are dropped, so the
 // next acquisition retries.
-func (c *DataCache) Acquire(ctx context.Context, id uint32, load func() ([]byte, error)) ([]byte, func(), error) {
-	c.mu.Lock()
-	if e, ok := c.live[id]; ok {
-		c.pinLocked(id, e)
-		c.mu.Unlock()
-		return c.await(ctx, id, e)
-	}
-	e := &dcEntry{ready: make(chan struct{}), refs: 1}
-	c.live[id] = e
-	c.misses++
-	telSharedMisses.Inc()
-	c.mu.Unlock()
-
-	// If load panics, fail the entry on the way out so waiters and future
-	// acquirers get an error instead of blocking forever on a channel the
-	// dead loader will never close; the panic itself still propagates.
-	loadReturned := false
-	defer func() {
-		if loadReturned {
-			return
-		}
-		c.mu.Lock()
-		e.err = errLoadPanic
-		e.gone = true
-		delete(c.live, id)
-		close(e.ready)
-		c.mu.Unlock()
-	}()
-	data, err := load()
-	loadReturned = true
-	c.mu.Lock()
-	if err != nil {
-		e.err = err
-		e.gone = true
-		delete(c.live, id)
-		close(e.ready)
-		c.mu.Unlock()
-		return nil, nil, err
-	}
-	e.data = data
-	c.bytes += int64(len(data))
-	close(e.ready)
-	c.evictLocked()
-	telSharedBytes.Set(float64(c.bytes))
-	c.mu.Unlock()
-	return data, func() { c.release(id, e) }, nil
-}
-
-// AcquireRange returns the data sections of ids (which the caller has
-// validated as one on-disk-adjacent extent) under one combined pin. Missing
-// containers are loaded with a single load call covering the whole extent —
-// one backend range read, exactly as the uncached path — while containers
-// another stream is already loading are waited on, never re-read: two
-// streams racing over the same extent cost one physical read.
 func (c *DataCache) AcquireRange(ctx context.Context, ids []uint32, load func() ([][]byte, error)) ([][]byte, func(), error) {
 	type slot struct {
 		e     *dcEntry
@@ -218,9 +167,9 @@ func (c *DataCache) AcquireRange(ctx context.Context, ids []uint32, load func() 
 		return nil, nil, err
 	}
 
-	// As in Acquire: a panicking load must not leave the owned entries
-	// forever un-ready — fail and drop them during unwinding, then let the
-	// panic propagate.
+	// A panicking load must not leave the owned entries forever un-ready —
+	// fail and drop them during unwinding (waiters and future acquirers get
+	// errLoadPanic), then let the panic propagate.
 	loadReturned := nOwned == 0
 	defer func() {
 		if loadReturned {
@@ -311,28 +260,6 @@ func (c *DataCache) pinLocked(id uint32, e *dcEntry) {
 		c.waits++
 		telSharedWaits.Inc()
 	}
-}
-
-// await blocks until a pinned entry's load completes, surfacing load errors
-// and honouring ctx cancellation. Readiness is checked first so an already
-// loaded entry is delivered even when ctx is also done — a two-way select
-// picks randomly between ready cases and would fail spuriously.
-func (c *DataCache) await(ctx context.Context, id uint32, e *dcEntry) ([]byte, func(), error) {
-	select {
-	case <-e.ready:
-	default:
-		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			c.release(id, e)
-			return nil, nil, ctx.Err()
-		}
-	}
-	if e.err != nil {
-		c.release(id, e)
-		return nil, nil, e.err
-	}
-	return e.data, func() { c.release(id, e) }, nil
 }
 
 // Invalidate discards container id's residency, if any. A pinned entry is

@@ -15,6 +15,18 @@ import (
 	"repro/internal/disk"
 )
 
+// acquire is a one-element AcquireRange: one container, loaded by load.
+func acquire(ctx context.Context, c *DataCache, id uint32, load func() ([]byte, error)) ([]byte, func(), error) {
+	out, release, err := c.AcquireRange(ctx, []uint32{id}, func() ([][]byte, error) {
+		data, err := load()
+		return [][]byte{data}, err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return out[0], release, nil
+}
+
 func TestDataCacheSingleFlight(t *testing.T) {
 	c := NewDataCache(1 << 20)
 	var loads atomic.Int64
@@ -26,7 +38,7 @@ func TestDataCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			data, release, err := c.Acquire(context.Background(), 7, func() ([]byte, error) {
+			data, release, err := acquire(context.Background(), c, 7, func() ([]byte, error) {
 				loads.Add(1)
 				<-gate // hold every other caller in the single-flight wait
 				return []byte("container-seven"), nil
@@ -61,7 +73,7 @@ func TestDataCacheBudgetEviction(t *testing.T) {
 		return func() ([]byte, error) { return bytes.Repeat([]byte{n}, 100), nil }
 	}
 	for id := uint32(0); id < 3; id++ {
-		_, release, err := c.Acquire(context.Background(), id, load(byte(id)))
+		_, release, err := acquire(context.Background(), c, id, load(byte(id)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +91,7 @@ func TestDataCacheBudgetEviction(t *testing.T) {
 	}{{1, false}, {2, false}, {0, true}} {
 		id, wantMiss := tc.id, tc.wantMiss
 		before := c.Stats().Misses
-		_, release, err := c.Acquire(context.Background(), id, load(byte(id)))
+		_, release, err := acquire(context.Background(), c, id, load(byte(id)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,14 +104,14 @@ func TestDataCacheBudgetEviction(t *testing.T) {
 
 func TestDataCachePinnedEntriesSurviveBudget(t *testing.T) {
 	c := NewDataCache(150)
-	data0, release0, err := c.Acquire(context.Background(), 0,
+	data0, release0, err := acquire(context.Background(), c, 0,
 		func() ([]byte, error) { return bytes.Repeat([]byte{0xa}, 100), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A second 100-byte load blows the budget, but container 0 is pinned:
 	// bytes transiently exceed the budget instead of tearing out 0.
-	_, release1, err := c.Acquire(context.Background(), 1,
+	_, release1, err := acquire(context.Background(), c, 1,
 		func() ([]byte, error) { return bytes.Repeat([]byte{0xb}, 100), nil })
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +124,7 @@ func TestDataCachePinnedEntriesSurviveBudget(t *testing.T) {
 		t.Fatal("pinned bytes mutated")
 	}
 	hitsBefore := c.Stats().Hits
-	if _, rel, err := c.Acquire(context.Background(), 0, func() ([]byte, error) {
+	if _, rel, err := acquire(context.Background(), c, 0, func() ([]byte, error) {
 		return nil, errors.New("must not reload a pinned entry")
 	}); err != nil {
 		t.Fatal(err)
@@ -128,12 +140,12 @@ func TestDataCachePinnedEntriesSurviveBudget(t *testing.T) {
 func TestDataCacheLoadErrorRetries(t *testing.T) {
 	c := NewDataCache(1 << 20)
 	boom := errors.New("backend down")
-	if _, _, err := c.Acquire(context.Background(), 3,
+	if _, _, err := acquire(context.Background(), c, 3,
 		func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 	// The failed entry must not poison the cache: the next acquire reloads.
-	data, release, err := c.Acquire(context.Background(), 3,
+	data, release, err := acquire(context.Background(), c, 3,
 		func() ([]byte, error) { return []byte("recovered"), nil })
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +167,7 @@ func TestDataCacheLoadPanicDoesNotWedge(t *testing.T) {
 	panicked := make(chan any, 1)
 	go func() {
 		defer func() { panicked <- recover() }()
-		c.Acquire(context.Background(), 9, func() ([]byte, error) {
+		acquire(context.Background(), c, 9, func() ([]byte, error) {
 			close(inLoad)
 			<-proceed
 			panic("loader exploded")
@@ -166,7 +178,7 @@ func TestDataCacheLoadPanicDoesNotWedge(t *testing.T) {
 	// stranded.
 	waiter := make(chan error, 1)
 	go func() {
-		_, _, err := c.Acquire(context.Background(), 9, func() ([]byte, error) {
+		_, _, err := acquire(context.Background(), c, 9, func() ([]byte, error) {
 			return nil, errors.New("single-flight violated: second load ran during first")
 		})
 		waiter <- err
@@ -182,7 +194,7 @@ func TestDataCacheLoadPanicDoesNotWedge(t *testing.T) {
 		t.Fatalf("waiter err = %v, want errLoadPanic", err)
 	}
 	// The failed entry must not poison the id: a fresh acquisition reloads.
-	data, release, err := c.Acquire(context.Background(), 9,
+	data, release, err := acquire(context.Background(), c, 9,
 		func() ([]byte, error) { return []byte("recovered"), nil })
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +240,7 @@ func TestDataCacheReadyBeatsCancelledContext(t *testing.T) {
 	c := NewDataCache(1 << 20)
 	for id, content := range map[uint32]string{5: "five", 6: "six", 7: "seven"} {
 		content := content
-		_, release, err := c.Acquire(context.Background(), id,
+		_, release, err := acquire(context.Background(), c, id,
 			func() ([]byte, error) { return []byte(content), nil })
 		if err != nil {
 			t.Fatal(err)
@@ -240,7 +252,7 @@ func TestDataCacheReadyBeatsCancelledContext(t *testing.T) {
 	// Many iterations so a regression to the random two-way select cannot
 	// sneak through by luck.
 	for i := 0; i < 100; i++ {
-		data, release, err := c.Acquire(ctx, 5, func() ([]byte, error) {
+		data, release, err := acquire(ctx, c, 5, func() ([]byte, error) {
 			return nil, errors.New("must not reload a resident entry")
 		})
 		if err != nil {
@@ -329,11 +341,12 @@ func TestStoreSharedCacheSingleBackendRead(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, loc := range locs {
-				data, err := s.ReadData(ctx, loc.Container)
+				datas, err := s.ReadDataRange(ctx, []uint32{loc.Container})
 				if err != nil {
 					t.Error(err)
 					return
 				}
+				data := datas[0]
 				want := []byte(fmt.Sprintf("chunk-%02d-padding-to-force-seal-%02d", i, i))
 				if !bytes.Equal(s.Extract(data, loc), want) {
 					t.Errorf("container %d: wrong bytes", loc.Container)
@@ -373,7 +386,7 @@ func TestDataCacheDoesNotChangeSimulatedTime(t *testing.T) {
 		s.SetDataCache(budget)
 		ctx := context.Background()
 		for _, id := range []uint32{0, 1, 2, 1, 0, 5, 4, 4, 3, 0} {
-			if _, err := s.ReadData(ctx, id); err != nil {
+			if _, err := s.ReadDataRange(ctx, []uint32{id}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -427,7 +440,7 @@ func TestLenderStopsAtTheSharedCache(t *testing.T) {
 		}
 		return buf, []blockstore.Range{{Off: 6, Len: 2}}
 	})
-	datas, release, err := s.PeekDataRangePinned(ctx, ids[:1])
+	datas, release, err := s.Fetch(ctx, ids[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,19 +454,19 @@ func TestLenderStopsAtTheSharedCache(t *testing.T) {
 
 	s.SetDataCache(1 << 20)
 	asked = 0
-	datas, release, err = s.PeekDataRangePinned(ctx, ids[:2])
+	datas, release, err = s.Fetch(ctx, ids[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
 	release()
-	one, err := s.ReadData(ctx, ids[2])
+	one, err := s.ReadDataRange(ctx, ids[2:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if asked != 0 {
 		t.Fatalf("fetches through the shared cache asked the lender %d times", asked)
 	}
-	for i, d := range append(datas, one) {
+	for i, d := range append(datas, one...) {
 		if &d[0] == &buf[0] {
 			t.Fatal("a section in the shared cache sits in a reader's lent buffer")
 		}

@@ -143,7 +143,7 @@ func TestWriterStagesFillToTheFile(t *testing.T) {
 			check := func(s *Store, which string) {
 				t.Helper()
 				for i, loc := range locs {
-					got, err := s.ReadChunk(ctx, loc)
+					got, err := readChunk(ctx, s, loc)
 					if err != nil || !bytes.Equal(got, chunks[i].Data) {
 						t.Fatalf("%s: chunk %d reads back differently (%v)", which, i, err)
 					}

@@ -17,8 +17,8 @@
 //     recorded length (torn writes surface here as blockstore.ErrCorrupt).
 //
 // All reads go through the shadow metadata (PeekMeta) and uncharged data
-// fetches (PeekData): fsck is measurement apparatus and charges no simulated
-// time.
+// fetches (container.Store.Fetch): fsck is measurement apparatus and charges
+// no simulated time.
 //
 // Repair is the destructive companion: containers that fail invariants are
 // quarantined out of the store (the durable file backend moves their files
@@ -172,10 +172,11 @@ func Check(ctx context.Context, store *container.Store, index *cindex.Index, rec
 			if verifyData {
 				if ref.Loc.Container != lastContainer {
 					lastContainer = ref.Loc.Container
-					var err error
-					data, err = store.PeekData(ctx, ref.Loc.Container)
-					dataOK = err == nil
-					if err != nil {
+					datas, release, err := store.Fetch(ctx, []uint32{ref.Loc.Container})
+					release()
+					if dataOK = err == nil; dataOK {
+						data = datas[0]
+					} else {
 						rep.addf("container %d: data section unreadable: %v", ref.Loc.Container, err)
 					}
 				}
@@ -259,11 +260,13 @@ func Repair(ctx context.Context, store *container.Store, drop IndexDropper, reci
 		if _, bad := res.Reasons[cid]; bad || !verifyData {
 			continue
 		}
-		data, err := store.PeekData(ctx, cid)
+		datas, release, err := store.Fetch(ctx, []uint32{cid})
+		release()
 		if err != nil {
 			condemn(cid, fmt.Sprintf("data section unreadable: %v", err))
 			continue
 		}
+		data := datas[0]
 		for i, m := range metas {
 			loc := chunk.Location{Container: cid, Segment: m.Segment, Offset: m.Offset, Size: m.Size}
 			if chunk.Of(store.Extract(data, loc)) != m.FP {

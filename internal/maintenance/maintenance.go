@@ -563,12 +563,13 @@ func (p *Pass) merge(ctx context.Context, lane *disk.Clock, util, sparse float64
 		}
 		buf, ok := data[it.id]
 		if !ok {
-			var err error
-			buf, err = cs.PeekData(ctx, it.id)
+			bufs, release, err := cs.Fetch(ctx, []uint32{it.id})
+			release()
 			if err != nil {
 				return 0, fmt.Errorf("maintenance: reading victim container %d: %w", it.id, err)
 			}
 			cs.AccountDataRange([]uint32{it.id}, lane)
+			buf = bufs[0]
 			data[it.id] = buf
 		}
 		var c chunk.Chunk

@@ -197,7 +197,7 @@ func TestReverseRemapMovesOldGenerationsForward(t *testing.T) {
 	}{{"gen0", [][]byte{dataA}}, {"gen1", [][]byte{dataA, bytes.Repeat([]byte{2}, 900)}}} {
 		r := rs.byLabel(want.label)
 		for i := range r.Refs {
-			b, err := s.ReadChunk(context.Background(), r.Refs[i].Loc)
+			b, err := readChunk(s, r.Refs[i].Loc)
 			if err != nil {
 				t.Fatalf("%s ref %d: %v", want.label, i, err)
 			}
@@ -243,7 +243,7 @@ func TestMergeConsolidatesLiveChunksAndDrops(t *testing.T) {
 	if newLoc.Container == locY.Container {
 		t.Fatal("recipe still references the victim")
 	}
-	if got, err := s.ReadChunk(context.Background(), newLoc); err != nil || !bytes.Equal(got, dataY) {
+	if got, err := readChunk(s, newLoc); err != nil || !bytes.Equal(got, dataY) {
 		t.Fatalf("moved chunk unreadable: %v", err)
 	}
 	// The index must agree with the recipe.
@@ -288,7 +288,7 @@ func TestGateRevalidateRemapsRacedPins(t *testing.T) {
 	if loc.Container == locY.Container {
 		t.Fatal("raced recipe still points at the dropped victim")
 	}
-	if got, err := s.ReadChunk(context.Background(), loc); err != nil || !bytes.Equal(got, dataY) {
+	if got, err := readChunk(s, loc); err != nil || !bytes.Equal(got, dataY) {
 		t.Fatalf("raced recipe unreadable after commit: %v", err)
 	}
 }
@@ -326,12 +326,12 @@ func TestGateRevalidateSkipsRepinnedVictim(t *testing.T) {
 	if !s.Sealed(locX.Container) {
 		t.Fatal("skipped victim was dropped anyway")
 	}
-	if got, err := s.ReadChunk(context.Background(), locX); err != nil || !bytes.Equal(got, dataX) {
+	if got, err := readChunk(s, locX); err != nil || !bytes.Equal(got, dataX) {
 		t.Fatalf("repinned chunk unreadable: %v", err)
 	}
 	// The pinned-and-moved chunk Y is still fine through its new location.
 	loc := rs.byLabel("gen0").Refs[0].Loc
-	if got, err := s.ReadChunk(context.Background(), loc); err != nil || !bytes.Equal(got, dataY) {
+	if got, err := readChunk(s, loc); err != nil || !bytes.Equal(got, dataY) {
 		t.Fatalf("moved chunk unreadable: %v", err)
 	}
 }
@@ -380,7 +380,7 @@ func TestSparseLatestConsolidation(t *testing.T) {
 		}
 	}
 	for i, r := range rs.byLabel("gen0").Refs {
-		got, err := s.ReadChunk(context.Background(), r.Loc)
+		got, err := readChunk(s, r.Loc)
 		if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{byte(i + 1)}, 500)) {
 			t.Fatalf("gen0 chunk %d corrupted after consolidation: %v", i, err)
 		}
@@ -388,6 +388,15 @@ func TestSparseLatestConsolidation(t *testing.T) {
 }
 
 // fill returns an n-byte chunk payload of one repeated byte.
+// readChunk copies loc's chunk out of a charged read of its container.
+func readChunk(s *container.Store, loc chunk.Location) ([]byte, error) {
+	datas, err := s.ReadDataRange(context.Background(), []uint32{loc.Container})
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), s.Extract(datas[0], loc)...), nil
+}
+
 func fill(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
 
 // readBack asserts every reference of the recipe labelled label reads back
@@ -399,7 +408,7 @@ func readBack(t *testing.T, s *container.Store, rs *fakeRecipes, label string, w
 		t.Fatalf("%s has %d refs, want %d", label, len(r.Refs), len(want))
 	}
 	for i := range r.Refs {
-		got, err := s.ReadChunk(context.Background(), r.Refs[i].Loc)
+		got, err := readChunk(s, r.Refs[i].Loc)
 		if err != nil || !bytes.Equal(got, want[i]) {
 			t.Fatalf("%s ref %d unreadable or corrupted after compaction: %v", label, i, err)
 		}
@@ -523,7 +532,7 @@ func TestCompactPolicy(t *testing.T) {
 				if !ok || loc.Container == 0 {
 					t.Fatalf("authoritative copy not repointed: %v", loc)
 				}
-				if got, err := s.ReadChunk(context.Background(), loc); err != nil || !bytes.Equal(got, fill(4, 900)) {
+				if got, err := readChunk(s, loc); err != nil || !bytes.Equal(got, fill(4, 900)) {
 					t.Fatalf("moved authoritative copy unreadable: %v", err)
 				}
 			}},

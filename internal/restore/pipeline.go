@@ -247,7 +247,7 @@ func sectionsInFlight(plan *restorePlan, recipe *chunk.Recipe, decodeWorkers int
 
 // fetchedExtent is what the fetcher hands the assembler for one extent: the
 // data sections of its containers and the shared-cache pin that holds them.
-// With err set there is no data and release may be nil.
+// With err set there is no data and release is a no-op.
 type fetchedExtent struct {
 	datas   [][]byte
 	release func()
@@ -280,14 +280,12 @@ func (as *assembly) run(ctx context.Context) error {
 				as.wants.Do(func() { as.plan.buildWants(as.store, as.refs) })
 				return as.sections.lend(n), as.plan.want(e, id)
 			})
-			datas, release, err := as.store.PeekDataRangePinned(fctx, e.ids)
+			datas, release, err := as.store.Fetch(fctx, e.ids)
 			as.sections.settle(datas)
 			select {
 			case fetched <- fetchedExtent{datas: datas, release: release, err: err}:
 			case <-stop:
-				if release != nil {
-					release()
-				}
+				release()
 				return
 			}
 			if err != nil {

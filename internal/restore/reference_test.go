@@ -66,10 +66,11 @@ func Run(ctx context.Context, store *container.Store, recipe *chunk.Recipe, cfg 
 		}
 		data, ok := cache.Get(ref.Loc.Container)
 		if !ok {
-			data, err = store.ReadData(ctx, ref.Loc.Container)
+			datas, err := store.ReadDataRange(ctx, []uint32{ref.Loc.Container})
 			if err != nil {
 				return stats, err
 			}
+			data = datas[0]
 			telContainerReads.Inc()
 			stats.ReadBytes += int64(len(data))
 			cache.Put(ref.Loc.Container, data)
@@ -162,10 +163,11 @@ func RunFAA(ctx context.Context, store *container.Store, recipe *chunk.Recipe, c
 			if !store.Sealed(cid) {
 				return stats, fmt.Errorf("restore: recipe references unsealed container %d", cid)
 			}
-			data, err := store.ReadData(ctx, cid)
+			datas, err := store.ReadDataRange(ctx, []uint32{cid})
 			if err != nil {
 				return stats, err
 			}
+			data := datas[0]
 			containerData[cid] = data
 			stats.ContainerReads++
 			stats.ReadBytes += int64(len(data))

@@ -352,10 +352,11 @@ func backupInfo(b *repro.Backup) BackupInfo {
 }
 
 // claim reserves lbl for one ingest, or reports false: a backup of that name is
-// committed or another upload of it is in flight. (The store keeps every backup
-// it is given and finds them by label, first match first: a second one would
-// never be restored.) A claim is given up only after its ingest has committed
-// or failed, so of concurrent uploads of one new label exactly one goes through.
+// committed or another upload of it is in flight. (The store itself refuses a
+// label it retains, ErrLabelRetained; but two concurrent uploads of a new label
+// would both be ingested in full before the second is refused at commit.) A
+// claim is given up only after its ingest has committed or failed, so of
+// concurrent uploads of one new label exactly one is ingested.
 func (s *Server) claim(lbl string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

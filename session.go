@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 
+	"repro/internal/chunk"
 	"repro/internal/disk"
 	"repro/internal/engine"
 	"repro/internal/telemetry"
@@ -28,7 +29,16 @@ import (
 // contract of Store.Backup). A label already retained is refused
 // (ErrLabelRetained), as by Backup.
 func (s *Store) IngestStream(ctx context.Context, label string, r io.Reader) (*Backup, error) {
-	ctx, span := telemetry.StartSpan(ctx, "store.ingest_stream")
+	return s.ingest(ctx, "store.ingest_stream", label, r, true)
+}
+
+// ingest is the one body of Backup and IngestStream: label check, the
+// foreground gate, the engine, commitBackup. With onLane and an engine that
+// has a concurrent ingest path the stream runs on a lane of its own; else on
+// the master clock, and engines without that path run one whole backup at a
+// time under ingestMu, whichever entry point they came in by.
+func (s *Store) ingest(ctx context.Context, spanName, label string, r io.Reader, onLane bool) (*Backup, error) {
+	ctx, span := telemetry.StartSpan(ctx, spanName)
 	defer span.End()
 	telBackups.Inc()
 	if s.FindBackup(label) != nil { // before any byte is ingested
@@ -37,29 +47,28 @@ func (s *Store) IngestStream(ctx context.Context, label string, r io.Reader) (*B
 	s.maintMu.RLock()
 	defer s.maintMu.RUnlock()
 
-	sb, ok := s.eng.(engine.StreamBackupper)
-	if !ok {
-		return s.ingestSerial(ctx, label, r)
+	var (
+		rec  *chunk.Recipe
+		st   engine.BackupStats
+		err  error
+		lane *disk.Clock
+	)
+	sb, concurrent := s.eng.(engine.StreamBackupper)
+	switch {
+	case concurrent && onLane:
+		lane = new(disk.Clock)
+		lane.Advance(s.eng.Clock().Now())
+		rec, st, err = sb.BackupStream(ctx, label, r, lane)
+	case concurrent:
+		rec, st, err = s.eng.Backup(ctx, label, r)
+	default:
+		s.ingestMu.Lock()
+		rec, st, err = s.eng.Backup(ctx, label, r)
+		s.ingestMu.Unlock()
 	}
-
-	var lane disk.Clock
-	lane.Advance(s.eng.Clock().Now())
-	rec, st, err := sb.BackupStream(ctx, label, r, &lane)
 	if err != nil {
 		return nil, err
 	}
 	span.SetSim(st.Duration)
-	return s.commitBackup(newBackup(label, fromEngineStats(st), rec), &lane)
-}
-
-// ingestSerial is the IngestStream fallback for engines whose ingest path
-// is single-threaded: whole backups run back-to-back under ingestMu.
-func (s *Store) ingestSerial(ctx context.Context, label string, r io.Reader) (*Backup, error) {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	rec, st, err := s.eng.Backup(ctx, label, r)
-	if err != nil {
-		return nil, err
-	}
-	return s.commitBackup(newBackup(label, fromEngineStats(st), rec), nil)
+	return s.commitBackup(newBackup(label, fromEngineStats(st), rec), lane)
 }
