@@ -263,14 +263,15 @@ func (o Options) withDefaults() Options {
 
 // Store is a deduplicating backup store over a simulated disk.
 //
-// The batch entry points (Backup, BackupStreams, …) are written for one
-// caller at a time, as the CLIs use them. The network service path instead
-// goes through IngestStream (see session.go), which is safe for concurrent
-// use, beside concurrent restores and one maintenance operation.
+// Every ingest entry point is safe beside every other, beside concurrent
+// restores and beside one maintenance operation. Backup and a serial
+// BackupStreams round take turns on the master clock; the network service
+// path goes through IngestStream (see session.go), whose lanes run side by
+// side.
 //
 // Locks. The order is maintOpMu → maintMu → mu; ingestMu is independent of
-// the maintenance locks (only ingests on engines without a concurrent-stream
-// path take it, under maintMu's read side and before mu).
+// the maintenance locks (master-clock ingests take it under maintMu's read
+// side and before mu).
 //
 //   - maintOpMu serializes whole maintenance operations — an epoch, a
 //     Compact, a Repair — against each other, and guards maintPass.
@@ -282,8 +283,9 @@ func (o Options) withDefaults() Options {
 //   - mu guards the retained-backup bookkeeping (backups, logical, closed),
 //     every append to the catalog log, and the cumulative maintenance
 //     counters.
-//   - ingestMu serializes whole-engine ingests for engines without a
-//     concurrent-stream path.
+//   - ingestMu serializes the ingests that run on the engine's master clock
+//     through the store's one serial container writer: Backup, a serial
+//     BackupStreams round, and IngestStream on an engine without lanes.
 type Store struct {
 	opts   Options
 	eng    engine.Engine
@@ -433,7 +435,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	if opts.TrackEfficiency {
 		s.oracle = cindex.NewOracle()
-		s.eng.(interface{ SetOracle(*cindex.Oracle) }).SetOracle(s.oracle)
+		s.eng.SetOracle(s.oracle)
 	}
 	s.eng.Containers().StageTo(raw)
 	if err := s.adoptExisting(context.Background()); err != nil {
@@ -592,6 +594,12 @@ func (s *Store) checkpointAfter(op string) {
 // backup's catalog record is durable before Backup returns; if it cannot be
 // made so, the backup is not retained and the error says why. A label that a
 // retained backup already has is refused (ErrLabelRetained).
+//
+// Backup is safe for concurrent use, beside every other ingest, restores and
+// maintenance. It runs on the engine's master clock through the store's one
+// serial container writer, so master-clock ingests (Backup, a serial
+// BackupStreams round, IngestStream on an engine without lanes) take turns,
+// one whole backup at a time; IngestStream lanes run beside them.
 func (s *Store) Backup(ctx context.Context, label string, r io.Reader) (*Backup, error) {
 	return s.ingest(ctx, "store.backup", label, r, false)
 }
@@ -655,11 +663,20 @@ type StreamInput struct {
 // concurrent ingest fall back to the serial loop. A stream whose label is
 // retained by the time it commits — before the round, or by a stream of the
 // round that committed first — is not retained, and err says so.
+//
+// BackupStreams is safe beside other ingests, restores and maintenance. A
+// round that takes the serial loop runs on the master clock and so, like
+// Backup, waits for and holds off every other master-clock ingest; a round
+// of lanes runs beside them.
 func (s *Store) BackupStreams(ctx context.Context, inputs []StreamInput, concurrency int) ([]*Backup, BackupStats, error) {
 	ctx, span := telemetry.StartSpan(ctx, "store.backup_streams")
 	defer span.End()
 	s.maintMu.RLock()
 	defer s.maintMu.RUnlock()
+	if engine.RunsSerially(s.eng, len(inputs), concurrency) {
+		s.ingestMu.Lock()
+		defer s.ingestMu.Unlock()
+	}
 	streams := make([]engine.Stream, len(inputs))
 	for i, in := range inputs {
 		streams[i] = engine.Stream{Label: in.Label, R: in.Stream}

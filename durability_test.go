@@ -213,41 +213,46 @@ func TestFaultInjectionRecoveryDeterministic(t *testing.T) {
 	}
 }
 
+// TestBackupCancellationLeavesStoreConsistent holds every engine to the
+// abort path of the one backup body: a backup cancelled mid-stream is not
+// retained, leaves the store fsck-clean, and the store keeps working.
 func TestBackupCancellationLeavesStoreConsistent(t *testing.T) {
-	s, err := Open(Options{Engine: DeFrag, Alpha: 0.1, StoreData: true, ExpectedBytes: 32 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	data := randStream(4<<20, 77)
-	// The reader cancels the context a third of the way through the
-	// stream, so the backup dies mid-flight with chunks already placed.
-	r := &cancellingReader{r: bytes.NewReader(data), cancel: cancel, after: len(data) / 3}
-	if _, err := s.Backup(ctx, "doomed", r); err == nil {
-		t.Fatal("cancelled backup must return an error")
-	}
-	if len(s.Backups()) != 0 {
-		t.Fatal("cancelled backup must not be retained")
-	}
-	rep, err := s.Check(context.Background(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("store inconsistent after cancelled backup: %v", rep.Problems)
-	}
-	// The store keeps working afterwards.
-	b, err := s.Backup(context.Background(), "after", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if _, err := s.Restore(context.Background(), b, &out, true); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), data) {
-		t.Fatal("post-cancellation backup corrupted")
-	}
+	eachEngine(t, func(t *testing.T, kind EngineKind) {
+		s, err := Open(Options{Engine: kind, Alpha: 0.1, StoreData: true, ExpectedBytes: 32 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		data := randStream(4<<20, 77)
+		// The reader cancels the context a third of the way through the
+		// stream, so the backup dies mid-flight with chunks already placed.
+		r := &cancellingReader{r: bytes.NewReader(data), cancel: cancel, after: len(data) / 3}
+		if _, err := s.Backup(ctx, "doomed", r); err == nil {
+			t.Fatal("cancelled backup must return an error")
+		}
+		if len(s.Backups()) != 0 {
+			t.Fatal("cancelled backup must not be retained")
+		}
+		rep, err := s.Check(context.Background(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() {
+			t.Fatalf("store inconsistent after cancelled backup: %v", rep.Problems)
+		}
+		// The store keeps working afterwards.
+		b, err := s.Backup(context.Background(), "after", bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if _, err := s.Restore(context.Background(), b, &out, true); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatal("post-cancellation backup corrupted")
+		}
+	})
 }
 
 // cancellingReader cancels its context after delivering roughly `after`

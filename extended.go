@@ -28,50 +28,26 @@ func RunExtendedComparison(cfg ExperimentConfig) (*FigureResult, error) {
 
 	type entry struct {
 		name string
-		mk   func() (engine.Engine, func(*cindex.Oracle), error)
+		mk   func() (engine.Engine, error)
 	}
 	engines := []entry{
-		{"ddfs-like", func() (engine.Engine, func(*cindex.Oracle), error) {
+		{"ddfs-like", func() (engine.Engine, error) {
 			c := ddfs.DefaultConfig(expected)
 			c.LPCContainers = lpc
-			e, err := ddfs.New(c)
-			if err != nil {
-				return nil, nil, err
-			}
-			return e, e.SetOracle, nil
+			return ddfs.New(c)
 		}},
-		{"silo-like", func() (engine.Engine, func(*cindex.Oracle), error) {
+		{"silo-like", func() (engine.Engine, error) {
 			c := silo.DefaultConfig(expected)
 			c.BlockCache = bc
-			e, err := silo.New(c)
-			if err != nil {
-				return nil, nil, err
-			}
-			return e, e.SetOracle, nil
+			return silo.New(c)
 		}},
-		{"sparse-index", func() (engine.Engine, func(*cindex.Oracle), error) {
-			e, err := sparse.New(sparse.DefaultConfig(expected))
-			if err != nil {
-				return nil, nil, err
-			}
-			return e, e.SetOracle, nil
-		}},
-		{"idedup", func() (engine.Engine, func(*cindex.Oracle), error) {
-			e, err := idedup.New(idedup.DefaultConfig(expected))
-			if err != nil {
-				return nil, nil, err
-			}
-			return e, e.SetOracle, nil
-		}},
-		{"defrag", func() (engine.Engine, func(*cindex.Oracle), error) {
+		{"sparse-index", func() (engine.Engine, error) { return sparse.New(sparse.DefaultConfig(expected)) }},
+		{"idedup", func() (engine.Engine, error) { return idedup.New(idedup.DefaultConfig(expected)) }},
+		{"defrag", func() (engine.Engine, error) {
 			c := core.DefaultConfig(expected)
 			c.Alpha = cfg.Alpha
 			c.LPCContainers = lpc
-			e, err := core.New(c)
-			if err != nil {
-				return nil, nil, err
-			}
-			return e, e.SetOracle, nil
+			return core.New(c)
 		}},
 	}
 
@@ -83,11 +59,11 @@ func RunExtendedComparison(cfg ExperimentConfig) (*FigureResult, error) {
 	}
 
 	for _, ent := range engines {
-		eng, setOracle, err := ent.mk()
+		eng, err := ent.mk()
 		if err != nil {
 			return nil, err
 		}
-		setOracle(cindex.NewOracle())
+		eng.SetOracle(cindex.NewOracle())
 		sched, err := workload.NewSingle(cfg.workloadConfig())
 		if err != nil {
 			return nil, err

@@ -23,7 +23,7 @@ func benchSealed(b *testing.B, n, size int) *Store {
 			d[j] = byte(i*17 + j)
 		}
 		mustWrite(s, chunk.New(d), uint64(i))
-		if err := s.Flush(context.Background()); err != nil {
+		if err := s.SerialWriter().Finish(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -23,16 +23,18 @@
 //     an in-memory store, a durable directory, or a fault-injecting wrapper
 //     without its timing changing at all.
 //
-// Writing goes through a Writer, of which there are two flavors:
+// Writing goes through a Writer. Each keeps its one open container inside a
+// fixed-size extent reserved when the container opens (allocated under the
+// device mutex), assigns chunk offsets privately, and charges its seal I/O
+// when the container seals. Writers therefore only contend on the brief
+// extent/ID allocation, not on chunk writes. There are two flavors:
 //
-//   - SerialWriter appends containers at the device frontier, one at a time
-//     — the classic single-stream layout; Store.Write/Flush delegate to it.
-//   - NewWriter(clk) is a per-stream writer for concurrent ingest: each
-//     stream keeps its own open container inside a pre-reserved fixed-size
-//     extent (allocated under the store mutex), assigns chunk offsets
-//     privately, and charges its seal I/O to the stream's own clock. Streams
-//     therefore only contend on the brief extent/ID allocation, not on
-//     chunk writes.
+//   - SerialWriter is the store's one writer on the store's own clock. At
+//     seal its extent shrinks to what the container filled whenever nothing
+//     was reserved behind it meanwhile, so a lone writer lays containers out
+//     back to back — the classic single-stream layout.
+//   - NewWriter(clk) is a per-stream writer for concurrent ingest, charging
+//     the stream's own clock; its containers keep their whole extent.
 //
 // Container IDs are allocated when a writer opens its container, so the
 // shadow directory stays dense; a slot reports Sealed only once flushed
@@ -155,7 +157,7 @@ type Store struct {
 	// the barrier channel closed when it lands (see beginSeal/awaitSeal).
 	pending map[uint32]chan struct{}
 
-	serialW *Writer // lazily created legacy writer behind Store.Write/Flush
+	serialW *Writer // the writer on the store's own clock, created lazily
 
 	// stager, when non-nil, is the file backend underneath be: writers hand it
 	// the fill of their open containers as it accumulates (see Writer.stage).
@@ -565,7 +567,7 @@ func fromBackendInfo(bi blockstore.ContainerInfo) Info {
 type Writer struct {
 	s       *Store
 	dev     *disk.Device // device view charging this stream's clock
-	reserve bool         // reserve-extent mode (concurrent) vs frontier mode (serial)
+	reserve bool         // containers keep their whole extent (per-stream writers)
 
 	id      uint32
 	start   int64
@@ -619,9 +621,9 @@ func (w *Writer) unstage() {
 	}
 }
 
-// SerialWriter returns the store's shared frontier-mode writer: containers
-// are appended at the device frontier exactly as the single-stream layout
-// always did. Store.Write and Store.Flush delegate to it.
+// SerialWriter returns the store's one writer on the store's own clock. Its
+// containers pack back to back as the single-stream layout always did. It is
+// not safe for concurrent use: callers take turns.
 func (s *Store) SerialWriter() *Writer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -640,15 +642,10 @@ func (s *Store) NewWriter(clk *disk.Clock) *Writer {
 	return &Writer{s: s, dev: s.dev.View(clk), reserve: true}
 }
 
-// open starts a new container, allocating its ID (and, in reserve mode, its
-// device extent) under the store mutex.
+// open starts a new container, allocating its ID and its device extent.
 func (w *Writer) open() {
 	w.id = w.s.allocID()
-	if w.reserve {
-		w.start = w.dev.ReserveExtent(w.s.cfg.MetaCap() + w.s.cfg.DataCap)
-	} else {
-		w.start = w.dev.Size()
-	}
+	w.start = w.dev.ReserveExtent(w.extent())
 	w.fill = 0
 	w.meta = w.meta[:0]
 	w.staged, w.stageCh = 0, nil
@@ -713,6 +710,18 @@ func (w *Writer) Write(ctx context.Context, c chunk.Chunk, segID uint64) (chunk.
 	return chunk.Location{Container: w.id, Segment: segID, Offset: off, Size: c.Size}, nil
 }
 
+// extent is the device space a container is given when it opens.
+func (w *Writer) extent() int64 { return w.s.cfg.MetaCap() + w.s.cfg.DataCap }
+
+// abandon gives up the open container: its ID stays a hole, its staged
+// bytes are removed, and its extent goes back unless something was reserved
+// behind it meanwhile.
+func (w *Writer) abandon() {
+	w.hasOpen = false
+	w.unstage()
+	w.dev.ResizeLast(w.start+w.extent(), w.start)
+}
+
 // Flush seals the open container: the device is charged for the metadata
 // and data section writes, the container is published in the directory, and
 // the backend persist is started in the background (at most one in flight
@@ -722,32 +731,29 @@ func (w *Writer) Write(ctx context.Context, c chunk.Chunk, segID uint64) (chunk.
 // flushes automatically when a container fills; end-of-stream callers use
 // Finish, which also drains the last persist.
 func (w *Writer) Flush(ctx context.Context) error {
-	if !w.hasOpen || len(w.meta) == 0 {
-		w.hasOpen = false
+	if !w.hasOpen {
+		return nil
+	}
+	if len(w.meta) == 0 {
+		w.abandon()
 		return nil
 	}
 	if err := w.waitSeal(); err != nil {
-		w.hasOpen = false
-		w.unstage()
+		w.abandon()
 		return err
 	}
 	t0 := time.Now()
-	var end int64
-	if w.reserve {
-		// Seal in place inside the reserved extent: metadata section padded
-		// to fixed capacity, then the data section, one contiguous write run.
-		w.dev.AccountWrite(w.start, w.s.cfg.MetaCap())
-		w.dev.AccountWrite(w.start+w.s.cfg.MetaCap(), w.fill)
-		end = w.start + w.s.cfg.MetaCap() + w.s.cfg.DataCap
-	} else {
-		if got := w.dev.Size(); got != w.start {
-			panic(fmt.Sprintf("container: device frontier %d moved past container start %d (foreign writer?)", got, w.start))
-		}
-		// Metadata section, padded to fixed capacity so data offsets hold.
-		w.dev.AppendHole(w.s.cfg.MetaCap())
-		w.dev.AppendHole(w.fill)
-		end = w.start + w.s.cfg.MetaCap() + w.fill
+	end := w.start + w.extent()
+	if packed := w.start + w.s.cfg.MetaCap() + w.fill; !w.reserve && w.dev.ResizeLast(end, packed) {
+		// The serial writer's extent is still the last one: it ends where
+		// the fill does (past the data section, for an oversized chunk).
+		end = packed
 	}
+	// Seal in place inside the extent: metadata section padded to fixed
+	// capacity so data offsets hold, then the data section, one contiguous
+	// write run.
+	w.dev.AccountWrite(w.start, w.s.cfg.MetaCap())
+	w.dev.AccountWrite(w.start+w.s.cfg.MetaCap(), w.fill)
 	info := Info{
 		ID:       w.id,
 		Start:    w.start,
@@ -790,8 +796,7 @@ func (w *Writer) putBufs() {
 // after Finish.
 func (w *Writer) Discard() {
 	if w.hasOpen {
-		w.hasOpen = false
-		w.unstage()
+		w.abandon()
 	}
 	w.waitSeal() //nolint:errcheck // the stream has its error already
 	w.putBufs()
@@ -806,26 +811,6 @@ func (w *Writer) ReadMeta(id uint32) []Meta {
 	w.dev.AccountRead(info.Start, w.s.cfg.MetaCap())
 	telMetaReads.Inc()
 	return info.Entries
-}
-
-// Write appends one chunk through the store's serial writer.
-func (s *Store) Write(ctx context.Context, c chunk.Chunk, segID uint64) (chunk.Location, error) {
-	return s.SerialWriter().Write(ctx, c, segID)
-}
-
-// Flush seals the serial writer's open container, if any, and waits for its
-// backend persist to land. Engines call this at end of stream, which needs
-// the byte store caught up with the directory, so it keeps the drain
-// semantics of the old synchronous seal; the hot-path auto-flush inside
-// Write is what runs asynchronously.
-func (s *Store) Flush(ctx context.Context) error {
-	s.mu.Lock()
-	w := s.serialW
-	s.mu.Unlock()
-	if w != nil {
-		return w.Finish(ctx)
-	}
-	return nil
 }
 
 // PeekMeta returns container metadata without charging any disk time. It is

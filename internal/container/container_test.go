@@ -39,7 +39,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	s, _ := newTestStore(t, true, DefaultConfig())
 	data := []byte("some chunk content")
 	loc := mustWrite(s, chunk.New(data), 1)
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	got, err := readChunk(context.Background(), s, loc)
 	if err != nil {
 		t.Fatalf("ReadChunk: %v", err)
@@ -68,7 +68,7 @@ func TestAutoSealOnDataCap(t *testing.T) {
 	if s.NumContainers() != 1 {
 		t.Fatalf("NumContainers = %d, want 1 sealed", s.NumContainers())
 	}
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	if s.NumContainers() != 2 {
 		t.Fatalf("after flush NumContainers = %d, want 2", s.NumContainers())
 	}
@@ -79,7 +79,7 @@ func TestAutoSealOnMaxChunks(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		mustWrite(s, chunk.Meta(chunk.Of([]byte{byte(i)}), 10), 0)
 	}
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	if s.NumContainers() != 3 {
 		t.Fatalf("NumContainers = %d, want 3 (4+4+1 chunks)", s.NumContainers())
 	}
@@ -94,7 +94,7 @@ func TestLocationsMatchFlushedLayout(t *testing.T) {
 		locs = append(locs, mustWrite(s, chunk.New(d), uint64(i)))
 		datas = append(datas, d)
 	}
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	for i, loc := range locs {
 		got, err := readChunk(context.Background(), s, loc)
 		if err != nil {
@@ -110,7 +110,7 @@ func TestMetaRoundTrip(t *testing.T) {
 	s, _ := newTestStore(t, false, smallConfig())
 	fp := chunk.Of([]byte("x"))
 	loc := mustWrite(s, chunk.Meta(fp, 123), 77)
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	entries := s.SerialWriter().ReadMeta(loc.Container)
 	if len(entries) != 1 {
 		t.Fatalf("entries = %d", len(entries))
@@ -124,7 +124,7 @@ func TestMetaRoundTrip(t *testing.T) {
 func TestReadMetaChargesDisk(t *testing.T) {
 	s, clk := newTestStore(t, false, smallConfig())
 	loc := mustWrite(s, chunk.Meta(chunk.Of([]byte("x")), 10), 0)
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	before := clk.Now()
 	s.SerialWriter().ReadMeta(loc.Container)
 	if clk.Now() <= before {
@@ -142,7 +142,7 @@ func TestReadDataAndExtract(t *testing.T) {
 	d1, d2 := []byte("first-chunk"), []byte("second-chunk")
 	l1 := mustWrite(s, chunk.New(d1), 0)
 	l2 := mustWrite(s, chunk.New(d2), 0)
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	data := mustReadDataRange(s, []uint32{l1.Container})[0]
 	if int64(len(data)) != int64(len(d1)+len(d2)) {
 		t.Fatalf("data section length = %d", len(data))
@@ -155,7 +155,7 @@ func TestReadDataAndExtract(t *testing.T) {
 func TestExtractOutOfRangePanics(t *testing.T) {
 	s, _ := newTestStore(t, true, smallConfig())
 	l := mustWrite(s, chunk.New([]byte("abc")), 0)
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	data := mustReadDataRange(s, []uint32{l.Container})[0]
 	bad := l
 	bad.Offset += 1000
@@ -186,7 +186,7 @@ func TestSealed(t *testing.T) {
 	if s.Sealed(0) {
 		t.Fatal("open container is not sealed")
 	}
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	if !s.Sealed(0) {
 		t.Fatal("container 0 should be sealed")
 	}
@@ -194,8 +194,8 @@ func TestSealed(t *testing.T) {
 
 func TestFlushEmptyIsNoop(t *testing.T) {
 	s, clk := newTestStore(t, false, smallConfig())
-	s.Flush(context.Background())
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	if s.NumContainers() != 0 || clk.Now() != 0 {
 		t.Fatal("empty flush must write nothing")
 	}
@@ -205,7 +205,7 @@ func TestUtilizationAndMarkDead(t *testing.T) {
 	s, _ := newTestStore(t, false, smallConfig())
 	mustWrite(s, chunk.Meta(chunk.Of([]byte("a")), 100), 0)
 	mustWrite(s, chunk.Meta(chunk.Of([]byte("b")), 100), 0)
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	if u := s.Utilization(); u != 1.0 {
 		t.Fatalf("fresh utilization = %v", u)
 	}
@@ -234,7 +234,7 @@ func TestSequentialFlushIsMostlySeekFree(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		mustWrite(s, chunk.Meta(chunk.Of([]byte{byte(i), byte(i >> 8)}), 8192), 0)
 	}
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	if seeks := s.Device().Stats().Seeks; seeks > 1 {
 		t.Fatalf("pure sequential ingest should need 1 seek, got %d", seeks)
 	}
@@ -261,7 +261,7 @@ func TestLocationDisjointnessProperty(t *testing.T) {
 	if err := quick.Check(fn, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)
 	}
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	// All sealed entries round-trip through shadow metadata.
 	total := 0
 	for id := 0; id < s.NumContainers(); id++ {
@@ -300,7 +300,7 @@ func TestDataIntegrityProperty(t *testing.T) {
 	if err := quick.Check(fn, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	for k, w := range all {
 		got, err := readChunk(context.Background(), s, w.loc)
 		if err != nil {
@@ -325,14 +325,49 @@ func fillContainers(t *testing.T, s *Store, n int) []uint32 {
 			ids = append(ids, loc.Container)
 		}
 	}
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	return ids[:n]
+}
+
+// TestSerialWriterBesideAReservation: a reservation that lands behind the
+// serial writer's open container leaves that container its whole extent at
+// seal (the seal used to panic on the moved frontier), and a container given
+// up while its extent is still the last gives the extent back.
+func TestSerialWriterBesideAReservation(t *testing.T) {
+	s, _ := newTestStore(t, false, smallConfig())
+	ctx := context.Background()
+	extent := s.cfg.MetaCap() + s.cfg.DataCap
+	c := chunk.Meta(chunk.Of([]byte{1}), 100)
+	serial := mustWrite(s, c, 1)
+	lane := s.NewWriter(nil)
+	if _, err := lane.Write(ctx, chunk.Meta(chunk.Of([]byte{2}), 100), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SerialWriter().Finish(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := lane.Finish(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if info := s.info(serial.Container); info.Start != 0 || info.End != extent || s.dev.Size() != 2*extent {
+		t.Fatalf("serial container [%d,%d) on a %d-byte device, want [0,%d) of %d", info.Start, info.End, s.dev.Size(), extent, 2*extent)
+	}
+
+	// Discarded while last: the frontier goes back to where it opened.
+	w := s.NewWriter(nil)
+	if _, err := w.Write(ctx, c, 2); err != nil {
+		t.Fatal(err)
+	}
+	w.Discard()
+	if s.dev.Size() != 2*extent || s.Sealed(w.id) {
+		t.Fatalf("a discarded container left the frontier at %d, want %d", s.dev.Size(), 2*extent)
+	}
 }
 
 func TestAdjacentFrontierContainers(t *testing.T) {
 	s, _ := newTestStore(t, false, smallConfig())
 	ids := fillContainers(t, s, 3)
-	// Serial frontier-mode containers are separated only by the next
+	// The serial writer's packed containers are separated only by the next
 	// container's metadata section — far cheaper to stream over than a seek.
 	if !s.Adjacent(ids[0], ids[1]) || !s.Adjacent(ids[1], ids[2]) {
 		t.Fatal("consecutive frontier containers must be adjacent")
@@ -469,7 +504,7 @@ func TestRangeSpanRejectsNonAdjacent(t *testing.T) {
 // mustWrite appends c through the store frontier; the in-memory backends
 // used by these tests cannot fail, so any error is a test bug.
 func mustWrite(s *Store, c chunk.Chunk, seg uint64) chunk.Location {
-	loc, err := s.Write(context.Background(), c, seg)
+	loc, err := s.SerialWriter().Write(context.Background(), c, seg)
 	if err != nil {
 		panic(err)
 	}

@@ -321,7 +321,7 @@ func buildSealed(t *testing.T, n int) (*Store, *blockstore.Counting, []chunk.Loc
 	locs := make([]chunk.Location, n)
 	for i := 0; i < n; i++ {
 		locs[i] = mustWrite(s, chunk.New([]byte(fmt.Sprintf("chunk-%02d-padding-to-force-seal-%02d", i, i))), uint64(i))
-		if err := s.Flush(context.Background()); err != nil {
+		if err := s.SerialWriter().Finish(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -379,7 +379,7 @@ func TestDataCacheDoesNotChangeSimulatedTime(t *testing.T) {
 		}
 		for i := 0; i < 6; i++ {
 			mustWrite(s, chunk.New([]byte(fmt.Sprintf("chunk-%02d-padding-to-force-seal-%02d", i, i))), uint64(i))
-			if err := s.Flush(context.Background()); err != nil {
+			if err := s.SerialWriter().Finish(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -425,7 +425,7 @@ func TestLenderStopsAtTheSharedCache(t *testing.T) {
 	var ids []uint32
 	for i := 0; i < 3; i++ {
 		loc := mustWrite(s, chunk.New([]byte(fmt.Sprintf("chunk-%02d-padding-to-force-seal-%02d", i, i))), uint64(i))
-		if err := s.Flush(context.Background()); err != nil {
+		if err := s.SerialWriter().Finish(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, loc.Container)

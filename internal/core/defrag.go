@@ -27,17 +27,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"io"
-	"sync/atomic"
 
-	"repro/internal/blockstore"
 	"repro/internal/chunk"
-	"repro/internal/chunker"
-	"repro/internal/cindex"
-	"repro/internal/container"
-	"repro/internal/disk"
 	"repro/internal/engine"
 	"repro/internal/segment"
 	"repro/internal/telemetry"
@@ -98,20 +90,10 @@ func (p RewritePolicy) String() string {
 
 // Config parameterizes a DeFrag engine.
 type Config struct {
-	Alpha          float64       // SPL threshold α (paper default 0.1)
-	Policy         RewritePolicy // rewrite grouping policy (default PolicySPL)
-	ChunkParams    chunker.Params
-	SegParams      segment.Params
-	ContainerCfg   container.Config
-	IndexCfg       cindex.Config
-	DiskModel      disk.Model
-	Cost           engine.CostModel
-	LPCContainers  int
-	ExpectedChunks int
-	StoreData      bool
-	// Backend supplies the physical container store. nil selects the
-	// in-memory backend matching StoreData (the historical behavior).
-	Backend blockstore.Backend
+	engine.Config
+	engine.IndexConfig
+	Alpha  float64       // SPL threshold α (paper default 0.1)
+	Policy RewritePolicy // rewrite grouping policy (default PolicySPL)
 	// Filter is the HPDedup-style prioritized inline filter: streams whose
 	// duplicates do not cluster are demoted to write-through (spill) ingest
 	// and re-deduplicated out of line by the maintenance pass. The zero
@@ -122,172 +104,29 @@ type Config struct {
 
 // DefaultConfig mirrors ddfs.DefaultConfig with the paper's α = 0.1.
 func DefaultConfig(expectedLogicalBytes int64) Config {
-	cp := chunker.DefaultParams()
-	expChunks := int(expectedLogicalBytes/int64(cp.Target)) + 1
-	ccfg := container.DefaultConfig()
-	expContainers := int(expectedLogicalBytes/ccfg.DataCap) + 1
-	lpc := expContainers / 20
-	if lpc < 4 {
-		lpc = 4
-	}
-	return Config{
-		Alpha:          0.1,
-		ChunkParams:    cp,
-		SegParams:      segment.DefaultParams(),
-		ContainerCfg:   ccfg,
-		IndexCfg:       cindex.DefaultConfig(expChunks),
-		DiskModel:      disk.DefaultModel(),
-		Cost:           engine.DefaultCostModel(),
-		LPCContainers:  lpc,
-		ExpectedChunks: expChunks,
-	}
-}
-
-func (c Config) validate() error {
-	if c.Alpha < 0 || c.Alpha > 1 {
-		return fmt.Errorf("core: α must be in [0,1], got %v", c.Alpha)
-	}
-	return nil
+	cfg := engine.DefaultConfig()
+	return Config{Config: cfg, IndexConfig: engine.DefaultIndexConfig(cfg, expectedLogicalBytes), Alpha: 0.1}
 }
 
 // Engine is the DeFrag deduplicator.
 type Engine struct {
-	cfg      Config
-	clock    *disk.Clock
-	store    *container.Store
-	resolver *engine.Resolver
-
-	oracle *cindex.Oracle
-	segSeq atomic.Uint64
+	*engine.Indexed
+	cfg Config
 }
 
 // New builds a DeFrag engine over a fresh clock.
 func New(cfg Config) (*Engine, error) {
-	return NewWithClock(cfg, &disk.Clock{})
-}
-
-// NewWithClock builds the engine over a caller-supplied clock.
-func NewWithClock(cfg Config, clock *disk.Clock) (*Engine, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	if cfg.Alpha < 0 || cfg.Alpha > 1 {
+		return nil, fmt.Errorf("core: α must be in [0,1], got %v", cfg.Alpha)
 	}
-	be := cfg.Backend
-	if be == nil {
-		be = blockstore.NewSim(cfg.StoreData)
-	}
-	// The device is purely the timing model; bytes live in the backend.
-	store, err := container.NewStoreWithBackend(disk.NewDevice(cfg.DiskModel, clock, false), cfg.ContainerCfg, be)
+	e := &Engine{cfg: cfg}
+	x, err := engine.NewIndexed("defrag", cfg.Config, cfg.IndexConfig,
+		engine.Rule{Segment: e.processSegment, Span: "defrag.backup", Filter: cfg.Filter})
 	if err != nil {
 		return nil, err
 	}
-	index, err := cindex.New(disk.NewDevice(cfg.DiskModel, clock, false), cfg.IndexCfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{
-		cfg:      cfg,
-		clock:    clock,
-		store:    store,
-		resolver: engine.NewResolver(index, store, cfg.LPCContainers, cfg.ExpectedChunks),
-	}, nil
-}
-
-// Name implements engine.Engine.
-func (e *Engine) Name() string { return "defrag" }
-
-// Containers implements engine.Engine.
-func (e *Engine) Containers() *container.Store { return e.store }
-
-// Clock implements engine.Engine.
-func (e *Engine) Clock() *disk.Clock { return e.clock }
-
-// Alpha returns the configured SPL threshold.
-func (e *Engine) Alpha() float64 { return e.cfg.Alpha }
-
-// Policy returns the configured rewrite-grouping policy.
-func (e *Engine) Policy() RewritePolicy { return e.cfg.Policy }
-
-// Index exposes the chunk index (tests, diagnostics).
-func (e *Engine) Index() *cindex.Index { return e.resolver.Index() }
-
-// SetOracle attaches the ground-truth oracle (see ddfs.Engine.SetOracle).
-func (e *Engine) SetOracle(o *cindex.Oracle) { e.oracle = o }
-
-// Backup implements engine.Engine.
-func (e *Engine) Backup(ctx context.Context, label string, r io.Reader) (*chunk.Recipe, engine.BackupStats, error) {
-	return e.backup(ctx, label, r, nil)
-}
-
-// BackupStream implements engine.StreamBackupper: one backup ingested as a
-// concurrent stream, with all simulated I/O and CPU time charged to clk and
-// writes going through a per-stream container writer.
-func (e *Engine) BackupStream(ctx context.Context, label string, r io.Reader, clk *disk.Clock) (*chunk.Recipe, engine.BackupStats, error) {
-	return e.backup(ctx, label, r, clk)
-}
-
-// Adopt implements engine.Adopter: it rebuilds the directory, index,
-// summary vector, and segment sequence from an already-populated backend
-// (the durable-store reopen path).
-func (e *Engine) Adopt(ctx context.Context) error {
-	if err := e.store.Adopt(ctx); err != nil {
-		return err
-	}
-	e.segSeq.Store(e.resolver.AdoptIndex())
-	return nil
-}
-
-// DropFromIndex purges all index and cache state derived from container cid
-// (fsck.IndexDropper) — call immediately before quarantining it.
-func (e *Engine) DropFromIndex(cid uint32) int { return e.resolver.DropFromIndex(cid) }
-
-// backup is the shared ingest body. clk == nil selects the serial path
-// (store frontier writer, engine master clock); a non-nil clk selects the
-// concurrent path (reserve-mode writer, per-stream timing).
-func (e *Engine) backup(ctx context.Context, label string, r io.Reader, clk *disk.Clock) (*chunk.Recipe, engine.BackupStats, error) {
-	stats := engine.BackupStats{Label: label}
-	recipe := &chunk.Recipe{Label: label}
-	timing := e.clock
-	var w *container.Writer
-	if clk == nil {
-		w = e.store.SerialWriter()
-	} else {
-		timing = clk
-		w = e.store.NewWriter(clk)
-	}
-	sr := e.resolver.Stream(clk, w)
-	flt := engine.NewFilter(e.cfg.Filter)
-	start := timing.Now()
-	ctx, span := telemetry.StartSpan(ctx, "defrag.backup")
-	defer span.End()
-
-	logical, chunks, segs, err := engine.Pipeline(
-		ctx, r, e.cfg.ChunkParams, e.cfg.SegParams,
-		timing, e.cfg.Cost, e.store.StoresData(),
-		func(seg *segment.Segment) error {
-			return e.processSegment(ctx, seg, recipe, &stats, timing, w, sr, flt)
-		})
-	if err != nil {
-		// Leave the store consistent even on cancellation: seal the open
-		// container and flush the index outside the cancelled context, so
-		// everything already placed stays referenced (fsck-clean) and only
-		// this backup is lost.
-		if ferr := w.Finish(context.WithoutCancel(ctx)); ferr == nil {
-			sr.FlushIndex()
-		}
-		return nil, stats, err
-	}
-	if err := w.Finish(ctx); err != nil {
-		return nil, stats, err
-	}
-	sr.FlushIndex()
-
-	stats.LogicalBytes = logical
-	stats.Chunks = chunks
-	stats.Segments = segs
-	stats.FilterSpilled = flt.Spilling()
-	stats.Duration = timing.Now() - start
-	span.SetSim(stats.Duration)
-	return recipe, stats, nil
+	e.Indexed = x
+	return e, nil
 }
 
 // resolution is the phase-1 outcome for one chunk of the incoming segment.
@@ -296,17 +135,15 @@ type resolution struct {
 	dup bool
 }
 
-// processSegment runs the three DeFrag phases over one segment. ctx carries
-// the backup-level telemetry span; each phase is traced under it. timing is
-// the clock the stream charges (the engine clock on the serial path).
-func (e *Engine) processSegment(ctx context.Context, seg *segment.Segment, recipe *chunk.Recipe, stats *engine.BackupStats, timing *disk.Clock, w *container.Writer, sr *engine.StreamResolver, flt *engine.Filter) error {
+// processSegment runs the three DeFrag phases over one segment. in.Ctx
+// carries the backup-level telemetry span; each phase is traced under it.
+func (e *Engine) processSegment(in *engine.Ingest, segID uint64, seg *segment.Segment) error {
 	// A stream the filter has demoted skips the charged identify/measure
 	// phases entirely and writes through.
-	if flt.Spilling() {
-		return e.spillSegment(ctx, seg, recipe, stats, w, sr)
+	if in.Filter.Spilling() {
+		return spillSegment(in, segID, seg)
 	}
-	segID := e.segSeq.Add(1)
-	segOracleDup := engine.ObserveSegment(e.oracle, seg, stats)
+	ctx, timing, stats, recipe, sr := in.Ctx, in.Clock, &in.Stats, in.Recipe, in.Resolver
 
 	// Phase 1: identify every chunk (no writes yet — rewrites must land in
 	// stream order together with the new unique chunks). The whole segment
@@ -316,10 +153,10 @@ func (e *Engine) processSegment(ctx context.Context, seg *segment.Segment, recip
 	_, identSpan := telemetry.StartSpan(ctx, "defrag.identify")
 	batch := sr.ResolveBatch(seg.Chunks, stats)
 	res := make([]resolution, len(seg.Chunks))
-	head := uint32(e.store.Slots())
+	head := uint32(e.Containers().Slots())
 	for i := range batch {
 		res[i] = resolution{loc: batch[i].Loc, dup: batch[i].Dup}
-		flt.Observe(res[i].dup, res[i].loc, head)
+		in.Filter.Observe(res[i].dup, res[i].loc, head)
 	}
 	identSpan.SetSim(timing.Now() - identStart)
 	identSpan.End()
@@ -361,7 +198,6 @@ func (e *Engine) processSegment(ctx context.Context, seg *segment.Segment, recip
 	// are removed by reference.
 	placeStart := timing.Now()
 	_, placeSpan := telemetry.StartSpan(ctx, "defrag.place")
-	var removedInSeg int64
 	writtenHere := make(map[chunk.Fingerprint]chunk.Location)
 	for i, c := range seg.Chunks {
 		r := res[i]
@@ -370,7 +206,6 @@ func (e *Engine) processSegment(ctx context.Context, seg *segment.Segment, recip
 			stats.DedupedBytes += int64(c.Size)
 			stats.DedupedChunks++
 			telDecisionDedup.Inc()
-			removedInSeg += int64(c.Size)
 			recipe.Append(c.FP, c.Size, r.loc)
 
 		case r.dup: // low-SPL duplicate: rewrite for locality
@@ -380,16 +215,15 @@ func (e *Engine) processSegment(ctx context.Context, seg *segment.Segment, recip
 				stats.DedupedBytes += int64(c.Size)
 				stats.DedupedChunks++
 				telDecisionDedup.Inc()
-				removedInSeg += int64(c.Size)
 				recipe.Append(c.FP, c.Size, loc)
 				break
 			}
-			loc, werr := w.Write(ctx, c, segID)
+			loc, werr := in.W.Write(ctx, c, segID)
 			if werr != nil {
 				return werr
 			}
 			sr.Repoint(c.FP, loc)
-			e.store.MarkDead(r.loc.Container, int64(r.loc.Size))
+			e.Containers().MarkDead(r.loc.Container, int64(r.loc.Size))
 			writtenHere[c.FP] = loc
 			stats.RewrittenBytes += int64(c.Size)
 			stats.RewrittenChunks++
@@ -402,11 +236,10 @@ func (e *Engine) processSegment(ctx context.Context, seg *segment.Segment, recip
 				stats.DedupedBytes += int64(c.Size)
 				stats.DedupedChunks++
 				telDecisionDedup.Inc()
-				removedInSeg += int64(c.Size)
 				recipe.Append(c.FP, c.Size, loc)
 				break
 			}
-			loc, werr := w.Write(ctx, c, segID)
+			loc, werr := in.W.Write(ctx, c, segID)
 			if werr != nil {
 				return werr
 			}
@@ -420,8 +253,6 @@ func (e *Engine) processSegment(ctx context.Context, seg *segment.Segment, recip
 	}
 	placeSpan.SetSim(timing.Now() - placeStart)
 	placeSpan.End()
-
-	engine.AccountPartialSegment(e.oracle, seg, segOracleDup, removedInSeg, stats)
 	return nil
 }
 
@@ -432,10 +263,8 @@ func (e *Engine) processSegment(ctx context.Context, seg *segment.Segment, recip
 // the index — the earlier copy stays authoritative, so the maintenance
 // pass's re-dedup step (maintenance.Pass.RunEpoch) can later remap this
 // stream's recipe onto it and reclaim the spilled container space.
-func (e *Engine) spillSegment(ctx context.Context, seg *segment.Segment, recipe *chunk.Recipe, stats *engine.BackupStats, w *container.Writer, sr *engine.StreamResolver) error {
-	segID := e.segSeq.Add(1)
-	segOracleDup := engine.ObserveSegment(e.oracle, seg, stats)
-	var removedInSeg int64
+func spillSegment(in *engine.Ingest, segID uint64, seg *segment.Segment) error {
+	stats, recipe := &in.Stats, in.Recipe
 	writtenHere := make(map[chunk.Fingerprint]chunk.Location, len(seg.Chunks))
 	for _, c := range seg.Chunks {
 		if loc, again := writtenHere[c.FP]; again {
@@ -444,19 +273,18 @@ func (e *Engine) spillSegment(ctx context.Context, seg *segment.Segment, recipe 
 			stats.DedupedBytes += int64(c.Size)
 			stats.DedupedChunks++
 			telDecisionDedup.Inc()
-			removedInSeg += int64(c.Size)
 			recipe.Append(c.FP, c.Size, loc)
 			continue
 		}
-		loc, werr := w.Write(ctx, c, segID)
+		loc, werr := in.W.Write(in.Ctx, c, segID)
 		if werr != nil {
 			return werr
 		}
 		writtenHere[c.FP] = loc
-		if !sr.MightContain(c.FP) {
+		if !in.Resolver.MightContain(c.FP) {
 			// Definitely new: register so future streams (and this one) can
 			// still dedup against it.
-			sr.RegisterNew(c.FP, loc)
+			in.Resolver.RegisterNew(c.FP, loc)
 			stats.UniqueBytes += int64(c.Size)
 			stats.UniqueChunks++
 			telDecisionUnique.Inc()
@@ -469,11 +297,10 @@ func (e *Engine) spillSegment(ctx context.Context, seg *segment.Segment, recipe 
 		}
 		recipe.Append(c.FP, c.Size, loc)
 	}
-	engine.AccountPartialSegment(e.oracle, seg, segOracleDup, removedInSeg, stats)
 	return nil
 }
 
 var (
-	_ engine.Engine  = (*Engine)(nil)
-	_ engine.Adopter = (*Engine)(nil)
+	_ engine.StreamBackupper = (*Engine)(nil)
+	_ engine.Adopter         = (*Engine)(nil)
 )

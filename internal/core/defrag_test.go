@@ -194,7 +194,7 @@ func TestNameAndAccessors(t *testing.T) {
 	if e.Name() != "defrag" {
 		t.Fatal("name")
 	}
-	if e.Alpha() != 0.1 {
+	if e.cfg.Alpha != 0.1 {
 		t.Fatal("alpha accessor")
 	}
 	if e.Containers() == nil || e.Clock() == nil || e.Index() == nil {
@@ -262,7 +262,7 @@ func TestContainerPolicyRewrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Policy() != PolicyContainer {
+	if e.cfg.Policy != PolicyContainer {
 		t.Fatal("policy accessor")
 	}
 	gens := enginetest.RunGenerations(t, e, enginetest.SmallConfig(25), 8)

@@ -215,6 +215,21 @@ func (d *Device) ReserveExtent(n int64) int64 {
 	return off
 }
 
+// ResizeLast moves the end of the extent ending at end to newEnd, if that
+// extent is still the last one — nothing has been reserved or appended
+// behind it — and reports whether it did. It charges no time: a writer that
+// reserved room for a whole container gives back what the container did not
+// fill, or takes what a chunk larger than the data section overfilled.
+func (d *Device) ResizeLast(end, newEnd int64) bool {
+	d.st.mu.Lock()
+	defer d.st.mu.Unlock()
+	if d.st.frontier != end {
+		return false
+	}
+	d.st.frontier = newEnd
+	return true
+}
+
 // AccountWrite charges the time of an n-byte write at off into previously
 // reserved space: a seek if the head is elsewhere, then the transfer.
 // Writing beyond the frontier panics: reservations must cover the range

@@ -88,18 +88,22 @@ func TestAppendHoleOnStoringDevice(t *testing.T) {
 // TestCharges is Eq. 1 per access: a seek is charged only when the head is
 // not already where the access starts, transfer at the model's sequential
 // bandwidth, and the head ends up past the access — through each of the
-// three charged calls.
+// three charged calls. Reserving and resizing the last extent charge
+// nothing; a resize moves the frontier only while its extent is the last.
 func TestCharges(t *testing.T) {
 	m := Model{Seek: 10 * time.Millisecond, ReadBW: 100e6, WriteBW: 50e6}
 	// The head starts parked off the log, so a fresh device's first access
 	// seeks even at offset 0.
 	type op struct {
-		kind   string // "append", "reserve", "write" or "read"
-		off, n int64  // off is ignored by append and reserve
+		kind   string // "append", "reserve", "resize", "write" or "read"
+		off, n int64  // off is ignored by append and reserve; resize moves the end off to n
 		seek   bool
-		xfer   time.Duration
-		reads  int64
-		writes int64
+		// resized and frontier are what a resize reports and leaves.
+		resized  bool
+		frontier int64
+		xfer     time.Duration
+		reads    int64
+		writes   int64
 	}
 	for _, tc := range []struct {
 		name string
@@ -128,6 +132,24 @@ func TestCharges(t *testing.T) {
 			{kind: "read", off: 0, n: 2048, seek: true, xfer: m.ReadTime(2048), reads: 1},
 			{kind: "append", n: 1, xfer: m.WriteTime(1), writes: 1},
 		}},
+		{"a last extent shrinks to its fill, and the next append follows it", []op{
+			{kind: "reserve", n: 4096},
+			{kind: "resize", off: 4096, n: 1024, resized: true, frontier: 1024},
+			{kind: "write", off: 0, n: 1024, seek: true, xfer: m.WriteTime(1024), writes: 1},
+			{kind: "append", n: 10, xfer: m.WriteTime(10), writes: 1},
+		}},
+		{"a last extent grows for an oversized fill", []op{
+			{kind: "reserve", n: 4096},
+			{kind: "resize", off: 4096, n: 6000, resized: true, frontier: 6000},
+			{kind: "write", off: 0, n: 6000, seek: true, xfer: m.WriteTime(6000), writes: 1},
+		}},
+		{"an extent with a reservation behind it keeps its size", []op{
+			{kind: "reserve", n: 4096},
+			{kind: "reserve", n: 4096},
+			{kind: "resize", off: 4096, n: 1024, frontier: 8192},
+			{kind: "write", off: 0, n: 1024, seek: true, xfer: m.WriteTime(1024), writes: 1},
+			{kind: "append", n: 10, seek: true, xfer: m.WriteTime(10), writes: 1},
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var c Clock
@@ -144,6 +166,11 @@ func TestCharges(t *testing.T) {
 					}
 				case "reserve":
 					d.ReserveExtent(o.n)
+				case "resize":
+					if got := d.ResizeLast(o.off, o.n); got != o.resized || d.Size() != o.frontier {
+						t.Fatalf("op %d: ResizeLast(%d, %d) = %v leaving the frontier at %d, want %v and %d",
+							i, o.off, o.n, got, d.Size(), o.resized, o.frontier)
+					}
 				case "write":
 					d.AccountWrite(o.off, o.n)
 				case "read":
@@ -164,7 +191,7 @@ func TestCharges(t *testing.T) {
 					t.Errorf("op %d (%s): %d reads %d writes, want %d and %d",
 						i, o.kind, after.Reads-before.Reads, after.Writes-before.Writes, o.reads, o.writes)
 				}
-				if o.kind != "reserve" && d.st.pos != end {
+				if o.kind != "reserve" && o.kind != "resize" && d.st.pos != end {
 					t.Errorf("op %d (%s): head at %d, want %d", i, o.kind, d.st.pos, end)
 				}
 			}

@@ -1,8 +1,11 @@
 // Package engine defines the interface shared by the deduplication engines
-// (DDFS-Like, SiLo-Like, Sparse-Indexing, iDedup, DeFrag) plus the common
+// (DDFS-Like, SiLo-Like, Sparse-Indexing, iDedup, DeFrag), the common
 // backup pipeline:
 // stream → CDC chunks → fingerprints → content-defined segments → the
-// engine's per-segment dedup logic.
+// engine's per-segment dedup logic,
+// and the shell every engine runs in (Base, Indexed): the clock, the
+// container store, the oracle, and the one backup body around Pipeline.
+// An engine adds only its per-segment Rule.
 //
 // Time accounting: the pipeline charges CPU cost (chunking + SHA-256 at
 // CostModel.CPUBandwidth) and each engine charges its own disk costs through
@@ -17,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/chunk"
+	"repro/internal/cindex"
 	"repro/internal/container"
 	"repro/internal/disk"
 )
@@ -59,7 +63,7 @@ type BackupStats struct {
 	Duration time.Duration // simulated time consumed by this backup
 
 	// Ground-truth fields, filled only when the engine was given an oracle
-	// (engines expose SetOracle). The oracle is measurement apparatus — it
+	// (Engine.SetOracle). The oracle is measurement apparatus — it
 	// charges no simulated time and influences no engine decision.
 	OracleRedundantBytes  int64 // bytes whose fingerprint was stored before (exact)
 	PartialRedundantBytes int64 // oracle-redundant bytes within partially-redundant segments
@@ -112,7 +116,8 @@ func (s BackupStats) Efficiency() float64 {
 
 // Engine is one deduplication approach.
 type Engine interface {
-	// Name identifies the engine ("ddfs-like", "silo-like", "defrag").
+	// Name identifies the engine ("ddfs-like", "silo-like", "sparse-index",
+	// "idedup", "defrag").
 	Name() string
 	// Backup deduplicates one full-backup stream, returning the recipe that
 	// restores it and per-backup statistics. Cancelling ctx aborts the
@@ -124,6 +129,11 @@ type Engine interface {
 	Containers() *container.Store
 	// Clock exposes the shared simulated clock.
 	Clock() *disk.Clock
+	// SetOracle attaches a ground-truth oracle; subsequent backups fill the
+	// Oracle* fields of their BackupStats. The oracle must observe every
+	// stream an experiment ingests, so share one oracle across an engine's
+	// lifetime.
+	SetOracle(*cindex.Oracle)
 }
 
 // Adopter is implemented by engines that can rebuild their in-RAM state

@@ -225,7 +225,7 @@ func TestResolverDuplicatePath(t *testing.T) {
 	c := mkChunk(2)
 	loc := mustWrite(store, c, 7)
 	r.RegisterNew(c.FP, loc)
-	store.Flush(context.Background())
+	store.SerialWriter().Finish(context.Background())
 
 	got, dup := r.Resolve(c, &stats)
 	if !dup || got != loc {
@@ -252,7 +252,7 @@ func TestResolverPrefetchCoversNeighbours(t *testing.T) {
 		r.RegisterNew(c.FP, loc)
 		cs = append(cs, c)
 	}
-	store.Flush(context.Background())
+	store.SerialWriter().Finish(context.Background())
 	// Resolving the first pays; the rest ride the prefetched metadata.
 	r.Resolve(cs[0], &stats)
 	for _, c := range cs[1:] {
@@ -274,13 +274,13 @@ func TestResolverRepointWinsOverStaleMetadata(t *testing.T) {
 	c := mkChunk(30)
 	oldLoc := mustWrite(store, c, 1)
 	r.RegisterNew(c.FP, oldLoc)
-	store.Flush(context.Background())
+	store.SerialWriter().Finish(context.Background())
 	// Cache the old container metadata.
 	r.Resolve(c, &stats)
 	// Rewrite the chunk elsewhere.
 	newLoc := mustWrite(store, c, 2)
 	r.Repoint(c.FP, newLoc)
-	store.Flush(context.Background())
+	store.SerialWriter().Finish(context.Background())
 	got, dup := r.Resolve(c, &stats)
 	if !dup || got != newLoc {
 		t.Fatalf("Resolve after Repoint = %v, want the rewritten location %v", got, newLoc)
@@ -292,7 +292,7 @@ func TestResolverRepointWinsOverStaleMetadata(t *testing.T) {
 func TestObserveSegmentNilOracle(t *testing.T) {
 	var stats BackupStats
 	seg := &segment.Segment{Chunks: []chunk.Chunk{mkChunk(1)}, Bytes: 100}
-	if got := ObserveSegment(nil, seg, &stats); got != 0 {
+	if got := observeSegment(nil, seg, &stats); got != 0 {
 		t.Fatal("nil oracle must observe nothing")
 	}
 }
@@ -301,7 +301,7 @@ func TestObserveSegmentCounts(t *testing.T) {
 	o := cindex.NewOracle()
 	var stats BackupStats
 	seg := &segment.Segment{Chunks: []chunk.Chunk{mkChunk(1), mkChunk(1), mkChunk(2)}, Bytes: 300}
-	dup := ObserveSegment(o, seg, &stats)
+	dup := observeSegment(o, seg, &stats)
 	if dup != 100 {
 		t.Fatalf("dup = %d, want 100 (second occurrence of chunk 1)", dup)
 	}
@@ -315,13 +315,13 @@ func TestAccountPartialSegment(t *testing.T) {
 	seg := &segment.Segment{Bytes: 300}
 	var stats BackupStats
 
-	AccountPartialSegment(nil, seg, 100, 50, &stats) // nil oracle: no-op
-	AccountPartialSegment(o, seg, 0, 0, &stats)      // no redundancy: no-op
-	AccountPartialSegment(o, seg, 300, 300, &stats)  // fully redundant: excluded
+	accountPartialSegment(nil, seg, 100, 50, &stats) // nil oracle: no-op
+	accountPartialSegment(o, seg, 0, 0, &stats)      // no redundancy: no-op
+	accountPartialSegment(o, seg, 300, 300, &stats)  // fully redundant: excluded
 	if stats.PartialRedundantBytes != 0 {
 		t.Fatalf("excluded cases leaked: %+v", stats)
 	}
-	AccountPartialSegment(o, seg, 100, 150, &stats) // removal clamps to oracle dup
+	accountPartialSegment(o, seg, 100, 150, &stats) // removal clamps to oracle dup
 	if stats.PartialRedundantBytes != 100 || stats.RemovedInPartialBytes != 100 {
 		t.Fatalf("clamping wrong: %+v", stats)
 	}
@@ -330,7 +330,7 @@ func TestAccountPartialSegment(t *testing.T) {
 // mustWrite appends c through the store frontier; the in-memory backends
 // used by these tests cannot fail, so any error is a test bug.
 func mustWrite(s *container.Store, c chunk.Chunk, seg uint64) chunk.Location {
-	loc, err := s.Write(context.Background(), c, seg)
+	loc, err := s.SerialWriter().Write(context.Background(), c, seg)
 	if err != nil {
 		panic(err)
 	}

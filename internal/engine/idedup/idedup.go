@@ -17,141 +17,51 @@
 package idedup
 
 import (
-	"context"
-	"io"
-
-	"repro/internal/blockstore"
 	"repro/internal/chunk"
-	"repro/internal/chunker"
-	"repro/internal/cindex"
-	"repro/internal/container"
-	"repro/internal/disk"
 	"repro/internal/engine"
 	"repro/internal/segment"
 )
 
 // Config parameterizes an iDedup-style engine.
 type Config struct {
-	ChunkParams  chunker.Params
-	SegParams    segment.Params
-	ContainerCfg container.Config
-	DiskModel    disk.Model
-	Cost         engine.CostModel
-
+	engine.Config
 	// MinRun is the minimum duplicate-sequence length (in chunks) that is
 	// deduplicated; shorter runs are rewritten. The FAST'12 paper explores
 	// thresholds in this order of magnitude.
-	MinRun    int
-	StoreData bool
-	// Backend supplies the physical container store. nil selects the
-	// in-memory backend matching StoreData (the historical behavior).
-	Backend blockstore.Backend
+	MinRun int
 }
 
 // DefaultConfig returns an engine with MinRun 8 (~64 KiB of contiguous
 // duplicates at 8 KiB chunks).
 func DefaultConfig(expectedLogicalBytes int64) Config {
 	_ = expectedLogicalBytes // in-RAM index: no size-dependent structures
-	return Config{
-		ChunkParams:  chunker.DefaultParams(),
-		SegParams:    segment.DefaultParams(),
-		ContainerCfg: container.DefaultConfig(),
-		DiskModel:    disk.DefaultModel(),
-		Cost:         engine.DefaultCostModel(),
-		MinRun:       8,
-	}
+	return Config{Config: engine.DefaultConfig(), MinRun: 8}
 }
 
 // Engine is the iDedup-style deduplicator.
 type Engine struct {
-	cfg   Config
-	clock *disk.Clock
-	store *container.Store
+	*engine.Base
+	cfg Config
 
 	// ram is the in-RAM chunk index: fingerprint → newest location.
 	ram map[chunk.Fingerprint]chunk.Location
-
-	oracle *cindex.Oracle
-	segSeq uint64
 }
 
 // New builds an engine over a fresh clock.
 func New(cfg Config) (*Engine, error) {
-	return NewWithClock(cfg, &disk.Clock{})
-}
-
-// NewWithClock builds the engine over a caller-supplied clock.
-func NewWithClock(cfg Config, clock *disk.Clock) (*Engine, error) {
-	be := cfg.Backend
-	if be == nil {
-		be = blockstore.NewSim(cfg.StoreData)
-	}
-	// The device is purely the timing model; bytes live in the backend.
-	store, err := container.NewStoreWithBackend(disk.NewDevice(cfg.DiskModel, clock, false), cfg.ContainerCfg, be)
+	cfg.MinRun = max(cfg.MinRun, 1)
+	e := &Engine{cfg: cfg, ram: make(map[chunk.Fingerprint]chunk.Location, 4096)}
+	b, err := engine.NewBase("idedup", cfg.Config, engine.Rule{Segment: e.processSegment})
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MinRun < 1 {
-		cfg.MinRun = 1
-	}
-	return &Engine{
-		cfg:   cfg,
-		clock: clock,
-		store: store,
-		ram:   make(map[chunk.Fingerprint]chunk.Location, 4096),
-	}, nil
+	e.Base = b
+	return e, nil
 }
 
-// Name implements engine.Engine.
-func (e *Engine) Name() string { return "idedup" }
-
-// Containers implements engine.Engine.
-func (e *Engine) Containers() *container.Store { return e.store }
-
-// Clock implements engine.Engine.
-func (e *Engine) Clock() *disk.Clock { return e.clock }
-
-// MinRun returns the configured run threshold.
-func (e *Engine) MinRun() int { return e.cfg.MinRun }
-
-// SetOracle attaches the ground-truth oracle.
-func (e *Engine) SetOracle(o *cindex.Oracle) { e.oracle = o }
-
-// Backup implements engine.Engine.
-func (e *Engine) Backup(ctx context.Context, label string, r io.Reader) (*chunk.Recipe, engine.BackupStats, error) {
-	stats := engine.BackupStats{Label: label}
-	recipe := &chunk.Recipe{Label: label}
-	start := e.clock.Now()
-
-	logical, chunks, segs, err := engine.Pipeline(
-		ctx, r, e.cfg.ChunkParams, e.cfg.SegParams,
-		e.clock, e.cfg.Cost, e.store.StoresData(),
-		func(seg *segment.Segment) error {
-			return e.processSegment(ctx, seg, recipe, &stats)
-		})
-	if err != nil {
-		// Keep the store consistent on abort: seal the open container
-		// outside the (possibly cancelled) context.
-		e.store.Flush(context.WithoutCancel(ctx)) //nolint:errcheck // best-effort cleanup
-		return nil, stats, err
-	}
-	if err := e.store.Flush(ctx); err != nil {
-		return nil, stats, err
-	}
-
-	stats.LogicalBytes = logical
-	stats.Chunks = chunks
-	stats.Segments = segs
-	stats.Duration = e.clock.Now() - start
-	return recipe, stats, nil
-}
-
-// processSegment applies the run-length dedup filter to one segment. The error
-// return propagates future failing write paths through Backup.
-func (e *Engine) processSegment(ctx context.Context, seg *segment.Segment, recipe *chunk.Recipe, stats *engine.BackupStats) error {
-	e.segSeq++
-	segID := e.segSeq
-	segOracleDup := engine.ObserveSegment(e.oracle, seg, stats)
+// processSegment applies the run-length dedup filter to one segment.
+func (e *Engine) processSegment(in *engine.Ingest, segID uint64, seg *segment.Segment) error {
+	stats, recipe := &in.Stats, in.Recipe
 
 	// Phase 1: resolve every chunk against the RAM index (free).
 	type res struct {
@@ -191,24 +101,21 @@ func (e *Engine) processSegment(ctx context.Context, seg *segment.Segment, recip
 	// Phase 3: place. Filtered-out duplicates are rewritten (RewrittenBytes
 	// — the same accounting DeFrag uses for deliberately unremoved
 	// redundancy).
-	var removedInSeg int64
 	writtenHere := make(map[chunk.Fingerprint]chunk.Location)
 	for i, c := range seg.Chunks {
 		switch {
 		case keep[i]:
 			stats.DedupedBytes += int64(c.Size)
 			stats.DedupedChunks++
-			removedInSeg += int64(c.Size)
 			recipe.Append(c.FP, c.Size, rs[i].loc)
 		default:
 			if loc, again := writtenHere[c.FP]; again {
 				stats.DedupedBytes += int64(c.Size)
 				stats.DedupedChunks++
-				removedInSeg += int64(c.Size)
 				recipe.Append(c.FP, c.Size, loc)
 				continue
 			}
-			loc, werr := e.store.Write(ctx, c, segID)
+			loc, werr := in.W.Write(in.Ctx, c, segID)
 			if werr != nil {
 				return werr
 			}
@@ -224,8 +131,6 @@ func (e *Engine) processSegment(ctx context.Context, seg *segment.Segment, recip
 			recipe.Append(c.FP, c.Size, loc)
 		}
 	}
-
-	engine.AccountPartialSegment(e.oracle, seg, segOracleDup, removedInSeg, stats)
 	return nil
 }
 

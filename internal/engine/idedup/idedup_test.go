@@ -110,7 +110,7 @@ func TestNameAndAccessors(t *testing.T) {
 	if e.Name() != "idedup" {
 		t.Fatal("name")
 	}
-	if e.MinRun() != 8 || e.Containers() == nil || e.Clock() == nil {
+	if e.cfg.MinRun != 8 || e.Containers() == nil || e.Clock() == nil {
 		t.Fatal("accessors")
 	}
 }

@@ -5,11 +5,11 @@ import (
 	"repro/internal/segment"
 )
 
-// ObserveSegment runs the ground-truth oracle over one segment in stream
+// observeSegment runs the ground-truth oracle over one segment in stream
 // order (if an oracle is attached), accumulates the backup-level
 // OracleRedundantBytes, and returns the segment's oracle-redundant bytes.
-// Engines call this once per segment before making any dedup decision.
-func ObserveSegment(o *cindex.Oracle, seg *segment.Segment, stats *BackupStats) int64 {
+// The shell calls this once per segment before the engine's rule runs.
+func observeSegment(o *cindex.Oracle, seg *segment.Segment, stats *BackupStats) int64 {
 	if o == nil {
 		return 0
 	}
@@ -23,11 +23,11 @@ func ObserveSegment(o *cindex.Oracle, seg *segment.Segment, stats *BackupStats) 
 	return dup
 }
 
-// AccountPartialSegment applies the paper's Fig. 3/Fig. 5 restriction: only
+// accountPartialSegment applies the paper's Fig. 3/Fig. 5 restriction: only
 // segments that are *partially* redundant (0 < redundant < total) count
 // toward the efficiency metric. removed is the number of redundant bytes the
 // engine actually removed within this segment.
-func AccountPartialSegment(o *cindex.Oracle, seg *segment.Segment, oracleDup, removed int64, stats *BackupStats) {
+func accountPartialSegment(o *cindex.Oracle, seg *segment.Segment, oracleDup, removed int64, stats *BackupStats) {
 	if o == nil || oracleDup == 0 || oracleDup >= seg.Bytes {
 		return
 	}

@@ -50,6 +50,10 @@ type StreamBackupper interface {
 // clock advances to the latest per-stream finish time — the wall-clock of a
 // round of K concurrent backups is the slowest lane, not the sum.
 //
+// The serial loop charges the engine's master clock through the store's one
+// serial container writer (see RunsSerially), so it must not run beside
+// another master-clock ingest of e.
+//
 // The merged stats sum all byte/chunk/mechanism counters in input order;
 // Duration is the elapsed master-clock time of the whole call under either
 // mode. The first stream error aborts scheduling of unstarted streams and is
@@ -59,8 +63,7 @@ func RunStreams(ctx context.Context, e Engine, streams []Stream, concurrency int
 	master := e.Clock()
 	start := master.Now()
 
-	sb, canStream := e.(StreamBackupper)
-	if concurrency <= 1 || !canStream || len(streams) <= 1 {
+	if RunsSerially(e, len(streams), concurrency) {
 		for i, s := range streams {
 			recipe, stats, err := e.Backup(ctx, s.Label, s.R)
 			results[i] = StreamResult{Recipe: recipe, Stats: stats, Err: err}
@@ -98,7 +101,7 @@ func RunStreams(ctx context.Context, e Engine, streams []Stream, concurrency int
 					mu.Unlock()
 					s := streams[i]
 					clocks[i].Advance(lane)
-					recipe, stats, err := sb.BackupStream(ctx, s.Label, s.R, &clocks[i])
+					recipe, stats, err := e.(StreamBackupper).BackupStream(ctx, s.Label, s.R, &clocks[i])
 					lane = clocks[i].Now()
 					results[i] = StreamResult{Recipe: recipe, Stats: stats, Err: err}
 					if err != nil {
@@ -131,6 +134,14 @@ func RunStreams(ctx context.Context, e Engine, streams []Stream, concurrency int
 		}
 	}
 	return results, merged, nil
+}
+
+// RunsSerially reports whether RunStreams runs n streams through e with the
+// plain serial loop on the master clock: concurrency <= 1, a single stream,
+// or an engine without concurrent ingest.
+func RunsSerially(e Engine, n, concurrency int) bool {
+	_, canStream := e.(StreamBackupper)
+	return concurrency <= 1 || !canStream || n <= 1
 }
 
 // mergeStats folds per-stream stats into one record, deterministically in

@@ -21,14 +21,7 @@
 package silo
 
 import (
-	"context"
-	"io"
-
-	"repro/internal/blockstore"
 	"repro/internal/chunk"
-	"repro/internal/chunker"
-	"repro/internal/cindex"
-	"repro/internal/container"
 	"repro/internal/disk"
 	"repro/internal/engine"
 	"repro/internal/lru"
@@ -38,18 +31,10 @@ import (
 
 // Config parameterizes a SiLo-Like engine.
 type Config struct {
-	ChunkParams   chunker.Params
-	SegParams     segment.Params
-	ContainerCfg  container.Config
-	DiskModel     disk.Model
-	Cost          engine.CostModel
-	BlockSegments int  // segments per block
-	BlockCache    int  // block-metadata cache capacity, in blocks
-	SigReps       int  // representative fingerprints per segment (k-min sketch)
-	StoreData     bool // retain real chunk bytes
-	// Backend supplies the physical container store. nil selects the
-	// in-memory backend matching StoreData (the historical behavior).
-	Backend blockstore.Backend
+	engine.Config
+	BlockSegments int // segments per block
+	BlockCache    int // block-metadata cache capacity, in blocks
+	SigReps       int // representative fingerprints per segment (k-min sketch)
 }
 
 // DefaultConfig sizes the engine for roughly expectedLogicalBytes of total
@@ -59,22 +44,10 @@ type Config struct {
 // similar blocks' reach go undetected (the deduplication-efficiency loss the
 // paper's Fig. 3 measures).
 func DefaultConfig(expectedLogicalBytes int64) Config {
-	sp := segment.DefaultParams()
+	cfg := engine.DefaultConfig()
+	sp := cfg.SegParams
 	expBlocks := int(expectedLogicalBytes/(sp.MaxBytes+sp.MinBytes)) + 1 // 2 typical segments per block
-	bc := expBlocks / 32
-	if bc < 2 {
-		bc = 2
-	}
-	return Config{
-		ChunkParams:   chunker.DefaultParams(),
-		SegParams:     sp,
-		ContainerCfg:  container.DefaultConfig(),
-		DiskModel:     disk.DefaultModel(),
-		Cost:          engine.DefaultCostModel(),
-		BlockSegments: 2,
-		BlockCache:    bc,
-		SigReps:       3,
-	}
+	return Config{Config: cfg, BlockSegments: 2, BlockCache: max(expBlocks/32, 2), SigReps: 3}
 }
 
 // blockEntry is one chunk recorded in a block's metadata.
@@ -114,10 +87,9 @@ type fpEntry struct {
 
 // Engine is the SiLo-Like deduplicator.
 type Engine struct {
-	cfg   Config
-	clock *disk.Clock
-	store *container.Store
-	bdev  *disk.Device // block-metadata device
+	*engine.Base
+	cfg  Config
+	bdev *disk.Device // block-metadata device
 
 	sht    map[chunk.Fingerprint]shtEntry // representative fp → blocks
 	blocks []blockInfo                    // shadow directory of sealed blocks
@@ -128,46 +100,27 @@ type Engine struct {
 	open    []blockEntry // metadata of the open (in-RAM) block
 	openFP  map[chunk.Fingerprint]chunk.Location
 	openSeg int // segments accumulated in the open block
-
-	oracle *cindex.Oracle
-	segSeq uint64
 }
 
 // New builds a SiLo-Like engine over a fresh clock.
 func New(cfg Config) (*Engine, error) {
-	return NewWithClock(cfg, &disk.Clock{})
-}
-
-// NewWithClock builds the engine over a caller-supplied clock.
-func NewWithClock(cfg Config, clock *disk.Clock) (*Engine, error) {
-	be := cfg.Backend
-	if be == nil {
-		be = blockstore.NewSim(cfg.StoreData)
-	}
-	// The device is purely the timing model; bytes live in the backend.
-	store, err := container.NewStoreWithBackend(disk.NewDevice(cfg.DiskModel, clock, false), cfg.ContainerCfg, be)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.BlockSegments < 1 {
-		cfg.BlockSegments = 1
-	}
-	if cfg.BlockCache < 1 {
-		cfg.BlockCache = 1
-	}
-	if cfg.SigReps < 1 {
-		cfg.SigReps = 1
-	}
+	cfg.BlockSegments = max(cfg.BlockSegments, 1)
+	cfg.BlockCache = max(cfg.BlockCache, 1)
+	cfg.SigReps = max(cfg.SigReps, 1)
 	e := &Engine{
 		cfg:     cfg,
-		clock:   clock,
-		store:   store,
-		bdev:    disk.NewDevice(cfg.DiskModel, clock, false),
 		sht:     make(map[chunk.Fingerprint]shtEntry, 1024),
 		cache:   lru.New[uint32, []blockEntry](cfg.BlockCache),
 		cacheFP: make(map[chunk.Fingerprint]fpEntry, 4096),
 		openFP:  make(map[chunk.Fingerprint]chunk.Location, 1024),
 	}
+	b, err := engine.NewBase("silo-like", cfg.Config,
+		engine.Rule{Segment: e.processSegment, Seal: e.sealBlock, Missed: true})
+	if err != nil {
+		return nil, err
+	}
+	e.Base = b
+	e.bdev = disk.NewDevice(cfg.DiskModel, b.Clock(), false)
 	e.cache.OnEvict(func(bid uint32, entries []blockEntry) {
 		for _, be := range entries {
 			if ent, ok := e.cacheFP[be.fp]; ok && ent.bid == bid {
@@ -178,58 +131,9 @@ func NewWithClock(cfg Config, clock *disk.Clock) (*Engine, error) {
 	return e, nil
 }
 
-// Name implements engine.Engine.
-func (e *Engine) Name() string { return "silo-like" }
-
-// Containers implements engine.Engine.
-func (e *Engine) Containers() *container.Store { return e.store }
-
-// Clock implements engine.Engine.
-func (e *Engine) Clock() *disk.Clock { return e.clock }
-
-// SetOracle attaches the ground-truth oracle (see ddfs.Engine.SetOracle).
-func (e *Engine) SetOracle(o *cindex.Oracle) { e.oracle = o }
-
-// Backup implements engine.Engine.
-func (e *Engine) Backup(ctx context.Context, label string, r io.Reader) (*chunk.Recipe, engine.BackupStats, error) {
-	stats := engine.BackupStats{Label: label}
-	recipe := &chunk.Recipe{Label: label}
-	start := e.clock.Now()
-
-	logical, chunks, segs, err := engine.Pipeline(
-		ctx, r, e.cfg.ChunkParams, e.cfg.SegParams,
-		e.clock, e.cfg.Cost, e.store.StoresData(),
-		func(seg *segment.Segment) error {
-			return e.processSegment(ctx, seg, recipe, &stats)
-		})
-	if err != nil {
-		// Keep the store consistent on abort: seal the open container
-		// outside the (possibly cancelled) context.
-		e.store.Flush(context.WithoutCancel(ctx)) //nolint:errcheck // best-effort cleanup
-		return nil, stats, err
-	}
-	e.sealBlock() // end of stream: close the open block
-	if err := e.store.Flush(ctx); err != nil {
-		return nil, stats, err
-	}
-
-	stats.LogicalBytes = logical
-	stats.Chunks = chunks
-	stats.Segments = segs
-	stats.Duration = e.clock.Now() - start
-	stats.MissedDupBytes = stats.OracleRedundantBytes - stats.DedupedBytes
-	if stats.MissedDupBytes < 0 {
-		stats.MissedDupBytes = 0
-	}
-	return recipe, stats, nil
-}
-
-// processSegment deduplicates one segment the SiLo way. The error
-// return propagates future failing write paths through Backup.
-func (e *Engine) processSegment(ctx context.Context, seg *segment.Segment, recipe *chunk.Recipe, stats *engine.BackupStats) error {
-	e.segSeq++
-	segID := e.segSeq
-	segOracleDup := engine.ObserveSegment(e.oracle, seg, stats)
+// processSegment deduplicates one segment the SiLo way.
+func (e *Engine) processSegment(in *engine.Ingest, segID uint64, seg *segment.Segment) error {
+	stats := &in.Stats
 
 	// Similarity detection: for each of the segment's representative
 	// fingerprints, fetch the block where that content was originally
@@ -245,17 +149,15 @@ func (e *Engine) processSegment(ctx context.Context, seg *segment.Segment, recip
 		}
 	}
 
-	var removedInSeg int64
 	var wrote int64
 	for _, c := range seg.Chunks {
 		loc, dup := e.lookup(c.FP)
 		if dup {
 			stats.DedupedBytes += int64(c.Size)
 			stats.DedupedChunks++
-			removedInSeg += int64(c.Size)
 		} else {
 			var werr error
-			loc, werr = e.store.Write(ctx, c, segID)
+			loc, werr = in.W.Write(in.Ctx, c, segID)
 			if werr != nil {
 				return werr
 			}
@@ -268,7 +170,7 @@ func (e *Engine) processSegment(ctx context.Context, seg *segment.Segment, recip
 				e.openFP[c.FP] = loc
 			}
 		}
-		recipe.Append(c.FP, c.Size, loc)
+		in.Recipe.Append(c.FP, c.Size, loc)
 	}
 
 	// Update the SHT. A new representative points at the open block (that
@@ -294,8 +196,6 @@ func (e *Engine) processSegment(ctx context.Context, seg *segment.Segment, recip
 	if e.openSeg >= e.cfg.BlockSegments {
 		e.sealBlock()
 	}
-
-	engine.AccountPartialSegment(e.oracle, seg, segOracleDup, removedInSeg, stats)
 	return nil
 }
 

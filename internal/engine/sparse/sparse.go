@@ -21,15 +21,9 @@
 package sparse
 
 import (
-	"context"
-	"io"
 	"sort"
 
-	"repro/internal/blockstore"
 	"repro/internal/chunk"
-	"repro/internal/chunker"
-	"repro/internal/cindex"
-	"repro/internal/container"
 	"repro/internal/disk"
 	"repro/internal/engine"
 	"repro/internal/lru"
@@ -38,37 +32,20 @@ import (
 
 // Config parameterizes a Sparse-Indexing engine.
 type Config struct {
-	ChunkParams  chunker.Params
-	SegParams    segment.Params
-	ContainerCfg container.Config
-	DiskModel    disk.Model
-	Cost         engine.CostModel
-
+	engine.Config
 	SampleBits    int // a fingerprint is a hook when its low SampleBits bits are zero
 	MaxChampions  int // manifests loaded per incoming segment (paper: up to 10)
 	MaxPerHook    int // manifest IDs remembered per hook (RAM bound)
 	ManifestCache int // manifest cache capacity
-	StoreData     bool
-	// Backend supplies the physical container store. nil selects the
-	// in-memory backend matching StoreData (the historical behavior).
-	Backend blockstore.Backend
 }
 
 // DefaultConfig sizes the engine for expectedLogicalBytes of ingest,
 // holding the same scale-invariant RAM-starved regime as the other engines.
 func DefaultConfig(expectedLogicalBytes int64) Config {
-	sp := segment.DefaultParams()
-	expManifests := int(expectedLogicalBytes/sp.MaxBytes) + 1
-	mc := expManifests / 64
-	if mc < 4 {
-		mc = 4
-	}
+	cfg := engine.DefaultConfig()
+	expManifests := int(expectedLogicalBytes/cfg.SegParams.MaxBytes) + 1
 	return Config{
-		ChunkParams:  chunker.DefaultParams(),
-		SegParams:    sp,
-		ContainerCfg: container.DefaultConfig(),
-		DiskModel:    disk.DefaultModel(),
-		Cost:         engine.DefaultCostModel(),
+		Config: cfg,
 		// 1/16 sampling: the FAST'09 system samples 1/64 of ~10 MB segments;
 		// at this reproduction's 0.5–2 MB segments the same ~10+ hooks per
 		// segment need a denser rate, else small segments go hookless and
@@ -76,8 +53,7 @@ func DefaultConfig(expectedLogicalBytes int64) Config {
 		SampleBits:    4,
 		MaxChampions:  4,
 		MaxPerHook:    3,
-		ManifestCache: mc,
-		StoreData:     false,
+		ManifestCache: max(expManifests/64, 4),
 	}
 }
 
@@ -99,19 +75,15 @@ type manifest struct {
 
 // Engine is the Sparse-Indexing deduplicator.
 type Engine struct {
-	cfg   Config
-	clock *disk.Clock
-	store *container.Store
-	mdev  *disk.Device // manifest device
+	*engine.Base
+	cfg  Config
+	mdev *disk.Device // manifest device
 
 	sparse    map[chunk.Fingerprint][]uint32 // hook → manifest IDs (bounded)
 	manifests []manifest
 
 	cache   *lru.Cache[uint32, []manifestEntry]
 	cacheFP map[chunk.Fingerprint]fpEntry
-
-	oracle *cindex.Oracle
-	segSeq uint64
 }
 
 type fpEntry struct {
@@ -121,41 +93,22 @@ type fpEntry struct {
 
 // New builds a Sparse-Indexing engine over a fresh clock.
 func New(cfg Config) (*Engine, error) {
-	return NewWithClock(cfg, &disk.Clock{})
-}
-
-// NewWithClock builds the engine over a caller-supplied clock.
-func NewWithClock(cfg Config, clock *disk.Clock) (*Engine, error) {
-	be := cfg.Backend
-	if be == nil {
-		be = blockstore.NewSim(cfg.StoreData)
-	}
-	// The device is purely the timing model; bytes live in the backend.
-	store, err := container.NewStoreWithBackend(disk.NewDevice(cfg.DiskModel, clock, false), cfg.ContainerCfg, be)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.SampleBits < 0 {
-		cfg.SampleBits = 0
-	}
-	if cfg.MaxChampions < 1 {
-		cfg.MaxChampions = 1
-	}
-	if cfg.MaxPerHook < 1 {
-		cfg.MaxPerHook = 1
-	}
-	if cfg.ManifestCache < 1 {
-		cfg.ManifestCache = 1
-	}
+	cfg.SampleBits = max(cfg.SampleBits, 0)
+	cfg.MaxChampions = max(cfg.MaxChampions, 1)
+	cfg.MaxPerHook = max(cfg.MaxPerHook, 1)
+	cfg.ManifestCache = max(cfg.ManifestCache, 1)
 	e := &Engine{
 		cfg:     cfg,
-		clock:   clock,
-		store:   store,
-		mdev:    disk.NewDevice(cfg.DiskModel, clock, false),
 		sparse:  make(map[chunk.Fingerprint][]uint32, 1024),
 		cache:   lru.New[uint32, []manifestEntry](cfg.ManifestCache),
 		cacheFP: make(map[chunk.Fingerprint]fpEntry, 4096),
 	}
+	b, err := engine.NewBase("sparse-index", cfg.Config, engine.Rule{Segment: e.processSegment, Missed: true})
+	if err != nil {
+		return nil, err
+	}
+	e.Base = b
+	e.mdev = disk.NewDevice(cfg.DiskModel, b.Clock(), false)
 	e.cache.OnEvict(func(mid uint32, entries []manifestEntry) {
 		for _, me := range entries {
 			if ent, ok := e.cacheFP[me.fp]; ok && ent.mid == mid {
@@ -166,63 +119,15 @@ func NewWithClock(cfg Config, clock *disk.Clock) (*Engine, error) {
 	return e, nil
 }
 
-// Name implements engine.Engine.
-func (e *Engine) Name() string { return "sparse-index" }
-
-// Containers implements engine.Engine.
-func (e *Engine) Containers() *container.Store { return e.store }
-
-// Clock implements engine.Engine.
-func (e *Engine) Clock() *disk.Clock { return e.clock }
-
-// SetOracle attaches the ground-truth oracle.
-func (e *Engine) SetOracle(o *cindex.Oracle) { e.oracle = o }
-
 // isHook reports whether fp is a sampled fingerprint.
 func (e *Engine) isHook(fp chunk.Fingerprint) bool {
 	mask := uint64(1)<<uint(e.cfg.SampleBits) - 1
 	return fp.Uint64()&mask == 0
 }
 
-// Backup implements engine.Engine.
-func (e *Engine) Backup(ctx context.Context, label string, r io.Reader) (*chunk.Recipe, engine.BackupStats, error) {
-	stats := engine.BackupStats{Label: label}
-	recipe := &chunk.Recipe{Label: label}
-	start := e.clock.Now()
-
-	logical, chunks, segs, err := engine.Pipeline(
-		ctx, r, e.cfg.ChunkParams, e.cfg.SegParams,
-		e.clock, e.cfg.Cost, e.store.StoresData(),
-		func(seg *segment.Segment) error {
-			return e.processSegment(ctx, seg, recipe, &stats)
-		})
-	if err != nil {
-		// Keep the store consistent on abort: seal the open container
-		// outside the (possibly cancelled) context.
-		e.store.Flush(context.WithoutCancel(ctx)) //nolint:errcheck // best-effort cleanup
-		return nil, stats, err
-	}
-	if err := e.store.Flush(ctx); err != nil {
-		return nil, stats, err
-	}
-
-	stats.LogicalBytes = logical
-	stats.Chunks = chunks
-	stats.Segments = segs
-	stats.Duration = e.clock.Now() - start
-	stats.MissedDupBytes = stats.OracleRedundantBytes - stats.DedupedBytes
-	if stats.MissedDupBytes < 0 {
-		stats.MissedDupBytes = 0
-	}
-	return recipe, stats, nil
-}
-
-// processSegment deduplicates one segment against its champion manifests. The error
-// return propagates future failing write paths through Backup.
-func (e *Engine) processSegment(ctx context.Context, seg *segment.Segment, recipe *chunk.Recipe, stats *engine.BackupStats) error {
-	e.segSeq++
-	segID := e.segSeq
-	segOracleDup := engine.ObserveSegment(e.oracle, seg, stats)
+// processSegment deduplicates one segment against its champion manifests.
+func (e *Engine) processSegment(in *engine.Ingest, segID uint64, seg *segment.Segment) error {
+	stats := &in.Stats
 
 	// Collect the segment's hooks and vote for candidate manifests.
 	votes := make(map[uint32]int)
@@ -261,23 +166,21 @@ func (e *Engine) processSegment(ctx context.Context, seg *segment.Segment, recip
 	// Deduplicate against the RAM-resident manifests and build this
 	// segment's own manifest.
 	entries := make([]manifestEntry, 0, len(seg.Chunks))
-	var removedInSeg int64
 	for _, c := range seg.Chunks {
 		loc, dup := e.cacheLookup(c.FP)
 		if dup {
 			stats.DedupedBytes += int64(c.Size)
 			stats.DedupedChunks++
-			removedInSeg += int64(c.Size)
 		} else {
 			var werr error
-			loc, werr = e.store.Write(ctx, c, segID)
+			loc, werr = in.W.Write(in.Ctx, c, segID)
 			if werr != nil {
 				return werr
 			}
 			stats.UniqueBytes += int64(c.Size)
 			stats.UniqueChunks++
 		}
-		recipe.Append(c.FP, c.Size, loc)
+		in.Recipe.Append(c.FP, c.Size, loc)
 		entries = append(entries, manifestEntry{fp: c.FP, loc: loc})
 	}
 
@@ -296,8 +199,6 @@ func (e *Engine) processSegment(ctx context.Context, seg *segment.Segment, recip
 	}
 	// The fresh manifest is RAM-resident (it was just built).
 	e.insertCache(mid, entries)
-
-	engine.AccountPartialSegment(e.oracle, seg, segOracleDup, removedInSeg, stats)
 	return nil
 }
 

@@ -1,4 +1,4 @@
-// Package enginetest provides shared scenario helpers for testing the three
+// Package enginetest provides shared scenario helpers for testing the five
 // deduplication engines against common invariants: byte conservation,
 // restore correctness, dedup effectiveness across generations, and
 // simulated-time sanity.

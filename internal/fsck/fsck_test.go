@@ -40,7 +40,7 @@ func buildClean(t *testing.T, s *container.Store, ix *cindex.Index) *chunk.Recip
 		ix.Insert(c.FP, loc)
 		rec.Append(c.FP, c.Size, loc)
 	}
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	return rec
 }
 
@@ -213,7 +213,7 @@ func min(a, b int) int {
 // mustWrite appends c through the store frontier; the in-memory backends
 // used by these tests cannot fail, so any error is a test bug.
 func mustWrite(s *container.Store, c chunk.Chunk, seg uint64) chunk.Location {
-	loc, err := s.Write(context.Background(), c, seg)
+	loc, err := s.SerialWriter().Write(context.Background(), c, seg)
 	if err != nil {
 		panic(err)
 	}

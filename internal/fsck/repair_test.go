@@ -55,7 +55,7 @@ func buildFileStore(t *testing.T, dir string) []*chunk.Recipe {
 			}
 		}
 	}
-	if err := s.Flush(context.Background()); err != nil {
+	if err := s.SerialWriter().Finish(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	s.WaitSeals()

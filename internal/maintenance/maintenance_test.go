@@ -33,7 +33,7 @@ func rig(t *testing.T, storeData bool) (*container.Store, *cindex.Index, *disk.C
 
 func mustWrite(t *testing.T, s *container.Store, c chunk.Chunk, seg uint64) chunk.Location {
 	t.Helper()
-	loc, err := s.Write(context.Background(), c, seg)
+	loc, err := s.SerialWriter().Write(context.Background(), c, seg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestReverseRemapMovesOldGenerationsForward(t *testing.T) {
 	// Gen 0: chunk A alone in container 0 (a low-fill stream tail).
 	dataA := bytes.Repeat([]byte{1}, 900)
 	fpA, locA0 := put(t, s, ix, dataA, 1)
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	gen0 := &chunk.Recipe{Label: "gen0"}
 	gen0.Append(fpA, 900, locA0)
 	rs.add(gen0)
@@ -164,7 +164,7 @@ func TestReverseRemapMovesOldGenerationsForward(t *testing.T) {
 	ix.Update(fpA, locA1)
 	s.MarkDead(locA0.Container, int64(locA0.Size))
 	fpB, locB := put(t, s, ix, bytes.Repeat([]byte{2}, 900), 2)
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	gen1 := &chunk.Recipe{Label: "gen1"}
 	gen1.Append(fpA, 900, locA1)
 	gen1.Append(fpB, 900, locB)
@@ -219,7 +219,7 @@ func TestMergeConsolidatesLiveChunksAndDrops(t *testing.T) {
 	mustWrite(t, s, cX, 1)
 	dataY := bytes.Repeat([]byte{7}, 500)
 	fpY, locY := put(t, s, ix, dataY, 1)
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 
 	gen := &chunk.Recipe{Label: "gen0"}
 	gen.Append(fpY, 500, locY)
@@ -266,7 +266,7 @@ func TestGateRevalidateRemapsRacedPins(t *testing.T) {
 	mustWrite(t, s, chunk.New(dataX), 1) // dead filler
 	dataY := bytes.Repeat([]byte{7}, 500)
 	fpY, locY := put(t, s, ix, dataY, 1)
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	gen := &chunk.Recipe{Label: "gen0"}
 	gen.Append(fpY, 500, locY)
 	rs.add(gen)
@@ -305,7 +305,7 @@ func TestGateRevalidateSkipsRepinnedVictim(t *testing.T) {
 	locX := mustWrite(t, s, cX, 1) // dead at scan time: never indexed
 	dataY := bytes.Repeat([]byte{7}, 500)
 	fpY, locY := put(t, s, ix, dataY, 1)
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	gen := &chunk.Recipe{Label: "gen0"}
 	gen.Append(fpY, 500, locY)
 	rs.add(gen)
@@ -351,7 +351,7 @@ func TestSparseLatestConsolidation(t *testing.T) {
 		fps, locs = append(fps, fp), append(locs, loc)
 		gen0.Append(fp, 500, loc)
 	}
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	rs.add(gen0)
 	// Latest generation references just one of the four (20% < 25%).
 	gen1 := &chunk.Recipe{Label: "gen1"}
@@ -422,10 +422,10 @@ func halfDeadPlusLive(t *testing.T, s *container.Store, ix *cindex.Index, rs *fa
 	fp, loc := put(t, s, ix, fill(1, 900), 1)
 	rec.Append(fp, 900, loc)
 	mustWrite(t, s, chunk.New(fill(2, 900)), 1) // never indexed: garbage from birth
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	fp, loc = put(t, s, ix, fill(3, 900), 2)
 	rec.Append(fp, 900, loc)
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	rs.add(rec)
 }
 
@@ -455,7 +455,7 @@ func TestCompactPolicy(t *testing.T) {
 					fp, loc := put(t, s, ix, fill(byte(i), 300), 1)
 					rec.Append(fp, 300, loc)
 				}
-				s.Flush(context.Background())
+				s.SerialWriter().Finish(context.Background())
 				rs.add(rec)
 			},
 			check: func(t *testing.T, _ *container.Store, _ *cindex.Index, rs *fakeRecipes, st Stats) {
@@ -493,11 +493,11 @@ func TestCompactPolicy(t *testing.T) {
 			build: func(t *testing.T, s *container.Store, ix *cindex.Index, rs *fakeRecipes) {
 				fpDead, _ := put(t, s, ix, fill(1, 900), 1)
 				fpLive, locLive := put(t, s, ix, fill(2, 900), 1)
-				s.Flush(context.Background())
+				s.SerialWriter().Finish(context.Background())
 				// A rewrite supersedes fpDead with a copy in container 1.
 				ix.Update(fpDead, mustWrite(t, s, chunk.New(fill(1, 900)), 2))
 				put(t, s, ix, fill(3, 900), 2)
-				s.Flush(context.Background())
+				s.SerialWriter().Finish(context.Background())
 				pinned = &chunk.Recipe{Label: "gen0"}
 				pinned.Append(fpLive, 900, locLive)
 				rs.add(pinned)
@@ -522,7 +522,7 @@ func TestCompactPolicy(t *testing.T) {
 			build: func(t *testing.T, s *container.Store, ix *cindex.Index, _ *fakeRecipes) {
 				put(t, s, ix, fill(4, 900), 1)
 				mustWrite(t, s, chunk.New(fill(5, 900)), 1) // never indexed
-				s.Flush(context.Background())
+				s.SerialWriter().Finish(context.Background())
 			},
 			check: func(t *testing.T, s *container.Store, ix *cindex.Index, _ *fakeRecipes, st Stats) {
 				if st.ContainersMerged != 1 || st.ChunksMoved != 1 || st.RefsPatched != 0 {
@@ -541,7 +541,7 @@ func TestCompactPolicy(t *testing.T) {
 				for i := 0; i < 4; i++ {
 					mustWrite(t, s, chunk.New(fill(byte(i+1), 900)), 1) // never indexed
 				}
-				s.Flush(context.Background())
+				s.SerialWriter().Finish(context.Background())
 			},
 			check: func(t *testing.T, s *container.Store, _ *cindex.Index, _ *fakeRecipes, st Stats) {
 				if st.ChunksMoved != 0 || st.BytesReclaimed != 4*900 || s.NumContainers() != 0 {
@@ -583,7 +583,7 @@ func TestCompactRunsBatchesUntilCancelled(t *testing.T) {
 		rec.Append(fp, 900, loc)
 		want = append(want, data)
 		mustWrite(t, s, chunk.New(fill(byte(0xA0+i), 900)), uint64(i+1)) // garbage
-		s.Flush(context.Background())
+		s.SerialWriter().Finish(context.Background())
 	}
 	rs.add(rec)
 
@@ -622,7 +622,7 @@ func TestCompactStopsWhenABatchDropsNothing(t *testing.T) {
 	cX := chunk.New(fill(9, 1000))
 	locX := mustWrite(t, s, cX, 1) // dead at scan time
 	fpY, locY := put(t, s, ix, fill(7, 500), 1)
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	gen := &chunk.Recipe{Label: "gen0"}
 	gen.Append(fpY, 500, locY)
 	rs.add(gen)
@@ -652,7 +652,7 @@ func TestEpochCancellation(t *testing.T) {
 	rs := &fakeRecipes{}
 	mustWrite(t, s, chunk.New(bytes.Repeat([]byte{9}, 1000)), 1)
 	fpY, locY := put(t, s, ix, bytes.Repeat([]byte{7}, 500), 1)
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	gen := &chunk.Recipe{Label: "gen0"}
 	gen.Append(fpY, 500, locY)
 	rs.add(gen)

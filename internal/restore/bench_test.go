@@ -30,7 +30,7 @@ func benchStore(b testing.TB, nChunks, size, chunksPerContainer int) (*container
 		loc := mustWrite(s, chunk.New(d), uint64(i))
 		rec.Append(chunk.Of(d), uint32(len(d)), loc)
 	}
-	if err := s.Flush(context.Background()); err != nil {
+	if err := s.SerialWriter().Finish(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	return s, rec

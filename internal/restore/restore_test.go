@@ -38,7 +38,7 @@ func ingest(t *testing.T, s *container.Store, label string, datas [][]byte) *chu
 		loc := mustWrite(s, chunk.New(d), uint64(i))
 		rec.Append(chunk.Of(d), uint32(len(d)), loc)
 	}
-	s.Flush(context.Background())
+	s.SerialWriter().Finish(context.Background())
 	return rec
 }
 
@@ -204,7 +204,7 @@ func TestWriterReceivesStream(t *testing.T) {
 // mustWrite appends c through the store frontier; the in-memory backends
 // used by these tests cannot fail, so any error is a test bug.
 func mustWrite(s *container.Store, c chunk.Chunk, seg uint64) chunk.Location {
-	loc, err := s.Write(context.Background(), c, seg)
+	loc, err := s.SerialWriter().Write(context.Background(), c, seg)
 	if err != nil {
 		panic(err)
 	}

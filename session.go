@@ -21,8 +21,9 @@ import (
 // index shards, Bloom filter and container store, and on commit the master
 // clock advances to the lane's finish time if it is ahead — K concurrent
 // uploads cost the slowest lane, not the sum, exactly as BackupStreams
-// charges a round. Engines without concurrent ingest are serialized on an
-// internal mutex, so correctness never depends on the engine kind.
+// charges a round. Engines without concurrent ingest run it on the master
+// clock, one whole backup at a time with Backup, so correctness never depends
+// on the engine kind.
 //
 // Cancelling ctx aborts the backup between segments; the store stays
 // consistent and the aborted backup is simply absent (the cancelled-ingest
@@ -35,8 +36,8 @@ func (s *Store) IngestStream(ctx context.Context, label string, r io.Reader) (*B
 // ingest is the one body of Backup and IngestStream: label check, the
 // foreground gate, the engine, commitBackup. With onLane and an engine that
 // has a concurrent ingest path the stream runs on a lane of its own; else on
-// the master clock, and engines without that path run one whole backup at a
-// time under ingestMu, whichever entry point they came in by.
+// the master clock, through the store's one serial container writer, one
+// whole backup at a time under ingestMu, whichever entry point it came in by.
 func (s *Store) ingest(ctx context.Context, spanName, label string, r io.Reader, onLane bool) (*Backup, error) {
 	ctx, span := telemetry.StartSpan(ctx, spanName)
 	defer span.End()
@@ -53,15 +54,11 @@ func (s *Store) ingest(ctx context.Context, spanName, label string, r io.Reader,
 		err  error
 		lane *disk.Clock
 	)
-	sb, concurrent := s.eng.(engine.StreamBackupper)
-	switch {
-	case concurrent && onLane:
+	if sb, concurrent := s.eng.(engine.StreamBackupper); concurrent && onLane {
 		lane = new(disk.Clock)
 		lane.Advance(s.eng.Clock().Now())
 		rec, st, err = sb.BackupStream(ctx, label, r, lane)
-	case concurrent:
-		rec, st, err = s.eng.Backup(ctx, label, r)
-	default:
+	} else {
 		s.ingestMu.Lock()
 		rec, st, err = s.eng.Backup(ctx, label, r)
 		s.ingestMu.Unlock()
