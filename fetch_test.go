@@ -1,16 +1,23 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/blockstore"
+	"repro/internal/workload"
 )
 
 // sectionSpy records a digest of every data section the backend under the
@@ -129,4 +136,172 @@ func TestSectionReadsWithAndWithoutCache(t *testing.T) {
 			}
 		})
 	}
+}
+
+// loanFaults is a WrapBackend wrapper that spoils one ranged loan in every
+// `every` on its way to the file backend, the way mode says:
+//
+//   - "short loan": the buffer handed on is one byte short of the ranges' sum;
+//   - "refused loan": no buffer is handed on at all;
+//   - "re-read": the read succeeds, and then comes back as a transient error,
+//     so that a Retry above re-reads into a second loan;
+//   - "shrink": the container's data file is cut to half between the
+//     backend's fstat and its first pread.
+//
+// It counts the loans it spoilt and the ranged loans it let through.
+type loanFaults struct {
+	blockstore.Backend
+	dir          string
+	mode         string
+	every        int
+	seen         int
+	spoilt, kept atomic.Int64
+}
+
+func (l *loanFaults) lender(ctx context.Context) (context.Context, *bool) {
+	inner := blockstore.LenderFrom(ctx)
+	fail := new(bool)
+	if inner == nil {
+		return ctx, fail
+	}
+	return blockstore.WithLender(ctx, func(id uint32, n int64) ([]byte, []blockstore.Range) {
+		buf, want := inner(id, n)
+		if want == nil || len(buf) == 0 {
+			return buf, want
+		}
+		if l.seen++; l.seen%l.every != 0 {
+			l.kept.Add(1)
+			return buf, want
+		}
+		l.spoilt.Add(1)
+		switch l.mode {
+		case "short loan":
+			sum := int64(0)
+			for _, r := range want {
+				sum += r.Len
+			}
+			return buf[:sum-1], want
+		case "refused loan":
+			return nil, nil
+		case "re-read":
+			*fail = true
+		case "shrink":
+			path := filepath.Join(l.dir, "containers", fmt.Sprintf("%06d.data", id))
+			if err := os.Truncate(path, n/2); err != nil {
+				panic(err)
+			}
+		}
+		return buf, want
+	}), fail
+}
+
+func (l *loanFaults) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
+	ctx, fail := l.lender(ctx)
+	out, err := l.Backend.ReadDataRange(ctx, ids)
+	if err == nil && *fail {
+		return nil, blockstore.Transient(errors.New("lost on the way up"))
+	}
+	return out, err
+}
+
+func (l *loanFaults) Drop(ctx context.Context, ids []uint32, reason string) error {
+	return l.Backend.(blockstore.Dropper).Drop(ctx, ids, reason)
+}
+
+// tearing makes the seals its tear flag is set for torn: their data files
+// hold half the section, as FaultConfig.TornRate leaves them.
+type tearing struct {
+	blockstore.Backend
+	torn blockstore.Backend // the same backend behind a Fault that tears every seal
+	tear bool
+}
+
+func (w *tearing) Seal(ctx context.Context, info blockstore.ContainerInfo, data []byte) error {
+	if w.tear {
+		return w.torn.Seal(ctx, info, data)
+	}
+	return w.Backend.Seal(ctx, info, data)
+}
+
+// TestPackedFetchFaults runs the ways a packed read can go wrong through a
+// whole restore of a churned file-backed store, verify off so that nothing
+// but the comparison with the source looks at the bytes: a lent buffer short
+// of the ranges' sum and a refused loan each mix a whole, private section into
+// a restore of packed ones, and a retried read lends a second buffer — those
+// restores must be whole and right; a file that shrinks between fstat and a
+// ranged pread, and a section the fault backend tore at seal, must each stop
+// the restore with ErrCorrupt naming the container, after bytes that are the
+// source's.
+func TestPackedFetchFaults(t *testing.T) {
+	ctx := context.Background()
+	opts := DefaultRestoreOptions()
+	opts.Verify = false
+	restore := func(t *testing.T, s *Store, b *Backup, want []byte) error {
+		t.Helper()
+		var out bytes.Buffer
+		_, err := s.RestoreWith(ctx, b, &out, opts)
+		if !bytes.HasPrefix(want, out.Bytes()) || (err == nil && out.Len() != len(want)) {
+			t.Fatalf("restored %d of %d bytes (%v), and they are not the source's", out.Len(), len(want), err)
+		}
+		return err
+	}
+	for _, mode := range []string{"short loan", "refused loan", "re-read", "shrink"} {
+		t.Run(mode, func(t *testing.T) {
+			faults := &loanFaults{mode: mode, every: 3}
+			s, datas := churnedFileStore(t, Options{WrapBackend: func(be blockstore.Backend) blockstore.Backend {
+				faults.Backend = be
+				return blockstore.WithRetry(faults, blockstore.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond})
+			}}, 42, 24, 7, 4)
+			faults.dir = s.opts.Dir
+			newest := s.Backups()[len(s.Backups())-1]
+			err := restore(t, s, newest, datas[len(datas)-1])
+			if faults.spoilt.Load() == 0 || faults.kept.Load() == 0 {
+				t.Fatalf("%d loans spoilt beside %d packed: nothing was mixed", faults.spoilt.Load(), faults.kept.Load())
+			}
+			if mode != "shrink" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if !errors.Is(err, blockstore.ErrCorrupt) || !strings.Contains(err.Error(), "container") || !strings.Contains(err.Error(), "torn") {
+				t.Fatalf("a file cut under a ranged read: %v, want ErrCorrupt naming a torn container", err)
+			}
+		})
+	}
+
+	t.Run("torn at seal", func(t *testing.T) {
+		w := &tearing{}
+		s, err := Open(Options{Engine: DeFrag, Alpha: 0.1, StoreData: true, ExpectedBytes: 64 << 20, Backend: FileBackend, Dir: t.TempDir(),
+			WrapBackend: func(be blockstore.Backend) blockstore.Backend {
+				w.Backend, w.torn = be, blockstore.NewFault(be, blockstore.FaultConfig{Seed: 1, TornRate: 1})
+				return w
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		wcfg := workload.DefaultConfig(5)
+		wcfg.NumFiles = 8
+		sched, err := workload.NewSingle(wcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var newest []byte
+		for g := 0; g < 5; g++ {
+			b := sched.Next()
+			if newest, err = io.ReadAll(b.Stream); err != nil {
+				t.Fatal(err)
+			}
+			w.tear = g == 2 // the newest backup still reads what this one wrote
+			if _, err := s.Backup(ctx, b.Label, bytes.NewReader(newest)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		backups := s.Backups()
+		err = restore(t, s, backups[len(backups)-1], newest)
+		if !errors.Is(err, blockstore.ErrCorrupt) || !strings.Contains(err.Error(), "container") || !strings.Contains(err.Error(), "torn") {
+			t.Fatalf("a restore over containers torn at seal: %v, want ErrCorrupt naming a torn container", err)
+		}
+	})
 }

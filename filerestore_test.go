@@ -71,25 +71,30 @@ func churnedFileStore(t *testing.T, opts Options, seed int64, files, gens, keep 
 // (blockstore.LenderFrom): it adds up what every read asked of the backend
 // beneath it — the ranges lent with the buffer a section came back in, the
 // whole section when there was no loan, no ranges, or the loan went unused —
-// and, with poison set, fills every lent buffer with 0xA5 before the backend
-// sees it, so that whatever a ranged read leaves unread is not, by luck, the
-// bytes the same buffer held for the same container a moment ago.
+// and the sections those reads were of, whole; and, with poison set, it fills
+// every lent buffer with 0xA5 before the backend sees it, so that whatever a
+// ranged read leaves unread is not, by luck, the bytes the same buffer held for
+// the same container a moment ago.
 type loanSpy struct {
 	blockstore.Backend
 	poison bool
 	asked  atomic.Int64 // bytes asked of the backend
+	whole  atomic.Int64 // bytes of the sections they were asked of
 	ranged atomic.Int64 // sections that came back in a buffer lent with ranges
 }
 
+// loan is what a lent buffer was lent for: the section's size, and the bytes
+// of it to be read into the buffer (-1: the whole section).
+type loan struct{ n, asked int64 }
+
 // watch returns ctx with its lender, if any, wrapped, and the loans made
-// through it: what each lent buffer, by array, was lent to have read into it
-// (-1: the whole section).
-func (l *loanSpy) watch(ctx context.Context) (context.Context, map[*byte]int64) {
+// through it, by array.
+func (l *loanSpy) watch(ctx context.Context) (context.Context, map[*byte]loan) {
 	inner := blockstore.LenderFrom(ctx)
 	if inner == nil {
 		return ctx, nil
 	}
-	loans := make(map[*byte]int64)
+	loans := make(map[*byte]loan)
 	return blockstore.WithLender(ctx, func(id uint32, n int64) ([]byte, []blockstore.Range) {
 		buf, want := inner(id, n)
 		if len(buf) == 0 {
@@ -100,24 +105,27 @@ func (l *loanSpy) watch(ctx context.Context) (context.Context, map[*byte]int64) 
 				buf[i] = 0xA5
 			}
 		}
-		loans[&buf[0]] = -1
+		ln := loan{n: n, asked: -1}
 		if want != nil {
-			loans[&buf[0]] = 0
+			ln.asked = 0
 			for _, r := range want {
-				loans[&buf[0]] += r.Len
+				ln.asked += r.Len
 			}
 		}
+		loans[&buf[0]] = ln
 		return buf, want
 	}), loans
 }
 
-func (l *loanSpy) count(loans map[*byte]int64, data []byte) {
-	if asked, lent := loans[&data[0]]; lent && asked >= 0 {
-		l.asked.Add(asked)
+func (l *loanSpy) count(loans map[*byte]loan, data []byte) {
+	if ln, lent := loans[&data[0]]; lent && ln.asked >= 0 {
+		l.asked.Add(ln.asked)
+		l.whole.Add(ln.n)
 		l.ranged.Add(1)
 		return
 	}
 	l.asked.Add(int64(len(data)))
+	l.whole.Add(int64(len(data)))
 }
 
 func (l *loanSpy) ReadData(ctx context.Context, id uint32) ([]byte, error) {
@@ -209,6 +217,7 @@ func TestFileRestoreReadGuard(t *testing.T) {
 	// (a)
 	counts.ResetCounts()
 	loans.asked.Store(0)
+	loans.whole.Store(0)
 	var out bytes.Buffer
 	rs, err := s.Restore(ctx, newest, &out, true)
 	if err != nil {
@@ -222,13 +231,13 @@ func TestFileRestoreReadGuard(t *testing.T) {
 			got, rs.ContainerReads, cache, opt.ContainerReads, cache, lru.ContainerReads)
 	}
 	// (b) What the restore says it asked for is what the backend was asked
-	// for: the ranges its refs lie in, not the whole sections Counting sees
-	// come back. Pinned: this store and seed ask for 1.01 × the bytes restored,
-	// in sections of 1.22 × (LRU: 1.73 ×).
-	if got := loans.asked.Load(); got != rs.ReadBytes {
-		t.Fatalf("the backend was asked for %d bytes, RestoreStats.ReadBytes says %d", got, rs.ReadBytes)
+	// for, and what came back up (packed): the ranges its refs lie in, not the
+	// whole sections. Pinned: this store and seed ask for 1.01 × the bytes
+	// restored, in sections of 1.22 × (LRU: 1.73 ×).
+	if got, back := loans.asked.Load(), counts.DataBytesRead(); got != rs.ReadBytes || back != rs.ReadBytes {
+		t.Fatalf("the backend was asked for %d bytes and returned %d, RestoreStats.ReadBytes says %d", got, back, rs.ReadBytes)
 	}
-	whole := counts.DataBytesRead()
+	whole := loans.whole.Load()
 	if rs.ReadBytes > whole {
 		t.Fatalf("asked for %d bytes of sections of %d", rs.ReadBytes, whole)
 	}

@@ -77,19 +77,18 @@ type ContainerInfo struct {
 // as above.
 //
 // A loan may be ranged: with the buffer the lender names the byte ranges of
-// the section its holder will look at, and the backend need fill only those,
-// each at its own offset. What a section in a lent buffer holds outside them
-// is unspecified — stale bytes of whatever the buffer held before — and
-// nobody may look there: not the holder, who said it would not, and not a
-// wrapper, which cannot tell a ranged section from a whole one and so must
-// not hash, compare or copy-and-share what it forwards. A section that is not
-// in a lent buffer is always whole.
+// the section its holder will look at, and the section comes back packed —
+// those ranges back to back, in order, as the first Σ Len bytes of the buffer,
+// and nothing else. A packed section is shorter than the container's fill and
+// is not the section at its offsets: only its holder, who knows the ranges, can
+// read it, so a wrapper must not hash, compare or copy-and-share what it
+// forwards. A section that is not in a lent buffer is always whole.
 //
 // The ctx and the returned slices are all a wrapper has to forward for this
 // to work; a wrapper that keeps or shares the slices it returns (a cache)
 // must strip the lender — WithLender(ctx, nil) — before calling inward,
-// because a lent buffer is overwritten once its holder is done and may never
-// have been whole.
+// because a lent buffer is overwritten once its holder is done and may hold a
+// packed section, never the whole one.
 //
 // The write side has a twin that asks even less of a wrapper. The container
 // store that was given the raw File (it alone: container.Store.StageTo, or
@@ -211,13 +210,14 @@ func ReadDataRangeNaive(ctx context.Context, b Backend, ids []uint32) ([][]byte,
 // Range is a byte range of one container's data section.
 type Range struct{ Off, Len int64 }
 
-// Lender hands out a buffer of at least n bytes for the data section of
-// container id to be read into, or nil when it has none to spare (the backend
-// then allocates and reads the whole section, as it would without a lender).
-// With the buffer it may name the ranges of the section it will look at —
-// sorted, disjoint, inside [0, n) — and the backend may leave the rest of the
-// buffer as it found it; nil ranges ask for the whole section. See Backend for
-// who may lend and what lending means for the section's lifetime.
+// Lender hands out a buffer for the n-byte data section of container id to be
+// read into, or nil when it has none to spare (the backend then allocates and
+// reads the whole section, as it would without a lender). With the buffer it
+// may name the ranges of the section it will look at — sorted, disjoint,
+// inside [0, n) — and the buffer need hold only their sum, which is what comes
+// back (packed, see Backend); nil ranges ask for the whole section. A buffer
+// too short for its loan is a refused loan. See Backend for who may lend and
+// what lending means for the section's lifetime.
 type Lender func(id uint32, n int64) (buf []byte, want []Range)
 
 type lenderKey struct{}

@@ -354,12 +354,12 @@ func (f *File) ReadData(ctx context.Context, id uint32) ([]byte, error) {
 	return f.readSection(ctx, id, info.DataFill)
 }
 
-// readSection reads container id's data file, which must hold exactly want
+// readSection reads container id's data file, which must hold exactly fill
 // bytes — longer is as torn as shorter — into a buffer the ctx's lender
 // offers (see Backend), else a new one. Checking the length first means a torn
-// file never costs a loan. A ranged loan is filled range by range, each with
-// one pread at its own offset; anything else is one read of the whole file.
-func (f *File) readSection(ctx context.Context, id uint32, want int64) ([]byte, error) {
+// file never costs a loan. A ranged loan is packed: each range one pread, back
+// to back from the buffer's start; anything else is one read of the whole file.
+func (f *File) readSection(ctx context.Context, id uint32, fill int64) ([]byte, error) {
 	fh, err := os.Open(f.dataPath(id))
 	if err != nil {
 		return nil, fmt.Errorf("file backend: container %d: %w", id, err)
@@ -370,42 +370,46 @@ func (f *File) readSection(ctx context.Context, id uint32, want int64) ([]byte, 
 		return nil, fmt.Errorf("file backend: container %d: %w", id, err)
 	}
 	torn := func(have int64) error {
-		return Corruptf("file backend: container %d torn: data section %d bytes, expected %d", id, have, want)
+		return Corruptf("file backend: container %d torn: data section %d bytes, expected %d", id, have, fill)
 	}
-	if st.Size() != want {
+	if st.Size() != fill {
 		return nil, torn(st.Size())
 	}
-	var data []byte
-	whole := [1]Range{{Off: 0, Len: want}}
-	ranges := whole[:]
+	var data, buf []byte
+	whole := [1]Range{{Off: 0, Len: fill}}
+	ranges, wanted := whole[:], []Range(nil)
 	if l := LenderFrom(ctx); l != nil {
-		if buf, wanted := l(id, want); int64(len(buf)) >= want {
-			data = buf[:want]
-			if wanted != nil {
-				ranges = wanted
+		buf, wanted = l(id, fill)
+	}
+	if wanted == nil && int64(len(buf)) >= fill {
+		data = buf[:fill]
+	} else if wanted != nil && len(buf) > 0 {
+		// All of them before the first read: a section is filled as asked or
+		// not returned at all.
+		end, sum := int64(0), int64(0)
+		for _, r := range wanted {
+			if r.Off < end || r.Len < 0 || r.Len > fill-r.Off {
+				return nil, fmt.Errorf("file backend: container %d: lender wants [%d,+%d) after byte %d of a %d-byte section: ranges must be sorted, disjoint and inside it",
+					id, r.Off, r.Len, end, fill)
 			}
+			end, sum = r.Off+r.Len, sum+r.Len
+		}
+		if int64(len(buf)) >= sum {
+			data, ranges = buf[:sum], wanted
 		}
 	}
 	if data == nil {
-		data = make([]byte, want)
+		data = make([]byte, fill)
 	}
-	// All of them before the first read: a section is filled as asked or not
-	// returned at all.
-	end := int64(0)
+	at := int64(0)
 	for _, r := range ranges {
-		if r.Off < end || r.Len < 0 || r.Len > want-r.Off {
-			return nil, fmt.Errorf("file backend: container %d: lender wants [%d,+%d) after byte %d of a %d-byte section: ranges must be sorted, disjoint and inside it",
-				id, r.Off, r.Len, end, want)
-		}
-		end = r.Off + r.Len
-	}
-	for _, r := range ranges {
-		if n, err := fh.ReadAt(data[r.Off:r.Off+r.Len], r.Off); err != nil {
+		if n, err := fh.ReadAt(data[at:at+r.Len], r.Off); err != nil {
 			if errors.Is(err, io.EOF) { // shrank since Stat
 				return nil, torn(r.Off + int64(n))
 			}
 			return nil, fmt.Errorf("file backend: container %d: %w", id, err)
 		}
+		at += r.Len
 	}
 	return data, nil
 }

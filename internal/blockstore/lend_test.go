@@ -107,13 +107,22 @@ func TestFileReadsIntoLentBuffers(t *testing.T) {
 	}
 }
 
+// packed is what a ranged read of section returns: the ranges back to back.
+func packed(section []byte, ranges []Range) []byte {
+	out := []byte{}
+	for _, r := range ranges {
+		out = append(out, section[r.Off:r.Off+r.Len]...)
+	}
+	return out
+}
+
 // TestFileReadsOnlyWantedRanges is the ranged half of the contract, through
-// the same wrappers: inside the ranges the lent buffer holds the file's bytes
-// at the file's offsets, outside them it is not touched, and what comes back is
-// still the full-length prefix of the lent buffer. Ranges that touch, an empty
-// one and one that ends at the section's last byte are all in order; a ranged
-// lender whose buffer is too short, or which has none, gets a whole private
-// section.
+// the same wrappers: the section comes back packed — the file's bytes inside
+// the ranges, back to back, as exactly the head of the lent buffer — and the
+// buffer past that head is not touched. Ranges that touch, an empty one, one
+// that ends at the section's last byte and none at all are all in order, and a
+// buffer of exactly their sum is enough; a ranged lender whose buffer is one
+// byte short of it, or which has none, gets a whole private section.
 func TestFileReadsOnlyWantedRanges(t *testing.T) {
 	ctx := context.Background()
 	file, err := OpenFile(t.TempDir(), true)
@@ -132,46 +141,46 @@ func TestFileReadsOnlyWantedRanges(t *testing.T) {
 			{{Off: fill - 1, Len: 1}},
 			{},
 		} {
-			big := poisoned(1 << 16)
-			l := &loans{bufs: [][]byte{big}, want: ranges}
-			got, err := be.ReadData(WithLender(ctx, l.lend), 1)
-			if err != nil {
-				t.Fatalf("%s %v: %v", name, ranges, err)
-			}
-			if &got[0] != &big[0] || int64(len(got)) != fill {
-				t.Fatalf("%s %v: section is not the full-length prefix of the lent buffer (len %d, want %d)", name, ranges, len(got), fill)
-			}
-			expect := poisoned(len(big))
-			for _, r := range ranges {
-				copy(expect[r.Off:r.Off+r.Len], want[1][r.Off:r.Off+r.Len])
-			}
-			if !bytes.Equal(big, expect) {
-				t.Fatalf("%s %v: the lent buffer must hold the file inside the ranges and be untouched outside them", name, ranges)
+			expect := packed(want[1], ranges)
+			for _, size := range []int{1 << 16, max(len(expect), 1)} { // (an empty buffer is no loan)
+				big := poisoned(size)
+				l := &loans{bufs: [][]byte{big}, want: ranges}
+				got, err := be.ReadData(WithLender(ctx, l.lend), 1)
+				if err != nil {
+					t.Fatalf("%s %v: %v", name, ranges, err)
+				}
+				if len(got) != len(expect) || (len(got) > 0 && &got[0] != &big[0]) {
+					t.Fatalf("%s %v: section is not the packed head of the lent buffer (len %d, want %d)", name, ranges, len(got), len(expect))
+				}
+				if !bytes.Equal(got, expect) || !bytes.Equal(big[len(expect):], poisoned(size-len(expect))) {
+					t.Fatalf("%s %v: the lent buffer must hold the ranges back to back and be untouched past them", name, ranges)
+				}
 			}
 		}
 
-		// Ranges change nothing about who gets a loan: a short buffer or none
-		// is a whole, private section.
-		small := poisoned(8)
+		// Ranges change nothing about who gets a loan: a buffer short of their
+		// sum, or none, is a whole, private section.
+		ranges := []Range{{Off: 3, Len: 2}, {Off: 30, Len: 4}}
+		short := poisoned(5)
 		for what, l := range map[string]*loans{
-			"short loan": {bufs: [][]byte{small}, want: []Range{{Off: 3, Len: 2}}},
-			"no buffer":  {want: []Range{{Off: 3, Len: 2}}},
+			"short loan": {bufs: [][]byte{short}, want: ranges},
+			"no buffer":  {want: ranges},
 		} {
 			got, err := be.ReadData(WithLender(ctx, l.lend), 1)
-			if err != nil || !bytes.Equal(got, want[1]) || &got[0] == &small[0] {
+			if err != nil || !bytes.Equal(got, want[1]) || &got[0] == &short[0] {
 				t.Fatalf("%s, %s: want a whole private section (err %v)", name, what, err)
 			}
 		}
-		if !bytes.Equal(small, poisoned(8)) {
+		if !bytes.Equal(short, poisoned(5)) {
 			t.Fatalf("%s: a refused short loan was written into", name)
 		}
 	}
 }
 
 // TestFileValidatesWantedRanges: ranges the lender has no business asking for
-// are an error that names the container — never a panic, and never a buffer
-// filled half-way and passed off as a section: nothing is read before every
-// range has been checked.
+// are an error that names the container — never a panic, never a read past the
+// buffer, and never a buffer filled half-way and passed off as a packed
+// section: nothing is read before every range has been checked.
 func TestFileValidatesWantedRanges(t *testing.T) {
 	file, err := OpenFile(t.TempDir(), true)
 	if err != nil {
@@ -248,10 +257,8 @@ func TestFailedRangedReadReturnsNoLoan(t *testing.T) {
 	if l.asked != 2 || &got[0] != &second[0] {
 		t.Fatalf("the retried read asked the lender %d times (want 2) and must come back in its second loan", l.asked)
 	}
-	for _, r := range ranges {
-		if !bytes.Equal(got[r.Off:r.Off+r.Len], want[1][r.Off:r.Off+r.Len]) {
-			t.Fatalf("range %v of the retried read has the wrong bytes", r)
-		}
+	if !bytes.Equal(got, packed(want[1], ranges)) {
+		t.Fatal("the retried read did not come back packed")
 	}
 
 	// The lender is asked after the length check; a file that shrinks between
@@ -304,5 +311,36 @@ func TestFileTornSectionCostsNoLoan(t *testing.T) {
 	}
 	if got, err := b.ReadData(ctx, 0); err != nil || !bytes.Equal(got, want[0]) {
 		t.Fatalf("intact container must still read: %v", err)
+	}
+}
+
+// TestFaultTornSectionCostsNoPackedLoan: a section the fault backend tore at
+// seal is ErrCorrupt naming its container when a ranged read asks for a part
+// it still has, and no buffer is borrowed for it; an untorn sibling still comes
+// back packed.
+func TestFaultTornSectionCostsNoPackedLoan(t *testing.T) {
+	file, err := OpenFile(t.TempDir(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	want := sealN(t, file, 1)
+	torn := NewFault(file, FaultConfig{Seed: 1, TornRate: 1})
+	info, data := mkInfo(1, 5)
+	if err := torn.Seal(context.Background(), info, data); err != nil {
+		t.Fatal(err)
+	}
+	ranges := []Range{{Off: 1, Len: 8}}
+	l := &loans{bufs: [][]byte{poisoned(64), poisoned(64)}, want: ranges}
+	ctx := WithLender(context.Background(), l.lend)
+	got, err := torn.ReadData(ctx, 1)
+	if !errors.Is(err, ErrCorrupt) || got != nil || !strings.Contains(err.Error(), "container 1 torn") {
+		t.Fatalf("a torn section under a ranged loan: %d bytes and %v, want ErrCorrupt naming container 1", len(got), err)
+	}
+	if l.asked != 0 {
+		t.Fatalf("the torn section borrowed %d buffers", l.asked)
+	}
+	if got, err := torn.ReadData(ctx, 0); err != nil || !bytes.Equal(got, packed(want[0], ranges)) {
+		t.Fatalf("the intact container must still read packed: %v", err)
 	}
 }

@@ -878,7 +878,8 @@ func (s *Store) rangeSpan(ids []uint32) (off, n int64) {
 // torn out by concurrent streams; the slices stay valid after it. A reader's
 // blockstore.Lender passes to the backend only when there is no cache: through
 // it every stream sees the same section, which therefore must not be anybody's
-// reusable buffer.
+// reusable buffer. A section that comes back in the buffer lent for it with
+// ranges is packed (blockstore.Backend), and is checked against their sum.
 func (s *Store) Fetch(ctx context.Context, ids []uint32) ([][]byte, func(), error) {
 	if len(ids) > 1 {
 		s.rangeSpan(ids) // assert adjacency exactly like the charged path
@@ -891,8 +892,21 @@ func (s *Store) Fetch(ctx context.Context, ids []uint32) ([][]byte, func(), erro
 	}
 	c := s.DataCache()
 	cached := c != nil && s.StoresData()
+	var packed sync.Map // the sum of the ranges each buffer was lent with, by its first byte
 	if cached {
 		ctx = blockstore.WithLender(ctx, nil)
+	} else if l := blockstore.LenderFrom(ctx); l != nil {
+		ctx = blockstore.WithLender(ctx, func(id uint32, n int64) ([]byte, []blockstore.Range) {
+			buf, want := l(id, n)
+			if want != nil && len(buf) > 0 {
+				sum := int64(0)
+				for _, r := range want {
+					sum += r.Len
+				}
+				packed.Store(&buf[0], sum)
+			}
+			return buf, want
+		})
 	}
 	read := func() ([][]byte, error) {
 		t0 := time.Now()
@@ -905,7 +919,13 @@ func (s *Store) Fetch(ctx context.Context, ids []uint32) ([][]byte, func(), erro
 			return nil, fmt.Errorf("container: backend returned %d sections for %d containers", len(out), len(ids))
 		}
 		for i, id := range ids {
-			if want := s.info(id).DataFill; int64(len(out[i])) != want {
+			want := s.info(id).DataFill
+			if len(out[i]) > 0 {
+				if sum, ok := packed.Load(&out[i][0]); ok {
+					want = sum.(int64)
+				}
+			}
+			if int64(len(out[i])) != want {
 				return nil, blockstore.Corruptf("container %d torn: data section %d bytes, expected %d",
 					id, len(out[i]), want)
 			}

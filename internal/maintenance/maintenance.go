@@ -375,11 +375,14 @@ func (p *Pass) reverseRemap(ctx context.Context, st *Stats) (err error) {
 // duplicates through without consulting the on-disk index, leaving the
 // earlier copy authoritative. Every epoch scans every retained recipe for
 // references whose chunk the index locates at a *strictly older* sealed
-// container — only the write-through path produces that inversion, since
-// inline dedup references the authoritative copy and rewrites repoint the
-// index forward — and remaps them back onto the authoritative copy. The
-// abandoned spilled copies lose their only pins, their containers go dead,
-// and the ordinary merge/drop machinery reclaims the space.
+// container and remaps them back onto the authoritative copy. Inline dedup
+// references that copy and rewrites repoint the index forward; the inversion
+// comes from the write-through path, and from the merge moving a copy a recipe
+// pins but the index does not name (an old generation's copy of a chunk DeFrag
+// has since rewritten) into a fresh container, newer than the index's copy
+// (TestMergeOfAPinnedCopyFeedsRededup). The abandoned copies lose their only
+// pins, their containers go dead, and the ordinary merge/drop machinery
+// reclaims the space.
 //
 // Like reverseRemap, the remap itself is pure metadata and safe outside the
 // gate: the target copy is index-authoritative, so the liveness rule keeps

@@ -387,6 +387,66 @@ func TestSparseLatestConsolidation(t *testing.T) {
 	}
 }
 
+// TestMergeOfAPinnedCopyFeedsRededup pins the other way a reference comes to
+// lie past the index's copy of its chunk, with no spilled stream anywhere: an
+// old generation pins a copy the index no longer names (DeFrag rewrote the
+// chunk into a newer container), and the merge moves that pinned copy into a
+// container newer still. The next epoch's rededupSpill finds the index's copy
+// strictly older and repoints the reference there, and the moved copy dies.
+func TestMergeOfAPinnedCopyFeedsRededup(t *testing.T) {
+	s, ix, clk := rig(t, true)
+	rs := &fakeRecipes{}
+
+	// Container 0: A (200B), C (1500B) and E (100B), all indexed.
+	dataA, dataC, dataE, dataD := fill(1, 200), fill(2, 1500), fill(3, 100), fill(4, 1600)
+	fpA, locA0 := put(t, s, ix, dataA, 1)
+	fpC, locC := put(t, s, ix, dataC, 1)
+	fpE, locE := put(t, s, ix, dataE, 1)
+	s.SerialWriter().Finish(context.Background())
+	gen0 := &chunk.Recipe{Label: "gen0"}
+	gen0.Append(fpA, 200, locA0)
+	gen0.Append(fpC, 1500, locC)
+	rs.add(gen0)
+
+	// Container 1: a rewrite of A, which the index follows, and D. The latest
+	// generation reads container 0 only for E: too little for it to stay.
+	locA1 := mustWrite(t, s, chunk.New(dataA), 2)
+	ix.Update(fpA, locA1)
+	s.MarkDead(locA0.Container, 200)
+	fpD, locD := put(t, s, ix, dataD, 2)
+	s.SerialWriter().Finish(context.Background())
+	gen1 := &chunk.Recipe{Label: "gen1"}
+	gen1.Append(fpA, 200, locA1)
+	gen1.Append(fpE, 100, locE)
+	gen1.Append(fpD, 1600, locD)
+	rs.add(gen1)
+
+	p := passFor(t, s, ix, clk, rs, &plainGate{}, nil)
+	st, err := p.RunEpoch(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Container 0 is no remap candidate (full, nine tenths live), so gen0's A
+	// stays put until the sparse rule merges container 0 away.
+	moved := rs.byLabel("gen0").Refs[0].Loc
+	if st.RefsRemapped != 0 || st.RefsRededuped != 0 || st.ContainersMerged != 1 || s.Sealed(locA0.Container) {
+		t.Fatalf("first epoch: %+v", st)
+	}
+	if idx, _ := ix.Peek(fpA); idx != locA1 || moved.Container <= locA1.Container {
+		t.Fatalf("after the merge gen0's A is at %+v and the index names %+v: want the reference past the index's copy", moved, idx)
+	}
+
+	st, err = p.RunEpoch(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.RefsRededuped != 1 || rs.byLabel("gen0").Refs[0].Loc != locA1 {
+		t.Fatalf("second epoch re-deduped %d refs, gen0's A at %+v: want 1, onto %+v", st.RefsRededuped, rs.byLabel("gen0").Refs[0].Loc, locA1)
+	}
+	readBack(t, s, rs, "gen0", dataA, dataC)
+	readBack(t, s, rs, "gen1", dataA, dataE, dataD)
+}
+
 // fill returns an n-byte chunk payload of one repeated byte.
 // readChunk copies loc's chunk out of a charged read of its container.
 func readChunk(s *container.Store, loc chunk.Location) ([]byte, error) {

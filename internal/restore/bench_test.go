@@ -7,9 +7,12 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/blockstore"
 	"repro/internal/chunk"
 	"repro/internal/container"
+	"repro/internal/core"
 	"repro/internal/disk"
+	"repro/internal/workload"
 )
 
 // benchStore builds a sealed store holding nChunks chunks of size bytes
@@ -171,5 +174,67 @@ func TestRestoreAllocBytesPerByte(t *testing.T) {
 				t.Fatalf("%.3f bytes allocated per restored byte, want <= 0.05 (a fetched section is being copied)", perByte)
 			}
 		})
+	}
+}
+
+// TestSectionSetHoldsWhatItAssembles is the memory guard of the file-backend
+// restore path, and as clock-free as the one above: the newest of ten DeFrag
+// backups, which reads about half of each container it fetches, is restored
+// the default way (OPT-8), inline and through the decode pool, and at the
+// moment the section set holds the most slabs — the fullest such moment — they
+// may add up to no more than 1.25 × the bytes the fetches they hold asked for,
+// and no more than 0.7 × those sections would hold read whole, a container's
+// capacity each. Pinned: 1.13–1.15 × and 0.6 ×.
+func TestSectionSetHoldsWhatItAssembles(t *testing.T) {
+	ctx := context.Background()
+	file, err := blockstore.OpenFile(t.TempDir(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	cfg := core.DefaultConfig(256 << 20)
+	cfg.StoreData, cfg.Backend = true, file
+	e, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wcfg := workload.DefaultConfig(29)
+	wcfg.NumFiles = 32
+	sched, err := workload.NewSingle(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var newest *chunk.Recipe
+	for g := 0; g < 10; g++ {
+		b := sched.Next()
+		if newest, _, err = e.Backup(ctx, b.Label, b.Stream); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, dataCap := e.Containers(), e.Containers().Config().DataCap
+	var peaks []heldBytes
+	sectionSetReleased = func(set *sectionSet) { peaks = append(peaks, set.peak) }
+	defer func() { sectionSetReleased = nil }()
+	for _, dw := range []int{1, 2} {
+		setProcs(t, dw)
+		peaks = nil
+		st, err := RunPipelined(ctx, s, newest, PipelineConfig{CacheContainers: 8, Policy: PolicyOPT, Workers: 1}, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(peaks) != 1 {
+			t.Fatalf("decode %d: %d section sets released, want 1", dw, len(peaks))
+		}
+		p := peaks[0]
+		asked := float64(st.ReadBytes) / float64(st.ContainerReads*dataCap)
+		perWant, perWhole := float64(p.bytes)/float64(p.want), float64(p.bytes)/float64(int64(p.sections)*dataCap)
+		t.Logf("decode %d: %d fetches asking for %.2f of a container each; at its peak the set held %d sections in %d bytes: %.3f × what they asked for, %.3f × them whole",
+			dw, st.ContainerReads, asked, p.sections, p.bytes, perWant, perWhole)
+		if asked > 0.7 {
+			t.Fatalf("decode %d: the fetches ask for %.2f of a container each: the backup is not fragmented enough to say anything", dw, asked)
+		}
+		if perWant > 1.25 || perWhole > 0.7 {
+			t.Fatalf("decode %d: the set held %.3f × the bytes its sections asked for (limit 1.25) and %.3f × them whole (limit 0.7)", dw, perWant, perWhole)
+		}
 	}
 }

@@ -25,9 +25,9 @@ var (
 	telCoalescedContainers = telemetry.NewCounter("restore_coalesced_containers_total",
 		"container fetches folded into a preceding coalesced extent read (seeks saved)")
 	telReadBytes = telemetry.NewCounter("restore_backend_read_bytes_total",
-		"bytes of container data sections restores asked for: the ranges their refs lie in where the backend reads only those, whole sections otherwise (read amplification = this over restore_bytes_total; sections the shared data cache served are counted too)")
+		"bytes of container data sections restores asked for and held: the ranges their refs lie in, packed, where the backend reads only those, whole sections otherwise (read amplification = this over restore_bytes_total; sections the shared data cache served are counted too)")
 	telSectionsReused = telemetry.NewCounter("restore_sections_reused_total",
-		"container sections read into a buffer this restore or an earlier one had used before, instead of a new one")
+		"container sections read into a slab this restore or an earlier one had used before, instead of a new one")
 	telDecodeQueueDepth = telemetry.NewHistogram("restore_decode_queue_depth",
 		"verify/decode batches queued ahead of the decode worker pool when a batch is submitted",
 		telemetry.CountBuckets)
@@ -126,6 +126,7 @@ func RunPipelined(ctx context.Context, store *container.Store, recipe *chunk.Rec
 	dataCap := store.Config().DataCap
 	as := &assembly{store: store, cfg: cfg, plan: plan, refs: recipe.Refs, w: w, stats: &stats,
 		resident: make(map[uint32][]byte, cfg.CacheContainers),
+		packed:   make(map[uint32]*fetchOp, cfg.CacheContainers),
 		sections: newSectionSet(dataCap, cfg.CacheContainers+sectionsInFlight(plan, recipe, dw, dataCap))}
 	defer as.sections.release() // after the fetcher and the resequencer have exited
 	if dw > 1 {
@@ -210,7 +211,8 @@ type assembly struct {
 	w     io.Writer
 	stats *Stats
 
-	resident map[uint32][]byte // the cache: container sections by id
+	resident map[uint32][]byte   // the cache: container sections by id
+	packed   map[uint32]*fetchOp // of those, the packed ones: by the fetch that packed them
 
 	// sections holds the buffers file-backed sections are read into. A
 	// section leaves the cache by retire, never by a bare delete.
@@ -278,7 +280,10 @@ func (as *assembly) run(ctx context.Context) error {
 			e := &as.plan.extents[ei]
 			fctx := blockstore.WithLender(ctx, func(id uint32, n int64) ([]byte, []blockstore.Range) {
 				as.wants.Do(func() { as.plan.buildWants(as.store, as.refs) })
-				return as.sections.lend(n), as.plan.want(e, id)
+				if f := as.plan.fetchOf(e, id); f != nil && f.want != nil {
+					return as.sections.lend(f.packed), f.want
+				}
+				return as.sections.lend(n), nil
 			})
 			datas, release, err := as.store.Fetch(fctx, e.ids)
 			as.sections.settle(datas)
@@ -315,7 +320,7 @@ func (as *assembly) run(ctx context.Context) error {
 				}
 				for k, cid := range e.ids {
 					staged[cid] = res.datas[k]
-					as.stats.ReadBytes += as.asked(&as.plan.fetches[e.lo+k], res.datas[k])
+					as.stats.ReadBytes += int64(len(res.datas[k]))
 				}
 				// The cache residency served its purpose the moment the
 				// sections are staged in this restore's own memory.
@@ -358,22 +363,10 @@ func (as *assembly) run(ctx context.Context) error {
 	return nil
 }
 
-// asked is how many bytes of its section the fetch f asked the backend for:
-// the ranges it wants when the section came back in the buffer lent with
-// them, the whole of it when nothing was lent or the loan was refused.
-func (as *assembly) asked(f *fetchOp, data []byte) int64 {
-	if f.want == nil || !as.sections.owns(data) {
-		return int64(len(data))
-	}
-	var n int64
-	for _, r := range f.want {
-		n += r.Len
-	}
-	return n
-}
-
 // install adds a fetched container to the cache, evicting what the plan
-// says its fetch evicts: one victim, or at a window's end every resident.
+// says its fetch evicts: one victim, or at a window's end every resident. A
+// section shorter than the container's fill is packed (container.Store.Fetch
+// lets through no other short one).
 func (as *assembly) install(id uint32, data []byte, f *fetchOp) {
 	if f.flush {
 		as.retire(slices.Collect(maps.Values(as.resident))...)
@@ -383,6 +376,10 @@ func (as *assembly) install(id uint32, data []byte, f *fetchOp) {
 		delete(as.resident, f.victim)
 	}
 	as.resident[id] = data
+	delete(as.packed, id)
+	if int64(len(data)) < as.store.DataFill(id) {
+		as.packed[id] = f
+	}
 }
 
 // retire lets go of sections the cache has evicted. Chunks assembled earlier
@@ -413,6 +410,9 @@ func (as *assembly) piece(id uint32, ref *chunk.Ref) []byte {
 	data, ok := as.resident[id]
 	if !ok {
 		panic("restore: referenced container missing from cache")
+	}
+	if f := as.packed[id]; f != nil {
+		return f.cut(data, ref.Loc.Offset-as.store.DataStart(id), ref.Size)
 	}
 	return as.store.Extract(data, ref.Loc)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"repro/internal/blockstore"
 	"repro/internal/chunk"
@@ -73,8 +74,22 @@ type fetchOp struct {
 	// want is the ranges of the data section that the refs this residency
 	// serves — from needAt until eviction or the next fetch — lie in: sorted,
 	// disjoint, section-relative; nil is all of it. A backend that copies
-	// sections may read only these (blockstore.Lender).
-	want []blockstore.Range
+	// sections may read only these, packed (blockstore.Lender): packed bytes
+	// come back, range k from byte at[k].
+	want   []blockstore.Range
+	at     []int64
+	packed int64
+}
+
+// cut returns the size bytes at section offset off out of data, the section
+// as f's ranges packed it.
+func (f *fetchOp) cut(data []byte, off int64, size uint32) []byte {
+	k := sort.Search(len(f.want), func(k int) bool { return f.want[k].Off+f.want[k].Len > off })
+	if k == len(f.want) || off < f.want[k].Off || off+int64(size) > f.want[k].Off+f.want[k].Len {
+		panic(fmt.Sprintf("restore: bytes [%d,+%d) of container %d are outside the ranges its fetch packed", off, size, f.container))
+	}
+	at := f.at[k] + off - f.want[k].Off
+	return data[at : at+int64(size)]
 }
 
 // extent is one physical read: the containers of fetch ops [lo,hi) are
@@ -145,14 +160,18 @@ func (p *restorePlan) buildWants(store *container.Store, refs []chunk.Ref) {
 	for fx := range p.fetches {
 		f := &p.fetches[fx]
 		f.want = mergeRanges(f.want, store.DataFill(f.container))
+		for _, r := range f.want {
+			f.at = append(f.at, f.packed)
+			f.packed += r.Len
+		}
 	}
 }
 
-// want returns the wanted ranges of container id's fetch in extent e.
-func (p *restorePlan) want(e *extent, id uint32) []blockstore.Range {
+// fetchOf returns container id's fetch in extent e, or nil.
+func (p *restorePlan) fetchOf(e *extent, id uint32) *fetchOp {
 	for fx := e.lo; fx < e.hi; fx++ {
 		if p.fetches[fx].container == id {
-			return p.fetches[fx].want
+			return &p.fetches[fx]
 		}
 	}
 	return nil

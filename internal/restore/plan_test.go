@@ -44,6 +44,7 @@ func TestRangesCoverEveryServedRef(t *testing.T) {
 	}
 
 	ranged, whole := 0, 0
+	scratch := make([]byte, 128<<10)
 	for _, policy := range []CachePolicy{PolicyLRU, PolicyOPT, PolicyFAA} {
 		for _, coalesce := range []bool{false, true} {
 			for _, capacity := range []int{1, 2, 8} {
@@ -61,15 +62,21 @@ func TestRangesCoverEveryServedRef(t *testing.T) {
 							continue
 						}
 						ranged++
-						end := int64(0)
-						for _, r := range f.want {
+						end, at := int64(0), int64(0)
+						for k, r := range f.want {
 							if r.Off < end || r.Len <= 0 || r.Off+r.Len > s.DataFill(f.container) {
 								t.Fatalf("%s: fetch %d of container %d (%d bytes) wants %v", name, fx, f.container, s.DataFill(f.container), f.want)
 							}
-							end = r.Off + r.Len
+							if f.at[k] != at {
+								t.Fatalf("%s: fetch %d packs range %d at %d, after %d bytes of the ones before", name, fx, k, f.at[k], at)
+							}
+							end, at = r.Off+r.Len, at+r.Len
 						}
-						if e := &p.extents[f.extent]; !reflect.DeepEqual(p.want(e, f.container), f.want) {
-							t.Fatalf("%s: the extent of fetch %d lends other ranges than the fetch wants", name, fx)
+						if f.packed != at || len(f.at) != len(f.want) {
+							t.Fatalf("%s: fetch %d packs %d bytes in %d ranges, its ranges are %d bytes in %d", name, fx, f.packed, len(f.at), at, len(f.want))
+						}
+						if e := &p.extents[f.extent]; p.fetchOf(e, f.container) != f {
+							t.Fatalf("%s: the extent of fetch %d lends for another fetch of its container", name, fx)
 						}
 					}
 					resident := make(map[uint32]*fetchOp)
@@ -91,13 +98,19 @@ func TestRangesCoverEveryServedRef(t *testing.T) {
 						if f.want == nil {
 							continue
 						}
-						off, covered := loc.Offset-s.DataStart(loc.Container), false
-						for _, r := range f.want {
-							covered = covered || (r.Off <= off && off+int64(loc.Size) <= r.Off+r.Len)
+						off, packedAt := loc.Offset-s.DataStart(loc.Container), int64(-1)
+						for k, r := range f.want {
+							if r.Off <= off && off+int64(loc.Size) <= r.Off+r.Len {
+								packedAt = f.at[k] + off - r.Off
+							}
 						}
-						if !covered {
+						if packedAt < 0 {
 							t.Fatalf("%s: ref %d is bytes [%d,+%d) of container %d, outside the ranges %v of the fetch (at ref %d) that serves it",
 								name, i, off, loc.Size, loc.Container, f.want, f.needAt)
+						}
+						packed := scratch[:f.packed]
+						if got := f.cut(packed, off, loc.Size); &got[0] != &packed[packedAt] || len(got) != int(loc.Size) {
+							t.Fatalf("%s: ref %d is cut from the wrong bytes of its packed section", name, i)
 						}
 					}
 				}

@@ -1,113 +1,167 @@
 package restore
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // sectionSet is the memory one restore reads container sections into when
-// the backend copies them out of files: at most max buffers of one
-// container's data capacity, each drawn the first time it is needed. The
-// fetcher lends them to the backend (blockstore.WithLender); a section that
-// comes back in one of them is this restore's alone, and the buffer returns to
-// the set when the cache evicts the section and every chunk viewing it has
-// been emitted.
-//
-// The set is a fixed budget: it never holds more than max. When all max are
-// out — the resequencer is further behind the fetcher than the budget allows
-// for — lend returns nil and that one section is read whole into a buffer of
-// its own, collected like any other, exactly as every section is on a backend
-// that lends nothing.
-//
-// The buffers outlive the set: it draws them from sectionBufs and release
-// returns them all there when the restore is over.
+// the backend copies them out of files: at most max slabs of one container's
+// data capacity, each drawn the first time it is needed. The fetcher lends the
+// backend (blockstore.WithLender) a piece of a slab the size of the packed
+// section it asks for — the smallest gap between the pieces out that fits —
+// and a section that comes back in one is this restore's alone. The piece
+// returns to its slab when the cache evicts the section and every chunk
+// viewing it has been emitted. When no slab has room and all max are drawn,
+// lend returns nil and that one section is read whole into a buffer of its
+// own, as every section is on a backend that lends nothing. The slabs outlive
+// the set: it draws them from sectionBufs, and release returns them there.
 type sectionSet struct {
-	size int64 // bytes per buffer
+	size int64 // bytes per slab
 	max  int
 
 	mu     sync.Mutex
-	mine   map[*byte][]byte // every buffer drawn, by its first byte
-	free   [][]byte
-	lent   [][]byte // out with the backend during the fetch in progress
-	reused int64    // loans of a buffer that had held a section before
+	slabs  []*slab
+	out    map[*byte]piece // pieces lent or holding a section, by first byte
+	lent   []*byte         // lent during the fetch in progress
+	reused int64           // loans into a slab that had held a section before
+	held   heldBytes       // the slabs with a piece out
+	peak   heldBytes       // held at its most bytes, and of those moments the fullest
 }
 
-// sectionBufs keeps section buffers from one restore to the next, and lets the
+type slab struct {
+	buf    []byte
+	pieces []piece // out, by offset
+}
+
+type piece struct {
+	s      *slab
+	off, n int64
+}
+
+// heldBytes is the bytes of some slabs, and the sections in them and theirs.
+type heldBytes struct {
+	bytes, want int64
+	sections    int
+}
+
+// sectionBufs keeps slabs from one restore to the next, and lets the
 // collector have them when nobody restores: making and clearing ≈ 50 MB of them
 // per restore cost more than the reads they are for. No cap: the sets are
 // capped, and a cap below what a restore uses loses the gain (EXPERIMENTS.md, PR 20).
 var sectionBufs sync.Pool // of *[]byte
 
+// sectionSetReleased, when set (by a test, while no restore runs), sees every
+// set as its restore ends.
+var sectionSetReleased func(*sectionSet)
+
 func newSectionSet(size int64, max int) *sectionSet {
-	return &sectionSet{size: size, max: max, mine: make(map[*byte][]byte, max)}
+	return &sectionSet{size: size, max: max, out: make(map[*byte]piece)}
 }
 
-// lend hands the restore's fetcher a buffer for one section of n bytes.
+// lend hands the restore's fetcher a buffer for a section of n bytes.
 func (s *sectionSet) lend(n int64) []byte {
 	if n <= 0 || n > s.size {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var buf []byte
-	if k := len(s.free); k > 0 {
-		buf, s.free = s.free[k-1], s.free[:k-1]
-		s.reused++
-	} else if len(s.mine) < s.max {
-		if kept, _ := sectionBufs.Get().(*[]byte); kept != nil && int64(cap(*kept)) >= s.size {
-			buf = (*kept)[:s.size]
-			s.reused++
-		} else {
-			buf = make([]byte, s.size)
+	p, k := s.fit(n)
+	if p.s == nil {
+		if len(s.slabs) >= s.max {
+			return nil
 		}
-		s.mine[&buf[0]] = buf
+		p, k = piece{s: s.draw(), n: n}, 0
 	} else {
-		return nil
+		s.reused++
 	}
-	s.lent = append(s.lent, buf)
+	if len(p.s.pieces) == 0 {
+		s.held.bytes += s.size
+	}
+	s.held.want += n
+	s.held.sections++
+	if s.held.bytes > s.peak.bytes || s.held.bytes == s.peak.bytes && s.held.want > s.peak.want {
+		s.peak = s.held
+	}
+	p.s.pieces = slices.Insert(p.s.pieces, k, p)
+	buf := p.s.buf[p.off : p.off+n : p.off+n]
+	s.out[&buf[0]] = p
+	s.lent = append(s.lent, &buf[0])
 	return buf
 }
 
+// fit returns the smallest gap of n bytes or more between the pieces out, as
+// a piece and its index among its slab's; no slab when there is none.
+func (s *sectionSet) fit(n int64) (best piece, at int) {
+	gap := s.size + 1
+	for _, sl := range s.slabs {
+		end := int64(0)
+		for k := 0; k <= len(sl.pieces); k++ {
+			next, after := s.size, s.size
+			if k < len(sl.pieces) {
+				next, after = sl.pieces[k].off, sl.pieces[k].off+sl.pieces[k].n
+			}
+			if g := next - end; g >= n && g < gap {
+				best, at, gap = piece{sl, end, n}, k, g
+			}
+			end = after
+		}
+	}
+	return best, at
+}
+
+// draw adds a slab to the set: a kept one if there is one.
+func (s *sectionSet) draw() *slab {
+	sl := &slab{}
+	if kept, _ := sectionBufs.Get().(*[]byte); kept != nil && int64(cap(*kept)) >= s.size {
+		sl.buf = (*kept)[:s.size]
+		s.reused++
+	} else {
+		sl.buf = make([]byte, s.size)
+	}
+	s.slabs = append(s.slabs, sl)
+	return sl
+}
+
 // release ends the restore: nothing views a section any more, and every
-// buffer the set drew goes to sectionBufs.
+// slab the set drew goes to sectionBufs.
 func (s *sectionSet) release() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, buf := range s.mine {
-		sectionBufs.Put(&buf)
+	for _, sl := range s.slabs {
+		sectionBufs.Put(&sl.buf)
+	}
+	s.mu.Unlock()
+	if sectionSetReleased != nil {
+		sectionSetReleased(s)
 	}
 }
 
-// settle ends one fetch: a buffer lent during it that did not come back as
+// settle ends one fetch: a piece lent during it that did not come back as
 // one of the fetched sections (the read failed, or was retried into another)
 // is free again.
 func (s *sectionSet) settle(datas [][]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, buf := range s.lent {
-		held := false
-		for _, d := range datas {
-			if len(d) > 0 && &d[0] == &buf[0] {
-				held = true
-				break
-			}
-		}
-		if !held {
-			s.free = append(s.free, buf)
+	for _, first := range s.lent {
+		if !slices.ContainsFunc(datas, func(d []byte) bool { return len(d) > 0 && &d[0] == first }) {
+			s.free(first)
 		}
 	}
 	s.lent = s.lent[:0]
 }
 
-// owns reports whether data is a section held in one of the set's buffers.
+// owns reports whether data is a section held in one of the set's slabs.
 func (s *sectionSet) owns(data []byte) bool {
 	if len(data) == 0 {
 		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.mine[&data[0]]
+	_, ok := s.out[&data[0]]
 	return ok
 }
 
-// giveBack frees the buffer holding data, which nothing may view any more.
+// giveBack frees the piece holding data, which nothing may view any more.
 // A section the set does not own — a shared view — is left to the collector.
 func (s *sectionSet) giveBack(data []byte) {
 	if len(data) == 0 {
@@ -115,7 +169,20 @@ func (s *sectionSet) giveBack(data []byte) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if buf, ok := s.mine[&data[0]]; ok {
-		s.free = append(s.free, buf)
+	s.free(&data[0])
+}
+
+// free returns the piece at first to its slab. Caller holds s.mu.
+func (s *sectionSet) free(first *byte) {
+	p, ok := s.out[first]
+	if !ok {
+		return
 	}
+	delete(s.out, first)
+	p.s.pieces = slices.DeleteFunc(p.s.pieces, func(q piece) bool { return q.off == p.off })
+	if len(p.s.pieces) == 0 {
+		s.held.bytes -= s.size
+	}
+	s.held.want -= p.n
+	s.held.sections--
 }

@@ -24,7 +24,8 @@ type spyBackend struct {
 	mu    sync.Mutex
 	seen  map[*byte]int
 	reads int
-	bytes int64         // of the sections read, whole
+	bytes int64         // of the sections read, as they came back
+	ids   []uint32      // of the containers read
 	read  chan struct{} // one token per section read, never blocking
 	// corruptAt, when > 0, makes the corruptAt-th section read come back as a
 	// private copy with a bit flipped in every 256 bytes: in every chunk of the
@@ -67,7 +68,20 @@ func (b *spyBackend) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte,
 	for i := range out {
 		out[i] = b.note(out[i])
 	}
+	b.mu.Lock()
+	b.ids = append(b.ids, ids...)
+	b.mu.Unlock()
 	return out, nil
+}
+
+// whole is the bytes of the sections read so far, whole.
+func (b *spyBackend) whole(s *container.Store) (n int64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, id := range b.ids {
+		n += s.DataFill(id)
+	}
+	return n
 }
 
 // arrays returns how many distinct arrays the sections read so far sat in,
@@ -105,20 +119,25 @@ func fileRigCap(t *testing.T, dataCap int64) (*container.Store, *spyBackend) {
 
 func TestSectionSetIsAFixedBudget(t *testing.T) {
 	s := newSectionSet(64, 2)
-	a, b := s.lend(64), s.lend(10)
-	if len(a) != 64 || len(b) != 64 || &a[0] == &b[0] {
-		t.Fatal("the first two loans must be two full-size buffers")
+	a, b, c := s.lend(64), s.lend(10), s.lend(40)
+	if len(a) != 64 || len(b) != 10 || len(c) != 40 || cap(c) != 40 || &a[0] == &b[0] {
+		t.Fatal("loans must be pieces of the fetch's size, a new slab only where no slab has room")
 	}
-	if s.lend(1) != nil {
-		t.Fatal("a third loan exceeds the budget")
+	// The peak is the fullest moment the most slabs were out.
+	if s.peak != (heldBytes{bytes: 128, want: 114, sections: 3}) {
+		t.Fatalf("peak %+v, want two slabs holding a, b and c", s.peak)
+	}
+	if s.lend(20) != nil {
+		t.Fatal("a loan that fits no gap exceeds the budget")
 	}
 	if s.lend(65) != nil || s.lend(0) != nil {
-		t.Fatal("a section that does not fit one buffer, or an empty one, gets no loan")
+		t.Fatal("a section that does not fit one slab, or an empty one, gets no loan")
 	}
-	// b came back as a section, a did not (the read failed): a is free again.
+	// b came back as a section, a and c did not (the read failed): they are
+	// free again.
 	s.settle([][]byte{b[:10]})
-	if !s.owns(b[:10]) || s.owns([]byte("somebody else's")) || s.owns(nil) {
-		t.Fatal("owns must recognise exactly the set's buffers")
+	if !s.owns(b[:10]) || s.owns(a) || s.owns([]byte("somebody else's")) || s.owns(nil) {
+		t.Fatal("owns must recognise exactly the sections the set holds")
 	}
 	// (The first two may have come from an earlier test's restore: reused
 	// counts those too.)
@@ -127,10 +146,15 @@ func TestSectionSetIsAFixedBudget(t *testing.T) {
 		t.Fatalf("the unused loan was not lent again (reused %d, was %d)", s.reused, before)
 	}
 	s.settle(nil)
+	// The smallest gap that fits: behind b, not the empty slab.
+	if behind := s.lend(50); &behind[0] != &c[0] {
+		t.Fatal("a loan must take the smallest gap it fits")
+	}
+	s.settle(nil)
 	s.giveBack([]byte("somebody else's")) // a shared view: ignored
 	s.giveBack(b[:10])
-	if len(s.free) != 2 || len(s.free[1]) != 64 {
-		t.Fatalf("after handing everything back the set holds %d free buffers", len(s.free))
+	if len(s.slabs) != 2 || len(s.out) != 0 || s.held != (heldBytes{}) || s.peak.bytes != 128 {
+		t.Fatalf("after handing everything back the set has %d slabs, %d sections, %+v held (peak %+v)", len(s.slabs), len(s.out), s.held, s.peak)
 	}
 }
 
@@ -174,10 +198,11 @@ func TestFileRestoreReusesSectionsInEveryShape(t *testing.T) {
 						t.Fatalf("%d reads landed in %d arrays: nothing was reused", reads, distinct)
 					}
 					// Every section is read many times over, and each time only
-					// for the chunks that residency serves.
-					if st.ReadBytes < st.Bytes || st.ReadBytes >= spy.bytes {
-						t.Fatalf("asked for %d bytes: want at least the %d restored and less than the %d of the whole sections a thrashing recipe fetches",
-							st.ReadBytes, st.Bytes, spy.bytes)
+					// for the chunks that residency serves, which is what comes
+					// back.
+					if whole := spy.whole(s); st.ReadBytes < st.Bytes || st.ReadBytes >= whole || st.ReadBytes != spy.bytes {
+						t.Fatalf("asked for %d bytes and got %d: want at least the %d restored and less than the %d of the whole sections a thrashing recipe fetches",
+							st.ReadBytes, spy.bytes, st.Bytes, whole)
 					}
 				})
 			}

@@ -19,6 +19,7 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -417,12 +418,18 @@ func (r *streamReader) startExtent() {
 	r.phase = int(e.skip % 8)
 }
 
-// genBytes writes len(p) deterministic bytes for the current position.
+// genBytes writes len(p) deterministic bytes for the current position: each
+// xorshift word little-endian, a whole word at a time where one fits.
 func (r *streamReader) genBytes(p []byte) {
-	for i := range p {
+	for i := 0; i < len(p); i++ {
 		if r.phase == 8 {
 			r.state = xorshiftNext(r.state)
 			r.phase = 0
+		}
+		if r.phase == 0 && len(p)-i >= 8 {
+			binary.LittleEndian.PutUint64(p[i:], r.state)
+			i, r.phase = i+7, 8
+			continue
 		}
 		p[i] = byte(r.state >> (8 * uint(r.phase)))
 		r.phase++
