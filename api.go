@@ -211,17 +211,10 @@ type Options struct {
 	// Faults wraps the backend in a deterministic fault injector; see
 	// FaultOptions. Intended for recovery testing.
 	Faults FaultOptions
-	// RestoreCacheBytes attaches a shared sealed-container data cache of
-	// this byte budget to the store: concurrent restores of sibling
-	// generations fetch each hot container from the backend once
-	// (single-flight) instead of once per stream. 0 disables the cache.
-	// Purely a wall-clock/IO optimization — simulated-clock charges,
-	// restored bytes, and all stats are identical with or without it.
-	RestoreCacheBytes int64
 	// WrapBackend, when set, wraps the constructed physical backend
 	// (outermost, above any fault/retry layers) before the engine sees it.
 	// Tests and tooling use it to count or intercept physical operations,
-	// e.g. blockstore.NewCounting to assert single-flight behaviour.
+	// e.g. blockstore.NewCounting to assert how many sections a restore reads.
 	WrapBackend func(blockstore.Backend) blockstore.Backend
 	// Maintenance configures the online maintenance layer (reverse-
 	// rewriting re-dedup and crash-safe container merging); see
@@ -441,9 +434,6 @@ func Open(opts Options) (*Store, error) {
 	if err := s.adoptExisting(context.Background()); err != nil {
 		be.Close() //nolint:errcheck // surfacing the adoption error
 		return nil, err
-	}
-	if opts.RestoreCacheBytes > 0 {
-		s.eng.Containers().SetDataCache(opts.RestoreCacheBytes)
 	}
 	if opts.Maintenance.Enabled {
 		if err := s.initMaintenance(); err != nil {
@@ -854,9 +844,7 @@ func (s *Store) Restore(ctx context.Context, b *Backup, w io.Writer, verify bool
 // pipeline holds in flight (the extent just taken, the one read ahead and
 // the sections the decode pool has yet to emit: four on two cores, five on
 // four), each of one container's capacity — made as they are first needed and reused as the
-// cache evicts; the set is garbage when the call returns. With
-// Options.RestoreCacheBytes the sections are the shared cache's instead and
-// nothing is reused.
+// cache evicts; the set is garbage when the call returns.
 func (s *Store) RestoreWith(ctx context.Context, b *Backup, w io.Writer, opts RestoreOptions) (RestoreStats, error) {
 	ctx, span := telemetry.StartSpan(ctx, "store.restore")
 	defer span.End()
@@ -878,36 +866,6 @@ func (s *Store) RestoreWith(ctx context.Context, b *Backup, w io.Writer, opts Re
 	}
 	span.SetSim(st.Duration)
 	return RestoreStats(st), nil
-}
-
-// RestoreCacheStats reports cumulative behaviour of the shared restore data
-// cache. ok is false when no cache is attached.
-type RestoreCacheStats struct {
-	Hits      uint64 `json:"hits"`      // container bytes served without a backend read
-	Misses    uint64 `json:"misses"`    // backend reads issued
-	Evictions uint64 `json:"evictions"` // containers evicted to hold the byte budget
-	Waits     uint64 `json:"waits"`     // single-flight waits on another stream's load
-	Bytes     int64  `json:"bytes"`     // resident bytes
-	Budget    int64  `json:"budget"`    // configured budget
-	Entries   int    `json:"entries"`   // resident containers
-	// Pinned counts resident containers held by in-flight restores; it must
-	// return to zero between restores — a value that never drains is a
-	// prefetch-window pin leak.
-	Pinned int `json:"pinned"`
-}
-
-// RestoreCacheStats returns a snapshot of the shared restore data cache, or
-// ok=false when none is attached.
-func (s *Store) RestoreCacheStats() (st RestoreCacheStats, ok bool) {
-	c := s.eng.Containers().DataCache()
-	if c == nil {
-		return RestoreCacheStats{}, false
-	}
-	cs := c.Stats()
-	return RestoreCacheStats{
-		Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions, Waits: cs.Waits,
-		Bytes: cs.Bytes, Budget: cs.Budget, Entries: cs.Entries, Pinned: cs.Pinned,
-	}, true
 }
 
 // SimulatedTime returns total simulated time consumed by the store so far.

@@ -49,9 +49,6 @@ type serverParams struct {
 	storeDir   string
 	expectedGB float64
 	storeData  bool
-	// restoreCacheMB budgets the shared sealed-container data cache that
-	// single-flights container fetches across concurrent restores (0 = off).
-	restoreCacheMB int64
 
 	tenantInflight int
 	totalInflight  int
@@ -83,7 +80,6 @@ func realMain() error {
 	flag.StringVar(&p.storeDir, "store.dir", "", "file backend root directory (required for -backend file)")
 	flag.Float64Var(&p.expectedGB, "expected.gb", 1, "expected total ingest in GiB (sizes caches, Bloom filter, index)")
 	flag.BoolVar(&p.storeData, "store.data", true, "store real chunk bytes so restores return content (disable for timing-only runs)")
-	flag.Int64Var(&p.restoreCacheMB, "restore.cache.mb", 64, "shared restore container-cache budget in MiB, single-flighted across concurrent restores (0 = off)")
 	flag.IntVar(&p.tenantInflight, "tenant.inflight", 4, "max concurrent ingests per tenant before 429")
 	flag.IntVar(&p.totalInflight, "max.inflight", 32, "max concurrent ingests server-wide before 429")
 	flag.Float64Var(&p.tenantBWMBps, "tenant.bw.mbps", 0, "per-tenant aggregate upload bandwidth cap in MB/s (0 = unlimited)")
@@ -149,15 +145,14 @@ func runServer(p serverParams) error {
 		telemetry.Logger().Warn("crash point armed", "point", p.crashPoint)
 	}
 	store, err := repro.Open(repro.Options{
-		Engine:            kind,
-		Alpha:             p.alpha,
-		ExpectedBytes:     int64(p.expectedGB * (1 << 30)),
-		StoreData:         p.storeData,
-		Backend:           bkind,
-		Dir:               p.storeDir,
-		RestoreCacheBytes: p.restoreCacheMB << 20,
-		Maintenance:       p.maint,
-		Filter:            p.filter,
+		Engine:        kind,
+		Alpha:         p.alpha,
+		ExpectedBytes: int64(p.expectedGB * (1 << 30)),
+		StoreData:     p.storeData,
+		Backend:       bkind,
+		Dir:           p.storeDir,
+		Maintenance:   p.maint,
+		Filter:        p.filter,
 	})
 	if err != nil {
 		return err

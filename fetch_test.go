@@ -56,12 +56,12 @@ func (p *sectionSpy) Quarantine(ctx context.Context, id uint32, reason string) e
 	return p.Backend.(blockstore.Quarantiner).Quarantine(ctx, id, reason)
 }
 
-// TestSectionReadsWithAndWithoutCache: the merge, Check(verify) and
-// Repair(verify) read sealed containers through the one fetch, with the
-// shared data cache at 0 and at 64 MiB. Both ways every route reads the same
-// sections byte for byte and reports the same, and a torn section is
-// ErrCorrupt on every route.
-func TestSectionReadsWithAndWithoutCache(t *testing.T) {
+// TestSectionReadsOnEveryRoute: the merge, Check(verify) and Repair(verify)
+// read sealed containers through the one fetch. Every route reads whole
+// sections, byte for byte what the backend holds, reads the same ones and
+// reports the same on an identical store, and a torn section is ErrCorrupt on
+// every route.
+func TestSectionReadsOnEveryRoute(t *testing.T) {
 	type outcome struct {
 		seen   map[uint32][32]byte
 		report string
@@ -84,11 +84,12 @@ func TestSectionReadsWithAndWithoutCache(t *testing.T) {
 		}},
 	}
 	// open builds the same store every time: four generations, the first two
-	// forgotten so the merge has victims.
-	open := func(t *testing.T, cacheBytes int64, tear uint32) (*Store, *sectionSpy) {
+	// forgotten so the merge has victims. It returns the digest of every
+	// sealed section as the backend holds it.
+	open := func(t *testing.T, tear uint32) (*Store, *sectionSpy, map[uint32][32]byte) {
 		t.Helper()
 		spy := &sectionSpy{tear: tear}
-		s, err := Open(Options{Engine: DeFrag, Alpha: 0.3, StoreData: true, ExpectedBytes: 64 << 20, RestoreCacheBytes: cacheBytes,
+		s, err := Open(Options{Engine: DeFrag, Alpha: 0.3, StoreData: true, ExpectedBytes: 64 << 20,
 			WrapBackend: func(be blockstore.Backend) blockstore.Backend { spy.Backend = be; return spy }})
 		if err != nil {
 			t.Fatal(err)
@@ -98,41 +99,59 @@ func TestSectionReadsWithAndWithoutCache(t *testing.T) {
 		for _, b := range s.Backups()[:2] {
 			s.Forget(b.Label)
 		}
+		held := make(map[uint32][32]byte)
+		cs := s.eng.Containers()
+		for id := uint32(0); int(id) < cs.Slots(); id++ {
+			if !cs.Sealed(id) {
+				continue
+			}
+			whole, err := spy.Backend.ReadDataRange(context.Background(), []uint32{id})
+			if err != nil {
+				t.Fatal(err)
+			}
+			held[id] = sha256.Sum256(whole[0])
+		}
 		spy.seen = make(map[uint32][32]byte)
 		spy.order = nil
-		return s, spy
+		return s, spy, held
 	}
 	for _, route := range routes {
 		t.Run(route.name, func(t *testing.T) {
 			var got []outcome
-			for _, cacheBytes := range []int64{0, 64 << 20} {
-				s, spy := open(t, cacheBytes, 0)
+			var torn uint32
+			for run := 0; run < 2; run++ {
+				s, spy, held := open(t, 0)
 				report, err := route.run(s)
 				if err != nil {
-					t.Fatalf("cache %d: %v", cacheBytes, err)
+					t.Fatalf("run %d: %v", run, err)
 				}
 				if len(spy.seen) == 0 {
-					t.Fatalf("cache %d: the %s read no section: nothing was tested", cacheBytes, route.name)
+					t.Fatalf("the %s read no section: nothing was tested", route.name)
+				}
+				for id, sum := range spy.seen {
+					if sum != held[id] {
+						t.Fatalf("the %s read container %d other than whole, as the backend holds it", route.name, id)
+					}
 				}
 				got = append(got, outcome{spy.seen, report})
-
-				// Tear the first section this route read, on a fresh store.
-				torn := spy.order[0]
-				s, _ = open(t, cacheBytes, torn+1)
-				report, err = route.run(s)
-				if route.name == "merge" {
-					if !errors.Is(err, blockstore.ErrCorrupt) {
-						t.Fatalf("cache %d: merge over torn container %d: %v, want ErrCorrupt", cacheBytes, torn, err)
-					}
-				} else if err != nil || !strings.Contains(report, blockstore.ErrCorrupt.Error()) {
-					t.Fatalf("cache %d: %s over torn container %d: %v, report %s", cacheBytes, route.name, torn, err, report)
-				}
+				torn = spy.order[0]
 			}
 			if !maps.Equal(got[0].seen, got[1].seen) {
-				t.Fatalf("the %s read other sections with the cache than without", route.name)
+				t.Fatalf("the %s read other sections on an identical store", route.name)
 			}
 			if got[0].report != got[1].report {
-				t.Fatalf("the %s reports differently with the cache:\n  without %s\n  with    %s", route.name, got[0].report, got[1].report)
+				t.Fatalf("the %s reports differently on an identical store:\n  first  %s\n  second %s", route.name, got[0].report, got[1].report)
+			}
+
+			// Tear the first section this route read, on a fresh store.
+			s, _, _ := open(t, torn+1)
+			report, err := route.run(s)
+			if route.name == "merge" {
+				if !errors.Is(err, blockstore.ErrCorrupt) {
+					t.Fatalf("merge over torn container %d: %v, want ErrCorrupt", torn, err)
+				}
+			} else if err != nil || !strings.Contains(report, blockstore.ErrCorrupt.Error()) {
+				t.Fatalf("%s over torn container %d: %v, report %s", route.name, torn, err, report)
 			}
 		})
 	}

@@ -31,35 +31,22 @@ func benchSealed(b *testing.B, n, size int) *Store {
 }
 
 // BenchmarkContainerReadRange measures adjacent-run data fetches — the
-// physical read unit of the coalesced restore path — with the shared data
-// cache off, cold-ish (tiny budget), and hot.
+// physical read unit of the coalesced restore path.
 func BenchmarkContainerReadRange(b *testing.B) {
 	const n, size = 16, 64 << 10
 	ids := []uint32{0, 1, 2, 3, 4, 5, 6, 7}
-	for _, tc := range []struct {
-		name   string
-		budget int64
-	}{
-		{"uncached", 0},
-		{"cache-cold", int64(size)},        // budget of ~1 section: perpetual eviction
-		{"cache-hot", int64(n * size * 2)}, // everything fits after the first pass
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			s := benchSealed(b, n, size)
-			s.SetDataCache(tc.budget)
-			ctx := context.Background()
-			var total int64
-			for _, id := range ids {
-				total += s.DataFill(id)
-			}
-			b.SetBytes(total)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.ReadDataRange(ctx, ids); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	s := benchSealed(b, n, size)
+	ctx := context.Background()
+	var total int64
+	for _, id := range ids {
+		total += s.DataFill(id)
+	}
+	b.SetBytes(total)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.ReadDataRange(ctx, ids); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -170,34 +170,6 @@ type Store struct {
 	// is 4 MiB of live heap that the GC's pacing doubles, which on a store
 	// whose bytes are on disk is a tenth of the process.
 	spare []byte
-
-	// dcache, when non-nil, is the shared sealed-container data cache every
-	// byte fetch routes through (see datacache.go). Guarded by dcMu so a
-	// budget change can swap it while restores are in flight.
-	dcMu   sync.RWMutex
-	dcache *DataCache
-}
-
-// SetDataCache attaches a shared data cache with the given byte budget,
-// replacing any existing cache (its residency is dropped). budgetBytes <= 0
-// removes the cache entirely. The cache holds bytes only — simulated-clock
-// charges are unaffected — and is only engaged on data-storing backends,
-// where a fetch returns real content worth retaining.
-func (s *Store) SetDataCache(budgetBytes int64) {
-	var c *DataCache
-	if budgetBytes > 0 {
-		c = NewDataCache(budgetBytes)
-	}
-	s.dcMu.Lock()
-	s.dcache = c
-	s.dcMu.Unlock()
-}
-
-// DataCache returns the attached shared data cache, or nil.
-func (s *Store) DataCache() *DataCache {
-	s.dcMu.RLock()
-	defer s.dcMu.RUnlock()
-	return s.dcache
 }
 
 // NewStore creates a container store writing to dev, with bytes held by an
@@ -449,8 +421,7 @@ func (s *Store) CopyTo(ctx context.Context, dst blockstore.Backend) error {
 		if !s.Sealed(id) {
 			continue
 		}
-		datas, release, err := s.Fetch(ctx, []uint32{id})
-		release()
+		datas, err := s.Fetch(ctx, []uint32{id})
 		if err != nil {
 			return err
 		}
@@ -529,11 +500,6 @@ func (s *Store) Drop(ctx context.Context, ids []uint32, reason string) error {
 		s.sealed[id] = Info{ID: id}
 	}
 	s.mu.Unlock()
-	if c := s.DataCache(); c != nil {
-		for _, id := range ids {
-			c.Invalidate(id)
-		}
-	}
 	telDropped.Add(int64(len(ids)))
 	return nil
 }
@@ -867,35 +833,24 @@ func (s *Store) rangeSpan(ids []uint32) (off, n int64) {
 // Fetch returns the data sections of ids — one container, or a run that is
 // pairwise Adjacent in order — without charging disk time; callers charge it
 // through AccountDataRange (or use ReadDataRange). It is the one way a sealed
-// container's bytes are read: in-flight persists are awaited, a section
+// container's bytes are read: in-flight persists are awaited, and a section
 // shorter than its directory fill is a torn write surfacing
-// (blockstore.ErrCorrupt), and with a shared data cache attached the fetch
-// goes through it, a run with any container missing costing one backend range
-// read. Zero-filled on metadata-only backends.
+// (blockstore.ErrCorrupt). Zero-filled on metadata-only backends.
 //
-// The fetched containers stay pinned in the cache until the caller invokes
-// release (never nil), so an extent a restore fetched ahead of use cannot be
-// torn out by concurrent streams; the slices stay valid after it. A reader's
-// blockstore.Lender passes to the backend only when there is no cache: through
-// it every stream sees the same section, which therefore must not be anybody's
-// reusable buffer. A section that comes back in the buffer lent for it with
-// ranges is packed (blockstore.Backend), and is checked against their sum.
-func (s *Store) Fetch(ctx context.Context, ids []uint32) ([][]byte, func(), error) {
+// A reader's blockstore.Lender passes to the backend. A section that comes
+// back in the buffer lent for it with ranges is packed (blockstore.Backend),
+// and is checked against their sum.
+func (s *Store) Fetch(ctx context.Context, ids []uint32) ([][]byte, error) {
 	if len(ids) > 1 {
 		s.rangeSpan(ids) // assert adjacency exactly like the charged path
 	}
-	noop := func() {}
 	for _, id := range ids {
 		if err := s.awaitSeal(ctx, id); err != nil {
-			return nil, noop, err
+			return nil, err
 		}
 	}
-	c := s.DataCache()
-	cached := c != nil && s.StoresData()
 	var packed sync.Map // the sum of the ranges each buffer was lent with, by its first byte
-	if cached {
-		ctx = blockstore.WithLender(ctx, nil)
-	} else if l := blockstore.LenderFrom(ctx); l != nil {
+	if l := blockstore.LenderFrom(ctx); l != nil {
 		ctx = blockstore.WithLender(ctx, func(id uint32, n int64) ([]byte, []blockstore.Range) {
 			buf, want := l(id, n)
 			if want != nil && len(buf) > 0 {
@@ -908,51 +863,37 @@ func (s *Store) Fetch(ctx context.Context, ids []uint32) ([][]byte, func(), erro
 			return buf, want
 		})
 	}
-	read := func() ([][]byte, error) {
-		t0 := time.Now()
-		out, err := s.be.ReadDataRange(ctx, ids)
-		stageContainerRead.Observe(t0)
-		if err != nil {
-			return nil, err
-		}
-		if len(out) != len(ids) {
-			return nil, fmt.Errorf("container: backend returned %d sections for %d containers", len(out), len(ids))
-		}
-		for i, id := range ids {
-			want := s.info(id).DataFill
-			if len(out[i]) > 0 {
-				if sum, ok := packed.Load(&out[i][0]); ok {
-					want = sum.(int64)
-				}
-			}
-			if int64(len(out[i])) != want {
-				return nil, blockstore.Corruptf("container %d torn: data section %d bytes, expected %d",
-					id, len(out[i]), want)
-			}
-		}
-		return out, nil
-	}
-	if !cached {
-		out, err := read()
-		return out, noop, err
-	}
-	out, release, err := c.AcquireRange(ctx, ids, read)
+	t0 := time.Now()
+	out, err := s.be.ReadDataRange(ctx, ids)
+	stageContainerRead.Observe(t0)
 	if err != nil {
-		return nil, noop, err
+		return nil, err
 	}
-	return out, release, nil
+	if len(out) != len(ids) {
+		return nil, fmt.Errorf("container: backend returned %d sections for %d containers", len(out), len(ids))
+	}
+	for i, id := range ids {
+		want := s.info(id).DataFill
+		if len(out[i]) > 0 {
+			if sum, ok := packed.Load(&out[i][0]); ok {
+				want = sum.(int64)
+			}
+		}
+		if int64(len(out[i])) != want {
+			return nil, blockstore.Corruptf("container %d torn: data section %d bytes, expected %d",
+				id, len(out[i]), want)
+		}
+	}
+	return out, nil
 }
 
 // ReadDataRange reads the data sections of the given on-disk-adjacent
 // containers (or of one container) as one sequential extent — one seek plus
 // a single combined transfer charged to the store's clock — and returns each
-// container's data section in order. Simulated time is charged identically
-// whether the bytes come from the shared cache or the backend.
+// container's data section in order.
 func (s *Store) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
 	s.AccountDataRange(ids, nil)
-	out, release, err := s.Fetch(ctx, ids)
-	release()
-	return out, err
+	return s.Fetch(ctx, ids)
 }
 
 // AccountDataRange charges the sequential extent read of ids to clk's view

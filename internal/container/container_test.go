@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/blockstore"
 	"repro/internal/chunk"
 	"repro/internal/disk"
 )
@@ -468,8 +469,7 @@ func TestAccountAndPeekDataRangeMatchReadDataRange(t *testing.T) {
 
 	datas := mustReadDataRange(s1, ids1)
 	s2.AccountDataRange(ids2, nil)
-	fetched, release, err := s2.Fetch(context.Background(), ids2)
-	release()
+	fetched, err := s2.Fetch(context.Background(), ids2)
 	if err != nil {
 		t.Fatalf("Fetch: %v", err)
 	}
@@ -480,6 +480,49 @@ func TestAccountAndPeekDataRangeMatchReadDataRange(t *testing.T) {
 		if !bytes.Equal(datas[i], fetched[i]) {
 			t.Fatalf("container %d bytes differ between read and fetch paths", ids1[i])
 		}
+	}
+}
+
+// TestFetchPacksIntoTheLentBuffer pins the fetch gateway's half of the
+// lending contract (blockstore.Backend): straight to a file backend the
+// reader's lender is asked, by container and fill, and the section comes back
+// in its buffer packed, the ranges it named back to back and checked against
+// their sum.
+func TestFetchPacksIntoTheLentBuffer(t *testing.T) {
+	file, err := blockstore.OpenFile(t.TempDir(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	var clk disk.Clock
+	s, err := NewStoreWithBackend(disk.NewDevice(disk.DefaultModel(), &clk, true), Config{DataCap: 64, MaxChunks: 4}, file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc := mustWrite(s, chunk.New([]byte("chunk-00-padding-to-force-seal-00")), 0)
+	if err := s.SerialWriter().Finish(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	id := loc.Container
+
+	buf := bytes.Repeat([]byte{0xA5}, 64)
+	asked := 0
+	ctx := blockstore.WithLender(context.Background(), func(got uint32, n int64) ([]byte, []blockstore.Range) {
+		asked++
+		if got != id || n != s.DataFill(id) {
+			t.Errorf("lender asked for container %d, %d bytes; the fetch is of container %d, %d bytes", got, n, id, s.DataFill(id))
+		}
+		return buf, []blockstore.Range{{Off: 6, Len: 2}}
+	})
+	datas, err := s.Fetch(ctx, []uint32{id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if asked != 1 || len(datas[0]) != 2 || &datas[0][0] != &buf[0] {
+		t.Fatalf("lender asked %d times, section of %d bytes in the lent buffer: %v", asked, len(datas[0]), &datas[0][0] == &buf[0])
+	}
+	if string(buf[:9]) != "00\xa5\xa5\xa5\xa5\xa5\xa5\xa5" {
+		t.Fatalf("ranged fetch read %q, want bytes 6 and 7 of the section packed at the buffer's head", buf[:9])
 	}
 }
 
@@ -514,8 +557,7 @@ func mustWrite(s *Store, c chunk.Chunk, seg uint64) chunk.Location {
 // mustPeekData and mustReadDataRange mirror mustWrite: the
 // in-memory backends cannot fail, so errors are test bugs.
 func mustPeekData(s *Store, id uint32) []byte {
-	datas, release, err := s.Fetch(context.Background(), []uint32{id})
-	release()
+	datas, err := s.Fetch(context.Background(), []uint32{id})
 	if err != nil {
 		panic(err)
 	}

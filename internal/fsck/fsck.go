@@ -172,8 +172,7 @@ func Check(ctx context.Context, store *container.Store, index *cindex.Index, rec
 			if verifyData {
 				if ref.Loc.Container != lastContainer {
 					lastContainer = ref.Loc.Container
-					datas, release, err := store.Fetch(ctx, []uint32{ref.Loc.Container})
-					release()
+					datas, err := store.Fetch(ctx, []uint32{ref.Loc.Container})
 					if dataOK = err == nil; dataOK {
 						data = datas[0]
 					} else {
@@ -260,8 +259,7 @@ func Repair(ctx context.Context, store *container.Store, drop IndexDropper, reci
 		if _, bad := res.Reasons[cid]; bad || !verifyData {
 			continue
 		}
-		datas, release, err := store.Fetch(ctx, []uint32{cid})
-		release()
+		datas, err := store.Fetch(ctx, []uint32{cid})
 		if err != nil {
 			condemn(cid, fmt.Sprintf("data section unreadable: %v", err))
 			continue

@@ -38,14 +38,7 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 	if capacity <= 0 {
 		panic("lru: capacity must be positive")
 	}
-	// The map hint is bounded: callers that want byte-budgeted eviction (see
-	// RemoveOldest) pass a very large capacity as "no count limit", which must
-	// not preallocate buckets for it.
-	hint := capacity
-	if hint > 1024 {
-		hint = 1024
-	}
-	return &Cache[K, V]{cap: capacity, items: make(map[K]*entry[K, V], hint)}
+	return &Cache[K, V]{cap: capacity, items: make(map[K]*entry[K, V], capacity)}
 }
 
 // OnEvict registers a callback invoked with each evicted key/value (both on
@@ -123,22 +116,6 @@ func (c *Cache[K, V]) Remove(key K) bool {
 		c.onEvict(e.key, e.val)
 	}
 	return true
-}
-
-// RemoveOldest evicts and returns the least-recently-used entry, counting it
-// as an eviction (telemetry and OnEvict fire exactly as for a capacity
-// eviction). It reports false on an empty cache. Callers that bound a cache
-// by something other than entry count — the shared container data cache
-// bounds by bytes — construct with a large capacity and pop via RemoveOldest
-// until back under their own budget.
-func (c *Cache[K, V]) RemoveOldest() (key K, val V, ok bool) {
-	e := c.tail
-	if e == nil {
-		return key, val, false
-	}
-	key, val = e.key, e.val
-	c.evictLRU()
-	return key, val, true
 }
 
 // Len returns the number of cached entries.

@@ -99,37 +99,6 @@ func TestOnEvictCallback(t *testing.T) {
 	}
 }
 
-func TestRemoveOldest(t *testing.T) {
-	c := New[int, string](8)
-	if _, _, ok := c.RemoveOldest(); ok {
-		t.Fatal("RemoveOldest on empty cache should report false")
-	}
-	var evicted []int
-	c.OnEvict(func(k int, v string) { evicted = append(evicted, k) })
-	c.Put(1, "a")
-	c.Put(2, "b")
-	c.Put(3, "c")
-	c.Get(1) // refresh: eviction order becomes 2, 3, 1
-	for i, want := range []struct {
-		k int
-		v string
-	}{{2, "b"}, {3, "c"}, {1, "a"}} {
-		k, v, ok := c.RemoveOldest()
-		if !ok || k != want.k || v != want.v {
-			t.Fatalf("RemoveOldest #%d = %d,%q,%v; want %d,%q", i, k, v, ok, want.k, want.v)
-		}
-	}
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after draining", c.Len())
-	}
-	if _, _, ev := c.Stats(); ev != 3 {
-		t.Fatalf("evictions = %d, want 3", ev)
-	}
-	if len(evicted) != 3 {
-		t.Fatalf("OnEvict fired %d times, want 3", len(evicted))
-	}
-}
-
 func TestStatsAndHitRate(t *testing.T) {
 	c := New[int, int](2)
 	c.Put(1, 1)

@@ -566,8 +566,7 @@ func (p *Pass) merge(ctx context.Context, lane *disk.Clock, util, sparse float64
 		}
 		buf, ok := data[it.id]
 		if !ok {
-			bufs, release, err := cs.Fetch(ctx, []uint32{it.id})
-			release()
+			bufs, err := cs.Fetch(ctx, []uint32{it.id})
 			if err != nil {
 				return 0, fmt.Errorf("maintenance: reading victim container %d: %w", it.id, err)
 			}

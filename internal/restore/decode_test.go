@@ -18,9 +18,8 @@ import (
 // bytes, every Stats field (including the simulated Duration), and the
 // device-level seek/read/byte counters must be bit-identical with inline
 // decode (GOMAXPROCS 1) and with a pool of two or four decode workers
-// (GOMAXPROCS 2, 4), at every shared-cache budget (the extents are fetched
-// ahead of use by another goroutine in every mode, Workers == 1 included),
-// for every pipeline mode — the restore analogue of the ingest
+// (GOMAXPROCS 2, 4) — the extents are fetched ahead of use by another
+// goroutine in every mode, Workers == 1 included — for every pipeline mode — the restore analogue of the ingest
 // TestParallelWorkersDeterminism.
 func TestDecodeWorkersDeterminism(t *testing.T) {
 	modes := []struct {
@@ -41,12 +40,11 @@ func TestDecodeWorkersDeterminism(t *testing.T) {
 				seek int64
 				read int64
 			}
-			run := func(cacheBudget int64) result {
+			run := func() result {
 				s := rig(t, true)
 				datas := mkDatas(60, 300)
 				seq := ingest(t, s, "base", datas)
 				frag := interleave(seq, "frag")
-				s.SetDataCache(cacheBudget)
 				var buf bytes.Buffer
 				st, err := RunPipelined(context.Background(), s, frag, mode.cfg, &buf)
 				if err != nil {
@@ -56,22 +54,19 @@ func TestDecodeWorkersDeterminism(t *testing.T) {
 				return result{st: st, out: buf.Bytes(), seek: ds.Seeks, read: ds.BytesRead}
 			}
 			setProcs(t, 1)
-			base := run(0)
+			base := run()
 			for _, procs := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
 					setProcs(t, procs)
-					for _, budget := range []int64{0, 2048, 1 << 20} {
-						got := run(budget)
-						if got.st != base.st {
-							t.Errorf("budget=%d: stats %+v != serial %+v", budget, got.st, base.st)
-						}
-						if !bytes.Equal(got.out, base.out) {
-							t.Errorf("budget=%d: restored bytes differ", budget)
-						}
-						if got.seek != base.seek || got.read != base.read {
-							t.Errorf("budget=%d: device stats %d/%d != %d/%d",
-								budget, got.seek, got.read, base.seek, base.read)
-						}
+					got := run()
+					if got.st != base.st {
+						t.Errorf("stats %+v != serial %+v", got.st, base.st)
+					}
+					if !bytes.Equal(got.out, base.out) {
+						t.Error("restored bytes differ")
+					}
+					if got.seek != base.seek || got.read != base.read {
+						t.Errorf("device stats %d/%d != %d/%d", got.seek, got.read, base.seek, base.read)
 					}
 				})
 			}
@@ -144,13 +139,13 @@ func TestDecodeWorkersWriteError(t *testing.T) {
 }
 
 // TestParallelDecodeFailureReleasesPins is the regression guard for the
-// early-stop pin leak: with the decode pool engaged, a verify mismatch or
-// writer error fails the resequencer, push() returns false, and the
-// assembler's run() returns nil without consuming every planned extent —
-// close() surfaces the error. The fetcher, which is holding the next extent
-// pinned in the store's DataCache, must still be stopped and must release
-// it, at every lane count: the restore returns with no pin held and no
-// goroutine of its own left behind.
+// early stop: with the decode pool engaged, a verify mismatch or writer error
+// fails the resequencer, push() returns false, and the assembler's run()
+// returns nil without consuming every planned extent — close() surfaces the
+// error. The fetcher, which is reading the next extent into a piece of the
+// restore's section set, must still be stopped and joined, at every lane
+// count: the set is released with no loan of a fetch in progress still out,
+// and the restore leaves no goroutine of its own behind.
 func TestParallelDecodeFailureReleasesPins(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -165,26 +160,34 @@ func TestParallelDecodeFailureReleasesPins(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			setProcs(t, 4)
 			goroutines := runtime.NumGoroutine()
-			s := rig(t, true)
+			s, spy := fileRig(t)
 			datas := mkDatas(1500, 100)
 			seq := ingest(t, s, "base", datas)
 			frag := interleave(seq, "frag")
-			s.SetDataCache(64 << 20)
 			if tc.corrupt {
 				frag.Refs[1].FP = chunk.Of([]byte("not the real content"))
 			}
+			// The fetcher's reads outlast the assembler's failure, so a run()
+			// that did not join it would release the set mid-fetch.
+			spy.delay = 20 * time.Millisecond
 			var w io.Writer = &bytes.Buffer{}
 			if !tc.corrupt {
 				w = &failAfterWriter{n: 300}
 			}
+			released, lentOut := 0, 0
+			sectionSetReleased = func(set *sectionSet) {
+				set.mu.Lock()
+				released++
+				lentOut += len(set.lent)
+				set.mu.Unlock()
+			}
+			defer func() { sectionSetReleased = nil }()
 			cfg := PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Workers: tc.workers, Verify: true}
 			if _, err := RunPipelined(context.Background(), s, frag, cfg, w); err == nil {
 				t.Fatal("expected the restore to fail")
 			}
-			// run() joins the fetcher before it returns, so the pin count is
-			// exact here, not eventually.
-			if st := s.DataCache().Stats(); st.Pinned != 0 {
-				t.Fatalf("prefetched pins still held after failed restore: %+v", st)
+			if released != 1 || lentOut != 0 {
+				t.Fatalf("section set released %d times with %d loans of a fetch in progress still out", released, lentOut)
 			}
 			// The decode workers exit on their own once close() has closed
 			// their queue; give them a moment.
@@ -199,48 +202,57 @@ func TestParallelDecodeFailureReleasesPins(t *testing.T) {
 	}
 }
 
-// TestConcurrentRestoresSharedCache drives many concurrent parallel-decode
-// restores of the same recipe over one store with a shared data cache
-// attached, asserting every stream gets byte-identical output. Run under
-// -race this is the pipeline-level concurrency guard for the shared cache.
-func TestConcurrentRestoresSharedCache(t *testing.T) {
+// TestConcurrentSiblingRestores drives concurrent parallel-decode restores of
+// two sibling recipes — one sequential, one interleaved over the same
+// containers — off one file-backed store. Every stream gets byte-identical
+// output and reads its own sections: the backend serves exactly the reads
+// the restores make one at a time, no fewer and no more. Run under -race this
+// is the pipeline-level concurrency guard for readers of shared containers.
+func TestConcurrentSiblingRestores(t *testing.T) {
 	setProcs(t, 4)
-	s := rig(t, true)
+	s, spy := fileRig(t)
 	datas := mkDatas(60, 300)
 	seq := ingest(t, s, "base", datas)
 	frag := interleave(seq, "frag")
-	want := wantBytes(datas, frag, seq)
-	s.SetDataCache(1 << 20)
+	recipes := []*chunk.Recipe{seq, frag}
+	wants := [][]byte{wantBytes(datas, seq, seq), wantBytes(datas, frag, seq)}
+	cfg := PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 2, Coalesce: true, Verify: true}
 
-	const streams = 8
+	serial := 0
+	for _, rec := range recipes {
+		_, before := spy.arrays()
+		if _, err := RunPipelined(context.Background(), s, rec, cfg, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		_, after := spy.arrays()
+		serial += after - before
+	}
+
+	const rounds = 4
+	_, before := spy.arrays()
 	var wg sync.WaitGroup
-	outs := make([][]byte, streams)
-	errs := make([]error, streams)
-	for i := 0; i < streams; i++ {
+	outs := make([][]byte, rounds*len(recipes))
+	errs := make([]error, len(outs))
+	for i := range outs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			var buf bytes.Buffer
-			cfg := PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 2, Coalesce: true, Verify: true}
-			_, err := RunPipelined(context.Background(), s, frag, cfg, &buf)
+			_, err := RunPipelined(context.Background(), s, recipes[i%len(recipes)], cfg, &buf)
 			outs[i], errs[i] = buf.Bytes(), err
 		}(i)
 	}
 	wg.Wait()
-	for i := 0; i < streams; i++ {
+	for i := range outs {
 		if errs[i] != nil {
 			t.Fatalf("stream %d: %v", i, errs[i])
 		}
-		if !bytes.Equal(outs[i], want) {
+		if !bytes.Equal(outs[i], wants[i%len(recipes)]) {
 			t.Fatalf("stream %d: restored bytes differ", i)
 		}
 	}
-	cs := s.DataCache().Stats()
-	if cs.Hits+cs.Waits == 0 {
-		t.Fatalf("shared cache never hit across %d identical streams: %+v", streams, cs)
-	}
-	if cs.Misses > uint64(s.NumContainers()) {
-		t.Fatalf("cache stats %+v: more misses than containers (%d) — single-flight broken",
-			cs, s.NumContainers())
+	if _, after := spy.arrays(); after-before != rounds*serial {
+		t.Fatalf("%d concurrent restores read %d sections, want %d × the %d of one restore of each sibling",
+			len(outs), after-before, rounds, serial)
 	}
 }

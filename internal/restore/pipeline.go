@@ -25,7 +25,7 @@ var (
 	telCoalescedContainers = telemetry.NewCounter("restore_coalesced_containers_total",
 		"container fetches folded into a preceding coalesced extent read (seeks saved)")
 	telReadBytes = telemetry.NewCounter("restore_backend_read_bytes_total",
-		"bytes of container data sections restores asked for and held: the ranges their refs lie in, packed, where the backend reads only those, whole sections otherwise (read amplification = this over restore_bytes_total; sections the shared data cache served are counted too)")
+		"bytes of container data sections restores asked for and held: the ranges their refs lie in, packed, where the backend reads only those, whole sections otherwise (read amplification = this over restore_bytes_total)")
 	telSectionsReused = telemetry.NewCounter("restore_sections_reused_total",
 		"container sections read into a slab this restore or an earlier one had used before, instead of a new one")
 	telDecodeQueueDepth = telemetry.NewHistogram("restore_decode_queue_depth",
@@ -248,34 +248,28 @@ func sectionsInFlight(plan *restorePlan, recipe *chunk.Recipe, decodeWorkers int
 }
 
 // fetchedExtent is what the fetcher hands the assembler for one extent: the
-// data sections of its containers and the shared-cache pin that holds them.
-// With err set there is no data and release is a no-op.
+// data sections of its containers, or the error that stopped it.
 type fetchedExtent struct {
-	datas   [][]byte
-	release func()
-	err     error
+	datas [][]byte
+	err   error
 }
 
 // run drives the assembler over the recipe while a fetcher goroutine
 // materializes the schedule's extents, in order and uncharged, one ahead:
 // the channel between them is unbuffered, so the fetcher sits in its send
 // holding extent k+1 while the assembler works through extent k, and the
-// bytes pinned ahead of use never exceed one extent. With one simulated
+// bytes held ahead of use never exceed one extent. With one simulated
 // lane the extent read is charged to the store clock at the instant the
 // assembler asks for it — the order a serial reader would pay in.
 // Containers of a coalesced extent that install later wait in a staging
 // buffer bounded by maxCoalesce. run returns only after the fetcher has
-// exited and released whatever it still held, however early the assembler
-// stopped.
+// exited, however early the assembler stopped.
 func (as *assembly) run(ctx context.Context) error {
 	fetched := make(chan fetchedExtent)
 	stop := make(chan struct{})
 	fetcherDone := make(chan struct{})
 	go func() {
 		defer close(fetcherDone)
-		// Fetched under the caller's ctx, not one cancelled by stop: a load
-		// aborted half-way would fail every other stream waiting on the same
-		// shared-cache entry.
 		for ei := range as.plan.extents {
 			e := &as.plan.extents[ei]
 			fctx := blockstore.WithLender(ctx, func(id uint32, n int64) ([]byte, []blockstore.Range) {
@@ -285,12 +279,11 @@ func (as *assembly) run(ctx context.Context) error {
 				}
 				return as.sections.lend(n), nil
 			})
-			datas, release, err := as.store.Fetch(fctx, e.ids)
+			datas, err := as.store.Fetch(fctx, e.ids)
 			as.sections.settle(datas)
 			select {
-			case fetched <- fetchedExtent{datas: datas, release: release, err: err}:
+			case fetched <- fetchedExtent{datas: datas, err: err}:
 			case <-stop:
-				release()
 				return
 			}
 			if err != nil {
@@ -322,9 +315,6 @@ func (as *assembly) run(ctx context.Context) error {
 					staged[cid] = res.datas[k]
 					as.stats.ReadBytes += int64(len(res.datas[k]))
 				}
-				// The cache residency served its purpose the moment the
-				// sections are staged in this restore's own memory.
-				res.release()
 			}
 			data, ok := staged[id]
 			if !ok {

@@ -141,8 +141,7 @@ func buildPlan(store *container.Store, refs []chunk.Ref, capacity int, policy Ca
 // asked for. Whatever the policy, a ref is served by the latest fetch of its
 // container at or before it: a container is never resident twice. The pass is
 // the executor's to make, the first time a backend asks for a loan: a restore
-// off a backend that never does (Sim, anything behind the shared cache) is not
-// charged for it.
+// off a backend that never does (Sim) is not charged for it.
 func (p *restorePlan) buildWants(store *container.Store, refs []chunk.Ref) {
 	type residency struct {
 		fetch *fetchOp

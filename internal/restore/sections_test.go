@@ -31,6 +31,8 @@ type spyBackend struct {
 	// private copy with a bit flipped in every 256 bytes: in every chunk of the
 	// rigs here, so in whichever of them that fetch was for.
 	corruptAt int
+	// delay holds each read back this long after it is done.
+	delay time.Duration
 }
 
 func (b *spyBackend) note(data []byte) []byte {
@@ -62,6 +64,7 @@ func (b *spyBackend) ReadData(ctx context.Context, id uint32) ([]byte, error) {
 
 func (b *spyBackend) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
 	out, err := b.Backend.ReadDataRange(ctx, ids)
+	time.Sleep(b.delay)
 	if err != nil {
 		return nil, err
 	}

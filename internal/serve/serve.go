@@ -6,7 +6,7 @@
 //	POST   /v1/backups/{label}          ingest: chunked request body → Store.IngestStream (409 when the label is taken)
 //	GET    /v1/backups                  list retained backups
 //	GET    /v1/backups/{label}          one backup's stats
-//	GET    /v1/backups/{label}/restore  restore: streamed response body (?mode=&cache=&verify=)
+//	GET    /v1/backups/{label}/restore  restore: streamed response body (?mode=&verify=)
 //	DELETE /v1/backups/{label}          forget
 //	POST   /v1/compact                  garbage-collect (?threshold=)
 //	POST   /v1/check                    fsck (?verify=)
@@ -441,22 +441,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// restoreOptions parses ?mode=&cache=&verify= into RestoreOptions.
+// restoreOptions parses ?mode=&verify= into RestoreOptions.
 // No mode is the store's default shape; pipelined is OPT with coalesced
 // reads; anything else is a policy name.
 func restoreOptions(r *http.Request, forceVerify bool) (repro.RestoreOptions, error) {
 	q := r.URL.Query()
 	opts := repro.DefaultRestoreOptions()
 	opts.Verify = forceVerify || q.Get("verify") == "1" || q.Get("verify") == "true"
-	if c := q.Get("cache"); c != "" {
-		n, err := strconv.Atoi(c)
-		if err != nil || n < 0 {
-			return opts, fmt.Errorf("bad cache %q", c)
-		}
-		if n > 0 {
-			opts.CacheContainers = n
-		}
-	}
 	switch mode := q.Get("mode"); mode {
 	case "":
 	case "pipelined":
@@ -672,10 +663,6 @@ type StatsView struct {
 	Tenants       map[string]int   `json:"tenantsInflight"`
 	Stages        map[string]int64 `json:"stageNanos"`
 	SLO           SLOView          `json:"slo"`
-	// RestoreCache is the shared sealed-container data cache (nil when no
-	// cache budget is configured): concurrent restores single-flight their
-	// container fetches through it.
-	RestoreCache *repro.RestoreCacheStats `json:"restoreCache,omitempty"`
 	// Maintenance is the online maintenance layer's cumulative counters
 	// plus the store's current dead-byte accounting.
 	Maintenance repro.MaintenanceReport `json:"maintenance"`
@@ -693,9 +680,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Tenants:       s.limits.snapshot(),
 		Stages:        telemetry.StageTotals(),
 		SLO:           s.slo.View(),
-	}
-	if cs, ok := s.store.RestoreCacheStats(); ok {
-		view.RestoreCache = &cs
 	}
 	view.Maintenance = s.store.MaintenanceReport()
 	writeJSON(w, http.StatusOK, view)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/blockstore"
 	"repro/internal/workload"
 )
 
@@ -171,7 +172,6 @@ func TestServeForgetAndErrors(t *testing.T) {
 	}{
 		{"/v1/backups/absent/restore", http.StatusNotFound},
 		{"/v1/backups/t0/g00/restore?mode=bogus", http.StatusBadRequest},
-		{"/v1/backups/t0/g00/restore?cache=-1", http.StatusBadRequest},
 		{"/v1/backups/absent", http.StatusNotFound},
 		{"/v1/backups/t0/g00", http.StatusOK},
 	} {
@@ -387,6 +387,67 @@ func TestIngestRefusesATakenLabel(t *testing.T) {
 	}
 }
 
+// ingestGenerations backs up gens generations of one user and returns the
+// newest.
+func ingestGenerations(t *testing.T, store *repro.Store, gens int) *repro.Backup {
+	t.Helper()
+	wcfg := workload.DefaultConfig(11)
+	wcfg.NumFiles = 24
+	sched, err := workload.NewSingle(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var newest *repro.Backup
+	for g := 0; g < gens; g++ {
+		b := sched.Next()
+		if newest, err = store.Backup(context.Background(), b.Label, b.Stream); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return newest
+}
+
+// TestRestoreIgnoresTheCacheParameter: a GET cannot size its restore's
+// section set. ?cache=N is an unknown parameter like any other, so a restore
+// asking for more containers than its recipe touches still reads what the
+// default capacity reads, and holds no more sections than it does.
+func TestRestoreIgnoresTheCacheParameter(t *testing.T) {
+	var counting *blockstore.Counting
+	// DDFS-like rewrites nothing, so twelve generations leave the newest
+	// scattered over more containers than the default cache holds.
+	store, _, ts := newTestServer(t, repro.Options{Engine: repro.DDFSLike, ExpectedBytes: 256 << 20,
+		WrapBackend: func(be blockstore.Backend) blockstore.Backend {
+			counting = blockstore.NewCounting(be)
+			return counting
+		}}, Config{})
+	newest := ingestGenerations(t, store, 12)
+	wide, err := store.RestoreWith(context.Background(), newest, nil,
+		repro.RestoreOptions{CacheContainers: 100000, Policy: repro.RestoreOPT, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := func(query string) int64 {
+		t.Helper()
+		counting.ResetCounts()
+		resp, err := http.Get(ts.URL + "/v1/backups/" + newest.Label + "/restore" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close() //nolint:errcheck // read fully
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET%s: %s, %v", query, resp.Status, err)
+		}
+		return counting.DataSectionReads()
+	}
+	def := reads("")
+	if wide.ContainerReads >= def {
+		t.Fatalf("a 100000-container cache reads %d sections, the default %d: the recipe cannot tell them apart", wide.ContainerReads, def)
+	}
+	if got := reads("?cache=100000"); got != def {
+		t.Fatalf("GET ?cache=100000 read %d sections, without it %d", got, def)
+	}
+}
+
 // TestRestoreModeSelectsThePolicy pins what each ?mode= asks the store for.
 // "" is the store's default shape — forward-knowledge eviction — and "lru"
 // must say LRU out loud: it used to select it by leaving the default alone,
@@ -396,20 +457,8 @@ func TestIngestRefusesATakenLabel(t *testing.T) {
 // planner), on a recipe where the two policies differ.
 func TestRestoreModeSelectsThePolicy(t *testing.T) {
 	store, _, _ := newTestServer(t, repro.Options{Engine: repro.DeFrag, Alpha: 0.1, ExpectedBytes: 256 << 20}, Config{})
-	wcfg := workload.DefaultConfig(11)
-	wcfg.NumFiles = 24
-	sched, err := workload.NewSingle(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	var newest *repro.Backup
-	for g := 0; g < 6; g++ {
-		b := sched.Next()
-		if newest, err = store.Backup(ctx, b.Label, b.Stream); err != nil {
-			t.Fatal(err)
-		}
-	}
+	newest := ingestGenerations(t, store, 6)
 	const cache = 2
 	reads := func(opts repro.RestoreOptions) int64 {
 		t.Helper()
@@ -437,11 +486,12 @@ func TestRestoreModeSelectsThePolicy(t *testing.T) {
 		{"faa", repro.RestoreFAA, faa},
 	} {
 		mode, want := tc.mode, tc.want
-		r := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/backups/%s/restore?cache=%d&mode=%s", newest.Label, cache, mode), nil)
+		r := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/backups/%s/restore?mode=%s", newest.Label, mode), nil)
 		opts, err := restoreOptions(r, false)
 		if err != nil {
 			t.Fatalf("mode %q: %v", mode, err)
 		}
+		opts.CacheContainers = cache
 		if opts.Policy != tc.policy {
 			t.Errorf("mode %q asks for policy %v, want %v", mode, opts.Policy, tc.policy)
 		}

@@ -79,15 +79,15 @@ func (ss *sealedSections) verify(t *testing.T, after string) {
 // backend returns its sealed sections themselves, so a consumer that wrote
 // into what it fetched would corrupt the store. Lent buffers: the file
 // backend reads into a buffer the restore lends it, which only that restore
-// may see again while it runs — not a sibling restore, not the shared cache,
-// not fsck, maintenance or export (holderSpy, with every restore call its own
-// holder) — and of which it reads only the ranges the restore named: every
-// lent buffer is poisoned first (loanSpy), so a restore that looked outside
-// them fails its verify, and the readers that lend nothing must still get
-// whole sections. Every restore shape, the shared restore cache, fsck, a maintenance
-// epoch, compaction and export run over one store of each kind; each sealed
-// section must hash the same afterwards. Run under -race it also shows the
-// concurrent readers of one section only read.
+// may see again while it runs — not a sibling restore, not fsck, maintenance
+// or export (holderSpy, with every restore call its own holder) — and of
+// which it reads only the ranges the restore named: every lent buffer is
+// poisoned first (loanSpy), so a restore that looked outside them fails its
+// verify, and the readers that lend nothing must still get whole sections.
+// Every restore shape, fsck, a maintenance epoch, compaction and export run
+// over one store of each kind; each sealed section must hash the same
+// afterwards. Run under -race it also shows the concurrent readers of one
+// section only read.
 func TestBackendReadsAreReadOnly(t *testing.T) {
 	for _, backend := range []BackendKind{SimBackend, FileBackend} {
 		t.Run(backend.String(), func(t *testing.T) { testBackendReadsAreReadOnly(t, backend) })
@@ -214,13 +214,7 @@ func testBackendReadsAreReadOnly(t *testing.T, backend BackendKind) {
 	ss.verify(t, "compaction")
 	ss.record(t)
 
-	s.eng.Containers().SetDataCache(16 << 20)
-	if spy != nil {
-		spy.mu.Lock()
-		spy.shared = true
-		spy.mu.Unlock()
-	}
-	restoreAllShapes("restores of the rewritten store through the shared cache")
+	restoreAllShapes("restores of the rewritten store")
 	if backend == FileBackend && loans.ranged.Load() == 0 {
 		t.Fatal("no file-backend restore read into a buffer lent with ranges")
 	}

@@ -104,8 +104,7 @@ type RestoreStats struct {
 	ContainerReads int64 // restore-cache misses: container fetches
 	// ReadBytes is what those fetches asked the backend for: on the file
 	// backend the ranges of each section the backup's chunks lie in, else —
-	// the sim backend, no buffer to spare, Options.RestoreCacheBytes set —
-	// whole sections, cached ones included. ReadBytes / Bytes is the read
+	// the sim backend, no buffer to spare — whole sections. ReadBytes / Bytes is the read
 	// amplification; simulated time is charged for whole containers.
 	ReadBytes int64
 	CacheHits int64
