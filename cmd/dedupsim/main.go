@@ -256,27 +256,8 @@ func run(p params) error {
 	}
 
 	fmt.Printf("engine: %s  alpha: %.2f  generations: %d\n\n", store.Engine(), alpha, gens)
-	if err := tb.Render(os.Stdout); err != nil {
+	if err := summarize(ctx, p, store, tb, verify); err != nil {
 		return err
-	}
-	st := store.Stats()
-	fmt.Printf("\nstorage: %.1f MB logical -> %.1f MB stored in %d containers "+
-		"(compression %.2fx, utilization %.1f%%), simulated time %.2fs\n",
-		float64(st.LogicalBytes)/1e6, float64(st.StoredBytes)/1e6, st.Containers,
-		st.CompressionRatio, st.Utilization*100, store.SimulatedTime().Seconds())
-	if verify {
-		fmt.Println("content verification: all restored chunks matched their fingerprints")
-	}
-	if p.check {
-		rep, err := store.Check(ctx, verify)
-		if err != nil {
-			return err
-		}
-		if !rep.OK() {
-			return fmt.Errorf("fsck found %d problems, first: %s", len(rep.Problems), rep.Problems[0])
-		}
-		fmt.Printf("fsck: OK (%d containers, %d recipe refs, %d chunks re-hashed)\n",
-			rep.Containers, rep.RecipeRefs, rep.HashedChunks)
 	}
 	if p.export != "" {
 		if err := store.Export(ctx, p.export); err != nil {
@@ -381,6 +362,12 @@ func runStreams(ctx context.Context, p params, store *repro.Store, wcfg workload
 	}
 	fmt.Printf("engine: %s  alpha: %.2f  users/streams: %d  rounds: %d\n\n",
 		store.Engine(), p.alpha, p.streams, p.gens)
+	return summarize(ctx, p, store, tb, false)
+}
+
+// summarize prints tb and the store's storage line, notes that restores were
+// content-checked when verified says so, and with -check fscks the store.
+func summarize(ctx context.Context, p params, store *repro.Store, tb *metrics.Table, verified bool) error {
 	if err := tb.Render(os.Stdout); err != nil {
 		return err
 	}
@@ -389,16 +376,20 @@ func runStreams(ctx context.Context, p params, store *repro.Store, wcfg workload
 		"(compression %.2fx, utilization %.1f%%), simulated time %.2fs\n",
 		float64(st.LogicalBytes)/1e6, float64(st.StoredBytes)/1e6, st.Containers,
 		st.CompressionRatio, st.Utilization*100, store.SimulatedTime().Seconds())
-	if p.check {
-		rep, err := store.Check(ctx, p.verify)
-		if err != nil {
-			return err
-		}
-		if !rep.OK() {
-			return fmt.Errorf("fsck found %d problems, first: %s", len(rep.Problems), rep.Problems[0])
-		}
-		fmt.Printf("fsck: OK (%d containers, %d recipe refs, %d chunks re-hashed)\n",
-			rep.Containers, rep.RecipeRefs, rep.HashedChunks)
+	if verified {
+		fmt.Println("content verification: all restored chunks matched their fingerprints")
 	}
+	if !p.check {
+		return nil
+	}
+	rep, err := store.Check(ctx, p.verify)
+	if err != nil {
+		return err
+	}
+	if !rep.OK() {
+		return fmt.Errorf("fsck found %d problems, first: %s", len(rep.Problems), rep.Problems[0])
+	}
+	fmt.Printf("fsck: OK (%d containers, %d recipe refs, %d chunks re-hashed)\n",
+		rep.Containers, rep.RecipeRefs, rep.HashedChunks)
 	return nil
 }

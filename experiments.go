@@ -247,6 +247,33 @@ func RunFigure3(cfg ExperimentConfig) (*FigureResult, error) {
 	return res, nil
 }
 
+// ddfsBesideDeFrag builds DDFS-Like and DeFrag sized for one user's
+// cfg.Generations backups, and a copy of that user's workload for each: the
+// pair Fig. 6 and the layout analysis run side by side. lpc is their
+// locality-preserved cache, in containers.
+func ddfsBesideDeFrag(cfg ExperimentConfig) (dd *ddfs.Engine, de *core.Engine, sdd, sde *workload.Single, lpc int, err error) {
+	var expected int64
+	expected, lpc, _ = cfg.sizing(1, cfg.Generations)
+	dcfg0 := ddfs.DefaultConfig(expected)
+	dcfg0.LPCContainers = lpc
+	if dd, err = ddfs.New(dcfg0); err != nil {
+		return nil, nil, nil, nil, 0, err
+	}
+	dcfg := core.DefaultConfig(expected)
+	dcfg.Alpha = cfg.Alpha
+	dcfg.LPCContainers = lpc
+	if de, err = core.New(dcfg); err != nil {
+		return nil, nil, nil, nil, 0, err
+	}
+	if sdd, err = workload.NewSingle(cfg.workloadConfig()); err != nil {
+		return nil, nil, nil, nil, 0, err
+	}
+	if sde, err = workload.NewSingle(cfg.workloadConfig()); err != nil {
+		return nil, nil, nil, nil, 0, err
+	}
+	return dd, de, sdd, sde, lpc, nil
+}
+
 // buildEngines builds the three engines sized for one comparison run, all
 // on independent clocks and devices (they never contend). users and
 // gensPerUser drive the cache-coverage sizing.

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/engine"
-	"repro/internal/engine/ddfs"
 	"repro/internal/metrics"
 	"repro/internal/restore"
 	"repro/internal/workload"
@@ -19,26 +17,7 @@ import (
 // right after it is ingested.
 func RunFigure6(cfg ExperimentConfig) (*FigureResult, error) {
 	cfg = cfg.withDefaults()
-	expected, lpc, _ := cfg.sizing(1, cfg.Generations)
-
-	dcfg0 := ddfs.DefaultConfig(expected)
-	dcfg0.LPCContainers = lpc
-	dd, err := ddfs.New(dcfg0)
-	if err != nil {
-		return nil, err
-	}
-	dcfg := core.DefaultConfig(expected)
-	dcfg.Alpha = cfg.Alpha
-	dcfg.LPCContainers = lpc
-	de, err := core.New(dcfg)
-	if err != nil {
-		return nil, err
-	}
-	sdd, err := workload.NewSingle(cfg.workloadConfig())
-	if err != nil {
-		return nil, err
-	}
-	sde, err := workload.NewSingle(cfg.workloadConfig())
+	dd, de, sdd, sde, _, err := ddfsBesideDeFrag(cfg)
 	if err != nil {
 		return nil, err
 	}

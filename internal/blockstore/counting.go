@@ -6,9 +6,10 @@ import (
 )
 
 // Counting wraps a Backend and counts its physical operations. It exists to
-// make caching claims testable: the shared container data cache promises
-// "one backend read per hot container no matter how many concurrent
-// restores want it", and only a counter at the backend seam can verify that.
+// make read claims testable — that concurrent restores each read what one
+// restore alone reads, or that a restore reads the sections its plan
+// schedules and no more — and only a counter at the backend seam can verify
+// that.
 // All counters are atomic, so a Counting backend is safe under the same
 // concurrency as the backend it wraps.
 //

@@ -2,7 +2,7 @@
 //
 // It backs every cache in the system: DDFS's locality-preserved cache of
 // container metadata, SiLo's block-metadata cache, the index page cache, and
-// the restore path's container data cache. Eviction order is strict
+// the restore planner's LRU schedule. Eviction order is strict
 // least-recently-used; both Get and Put refresh recency.
 //
 // A cache can optionally mirror its hit/miss/eviction counts into live

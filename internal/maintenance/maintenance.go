@@ -124,8 +124,10 @@ type Config struct {
 	// Default 0.25.
 	SparseThreshold float64
 	// MaxBatch bounds the victims of one merge batch — and with them the
-	// victim data sections held in RAM. An epoch runs one batch; Compact
-	// repeats batches. Default 8.
+	// victim data sections held in RAM at once, each from its fetch to the
+	// last chunk copied out of it: the latest recipe's chunks come first, in
+	// its order, so up to this many while those are copied, and one at a time
+	// after. An epoch runs one batch; Compact repeats batches. Default 8.
 	MaxBatch int
 	// ThrottleMBps paces merge data movement in wall-clock MB/s through a
 	// token bucket. 0 disables pacing.
@@ -485,6 +487,10 @@ func (p *Pass) selectVictims(liveBytes, latestBytes map[uint32]int64, util, spar
 	return ids
 }
 
+// mergeFetched sees how many victim sections a merge holds right after each
+// fetch. Tests set it.
+var mergeFetched = func(held int) {}
+
 // merge runs one merge batch: select victims by the (util, sparse) policy,
 // copy their live chunks into fresh containers (latest-recipe order first,
 // so the newest backup linearizes), repoint the index, remap every recipe,
@@ -552,11 +558,17 @@ func (p *Pass) merge(ctx context.Context, lane *disk.Clock, util, sparse float64
 	// Copy live chunks out through a reserve-mode writer on the maintenance
 	// lane. Victim data sections are fetched once each and the reads are
 	// charged to the lane; the wall-clock throttle paces the byte movement.
+	// A section is let go after the last chunk copied out of it: past the
+	// latest recipe's chunks, order is grouped by victim.
 	w := cs.NewWriter(lane)
 	defer w.Discard() // a merge that fails midway seals nothing more
+	last := make(map[uint32]int, len(victims))
+	for k, it := range order {
+		last[it.id] = k
+	}
 	data := make(map[uint32][]byte, len(victims))
 	moved := make(map[copyKey]chunk.Location, len(order))
-	for _, it := range order {
+	for k, it := range order {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
@@ -573,6 +585,7 @@ func (p *Pass) merge(ctx context.Context, lane *disk.Clock, util, sparse float64
 			cs.AccountDataRange([]uint32{it.id}, lane)
 			buf = bufs[0]
 			data[it.id] = buf
+			mergeFetched(len(data))
 		}
 		var c chunk.Chunk
 		if cs.StoresData() {
@@ -584,6 +597,9 @@ func (p *Pass) merge(ctx context.Context, lane *disk.Clock, util, sparse float64
 		newLoc, err := w.Write(ctx, c, m.Segment)
 		if err != nil {
 			return 0, fmt.Errorf("maintenance: moving chunk out of container %d: %w", it.id, err)
+		}
+		if last[it.id] == k {
+			delete(data, it.id)
 		}
 		moved[copyKey{it.id, m.Offset}] = newLoc
 		st.ChunksMoved++

@@ -255,6 +255,57 @@ func TestMergeConsolidatesLiveChunksAndDrops(t *testing.T) {
 	}
 }
 
+// TestMergeHoldsOneVictimSectionAtATime: past the latest recipe's chunks the
+// merge copies victim by victim, and lets each victim's section go after the
+// last chunk it copies out of it. Four victims the latest recipe does not
+// reference are held one at a time, not all four until the merge ends.
+func TestMergeHoldsOneVictimSectionAtATime(t *testing.T) {
+	s, ix, clk := rig(t, true)
+	rs := &fakeRecipes{}
+
+	// Containers 0-3: a dead 1000B chunk (never indexed) and a live 500B one
+	// pinned by gen0 each: live fraction 1/3 < 0.5, four merge victims.
+	gen0 := &chunk.Recipe{Label: "gen0"}
+	var live [][]byte
+	for i := 0; i < 4; i++ {
+		mustWrite(t, s, chunk.New(bytes.Repeat([]byte{byte(10 + i)}, 1000)), 1)
+		data := bytes.Repeat([]byte{byte(20 + i)}, 500)
+		fp, loc := put(t, s, ix, data, 1)
+		s.SerialWriter().Finish(context.Background())
+		gen0.Append(fp, 500, loc)
+		live = append(live, data)
+	}
+	rs.add(gen0)
+	// Container 4, full and wholly live, is all the latest generation reads.
+	gen1 := &chunk.Recipe{Label: "gen1"}
+	for i := 0; i < 2; i++ {
+		fp, loc := put(t, s, ix, bytes.Repeat([]byte{byte(30 + i)}, 900), 2)
+		gen1.Append(fp, 900, loc)
+	}
+	s.SerialWriter().Finish(context.Background())
+	rs.add(gen1)
+
+	most, was := 0, mergeFetched
+	mergeFetched = func(held int) { most = max(most, held) }
+	defer func() { mergeFetched = was }()
+	p := passFor(t, s, ix, clk, rs, &plainGate{}, nil)
+	st, err := p.RunEpoch(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ContainersMerged != 4 || st.ChunksMoved != 4 {
+		t.Fatalf("merge stats: %+v, want the four victims merged", st)
+	}
+	if most != 1 {
+		t.Fatalf("the merge held %d victim sections at once, want 1", most)
+	}
+	for i, r := range rs.byLabel("gen0").Refs {
+		if got, err := readChunk(s, r.Loc); err != nil || !bytes.Equal(got, live[i]) {
+			t.Fatalf("gen0 chunk %d differs after the merge: %v", i, err)
+		}
+	}
+}
+
 func TestGateRevalidateRemapsRacedPins(t *testing.T) {
 	// A recipe committed between the scan and the gate pins a victim copy
 	// that WAS moved: the commit remaps it through the moved map and the

@@ -29,7 +29,7 @@ type decodeJob struct {
 // in stream order, one worker verifies it, the resequencer emits it.
 type decodeBatch struct {
 	jobs    []decodeJob
-	retired [][]byte      // sections no batch after this one views (see retire)
+	retired []byte        // a section no batch after this one views (see retire)
 	done    chan struct{} // closed by the verifying worker
 	err     error         // first verify failure in the batch...
 	errIdx  int           // ...at jobs[errIdx]
@@ -65,12 +65,8 @@ type decodePipe struct {
 	werr          error // first in-order verify/write error
 }
 
-// decodeDepth is how many batches may queue between the assembler and the
-// resequencer.
-func decodeDepth(workers int) int { return workers * 4 }
-
 func newDecodePipe(workers int, verify bool, w io.Writer, sections *sectionSet) *decodePipe {
-	depth := decodeDepth(workers)
+	depth := workers * 4 // batches that may queue between the assembler and the resequencer
 	p := &decodePipe{
 		verify:     verify,
 		w:          w,
@@ -103,18 +99,18 @@ func (p *decodePipe) push(idx int, ref *chunk.Ref, piece []byte) bool {
 	return true
 }
 
-// retire takes the sections one fetch has evicted from the assembler's cache.
-// Every chunk that views them was pushed before this call, so it sits in the
-// current batch or an earlier one. The sections ride on the current batch,
-// which goes out now — the fetcher may be waiting for a buffer — and the
+// retire takes a section the assembler has cut its last chunk from. Every
+// chunk that views it was pushed before this call, so it sits in the current
+// batch or an earlier one. The section rides on the current batch, which
+// goes out now — a loan may be waiting for it (sectionSet.owe) — and the
 // resequencer, which finishes batches in submission order and each only after
-// its verification, returns them to the set once that batch's last chunk is
-// written: from then on nothing reads them.
-func (p *decodePipe) retire(sections [][]byte) {
+// its verification, returns it to the set once that batch's last chunk is
+// written: from then on nothing reads it.
+func (p *decodePipe) retire(section []byte) {
 	if p.cur == nil {
 		p.cur = decodeBatches.Get().(*decodeBatch)
 	}
-	p.cur.retired = append(p.cur.retired, sections...)
+	p.cur.retired = section
 	p.submit()
 }
 
@@ -191,14 +187,11 @@ func (p *decodePipe) resequence() {
 				p.chunks++
 			}
 		}
-		for _, data := range b.retired {
-			p.sections.giveBack(data)
-		}
+		p.sections.giveBack(b.retired)
 		// A recycled batch must not keep viewing sections of a restore that
 		// is over.
 		clear(b.jobs)
-		clear(b.retired)
-		b.jobs, b.retired = b.jobs[:0], b.retired[:0]
+		b.jobs, b.retired = b.jobs[:0], nil
 		decodeBatches.Put(b)
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"maps"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -66,10 +64,10 @@ func DefaultConfig() PipelineConfig {
 // RunPipelined restores recipe from store, writing reconstructed bytes to w
 // (pass nil to measure without materializing). It is the only restore loop:
 // the recipe is first compiled into a fetch schedule (which container to
-// read before which ref, what to evict, which fetches coalesce into one
-// sequential extent), then executed by one assembler with one fetcher
-// goroutine materializing the next extent while the current one is
-// assembled. Simulated time is charged apart from the fetching: with
+// read before which ref, the last ref each read serves, which fetches
+// coalesce into one sequential extent), then executed by one assembler with
+// one fetcher goroutine materializing the next extent while the current one
+// is assembled. Simulated time is charged apart from the fetching: with
 // Workers == 1 each extent read lands on the store's clock at the instant
 // the assembler needs it; with Workers > 1 extent reads are charged up front
 // to per-lane clocks in deterministic schedule order (earliest-free lane
@@ -123,11 +121,11 @@ func RunPipelined(ctx context.Context, store *container.Store, recipe *chunk.Rec
 	}
 
 	dw := runtime.GOMAXPROCS(0)
-	dataCap := store.Config().DataCap
+	// The plan's cache holds each section from its fetch to its last use, and
+	// two extents are in flight: the one taken and the one read behind it.
 	as := &assembly{store: store, cfg: cfg, plan: plan, refs: recipe.Refs, w: w, stats: &stats,
-		resident: make(map[uint32][]byte, cfg.CacheContainers),
-		packed:   make(map[uint32]*fetchOp, cfg.CacheContainers),
-		sections: newSectionSet(dataCap, cfg.CacheContainers+sectionsInFlight(plan, recipe, dw, dataCap))}
+		resident: make(map[uint32]held, cfg.CacheContainers),
+		sections: newSectionSet(store.Config().DataCap, cfg.CacheContainers+2*plan.widest)}
 	defer as.sections.release() // after the fetcher and the resequencer have exited
 	if dw > 1 {
 		as.emit = newDecodePipe(dw, cfg.Verify, w, as.sections)
@@ -201,8 +199,8 @@ func chargeLanes(store *container.Store, plan *restorePlan, workers int) {
 }
 
 // assembly is the serial consumer of the fetch schedule: it walks the
-// recipe, installs fetched containers into the cache per the plan, and
-// emits (optionally verifying) the reconstructed stream.
+// recipe, holds each fetched section from its fetch to the last ref it
+// serves, and emits (optionally verifying) the reconstructed stream.
 type assembly struct {
 	store *container.Store
 	cfg   PipelineConfig
@@ -211,40 +209,17 @@ type assembly struct {
 	w     io.Writer
 	stats *Stats
 
-	resident map[uint32][]byte   // the cache: container sections by id
-	packed   map[uint32]*fetchOp // of those, the packed ones: by the fetch that packed them
+	resident map[uint32]held // the sections a ref still to come is cut from, by container
 
 	// sections holds the buffers file-backed sections are read into. A
-	// section leaves the cache by retire, never by a bare delete.
+	// section leaves resident by retire, never by a bare delete.
 	sections *sectionSet
+	retired  int       // sections retire gave back to the set or to the decode pool
 	wants    sync.Once // plan.buildWants, at the first loan a backend asks for
 
 	// emit, when non-nil, routes verify/write through the parallel decode
 	// pool instead of doing it inline; see decodePipe.
 	emit *decodePipe
-}
-
-// sectionsInFlight is how many sections beyond its cache's capacity a restore
-// of recipe holds at once when it runs at full depth. Two extents (the plan's
-// largest): the one the assembler has taken and not yet installed — whose
-// victims are therefore still cached — and the one the fetcher is already
-// reading behind it. And the sections that were evicted while the decode pool
-// still held chunks viewing them: the resequencer trails the assembler by at
-// most the pool's queue, the batch being written and the one being filled,
-// which at the recipe's mean chunk size is so many bytes, and a section
-// retires for every container's worth of them. Inline decode trails by
-// nothing.
-func sectionsInFlight(plan *restorePlan, recipe *chunk.Recipe, decodeWorkers int, dataCap int64) int {
-	widest := 1
-	for i := range plan.extents {
-		widest = max(widest, len(plan.extents[i].ids))
-	}
-	n := 2 * widest
-	if decodeWorkers > 1 && len(recipe.Refs) > 0 {
-		lag := int64(decodeDepth(decodeWorkers)+2) * decodeBatchSize * (recipe.Bytes() / int64(len(recipe.Refs)))
-		n += int((lag + dataCap - 1) / dataCap)
-	}
-	return n
 }
 
 // fetchedExtent is what the fetcher hands the assembler for one extent: the
@@ -263,7 +238,10 @@ type fetchedExtent struct {
 // assembler asks for it — the order a serial reader would pay in.
 // Containers of a coalesced extent that install later wait in a staging
 // buffer bounded by maxCoalesce. run returns only after the fetcher has
-// exited, however early the assembler stopped.
+// exited, however early the assembler stopped. Through the decode pool a
+// retired section goes back only once written, so a loan that finds no room
+// waits for those retired before the assembler last took an extent (inline
+// decode has given them back) rather than draw a slab (sectionSet.owe).
 func (as *assembly) run(ctx context.Context) error {
 	fetched := make(chan fetchedExtent)
 	stop := make(chan struct{})
@@ -300,13 +278,15 @@ func (as *assembly) run(ctx context.Context) error {
 	for i := range as.refs {
 		ref := &as.refs[i]
 		id := ref.Loc.Container
-		if fx := as.plan.fetchAt[i]; fx >= 0 {
-			f := &as.plan.fetches[fx]
+		fx := as.plan.servedBy[i]
+		f := &as.plan.fetches[fx]
+		if f.needAt == i {
 			e := &as.plan.extents[f.extent]
-			if fx == e.lo {
+			if int(fx) == e.lo {
 				if as.cfg.Workers == 1 {
 					as.store.AccountDataRange(e.ids, nil)
 				}
+				as.sections.owe(as.retired)
 				res := <-fetched
 				if res.err != nil {
 					return res.err
@@ -321,7 +301,11 @@ func (as *assembly) run(ctx context.Context) error {
 				panic("restore: planned fetch was not staged by its extent")
 			}
 			delete(staged, id)
-			as.install(id, data, f)
+			h := held{data: data}
+			if int64(len(data)) < as.store.DataFill(id) {
+				h.cut = f
+			}
+			as.resident[id] = h
 		} else {
 			as.stats.CacheHits++
 		}
@@ -330,79 +314,72 @@ func (as *assembly) run(ctx context.Context) error {
 			if !as.emit.push(i, ref, piece) {
 				return nil // resequencer failed; close() surfaces its error
 			}
-			continue
+		} else if err := as.write(i, ref, piece); err != nil {
+			return err
 		}
-		t0 := time.Now()
-		if as.cfg.Verify {
-			if got := chunk.Of(piece); got != ref.FP {
-				return fmt.Errorf("restore: chunk %d fingerprint mismatch (%s != %s)", i, got.Short(), ref.FP.Short())
-			}
+		if f.last == i {
+			as.retire(id)
 		}
-		stageDecode.Observe(t0)
-		if as.w != nil {
-			t1 := time.Now()
-			_, err := as.w.Write(piece)
-			stageCopy.Observe(t1)
-			if err != nil {
-				return err
-			}
-		}
-		as.stats.Bytes += int64(ref.Size)
-		as.stats.Chunks++
 	}
 	return nil
 }
 
-// install adds a fetched container to the cache, evicting what the plan
-// says its fetch evicts: one victim, or at a window's end every resident. A
-// section shorter than the container's fill is packed (container.Store.Fetch
-// lets through no other short one).
-func (as *assembly) install(id uint32, data []byte, f *fetchOp) {
-	if f.flush {
-		as.retire(slices.Collect(maps.Values(as.resident))...)
-		clear(as.resident)
-	} else if f.hasVictim {
-		as.retire(as.resident[f.victim])
-		delete(as.resident, f.victim)
-	}
-	as.resident[id] = data
-	delete(as.packed, id)
-	if int64(len(data)) < as.store.DataFill(id) {
-		as.packed[id] = f
-	}
-}
-
-// retire lets go of sections the cache has evicted. Chunks assembled earlier
-// may still view them from inside the decode pool, so sections of the
-// restore's own go back to its set only behind them (decodePipe.retire);
-// with inline decode they were written before the eviction.
-func (as *assembly) retire(evicted ...[]byte) {
-	mine := evicted[:0]
-	for _, data := range evicted {
-		if as.sections.owns(data) {
-			mine = append(mine, data)
+// write verifies and writes one chunk inline, when there is no decode pool.
+func (as *assembly) write(i int, ref *chunk.Ref, piece []byte) error {
+	t0 := time.Now()
+	if as.cfg.Verify {
+		if got := chunk.Of(piece); got != ref.FP {
+			return fmt.Errorf("restore: chunk %d fingerprint mismatch (%s != %s)", i, got.Short(), ref.FP.Short())
 		}
 	}
-	if len(mine) == 0 {
-		return
+	stageDecode.Observe(t0)
+	if as.w != nil {
+		t1 := time.Now()
+		_, err := as.w.Write(piece)
+		stageCopy.Observe(t1)
+		if err != nil {
+			return err
+		}
 	}
-	if as.emit != nil {
-		as.emit.retire(mine)
-		return
+	as.stats.Bytes += int64(ref.Size)
+	as.stats.Chunks++
+	return nil
+}
+
+// held is a resident section; cut is the fetch that packed it, nil when it
+// was read whole. A section shorter than the container's fill is packed
+// (container.Store.Fetch lets through no other short one).
+type held struct {
+	data []byte
+	cut  *fetchOp
+}
+
+// retire lets go of container id's section once the last ref its fetch
+// serves has been emitted. That chunk and earlier ones may still view it from
+// inside the decode pool, so a section of the restore's own goes back to its
+// set only behind them (decodePipe.retire); inline decode has written them.
+func (as *assembly) retire(id uint32) {
+	data := as.resident[id].data
+	delete(as.resident, id)
+	if !as.sections.owns(data) {
+		return // a shared view: the collector's
 	}
-	for _, data := range mine {
+	as.retired++
+	if as.emit == nil {
 		as.sections.giveBack(data)
+	} else {
+		as.emit.retire(data)
 	}
 }
 
-// piece returns the bytes of ref out of the cached section of id.
+// piece returns the bytes of ref out of the resident section of id.
 func (as *assembly) piece(id uint32, ref *chunk.Ref) []byte {
-	data, ok := as.resident[id]
+	h, ok := as.resident[id]
 	if !ok {
-		panic("restore: referenced container missing from cache")
+		panic("restore: referenced container is not resident")
 	}
-	if f := as.packed[id]; f != nil {
-		return f.cut(data, ref.Loc.Offset-as.store.DataStart(id), ref.Size)
+	if h.cut != nil {
+		return h.cut.cut(h.data, ref.Loc.Offset-as.store.DataStart(id), ref.Size)
 	}
-	return as.store.Extract(data, ref.Loc)
+	return as.store.Extract(h.data, ref.Loc)
 }

@@ -62,20 +62,18 @@ const (
 )
 
 // fetchOp is one planned cache miss: container must be fetched just before
-// recipe ref needAt is assembled, evicting victim (when the cache is full)
-// or, with flush, every resident container (a forward-assembly window ends).
+// recipe ref needAt is assembled. Its residency is the refs it serves, from
+// needAt until the container's next fetch; the executor lets go of the section
+// right after the last of them, ref last.
 type fetchOp struct {
 	container uint32
 	needAt    int
-	victim    uint32
-	hasVictim bool
-	flush     bool
+	last      int
 	extent    int // index of the physical extent read that carries this fetch
-	// want is the ranges of the data section that the refs this residency
-	// serves — from needAt until eviction or the next fetch — lie in: sorted,
-	// disjoint, section-relative; nil is all of it. A backend that copies
-	// sections may read only these, packed (blockstore.Lender): packed bytes
-	// come back, range k from byte at[k].
+	// want is the ranges of the data section that the refs of this residency
+	// lie in: sorted, disjoint, section-relative; nil is all of it. A backend
+	// that copies sections may read only these, packed (blockstore.Lender):
+	// packed bytes come back, range k from byte at[k].
 	want   []blockstore.Range
 	at     []int64
 	packed int64
@@ -100,14 +98,15 @@ type extent struct {
 }
 
 // restorePlan is the precomputed fetch schedule of one recipe at one cache
-// configuration: which refs hit, which refs trigger a fetch, what each fetch
-// evicts, and how fetches group into coalesced extent reads. The plan is
-// pure metadata — building it performs no simulated I/O.
+// configuration: which fetch serves each ref, which refs trigger a fetch, and
+// how fetches group into coalesced extent reads. The plan is pure metadata —
+// building it performs no simulated I/O.
 type restorePlan struct {
-	fetchAt   []int // per ref: index into fetches when the ref triggers a miss, else -1
+	servedBy  []int32 // per ref: index into fetches of the fetch whose section it is cut from
 	fetches   []fetchOp
 	extents   []extent
-	evictions int64 // containers the fetches evict, over the whole schedule
+	widest    int   // the most containers one extent reads
+	evictions int64 // containers the policy evicts, over the whole schedule
 }
 
 // buildPlan simulates the chosen policy over the recipe and returns the
@@ -124,7 +123,7 @@ func buildPlan(store *container.Store, refs []chunk.Ref, capacity int, policy Ca
 			return nil, fmt.Errorf("restore: recipe references unsealed container %d", id)
 		}
 	}
-	p := &restorePlan{fetchAt: make([]int, len(refs))}
+	p := &restorePlan{servedBy: make([]int32, len(refs))}
 	switch policy {
 	case PolicyOPT:
 		p.simulateOPT(refs, capacity)
@@ -137,24 +136,34 @@ func buildPlan(store *container.Store, refs []chunk.Ref, capacity int, policy Ca
 	return p, nil
 }
 
+// fetch schedules a fetch of container id at ref i and returns its index.
+func (p *restorePlan) fetch(i int, id uint32) int32 {
+	fx := int32(len(p.fetches))
+	p.fetches = append(p.fetches, fetchOp{container: id, needAt: i})
+	p.serve(i, fx)
+	return fx
+}
+
+// serve records that ref i is cut from the section fetch fx read: the latest
+// fetch of its container at or before it, a container never being resident
+// twice.
+func (p *restorePlan) serve(i int, fx int32) {
+	p.servedBy[i] = fx
+	p.fetches[fx].last = i
+}
+
 // buildWants gives every fetch the ranges of its section that it will be
-// asked for. Whatever the policy, a ref is served by the latest fetch of its
-// container at or before it: a container is never resident twice. The pass is
-// the executor's to make, the first time a backend asks for a loan: a restore
-// off a backend that never does (Sim) is not charged for it.
+// asked for. The pass is the executor's to make, the first time a backend
+// asks for a loan: a restore off a backend that never does (Sim) is not
+// charged for it.
 func (p *restorePlan) buildWants(store *container.Store, refs []chunk.Ref) {
-	type residency struct {
-		fetch *fetchOp
-		start int64 // device offset of the container's data section
+	start := make([]int64, len(p.fetches)) // device offset of each fetch's data section
+	for fx := range p.fetches {
+		start[fx] = store.DataStart(p.fetches[fx].container)
 	}
-	serving := make(map[uint32]residency)
 	for i := range refs {
-		loc := &refs[i].Loc
-		if fx := p.fetchAt[i]; fx >= 0 {
-			serving[loc.Container] = residency{&p.fetches[fx], store.DataStart(loc.Container)}
-		}
-		r := serving[loc.Container]
-		r.fetch.want = append(r.fetch.want, blockstore.Range{Off: loc.Offset - r.start, Len: int64(loc.Size)})
+		fx, loc := p.servedBy[i], &refs[i].Loc
+		p.fetches[fx].want = append(p.fetches[fx].want, blockstore.Range{Off: loc.Offset - start[fx], Len: int64(loc.Size)})
 	}
 	for fx := range p.fetches {
 		f := &p.fetches[fx]
@@ -202,23 +211,14 @@ func mergeRanges(rs []blockstore.Range, fill int64) []blockstore.Range {
 // shared lru package (the reference Run of the tests), so the planned miss
 // schedule is bit-identical to that cache's.
 func (p *restorePlan) simulateLRU(refs []chunk.Ref, capacity int) {
-	c := lru.New[uint32, struct{}](capacity)
-	var victim uint32
-	var hasVictim bool
-	c.OnEvict(func(k uint32, _ struct{}) {
-		victim, hasVictim = k, true
-		p.evictions++
-	})
+	c := lru.New[uint32, int32](capacity)
 	for i := range refs {
 		id := refs[i].Loc.Container
-		if _, ok := c.Get(id); ok {
-			p.fetchAt[i] = -1
-			continue
+		if fx, ok := c.Get(id); ok {
+			p.serve(i, fx)
+		} else if c.Put(id, p.fetch(i, id)) {
+			p.evictions++
 		}
-		hasVictim = false
-		c.Put(id, struct{}{})
-		p.fetchAt[i] = len(p.fetches)
-		p.fetches = append(p.fetches, fetchOp{container: id, needAt: i, victim: victim, hasVictim: hasVictim})
 	}
 }
 
@@ -233,7 +233,7 @@ func (p *restorePlan) simulateOPT(refs []chunk.Ref, capacity int) {
 		occ[id] = append(occ[id], i)
 	}
 	ptr := make(map[uint32]int, len(occ))
-	cached := make(map[uint32]bool, capacity)
+	cached := make(map[uint32]int32, capacity) // resident containers, by the fetch that read them
 	// nextUse returns the first reference index of id strictly after i. The
 	// per-container cursor only moves forward, so the amortized cost across
 	// the whole simulation is O(len(refs)).
@@ -251,11 +251,10 @@ func (p *restorePlan) simulateOPT(refs []chunk.Ref, capacity int) {
 	}
 	for i := range refs {
 		id := refs[i].Loc.Container
-		if cached[id] {
-			p.fetchAt[i] = -1
+		if fx, ok := cached[id]; ok {
+			p.serve(i, fx)
 			continue
 		}
-		f := fetchOp{container: id, needAt: i}
 		if len(cached) >= capacity {
 			victim, victimNext := uint32(0), -1
 			for cid := range cached {
@@ -265,21 +264,17 @@ func (p *restorePlan) simulateOPT(refs []chunk.Ref, capacity int) {
 				}
 			}
 			delete(cached, victim)
-			f.victim, f.hasVictim = victim, true
 			p.evictions++
 		}
-		cached[id] = true
-		p.fetchAt[i] = len(p.fetches)
-		p.fetches = append(p.fetches, f)
+		cached[id] = p.fetch(i, id)
 	}
 }
 
 // simulateFAA cuts the recipe into windows of at most window logical bytes
 // (always at least one chunk, so an oversized chunk still restores) and
-// fetches each container at its first reference in a window. The ref that
-// opens a window always fetches, and that fetch flushes the window before.
+// fetches each container at its first reference in a window.
 func (p *restorePlan) simulateFAA(refs []chunk.Ref, window int64) {
-	resident := make(map[uint32]bool)
+	resident := make(map[uint32]int32)
 	start, filled := 0, int64(0)
 	for i := range refs {
 		size := int64(refs[i].Size)
@@ -290,13 +285,11 @@ func (p *restorePlan) simulateFAA(refs []chunk.Ref, window int64) {
 		}
 		filled += size
 		id := refs[i].Loc.Container
-		if resident[id] {
-			p.fetchAt[i] = -1
+		if fx, ok := resident[id]; ok {
+			p.serve(i, fx)
 			continue
 		}
-		resident[id] = true
-		p.fetchAt[i] = len(p.fetches)
-		p.fetches = append(p.fetches, fetchOp{container: id, needAt: i, flush: i == start})
+		resident[id] = p.fetch(i, id)
 	}
 }
 
@@ -320,5 +313,8 @@ func (p *restorePlan) buildExtents(store *container.Store, coalesce bool) {
 		}
 		f.extent = len(p.extents)
 		p.extents = append(p.extents, extent{lo: fi, hi: fi + 1, ids: []uint32{f.container}})
+	}
+	for i := range p.extents {
+		p.widest = max(p.widest, len(p.extents[i].ids))
 	}
 }

@@ -14,8 +14,10 @@ import (
 // contract: whatever the policy, the capacity and the coalescing, every ref's
 // bytes lie inside the wanted ranges of the fetch whose section the executor
 // will cut it from, and the ranges are what a backend may be handed — sorted,
-// disjoint, inside the section. Which fetch serves a ref is worked out the
-// executor's way (install: victims and flushes), not the planner's.
+// disjoint, inside the section. The replay is the executor's: a residency
+// opens at its fetch and closes after its last ref, every ref must find its
+// container open, and under a cache of so many containers no more than that
+// many residencies are ever open at a fetch.
 func TestRangesCoverEveryServedRef(t *testing.T) {
 	// 96 KB of sixteen 6000-byte chunks per container: chunks two apart are
 	// further than wantHole from each other, so a fetch can want several ranges.
@@ -79,21 +81,24 @@ func TestRangesCoverEveryServedRef(t *testing.T) {
 							t.Fatalf("%s: the extent of fetch %d lends for another fetch of its container", name, fx)
 						}
 					}
-					resident := make(map[uint32]*fetchOp)
+					open := make(map[uint32]*fetchOp)
 					for i := range refs {
 						loc := refs[i].Loc
-						if fx := p.fetchAt[i]; fx >= 0 {
-							f := &p.fetches[fx]
-							if f.flush {
-								clear(resident)
-							} else if f.hasVictim {
-								delete(resident, f.victim)
+						f := &p.fetches[p.servedBy[i]]
+						if f.needAt == i {
+							if open[loc.Container] != nil {
+								t.Fatalf("%s: ref %d fetches container %d, which is still open", name, i, loc.Container)
 							}
-							resident[loc.Container] = f
+							open[loc.Container] = f
+							if policy != PolicyFAA && len(open) > capacity {
+								t.Fatalf("%s: %d residencies open at the fetch for ref %d, capacity %d", name, len(open), i, capacity)
+							}
 						}
-						f := resident[loc.Container]
-						if f == nil {
-							t.Fatalf("%s: ref %d finds container %d not resident", name, i, loc.Container)
+						if h := open[loc.Container]; h != f {
+							t.Fatalf("%s: ref %d is served by the fetch at ref %d but finds container %d open as %v", name, i, f.needAt, loc.Container, h)
+						}
+						if f.last == i {
+							delete(open, loc.Container)
 						}
 						if f.want == nil {
 							continue
@@ -112,6 +117,9 @@ func TestRangesCoverEveryServedRef(t *testing.T) {
 						if got := f.cut(packed, off, loc.Size); &got[0] != &packed[packedAt] || len(got) != int(loc.Size) {
 							t.Fatalf("%s: ref %d is cut from the wrong bytes of its packed section", name, i)
 						}
+					}
+					if len(open) > 0 {
+						t.Fatalf("%s: %d residencies still open after the last ref", name, len(open))
 					}
 				}
 			}

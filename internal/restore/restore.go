@@ -28,11 +28,12 @@ import (
 // the seek count of the paper's Eq. 1 (every container read that misses the
 // cache is one discontiguous access: N·T_seek); the cache counters are read
 // off the fetch schedule, whatever its policy (hits are the refs that fetch
-// nothing, misses the fetches, evictions the sections those fetches retire),
+// nothing, misses the fetches, evictions the containers the policy evicts —
+// the executor lets each section go at its last use, before that),
 // and restore_fragments_per_stream observes Eq. 1's N per restored recipe.
 var (
 	telContainerReads = telemetry.NewCounter("restore_container_reads_total",
-		"full container data-section reads during restores (Eq. 1 seek events)")
+		"container data-section fetches during restores, each of the ranges its refs lie in or of the whole section (Eq. 1 seek events)")
 	telRestoreCacheHits = telemetry.NewCounter("restore_cache_hits_total",
 		"chunks served from the restore container cache")
 	telRestoreCacheMisses = telemetry.NewCounter("restore_cache_misses_total",
@@ -66,9 +67,9 @@ type Stats struct {
 	ContainerReads int64 // cache misses: data-section fetches
 	// ReadBytes is what those fetches asked the backend for: the ranges the
 	// recipe's refs lie in where it reads into a lent buffer (File), else —
-	// no loan taken, none to spare, a shared data cache in between — whole
-	// sections, cached ones included. ReadBytes / Bytes is the restore's read
-	// amplification; the simulated clock charges whole containers regardless.
+	// no loan taken, or none to spare — whole sections. ReadBytes / Bytes is
+	// the restore's read amplification; the simulated clock charges whole
+	// containers regardless.
 	ReadBytes int64
 	CacheHits int64 // chunks served from cached containers
 	// ExtentReads counts physical discontiguous reads (Eq. 1's N). Without

@@ -3,6 +3,7 @@ package restore
 import (
 	"slices"
 	"sync"
+	"time"
 )
 
 // sectionSet is the memory one restore reads container sections into when
@@ -11,23 +12,31 @@ import (
 // backend (blockstore.WithLender) a piece of a slab the size of the packed
 // section it asks for — the smallest gap between the pieces out that fits —
 // and a section that comes back in one is this restore's alone. The piece
-// returns to its slab when the cache evicts the section and every chunk
-// viewing it has been emitted. When no slab has room and all max are drawn,
-// lend returns nil and that one section is read whole into a buffer of its
-// own, as every section is on a backend that lends nothing. The slabs outlive
-// the set: it draws them from sectionBufs, and release returns them there.
+// returns to its slab once the last ref the section serves has been emitted,
+// and with it every chunk viewing it. When no slab has room, even after the
+// sections due back (owe), and all max are drawn, lend returns nil and that
+// section is read whole into a buffer of its own, as on a backend that lends
+// nothing. The slabs outlive the set: it draws them from sectionBufs, and
+// release returns them there.
 type sectionSet struct {
 	size int64 // bytes per slab
 	max  int
 
-	mu     sync.Mutex
-	slabs  []*slab
-	out    map[*byte]piece // pieces lent or holding a section, by first byte
-	lent   []*byte         // lent during the fetch in progress
-	reused int64           // loans into a slab that had held a section before
-	held   heldBytes       // the slabs with a piece out
-	peak   heldBytes       // held at its most bytes, and of those moments the fullest
+	mu       sync.Mutex
+	slabs    []*slab
+	out      map[*byte]piece // pieces lent or holding a section, by first byte
+	lent     []*byte         // lent during the fetch in progress
+	reused   int64           // loans into a slab that had held a section before
+	held     heldBytes       // the slabs with a piece out
+	peak     heldBytes       // held at its most bytes, and of those moments the fullest
+	returned int             // sections given back, in the order they were retired
+	due      int             // how many a loan that finds no room waits for (owe)
+	back     *sync.Cond      // on mu: one came back
 }
+
+// readAheadPatience is how long a loan waits for sections due back: under 1 ms
+// into memory, 30 ms over loopback HTTP, unless the writer stands still.
+const readAheadPatience = 100 * time.Millisecond
 
 type slab struct {
 	buf    []byte
@@ -56,7 +65,9 @@ var sectionBufs sync.Pool // of *[]byte
 var sectionSetReleased func(*sectionSet)
 
 func newSectionSet(size int64, max int) *sectionSet {
-	return &sectionSet{size: size, max: max, out: make(map[*byte]piece)}
+	s := &sectionSet{size: size, max: max, out: make(map[*byte]piece)}
+	s.back = sync.NewCond(&s.mu)
+	return s
 }
 
 // lend hands the restore's fetcher a buffer for a section of n bytes.
@@ -67,6 +78,9 @@ func (s *sectionSet) lend(n int64) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p, k := s.fit(n)
+	if p.s == nil && s.returned < s.due {
+		p, k = s.awaitRoom(n)
+	}
 	if p.s == nil {
 		if len(s.slabs) >= s.max {
 			return nil
@@ -88,6 +102,19 @@ func (s *sectionSet) lend(n int64) []byte {
 	s.out[&buf[0]] = p
 	s.lent = append(s.lent, &buf[0])
 	return buf
+}
+
+// awaitRoom is fit once it fits, the sections due are back or readAheadPatience
+// has passed. Caller holds s.mu.
+func (s *sectionSet) awaitRoom(n int64) (p piece, k int) {
+	end := time.Now().Add(readAheadPatience)
+	t := time.AfterFunc(readAheadPatience, func() { s.mu.Lock(); s.back.Broadcast(); s.mu.Unlock() })
+	defer t.Stop()
+	for p.s == nil && s.returned < s.due && time.Now().Before(end) {
+		s.back.Wait()
+		p, k = s.fit(n)
+	}
+	return p, k
 }
 
 // fit returns the smallest gap of n bytes or more between the pieces out, as
@@ -170,6 +197,15 @@ func (s *sectionSet) giveBack(data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.free(&data[0])
+	s.returned++
+	s.back.Broadcast()
+}
+
+// owe sets how many retired sections a loan that finds no room waits for.
+func (s *sectionSet) owe(n int) {
+	s.mu.Lock()
+	s.due = n
+	s.mu.Unlock()
 }
 
 // free returns the piece at first to its slab. Caller holds s.mu.

@@ -213,6 +213,38 @@ func TestFileRestoreReusesSectionsInEveryShape(t *testing.T) {
 	}
 }
 
+// TestALoanWaitsForTheSectionsDue is the set's side of the decode pool's
+// ordering: a loan that finds no room while sections are due back waits for
+// them instead of drawing a slab, and draws one only once readAheadPatience
+// has passed with none back — a writer that stands still.
+func TestALoanWaitsForTheSectionsDue(t *testing.T) {
+	s := newSectionSet(64, 3)
+	a := s.lend(40)
+	s.settle([][]byte{a})
+	s.owe(1) // a is retired, and on its way back
+	loan := make(chan []byte)
+	go func() { loan <- s.lend(40) }()
+	select {
+	case <-loan:
+		t.Fatal("a loan that found no room went ahead before the section due came back")
+	case <-time.After(20 * time.Millisecond):
+	}
+	s.giveBack(a)
+	b := <-loan
+	if &b[0] != &a[0] || len(s.slabs) != 1 {
+		t.Fatalf("the loan drew slab %d instead of taking the place of the section due back", len(s.slabs))
+	}
+	s.settle([][]byte{b})
+	s.owe(2) // b is retired too, and never comes back
+	t0 := time.Now()
+	if c := s.lend(40); c == nil || len(s.slabs) != 2 {
+		t.Fatal("a loan that waited in vain must draw a slab")
+	}
+	if waited := time.Since(t0); waited < readAheadPatience {
+		t.Fatalf("the loan drew a slab after %v, before the section due back had had %v", waited, readAheadPatience)
+	}
+}
+
 // gateWriter compares what it is given with what it should be given, and
 // holds its first Write until the backend has served `more` sections in all
 // — the resequencer stands still on the restore's first chunk while the
@@ -246,17 +278,16 @@ func (w *gateWriter) Write(p []byte) (int, error) {
 }
 
 // TestSectionNotReusedWhileADecodeBatchViewsIt is the retire-after-emit rule:
-// with a one-container cache every ref of the interleaved recipe evicts the
-// section the previous ref views, and the output writer is held on the first
-// chunk until the fetcher has read eight sections. Handing an evicted buffer
-// straight back would let those reads land on chunks still waiting to be
-// written; the bytes
-// that reach the writer must be the original ones all the same. Verify is off
-// so that nothing but the writer looks at them. Under PolicyFAA the evictions
-// are the flushes at the end of each one-container window, of every section
-// the window read; the recipe is longer there, so that most windows come
-// after the writer is let go and find buffers to reuse. decodeN runs a pool
-// of N decode workers (GOMAXPROCS N).
+// with a one-container cache every ref of the interleaved recipe is the last
+// use of the section it is cut from, and the output writer is held on the
+// first chunk until the fetcher has read eight sections. Handing a retired
+// buffer straight back would let those reads land on chunks still waiting to
+// be written; the bytes that reach the writer must be the original ones all
+// the same. Verify is off so that nothing but the writer looks at them. Under
+// PolicyFAA a section is read once per one-container window and retired at
+// its last ref in the window; the recipe is longer there, so that most
+// windows come after the writer is let go and find buffers to reuse. decodeN
+// runs a pool of N decode workers (GOMAXPROCS N).
 func TestSectionNotReusedWhileADecodeBatchViewsIt(t *testing.T) {
 	for _, tc := range []struct {
 		prefix string

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/engine/ddfs"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -50,26 +48,7 @@ func (b *Backup) Layout() LayoutInfo {
 // table.
 func RunLayoutAnalysis(cfg ExperimentConfig) (*FigureResult, error) {
 	cfg = cfg.withDefaults()
-	expected, lpc, _ := cfg.sizing(1, cfg.Generations)
-
-	dcfg0 := ddfs.DefaultConfig(expected)
-	dcfg0.LPCContainers = lpc
-	dd, err := ddfs.New(dcfg0)
-	if err != nil {
-		return nil, err
-	}
-	dcfg := core.DefaultConfig(expected)
-	dcfg.Alpha = cfg.Alpha
-	dcfg.LPCContainers = lpc
-	de, err := core.New(dcfg)
-	if err != nil {
-		return nil, err
-	}
-	sdd, err := workload.NewSingle(cfg.workloadConfig())
-	if err != nil {
-		return nil, err
-	}
-	sde, err := workload.NewSingle(cfg.workloadConfig())
+	dd, de, sdd, sde, lpc, err := ddfsBesideDeFrag(cfg)
 	if err != nil {
 		return nil, err
 	}
