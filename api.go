@@ -173,13 +173,10 @@ type FaultOptions struct {
 	// TornRate is the probability a container seal silently persists only
 	// half its data section (a lying disk; detected later as corruption).
 	TornRate float64
-	// LatencyRate is the probability an operation sleeps a wall-clock
-	// latency spike before completing.
-	LatencyRate float64
 }
 
 func (f FaultOptions) enabled() bool {
-	return f.TransientRate > 0 || f.TornRate > 0 || f.LatencyRate > 0
+	return f.TransientRate > 0 || f.TornRate > 0
 }
 
 // Options configures a Store.
@@ -358,7 +355,6 @@ func buildBackend(opts Options) (be blockstore.Backend, raw *blockstore.File, er
 			Seed:          opts.Faults.Seed,
 			TransientRate: opts.Faults.TransientRate,
 			TornRate:      opts.Faults.TornRate,
-			LatencyRate:   opts.Faults.LatencyRate,
 		}), blockstore.DefaultRetryPolicy())
 	}
 	if opts.WrapBackend != nil {
@@ -840,11 +836,12 @@ func (s *Store) Restore(ctx context.Context, b *Backup, w io.Writer, verify bool
 // bytes and every statistic are the same at any pool size.
 //
 // On a backend that copies sections out of files, the restore reads them
-// into a fixed set of its own buffers — CacheContainers plus what the
-// pipeline holds in flight (the extent just taken, the one read ahead and
-// the sections the decode pool has yet to emit: four on two cores, five on
-// four), each of one container's capacity — made as they are first needed and reused as the
-// cache evicts; the set is garbage when the call returns.
+// into its own buffers, each of one container's capacity, made as they are
+// first needed: at most CacheContainers plus 2 × the widest extent of its
+// fetch schedule (the extent being assembled and the one read behind it).
+// A section holds its piece of a buffer from its fetch until its last chunk
+// is written; the buffers are kept for the next restore when the call
+// returns.
 func (s *Store) RestoreWith(ctx context.Context, b *Backup, w io.Writer, opts RestoreOptions) (RestoreStats, error) {
 	ctx, span := telemetry.StartSpan(ctx, "store.restore")
 	defer span.End()

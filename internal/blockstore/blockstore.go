@@ -14,8 +14,7 @@
 //     catalog's format too), so a store can be closed (or killed) and
 //     re-opened with its containers intact.
 //   - Fault wraps any backend with deterministic, seed-controlled failure
-//     injection (transient EIO, torn writes, latency spikes) for recovery
-//     testing.
+//     injection (transient EIO, torn writes) for recovery testing.
 //
 // Backends compose: WithRetry(NewFault(inner, f)) gives a failure-prone
 // store behind a bounded retry-with-backoff policy, which is exactly the

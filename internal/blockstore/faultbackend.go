@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"syscall"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -22,9 +21,6 @@ type FaultConfig struct {
 	// silently truncated — the classic lying disk. The tear surfaces later
 	// as an ErrCorrupt short read.
 	TornRate float64
-	// LatencyRate adds a Latency-long real-time stall to an operation.
-	LatencyRate float64
-	Latency     time.Duration
 }
 
 // Fault wraps an inner backend with seed-controlled error injection for
@@ -43,9 +39,6 @@ type Fault struct {
 
 // NewFault wraps inner with failure injection per cfg.
 func NewFault(inner Backend, cfg FaultConfig) *Fault {
-	if cfg.Latency == 0 {
-		cfg.Latency = 2 * time.Millisecond
-	}
 	return &Fault{
 		inner: inner,
 		cfg:   cfg,
@@ -63,9 +56,9 @@ func (f *Fault) StoresData() bool { return f.inner.StoresData() }
 // Inner returns the wrapped backend (tests reach through to verify state).
 func (f *Fault) Inner() Backend { return f.inner }
 
-// draw rolls the three fault dice for one operation. allowTorn limits tear
+// draw rolls the two fault dice for one operation. allowTorn limits tear
 // injection to Seal.
-func (f *Fault) draw(allowTorn bool) (transient, torn bool, stall time.Duration) {
+func (f *Fault) draw(allowTorn bool) (transient, torn bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.cfg.TransientRate > 0 && f.rng.Float64() < f.cfg.TransientRate {
@@ -74,17 +67,11 @@ func (f *Fault) draw(allowTorn bool) (transient, torn bool, stall time.Duration)
 	if allowTorn && f.cfg.TornRate > 0 && f.rng.Float64() < f.cfg.TornRate {
 		torn = true
 	}
-	if f.cfg.LatencyRate > 0 && f.rng.Float64() < f.cfg.LatencyRate {
-		stall = f.cfg.Latency
-	}
-	return transient, torn, stall
+	return transient, torn
 }
 
 func (f *Fault) Seal(ctx context.Context, info ContainerInfo, data []byte) error {
-	transient, torn, stall := f.draw(true)
-	if stall > 0 {
-		time.Sleep(stall)
-	}
+	transient, torn := f.draw(true)
 	if transient {
 		f.injectedTransient.Inc()
 		return Transient(syscall.EIO)
@@ -101,10 +88,7 @@ func (f *Fault) Seal(ctx context.Context, info ContainerInfo, data []byte) error
 }
 
 func (f *Fault) ReadData(ctx context.Context, id uint32) ([]byte, error) {
-	transient, _, stall := f.draw(false)
-	if stall > 0 {
-		time.Sleep(stall)
-	}
+	transient, _ := f.draw(false)
 	if transient {
 		f.injectedTransient.Inc()
 		return nil, Transient(syscall.EIO)
@@ -113,10 +97,7 @@ func (f *Fault) ReadData(ctx context.Context, id uint32) ([]byte, error) {
 }
 
 func (f *Fault) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
-	transient, _, stall := f.draw(false)
-	if stall > 0 {
-		time.Sleep(stall)
-	}
+	transient, _ := f.draw(false)
 	if transient {
 		f.injectedTransient.Inc()
 		return nil, Transient(syscall.EIO)
@@ -129,7 +110,7 @@ func (f *Fault) List(ctx context.Context) ([]ContainerInfo, error) {
 }
 
 func (f *Fault) Sync(ctx context.Context) error {
-	transient, _, _ := f.draw(false)
+	transient, _ := f.draw(false)
 	if transient {
 		f.injectedTransient.Inc()
 		return Transient(syscall.EIO)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/chunker"
 	"repro/internal/disk"
+	"repro/internal/fanout"
 	"repro/internal/segment"
 )
 
@@ -28,17 +29,16 @@ type hashJob struct {
 	ends []int  // end offset of each chunk within data
 	res  []chunk.Chunk
 	err  error // injected worker fault (hashFaultHook)
-	done chan struct{}
 }
 
-// hashJobs recycles job buffers (stream bytes, end offsets, result slices,
-// handoff channels) across every pipeline of the process, not per call: a
-// pool built per backup would allocate and zero fresh buffers on the
-// producer, which is ingest's critical path. A job is only ever put back
-// once it has been hashed and, with keepData, once a processed segment has
-// consumed every chunk aliasing its bytes, so a job drawn by another stream
-// is never still in use.
-var hashJobs = sync.Pool{New: func() any { return &hashJob{done: make(chan struct{}, 1)} }}
+// hashJobs recycles job buffers (stream bytes, end offsets, result slices)
+// across every pipeline of the process, not per call: a pool built per
+// backup would allocate and zero fresh buffers on the producer, which is
+// ingest's critical path. A job is only ever put back once it has been
+// hashed and, with keepData, once a processed segment has consumed every
+// chunk aliasing its bytes, so a job drawn by another stream is never still
+// in use.
+var hashJobs = sync.Pool{New: func() any { return &hashJob{} }}
 
 // hashJobsLive counts jobs drawn and not yet put back; the abort-path tests
 // read it.
@@ -94,13 +94,12 @@ func (j *hashJob) hash(keepData bool) {
 // hashJob.hash the worker's, consume the consumer's; Pipeline runs the three
 // in turn on one goroutine or on several.
 type ingest struct {
-	ctx      context.Context
-	sc       *chunker.Scanner
-	sg       *segment.Segmenter
-	clock    *disk.Clock
-	cost     CostModel
-	keepData bool
-	process  func(*segment.Segment) error
+	ctx     context.Context
+	sc      *chunker.Scanner
+	sg      *segment.Segmenter
+	clock   *disk.Clock
+	cost    CostModel
+	process func(*segment.Segment) error
 
 	// Producer side.
 	jobSize int
@@ -214,15 +213,15 @@ func (p *ingest) release() {
 //
 //	read + cut (sequential) → [workers × SHA-256] → in-order segmenter → process
 //
-// With GOMAXPROCS above one the hashing fans out across that many goroutines
-// behind a bounded queue (the P-Dedupe idea: chunking is sequential by
-// nature, hashing is embarrassingly parallel, dedup decisions must stay in
-// stream order), and the consumer takes jobs back in submission order. With
-// GOMAXPROCS at one the same three steps run in turn on the calling
-// goroutine: no goroutine, no channel. Chunks, recipes and simulated time are
-// bit-identical either way — the CPU cost model charges the same bytes;
-// parallelism buys wall-clock time for the simulation itself, not simulated
-// time.
+// The producer runs on the calling goroutine and submits each job to a
+// fanout.Pool of GOMAXPROCS hash workers behind bounded queues (the P-Dedupe
+// idea: chunking is sequential by nature, hashing is embarrassingly
+// parallel, dedup decisions must stay in stream order), whose one consumer
+// takes jobs back in submission order. With GOMAXPROCS at one the pool runs
+// the three steps in turn on the calling goroutine: no goroutine, no
+// channel. Chunks, recipes and simulated time are bit-identical either way —
+// the CPU cost model charges the same bytes; parallelism buys wall-clock time
+// for the simulation itself, not simulated time.
 //
 // keepData controls whether chunk bytes are retained into the segments
 // (true when the engine's container backend stores data). Chunk Data slices
@@ -253,22 +252,22 @@ func Pipeline(
 		return 0, 0, 0, err
 	}
 	p := &ingest{
-		ctx: ctx, sc: sc, sg: sg, clock: clock, cost: cost, keepData: keepData, process: process,
+		ctx: ctx, sc: sc, sg: sg, clock: clock, cost: cost, process: process,
 		jobSize: hashBatchChunks*cp.Target + sc.MaxChunk(),
 	}
 	p.cur = getHashJob(p.jobSize)
 	defer p.release()
 
-	if workers := hashWorkers(); workers == 1 {
-		for j := p.next(); j != nil; j = p.next() {
-			j.hash(keepData)
-			if err = p.consume(j); err != nil {
-				break
-			}
+	// The queues let the producer run two jobs per worker ahead of the
+	// hashers without buffering the whole stream.
+	workers := hashWorkers()
+	hashing := fanout.New(workers, 2*workers, func(j *hashJob) { j.hash(keepData) }, p.consume, putHashJob)
+	for j := p.next(); j != nil; j = p.next() {
+		if !hashing.Submit(j) {
+			break // the consumer failed
 		}
-	} else {
-		err = p.fanOut(workers)
 	}
+	err = hashing.Close()
 	if err == nil {
 		err = p.readErr
 	}
@@ -276,61 +275,4 @@ func Pipeline(
 		err = p.emit(sg.Finish())
 	}
 	return p.logicalBytes, p.chunks, p.segments, err
-}
-
-// fanOut runs the producer and workers hash workers on goroutines of their
-// own and the consumer on the caller's, returning the consumer's error once
-// all of them have exited.
-func (p *ingest) fanOut(workers int) error {
-	// Bounded queue: the producer stays ahead of the hashers without
-	// buffering the whole stream.
-	jobs := make(chan *hashJob, workers*2)
-	// Order-preserving handoff: the consumer waits on each job's done
-	// channel in submission order. Sized like jobs, so the producer is held
-	// back by the hashers, not by this queue.
-	pending := make(chan *hashJob, workers*2)
-	// stop tells the producer the consumer gave up (process error, ctx
-	// cancellation) so it cuts the stream short instead of reading to EOF.
-	stop := make(chan struct{})
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				j.hash(p.keepData)
-				j.done <- struct{}{}
-			}
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		defer close(pending)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			j := p.next()
-			if j == nil {
-				return
-			}
-			pending <- j
-			jobs <- j
-		}
-	}()
-
-	var err error
-	for j := range pending {
-		<-j.done
-		if err != nil {
-			putHashJob(j) // draining after a failure
-		} else if err = p.consume(j); err != nil {
-			close(stop)
-		}
-	}
-	wg.Wait()
-	return err
 }

@@ -708,8 +708,9 @@ func (p *Pass) revalidate(ctx context.Context, victimSet map[uint32]bool, moved 
 	return keep
 }
 
-// Throttle is a wall-clock token bucket pacing maintenance byte movement so
-// the pass cannot starve foreground traffic of real I/O and CPU.
+// Throttle is a wall-clock token bucket. It paces maintenance byte movement
+// so the pass cannot starve foreground traffic of real I/O and CPU, and the
+// server's per-tenant upload bandwidth.
 type Throttle struct {
 	bytesPerSec float64
 	mu          chan struct{} // 1-buffered: the bucket's mutex
@@ -725,7 +726,8 @@ func NewThrottle(bytesPerSec float64) *Throttle {
 	return t
 }
 
-// Wait blocks until n bytes of budget are available (or ctx is done).
+// Wait blocks until n bytes of budget are available (or ctx is done). n may
+// exceed the burst: the debt is paid down over time.
 func (t *Throttle) Wait(ctx context.Context, n int64) error {
 	if t.bytesPerSec <= 0 || n <= 0 {
 		return ctx.Err()

@@ -40,8 +40,8 @@ func benchStore(b testing.TB, nChunks, size, chunksPerContainer int) (*container
 }
 
 // BenchmarkDecode measures the decode/verify pool in isolation: stream-order
-// chunk views pushed through push/close, SHA-256 verified by N workers,
-// re-sequenced and discarded. Bytes/op is the verified payload.
+// chunk views pushed through push/finishDecode, SHA-256 verified by N
+// workers, emitted in order and discarded. Bytes/op is the verified payload.
 func BenchmarkDecode(b *testing.B) {
 	const nChunks, size = 4096, 1024
 	jobs := make([]decodeJob, nChunks)
@@ -61,13 +61,15 @@ func BenchmarkDecode(b *testing.B) {
 			b.SetBytes(int64(nChunks * size))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p := newDecodePipe(workers, true, io.Discard, nil) // nothing retires: no set
+				// Nothing retires: no section set.
+				as := &assembly{cfg: PipelineConfig{Verify: true}, w: io.Discard, stats: &Stats{}}
+				as.startDecode(workers)
 				for k := range jobs {
-					if !p.push(k, &refs[k], jobs[k].data) {
-						b.Fatal("pipe failed early")
+					if !as.push(k, &refs[k], jobs[k].data) {
+						b.Fatal("pool failed early")
 					}
 				}
-				if _, _, err := p.close(); err != nil {
+				if err := as.finishDecode(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -76,7 +78,7 @@ func BenchmarkDecode(b *testing.B) {
 }
 
 // BenchmarkRestorePipeline measures the full restore path end to end —
-// plan, coalesced fetch, decode pool, resequenced write — at several decode
+// plan, coalesced fetch, decode pool, in-order write — at several decode
 // worker counts (GOMAXPROCS; auto is the host's), under the OPT cache and
 // under forward assembly. Simulated stats are identical across the decode
 // counts of one policy (TestDecodeWorkersDeterminism); only wall time moves.

@@ -2,12 +2,11 @@ package restore
 
 import (
 	"fmt"
-	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/chunk"
+	"repro/internal/fanout"
 )
 
 // decodeBatchSize is the number of chunk refs grouped into one decode unit.
@@ -25,178 +24,122 @@ type decodeJob struct {
 	data []byte
 }
 
-// decodeBatch is the unit flowing through the pool: the assembler fills it
-// in stream order, one worker verifies it, the resequencer emits it.
+// decodeBatch is the unit the decode pool carries: the assembler fills it in
+// stream order, a worker verifies it, the pool's consumer emits it.
 type decodeBatch struct {
 	jobs    []decodeJob
-	retired []byte        // a section no batch after this one views (see retire)
-	done    chan struct{} // closed by the verifying worker
-	err     error         // first verify failure in the batch...
-	errIdx  int           // ...at jobs[errIdx]
+	retired []byte // a section no batch after this one views (see retire)
+	err     error  // first verify failure in the batch...
+	errIdx  int    // ...at jobs[errIdx]
 }
 
 // decodeBatches recycles batches across restores. It is the package's, not
-// the pipe's: the runtime keeps a used sync.Pool reachable until the
-// collection after next, and one inside the pipe would keep the pipe — and
-// through it the restore's whole section set — alive that long. Batches go
-// back empty (see resequence), so the pool itself views no section.
+// the restore's: the runtime keeps a used sync.Pool reachable until the
+// collection after next, and one per restore would keep the restore — and
+// through it its whole section set — alive that long. Batches go back empty
+// (see recycle), so the pool itself views no section.
 var decodeBatches = sync.Pool{New: func() any {
 	return &decodeBatch{jobs: make([]decodeJob, 0, decodeBatchSize)}
 }}
 
-// decodePipe is the wall-clock decode/verify pool of the restore pipeline:
-// the assembler pushes chunk views in stream order, `workers` goroutines
-// SHA-256-verify whole batches concurrently, and a single resequencer
-// goroutine consumes batches strictly in submission order, writing chunks
-// to the output and stopping at the first in-order error — so the bytes on
-// the wire, the error the caller sees, and the Bytes/Chunks tallies are all
-// bit-identical to the inline serial path. Only wall-clock time changes.
-type decodePipe struct {
-	verify   bool
-	w        io.Writer
-	sections *sectionSet       // where retired sections go once emitted
-	jobs     chan *decodeBatch // unordered, to the verify workers
-	ordered  chan *decodeBatch // submission order, to the resequencer
-	cur      *decodeBatch
-	failed   atomic.Bool // resequencer hit an error; assembler should stop
-
-	writerDone    chan struct{}
-	bytes, chunks int64 // resequencer tallies (in-order, pre-error)
-	werr          error // first in-order verify/write error
+// startDecode gives the assembly its decode pool: workers goroutines
+// SHA-256-verify whole batches in any order, and the pool's consumer emits
+// them in submission order, stopping at the first error — so the bytes on
+// the wire, the error the caller sees and the Bytes/Chunks tallies are the
+// same at every worker count. Four batches per worker may queue ahead of the
+// workers, and as many ahead of the consumer.
+func (as *assembly) startDecode(workers int) {
+	as.decode = fanout.New(workers, 4*workers, as.verify, as.emit, as.recycle)
 }
 
-func newDecodePipe(workers int, verify bool, w io.Writer, sections *sectionSet) *decodePipe {
-	depth := workers * 4 // batches that may queue between the assembler and the resequencer
-	p := &decodePipe{
-		verify:     verify,
-		w:          w,
-		sections:   sections,
-		jobs:       make(chan *decodeBatch, depth),
-		ordered:    make(chan *decodeBatch, depth),
-		writerDone: make(chan struct{}),
-	}
-	for k := 0; k < workers; k++ {
-		go p.worker()
-	}
-	go p.resequence()
-	return p
+// push appends one chunk to the current batch and submits the batch once it
+// is full. It reports false once the decode pool has failed: the assembler
+// stops producing and finishDecode surfaces the error.
+func (as *assembly) push(idx int, ref *chunk.Ref, piece []byte) bool {
+	b := as.batch()
+	b.jobs = append(b.jobs, decodeJob{idx: idx, fp: ref.FP, size: ref.Size, data: piece})
+	return len(b.jobs) < decodeBatchSize || as.submit()
 }
 
-// push appends one chunk to the current batch, flushing full batches into
-// the pool. It reports false once the resequencer has failed — the
-// assembler stops producing and close() surfaces the error.
-func (p *decodePipe) push(idx int, ref *chunk.Ref, piece []byte) bool {
-	if p.failed.Load() {
-		return false
+func (as *assembly) batch() *decodeBatch {
+	if as.cur == nil {
+		as.cur = decodeBatches.Get().(*decodeBatch)
 	}
-	if p.cur == nil {
-		p.cur = decodeBatches.Get().(*decodeBatch)
-	}
-	p.cur.jobs = append(p.cur.jobs, decodeJob{idx: idx, fp: ref.FP, size: ref.Size, data: piece})
-	if len(p.cur.jobs) >= decodeBatchSize {
-		p.submit()
-	}
-	return true
+	return as.cur
 }
 
-// retire takes a section the assembler has cut its last chunk from. Every
-// chunk that views it was pushed before this call, so it sits in the current
-// batch or an earlier one. The section rides on the current batch, which
-// goes out now — a loan may be waiting for it (sectionSet.owe) — and the
-// resequencer, which finishes batches in submission order and each only after
-// its verification, returns it to the set once that batch's last chunk is
-// written: from then on nothing reads it.
-func (p *decodePipe) retire(section []byte) {
-	if p.cur == nil {
-		p.cur = decodeBatches.Get().(*decodeBatch)
-	}
-	p.cur.retired = section
-	p.submit()
-}
-
-// submit hands the current batch to the pool: ordered first (the
-// resequencer must see submission order), then jobs. Both channels are
-// bounded, so a slow writer or slow workers backpressure the assembler.
-func (p *decodePipe) submit() {
-	b := p.cur
-	p.cur = nil
-	b.done = make(chan struct{})
+// submit hands the current batch to the decode pool, whose queues are
+// bounded: slow workers or a slow writer hold the assembler back.
+func (as *assembly) submit() bool {
+	b := as.cur
+	as.cur = nil
 	b.err, b.errIdx = nil, 0
-	telDecodeQueueDepth.Observe(float64(len(p.jobs)))
-	p.ordered <- b
-	p.jobs <- b
+	telDecodeQueueDepth.Observe(float64(as.decode.Queued()))
+	return as.decode.Submit(b)
 }
 
-// close flushes the tail batch, joins the pool, and returns the in-order
-// Bytes/Chunks written plus the first in-order error (nil if none).
-func (p *decodePipe) close() (bytes, chunks int64, err error) {
-	if p.cur != nil && len(p.cur.jobs) > 0 {
-		p.submit()
+// finishDecode submits the tail batch, joins the decode pool and returns the
+// first in-order verify/write error (nil if none).
+func (as *assembly) finishDecode() error {
+	if as.cur != nil {
+		as.submit()
 	}
-	close(p.jobs)
-	close(p.ordered)
-	<-p.writerDone
-	return p.bytes, p.chunks, p.werr
+	return as.decode.Close()
 }
 
-// worker verifies batches; order does not matter here, the resequencer
-// re-imposes it.
-func (p *decodePipe) worker() {
-	for b := range p.jobs {
-		t0 := time.Now()
-		if p.verify {
-			for k := range b.jobs {
-				j := &b.jobs[k]
-				if got := chunk.Of(j.data); got != j.fp {
-					b.err = fmt.Errorf("restore: chunk %d fingerprint mismatch (%s != %s)",
-						j.idx, got.Short(), j.fp.Short())
-					b.errIdx = k
-					break // chunks past the first bad one are never emitted
-				}
+// verify is the decode pool's work: it checks b's chunks against their
+// fingerprints up to the first mismatch.
+func (as *assembly) verify(b *decodeBatch) {
+	t0 := time.Now()
+	if as.cfg.Verify {
+		for k := range b.jobs {
+			j := &b.jobs[k]
+			if got := chunk.Of(j.data); got != j.fp {
+				b.err = fmt.Errorf("restore: chunk %d fingerprint mismatch (%s != %s)",
+					j.idx, got.Short(), j.fp.Short())
+				b.errIdx = k
+				break // chunks past the first bad one are never emitted
 			}
 		}
-		stageDecode.Observe(t0)
-		close(b.done)
 	}
+	stageDecode.Observe(t0)
 }
 
-// resequence consumes batches in submission order, waiting each one's
-// verification, and emits chunks until the first error; everything after is
-// drained (and recycled) without writing.
-func (p *decodePipe) resequence() {
-	defer close(p.writerDone)
-	for b := range p.ordered {
-		<-b.done
-		if p.werr == nil {
-			for k := range b.jobs {
-				if b.err != nil && k == b.errIdx {
-					p.fail(b.err)
-					break
-				}
-				j := &b.jobs[k]
-				if p.w != nil {
-					t1 := time.Now()
-					_, err := p.w.Write(j.data)
-					stageCopy.Observe(t1)
-					if err != nil {
-						p.fail(err)
-						break
-					}
-				}
-				p.bytes += int64(j.size)
-				p.chunks++
+// emit is the decode pool's consumer: it writes b's chunks to the output and
+// counts them, up to b's first verify or write failure, then recycles b.
+func (as *assembly) emit(b *decodeBatch) (err error) {
+	var bytes, chunks int64
+	for k := range b.jobs {
+		if b.err != nil && k == b.errIdx {
+			err = b.err
+			break
+		}
+		j := &b.jobs[k]
+		if as.w != nil {
+			t1 := time.Now()
+			_, err = as.w.Write(j.data)
+			stageCopy.Observe(t1)
+			if err != nil {
+				break
 			}
 		}
-		p.sections.giveBack(b.retired)
-		// A recycled batch must not keep viewing sections of a restore that
-		// is over.
-		clear(b.jobs)
-		b.jobs, b.retired = b.jobs[:0], nil
-		decodeBatches.Put(b)
+		bytes += int64(j.size)
+		chunks++
 	}
+	// Added once a batch: the assembler writes the same Stats for every ref.
+	as.stats.Bytes += bytes
+	as.stats.Chunks += chunks
+	as.recycle(b)
+	return err
 }
 
-func (p *decodePipe) fail(err error) {
-	p.werr = err
-	p.failed.Store(true)
+// recycle returns the section b retired to the set — every chunk viewing it
+// is in b or an earlier batch, so nothing reads it any more — and b, viewing
+// nothing, to decodeBatches. It is also the pool's discard, for the batches
+// after a failure.
+func (as *assembly) recycle(b *decodeBatch) {
+	as.sections.giveBack(b.retired)
+	clear(b.jobs)
+	b.jobs, b.retired = b.jobs[:0], nil
+	decodeBatches.Put(b)
 }

@@ -2,16 +2,15 @@ package restore
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/blockstore"
 	"repro/internal/chunk"
 	"repro/internal/container"
 	"repro/internal/disk"
+	"repro/internal/fanout"
 	"repro/internal/telemetry"
 )
 
@@ -73,11 +72,12 @@ func DefaultConfig() PipelineConfig {
 // to per-lane clocks in deterministic schedule order (earliest-free lane
 // first) and Stats.Duration is the slowest lane.
 //
-// With GOMAXPROCS above one, SHA-256 verification and the writes to w run on
-// a pool of that many decode goroutines behind an in-order resequencer,
-// overlapping container fetches; at one they run inline on the assembler.
-// Restored bytes, simulated time and every Stats field are bit-identical
-// either way; decode_test.go pins that at GOMAXPROCS 1, 2 and 4.
+// SHA-256 verification and the writes to w run on the decode pool, a
+// fanout.Pool of GOMAXPROCS workers whose one consumer writes in stream
+// order, overlapping container fetches; at GOMAXPROCS one the pool runs them
+// inline on the assembler. Restored bytes, simulated time and every Stats
+// field are bit-identical either way; decode_test.go pins that at GOMAXPROCS
+// 1, 2 and 4.
 //
 // With one lane and Coalesce off, Stats and the device counters are
 // bit-identical to the serial reference loops the tests keep: Run for
@@ -120,16 +120,13 @@ func RunPipelined(ctx context.Context, store *container.Store, recipe *chunk.Rec
 		}
 	}
 
-	dw := runtime.GOMAXPROCS(0)
 	// The plan's cache holds each section from its fetch to its last use, and
 	// two extents are in flight: the one taken and the one read behind it.
 	as := &assembly{store: store, cfg: cfg, plan: plan, refs: recipe.Refs, w: w, stats: &stats,
 		resident: make(map[uint32]held, cfg.CacheContainers),
 		sections: newSectionSet(store.Config().DataCap, cfg.CacheContainers+2*plan.widest)}
-	defer as.sections.release() // after the fetcher and the resequencer have exited
-	if dw > 1 {
-		as.emit = newDecodePipe(dw, cfg.Verify, w, as.sections)
-	}
+	defer as.sections.release() // after the fetcher and the decode pool have exited
+	as.startDecode(runtime.GOMAXPROCS(0))
 
 	master := store.Device().Clock()
 	start := master.Now()
@@ -140,20 +137,15 @@ func RunPipelined(ctx context.Context, store *container.Store, recipe *chunk.Rec
 		chargeLanes(store, plan, cfg.Workers)
 	}
 	runErr := as.run(ctx)
-	if as.emit != nil {
-		// Join the decode pool. A decode/write error happened at an earlier
-		// stream position than any fetch error (fetches fail at the ref
-		// being assembled; the resequencer trails it), so it wins — exactly
-		// the ref at which the serial path would have stopped.
-		bytes, chunks, perr := as.emit.close()
-		stats.Bytes += bytes
-		stats.Chunks += chunks
-		if perr != nil {
-			runErr = perr
-		}
+	// A decode/write error happened at an earlier stream position than any
+	// fetch error (fetches fail at the ref being assembled; the decode pool
+	// trails it), so it wins — exactly the ref at which a serial restore
+	// would have stopped.
+	if err := as.finishDecode(); err != nil {
+		runErr = err
 	}
 	telReadBytes.Add(stats.ReadBytes)
-	telSectionsReused.Add(as.sections.reused) // fetcher and resequencer have exited
+	telSectionsReused.Add(as.sections.reused) // fetcher and decode pool have exited
 	if runErr != nil {
 		return stats, runErr
 	}
@@ -207,19 +199,18 @@ type assembly struct {
 	plan  *restorePlan
 	refs  []chunk.Ref
 	w     io.Writer
-	stats *Stats
+	stats *Stats // Bytes and Chunks are the decode pool's consumer's
 
 	resident map[uint32]held // the sections a ref still to come is cut from, by container
 
 	// sections holds the buffers file-backed sections are read into. A
 	// section leaves resident by retire, never by a bare delete.
 	sections *sectionSet
-	retired  int       // sections retire gave back to the set or to the decode pool
+	retired  int       // sections retire handed to the decode pool
 	wants    sync.Once // plan.buildWants, at the first loan a backend asks for
 
-	// emit, when non-nil, routes verify/write through the parallel decode
-	// pool instead of doing it inline; see decodePipe.
-	emit *decodePipe
+	decode *fanout.Pool[*decodeBatch] // verifies and writes out the batches (decode.go)
+	cur    *decodeBatch               // the batch being filled
 }
 
 // fetchedExtent is what the fetcher hands the assembler for one extent: the
@@ -238,10 +229,10 @@ type fetchedExtent struct {
 // assembler asks for it — the order a serial reader would pay in.
 // Containers of a coalesced extent that install later wait in a staging
 // buffer bounded by maxCoalesce. run returns only after the fetcher has
-// exited, however early the assembler stopped. Through the decode pool a
-// retired section goes back only once written, so a loan that finds no room
-// waits for those retired before the assembler last took an extent (inline
-// decode has given them back) rather than draw a slab (sectionSet.owe).
+// exited, however early the assembler stopped. A retired section goes back
+// only once written, so a loan that finds no room waits for those retired
+// before the assembler last took an extent rather than draw a slab
+// (sectionSet.owe).
 func (as *assembly) run(ctx context.Context) error {
 	fetched := make(chan fetchedExtent)
 	stop := make(chan struct{})
@@ -309,40 +300,10 @@ func (as *assembly) run(ctx context.Context) error {
 		} else {
 			as.stats.CacheHits++
 		}
-		piece := as.piece(id, ref)
-		if as.emit != nil {
-			if !as.emit.push(i, ref, piece) {
-				return nil // resequencer failed; close() surfaces its error
-			}
-		} else if err := as.write(i, ref, piece); err != nil {
-			return err
-		}
-		if f.last == i {
-			as.retire(id)
+		if !as.push(i, ref, as.piece(id, ref)) || f.last == i && !as.retire(id) {
+			return nil // the decode pool failed; finishDecode surfaces its error
 		}
 	}
-	return nil
-}
-
-// write verifies and writes one chunk inline, when there is no decode pool.
-func (as *assembly) write(i int, ref *chunk.Ref, piece []byte) error {
-	t0 := time.Now()
-	if as.cfg.Verify {
-		if got := chunk.Of(piece); got != ref.FP {
-			return fmt.Errorf("restore: chunk %d fingerprint mismatch (%s != %s)", i, got.Short(), ref.FP.Short())
-		}
-	}
-	stageDecode.Observe(t0)
-	if as.w != nil {
-		t1 := time.Now()
-		_, err := as.w.Write(piece)
-		stageCopy.Observe(t1)
-		if err != nil {
-			return err
-		}
-	}
-	as.stats.Bytes += int64(ref.Size)
-	as.stats.Chunks++
 	return nil
 }
 
@@ -355,21 +316,20 @@ type held struct {
 }
 
 // retire lets go of container id's section once the last ref its fetch
-// serves has been emitted. That chunk and earlier ones may still view it from
-// inside the decode pool, so a section of the restore's own goes back to its
-// set only behind them (decodePipe.retire); inline decode has written them.
-func (as *assembly) retire(id uint32) {
+// serves has been pushed. That chunk and earlier ones may still view it from
+// inside the decode pool, so a section of the restore's own rides on the
+// current batch, which goes out now — a loan may be waiting for it
+// (sectionSet.owe) — and goes back to its set once that batch is emitted
+// (recycle). It reports false once the decode pool has failed.
+func (as *assembly) retire(id uint32) bool {
 	data := as.resident[id].data
 	delete(as.resident, id)
 	if !as.sections.owns(data) {
-		return // a shared view: the collector's
+		return true // a shared view: the collector's
 	}
 	as.retired++
-	if as.emit == nil {
-		as.sections.giveBack(data)
-	} else {
-		as.emit.retire(data)
-	}
+	as.batch().retired = data
+	return as.submit()
 }
 
 // piece returns the bytes of ref out of the resident section of id.

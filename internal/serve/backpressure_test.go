@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/maintenance"
 )
 
 // TestLimiterTable drives the admission ledger through its edge cases.
@@ -83,12 +85,12 @@ func TestLimiterTable(t *testing.T) {
 // TestBucketThrottle checks the token bucket paces past its burst and
 // honors cancellation.
 func TestBucketThrottle(t *testing.T) {
-	b := newBucket(1 << 20) // 1 MiB/s, 1 MiB burst, starts full
-	if err := b.wait(context.Background(), 1<<20); err != nil {
+	b := maintenance.NewThrottle(1 << 20) // 1 MiB/s, 1 MiB burst, starts full
+	if err := b.Wait(context.Background(), 1<<20); err != nil {
 		t.Fatal(err) // the burst is free
 	}
 	start := time.Now()
-	if err := b.wait(context.Background(), 256<<10); err != nil {
+	if err := b.Wait(context.Background(), 256<<10); err != nil {
 		t.Fatal(err)
 	}
 	if el := time.Since(start); el < 150*time.Millisecond {
@@ -96,8 +98,26 @@ func TestBucketThrottle(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := b.wait(ctx, 10<<20); err == nil {
+	if err := b.Wait(ctx, 10<<20); err == nil {
 		t.Fatal("wait with cancelled context must fail")
+	}
+}
+
+// TestThrottleBelowOneBite: a bandwidth under the reader's 64 KiB bite still
+// lets the bite through, the bucket going into debt for it; a bucket that
+// waited for a bite's worth of tokens never got them past its one-second
+// burst, and the upload stood still until its context ended.
+func TestThrottleBelowOneBite(t *testing.T) {
+	l := newLimiter(1, 1, 32<<10) // 32 KiB/s: a bite is two seconds' worth
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	r := l.throttle(ctx, "t", bytes.NewReader(make([]byte, 64<<10)))
+	start := time.Now()
+	if n, err := r.Read(make([]byte, 64<<10)); n != 64<<10 || err != nil {
+		t.Fatalf("read %d bytes, %v", n, err)
+	}
+	if el := time.Since(start); el < 500*time.Millisecond {
+		t.Fatalf("a bite of twice the burst went through in %v, want about a second", el)
 	}
 }
 

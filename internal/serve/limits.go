@@ -4,7 +4,8 @@ import (
 	"context"
 	"io"
 	"sync"
-	"time"
+
+	"repro/internal/maintenance"
 )
 
 // limiter is the session manager's admission ledger: per-tenant and
@@ -18,7 +19,7 @@ type limiter struct {
 
 	mu       sync.Mutex
 	inflight map[string]int
-	buckets  map[string]*bucket
+	buckets  map[string]*maintenance.Throttle
 	used     int
 }
 
@@ -28,7 +29,7 @@ func newLimiter(perTenant, total int, bandwidth float64) *limiter {
 		total:     total,
 		bandwidth: bandwidth,
 		inflight:  make(map[string]int),
-		buckets:   make(map[string]*bucket),
+		buckets:   make(map[string]*maintenance.Throttle),
 	}
 }
 
@@ -67,7 +68,7 @@ func (l *limiter) throttle(ctx context.Context, tenant string, r io.Reader) io.R
 	l.mu.Lock()
 	b, ok := l.buckets[tenant]
 	if !ok {
-		b = newBucket(l.bandwidth)
+		b = maintenance.NewThrottle(l.bandwidth)
 		l.buckets[tenant] = b
 	}
 	l.mu.Unlock()
@@ -85,57 +86,13 @@ func (l *limiter) snapshot() map[string]int {
 	return out
 }
 
-// bucket is a token bucket refilled continuously at rate bytes/second, with
-// one second of burst. All of a tenant's streams draw from the same bucket,
-// so the cap is aggregate, not per-connection.
-type bucket struct {
-	mu     sync.Mutex
-	rate   float64
-	tokens float64
-	max    float64
-	last   time.Time
-}
-
-func newBucket(rate float64) *bucket {
-	return &bucket{rate: rate, tokens: rate, max: rate, last: time.Now()}
-}
-
-// wait blocks until n tokens are available (or ctx is done) and consumes
-// them. n may exceed the burst size; the debt is paid down over time.
-func (b *bucket) wait(ctx context.Context, n float64) error {
-	for {
-		b.mu.Lock()
-		now := time.Now()
-		b.tokens += now.Sub(b.last).Seconds() * b.rate
-		if b.tokens > b.max {
-			b.tokens = b.max
-		}
-		b.last = now
-		if b.tokens >= n {
-			b.tokens -= n
-			b.mu.Unlock()
-			return nil
-		}
-		need := n - b.tokens
-		b.mu.Unlock()
-		d := time.Duration(need / b.rate * float64(time.Second))
-		if d < time.Millisecond {
-			d = time.Millisecond
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(d):
-		}
-	}
-}
-
-// throttledReader meters reads through the bucket in at most 64 KiB bites
-// so a huge Read cannot stall past its fair share.
+// throttledReader meters reads through the tenant's bucket, which all of its
+// streams draw from, so the cap is aggregate, not per-connection. It reads in
+// at most 64 KiB bites so a huge Read cannot stall past its fair share.
 type throttledReader struct {
 	ctx context.Context
 	r   io.Reader
-	b   *bucket
+	b   *maintenance.Throttle
 }
 
 func (t *throttledReader) Read(p []byte) (int, error) {
@@ -146,7 +103,7 @@ func (t *throttledReader) Read(p []byte) (int, error) {
 	n, err := t.r.Read(p)
 	if n > 0 {
 		// Charge for what actually arrived; the wait paces the next read.
-		if werr := t.b.wait(t.ctx, float64(n)); werr != nil {
+		if werr := t.b.Wait(t.ctx, int64(n)); werr != nil {
 			return n, werr
 		}
 	}

@@ -32,6 +32,7 @@ declare -A floors=(
   [repro/internal/core]=72
   [repro/internal/disk]=85
   [repro/internal/engine]=80
+  [repro/internal/fanout]=92
   [repro/internal/engine/ddfs]=72
   [repro/internal/engine/idedup]=80
   [repro/internal/engine/silo]=85
