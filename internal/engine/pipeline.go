@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,6 +30,10 @@ type hashJob struct {
 	ends []int  // end offset of each chunk within data
 	res  []chunk.Chunk
 	err  error // injected worker fault (hashFaultHook)
+
+	// Scratch for chunk.OfEach: each chunk's view of data, its fingerprint.
+	views [][]byte
+	fps   []chunk.Fingerprint
 }
 
 // hashJobs recycles job buffers (stream bytes, end offsets, result slices)
@@ -68,13 +73,21 @@ var hashFaultHook func(chunk.Chunk) error
 // hashWorkers sizes Pipeline's hash pool; tests widen it past GOMAXPROCS.
 var hashWorkers = func() int { return runtime.GOMAXPROCS(0) }
 
-// hash fingerprints the job's chunks; they alias its buffer.
+// hash fingerprints the job's chunks, all in one chunk.OfEach call; they
+// alias its buffer.
 func (j *hashJob) hash(keepData bool) {
 	t0 := time.Now()
-	out := j.res[:0]
+	j.views = j.views[:0]
 	start := 0
 	for _, end := range j.ends {
-		c := chunk.New(j.data[start:end:end])
+		j.views = append(j.views, j.data[start:end:end])
+		start = end
+	}
+	j.fps = slices.Grow(j.fps[:0], len(j.views))[:len(j.views)]
+	chunk.OfEach(j.views, j.fps)
+	out := j.res[:0]
+	for k, d := range j.views {
+		c := chunk.Chunk{FP: j.fps[k], Size: uint32(len(d)), Data: d}
 		if !keepData {
 			c.Data = nil
 		}
@@ -84,7 +97,6 @@ func (j *hashJob) hash(keepData bool) {
 			}
 		}
 		out = append(out, c)
-		start = end
 	}
 	j.res = out
 	stageHash.Observe(t0) // one observation per job

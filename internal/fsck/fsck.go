@@ -30,6 +30,7 @@ package fsck
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/chunk"
@@ -148,29 +149,42 @@ func Check(ctx context.Context, store *container.Store, index *cindex.Index, rec
 
 	// Pass 3: recipe references resolve; optionally re-hash content. A
 	// container whose data section fails to read (torn write, backend fault)
-	// is one problem, not one per referenced chunk.
+	// is one problem, not one per referenced chunk. Each run of refs into
+	// one fetched container is re-hashed as one chunk.OfEach batch; the
+	// batch is flushed before any other problem is added, so problems keep
+	// ref order.
+	var h hashBatch
 	for _, rec := range recipes {
 		var data []byte
 		lastContainer := uint32(0xFFFFFFFF)
 		dataOK := false
+		flush := func() {
+			for _, i := range h.run() {
+				rep.addf("recipe %s ref %d: content hash mismatch", rec.Label, i)
+			}
+		}
 		for i := range rec.Refs {
 			ref := &rec.Refs[i]
 			rep.RecipeRefs++
 			if !store.Sealed(ref.Loc.Container) {
+				flush()
 				rep.addf("recipe %s ref %d: unsealed container %d", rec.Label, i, ref.Loc.Container)
 				continue
 			}
 			ev, ok := entries[entryKey{ref.Loc.Container, ref.Loc.Offset}]
 			if !ok {
+				flush()
 				rep.addf("recipe %s ref %d: no metadata entry at %v", rec.Label, i, ref.Loc)
 				continue
 			}
 			if ev.fp != ref.FP || ev.size != ref.Size {
+				flush()
 				rep.addf("recipe %s ref %d: metadata mismatch at %v", rec.Label, i, ref.Loc)
 				continue
 			}
 			if verifyData {
 				if ref.Loc.Container != lastContainer {
+					flush()
 					lastContainer = ref.Loc.Container
 					datas, err := store.Fetch(ctx, []uint32{ref.Loc.Container})
 					if dataOK = err == nil; dataOK {
@@ -182,15 +196,45 @@ func Check(ctx context.Context, store *container.Store, index *cindex.Index, rec
 				if !dataOK {
 					continue
 				}
-				piece := store.Extract(data, ref.Loc)
-				if chunk.Of(piece) != ref.FP {
-					rep.addf("recipe %s ref %d: content hash mismatch", rec.Label, i)
-				}
+				h.add(i, store.Extract(data, ref.Loc), ref.FP)
 				rep.HashedChunks++
 			}
 		}
+		flush()
 	}
 	return rep, nil
+}
+
+// hashBatch collects chunks to re-hash in one chunk.OfEach call.
+type hashBatch struct {
+	ids    []int // the caller's name for each chunk
+	pieces [][]byte
+	want   []chunk.Fingerprint
+	got    []chunk.Fingerprint
+	bad    []int
+}
+
+func (h *hashBatch) add(id int, piece []byte, fp chunk.Fingerprint) {
+	h.ids = append(h.ids, id)
+	h.pieces = append(h.pieces, piece)
+	h.want = append(h.want, fp)
+}
+
+// run hashes the collected chunks, returns the ids of those that do not
+// match their fingerprints, in the order they were added, and empties the
+// batch.
+func (h *hashBatch) run() []int {
+	h.got = slices.Grow(h.got[:0], len(h.pieces))[:len(h.pieces)]
+	chunk.OfEach(h.pieces, h.got)
+	h.bad = h.bad[:0]
+	for k := range h.pieces {
+		if h.got[k] != h.want[k] {
+			h.bad = append(h.bad, h.ids[k])
+		}
+	}
+	clear(h.pieces)
+	h.ids, h.pieces, h.want = h.ids[:0], h.pieces[:0], h.want[:0]
+	return h.bad
 }
 
 // IndexDropper purges all index state derived from one container — the
@@ -229,6 +273,7 @@ func Repair(ctx context.Context, store *container.Store, drop IndexDropper, reci
 		return nil, fmt.Errorf("fsck: verifyData requires a data-storing backend")
 	}
 	res := &RepairResult{Reasons: make(map[uint32]string)}
+	var h hashBatch
 
 	condemn := func(cid uint32, reason string) {
 		if _, dup := res.Reasons[cid]; !dup {
@@ -264,13 +309,12 @@ func Repair(ctx context.Context, store *container.Store, drop IndexDropper, reci
 			condemn(cid, fmt.Sprintf("data section unreadable: %v", err))
 			continue
 		}
-		data := datas[0]
 		for i, m := range metas {
 			loc := chunk.Location{Container: cid, Segment: m.Segment, Offset: m.Offset, Size: m.Size}
-			if chunk.Of(store.Extract(data, loc)) != m.FP {
-				condemn(cid, fmt.Sprintf("entry %d: content hash mismatch", i))
-				break
-			}
+			h.add(i, store.Extract(datas[0], loc), m.FP)
+		}
+		if bad := h.run(); len(bad) > 0 {
+			condemn(cid, fmt.Sprintf("entry %d: content hash mismatch", bad[0]))
 		}
 	}
 

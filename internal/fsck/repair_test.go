@@ -210,3 +210,42 @@ func TestRepairNeedsADataStoringBackendToVerify(t *testing.T) {
 		t.Fatal("verifyData on a metadata-only store must error")
 	}
 }
+
+// TestCheckKeepsRefOrder: Check re-hashes each run of refs into one
+// container as one batch, yet reports what it finds in ref order, hash
+// mismatches interleaved with the other problems.
+func TestCheckKeepsRefOrder(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	third := buildFileStore(t, dir)[2] // refs 0–3: container 1's entries 4–7
+	f, err := os.OpenFile(filepath.Join(dir, "containers", "000001.data"), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, entry := range []int64{4, 6} {
+		if _, err := f.WriteAt([]byte{0xEE}, entry*500+17); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	third.Refs[1].Loc.Container = 999
+	s, be := openFileStore(t, dir)
+	defer be.Close() //nolint:errcheck // test teardown
+	rep, err := Check(ctx, s, nil, []*chunk.Recipe{third}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"recipe third ref 0: content hash mismatch",
+		"recipe third ref 1: unsealed container 999",
+		"recipe third ref 2: content hash mismatch",
+	}
+	if !slices.Equal(rep.Problems, want) {
+		t.Fatalf("problems %q, want %q", rep.Problems, want)
+	}
+	if rep.HashedChunks != 7 {
+		t.Fatalf("%d chunks hashed, want 7", rep.HashedChunks)
+	}
+}

@@ -584,6 +584,11 @@ func (p *Pass) merge(ctx context.Context, lane *disk.Clock, util, sparse float64
 			}
 			cs.AccountDataRange([]uint32{it.id}, lane)
 			buf = bufs[0]
+			if cs.StoresData() {
+				if err := verifyVictim(cs, it.id, buf, live[it.id]); err != nil {
+					return 0, err
+				}
+			}
 			data[it.id] = buf
 			mergeFetched(len(data))
 		}
@@ -661,6 +666,28 @@ func (p *Pass) merge(ctx context.Context, lane *disk.Clock, util, sparse float64
 		return nil
 	})
 	return dropped, err
+}
+
+// verifyVictim re-hashes the live chunks of a fetched victim section in one
+// chunk.OfEach call. The copy loop writes each chunk under its recorded
+// fingerprint, so without this a damaged byte would move into a fresh
+// container and look sound there; with it the merge stops before it has
+// remapped or dropped anything.
+func verifyVictim(cs *container.Store, id uint32, buf []byte, live []liveCopy) error {
+	pieces := make([][]byte, len(live))
+	for k, lc := range live {
+		m := lc.meta
+		pieces[k] = cs.Extract(buf, chunk.Location{Container: id, Segment: m.Segment, Offset: m.Offset, Size: m.Size})
+	}
+	got := make([]chunk.Fingerprint, len(live))
+	chunk.OfEach(pieces, got)
+	for k, lc := range live {
+		if got[k] != lc.meta.FP {
+			return fmt.Errorf("maintenance: victim container %d: chunk at offset %d does not hash to its fingerprint %s",
+				id, lc.meta.Offset, lc.meta.FP.Short())
+		}
+	}
+	return nil
 }
 
 // revalidate runs inside the gate: it remaps any recipe references that

@@ -2,6 +2,7 @@ package restore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,6 +32,10 @@ type decodeBatch struct {
 	retired []byte // a section no batch after this one views (see retire)
 	err     error  // first verify failure in the batch...
 	errIdx  int    // ...at jobs[errIdx]
+
+	// Scratch for chunk.OfEach: each job's data, its fingerprint.
+	views [][]byte
+	fps   []chunk.Fingerprint
 }
 
 // decodeBatches recycles batches across restores. It is the package's, not
@@ -87,14 +92,21 @@ func (as *assembly) finishDecode() error {
 	return as.decode.Close()
 }
 
-// verify is the decode pool's work: it checks b's chunks against their
-// fingerprints up to the first mismatch.
+// verify is the decode pool's work: it hashes b's chunks in one
+// chunk.OfEach call and finds the first that does not match its
+// fingerprint.
 func (as *assembly) verify(b *decodeBatch) {
 	t0 := time.Now()
 	if as.cfg.Verify {
+		b.views = b.views[:0]
+		for k := range b.jobs {
+			b.views = append(b.views, b.jobs[k].data)
+		}
+		b.fps = slices.Grow(b.fps[:0], len(b.views))[:len(b.views)]
+		chunk.OfEach(b.views, b.fps)
 		for k := range b.jobs {
 			j := &b.jobs[k]
-			if got := chunk.Of(j.data); got != j.fp {
+			if got := b.fps[k]; got != j.fp {
 				b.err = fmt.Errorf("restore: chunk %d fingerprint mismatch (%s != %s)",
 					j.idx, got.Short(), j.fp.Short())
 				b.errIdx = k
@@ -140,6 +152,7 @@ func (as *assembly) emit(b *decodeBatch) (err error) {
 func (as *assembly) recycle(b *decodeBatch) {
 	as.sections.giveBack(b.retired)
 	clear(b.jobs)
-	b.jobs, b.retired = b.jobs[:0], nil
+	clear(b.views)
+	b.jobs, b.views, b.retired = b.jobs[:0], b.views[:0], nil
 	decodeBatches.Put(b)
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/telemetry"
@@ -209,5 +210,33 @@ func TestSLOTrackerBudget(t *testing.T) {
 	// rate → burn 1.0.
 	if v.BurnRate < 0.99 || v.BurnRate > 1.01 {
 		t.Fatalf("burn rate %v, want ~1.0", v.BurnRate)
+	}
+}
+
+// TestSLOTrackersCountApart: two trackers in one process (two servers, or
+// one test run twice) each report only the requests they recorded, while
+// the /metrics series they both feed add up.
+func TestSLOTrackersCountApart(t *testing.T) {
+	shared := telemetry.Default().Counter(telemetry.Name("slo_requests_total", "tenant", "shared"), "")
+	before := shared.Value()
+	a, b := newSLOTracker(), newSLOTracker()
+	for i := 0; i < 3; i++ {
+		a.Record("shared", 200, time.Second)
+	}
+	a.Record("shared", 500, time.Second)
+	b.Record("shared", 429, time.Millisecond)
+	b.Record("shared", 200, time.Millisecond)
+	va, vb := a.View().Tenants["shared"], b.View().Tenants["shared"]
+	if va.Requests != 4 || va.Errors != 1 || va.Throttled != 0 {
+		t.Fatalf("first tracker %+v, want 4 requests, 1 error, 0 throttled", va)
+	}
+	if vb.Requests != 1 || vb.Errors != 0 || vb.Throttled != 1 {
+		t.Fatalf("second tracker %+v, want 1 request, 0 errors, 1 throttled", vb)
+	}
+	if va.LatencyP50 < 0.5 || vb.LatencyP99 > 0.5 {
+		t.Fatalf("latency leaked between trackers: p50 %v (want ~1 s), p99 %v (want ~1 ms)", va.LatencyP50, vb.LatencyP99)
+	}
+	if got := shared.Value() - before; got != 5 {
+		t.Fatalf("slo_requests_total{tenant=\"shared\"} moved by %d, want 5", got)
 	}
 }

@@ -38,10 +38,15 @@ type sloBucket struct {
 	errs  int64
 }
 
-// tenantSLO is one tenant's SLI state: cumulative counters and latency
-// histogram on the telemetry registry (so they render on /metrics with
-// tenant labels) plus the in-RAM rolling window behind the burn rate.
+// tenantSLO is one tenant's SLI state. What View reports is the tracker's
+// own: the counts, a latency histogram on the tracker's private registry and
+// the in-RAM rolling window behind the burn rate. The same events also go to
+// series on the process registry, so they render on /metrics with tenant
+// labels; those are shared by every tracker in the process.
 type tenantSLO struct {
+	reqs, errs, throttled int64 // guarded by sloTracker.mu
+	ownLatency            *telemetry.Histogram
+
 	requests *telemetry.Counter
 	errors   *telemetry.Counter
 	throttle *telemetry.Counter
@@ -52,16 +57,17 @@ type tenantSLO struct {
 }
 
 // sloTracker tracks per-tenant SLIs. All methods are safe for concurrent
-// use; Record is two map lookups, a few atomic adds, and one mutex-guarded
-// window update — cheap enough for every request.
+// use; Record is a map lookup, a few atomic adds, and one mutex-guarded
+// count and window update — cheap enough for every request.
 type sloTracker struct {
 	mu      sync.Mutex
 	tenants map[string]*tenantSLO
-	now     func() time.Time // injectable clock for tests
+	own     *telemetry.Registry // this tracker's latency histograms
+	now     func() time.Time    // injectable clock for tests
 }
 
 func newSLOTracker() *sloTracker {
-	return &sloTracker{tenants: make(map[string]*tenantSLO), now: time.Now}
+	return &sloTracker{tenants: make(map[string]*tenantSLO), own: telemetry.NewRegistry(), now: time.Now}
 }
 
 func (t *sloTracker) tenant(name string) *tenantSLO {
@@ -70,6 +76,7 @@ func (t *sloTracker) tenant(name string) *tenantSLO {
 	}
 	reg := telemetry.Default()
 	s := &tenantSLO{
+		ownLatency: t.own.Histogram(name, "", telemetry.DurationBuckets),
 		requests: reg.Counter(telemetry.Name("slo_requests_total", "tenant", name),
 			"SLI: requests counted against the availability SLO, by tenant"),
 		errors: reg.Counter(telemetry.Name("slo_errors_total", "tenant", name),
@@ -98,10 +105,13 @@ func (t *sloTracker) Record(tenantName string, code int, dur time.Duration) {
 	isErr := code >= 500
 	if code == 429 {
 		// Backpressure: counted separately, no budget spend.
+		s.throttled++
 		s.throttle.Inc()
 	} else {
+		s.reqs++
 		b.reqs++
 		if isErr {
+			s.errs++
 			b.errs++
 		}
 	}
@@ -115,6 +125,7 @@ func (t *sloTracker) Record(tenantName string, code int, dur time.Duration) {
 		}
 	}
 	s.latency.Observe(dur.Seconds())
+	s.ownLatency.Observe(dur.Seconds())
 }
 
 // burnRateLocked computes the rolling-window burn rate. Caller holds t.mu.
@@ -172,11 +183,11 @@ func (t *sloTracker) View() SLOView {
 	sort.Strings(names)
 	for _, name := range names {
 		s := t.tenants[name]
-		reqs, errs := s.requests.Value(), s.errors.Value()
+		reqs, errs := s.reqs, s.errs
 		v := TenantSLOView{
 			Requests:     reqs,
 			Errors:       errs,
-			Throttled:    s.throttle.Value(),
+			Throttled:    s.throttled,
 			Availability: 1,
 			BurnRate:     s.burnRateLocked(epoch),
 		}
@@ -187,7 +198,7 @@ func (t *sloTracker) View() SLOView {
 		} else {
 			v.ErrorBudgetRemaining = 1
 		}
-		lat := s.latency.Snapshot()
+		lat := s.ownLatency.Snapshot()
 		v.LatencyP50 = lat.Quantile(0.50)
 		v.LatencyP95 = lat.Quantile(0.95)
 		v.LatencyP99 = lat.Quantile(0.99)

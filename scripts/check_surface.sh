@@ -8,18 +8,26 @@
 # removes flags or lines should lower them to its own counts in the same
 # commit, so the budget only ever moves down; a change that must grow the
 # surface raises them and says why.
+#
+# Raised by 376 lines, 19,479 to 19,855, for the multi-buffer SHA-256 batch call
+# (chunk.OfEach): its lane scheduler, CPU check and crypto/sha256 handoff
+# (internal/chunk/sum_amd64.go, sum_other.go), the batch hashing in fsck and
+# the merge's victim check, and the SLO tracker's own counts. The kernel's
+# assembly is reported on its own line below and has no ceiling.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 max_flags=81
-max_lines=19479
+max_lines=19855
 
 flags=$(grep -rhoE --include='*.go' --exclude='*_test.go' \
   '\bflag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|Text|Var)(Var)?\(' cmd | wc -l)
 lines=$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)
+asm=$(find . -path ./bench -prune -o -name '*.s' -print0 | xargs -0 cat | wc -l)
 
 echo "flags under cmd/: $flags (ceiling $max_flags)"
 echo "non-test Go lines outside bench/: $lines (ceiling $max_lines)"
+echo "assembly lines outside bench/: $asm (reported, not counted)"
 
 fail=0
 if (( flags > max_flags )); then
