@@ -4,72 +4,52 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/cindex"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/metrics"
-	"repro/internal/restore"
 	"repro/internal/segment"
-	"repro/internal/workload"
 )
 
-// defragRun ingests cfg.Generations single-user backups through one DeFrag
-// engine built by mutate(cfg) and returns summary measurements.
-type defragRunResult struct {
-	lastTputMBps  float64
-	lastReadMBps  float64
-	lastEff       float64
-	rewrittenMB   float64
-	storedMB      float64
-	logicalMB     float64
-	lastFragments int
+// defragRun is what one DeFrag variant measured over cfg.Generations
+// single-user backups: the last backup, its restore, the store after it,
+// and the bytes rewritten across all of them.
+type defragRun struct {
+	last      BackupStats
+	read      RestoreStats
+	store     StoreStats
+	rewritten int64
 }
 
-func runDefragVariant(cfg ExperimentConfig, mutate func(*core.Config)) (defragRunResult, error) {
+// compression is the run's logical over stored bytes, 0 for an empty store.
+func (r defragRun) compression() float64 {
+	stored := float64(r.store.StoredBytes) / 1e6
+	if stored == 0 {
+		return 0
+	}
+	return float64(r.store.LogicalBytes) / 1e6 / stored
+}
+
+// runDefragVariant ingests cfg.Generations single-user backups into one
+// DeFrag store whose config the ablation edits with mutate (nil for none),
+// and restores the last.
+func runDefragVariant(cfg ExperimentConfig, mutate func(*core.Config)) (defragRun, error) {
 	cfg = cfg.withDefaults()
-	expected, lpc, _ := cfg.sizing(1, cfg.Generations)
-	ecfg := core.DefaultConfig(expected)
-	ecfg.Alpha = cfg.Alpha
-	ecfg.LPCContainers = lpc
-	if mutate != nil {
-		mutate(&ecfg)
-	}
-	eng, err := core.New(ecfg)
+	s, sched, err := cfg.single(DeFrag, true, mutate)
 	if err != nil {
-		return defragRunResult{}, err
+		return defragRun{}, err
 	}
-	eng.SetOracle(cindex.NewOracle())
-	sched, err := workload.NewSingle(cfg.workloadConfig())
-	if err != nil {
-		return defragRunResult{}, err
-	}
-	var out defragRunResult
-	var rewritten, logical int64
-	var lastStats engine.BackupStats
-	var lastRead restore.Stats
+	var r defragRun
+	var b *Backup
 	for g := 0; g < cfg.Generations; g++ {
-		st, b, err := ingest(eng, sched)
-		if err != nil {
-			return defragRunResult{}, err
+		if b, err = backup(s, sched); err != nil {
+			return defragRun{}, err
 		}
-		rewritten += st.RewrittenBytes
-		logical += st.LogicalBytes
-		lastStats = st
-		if g == cfg.Generations-1 {
-			lastRead, err = restore.RunPipelined(context.Background(), eng.Containers(), b.recipe(), restore.DefaultConfig(), nil)
-			if err != nil {
-				return defragRunResult{}, err
-			}
-		}
+		r.rewritten += b.Stats.RewrittenBytes
 	}
-	out.lastTputMBps = lastStats.ThroughputMBps()
-	out.lastEff = lastStats.Efficiency()
-	out.lastReadMBps = lastRead.ThroughputMBps()
-	out.lastFragments = lastRead.Fragments
-	out.rewrittenMB = float64(rewritten) / 1e6
-	out.storedMB = float64(eng.Containers().StoredBytes()) / 1e6
-	out.logicalMB = float64(logical) / 1e6
-	return out, nil
+	if r.read, err = cfg.figureRestore(s, b); err != nil {
+		return defragRun{}, err
+	}
+	r.last, r.store = b.Stats, s.Stats()
+	return r, nil
 }
 
 // RunAlphaSweep quantifies the paper's α trade-off (§III-B: "the preset
@@ -94,22 +74,18 @@ func RunAlphaSweep(cfg ExperimentConfig, alphas []float64) (*FigureResult, error
 		if err != nil {
 			return nil, err
 		}
-		compression := 0.0
-		if r.storedMB > 0 {
-			compression = r.logicalMB / r.storedMB
-		}
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%.2f", a),
-			metrics.F1(r.lastTputMBps),
-			metrics.F1(r.lastReadMBps),
-			metrics.F3(r.lastEff),
-			metrics.F1(r.rewrittenMB),
-			metrics.F1(r.storedMB),
-			metrics.F3(compression),
+			metrics.F1(r.last.ThroughputMBps()),
+			metrics.F1(r.read.ThroughputMBps()),
+			metrics.F3(r.last.Efficiency()),
+			metrics.MB(r.rewritten),
+			metrics.MB(r.store.StoredBytes),
+			metrics.F3(r.compression()),
 		})
 		if a == 0 {
-			res.Summary["alpha0_read_MBps"] = r.lastReadMBps
-			res.Summary["alpha0_compression"] = compression
+			res.Summary["alpha0_read_MBps"] = r.read.ThroughputMBps()
+			res.Summary["alpha0_compression"] = r.compression()
 		}
 	}
 	return res, nil
@@ -128,16 +104,15 @@ func RunCacheAblation(cfg ExperimentConfig, capacities []int) (*FigureResult, er
 		Summary: map[string]float64{},
 	}
 	for _, n := range capacities {
-		n := n
 		r, err := runDefragVariant(cfg, func(c *core.Config) { c.LPCContainers = n })
 		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprint(n),
-			metrics.F1(r.lastTputMBps),
-			metrics.F1(r.lastReadMBps),
-			metrics.F3(r.lastEff),
+			metrics.F1(r.last.ThroughputMBps()),
+			metrics.F1(r.read.ThroughputMBps()),
+			metrics.F3(r.last.Efficiency()),
 		})
 	}
 	return res, nil
@@ -163,17 +138,16 @@ func RunSegmentAblation(cfg ExperimentConfig) (*FigureResult, error) {
 		Summary: map[string]float64{},
 	}
 	for _, v := range variants {
-		v := v
 		r, err := runDefragVariant(cfg, func(c *core.Config) { c.SegParams = v.p })
 		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, []string{
 			v.name,
-			metrics.F1(r.lastTputMBps),
-			metrics.F1(r.lastReadMBps),
-			metrics.F3(r.lastEff),
-			metrics.F1(r.rewrittenMB),
+			metrics.F1(r.last.ThroughputMBps()),
+			metrics.F1(r.read.ThroughputMBps()),
+			metrics.F3(r.last.Efficiency()),
+			metrics.MB(r.rewritten),
 		})
 	}
 	return res, nil
@@ -192,7 +166,6 @@ func RunContainerAblation(cfg ExperimentConfig, sizesMB []int) (*FigureResult, e
 		Summary: map[string]float64{},
 	}
 	for _, mb := range sizesMB {
-		mb := mb
 		r, err := runDefragVariant(cfg, func(c *core.Config) {
 			c.ContainerCfg.DataCap = int64(mb) << 20
 			c.ContainerCfg.MaxChunks = 512 * mb
@@ -202,9 +175,9 @@ func RunContainerAblation(cfg ExperimentConfig, sizesMB []int) (*FigureResult, e
 		}
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprint(mb),
-			metrics.F1(r.lastTputMBps),
-			metrics.F1(r.lastReadMBps),
-			fmt.Sprint(r.lastFragments),
+			metrics.F1(r.last.ThroughputMBps()),
+			metrics.F1(r.read.ThroughputMBps()),
+			fmt.Sprint(r.read.Fragments),
 		})
 	}
 	return res, nil
@@ -225,25 +198,15 @@ const restoreAblationLanes = 4
 // lanes add on top of the better eviction.
 func RunRestoreAblation(cfg ExperimentConfig) (*FigureResult, error) {
 	cfg = cfg.withDefaults()
-	expected, lpc, _ := cfg.sizing(1, cfg.Generations)
-	ecfg := core.DefaultConfig(expected)
-	ecfg.Alpha = cfg.Alpha
-	ecfg.LPCContainers = lpc
-	eng, err := core.New(ecfg)
-	if err != nil {
-		return nil, err
-	}
-	sched, err := workload.NewSingle(cfg.workloadConfig())
+	s, sched, err := cfg.single(DeFrag, false, nil)
 	if err != nil {
 		return nil, err
 	}
 	var last *Backup
 	for g := 0; g < cfg.Generations; g++ {
-		_, b, err := ingest(eng, sched)
-		if err != nil {
+		if last, err = backup(s, sched); err != nil {
 			return nil, err
 		}
-		last = b
 	}
 
 	res := &FigureResult{
@@ -252,41 +215,30 @@ func RunRestoreAblation(cfg ExperimentConfig) (*FigureResult, error) {
 		Columns: []string{"budget_MB", "lru_read_MBps", "lru_creads", "opt_read_MBps", "opt_creads", "faa_read_MBps", "faa_creads", "pipe_read_MBps", "pipe_extents"},
 		Summary: map[string]float64{},
 	}
-	containerMB := ecfg.ContainerCfg.DataCap >> 20
+	containerMB := s.eng.Containers().Config().DataCap >> 20
 	for _, budgetMB := range []int64{8, 16, 32, 64, 128} {
 		cap := int(budgetMB / containerMB)
-		lruSt, err := restore.RunPipelined(context.Background(), eng.Containers(), last.recipe(),
-			restore.PipelineConfig{CacheContainers: cap, Policy: restore.PolicyLRU, Workers: 1}, nil)
-		if err != nil {
-			return nil, err
+		row := []string{fmt.Sprint(budgetMB)}
+		var creads []int64 // each shape's container reads: LRU, OPT, FAA, pipelined
+		for _, opts := range []RestoreOptions{
+			{CacheContainers: cap, Policy: RestoreLRU, Workers: 1},
+			{CacheContainers: cap, Policy: RestoreOPT, Workers: 1},
+			{CacheContainers: cap, Policy: RestoreFAA, Workers: 1},
+			{CacheContainers: cap, Policy: RestoreOPT, Workers: restoreAblationLanes, Coalesce: true},
+		} {
+			st, err := s.RestoreWith(context.Background(), last, nil, opts)
+			if err != nil {
+				return nil, err
+			}
+			reads := st.ContainerReads
+			if opts.Coalesce {
+				reads = st.ExtentReads
+			}
+			row = append(row, metrics.F1(st.ThroughputMBps()), fmt.Sprint(reads))
+			creads = append(creads, st.ContainerReads)
 		}
-		optSt, err := restore.RunPipelined(context.Background(), eng.Containers(), last.recipe(),
-			restore.PipelineConfig{CacheContainers: cap, Policy: restore.PolicyOPT, Workers: 1}, nil)
-		if err != nil {
-			return nil, err
-		}
-		faaSt, err := restore.RunPipelined(context.Background(), eng.Containers(), last.recipe(),
-			restore.PipelineConfig{CacheContainers: cap, Policy: restore.PolicyFAA, Workers: 1}, nil)
-		if err != nil {
-			return nil, err
-		}
-		pipeSt, err := restore.RunPipelined(context.Background(), eng.Containers(), last.recipe(),
-			restore.PipelineConfig{CacheContainers: cap, Policy: restore.PolicyOPT, Workers: restoreAblationLanes, Coalesce: true}, nil)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, []string{
-			fmt.Sprint(budgetMB),
-			metrics.F1(lruSt.ThroughputMBps()),
-			fmt.Sprint(lruSt.ContainerReads),
-			metrics.F1(optSt.ThroughputMBps()),
-			fmt.Sprint(optSt.ContainerReads),
-			metrics.F1(faaSt.ThroughputMBps()),
-			fmt.Sprint(faaSt.ContainerReads),
-			metrics.F1(pipeSt.ThroughputMBps()),
-			fmt.Sprint(pipeSt.ExtentReads),
-		})
-		if optSt.ContainerReads > lruSt.ContainerReads {
+		res.Rows = append(res.Rows, row)
+		if creads[1] > creads[0] {
 			res.Summary["opt_exceeded_lru"] = 1
 		}
 	}
@@ -304,24 +256,19 @@ func RunPolicyAblation(cfg ExperimentConfig) (*FigureResult, error) {
 		Summary: map[string]float64{},
 	}
 	for _, p := range []core.RewritePolicy{core.PolicySPL, core.PolicyContainer} {
-		p := p
 		r, err := runDefragVariant(cfg, func(c *core.Config) { c.Policy = p })
 		if err != nil {
 			return nil, err
 		}
-		compression := 0.0
-		if r.storedMB > 0 {
-			compression = r.logicalMB / r.storedMB
-		}
 		res.Rows = append(res.Rows, []string{
 			p.String(),
-			metrics.F1(r.lastTputMBps),
-			metrics.F1(r.lastReadMBps),
-			metrics.F3(r.lastEff),
-			metrics.F1(r.rewrittenMB),
-			metrics.F3(compression),
+			metrics.F1(r.last.ThroughputMBps()),
+			metrics.F1(r.read.ThroughputMBps()),
+			metrics.F3(r.last.Efficiency()),
+			metrics.MB(r.rewritten),
+			metrics.F3(r.compression()),
 		})
-		res.Summary[p.String()+"_read_MBps"] = r.lastReadMBps
+		res.Summary[p.String()+"_read_MBps"] = r.read.ThroughputMBps()
 	}
 	return res, nil
 }

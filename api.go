@@ -21,6 +21,7 @@
 package repro
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -223,6 +224,17 @@ type Options struct {
 	// not cluster are demoted to write-through ingest and re-deduplicated
 	// out of line by the maintenance pass. Zero value = off.
 	Filter FilterOptions
+
+	// tune is the experiment harness's per-figure sizing (see newEngine).
+	tune engineTuning
+}
+
+// engineTuning sizes an engine for one figure of the paper's evaluation
+// beyond what ExpectedBytes derives. Zero fields keep the engine's defaults.
+type engineTuning struct {
+	lpc        int                // locality-preserved cache in containers (DDFS-Like, DeFrag)
+	blockCache int                // block-metadata cache in blocks (SiLo-Like)
+	defrag     func(*core.Config) // an ablation's edits to DeFrag's config, applied last
 }
 
 // FilterOptions is the public surface of engine.FilterConfig; see that type
@@ -381,44 +393,7 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{opts: opts, be: be}
-	switch opts.Engine {
-	case DeFrag:
-		cfg := core.DefaultConfig(opts.ExpectedBytes)
-		cfg.Alpha = opts.Alpha
-		cfg.StoreData = opts.StoreData
-		cfg.Backend = be
-		cfg.Filter = engine.FilterConfig{
-			Enabled:           opts.Filter.Enabled,
-			Probation:         opts.Filter.Probation,
-			MinDupFraction:    opts.Filter.MinDupFraction,
-			MinClusterScore:   opts.Filter.MinClusterScore,
-			RecencyContainers: opts.Filter.RecencyContainers,
-		}
-		s.eng, err = core.New(cfg)
-	case DDFSLike:
-		cfg := ddfs.DefaultConfig(opts.ExpectedBytes)
-		cfg.StoreData = opts.StoreData
-		cfg.Backend = be
-		s.eng, err = ddfs.New(cfg)
-	case SiLoLike:
-		cfg := silo.DefaultConfig(opts.ExpectedBytes)
-		cfg.StoreData = opts.StoreData
-		cfg.Backend = be
-		s.eng, err = silo.New(cfg)
-	case SparseIndex:
-		cfg := sparse.DefaultConfig(opts.ExpectedBytes)
-		cfg.StoreData = opts.StoreData
-		cfg.Backend = be
-		s.eng, err = sparse.New(cfg)
-	case IDedup:
-		cfg := idedup.DefaultConfig(opts.ExpectedBytes)
-		cfg.StoreData = opts.StoreData
-		cfg.Backend = be
-		s.eng, err = idedup.New(cfg)
-	default:
-		err = fmt.Errorf("repro: unknown engine kind %d", opts.Engine)
-	}
-	if err != nil {
+	if s.eng, err = newEngine(opts, be); err != nil {
 		be.Close() //nolint:errcheck // surfacing the construction error
 		return nil, err
 	}
@@ -438,6 +413,56 @@ func Open(opts Options) (*Store, error) {
 		}
 	}
 	return s, nil
+}
+
+// newEngine builds the engine opts selects over be: the one place an engine
+// is constructed, for Open and so for every figure the harness draws.
+// opts.tune carries the figures' sizing; its zero value keeps each engine's
+// defaults for opts.ExpectedBytes.
+func newEngine(opts Options, be blockstore.Backend) (engine.Engine, error) {
+	tune := opts.tune
+	switch opts.Engine {
+	case DeFrag:
+		cfg := core.DefaultConfig(opts.ExpectedBytes)
+		cfg.Alpha = opts.Alpha
+		cfg.StoreData = opts.StoreData
+		cfg.Backend = be
+		cfg.Filter = engine.FilterConfig{
+			Enabled:           opts.Filter.Enabled,
+			Probation:         opts.Filter.Probation,
+			MinDupFraction:    opts.Filter.MinDupFraction,
+			MinClusterScore:   opts.Filter.MinClusterScore,
+			RecencyContainers: opts.Filter.RecencyContainers,
+		}
+		cfg.LPCContainers = cmp.Or(tune.lpc, cfg.LPCContainers)
+		if tune.defrag != nil {
+			tune.defrag(&cfg)
+		}
+		return core.New(cfg)
+	case DDFSLike:
+		cfg := ddfs.DefaultConfig(opts.ExpectedBytes)
+		cfg.StoreData = opts.StoreData
+		cfg.Backend = be
+		cfg.LPCContainers = cmp.Or(tune.lpc, cfg.LPCContainers)
+		return ddfs.New(cfg)
+	case SiLoLike:
+		cfg := silo.DefaultConfig(opts.ExpectedBytes)
+		cfg.StoreData = opts.StoreData
+		cfg.Backend = be
+		cfg.BlockCache = cmp.Or(tune.blockCache, cfg.BlockCache)
+		return silo.New(cfg)
+	case SparseIndex:
+		cfg := sparse.DefaultConfig(opts.ExpectedBytes)
+		cfg.StoreData = opts.StoreData
+		cfg.Backend = be
+		return sparse.New(cfg)
+	case IDedup:
+		cfg := idedup.DefaultConfig(opts.ExpectedBytes)
+		cfg.StoreData = opts.StoreData
+		cfg.Backend = be
+		return idedup.New(cfg)
+	}
+	return nil, fmt.Errorf("repro: unknown engine kind %d", opts.Engine)
 }
 
 // adoptExisting replays a durable store directory into the fresh engine: the

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"testing"
+
+	"repro/internal/blockstore"
 )
 
 func TestCheckCleanStoreAllEngines(t *testing.T) {
@@ -56,5 +58,41 @@ func TestCheckVerifyRequiresStoreData(t *testing.T) {
 	rep, err := s.Check(context.Background(), false)
 	if err != nil || !rep.OK() {
 		t.Fatalf("metadata-only check: %v %v", err, rep.Problems)
+	}
+}
+
+// TestCheckReadsEachContainerOnce: Check(verifyData) fetches each sealed
+// container the retained recipes reference exactly once, however often their
+// refs cross between containers, and no other.
+func TestCheckReadsEachContainerOnce(t *testing.T) {
+	var counts *blockstore.Counting
+	s, err := Open(Options{Engine: DeFrag, Alpha: 0.1, StoreData: true, ExpectedBytes: 64 << 20,
+		WrapBackend: func(be blockstore.Backend) blockstore.Backend { counts = blockstore.NewCounting(be); return counts }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ingestGens(t, s, 7, 6)
+	referenced := map[uint32]bool{}
+	switches := 0
+	for _, b := range s.Backups() {
+		refs := b.recipe().Refs
+		for i, ref := range refs {
+			referenced[ref.Loc.Container] = true
+			if i > 0 && ref.Loc.Container != refs[i-1].Loc.Container {
+				switches++
+			}
+		}
+	}
+	if switches <= len(referenced) {
+		t.Fatalf("%d container switches over %d containers: the store does not interleave, nothing is tested", switches, len(referenced))
+	}
+	counts.ResetCounts()
+	rep, err := s.Check(context.Background(), true)
+	if err != nil || !rep.OK() {
+		t.Fatalf("check: %v %v", err, rep.Problems)
+	}
+	if got := counts.DataSectionReads(); got != int64(len(referenced)) {
+		t.Fatalf("Check read %d sections for %d referenced containers", got, len(referenced))
 	}
 }

@@ -3,7 +3,6 @@ package repro
 import (
 	"fmt"
 
-	"repro/internal/cindex"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -22,29 +21,21 @@ func RunComparison(cfg ExperimentConfig) (*Comparison, error) {
 	cfg = cfg.withDefaults()
 	gensPerUser := (cfg.Backups + cfg.Users - 1) / cfg.Users
 
-	dd, si, de, err := buildEngines(cfg, cfg.Users, gensPerUser)
-	if err != nil {
-		return nil, err
-	}
-	si.SetOracle(cindex.NewOracle())
-	de.SetOracle(cindex.NewOracle())
-
-	// Each engine consumes its own identical workload instance (streams are
-	// deterministic in the seed, so the three engines see the same bytes).
-	mkSched := func() (workload.Schedule, error) {
-		return workload.NewMultiUser(cfg.Users, cfg.workloadConfig())
-	}
-	sdd, err := mkSched()
-	if err != nil {
-		return nil, err
-	}
-	ssi, err := mkSched()
-	if err != nil {
-		return nil, err
-	}
-	sde, err := mkSched()
-	if err != nil {
-		return nil, err
+	// Each engine has its own store and consumes its own identical workload
+	// instance (streams are deterministic in the seed, so the three engines
+	// see the same bytes). DDFS-Like runs without the oracle: Fig. 5 does
+	// not plot it.
+	kinds := []EngineKind{DDFSLike, SiLoLike, DeFrag}
+	stores := make([]*Store, len(kinds))
+	scheds := make([]workload.Schedule, len(kinds))
+	for i, kind := range kinds {
+		var err error
+		if stores[i], err = cfg.open(kind, cfg.Users, gensPerUser, kind != DDFSLike, nil); err != nil {
+			return nil, err
+		}
+		if scheds[i], err = workload.NewMultiUser(cfg.Users, cfg.workloadConfig()); err != nil {
+			return nil, err
+		}
 	}
 
 	fig4 := &FigureResult{
@@ -68,18 +59,15 @@ func RunComparison(cfg ExperimentConfig) (*Comparison, error) {
 	deWins := 0
 
 	for i := 0; i < cfg.Backups; i++ {
-		std, _, err := ingest(dd, sdd)
-		if err != nil {
-			return nil, err
+		st := make([]BackupStats, len(kinds))
+		for j := range kinds {
+			b, err := backup(stores[j], scheds[j])
+			if err != nil {
+				return nil, err
+			}
+			st[j] = b.Stats
 		}
-		sts, _, err := ingest(si, ssi)
-		if err != nil {
-			return nil, err
-		}
-		ste, _, err := ingest(de, sde)
-		if err != nil {
-			return nil, err
-		}
+		std, sts, ste := st[0], st[1], st[2]
 		tdd.Add(std.ThroughputMBps())
 		tsi.Add(sts.ThroughputMBps())
 		tde.Add(ste.ThroughputMBps())

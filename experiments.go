@@ -6,11 +6,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/cindex"
 	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/engine/ddfs"
-	"repro/internal/engine/silo"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -29,8 +25,10 @@ type ExperimentConfig struct {
 	// rewriting — the α-sweep needs it); a negative value selects the
 	// paper's default 0.1. DefaultExperimentConfig sets 0.1.
 	Alpha float64
-	// RestoreCache overrides the restore cache capacity in containers for
-	// experiment restores. 0 keeps the restore package default (8).
+	// RestoreCache is the restore cache capacity in containers: of the LRU
+	// cache every figure restores through (Fig. 6, the extended comparison,
+	// the DeFrag ablations) and of RunTrajectory's OPT cache. 0 keeps the
+	// default, 8. RunRestoreAblation sweeps its own budgets instead.
 	RestoreCache int
 }
 
@@ -148,28 +146,50 @@ func (r *FigureResult) WriteTable(w io.Writer) error {
 	return err
 }
 
-// ingest runs one backup of sched through eng, returning recipe-free stats.
-func ingest(eng engine.Engine, sched workload.Schedule) (engine.BackupStats, *Backup, error) {
-	b := sched.Next()
-	rec, st, err := eng.Backup(context.Background(), b.Label, b.Stream)
+// open opens an in-memory store of kind sized by c.sizing for users'
+// backups of gensPerUser generations each. oracle attaches the ground-truth
+// oracle (Options.TrackEfficiency); defrag is an ablation's edits to DeFrag's
+// config, nil for none.
+func (c ExperimentConfig) open(kind EngineKind, users, gensPerUser int, oracle bool, defrag func(*core.Config)) (*Store, error) {
+	expected, lpc, bc := c.sizing(users, gensPerUser)
+	return Open(Options{
+		Engine:          kind,
+		Alpha:           c.Alpha,
+		ExpectedBytes:   expected,
+		TrackEfficiency: oracle,
+		tune:            engineTuning{lpc: lpc, blockCache: bc, defrag: defrag},
+	})
+}
+
+// single opens a store of kind sized for one user's c.Generations backups,
+// and that user's workload.
+func (c ExperimentConfig) single(kind EngineKind, oracle bool, defrag func(*core.Config)) (*Store, workload.Schedule, error) {
+	s, err := c.open(kind, 1, c.Generations, oracle, defrag)
 	if err != nil {
-		return engine.BackupStats{}, nil, err
+		return nil, nil, err
 	}
-	return st, newBackup(b.Label, fromEngineStats(st), rec), nil
+	sched, err := workload.NewSingle(c.workloadConfig())
+	return s, sched, err
+}
+
+// backup ingests sched's next backup into s.
+func backup(s *Store, sched workload.Schedule) (*Backup, error) {
+	b := sched.Next()
+	return s.Backup(context.Background(), b.Label, b.Stream)
+}
+
+// figureRestore restores b as the paper's figures read it: an LRU cache of
+// c.RestoreCache containers (8 when 0) and one simulated read lane, the shape
+// of restore.DefaultConfig.
+func (c ExperimentConfig) figureRestore(s *Store, b *Backup) (RestoreStats, error) {
+	return s.RestoreWith(context.Background(), b, nil, RestoreOptions{CacheContainers: c.RestoreCache, Policy: RestoreLRU, Workers: 1})
 }
 
 // RunFigure2 regenerates the paper's Fig. 2: the degradation of DDFS-Like
 // deduplication throughput over Generations full backups of one user.
 func RunFigure2(cfg ExperimentConfig) (*FigureResult, error) {
 	cfg = cfg.withDefaults()
-	expected, lpc, _ := cfg.sizing(1, cfg.Generations)
-	ecfg := ddfs.DefaultConfig(expected)
-	ecfg.LPCContainers = lpc
-	eng, err := ddfs.New(ecfg)
-	if err != nil {
-		return nil, err
-	}
-	sched, err := workload.NewSingle(cfg.workloadConfig())
+	s, sched, err := cfg.single(DDFSLike, false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -181,10 +201,11 @@ func RunFigure2(cfg ExperimentConfig) (*FigureResult, error) {
 	}
 	tput := metrics.NewSeries("ddfs")
 	for g := 0; g < cfg.Generations; g++ {
-		st, _, err := ingest(eng, sched)
+		b, err := backup(s, sched)
 		if err != nil {
 			return nil, err
 		}
+		st := b.Stats
 		tput.Add(st.ThroughputMBps())
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprint(g + 1),
@@ -205,15 +226,7 @@ func RunFigure2(cfg ExperimentConfig) (*FigureResult, error) {
 // deduplication efficiency over Generations backups of one user.
 func RunFigure3(cfg ExperimentConfig) (*FigureResult, error) {
 	cfg = cfg.withDefaults()
-	expected, _, bc := cfg.sizing(1, cfg.Generations)
-	ecfg := silo.DefaultConfig(expected)
-	ecfg.BlockCache = bc
-	eng, err := silo.New(ecfg)
-	if err != nil {
-		return nil, err
-	}
-	eng.SetOracle(cindex.NewOracle())
-	sched, err := workload.NewSingle(cfg.workloadConfig())
+	s, sched, err := cfg.single(SiLoLike, true, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -225,13 +238,14 @@ func RunFigure3(cfg ExperimentConfig) (*FigureResult, error) {
 	}
 	eff := metrics.NewSeries("silo-eff")
 	for g := 0; g < cfg.Generations; g++ {
-		st, _, err := ingest(eng, sched)
+		b, err := backup(s, sched)
 		if err != nil {
 			return nil, err
 		}
 		if g == 0 {
 			continue // generation 1 has no prior redundancy to measure against
 		}
+		st := b.Stats
 		eff.Add(st.Efficiency())
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprint(g + 1),
@@ -245,58 +259,4 @@ func RunFigure3(cfg ExperimentConfig) (*FigureResult, error) {
 	res.Summary["silo_eff_last3"] = eff.TailMean(3)
 	res.Summary["decline_ratio"] = eff.DeclineRatio()
 	return res, nil
-}
-
-// ddfsBesideDeFrag builds DDFS-Like and DeFrag sized for one user's
-// cfg.Generations backups, and a copy of that user's workload for each: the
-// pair Fig. 6 and the layout analysis run side by side. lpc is their
-// locality-preserved cache, in containers.
-func ddfsBesideDeFrag(cfg ExperimentConfig) (dd *ddfs.Engine, de *core.Engine, sdd, sde *workload.Single, lpc int, err error) {
-	var expected int64
-	expected, lpc, _ = cfg.sizing(1, cfg.Generations)
-	dcfg0 := ddfs.DefaultConfig(expected)
-	dcfg0.LPCContainers = lpc
-	if dd, err = ddfs.New(dcfg0); err != nil {
-		return nil, nil, nil, nil, 0, err
-	}
-	dcfg := core.DefaultConfig(expected)
-	dcfg.Alpha = cfg.Alpha
-	dcfg.LPCContainers = lpc
-	if de, err = core.New(dcfg); err != nil {
-		return nil, nil, nil, nil, 0, err
-	}
-	if sdd, err = workload.NewSingle(cfg.workloadConfig()); err != nil {
-		return nil, nil, nil, nil, 0, err
-	}
-	if sde, err = workload.NewSingle(cfg.workloadConfig()); err != nil {
-		return nil, nil, nil, nil, 0, err
-	}
-	return dd, de, sdd, sde, lpc, nil
-}
-
-// buildEngines builds the three engines sized for one comparison run, all
-// on independent clocks and devices (they never contend). users and
-// gensPerUser drive the cache-coverage sizing.
-func buildEngines(cfg ExperimentConfig, users, gensPerUser int) (*ddfs.Engine, *silo.Engine, *core.Engine, error) {
-	expected, lpc, bc := cfg.sizing(users, gensPerUser)
-	dcfg0 := ddfs.DefaultConfig(expected)
-	dcfg0.LPCContainers = lpc
-	dd, err := ddfs.New(dcfg0)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	scfg := silo.DefaultConfig(expected)
-	scfg.BlockCache = bc
-	si, err := silo.New(scfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	dcfg := core.DefaultConfig(expected)
-	dcfg.Alpha = cfg.Alpha
-	dcfg.LPCContainers = lpc
-	de, err := core.New(dcfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return dd, si, de, nil
 }

@@ -1,14 +1,11 @@
 package repro
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"repro/internal/disk"
-	"repro/internal/engine"
 	"repro/internal/metrics"
-	"repro/internal/restore"
 	"repro/internal/workload"
 )
 
@@ -17,7 +14,11 @@ import (
 // right after it is ingested.
 func RunFigure6(cfg ExperimentConfig) (*FigureResult, error) {
 	cfg = cfg.withDefaults()
-	dd, de, sdd, sde, _, err := ddfsBesideDeFrag(cfg)
+	dd, sdd, err := cfg.single(DDFSLike, false, nil)
+	if err != nil {
+		return nil, err
+	}
+	de, sde, err := cfg.single(DeFrag, false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -31,12 +32,12 @@ func RunFigure6(cfg ExperimentConfig) (*FigureResult, error) {
 	rdd := metrics.NewSeries("ddfs-read")
 	rde := metrics.NewSeries("defrag-read")
 
-	backupAndRestore := func(eng engine.Engine, sched workload.Schedule) (restore.Stats, error) {
-		_, b, err := ingest(eng, sched)
+	backupAndRestore := func(s *Store, sched workload.Schedule) (RestoreStats, error) {
+		b, err := backup(s, sched)
 		if err != nil {
-			return restore.Stats{}, err
+			return RestoreStats{}, err
 		}
-		return restore.RunPipelined(context.Background(), eng.Containers(), b.recipe(), restore.DefaultConfig(), nil)
+		return cfg.figureRestore(s, b)
 	}
 
 	for g := 0; g < cfg.Generations; g++ {

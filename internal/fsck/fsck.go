@@ -147,62 +147,80 @@ func Check(ctx context.Context, store *container.Store, index *cindex.Index, rec
 		})
 	}
 
-	// Pass 3: recipe references resolve; optionally re-hash content. A
-	// container whose data section fails to read (torn write, backend fault)
-	// is one problem, not one per referenced chunk. Each run of refs into
-	// one fetched container is re-hashed as one chunk.OfEach batch; the
-	// batch is flushed before any other problem is added, so problems keep
-	// ref order.
+	// Pass 3: recipe references resolve; optionally re-hash content. Each
+	// referenced container is fetched once, at its first reference, and all
+	// its entries re-hashed as one chunk.OfEach batch (hashSection); every
+	// ref then reads its verdict, so problems keep ref order. A container
+	// whose data section fails to read (torn write, backend fault) is one
+	// problem, at its first reference.
+	type sectionCheck struct {
+		err error
+		bad map[int64]bool // offsets of the entries that do not hash to their fingerprints
+	}
+	sections := make(map[uint32]sectionCheck)
 	var h hashBatch
 	for _, rec := range recipes {
-		var data []byte
-		lastContainer := uint32(0xFFFFFFFF)
-		dataOK := false
-		flush := func() {
-			for _, i := range h.run() {
-				rep.addf("recipe %s ref %d: content hash mismatch", rec.Label, i)
-			}
-		}
 		for i := range rec.Refs {
 			ref := &rec.Refs[i]
+			cid := ref.Loc.Container
 			rep.RecipeRefs++
-			if !store.Sealed(ref.Loc.Container) {
-				flush()
-				rep.addf("recipe %s ref %d: unsealed container %d", rec.Label, i, ref.Loc.Container)
+			if !store.Sealed(cid) {
+				rep.addf("recipe %s ref %d: unsealed container %d", rec.Label, i, cid)
 				continue
 			}
-			ev, ok := entries[entryKey{ref.Loc.Container, ref.Loc.Offset}]
+			ev, ok := entries[entryKey{cid, ref.Loc.Offset}]
 			if !ok {
-				flush()
 				rep.addf("recipe %s ref %d: no metadata entry at %v", rec.Label, i, ref.Loc)
 				continue
 			}
 			if ev.fp != ref.FP || ev.size != ref.Size {
-				flush()
 				rep.addf("recipe %s ref %d: metadata mismatch at %v", rec.Label, i, ref.Loc)
 				continue
 			}
-			if verifyData {
-				if ref.Loc.Container != lastContainer {
-					flush()
-					lastContainer = ref.Loc.Container
-					datas, err := store.Fetch(ctx, []uint32{ref.Loc.Container})
-					if dataOK = err == nil; dataOK {
-						data = datas[0]
-					} else {
-						rep.addf("container %d: data section unreadable: %v", ref.Loc.Container, err)
-					}
+			if !verifyData {
+				continue
+			}
+			sc, seen := sections[cid]
+			if !seen {
+				bad, err := hashSection(ctx, store, cid, &h)
+				sc = sectionCheck{err: err, bad: make(map[int64]bool, len(bad))}
+				for _, j := range bad {
+					sc.bad[store.PeekMeta(cid)[j].Offset] = true
 				}
-				if !dataOK {
-					continue
+				sections[cid] = sc
+				if err != nil {
+					rep.addf("container %d: data section unreadable: %v", cid, err)
 				}
-				h.add(i, store.Extract(data, ref.Loc), ref.FP)
-				rep.HashedChunks++
+			}
+			if sc.err != nil {
+				continue
+			}
+			rep.HashedChunks++
+			if sc.bad[ref.Loc.Offset] {
+				rep.addf("recipe %s ref %d: content hash mismatch", rec.Label, i)
 			}
 		}
-		flush()
 	}
 	return rep, nil
+}
+
+// hashSection fetches container cid's data section and re-hashes its
+// entries as one chunk.OfEach batch. It returns the indexes of the entries
+// that do not hash to their fingerprints, ascending, in a slice the next
+// run of h reuses. Entries that lie outside the section are left out: they
+// are a metadata problem, not a content one.
+func hashSection(ctx context.Context, store *container.Store, cid uint32, h *hashBatch) ([]int, error) {
+	datas, err := store.Fetch(ctx, []uint32{cid})
+	if err != nil {
+		return nil, err
+	}
+	start := store.DataStart(cid)
+	for i, m := range store.PeekMeta(cid) {
+		if m.Offset >= start && m.Offset+int64(m.Size) <= start+int64(len(datas[0])) {
+			h.add(i, store.Extract(datas[0], chunk.Location{Container: cid, Offset: m.Offset, Size: m.Size}), m.FP)
+		}
+	}
+	return h.run(), nil
 }
 
 // hashBatch collects chunks to re-hash in one chunk.OfEach call.
@@ -304,16 +322,10 @@ func Repair(ctx context.Context, store *container.Store, drop IndexDropper, reci
 		if _, bad := res.Reasons[cid]; bad || !verifyData {
 			continue
 		}
-		datas, err := store.Fetch(ctx, []uint32{cid})
+		bad, err := hashSection(ctx, store, cid, &h)
 		if err != nil {
 			condemn(cid, fmt.Sprintf("data section unreadable: %v", err))
-			continue
-		}
-		for i, m := range metas {
-			loc := chunk.Location{Container: cid, Segment: m.Segment, Offset: m.Offset, Size: m.Size}
-			h.add(i, store.Extract(datas[0], loc), m.FP)
-		}
-		if bad := h.run(); len(bad) > 0 {
+		} else if len(bad) > 0 {
 			condemn(cid, fmt.Sprintf("entry %d: content hash mismatch", bad[0]))
 		}
 	}

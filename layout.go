@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
-	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -48,10 +47,15 @@ func (b *Backup) Layout() LayoutInfo {
 // table.
 func RunLayoutAnalysis(cfg ExperimentConfig) (*FigureResult, error) {
 	cfg = cfg.withDefaults()
-	dd, de, sdd, sde, lpc, err := ddfsBesideDeFrag(cfg)
+	dd, sdd, err := cfg.single(DDFSLike, false, nil)
 	if err != nil {
 		return nil, err
 	}
+	de, sde, err := cfg.single(DeFrag, false, nil)
+	if err != nil {
+		return nil, err
+	}
+	_, lpc, _ := cfg.sizing(1, cfg.Generations)
 
 	res := &FigureResult{
 		Figure: "Layout analysis",
@@ -62,8 +66,8 @@ func RunLayoutAnalysis(cfg ExperimentConfig) (*FigureResult, error) {
 		Summary: map[string]float64{},
 	}
 
-	analyzeNext := func(eng engine.Engine, sched workload.Schedule) (*analysis.Layout, error) {
-		_, b, err := ingest(eng, sched)
+	analyzeNext := func(s *Store, sched workload.Schedule) (*analysis.Layout, error) {
+		b, err := backup(s, sched)
 		if err != nil {
 			return nil, err
 		}

@@ -9,16 +9,17 @@
 # commit, so the budget only ever moves down; a change that must grow the
 # surface raises them and says why.
 #
-# Raised by 376 lines, 19,479 to 19,855, for the multi-buffer SHA-256 batch call
-# (chunk.OfEach): its lane scheduler, CPU check and crypto/sha256 handoff
-# (internal/chunk/sum_amd64.go, sum_other.go), the batch hashing in fsck and
-# the merge's victim check, and the SLO tracker's own counts. The kernel's
-# assembly is reported on its own line below and has no ceiling.
+# Lowered by 115 lines, 19,855 to 19,740, when every paper figure moved onto
+# the store's own path (Open, Store.Backup, Store.RestoreWith): the harness's
+# hand-built engines and direct restores went, and api.go's newEngine is the
+# one engine constructor; fsck.Check grew by 12 to read each referenced
+# container once. The multi-buffer SHA-256 kernel's assembly is reported on
+# its own line below and has no ceiling.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 max_flags=81
-max_lines=19855
+max_lines=19740
 
 flags=$(grep -rhoE --include='*.go' --exclude='*_test.go' \
   '\bflag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|Text|Var)(Var)?\(' cmd | wc -l)

@@ -30,6 +30,7 @@ type BackupStats struct {
 	MetaPrefetches int64 // container-metadata prefetches (DDFS/DeFrag)
 	CacheHits      int64 // duplicates resolved from RAM caches
 	BlockReads     int64 // block-metadata reads (SiLo)
+	SHTHits        int64 // similar-segment detections (SiLo); champions loaded (Sparse-Index)
 
 	// Ground truth (only when Options.TrackEfficiency).
 	OracleRedundantBytes  int64
@@ -87,6 +88,7 @@ func fromEngineStats(st engine.BackupStats) BackupStats {
 		MetaPrefetches: st.MetaPrefetches,
 		CacheHits:      st.CacheHits,
 		BlockReads:     st.BlockReads,
+		SHTHits:        st.SHTHits,
 
 		OracleRedundantBytes:  st.OracleRedundantBytes,
 		PartialRedundantBytes: st.PartialRedundantBytes,

@@ -47,16 +47,13 @@ func RunTrajectory(cfg ExperimentConfig, kind EngineKind) ([]TrajectoryPoint, er
 	if err != nil {
 		return nil, err
 	}
+	ropts := DefaultRestoreOptions()
+	ropts.CacheContainers = cfg.RestoreCache // 0 keeps the default
 	points := make([]TrajectoryPoint, 0, cfg.Generations)
 	for g := 0; g < cfg.Generations; g++ {
-		bk := sched.Next()
-		b, err := store.Backup(context.Background(), bk.Label, bk.Stream)
+		b, err := backup(store, sched)
 		if err != nil {
 			return nil, err
-		}
-		ropts := DefaultRestoreOptions()
-		if cfg.RestoreCache > 0 {
-			ropts.CacheContainers = cfg.RestoreCache
 		}
 		rst, err := store.RestoreWith(context.Background(), b, nil, ropts)
 		if err != nil {
