@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -227,6 +226,7 @@ type Options struct {
 
 	// tune is the experiment harness's per-figure sizing (see newEngine).
 	tune engineTuning
+	fs   blockstore.FS // under Dir: blockstore.OS, or a test's that records crash states
 }
 
 // engineTuning sizes an engine for one figure of the paper's evaluation
@@ -259,6 +259,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Alpha < 0 {
 		o.Alpha = 0.1
+	}
+	if o.fs == nil {
+		o.fs = blockstore.OS
 	}
 	return o
 }
@@ -350,12 +353,12 @@ func buildBackend(opts Options) (be blockstore.Backend, raw *blockstore.File, er
 		if opts.Dir == "" {
 			return nil, nil, fmt.Errorf("repro: FileBackend requires Options.Dir")
 		}
-		if err := refuseOldLayout(opts.Dir); err != nil {
+		if err := refuseOldLayout(opts.fs, opts.Dir); err != nil {
 			return nil, nil, err
 		}
-		// OpenFile sweeps the temp files a crash left in Dir — a catalog
-		// checkpoint's among them — and Dir/containers.
-		if raw, err = blockstore.OpenFile(opts.Dir, opts.StoreData); err != nil {
+		// OpenFileOn sweeps the temp files a crash left in Dir — a catalog
+		// checkpoint's among them — Dir/containers and Dir/quarantine.
+		if raw, err = blockstore.OpenFileOn(opts.fs, opts.Dir, opts.StoreData); err != nil {
 			return nil, nil, err
 		}
 		be = raw
@@ -483,7 +486,7 @@ func (s *Store) adoptExisting(ctx context.Context) error {
 			return fmt.Errorf("repro: adopting existing store: %w", err)
 		}
 	}
-	log, entries, err := catalog.Open(filepath.Join(s.opts.Dir, catalog.FileName))
+	log, entries, err := catalog.OpenOn(s.opts.fs, filepath.Join(s.opts.Dir, catalog.FileName))
 	if err != nil {
 		return fmt.Errorf("repro: %w", err)
 	}
@@ -547,11 +550,11 @@ func (s *Store) Close() error {
 // refuseOldLayout refuses a store directory from before the catalog log:
 // backups.json (with recipes/ beside it) and no catalog.log. Opening it as a
 // store with no backups would let the next maintenance epoch reclaim theirs.
-func refuseOldLayout(dir string) error {
-	if _, err := os.Stat(filepath.Join(dir, "backups.json")); err != nil {
+func refuseOldLayout(fsys blockstore.FS, dir string) error {
+	if _, err := fsys.Stat(filepath.Join(dir, "backups.json")); err != nil {
 		return nil
 	}
-	if _, err := os.Stat(filepath.Join(dir, catalog.FileName)); !errors.Is(err, fs.ErrNotExist) {
+	if _, err := fsys.Stat(filepath.Join(dir, catalog.FileName)); !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
 	return fmt.Errorf("repro: %s holds backups.json and no %s: it was written before the catalog log and this version does not read it; Export it with the version that wrote it", dir, catalog.FileName)

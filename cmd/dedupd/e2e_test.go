@@ -19,7 +19,6 @@ import (
 
 	"repro"
 	"repro/internal/cli"
-	"repro/internal/workload"
 )
 
 // The e2e tests below need a real dedupd process so they can kill it
@@ -253,185 +252,20 @@ func TestE2EKillMidIngest(t *testing.T) {
 	reopenAndAudit(t, dir, map[string][]byte{"gen-complete": done})
 }
 
-// TestE2EKillMidSeal kills the server inside a container's seal, at the point
-// the streaming seal moved: the data file — most of it written while the
-// container filled — renamed in, no seal record in containers.log yet
-// (seal-data). A first server commits one backup and drains; a second, armed,
-// dies on the first container of the next upload. The reopen removes the
-// orphan data file, is fsck-clean, restores the committed backup
-// bit-identically and has never heard of the other. (The kill before Seal,
-// with the section staged in its temp file, is the root package's
-// TestReopenAfterCrashWhileStaging.)
-func TestE2EKillMidSeal(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real processes")
-	}
-	dir := t.TempDir()
-	p := startDedupd(t, dir)
-	done := seededData(1, 3<<20)
-	if err := uploadBackup(p, "gen-complete", done); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.cmd.Wait(); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-
-	p = startDedupd(t, dir, "-crash.point", "seal-data")
-	if err := uploadBackup(p, "gen-doomed", seededData(2, 3<<20)); err == nil {
-		t.Fatal("the upload was acknowledged: the crash point never fired")
-	}
-	p.cmd.Wait() //nolint:errcheck // the crash is the point
-	orphan := filepath.Join(dir, "containers", "000001.data")
-	if files, _ := filepath.Glob(filepath.Join(dir, "containers", "000001.*")); len(files) != 1 || files[0] != orphan {
-		t.Fatalf("files of the container being sealed at the crash: %v, want its .data alone", files)
-	}
-
-	reopenAndAudit(t, dir, map[string][]byte{"gen-complete": done})
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Fatalf("the orphan data file survived the reopen: %v", err)
-	}
-	if left, _ := filepath.Glob(filepath.Join(dir, "*", ".*.tmp*")); len(left) != 0 {
-		t.Fatalf("temp files survived the reopen: %v", left)
-	}
-}
-
-// postAdmin POSTs to one of the server's maintenance routes. A transport
-// error is returned as-is: when a crash point is armed the process dies
-// mid-request and the dead connection is the expected signal.
-func postAdmin(p *dedupdProc, path string) error {
-	resp, err := http.Post(p.url(path), "", nil)
+// postMaintenance asks the server for one maintenance epoch. A transport
+// error is returned as-is: when the process is killed mid-request the dead
+// connection is the expected signal.
+func postMaintenance(p *dedupdProc) error {
+	resp, err := http.Post(p.url("/v1/maintenance"), "", nil)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close() //nolint:errcheck // status is the signal
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("%s: status %d: %s", path, resp.StatusCode, body)
+		return fmt.Errorf("maintenance: status %d: %s", resp.StatusCode, body)
 	}
 	return nil
-}
-
-// postMaintenance asks the server for one maintenance epoch.
-func postMaintenance(p *dedupdProc) error { return postAdmin(p, "/v1/maintenance") }
-
-// TestE2EKillMidMerge arms a blockstore crash point and drives the online
-// maintenance layer — by epochs, and by Compact — until a merge reaches the
-// crash-safe container drop, at which instant the process exits uncleanly:
-// as the drop is entered, the remap's catalog record durable and the merge
-// intent not yet written (merge-remapped), after the intent is durable but
-// before (merge-intent) or halfway through (merge-files) the destructive file
-// deletes. Reopening must replay
-// the logs to a fsck-clean store with every committed backup restoring
-// bit-identically: the drop commit ordering (recipes stop referencing
-// victims durably before the intent) is what makes any crash instant safe,
-// whichever policy selected the victims.
-func TestE2EKillMidMerge(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real processes")
-	}
-	for _, trigger := range []struct {
-		name, path string
-		// forget drops the oldest backup before each trigger. An epoch makes
-		// its own victims by remapping old generations forward; Compact only
-		// collects what retention has already let go of.
-		forget bool
-	}{
-		{"maintenance", "/v1/maintenance", false},
-		{"compact", "/v1/compact?threshold=0.95", true},
-	} {
-		for _, point := range []string{"merge-remapped", "merge-intent", "merge-files"} {
-			t.Run(trigger.name+"/"+point, func(t *testing.T) {
-				dir := t.TempDir()
-				p := startDedupd(t, dir,
-					"-alpha", "0.3", // more DeFrag rewrites → more superseded copies to merge
-					"-crash.point", point,
-					"-maintenance.util", "0.95",
-					"-maintenance.fill", "0.95",
-					"-maintenance.sparse", "0.9",
-					"-maintenance.batch", "64",
-				)
-
-				// Mutating generations of one synthetic file system: dedup plus
-				// DeFrag rewrites leave older containers partly superseded, which
-				// is what a merge takes away.
-				cfg := workload.DefaultConfig(99)
-				cfg.NumFiles = 8
-				cfg.MeanFileSize = 384 << 10
-				sched, err := workload.NewSingle(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := make(map[string][]byte)
-				var labels []string
-				upload := func() {
-					t.Helper()
-					bk := sched.Next()
-					data, err := io.ReadAll(bk.Stream)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := uploadBackup(p, bk.Label, data); err != nil {
-						t.Fatal(err)
-					}
-					want[bk.Label] = data
-					labels = append(labels, bk.Label)
-				}
-				for i := 0; i < 4; i++ {
-					upload()
-				}
-				forgetOldest := func() {
-					t.Helper()
-					req, err := http.NewRequest(http.MethodDelete, p.url("/v1/backups/"+labels[0]), nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					resp, err := http.DefaultClient.Do(req)
-					if err != nil {
-						t.Fatal(err)
-					}
-					resp.Body.Close() //nolint:errcheck // status is the signal
-					if resp.StatusCode != http.StatusOK {
-						t.Fatalf("forget %s: status %d", labels[0], resp.StatusCode)
-					}
-					delete(want, labels[0])
-					labels = labels[1:]
-				}
-
-				// Keep alternating triggers and fresh generations until one
-				// selects victims and walks into the armed crash point. The POST
-				// dying on a broken connection is the success signal.
-				crashed := false
-				for round := 0; round < 10 && !crashed; round++ {
-					if trigger.forget {
-						forgetOldest()
-					}
-					if err := postAdmin(p, trigger.path); err != nil {
-						crashed = true
-						break
-					}
-					upload()
-				}
-				if !crashed {
-					t.Fatalf("no %s reached a container drop; crash point never fired", trigger.name)
-				}
-				waited := make(chan struct{})
-				go func() {
-					p.cmd.Wait() //nolint:errcheck // crash is the point
-					close(waited)
-				}()
-				select {
-				case <-waited:
-				case <-time.After(10 * time.Second):
-					t.Fatalf("server did not exit after crash point %s", point)
-				}
-
-				reopenAndAudit(t, dir, want)
-			})
-		}
-	}
 }
 
 // dispersedOf reorders base at 32 KiB granularity with unique blocks

@@ -184,7 +184,7 @@ func runLoadgen(p loadgenParams) error {
 		if err != nil {
 			return err
 		}
-		if err := blockstore.WriteFileAtomic(p.out, blob, 0o644); err != nil {
+		if err := blockstore.WriteFileAtomic(blockstore.OS, p.out, blob); err != nil {
 			return err
 		}
 	}

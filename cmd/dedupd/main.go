@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/blockstore"
 	"repro/internal/cli"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
@@ -55,10 +54,6 @@ type serverParams struct {
 	tenantBWMBps   float64
 	drainTimeout   time.Duration
 	crashAfter     int
-	// crashPoint arms a named blockstore crash point (see
-	// internal/blockstore): the process exits uncleanly the next time the
-	// backend passes it. Crash-recovery testing only.
-	crashPoint string
 
 	maint  repro.MaintenanceOptions
 	filter repro.FilterOptions
@@ -85,7 +80,6 @@ func realMain() error {
 	flag.Float64Var(&p.tenantBWMBps, "tenant.bw.mbps", 0, "per-tenant aggregate upload bandwidth cap in MB/s (0 = unlimited)")
 	flag.DurationVar(&p.drainTimeout, "drain.timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 	flag.IntVar(&p.crashAfter, "crash.after", 0, "exit without closing the store after N committed ingests (crash-recovery testing, like dedupsim's)")
-	flag.StringVar(&p.crashPoint, "crash.point", "", "arm a named blockstore crash point (merge-remapped, merge-intent, merge-files, seal-data); the process exits uncleanly when the backend passes it (crash-recovery testing)")
 	flag.BoolVar(&p.maint.Enabled, "maintenance.enabled", false, "start the online maintenance layer (reverse-rewriting re-dedup + container merge) with the store")
 	flag.DurationVar(&p.maint.Interval, "maintenance.interval", 0, "background maintenance epoch period (0 = on-demand only, via POST /v1/maintenance)")
 	flag.Float64Var(&p.maint.UtilThreshold, "maintenance.util", 0, "merge sealed containers with live fraction below this (0 = default 0.5)")
@@ -139,10 +133,6 @@ func runServer(p serverParams) error {
 	bkind, err := repro.ParseBackendKind(p.backend)
 	if err != nil {
 		return err
-	}
-	if p.crashPoint != "" {
-		blockstore.SetCrashPoint(p.crashPoint)
-		telemetry.Logger().Warn("crash point armed", "point", p.crashPoint)
 	}
 	store, err := repro.Open(repro.Options{
 		Engine:        kind,

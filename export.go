@@ -3,7 +3,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"repro/internal/blockstore"
@@ -29,10 +28,10 @@ func (s *Store) Export(ctx context.Context, dir string) error {
 	if err != nil {
 		return err
 	}
-	if ents, err := os.ReadDir(dir); err == nil && len(ents) > 0 {
+	if ents, err := s.opts.fs.ReadDir(dir); err == nil && len(ents) > 0 {
 		return fmt.Errorf("repro: export: %s is not empty", dir)
 	}
-	dst, err := blockstore.OpenFile(dir, s.opts.StoreData)
+	dst, err := blockstore.OpenFileOn(s.opts.fs, dir, s.opts.StoreData)
 	if err != nil {
 		return err
 	}
@@ -43,5 +42,5 @@ func (s *Store) Export(ctx context.Context, dir string) error {
 	if err != nil {
 		return fmt.Errorf("repro: export: %w", err)
 	}
-	return catalog.WriteCheckpoint(filepath.Join(dir, catalog.FileName), entries)
+	return catalog.WriteCheckpointOn(s.opts.fs, filepath.Join(dir, catalog.FileName), entries)
 }

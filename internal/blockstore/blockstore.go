@@ -25,10 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
-	"syscall"
 
 	"repro/internal/chunk"
 )
@@ -250,95 +247,4 @@ func (z *zeroView) get(n int64) []byte {
 		z.buf = make([]byte, n)
 	}
 	return z.buf[:n:n]
-}
-
-// WriteFileAtomic writes data to path crash-safely: into a temp file in the
-// same directory, fsync'd, then atomically renamed over path, then the
-// directory entry is fsync'd. A crash at any point leaves either the old
-// file or the new one, never a torn mix — and, before the rename, a temp file
-// that OpenFile sweeps when the store is next opened.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	a, err := createAtomic(path)
-	if err != nil {
-		return err
-	}
-	if err := a.write(0, data); err != nil {
-		a.abort()
-		return err
-	}
-	return a.commit(path, perm)
-}
-
-// writePiece bounds one write(2): a 3 MiB section in one call into a new file
-// is 16 ms of system time here, in 512 KiB calls 1–3 when pages are to be had.
-const writePiece = 512 << 10
-
-// atomicFile is WriteFileAtomic in steps, for a writer that gets its bytes in
-// pieces (File.Stage): the open temp file, until commit or abort ends it.
-type atomicFile struct{ f *os.File }
-
-func createAtomic(path string) (atomicFile, error) {
-	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
-	return atomicFile{f}, err
-}
-
-// write appends p, which begins at byte off of the file.
-func (a atomicFile) write(off int64, p []byte) error {
-	for len(p) > 0 {
-		n, err := a.f.Write(p[:min(len(p), writePiece)])
-		if err != nil {
-			return err
-		}
-		startWriteback(a.f, off, int64(n))
-		off, p = off+int64(n), p[n:]
-	}
-	return nil
-}
-
-// commit makes what was written the durable content of path.
-func (a atomicFile) commit(path string, perm os.FileMode) error {
-	err := a.f.Chmod(perm)
-	if err == nil {
-		err = a.f.Sync()
-	}
-	if err != nil {
-		a.abort()
-		return err
-	}
-	if err = a.f.Close(); err == nil {
-		err = os.Rename(a.f.Name(), path)
-	}
-	if err != nil {
-		os.Remove(a.f.Name())
-		return err
-	}
-	return SyncDir(filepath.Dir(path))
-}
-
-func (a atomicFile) abort() {
-	a.f.Close()
-	os.Remove(a.f.Name())
-}
-
-// SyncDir fsyncs a directory so renames and file creations within it are
-// durable. A filesystem that refuses directory fsync outright (EINVAL,
-// ENOTSUP) is tolerated — the rename itself already happened and there is
-// nothing more to ask of it; any other failure (EIO above all) is returned,
-// because the caller is about to report the entry as durable.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !dirSyncUnsupported(err) {
-		return fmt.Errorf("fsync directory %s: %w", dir, err)
-	}
-	return nil
-}
-
-// dirSyncUnsupported classifies an fsync error as "this filesystem does not
-// fsync directories" rather than "the fsync failed".
-func dirSyncUnsupported(err error) bool {
-	return errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP)
 }

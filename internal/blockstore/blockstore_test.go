@@ -429,10 +429,10 @@ func TestDirSyncErrorClassification(t *testing.T) {
 			t.Errorf("dirSyncUnsupported(%v) = %v, want %v", tc.err, got, tc.unsupported)
 		}
 	}
-	if err := SyncDir(t.TempDir()); err != nil {
+	if err := OS.SyncDir(t.TempDir()); err != nil {
 		t.Fatalf("SyncDir of a real directory: %v", err)
 	}
-	if err := SyncDir(filepath.Join(t.TempDir(), "absent")); err == nil {
+	if err := OS.SyncDir(filepath.Join(t.TempDir(), "absent")); err == nil {
 		t.Fatal("SyncDir of a missing directory must fail")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"os"
 	"path/filepath"
 	"slices"
 )
@@ -163,12 +162,12 @@ func appendTable(buf []byte, storesData bool, infos map[uint32]ContainerInfo) ([
 // refuseOldLayout refuses a directory written before the container log: a
 // MANIFEST.json or wal.jsonl and no containers.log. Opening it as an empty
 // store would sweep its containers as orphans.
-func refuseOldLayout(dir string) error {
-	if _, err := os.Stat(filepath.Join(dir, logName)); err == nil {
+func refuseOldLayout(fsys FS, dir string) error {
+	if _, err := fsys.Stat(filepath.Join(dir, logName)); err == nil {
 		return nil
 	}
 	for _, old := range []string{"MANIFEST.json", "wal.jsonl"} {
-		if _, err := os.Stat(filepath.Join(dir, old)); err == nil {
+		if _, err := fsys.Stat(filepath.Join(dir, old)); err == nil {
 			return fmt.Errorf("file backend: %s holds %s and no %s: it was written before the container log and this version does not read it; Export it with the version that wrote it",
 				dir, old, logName)
 		}

@@ -129,7 +129,7 @@ func (f *Fault) Quarantine(ctx context.Context, id uint32, reason string) error 
 }
 
 // Drop passes through when the inner backend supports it (no injection:
-// the drop path has its own crash-point hooks).
+// the drop path's crash states are enumerated on the file system below).
 func (f *Fault) Drop(ctx context.Context, ids []uint32, reason string) error {
 	if d, ok := f.inner.(Dropper); ok {
 		return d.Drop(ctx, ids, reason)

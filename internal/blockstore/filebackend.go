@@ -26,9 +26,10 @@ import (
 // and removes the data files no record names.
 type File struct {
 	mu     sync.Mutex
+	fsys   FS
 	dir    string
-	lock   *os.File // holds the flock on dir's lockName until Close
-	table           // storesData is fixed by the log's header
+	lock   io.Closer // holds the lock on dir's lockName until Close
+	table            // storesData is fixed by the log's header
 	log    *RecordLog
 	closed bool
 
@@ -60,7 +61,7 @@ const (
 	lockName     = "LOCK"
 )
 
-// errLocked is what flock returns when another open File holds the lock.
+// errLocked is what FS.Lock returns when another open File holds the lock.
 var errLocked = errors.New("locked")
 
 // OpenFile opens (or initialises) a directory-backed store rooted at dir.
@@ -69,28 +70,27 @@ var errLocked = errors.New("locked")
 // The File holds an exclusive lock on dir until Close: while it is open, a
 // second OpenFile of dir, in this process or another, is refused before it
 // replays or sweeps anything.
-func OpenFile(dir string, storesData bool) (*File, error) {
-	if err := refuseOldLayout(dir); err != nil {
+func OpenFile(dir string, storesData bool) (*File, error) { return OpenFileOn(OS, dir, storesData) }
+
+// OpenFileOn is OpenFile on fsys.
+func OpenFileOn(fsys FS, dir string, storesData bool) (*File, error) {
+	if err := refuseOldLayout(fsys, dir); err != nil {
 		return nil, err
 	}
 	for _, sub := range []string{dir, filepath.Join(dir, containerDir), filepath.Join(dir, quarDir)} {
-		if err := os.MkdirAll(sub, 0o755); err != nil {
+		if err := fsys.MkdirAll(sub); err != nil {
 			return nil, err
 		}
 	}
-	lock, err := os.OpenFile(filepath.Join(dir, lockName), os.O_RDWR|os.O_CREATE, 0o644)
+	lock, err := fsys.Lock(filepath.Join(dir, lockName))
+	if errors.Is(err, errLocked) {
+		return nil, fmt.Errorf("file backend: %s is already open (another process, or another store in this one, holds %s)", dir, lockName)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if err := flock(lock); err != nil {
-		lock.Close() //nolint:errcheck // surfacing the lock error
-		if errors.Is(err, errLocked) {
-			return nil, fmt.Errorf("file backend: %s is already open (another process, or another store in this one, holds %s)", dir, lockName)
-		}
-		return nil, err
-	}
 	var t *table
-	log, err := OpenRecordLog(filepath.Join(dir, logName), func(img []byte) (valid int64, err error) {
+	log, err := OpenRecordLog(fsys, filepath.Join(dir, logName), func(img []byte) (valid int64, err error) {
 		t, valid, err = replayTable(img)
 		return valid, err
 	})
@@ -98,7 +98,7 @@ func OpenFile(dir string, storesData bool) (*File, error) {
 		lock.Close() //nolint:errcheck // surfacing the replay error
 		return nil, fmt.Errorf("file backend: %w", err)
 	}
-	f := &File{dir: dir, lock: lock, table: *t, log: log, staged: make(map[uint32]*stagedSection)}
+	f := &File{fsys: fsys, dir: dir, lock: lock, table: *t, log: log, staged: make(map[uint32]*stagedSection)}
 	f.quiet = sync.NewCond(&f.mu)
 	err = f.sweep()
 	if err == nil && !t.headed {
@@ -114,12 +114,14 @@ func OpenFile(dir string, storesData bool) (*File, error) {
 }
 
 // sweep removes what a crash left that nothing will read: a temp file in the
-// root or containers/ — a write that never reached its rename, a container
-// half-staged — and a data file the table does not name: a seal's, renamed in
-// before the crash kept its record from the log, or a dropped container's.
+// root, containers/ or quarantine/ — a write that never reached its rename, a
+// container half-staged — and a data file in containers/ the table does not
+// name: a seal's, renamed in before the crash kept its record from the log, or
+// a dropped container's.
 func (f *File) sweep() error {
-	for _, sub := range []string{f.dir, filepath.Join(f.dir, containerDir)} {
-		ents, err := os.ReadDir(sub)
+	cdir := filepath.Join(f.dir, containerDir)
+	for _, sub := range []string{f.dir, cdir, filepath.Join(f.dir, quarDir)} {
+		ents, err := f.fsys.ReadDir(sub)
 		if err != nil {
 			return err
 		}
@@ -128,11 +130,11 @@ func (f *File) sweep() error {
 			id, perr := strconv.ParseUint(num, 10, 32)
 			_, live := f.infos[uint32(id)]
 			temp, _ := filepath.Match(".*.tmp*", e.Name())
-			orphan := sub != f.dir && data && perr == nil && !live
+			orphan := sub == cdir && data && perr == nil && !live
 			if !temp && !orphan {
 				continue
 			}
-			if err := os.Remove(filepath.Join(sub, e.Name())); err != nil {
+			if err := f.fsys.Remove(filepath.Join(sub, e.Name())); err != nil {
 				return err
 			}
 		}
@@ -185,7 +187,7 @@ func (f *File) Stage(id uint32, off int64, p []byte) {
 		return
 	}
 	if st == nil {
-		tmp, err := createAtomic(f.dataPath(id))
+		tmp, err := createAtomic(f.fsys, f.dataPath(id))
 		if err != nil {
 			return
 		}
@@ -243,7 +245,6 @@ func (f *File) Seal(ctx context.Context, info ContainerInfo, data []byte) error 
 			return err
 		}
 	}
-	maybeCrash(CrashSealData)
 	rec, err := appendSeal(nil, info)
 	if err != nil {
 		return err
@@ -272,12 +273,13 @@ func (f *File) sealData(st *stagedSection, id uint32, data []byte) error {
 				st.tmp.abort()
 				return err
 			}
-			return st.tmp.commit(f.dataPath(id), 0o644)
+			_, err := st.tmp.commit(f.dataPath(id))
+			return err
 		}
 		reject.Inc()
 		st.tmp.abort()
 	}
-	return WriteFileAtomic(f.dataPath(id), data, 0o644)
+	return WriteFileAtomic(f.fsys, f.dataPath(id), data)
 }
 
 // commitSeal appends rec to the log with group commit: the first arrival
@@ -360,7 +362,7 @@ func (f *File) ReadData(ctx context.Context, id uint32) ([]byte, error) {
 // file never costs a loan. A ranged loan is packed: each range one pread, back
 // to back from the buffer's start; anything else is one read of the whole file.
 func (f *File) readSection(ctx context.Context, id uint32, fill int64) ([]byte, error) {
-	fh, err := os.Open(f.dataPath(id))
+	fh, err := f.fsys.OpenFile(f.dataPath(id), os.O_RDONLY)
 	if err != nil {
 		return nil, fmt.Errorf("file backend: container %d: %w", id, err)
 	}
@@ -501,7 +503,6 @@ func (f *File) Drop(ctx context.Context, ids []uint32, reason string) error {
 	if len(ids) == 0 {
 		return nil
 	}
-	maybeCrash(CrashMergeRemapped)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -516,13 +517,9 @@ func (f *File) Drop(ctx context.Context, ids []uint32, reason string) error {
 	if err := f.retire(recMerge, ids, reason); err != nil {
 		return err
 	}
-	maybeCrash(CrashMergeIntent)
-	for i, id := range ids {
-		if err := os.Remove(f.dataPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	for _, id := range ids {
+		if err := f.fsys.Remove(f.dataPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			telemetry.Logger().Warn("file backend: a dropped container's file stays until the next open", "id", id, "err", err)
-		}
-		if i == 0 {
-			maybeCrash(CrashMergeFiles)
 		}
 	}
 	f.checkpointAfter("drop")
@@ -531,7 +528,9 @@ func (f *File) Drop(ctx context.Context, ids []uint32, reason string) error {
 
 // Quarantine moves a container's data file into quarantine/ beside its
 // metadata section and a reason note, for forensics, then takes it out of the
-// table with one quarantine record.
+// table with one quarantine record. The notes are written whole and synced,
+// and their directory fsyncs make the data file's rename durable too: once the
+// record is, all three files are there.
 func (f *File) Quarantine(ctx context.Context, id uint32, reason string) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -546,18 +545,14 @@ func (f *File) Quarantine(ctx context.Context, id uint32, reason string) error {
 	if !ok {
 		return fmt.Errorf("file backend: quarantine: container %d not sealed", id)
 	}
-	qdir := filepath.Join(f.dir, quarDir)
-	base := filepath.Join(qdir, fmt.Sprintf("%06d", id))
-	if err := os.Rename(f.dataPath(id), base+".data"); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	base := filepath.Join(f.dir, quarDir, fmt.Sprintf("%06d", id))
+	if err := f.fsys.Rename(f.dataPath(id), base+".data"); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
-	if err := os.WriteFile(base+".meta", EncodeMeta(info.Entries), 0o644); err != nil {
+	if err := WriteFileAtomic(f.fsys, base+".meta", EncodeMeta(info.Entries)); err != nil {
 		return err
 	}
-	if err := os.WriteFile(base+".reason", []byte(reason+"\n"), 0o644); err != nil {
-		return err
-	}
-	if err := SyncDir(qdir); err != nil {
+	if err := WriteFileAtomic(f.fsys, base+".reason", []byte(reason+"\n")); err != nil {
 		return err
 	}
 	if err := f.retire(recQuarantine, []uint32{id}, reason); err != nil {

@@ -172,28 +172,34 @@ func ReplayFrames(img []byte, magic [4]byte, apply func(kind byte, payload []byt
 // RecordLog is an open record log. It is not safe for concurrent use: its
 // owner appends under its own lock.
 type RecordLog struct {
+	fsys   FS
 	path   string
-	f      *os.File
+	f      FSFile
 	size   int64 // valid bytes; the next record lands here
 	failed error // the file may hold bytes past size: no further append
 }
 
-// OpenRecordLog opens the log at path, creating an empty one if there is none,
-// and replays it: replay is handed the file's bytes and returns the length of
-// their valid prefix, or the error that refuses them. A torn tail past the
-// prefix is cut off.
-func OpenRecordLog(path string, replay func(img []byte) (int64, error)) (*RecordLog, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+// OpenRecordLog opens the log at path on fsys, creating an empty one if there
+// is none, and replays it: replay is handed the file's bytes and returns the
+// length of their valid prefix, or the error that refuses them. A torn tail
+// past the prefix is cut off.
+func OpenRecordLog(fsys FS, path string, replay func(img []byte) (int64, error)) (*RecordLog, error) {
+	f, err := fsys.OpenFile(path, os.O_RDWR)
 	if errors.Is(err, fs.ErrNotExist) {
-		if f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644); err == nil {
-			err = SyncDir(filepath.Dir(path))
+		if f, err = fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL); err == nil {
+			err = fsys.SyncDir(filepath.Dir(path))
 		}
 	}
 	var img []byte
+	var st fs.FileInfo
 	if err == nil {
-		img, err = os.ReadFile(path) // sized by a stat: one allocation
+		st, err = f.Stat()
 	}
-	l := &RecordLog{path: path, f: f}
+	if err == nil { // sized by the stat: one allocation
+		img = make([]byte, st.Size())
+		_, err = f.ReadAt(img, 0)
+	}
+	l := &RecordLog{fsys: fsys, path: path, f: f}
 	if err == nil {
 		if l.size, err = replay(img); err != nil {
 			err = fmt.Errorf("%s: %w", path, err)
@@ -231,7 +237,7 @@ func (l *RecordLog) Append(recs []byte) error {
 	}
 	_, err := l.f.WriteAt(recs, l.size)
 	if err == nil {
-		err = fdatasync(l.f)
+		err = l.f.Datasync()
 	}
 	if err != nil {
 		if terr := l.f.Truncate(l.size); terr != nil {
@@ -251,22 +257,20 @@ func (l *RecordLog) Checkpoint(image []byte) (bool, error) {
 	if l.failed != nil {
 		return false, l.failed
 	}
-	werr := WriteFileAtomic(l.path, image, 0o644)
+	renamed, werr := writeAtomic(l.fsys, l.path, image)
 	// The rename is what counts, and it may have happened even if a later
 	// step failed: go on with whichever file has the name now.
-	nf, err := os.OpenFile(l.path, os.O_RDWR, 0)
+	nf, err := l.fsys.OpenFile(l.path, os.O_RDWR)
 	if err != nil {
 		l.failed = fmt.Errorf("%s is unusable until reopened: %w", l.path, errors.Join(werr, err))
 		return false, l.failed
 	}
-	was, err1 := l.f.Stat()
-	is, err2 := nf.Stat()
-	if err1 != nil || err2 != nil || os.SameFile(was, is) {
+	if !renamed {
 		nf.Close() //nolint:errcheck // nothing was written through it
-		return false, errors.Join(werr, err1, err2)
+		return false, werr
 	}
 	l.f.Close() //nolint:errcheck // every record in it was synced when appended
-	l.f, l.size = nf, is.Size()
+	l.f, l.size = nf, int64(len(image))
 	return true, werr
 }
 

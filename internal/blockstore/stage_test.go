@@ -304,20 +304,20 @@ func TestWriteFileAtomicInPieces(t *testing.T) {
 	path := filepath.Join(dir, "blob")
 	_, data := bigInfo(0, 2*writePiece+777, 3)
 	for _, content := range [][]byte{[]byte("old"), data, nil} {
-		if err := WriteFileAtomic(path, content, 0o644); err != nil {
+		if err := WriteFileAtomic(OS, path, content); err != nil {
 			t.Fatal(err)
 		}
 		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, content) {
 			t.Fatalf("read back %d bytes of %d: %v", len(got), len(content), err)
 		}
 	}
-	if err := WriteFileAtomic(filepath.Join(dir, "missing", "blob"), data, 0o644); err == nil {
+	if err := WriteFileAtomic(OS, filepath.Join(dir, "missing", "blob"), data); err == nil {
 		t.Fatal("writing into a missing directory succeeded")
 	}
 	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileAtomic(filepath.Join(dir, "sub"), data, 0o644); err == nil { // the rename fails, after the write
+	if err := WriteFileAtomic(OS, filepath.Join(dir, "sub"), data); err == nil { // the rename fails, after the write
 		t.Fatal("renaming over a directory succeeded")
 	}
 	if left := tempFiles(t, dir); len(left) != 0 {

@@ -242,13 +242,14 @@ func Replay(img []byte) (entries []Entry, valid int64, err error) {
 	return st, valid, err
 }
 
-// WriteCheckpoint atomically makes path a log holding exactly entries.
-func WriteCheckpoint(path string, entries []Entry) error {
+// WriteCheckpointOn atomically makes path on fsys a log holding exactly
+// entries.
+func WriteCheckpointOn(fsys blockstore.FS, path string, entries []Entry) error {
 	image, err := appendCheckpoint(nil, entries)
 	if err != nil {
 		return err
 	}
-	return blockstore.WriteFileAtomic(path, image, 0o644)
+	return blockstore.WriteFileAtomic(fsys, path, image)
 }
 
 func appendCheckpoint(buf []byte, entries []Entry) ([]byte, error) {
@@ -280,12 +281,12 @@ type Log struct {
 	buf []byte // records and checkpoints are encoded here
 }
 
-// Open opens the log at path, creating an empty one if there is none, and
-// replays it. A torn tail is cut off; a corrupt log is refused (*CorruptError).
-// The entries are the caller's: the Log keeps no recipe.
-func Open(path string) (*Log, []Entry, error) {
+// OpenOn opens the log at path on fsys, creating an empty one if there is
+// none, and replays it. A torn tail is cut off; a corrupt log is refused
+// (*CorruptError). The entries are the caller's: the Log keeps no recipe.
+func OpenOn(fsys blockstore.FS, path string) (*Log, []Entry, error) {
 	var entries []Entry
-	rl, err := blockstore.OpenRecordLog(path, func(img []byte) (valid int64, err error) {
+	rl, err := blockstore.OpenRecordLog(fsys, path, func(img []byte) (valid int64, err error) {
 		entries, valid, err = Replay(img)
 		return valid, err
 	})

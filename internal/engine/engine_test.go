@@ -204,11 +204,17 @@ func newResolverRig(t *testing.T) (*StreamResolver, *container.Store, *disk.Cloc
 
 func mkChunk(i byte) chunk.Chunk { return chunk.Meta(chunk.Of([]byte{i}), 100) }
 
+// resolveOne resolves c as a batch of one.
+func resolveOne(r *StreamResolver, c chunk.Chunk, stats *BackupStats) (chunk.Location, bool) {
+	res := r.ResolveBatch([]chunk.Chunk{c}, stats)[0]
+	return res.Loc, res.Dup
+}
+
 func TestResolverNewChunkIsFree(t *testing.T) {
 	r, _, clk := newResolverRig(t)
 	var stats BackupStats
 	before := clk.Now()
-	if _, dup := r.Resolve(mkChunk(1), &stats); dup {
+	if _, dup := resolveOne(r, mkChunk(1), &stats); dup {
 		t.Fatal("unknown chunk must not be a duplicate")
 	}
 	if clk.Now() != before {
@@ -227,15 +233,15 @@ func TestResolverDuplicatePath(t *testing.T) {
 	r.RegisterNew(c.FP, loc)
 	store.SerialWriter().Finish(context.Background())
 
-	got, dup := r.Resolve(c, &stats)
+	got, dup := resolveOne(r, c, &stats)
 	if !dup || got != loc {
-		t.Fatalf("Resolve = %v,%v want %v,true", got, dup, loc)
+		t.Fatalf("resolve = %v,%v want %v,true", got, dup, loc)
 	}
 	if stats.IndexLookups != 1 || stats.MetaPrefetches != 1 {
 		t.Fatalf("stats = %+v, want one lookup + one prefetch", stats)
 	}
 	// Second resolve: LPC hit, free.
-	_, dup = r.Resolve(c, &stats)
+	_, dup = resolveOne(r, c, &stats)
 	if !dup || stats.CacheHits != 1 || stats.IndexLookups != 1 {
 		t.Fatalf("second resolve should be a cache hit: %+v", stats)
 	}
@@ -254,9 +260,9 @@ func TestResolverPrefetchCoversNeighbours(t *testing.T) {
 	}
 	store.SerialWriter().Finish(context.Background())
 	// Resolving the first pays; the rest ride the prefetched metadata.
-	r.Resolve(cs[0], &stats)
+	resolveOne(r, cs[0], &stats)
 	for _, c := range cs[1:] {
-		if _, dup := r.Resolve(c, &stats); !dup {
+		if _, dup := resolveOne(r, c, &stats); !dup {
 			t.Fatal("neighbour must be duplicate")
 		}
 	}
@@ -276,14 +282,14 @@ func TestResolverRepointWinsOverStaleMetadata(t *testing.T) {
 	r.RegisterNew(c.FP, oldLoc)
 	store.SerialWriter().Finish(context.Background())
 	// Cache the old container metadata.
-	r.Resolve(c, &stats)
+	resolveOne(r, c, &stats)
 	// Rewrite the chunk elsewhere.
 	newLoc := mustWrite(store, c, 2)
 	r.Repoint(c.FP, newLoc)
 	store.SerialWriter().Finish(context.Background())
-	got, dup := r.Resolve(c, &stats)
+	got, dup := resolveOne(r, c, &stats)
 	if !dup || got != newLoc {
-		t.Fatalf("Resolve after Repoint = %v, want the rewritten location %v", got, newLoc)
+		t.Fatalf("resolve after Repoint = %v, want the rewritten location %v", got, newLoc)
 	}
 }
 

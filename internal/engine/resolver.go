@@ -91,52 +91,6 @@ func (r *Resolver) Stream(clk *disk.Clock, w *container.Writer) *StreamResolver 
 	return &StreamResolver{r: r, ih: r.index.Handle(clk), w: w}
 }
 
-// Resolve decides whether c is a duplicate, charging the costs of the DDFS
-// lookup path to the stream (free RAM checks; on LPC miss with positive
-// summary vector, one index page read; on index hit, one container-metadata
-// prefetch). It returns the stored location when c is a duplicate.
-func (sr *StreamResolver) Resolve(c chunk.Chunk, stats *BackupStats) (chunk.Location, bool) {
-	defer stageLookup.Observe(time.Now())
-	r := sr.r
-	r.mu.Lock()
-	// 0. Current-location table (RAM, free): chunks whose newest copy is a
-	// DeFrag rewrite resolve to the linearized placement, never a stale
-	// container-metadata entry.
-	if loc, ok := r.current[c.FP]; ok {
-		stats.CacheHits++
-		telResolverCacheHits.Inc()
-		r.mu.Unlock()
-		return loc, true
-	}
-	// 1. Locality-preserved cache (RAM, free).
-	if ent, ok := r.lpcFPs[c.FP]; ok {
-		stats.CacheHits++
-		telResolverCacheHits.Inc()
-		r.lpc.Get(ent.cid) // refresh recency of the containing container
-		r.mu.Unlock()
-		return ent.loc, true
-	}
-	r.mu.Unlock()
-	// 2. Summary vector (RAM, free, atomic). Negative → definitely new.
-	if !r.filter.MayContain(c.FP) {
-		telResolverBloomNeg.Inc()
-		return chunk.Location{}, false
-	}
-	// 3. Full index on disk (charged) — outside the resolver mutex so one
-	// stream's modeled page read never serializes the others' RAM hits.
-	stats.IndexLookups++
-	telResolverLookups.Inc()
-	loc, found := sr.ih.Lookup(c.FP)
-	if !found {
-		return chunk.Location{}, false // Bloom false positive
-	}
-	// 4. Locality-preserved caching: prefetch the whole container's
-	// metadata (charged) so the duplicates that follow in the stream
-	// resolve from RAM.
-	sr.prefetch(loc.Container, stats)
-	return loc, true
-}
-
 // prefetch pulls a sealed, uncached container's metadata into the LPC. The
 // metadata read — the charged part — happens outside the resolver mutex;
 // the mutex only covers the cache probe and the insert. Two streams racing
@@ -168,13 +122,16 @@ type Resolution struct {
 	Dup bool
 }
 
-// ResolveBatch resolves a whole segment's chunks in order, with the same
-// decision sequence and counters as per-chunk Resolve, plus a same-bucket
-// lookahead: when a chunk must go to the on-disk index, every later chunk of
-// the batch that is also headed for the index and hashes to the same bucket
-// page is looked up in the same modeled page read. Costs, charged to the
-// stream, are therefore never higher than per-chunk resolution, and strictly
-// lower whenever chunks of one segment collide on index pages.
+// ResolveBatch decides, for a whole segment's chunks in order, which are
+// duplicates and where their stored copies live, charging the DDFS lookup
+// path to the stream: the current-location table (DeFrag's rewrites) and the
+// locality-preserved cache are free RAM checks, a summary-vector negative is
+// a new chunk, and anything else costs an on-disk index page read and, on a
+// hit, a prefetch of the container's metadata into the cache, so that the
+// duplicates that follow resolve from RAM. When a chunk must go to the index,
+// every later chunk of the batch that is also headed there and hashes to the
+// same bucket page is looked up in the same modeled page read: chunks of one
+// segment that collide on index pages share its cost.
 func (sr *StreamResolver) ResolveBatch(chunks []chunk.Chunk, stats *BackupStats) []Resolution {
 	defer stageLookup.Observe(time.Now())
 	r, ih := sr.r, sr.ih

@@ -9,17 +9,17 @@
 # commit, so the budget only ever moves down; a change that must grow the
 # surface raises them and says why.
 #
-# Lowered by 115 lines, 19,855 to 19,740, when every paper figure moved onto
-# the store's own path (Open, Store.Backup, Store.RestoreWith): the harness's
-# hand-built engines and direct restores went, and api.go's newEngine is the
-# one engine constructor; fsck.Check grew by 12 to read each referenced
-# container once. The multi-buffer SHA-256 kernel's assembly is reported on
-# its own line below and has no ceiling.
+# Lowered by 5 lines, 19,740 to 19,735, and by one flag, 81 to 80, when the
+# store's durable I/O moved behind one interface (blockstore.FS): the seam
+# and its os implementation are 38 lines more than the code they replaced,
+# and the crash points, the dedupd flag that armed them and the test-only
+# StreamResolver.Resolve (43 lines) went. The multi-buffer SHA-256 kernel's
+# assembly is reported on its own line below and has no ceiling.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-max_flags=81
-max_lines=19740
+max_flags=80
+max_lines=19735
 
 flags=$(grep -rhoE --include='*.go' --exclude='*_test.go' \
   '\bflag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|Text|Var)(Var)?\(' cmd | wc -l)
