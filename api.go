@@ -159,26 +159,6 @@ func ParseBackendKind(s string) (BackendKind, error) {
 	return 0, fmt.Errorf("repro: unknown backend %q", s)
 }
 
-// FaultOptions configures deterministic fault injection on the storage
-// backend (chaos/recovery testing). The zero value injects nothing; any
-// non-zero rate enables the injector plus a bounded retry-with-backoff
-// layer around it.
-type FaultOptions struct {
-	// Seed drives the injector's PRNG; equal seeds over equal operation
-	// sequences inject identical faults.
-	Seed int64
-	// TransientRate is the probability a backend operation first fails
-	// with a retryable EIO.
-	TransientRate float64
-	// TornRate is the probability a container seal silently persists only
-	// half its data section (a lying disk; detected later as corruption).
-	TornRate float64
-}
-
-func (f FaultOptions) enabled() bool {
-	return f.TransientRate > 0 || f.TornRate > 0
-}
-
 // Options configures a Store.
 type Options struct {
 	// Engine selects the deduplication approach (default DeFrag).
@@ -205,13 +185,9 @@ type Options struct {
 	// existing store: containers are adopted, the engine's index is
 	// rebuilt, and previously recorded backups are reloaded.
 	Dir string
-	// Faults wraps the backend in a deterministic fault injector; see
-	// FaultOptions. Intended for recovery testing.
-	Faults FaultOptions
-	// WrapBackend, when set, wraps the constructed physical backend
-	// (outermost, above any fault/retry layers) before the engine sees it.
-	// Tests and tooling use it to count or intercept physical operations,
-	// e.g. blockstore.NewCounting to assert how many sections a restore reads.
+	// WrapBackend, when set, wraps the constructed physical backend before
+	// the engine sees it. Tests and tooling use it to count or intercept
+	// physical operations (blockstore.NewCounting) or to make a disk's faults.
 	WrapBackend func(blockstore.Backend) blockstore.Backend
 	// Maintenance configures the online maintenance layer (reverse-
 	// rewriting re-dedup and crash-safe container merging); see
@@ -341,10 +317,10 @@ func (b *Backup) Fragments() int { return b.recipe().Fragments() }
 // Chunks returns the number of chunk references in the backup's recipe.
 func (b *Backup) Chunks() int { return b.recipe().Len() }
 
-// buildBackend constructs the physical backend selected by opts, layering
-// the fault injector and retry wrapper when faults are configured. raw is the
-// file backend under the layers, which open containers stage their fill to
-// (container.Store.StageTo); nil on the sim backend.
+// buildBackend constructs the physical backend selected by opts, under
+// opts.WrapBackend if set. raw is the file backend beneath any wrapper, which
+// open containers stage their fill to (container.Store.StageTo); nil on the
+// sim backend.
 func buildBackend(opts Options) (be blockstore.Backend, raw *blockstore.File, err error) {
 	switch opts.Backend {
 	case SimBackend:
@@ -364,13 +340,6 @@ func buildBackend(opts Options) (be blockstore.Backend, raw *blockstore.File, er
 		be = raw
 	default:
 		return nil, nil, fmt.Errorf("repro: unknown backend kind %d", opts.Backend)
-	}
-	if opts.Faults.enabled() {
-		be = blockstore.WithRetry(blockstore.NewFault(be, blockstore.FaultConfig{
-			Seed:          opts.Faults.Seed,
-			TransientRate: opts.Faults.TransientRate,
-			TornRate:      opts.Faults.TornRate,
-		}), blockstore.DefaultRetryPolicy())
 	}
 	if opts.WrapBackend != nil {
 		be = opts.WrapBackend(be)
@@ -506,8 +475,8 @@ func (s *Store) adoptExisting(ctx context.Context) error {
 // Engine returns the engine's name.
 func (s *Store) Engine() string { return s.eng.Name() }
 
-// BackendName returns the active backend's name ("sim", "file", or a
-// wrapped form like "retry(fault(file))").
+// BackendName returns the active backend's name ("sim" or "file", or
+// whatever name an Options.WrapBackend wrapper gives itself).
 func (s *Store) BackendName() string { return s.be.Name() }
 
 // Close waits for the container seals in flight and releases the durable
@@ -918,10 +887,10 @@ type CompactStats struct {
 }
 
 // Compact garbage-collects containers whose live-data fraction is below
-// threshold: superseded chunk copies (DeFrag rewrites leave the old copy
-// behind) and copies only forgotten backups referenced are dropped, live
-// chunks are copied into fresh containers, the index is repointed, and
-// every retained backup's recipe is remapped so restores keep working.
+// threshold. A copy is live while a retained recipe or the chunk index names
+// it: superseded copies (DeFrag rewrites) are dropped, but one that only
+// forgotten backups referenced is not while the index names it. Live chunks
+// move to fresh containers, the index is repointed, every recipe remapped.
 // Engines without an exposed chunk index (SiLo-Like) do not support
 // compaction.
 //

@@ -57,9 +57,6 @@ func realMain() error {
 		export     = flag.String("export", "", "empty or absent directory to write the store into as a file-backend store: containers and catalog.log; reopen it with -backend file -store.dir DIR (engine defrag or ddfs)")
 		backend    = flag.String("backend", "sim", "storage backend: sim (in-memory) or file (durable directory store)")
 		storeDir   = flag.String("store.dir", "", "file backend root directory (required for -backend file)")
-		faultSeed  = flag.Int64("faults.seed", 0, "fault injector PRNG seed (with any -faults.* rate)")
-		faultTrans = flag.Float64("faults.transient", 0, "probability a backend op first fails with a retryable EIO")
-		faultTorn  = flag.Float64("faults.torn", 0, "probability a container seal persists only half its data")
 		fsckOnly   = flag.Bool("fsckonly", false, "skip ingest: reopen the store (-backend file) and run fsck only")
 		repair     = flag.Bool("repair", false, "with -fsckonly: quarantine invariant-failing containers")
 		crashAfter = flag.Int("crash.after", 0, "exit without closing the store after N generations (crash-recovery testing)")
@@ -77,7 +74,7 @@ func realMain() error {
 		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics\n", a)
 	}
 	if err := run(params{*engineName, *gens, *files, *fileKB, *alpha, *seed, *doRestore, *verify, *streams, *scenario, *filterOn, *check, *export, *rMode, *rCache,
-		*backend, *storeDir, *faultSeed, *faultTrans, *faultTorn, *fsckOnly, *repair, *crashAfter}); err != nil {
+		*backend, *storeDir, *fsckOnly, *repair, *crashAfter}); err != nil {
 		return err
 	}
 	if *telHold && ep.Addr() != "" {
@@ -107,9 +104,6 @@ type params struct {
 
 	backend    string
 	storeDir   string
-	faultSeed  int64
-	faultTrans float64
-	faultTorn  float64
 	fsckOnly   bool
 	repair     bool
 	crashAfter int
@@ -181,11 +175,6 @@ func run(p params) error {
 		Filter:          repro.FilterOptions{Enabled: p.filterOn},
 		Backend:         bkind,
 		Dir:             p.storeDir,
-		Faults: repro.FaultOptions{
-			Seed:          p.faultSeed,
-			TransientRate: p.faultTrans,
-			TornRate:      p.faultTorn,
-		},
 	})
 	if err != nil {
 		return err

@@ -174,45 +174,6 @@ func TestFileBackendReopenRequiresAdoptingEngine(t *testing.T) {
 	}
 }
 
-func TestFaultInjectionRecoveryDeterministic(t *testing.T) {
-	// Transient faults with a fixed seed: every injected EIO must be
-	// absorbed by the retry layer, and two identical runs must agree on
-	// every simulated measurement (the injector must not perturb the
-	// timing model).
-	run := func(dir string) ([]BackupStats, StoreStats) {
-		s, err := Open(Options{
-			Engine:        DeFrag,
-			Alpha:         0.1,
-			StoreData:     true,
-			ExpectedBytes: 32 << 20,
-			Backend:       FileBackend,
-			Dir:           dir,
-			Faults:        FaultOptions{Seed: 42, TransientRate: 0.3},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close() //nolint:errcheck
-		datas := ingestGens(t, s, 21, 3)
-		restoreVerifyAll(t, s, datas)
-		var st []BackupStats
-		for _, b := range s.Backups() {
-			st = append(st, b.Stats)
-		}
-		return st, s.Stats()
-	}
-	st1, ss1 := run(t.TempDir())
-	st2, ss2 := run(t.TempDir())
-	if ss1 != ss2 {
-		t.Fatalf("store stats diverged across identical fault-injected runs:\n  %+v\n  %+v", ss1, ss2)
-	}
-	for i := range st1 {
-		if st1[i] != st2[i] {
-			t.Fatalf("backup %d stats diverged across identical fault-injected runs", i)
-		}
-	}
-}
-
 // TestBackupCancellationLeavesStoreConsistent holds every engine to the
 // abort path of the one backup body: a backup cancelled mid-stream is not
 // retained, leaves the store fsck-clean, and the store keeps working.

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/blockstore"
 	"repro/internal/workload"
@@ -162,8 +161,8 @@ func TestSectionReadsOnEveryRoute(t *testing.T) {
 //
 //   - "short loan": the buffer handed on is one byte short of the ranges' sum;
 //   - "refused loan": no buffer is handed on at all;
-//   - "re-read": the read succeeds, and then comes back as a transient error,
-//     so that a Retry above re-reads into a second loan;
+//   - "re-read": the read succeeds and its result is lost on the way up, so
+//     the wrapper reads again, into a second loan;
 //   - "shrink": the container's data file is cut to half between the
 //     backend's fstat and its first pread.
 //
@@ -215,10 +214,10 @@ func (l *loanFaults) lender(ctx context.Context) (context.Context, *bool) {
 }
 
 func (l *loanFaults) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
-	ctx, fail := l.lender(ctx)
-	out, err := l.Backend.ReadDataRange(ctx, ids)
-	if err == nil && *fail {
-		return nil, blockstore.Transient(errors.New("lost on the way up"))
+	spoilt, lost := l.lender(ctx)
+	out, err := l.Backend.ReadDataRange(spoilt, ids)
+	if err == nil && *lost {
+		out, err = l.Backend.ReadDataRange(ctx, ids)
 	}
 	return out, err
 }
@@ -227,28 +226,13 @@ func (l *loanFaults) Drop(ctx context.Context, ids []uint32, reason string) erro
 	return l.Backend.(blockstore.Dropper).Drop(ctx, ids, reason)
 }
 
-// tearing makes the seals its tear flag is set for torn: their data files
-// hold half the section, as FaultConfig.TornRate leaves them.
-type tearing struct {
-	blockstore.Backend
-	torn blockstore.Backend // the same backend behind a Fault that tears every seal
-	tear bool
-}
-
-func (w *tearing) Seal(ctx context.Context, info blockstore.ContainerInfo, data []byte) error {
-	if w.tear {
-		return w.torn.Seal(ctx, info, data)
-	}
-	return w.Backend.Seal(ctx, info, data)
-}
-
 // TestPackedFetchFaults runs the ways a packed read can go wrong through a
 // whole restore of a churned file-backed store, verify off so that nothing
 // but the comparison with the source looks at the bytes: a lent buffer short
 // of the ranges' sum and a refused loan each mix a whole, private section into
-// a restore of packed ones, and a retried read lends a second buffer — those
+// a restore of packed ones, and a read done again lends a second buffer — those
 // restores must be whole and right; a file that shrinks between fstat and a
-// ranged pread, and a section the fault backend tore at seal, must each stop
+// ranged pread, and a section torn at seal, must each stop
 // the restore with ErrCorrupt naming the container, after bytes that are the
 // source's.
 func TestPackedFetchFaults(t *testing.T) {
@@ -269,7 +253,7 @@ func TestPackedFetchFaults(t *testing.T) {
 			faults := &loanFaults{mode: mode, every: 3}
 			s, datas := churnedFileStore(t, Options{WrapBackend: func(be blockstore.Backend) blockstore.Backend {
 				faults.Backend = be
-				return blockstore.WithRetry(faults, blockstore.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond})
+				return faults
 			}}, 42, 24, 7, 4)
 			faults.dir = s.opts.Dir
 			newest := s.Backups()[len(s.Backups())-1]
@@ -290,11 +274,10 @@ func TestPackedFetchFaults(t *testing.T) {
 	}
 
 	t.Run("torn at seal", func(t *testing.T) {
-		w := &tearing{}
+		tear := false
 		s, err := Open(Options{Engine: DeFrag, Alpha: 0.1, StoreData: true, ExpectedBytes: 64 << 20, Backend: FileBackend, Dir: t.TempDir(),
 			WrapBackend: func(be blockstore.Backend) blockstore.Backend {
-				w.Backend, w.torn = be, blockstore.NewFault(be, blockstore.FaultConfig{Seed: 1, TornRate: 1})
-				return w
+				return &sealFaults{Backend: be, tear: func(int) bool { return tear }}
 			}})
 		if err != nil {
 			t.Fatal(err)
@@ -312,7 +295,7 @@ func TestPackedFetchFaults(t *testing.T) {
 			if newest, err = io.ReadAll(b.Stream); err != nil {
 				t.Fatal(err)
 			}
-			w.tear = g == 2 // the newest backup still reads what this one wrote
+			tear = g == 2 // the newest backup still reads what this one wrote
 			if _, err := s.Backup(ctx, b.Label, bytes.NewReader(newest)); err != nil {
 				t.Fatal(err)
 			}

@@ -4,7 +4,7 @@
 // there — while a Backend owns the *bytes*: where sealed containers
 // physically live, how durable they are, and how they fail.
 //
-// Three implementations ship with the repository:
+// Two implementations ship with the repository:
 //
 //   - Sim keeps sealed containers in process memory, reproducing the
 //     behaviour the engines always had (bit-identical stats and recipes —
@@ -13,12 +13,10 @@
 //     container and a CRC-framed record log of the table (recordlog.go, the
 //     catalog's format too), so a store can be closed (or killed) and
 //     re-opened with its containers intact.
-//   - Fault wraps any backend with deterministic, seed-controlled failure
-//     injection (transient EIO, torn writes) for recovery testing.
 //
-// Backends compose: WithRetry(NewFault(inner, f)) gives a failure-prone
-// store behind a bounded retry-with-backoff policy, which is exactly the
-// stack the recovery tests run.
+// An I/O error reaches the caller as it is: nothing here retries. Crash states
+// are enumerated on the FS seam below File; a test that needs a torn section
+// or a failed call wraps the Backend itself.
 package blockstore
 
 import (
@@ -94,8 +92,8 @@ type ContainerInfo struct {
 // is the only truth: File uses what was staged as a cache of data's head after
 // proving it one (every piece arrived, data at least as long, same CRC32C),
 // and otherwise writes data whole. So a wrapper may do to Seal's data what it
-// likes — count it, hash it, cut it short (Fault's torn write), fail before
-// forwarding and forward on a retry, replace it — and forwards nothing for
+// likes — count it, hash it, cut it short (a lying disk's torn write), fail
+// before forwarding or forward it twice, replace it — and forwards nothing for
 // staging; Sim, a metadata-only store and Store.Export's copy stage nothing.
 type Backend interface {
 	// Name identifies the backend kind ("sim", "file", ...).
@@ -105,8 +103,7 @@ type Backend interface {
 	StoresData() bool
 	// Seal durably persists one sealed container. data is the container's
 	// data section (exactly info.DataFill bytes) or nil on metadata-only
-	// stores. Sealing the same ID again overwrites (retry after a partial
-	// failure re-seals the full container).
+	// stores. Sealing the same ID again overwrites.
 	Seal(ctx context.Context, info ContainerInfo, data []byte) error
 	// ReadData returns the data section bytes of a sealed container as a
 	// read-only view (see above). Metadata-only backends return a zero-filled
@@ -116,8 +113,8 @@ type Backend interface {
 	// ReadDataRange reads the data sections of several containers in one
 	// ranged pass, in input order, each a read-only view like ReadData's. It
 	// is the coalesced-read primitive: the caller guarantees the ids are
-	// adjacent on the simulated device, and a fault-injecting backend treats
-	// the whole range as a single operation.
+	// adjacent on the simulated device, and a wrapper sees the whole range
+	// as a single call.
 	ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error)
 	// List returns every sealed container's info, in ID order.
 	List(ctx context.Context) ([]ContainerInfo, error)
@@ -147,30 +144,8 @@ type Dropper interface {
 	Drop(ctx context.Context, ids []uint32, reason string) error
 }
 
-// transientErr marks an error as transient: the operation may succeed if
-// retried (see WithRetry).
-type transientErr struct{ err error }
-
-func (e *transientErr) Error() string { return "transient: " + e.err.Error() }
-func (e *transientErr) Unwrap() error { return e.err }
-
-// Transient wraps err as a transient (retryable) backend error.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientErr{err: err}
-}
-
-// IsTransient reports whether err is marked transient anywhere in its chain.
-func IsTransient(err error) bool {
-	var t *transientErr
-	return errors.As(err, &t)
-}
-
 // ErrCorrupt tags data-integrity failures (torn data sections, metadata that
-// fails invariants). Corruption is never transient: retries do not help,
-// repair (quarantine) does.
+// fails invariants). Reading again does not help; repair (quarantine) does.
 var ErrCorrupt = errors.New("blockstore: corrupt container")
 
 // Corruptf builds an ErrCorrupt-wrapping error.

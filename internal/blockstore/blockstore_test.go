@@ -219,74 +219,6 @@ func TestFileQuarantine(t *testing.T) {
 	checkRoundTrip(t, re, want)
 }
 
-func TestFaultTransientThenRetrySucceeds(t *testing.T) {
-	// Find a seed where the first Seal draw is transient, then verify the
-	// retry wrapper rides through it.
-	inner := NewSim(true)
-	fb := NewFault(inner, FaultConfig{Seed: 1, TransientRate: 0.5})
-	rb := WithRetry(fb, RetryPolicy{MaxAttempts: 10, BaseDelay: 100})
-	want := sealN(t, rb, 6)
-	checkRoundTrip(t, inner, want)
-}
-
-func TestFaultDeterministic(t *testing.T) {
-	run := func() []bool {
-		f := NewFault(NewSim(true), FaultConfig{Seed: 42, TransientRate: 0.3})
-		var outcomes []bool
-		for i := 0; i < 20; i++ {
-			info, data := mkInfo(uint32(i), 2)
-			err := f.Seal(context.Background(), info, data)
-			outcomes = append(outcomes, err == nil)
-		}
-		return outcomes
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("fault sequence diverged at op %d", i)
-		}
-	}
-}
-
-func TestFaultTornWriteDetected(t *testing.T) {
-	inner := NewSim(true)
-	fb := NewFault(inner, FaultConfig{Seed: 3, TornRate: 1.0})
-	info, data := mkInfo(0, 4)
-	if err := fb.Seal(context.Background(), info, data); err != nil {
-		t.Fatalf("torn seal must be silently acknowledged, got %v", err)
-	}
-	// The lying disk stored fewer bytes than DataFill records.
-	got, err := inner.ReadData(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(got)) >= info.DataFill {
-		t.Fatalf("expected short data section, got %d of %d bytes", len(got), info.DataFill)
-	}
-}
-
-func TestRetryExhaustionSurfacesError(t *testing.T) {
-	fb := NewFault(NewSim(true), FaultConfig{Seed: 7, TransientRate: 1.0})
-	rb := WithRetry(fb, RetryPolicy{MaxAttempts: 3, BaseDelay: 100})
-	info, data := mkInfo(0, 2)
-	err := rb.Seal(context.Background(), info, data)
-	if err == nil || !IsTransient(err) {
-		t.Fatalf("want transient error after exhaustion, got %v", err)
-	}
-}
-
-func TestRetryHonorsContext(t *testing.T) {
-	fb := NewFault(NewSim(true), FaultConfig{Seed: 7, TransientRate: 1.0})
-	rb := WithRetry(fb, RetryPolicy{MaxAttempts: 100, BaseDelay: 50 * 1000 * 1000}) // 50ms
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	info, data := mkInfo(0, 2)
-	err := rb.Seal(ctx, info, data)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-}
-
 func TestMetaCodecRoundTrip(t *testing.T) {
 	info, _ := mkInfo(9, 7)
 	enc := EncodeMeta(info.Entries)

@@ -152,9 +152,9 @@ func TestFileDropMissingContainer(t *testing.T) {
 
 func TestDropPassThroughWrappers(t *testing.T) {
 	inner := NewSim(true)
-	rb := WithRetry(NewFault(inner, FaultConfig{Seed: 1}), RetryPolicy{})
-	want := sealN(t, rb, 3)
-	var d Dropper = rb
+	cb := NewCounting(inner)
+	want := sealN(t, cb, 3)
+	var d Dropper = cb
 	if err := d.Drop(context.Background(), []uint32{1}, "merged"); err != nil {
 		t.Fatal(err)
 	}

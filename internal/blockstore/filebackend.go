@@ -254,7 +254,7 @@ func (f *File) Seal(ctx context.Context, info ContainerInfo, data []byte) error 
 
 // sealData makes data the content of container id's data file. data is the
 // truth and st a cache of its head: used if every piece was staged, data is at
-// least that long (Fault's torn half is not) and starts with bytes of the same
+// least that long (a torn half is not) and starts with bytes of the same
 // CRC32C — then only the rest is written. Otherwise the whole section is.
 func (f *File) sealData(st *stagedSection, id uint32, data []byte) error {
 	if st != nil {

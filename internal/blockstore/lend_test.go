@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // loans is a test lender: it hands out the buffers it was given, in order,
@@ -30,14 +29,12 @@ func (l *loans) lend(id uint32, n int64) ([]byte, []Range) {
 	return b, l.want
 }
 
-// forwardingStacks is the file backend alone and under the wrappers that
-// forward only the ctx and the returned slices: a loan must survive each.
+// forwardingStacks is the file backend alone and under a wrapper that
+// forwards only the ctx and the returned slices: a loan must survive both.
 func forwardingStacks(file *File) map[string]Backend {
 	return map[string]Backend{
 		"file":     file,
 		"counting": NewCounting(file),
-		"retry(fault)": WithRetry(NewFault(file, FaultConfig{Seed: 3, TransientRate: 0.5}),
-			RetryPolicy{MaxAttempts: 50, BaseDelay: time.Microsecond}),
 	}
 }
 
@@ -204,8 +201,8 @@ func TestFileValidatesWantedRanges(t *testing.T) {
 		if err == nil || got != nil || !strings.Contains(err.Error(), "container 1") {
 			t.Fatalf("%s: got %d bytes and %v, want an error naming container 1", what, len(got), err)
 		}
-		if errors.Is(err, ErrCorrupt) || IsTransient(err) {
-			t.Fatalf("%s: %v: a lender's mistake is neither corruption nor worth a retry", what, err)
+		if errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: %v: a lender's mistake is not corruption", what, err)
 		}
 		if !bytes.Equal(big, poisoned(len(big))) {
 			t.Fatalf("%s: the buffer was written before the ranges were checked", what)
@@ -227,16 +224,16 @@ func (f *flakyAfterRead) ReadData(ctx context.Context, id uint32) ([]byte, error
 	data, err := f.Backend.ReadData(ctx, id)
 	if err == nil && !f.failed {
 		f.failed = true
-		return nil, Transient(errors.New("lost on the way up"))
+		return nil, errors.New("lost on the way up")
 	}
 	return data, err
 }
 
 // TestFailedRangedReadReturnsNoLoan: a ranged read that fails after it has
 // borrowed — the file shrank under the pread, or a wrapper above lost the
-// result and retried — hands back an error and no section, so the lender's
-// holder finds that loan unreturned and may lend it again (sectionSet.settle
-// in internal/restore); the retry asks for a new one.
+// result — hands back an error and no section, so the lender's holder finds
+// that loan unreturned and may lend it again (sectionSet.settle in
+// internal/restore); a second read asks for a new one.
 func TestFailedRangedReadReturnsNoLoan(t *testing.T) {
 	dir := t.TempDir()
 	file, err := OpenFile(dir, true)
@@ -249,16 +246,20 @@ func TestFailedRangedReadReturnsNoLoan(t *testing.T) {
 
 	first, second := poisoned(1<<12), poisoned(1<<12)
 	l := &loans{bufs: [][]byte{first, second}, want: ranges}
-	be := WithRetry(&flakyAfterRead{Backend: file}, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond})
-	got, err := be.ReadData(WithLender(context.Background(), l.lend), 1)
+	be := &flakyAfterRead{Backend: file}
+	ctx := WithLender(context.Background(), l.lend)
+	if got, err := be.ReadData(ctx, 1); err == nil || got != nil || l.asked != 1 {
+		t.Fatalf("the lost read: %d bytes and %v after asking the lender %d times, want an error, no section and one loan", len(got), err, l.asked)
+	}
+	got, err := be.ReadData(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l.asked != 2 || &got[0] != &second[0] {
-		t.Fatalf("the retried read asked the lender %d times (want 2) and must come back in its second loan", l.asked)
+		t.Fatalf("the second read asked the lender %d times (want 2) and must come back in its second loan", l.asked)
 	}
 	if !bytes.Equal(got, packed(want[1], ranges)) {
-		t.Fatal("the retried read did not come back packed")
+		t.Fatal("the second read did not come back packed")
 	}
 
 	// The lender is asked after the length check; a file that shrinks between
@@ -314,10 +315,17 @@ func TestFileTornSectionCostsNoLoan(t *testing.T) {
 	}
 }
 
-// TestFaultTornSectionCostsNoPackedLoan: a section the fault backend tore at
-// seal is ErrCorrupt naming its container when a ranged read asks for a part
-// it still has, and no buffer is borrowed for it; an untorn sibling still comes
-// back packed.
+// tornSeals hands the backend below half of every section it is asked to
+// seal and acknowledges the seal: a lying disk.
+type tornSeals struct{ Backend }
+
+func (w tornSeals) Seal(ctx context.Context, info ContainerInfo, data []byte) error {
+	return w.Backend.Seal(ctx, info, data[:len(data)/2])
+}
+
+// TestFaultTornSectionCostsNoPackedLoan: a section torn at seal is ErrCorrupt
+// naming its container when a ranged read asks for a part it still has, and no
+// buffer is borrowed for it; an untorn sibling still comes back packed.
 func TestFaultTornSectionCostsNoPackedLoan(t *testing.T) {
 	file, err := OpenFile(t.TempDir(), true)
 	if err != nil {
@@ -325,7 +333,7 @@ func TestFaultTornSectionCostsNoPackedLoan(t *testing.T) {
 	}
 	defer file.Close()
 	want := sealN(t, file, 1)
-	torn := NewFault(file, FaultConfig{Seed: 1, TornRate: 1})
+	torn := tornSeals{file}
 	info, data := mkInfo(1, 5)
 	if err := torn.Seal(context.Background(), info, data); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/blockstore"
 	"repro/internal/chunk"
@@ -344,5 +345,75 @@ func TestFillBuffersBelongToStore(t *testing.T) {
 	}
 	if w.data != nil || w.spare != nil || spare() == nil {
 		t.Fatal("fill buffers not handed back after a failed stream")
+	}
+}
+
+// TestAwaitSealedWaitsForOtherWriters: a recipe may name a container another
+// writer still fills or persists. AwaitSealed returns once it is durable, and
+// fails for one that never will be — its persist failed, or its writer gave
+// it up with chunks placed — after OnLost was told of that one's entries.
+func TestAwaitSealedWaitsForOtherWriters(t *testing.T) {
+	ctx := context.Background()
+	s, be := newSlowStore(t)
+	lost := map[uint32]int{}
+	s.OnLost(func(id uint32, entries []Meta) { lost[id] = len(entries) })
+	refs := func(locs ...chunk.Location) []chunk.Ref {
+		var out []chunk.Ref
+		for _, l := range locs {
+			out = append(out, chunk.Ref{Loc: l})
+		}
+		return out
+	}
+	returned := func(locs ...chunk.Location) chan error {
+		done := make(chan error, 1)
+		go func() { done <- s.AwaitSealed(ctx, refs(locs...)) }()
+		return done
+	}
+
+	// Open, then persisting: AwaitSealed waits through both.
+	gate := make(chan struct{})
+	be.gate = gate
+	w := s.NewWriter(nil)
+	open, err := w.Write(ctx, chunk.New(bytes.Repeat([]byte{1}, 100)), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := returned(open)
+	if err := w.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("AwaitSealed returned %v while the container persisted", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatalf("a container that persisted: %v", err)
+	}
+
+	// A persist that fails, and the container its writer then gives up.
+	be.mu.Lock()
+	be.gate, be.sealErr = nil, errors.New("backend exploded")
+	be.mu.Unlock()
+	failed, err := w.Write(ctx, chunk.New(bytes.Repeat([]byte{2}, 600)), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	given, err := w.Write(ctx, chunk.New(bytes.Repeat([]byte{3}, 600)), 1) // flushes failed's container
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-returned(open, failed); err == nil {
+		t.Fatal("AwaitSealed passed a container whose persist failed")
+	}
+	if err := w.Finish(ctx); err == nil {
+		t.Fatal("Finish passed the failed persist")
+	}
+	if err := <-returned(given); err == nil {
+		t.Fatal("AwaitSealed passed a container its writer gave up")
+	}
+	if lost[failed.Container] != 1 || lost[given.Container] != 1 || len(lost) != 2 {
+		t.Fatalf("OnLost heard %v, want one entry each for containers %d and %d", lost, failed.Container, given.Container)
 	}
 }

@@ -20,7 +20,7 @@
 //     every container operation, exactly as before;
 //   - a blockstore.Backend owns the *bytes*: sealed containers are handed to
 //     it on Flush and fetched back on reads, so the same engine can run over
-//     an in-memory store, a durable directory, or a fault-injecting wrapper
+//     an in-memory store, a durable directory, or a wrapper over either
 //     without its timing changing at all.
 //
 // Writing goes through a Writer. Each keeps its one open container inside a
@@ -154,8 +154,11 @@ type Store struct {
 	// container utilization (garbage from superseded copies).
 	liveBytes []int64
 	// pending maps container IDs whose backend persist is still in flight to
-	// the barrier channel closed when it lands (see beginSeal/awaitSeal).
-	pending map[uint32]chan struct{}
+	// the barrier channel closed when it lands (see beginSeal); settling each
+	// container that is open or persisting to one closed when it is durable or
+	// never will be (AwaitSealed). Both are awaited through await.
+	pending, settling map[uint32]chan struct{}
+	lost              func(id uint32, entries []Meta) // see OnLost
 
 	serialW *Writer // the writer on the store's own clock, created lazily
 
@@ -189,7 +192,7 @@ func NewStoreWithBackend(dev *disk.Device, cfg Config, be blockstore.Backend) (*
 	if be == nil {
 		return nil, fmt.Errorf("container: nil backend")
 	}
-	s := &Store{cfg: cfg, dev: dev, be: be}
+	s := &Store{cfg: cfg, dev: dev, be: be, pending: map[uint32]chan struct{}{}, settling: map[uint32]chan struct{}{}}
 	s.stager, _ = be.(*blockstore.File) // under wrappers it has to be named: StageTo
 	return s, nil
 }
@@ -236,7 +239,46 @@ func (s *Store) allocID() uint32 {
 	s.sealed = append(s.sealed, Info{ID: id})
 	s.sealedOK = append(s.sealedOK, false)
 	s.liveBytes = append(s.liveBytes, 0)
+	s.settling[id] = make(chan struct{})
 	return id
+}
+
+// OnLost has f told of the entries of each container that will never be
+// sealed (its persist failed, or its writer gave it up), so the index forgets
+// bytes that never landed. Set it before the first write.
+func (s *Store) OnLost(f func(id uint32, entries []Meta)) { s.lost = f }
+
+// settle ends container id's open-or-persisting state: durable if Sealed(id)
+// is true by now, else lost with entries.
+func (s *Store) settle(id uint32, entries []Meta) {
+	s.mu.Lock()
+	ch, durable := s.settling[id], s.sealedOK[id]
+	delete(s.settling, id)
+	s.mu.Unlock()
+	if !durable && s.lost != nil && len(entries) > 0 {
+		s.lost(id, entries)
+	}
+	close(ch)
+}
+
+// AwaitSealed returns once every container refs name is durable, or with an
+// error naming the first that never will be. A stream may deduplicate against
+// a container another stream still fills or persists: the engines call this
+// before a recipe is acknowledged.
+func (s *Store) AwaitSealed(ctx context.Context, refs []chunk.Ref) error {
+	for i := range refs {
+		id := refs[i].Loc.Container
+		if i > 0 && id == refs[i-1].Loc.Container {
+			continue
+		}
+		if err := s.await(ctx, s.settling, id); err != nil {
+			return err
+		}
+		if !s.Sealed(id) {
+			return fmt.Errorf("container: %d, which the backup names, was never persisted", id)
+		}
+	}
+	return nil
 }
 
 // getBuf hands out an empty fill buffer of full capacity, so Writer.Write
@@ -279,19 +321,17 @@ type sealResult struct {
 // semantics identical to the old synchronous seal — dedup decisions depend
 // only on the RAM directory — while the backend write happens off the
 // ingest hot path; data-section readers block on the per-container barrier
-// (awaitSeal) until the bytes land. If the persist ultimately fails, the
-// container is unpublished (a directory hole, like a quarantine) and the
-// error surfaces at the writer's next Flush/Finish, aborting its backup
-// exactly as a synchronous seal failure would have.
+// (await) until the bytes land. If the persist ultimately fails, the
+// container is unpublished (a directory hole, like a quarantine), the index
+// forgets it (OnLost), and the error surfaces at the writer's next
+// Flush/Finish, aborting its backup exactly as a synchronous seal failure
+// would have, and any other that names it in AwaitSealed.
 func (s *Store) beginSeal(ctx context.Context, info Info, data []byte, staged <-chan struct{}) chan sealResult {
 	s.mu.Lock()
 	s.sealed[info.ID] = info
 	s.sealedOK[info.ID] = true
 	s.nSealed++
 	s.liveBytes[info.ID] = info.DataFill
-	if s.pending == nil {
-		s.pending = make(map[uint32]chan struct{})
-	}
 	barrier := make(chan struct{})
 	s.pending[info.ID] = barrier
 	s.mu.Unlock()
@@ -322,6 +362,7 @@ func (s *Store) beginSeal(ctx context.Context, info Info, data []byte, staged <-
 		delete(s.pending, info.ID)
 		close(barrier)
 		s.mu.Unlock()
+		s.settle(info.ID, info.Entries)
 		if err != nil {
 			done <- sealResult{err: fmt.Errorf("container: seal %d: %w", info.ID, err), data: data}
 			return
@@ -333,11 +374,11 @@ func (s *Store) beginSeal(ctx context.Context, info Info, data []byte, staged <-
 	return done
 }
 
-// awaitSeal blocks until container id's in-flight backend persist (if any)
-// has landed — the read-side barrier matching beginSeal.
-func (s *Store) awaitSeal(ctx context.Context, id uint32) error {
+// await blocks until barrier (s.pending, the read side of beginSeal, or
+// s.settling) no longer holds container id.
+func (s *Store) await(ctx context.Context, barrier map[uint32]chan struct{}, id uint32) error {
 	s.mu.Lock()
-	ch := s.pending[id]
+	ch := barrier[id]
 	s.mu.Unlock()
 	if ch == nil {
 		return nil
@@ -415,7 +456,7 @@ func (s *Store) Adopt(ctx context.Context) error {
 func (s *Store) CopyTo(ctx context.Context, dst blockstore.Backend) error {
 	for id := uint32(0); int(id) < s.Slots(); id++ {
 		// A persist still in flight may yet fail and unpublish its container.
-		if err := s.awaitSeal(ctx, id); err != nil {
+		if err := s.await(ctx, s.pending, id); err != nil {
 			return err
 		}
 		if !s.Sealed(id) {
@@ -485,7 +526,7 @@ func (s *Store) Drop(ctx context.Context, ids []uint32, reason string) error {
 	s.mu.Unlock()
 	// Settle any in-flight persists of the victims so the backend sees them.
 	for _, id := range ids {
-		if err := s.awaitSeal(ctx, id); err != nil {
+		if err := s.await(ctx, s.pending, id); err != nil {
 			return err
 		}
 	}
@@ -680,12 +721,13 @@ func (w *Writer) Write(ctx context.Context, c chunk.Chunk, segID uint64) (chunk.
 func (w *Writer) extent() int64 { return w.s.cfg.MetaCap() + w.s.cfg.DataCap }
 
 // abandon gives up the open container: its ID stays a hole, its staged
-// bytes are removed, and its extent goes back unless something was reserved
-// behind it meanwhile.
+// bytes are removed, the index forgets what it placed (OnLost), and its
+// extent goes back unless something was reserved behind it meanwhile.
 func (w *Writer) abandon() {
 	w.hasOpen = false
 	w.unstage()
 	w.dev.ResizeLast(w.start+w.extent(), w.start)
+	w.s.settle(w.id, w.meta)
 }
 
 // Flush seals the open container: the device is charged for the metadata
@@ -845,7 +887,7 @@ func (s *Store) Fetch(ctx context.Context, ids []uint32) ([][]byte, error) {
 		s.rangeSpan(ids) // assert adjacency exactly like the charged path
 	}
 	for _, id := range ids {
-		if err := s.awaitSeal(ctx, id); err != nil {
+		if err := s.await(ctx, s.pending, id); err != nil {
 			return nil, err
 		}
 	}

@@ -177,6 +177,9 @@ func (b *Base) backup(ctx context.Context, label string, r io.Reader, clk *disk.
 		return nil, in.Stats, err
 	}
 	in.flushIndex()
+	if err := b.store.AwaitSealed(ctx, in.Recipe.Refs); err != nil {
+		return nil, in.Stats, err
+	}
 
 	st := &in.Stats
 	st.LogicalBytes, st.Chunks, st.Segments = logical, chunks, segs

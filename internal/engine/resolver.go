@@ -72,6 +72,7 @@ func NewResolver(index *cindex.Index, store *container.Store, lpcContainers, exp
 			}
 		}
 	})
+	store.OnLost(func(cid uint32, metas []container.Meta) { r.drop(cid, metas) })
 	return r
 }
 
@@ -109,7 +110,8 @@ func (sr *StreamResolver) prefetch(cid uint32, stats *BackupStats) {
 	telResolverPrefetches.Inc()
 	metas := sr.w.ReadMeta(cid)
 	r.mu.Lock()
-	if !r.lpc.Contains(cid) {
+	// Sealed again: a persist that failed since is purged under r.mu (drop).
+	if !r.lpc.Contains(cid) && r.store.Sealed(cid) {
 		r.insertLPC(cid, metas)
 	}
 	r.mu.Unlock()
@@ -276,9 +278,13 @@ func (r *Resolver) AdoptIndex() (maxSegment uint64) {
 // (chargeless; repair calls it immediately before quarantining cid, while
 // the container's metadata is still readable) and returns how many mappings
 // were dropped. The current-location table is purged of the container too.
-func (r *Resolver) DropFromIndex(cid uint32) int {
+func (r *Resolver) DropFromIndex(cid uint32) int { return r.drop(cid, r.store.PeekMeta(cid)) }
+
+// drop is DropFromIndex over metas, cid's entries, for a container that may
+// never be sealed (container.Store.OnLost).
+func (r *Resolver) drop(cid uint32, metas []container.Meta) int {
 	dropped := 0
-	for _, m := range r.store.PeekMeta(cid) {
+	for _, m := range metas {
 		if loc, ok := r.index.Peek(m.FP); ok && loc.Container == cid {
 			if r.index.Delete(m.FP) {
 				dropped++

@@ -29,10 +29,13 @@ package fsck
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
 	"slices"
-	"sort"
 
+	"repro/internal/blockstore"
 	"repro/internal/chunk"
 	"repro/internal/cindex"
 	"repro/internal/container"
@@ -152,7 +155,7 @@ func Check(ctx context.Context, store *container.Store, index *cindex.Index, rec
 	// its entries re-hashed as one chunk.OfEach batch (hashSection); every
 	// ref then reads its verdict, so problems keep ref order. A container
 	// whose data section fails to read (torn write, backend fault) is one
-	// problem, at its first reference.
+	// problem, at its first reference; a cancelled ctx ends the check.
 	type sectionCheck struct {
 		err error
 		bad map[int64]bool // offsets of the entries that do not hash to their fingerprints
@@ -188,6 +191,9 @@ func Check(ctx context.Context, store *container.Store, index *cindex.Index, rec
 					sc.bad[store.PeekMeta(cid)[j].Offset] = true
 				}
 				sections[cid] = sc
+				if err != nil && ctx.Err() != nil {
+					return nil, ctx.Err()
+				}
 				if err != nil {
 					rep.addf("container %d: data section unreadable: %v", cid, err)
 				}
@@ -285,7 +291,11 @@ func (r *RepairResult) String() string {
 // recipe referencing it is reported in LostBackups.
 //
 // Repair is deliberately container-granular: one bad chunk condemns its
-// container, the unit of placement and of durability in this store.
+// container, the unit of placement and of durability in this store. Only a
+// read that proves damage condemns (ErrCorrupt, or fs.ErrNotExist: the file is
+// gone); any other read error stops the pass, nothing quarantined. A failed
+// quarantine returns with the containers quarantined before it and their
+// lost backups.
 func Repair(ctx context.Context, store *container.Store, drop IndexDropper, recipes []*chunk.Recipe, verifyData bool) (*RepairResult, error) {
 	if verifyData && !store.StoresData() {
 		return nil, fmt.Errorf("fsck: verifyData requires a data-storing backend")
@@ -323,36 +333,38 @@ func Repair(ctx context.Context, store *container.Store, drop IndexDropper, reci
 			continue
 		}
 		bad, err := hashSection(ctx, store, cid, &h)
-		if err != nil {
+		switch {
+		case errors.Is(err, blockstore.ErrCorrupt) || errors.Is(err, fs.ErrNotExist):
 			condemn(cid, fmt.Sprintf("data section unreadable: %v", err))
-		} else if len(bad) > 0 {
+		case err != nil:
+			return nil, fmt.Errorf("fsck: reading container %d: %w", cid, err)
+		case len(bad) > 0:
 			condemn(cid, fmt.Sprintf("entry %d: content hash mismatch", bad[0]))
 		}
 	}
 
-	for cid := range res.Reasons {
-		res.Quarantined = append(res.Quarantined, cid)
-	}
-	sort.Slice(res.Quarantined, func(i, j int) bool { return res.Quarantined[i] < res.Quarantined[j] })
-
 	// Purge derived index state while the container's metadata is still
 	// readable, then quarantine.
-	for _, cid := range res.Quarantined {
+	var err error
+	for _, cid := range slices.Sorted(maps.Keys(res.Reasons)) {
 		if drop != nil {
 			res.IndexDropped += drop.DropFromIndex(cid)
 		}
-		if err := store.Quarantine(ctx, cid, res.Reasons[cid]); err != nil {
-			return res, fmt.Errorf("fsck: quarantining container %d: %w", cid, err)
+		if err = store.Quarantine(ctx, cid, res.Reasons[cid]); err != nil {
+			err = fmt.Errorf("fsck: quarantining container %d: %w", cid, err)
+			break
 		}
+		res.Quarantined = append(res.Quarantined, cid)
 	}
+	gone := make(map[uint32]bool, len(res.Quarantined))
+	for _, cid := range res.Quarantined {
+		gone[cid] = true
+	}
+	maps.DeleteFunc(res.Reasons, func(cid uint32, _ string) bool { return !gone[cid] })
 
 	// Report every retained backup whose recipe crosses a quarantined
 	// container: those streams are no longer fully restorable.
 	if len(res.Quarantined) > 0 {
-		gone := make(map[uint32]bool, len(res.Quarantined))
-		for _, cid := range res.Quarantined {
-			gone[cid] = true
-		}
 		for _, rec := range recipes {
 			for i := range rec.Refs {
 				if gone[rec.Refs[i].Loc.Container] {
@@ -362,5 +374,5 @@ func Repair(ctx context.Context, store *container.Store, drop IndexDropper, reci
 			}
 		}
 	}
-	return res, nil
+	return res, err
 }

@@ -638,14 +638,18 @@ func verifyParam(r *http.Request) bool {
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	verify := verifyParam(r)
 	s.admin(w, func() (any, error) {
-		return s.store.Check(context.Background(), verify)
+		ctx, cancel := s.joinContext(r.Context())
+		defer cancel()
+		return s.store.Check(ctx, verify)
 	})
 }
 
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	verify := verifyParam(r)
 	s.admin(w, func() (any, error) {
-		return s.store.Repair(context.Background(), verify)
+		ctx, cancel := s.joinContext(r.Context())
+		defer cancel()
+		return s.store.Repair(ctx, verify)
 	})
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -507,4 +508,87 @@ func TestRestoreModeSelectsThePolicy(t *testing.T) {
 	if _, err := restoreOptions(r, false); err == nil {
 		t.Error("an unknown mode was accepted")
 	}
+}
+
+// blockingReads holds every data read, once armed, until its context ends or
+// release closes, and says on reading when one begins.
+type blockingReads struct {
+	blockstore.Backend
+	armed   atomic.Bool
+	reading chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingReads) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
+	if b.armed.Load() {
+		select {
+		case b.reading <- struct{}{}:
+		default:
+		}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-b.release:
+		}
+	}
+	return b.Backend.ReadDataRange(ctx, ids)
+}
+
+// TestCheckStopsWithItsRequest: a verifying /v1/check reads every container,
+// and neither a client that goes away nor a drain may leave it reading. Over
+// a backend whose reads block until their context ends, cancelling the
+// request ends the check, and so does Shutdown for a second one.
+func TestCheckStopsWithItsRequest(t *testing.T) {
+	be := &blockingReads{reading: make(chan struct{}, 1), release: make(chan struct{})}
+	store, srv, ts := newTestServer(t, repro.Options{Engine: repro.DeFrag, Alpha: 0.1, StoreData: true,
+		WrapBackend: func(inner blockstore.Backend) blockstore.Backend {
+			be.Backend = inner
+			return be
+		}}, Config{})
+	t.Cleanup(func() { close(be.release) })
+	if _, err := store.Backup(context.Background(), "g0", bytes.NewReader(tenantStreams(t, 3, 1)[0])); err != nil {
+		t.Fatal(err)
+	}
+	be.armed.Store(true)
+
+	check := func(ctx context.Context) chan error {
+		done := make(chan error, 1)
+		go func() {
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/check?verify=1", nil)
+			if err == nil {
+				var resp *http.Response
+				if resp, err = http.DefaultClient.Do(req); err == nil {
+					resp.Body.Close() //nolint:errcheck // status only
+				}
+			}
+			done <- err
+		}()
+		return done
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	gone := check(ctx)
+	<-be.reading
+	cancel()
+	<-gone
+	// The handler is done once a drain finds nothing in flight: with the
+	// check still reading, Shutdown would wait out its deadline.
+	drained := func(what string) {
+		t.Helper()
+		dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer dcancel()
+		if err := srv.Shutdown(dctx); err != nil {
+			t.Fatalf("%s: the check is still reading: %v", what, err)
+		}
+	}
+	drained("after the client went away")
+
+	// A drained server refuses new requests, so the drain case runs on a
+	// second server over the same store.
+	srv = New(Config{Store: store})
+	ts = httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	inflight := check(context.Background())
+	<-be.reading
+	drained("under a drain")
+	<-inflight
 }

@@ -15,11 +15,18 @@
 # and the crash points, the dedupd flag that armed them and the test-only
 # StreamResolver.Resolve (43 lines) went. The multi-buffer SHA-256 kernel's
 # assembly is reported on its own line below and has no ceiling.
+#
+# Lowered by 274 lines, 19,735 to 19,461, and by three flags, 80 to 77, when
+# the fault injector and its retry layer left the product (Fault, Retry,
+# FaultOptions, dedupsim -faults.*; tests make their own faults). That is net
+# of what the same change added: a backup is no longer acknowledged over a
+# container whose seal failed (container.Store.AwaitSealed, OnLost), and
+# Repair condemns only on a read that proves damage.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-max_flags=80
-max_lines=19735
+max_flags=77
+max_lines=19461
 
 flags=$(grep -rhoE --include='*.go' --exclude='*_test.go' \
   '\bflag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|Text|Var)(Var)?\(' cmd | wc -l)

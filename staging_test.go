@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 
 	"repro/internal/blockstore"
@@ -118,24 +119,58 @@ func TestStagingShowsWrappersTheSameSeals(t *testing.T) {
 	}
 }
 
+// sealFaults is a WrapBackend wrapper that makes a disk's faults at seal. The
+// seals it is handed are counted from 1; fail(n) makes the n-th fail before it
+// reaches the backend below (an EIO), tear(n) acknowledges it with half its
+// section written (a lying disk, found out later as ErrCorrupt). A nil func
+// makes no such fault. Quarantine passes through, so Repair runs over it.
+type sealFaults struct {
+	blockstore.Backend
+	fail, tear func(n int) bool
+	mu         sync.Mutex
+	n          int
+}
+
+func (w *sealFaults) Seal(ctx context.Context, info blockstore.ContainerInfo, data []byte) error {
+	w.mu.Lock()
+	w.n++
+	n := w.n
+	w.mu.Unlock()
+	switch {
+	case w.fail != nil && w.fail(n):
+		return syscall.EIO
+	case w.tear != nil && w.tear(n):
+		data = data[:len(data)/2]
+	}
+	return w.Backend.Seal(ctx, info, data)
+}
+
+func (w *sealFaults) Quarantine(ctx context.Context, id uint32, reason string) error {
+	return w.Backend.(blockstore.Quarantiner).Quarantine(ctx, id, reason)
+}
+
 // TestFaultsOverStagedStreams: four concurrent streams onto the file backend
-// through the fault injector, which fails seals before they reach the file
-// (the staged prefix waits for the retry) and hands the file half a section
-// (the staged prefix is longer than the data). Every backup that was
-// acknowledged restores bit-identical, or Repair names exactly the containers
-// whose files are short and the backups that needed them. Run under -race in CI.
+// through a wrapper that fails some seals before they reach the file (the
+// staged prefix is never used) and hands the file half a section for others
+// (the staged prefix is longer than the data). A backup that needed a failed
+// seal fails and leaves no temp file; every backup that was acknowledged
+// restores bit-identical, or Repair names exactly the containers whose files
+// are short and the backups that needed them. Run under -race in CI.
 func TestFaultsOverStagedStreams(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	s, err := Open(Options{Engine: DeFrag, Alpha: 0.1, StoreData: true, ExpectedBytes: 128 << 20,
 		Backend: FileBackend, Dir: dir,
-		Faults: FaultOptions{Seed: 5, TransientRate: 0.25, TornRate: 0.2}})
+		WrapBackend: func(be blockstore.Backend) blockstore.Backend {
+			return &sealFaults{Backend: be, fail: func(n int) bool { return n%7 == 3 }, tear: func(n int) bool { return n%5 == 0 }}
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close() //nolint:errcheck // test teardown
 	staged0 := stagedSeals()
 	want := map[string][]byte{}
+	failed := 0
 	for round := 0; round < 2; round++ {
 		var inputs []StreamInput
 		for k := 0; k < 4; k++ {
@@ -147,12 +182,13 @@ func TestFaultsOverStagedStreams(t *testing.T) {
 			inputs = append(inputs, StreamInput{Label: label, Stream: bytes.NewReader(data)})
 		}
 		backups, _, err := s.BackupStreams(ctx, inputs, 4)
-		if err != nil {
-			t.Fatalf("round %d: %v (retries should absorb every transient fault)", round, err)
+		if (err == nil) != (len(backups) == 4) {
+			t.Fatalf("round %d: %d of 4 streams acknowledged, error %v", round, len(backups), err)
 		}
-		if len(backups) != 4 {
-			t.Fatalf("round %d: %d of 4 streams acknowledged", round, len(backups))
-		}
+		failed += 4 - len(backups)
+	}
+	if failed == 0 || failed == 8 {
+		t.Fatalf("%d of 8 backups failed: the failed seals test nothing", failed)
 	}
 	if left := tempsUnder(t, dir); len(left) != 0 {
 		t.Fatalf("temp files left after the streams returned: %v", left)
@@ -177,7 +213,7 @@ func TestFaultsOverStagedStreams(t *testing.T) {
 		}
 	}
 	if len(torn) == 0 || len(torn) == cs.NumContainers() {
-		t.Fatalf("%d of %d containers torn: the seed tests nothing", len(torn), cs.NumContainers())
+		t.Fatalf("%d of %d containers torn: the torn seals test nothing", len(torn), cs.NumContainers())
 	}
 	needsTorn := map[string]bool{}
 	for _, b := range s.Backups() {
