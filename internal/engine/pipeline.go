@@ -29,7 +29,6 @@ type hashJob struct {
 	n    int    // valid bytes; before the scan, the bytes carried in
 	ends []int  // end offset of each chunk within data
 	res  []chunk.Chunk
-	err  error // injected worker fault (hashFaultHook)
 
 	// Scratch for chunk.OfEach: each chunk's view of data, its fingerprint.
 	views [][]byte
@@ -56,7 +55,7 @@ func getHashJob(size int) *hashJob {
 	if len(j.data) != size {
 		j.data = make([]byte, size)
 	}
-	j.n, j.err = 0, nil
+	j.n = 0
 	return j
 }
 
@@ -64,11 +63,6 @@ func putHashJob(j *hashJob) {
 	hashJobsLive.Add(-1)
 	hashJobs.Put(j)
 }
-
-// hashFaultHook, when non-nil, is called for every chunk being fingerprinted
-// and lets tests inject a mid-batch failure. It must be set before a pipeline
-// starts and cleared after it finishes.
-var hashFaultHook func(chunk.Chunk) error
 
 // hashWorkers sizes Pipeline's hash pool; tests widen it past GOMAXPROCS.
 var hashWorkers = func() int { return runtime.GOMAXPROCS(0) }
@@ -90,11 +84,6 @@ func (j *hashJob) hash(keepData bool) {
 		c := chunk.Chunk{FP: j.fps[k], Size: uint32(len(d)), Data: d}
 		if !keepData {
 			c.Data = nil
-		}
-		if hashFaultHook != nil {
-			if j.err = hashFaultHook(c); j.err != nil {
-				break
-			}
 		}
 		out = append(out, c)
 	}
@@ -163,9 +152,6 @@ func (p *ingest) next() *hashJob {
 // completed segment to process.
 func (p *ingest) consume(j *hashJob) (err error) {
 	p.retired = append(p.retired, j)
-	if j.err != nil {
-		return j.err
-	}
 	bytes, chunks := p.logicalBytes, p.chunks
 	for _, c := range j.res {
 		p.cost.ChargeCPU(p.clock, int64(c.Size))

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -99,7 +98,7 @@ func failAfter(data []byte, n int, err error) io.Reader {
 
 // TestPipelineAbortPaths cuts a stream short in each way a backup can die —
 // the engine's process callback fails, the context is cancelled mid-stream,
-// a hash worker faults mid-batch, the reader fails — inline (GOMAXPROCS 1)
+// the reader fails — inline (GOMAXPROCS 1)
 // and fanned out across four hash workers (GOMAXPROCS 4).
 // Every time the cause must surface, what was processed before it must be an
 // in-order prefix of the full run, and the pipeline must leave nothing
@@ -138,17 +137,6 @@ func TestPipelineAbortPaths(t *testing.T) {
 				return nil
 			}
 		}},
-		{"hash fault", sentinel, func(r *run) {
-			var seen atomic.Int64
-			hashFaultHook = func(chunk.Chunk) error {
-				// Deep enough into the stream that several batches are in
-				// flight out of order when the fault hits.
-				if seen.Add(1) == 300 {
-					return sentinel
-				}
-				return nil
-			}
-		}},
 		{"read error", sentinel, func(r *run) { r.r = failAfter(data, 5<<20+123, sentinel) }},
 	}
 	for _, cause := range causes {
@@ -156,7 +144,6 @@ func TestPipelineAbortPaths(t *testing.T) {
 			for _, keepData := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/workers=%d/keep=%v", cause.name, workers, keepData), func(t *testing.T) {
 					setProcs(t, workers)
-					defer func() { hashFaultHook = nil }()
 					baseG, baseJobs := runtime.NumGoroutine(), hashJobsLive.Load()
 					r := &run{r: bytes.NewReader(data), process: func() error { return nil }}
 					r.ctx, r.cancel = context.WithCancel(context.Background())

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/chunk"
@@ -56,7 +57,8 @@ type StreamBackupper interface {
 //
 // The merged stats sum all byte/chunk/mechanism counters in input order;
 // Duration is the elapsed master-clock time of the whole call under either
-// mode. The first stream error aborts scheduling of unstarted streams and is
+// mode. With concurrency K, lane w runs streams w, w+K, … in turn; the first
+// stream error stops every lane before its next unstarted stream and is
 // returned (already-running streams drain first).
 func RunStreams(ctx context.Context, e Engine, streams []Stream, concurrency int) ([]StreamResult, BackupStats, error) {
 	results := make([]StreamResult, len(streams))
@@ -77,37 +79,27 @@ func RunStreams(ctx context.Context, e Engine, streams []Stream, concurrency int
 		}
 		var (
 			wg   sync.WaitGroup
-			mu   sync.Mutex
-			next int
-			fail bool
+			fail atomic.Bool
 		)
 		clocks := make([]disk.Clock, len(streams))
 		for w := 0; w < concurrency; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				// Each worker is one simulated lane: the streams it picks up
-				// run back-to-back on its timeline, so K workers over N
-				// streams model K parallel spindles of queued backups, not N.
+				// Lane w is one simulated spindle that runs streams w, w+K,
+				// w+2K, … back to back on its timeline, so K lanes over N
+				// streams model K parallel spindles of queued backups, not N,
+				// and which lane runs which stream does not depend on the
+				// host's scheduler.
 				lane := start
-				for {
-					mu.Lock()
-					if fail || next >= len(streams) {
-						mu.Unlock()
-						return
-					}
-					i := next
-					next++
-					mu.Unlock()
+				for i := w; i < len(streams) && !fail.Load(); i += concurrency {
 					s := streams[i]
 					clocks[i].Advance(lane)
 					recipe, stats, err := e.(StreamBackupper).BackupStream(ctx, s.Label, s.R, &clocks[i])
 					lane = clocks[i].Now()
 					results[i] = StreamResult{Recipe: recipe, Stats: stats, Err: err}
 					if err != nil {
-						mu.Lock()
-						fail = true
-						mu.Unlock()
+						fail.Store(true)
 					}
 				}
 			}()

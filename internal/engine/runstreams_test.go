@@ -2,10 +2,8 @@ package engine_test
 
 import (
 	"context"
-	"io"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -110,30 +108,6 @@ func TestRunStreamsSerialEquivalence(t *testing.T) {
 	}
 }
 
-// firstWave makes the first n streams wait, at their first Read, until all n
-// have been started. RunStreams hands streams to whichever lane is free, so
-// without this a lane that is scheduled early can finish its stream and take
-// a second before another lane has taken its first — and the simulated time
-// of the round would depend on the host's scheduler.
-func firstWave(streams []engine.Stream, n int) {
-	started := new(sync.WaitGroup)
-	started.Add(n)
-	for i := 0; i < n; i++ {
-		streams[i].R = &gatedReader{r: streams[i].R, started: started}
-	}
-}
-
-type gatedReader struct {
-	r       io.Reader
-	once    sync.Once
-	started *sync.WaitGroup
-}
-
-func (g *gatedReader) Read(p []byte) (int, error) {
-	g.once.Do(func() { g.started.Done(); g.started.Wait() })
-	return g.r.Read(p)
-}
-
 // TestRunStreamsLanesCostTheSlowest is the timing model's claim (and the
 // retired multi-stream scaling table's, EXPERIMENTS.md "Retired harnesses"):
 // K concurrent backups cost the slowest of K lanes, not the sum. The same two
@@ -156,7 +130,6 @@ func TestRunStreamsLanesCostTheSlowest(t *testing.T) {
 				var total engine.BackupStats
 				for round := 0; round < 2; round++ {
 					streams := streamSet(t, nstreams, round, 31)
-					firstWave(streams, level)
 					_, merged, err := engine.RunStreams(context.Background(), e, streams, level)
 					if err != nil {
 						t.Fatal(err)

@@ -62,10 +62,10 @@ func BenchmarkDecode(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				// Nothing retires: no section set.
-				as := &assembly{cfg: PipelineConfig{Verify: true}, w: io.Discard, stats: &Stats{}}
+				as := &assembly{cfg: PipelineConfig{Verify: true}, sink: func(int, []byte) error { return nil }, stats: &Stats{}}
 				as.startDecode(workers)
 				for k := range jobs {
-					if !as.push(k, &refs[k], jobs[k].data) {
+					if !as.push(k, &refs[k], jobs[k].data, nil) {
 						b.Fatal("pool failed early")
 					}
 				}

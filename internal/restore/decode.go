@@ -19,10 +19,11 @@ const decodeBatchSize = 64
 // decodeJob is one chunk awaiting verify/emit. data is a zero-copy view
 // into the fetched container section — never a private copy.
 type decodeJob struct {
-	idx  int // ref index, for error attribution
-	fp   chunk.Fingerprint
-	size uint32
-	data []byte
+	idx    int // ref index, for error attribution and the sink
+	fp     chunk.Fingerprint
+	size   uint32
+	data   []byte
+	charge []uint32 // the one-lane extent read to charge before data is written
 }
 
 // decodeBatch is the unit the decode pool carries: the assembler fills it in
@@ -60,9 +61,9 @@ func (as *assembly) startDecode(workers int) {
 // push appends one chunk to the current batch and submits the batch once it
 // is full. It reports false once the decode pool has failed: the assembler
 // stops producing and finishDecode surfaces the error.
-func (as *assembly) push(idx int, ref *chunk.Ref, piece []byte) bool {
+func (as *assembly) push(idx int, ref *chunk.Ref, piece []byte, charge []uint32) bool {
 	b := as.batch()
-	b.jobs = append(b.jobs, decodeJob{idx: idx, fp: ref.FP, size: ref.Size, data: piece})
+	b.jobs = append(b.jobs, decodeJob{idx: idx, fp: ref.FP, size: ref.Size, data: piece, charge: charge})
 	return len(b.jobs) < decodeBatchSize || as.submit()
 }
 
@@ -79,7 +80,9 @@ func (as *assembly) submit() bool {
 	b := as.cur
 	as.cur = nil
 	b.err, b.errIdx = nil, 0
-	telDecodeQueueDepth.Observe(float64(as.decode.Queued()))
+	if as.restore {
+		telDecodeQueueDepth.Observe(float64(as.decode.Queued()))
+	}
 	return as.decode.Submit(b)
 }
 
@@ -117,8 +120,9 @@ func (as *assembly) verify(b *decodeBatch) {
 	stageDecode.Observe(t0)
 }
 
-// emit is the decode pool's consumer: it writes b's chunks to the output and
-// counts them, up to b's first verify or write failure, then recycles b.
+// emit is the decode pool's consumer: it charges each one-lane extent read
+// just before the first chunk cut from it, hands b's chunks to the sink and
+// counts them, up to b's first verify or sink failure, then recycles b.
 func (as *assembly) emit(b *decodeBatch) (err error) {
 	var bytes, chunks int64
 	for k := range b.jobs {
@@ -127,9 +131,12 @@ func (as *assembly) emit(b *decodeBatch) (err error) {
 			break
 		}
 		j := &b.jobs[k]
-		if as.w != nil {
+		if j.charge != nil {
+			as.store.AccountDataRange(j.charge, as.clk)
+		}
+		if as.sink != nil {
 			t1 := time.Now()
-			_, err = as.w.Write(j.data)
+			err = as.sink(j.idx, j.data)
 			stageCopy.Observe(t1)
 			if err != nil {
 				break

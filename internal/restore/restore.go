@@ -10,7 +10,8 @@
 //
 // There is one restore loop, RunPipelined (pipeline.go): a recipe is compiled
 // into a fetch schedule under one of three policies — LRU, OPT, forward
-// assembly (plan.go) — and one executor runs it.
+// assembly (plan.go) — and one executor runs it. The maintenance merge copies
+// live chunks forward on the same executor (Emit).
 package restore
 
 import (

@@ -78,12 +78,13 @@ func (ss *sealedSections) verify(t *testing.T, after string) {
 // to both halves of the blockstore.Backend contract. Shared views: the sim
 // backend returns its sealed sections themselves, so a consumer that wrote
 // into what it fetched would corrupt the store. Lent buffers: the file
-// backend reads into a buffer the restore lends it, which only that restore
-// may see again while it runs — not a sibling restore, not fsck, maintenance
-// or export (holderSpy, with every restore call its own holder) — and of
-// which it reads only the ranges the restore named: every lent buffer is
-// poisoned first (loanSpy), so a restore that looked outside them fails its
-// verify, and the readers that lend nothing must still get whole sections.
+// backend reads into a buffer the restore executor lends it, which only that
+// restore or maintenance merge may see again while it runs — not a sibling
+// restore, not fsck, another merge or export (holderSpy, with every restore
+// call and every maintenance run its own holder) — and of which it reads only
+// the ranges the executor named: every lent buffer is poisoned first
+// (loanSpy), so a restore or merge that looked outside them fails its verify,
+// and the readers that lend nothing must still get whole sections.
 // Every restore shape, fsck, a maintenance epoch, compaction and export run
 // over one store of each kind; each sealed section must hash the same
 // afterwards. Run under -race it also shows the concurrent readers of one
@@ -190,12 +191,26 @@ func testBackendReadsAreReadOnly(t *testing.T, backend BackendKind) {
 		}
 	}
 	var merged int64
-	for i := 0; i < 2; i++ {
-		st, err := s.MaintenanceEpoch(ctx)
+	// maintenance runs one maintenance call as its own holder and returns the
+	// chunks it moved.
+	maintenance := func(name string, run func(context.Context) (int64, error)) int64 {
+		t.Helper()
+		ctx, done := ctx, func() {}
+		if spy != nil {
+			ctx, done = spy.hold(ctx, name)
+		}
+		moved, err := run(ctx)
+		done()
 		if err != nil {
 			t.Fatal(err)
 		}
-		merged += st.ChunksMoved
+		return moved
+	}
+	for i := 0; i < 2; i++ {
+		merged += maintenance(fmt.Sprintf("epoch %d", i), func(ctx context.Context) (int64, error) {
+			st, err := s.MaintenanceEpoch(ctx)
+			return st.ChunksMoved, err
+		})
 	}
 	ss.verify(t, "maintenance epochs")
 	ss.record(t)
@@ -203,12 +218,12 @@ func testBackendReadsAreReadOnly(t *testing.T, backend BackendKind) {
 	// One more generation leaves superseded copies for Compact to collect.
 	datas = append(datas, ingestGens(t, s, 92, 1)...)
 	ss.record(t)
-	cs, err := s.Compact(ctx, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("maintenance moved %d chunks, compaction %d", merged, cs.ChunksMoved)
-	if merged == 0 || cs.ChunksMoved == 0 {
+	compacted := maintenance("compaction", func(ctx context.Context) (int64, error) {
+		st, err := s.Compact(ctx, 0.95)
+		return st.ChunksMoved, err
+	})
+	t.Logf("maintenance moved %d chunks, compaction %d", merged, compacted)
+	if merged == 0 || compacted == 0 {
 		t.Fatal("maintenance or compaction read no victim section: nothing was tested")
 	}
 	ss.verify(t, "compaction")
