@@ -3,10 +3,11 @@
 // target size plus a hard minimum/maximum). It is fast and shift-tolerant, so
 // an insertion early in a file only disturbs chunk boundaries locally.
 //
-// The boundary search works over bytes in memory. A Scanner runs it over a
-// stream, cutting in place in the caller's buffers (the ingest pipeline's way
-// in); a Stream wraps a Scanner as a Chunker, whose Next returns one chunk at
-// a time until io.EOF.
+// The boundary search works over bytes in memory. A Cutter cuts one chunk at
+// a time out of a buffer its caller owns (the ingest pipeline cuts its windows
+// with one), and says whether a point could end a chunk at all, from the Key
+// of the bytes before it; a Stream is the Chunker over a reader, whose Next
+// returns one chunk at a time until io.EOF.
 package chunker
 
 import (
@@ -59,107 +60,75 @@ func (p Params) Validate() error {
 // stuck, as bufio does.
 const maxEmptyReads = 100
 
-// Scanner cuts a stream into chunks inside buffers its caller owns: bytes go
-// from the reader to where they are hashed with no window of the chunker's in
-// between. The ingest pipeline scans straight into its pooled hash-job
-// buffers; Stream is the same over one buffer of its own.
-type Scanner struct {
-	r   io.Reader
-	g   *gear
-	err error // how the stream ended: io.EOF or the read failure; nil until then
-}
-
-// NewScanner returns a scanner over r. Params must validate.
-func NewScanner(r io.Reader, p Params) (*Scanner, error) {
-	g, err := newGear(p)
-	if err != nil {
-		return nil, err
-	}
-	return &Scanner{r: r, g: g}, nil
-}
-
-// MaxChunk is the longest chunk the scanner cuts, and the least buffer Scan
-// accepts.
-func (s *Scanner) MaxChunk() int { return s.g.p.Max }
-
-// Err reports how the stream ended: nil while it has not, io.EOF after a
-// clean end, else the read failure (io.ErrNoProgress for a reader that keeps
-// returning no bytes and no error).
-func (s *Scanner) Err() error { return s.err }
-
-// Scan reads the stream into buf[n:], the caller having put the bytes left
-// over from its last call at buf[:n], and cuts every chunk whose end is
-// certain: it appends their exclusive end offsets to ends and returns the
-// count of valid bytes with it. What lies past the last end is shorter than
-// MaxChunk and opens the caller's next buffer, unless the stream has ended
-// (Err is then non-nil): a stream that ends, cleanly or not, has all of its
-// bytes cut first. No end appended means the stream is over and empty.
-// len(buf) must be at least MaxChunk.
-func (s *Scanner) Scan(buf []byte, n int, ends []int) (int, []int) {
-	for empty := 0; n < len(buf) && s.err == nil; {
-		m, err := s.r.Read(buf[n:])
+// Fill reads r into buf until buf is full or the stream ends. It returns the
+// bytes read and nil when buf is full, else how the stream ended: io.EOF after
+// a clean end, the read failure, or io.ErrNoProgress for a reader that keeps
+// returning no bytes and no error.
+func Fill(r io.Reader, buf []byte) (int, error) {
+	n := 0
+	for empty := 0; n < len(buf); {
+		m, err := r.Read(buf[n:])
 		n += m
 		switch {
 		case err != nil:
-			s.err = err
+			return n, err
 		case m > 0:
 			empty = 0
 		default:
 			if empty++; empty == maxEmptyReads {
-				s.err = io.ErrNoProgress
+				return n, io.ErrNoProgress
 			}
 		}
 	}
-	need := s.MaxChunk()
-	if s.err != nil {
-		need = 1
-	}
-	for pos := 0; n-pos >= need; {
-		pos += s.g.cut(buf[pos:n])
-		ends = append(ends, pos)
-	}
-	return n, ends
+	return n, nil
 }
 
-// Stream adapts a Scanner to the Chunker interface over a window of its own,
-// for callers that want one chunk at a time.
+// Stream is the Chunker over a reader: it cuts in place inside a window of
+// its own, and only the tail past the last certain boundary (shorter than the
+// longest chunk) is copied to the front before the window is filled again. A
+// stream that ends, cleanly or not, has all of its bytes cut first.
 type Stream struct {
-	s    *Scanner
-	buf  []byte
-	n    int   // valid bytes in buf
-	ends []int // chunks cut by the last Scan
-	next int   // index into ends of the chunk Next returns
+	r     io.Reader
+	c     *Cutter
+	err   error  // how the stream ended: io.EOF or the read failure; nil until then
+	buf   []byte // the window
+	start int    // buf[start:n] is read and not yet handed out
+	n     int
 }
 
-// streamWindow sizes a Stream's buffer in longest chunks: the tail carried
-// from one Scan to the next is just under one of them.
+// streamWindow sizes a Stream's window in longest chunks: the tail carried
+// from one fill to the next is just under one of them.
 const streamWindow = 4
 
 // NewGear returns a chunker over r. Params must validate.
 func NewGear(r io.Reader, p Params) (*Stream, error) {
-	s, err := NewScanner(r, p)
+	return newStream(r, p, streamWindow*p.Max)
+}
+
+// newStream returns a Stream whose window holds size bytes, at least p.Max.
+func newStream(r io.Reader, p Params, size int) (*Stream, error) {
+	c, err := NewCutter(p)
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{s: s, buf: make([]byte, streamWindow*s.MaxChunk())}, nil
+	return &Stream{r: r, c: c, buf: make([]byte, size)}, nil
 }
 
 // Next returns the next chunk or io.EOF. A read failure is returned once the
 // bytes read before it have been handed out.
-func (c *Stream) Next() ([]byte, error) {
-	start := 0
-	if c.next > 0 {
-		start = c.ends[c.next-1]
+func (s *Stream) Next() ([]byte, error) {
+	if s.n-s.start < s.c.p.Max && s.err == nil {
+		s.n = copy(s.buf, s.buf[s.start:s.n])
+		s.start = 0
+		m, err := Fill(s.r, s.buf[s.n:])
+		s.n += m
+		s.err = err
 	}
-	if c.next == len(c.ends) {
-		c.n = copy(c.buf, c.buf[start:c.n])
-		c.n, c.ends = c.s.Scan(c.buf, c.n, c.ends[:0])
-		start, c.next = 0, 0
-		if len(c.ends) == 0 {
-			return nil, c.s.Err()
-		}
+	if s.start == s.n {
+		return nil, s.err
 	}
-	end := c.ends[c.next]
-	c.next++
-	return c.buf[start:end], nil
+	end := s.start + s.c.Cut(s.buf[s.start:s.n])
+	chunk := s.buf[s.start:end]
+	s.start = end
+	return chunk, nil
 }

@@ -23,7 +23,7 @@ var gearTable = func() [256]uint64 {
 // falls (the localized-boundary property the tests pin).
 const warmWindow = 64
 
-// gear is a FastCDC-style content-defined chunker: a gear hash
+// Cutter is a FastCDC-style content-defined chunker: a gear hash
 // (h = h<<1 + table[byte]) with normalized chunking — a stricter boundary
 // mask before the target size and a looser one after, which tightens the
 // chunk-size distribution around Target without sacrificing shift tolerance.
@@ -32,18 +32,19 @@ const warmWindow = 64
 // skip-ahead, per-phase sub-slicing, an 8-way unroll free of bounds checks);
 // cutpointRef in gear_ref.go keeps the straight-line reference the property
 // tests compare it against byte for byte.
-type gear struct {
+type Cutter struct {
 	p          Params
 	maskStrict uint64 // used before Target: ~4x fewer boundaries
 	maskLoose  uint64 // used after Target: ~4x more boundaries
 }
 
-func newGear(p Params) (*gear, error) {
+// NewCutter returns the cutter of p, which must validate.
+func NewCutter(p Params) (*Cutter, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	strictBits, looseBits := normalizedBits(p.Target)
-	return &gear{p: p, maskStrict: maskForBits(strictBits), maskLoose: maskForBits(looseBits)}, nil
+	return &Cutter{p: p, maskStrict: maskForBits(strictBits), maskLoose: maskForBits(looseBits)}, nil
 }
 
 // normalizedBits derives the two FastCDC normalization mask widths from the
@@ -68,12 +69,19 @@ func maskForBits(bits uint) uint64 {
 	return (uint64(1)<<bits - 1) << (64 - bits)
 }
 
-// cut returns the length of the first chunk of data: at least 1 and at most
+// Cut returns the length of the first chunk of data: at least 1 and at most
 // p.Max. The caller passes either p.Max or more bytes, of which only the first
 // p.Max are looked at, or all that is left of the stream; never none. It is
 // the hot loop of the ingest path; boundaries are pinned bit-identical to
 // cutpointRef by TestGearCutpointMatchesReference and the golden fixture.
-func (g *gear) cut(data []byte) int {
+//
+// A chunk other than a stream's last depends on its own bytes alone: Cut
+// returns the first point past Min where the hash of the warmWindow bytes
+// before it meets the mask, or Max, and looks at no byte past that point.
+// So bytes equal to a chunk once cut with Max bytes in view are cut to the
+// same length again wherever they recur, which is what lets ingest skip the
+// search for a chunk it has seen before (see engine.Pipeline).
+func (g *Cutter) Cut(data []byte) int {
 	if len(data) <= g.p.Min {
 		return len(data)
 	}
@@ -106,6 +114,39 @@ func (g *gear) cut(data []byte) int {
 		return n
 	}
 	return cut
+}
+
+// KeyLen is how many bytes before a point its Key hashes: the gear hash's
+// window.
+const KeyLen = warmWindow
+
+// Key returns the gear hash of the KeyLen bytes of data before at (of all of
+// them when there are fewer). At the end of a chunk of KeyLen bytes or more
+// it is the hash Cut tested there.
+func Key(data []byte, at int) uint64 {
+	var h uint64
+	for _, b := range data[max(at-KeyLen, 0):at] {
+		h = h<<1 + gearTable[b]
+	}
+	return h
+}
+
+// Ends reports whether Cut could end a chunk of n bytes, other than a
+// stream's last, at a point whose Key is key: n is Max, or past Min and the
+// key meets the mask of n's phase. For a chunk shorter than KeyLen bytes the
+// key also covers bytes before it, which Cut did not hash, and the answer is
+// a guess.
+func (g *Cutter) Ends(key uint64, n int) bool {
+	switch {
+	case n == g.p.Max:
+		return true
+	case n <= g.p.Min || n > g.p.Max:
+		return false
+	case n <= g.p.Target:
+		return key&g.maskStrict == 0
+	default:
+		return key&g.maskLoose == 0
+	}
 }
 
 // scanMask rolls the gear hash h over d[i:], returning the first position

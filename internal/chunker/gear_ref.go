@@ -37,7 +37,7 @@ func cutpointRef(data []byte, p Params, maskStrict, maskLoose uint64) int {
 }
 
 // boundariesRef chunks data entirely in memory with cutpointRef, mirroring
-// the Scanner's windowing exactly (Max-capped window, Min-or-less tail taken
+// Stream's windowing exactly (Max-capped window, Min-or-less tail taken
 // whole). It returns the exclusive end offset of every chunk.
 func boundariesRef(data []byte, p Params) []int {
 	strictBits, looseBits := normalizedBits(p.Target)

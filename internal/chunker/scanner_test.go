@@ -15,59 +15,44 @@ import (
 // or read size is involved.
 func cutAll(t testing.TB, p Params, data []byte) []int {
 	t.Helper()
-	s, err := NewScanner(nil, p)
+	c, err := NewCutter(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ends []int
 	for pos := 0; pos < len(data); {
-		pos += s.g.cut(data[pos:])
+		pos += c.Cut(data[pos:])
 		ends = append(ends, pos)
 	}
 	return ends
 }
 
-// scanInPlace drives a Scanner the way the ingest pipeline does: buffers of
-// bufSize bytes, the tail past the last boundary carried into the next one.
-// It returns every chunk's end offset in the stream, the bytes it saw, and
-// how the stream ended.
+// scanInPlace drives a Stream whose window holds bufSize bytes: the tail past
+// the last boundary is carried to the front of it each time it is filled
+// again. It returns every chunk's end offset in the stream, the bytes it saw,
+// and how the stream ended.
 func scanInPlace(t testing.TB, p Params, r io.Reader, bufSize int) (ends []int, seen []byte, err error) {
 	t.Helper()
-	s, serr := NewScanner(r, p)
+	s, serr := newStream(r, p, bufSize)
 	if serr != nil {
 		t.Fatal(serr)
 	}
-	buf, next := make([]byte, bufSize), make([]byte, bufSize)
-	base, n := 0, 0
-	var cuts []int
 	for rounds := 0; ; rounds++ {
 		if rounds > 1<<20 {
-			t.Fatal("scanner makes no progress")
+			t.Fatal("stream makes no progress")
 		}
-		n, cuts = s.Scan(buf, n, cuts[:0])
-		if len(cuts) == 0 {
-			if s.Err() == nil {
-				t.Fatal("no chunk cut and the stream has not ended")
+		ch, err := s.Next()
+		if err != nil {
+			if s.start != s.n {
+				t.Fatalf("stream ended with %d bytes left uncut", s.n-s.start)
 			}
-			if n != 0 {
-				t.Fatalf("stream ended with %d bytes left uncut", n)
-			}
-			return ends, seen, s.Err()
+			return ends, seen, err
 		}
-		last := cuts[len(cuts)-1]
-		for _, c := range cuts {
-			ends = append(ends, base+c)
+		if len(ch) == 0 {
+			t.Fatal("empty chunk before the end of the stream")
 		}
-		seen = append(seen, buf[:last]...)
-		if s.Err() == nil && n-last >= s.MaxChunk() {
-			t.Fatalf("tail of %d bytes is not shorter than the longest chunk", n-last)
-		}
-		if s.Err() != nil && last != n {
-			t.Fatalf("stream ended but %d bytes were left uncut", n-last)
-		}
-		base += last
-		n = copy(next, buf[last:n])
-		buf, next = next, buf
+		seen = append(seen, ch...)
+		ends = append(ends, len(seen))
 	}
 }
 
@@ -98,8 +83,8 @@ func equalEnds(t *testing.T, what string, got, want []int) {
 }
 
 // TestCutInPlaceMatchesReference: whatever the read sizes and however often
-// a buffer rolls over, the in-place scanner and the Next adapter cut exactly
-// where the in-memory oracle and the straight-line boundariesRef do.
+// a window rolls over, Stream cuts exactly where the in-memory oracle and the
+// straight-line boundariesRef do.
 func TestCutInPlaceMatchesReference(t *testing.T) {
 	p := Params{Min: 64, Target: 256, Max: 1024}
 	data := randBytes(t, 96<<10, 21)
@@ -122,8 +107,8 @@ func TestCutInPlaceMatchesReference(t *testing.T) {
 			want := cutAll(t, p, data)
 			equalEnds(t, sname+": oracle against boundariesRef", want, boundariesRef(data, p))
 			for rname, mk := range readers {
-				// The smallest buffer Scan accepts, one that fits a few
-				// chunks, and one that takes the stream whole.
+				// The smallest window, one that fits a few chunks, and one
+				// that takes the stream whole.
 				for _, bufSize := range []int{p.Max, 3*p.Max + 17, len(data) + p.Max} {
 					what := fmt.Sprintf("%s/%s/buf=%d", sname, rname, bufSize)
 					got, seen, err := scanInPlace(t, p, mk(data), bufSize)
@@ -195,8 +180,8 @@ func TestStuckReaderReturnsNoProgress(t *testing.T) {
 }
 
 // TestReadErrorAfterBufferedBytes: a read failure surfaces only once the
-// bytes read before it have been cut, through Next and through Scan, and an
-// empty read in between is not an error.
+// bytes read before it have been cut, from the default window and from a
+// small one, and an empty read in between is not an error.
 func TestReadErrorAfterBufferedBytes(t *testing.T) {
 	p := Params{Min: 64, Target: 256, Max: 1024}
 	data := randBytes(t, 10<<10, 9)
@@ -233,8 +218,8 @@ func TestReadErrorAfterBufferedBytes(t *testing.T) {
 	})
 }
 
-// FuzzCutInPlace: for any bytes, buffer size and read pattern the in-place
-// scanner cuts where the in-memory oracle does.
+// FuzzCutInPlace: for any bytes, window size and read pattern Stream cuts
+// where the in-memory oracle does.
 func FuzzCutInPlace(f *testing.F) {
 	// Small seeds and small chunks: the fuzzer minimizes every input that
 	// reaches new code, one run per byte it tries to drop.

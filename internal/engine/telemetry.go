@@ -3,12 +3,13 @@ package engine
 import "repro/internal/telemetry"
 
 // Per-stage wall clocks of the shared ingest pipeline (the always-on layer;
-// see telemetry/stage.go). "chunk" is CDC boundary detection, "hash" is
-// SHA-256 fingerprinting (plus the chunk-copy it amortizes), "lookup" is
-// duplicate identification through the resolver (including resolver-mutex
-// wait, so multi-stream serialization on the shared index shows up here).
+// see telemetry/stage.go). "read" is the producer filling windows from the
+// stream, "hash" a worker cutting a window (CDC search and hint jumps) and
+// fingerprinting its chunks, "lookup" is duplicate identification through the
+// resolver (including resolver-mutex wait, so multi-stream serialization on
+// the shared index shows up here).
 var (
-	stageChunk  = telemetry.Stage("chunk")
+	stageRead   = telemetry.Stage("read")
 	stageHash   = telemetry.Stage("hash")
 	stageLookup = telemetry.Stage("lookup")
 )
@@ -26,6 +27,12 @@ var (
 		"content-defined segments formed by the backup pipeline")
 	telChunkSize = telemetry.NewHistogram("dedup_chunk_size_bytes",
 		"CDC chunk size distribution", telemetry.SizeBuckets)
+	telHintedChunks = telemetry.NewCounter("dedup_ingest_hinted_chunks_total",
+		"chunks placed by a hint (the chunk that followed the same key in an earlier stream) instead of the gear search")
+	telHintsRefuted = telemetry.NewCounter("dedup_ingest_hints_refuted_total",
+		"hints whose chunk fingerprint differed, so the chunk was cut again by search")
+	telWindowRepairs = telemetry.NewCounter("dedup_ingest_window_repairs_total",
+		"ingest windows whose worker-cut chain missed the previous window's last cut, re-cut from it by search")
 
 	telResolverCacheHits = telemetry.NewCounter("dedup_resolver_cache_hits_total",
 		"duplicate chunks resolved from RAM (locality-preserved cache or current-location table)")

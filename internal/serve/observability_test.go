@@ -142,7 +142,7 @@ func TestStatsStagesAndSLO(t *testing.T) {
 	if err := json.NewDecoder(sresp.Body).Decode(&sv); err != nil {
 		t.Fatal(err)
 	}
-	for _, stage := range []string{"chunk", "hash", "lookup"} {
+	for _, stage := range []string{"read", "hash", "lookup"} {
 		if sv.Stages[stage] <= 0 {
 			t.Errorf("stage %q = %d ns after an ingest, want > 0 (stages: %v)", stage, sv.Stages[stage], sv.Stages)
 		}
@@ -173,7 +173,7 @@ func TestStatsStagesAndSLO(t *testing.T) {
 	buf.ReadFrom(mresp.Body) //nolint:errcheck // test read
 	body := buf.String()
 	for _, want := range []string{
-		"pipeline_stage_ns_total{stage=\"chunk\"}",
+		"pipeline_stage_ns_total{stage=\"read\"}",
 		"slo_requests_total{tenant=\"acme\"}",
 		"slo_error_budget_burn_rate{tenant=\"acme\"}",
 		"go_goroutines",
