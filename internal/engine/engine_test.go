@@ -90,7 +90,7 @@ func TestPipelineConservation(t *testing.T) {
 	var segBytes int64
 	logical, chunks, segs, err := Pipeline(context.Background(),
 		bytes.NewReader(data), chunker.DefaultParams(),
-		segment.DefaultParams(), &clk, DefaultCostModel(), false,
+		segment.DefaultParams(), &clk, DefaultCostModel(), false, NewHints(),
 		func(s *segment.Segment) error {
 			segBytes += s.Bytes
 			for _, c := range s.Chunks {
@@ -122,7 +122,7 @@ func TestPipelineKeepData(t *testing.T) {
 	var rebuilt []byte
 	_, _, _, err := Pipeline(context.Background(),
 		bytes.NewReader(data), chunker.DefaultParams(),
-		segment.DefaultParams(), &clk, DefaultCostModel(), true,
+		segment.DefaultParams(), &clk, DefaultCostModel(), true, NewHints(),
 		func(s *segment.Segment) error {
 			for _, c := range s.Chunks {
 				if c.Data == nil {
@@ -151,7 +151,7 @@ func TestPipelineErrorPropagation(t *testing.T) {
 	var clk disk.Clock
 	_, _, _, err := Pipeline(context.Background(),
 		failReader{io.ErrClosedPipe}, chunker.DefaultParams(),
-		segment.DefaultParams(), &clk, DefaultCostModel(), false,
+		segment.DefaultParams(), &clk, DefaultCostModel(), false, NewHints(),
 		func(*segment.Segment) error { return nil })
 	if err != io.ErrClosedPipe {
 		t.Fatalf("err = %v, want ErrClosedPipe", err)
@@ -163,7 +163,7 @@ func TestPipelineProcessError(t *testing.T) {
 	sentinel := io.ErrShortWrite
 	_, _, _, err := Pipeline(context.Background(),
 		bytes.NewReader(randBytes(2<<20, 3)), chunker.DefaultParams(),
-		segment.DefaultParams(), &clk, DefaultCostModel(), false,
+		segment.DefaultParams(), &clk, DefaultCostModel(), false, NewHints(),
 		func(*segment.Segment) error { return sentinel })
 	if err != sentinel {
 		t.Fatalf("err = %v, want sentinel", err)
@@ -173,12 +173,12 @@ func TestPipelineProcessError(t *testing.T) {
 func TestPipelineBadParams(t *testing.T) {
 	var clk disk.Clock
 	if _, _, _, err := Pipeline(context.Background(), bytes.NewReader(nil),
-		chunker.Params{}, segment.DefaultParams(), &clk, DefaultCostModel(), false,
+		chunker.Params{}, segment.DefaultParams(), &clk, DefaultCostModel(), false, NewHints(),
 		func(*segment.Segment) error { return nil }); err == nil {
 		t.Fatal("bad chunk params must error")
 	}
 	if _, _, _, err := Pipeline(context.Background(), bytes.NewReader(nil),
-		chunker.DefaultParams(), segment.Params{}, &clk, DefaultCostModel(), false,
+		chunker.DefaultParams(), segment.Params{}, &clk, DefaultCostModel(), false, NewHints(),
 		func(*segment.Segment) error { return nil }); err == nil {
 		t.Fatal("bad segment params must error")
 	}

@@ -45,8 +45,13 @@ func (tr *pipelineTrace) observe(t *testing.T, keepData bool) func(*segment.Segm
 	}
 }
 
+// traceHints is the hint table every tracePipeline reads and teaches, as a
+// Store's backups share theirs: after the first run over a stream, the runs
+// that follow jump over its chunks.
+var traceHints = NewHints()
+
 // tracePipeline runs Pipeline over data with a pool of workers hash
-// goroutines (inline at one), at the current GOMAXPROCS.
+// goroutines (inline at one), at the current GOMAXPROCS, on traceHints.
 func tracePipeline(t *testing.T, data []byte, workers int, keepData bool) *pipelineTrace {
 	t.Helper()
 	prev := hashWorkers
@@ -56,7 +61,7 @@ func tracePipeline(t *testing.T, data []byte, workers int, keepData bool) *pipel
 	var err error
 	tr.logical, tr.chunks, tr.segments, err = Pipeline(context.Background(),
 		bytes.NewReader(data), chunker.DefaultParams(),
-		segment.DefaultParams(), &tr.clock, DefaultCostModel(), keepData, tr.observe(t, keepData))
+		segment.DefaultParams(), &tr.clock, DefaultCostModel(), keepData, traceHints, tr.observe(t, keepData))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +171,11 @@ func TestPipelineMatchesReference(t *testing.T) {
 }
 
 func BenchmarkPipelineSerial(b *testing.B) {
-	benchPipeline(b, 1, false)
+	benchPipeline(b, 1, false, randBytes(16<<20, 7))
 }
 
 func BenchmarkPipelineParallel4(b *testing.B) {
-	benchPipeline(b, 4, false)
+	benchPipeline(b, 4, false, randBytes(16<<20, 7))
 }
 
 // BenchmarkPipelineIngest is the full data-carrying ingest front half
@@ -178,16 +183,27 @@ func BenchmarkPipelineParallel4(b *testing.B) {
 // the number the wall-clock scaling work optimizes; b.SetBytes reports it as
 // MB/s.
 func BenchmarkPipelineIngest(b *testing.B) {
-	benchPipeline(b, 0, true)
+	benchPipeline(b, 0, true, randBytes(16<<20, 7))
 }
 
-// benchPipeline runs the pipeline at GOMAXPROCS procs, or at the host's when
-// procs is 0.
-func benchPipeline(b *testing.B, procs int, keepData bool) {
+// BenchmarkPipelineZeroRuns is BenchmarkPipelineIngest over 32 MiB of random
+// bytes with 2 MiB of zeros every 8 MiB. Each run starts after a
+// content-defined cut, out of phase with the windows' chains, so every window
+// inside it misses its join and is repaired on the consumer.
+func BenchmarkPipelineZeroRuns(b *testing.B) {
+	data := randBytes(32<<20, 8)
+	for at := 6 << 20; at < len(data); at += 8 << 20 {
+		clear(data[at : at+2<<20])
+	}
+	benchPipeline(b, 0, true, data)
+}
+
+// benchPipeline runs the pipeline over data, with a fresh hint table each
+// time, at GOMAXPROCS procs, or at the host's when procs is 0.
+func benchPipeline(b *testing.B, procs int, keepData bool, data []byte) {
 	if procs > 0 {
 		setProcs(b, procs)
 	}
-	data := randBytes(16<<20, 7)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -196,7 +212,7 @@ func benchPipeline(b *testing.B, procs int, keepData bool) {
 		var clk disk.Clock
 		_, _, _, err := Pipeline(context.Background(),
 			bytes.NewReader(data), chunker.DefaultParams(),
-			segment.DefaultParams(), &clk, DefaultCostModel(), keepData,
+			segment.DefaultParams(), &clk, DefaultCostModel(), keepData, NewHints(),
 			func(s *segment.Segment) error { sink += s.Bytes; return nil })
 		if err != nil {
 			b.Fatal(err)

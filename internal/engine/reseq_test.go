@@ -42,12 +42,13 @@ func TestPipelineAllocsPerChunk(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		setProcs(t, procs)
 		var chunks int64
+		h := NewHints() // shared by the runs, as by a Store's backups
 		run := func() {
 			var clk disk.Clock
 			var sink int64
 			_, n, _, err := Pipeline(context.Background(),
 				bytes.NewReader(data), chunker.DefaultParams(),
-				segment.DefaultParams(), &clk, DefaultCostModel(), true,
+				segment.DefaultParams(), &clk, DefaultCostModel(), true, h,
 				func(s *segment.Segment) error {
 					for _, c := range s.Chunks {
 						sink += int64(len(c.Data))
@@ -76,7 +77,7 @@ func TestInlinePipelineStartsNoGoroutine(t *testing.T) {
 	segs := 0
 	_, _, _, err := Pipeline(context.Background(),
 		bytes.NewReader(randBytes(4<<20, 15)), chunker.DefaultParams(),
-		segment.DefaultParams(), &clk, DefaultCostModel(), true,
+		segment.DefaultParams(), &clk, DefaultCostModel(), true, NewHints(),
 		func(*segment.Segment) error {
 			segs++
 			// A goroutine of an earlier test may still be on its way out, so
@@ -153,7 +154,7 @@ func TestPipelineAbortPaths(t *testing.T) {
 					var clk disk.Clock
 					var fps []chunk.Fingerprint
 					_, _, _, err := Pipeline(r.ctx, r.r, chunker.DefaultParams(),
-						segment.DefaultParams(), &clk, DefaultCostModel(), keepData,
+						segment.DefaultParams(), &clk, DefaultCostModel(), keepData, traceHints,
 						func(s *segment.Segment) error {
 							r.segs++
 							for _, c := range s.Chunks {
