@@ -53,7 +53,6 @@ type serverParams struct {
 	totalInflight  int
 	tenantBWMBps   float64
 	drainTimeout   time.Duration
-	crashAfter     int
 
 	maint  repro.MaintenanceOptions
 	filter repro.FilterOptions
@@ -79,7 +78,6 @@ func realMain() error {
 	flag.IntVar(&p.totalInflight, "max.inflight", 32, "max concurrent ingests server-wide before 429")
 	flag.Float64Var(&p.tenantBWMBps, "tenant.bw.mbps", 0, "per-tenant aggregate upload bandwidth cap in MB/s (0 = unlimited)")
 	flag.DurationVar(&p.drainTimeout, "drain.timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
-	flag.IntVar(&p.crashAfter, "crash.after", 0, "exit without closing the store after N committed ingests (crash-recovery testing, like dedupsim's)")
 	flag.BoolVar(&p.maint.Enabled, "maintenance.enabled", false, "start the online maintenance layer (reverse-rewriting re-dedup + container merge) with the store")
 	flag.DurationVar(&p.maint.Interval, "maintenance.interval", 0, "background maintenance epoch period (0 = on-demand only, via POST /v1/maintenance)")
 	flag.Float64Var(&p.maint.UtilThreshold, "maintenance.util", 0, "merge sealed containers with live fraction below this (0 = default 0.5)")
@@ -148,23 +146,12 @@ func runServer(p serverParams) error {
 		return err
 	}
 
-	scfg := serve.Config{
+	srv := serve.New(serve.Config{
 		Store:             store,
 		MaxTenantInflight: p.tenantInflight,
 		MaxTotalInflight:  p.totalInflight,
 		TenantBandwidth:   p.tenantBWMBps * 1e6,
-	}
-	if p.crashAfter > 0 {
-		scfg.OnIngest = func(n int) {
-			if n >= p.crashAfter {
-				// Simulated crash: exit without closing the store. A later
-				// reopen must recover from what its two logs acknowledged.
-				telemetry.Logger().Warn("simulating crash", "after_ingest", n)
-				os.Exit(0)
-			}
-		}
-	}
-	srv := serve.New(scfg)
+	})
 	httpSrv := &http.Server{Addr: p.addr, Handler: srv}
 
 	errCh := make(chan error, 1)

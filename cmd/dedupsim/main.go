@@ -18,7 +18,6 @@
 // Durable-store workflow (see README "Durability & backends"):
 //
 //	dedupsim -backend file -store.dir /tmp/st -verify -gens 4              # durable run
-//	dedupsim -backend file -store.dir /tmp/st -verify -gens 4 -crash.after 2  # die mid-run
 //	dedupsim -backend file -store.dir /tmp/st -verify -fsckonly            # reopen + check
 //	dedupsim -backend file -store.dir /tmp/st -verify -fsckonly -repair    # quarantine bad containers
 package main
@@ -59,7 +58,6 @@ func realMain() error {
 		storeDir   = flag.String("store.dir", "", "file backend root directory (required for -backend file)")
 		fsckOnly   = flag.Bool("fsckonly", false, "skip ingest: reopen the store (-backend file) and run fsck only")
 		repair     = flag.Bool("repair", false, "with -fsckonly: quarantine invariant-failing containers")
-		crashAfter = flag.Int("crash.after", 0, "exit without closing the store after N generations (crash-recovery testing)")
 		telAddr    = flag.String("telemetry.addr", "", "serve live /metrics, /debug/snapshot and /debug/pprof on this address (e.g. 127.0.0.1:9090)")
 		telEvents  = flag.String("telemetry.events", "", "write JSONL span events to this file")
 		telHold    = flag.Bool("telemetry.hold", false, "after the run, keep the telemetry endpoint serving until interrupted")
@@ -74,7 +72,7 @@ func realMain() error {
 		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics\n", a)
 	}
 	if err := run(params{*engineName, *gens, *files, *fileKB, *alpha, *seed, *doRestore, *verify, *streams, *scenario, *filterOn, *check, *export, *rMode, *rCache,
-		*backend, *storeDir, *fsckOnly, *repair, *crashAfter}); err != nil {
+		*backend, *storeDir, *fsckOnly, *repair}); err != nil {
 		return err
 	}
 	if *telHold && ep.Addr() != "" {
@@ -102,11 +100,10 @@ type params struct {
 	restoreMode  string
 	restoreCache int
 
-	backend    string
-	storeDir   string
-	fsckOnly   bool
-	repair     bool
-	crashAfter int
+	backend  string
+	storeDir string
+	fsckOnly bool
+	repair   bool
 }
 
 // readAmp renders a restore's read amplification: container-section bytes
@@ -235,13 +232,6 @@ func run(p params) error {
 			row = append(row, metrics.F1(rst.ThroughputMBps()), fmt.Sprint(rst.Fragments), readAmp(rst.ReadBytes, rst.Bytes))
 		}
 		tb.AddRow(row...)
-		if p.crashAfter > 0 && g+1 >= p.crashAfter {
-			// Simulated crash: exit without closing the store. A later
-			// -fsckonly run must recover from what its two logs
-			// acknowledged.
-			fmt.Fprintf(os.Stderr, "dedupsim: simulating crash after generation %d\n", g+1)
-			os.Exit(0)
-		}
 	}
 
 	fmt.Printf("engine: %s  alpha: %.2f  generations: %d\n\n", store.Engine(), alpha, gens)

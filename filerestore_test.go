@@ -353,8 +353,8 @@ func TestRangedRestoreOverPoisonedBuffers(t *testing.T) {
 // restore is over — its buffers outlive it; it must never reach a second
 // holder while the first still runs, and a read nobody lent for must always be
 // a new array. Every lending reader runs under a holding — a maintenance merge
-// reads through the restore executor and lends too — and a read that lends
-// under none fails the test: a reader it does not see could share buffers
+// and fsck's Check read through the restore executor and lend too — and a read
+// that lends under none fails the test: a reader it does not see could share buffers
 // unchecked.
 //
 // "Over" has to be judged from outside: RunPipelined returns its buffers to
@@ -573,11 +573,14 @@ func testFileRestoreReuseSafety(t *testing.T) {
 	done()
 	var out bytes.Buffer
 	hctx, done = spy.hold(ctx, "after the corrupted one")
-	defer done()
-	if _, err := s.Restore(hctx, backups[newest], spy.watch(hctx, &out), true); err != nil || !bytes.Equal(out.Bytes(), datas[newest]) {
+	_, err := s.Restore(hctx, backups[newest], spy.watch(hctx, &out), true)
+	done()
+	if err != nil || !bytes.Equal(out.Bytes(), datas[newest]) {
 		t.Fatalf("restore after the corrupted one: %v", err)
 	}
-	if rep, err := s.Check(ctx, true); err != nil || !rep.OK() {
+	hctx, done = spy.hold(ctx, "check")
+	defer done()
+	if rep, err := s.Check(hctx, true); err != nil || !rep.OK() {
 		t.Fatalf("check: %v %v", err, rep.Problems)
 	}
 }

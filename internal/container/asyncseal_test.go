@@ -20,14 +20,19 @@ type slowSealBackend struct {
 	mu      sync.Mutex
 	gate    chan struct{} // non-nil: Seal blocks until closed
 	sealErr error         // returned by Seal after the gate opens
+	entered chan struct{} // non-nil: Seal sends on it, if there is room, as it begins
 	seals   int
 }
 
 func (b *slowSealBackend) Seal(ctx context.Context, info blockstore.ContainerInfo, data []byte) error {
 	b.mu.Lock()
-	gate, err := b.gate, b.sealErr
+	gate, err, entered := b.gate, b.sealErr, b.entered
 	b.seals++
 	b.mu.Unlock()
+	select {
+	case entered <- struct{}{}:
+	default:
+	}
 	if gate != nil {
 		<-gate
 	}

@@ -208,9 +208,6 @@ func (s *Store) Config() Config { return s.cfg }
 // Device returns the underlying device (read-only use by restore paths).
 func (s *Store) Device() *disk.Device { return s.dev }
 
-// Backend returns the physical byte store.
-func (s *Store) Backend() blockstore.Backend { return s.be }
-
 // StoresData reports whether the backend retains real chunk bytes.
 func (s *Store) StoresData() bool { return s.be.StoresData() }
 
@@ -994,17 +991,6 @@ func (s *Store) MarkDead(id uint32, n int64) {
 			telDeadBytes.Add(n)
 		}
 	}
-}
-
-// LiveBytes returns the data bytes of container id not yet superseded
-// (checker/maintenance bookkeeping; 0 for unsealed holes).
-func (s *Store) LiveBytes(id uint32) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if int(id) >= len(s.sealed) || !s.sealedOK[id] {
-		return 0
-	}
-	return s.liveBytes[id]
 }
 
 // LiveFraction returns the live fraction of container id's data section —

@@ -203,16 +203,18 @@ func TestAbandonedContainersUnstage(t *testing.T) {
 	}
 
 	sentinel := errors.New("backend exploded")
-	gate := make(chan struct{})
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
 	be.mu.Lock()
-	be.gate, be.sealErr = gate, sentinel
+	be.gate, be.sealErr, be.entered = gate, sentinel, entered
 	be.mu.Unlock()
 	w := s.NewWriter(nil)
 	// The first container fills and its Seal hangs above the file; the second
-	// is half full behind it.
+	// is half full behind it. Seal is called once the first one's staged
+	// pieces are in its file, which fill does not wait for.
 	if err := fill(w, 1, 6*stagePiece); err != nil {
 		t.Fatal(err)
 	}
+	<-entered
 	settled("one container sealing, one filling", 2)
 	close(gate)
 	s.WaitSeals()
@@ -229,7 +231,7 @@ func TestAbandonedContainersUnstage(t *testing.T) {
 	}
 
 	be.mu.Lock()
-	be.gate, be.sealErr = nil, nil
+	be.gate, be.sealErr, be.entered = nil, nil, nil
 	be.mu.Unlock()
 	w = s.NewWriter(nil)
 	if err := fill(w, 2, 5*stagePiece+stagePiece/2); err != nil {

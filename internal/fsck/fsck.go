@@ -16,9 +16,9 @@
 //     its fingerprint, and every container's data section is readable at its
 //     recorded length (torn writes surface here as blockstore.ErrCorrupt).
 //
-// All reads go through the shadow metadata (PeekMeta) and uncharged data
-// fetches (container.Store.Fetch): fsck is measurement apparatus and charges
-// no simulated time.
+// Metadata is read through the shadow copy (PeekMeta), and data sections
+// through the restore executor (restore.Emit) as one uncharged stream: fsck
+// is measurement apparatus and charges no simulated time.
 //
 // Repair is the destructive companion: containers that fail invariants are
 // quarantined out of the store (the durable file backend moves their files
@@ -39,6 +39,7 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/cindex"
 	"repro/internal/container"
+	"repro/internal/restore"
 )
 
 // Report summarizes one check.
@@ -94,36 +95,21 @@ func Check(ctx context.Context, store *container.Store, index *cindex.Index, rec
 
 	// Pass 1: container metadata well-formedness; build the entry table.
 	entries := make(map[entryKey]entryVal, 4096)
-	cfg := store.Config()
 	for id := 0; id < store.Slots(); id++ {
 		cid := uint32(id)
 		if !store.Sealed(cid) {
 			continue // quarantined or never sealed
 		}
 		metas := store.PeekMeta(cid)
-		// Meta offsets are absolute device offsets; the container's data
-		// section spans [dataStart, dataStart+fill).
-		dataStart := store.DataStart(cid)
-		dataEnd := dataStart + store.DataFill(cid)
-		var prevEnd int64 = -1
-		for i, m := range metas {
-			rep.MetaEntries++
-			if m.Size == 0 {
-				rep.addf("container %d entry %d: zero size", cid, i)
-				continue
+		rep.MetaEntries += int64(len(metas))
+		if len(metas) > store.Config().MaxChunks {
+			rep.addf("container %d: more entries than MaxChunks", cid)
+		}
+		entryProblems(store, cid, func(problem string) { rep.addf("container %d %s", cid, problem) })
+		for _, m := range metas {
+			if m.Size > 0 {
+				entries[entryKey{cid, m.Offset}] = entryVal{fp: m.FP, size: m.Size}
 			}
-			if int64(i) >= int64(cfg.MaxChunks) {
-				rep.addf("container %d: more entries than MaxChunks", cid)
-			}
-			if m.Offset < dataStart || m.Offset+int64(m.Size) > dataEnd {
-				rep.addf("container %d entry %d: [%d,%d) outside data section [%d,%d)",
-					cid, i, m.Offset, m.Offset+int64(m.Size), dataStart, dataEnd)
-			}
-			if prevEnd >= 0 && m.Offset < prevEnd {
-				rep.addf("container %d entry %d: offset %d overlaps previous end %d", cid, i, m.Offset, prevEnd)
-			}
-			prevEnd = m.Offset + int64(m.Size)
-			entries[entryKey{cid, m.Offset}] = entryVal{fp: m.FP, size: m.Size}
 		}
 	}
 
@@ -150,18 +136,29 @@ func Check(ctx context.Context, store *container.Store, index *cindex.Index, rec
 		})
 	}
 
-	// Pass 3: recipe references resolve; optionally re-hash content. Each
-	// referenced container is fetched once, at its first reference, and all
-	// its entries re-hashed as one chunk.OfEach batch (hashSection); every
-	// ref then reads its verdict, so problems keep ref order. A container
-	// whose data section fails to read (torn write, backend fault) is one
-	// problem, at its first reference; a cancelled ctx ends the check.
-	type sectionCheck struct {
-		err error
-		bad map[int64]bool // offsets of the entries that do not hash to their fingerprints
+	// Pass 3: recipe references resolve; optionally re-hash content. The
+	// sealed containers the recipes name are re-hashed first, each read once
+	// (verifySections); every ref then reads its verdict, so problems keep
+	// ref order. A container whose data section fails to read (torn write,
+	// backend fault) is one problem, at its first reference; a cancelled ctx
+	// ends the check.
+	bad := make(map[entryKey]bool)
+	unreadable := make(map[uint32]error) // nil once reported
+	if verifyData {
+		referenced := make(map[uint32]bool)
+		for _, rec := range recipes {
+			for i := range rec.Refs {
+				referenced[rec.Refs[i].Loc.Container] = true
+			}
+		}
+		ids := slices.DeleteFunc(slices.Sorted(maps.Keys(referenced)), func(cid uint32) bool { return !store.Sealed(cid) })
+		err := verifySections(ctx, store, ids,
+			func(key entryKey, _ int) { bad[key] = true },
+			func(cid uint32, err error) error { unreadable[cid] = err; return nil })
+		if err != nil {
+			return nil, err
+		}
 	}
-	sections := make(map[uint32]sectionCheck)
-	var h hashBatch
 	for _, rec := range recipes {
 		for i := range rec.Refs {
 			ref := &rec.Refs[i]
@@ -183,26 +180,15 @@ func Check(ctx context.Context, store *container.Store, index *cindex.Index, rec
 			if !verifyData {
 				continue
 			}
-			sc, seen := sections[cid]
-			if !seen {
-				bad, err := hashSection(ctx, store, cid, &h)
-				sc = sectionCheck{err: err, bad: make(map[int64]bool, len(bad))}
-				for _, j := range bad {
-					sc.bad[store.PeekMeta(cid)[j].Offset] = true
-				}
-				sections[cid] = sc
-				if err != nil && ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
+			if err, ok := unreadable[cid]; ok {
 				if err != nil {
 					rep.addf("container %d: data section unreadable: %v", cid, err)
+					unreadable[cid] = nil
 				}
-			}
-			if sc.err != nil {
 				continue
 			}
 			rep.HashedChunks++
-			if sc.bad[ref.Loc.Offset] {
+			if bad[entryKey{cid, ref.Loc.Offset}] {
 				rep.addf("recipe %s ref %d: content hash mismatch", rec.Label, i)
 			}
 		}
@@ -210,55 +196,77 @@ func Check(ctx context.Context, store *container.Store, index *cindex.Index, rec
 	return rep, nil
 }
 
-// hashSection fetches container cid's data section and re-hashes its
-// entries as one chunk.OfEach batch. It returns the indexes of the entries
-// that do not hash to their fingerprints, ascending, in a slice the next
-// run of h reuses. Entries that lie outside the section are left out: they
-// are a metadata problem, not a content one.
-func hashSection(ctx context.Context, store *container.Store, cid uint32, h *hashBatch) ([]int, error) {
-	datas, err := store.Fetch(ctx, []uint32{cid})
-	if err != nil {
-		return nil, err
-	}
+// entryProblems reports each malformed metadata entry of container cid: of
+// no size, outside the data section or overlapping the entry before it.
+// Meta offsets are absolute device offsets; the data section spans
+// [DataStart, DataStart+DataFill).
+func entryProblems(store *container.Store, cid uint32, report func(problem string)) {
 	start := store.DataStart(cid)
+	end := start + store.DataFill(cid)
+	var prevEnd int64 = -1
 	for i, m := range store.PeekMeta(cid) {
-		if m.Offset >= start && m.Offset+int64(m.Size) <= start+int64(len(datas[0])) {
-			h.add(i, store.Extract(datas[0], chunk.Location{Container: cid, Offset: m.Offset, Size: m.Size}), m.FP)
+		switch {
+		case m.Size == 0:
+			report(fmt.Sprintf("entry %d: zero size", i))
+			continue
+		case m.Offset < start || m.Offset+int64(m.Size) > end:
+			report(fmt.Sprintf("entry %d outside data section [%d,%d): [%d,%d)", i, start, end, m.Offset, m.Offset+int64(m.Size)))
+		case prevEnd >= 0 && m.Offset < prevEnd:
+			report(fmt.Sprintf("entry %d overlaps previous: offset %d, previous end %d", i, m.Offset, prevEnd))
+		}
+		prevEnd = m.Offset + int64(m.Size)
+	}
+}
+
+// verifySections re-hashes the entries of the sealed containers ids as one
+// uncharged stream through the restore executor (restore.Emit): their
+// entries in offset order, grouped by container, read through a cache of one
+// container. Entries of no size, or outside their section, are left out:
+// they are a metadata problem, not a content one. It calls bad for each
+// entry that does not hash to its fingerprint, and unreadable for each
+// container whose section fails to read, then goes on past it; an error from
+// unreadable, or a cancelled ctx, ends the walk with that error.
+func verifySections(ctx context.Context, store *container.Store, ids []uint32,
+	bad func(key entryKey, entry int), unreadable func(cid uint32, err error) error) error {
+	var refs []chunk.Ref
+	var entry []int // refs[k] is entry entry[k] of its container
+	for _, cid := range ids {
+		start, end := store.DataStart(cid), store.DataStart(cid)+store.DataFill(cid)
+		for i, m := range store.PeekMeta(cid) {
+			if m.Size > 0 && m.Offset >= start && m.Offset+int64(m.Size) <= end {
+				loc := chunk.Location{Container: cid, Segment: m.Segment, Offset: m.Offset, Size: m.Size}
+				refs = append(refs, chunk.Ref{FP: m.FP, Size: m.Size, Loc: loc})
+				entry = append(entry, i)
+			}
 		}
 	}
-	return h.run(), nil
-}
-
-// hashBatch collects chunks to re-hash in one chunk.OfEach call.
-type hashBatch struct {
-	ids    []int // the caller's name for each chunk
-	pieces [][]byte
-	want   []chunk.Fingerprint
-	got    []chunk.Fingerprint
-	bad    []int
-}
-
-func (h *hashBatch) add(id int, piece []byte, fp chunk.Fingerprint) {
-	h.ids = append(h.ids, id)
-	h.pieces = append(h.pieces, piece)
-	h.want = append(h.want, fp)
-}
-
-// run hashes the collected chunks, returns the ids of those that do not
-// match their fingerprints, in the order they were added, and empties the
-// batch.
-func (h *hashBatch) run() []int {
-	h.got = slices.Grow(h.got[:0], len(h.pieces))[:len(h.pieces)]
-	chunk.OfEach(h.pieces, h.got)
-	h.bad = h.bad[:0]
-	for k := range h.pieces {
-		if h.got[k] != h.want[k] {
-			h.bad = append(h.bad, h.ids[k])
+	cfg := restore.PipelineConfig{CacheContainers: 1, Policy: restore.PolicyLRU, Verify: true}
+	for len(refs) > 0 {
+		done := 0 // the refs emitted: a read that fails stops the stream at refs[done]
+		err := restore.Emit(ctx, store, refs, cfg, restore.Emission{
+			Uncharged: true,
+			Sink:      func(k int, _ []byte) error { done = k + 1; return nil },
+			Mismatch: func(k int) {
+				bad(entryKey{refs[k].Loc.Container, refs[k].Loc.Offset}, entry[k])
+				done = k + 1
+			},
+		})
+		if ctx.Err() != nil {
+			return ctx.Err()
 		}
+		if err == nil || done == len(refs) {
+			return err
+		}
+		cid := refs[done].Loc.Container
+		if err := unreadable(cid, err); err != nil {
+			return err
+		}
+		for done < len(refs) && refs[done].Loc.Container == cid {
+			done++
+		}
+		refs, entry = refs[done:], entry[done:]
 	}
-	clear(h.pieces)
-	h.ids, h.pieces, h.want = h.ids[:0], h.pieces[:0], h.want[:0]
-	return h.bad
+	return nil
 }
 
 // IndexDropper purges all index state derived from one container — the
@@ -301,51 +309,40 @@ func Repair(ctx context.Context, store *container.Store, drop IndexDropper, reci
 		return nil, fmt.Errorf("fsck: verifyData requires a data-storing backend")
 	}
 	res := &RepairResult{Reasons: make(map[uint32]string)}
-	var h hashBatch
 
 	condemn := func(cid uint32, reason string) {
 		if _, dup := res.Reasons[cid]; !dup {
 			res.Reasons[cid] = reason
 		}
 	}
+	var verify []uint32
 	for id := 0; id < store.Slots(); id++ {
 		cid := uint32(id)
 		if !store.Sealed(cid) {
 			continue
 		}
-		metas := store.PeekMeta(cid)
-		dataStart := store.DataStart(cid)
-		dataEnd := dataStart + store.DataFill(cid)
-		var prevEnd int64 = -1
-		for i, m := range metas {
-			if m.Size == 0 {
-				condemn(cid, fmt.Sprintf("entry %d: zero size", i))
-			}
-			if m.Offset < dataStart || m.Offset+int64(m.Size) > dataEnd {
-				condemn(cid, fmt.Sprintf("entry %d outside data section", i))
-			}
-			if prevEnd >= 0 && m.Offset < prevEnd {
-				condemn(cid, fmt.Sprintf("entry %d overlaps previous", i))
-			}
-			prevEnd = m.Offset + int64(m.Size)
+		entryProblems(store, cid, func(problem string) { condemn(cid, problem) })
+		if _, bad := res.Reasons[cid]; !bad && verifyData {
+			verify = append(verify, cid)
 		}
-		if _, bad := res.Reasons[cid]; bad || !verifyData {
-			continue
-		}
-		bad, err := hashSection(ctx, store, cid, &h)
-		switch {
-		case errors.Is(err, blockstore.ErrCorrupt) || errors.Is(err, fs.ErrNotExist):
+	}
+	err := verifySections(ctx, store, verify,
+		func(key entryKey, entry int) {
+			condemn(key.container, fmt.Sprintf("entry %d: content hash mismatch", entry))
+		},
+		func(cid uint32, err error) error {
+			if !errors.Is(err, blockstore.ErrCorrupt) && !errors.Is(err, fs.ErrNotExist) {
+				return fmt.Errorf("fsck: reading container %d: %w", cid, err)
+			}
 			condemn(cid, fmt.Sprintf("data section unreadable: %v", err))
-		case err != nil:
-			return nil, fmt.Errorf("fsck: reading container %d: %w", cid, err)
-		case len(bad) > 0:
-			condemn(cid, fmt.Sprintf("entry %d: content hash mismatch", bad[0]))
-		}
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 
 	// Purge derived index state while the container's metadata is still
 	// readable, then quarantine.
-	var err error
 	for _, cid := range slices.Sorted(maps.Keys(res.Reasons)) {
 		if drop != nil {
 			res.IndexDropped += drop.DropFromIndex(cid)

@@ -62,6 +62,31 @@ func TestCleanStorePasses(t *testing.T) {
 	}
 }
 
+// TestCheckAndRepairChargeNothing: fsck is measurement apparatus. Check and
+// Repair re-read and re-hash every chunk, yet leave the store clock, the
+// device's Seeks, Reads and BytesRead, and its head where they found them.
+func TestCheckAndRepairChargeNothing(t *testing.T) {
+	ctx := context.Background()
+	s, ix := rig(t, true)
+	rec := buildClean(t, s, ix)
+	dev := s.Device()
+	dev.AccountRead(s.DataStart(1), 100) // the head is parked inside container 1
+	clock0, stats0 := dev.Clock().Now(), dev.Stats()
+	if rep, err := Check(ctx, s, ix, []*chunk.Recipe{rec}, true); err != nil || !rep.OK() || rep.HashedChunks != 12 {
+		t.Fatalf("check: %v %v, %d chunks hashed", err, rep.Problems, rep.HashedChunks)
+	}
+	if res, err := Repair(ctx, s, nil, []*chunk.Recipe{rec}, true); err != nil || len(res.Quarantined) != 0 {
+		t.Fatalf("repair: %v, quarantined %v", err, res.Quarantined)
+	}
+	if now, st := dev.Clock().Now(), dev.Stats(); now != clock0 || st != stats0 {
+		t.Fatalf("fsck charged the device: clock %v → %v, stats %v → %v", clock0, now, stats0, st)
+	}
+	dev.AccountRead(s.DataStart(1)+100, 100)
+	if st := dev.Stats(); st.Seeks != stats0.Seeks {
+		t.Fatal("fsck moved the device head: a read that continues the parked one seeks")
+	}
+}
+
 func TestVerifyDataRequiresStoringDevice(t *testing.T) {
 	s, ix := rig(t, false)
 	buildClean(t, s, ix)

@@ -575,7 +575,7 @@ func (p *Pass) merge(ctx context.Context, lane *disk.Clock, util, sparse float64
 		return nil
 	}
 	cfg := restore.PipelineConfig{CacheContainers: len(victims), Policy: restore.PolicyLRU, Verify: cs.StoresData()}
-	if err := restore.Emit(ctx, cs, order, cfg, lane, copyOut); err != nil {
+	if err := restore.Emit(ctx, cs, order, cfg, restore.Emission{Lane: lane, Sink: copyOut}); err != nil {
 		ref := &order[min(copied, len(order)-1)]
 		return 0, fmt.Errorf("maintenance: victim container %d: chunk at offset %d (%s): %w",
 			ref.Loc.Container, ref.Loc.Offset, ref.FP.Short(), err)

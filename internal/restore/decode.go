@@ -22,6 +22,7 @@ type decodeJob struct {
 	idx    int // ref index, for error attribution and the sink
 	fp     chunk.Fingerprint
 	size   uint32
+	bad    bool // failed verify
 	data   []byte
 	charge []uint32 // the one-lane extent read to charge before data is written
 }
@@ -31,8 +32,7 @@ type decodeJob struct {
 type decodeBatch struct {
 	jobs    []decodeJob
 	retired []byte // a section no batch after this one views (see retire)
-	err     error  // first verify failure in the batch...
-	errIdx  int    // ...at jobs[errIdx]
+	err     error  // at the first bad job, where no Mismatch goes on
 
 	// Scratch for chunk.OfEach: each job's data, its fingerprint.
 	views [][]byte
@@ -79,7 +79,7 @@ func (as *assembly) batch() *decodeBatch {
 func (as *assembly) submit() bool {
 	b := as.cur
 	as.cur = nil
-	b.err, b.errIdx = nil, 0
+	b.err = nil
 	if as.restore {
 		telDecodeQueueDepth.Observe(float64(as.decode.Queued()))
 	}
@@ -97,7 +97,7 @@ func (as *assembly) finishDecode() error {
 
 // verify is the decode pool's work: it hashes b's chunks in one
 // chunk.OfEach call and finds the first that does not match its
-// fingerprint.
+// fingerprint, or under a Mismatch each.
 func (as *assembly) verify(b *decodeBatch) {
 	t0 := time.Now()
 	if as.cfg.Verify {
@@ -110,10 +110,12 @@ func (as *assembly) verify(b *decodeBatch) {
 		for k := range b.jobs {
 			j := &b.jobs[k]
 			if got := b.fps[k]; got != j.fp {
-				b.err = fmt.Errorf("restore: chunk %d fingerprint mismatch (%s != %s)",
-					j.idx, got.Short(), j.fp.Short())
-				b.errIdx = k
-				break // chunks past the first bad one are never emitted
+				j.bad = true
+				if as.Mismatch == nil {
+					b.err = fmt.Errorf("restore: chunk %d fingerprint mismatch (%s != %s)",
+						j.idx, got.Short(), j.fp.Short())
+					break // chunks past the first bad one are never emitted
+				}
 			}
 		}
 	}
@@ -121,22 +123,25 @@ func (as *assembly) verify(b *decodeBatch) {
 }
 
 // emit is the decode pool's consumer: it charges each one-lane extent read
-// just before the first chunk cut from it, hands b's chunks to the sink and
-// counts them, up to b's first verify or sink failure, then recycles b.
+// just before the first chunk cut from it, hands b's chunks to the sink (a
+// bad one to Mismatch, when set) and counts them, up to b's first verify or
+// sink failure, then recycles b.
 func (as *assembly) emit(b *decodeBatch) (err error) {
 	var bytes, chunks int64
 	for k := range b.jobs {
-		if b.err != nil && k == b.errIdx {
+		j := &b.jobs[k]
+		if j.bad && as.Mismatch == nil {
 			err = b.err
 			break
 		}
-		j := &b.jobs[k]
 		if j.charge != nil {
-			as.store.AccountDataRange(j.charge, as.clk)
+			as.store.AccountDataRange(j.charge, as.Lane)
 		}
-		if as.sink != nil {
+		if j.bad {
+			as.Mismatch(j.idx)
+		} else if as.Sink != nil {
 			t1 := time.Now()
-			err = as.sink(j.idx, j.data)
+			err = as.Sink(j.idx, j.data)
 			stageCopy.Observe(t1)
 			if err != nil {
 				break

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -95,6 +96,35 @@ func TestDecodeWorkersVerifyError(t *testing.T) {
 		_, err := run(procs)
 		if err == nil || err.Error() != serialErr.Error() {
 			t.Fatalf("procs=%d: err %v, want %v", procs, err, serialErr)
+		}
+	}
+}
+
+// TestEmitMismatchGoesOn: under an Emission's Mismatch, every chunk that
+// fails verify is reported, in stream order, in place of the sink, and the
+// stream goes on; at every worker count the sink sees all the others. A
+// restore of the same refs stops at the first with its error text.
+func TestEmitMismatchGoesOn(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		setProcs(t, procs)
+		s := rig(t, true)
+		datas := mkDatas(60, 300)
+		rec := ingest(t, s, "bad", datas)
+		wrong := chunk.Of([]byte("not the real content"))
+		rec.Refs[5].FP, rec.Refs[37].FP = wrong, wrong
+		cfg := PipelineConfig{CacheContainers: 1, Policy: PolicyLRU, Verify: true}
+		var bad, good []int
+		err := Emit(context.Background(), s, rec.Refs, cfg, Emission{
+			Uncharged: true,
+			Sink:      func(i int, _ []byte) error { good = append(good, i); return nil },
+			Mismatch:  func(i int) { bad = append(bad, i) },
+		})
+		if err != nil || !slices.Equal(bad, []int{5, 37}) || len(good) != 58 || !slices.IsSorted(good) {
+			t.Fatalf("procs=%d: error %v, mismatches %v, %d chunks to the sink", procs, err, bad, len(good))
+		}
+		_, err = RunPipelined(context.Background(), s, rec, cfg, nil)
+		if want := fmt.Sprintf("restore: chunk 5 fingerprint mismatch (%s != %s)", chunk.Of(datas[5]).Short(), wrong.Short()); err == nil || err.Error() != want {
+			t.Fatalf("procs=%d: restore error %v, want %s", procs, err, want)
 		}
 	}
 }

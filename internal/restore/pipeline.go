@@ -97,7 +97,7 @@ func RunPipelined(ctx context.Context, store *container.Store, recipe *chunk.Rec
 	stats := Stats{Label: recipe.Label, Fragments: recipe.Fragments()}
 	master := store.Device().Clock()
 	start := master.Now()
-	as := &assembly{store: store, cfg: cfg, refs: recipe.Refs, sink: sink, stats: &stats, restore: true}
+	as := &assembly{store: store, cfg: cfg, refs: recipe.Refs, Emission: Emission{Sink: sink}, stats: &stats, restore: true}
 	if err := as.execute(ctx); err != nil {
 		return stats, err
 	}
@@ -113,16 +113,26 @@ func RunPipelined(ctx context.Context, store *container.Store, recipe *chunk.Rec
 // An error stops the stream there.
 type Sink func(i int, data []byte) error
 
+// Emission is where the executor's chunks go and its one-lane reads are
+// charged, each just before the first chunk cut from it reaches Sink.
+type Emission struct {
+	Lane      *disk.Clock // charged through its view of the store device; nil: the store's clock
+	Uncharged bool        // charge nothing instead: no clock, head or device counter moves
+	Sink      Sink        // nil: count the chunks, write nothing
+	// Mismatch, when set, is told the index of each chunk that fails Verify,
+	// in place of Sink, and the stream goes on; unset, the first stops it.
+	Mismatch func(i int)
+}
+
 // Emit runs refs through RunPipelined's executor — the same plan, fetcher,
-// section set and decode pool — and hands each chunk to sink, verified when
-// cfg.Verify is set. Its reads are charged on one lane, whatever
-// cfg.Workers says, to clk's view of the store device (nil: the store's
-// clock), each just before the first chunk cut from it reaches sink. It is
-// the executor for callers that are not restores, the maintenance merge's
-// copy-forward: it opens no span and moves no restore_* series.
-func Emit(ctx context.Context, store *container.Store, refs []chunk.Ref, cfg PipelineConfig, clk *disk.Clock, sink Sink) error {
+// section set and decode pool — and hands each chunk to e.Sink, verified
+// when cfg.Verify is set, its reads on one lane whatever cfg.Workers says.
+// It is the executor for callers that are not restores, the maintenance
+// merge's copy-forward and fsck's re-hash: it opens no span and moves no
+// restore_* series.
+func Emit(ctx context.Context, store *container.Store, refs []chunk.Ref, cfg PipelineConfig, e Emission) error {
 	cfg.Workers = 1
-	as := &assembly{store: store, cfg: cfg, refs: refs, clk: clk, sink: sink, stats: &Stats{}}
+	as := &assembly{store: store, cfg: cfg, refs: refs, Emission: e, stats: &Stats{}}
 	return as.execute(ctx)
 }
 
@@ -226,14 +236,13 @@ func chargeLanes(store *container.Store, plan *restorePlan, workers int) {
 // recipe, holds each fetched section from its fetch to the last ref it
 // serves, and emits (optionally verifying) the reconstructed stream.
 type assembly struct {
-	store   *container.Store
-	cfg     PipelineConfig
-	plan    *restorePlan
-	refs    []chunk.Ref
-	clk     *disk.Clock // one-lane reads are charged to its view of the device
-	sink    Sink        // nil: count the chunks, write nothing
-	stats   *Stats      // Bytes and Chunks are the decode pool's consumer's
-	restore bool        // a restore, which the restore_* series count; Emit's is not
+	store *container.Store
+	cfg   PipelineConfig
+	plan  *restorePlan
+	refs  []chunk.Ref
+	Emission
+	stats   *Stats // Bytes and Chunks are the decode pool's consumer's
+	restore bool   // a restore, which the restore_* series count; Emit's is not
 
 	resident map[uint32]held // the sections a ref still to come is cut from, by container
 
@@ -311,7 +320,7 @@ func (as *assembly) run(ctx context.Context) error {
 		if f.needAt == i {
 			e := &as.plan.extents[f.extent]
 			if int(fx) == e.lo {
-				if as.cfg.Workers == 1 {
+				if as.cfg.Workers == 1 && !as.Uncharged {
 					charge = e.ids
 				}
 				as.sections.owe(as.retired)

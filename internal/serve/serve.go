@@ -99,11 +99,6 @@ type Config struct {
 	// RestoreVerify forces fingerprint verification on every restore
 	// regardless of the request's ?verify= (requires a data-storing store).
 	RestoreVerify bool
-	// OnIngest, when set, runs after each successfully committed ingest
-	// with the total committed so far. dedupd wires its -crash.after
-	// machinery (die without closing the store, for recovery testing)
-	// through this hook.
-	OnIngest func(completed int)
 }
 
 func (c Config) withDefaults() Config {
@@ -130,7 +125,6 @@ type Server struct {
 	slo      *sloTracker
 	mu       sync.Mutex
 	draining bool
-	ingested int                 // successful ingests, for the OnIngest hook
 	taken    map[string]struct{} // labels with an ingest in flight
 }
 
@@ -432,13 +426,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	span.SetAttr("bytes", b.Stats.LogicalBytes)
 	telIngestBytes.Add(b.Stats.LogicalBytes)
 	writeJSON(w, http.StatusCreated, backupInfo(b))
-	if s.cfg.OnIngest != nil {
-		s.mu.Lock()
-		s.ingested++
-		n := s.ingested
-		s.mu.Unlock()
-		s.cfg.OnIngest(n)
-	}
 }
 
 // restoreOptions parses ?mode=&verify= into RestoreOptions.

@@ -79,12 +79,13 @@ func (ss *sealedSections) verify(t *testing.T, after string) {
 // backend returns its sealed sections themselves, so a consumer that wrote
 // into what it fetched would corrupt the store. Lent buffers: the file
 // backend reads into a buffer the restore executor lends it, which only that
-// restore or maintenance merge may see again while it runs — not a sibling
-// restore, not fsck, another merge or export (holderSpy, with every restore
-// call and every maintenance run its own holder) — and of which it reads only
-// the ranges the executor named: every lent buffer is poisoned first
-// (loanSpy), so a restore or merge that looked outside them fails its verify,
-// and the readers that lend nothing must still get whole sections.
+// restore, maintenance merge or fsck check may see again while it runs — not
+// a sibling restore, another merge, check or export (holderSpy, with every
+// restore call, every maintenance run and the check its own holder) — and of
+// which it reads only the ranges the executor named: every lent buffer is
+// poisoned first (loanSpy), so a restore, merge or check that looked outside
+// them fails its verify, and export, which lends nothing, must still get
+// whole sections.
 // Every restore shape, fsck, a maintenance epoch, compaction and export run
 // over one store of each kind; each sealed section must hash the same
 // afterwards. Run under -race it also shows the concurrent readers of one
@@ -173,7 +174,12 @@ func testBackendReadsAreReadOnly(t *testing.T, backend BackendKind) {
 
 	restoreAllShapes("restores")
 
-	rep, err := s.Check(ctx, true)
+	cctx, done := ctx, func() {}
+	if spy != nil {
+		cctx, done = spy.hold(ctx, "fsck")
+	}
+	rep, err := s.Check(cctx, true)
+	done()
 	if err != nil || !rep.OK() {
 		t.Fatalf("check: %v %v", err, rep.Problems)
 	}

@@ -37,11 +37,21 @@
 # one-chunk cut, the key and the mask test the workers use
 # (internal/chunker, net +10 after chunker.Scanner folded into Stream).
 # Flags stay at 77.
+#
+# Lowered by 39 lines, 19,701 to 19,662, and by two flags, 77 to 75, when
+# fsck's Check and Repair began re-hashing through the restore executor
+# (restore.Emit, uncharged, with a verify mode that reports each bad chunk
+# and goes on) in place of their own section reader (hashSection,
+# hashBatch), the two metadata walks became one, container.Store's
+# uncalled Backend and LiveBytes went, and so did the crash switch
+# (dedupd's and dedupsim's -crash.after, serve.Config.OnIngest): a SIGKILL
+# after acknowledged uploads reaches the same state. internal/fsck plus
+# internal/restore plus internal/container fell 2,658 to 2,655.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-max_flags=77
-max_lines=19701
+max_flags=75
+max_lines=19662
 
 flags=$(grep -rhoE --include='*.go' --exclude='*_test.go' \
   '\bflag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|Text|Var)(Var)?\(' cmd | wc -l)
