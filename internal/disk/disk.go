@@ -140,10 +140,10 @@ func NewDevice(model Model, clock *Clock, storeData bool) *Device {
 
 // View returns a handle onto the same device that charges simulated time to
 // clk instead of this handle's clock. Head position, frontier and stats are
-// shared with every other view; only the time destination differs. A nil clk
-// returns the receiver unchanged.
+// shared with every other view; only the time destination differs. A nil clk,
+// or the receiver's own, returns the receiver unchanged.
 func (d *Device) View(clk *Clock) *Device {
-	if clk == nil {
+	if clk == nil || clk == d.clock {
 		return d
 	}
 	return &Device{st: d.st, clock: clk}

@@ -13,12 +13,14 @@
 //  3. Every recipe reference resolves to a sealed container entry with a
 //     matching fingerprint and size.
 //  4. On data-storing backends, every chunk referenced by a recipe hashes to
-//     its fingerprint, and every container's data section is readable at its
-//     recorded length (torn writes surface here as blockstore.ErrCorrupt).
+//     its fingerprint, and the data section of every container it reads is
+//     readable at its recorded length (torn writes surface here as
+//     blockstore.ErrCorrupt). A container none of whose entries lies inside
+//     its section is not read; any entry it has already fails 1.
 //
 // Metadata is read through the shadow copy (PeekMeta), and data sections
-// through the restore executor (restore.Emit) as one uncharged stream: fsck
-// is measurement apparatus and charges no simulated time.
+// through the restore executor (restore.Emit), uncharged: fsck is
+// measurement apparatus and charges no simulated time.
 //
 // Repair is the destructive companion: containers that fail invariants are
 // quarantined out of the store (the durable file backend moves their files
@@ -28,6 +30,7 @@
 package fsck
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -85,8 +88,8 @@ type entryVal struct {
 
 // Check validates the store, optionally an index (nil to skip), and a set
 // of recipes. verifyData additionally re-hashes every recipe-referenced
-// chunk and validates every container's data-section length (requires a
-// data-storing backend).
+// chunk and validates the data-section length of every container it reads
+// (requires a data-storing backend).
 func Check(ctx context.Context, store *container.Store, index *cindex.Index, recipes []*chunk.Recipe, verifyData bool) (*Report, error) {
 	if verifyData && !store.StoresData() {
 		return nil, fmt.Errorf("fsck: verifyData requires a data-storing backend")
@@ -95,8 +98,7 @@ func Check(ctx context.Context, store *container.Store, index *cindex.Index, rec
 
 	// Pass 1: container metadata well-formedness; build the entry table.
 	entries := make(map[entryKey]entryVal, 4096)
-	for id := 0; id < store.Slots(); id++ {
-		cid := uint32(id)
+	for cid := range uint32(store.Slots()) {
 		if !store.Sealed(cid) {
 			continue // quarantined or never sealed
 		}
@@ -218,53 +220,56 @@ func entryProblems(store *container.Store, cid uint32, report func(problem strin
 	}
 }
 
-// verifySections re-hashes the entries of the sealed containers ids as one
-// uncharged stream through the restore executor (restore.Emit): their
-// entries in offset order, grouped by container, read through a cache of one
-// container. Entries of no size, or outside their section, are left out:
-// they are a metadata problem, not a content one. It calls bad for each
-// entry that does not hash to its fingerprint, and unreadable for each
-// container whose section fails to read, then goes on past it; an error from
-// unreadable, or a cancelled ctx, ends the walk with that error.
+const verifyGroup = 64 // containers per verifySections stream, whatever the store's size
+
+// verifySections re-hashes the entries of the sealed containers ids as
+// uncharged streams through the restore executor (restore.Emit), verifyGroup
+// containers each: their entries in offset order, grouped by container, read
+// through a cache of one container. Entries of no size, or outside their
+// section, are left out: they are a metadata problem, not a content one. It
+// calls bad for each entry that does not hash to its fingerprint, and
+// unreadable for each container whose section fails to read, then goes on
+// past it; an error from unreadable, or a cancelled ctx, ends the walk.
 func verifySections(ctx context.Context, store *container.Store, ids []uint32,
 	bad func(key entryKey, entry int), unreadable func(cid uint32, err error) error) error {
-	var refs []chunk.Ref
-	var entry []int // refs[k] is entry entry[k] of its container
-	for _, cid := range ids {
-		start, end := store.DataStart(cid), store.DataStart(cid)+store.DataFill(cid)
-		for i, m := range store.PeekMeta(cid) {
-			if m.Size > 0 && m.Offset >= start && m.Offset+int64(m.Size) <= end {
-				loc := chunk.Location{Container: cid, Segment: m.Segment, Offset: m.Offset, Size: m.Size}
-				refs = append(refs, chunk.Ref{FP: m.FP, Size: m.Size, Loc: loc})
-				entry = append(entry, i)
+	cfg := restore.PipelineConfig{CacheContainers: 1, Policy: restore.PolicyLRU, Verify: true}
+	for len(ids) > 0 {
+		var refs []chunk.Ref
+		var entry []int // refs[k] is entry entry[k] of its container
+		for _, cid := range ids[:min(len(ids), verifyGroup)] {
+			start, end := store.DataStart(cid), store.DataStart(cid)+store.DataFill(cid)
+			for i, m := range store.PeekMeta(cid) {
+				if m.Size > 0 && m.Offset >= start && m.Offset+int64(m.Size) <= end {
+					loc := chunk.Location{Container: cid, Segment: m.Segment, Offset: m.Offset, Size: m.Size}
+					refs = append(refs, chunk.Ref{FP: m.FP, Size: m.Size, Loc: loc})
+					entry = append(entry, i)
+				}
 			}
 		}
-	}
-	cfg := restore.PipelineConfig{CacheContainers: 1, Policy: restore.PolicyLRU, Verify: true}
-	for len(refs) > 0 {
-		done := 0 // the refs emitted: a read that fails stops the stream at refs[done]
-		err := restore.Emit(ctx, store, refs, cfg, restore.Emission{
-			Uncharged: true,
-			Sink:      func(k int, _ []byte) error { done = k + 1; return nil },
-			Mismatch: func(k int) {
-				bad(entryKey{refs[k].Loc.Container, refs[k].Loc.Offset}, entry[k])
-				done = k + 1
-			},
-		})
-		if ctx.Err() != nil {
-			return ctx.Err()
+		ids = ids[min(len(ids), verifyGroup):]
+		for len(refs) > 0 {
+			done := 0 // the refs emitted: a read that fails stops the stream at refs[done]
+			err := restore.Emit(ctx, store, refs, cfg, restore.Emission{
+				Sink: func(k int, _ []byte) error { done = k + 1; return nil },
+				Mismatch: func(k int) {
+					bad(entryKey{refs[k].Loc.Container, refs[k].Loc.Offset}, entry[k])
+					done = k + 1
+				},
+			})
+			if ctx.Err() != nil || (err != nil && done == len(refs)) {
+				return cmp.Or(ctx.Err(), err)
+			} else if err == nil {
+				break
+			}
+			cid := refs[done].Loc.Container
+			if err := unreadable(cid, err); err != nil {
+				return err
+			}
+			for done < len(refs) && refs[done].Loc.Container == cid {
+				done++
+			}
+			refs, entry = refs[done:], entry[done:]
 		}
-		if err == nil || done == len(refs) {
-			return err
-		}
-		cid := refs[done].Loc.Container
-		if err := unreadable(cid, err); err != nil {
-			return err
-		}
-		for done < len(refs) && refs[done].Loc.Container == cid {
-			done++
-		}
-		refs, entry = refs[done:], entry[done:]
 	}
 	return nil
 }
@@ -316,8 +321,7 @@ func Repair(ctx context.Context, store *container.Store, drop IndexDropper, reci
 		}
 	}
 	var verify []uint32
-	for id := 0; id < store.Slots(); id++ {
-		cid := uint32(id)
+	for cid := range uint32(store.Slots()) {
 		if !store.Sealed(cid) {
 			continue
 		}
@@ -353,18 +357,15 @@ func Repair(ctx context.Context, store *container.Store, drop IndexDropper, reci
 		}
 		res.Quarantined = append(res.Quarantined, cid)
 	}
-	gone := make(map[uint32]bool, len(res.Quarantined))
-	for _, cid := range res.Quarantined {
-		gone[cid] = true
-	}
-	maps.DeleteFunc(res.Reasons, func(cid uint32, _ string) bool { return !gone[cid] })
+	gone := func(cid uint32) bool { _, ok := slices.BinarySearch(res.Quarantined, cid); return ok }
+	maps.DeleteFunc(res.Reasons, func(cid uint32, _ string) bool { return !gone(cid) })
 
 	// Report every retained backup whose recipe crosses a quarantined
 	// container: those streams are no longer fully restorable.
 	if len(res.Quarantined) > 0 {
 		for _, rec := range recipes {
 			for i := range rec.Refs {
-				if gone[rec.Refs[i].Loc.Container] {
+				if gone(rec.Refs[i].Loc.Container) {
 					res.LostBackups = append(res.LostBackups, rec.Label)
 					break
 				}

@@ -249,3 +249,65 @@ func TestCheckKeepsRefOrder(t *testing.T) {
 		t.Fatalf("%d chunks hashed, want 7", rep.HashedChunks)
 	}
 }
+
+// TestVerifyCrossesGroups: fsck streams verifyGroup containers at a time, and
+// what a later group finds counts as in the first: with a torn container in
+// the first group and a flipped byte in the second, Check reports both and
+// hashes every other chunk, and Repair quarantines exactly those two.
+func TestVerifyCrossesGroups(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	const containers = verifyGroup + 6
+	s, be := openFileStore(t, dir)
+	rec := &chunk.Recipe{Label: "all"}
+	for i := 0; i < 8*containers; i++ {
+		data := bytes.Repeat([]byte{byte(i), byte(i >> 8), 1}, 167)
+		c := chunk.New(data[:500])
+		rec.Append(c.FP, c.Size, mustWrite(s, c, uint64(i/4+1)))
+	}
+	if err := s.SerialWriter().Finish(ctx); err != nil {
+		t.Fatal(err)
+	}
+	s.WaitSeals()
+	if got := rec.Refs[len(rec.Refs)-1].Loc.Container; got != containers-1 {
+		t.Fatalf("last chunk in container %d, the test needs %d", got, containers-1)
+	}
+	if err := be.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const torn, flipped = 1, verifyGroup + 2
+	if err := os.Truncate(filepath.Join(dir, "containers", fmt.Sprintf("%06d.data", torn)), 3000); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "containers", fmt.Sprintf("%06d.data", flipped)), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xEE}, 5*500+17); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, be = openFileStore(t, dir)
+	defer be.Close() //nolint:errcheck // test teardown
+	rep, err := Check(ctx, s, nil, []*chunk.Recipe{rec}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Problems) != 2 || !strings.HasPrefix(rep.Problems[0], "container 1: data section unreadable") ||
+		rep.Problems[1] != fmt.Sprintf("recipe all ref %d: content hash mismatch", 8*flipped+5) {
+		t.Fatalf("problems %q", rep.Problems)
+	}
+	if want := int64(8 * (containers - 1)); rep.HashedChunks != want {
+		t.Fatalf("%d chunks hashed, want %d", rep.HashedChunks, want)
+	}
+	res, err := Repair(ctx, s, nil, []*chunk.Recipe{rec}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Quarantined, []uint32{torn, flipped}) {
+		t.Fatalf("quarantined %v, want [%d %d]", res.Quarantined, torn, flipped)
+	}
+}

@@ -115,9 +115,8 @@ func TestEmitMismatchGoesOn(t *testing.T) {
 		cfg := PipelineConfig{CacheContainers: 1, Policy: PolicyLRU, Verify: true}
 		var bad, good []int
 		err := Emit(context.Background(), s, rec.Refs, cfg, Emission{
-			Uncharged: true,
-			Sink:      func(i int, _ []byte) error { good = append(good, i); return nil },
-			Mismatch:  func(i int) { bad = append(bad, i) },
+			Sink:     func(i int, _ []byte) error { good = append(good, i); return nil },
+			Mismatch: func(i int) { bad = append(bad, i) },
 		})
 		if err != nil || !slices.Equal(bad, []int{5, 37}) || len(good) != 58 || !slices.IsSorted(good) {
 			t.Fatalf("procs=%d: error %v, mismatches %v, %d chunks to the sink", procs, err, bad, len(good))

@@ -97,7 +97,7 @@ func RunPipelined(ctx context.Context, store *container.Store, recipe *chunk.Rec
 	stats := Stats{Label: recipe.Label, Fragments: recipe.Fragments()}
 	master := store.Device().Clock()
 	start := master.Now()
-	as := &assembly{store: store, cfg: cfg, refs: recipe.Refs, Emission: Emission{Sink: sink}, stats: &stats, restore: true}
+	as := &assembly{store: store, cfg: cfg, refs: recipe.Refs, Emission: Emission{Lane: master, Sink: sink}, stats: &stats, restore: true}
 	if err := as.execute(ctx); err != nil {
 		return stats, err
 	}
@@ -116,9 +116,8 @@ type Sink func(i int, data []byte) error
 // Emission is where the executor's chunks go and its one-lane reads are
 // charged, each just before the first chunk cut from it reaches Sink.
 type Emission struct {
-	Lane      *disk.Clock // charged through its view of the store device; nil: the store's clock
-	Uncharged bool        // charge nothing instead: no clock, head or device counter moves
-	Sink      Sink        // nil: count the chunks, write nothing
+	Lane *disk.Clock // charged through its view of the store device; nil: no clock, head or device counter moves
+	Sink Sink        // nil: count the chunks, write nothing
 	// Mismatch, when set, is told the index of each chunk that fails Verify,
 	// in place of Sink, and the stream goes on; unset, the first stops it.
 	Mismatch func(i int)
@@ -320,7 +319,7 @@ func (as *assembly) run(ctx context.Context) error {
 		if f.needAt == i {
 			e := &as.plan.extents[f.extent]
 			if int(fx) == e.lo {
-				if as.cfg.Workers == 1 && !as.Uncharged {
+				if as.cfg.Workers == 1 && as.Lane != nil {
 					charge = e.ids
 				}
 				as.sections.owe(as.retired)
