@@ -832,13 +832,10 @@ func (s *Store) Restore(ctx context.Context, b *Backup, w io.Writer, verify bool
 // which verifies and writes on a pool of GOMAXPROCS goroutines; restored
 // bytes and every statistic are the same at any pool size.
 //
-// On a backend that copies sections out of files, the restore reads them
-// into its own buffers, each of one container's capacity, made as they are
-// first needed: at most CacheContainers plus 2 × the widest extent of its
-// fetch schedule (the extent being assembled and the one read behind it).
-// A section holds its piece of a buffer from its fetch until its last chunk
-// is written; the buffers are kept for the next restore when the call
-// returns.
+// On the file backend each section the restore fetches is its data file
+// mapped read-only, from its fetch until its last chunk is written; none is
+// mapped once the call returns. A file cut short under a restore that has it
+// mapped ends the restore with blockstore.ErrCorrupt naming the container.
 func (s *Store) RestoreWith(ctx context.Context, b *Backup, w io.Writer, opts RestoreOptions) (RestoreStats, error) {
 	ctx, span := telemetry.StartSpan(ctx, "store.restore")
 	defer span.End()

@@ -153,8 +153,7 @@ func churnStore(tb testing.TB, dir string, gens, files int, containerCap int64) 
 }
 
 // TestCheckAllocatesLessThanASectionPerContainer: Check(verifyData) reads
-// sections through the restore executor, into buffers it reuses, so
-// re-hashing a file store of dozens of containers allocates less than one
+// sections through the restore executor, which maps them, so re-hashing a file store of dozens of containers allocates less than one
 // data section per referenced container, which a reader that makes a fresh
 // buffer for each fetch spends on the sections alone.
 func TestCheckAllocatesLessThanASectionPerContainer(t *testing.T) {

@@ -378,6 +378,15 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
+// Map is a plain read: the bytes are a copy, nothing to unmap.
+func (f *memFile) Map(n int64) ([]byte, func() error, error) {
+	data := make([]byte, n)
+	if _, err := f.ReadAt(data, 0); err != nil {
+		return nil, nil, err
+	}
+	return data, nil, nil
+}
+
 func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	f.m.mu.Lock()
 	defer f.m.mu.Unlock()

@@ -10,9 +10,9 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/blockstore"
@@ -156,124 +156,130 @@ func TestSectionReadsOnEveryRoute(t *testing.T) {
 	}
 }
 
-// loanFaults is a WrapBackend wrapper that spoils one ranged loan in every
-// `every` on its way to the file backend (none while every is 0: the
-// maintenance merges that build a churned store take loans too), the way
-// mode says:
-//
-//   - "short loan": the buffer handed on is one byte short of the ranges' sum;
-//   - "refused loan": no buffer is handed on at all;
-//   - "re-read": the read succeeds and its result is lost on the way up, so
-//     the wrapper reads again, into a second loan;
-//   - "shrink": the container's data file is cut to half between the
-//     backend's fstat and its first pread.
-//
-// It counts the loans it spoilt and the ranged loans it let through.
-type loanFaults struct {
-	blockstore.Backend
-	dir          string
-	mode         string
-	every        int
-	seen         int
-	spoilt, kept atomic.Int64
+// cutAfterMapFS maps files as the operating system's does, and cuts the data
+// file named cut to `to` bytes the first time it is mapped, right after: a
+// file torn under a reader that has it mapped, whose next look at a page past
+// the cut faults.
+type cutAfterMapFS struct {
+	blockstore.FS
+	mu  sync.Mutex
+	cut string // base name of the file to cut; "" once it is
+	to  int64
 }
 
-func (l *loanFaults) lender(ctx context.Context) (context.Context, *bool) {
-	inner := blockstore.LenderFrom(ctx)
-	fail := new(bool)
-	if inner == nil {
-		return ctx, fail
+func (c *cutAfterMapFS) OpenFile(name string, flag int) (blockstore.FSFile, error) {
+	f, err := c.FS.OpenFile(name, flag)
+	if err != nil {
+		return nil, err
 	}
-	return blockstore.WithLender(ctx, func(id uint32, n int64) ([]byte, []blockstore.Range) {
-		buf, want := inner(id, n)
-		if want == nil || len(buf) == 0 || l.every == 0 {
-			return buf, want
-		}
-		if l.seen++; l.seen%l.every != 0 {
-			l.kept.Add(1)
-			return buf, want
-		}
-		l.spoilt.Add(1)
-		switch l.mode {
-		case "short loan":
-			sum := int64(0)
-			for _, r := range want {
-				sum += r.Len
-			}
-			return buf[:sum-1], want
-		case "refused loan":
-			return nil, nil
-		case "re-read":
-			*fail = true
-		case "shrink":
-			path := filepath.Join(l.dir, "containers", fmt.Sprintf("%06d.data", id))
-			if err := os.Truncate(path, n/2); err != nil {
-				panic(err)
-			}
-		}
-		return buf, want
-	}), fail
+	return cutAfterMapFile{f, c}, nil
 }
 
-func (l *loanFaults) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
-	spoilt, lost := l.lender(ctx)
-	out, err := l.Backend.ReadDataRange(spoilt, ids)
-	if err == nil && *lost {
-		out, err = l.Backend.ReadDataRange(ctx, ids)
+type cutAfterMapFile struct {
+	blockstore.FSFile
+	c *cutAfterMapFS
+}
+
+func (f cutAfterMapFile) Map(n int64) ([]byte, func() error, error) {
+	data, unmap, err := f.FSFile.Map(n)
+	c := f.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err == nil && c.cut != "" && filepath.Base(f.Name()) == c.cut {
+		c.cut = ""
+		if err := os.Truncate(f.Name(), c.to); err != nil {
+			panic(err)
+		}
 	}
-	return out, err
+	return data, unmap, err
 }
 
-func (l *loanFaults) Drop(ctx context.Context, ids []uint32, reason string) error {
-	return l.Backend.(blockstore.Dropper).Drop(ctx, ids, reason)
+// wholeWrites keeps the writes that returned: one that faulted while it
+// copied leaves nothing behind.
+type wholeWrites []byte
+
+func (w *wholeWrites) Write(p []byte) (int, error) {
+	*w = append(*w, p...)
+	return len(p), nil
 }
 
-// TestPackedFetchFaults runs the ways a packed read can go wrong through a
-// whole restore of a churned file-backed store, verify off so that nothing
-// but the comparison with the source looks at the bytes: a lent buffer short
-// of the ranges' sum and a refused loan each mix a whole, private section into
-// a restore of packed ones, and a read done again lends a second buffer — those
-// restores must be whole and right; a file that shrinks between fstat and a
-// ranged pread, and a section torn at seal, must each stop
-// the restore with ErrCorrupt naming the container, after bytes that are the
-// source's.
-func TestPackedFetchFaults(t *testing.T) {
+// TestMappedFetchFaults cuts a sealed data file on the operating system's file
+// system short right after a reader has mapped it — page-aligned, half of it
+// — and each reader must come out of the fault with ErrCorrupt naming that
+// container, and no crash: a restore with Verify on, where the fault lands in
+// the fingerprint kernel, and one with it off, where it lands in the writer,
+// each after bytes that are the source's; Check, which reports the container;
+// and Repair, which quarantines exactly it. A section torn at seal is
+// ErrCorrupt too, found before anything is mapped.
+func TestMappedFetchFaults(t *testing.T) {
 	ctx := context.Background()
-	opts := DefaultRestoreOptions()
-	opts.Verify = false
-	restore := func(t *testing.T, s *Store, b *Backup, want []byte) error {
+	// open builds a three-generation file store and arms its file system to
+	// cut the data file of the fullest container the newest backup reads.
+	open := func(t *testing.T) (*Store, []byte, uint32) {
 		t.Helper()
-		var out bytes.Buffer
-		_, err := s.RestoreWith(ctx, b, &out, opts)
-		if !bytes.HasPrefix(want, out.Bytes()) || (err == nil && out.Len() != len(want)) {
-			t.Fatalf("restored %d of %d bytes (%v), and they are not the source's", out.Len(), len(want), err)
+		fsys := &cutAfterMapFS{FS: blockstore.OS}
+		s, err := Open(Options{Engine: DeFrag, Alpha: 0.1, StoreData: true, ExpectedBytes: 64 << 20,
+			Backend: FileBackend, Dir: t.TempDir(), fs: fsys})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return err
+		t.Cleanup(func() { s.Close() })
+		datas := ingestGens(t, s, 3, 3)
+		cs := s.eng.Containers()
+		newest := s.Backups()[len(s.Backups())-1]
+		victim := newest.recipe().Refs[0].Loc.Container
+		for _, r := range newest.recipe().Refs {
+			if cs.DataFill(r.Loc.Container) > cs.DataFill(victim) {
+				victim = r.Loc.Container
+			}
+		}
+		page := int64(os.Getpagesize())
+		if fsys.to = cs.DataFill(victim) / 2 &^ (page - 1); fsys.to < page {
+			t.Fatalf("container %d holds %d bytes: too few to cut at a page", victim, cs.DataFill(victim))
+		}
+		fsys.cut = fmt.Sprintf("%06d.data", victim)
+		return s, datas[len(datas)-1], victim
 	}
-	for _, mode := range []string{"short loan", "refused loan", "re-read", "shrink"} {
-		t.Run(mode, func(t *testing.T) {
-			faults := &loanFaults{mode: mode}
-			s, datas := churnedFileStore(t, Options{WrapBackend: func(be blockstore.Backend) blockstore.Backend {
-				faults.Backend = be
-				return faults
-			}}, 42, 24, 7, 4)
-			faults.dir, faults.every = s.opts.Dir, 3
-			newest := s.Backups()[len(s.Backups())-1]
-			err := restore(t, s, newest, datas[len(datas)-1])
-			if faults.spoilt.Load() == 0 || faults.kept.Load() == 0 {
-				t.Fatalf("%d loans spoilt beside %d packed: nothing was mixed", faults.spoilt.Load(), faults.kept.Load())
-			}
-			if mode != "shrink" {
-				if err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			if !errors.Is(err, blockstore.ErrCorrupt) || !strings.Contains(err.Error(), "container") || !strings.Contains(err.Error(), "torn") {
-				t.Fatalf("a file cut under a ranged read: %v, want ErrCorrupt naming a torn container", err)
+	tornErr := func(t *testing.T, err error, victim uint32) {
+		t.Helper()
+		if !errors.Is(err, blockstore.ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("container %d torn", victim)) {
+			t.Fatalf("%v, want ErrCorrupt naming container %d torn", err, victim)
+		}
+	}
+	for _, verify := range []bool{true, false} {
+		t.Run(fmt.Sprintf("restore verify=%v", verify), func(t *testing.T) {
+			s, want, victim := open(t)
+			opts := DefaultRestoreOptions()
+			opts.Verify = verify
+			var out wholeWrites
+			_, err := s.RestoreWith(ctx, s.Backups()[len(s.Backups())-1], &out, opts)
+			tornErr(t, err, victim)
+			if !bytes.HasPrefix(want, out) {
+				t.Fatal("the bytes restored before the fault are not the source's")
 			}
 		})
 	}
+	t.Run("check", func(t *testing.T) {
+		s, _, victim := open(t)
+		rep, err := s.Check(ctx, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := fmt.Sprintf("container %d: data section unreadable: ", victim)
+		if len(rep.Problems) != 1 || !strings.HasPrefix(rep.Problems[0], prefix) || !strings.Contains(rep.Problems[0], blockstore.ErrCorrupt.Error()) {
+			t.Fatalf("check: %q, want one problem: container %d unreadable, corrupt", rep.Problems, victim)
+		}
+	})
+	t.Run("repair", func(t *testing.T) {
+		s, _, victim := open(t)
+		res, err := s.Repair(ctx, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Quarantined, []uint32{victim}) {
+			t.Fatalf("repair quarantined %v, want exactly container %d", res.Quarantined, victim)
+		}
+	})
 
 	t.Run("torn at seal", func(t *testing.T) {
 		tear := false
@@ -303,7 +309,11 @@ func TestPackedFetchFaults(t *testing.T) {
 			}
 		}
 		backups := s.Backups()
-		err = restore(t, s, backups[len(backups)-1], newest)
+		var out bytes.Buffer
+		_, err = s.RestoreWith(ctx, backups[len(backups)-1], &out, DefaultRestoreOptions())
+		if !bytes.HasPrefix(newest, out.Bytes()) {
+			t.Fatal("the bytes restored before the torn container are not the source's")
+		}
 		if !errors.Is(err, blockstore.ErrCorrupt) || !strings.Contains(err.Error(), "container") || !strings.Contains(err.Error(), "torn") {
 			t.Fatalf("a restore over containers torn at seal: %v, want ErrCorrupt naming a torn container", err)
 		}

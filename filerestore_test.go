@@ -7,9 +7,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/blockstore"
@@ -22,7 +23,7 @@ import (
 // the newest `keep` are retained — each ingest past that forgets the oldest
 // backup and runs a maintenance epoch, so the retained recipes span original,
 // rewritten and merged containers. It returns the store and the retained
-// streams, oldest first. Under a holderSpy each epoch is a holder of its own.
+// streams, oldest first. Under a holderSpy each epoch is a holding of its own.
 func churnedFileStore(t *testing.T, opts Options, seed int64, files, gens, keep int) (*Store, [][]byte) {
 	t.Helper()
 	ctx := context.Background()
@@ -73,106 +74,92 @@ func churnedFileStore(t *testing.T, opts Options, seed int64, files, gens, keep 
 	return s, datas
 }
 
-// loanSpy is a WrapBackend wrapper that watches the loans go by
-// (blockstore.LenderFrom): it adds up what every read asked of the backend
-// beneath it — the ranges lent with the buffer a section came back in, the
-// whole section when there was no loan, no ranges, or the loan went unused —
-// and the sections those reads were of, whole; and, with poison set, it fills
-// every lent buffer with 0xA5 before the backend sees it, so that whatever a
-// ranged read leaves unread is not, by luck, the bytes the same buffer held for
-// the same container a moment ago.
-type loanSpy struct {
-	blockstore.Backend
-	poison bool
-	asked  atomic.Int64 // bytes asked of the backend
-	whole  atomic.Int64 // bytes of the sections they were asked of
-	ranged atomic.Int64 // sections that came back in a buffer lent with ranges
+// mapSpyFS is a blockstore.FS over the operating system's whose Map hands out
+// buffers of its own, the file's bytes copied in: a buffer a released section
+// left, when one of the size is free — the kernel reuses address space the
+// same way — else a new one. Release poisons a buffer (0xA5) before it is free
+// again, so a reader that still looks at a section it let go of sees poison
+// or another section, never the right bytes by luck. It counts the mappings
+// out and the releases, and tells released, when set, of each release.
+type mapSpyFS struct {
+	blockstore.FS
+	mu             sync.Mutex
+	free           map[int][][]byte
+	live, released int
+	onRelease      func(first *byte)
 }
 
-// loan is what a lent buffer was lent for: the section's size, and the bytes
-// of it to be read into the buffer (-1: the whole section).
-type loan struct{ n, asked int64 }
+func newMapSpyFS() *mapSpyFS { return &mapSpyFS{FS: blockstore.OS, free: map[int][][]byte{}} }
 
-// watch returns ctx with its lender, if any, wrapped, and the loans made
-// through it, by array.
-func (l *loanSpy) watch(ctx context.Context) (context.Context, map[*byte]loan) {
-	inner := blockstore.LenderFrom(ctx)
-	if inner == nil {
-		return ctx, nil
+func (m *mapSpyFS) OpenFile(name string, flag int) (blockstore.FSFile, error) {
+	f, err := m.FS.OpenFile(name, flag)
+	if err != nil {
+		return nil, err
 	}
-	loans := make(map[*byte]loan)
-	return blockstore.WithLender(ctx, func(id uint32, n int64) ([]byte, []blockstore.Range) {
-		buf, want := inner(id, n)
-		if len(buf) == 0 {
-			return buf, want
-		}
-		if l.poison {
-			for i := range buf {
-				buf[i] = 0xA5
-			}
-		}
-		ln := loan{n: n, asked: -1}
-		if want != nil {
-			ln.asked = 0
-			for _, r := range want {
-				ln.asked += r.Len
-			}
-		}
-		loans[&buf[0]] = ln
-		return buf, want
-	}), loans
+	return mapSpyFile{f, m}, nil
 }
 
-func (l *loanSpy) count(loans map[*byte]loan, data []byte) {
-	if ln, lent := loans[&data[0]]; lent && ln.asked >= 0 {
-		l.asked.Add(ln.asked)
-		l.whole.Add(ln.n)
-		l.ranged.Add(1)
-		return
+// counts returns the mappings out and the releases so far.
+func (m *mapSpyFS) counts() (live, released int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.live, m.released
+}
+
+type mapSpyFile struct {
+	blockstore.FSFile
+	m *mapSpyFS
+}
+
+func (f mapSpyFile) Map(n int64) ([]byte, func() error, error) {
+	m := f.m
+	m.mu.Lock()
+	var buf []byte
+	if k := len(m.free[int(n)]); k > 0 {
+		buf, m.free[int(n)] = m.free[int(n)][k-1], m.free[int(n)][:k-1]
 	}
-	l.asked.Add(int64(len(data)))
-	l.whole.Add(int64(len(data)))
-}
-
-func (l *loanSpy) ReadData(ctx context.Context, id uint32) ([]byte, error) {
-	ctx, loans := l.watch(ctx)
-	data, err := l.Backend.ReadData(ctx, id)
-	if err == nil && len(data) > 0 {
-		l.count(loans, data)
+	m.mu.Unlock()
+	if buf == nil {
+		buf = make([]byte, n)
 	}
-	return data, err
-}
-
-func (l *loanSpy) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
-	ctx, loans := l.watch(ctx)
-	out, err := l.Backend.ReadDataRange(ctx, ids)
-	for _, data := range out {
-		if len(data) > 0 {
-			l.count(loans, data)
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		return nil, nil, err
+	}
+	m.mu.Lock()
+	m.live++
+	m.mu.Unlock()
+	return buf, func() error {
+		m.mu.Lock()
+		release := m.onRelease
+		m.mu.Unlock()
+		if release != nil {
+			release(&buf[0])
 		}
-	}
-	return out, err
-}
-
-func (l *loanSpy) Drop(ctx context.Context, ids []uint32, reason string) error {
-	return l.Backend.(blockstore.Dropper).Drop(ctx, ids, reason)
+		for i := range buf {
+			buf[i] = 0xA5
+		}
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		m.live--
+		m.released++
+		m.free[len(buf)] = append(m.free[len(buf)], buf)
+		return nil
+	}, nil
 }
 
 // TestFileRestoreReadGuard is the count-based guard of the file-backend
 // restore path — no clock in it. Over a churned store, the default restore of
 // the newest backup must (a) issue exactly the reads its forward-knowledge
-// plan has, and no more than the recency plan would, (b) ask the backend for
-// exactly the bytes it reports, which stay under a pinned multiple of the
-// bytes restored. On the way it pins which planner the default, a zero
-// RestoreOptions and each explicit policy reach. What it allocates is
-// TestSectionBuffersOutliveTheRestore's.
+// plan has, and no more than the recency plan would, (b) be handed by the
+// backend exactly the bytes it reports, whole sections, which stay under a
+// pinned multiple of the bytes restored. On the way it pins which planner the
+// default, a zero RestoreOptions and each explicit policy reach. What it
+// allocates is TestFileRestoreAllocatesLittle's.
 func TestFileRestoreReadGuard(t *testing.T) {
 	ctx := context.Background()
 	var counts *blockstore.Counting
-	loans := &loanSpy{}
 	s, datas := churnedFileStore(t, Options{WrapBackend: func(be blockstore.Backend) blockstore.Backend {
-		loans.Backend = be
-		counts = blockstore.NewCounting(loans)
+		counts = blockstore.NewCounting(be)
 		return counts
 	}}, 42, 56, 9, 4)
 	newest := s.Backups()[len(s.Backups())-1]
@@ -212,8 +199,6 @@ func TestFileRestoreReadGuard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// (ReadBytes is not the plan's alone: a read that finds every buffer
-		// out on loan asks for its whole section.)
 		if got.ContainerReads != tc.want.ContainerReads {
 			t.Errorf("%s: %d container reads, its plan has %d (OPT %d, LRU %d)", tc.name,
 				got.ContainerReads, tc.want.ContainerReads, opt.ContainerReads, lru.ContainerReads)
@@ -222,8 +207,6 @@ func TestFileRestoreReadGuard(t *testing.T) {
 
 	// (a)
 	counts.ResetCounts()
-	loans.asked.Store(0)
-	loans.whole.Store(0)
 	var out bytes.Buffer
 	rs, err := s.Restore(ctx, newest, &out, true)
 	if err != nil {
@@ -236,37 +219,30 @@ func TestFileRestoreReadGuard(t *testing.T) {
 		t.Fatalf("default restore: %d backend reads, stats say %d, the OPT-%d plan has %d (LRU-%d: %d)",
 			got, rs.ContainerReads, cache, opt.ContainerReads, cache, lru.ContainerReads)
 	}
-	// (b) What the restore says it asked for is what the backend was asked
-	// for, and what came back up (packed): the ranges its refs lie in, not the
-	// whole sections. Pinned: this store and seed ask for 1.01 × the bytes
-	// restored, in sections of 1.22 × (LRU: 1.73 ×).
-	if got, back := loans.asked.Load(), counts.DataBytesRead(); got != rs.ReadBytes || back != rs.ReadBytes {
-		t.Fatalf("the backend was asked for %d bytes and returned %d, RestoreStats.ReadBytes says %d", got, back, rs.ReadBytes)
+	// (b) What the restore says it read is what the backend handed up: the
+	// whole sections of its fetches. Pinned: this store and seed read 1.22 ×
+	// the bytes restored (LRU: 1.73 ×).
+	if back := counts.DataBytesRead(); back != rs.ReadBytes {
+		t.Fatalf("the backend handed up %d bytes, RestoreStats.ReadBytes says %d", back, rs.ReadBytes)
 	}
-	whole := loans.whole.Load()
-	if rs.ReadBytes > whole {
-		t.Fatalf("asked for %d bytes of sections of %d", rs.ReadBytes, whole)
-	}
-	const askCeiling = 1.25
+	const readCeiling = 1.3
 	amp := float64(rs.ReadBytes) / float64(rs.Bytes)
-	t.Logf("%d reads (LRU %d) over %d distinct containers; asked for %.2f × the bytes restored (LRU %.2f), in sections of %.2f ×",
+	t.Logf("%d reads (LRU %d) over %d distinct containers; read %.2f × the bytes restored (LRU %.2f)",
 		rs.ContainerReads, lru.ContainerReads, newest.recipe().ContainersTouched(), amp,
-		float64(lru.ReadBytes)/float64(lru.Bytes), float64(whole)/float64(rs.Bytes))
-	if amp > askCeiling {
-		t.Fatalf("asked for %d bytes to restore %d: %.2f ×, ceiling %.2f", rs.ReadBytes, rs.Bytes, amp, askCeiling)
+		float64(lru.ReadBytes)/float64(lru.Bytes))
+	if amp > readCeiling {
+		t.Fatalf("read %d bytes to restore %d: %.2f ×, ceiling %.2f", rs.ReadBytes, rs.Bytes, amp, readCeiling)
 	}
 }
 
-// TestSectionBuffersOutliveTheRestore is the allocation guard of the same
-// path, the file-backend sibling of internal/restore's
-// TestRestoreAllocBytesPerByte: a restore of a store that has been restored
-// from before finds its section buffers where the last one left them, and
-// allocates next to nothing per restored byte — the plan, the ranges, a decode
-// batch. (A buffer per fetch, the way before PR 16, is the read amplification
-// in sections: 1.22 B per byte here; a set of its own per restore, PR 16's
-// way, 0.7 to 0.8.) Once with inline decode (GOMAXPROCS 1: the pool is sized
-// from it) and once with a pool of two.
-func TestSectionBuffersOutliveTheRestore(t *testing.T) {
+// TestFileRestoreAllocatesLittle is the allocation guard of the same path,
+// the file-backend sibling of internal/restore's TestRestoreAllocBytesPerByte:
+// a restore maps the sections it reads, and allocates next to nothing per
+// restored byte — the plan, a decode batch, an open file per fetch. (A buffer
+// per fetch is the read amplification in sections: 1.22 B per byte here.)
+// Once with inline decode (GOMAXPROCS 1: the pool is sized from it) and once
+// with a pool of two.
+func TestFileRestoreAllocatesLittle(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops a share of what it is given, and its shadow allocations are not the restore's")
 	}
@@ -279,7 +255,7 @@ func TestSectionBuffersOutliveTheRestore(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
 		var out bytes.Buffer
-		rs, err := s.RestoreWith(ctx, newest, &out, opts) // the one that makes the buffers
+		rs, err := s.RestoreWith(ctx, newest, &out, opts) // the one that warms the pools
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,123 +280,210 @@ func TestSectionBuffersOutliveTheRestore(t *testing.T) {
 	}
 }
 
-// TestRangedRestoreOverPoisonedBuffers restores with nothing between a range
-// bug and the output: every buffer is filled with 0xA5 just before the backend
-// reads into it, so a chunk cut from outside the ranges its fetch asked for is
-// 0xA5s and not the right bytes a reused buffer might happen to hold there, and
-// Verify is off, so only the comparison with the source looks. Every policy,
-// inline decode (GOMAXPROCS 1) and the pool (2, 4), the oldest retained backup
-// — merged and rewritten containers — and the newest.
-func TestRangedRestoreOverPoisonedBuffers(t *testing.T) {
+// TestNoMappingOutlivesItsReader holds every reader of sealed sections to
+// their lifetime: each one it maps is released by the time it returns, and
+// never before it is done with it. The store's file system is a mapSpyFS,
+// which poisons a section as it is released and maps its buffer again for
+// the next read, so a section released early shows as wrong bytes; every
+// reader runs with nothing between that and its output — restores with
+// Verify off — and must give the source's bytes: restores in every policy,
+// inline (GOMAXPROCS 1) and through the decode pool (2, 4), of the oldest
+// retained backup (merged and rewritten containers) and the newest, one whose
+// writer fails, one cancelled mid-stream, the maintenance merge, Check,
+// Repair, Export (container.Store.CopyTo) and container.Store.ReadDataRange.
+func TestNoMappingOutlivesItsReader(t *testing.T) {
 	ctx := context.Background()
-	loans := &loanSpy{poison: true}
-	s, datas := churnedFileStore(t, Options{WrapBackend: func(be blockstore.Backend) blockstore.Backend {
-		loans.Backend = be
-		return loans
-	}}, 11, 24, 7, 4)
+	maps := newMapSpyFS()
+	s, datas := churnedFileStore(t, Options{fs: maps}, 11, 24, 7, 4)
 	backups := s.Backups()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, policy := range []RestorePolicy{RestoreLRU, RestoreOPT, RestoreFAA} {
-		for _, procs := range []int{1, 2, 4} {
-			runtime.GOMAXPROCS(procs)
-			for _, i := range []int{0, len(backups) - 1} {
-				opts := DefaultRestoreOptions()
-				opts.Policy, opts.CacheContainers, opts.Verify = policy, 3, false
-				var out bytes.Buffer
-				rs, err := s.RestoreWith(ctx, backups[i], &out, opts)
-				if err != nil {
-					t.Fatalf("%v, GOMAXPROCS %d, %s: %v", policy, procs, backups[i].Label, err)
-				}
-				if !bytes.Equal(out.Bytes(), datas[i]) {
-					t.Fatalf("%v, GOMAXPROCS %d, %s: restored stream differs from the source", policy, procs, backups[i].Label)
-				}
-				if rs.ReadBytes < rs.Bytes {
-					t.Fatalf("%v, GOMAXPROCS %d, %s: asked for %d bytes to restore %d", policy, procs, backups[i].Label, rs.ReadBytes, rs.Bytes)
-				}
+	unmapped := func(t *testing.T, reader string) {
+		t.Helper()
+		if live, _ := maps.counts(); live != 0 {
+			t.Fatalf("%s returned with %d sections still mapped", reader, live)
+		}
+	}
+	restoreAll := func(t *testing.T, after string) {
+		t.Helper()
+		for i, b := range s.Backups() {
+			var out bytes.Buffer
+			if _, err := s.RestoreWith(ctx, b, &out, DefaultRestoreOptions()); err != nil || !bytes.Equal(out.Bytes(), datas[len(datas)-len(s.Backups())+i]) {
+				t.Fatalf("%s after %s: restored stream differs (%v)", b.Label, after, err)
 			}
 		}
 	}
-	if loans.ranged.Load() == 0 {
-		t.Fatal("no section came back in a buffer lent with ranges: nothing was tested")
+
+	t.Run("restores", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+		for _, policy := range []RestorePolicy{RestoreLRU, RestoreOPT, RestoreFAA} {
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				for _, i := range []int{0, len(backups) - 1} {
+					opts := DefaultRestoreOptions()
+					opts.Policy, opts.CacheContainers, opts.Verify = policy, 3, false
+					var out bytes.Buffer
+					if _, err := s.RestoreWith(ctx, backups[i], &out, opts); err != nil {
+						t.Fatalf("%v, GOMAXPROCS %d, %s: %v", policy, procs, backups[i].Label, err)
+					}
+					if !bytes.Equal(out.Bytes(), datas[i]) {
+						t.Fatalf("%v, GOMAXPROCS %d, %s: restored stream differs from the source", policy, procs, backups[i].Label)
+					}
+					unmapped(t, fmt.Sprintf("a %v restore at GOMAXPROCS %d", policy, procs))
+				}
+			}
+		}
+	})
+	t.Run("failing restore", func(t *testing.T) {
+		errWriter := errors.New("client went away")
+		newest := datas[len(datas)-1]
+		var out bytes.Buffer
+		w := &limitWriter{w: &out, left: int64(len(newest) / 3), err: errWriter}
+		if _, err := s.RestoreWith(ctx, backups[len(backups)-1], w, DefaultRestoreOptions()); !errors.Is(err, errWriter) {
+			t.Fatalf("%v, want the writer's error", err)
+		}
+		if !bytes.Equal(out.Bytes(), newest[:out.Len()]) {
+			t.Fatal("the bytes written before the writer failed differ")
+		}
+		unmapped(t, "a restore whose writer failed")
+	})
+	t.Run("cancelled restore", func(t *testing.T) {
+		cctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		if _, err := s.RestoreWith(cctx, backups[len(backups)-1], cancelOnWrite(cancel), DefaultRestoreOptions()); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v, want the cancellation", err)
+		}
+		unmapped(t, "a cancelled restore")
+	})
+	t.Run("merge", func(t *testing.T) {
+		for _, b := range backups[:len(backups)-1] {
+			if !s.Forget(b.Label).Found {
+				t.Fatalf("forget %s: not found", b.Label)
+			}
+		}
+		st, err := s.Compact(ctx, 0.95)
+		if err != nil || st.ChunksMoved == 0 {
+			t.Fatalf("compact: %+v, %v; want chunks moved", st, err)
+		}
+		unmapped(t, "a merge")
+		restoreAll(t, "the merge")
+	})
+	t.Run("check", func(t *testing.T) {
+		if rep, err := s.Check(ctx, true); err != nil || !rep.OK() {
+			t.Fatalf("check: %v %v", err, rep.Problems)
+		}
+		unmapped(t, "Check")
+	})
+	t.Run("repair", func(t *testing.T) {
+		if res, err := s.Repair(ctx, true); err != nil || len(res.Quarantined) != 0 {
+			t.Fatalf("repair of a sound store: %+v, %v", res, err)
+		}
+		unmapped(t, "Repair")
+	})
+	t.Run("export", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := s.Export(ctx, dir); err != nil {
+			t.Fatal(err)
+		}
+		unmapped(t, "Export")
+		exp, err := Open(Options{Engine: DeFrag, StoreData: true, Backend: FileBackend, Dir: dir, Maintenance: maintOptions()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer exp.Close()
+		for i, b := range exp.Backups() {
+			var out bytes.Buffer
+			if _, err := exp.Restore(ctx, b, &out, true); err != nil || !bytes.Equal(out.Bytes(), datas[len(datas)-len(exp.Backups())+i]) {
+				t.Fatalf("%s off the export: restored stream differs (%v)", b.Label, err)
+			}
+		}
+	})
+	t.Run("ReadDataRange", func(t *testing.T) {
+		cs := s.eng.Containers()
+		read := 0
+		for id := uint32(0); int(id) < cs.Slots(); id++ {
+			if !cs.Sealed(id) {
+				continue
+			}
+			out, err := cs.ReadDataRange(ctx, []uint32{id})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join(s.opts.Dir, "containers", fmt.Sprintf("%06d.data", id)))
+			if err != nil || !bytes.Equal(out[0], want) {
+				t.Fatalf("container %d: ReadDataRange differs from the data file (%v)", id, err)
+			}
+			read++
+		}
+		unmapped(t, "ReadDataRange")
+		if read == 0 {
+			t.Fatal("no sealed container: nothing was tested")
+		}
+	})
+	if _, released := maps.counts(); released == 0 {
+		t.Fatal("no section was ever released: nothing was tested")
 	}
 }
 
+// cancelOnWrite is a writer that cancels at its first write, and takes it.
+type cancelOnWrite func()
+
+func (c cancelOnWrite) Write(p []byte) (int, error) {
+	c()
+	return len(p), nil
+}
+
 // holderSpy is a WrapBackend wrapper of the kind the contract must work
-// through: it forwards ctx and slices. It keeps every section the backend
-// returned, keyed by array, with the holding (one restore call of one of the
-// test's streams, see hold) it was returned to. A lent buffer may come back any
-// number of times to the restore that owns it, and to anybody's once that
-// restore is over — its buffers outlive it; it must never reach a second
-// holder while the first still runs, and a read nobody lent for must always be
-// a new array. Every lending reader runs under a holding — a maintenance merge
-// and fsck's Check read through the restore executor and lend too — and a read
-// that lends under none fails the test: a reader it does not see could share buffers
-// unchecked.
-//
-// "Over" has to be judged from outside: RunPipelined returns its buffers to
-// the pool as it returns, so a sibling can draw one before the caller has had
-// the chance to say its restore returned (which failed this spy about one run
-// in twenty when it went by the caller's word alone). A buffer that reaches a
-// second holder while the first has not said so is therefore taken as the
-// first one's claim to have finished, and the claim is held to: a holder whose
-// buffer was passed on may neither read a section nor write a byte (watch)
-// again.
+// through: it forwards ctx and slices. With the store's mapSpyFS it follows
+// every section the backend maps from the read that hands it up to its
+// Release, and keeps the holding (one restore, merge or check call of the
+// test's, see hold) it was handed to: a holding that returns with a section
+// of its own still mapped fails the test, and so does a read under no
+// holding — a reader the test does not see could keep one unchecked. The
+// FS's poison makes a section read after its Release wrong bytes.
 type holderSpy struct {
 	blockstore.Backend
-	t  *testing.T
-	mu sync.Mutex
-	by map[*byte]*holding
+	t   *testing.T
+	mu  sync.Mutex
+	out map[*byte]*holding // mapped sections handed up and not yet released
 	// failRead, when > 0, counts down: the read that takes it to zero comes
 	// back as a private copy with a flipped bit in every 512 bytes, so that
 	// whichever of its chunks the restore wants is wrong.
 	failRead int
 }
 
-// holding is one restore call, from hold until its done.
+// newHolderSpy returns a holderSpy told of every release by maps.
+func newHolderSpy(t *testing.T, maps *mapSpyFS) *holderSpy {
+	h := &holderSpy{t: t, out: map[*byte]*holding{}}
+	maps.onRelease = h.released
+	return h
+}
+
+// holding is one call of the test's: its name and the sections it holds.
 type holding struct {
-	name     string
-	over     bool
-	passedOn string // the holder one of its buffers reached before done
+	name string
+	held int
 }
 
 type holderKey struct{}
 
-// hold returns the ctx of one restore call by the named stream, and the func
-// that says the call has returned.
+// hold returns the ctx of one call by the named stream, and the func that
+// says the call has returned.
 func (h *holderSpy) hold(ctx context.Context, name string) (context.Context, func()) {
 	hd := &holding{name: name}
 	return context.WithValue(ctx, holderKey{}, hd), func() {
 		h.mu.Lock()
-		hd.over = true
-		h.mu.Unlock()
+		defer h.mu.Unlock()
+		if hd.held != 0 {
+			h.t.Errorf("%s returned with %d sections still mapped", hd.name, hd.held)
+		}
 	}
 }
 
-// watch returns the writer the restore under ctx's holding is to write to:
-// w, failing the test on a byte written after one of the holding's buffers
-// went to another.
-func (h *holderSpy) watch(ctx context.Context, w io.Writer) io.Writer {
-	return watchedWriter{w, h, ctx.Value(holderKey{}).(*holding)}
-}
-
-type watchedWriter struct {
-	io.Writer
-	h  *holderSpy
-	hd *holding
-}
-
-func (w watchedWriter) Write(p []byte) (int, error) {
-	w.h.mu.Lock()
-	w.h.stillRuns(w.hd, "wrote")
-	w.h.mu.Unlock()
-	return w.Writer.Write(p)
-}
-
-// stillRuns fails the test if one of hd's buffers has already been handed to
-// another holder. Caller holds h.mu.
-func (h *holderSpy) stillRuns(hd *holding, did string) {
-	if hd != nil && hd.passedOn != "" {
-		h.t.Errorf("%s %s after a section buffer of its own was handed to %s", hd.name, did, hd.passedOn)
+func (h *holderSpy) released(first *byte) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if hd := h.out[first]; hd != nil {
+		hd.held--
+		delete(h.out, first)
 	}
 }
 
@@ -430,28 +493,29 @@ func (h *holderSpy) note(ctx context.Context, data []byte) []byte {
 	}
 	holder, _ := ctx.Value(holderKey{}).(*holding)
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	if holder == nil && blockstore.LenderFrom(ctx) != nil {
-		h.t.Errorf("a read lent a section buffer under no holding: a reader the test did not name")
+	fail := h.failRead > 0
+	if fail {
+		h.failRead--
+		fail = h.failRead == 0
 	}
-	h.stillRuns(holder, "read a section")
-	if h.failRead > 0 {
-		if h.failRead--; h.failRead == 0 {
-			data = append([]byte(nil), data...)
-			for i := 0; i < len(data); i += 512 {
-				data[i] ^= 1
-			}
+	switch {
+	case holder == nil:
+		h.t.Errorf("a section was read under no holding: a reader the test did not name")
+	case fail:
+	case h.out[&data[0]] != nil:
+		h.t.Errorf("a section mapped for %s was handed to %s before its release", h.out[&data[0]].name, holder.name)
+	default:
+		h.out[&data[0]] = holder
+		holder.held++
+	}
+	h.mu.Unlock()
+	if fail {
+		blockstore.Release(data)
+		data = append([]byte(nil), data...)
+		for i := 0; i < len(data); i += 512 {
+			data[i] ^= 1
 		}
 	}
-	if prev, seen := h.by[&data[0]]; seen {
-		switch {
-		case holder == nil || prev == nil:
-			h.t.Errorf("a section buffer was shared between a restore and a reader that lends nothing (%v, %v)", prev, holder)
-		case prev != holder && !prev.over:
-			prev.passedOn = holder.name
-		}
-	}
-	h.by[&data[0]] = holder
 	return data
 }
 
@@ -478,15 +542,16 @@ func (h *holderSpy) Drop(ctx context.Context, ids []uint32, reason string) error
 	return h.Backend.(blockstore.Dropper).Drop(ctx, ids, reason)
 }
 
-// TestFileRestoreReuseSafety runs what can go wrong with reused sections all
+// TestFileRestoreReuseSafety runs what can go wrong with mapped sections all
 // at once, under -race in CI: concurrent default restores of sibling
 // generations off the file backend while a maintenance epoch merges and drops
 // containers beside them, some of the streams stopping early on a failing
 // writer and one on a corrupted section. Every stream that completes is
-// compared byte for byte, every section buffer stays with the one restore it
-// was lent by until that restore (or epoch: the merge reads through the same
-// executor) returns — failed ones too — (holderSpy), and no early stop
-// disturbs its siblings.
+// compared byte for byte, every section mapped for a restore (or epoch: the
+// merge reads through the same executor) is released by the time that call
+// returns — failed ones too — and no buffer is mapped again before its
+// release (holderSpy, over a mapSpyFS that reuses released buffers), and no
+// early stop disturbs its siblings.
 func TestFileRestoreReuseSafety(t *testing.T) {
 	// The case is named for the byte budget a restore once could spend on a
 	// shared data cache; restores now hold none, so zero is the only case.
@@ -498,8 +563,9 @@ func TestFileRestoreReuseSafety(t *testing.T) {
 
 func testFileRestoreReuseSafety(t *testing.T) {
 	ctx := context.Background()
-	spy := &holderSpy{t: t, by: map[*byte]*holding{}}
-	s, datas := churnedFileStore(t, Options{
+	maps := newMapSpyFS()
+	spy := newHolderSpy(t, maps)
+	s, datas := churnedFileStore(t, Options{fs: maps,
 		WrapBackend: func(be blockstore.Backend) blockstore.Backend {
 			spy.Backend = be
 			return spy
@@ -523,7 +589,7 @@ func testFileRestoreReuseSafety(t *testing.T) {
 				w = &limitWriter{w: &out, left: int64(len(datas[i]) / 3), err: errWriter}
 			}
 			hctx, done := spy.hold(ctx, holder)
-			_, err := s.Restore(hctx, backups[i], spy.watch(hctx, w), true)
+			_, err := s.Restore(hctx, backups[i], w, true)
 			done()
 			switch {
 			case mode == "writer fails":
@@ -567,13 +633,13 @@ func testFileRestoreReuseSafety(t *testing.T) {
 	spy.failRead = 3
 	spy.mu.Unlock()
 	hctx, done := spy.hold(ctx, "corrupted")
-	if _, err := s.Restore(hctx, backups[newest], spy.watch(hctx, io.Discard), true); err == nil {
+	if _, err := s.Restore(hctx, backups[newest], io.Discard, true); err == nil {
 		t.Fatal("a restore over a corrupted section succeeded")
 	}
 	done()
 	var out bytes.Buffer
 	hctx, done = spy.hold(ctx, "after the corrupted one")
-	_, err := s.Restore(hctx, backups[newest], spy.watch(hctx, &out), true)
+	_, err := s.Restore(hctx, backups[newest], &out, true)
 	done()
 	if err != nil || !bytes.Equal(out.Bytes(), datas[newest]) {
 		t.Fatalf("restore after the corrupted one: %v", err)

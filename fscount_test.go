@@ -14,8 +14,8 @@ import (
 )
 
 // countingFS counts what a store asks of its file system: opens, creates,
-// writes, fsyncs, fdatasyncs, renames, removes and directory fsyncs, each by
-// the file it touches (fileClass).
+// writes, fsyncs, fdatasyncs, maps, renames, removes and directory fsyncs,
+// each by the file it touches (fileClass).
 type countingFS struct {
 	blockstore.FS
 	mu sync.Mutex
@@ -91,6 +91,11 @@ type countingFile struct {
 func (f countingFile) WriteAt(p []byte, off int64) (int, error) {
 	f.c.add("write", f.Name())
 	return f.FSFile.WriteAt(p, off)
+}
+
+func (f countingFile) Map(n int64) ([]byte, func() error, error) {
+	f.c.add("map", f.Name())
+	return f.FSFile.Map(n)
 }
 
 func (f countingFile) Sync() error {
@@ -174,17 +179,19 @@ func TestFileOperationCounts(t *testing.T) {
 		t.Fatalf("epoch: %+v, %v; want one container merged", st, err)
 	}
 	step("one merge drop", merged(seal, map[string]int{
-		"open data": 1, "write catalog.log": 1, "fdatasync catalog.log": 1,
+		"open data": 1, "map data": 1, "write catalog.log": 1, "fdatasync catalog.log": 1,
 		"write containers.log": 1, "fdatasync containers.log": 1, "remove data": 1,
 	}))
 
-	// A restore opens each container it fetches and writes nothing.
+	// A restore opens and maps each container it fetches, whole — one mmap,
+	// where a read of the ranges its refs lie in took a pread each — and
+	// writes nothing.
 	var buf bytes.Buffer
 	rs, err := s.RestoreWith(ctx, s.FindBackup("y"), &buf, RestoreOptions{Policy: RestoreOPT, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	step("one restore's fetches", map[string]int{"open data": int(rs.ContainerReads)})
+	step("one restore's fetches", map[string]int{"open data": int(rs.ContainerReads), "map data": int(rs.ContainerReads)})
 	if rs.ContainerReads != 2 {
 		t.Errorf("the restore fetched %d containers, want 2", rs.ContainerReads)
 	}

@@ -53,36 +53,19 @@ type ContainerInfo struct {
 // concurrent use; implementations must not retain the data slice passed to
 // Seal after returning.
 //
-// The slices ReadData and ReadDataRange return are shared, read-only views:
-// a backend may hand every caller the same sealed bytes (Sim does), so a
-// caller must never write into a fetched section — anything it wants to
-// change it copies first. The bytes stay valid for as long as the caller
-// holds the slice, including after the container is dropped or the backend
-// closed.
+// The slices ReadData and ReadDataRange return are read-only views: a backend
+// may hand every caller the same sealed bytes (Sim does) or map the file they
+// are in (File does), so a caller must never write into a fetched section —
+// anything it wants to change it copies first. A section stays valid until
+// its reader hands it to Release, which it must do once nothing reads it,
+// and no later: a mapped section is unmapped then. Until then it stays valid
+// after the container is dropped or the backend closed. A mapped section
+// faults where its file has been cut short under it; readers touch one only
+// inside Guard, which turns that fault into an error.
 //
-// One exception, and only for a reader that asks for it: a ctx built with
-// WithLender offers the backend the reader's own buffers to read into. A
-// backend that copies bytes anyway (File) takes one per section and returns
-// exactly its prefix; the reader recognises its buffer in what comes back,
-// is that section's exclusive holder, and the section is valid until the
-// holder hands the buffer back to its own set — nobody else ever sees it. A
-// shared view (Sim's sealed sections, a metadata-only store's zeros) is
-// never a lent buffer, so it is never handed back and stays garbage-collected
-// as above.
-//
-// A loan may be ranged: with the buffer the lender names the byte ranges of
-// the section its holder will look at, and the section comes back packed —
-// those ranges back to back, in order, as the first Σ Len bytes of the buffer,
-// and nothing else. A packed section is shorter than the container's fill and
-// is not the section at its offsets: only its holder, who knows the ranges, can
-// read it, so a wrapper must not hash, compare or copy-and-share what it
-// forwards. A section that is not in a lent buffer is always whole.
-//
-// The ctx and the returned slices are all a wrapper has to forward for this
-// to work; a wrapper that keeps or shares the slices it returns (a cache)
-// must strip the lender — WithLender(ctx, nil) — before calling inward,
-// because a lent buffer is overwritten once its holder is done and may hold a
-// packed section, never the whole one.
+// A wrapper forwards the slices it is given, and Release still finds them. A
+// wrapper that kept a section past its reader's Release (a cache) would keep
+// an unmapped one: it copies instead.
 //
 // The write side has a twin that asks even less of a wrapper. The container
 // store that was given the raw File (it alone: container.Store.StageTo, or
@@ -106,9 +89,9 @@ type Backend interface {
 	// stores. Sealing the same ID again overwrites.
 	Seal(ctx context.Context, info ContainerInfo, data []byte) error
 	// ReadData returns the data section bytes of a sealed container as a
-	// read-only view (see above). Metadata-only backends return a zero-filled
-	// slice of the recorded fill. A short return signals a torn container
-	// (see Corrupt).
+	// read-only view, the caller's until Release (see above). Metadata-only
+	// backends return a zero-filled slice of the recorded fill. A short
+	// return signals a torn container (see Corrupt).
 	ReadData(ctx context.Context, id uint32) ([]byte, error)
 	// ReadDataRange reads the data sections of several containers in one
 	// ranged pass, in input order, each a read-only view like ReadData's. It
@@ -165,46 +148,21 @@ var ErrNoQuarantine = errors.New("blockstore: backend does not support quarantin
 var ErrNoDrop = errors.New("blockstore: backend does not support drop")
 
 // ReadDataRangeNaive implements ReadDataRange by looping ReadData — the
-// correct (if uncoalesced) fallback shared by backend implementations.
+// correct (if uncoalesced) fallback shared by backend implementations. A read
+// that fails releases the sections read before it.
 func ReadDataRangeNaive(ctx context.Context, b Backend, ids []uint32) ([][]byte, error) {
 	out := make([][]byte, len(ids))
 	for i, id := range ids {
 		data, err := b.ReadData(ctx, id)
 		if err != nil {
+			for _, d := range out[:i] {
+				Release(d)
+			}
 			return nil, err
 		}
 		out[i] = data
 	}
 	return out, nil
-}
-
-// Range is a byte range of one container's data section.
-type Range struct{ Off, Len int64 }
-
-// Lender hands out a buffer for the n-byte data section of container id to be
-// read into, or nil when it has none to spare (the backend then allocates and
-// reads the whole section, as it would without a lender). With the buffer it
-// may name the ranges of the section it will look at — sorted, disjoint,
-// inside [0, n) — and the buffer need hold only their sum, which is what comes
-// back (packed, see Backend); nil ranges ask for the whole section. A buffer
-// too short for its loan is a refused loan. See Backend for who may lend and
-// what lending means for the section's lifetime.
-type Lender func(id uint32, n int64) (buf []byte, want []Range)
-
-type lenderKey struct{}
-
-// WithLender returns a ctx whose reads may fill buffers lent by l. A nil l
-// strips any lender the ctx carried.
-func WithLender(ctx context.Context, l Lender) context.Context {
-	return context.WithValue(ctx, lenderKey{}, l)
-}
-
-// LenderFrom returns the lender ctx carries, or nil. A backend that copies
-// sections asks it; a wrapper that wants to watch the loans go by wraps it and
-// passes the wrapped one inward with WithLender.
-func LenderFrom(ctx context.Context) Lender {
-	l, _ := ctx.Value(lenderKey{}).(Lender)
-	return l
 }
 
 // zeroView serves the reads of a metadata-only store: n zero bytes out of

@@ -353,15 +353,14 @@ func (f *File) ReadData(ctx context.Context, id uint32) ([]byte, error) {
 	if !f.storesData {
 		return f.zero.get(info.DataFill), nil
 	}
-	return f.readSection(ctx, id, info.DataFill)
+	return f.readSection(id, info.DataFill)
 }
 
-// readSection reads container id's data file, which must hold exactly fill
-// bytes — longer is as torn as shorter — into a buffer the ctx's lender
-// offers (see Backend), else a new one. Checking the length first means a torn
-// file never costs a loan. A ranged loan is packed: each range one pread, back
-// to back from the buffer's start; anything else is one read of the whole file.
-func (f *File) readSection(ctx context.Context, id uint32, fill int64) ([]byte, error) {
+// readSection maps container id's data file, which must hold exactly fill
+// bytes — longer is as torn as shorter — and is checked before anything is
+// mapped. The descriptor is closed once the file is mapped; the mapping stays
+// the caller's until Release.
+func (f *File) readSection(id uint32, fill int64) ([]byte, error) {
 	fh, err := f.fsys.OpenFile(f.dataPath(id), os.O_RDONLY)
 	if err != nil {
 		return nil, fmt.Errorf("file backend: container %d: %w", id, err)
@@ -371,49 +370,39 @@ func (f *File) readSection(ctx context.Context, id uint32, fill int64) ([]byte, 
 	if err != nil {
 		return nil, fmt.Errorf("file backend: container %d: %w", id, err)
 	}
-	torn := func(have int64) error {
-		return Corruptf("file backend: container %d torn: data section %d bytes, expected %d", id, have, fill)
-	}
 	if st.Size() != fill {
-		return nil, torn(st.Size())
+		return nil, torn(id, st.Size(), fill)
 	}
-	var data, buf []byte
-	whole := [1]Range{{Off: 0, Len: fill}}
-	ranges, wanted := whole[:], []Range(nil)
-	if l := LenderFrom(ctx); l != nil {
-		buf, wanted = l(id, fill)
+	if fill == 0 {
+		return []byte{}, nil
 	}
-	if wanted == nil && int64(len(buf)) >= fill {
-		data = buf[:fill]
-	} else if wanted != nil && len(buf) > 0 {
-		// All of them before the first read: a section is filled as asked or
-		// not returned at all.
-		end, sum := int64(0), int64(0)
-		for _, r := range wanted {
-			if r.Off < end || r.Len < 0 || r.Len > fill-r.Off {
-				return nil, fmt.Errorf("file backend: container %d: lender wants [%d,+%d) after byte %d of a %d-byte section: ranges must be sorted, disjoint and inside it",
-					id, r.Off, r.Len, end, fill)
-			}
-			end, sum = r.Off+r.Len, sum+r.Len
-		}
-		if int64(len(buf)) >= sum {
-			data, ranges = buf[:sum], wanted
-		}
+	data, unmap, err := fh.Map(fill)
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) { // a plain read: shrank since Stat
+		return nil, f.faulted(id, fill)
 	}
-	if data == nil {
-		data = make([]byte, fill)
+	if err != nil {
+		return nil, fmt.Errorf("file backend: container %d: %w", id, err)
 	}
-	at := int64(0)
-	for _, r := range ranges {
-		if n, err := fh.ReadAt(data[at:at+r.Len], r.Off); err != nil {
-			if errors.Is(err, io.EOF) { // shrank since Stat
-				return nil, torn(r.Off + int64(n))
-			}
-			return nil, fmt.Errorf("file backend: container %d: %w", id, err)
-		}
-		at += r.Len
+	if unmap != nil {
+		track(data, unmap, func() error { return f.faulted(id, fill) })
 	}
 	return data, nil
+}
+
+// faulted is what a fault on container id's mapped section (or a plain read
+// of it that came up short) stands for: a file cut below its fill since it
+// was opened is torn, and anything else an I/O error not known to be damage.
+func (f *File) faulted(id uint32, fill int64) error {
+	if st, err := f.fsys.Stat(f.dataPath(id)); err == nil && st.Size() < fill {
+		return torn(id, st.Size(), fill)
+	}
+	return fmt.Errorf("file backend: container %d: fault reading its mapped data section", id)
+}
+
+// torn is the error for container id's data file holding have bytes where it
+// should hold fill.
+func torn(id uint32, have, fill int64) error {
+	return Corruptf("file backend: container %d torn: data section %d bytes, expected %d", id, have, fill)
 }
 
 func (f *File) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {

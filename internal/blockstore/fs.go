@@ -39,6 +39,12 @@ type FSFile interface {
 	Sync() error     // the file's bytes and metadata
 	Datasync() error // its bytes and the length that reaches them
 	Close() error
+	// Map returns the file's first n bytes, read-only, and unmap, which lets
+	// go of them; they stay readable after Close, until unmap. OS maps the
+	// file on Linux: the bytes are its page cache, and a page the file no
+	// longer reaches faults when it is read (see Guard). A nil unmap means
+	// the bytes are a plain read's copy, the collector's.
+	Map(n int64) (data []byte, unmap func() error, err error)
 }
 
 // WriteFileAtomic writes data to path crash-safely: into a temp file in the

@@ -40,3 +40,14 @@ func startWriteback(f *os.File, off, n int64) {
 	const syncFileRangeWrite = 2
 	syscall.SyncFileRange(int(f.Fd()), off, n, syncFileRangeWrite) //nolint:errcheck // a hint
 }
+
+// Map maps the file's first n bytes read-only and shared: no copy, and
+// nothing read until a reader touches a page (no MAP_POPULATE, which read a
+// whole section ahead of its use and cost more than it saved).
+func (f osFile) Map(n int64) ([]byte, func() error, error) {
+	data, err := syscall.Mmap(int(f.Fd()), 0, int(n), syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		return nil, nil, os.NewSyscallError("mmap", err)
+	}
+	return data, func() error { return syscall.Munmap(data) }, nil
+}

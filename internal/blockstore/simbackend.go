@@ -40,15 +40,22 @@ func (s *Sim) Seal(ctx context.Context, info ContainerInfo, data []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	// The copies are made before the lock: a reader of any container would
+	// otherwise wait out a whole section's copy. One pass: a make would zero
+	// the section first, only to copy over it.
+	ci := cloneInfo(info)
+	var own []byte
+	if s.storeData {
+		own = append([]byte(nil), data...)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	s.infos[info.ID] = cloneInfo(info)
+	s.infos[info.ID] = ci
 	if s.storeData {
-		// One pass: a make would zero the section first, only to copy over it.
-		s.data[info.ID] = append([]byte(nil), data...)
+		s.data[info.ID] = own
 	}
 	return nil
 }

@@ -463,7 +463,9 @@ func (s *Store) CopyTo(ctx context.Context, dst blockstore.Backend) error {
 		if err != nil {
 			return err
 		}
-		if err := dst.Seal(ctx, toBackendInfo(*s.info(id)), datas[0]); err != nil {
+		err = blockstore.Guard(func() error { return dst.Seal(ctx, toBackendInfo(*s.info(id)), datas[0]) })
+		blockstore.Release(datas[0])
+		if err != nil {
 			return fmt.Errorf("container: copying %d: %w", id, err)
 		}
 	}
@@ -874,11 +876,9 @@ func (s *Store) rangeSpan(ids []uint32) (off, n int64) {
 // through AccountDataRange (or use ReadDataRange). It is the one way a sealed
 // container's bytes are read: in-flight persists are awaited, and a section
 // shorter than its directory fill is a torn write surfacing
-// (blockstore.ErrCorrupt). Zero-filled on metadata-only backends.
-//
-// A reader's blockstore.Lender passes to the backend. A section that comes
-// back in the buffer lent for it with ranges is packed (blockstore.Backend),
-// and is checked against their sum.
+// (blockstore.ErrCorrupt). Zero-filled on metadata-only backends. Each
+// section is the caller's to hand to blockstore.Release once nothing reads
+// it, and to read only inside blockstore.Guard (blockstore.Backend).
 func (s *Store) Fetch(ctx context.Context, ids []uint32) ([][]byte, error) {
 	if len(ids) > 1 {
 		s.rangeSpan(ids) // assert adjacency exactly like the charged path
@@ -888,20 +888,6 @@ func (s *Store) Fetch(ctx context.Context, ids []uint32) ([][]byte, error) {
 			return nil, err
 		}
 	}
-	var packed sync.Map // the sum of the ranges each buffer was lent with, by its first byte
-	if l := blockstore.LenderFrom(ctx); l != nil {
-		ctx = blockstore.WithLender(ctx, func(id uint32, n int64) ([]byte, []blockstore.Range) {
-			buf, want := l(id, n)
-			if want != nil && len(buf) > 0 {
-				sum := int64(0)
-				for _, r := range want {
-					sum += r.Len
-				}
-				packed.Store(&buf[0], sum)
-			}
-			return buf, want
-		})
-	}
 	t0 := time.Now()
 	out, err := s.be.ReadDataRange(ctx, ids)
 	stageContainerRead.Observe(t0)
@@ -909,30 +895,48 @@ func (s *Store) Fetch(ctx context.Context, ids []uint32) ([][]byte, error) {
 		return nil, err
 	}
 	if len(out) != len(ids) {
-		return nil, fmt.Errorf("container: backend returned %d sections for %d containers", len(out), len(ids))
-	}
-	for i, id := range ids {
-		want := s.info(id).DataFill
-		if len(out[i]) > 0 {
-			if sum, ok := packed.Load(&out[i][0]); ok {
-				want = sum.(int64)
+		err = fmt.Errorf("container: backend returned %d sections for %d containers", len(out), len(ids))
+	} else {
+		for i, id := range ids {
+			if want := s.info(id).DataFill; int64(len(out[i])) != want {
+				err = blockstore.Corruptf("container %d torn: data section %d bytes, expected %d", id, len(out[i]), want)
+				break
 			}
 		}
-		if int64(len(out[i])) != want {
-			return nil, blockstore.Corruptf("container %d torn: data section %d bytes, expected %d",
-				id, len(out[i]), want)
+	}
+	if err != nil {
+		for _, data := range out {
+			blockstore.Release(data)
 		}
+		return nil, err
 	}
 	return out, nil
 }
 
 // ReadDataRange reads the data sections of the given on-disk-adjacent
 // containers (or of one container) as one sequential extent — one seek plus
-// a single combined transfer charged to the store's clock — and returns each
-// container's data section in order.
+// a single combined transfer charged to the store's clock — and returns a
+// copy of each container's data section, in order: the caller's to keep.
 func (s *Store) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
 	s.AccountDataRange(ids, nil)
-	return s.Fetch(ctx, ids)
+	sections, err := s.Fetch(ctx, ids)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]byte, len(sections))
+	err = blockstore.Guard(func() error {
+		for i, data := range sections {
+			out[i] = append([]byte(nil), data...)
+		}
+		return nil
+	})
+	for _, data := range sections {
+		blockstore.Release(data)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // AccountDataRange charges the sequential extent read of ids to clk's view

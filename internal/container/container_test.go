@@ -3,7 +3,9 @@ package container
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -483,46 +485,73 @@ func TestAccountAndPeekDataRangeMatchReadDataRange(t *testing.T) {
 	}
 }
 
-// TestFetchPacksIntoTheLentBuffer pins the fetch gateway's half of the
-// lending contract (blockstore.Backend): straight to a file backend the
-// reader's lender is asked, by container and fill, and the section comes back
-// in its buffer packed, the ranges it named back to back and checked against
-// their sum.
-func TestFetchPacksIntoTheLentBuffer(t *testing.T) {
+// tearOne hands up every section the backend below returns, and remembers
+// it, but cuts the one of container tear to half its length: a torn write
+// surfacing.
+type tearOne struct {
+	blockstore.Backend
+	tear uint32
+	seen [][]byte
+}
+
+func (b *tearOne) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
+	out, err := b.Backend.ReadDataRange(ctx, ids)
+	b.seen = append(b.seen, out...)
+	for i, id := range ids {
+		if err == nil && id == b.tear {
+			out[i] = out[i][:len(out[i])/2]
+		}
+	}
+	return out, err
+}
+
+// TestFetchReleasesWhatItRefuses: off a file backend Fetch hands up mapped
+// sections, each the caller's until it releases it; an extent one of whose
+// sections is torn is ErrCorrupt, and every section of it is released —
+// the intact one too. ReadDataRange hands up copies and keeps no mapping.
+func TestFetchReleasesWhatItRefuses(t *testing.T) {
 	file, err := blockstore.OpenFile(t.TempDir(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer file.Close()
+	be := &tearOne{Backend: file, tear: 99}
 	var clk disk.Clock
-	s, err := NewStoreWithBackend(disk.NewDevice(disk.DefaultModel(), &clk, true), Config{DataCap: 64, MaxChunks: 4}, file)
+	s, err := NewStoreWithBackend(disk.NewDevice(disk.DefaultModel(), &clk, true), Config{DataCap: 64, MaxChunks: 4}, be)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loc := mustWrite(s, chunk.New([]byte("chunk-00-padding-to-force-seal-00")), 0)
+	for i := 0; i < 2; i++ {
+		mustWrite(s, chunk.New([]byte(fmt.Sprintf("chunk-%02d-padding-to-force-seal-00", i))), 0)
+	}
 	if err := s.SerialWriter().Finish(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	id := loc.Container
-
-	buf := bytes.Repeat([]byte{0xA5}, 64)
-	asked := 0
-	ctx := blockstore.WithLender(context.Background(), func(got uint32, n int64) ([]byte, []blockstore.Range) {
-		asked++
-		if got != id || n != s.DataFill(id) {
-			t.Errorf("lender asked for container %d, %d bytes; the fetch is of container %d, %d bytes", got, n, id, s.DataFill(id))
+	if !s.Adjacent(0, 1) {
+		t.Fatal("the two containers are not adjacent")
+	}
+	whole, err := s.Fetch(context.Background(), []uint32{0, 1})
+	if err != nil || !blockstore.Mapped(whole[0]) || !blockstore.Mapped(whole[1]) {
+		t.Fatalf("file-backend sections are not mappings (%v)", err)
+	}
+	for _, data := range whole {
+		blockstore.Release(data)
+		if blockstore.Mapped(data) {
+			t.Fatal("a released section is still mapped")
 		}
-		return buf, []blockstore.Range{{Off: 6, Len: 2}}
-	})
-	datas, err := s.Fetch(ctx, []uint32{id})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if asked != 1 || len(datas[0]) != 2 || &datas[0][0] != &buf[0] {
-		t.Fatalf("lender asked %d times, section of %d bytes in the lent buffer: %v", asked, len(datas[0]), &datas[0][0] == &buf[0])
+
+	be.tear, be.seen = 1, nil
+	if _, err := s.Fetch(context.Background(), []uint32{0, 1}); !errors.Is(err, blockstore.ErrCorrupt) || !strings.Contains(err.Error(), "container 1 torn") {
+		t.Fatalf("an extent with a torn section: %v, want ErrCorrupt naming container 1", err)
 	}
-	if string(buf[:9]) != "00\xa5\xa5\xa5\xa5\xa5\xa5\xa5" {
-		t.Fatalf("ranged fetch read %q, want bytes 6 and 7 of the section packed at the buffer's head", buf[:9])
+	if len(be.seen) != 2 || blockstore.Mapped(be.seen[0]) || blockstore.Mapped(be.seen[1]) {
+		t.Fatalf("a refused extent of %d sections left a mapping behind", len(be.seen))
+	}
+	be.tear, be.seen = 99, nil
+	copies, err := s.ReadDataRange(context.Background(), []uint32{0})
+	if err != nil || blockstore.Mapped(copies[0]) || len(be.seen) != 1 || blockstore.Mapped(be.seen[0]) {
+		t.Fatalf("ReadDataRange kept a mapping or handed one up (%v)", err)
 	}
 }
 

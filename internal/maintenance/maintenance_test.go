@@ -6,9 +6,7 @@ import (
 	"errors"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -313,31 +311,17 @@ func fourVictims(t *testing.T, s *container.Store, ix *cindex.Index, rs *fakeRec
 	return live
 }
 
-// fetchLog is a backend that records the containers each section read is
-// of and the buffer each section is lent: the first byte of every piece of a
-// slab the executor hands the backend (blockstore.LenderFrom).
+// fetchLog is a backend that records the containers each section read is of.
 type fetchLog struct {
 	blockstore.Backend
 	mu      sync.Mutex
 	fetched []uint32
-	lent    []*byte
 }
 
 func (f *fetchLog) ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error) {
 	f.mu.Lock()
 	f.fetched = append(f.fetched, ids...)
 	f.mu.Unlock()
-	if lend := blockstore.LenderFrom(ctx); lend != nil {
-		ctx = blockstore.WithLender(ctx, func(id uint32, n int64) ([]byte, []blockstore.Range) {
-			buf, want := lend(id, n)
-			if len(buf) > 0 {
-				f.mu.Lock()
-				f.lent = append(f.lent, &buf[0])
-				f.mu.Unlock()
-			}
-			return buf, want
-		})
-	}
 	return f.Backend.ReadDataRange(ctx, ids)
 }
 
@@ -345,25 +329,58 @@ func (f *fetchLog) Drop(ctx context.Context, ids []uint32, reason string) error 
 	return f.Backend.(blockstore.Dropper).Drop(ctx, ids, reason)
 }
 
+// mapCountFS counts the data sections mapped out of its files and not yet
+// released, and their peak.
+type mapCountFS struct {
+	blockstore.FS
+	mu         sync.Mutex
+	live, peak int
+}
+
+func (c *mapCountFS) OpenFile(name string, flag int) (blockstore.FSFile, error) {
+	f, err := c.FS.OpenFile(name, flag)
+	if err != nil {
+		return nil, err
+	}
+	return mapCountFile{f, c}, nil
+}
+
+type mapCountFile struct {
+	blockstore.FSFile
+	c *mapCountFS
+}
+
+func (f mapCountFile) Map(n int64) ([]byte, func() error, error) {
+	data, unmap, err := f.FSFile.Map(n)
+	if err != nil || unmap == nil {
+		return data, unmap, err
+	}
+	c := f.c
+	c.mu.Lock()
+	c.live++
+	c.peak = max(c.peak, c.live)
+	c.mu.Unlock()
+	return data, func() error {
+		c.mu.Lock()
+		c.live--
+		c.mu.Unlock()
+		return unmap()
+	}, nil
+}
+
 // TestMergeHoldsOneVictimSectionAtATime: past the latest recipe's chunks the
-// merge copies victim by victim, fetches each victim once, and lets each
-// victim's section go after the last chunk it copies out of it. Four victims
-// the latest recipe does not reference are held at most two at a time — the
-// one being copied and the one the executor's fetcher reads ahead — not all
-// four until the merge ends. The sections are the file backend's, read into
-// pieces of the executor's slabs (a sim backend's are views of its memory,
-// which nothing lends or lets go). Held pieces never overlap, and a loan takes
-// the smallest gap that fits, so a victim's 500B live range lands where a
-// section given back lay: the pieces lent start at two addresses when each
-// victim is let go at its last chunk, at four when the merge keeps them all
-// to its end. The decode pool runs inline at GOMAXPROCS 1, so a section goes
-// back the moment its last chunk is written, before the fetcher reads the
-// victim after next; with workers it goes back once the pool has written it,
-// which the loan the fetcher makes meanwhile cannot wait for.
+// merge copies victim by victim, fetches each victim once, and releases each
+// victim's section after the last chunk it copies out of it. Four victims
+// the latest recipe does not reference are mapped at most two at a time —
+// the one being copied and the one the executor's fetcher reads ahead — not
+// all four until the merge ends, and none is mapped once it has. The decode
+// pool runs inline at GOMAXPROCS 1, so a section is released the moment its
+// last chunk is written.
 func TestMergeHoldsOneVictimSectionAtATime(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var log *fetchLog
-	s, ix, clk := fileRig(t, blockstore.OS, func(be blockstore.Backend, _ *disk.Device) blockstore.Backend {
+	maps := &mapCountFS{FS: blockstore.OS}
+	s, ix, clk := fileRig(t, maps, func(be blockstore.Backend, _ *disk.Device) blockstore.Backend {
 		log = &fetchLog{Backend: be}
 		return log
 	})
@@ -383,72 +400,11 @@ func TestMergeHoldsOneVictimSectionAtATime(t *testing.T) {
 	if want := []uint32{0, 1, 2, 3}; !slices.Equal(log.fetched, want) {
 		t.Fatalf("the merge fetched containers %v, want each victim once: %v", log.fetched, want)
 	}
-	if len(log.lent) != 4 {
-		t.Fatalf("the merge was lent %d buffers, want one per victim", len(log.lent))
-	}
-	at := map[*byte]bool{}
-	for _, first := range log.lent {
-		at[first] = true
-	}
-	if len(at) > 2 {
-		t.Fatalf("the merge's victim sections lay at %d places, want at most 2 (one copied, one read ahead): it held a victim past its last chunk", len(at))
+	if maps.peak > 2 || maps.live != 0 {
+		t.Fatalf("the merge mapped %d victim sections at once, want at most 2 (one copied, one read ahead), and left %d mapped", maps.peak, maps.live)
 	}
 	if got := dev.Stats().Reads - reads; got != 4 {
 		t.Fatalf("the merge charged %d reads, want one per victim", got)
-	}
-	for i, r := range rs.byLabel("gen0").Refs {
-		if got, err := readChunk(s, r.Loc); err != nil || !bytes.Equal(got, live[i]) {
-			t.Fatalf("gen0 chunk %d differs after the merge: %v", i, err)
-		}
-	}
-}
-
-// readCountFS counts the bytes read out of container data files.
-type readCountFS struct {
-	blockstore.FS
-	read atomic.Int64
-}
-
-func (c *readCountFS) OpenFile(name string, flag int) (blockstore.FSFile, error) {
-	f, err := c.FS.OpenFile(name, flag)
-	if err != nil || !strings.HasSuffix(name, ".data") {
-		return f, err
-	}
-	return readCountFile{f, c}, nil
-}
-
-type readCountFile struct {
-	blockstore.FSFile
-	c *readCountFS
-}
-
-func (f readCountFile) ReadAt(p []byte, off int64) (int, error) {
-	n, err := f.FSFile.ReadAt(p, off)
-	f.c.read.Add(int64(n))
-	return n, err
-}
-
-// TestMergeReadsOnlyLiveRangesOfAFileStore: on the file backend a merge reads
-// the ranges its live copies lie in and not the rest of a victim's fill. Each
-// of fourVictims' victims is a 1000B dead chunk beside a 500B live one, so
-// the merge reads 4 × 500B out of the data files, where reading whole
-// sections costs 4 × 1500B.
-func TestMergeReadsOnlyLiveRangesOfAFileStore(t *testing.T) {
-	fsys := &readCountFS{FS: blockstore.OS}
-	s, ix, clk := fileRig(t, fsys, nil)
-	rs := &fakeRecipes{}
-	live := fourVictims(t, s, ix, rs)
-
-	fsys.read.Store(0)
-	st, err := passFor(t, s, ix, clk, rs, &plainGate{}, nil).RunEpoch(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ContainersMerged != 4 || st.BytesMoved != 4*500 || st.BytesReclaimed != 4*1500 {
-		t.Fatalf("merge stats: %+v, want the four victims' 500B live chunks moved and their 1500B fills reclaimed", st)
-	}
-	if got := fsys.read.Load(); got != st.BytesMoved {
-		t.Fatalf("the merge read %d bytes of data files, want the %d bytes of its live copies", got, st.BytesMoved)
 	}
 	for i, r := range rs.byLabel("gen0").Refs {
 		if got, err := readChunk(s, r.Loc); err != nil || !bytes.Equal(got, live[i]) {

@@ -180,11 +180,12 @@ func TestRestoreAllocBytesPerByte(t *testing.T) {
 }
 
 // defragGenerations backs up gens generations of one user's workload to a
-// DeFrag engine on the file backend and returns the store and the newest
-// recipe.
-func defragGenerations(t *testing.T, gens int) (*container.Store, *chunk.Recipe) {
+// DeFrag engine on the file backend, on a mapSpy, and returns the store, the
+// newest recipe and the spy.
+func defragGenerations(t *testing.T, gens int) (*container.Store, *chunk.Recipe, *mapSpy) {
 	t.Helper()
-	file, err := blockstore.OpenFile(t.TempDir(), true)
+	maps := newMapSpy()
+	file, err := blockstore.OpenFileOn(maps, t.TempDir(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,75 +209,41 @@ func defragGenerations(t *testing.T, gens int) (*container.Store, *chunk.Recipe)
 			t.Fatal(err)
 		}
 	}
-	return e.Containers(), newest
-}
-
-// peakHeld restores rec the default way (OPT-8) at decode dw, logs the
-// restore, and returns its section set at its fullest and the restore's stats.
-func peakHeld(t *testing.T, s *container.Store, rec *chunk.Recipe, dw int) (heldBytes, Stats) {
-	t.Helper()
-	setProcs(t, dw)
-	var peaks []heldBytes
-	sectionSetReleased = func(set *sectionSet) { peaks = append(peaks, set.peak) }
-	defer func() { sectionSetReleased = nil }()
-	st, err := RunPipelined(context.Background(), s, rec, PipelineConfig{CacheContainers: 8, Policy: PolicyOPT, Workers: 1}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(peaks) != 1 {
-		t.Fatalf("decode %d: %d section sets released, want 1", dw, len(peaks))
-	}
-	p, dataCap := peaks[0], s.Config().DataCap
-	t.Logf("decode %d: %d fetches asking for %.2f of a container each; at its peak the set held %d sections in %d bytes: %.3f × what they asked for, %.3f × them whole",
-		dw, st.ContainerReads, float64(st.ReadBytes)/float64(st.ContainerReads*dataCap),
-		p.sections, p.bytes, float64(p.bytes)/float64(p.want), float64(p.bytes)/float64(int64(p.sections)*dataCap))
-	return p, st
-}
-
-// TestSectionSetHoldsWhatItAssembles is the memory guard of the file-backend
-// restore path, and as clock-free as the one above: the newest of ten DeFrag
-// backups, which reads about half of each container it fetches, is restored
-// the default way (OPT-8), inline and through the decode pool, and at the
-// moment the section set holds the most slabs — the fullest such moment — they
-// may add up to no more than 1.25 × the bytes the fetches they hold asked for,
-// no more than 0.7 × those sections would hold read whole, a container's
-// capacity each, and no more than five slabs: a section is held from its fetch
-// to its last use, not until the plan evicts it, and the decode pool holds no
-// more than inline decode. Pinned: 8 sections in 5 slabs, 1.199 × and 0.625 ×
-// (10 in 6, 1.131 × and 0.600 × while sections stayed until evicted).
-func TestSectionSetHoldsWhatItAssembles(t *testing.T) {
-	s, newest := defragGenerations(t, 10)
-	dataCap := s.Config().DataCap
-	for _, dw := range []int{1, 2} {
-		p, st := peakHeld(t, s, newest, dw)
-		if asked := float64(st.ReadBytes) / float64(st.ContainerReads*dataCap); asked > 0.7 {
-			t.Fatalf("decode %d: the fetches ask for %.2f of a container each: the backup is not fragmented enough to say anything", dw, asked)
-		}
-		perWant, perWhole := float64(p.bytes)/float64(p.want), float64(p.bytes)/float64(int64(p.sections)*dataCap)
-		if perWant > 1.25 || perWhole > 0.7 || p.bytes > 5*dataCap {
-			t.Fatalf("decode %d: the set held %.3f × the bytes its sections asked for (limit 1.25), %.3f × them whole (limit 0.7), in %d slabs (limit 5)",
-				dw, perWant, perWhole, p.bytes/dataCap)
-		}
-	}
+	return e.Containers(), newest, maps
 }
 
 // TestFirstFullHoldsThreeSections restores the first full backup of a fresh
 // store — every chunk unique, each container read once, front to back — the
-// default way (OPT-8), inline and through the decode pool. A section goes back
-// right after its last chunk, so the set holds at its fullest the section
-// being assembled, the one the fetcher reads behind it and, where the first
-// chunks of one container come before the last of the one before, that one
-// too: three at most (two measured), not the ten an eight-container cache
-// held while sections stayed until it evicted them.
+// default way (OPT-8), inline and through the decode pool. A section is
+// released right after its last chunk is written, so inline at most three
+// are mapped at once: the section being assembled, the one the fetcher reads
+// behind it and, where the first chunks of one container come before the
+// last of the one before, that one too — not the ten an eight-container cache
+// would hold if sections stayed until it evicted them. The decode pool adds
+// at most one section for each batch it holds unwritten (4 per worker queued
+// and 2 more): the fetcher does not wait for a retired section's release.
 func TestFirstFullHoldsThreeSections(t *testing.T) {
-	s, first := defragGenerations(t, 1)
+	s, first, maps := defragGenerations(t, 1)
 	for _, dw := range []int{1, 2} {
-		p, st := peakHeld(t, s, first, dw)
+		setProcs(t, dw)
+		maps.mu.Lock()
+		maps.peak = 0
+		maps.mu.Unlock()
+		st, err := RunPipelined(context.Background(), s, first, PipelineConfig{CacheContainers: 8, Policy: PolicyOPT, Workers: 1}, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if st.ContainerReads < 9 {
 			t.Fatalf("decode %d: only %d fetches: the backup does not fill the cache", dw, st.ContainerReads)
 		}
-		if p.sections > 3 {
-			t.Fatalf("decode %d: the set held %d sections at its peak, limit 3", dw, p.sections)
+		live, peak, _ := maps.counts()
+		t.Logf("decode %d: %d fetches, at most %d sections mapped at once", dw, st.ContainerReads, peak)
+		limit := 3
+		if dw > 1 {
+			limit += 4*dw + 2
+		}
+		if peak > limit || live != 0 {
+			t.Fatalf("decode %d: %d sections mapped at once (limit %d), %d still mapped after the restore", dw, peak, limit, live)
 		}
 	}
 }

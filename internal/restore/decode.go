@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/blockstore"
 	"repro/internal/chunk"
 	"repro/internal/fanout"
 )
@@ -32,7 +33,10 @@ type decodeJob struct {
 type decodeBatch struct {
 	jobs    []decodeJob
 	retired []byte // a section no batch after this one views (see retire)
-	err     error  // at the first bad job, where no Mismatch goes on
+	// err stops the stream at job stop: the first bad job where no Mismatch
+	// goes on, or the first whose mapped section faulted.
+	err  error
+	stop int
 
 	// Scratch for chunk.OfEach: each job's data, its fingerprint.
 	views [][]byte
@@ -41,9 +45,9 @@ type decodeBatch struct {
 
 // decodeBatches recycles batches across restores. It is the package's, not
 // the restore's: the runtime keeps a used sync.Pool reachable until the
-// collection after next, and one per restore would keep the restore — and
-// through it its whole section set — alive that long. Batches go back empty
-// (see recycle), so the pool itself views no section.
+// collection after next, and one per restore would keep the restore alive
+// that long. Batches go back empty (see recycle), so the pool itself views no
+// section.
 var decodeBatches = sync.Pool{New: func() any {
 	return &decodeBatch{jobs: make([]decodeJob, 0, decodeBatchSize)}
 }}
@@ -97,7 +101,8 @@ func (as *assembly) finishDecode() error {
 
 // verify is the decode pool's work: it hashes b's chunks in one
 // chunk.OfEach call and finds the first that does not match its
-// fingerprint, or under a Mismatch each.
+// fingerprint, or under a Mismatch each. A mapped section that faults under
+// the hashing stops the stream at the first chunk that faults alone.
 func (as *assembly) verify(b *decodeBatch) {
 	t0 := time.Now()
 	if as.cfg.Verify {
@@ -106,14 +111,23 @@ func (as *assembly) verify(b *decodeBatch) {
 			b.views = append(b.views, b.jobs[k].data)
 		}
 		b.fps = slices.Grow(b.fps[:0], len(b.views))[:len(b.views)]
-		chunk.OfEach(b.views, b.fps)
-		for k := range b.jobs {
+		hashed := len(b.jobs)
+		if blockstore.Guard(func() error { chunk.OfEach(b.views, b.fps); return nil }) != nil {
+			for hashed = 0; hashed < len(b.jobs); hashed++ {
+				one := func() error { chunk.OfEach(b.views[hashed:hashed+1], b.fps[hashed:hashed+1]); return nil }
+				if err := blockstore.Guard(one); err != nil {
+					b.err, b.stop = err, hashed
+					break
+				}
+			}
+		}
+		for k := range b.jobs[:hashed] {
 			j := &b.jobs[k]
 			if got := b.fps[k]; got != j.fp {
 				j.bad = true
 				if as.Mismatch == nil {
-					b.err = fmt.Errorf("restore: chunk %d fingerprint mismatch (%s != %s)",
-						j.idx, got.Short(), j.fp.Short())
+					b.err, b.stop = fmt.Errorf("restore: chunk %d fingerprint mismatch (%s != %s)",
+						j.idx, got.Short(), j.fp.Short()), k
 					break // chunks past the first bad one are never emitted
 				}
 			}
@@ -125,12 +139,13 @@ func (as *assembly) verify(b *decodeBatch) {
 // emit is the decode pool's consumer: it charges each one-lane extent read
 // just before the first chunk cut from it, hands b's chunks to the sink (a
 // bad one to Mismatch, when set) and counts them, up to b's first verify or
-// sink failure, then recycles b.
+// sink failure, then recycles b. A mapped section that faults under the sink
+// is that chunk's failure.
 func (as *assembly) emit(b *decodeBatch) (err error) {
 	var bytes, chunks int64
 	for k := range b.jobs {
 		j := &b.jobs[k]
-		if j.bad && as.Mismatch == nil {
+		if b.err != nil && k == b.stop {
 			err = b.err
 			break
 		}
@@ -141,7 +156,7 @@ func (as *assembly) emit(b *decodeBatch) (err error) {
 			as.Mismatch(j.idx)
 		} else if as.Sink != nil {
 			t1 := time.Now()
-			err = as.Sink(j.idx, j.data)
+			err = blockstore.Guard(func() error { return as.Sink(j.idx, j.data) })
 			stageCopy.Observe(t1)
 			if err != nil {
 				break
@@ -157,12 +172,12 @@ func (as *assembly) emit(b *decodeBatch) (err error) {
 	return err
 }
 
-// recycle returns the section b retired to the set — every chunk viewing it
-// is in b or an earlier batch, so nothing reads it any more — and b, viewing
+// recycle releases the section b retired — every chunk viewing it is in b or
+// an earlier batch, so nothing reads it any more — and returns b, viewing
 // nothing, to decodeBatches. It is also the pool's discard, for the batches
 // after a failure.
 func (as *assembly) recycle(b *decodeBatch) {
-	as.sections.giveBack(b.retired)
+	blockstore.Release(b.retired)
 	clear(b.jobs)
 	clear(b.views)
 	b.jobs, b.views, b.retired = b.jobs[:0], b.views[:0], nil

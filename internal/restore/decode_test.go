@@ -171,10 +171,10 @@ func TestDecodeWorkersWriteError(t *testing.T) {
 // early stop: with the decode pool engaged, a verify mismatch or writer error
 // fails the resequencer, push() returns false, and the assembler's run()
 // returns nil without consuming every planned extent — close() surfaces the
-// error. The fetcher, which is reading the next extent into a piece of the
-// restore's section set, must still be stopped and joined, at every lane
-// count: the set is released with no loan of a fetch in progress still out,
-// and the restore leaves no goroutine of its own behind.
+// error. The fetcher, which is mapping the next extent, must still be stopped
+// and joined, at every lane count: every section it or the assembler mapped
+// is released by the time the restore returns, the one the assembler never
+// took too, and the restore leaves no goroutine of its own behind.
 func TestParallelDecodeFailureReleasesPins(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -197,26 +197,18 @@ func TestParallelDecodeFailureReleasesPins(t *testing.T) {
 				frag.Refs[1].FP = chunk.Of([]byte("not the real content"))
 			}
 			// The fetcher's reads outlast the assembler's failure, so a run()
-			// that did not join it would release the set mid-fetch.
+			// that did not join it would return with a mapping still to come.
 			spy.delay = 20 * time.Millisecond
 			var w io.Writer = &bytes.Buffer{}
 			if !tc.corrupt {
 				w = &failAfterWriter{n: 300}
 			}
-			released, lentOut := 0, 0
-			sectionSetReleased = func(set *sectionSet) {
-				set.mu.Lock()
-				released++
-				lentOut += len(set.lent)
-				set.mu.Unlock()
-			}
-			defer func() { sectionSetReleased = nil }()
 			cfg := PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Workers: tc.workers, Verify: true}
 			if _, err := RunPipelined(context.Background(), s, frag, cfg, w); err == nil {
 				t.Fatal("expected the restore to fail")
 			}
-			if released != 1 || lentOut != 0 {
-				t.Fatalf("section set released %d times with %d loans of a fetch in progress still out", released, lentOut)
+			if live, _, released := spy.maps.counts(); live != 0 || released != spy.reads {
+				t.Fatalf("%d of %d sections read still mapped when the failed restore returned (%d released)", live, spy.reads, released)
 			}
 			// The decode workers exit on their own once close() has closed
 			// their queue; give them a moment.

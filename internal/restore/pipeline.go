@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 	"runtime"
-	"sync"
 
 	"repro/internal/blockstore"
 	"repro/internal/chunk"
@@ -22,9 +21,7 @@ var (
 	telCoalescedContainers = telemetry.NewCounter("restore_coalesced_containers_total",
 		"container fetches folded into a preceding coalesced extent read (seeks saved)")
 	telReadBytes = telemetry.NewCounter("restore_backend_read_bytes_total",
-		"bytes of container data sections restores asked for and held: the ranges their refs lie in, packed, where the backend reads only those, whole sections otherwise (read amplification = this over restore_bytes_total)")
-	telSectionsReused = telemetry.NewCounter("restore_sections_reused_total",
-		"container sections read into a slab this restore or an earlier one had used before, instead of a new one")
+		"bytes of the whole container data sections restores fetched (read amplification = this over restore_bytes_total)")
 	telDecodeQueueDepth = telemetry.NewHistogram("restore_decode_queue_depth",
 		"verify/decode batches queued ahead of the decode worker pool when a batch is submitted",
 		telemetry.CountBuckets)
@@ -123,8 +120,8 @@ type Emission struct {
 	Mismatch func(i int)
 }
 
-// Emit runs refs through RunPipelined's executor — the same plan, fetcher,
-// section set and decode pool — and hands each chunk to e.Sink, verified
+// Emit runs refs through RunPipelined's executor — the same plan, fetcher
+// and decode pool — and hands each chunk to e.Sink, verified
 // when cfg.Verify is set, its reads on one lane whatever cfg.Workers says.
 // It is the executor for callers that are not restores, the maintenance
 // merge's copy-forward and fsck's re-hash: it opens no span and moves no
@@ -169,12 +166,9 @@ func (as *assembly) execute(ctx context.Context) error {
 		}
 	}
 
-	// The plan's cache holds each section from its fetch to its last use, and
-	// two extents are in flight: the one taken and the one read behind it.
 	as.plan = plan
-	as.resident = make(map[uint32]held, cfg.CacheContainers)
-	as.sections = newSectionSet(store.Config().DataCap, cfg.CacheContainers+2*plan.widest)
-	defer as.sections.release() // after the fetcher and the decode pool have exited
+	as.resident = make(map[uint32][]byte, cfg.CacheContainers)
+	as.staged = make(map[uint32][]byte)
 	as.startDecode(runtime.GOMAXPROCS(0))
 	if cfg.Workers > 1 {
 		// Several lanes: every extent is charged to the earliest-free lane in
@@ -190,9 +184,15 @@ func (as *assembly) execute(ctx context.Context) error {
 	if err := as.finishDecode(); err != nil {
 		runErr = err
 	}
+	// The fetcher and the decode pool have exited: nothing views what an
+	// assembler that stopped early still held.
+	for _, held := range []map[uint32][]byte{as.resident, as.staged} {
+		for _, data := range held {
+			blockstore.Release(data)
+		}
+	}
 	if as.restore {
 		telReadBytes.Add(stats.ReadBytes)
-		telSectionsReused.Add(as.sections.reused) // fetcher and decode pool have exited
 	}
 	return runErr
 }
@@ -243,13 +243,11 @@ type assembly struct {
 	stats   *Stats // Bytes and Chunks are the decode pool's consumer's
 	restore bool   // a restore, which the restore_* series count; Emit's is not
 
-	resident map[uint32]held // the sections a ref still to come is cut from, by container
-
-	// sections holds the buffers file-backed sections are read into. A
-	// section leaves resident by retire, never by a bare delete.
-	sections *sectionSet
-	retired  int       // sections retire handed to the decode pool
-	wants    sync.Once // plan.buildWants, at the first loan a backend asks for
+	// The sections a ref still to come is cut from, by container, and those
+	// a coalesced extent read before their fetch installs them. A section
+	// leaves resident by retire, never by a bare delete.
+	resident map[uint32][]byte
+	staged   map[uint32][]byte
 
 	decode *fanout.Pool[*decodeBatch] // verifies and writes out the batches (decode.go)
 	cur    *decodeBatch               // the batch being filled
@@ -266,17 +264,16 @@ type fetchedExtent struct {
 // materializes the schedule's extents, in order and uncharged, one ahead:
 // the channel between them is unbuffered, so the fetcher sits in its send
 // holding extent k+1 while the assembler works through extent k, and the
-// bytes held ahead of use never exceed one extent. With one simulated
+// sections held ahead of use never exceed one extent. With one simulated
 // lane the extent read rides on the job of the first chunk cut from it and is
 // charged by the decode pool's consumer just before that chunk is written —
 // the order a serial reader would pay in, and the one a sink that charges
 // writes of its own to the same clock needs.
-// Containers of a coalesced extent that install later wait in a staging
-// buffer bounded by maxCoalesce. run returns only after the fetcher has
-// exited, however early the assembler stopped. A retired section goes back
-// only once written, so a loan that finds no room waits for those retired
-// before the assembler last took an extent rather than draw a slab
-// (sectionSet.owe).
+// Containers of a coalesced extent that install later wait in staged,
+// bounded by maxCoalesce. run returns only after the fetcher has exited,
+// however early the assembler stopped; an extent the assembler never took is
+// released by the fetcher, and what resident and staged still hold by
+// execute.
 func (as *assembly) run(ctx context.Context) error {
 	fetched := make(chan fetchedExtent)
 	stop := make(chan struct{})
@@ -284,19 +281,13 @@ func (as *assembly) run(ctx context.Context) error {
 	go func() {
 		defer close(fetcherDone)
 		for ei := range as.plan.extents {
-			e := &as.plan.extents[ei]
-			fctx := blockstore.WithLender(ctx, func(id uint32, n int64) ([]byte, []blockstore.Range) {
-				as.wants.Do(func() { as.plan.buildWants(as.store, as.refs) })
-				if f := as.plan.fetchOf(e, id); f != nil && f.want != nil {
-					return as.sections.lend(f.packed), f.want
-				}
-				return as.sections.lend(n), nil
-			})
-			datas, err := as.store.Fetch(fctx, e.ids)
-			as.sections.settle(datas)
+			datas, err := as.store.Fetch(ctx, as.plan.extents[ei].ids)
 			select {
 			case fetched <- fetchedExtent{datas: datas, err: err}:
 			case <-stop:
+				for _, data := range datas {
+					blockstore.Release(data)
+				}
 				return
 			}
 			if err != nil {
@@ -309,7 +300,6 @@ func (as *assembly) run(ctx context.Context) error {
 		<-fetcherDone
 	}()
 
-	staged := make(map[uint32][]byte)
 	for i := range as.refs {
 		ref := &as.refs[i]
 		id := ref.Loc.Container
@@ -322,26 +312,21 @@ func (as *assembly) run(ctx context.Context) error {
 				if as.cfg.Workers == 1 && as.Lane != nil {
 					charge = e.ids
 				}
-				as.sections.owe(as.retired)
 				res := <-fetched
 				if res.err != nil {
 					return res.err
 				}
 				for k, cid := range e.ids {
-					staged[cid] = res.datas[k]
+					as.staged[cid] = res.datas[k]
 					as.stats.ReadBytes += int64(len(res.datas[k]))
 				}
 			}
-			data, ok := staged[id]
+			data, ok := as.staged[id]
 			if !ok {
 				panic("restore: planned fetch was not staged by its extent")
 			}
-			delete(staged, id)
-			h := held{data: data}
-			if int64(len(data)) < as.store.DataFill(id) {
-				h.cut = f
-			}
-			as.resident[id] = h
+			delete(as.staged, id)
+			as.resident[id] = data
 		} else {
 			as.stats.CacheHits++
 		}
@@ -352,39 +337,27 @@ func (as *assembly) run(ctx context.Context) error {
 	return nil
 }
 
-// held is a resident section; cut is the fetch that packed it, nil when it
-// was read whole. A section shorter than the container's fill is packed
-// (container.Store.Fetch lets through no other short one).
-type held struct {
-	data []byte
-	cut  *fetchOp
-}
-
 // retire lets go of container id's section once the last ref its fetch
 // serves has been pushed. That chunk and earlier ones may still view it from
-// inside the decode pool, so a section of the restore's own rides on the
-// current batch, which goes out now — a loan may be waiting for it
-// (sectionSet.owe) — and goes back to its set once that batch is emitted
-// (recycle). It reports false once the decode pool has failed.
+// inside the decode pool, so a mapped section rides on the current batch,
+// which goes out now, and is released once that batch is emitted (recycle):
+// the mappings a restore holds stay those its cache and fetcher need. It
+// reports false once the decode pool has failed.
 func (as *assembly) retire(id uint32) bool {
-	data := as.resident[id].data
+	data := as.resident[id]
 	delete(as.resident, id)
-	if !as.sections.owns(data) {
-		return true // a shared view: the collector's
+	if !blockstore.Mapped(data) {
+		return true // the collector's
 	}
-	as.retired++
 	as.batch().retired = data
 	return as.submit()
 }
 
 // piece returns the bytes of ref out of the resident section of id.
 func (as *assembly) piece(id uint32, ref *chunk.Ref) []byte {
-	h, ok := as.resident[id]
+	data, ok := as.resident[id]
 	if !ok {
 		panic("restore: referenced container is not resident")
 	}
-	if h.cut != nil {
-		return h.cut.cut(h.data, ref.Loc.Offset-as.store.DataStart(id), ref.Size)
-	}
-	return as.store.Extract(h.data, ref.Loc)
+	return as.store.Extract(data, ref.Loc)
 }

@@ -107,8 +107,7 @@ func TestSerialPipelinedMatchesRun(t *testing.T) {
 // device-level seek, read and byte counters and the bytes of the reference
 // RunFAA on an identical store, over windows from one chunk to the whole
 // recipe, with chunks larger than the window, on the sim and the file
-// backend (where ReadBytes alone may be less: ranges, not whole sections), at
-// GOMAXPROCS 1 (inline decode), 2 and 4 (the decode pool).
+// backend, at GOMAXPROCS 1 (inline decode), 2 and 4 (the decode pool).
 func TestFAAPlanMatchesReference(t *testing.T) {
 	oversized := [][]byte{
 		mkDatas(1, 300)[0], bytes.Repeat([]byte{7}, 2000), mkDatas(1, 300)[0],
@@ -154,15 +153,6 @@ func TestFAAPlanMatchesReference(t *testing.T) {
 							PipelineConfig{CacheContainers: containers, Policy: PolicyFAA, Workers: 1, Verify: true}, &got)
 						if err != nil {
 							t.Fatal(err)
-						}
-						if backend == "file" {
-							// The reference reads whole sections; off files the
-							// engine asks only for the ranges its refs lie in.
-							if st.ReadBytes < st.Bytes || st.ReadBytes > ref.ReadBytes {
-								t.Fatalf("procs %d: asked the file backend for %d bytes: want between the %d restored and the reference's %d of whole sections",
-									procs, st.ReadBytes, st.Bytes, ref.ReadBytes)
-							}
-							st.ReadBytes = ref.ReadBytes
 						}
 						if st != ref {
 							t.Fatalf("procs %d: stats diverge:\nreference %+v\nplanned   %+v", procs, ref, st)

@@ -1,13 +1,9 @@
 package restore
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 
-	"repro/internal/blockstore"
 	"repro/internal/chunk"
 	"repro/internal/container"
 	"repro/internal/lru"
@@ -52,15 +48,6 @@ func (p CachePolicy) String() string {
 // maxCoalesce caps the containers merged into one extent read.
 const maxCoalesce = 8
 
-// Wanted ranges of a fetch closer than wantHole are read as one (a pread costs
-// more than copying that little), and a fetch whose ranges leave out no more
-// than one part in wholeReadCut of its section reads it whole. Neither is
-// sensitive: a fragmented backup's ranges are few and long (EXPERIMENTS.md, PR 20).
-const (
-	wantHole     = 8 << 10
-	wholeReadCut = 16
-)
-
 // fetchOp is one planned cache miss: container must be fetched just before
 // recipe ref needAt is assembled. Its residency is the refs it serves, from
 // needAt until the container's next fetch; the executor lets go of the section
@@ -70,24 +57,6 @@ type fetchOp struct {
 	needAt    int
 	last      int
 	extent    int // index of the physical extent read that carries this fetch
-	// want is the ranges of the data section that the refs of this residency
-	// lie in: sorted, disjoint, section-relative; nil is all of it. A backend
-	// that copies sections may read only these, packed (blockstore.Lender):
-	// packed bytes come back, range k from byte at[k].
-	want   []blockstore.Range
-	at     []int64
-	packed int64
-}
-
-// cut returns the size bytes at section offset off out of data, the section
-// as f's ranges packed it.
-func (f *fetchOp) cut(data []byte, off int64, size uint32) []byte {
-	k := sort.Search(len(f.want), func(k int) bool { return f.want[k].Off+f.want[k].Len > off })
-	if k == len(f.want) || off < f.want[k].Off || off+int64(size) > f.want[k].Off+f.want[k].Len {
-		panic(fmt.Sprintf("restore: bytes [%d,+%d) of container %d are outside the ranges its fetch packed", off, size, f.container))
-	}
-	at := f.at[k] + off - f.want[k].Off
-	return data[at : at+int64(size)]
 }
 
 // extent is one physical read: the containers of fetch ops [lo,hi) are
@@ -105,7 +74,6 @@ type restorePlan struct {
 	servedBy  []int32 // per ref: index into fetches of the fetch whose section it is cut from
 	fetches   []fetchOp
 	extents   []extent
-	widest    int   // the most containers one extent reads
 	evictions int64 // containers the policy evicts, over the whole schedule
 }
 
@@ -150,61 +118,6 @@ func (p *restorePlan) fetch(i int, id uint32) int32 {
 func (p *restorePlan) serve(i int, fx int32) {
 	p.servedBy[i] = fx
 	p.fetches[fx].last = i
-}
-
-// buildWants gives every fetch the ranges of its section that it will be
-// asked for. The pass is the executor's to make, the first time a backend
-// asks for a loan: a restore off a backend that never does (Sim) is not
-// charged for it.
-func (p *restorePlan) buildWants(store *container.Store, refs []chunk.Ref) {
-	start := make([]int64, len(p.fetches)) // device offset of each fetch's data section
-	for fx := range p.fetches {
-		start[fx] = store.DataStart(p.fetches[fx].container)
-	}
-	for i := range refs {
-		fx, loc := p.servedBy[i], &refs[i].Loc
-		p.fetches[fx].want = append(p.fetches[fx].want, blockstore.Range{Off: loc.Offset - start[fx], Len: int64(loc.Size)})
-	}
-	for fx := range p.fetches {
-		f := &p.fetches[fx]
-		f.want = mergeRanges(f.want, store.DataFill(f.container))
-		for _, r := range f.want {
-			f.at = append(f.at, f.packed)
-			f.packed += r.Len
-		}
-	}
-}
-
-// fetchOf returns container id's fetch in extent e, or nil.
-func (p *restorePlan) fetchOf(e *extent, id uint32) *fetchOp {
-	for fx := e.lo; fx < e.hi; fx++ {
-		if p.fetches[fx].container == id {
-			return &p.fetches[fx]
-		}
-	}
-	return nil
-}
-
-// mergeRanges sorts rs, merges what overlaps or lies within wantHole, and
-// returns nil when the result is as good as the whole section of fill bytes.
-func mergeRanges(rs []blockstore.Range, fill int64) []blockstore.Range {
-	slices.SortFunc(rs, func(a, b blockstore.Range) int { return cmp.Compare(a.Off, b.Off) })
-	out, covered := rs[:0], int64(0)
-	for _, r := range rs {
-		if k := len(out) - 1; k >= 0 && r.Off <= out[k].Off+out[k].Len+wantHole {
-			if grow := r.Off + r.Len - (out[k].Off + out[k].Len); grow > 0 {
-				out[k].Len += grow
-				covered += grow
-			}
-			continue
-		}
-		out = append(out, r)
-		covered += r.Len
-	}
-	if fill-covered <= fill/wholeReadCut {
-		return nil
-	}
-	return out
 }
 
 // simulateLRU replays the Get/Put sequence of a restore reading through the
@@ -313,8 +226,5 @@ func (p *restorePlan) buildExtents(store *container.Store, coalesce bool) {
 		}
 		f.extent = len(p.extents)
 		p.extents = append(p.extents, extent{lo: fi, hi: fi + 1, ids: []uint32{f.container}})
-	}
-	for i := range p.extents {
-		p.widest = max(p.widest, len(p.extents[i].ids))
 	}
 }

@@ -34,7 +34,7 @@ import (
 // and restore_fragments_per_stream observes Eq. 1's N per restored recipe.
 var (
 	telContainerReads = telemetry.NewCounter("restore_container_reads_total",
-		"container data-section fetches during restores, each of the ranges its refs lie in or of the whole section (Eq. 1 seek events)")
+		"container data-section fetches during restores, each of a whole section (Eq. 1 seek events)")
 	telRestoreCacheHits = telemetry.NewCounter("restore_cache_hits_total",
 		"chunks served from the restore container cache")
 	telRestoreCacheMisses = telemetry.NewCounter("restore_cache_misses_total",
@@ -66,11 +66,9 @@ type Stats struct {
 	Bytes          int64
 	Chunks         int64
 	ContainerReads int64 // cache misses: data-section fetches
-	// ReadBytes is what those fetches asked the backend for: the ranges the
-	// recipe's refs lie in where it reads into a lent buffer (File), else —
-	// no loan taken, or none to spare — whole sections. ReadBytes / Bytes is
-	// the restore's read amplification; the simulated clock charges whole
-	// containers regardless.
+	// ReadBytes is the bytes of the whole sections those fetches returned.
+	// ReadBytes / Bytes is the restore's read amplification; the simulated
+	// clock charges the same whole containers.
 	ReadBytes int64
 	CacheHits int64 // chunks served from cached containers
 	// ExtentReads counts physical discontiguous reads (Eq. 1's N). Without

@@ -15,12 +15,80 @@ import (
 	"repro/internal/disk"
 )
 
+// mapSpy is a blockstore.FS over the operating system's whose Map hands out
+// buffers of its own, the file's bytes copied in: a buffer a released section
+// left, when one of the size is free — the kernel reuses address space the
+// same way — else a new one. Release poisons a buffer (0xA5) before it is
+// free again, so a reader that still looks at a section it let go of sees
+// poison or another section, never the right bytes by luck. It counts the
+// mappings out, their peak and the releases.
+type mapSpy struct {
+	blockstore.FS
+	mu                   sync.Mutex
+	free                 map[int][][]byte
+	live, peak, released int
+}
+
+func newMapSpy() *mapSpy { return &mapSpy{FS: blockstore.OS, free: map[int][][]byte{}} }
+
+func (m *mapSpy) OpenFile(name string, flag int) (blockstore.FSFile, error) {
+	f, err := m.FS.OpenFile(name, flag)
+	if err != nil {
+		return nil, err
+	}
+	return spiedFile{f, m}, nil
+}
+
+// counts returns the mappings out, their peak and the releases so far.
+func (m *mapSpy) counts() (live, peak, released int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.live, m.peak, m.released
+}
+
+type spiedFile struct {
+	blockstore.FSFile
+	m *mapSpy
+}
+
+func (f spiedFile) Map(n int64) ([]byte, func() error, error) {
+	m := f.m
+	m.mu.Lock()
+	var buf []byte
+	if k := len(m.free[int(n)]); k > 0 {
+		buf, m.free[int(n)] = m.free[int(n)][k-1], m.free[int(n)][:k-1]
+	}
+	m.mu.Unlock()
+	if buf == nil {
+		buf = make([]byte, n)
+	}
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		return nil, nil, err
+	}
+	m.mu.Lock()
+	m.live++
+	m.peak = max(m.peak, m.live)
+	m.mu.Unlock()
+	return buf, func() error {
+		for i := range buf {
+			buf[i] = 0xA5
+		}
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		m.live--
+		m.released++
+		m.free[len(buf)] = append(m.free[len(buf)], buf)
+		return nil
+	}, nil
+}
+
 // spyBackend sits where a WrapBackend wrapper would — it forwards the ctx and
-// the returned slices, nothing else — and remembers every section it passed
-// up, by array, so a test can tell a reused buffer from a new one. Holding
-// the slices keeps their addresses from being recycled by the collector.
+// the returned slices, nothing else — over a file backend on a mapSpy, and
+// remembers every section it passed up, by array, so a test can tell a
+// buffer mapped again from a new one.
 type spyBackend struct {
 	blockstore.Backend
+	maps  *mapSpy
 	mu    sync.Mutex
 	seen  map[*byte]int
 	reads int
@@ -41,6 +109,7 @@ func (b *spyBackend) note(data []byte) []byte {
 	b.reads++
 	b.bytes += int64(len(data))
 	if b.reads == b.corruptAt {
+		blockstore.Release(data) // what the reader gets instead is the collector's
 		data = append([]byte(nil), data...)
 		for i := 0; i < len(data); i += 256 {
 			data[i] ^= 1
@@ -95,8 +164,8 @@ func (b *spyBackend) arrays() (distinct, reads int) {
 	return len(b.seen), b.reads
 }
 
-// fileRig is rig over the file backend, behind a spy: 4 KiB containers of
-// 300-byte chunks, so a 60-chunk stream spans five of them.
+// fileRig is rig over the file backend on a mapSpy, behind a spy: 4 KiB
+// containers of 300-byte chunks, so a 60-chunk stream spans five of them.
 func fileRig(t *testing.T) (*container.Store, *spyBackend) {
 	t.Helper()
 	return fileRigCap(t, 4096)
@@ -105,12 +174,13 @@ func fileRig(t *testing.T) (*container.Store, *spyBackend) {
 // fileRigCap is rigCap over the file backend, behind a spy.
 func fileRigCap(t *testing.T, dataCap int64) (*container.Store, *spyBackend) {
 	t.Helper()
-	file, err := blockstore.OpenFile(t.TempDir(), true)
+	maps := newMapSpy()
+	file, err := blockstore.OpenFileOn(maps, t.TempDir(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { file.Close() })
-	spy := &spyBackend{Backend: file, seen: map[*byte]int{}, read: make(chan struct{}, 1<<16)}
+	spy := &spyBackend{Backend: file, maps: maps, seen: map[*byte]int{}, read: make(chan struct{}, 1<<16)}
 	var clk disk.Clock
 	s, err := container.NewStoreWithBackend(disk.NewDevice(disk.DefaultModel(), &clk, true),
 		container.Config{DataCap: dataCap, MaxChunks: 16}, spy)
@@ -120,59 +190,20 @@ func fileRigCap(t *testing.T, dataCap int64) (*container.Store, *spyBackend) {
 	return s, spy
 }
 
-func TestSectionSetIsAFixedBudget(t *testing.T) {
-	s := newSectionSet(64, 2)
-	a, b, c := s.lend(64), s.lend(10), s.lend(40)
-	if len(a) != 64 || len(b) != 10 || len(c) != 40 || cap(c) != 40 || &a[0] == &b[0] {
-		t.Fatal("loans must be pieces of the fetch's size, a new slab only where no slab has room")
-	}
-	// The peak is the fullest moment the most slabs were out.
-	if s.peak != (heldBytes{bytes: 128, want: 114, sections: 3}) {
-		t.Fatalf("peak %+v, want two slabs holding a, b and c", s.peak)
-	}
-	if s.lend(20) != nil {
-		t.Fatal("a loan that fits no gap exceeds the budget")
-	}
-	if s.lend(65) != nil || s.lend(0) != nil {
-		t.Fatal("a section that does not fit one slab, or an empty one, gets no loan")
-	}
-	// b came back as a section, a and c did not (the read failed): they are
-	// free again.
-	s.settle([][]byte{b[:10]})
-	if !s.owns(b[:10]) || s.owns(a) || s.owns([]byte("somebody else's")) || s.owns(nil) {
-		t.Fatal("owns must recognise exactly the sections the set holds")
-	}
-	// (The first two may have come from an earlier test's restore: reused
-	// counts those too.)
-	before := s.reused
-	if again := s.lend(64); &again[0] != &a[0] || s.reused != before+1 {
-		t.Fatalf("the unused loan was not lent again (reused %d, was %d)", s.reused, before)
-	}
-	s.settle(nil)
-	// The smallest gap that fits: behind b, not the empty slab.
-	if behind := s.lend(50); &behind[0] != &c[0] {
-		t.Fatal("a loan must take the smallest gap it fits")
-	}
-	s.settle(nil)
-	s.giveBack([]byte("somebody else's")) // a shared view: ignored
-	s.giveBack(b[:10])
-	if len(s.slabs) != 2 || len(s.out) != 0 || s.held != (heldBytes{}) || s.peak.bytes != 128 {
-		t.Fatalf("after handing everything back the set has %d slabs, %d sections, %+v held (peak %+v)", len(s.slabs), len(s.out), s.held, s.peak)
-	}
-}
-
 // TestFileRestoreReusesSectionsInEveryShape restores a fragmented recipe off
 // the file backend in every shape of the pipeline, inline (decode1: GOMAXPROCS
-// 1) and through the decode pool (decode2, decode4), and checks, for each, the
-// bytes, and that sections did come back in buffers used before (a test of
-// reuse that never reuses proves nothing).
-// TestSectionNotReusedWhileADecodeBatchViewsIt is the one that makes the
-// decode pool reuse.
+// 1) and through the decode pool (decode2, decode4), Verify off so that only
+// the comparison with the source looks at the bytes, and checks, for each,
+// the bytes, that every section is read whole, that every mapping is
+// released by the time the restore returns, and that sections did come back
+// in buffers a released one had (a test of release that never reuses proves
+// nothing). TestSectionNotReusedWhileADecodeBatchViewsIt is the one that
+// makes the decode pool reuse.
 func TestFileRestoreReusesSectionsInEveryShape(t *testing.T) {
 	for _, policy := range []CachePolicy{PolicyLRU, PolicyOPT, PolicyFAA} {
 		for _, coalesce := range []bool{false, true} {
 			for _, dw := range []int{1, 2, 4} {
-				cfg := PipelineConfig{CacheContainers: 2, Policy: policy, Workers: 1, Coalesce: coalesce, Verify: true}
+				cfg := PipelineConfig{CacheContainers: 2, Policy: policy, Workers: 1, Coalesce: coalesce}
 				// The ids keep a constant "chunkfalse": test history is keyed on them.
 				t.Run(fmt.Sprintf("%v-chunkfalse-coalesce%v-decode%d", policy, coalesce, dw), func(t *testing.T) {
 					setProcs(t, dw)
@@ -195,53 +226,20 @@ func TestFileRestoreReusesSectionsInEveryShape(t *testing.T) {
 					if st.ContainerReads <= 2*int64(cfg.CacheContainers) {
 						t.Fatalf("only %d reads: the cache hardly evicted", st.ContainerReads)
 					}
-					// Only inline decode frees a buffer at a fixed point; how
-					// soon the pool's resequencer does is the scheduler's.
+					// Only inline decode releases a section at a fixed point; how
+					// soon the pool's consumer does is the scheduler's.
 					if dw == 1 && distinct >= reads {
 						t.Fatalf("%d reads landed in %d arrays: nothing was reused", reads, distinct)
 					}
-					// Every section is read many times over, and each time only
-					// for the chunks that residency serves, which is what comes
-					// back.
-					if whole := spy.whole(s); st.ReadBytes < st.Bytes || st.ReadBytes >= whole || st.ReadBytes != spy.bytes {
-						t.Fatalf("asked for %d bytes and got %d: want at least the %d restored and less than the %d of the whole sections a thrashing recipe fetches",
-							st.ReadBytes, spy.bytes, st.Bytes, whole)
+					if whole := spy.whole(s); st.ReadBytes != whole || st.ReadBytes != spy.bytes {
+						t.Fatalf("stats say %d bytes read, the backend returned %d: want both the %d of the whole sections", st.ReadBytes, spy.bytes, whole)
+					}
+					if live, _, released := spy.maps.counts(); live != 0 || released != reads {
+						t.Fatalf("%d mappings still out and %d released after a restore that read %d sections", live, released, reads)
 					}
 				})
 			}
 		}
-	}
-}
-
-// TestALoanWaitsForTheSectionsDue is the set's side of the decode pool's
-// ordering: a loan that finds no room while sections are due back waits for
-// them instead of drawing a slab, and draws one only once readAheadPatience
-// has passed with none back — a writer that stands still.
-func TestALoanWaitsForTheSectionsDue(t *testing.T) {
-	s := newSectionSet(64, 3)
-	a := s.lend(40)
-	s.settle([][]byte{a})
-	s.owe(1) // a is retired, and on its way back
-	loan := make(chan []byte)
-	go func() { loan <- s.lend(40) }()
-	select {
-	case <-loan:
-		t.Fatal("a loan that found no room went ahead before the section due came back")
-	case <-time.After(20 * time.Millisecond):
-	}
-	s.giveBack(a)
-	b := <-loan
-	if &b[0] != &a[0] || len(s.slabs) != 1 {
-		t.Fatalf("the loan drew slab %d instead of taking the place of the section due back", len(s.slabs))
-	}
-	s.settle([][]byte{b})
-	s.owe(2) // b is retired too, and never comes back
-	t0 := time.Now()
-	if c := s.lend(40); c == nil || len(s.slabs) != 2 {
-		t.Fatal("a loan that waited in vain must draw a slab")
-	}
-	if waited := time.Since(t0); waited < readAheadPatience {
-		t.Fatalf("the loan drew a slab after %v, before the section due back had had %v", waited, readAheadPatience)
 	}
 }
 
@@ -280,13 +278,13 @@ func (w *gateWriter) Write(p []byte) (int, error) {
 // TestSectionNotReusedWhileADecodeBatchViewsIt is the retire-after-emit rule:
 // with a one-container cache every ref of the interleaved recipe is the last
 // use of the section it is cut from, and the output writer is held on the
-// first chunk until the fetcher has read eight sections. Handing a retired
-// buffer straight back would let those reads land on chunks still waiting to
-// be written; the bytes that reach the writer must be the original ones all
-// the same. Verify is off so that nothing but the writer looks at them. Under
+// first chunk until the fetcher has read eight sections. Releasing a retired
+// section straight away would poison chunks still waiting to be written, and
+// let those reads land in their buffers (mapSpy); the bytes that reach the
+// writer must be the original ones all the same. Verify is off so that nothing but the writer looks at them. Under
 // PolicyFAA a section is read once per one-container window and retired at
 // its last ref in the window; the recipe is longer there, so that most
-// windows come after the writer is let go and find buffers to reuse. decodeN
+// windows come after the writer is let go and find released buffers to map. decodeN
 // runs a pool of N decode workers (GOMAXPROCS N).
 func TestSectionNotReusedWhileADecodeBatchViewsIt(t *testing.T) {
 	for _, tc := range []struct {
@@ -329,12 +327,13 @@ func TestSectionNotReusedWhileADecodeBatchViewsIt(t *testing.T) {
 	}
 }
 
-// TestFileRestoreEarlyStops runs the two in-stream failures over reused
+// TestFileRestoreEarlyStops runs the two in-stream failures over mapped
 // sections: a writer that fails part-way, and a section that comes back
-// corrupted (as a private copy, so the buffer lent for it is an unused loan).
+// corrupted (as a private copy, its mapping released on the way up).
 // With the decode pool (GOMAXPROCS 2, 4) each must stop at the ref, with the
-// error and the tallies, of inline decode (GOMAXPROCS 1); no goroutine may
-// outlive the call; and the next restore of the same store must be whole.
+// error and the tallies, of inline decode (GOMAXPROCS 1); no goroutine and
+// no mapping may outlive the call; and the next restore of the same store
+// must be whole.
 func TestFileRestoreEarlyStops(t *testing.T) {
 	datas := mkDatas(120, 300)
 	for _, tc := range []struct {
@@ -379,6 +378,9 @@ func TestFileRestoreEarlyStops(t *testing.T) {
 				if n := runtime.NumGoroutine(); n > before {
 					t.Fatalf("decode %d: %d goroutines before the failed restore, %d after", dw, before, n)
 				}
+				if live, _, _ := spy.maps.counts(); live != 0 {
+					t.Fatalf("decode %d: %d mappings still out after the failed restore", dw, live)
+				}
 				var out bytes.Buffer
 				if _, err := RunPipelined(context.Background(), s, frag, cfg, &out); err != nil {
 					t.Fatal(err)
@@ -391,30 +393,15 @@ func TestFileRestoreEarlyStops(t *testing.T) {
 	}
 }
 
-// TestReleasedSectionsHaveNoViewers is the restore's half of the question the
-// root package's holderSpy asks ("may a sibling draw this buffer yet?"): when
-// RunPipelined returns — whole, on a failing writer, on a corrupted section,
-// cancelled — its buffers are in sectionBufs, and nothing of that restore
-// looks at them again. The test takes every pooled buffer the moment the
-// call returns and writes over it; a straggler still hashing or copying out
-// of one is a report under -race, and a wrong byte in a later restore without.
+// TestReleasedSectionsHaveNoViewers is the restore's half of "no mapping
+// outlives its reader": when RunPipelined returns — whole, on a failing
+// writer, on a corrupted section, cancelled — every section it mapped has
+// been released, and nothing of that restore looks at one again. mapSpy
+// poisons each buffer as it is released and maps it again for the next
+// restore; a straggler still hashing or copying out of one is a report under
+// -race, and a wrong byte in the next restore without.
 func TestReleasedSectionsHaveNoViewers(t *testing.T) {
 	datas := mkDatas(120, 300)
-	scribble := func() (n int) {
-		for {
-			kept, _ := sectionBufs.Get().(*[]byte)
-			if kept == nil {
-				return n
-			}
-			buf := (*kept)[:cap(*kept)]
-			for i := range buf {
-				buf[i] ^= 0x5A
-			}
-			n++
-		}
-	}
-	scribble() // what earlier tests left
-	var scribbled int
 	for _, dw := range []int{1, 2, 4} {
 		setProcs(t, dw)
 		s, spy := fileRig(t)
@@ -438,19 +425,20 @@ func TestReleasedSectionsHaveNoViewers(t *testing.T) {
 				spy.corruptAt = spy.reads + end.corrupt
 			}
 			_, err := RunPipelined(end.ctx, s, frag, cfg, end.w)
-			scribbled += scribble()
 			if (err == nil) != (end.name == "whole") {
 				t.Fatalf("decode %d, %s: %v", dw, end.name, err)
+			}
+			if live, _, _ := spy.maps.counts(); live != 0 {
+				t.Fatalf("decode %d, %s: %d mappings still out when the restore returned", dw, end.name, live)
 			}
 			spy.corruptAt = 0
 			var out bytes.Buffer
 			if _, err := RunPipelined(context.Background(), s, frag, cfg, &out); err != nil || !bytes.Equal(out.Bytes(), wantBytes(datas, frag, seq)) {
 				t.Fatalf("decode %d: the restore after %q differs (%v)", dw, end.name, err)
 			}
-			scribbled += scribble()
 		}
-	}
-	if scribbled == 0 {
-		t.Fatal("no buffer was ever found in the pool: nothing was tested")
+		if _, _, released := spy.maps.counts(); released == 0 {
+			t.Fatal("no mapping was ever released: nothing was tested")
+		}
 	}
 }

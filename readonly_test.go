@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"sync"
 	"testing"
 
@@ -14,9 +13,9 @@ import (
 
 // sealedSections remembers every data section the backend has handed out —
 // on the sim backend the sealed arrays themselves, since Sim.ReadData does
-// not copy — with the digest each had when first seen. Holding the slice
-// keeps a section checkable after maintenance or compaction has dropped its
-// container.
+// not copy; a copy of a mapped one, which it releases — with the digest each
+// had when first seen. Holding the slice keeps a section checkable after
+// maintenance or compaction has dropped its container.
 type sealedSections struct {
 	be   blockstore.Backend
 	data map[uint32][]byte
@@ -39,14 +38,19 @@ func (ss *sealedSections) record(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if blockstore.Mapped(data) {
+			mapped := data
+			data = bytes.Clone(mapped)
+			blockstore.Release(mapped)
+		}
 		ss.data[info.ID] = data
 		ss.sum[info.ID] = sha256.Sum256(data)
 	}
 }
 
 // verify re-digests every recorded section in place, and reads every one
-// still sealed again: on the file backend the held slices are private copies
-// and it is the second look that says the store's bytes are as they were.
+// still sealed again: on the file backend the held slices are copies and it
+// is the second look that says the store's bytes are as they were.
 func (ss *sealedSections) verify(t *testing.T, after string) {
 	t.Helper()
 	for id, data := range ss.data {
@@ -68,7 +72,9 @@ func (ss *sealedSections) verify(t *testing.T, after string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sha256.Sum256(data) != want {
+		sum := sha256.Sum256(data)
+		blockstore.Release(data)
+		if sum != want {
 			t.Fatalf("after %s: container %d reads back different bytes", after, info.ID)
 		}
 	}
@@ -77,15 +83,12 @@ func (ss *sealedSections) verify(t *testing.T, after string) {
 // TestBackendReadsAreReadOnly holds every consumer of fetched data sections
 // to both halves of the blockstore.Backend contract. Shared views: the sim
 // backend returns its sealed sections themselves, so a consumer that wrote
-// into what it fetched would corrupt the store. Lent buffers: the file
-// backend reads into a buffer the restore executor lends it, which only that
-// restore, maintenance merge or fsck check may see again while it runs — not
-// a sibling restore, another merge, check or export (holderSpy, with every
-// restore call, every maintenance run and the check its own holder) — and of
-// which it reads only the ranges the executor named: every lent buffer is
-// poisoned first (loanSpy), so a restore, merge or check that looked outside
-// them fails its verify, and export, which lends nothing, must still get
-// whole sections.
+// into what it fetched would corrupt the store. Mapped sections: the file
+// backend maps each section it reads, and every restore, maintenance merge,
+// fsck check and export must release each by the time it returns and never
+// read one after (holderSpy over a mapSpyFS, which poisons a section as it
+// is released and maps its buffer again, with every restore call, every
+// maintenance run, the check and the export a holding of its own).
 // Every restore shape, fsck, a maintenance epoch, compaction and export run
 // over one store of each kind; each sealed section must hash the same
 // afterwards. Run under -race it also shows the concurrent readers of one
@@ -100,20 +103,20 @@ func testBackendReadsAreReadOnly(t *testing.T, backend BackendKind) {
 	ctx := context.Background()
 	var ss *sealedSections
 	var spy *holderSpy
-	loans := &loanSpy{poison: true}
 	opts := Options{Engine: DeFrag, Alpha: 0.3, StoreData: true,
 		ExpectedBytes: 64 << 20, Maintenance: maintOptions(), Backend: backend,
 		WrapBackend: func(be blockstore.Backend) blockstore.Backend {
-			if backend == FileBackend {
-				loans.Backend = be
-				spy = &holderSpy{Backend: loans, t: t, by: map[*byte]*holding{}}
+			ss = &sealedSections{be: be, data: map[uint32][]byte{}, sum: map[uint32][sha256.Size]byte{}}
+			if spy != nil {
+				spy.Backend = be
 				be = spy
 			}
-			ss = &sealedSections{be: be, data: map[uint32][]byte{}, sum: map[uint32][sha256.Size]byte{}}
 			return be
 		}}
 	if backend == FileBackend {
-		opts.Dir = t.TempDir()
+		maps := newMapSpyFS()
+		spy = newHolderSpy(t, maps)
+		opts.Dir, opts.fs = t.TempDir(), maps
 	}
 	s, err := Open(opts)
 	if err != nil {
@@ -145,13 +148,11 @@ func testBackendReadsAreReadOnly(t *testing.T, backend BackendKind) {
 				defer wg.Done()
 				for i, b := range backups {
 					var out bytes.Buffer
-					var w io.Writer = &out
 					ctx, done := ctx, func() {}
 					if spy != nil {
 						ctx, done = spy.hold(ctx, holder)
-						w = spy.watch(ctx, w)
 					}
-					_, err := s.RestoreWith(ctx, b, w, opts)
+					_, err := s.RestoreWith(ctx, b, &out, opts)
 					done()
 					if err != nil {
 						errs <- fmt.Errorf("%s %+v: %w", b.Label, opts, err)
@@ -186,7 +187,13 @@ func testBackendReadsAreReadOnly(t *testing.T, backend BackendKind) {
 	ss.verify(t, "fsck")
 
 	// Export reads every sealed section once more, into another store.
-	if err := s.Export(ctx, t.TempDir()); err != nil {
+	ectx, done := ctx, func() {}
+	if spy != nil {
+		ectx, done = spy.hold(ctx, "export")
+	}
+	err = s.Export(ectx, t.TempDir())
+	done()
+	if err != nil {
 		t.Fatal(err)
 	}
 	ss.verify(t, "export")
@@ -236,7 +243,4 @@ func testBackendReadsAreReadOnly(t *testing.T, backend BackendKind) {
 	ss.record(t)
 
 	restoreAllShapes("restores of the rewritten store")
-	if backend == FileBackend && loans.ranged.Load() == 0 {
-		t.Fatal("no file-backend restore read into a buffer lent with ranges")
-	}
 }
