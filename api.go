@@ -788,6 +788,26 @@ func ParseRestorePolicy(s string) (RestorePolicy, error) {
 	return 0, fmt.Errorf("repro: unknown restore policy %q (want lru, opt or faa)", s)
 }
 
+// ParseRestoreMode returns DefaultRestoreOptions in the shape a restore mode
+// names: "" keeps the default (OPT eviction), "lru", "opt" and "faa" select
+// that policy, and "pipelined" is OPT with coalesced reads. It is the one
+// reading of dedupsim's -restore.mode and dedupd's ?mode=.
+func ParseRestoreMode(mode string) (RestoreOptions, error) {
+	opts := DefaultRestoreOptions()
+	switch mode {
+	case "":
+	case "pipelined":
+		opts.Coalesce = true
+	default:
+		p, err := ParseRestorePolicy(mode)
+		if err != nil {
+			return opts, err
+		}
+		opts.Policy = p
+	}
+	return opts, nil
+}
+
 // RestoreOptions parameterizes Store.RestoreWith.
 type RestoreOptions struct {
 	// CacheContainers is the restore cache capacity in containers

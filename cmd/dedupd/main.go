@@ -42,10 +42,8 @@ func main() { cli.Main("dedupd", realMain) }
 
 type serverParams struct {
 	addr       string
-	engineName string
-	alpha      float64
-	backend    string
-	storeDir   string
+	engine     cli.Engine
+	backend    cli.Backend
 	expectedGB float64
 	storeData  bool
 
@@ -63,15 +61,14 @@ func realMain() error {
 		p       serverParams
 		loadgen = flag.Bool("loadgen", false, "run as load-generating client instead of server")
 		lg      loadgenParams
-
-		telAddr   = flag.String("telemetry.addr", "", "serve live /metrics, /debug/snapshot and /debug/pprof on this address")
-		telEvents = flag.String("telemetry.events", "", "write JSONL span events to this file")
+		tel     cli.Telemetry
 	)
+	cli.EngineFlags(&p.engine)
+	cli.BackendFlags(&p.backend)
+	cli.FilterFlag(&p.filter.Enabled)
+	cli.SeedFlag(&lg.seed, 1)
+	cli.TelemetryFlags(&tel)
 	flag.StringVar(&p.addr, "addr", "127.0.0.1:8080", "listen address (server) or target address (loadgen)")
-	flag.StringVar(&p.engineName, "engine", "defrag", "engine: defrag, ddfs, silo, sparse, idedup")
-	flag.Float64Var(&p.alpha, "alpha", 0.1, "DeFrag SPL threshold α")
-	flag.StringVar(&p.backend, "backend", "sim", "storage backend: sim (in-memory) or file (durable directory store)")
-	flag.StringVar(&p.storeDir, "store.dir", "", "file backend root directory (required for -backend file)")
 	flag.Float64Var(&p.expectedGB, "expected.gb", 1, "expected total ingest in GiB (sizes caches, Bloom filter, index)")
 	flag.BoolVar(&p.storeData, "store.data", true, "store real chunk bytes so restores return content (disable for timing-only runs)")
 	flag.IntVar(&p.tenantInflight, "tenant.inflight", 4, "max concurrent ingests per tenant before 429")
@@ -85,7 +82,6 @@ func realMain() error {
 	flag.Float64Var(&p.maint.SparseThreshold, "maintenance.sparse", 0, "merge containers the latest backup uses below this fraction (0 = default 0.25)")
 	flag.IntVar(&p.maint.MaxBatch, "maintenance.batch", 0, "max containers merged per maintenance epoch (0 = default 8)")
 	flag.Float64Var(&p.maint.ThrottleMBps, "maintenance.throttle.mbps", 0, "wall-clock pacing of maintenance data movement in MB/s (0 = unthrottled)")
-	flag.BoolVar(&p.filter.Enabled, "filter", false, "enable the prioritized inline filter (DeFrag): poorly clustered streams write through, maintenance re-dedups the spill")
 	flag.IntVar(&p.filter.Probation, "filter.probation", 0, "chunks observed per stream before the filter verdict (0 = default 256)")
 	flag.Float64Var(&p.filter.MinDupFraction, "filter.mindup", 0, "spill streams with a duplicate share below this (0 = default 0.05)")
 	flag.Float64Var(&p.filter.MinClusterScore, "filter.mincluster", 0, "spill streams with a clustered-duplicate share below this (0 = default 0.5)")
@@ -94,7 +90,6 @@ func realMain() error {
 	flag.IntVar(&lg.gens, "loadgen.gens", 3, "loadgen: backup generations per tenant")
 	flag.IntVar(&lg.files, "loadgen.files", 16, "loadgen: files per tenant file system")
 	flag.Int64Var(&lg.fileKB, "loadgen.filekb", 256, "loadgen: mean file size in KiB")
-	flag.Int64Var(&lg.seed, "seed", 1, "loadgen: workload seed")
 	flag.StringVar(&lg.scenario, "loadgen.scenario", "backup", "loadgen: per-tenant workload scenario: backup, primary, workspace, or mixed (rotate tenants across all three)")
 	flag.StringVar(&lg.out, "loadgen.out", "", "loadgen: also write the per-operation trajectory (JSON) to this file (empty = print the summary line only)")
 	flag.StringVar(&lg.mode, "loadgen.restore.mode", "pipelined", "loadgen: restore mode to verify with (lru, opt, pipelined, faa)")
@@ -108,14 +103,11 @@ func realMain() error {
 	if *noTracing {
 		telemetry.SetTracing(false)
 	}
-	ep, err := telemetry.StartEndpoint(*telAddr, *telEvents)
+	ep, err := tel.Start(func(url string) { telemetry.Logger().Info("telemetry endpoint up", "url", url) })
 	if err != nil {
 		return err
 	}
 	defer ep.Close()
-	if a := ep.Addr(); a != "" {
-		telemetry.Logger().Info("telemetry endpoint up", "url", "http://"+a+"/metrics")
-	}
 	if *loadgen {
 		lg.addr = p.addr
 		return runLoadgen(lg)
@@ -124,21 +116,21 @@ func realMain() error {
 }
 
 func runServer(p serverParams) error {
-	kind, err := repro.ParseEngineKind(p.engineName)
+	kind, err := repro.ParseEngineKind(p.engine.Name)
 	if err != nil {
 		return err
 	}
-	bkind, err := repro.ParseBackendKind(p.backend)
+	bkind, err := repro.ParseBackendKind(p.backend.Name)
 	if err != nil {
 		return err
 	}
 	store, err := repro.Open(repro.Options{
 		Engine:        kind,
-		Alpha:         p.alpha,
+		Alpha:         p.engine.Alpha,
 		ExpectedBytes: int64(p.expectedGB * (1 << 30)),
 		StoreData:     p.storeData,
 		Backend:       bkind,
-		Dir:           p.storeDir,
+		Dir:           p.backend.Dir,
 		Maintenance:   p.maint,
 		Filter:        p.filter,
 	})

@@ -28,36 +28,32 @@ import (
 
 	"repro"
 	"repro/internal/cli"
-	"repro/internal/telemetry"
 )
 
 func main() { cli.Main("dedupscan", realMain) }
 
 func realMain() error {
 	var (
-		engineName = flag.String("engine", "defrag", "engine: defrag, ddfs, silo, sparse, idedup")
-		alpha      = flag.Float64("alpha", 0.1, "DeFrag SPL threshold α")
-		telAddr    = flag.String("telemetry.addr", "", "serve live /metrics, /debug/snapshot and /debug/pprof on this address")
-		telEvents  = flag.String("telemetry.events", "", "write JSONL span events to this file")
+		eng cli.Engine
+		tel cli.Telemetry
 	)
+	cli.EngineFlags(&eng)
+	cli.TelemetryFlags(&tel)
 	flag.Parse()
 	if flag.NArg() < 1 {
 		return cli.Usagef("usage: dedupscan [flags] DIR [DIR2 ...]")
 	}
-	ep, err := telemetry.StartEndpoint(*telAddr, *telEvents)
+	ep, err := tel.Start(nil)
 	if err != nil {
 		return err
 	}
 	defer ep.Close()
-	if a := ep.Addr(); a != "" {
-		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics\n", a)
-	}
-	return run(*engineName, *alpha, flag.Args())
+	return run(eng, flag.Args())
 }
 
-func run(engineName string, alpha float64, dirs []string) error {
+func run(eng cli.Engine, dirs []string) error {
 	ctx := context.Background()
-	kind, err := repro.ParseEngineKind(engineName)
+	kind, err := repro.ParseEngineKind(eng.Name)
 	if err != nil {
 		return err
 	}
@@ -68,7 +64,7 @@ func run(engineName string, alpha float64, dirs []string) error {
 	}
 	store, err := repro.Open(repro.Options{
 		Engine:        kind,
-		Alpha:         alpha,
+		Alpha:         eng.Alpha,
 		ExpectedBytes: estimate * int64(len(dirs)+1),
 	})
 	if err != nil {

@@ -31,7 +31,6 @@ import (
 	"repro"
 	"repro/internal/cli"
 	"repro/internal/metrics"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -39,43 +38,39 @@ func main() { cli.Main("dedupsim", realMain) }
 
 func realMain() error {
 	var (
-		engineName = flag.String("engine", "defrag", "engine: defrag, ddfs, silo, sparse, idedup")
-		gens       = flag.Int("gens", 10, "backup generations to ingest")
-		files      = flag.Int("files", 64, "files in the synthetic file system")
-		fileKB     = flag.Int64("filekb", 768, "mean file size in KiB")
-		alpha      = flag.Float64("alpha", 0.1, "DeFrag SPL threshold α")
-		seed       = flag.Int64("seed", 1, "workload seed")
-		doRestore  = flag.Bool("restore", false, "restore every generation and report read performance")
-		verify     = flag.Bool("verify", false, "store real bytes and verify restored content (implies -restore)")
-		rMode      = flag.String("restore.mode", "", "restore strategy: lru, opt, pipelined (opt + coalescing + prefetch), faa (default: the store's default, opt)")
-		rCache     = flag.Int("restore.cache", 0, "restore cache capacity in containers (0 = default, 8)")
-		streams    = flag.Int("streams", 1, "concurrent backup streams per round (>1 switches to a multi-user schedule)")
-		scenario   = flag.String("scenario", "backup", "workload scenario: backup (multi-generation file sets), primary (hot/cold block volumes), workspace (tenant directory trees)")
-		filterOn   = flag.Bool("filter", false, "enable the prioritized inline filter (DeFrag): poorly clustered streams write through and are re-deduped by maintenance")
-		check      = flag.Bool("check", false, "run a consistency check (fsck) at the end")
-		export     = flag.String("export", "", "empty or absent directory to write the store into as a file-backend store: containers and catalog.log; reopen it with -backend file -store.dir DIR (engine defrag or ddfs)")
-		backend    = flag.String("backend", "sim", "storage backend: sim (in-memory) or file (durable directory store)")
-		storeDir   = flag.String("store.dir", "", "file backend root directory (required for -backend file)")
-		fsckOnly   = flag.Bool("fsckonly", false, "skip ingest: reopen the store (-backend file) and run fsck only")
-		repair     = flag.Bool("repair", false, "with -fsckonly: quarantine invariant-failing containers")
-		telAddr    = flag.String("telemetry.addr", "", "serve live /metrics, /debug/snapshot and /debug/pprof on this address (e.g. 127.0.0.1:9090)")
-		telEvents  = flag.String("telemetry.events", "", "write JSONL span events to this file")
-		telHold    = flag.Bool("telemetry.hold", false, "after the run, keep the telemetry endpoint serving until interrupted")
+		p       params
+		tel     cli.Telemetry
+		telHold bool
 	)
+	cli.EngineFlags(&p.engine)
+	cli.BackendFlags(&p.backend)
+	cli.SeedFlag(&p.seed, 1)
+	cli.FilterFlag(&p.filterOn)
+	cli.RestoreCacheFlag(&p.restoreCache)
+	cli.TelemetryFlags(&tel)
+	flag.IntVar(&p.gens, "gens", 10, "backup generations to ingest")
+	flag.IntVar(&p.files, "files", 64, "files in the synthetic file system")
+	flag.Int64Var(&p.fileKB, "filekb", 768, "mean file size in KiB")
+	flag.BoolVar(&p.doRestore, "restore", false, "restore every generation and report read performance")
+	flag.BoolVar(&p.verify, "verify", false, "store real bytes and verify restored content (implies -restore)")
+	flag.StringVar(&p.restoreMode, "restore.mode", "", "restore strategy: lru, opt, pipelined (opt + coalescing + prefetch), faa (default: the store's default, opt)")
+	flag.IntVar(&p.streams, "streams", 1, "concurrent backup streams per round (>1 switches to a multi-user schedule)")
+	flag.StringVar(&p.scenario, "scenario", "backup", "workload scenario: backup (multi-generation file sets), primary (hot/cold block volumes), workspace (tenant directory trees)")
+	flag.BoolVar(&p.check, "check", false, "run a consistency check (fsck) at the end")
+	flag.StringVar(&p.export, "export", "", "empty or absent directory to write the store into as a file-backend store: containers and catalog.log; reopen it with -backend file -store.dir DIR (engine defrag or ddfs)")
+	flag.BoolVar(&p.fsckOnly, "fsckonly", false, "skip ingest: reopen the store (-backend file) and run fsck only")
+	flag.BoolVar(&p.repair, "repair", false, "with -fsckonly: quarantine invariant-failing containers")
+	flag.BoolVar(&telHold, "telemetry.hold", false, "after the run, keep the telemetry endpoint serving until interrupted")
 	flag.Parse()
-	ep, err := telemetry.StartEndpoint(*telAddr, *telEvents)
+	ep, err := tel.Start(nil)
 	if err != nil {
 		return err
 	}
 	defer ep.Close()
-	if a := ep.Addr(); a != "" {
-		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics\n", a)
-	}
-	if err := run(params{*engineName, *gens, *files, *fileKB, *alpha, *seed, *doRestore, *verify, *streams, *scenario, *filterOn, *check, *export, *rMode, *rCache,
-		*backend, *storeDir, *fsckOnly, *repair}); err != nil {
+	if err := run(p); err != nil {
 		return err
 	}
-	if *telHold && ep.Addr() != "" {
+	if telHold && ep.Addr() != "" {
 		fmt.Fprintf(os.Stderr, "telemetry: run complete, holding http://%s (Ctrl-C to exit)\n", ep.Addr())
 		select {}
 	}
@@ -83,27 +78,65 @@ func realMain() error {
 }
 
 type params struct {
-	engineName string
-	gens       int
-	files      int
-	fileKB     int64
-	alpha      float64
-	seed       int64
-	doRestore  bool
-	verify     bool
-	streams    int
-	scenario   string
-	filterOn   bool
-	check      bool
-	export     string
+	engine    cli.Engine
+	backend   cli.Backend
+	gens      int
+	files     int
+	fileKB    int64
+	seed      int64
+	doRestore bool
+	verify    bool
+	streams   int
+	scenario  string
+	filterOn  bool
+	check     bool
+	export    string
 
 	restoreMode  string
 	restoreCache int
 
-	backend  string
-	storeDir string
 	fsckOnly bool
 	repair   bool
+}
+
+// restoreOptions is what -restore.mode, -restore.cache and -verify ask of
+// every restore, or nil when the run restores nothing.
+func restoreOptions(p params) (*repro.RestoreOptions, error) {
+	if !p.doRestore && !p.verify {
+		return nil, nil
+	}
+	opts, err := repro.ParseRestoreMode(p.restoreMode)
+	if err != nil {
+		return nil, fmt.Errorf("-restore.mode: %w", err)
+	}
+	opts.Verify = p.verify
+	if p.restoreCache > 0 {
+		opts.CacheContainers = p.restoreCache
+	}
+	return &opts, nil
+}
+
+// statsRow renders the backup columns of a table row numbered n.
+func statsRow(n int, st repro.BackupStats) []string {
+	return []string{
+		fmt.Sprint(n),
+		metrics.MB(st.LogicalBytes),
+		metrics.F1(st.ThroughputMBps()),
+		metrics.MB(st.UniqueBytes),
+		metrics.MB(st.DedupedBytes),
+		metrics.MB(st.RewrittenBytes),
+		metrics.F3(st.Efficiency()),
+	}
+}
+
+// newTable is a table headed first (gen or round), the backup columns and,
+// when the run restores, the restore columns.
+func newTable(first string, restores bool) *metrics.Table {
+	cols := []string{first, "logical_MB", "tput_MBps", "unique_MB", "deduped_MB", "rewritten_MB", "efficiency"}
+	if restores {
+		cols = append(cols, "read_MBps", "fragments", "read_amp")
+	}
+	return metrics.NewTable(cols...)
 }
 
 // readAmp renders a restore's read amplification: container-section bytes
@@ -115,63 +148,36 @@ func readAmp(read, restored int64) string {
 	return metrics.F3(float64(read) / float64(restored))
 }
 
-// restoreOne restores one backup through the strategy selected by
-// -restore.mode, sharing the cache knob across both the single-stream and
-// multi-stream paths.
-func restoreOne(ctx context.Context, p params, store *repro.Store, b *repro.Backup) (repro.RestoreStats, error) {
-	opts := repro.DefaultRestoreOptions()
-	opts.Verify = p.verify
-	if p.restoreCache > 0 {
-		opts.CacheContainers = p.restoreCache
-	}
-	switch p.restoreMode {
-	case "": // the store's default shape
-	case "pipelined":
-		opts.Policy = repro.RestoreOPT
-		opts.Coalesce = true
-	default:
-		policy, err := repro.ParseRestorePolicy(p.restoreMode)
-		if err != nil {
-			return repro.RestoreStats{}, fmt.Errorf("-restore.mode: %w", err)
-		}
-		opts.Policy = policy
-	}
-	return store.RestoreWith(ctx, b, nil, opts)
-}
-
 func run(p params) error {
 	ctx := context.Background()
-	engineName, gens, files, fileKB := p.engineName, p.gens, p.files, p.fileKB
-	alpha, seed, doRestore, verify := p.alpha, p.seed, p.doRestore, p.verify
-	kind, err := repro.ParseEngineKind(engineName)
+	kind, err := repro.ParseEngineKind(p.engine.Name)
 	if err != nil {
 		return err
 	}
-	bkind, err := repro.ParseBackendKind(p.backend)
+	bkind, err := repro.ParseBackendKind(p.backend.Name)
 	if err != nil {
 		return err
 	}
-	wcfg := workload.DefaultConfig(seed)
-	wcfg.NumFiles = files
-	wcfg.MeanFileSize = fileKB << 10
-
-	nstreams := int64(1)
-	if p.streams > 1 {
-		nstreams = int64(p.streams)
+	ropts, err := restoreOptions(p)
+	if err != nil {
+		return err
 	}
+	wcfg := workload.DefaultConfig(p.seed)
+	wcfg.NumFiles = p.files
+	wcfg.MeanFileSize = p.fileKB << 10
 	sc, err := workload.ParseScenario(p.scenario)
 	if err != nil {
 		return err
 	}
 	store, err := repro.Open(repro.Options{
 		Engine:          kind,
-		Alpha:           alpha,
-		ExpectedBytes:   nstreams * int64(gens) * int64(files) * (fileKB << 10),
-		StoreData:       verify,
+		Alpha:           p.engine.Alpha,
+		ExpectedBytes:   int64(max(p.streams, 1)) * int64(p.gens) * int64(p.files) * (p.fileKB << 10),
+		StoreData:       p.verify,
 		TrackEfficiency: true,
 		Filter:          repro.FilterOptions{Enabled: p.filterOn},
 		Backend:         bkind,
-		Dir:             p.storeDir,
+		Dir:             p.backend.Dir,
 	})
 	if err != nil {
 		return err
@@ -181,7 +187,7 @@ func run(p params) error {
 		return runFsck(ctx, p, store)
 	}
 	if p.streams > 1 && sc == workload.ScenarioBackup {
-		return runStreams(ctx, p, store, wcfg)
+		return runStreams(ctx, p, store, wcfg, ropts)
 	}
 	var sched workload.Schedule
 	if sc == workload.ScenarioBackup {
@@ -189,53 +195,31 @@ func run(p params) error {
 	} else {
 		// Scenario streams are sized from the same -files/-filekb knobs:
 		// one backup approximates the whole synthetic file set.
-		users := p.streams
-		if users < 1 {
-			users = 1
-		}
 		sched, err = workload.NewScenario(sc, workload.ScenarioParams{
-			Seed:           seed,
-			Users:          users,
-			BytesPerStream: int64(files) * (fileKB << 10),
+			Seed:           p.seed,
+			Users:          max(p.streams, 1),
+			BytesPerStream: int64(p.files) * (p.fileKB << 10),
 		})
 	}
 	if err != nil {
 		return err
 	}
 
-	cols := []string{"gen", "logical_MB", "tput_MBps", "unique_MB", "deduped_MB", "rewritten_MB", "efficiency"}
-	if doRestore || verify {
-		cols = append(cols, "read_MBps", "fragments", "read_amp")
-	}
-	tb := metrics.NewTable(cols...)
-
-	for g := 0; g < gens; g++ {
-		bk := sched.Next()
-		b, err := store.Backup(ctx, bk.Label, bk.Stream)
-		if err != nil {
-			return err
-		}
-		row := []string{
-			fmt.Sprint(g + 1),
-			metrics.MB(b.Stats.LogicalBytes),
-			metrics.F1(b.Stats.ThroughputMBps()),
-			metrics.MB(b.Stats.UniqueBytes),
-			metrics.MB(b.Stats.DedupedBytes),
-			metrics.MB(b.Stats.RewrittenBytes),
-			metrics.F3(b.Stats.Efficiency()),
-		}
-		if doRestore || verify {
-			rst, err := restoreOne(ctx, p, store, b)
-			if err != nil {
-				return err
-			}
+	tb := newTable("gen", ropts != nil)
+	err = repro.RunGenerations(ctx, store, sched, p.gens, ropts, func(gen int, b *repro.Backup, rst repro.RestoreStats) error {
+		row := statsRow(gen, b.Stats)
+		if ropts != nil {
 			row = append(row, metrics.F1(rst.ThroughputMBps()), fmt.Sprint(rst.Fragments), readAmp(rst.ReadBytes, rst.Bytes))
 		}
 		tb.AddRow(row...)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
-	fmt.Printf("engine: %s  alpha: %.2f  generations: %d\n\n", store.Engine(), alpha, gens)
-	if err := summarize(ctx, p, store, tb, verify); err != nil {
+	fmt.Printf("engine: %s  alpha: %.2f  generations: %d\n\n", store.Engine(), p.engine.Alpha, p.gens)
+	if err := summarize(ctx, p, store, tb, p.verify); err != nil {
 		return err
 	}
 	if p.export != "" {
@@ -265,15 +249,9 @@ func runFsck(ctx context.Context, p params, store *repro.Store) error {
 			fmt.Printf("  lost backup: %s\n", l)
 		}
 	}
-	rep, err := store.Check(ctx, p.verify)
-	if err != nil {
+	if err := fsck(ctx, store, p.verify, fmt.Sprintf(", %d backups retained", len(store.Backups()))); err != nil {
 		return err
 	}
-	if !rep.OK() {
-		return fmt.Errorf("fsck found %d problems, first: %s", len(rep.Problems), rep.Problems[0])
-	}
-	fmt.Printf("fsck: OK (%d containers, %d recipe refs, %d chunks re-hashed, %d backups retained)\n",
-		rep.Containers, rep.RecipeRefs, rep.HashedChunks, len(store.Backups()))
 	if p.verify {
 		for _, b := range store.Backups() {
 			if _, err := store.Restore(ctx, b, nil, true); err != nil {
@@ -289,16 +267,12 @@ func runFsck(ctx context.Context, p params, store *repro.Store) error {
 // streams per round: each of -gens rounds backs up every user once, up to
 // p.streams of them in flight at a time. Each table row is one round's
 // merged statistics.
-func runStreams(ctx context.Context, p params, store *repro.Store, wcfg workload.Config) error {
+func runStreams(ctx context.Context, p params, store *repro.Store, wcfg workload.Config, ropts *repro.RestoreOptions) error {
 	sched, err := workload.NewMultiUser(p.streams, wcfg)
 	if err != nil {
 		return err
 	}
-	cols := []string{"round", "logical_MB", "tput_MBps", "unique_MB", "deduped_MB", "rewritten_MB", "efficiency"}
-	if p.doRestore || p.verify {
-		cols = append(cols, "read_MBps", "fragments", "read_amp")
-	}
-	tb := metrics.NewTable(cols...)
+	tb := newTable("round", ropts != nil)
 	for g := 0; g < p.gens; g++ {
 		round := sched.NextRound()
 		inputs := make([]repro.StreamInput, len(round))
@@ -309,21 +283,13 @@ func runStreams(ctx context.Context, p params, store *repro.Store, wcfg workload
 		if err != nil {
 			return err
 		}
-		row := []string{
-			fmt.Sprint(g + 1),
-			metrics.MB(merged.LogicalBytes),
-			metrics.F1(merged.ThroughputMBps()),
-			metrics.MB(merged.UniqueBytes),
-			metrics.MB(merged.DedupedBytes),
-			metrics.MB(merged.RewrittenBytes),
-			metrics.F3(merged.Efficiency()),
-		}
-		if p.doRestore || p.verify {
+		row := statsRow(g+1, merged)
+		if ropts != nil {
 			var mbps float64
 			var frags int
 			var read, restored int64
 			for _, b := range backups {
-				rst, err := restoreOne(ctx, p, store, b)
+				rst, err := store.RestoreWith(ctx, b, nil, *ropts)
 				if err != nil {
 					return err
 				}
@@ -340,7 +306,7 @@ func runStreams(ctx context.Context, p params, store *repro.Store, wcfg workload
 		tb.AddRow(row...)
 	}
 	fmt.Printf("engine: %s  alpha: %.2f  users/streams: %d  rounds: %d\n\n",
-		store.Engine(), p.alpha, p.streams, p.gens)
+		store.Engine(), p.engine.Alpha, p.streams, p.gens)
 	return summarize(ctx, p, store, tb, false)
 }
 
@@ -361,14 +327,20 @@ func summarize(ctx context.Context, p params, store *repro.Store, tb *metrics.Ta
 	if !p.check {
 		return nil
 	}
-	rep, err := store.Check(ctx, p.verify)
+	return fsck(ctx, store, p.verify, "")
+}
+
+// fsck checks store, re-hashing every chunk with verify, and prints the
+// report's line, tail at its end; a problem found is the error.
+func fsck(ctx context.Context, store *repro.Store, verify bool, tail string) error {
+	rep, err := store.Check(ctx, verify)
 	if err != nil {
 		return err
 	}
 	if !rep.OK() {
 		return fmt.Errorf("fsck found %d problems, first: %s", len(rep.Problems), rep.Problems[0])
 	}
-	fmt.Printf("fsck: OK (%d containers, %d recipe refs, %d chunks re-hashed)\n",
-		rep.Containers, rep.RecipeRefs, rep.HashedChunks)
+	fmt.Printf("fsck: OK (%d containers, %d recipe refs, %d chunks re-hashed%s)\n",
+		rep.Containers, rep.RecipeRefs, rep.HashedChunks, tail)
 	return nil
 }

@@ -27,49 +27,38 @@ import (
 
 	"repro"
 	"repro/internal/cli"
-	"repro/internal/telemetry"
 )
 
 func main() { cli.Main("defragbench", realMain) }
 
 func realMain() error {
 	var (
-		fig       = flag.String("fig", "all", "which figures to regenerate, comma-separated: "+strings.Join(figureNames, ", "))
-		seed      = flag.Int64("seed", 42, "workload seed")
-		gens      = flag.Int("gens", 20, "generations for single-user experiments (Figs. 2, 3, 6)")
-		backups   = flag.Int("backups", 66, "backups for multi-user experiments (Figs. 4, 5)")
-		users     = flag.Int("users", 5, "users for multi-user experiments")
-		files     = flag.Int("files", 64, "files per user (scale knob, ~0.75 MB each)")
-		alpha     = flag.Float64("alpha", 0.1, "DeFrag SPL threshold α")
-		csvDir    = flag.String("csvdir", "", "also write each figure as CSV into this directory")
-		jsonOut   = flag.Bool("json", false, "emit a per-generation JSONL trajectory to stdout instead of figure tables")
-		engine    = flag.String("engine", "defrag", "engine for -json trajectories: defrag, ddfs, silo, sparse, idedup")
-		rCache    = flag.Int("restore.cache", 0, "restore cache capacity in containers (0 = restore default, 8)")
-		telAddr   = flag.String("telemetry.addr", "", "serve live /metrics, /debug/snapshot and /debug/pprof on this address")
-		telEvents = flag.String("telemetry.events", "", "write JSONL span events to this file")
+		cfg = repro.DefaultExperimentConfig()
+		eng cli.Engine
+		tel cli.Telemetry
 	)
+	cli.EngineFlags(&eng)
+	cli.SeedFlag(&cfg.Seed, 42)
+	cli.RestoreCacheFlag(&cfg.RestoreCache)
+	cli.TelemetryFlags(&tel)
+	fig := flag.String("fig", "all", "which figures to regenerate, comma-separated: "+strings.Join(figureNames, ", "))
+	flag.IntVar(&cfg.Generations, "gens", 20, "generations for single-user experiments (Figs. 2, 3, 6)")
+	flag.IntVar(&cfg.Backups, "backups", 66, "backups for multi-user experiments (Figs. 4, 5)")
+	flag.IntVar(&cfg.Users, "users", 5, "users for multi-user experiments")
+	flag.IntVar(&cfg.FilesPerUser, "files", 64, "files per user (scale knob, ~0.75 MB each)")
+	csvDir := flag.String("csvdir", "", "also write each figure as CSV into this directory")
+	jsonOut := flag.Bool("json", false, "emit a per-generation JSONL trajectory of -engine to stdout instead of figure tables")
 	flag.Parse()
+	cfg.Alpha = eng.Alpha
 
-	ep, err := telemetry.StartEndpoint(*telAddr, *telEvents)
+	ep, err := tel.Start(nil)
 	if err != nil {
 		return err
 	}
 	defer ep.Close()
-	if a := ep.Addr(); a != "" {
-		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics\n", a)
-	}
-
-	cfg := repro.DefaultExperimentConfig()
-	cfg.Seed = *seed
-	cfg.Generations = *gens
-	cfg.Backups = *backups
-	cfg.Users = *users
-	cfg.FilesPerUser = *files
-	cfg.Alpha = *alpha
-	cfg.RestoreCache = *rCache
 
 	if *jsonOut {
-		return emitTrajectory(cfg, *engine)
+		return emitTrajectory(cfg, eng)
 	}
 	return dispatch(os.Stdout, *fig, cfg, *csvDir)
 }
@@ -77,8 +66,8 @@ func realMain() error {
 // emitTrajectory runs one per-generation benchmark trajectory and writes it
 // as JSONL (one record per generation: throughput, rewrite ratio, fragments,
 // restore performance).
-func emitTrajectory(cfg repro.ExperimentConfig, engineName string) error {
-	kind, err := repro.ParseEngineKind(engineName)
+func emitTrajectory(cfg repro.ExperimentConfig, eng cli.Engine) error {
+	kind, err := repro.ParseEngineKind(eng.Name)
 	if err != nil {
 		return err
 	}
@@ -105,7 +94,44 @@ func dispatch(w io.Writer, fig string, cfg repro.ExperimentConfig, csvDir string
 	}
 	all := want["all"]
 
-	show := func(res *repro.FigureResult, err error) error {
+	// Figures 4 and 5 are the two halves of one comparison run.
+	var cmp *repro.Comparison
+	comparison := func(half func(*repro.Comparison) *repro.FigureResult) func() (*repro.FigureResult, error) {
+		return func() (*repro.FigureResult, error) {
+			if cmp == nil {
+				c, err := repro.RunComparison(cfg)
+				if err != nil {
+					return nil, err
+				}
+				cmp = c
+			}
+			return half(cmp), nil
+		}
+	}
+	figures := []struct {
+		name string
+		run  func() (*repro.FigureResult, error)
+	}{
+		{"eq1", repro.RunEquation1},
+		{"2", func() (*repro.FigureResult, error) { return repro.RunFigure2(cfg) }},
+		{"3", func() (*repro.FigureResult, error) { return repro.RunFigure3(cfg) }},
+		{"4", comparison(func(c *repro.Comparison) *repro.FigureResult { return c.Figure4 })},
+		{"5", comparison(func(c *repro.Comparison) *repro.FigureResult { return c.Figure5 })},
+		{"6", func() (*repro.FigureResult, error) { return repro.RunFigure6(cfg) }},
+		{"extended", func() (*repro.FigureResult, error) { return repro.RunExtendedComparison(cfg) }},
+		{"layout", func() (*repro.FigureResult, error) { return repro.RunLayoutAnalysis(cfg) }},
+		{"alpha", func() (*repro.FigureResult, error) { return repro.RunAlphaSweep(cfg, nil) }},
+		{"ablations", func() (*repro.FigureResult, error) { return repro.RunCacheAblation(cfg, nil) }},
+		{"ablations", func() (*repro.FigureResult, error) { return repro.RunSegmentAblation(cfg) }},
+		{"ablations", func() (*repro.FigureResult, error) { return repro.RunContainerAblation(cfg, nil) }},
+		{"ablations", func() (*repro.FigureResult, error) { return repro.RunRestoreAblation(cfg) }},
+		{"ablations", func() (*repro.FigureResult, error) { return repro.RunPolicyAblation(cfg) }},
+	}
+	for _, f := range figures {
+		if !all && !want[f.name] {
+			continue
+		}
+		res, err := f.run()
 		if err != nil {
 			return err
 		}
@@ -117,76 +143,6 @@ func dispatch(w io.Writer, fig string, cfg repro.ExperimentConfig, csvDir string
 			if err := writeCSV(csvDir, res); err != nil {
 				return err
 			}
-		}
-		return nil
-	}
-
-	if all || want["eq1"] {
-		if err := show(repro.RunEquation1()); err != nil {
-			return err
-		}
-	}
-	if all || want["2"] {
-		if err := show(repro.RunFigure2(cfg)); err != nil {
-			return err
-		}
-	}
-	if all || want["3"] {
-		if err := show(repro.RunFigure3(cfg)); err != nil {
-			return err
-		}
-	}
-	if all || want["4"] || want["5"] {
-		c, err := repro.RunComparison(cfg)
-		if err != nil {
-			return err
-		}
-		if all || want["4"] {
-			if err := show(c.Figure4, nil); err != nil {
-				return err
-			}
-		}
-		if all || want["5"] {
-			if err := show(c.Figure5, nil); err != nil {
-				return err
-			}
-		}
-	}
-	if all || want["6"] {
-		if err := show(repro.RunFigure6(cfg)); err != nil {
-			return err
-		}
-	}
-	if all || want["extended"] {
-		if err := show(repro.RunExtendedComparison(cfg)); err != nil {
-			return err
-		}
-	}
-	if all || want["layout"] {
-		if err := show(repro.RunLayoutAnalysis(cfg)); err != nil {
-			return err
-		}
-	}
-	if all || want["alpha"] {
-		if err := show(repro.RunAlphaSweep(cfg, nil)); err != nil {
-			return err
-		}
-	}
-	if all || want["ablations"] {
-		if err := show(repro.RunCacheAblation(cfg, nil)); err != nil {
-			return err
-		}
-		if err := show(repro.RunSegmentAblation(cfg)); err != nil {
-			return err
-		}
-		if err := show(repro.RunContainerAblation(cfg, nil)); err != nil {
-			return err
-		}
-		if err := show(repro.RunRestoreAblation(cfg)); err != nil {
-			return err
-		}
-		if err := show(repro.RunPolicyAblation(cfg)); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -85,5 +86,32 @@ func TestFigSelection(t *testing.T) {
 	}
 	if !strings.Contains(string(out), strings.Join(figureNames, ", ")) {
 		t.Errorf("defragbench -fig bogus did not list the valid figures:\n%s", out)
+	}
+}
+
+// TestJSONTranscripts pins -json's JSONL, to the last digit, at a small
+// scale. A change that means to move a trajectory rewrites its file under
+// testdata and says why.
+func TestJSONTranscripts(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   string
+	}{
+		{"json.txt", "-json -gens 4 -files 8"},
+		{"json-ddfs.txt", "-json -gens 4 -files 8 -engine ddfs -alpha 0.2 -seed 7 -restore.cache 2"},
+	} {
+		cmd := exec.Command(os.Args[0], strings.Fields(tc.args)...)
+		cmd.Env = append(os.Environ(), childEnv+"=1")
+		got, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("defragbench %s: %v", tc.args, err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("defragbench %s moved from testdata/%s:\n%s", tc.args, tc.golden, got)
+		}
 	}
 }

@@ -110,24 +110,6 @@ func RunComparison(cfg ExperimentConfig) (*Comparison, error) {
 	return &Comparison{Figure4: fig4, Figure5: fig5}, nil
 }
 
-// RunFigure4 regenerates the paper's Fig. 4 (throughput comparison).
-func RunFigure4(cfg ExperimentConfig) (*FigureResult, error) {
-	c, err := RunComparison(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return c.Figure4, nil
-}
-
-// RunFigure5 regenerates the paper's Fig. 5 (efficiency comparison).
-func RunFigure5(cfg ExperimentConfig) (*FigureResult, error) {
-	c, err := RunComparison(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return c.Figure5, nil
-}
-
 func safeDiv(a, b float64) float64 {
 	if b == 0 {
 		return 0

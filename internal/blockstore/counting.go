@@ -19,16 +19,12 @@ import (
 type Counting struct {
 	be Backend
 
-	seals     atomic.Int64
 	dataReads atomic.Int64 // container data sections fetched (ReadData + ids per ReadDataRange)
 	dataBytes atomic.Int64 // bytes of those sections
 }
 
 // NewCounting wraps be with operation counters.
 func NewCounting(be Backend) *Counting { return &Counting{be: be} }
-
-// Seals returns the number of Seal calls.
-func (c *Counting) Seals() int64 { return c.seals.Load() }
 
 // DataSectionReads returns the number of container data sections physically
 // fetched: one per ReadData call plus one per id of every ReadDataRange.
@@ -39,7 +35,6 @@ func (c *Counting) DataBytesRead() int64 { return c.dataBytes.Load() }
 
 // ResetCounts zeroes all counters (between benchmark phases).
 func (c *Counting) ResetCounts() {
-	c.seals.Store(0)
 	c.dataReads.Store(0)
 	c.dataBytes.Store(0)
 }
@@ -48,7 +43,6 @@ func (c *Counting) Name() string     { return c.be.Name() }
 func (c *Counting) StoresData() bool { return c.be.StoresData() }
 
 func (c *Counting) Seal(ctx context.Context, info ContainerInfo, data []byte) error {
-	c.seals.Add(1)
 	return c.be.Seal(ctx, info, data)
 }
 

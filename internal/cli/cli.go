@@ -1,7 +1,8 @@
 // Package cli holds the shared entry-point plumbing for the repro command
 // line tools. Each main becomes a single call to Main with a run function
 // returning error; the error-to-exit-code translation lives here, once,
-// instead of being copy-pasted around every fallible call in every main.
+// instead of being copy-pasted around every fallible call in every main. So
+// do the flags more than one tool takes (flags.go).
 package cli
 
 import (

@@ -254,17 +254,14 @@ func (p *Pass) run(ctx context.Context, span string, body func(lane *disk.Clock,
 	return st, nil
 }
 
-// RunEpoch executes one maintenance epoch: re-dedup of spilled references
-// (a no-op on stores that never spill), reverse remap, and one merge batch
-// (victim selection, copy, gated drop commit). It returns the epoch's
+// RunEpoch executes one maintenance epoch: one recipe pass that re-dedups
+// spilled references and reverse-remaps old ones (remapRefs), then one merge
+// batch (victim selection, copy, gated drop commit). It returns the epoch's
 // statistics; an epoch that finds nothing to do returns zero Stats and nil
 // error.
 func (p *Pass) RunEpoch(ctx context.Context) (Stats, error) {
 	return p.run(ctx, "maintenance.epoch", func(lane *disk.Clock, st *Stats) error {
-		if err := p.rededupSpill(ctx, st); err != nil {
-			return err
-		}
-		if err := p.reverseRemap(ctx, st); err != nil {
+		if err := p.remapRefs(ctx, st); err != nil {
 			return err
 		}
 		_, err := p.merge(ctx, lane, p.cfg.UtilThreshold, p.cfg.SparseThreshold, st)
@@ -349,62 +346,59 @@ func (p *Pass) rewriteRefs(ctx context.Context, relocate func(ref *chunk.Ref) (c
 	return n, p.cfg.Recipes.Replace(ctx, updated)
 }
 
-// reverseRemap rewrites old generations' references into candidate
-// containers to point at newer copies of the same chunks. The rewrite is
-// pure metadata: the abandoned old copies lose their pins so a later merge
-// can reclaim their containers.
-func (p *Pass) reverseRemap(ctx context.Context, st *Stats) (err error) {
+// remapRefs is an epoch's one walk of the retained recipes (one durable
+// Replace). It looks every reference up in the index and moves it to the
+// index's copy of its chunk, a sealed copy of the same size, by one of two
+// rules:
+//
+//   - Re-dedup, when that copy is strictly older: an earlier container, or
+//     an earlier offset of the same one. This is the out-of-line half of the
+//     inline filter's bargain (HPDedup, arXiv 1702.08153): spilled streams
+//     wrote their probable duplicates through without consulting the on-disk
+//     index, leaving the earlier copy authoritative. Inline dedup references
+//     that copy and rewrites repoint the index forward; the inversion comes
+//     from the write-through path, and from the merge moving a copy a recipe
+//     pins but the index does not name (an old generation's copy of a chunk
+//     DeFrag has since rewritten) into a fresh container, newer than the
+//     index's copy (TestMergeOfAPinnedCopyFeedsRededup). The lookup runs for
+//     every reference whether or not the store ever spilled.
+//   - Reverse remap ("reverse rewriting"), when that copy is in a strictly
+//     newer container and the reference's own container is a remap
+//     candidate: old generations absorb the delinearization, RevDedup's
+//     shift of fragmentation onto the backups least likely to be restored.
+//
+// A reference the first rule moves lands on the index's copy, where the
+// second cannot fire, so one pass leaves what the two did one after the
+// other. The abandoned copies lose their pins, and a later merge reclaims
+// their containers. The rewrite is pure metadata and safe outside the gate:
+// the target copy is index-authoritative, so the liveness rule keeps it
+// resident, and any drop that might race this epoch revalidates under the
+// exclusive gate before committing.
+func (p *Pass) remapRefs(ctx context.Context, st *Stats) error {
 	cs, ix := p.cfg.Containers, p.cfg.Index
 	candidate := make(map[uint32]bool)
-	st.RefsRemapped, err = p.rewriteRefs(ctx, func(ref *chunk.Ref) (chunk.Location, bool) {
+	_, err := p.rewriteRefs(ctx, func(ref *chunk.Ref) (chunk.Location, bool) {
+		loc, found := ix.Peek(ref.FP)
+		if !found || loc.Size != ref.Size || !cs.Sealed(loc.Container) {
+			return loc, false
+		}
 		cid := ref.Loc.Container
+		if loc.Container < cid || (loc.Container == cid && loc.Offset < ref.Loc.Offset) {
+			st.RefsRededuped++
+			return loc, true
+		}
+		if loc.Container <= cid {
+			return loc, false
+		}
 		ok, seen := candidate[cid]
 		if !seen {
 			ok = p.remapCandidate(cid)
 			candidate[cid] = ok
 		}
-		if !ok {
-			return chunk.Location{}, false
+		if ok {
+			st.RefsRemapped++
 		}
-		// Only migrate forward: a strictly newer sealed copy of the same
-		// chunk. Same-container hits and unsealed targets stay.
-		loc, found := ix.Peek(ref.FP)
-		return loc, found && loc.Container > cid && loc.Size == ref.Size && cs.Sealed(loc.Container)
-	})
-	return err
-}
-
-// rededupSpill is the out-of-line half of the inline filter's bargain
-// (HPDedup, arXiv 1702.08153): spilled streams wrote their probable
-// duplicates through without consulting the on-disk index, leaving the
-// earlier copy authoritative. Every epoch scans every retained recipe for
-// references whose chunk the index locates at a *strictly older* sealed
-// container and remaps them back onto the authoritative copy. Inline dedup
-// references that copy and rewrites repoint the index forward; the inversion
-// comes from the write-through path, and from the merge moving a copy a recipe
-// pins but the index does not name (an old generation's copy of a chunk DeFrag
-// has since rewritten) into a fresh container, newer than the index's copy
-// (TestMergeOfAPinnedCopyFeedsRededup). The abandoned copies lose their only
-// pins, their containers go dead, and the ordinary merge/drop machinery
-// reclaims the space.
-//
-// Like reverseRemap, the remap itself is pure metadata and safe outside the
-// gate: the target copy is index-authoritative, so the liveness rule keeps
-// it resident, and any drop that might race this epoch revalidates under the
-// exclusive gate before committing.
-func (p *Pass) rededupSpill(ctx context.Context, st *Stats) (err error) {
-	cs, ix := p.cfg.Containers, p.cfg.Index
-	st.RefsRededuped, err = p.rewriteRefs(ctx, func(ref *chunk.Ref) (chunk.Location, bool) {
-		loc, found := ix.Peek(ref.FP)
-		if !found || loc.Size != ref.Size || !cs.Sealed(loc.Container) {
-			return loc, false
-		}
-		// Strictly-older means an earlier container, or an earlier offset
-		// of the same container (a short-distance spill whose authoritative
-		// copy landed in the same open container).
-		older := loc.Container < ref.Loc.Container ||
-			(loc.Container == ref.Loc.Container && loc.Offset < ref.Loc.Offset)
-		return loc, older
+		return loc, ok
 	})
 	return err
 }

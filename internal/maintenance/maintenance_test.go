@@ -549,7 +549,7 @@ func TestSparseLatestConsolidation(t *testing.T) {
 // lie past the index's copy of its chunk, with no spilled stream anywhere: an
 // old generation pins a copy the index no longer names (DeFrag rewrote the
 // chunk into a newer container), and the merge moves that pinned copy into a
-// container newer still. The next epoch's rededupSpill finds the index's copy
+// container newer still. The next epoch's remapRefs finds the index's copy
 // strictly older and repoints the reference there, and the moved copy dies.
 func TestMergeOfAPinnedCopyFeedsRededup(t *testing.T) {
 	s, ix, clk := rig(t, true)
@@ -603,6 +603,62 @@ func TestMergeOfAPinnedCopyFeedsRededup(t *testing.T) {
 	}
 	readBack(t, s, rs, "gen0", dataA, dataC)
 	readBack(t, s, rs, "gen1", dataA, dataE, dataD)
+}
+
+// TestEpochRededupsAndRemapsInOneReplace: an epoch in which one reference is
+// re-deduped (a spilled copy newer than the index's) and another is
+// reverse-remapped (a stream tail with a newer copy) walks the recipes once
+// and installs both with one Replace, one catalog record on a durable store.
+func TestEpochRededupsAndRemapsInOneReplace(t *testing.T) {
+	s, ix, clk := rig(t, true)
+	rs := &fakeRecipes{}
+
+	// Container 0, a stream tail (1000 of 2048 bytes): A and X, indexed.
+	dataA, dataX, dataB := fill(1, 900), fill(2, 100), fill(3, 900)
+	fpA, locA0 := put(t, s, ix, dataA, 1)
+	fpX, locX0 := put(t, s, ix, dataX, 1)
+	s.SerialWriter().Finish(context.Background())
+	gen0 := &chunk.Recipe{Label: "gen0"}
+	gen0.Append(fpA, 900, locA0)
+	gen0.Append(fpX, 100, locX0)
+	rs.add(gen0)
+
+	// Container 1: a rewrite of A, which the index follows; X written
+	// through again without consulting the index, as a spilled stream does;
+	// and B.
+	locA1 := mustWrite(t, s, chunk.New(dataA), 2)
+	ix.Update(fpA, locA1)
+	s.MarkDead(locA0.Container, 900)
+	locX1 := mustWrite(t, s, chunk.New(dataX), 2)
+	fpB, locB := put(t, s, ix, dataB, 2)
+	s.SerialWriter().Finish(context.Background())
+	gen1 := &chunk.Recipe{Label: "gen1"}
+	gen1.Append(fpA, 900, locA1)
+	gen1.Append(fpX, 100, locX1)
+	gen1.Append(fpB, 900, locB)
+	rs.add(gen1)
+
+	// Thresholds low enough that the epoch's merge finds no victim: the
+	// walk's Replace is the epoch's only one.
+	p := passFor(t, s, ix, clk, rs, &plainGate{}, func(c *Config) { c.UtilThreshold, c.SparseThreshold = 0.01, 0.01 })
+	st, err := p.RunEpoch(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.RefsRemapped != 1 || st.RefsRededuped != 1 || st.ContainersMerged != 0 {
+		t.Fatalf("epoch: %+v, want one ref remapped, one re-deduped, nothing merged", st)
+	}
+	if rs.replaces != 1 {
+		t.Fatalf("epoch installed its rewrites with %d Replace calls, want 1", rs.replaces)
+	}
+	if got := rs.byLabel("gen0").Refs[0].Loc; got != locA1 {
+		t.Fatalf("gen0's A at %+v, want remapped onto %+v", got, locA1)
+	}
+	if got := rs.byLabel("gen1").Refs[1].Loc; got != locX0 {
+		t.Fatalf("gen1's X at %+v, want re-deduped onto %+v", got, locX0)
+	}
+	readBack(t, s, rs, "gen0", dataA, dataX)
+	readBack(t, s, rs, "gen1", dataA, dataX, dataB)
 }
 
 // fill returns an n-byte chunk payload of one repeated byte.

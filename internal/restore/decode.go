@@ -139,35 +139,40 @@ func (as *assembly) verify(b *decodeBatch) {
 // emit is the decode pool's consumer: it charges each one-lane extent read
 // just before the first chunk cut from it, hands b's chunks to the sink (a
 // bad one to Mismatch, when set) and counts them, up to b's first verify or
-// sink failure, then recycles b. A mapped section that faults under the sink
-// is that chunk's failure.
-func (as *assembly) emit(b *decodeBatch) (err error) {
-	var bytes, chunks int64
-	for k := range b.jobs {
-		j := &b.jobs[k]
-		if b.err != nil && k == b.stop {
-			err = b.err
-			break
-		}
-		if j.charge != nil {
-			as.store.AccountDataRange(j.charge, as.Lane)
-		}
-		if j.bad {
-			as.Mismatch(j.idx)
-		} else if as.Sink != nil {
-			t1 := time.Now()
-			err = blockstore.Guard(func() error { return as.Sink(j.idx, j.data) })
-			stageCopy.Observe(t1)
-			if err != nil {
-				break
+// sink failure, then recycles b. One fault guard spans the batch: a mapped
+// section that faults under the sink fails the chunk at k, and the chunks
+// before it stay written and counted. The copy stage is clocked once a
+// batch.
+func (as *assembly) emit(b *decodeBatch) error {
+	var k int
+	var bytes int64
+	t1 := time.Now()
+	err := blockstore.Guard(func() error {
+		for ; k < len(b.jobs); k++ {
+			j := &b.jobs[k]
+			if b.err != nil && k == b.stop {
+				return b.err
 			}
+			if j.charge != nil {
+				as.store.AccountDataRange(j.charge, as.Lane)
+			}
+			if j.bad {
+				as.Mismatch(j.idx)
+			} else if as.Sink != nil {
+				if err := as.Sink(j.idx, j.data); err != nil {
+					return err
+				}
+			}
+			bytes += int64(j.size)
 		}
-		bytes += int64(j.size)
-		chunks++
+		return nil
+	})
+	if as.Sink != nil {
+		stageCopy.AddNS(int64(time.Since(t1)))
 	}
 	// Added once a batch: the assembler writes the same Stats for every ref.
 	as.stats.Bytes += bytes
-	as.stats.Chunks += chunks
+	as.stats.Chunks += int64(k)
 	as.recycle(b)
 	return err
 }

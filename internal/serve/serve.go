@@ -428,26 +428,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, backupInfo(b))
 }
 
-// restoreOptions parses ?mode=&verify= into RestoreOptions.
-// No mode is the store's default shape; pipelined is OPT with coalesced
-// reads; anything else is a policy name.
+// restoreOptions parses ?mode=&verify= into RestoreOptions (see
+// repro.ParseRestoreMode).
 func restoreOptions(r *http.Request, forceVerify bool) (repro.RestoreOptions, error) {
 	q := r.URL.Query()
-	opts := repro.DefaultRestoreOptions()
+	opts, err := repro.ParseRestoreMode(q.Get("mode"))
 	opts.Verify = forceVerify || q.Get("verify") == "1" || q.Get("verify") == "true"
-	switch mode := q.Get("mode"); mode {
-	case "":
-	case "pipelined":
-		opts.Policy = repro.RestoreOPT
-		opts.Coalesce = true
-	default:
-		p, err := repro.ParseRestorePolicy(mode)
-		if err != nil {
-			return opts, err
-		}
-		opts.Policy = p
-	}
-	return opts, nil
+	return opts, err
 }
 
 // handleBackupGet serves both GET /v1/backups/{label} (stats) and

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"io"
 	"log/slog"
 	"os"
 	"sync/atomic"
@@ -57,10 +56,4 @@ func ParseLogLevel(s string) slog.Level {
 	default:
 		return slog.LevelInfo
 	}
-}
-
-// SetLogOutput redirects the process logger to w (tests; a JSON handler at
-// the current level is installed over w).
-func SetLogOutput(w io.Writer) {
-	logTarget.Store(slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: &logLevel})))
 }

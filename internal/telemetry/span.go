@@ -60,9 +60,6 @@ func init() { tracingOn.Store(true) }
 // setting.
 func SetTracing(on bool) bool { return tracingOn.Swap(on) }
 
-// TracingEnabled reports whether span tracing is on.
-func TracingEnabled() bool { return tracingOn.Load() }
-
 // StartSpan starts a span on the Default registry. The returned context
 // carries the span, parenting any spans started from it.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {

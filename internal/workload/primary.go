@@ -179,9 +179,6 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 // Streams returns the volume count.
 func (p *Primary) Streams() int { return len(p.volumes) }
 
-// Clustered reports whether volume i's duplicates cluster.
-func (p *Primary) Clustered(i int) bool { return p.volumes[i].clustered }
-
 // Next implements Schedule.
 func (p *Primary) Next() Backup {
 	b := p.volumes[p.next].window()

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # check_surface.sh — hold the repository's surface to committed ceilings:
-# the number of command-line flags the four CLIs define, and the number of
+# the number of command-line flag definitions, in the four CLIs under cmd/
+# and in the flag groups they share (internal/cli), and the number of
 # non-test Go lines outside bench/ (the perf rig is its own module and is
 # not counted). Either count above its ceiling fails.
 #
@@ -56,18 +57,32 @@
 # slab set (internal/restore/sections.go) went; the mapping primitive
 # (FSFile.Map), the registry behind blockstore.Release and the fault guard
 # (Guard) came. Flags stay at 75.
+#
+# Lowered by 15 lines, 19,422 to 19,407, and by 18 flag definitions, 75 to
+# 57 (48 under cmd/, 9 in internal/cli), when the flags more than one CLI
+# takes became groups in internal/cli that each CLI registers once
+# (-telemetry.addr and -telemetry.events with the endpoint's start, -engine
+# and -alpha, -backend and -store.dir, -restore.cache, -filter, -seed), the
+# restore-mode vocabulary got one parser (repro.ParseRestoreMode),
+# dedupsim's generation loop became repro.RunGenerations, the loop
+# RunTrajectory runs, and defragbench's figure dispatch a table. The count
+# now covers internal/cli, so moving a flag there does not lower it by
+# itself. No flag was renamed or given a new default. Uncalled code went in
+# the same change (RunFigure4, RunFigure5, telemetry.SetLogOutput and
+# TracingEnabled, workload.Primary.Clustered, blockstore.Counting.Seals:
+# 37 lines).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-max_flags=75
-max_lines=19422
+max_flags=57
+max_lines=19407
 
 flags=$(grep -rhoE --include='*.go' --exclude='*_test.go' \
-  '\bflag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|Text|Var)(Var)?\(' cmd | wc -l)
+  '\bflag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|Text|Var)(Var)?\(' cmd internal/cli | wc -l)
 lines=$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)
 asm=$(find . -path ./bench -prune -o -name '*.s' -print0 | xargs -0 cat | wc -l)
 
-echo "flags under cmd/: $flags (ceiling $max_flags)"
+echo "flags under cmd/ and internal/cli: $flags (ceiling $max_flags)"
 echo "non-test Go lines outside bench/: $lines (ceiling $max_lines)"
 echo "assembly lines outside bench/: $asm (reported, not counted)"
 

@@ -50,15 +50,7 @@ func RunTrajectory(cfg ExperimentConfig, kind EngineKind) ([]TrajectoryPoint, er
 	ropts := DefaultRestoreOptions()
 	ropts.CacheContainers = cfg.RestoreCache // 0 keeps the default
 	points := make([]TrajectoryPoint, 0, cfg.Generations)
-	for g := 0; g < cfg.Generations; g++ {
-		b, err := backup(store, sched)
-		if err != nil {
-			return nil, err
-		}
-		rst, err := store.RestoreWith(context.Background(), b, nil, ropts)
-		if err != nil {
-			return nil, err
-		}
+	err = RunGenerations(context.Background(), store, sched, cfg.Generations, &ropts, func(gen int, b *Backup, rst RestoreStats) error {
 		st := b.Stats
 		ratio := 0.0
 		if st.LogicalBytes > 0 {
@@ -66,7 +58,7 @@ func RunTrajectory(cfg ExperimentConfig, kind EngineKind) ([]TrajectoryPoint, er
 		}
 		points = append(points, TrajectoryPoint{
 			Engine:          store.Engine(),
-			Gen:             g + 1,
+			Gen:             gen,
 			Label:           b.Label,
 			LogicalBytes:    st.LogicalBytes,
 			ThroughputMBps:  st.ThroughputMBps(),
@@ -80,8 +72,38 @@ func RunTrajectory(cfg ExperimentConfig, kind EngineKind) ([]TrajectoryPoint, er
 			Efficiency:      st.Efficiency(),
 			SimulatedSecond: store.SimulatedTime().Seconds(),
 		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return points, nil
+}
+
+// RunGenerations is the paper's per-generation measurement: it backs up
+// gens backups of sched into store one after another and, with ropts set,
+// restores each right after its backup. each is handed every generation's
+// 1-based number, backup and restore statistics (zero without ropts), in
+// order; an error from it stops the run.
+func RunGenerations(ctx context.Context, store *Store, sched workload.Schedule, gens int, ropts *RestoreOptions,
+	each func(gen int, b *Backup, rst RestoreStats) error) error {
+	for g := 1; g <= gens; g++ {
+		bk := sched.Next()
+		b, err := store.Backup(ctx, bk.Label, bk.Stream)
+		if err != nil {
+			return err
+		}
+		var rst RestoreStats
+		if ropts != nil {
+			if rst, err = store.RestoreWith(ctx, b, nil, *ropts); err != nil {
+				return err
+			}
+		}
+		if err := each(g, b, rst); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WriteTrajectoryJSONL writes points as JSONL: one JSON object per line,
