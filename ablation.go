@@ -33,22 +33,18 @@ func (r defragRun) compression() float64 {
 // and restores the last.
 func runDefragVariant(cfg ExperimentConfig, mutate func(*core.Config)) (defragRun, error) {
 	cfg = cfg.withDefaults()
-	s, sched, err := cfg.single(DeFrag, true, mutate)
+	var r defragRun
+	s, last, err := cfg.runSingle(DeFrag, true, mutate, nil, func(_ int, b *Backup, _ RestoreStats) error {
+		r.rewritten += b.Stats.RewrittenBytes
+		return nil
+	})
 	if err != nil {
 		return defragRun{}, err
 	}
-	var r defragRun
-	var b *Backup
-	for g := 0; g < cfg.Generations; g++ {
-		if b, err = backup(s, sched); err != nil {
-			return defragRun{}, err
-		}
-		r.rewritten += b.Stats.RewrittenBytes
-	}
-	if r.read, err = cfg.figureRestore(s, b); err != nil {
+	if r.read, err = s.RestoreWith(context.Background(), last, nil, cfg.paperRestore()); err != nil {
 		return defragRun{}, err
 	}
-	r.last, r.store = b.Stats, s.Stats()
+	r.last, r.store = last.Stats, s.Stats()
 	return r, nil
 }
 
@@ -183,30 +179,19 @@ func RunContainerAblation(cfg ExperimentConfig, sizesMB []int) (*FigureResult, e
 	return res, nil
 }
 
-// restoreAblationLanes is the simulated prefetch-lane count of the pipelined
-// row of RunRestoreAblation. It is part of the figure, not of the host:
-// GOMAXPROCS sizes the wall-clock hashing and decode pools and must not move
-// a simulated column.
-const restoreAblationLanes = 4
-
 // RunRestoreAblation compares four shapes of the one restore engine — LRU
-// container cache, recipe-aware OPT cache, forward assembly, and everything
-// on (OPT + coalescing + parallel read lanes) — on a late-generation
-// (fragmented) DeFrag recipe across equivalent memory budgets. OPT's
-// container reads are never above LRU's at the same budget (Belady
-// optimality); the pipelined column shows what coalescing and prefetch
-// lanes add on top of the better eviction.
+// container cache, recipe-aware OPT cache, forward assembly, and pipelined
+// (OPT with coalesced reads) — on a late-generation (fragmented) DeFrag
+// recipe across equivalent memory budgets. Every shape is charged to one
+// read lane, as a serial reader pays (Eq. 1). OPT's container reads are never
+// above LRU's at the same budget (Belady optimality); the pipelined column
+// shows what folding OPT's disk-adjacent fetches into one seek each adds on
+// top of the better eviction.
 func RunRestoreAblation(cfg ExperimentConfig) (*FigureResult, error) {
 	cfg = cfg.withDefaults()
-	s, sched, err := cfg.single(DeFrag, false, nil)
+	s, last, err := cfg.runSingle(DeFrag, false, nil, nil, nil)
 	if err != nil {
 		return nil, err
-	}
-	var last *Backup
-	for g := 0; g < cfg.Generations; g++ {
-		if last, err = backup(s, sched); err != nil {
-			return nil, err
-		}
 	}
 
 	res := &FigureResult{
@@ -221,10 +206,10 @@ func RunRestoreAblation(cfg ExperimentConfig) (*FigureResult, error) {
 		row := []string{fmt.Sprint(budgetMB)}
 		var creads []int64 // each shape's container reads: LRU, OPT, FAA, pipelined
 		for _, opts := range []RestoreOptions{
-			{CacheContainers: cap, Policy: RestoreLRU, Workers: 1},
-			{CacheContainers: cap, Policy: RestoreOPT, Workers: 1},
-			{CacheContainers: cap, Policy: RestoreFAA, Workers: 1},
-			{CacheContainers: cap, Policy: RestoreOPT, Workers: restoreAblationLanes, Coalesce: true},
+			{CacheContainers: cap, Policy: RestoreLRU},
+			{CacheContainers: cap, Policy: RestoreOPT},
+			{CacheContainers: cap, Policy: RestoreFAA},
+			{CacheContainers: cap, Policy: RestoreOPT, Coalesce: true},
 		} {
 			st, err := s.RestoreWith(context.Background(), last, nil, opts)
 			if err != nil {

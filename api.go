@@ -817,10 +817,6 @@ type RestoreOptions struct {
 	// Policy selects LRU (the zero value), OPT eviction (what
 	// DefaultRestoreOptions sets) or forward assembly.
 	Policy RestorePolicy
-	// Workers is the number of simulated read lanes (default 1): it only
-	// decides how extent reads are charged to the simulated clock. The bytes
-	// are always fetched one extent ahead of the assembler, whatever it says.
-	Workers int
 	// Coalesce merges reads of disk-adjacent containers into single
 	// sequential extents (one seek for k containers).
 	Coalesce bool
@@ -829,18 +825,18 @@ type RestoreOptions struct {
 }
 
 // DefaultRestoreOptions returns the default restore shape: an 8-container
-// cache evicted with the recipe's forward knowledge (RestoreOPT), one
-// simulated read lane, uncoalesced — the timing model of a serial reader who
-// has read the recipe first. Set Policy to RestoreLRU for the recency cache
-// of the paper's figures.
+// cache evicted with the recipe's forward knowledge (RestoreOPT),
+// uncoalesced — the timing model of a serial reader who has read the recipe
+// first. Set Policy to RestoreLRU for the recency cache of the paper's
+// figures.
 func DefaultRestoreOptions() RestoreOptions {
-	return RestoreOptions{CacheContainers: restore.DefaultConfig().CacheContainers, Policy: RestoreOPT, Workers: 1}
+	return RestoreOptions{CacheContainers: restore.DefaultConfig().CacheContainers, Policy: RestoreOPT}
 }
 
 // Restore reconstructs backup b, writing the stream to w (nil w measures
 // without materializing). verify recomputes chunk fingerprints and requires
 // Options.StoreData. It runs the default shape (DefaultRestoreOptions: OPT
-// cache, one simulated lane); use RestoreWith for the other shapes.
+// cache); use RestoreWith for the other shapes.
 func (s *Store) Restore(ctx context.Context, b *Backup, w io.Writer, verify bool) (RestoreStats, error) {
 	opts := DefaultRestoreOptions()
 	opts.Verify = verify
@@ -868,7 +864,6 @@ func (s *Store) RestoreWith(ctx context.Context, b *Backup, w io.Writer, opts Re
 	st, err := restore.RunPipelined(ctx, s.eng.Containers(), b.recipe(), restore.PipelineConfig{
 		CacheContainers: opts.CacheContainers,
 		Policy:          restore.CachePolicy(opts.Policy),
-		Workers:         opts.Workers,
 		Coalesce:        opts.Coalesce,
 		Verify:          opts.Verify,
 	}, w)

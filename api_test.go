@@ -258,9 +258,9 @@ func TestRestoreWithOptionsRoundTrip(t *testing.T) {
 	for _, opts := range []RestoreOptions{
 		{Policy: RestoreLRU, Verify: true},
 		{Policy: RestoreOPT, Verify: true},
-		{Policy: RestoreOPT, Workers: 4, Coalesce: true, Verify: true},
+		{Policy: RestoreOPT, Coalesce: true, Verify: true},
 		{Policy: RestoreFAA, Verify: true},
-		{CacheContainers: 1, Policy: RestoreFAA, Workers: 4, Coalesce: true, Verify: true},
+		{CacheContainers: 1, Policy: RestoreFAA, Coalesce: true, Verify: true},
 	} {
 		var out bytes.Buffer
 		st, err := store.RestoreWith(context.Background(), b, &out, opts)

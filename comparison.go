@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/metrics"
@@ -23,17 +24,23 @@ func RunComparison(cfg ExperimentConfig) (*Comparison, error) {
 
 	// Each engine has its own store and consumes its own identical workload
 	// instance (streams are deterministic in the seed, so the three engines
-	// see the same bytes). DDFS-Like runs without the oracle: Fig. 5 does
-	// not plot it.
+	// see the same bytes), run to the end on its own; the rows zip them.
+	// DDFS-Like runs without the oracle: Fig. 5 does not plot it.
 	kinds := []EngineKind{DDFSLike, SiLoLike, DeFrag}
-	stores := make([]*Store, len(kinds))
-	scheds := make([]workload.Schedule, len(kinds))
-	for i, kind := range kinds {
-		var err error
-		if stores[i], err = cfg.open(kind, cfg.Users, gensPerUser, kind != DDFSLike, nil); err != nil {
+	stats := make([][]BackupStats, len(kinds))
+	for j, kind := range kinds {
+		s, err := cfg.open(kind, cfg.Users, gensPerUser, kind != DDFSLike, nil)
+		if err != nil {
 			return nil, err
 		}
-		if scheds[i], err = workload.NewMultiUser(cfg.Users, cfg.workloadConfig()); err != nil {
+		sched, err := workload.NewMultiUser(cfg.Users, cfg.workloadConfig())
+		if err != nil {
+			return nil, err
+		}
+		if err := RunGenerations(context.Background(), s, sched, cfg.Backups, nil, func(_ int, b *Backup, _ RestoreStats) error {
+			stats[j] = append(stats[j], b.Stats)
+			return nil
+		}); err != nil {
 			return nil, err
 		}
 	}
@@ -58,16 +65,8 @@ func RunComparison(cfg ExperimentConfig) (*Comparison, error) {
 	ede := metrics.NewSeries("defrag-eff")
 	deWins := 0
 
-	for i := 0; i < cfg.Backups; i++ {
-		st := make([]BackupStats, len(kinds))
-		for j := range kinds {
-			b, err := backup(stores[j], scheds[j])
-			if err != nil {
-				return nil, err
-			}
-			st[j] = b.Stats
-		}
-		std, sts, ste := st[0], st[1], st[2]
+	for i := range stats[0] {
+		std, sts, ste := stats[0][i], stats[1][i], stats[2][i]
 		tdd.Add(std.ThroughputMBps())
 		tsi.Add(sts.ThroughputMBps())
 		tde.Add(ste.ThroughputMBps())

@@ -161,38 +161,42 @@ func (c ExperimentConfig) open(kind EngineKind, users, gensPerUser int, oracle b
 	})
 }
 
-// single opens a store of kind sized for one user's c.Generations backups,
-// and that user's workload.
-func (c ExperimentConfig) single(kind EngineKind, oracle bool, defrag func(*core.Config)) (*Store, workload.Schedule, error) {
+// paperRestore is the restore shape of the paper's figures: an LRU cache of
+// c.RestoreCache containers (8 when 0), the shape of restore.DefaultConfig.
+func (c ExperimentConfig) paperRestore() RestoreOptions {
+	return RestoreOptions{CacheContainers: c.RestoreCache, Policy: RestoreLRU}
+}
+
+// runSingle opens a store of kind sized for one user's c.Generations backups
+// and runs that user's workload through it with RunGenerations, restoring
+// each generation with ropts when it is set and handing each to each, when
+// that is set. It returns the store and its last backup, for what a figure
+// reads after the run.
+func (c ExperimentConfig) runSingle(kind EngineKind, oracle bool, defrag func(*core.Config), ropts *RestoreOptions,
+	each func(gen int, b *Backup, rst RestoreStats) error) (*Store, *Backup, error) {
 	s, err := c.open(kind, 1, c.Generations, oracle, defrag)
 	if err != nil {
 		return nil, nil, err
 	}
 	sched, err := workload.NewSingle(c.workloadConfig())
-	return s, sched, err
-}
-
-// backup ingests sched's next backup into s.
-func backup(s *Store, sched workload.Schedule) (*Backup, error) {
-	b := sched.Next()
-	return s.Backup(context.Background(), b.Label, b.Stream)
-}
-
-// figureRestore restores b as the paper's figures read it: an LRU cache of
-// c.RestoreCache containers (8 when 0) and one simulated read lane, the shape
-// of restore.DefaultConfig.
-func (c ExperimentConfig) figureRestore(s *Store, b *Backup) (RestoreStats, error) {
-	return s.RestoreWith(context.Background(), b, nil, RestoreOptions{CacheContainers: c.RestoreCache, Policy: RestoreLRU, Workers: 1})
+	if err != nil {
+		return nil, nil, err
+	}
+	var last *Backup
+	err = RunGenerations(context.Background(), s, sched, c.Generations, ropts, func(gen int, b *Backup, rst RestoreStats) error {
+		last = b
+		if each == nil {
+			return nil
+		}
+		return each(gen, b, rst)
+	})
+	return s, last, err
 }
 
 // RunFigure2 regenerates the paper's Fig. 2: the degradation of DDFS-Like
 // deduplication throughput over Generations full backups of one user.
 func RunFigure2(cfg ExperimentConfig) (*FigureResult, error) {
 	cfg = cfg.withDefaults()
-	s, sched, err := cfg.single(DDFSLike, false, nil)
-	if err != nil {
-		return nil, err
-	}
 	res := &FigureResult{
 		Figure:  "Figure 2",
 		Title:   "Degradation of DDFS-Like deduplication throughput over backup generations",
@@ -200,20 +204,19 @@ func RunFigure2(cfg ExperimentConfig) (*FigureResult, error) {
 		Summary: map[string]float64{},
 	}
 	tput := metrics.NewSeries("ddfs")
-	for g := 0; g < cfg.Generations; g++ {
-		b, err := backup(s, sched)
-		if err != nil {
-			return nil, err
-		}
+	if _, _, err := cfg.runSingle(DDFSLike, false, nil, nil, func(gen int, b *Backup, _ RestoreStats) error {
 		st := b.Stats
 		tput.Add(st.ThroughputMBps())
 		res.Rows = append(res.Rows, []string{
-			fmt.Sprint(g + 1),
+			fmt.Sprint(gen),
 			metrics.F1(st.ThroughputMBps()),
 			fmt.Sprint(st.IndexLookups),
 			fmt.Sprint(st.MetaPrefetches),
 			metrics.MB(st.DedupedBytes),
 		})
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	res.Summary["ddfs_first_MBps"] = tput.First()
 	res.Summary["ddfs_peak_MBps"] = tput.Max()
@@ -226,10 +229,6 @@ func RunFigure2(cfg ExperimentConfig) (*FigureResult, error) {
 // deduplication efficiency over Generations backups of one user.
 func RunFigure3(cfg ExperimentConfig) (*FigureResult, error) {
 	cfg = cfg.withDefaults()
-	s, sched, err := cfg.single(SiLoLike, true, nil)
-	if err != nil {
-		return nil, err
-	}
 	res := &FigureResult{
 		Figure:  "Figure 3",
 		Title:   "Degradation of SiLo-Like deduplication efficiency over backup generations",
@@ -237,23 +236,22 @@ func RunFigure3(cfg ExperimentConfig) (*FigureResult, error) {
 		Summary: map[string]float64{},
 	}
 	eff := metrics.NewSeries("silo-eff")
-	for g := 0; g < cfg.Generations; g++ {
-		b, err := backup(s, sched)
-		if err != nil {
-			return nil, err
-		}
-		if g == 0 {
-			continue // generation 1 has no prior redundancy to measure against
+	if _, _, err := cfg.runSingle(SiLoLike, true, nil, nil, func(gen int, b *Backup, _ RestoreStats) error {
+		if gen == 1 {
+			return nil // generation 1 has no prior redundancy to measure against
 		}
 		st := b.Stats
 		eff.Add(st.Efficiency())
 		res.Rows = append(res.Rows, []string{
-			fmt.Sprint(g + 1),
+			fmt.Sprint(gen),
 			metrics.F3(st.Efficiency()),
 			metrics.MB(st.MissedDupBytes),
 			fmt.Sprint(st.SHTHits),
 			fmt.Sprint(st.BlockReads),
 		})
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	res.Summary["silo_eff_first"] = eff.First()
 	res.Summary["silo_eff_last3"] = eff.TailMean(3)

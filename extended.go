@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/metrics"
@@ -21,17 +22,11 @@ func RunExtendedComparison(cfg ExperimentConfig) (*FigureResult, error) {
 		Summary: map[string]float64{},
 	}
 	for _, kind := range []EngineKind{DDFSLike, SiLoLike, SparseIndex, IDedup, DeFrag} {
-		s, sched, err := cfg.single(kind, true, nil)
+		s, last, err := cfg.runSingle(kind, true, nil, nil, nil)
 		if err != nil {
 			return nil, err
 		}
-		var last *Backup
-		for g := 0; g < cfg.Generations; g++ {
-			if last, err = backup(s, sched); err != nil {
-				return nil, err
-			}
-		}
-		rst, err := cfg.figureRestore(s, last)
+		rst, err := s.RestoreWith(context.Background(), last, nil, cfg.paperRestore())
 		if err != nil {
 			return nil, err
 		}

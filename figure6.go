@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/metrics"
-	"repro/internal/workload"
 )
 
 // RunFigure6 regenerates the paper's Fig. 6: data read (restore)
@@ -14,41 +13,27 @@ import (
 // right after it is ingested.
 func RunFigure6(cfg ExperimentConfig) (*FigureResult, error) {
 	cfg = cfg.withDefaults()
-	dd, sdd, err := cfg.single(DDFSLike, false, nil)
-	if err != nil {
-		return nil, err
-	}
-	de, sde, err := cfg.single(DeFrag, false, nil)
-	if err != nil {
-		return nil, err
-	}
-
 	res := &FigureResult{
 		Figure:  "Figure 6",
 		Title:   "Data read performance: DeFrag vs DDFS-Like (MB/s restoring each generation)",
 		Columns: []string{"gen", "ddfs_read_MBps", "defrag_read_MBps", "ddfs_fragments", "defrag_fragments"},
 		Summary: map[string]float64{},
 	}
+	// Each engine's store runs to the end on its own; the rows zip them.
+	ropts := cfg.paperRestore()
+	var reads [2][]RestoreStats
+	for i, kind := range []EngineKind{DDFSLike, DeFrag} {
+		if _, _, err := cfg.runSingle(kind, false, nil, &ropts, func(_ int, _ *Backup, rst RestoreStats) error {
+			reads[i] = append(reads[i], rst)
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+	}
 	rdd := metrics.NewSeries("ddfs-read")
 	rde := metrics.NewSeries("defrag-read")
-
-	backupAndRestore := func(s *Store, sched workload.Schedule) (RestoreStats, error) {
-		b, err := backup(s, sched)
-		if err != nil {
-			return RestoreStats{}, err
-		}
-		return cfg.figureRestore(s, b)
-	}
-
-	for g := 0; g < cfg.Generations; g++ {
-		rstDD, err := backupAndRestore(dd, sdd)
-		if err != nil {
-			return nil, err
-		}
-		rstDE, err := backupAndRestore(de, sde)
-		if err != nil {
-			return nil, err
-		}
+	for g, rstDD := range reads[0] {
+		rstDE := reads[1][g]
 		rdd.Add(rstDD.ThroughputMBps())
 		rde.Add(rstDE.ThroughputMBps())
 		res.Rows = append(res.Rows, []string{

@@ -263,11 +263,11 @@ container_MB tput_MBps read_MBps fragments
 8 279.5 193.6 51
 == Ablation: restore strategy — LRU vs OPT vs FAA vs pipelined restore (final-generation restore)
 budget_MB lru_read_MBps lru_creads opt_read_MBps opt_creads faa_read_MBps faa_creads pipe_read_MBps pipe_extents
-8 48.4 20 60.4 15 153.6 6 237.9 13
-16 178.0 5 178.0 5 178.0 5 552.4 4
-32 178.0 5 178.0 5 178.0 5 552.4 4
-64 178.0 5 178.0 5 178.0 5 552.4 4
-128 178.0 5 178.0 5 178.0 5 552.4 4
+8 48.4 20 60.4 15 153.6 6 62.5 13
+16 178.0 5 178.0 5 178.0 5 192.5 4
+32 178.0 5 178.0 5 178.0 5 192.5 4
+64 178.0 5 178.0 5 178.0 5 192.5 4
+128 178.0 5 178.0 5 178.0 5 192.5 4
 == Ablation: rewrite policy — SPL grouping granularity: segments (paper) vs containers (CBR-style)
 policy tput_MBps read_MBps efficiency rewritten_MB compression
 spl 158.0 178.0 0.830 0.8 4.487

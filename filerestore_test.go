@@ -169,7 +169,7 @@ func TestFileRestoreReadGuard(t *testing.T) {
 	plan := func(policy restore.CachePolicy) restore.Stats {
 		t.Helper()
 		st, err := restore.RunPipelined(ctx, s.eng.Containers(), newest.recipe(),
-			restore.PipelineConfig{CacheContainers: cache, Policy: policy, Workers: 1}, nil)
+			restore.PipelineConfig{CacheContainers: cache, Policy: policy}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -93,11 +93,13 @@ type Backend interface {
 	// backends return a zero-filled slice of the recorded fill. A short
 	// return signals a torn container (see Corrupt).
 	ReadData(ctx context.Context, id uint32) ([]byte, error)
-	// ReadDataRange reads the data sections of several containers in one
-	// ranged pass, in input order, each a read-only view like ReadData's. It
-	// is the coalesced-read primitive: the caller guarantees the ids are
-	// adjacent on the simulated device, and a wrapper sees the whole range
-	// as a single call.
+	// ReadDataRange reads the data sections of several containers, in input
+	// order, each a read-only view like ReadData's. It is not one ranged
+	// pass: both backends loop ReadData (ReadDataRangeNaive), and File maps
+	// one container per call, so it saves no I/O over that loop. A coalesced
+	// fetch (container.Store.Fetch) reaches a wrapper as one call. The method
+	// stays on the interface only because the perf rig's metering wrapper
+	// (bench/backend.go) forwards it to the backend it wraps.
 	ReadDataRange(ctx context.Context, ids []uint32) ([][]byte, error)
 	// List returns every sealed container's info, in ID order.
 	List(ctx context.Context) ([]ContainerInfo, error)

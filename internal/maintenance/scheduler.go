@@ -8,46 +8,28 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Scheduler drives a Pass in the background at a fixed wall-clock interval,
-// with a manual trigger for operator-initiated epochs (POST /v1/maintenance).
-// Epochs never overlap: the scheduler is the only goroutine calling run.
+// Scheduler drives a Pass in the background at a fixed wall-clock interval.
+// Its ticks never overlap one another; the epochs an operator asks for
+// (Store.MaintenanceEpoch, POST /v1/maintenance) run beside it, and the
+// caller's run serializes the two.
 type Scheduler struct {
-	run      func(ctx context.Context) (Stats, error)
-	interval time.Duration
-
-	trigger chan chan epochResult
-	stop    chan struct{}
-	done    chan struct{}
-	once    sync.Once
+	stop chan struct{}
+	done chan struct{}
+	once sync.Once
 }
 
-type epochResult struct {
-	stats Stats
-	err   error
-}
-
-// NewScheduler starts a background scheduler invoking run every interval
-// (interval <= 0 disables the timer; only Trigger fires epochs then).
+// NewScheduler starts a background scheduler invoking run every interval,
+// which must be positive.
 func NewScheduler(interval time.Duration, run func(ctx context.Context) (Stats, error)) *Scheduler {
-	s := &Scheduler{
-		run:      run,
-		interval: interval,
-		trigger:  make(chan chan epochResult),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	go s.loop()
+	s := &Scheduler{stop: make(chan struct{}), done: make(chan struct{})}
+	go s.loop(interval, run)
 	return s
 }
 
-func (s *Scheduler) loop() {
+func (s *Scheduler) loop(interval time.Duration, run func(ctx context.Context) (Stats, error)) {
 	defer close(s.done)
-	var tick <-chan time.Time
-	if s.interval > 0 {
-		t := time.NewTicker(s.interval)
-		defer t.Stop()
-		tick = t.C
-	}
+	t := time.NewTicker(interval)
+	defer t.Stop()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
@@ -58,33 +40,11 @@ func (s *Scheduler) loop() {
 		select {
 		case <-s.stop:
 			return
-		case <-tick:
-			if _, err := s.run(ctx); err != nil && ctx.Err() == nil {
+		case <-t.C:
+			if _, err := run(ctx); err != nil && ctx.Err() == nil {
 				telemetry.Logger().Warn("maintenance: scheduled epoch failed", "err", err)
 			}
-		case reply := <-s.trigger:
-			st, err := s.run(ctx)
-			reply <- epochResult{st, err}
 		}
-	}
-}
-
-// Trigger runs one epoch now (queued behind any epoch in flight) and waits
-// for its result. It fails once the scheduler has stopped.
-func (s *Scheduler) Trigger(ctx context.Context) (Stats, error) {
-	reply := make(chan epochResult, 1)
-	select {
-	case s.trigger <- reply:
-	case <-s.stop:
-		return Stats{}, context.Canceled
-	case <-ctx.Done():
-		return Stats{}, ctx.Err()
-	}
-	select {
-	case r := <-reply:
-		return r.stats, r.err
-	case <-s.done:
-		return Stats{}, context.Canceled
 	}
 }
 

@@ -97,7 +97,7 @@ func BenchmarkRestorePipeline(b *testing.B) {
 			if sh.dw > 0 {
 				setProcs(b, sh.dw)
 			}
-			cfg := PipelineConfig{CacheContainers: 8, Policy: sh.policy, Workers: 2, Coalesce: true, Verify: true}
+			cfg := PipelineConfig{CacheContainers: 8, Policy: sh.policy, Coalesce: true, Verify: true}
 			b.SetBytes(rec.Bytes())
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -119,7 +119,7 @@ func TestRestoreAllocsPerChunk(t *testing.T) {
 	}
 	const nChunks = 2048
 	s, rec := benchStore(t, nChunks, 512, 256)
-	cfg := PipelineConfig{CacheContainers: 8, Policy: PolicyOPT, Workers: 1, Coalesce: true, Verify: true}
+	cfg := PipelineConfig{CacheContainers: 8, Policy: PolicyOPT, Coalesce: true, Verify: true}
 	for _, tc := range []struct {
 		name  string
 		procs int
@@ -157,7 +157,7 @@ func TestRestoreAllocBytesPerByte(t *testing.T) {
 	for _, dw := range []int{1, 4} {
 		t.Run(fmt.Sprintf("decode=%d", dw), func(t *testing.T) {
 			setProcs(t, dw)
-			cfg := PipelineConfig{CacheContainers: 8, Policy: PolicyLRU, Workers: 1, Verify: true}
+			cfg := PipelineConfig{CacheContainers: 8, Policy: PolicyLRU, Verify: true}
 			run := func() {
 				if _, err := RunPipelined(context.Background(), s, rec, cfg, io.Discard); err != nil {
 					t.Fatal(err)
@@ -229,7 +229,7 @@ func TestFirstFullHoldsThreeSections(t *testing.T) {
 		maps.mu.Lock()
 		maps.peak = 0
 		maps.mu.Unlock()
-		st, err := RunPipelined(context.Background(), s, first, PipelineConfig{CacheContainers: 8, Policy: PolicyOPT, Workers: 1}, io.Discard)
+		st, err := RunPipelined(context.Background(), s, first, PipelineConfig{CacheContainers: 8, Policy: PolicyOPT}, io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,7 @@ type decodeJob struct {
 	size   uint32
 	bad    bool // failed verify
 	data   []byte
-	charge []uint32 // the one-lane extent read to charge before data is written
+	charge []uint32 // the extent read to charge before data is written
 }
 
 // decodeBatch is the unit the decode pool carries: the assembler fills it in
@@ -136,10 +136,10 @@ func (as *assembly) verify(b *decodeBatch) {
 	stageDecode.Observe(t0)
 }
 
-// emit is the decode pool's consumer: it charges each one-lane extent read
-// just before the first chunk cut from it, hands b's chunks to the sink (a
-// bad one to Mismatch, when set) and counts them, up to b's first verify or
-// sink failure, then recycles b. One fault guard spans the batch: a mapped
+// emit is the decode pool's consumer: it charges each extent read just
+// before the first chunk cut from it, hands b's chunks to the sink (a bad
+// one to Mismatch, when set) and counts them, up to b's first verify or sink
+// failure, then recycles b. One fault guard spans the batch: a mapped
 // section that faults under the sink fails the chunk at k, and the chunks
 // before it stay written and counted. The copy stage is clocked once a
 // batch.

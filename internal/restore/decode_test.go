@@ -20,18 +20,17 @@ import (
 // device-level seek/read/byte counters must be bit-identical with inline
 // decode (GOMAXPROCS 1) and with a pool of two or four decode workers
 // (GOMAXPROCS 2, 4) — the extents are fetched ahead of use by another
-// goroutine in every mode, Workers == 1 included — for every pipeline mode — the restore analogue of the ingest
-// TestParallelWorkersDeterminism.
+// goroutine in every mode — for every pipeline mode: the restore analogue of
+// the ingest TestParallelWorkersDeterminism.
 func TestDecodeWorkersDeterminism(t *testing.T) {
 	modes := []struct {
 		name string
 		cfg  PipelineConfig
 	}{
-		{"lru-serial", PipelineConfig{CacheContainers: 4, Policy: PolicyLRU, Workers: 1, Verify: true}},
-		{"opt-coalesce", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1, Coalesce: true, Verify: true}},
-		{"opt-lanes", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 4, Coalesce: true, Verify: true}},
-		{"faa", PipelineConfig{CacheContainers: 1, Policy: PolicyFAA, Workers: 1, Verify: true}},
-		{"faa-lanes", PipelineConfig{CacheContainers: 1, Policy: PolicyFAA, Workers: 4, Coalesce: true, Verify: true}},
+		{"lru-serial", PipelineConfig{CacheContainers: 4, Policy: PolicyLRU, Verify: true}},
+		{"opt-coalesce", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Coalesce: true, Verify: true}},
+		{"faa", PipelineConfig{CacheContainers: 1, Policy: PolicyFAA, Verify: true}},
+		{"faa-coalesce", PipelineConfig{CacheContainers: 1, Policy: PolicyFAA, Coalesce: true, Verify: true}},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
@@ -85,7 +84,7 @@ func TestDecodeWorkersVerifyError(t *testing.T) {
 		datas := mkDatas(60, 300)
 		rec := ingest(t, s, "bad", datas)
 		rec.Refs[37].FP = chunk.Of([]byte("not the real content"))
-		cfg := PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1, Coalesce: true, Verify: true}
+		cfg := PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Coalesce: true, Verify: true}
 		return RunPipelined(context.Background(), s, rec, cfg, &bytes.Buffer{})
 	}
 	_, serialErr := run(1)
@@ -148,7 +147,7 @@ func TestDecodeWorkersWriteError(t *testing.T) {
 		s := rig(t, true)
 		datas := mkDatas(40, 300)
 		rec := ingest(t, s, "we", datas)
-		cfg := PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1, Verify: true}
+		cfg := PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Verify: true}
 		return RunPipelined(context.Background(), s, rec, cfg, &failAfterWriter{n: 5000})
 	}
 	stSerial, serialErr := run(1)
@@ -172,19 +171,20 @@ func TestDecodeWorkersWriteError(t *testing.T) {
 // fails the resequencer, push() returns false, and the assembler's run()
 // returns nil without consuming every planned extent — close() surfaces the
 // error. The fetcher, which is mapping the next extent, must still be stopped
-// and joined, at every lane count: every section it or the assembler mapped
-// is released by the time the restore returns, the one the assembler never
-// took too, and the restore leaves no goroutine of its own behind.
+// and joined, whether an extent is one container or several: every section
+// it or the assembler mapped is released by the time the restore returns,
+// the one the assembler never took and those a coalesced extent staged too,
+// and the restore leaves no goroutine of its own behind.
 func TestParallelDecodeFailureReleasesPins(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		corrupt bool // fingerprint mismatch vs writer error
-		workers int
+		name     string
+		corrupt  bool // fingerprint mismatch vs writer error
+		coalesce bool
 	}{
-		{"verify-mismatch", true, 8},
-		{"writer-error", false, 8},
-		{"verify-mismatch-one-lane", true, 1},
-		{"writer-error-one-lane", false, 1},
+		{"verify-mismatch", true, false},
+		{"writer-error", false, false},
+		{"verify-mismatch-coalesced", true, true},
+		{"writer-error-coalesced", false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			setProcs(t, 4)
@@ -203,7 +203,7 @@ func TestParallelDecodeFailureReleasesPins(t *testing.T) {
 			if !tc.corrupt {
 				w = &failAfterWriter{n: 300}
 			}
-			cfg := PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Workers: tc.workers, Verify: true}
+			cfg := PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Coalesce: tc.coalesce, Verify: true}
 			if _, err := RunPipelined(context.Background(), s, frag, cfg, w); err == nil {
 				t.Fatal("expected the restore to fail")
 			}
@@ -237,7 +237,7 @@ func TestConcurrentSiblingRestores(t *testing.T) {
 	frag := interleave(seq, "frag")
 	recipes := []*chunk.Recipe{seq, frag}
 	wants := [][]byte{wantBytes(datas, seq, seq), wantBytes(datas, frag, seq)}
-	cfg := PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 2, Coalesce: true, Verify: true}
+	cfg := PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Coalesce: true, Verify: true}
 
 	serial := 0
 	for _, rec := range recipes {

@@ -11,7 +11,7 @@ import (
 // faa is PolicyFAA with a window of containers × the rig's DataCap bytes,
 // read by one lane.
 func faa(containers int, verify bool) PipelineConfig {
-	return PipelineConfig{CacheContainers: containers, Policy: PolicyFAA, Workers: 1, Verify: verify}
+	return PipelineConfig{CacheContainers: containers, Policy: PolicyFAA, Verify: verify}
 }
 
 func TestFAARoundTrip(t *testing.T) {

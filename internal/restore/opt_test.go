@@ -75,11 +75,11 @@ func TestOPTBeatsLRUOnLoopingRecipe(t *testing.T) {
 	}
 	capacity := len(perContainer) - 1
 
-	lruSt, err := RunPipelined(context.Background(), s, loop, PipelineConfig{CacheContainers: capacity, Policy: PolicyLRU, Workers: 1}, nil)
+	lruSt, err := RunPipelined(context.Background(), s, loop, PipelineConfig{CacheContainers: capacity, Policy: PolicyLRU}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	optSt, err := RunPipelined(context.Background(), s, loop, PipelineConfig{CacheContainers: capacity, Policy: PolicyOPT, Workers: 1}, nil)
+	optSt, err := RunPipelined(context.Background(), s, loop, PipelineConfig{CacheContainers: capacity, Policy: PolicyOPT}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,14 +34,11 @@ type PipelineConfig struct {
 	CacheContainers int
 	// Policy selects the schedule: LRU or OPT eviction, or forward assembly.
 	Policy CachePolicy
-	// Workers is the number of simulated read lanes, and nothing else: it
-	// decides how extent reads are charged to the Eq. 1 clock, never how the
-	// bytes are fetched (one fetcher goroutine, one extent ahead of the
-	// assembler, whatever the value). 1 charges each extent to the store
-	// clock just before the first chunk cut from it is written — the order a
-	// serial reader pays in. Workers > 1 models that many concurrent read
-	// streams on the simulated array with per-lane clocks (the round's duration
-	// is the slowest lane), consistent with the multi-stream ingest model.
+	// Workers is ignored: every restore charges its extent reads to one lane,
+	// in the order a serial reader pays.
+	//
+	// Deprecated: there is no lane count to set; the field stays only
+	// because the perf rig still sets it.
 	Workers int
 	// Coalesce merges schedule-consecutive fetches of disk-adjacent
 	// containers into single sequential extent reads: k containers (at most
@@ -52,9 +49,9 @@ type PipelineConfig struct {
 }
 
 // DefaultConfig returns the restore shape of the paper's figures: an
-// 8-container LRU cache read by one simulated lane, uncoalesced, unverified.
+// 8-container LRU cache, uncoalesced, unverified.
 func DefaultConfig() PipelineConfig {
-	return PipelineConfig{CacheContainers: 8, Policy: PolicyLRU, Workers: 1}
+	return PipelineConfig{CacheContainers: 8, Policy: PolicyLRU}
 }
 
 // RunPipelined restores recipe from store, writing reconstructed bytes to w
@@ -63,12 +60,9 @@ func DefaultConfig() PipelineConfig {
 // read before which ref, the last ref each read serves, which fetches
 // coalesce into one sequential extent), then executed by one assembler with
 // one fetcher goroutine materializing the next extent while the current one
-// is assembled. Simulated time is charged apart from the fetching: with
-// Workers == 1 each extent read lands on the store's clock just before the
-// first chunk cut from it is written — the order a serial reader pays in;
-// with Workers > 1 extent reads are charged up front to per-lane clocks in
-// deterministic schedule order (earliest-free lane first) and Stats.Duration
-// is the slowest lane.
+// is assembled. Simulated time is charged apart from the fetching, on one
+// lane: each extent read lands on the store's clock just before the first
+// chunk cut from it is written — the order a serial reader pays in (Eq. 1).
 //
 // SHA-256 verification and the writes to w run on the decode pool, a
 // fanout.Pool of GOMAXPROCS workers whose one consumer writes in stream
@@ -77,9 +71,9 @@ func DefaultConfig() PipelineConfig {
 // field are bit-identical either way; decode_test.go pins that at GOMAXPROCS
 // 1, 2 and 4.
 //
-// With one lane and Coalesce off, Stats and the device counters are
-// bit-identical to the serial reference loops the tests keep: Run for
-// PolicyLRU (TestSerialPipelinedMatchesRun), RunFAA for PolicyFAA
+// With Coalesce off, Stats and the device counters are bit-identical to the
+// serial reference loops the tests keep: Run for PolicyLRU
+// (TestSerialPipelinedMatchesRun), RunFAA for PolicyFAA
 // (TestFAAPlanMatchesReference).
 func RunPipelined(ctx context.Context, store *container.Store, recipe *chunk.Recipe, cfg PipelineConfig, w io.Writer) (Stats, error) {
 	ctx, span := telemetry.StartSpan(ctx, "restore.pipeline")
@@ -110,7 +104,7 @@ func RunPipelined(ctx context.Context, store *container.Store, recipe *chunk.Rec
 // An error stops the stream there.
 type Sink func(i int, data []byte) error
 
-// Emission is where the executor's chunks go and its one-lane reads are
+// Emission is where the executor's chunks go and its extent reads are
 // charged, each just before the first chunk cut from it reaches Sink.
 type Emission struct {
 	Lane *disk.Clock // charged through its view of the store device; nil: no clock, head or device counter moves
@@ -121,13 +115,11 @@ type Emission struct {
 }
 
 // Emit runs refs through RunPipelined's executor — the same plan, fetcher
-// and decode pool — and hands each chunk to e.Sink, verified
-// when cfg.Verify is set, its reads on one lane whatever cfg.Workers says.
-// It is the executor for callers that are not restores, the maintenance
-// merge's copy-forward and fsck's re-hash: it opens no span and moves no
-// restore_* series.
+// and decode pool — and hands each chunk to e.Sink, verified when
+// cfg.Verify is set, its reads charged to e.Lane. It is the executor for
+// callers that are not restores, the maintenance merge's copy-forward and
+// fsck's re-hash: it opens no span and moves no restore_* series.
 func Emit(ctx context.Context, store *container.Store, refs []chunk.Ref, cfg PipelineConfig, e Emission) error {
-	cfg.Workers = 1
 	as := &assembly{store: store, cfg: cfg, refs: refs, Emission: e, stats: &Stats{}}
 	return as.execute(ctx)
 }
@@ -136,7 +128,7 @@ func Emit(ctx context.Context, store *container.Store, refs []chunk.Ref, cfg Pip
 // fetcher and its decode pool over it, returning once all three have stopped.
 func (as *assembly) execute(ctx context.Context) error {
 	cfg, store, stats := &as.cfg, as.store, as.stats
-	cfg.CacheContainers, cfg.Workers = max(cfg.CacheContainers, 1), max(cfg.Workers, 1)
+	cfg.CacheContainers = max(cfg.CacheContainers, 1)
 	if err := checkVerify(store, cfg.Verify); err != nil {
 		return err
 	}
@@ -170,12 +162,6 @@ func (as *assembly) execute(ctx context.Context) error {
 	as.resident = make(map[uint32][]byte, cfg.CacheContainers)
 	as.staged = make(map[uint32][]byte)
 	as.startDecode(runtime.GOMAXPROCS(0))
-	if cfg.Workers > 1 {
-		// Several lanes: every extent is charged to the earliest-free lane in
-		// deterministic schedule order before any byte moves. One lane is
-		// charged by the decode pool's consumer as it goes (see emit).
-		chargeLanes(store, plan, cfg.Workers)
-	}
 	runErr := as.run(ctx)
 	// A decode/write error happened at an earlier stream position than any
 	// fetch error (fetches fail at the ref being assembled; the decode pool
@@ -195,40 +181,6 @@ func (as *assembly) execute(ctx context.Context) error {
 		telReadBytes.Add(stats.ReadBytes)
 	}
 	return runErr
-}
-
-// chargeLanes assigns each extent read to the lane that frees earliest
-// (ties to the lowest lane) and charges seek + combined transfer through a
-// per-lane view of the store device. Charging happens sequentially in
-// schedule order, so head movement, device stats, and every lane clock are
-// deterministic regardless of fetcher goroutine interleaving. The master
-// clock advances to the slowest lane's finish time — the same
-// slowest-lane-of-the-round model the concurrent ingest scheduler uses.
-func chargeLanes(store *container.Store, plan *restorePlan, workers int) {
-	master := store.Device().Clock()
-	start := master.Now()
-	lanes := make([]disk.Clock, workers)
-	for i := range lanes {
-		lanes[i].Advance(start)
-	}
-	for ei := range plan.extents {
-		l := 0
-		for k := 1; k < workers; k++ {
-			if lanes[k].Now() < lanes[l].Now() {
-				l = k
-			}
-		}
-		store.AccountDataRange(plan.extents[ei].ids, &lanes[l])
-	}
-	latest := start
-	for i := range lanes {
-		if t := lanes[i].Now(); t > latest {
-			latest = t
-		}
-	}
-	if d := latest - master.Now(); d > 0 {
-		master.Advance(d)
-	}
 }
 
 // assembly is the serial consumer of the fetch schedule: it walks the
@@ -264,9 +216,9 @@ type fetchedExtent struct {
 // materializes the schedule's extents, in order and uncharged, one ahead:
 // the channel between them is unbuffered, so the fetcher sits in its send
 // holding extent k+1 while the assembler works through extent k, and the
-// sections held ahead of use never exceed one extent. With one simulated
-// lane the extent read rides on the job of the first chunk cut from it and is
-// charged by the decode pool's consumer just before that chunk is written —
+// sections held ahead of use never exceed one extent. The extent read rides
+// on the job of the first chunk cut from it and is charged by the decode
+// pool's consumer just before that chunk is written —
 // the order a serial reader would pay in, and the one a sink that charges
 // writes of its own to the same clock needs.
 // Containers of a coalesced extent that install later wait in staged,
@@ -309,7 +261,7 @@ func (as *assembly) run(ctx context.Context) error {
 		if f.needAt == i {
 			e := &as.plan.extents[f.extent]
 			if int(fx) == e.lo {
-				if as.cfg.Workers == 1 && as.Lane != nil {
+				if as.Lane != nil {
 					charge = e.ids
 				}
 				res := <-fetched

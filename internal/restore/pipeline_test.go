@@ -38,9 +38,9 @@ func wantBytes(datas [][]byte, rec *chunk.Recipe, seq *chunk.Recipe) []byte {
 }
 
 // fullShape is the read-optimized configuration mode=pipelined selects: an
-// 8-container OPT cache, coalesced extents, 4 simulated read lanes.
+// 8-container OPT cache and coalesced extents.
 func fullShape() PipelineConfig {
-	return PipelineConfig{CacheContainers: 8, Policy: PolicyOPT, Workers: 4, Coalesce: true}
+	return PipelineConfig{CacheContainers: 8, Policy: PolicyOPT, Coalesce: true}
 }
 
 // setProcs runs the rest of the test at GOMAXPROCS n, which sizes the decode
@@ -53,8 +53,8 @@ func setProcs(tb testing.TB, n int) {
 }
 
 // TestSerialPipelinedMatchesRun is the tier-1 guard required by the PR: the
-// pipelined engine at workers=1 with the LRU policy and no coalescing must
-// produce byte-for-byte identical Stats — and identical device-level seek,
+// pipelined engine with the LRU policy and no coalescing must produce
+// byte-for-byte identical Stats — and identical device-level seek,
 // read, and byte counters — to the reference Run on an identical store,
 // although its extents are fetched ahead of use by another goroutine.
 func TestSerialPipelinedMatchesRun(t *testing.T) {
@@ -84,7 +84,7 @@ func TestSerialPipelinedMatchesRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			pipe, err := RunPipelined(context.Background(), s2, frag2,
-				PipelineConfig{CacheContainers: tc.cache, Policy: PolicyLRU, Workers: 1, Verify: true}, &out2)
+				PipelineConfig{CacheContainers: tc.cache, Policy: PolicyLRU, Verify: true}, &out2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +150,7 @@ func TestFAAPlanMatchesReference(t *testing.T) {
 						s2, frag2 := build()
 						var got bytes.Buffer
 						st, err := RunPipelined(context.Background(), s2, frag2,
-							PipelineConfig{CacheContainers: containers, Policy: PolicyFAA, Workers: 1, Verify: true}, &got)
+							PipelineConfig{CacheContainers: containers, Policy: PolicyFAA, Verify: true}, &got)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -172,21 +172,21 @@ func TestFAAPlanMatchesReference(t *testing.T) {
 }
 
 // Every pipelined mode must reconstruct the exact original stream. The
-// "everything" shapes run the decode pool at four workers; the rest run at
-// the host's GOMAXPROCS.
+// "parallel" and "everything" shapes run the decode pool at four workers; the
+// rest run at the host's GOMAXPROCS.
 func TestPipelinedRoundTripAllModes(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		cfg   PipelineConfig
 		procs int
 	}{
-		{"opt-serial", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1, Verify: true}, 0},
-		{"opt-coalesce", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1, Coalesce: true, Verify: true}, 0},
-		{"lru-coalesce", PipelineConfig{CacheContainers: 4, Policy: PolicyLRU, Workers: 1, Coalesce: true, Verify: true}, 0},
-		{"opt-parallel", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 4, Coalesce: true, Verify: true}, 0},
-		{"everything", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 4, Coalesce: true, Verify: true}, 4},
-		{"faa", PipelineConfig{CacheContainers: 1, Policy: PolicyFAA, Workers: 1, Verify: true}, 0},
-		{"faa-everything", PipelineConfig{CacheContainers: 1, Policy: PolicyFAA, Workers: 4, Coalesce: true, Verify: true}, 4},
+		{"opt-serial", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Verify: true}, 0},
+		{"opt-coalesce", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Coalesce: true, Verify: true}, 0},
+		{"lru-coalesce", PipelineConfig{CacheContainers: 4, Policy: PolicyLRU, Coalesce: true, Verify: true}, 0},
+		{"opt-parallel", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Verify: true}, 4},
+		{"everything", PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Coalesce: true, Verify: true}, 4},
+		{"faa", PipelineConfig{CacheContainers: 1, Policy: PolicyFAA, Verify: true}, 0},
+		{"faa-everything", PipelineConfig{CacheContainers: 1, Policy: PolicyFAA, Coalesce: true, Verify: true}, 4},
 		{"default", fullShape(), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -215,11 +215,11 @@ func TestCoalescingReducesExtentReads(t *testing.T) {
 	rec1 := ingest(t, s1, "seq", datas)
 	rec2 := ingest(t, s2, "seq", datas)
 
-	plain, err := RunPipelined(context.Background(), s1, rec1, PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1}, nil)
+	plain, err := RunPipelined(context.Background(), s1, rec1, PipelineConfig{CacheContainers: 4, Policy: PolicyOPT}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coalesced, err := RunPipelined(context.Background(), s2, rec2, PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Workers: 1, Coalesce: true}, nil)
+	coalesced, err := RunPipelined(context.Background(), s2, rec2, PipelineConfig{CacheContainers: 4, Policy: PolicyOPT, Coalesce: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,36 +242,9 @@ func TestCoalescingReducesExtentReads(t *testing.T) {
 	}
 }
 
-// Parallel prefetch lanes shorten the simulated restore: with k lanes the
-// round's duration is the slowest lane, not the sum of all extent times.
-func TestParallelLanesShortenSimulatedTime(t *testing.T) {
-	s1 := rig(t, false)
-	s2 := rig(t, false)
-	datas := mkDatas(60, 300)
-	seq1 := ingest(t, s1, "base", datas)
-	seq2 := ingest(t, s2, "base", datas)
-	frag1 := interleave(seq1, "frag")
-	frag2 := interleave(seq2, "frag")
-
-	serial, err := RunPipelined(context.Background(), s1, frag1, PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Workers: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunPipelined(context.Background(), s2, frag2, PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Workers: 4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parallel.ContainerReads != serial.ContainerReads {
-		t.Fatalf("lane count must not change the fetch schedule: %d vs %d",
-			parallel.ContainerReads, serial.ContainerReads)
-	}
-	if parallel.Duration >= serial.Duration {
-		t.Fatalf("4 lanes should beat serial: %v >= %v", parallel.Duration, serial.Duration)
-	}
-}
-
-// Parallel timing must be deterministic: the same restore twice gives the
-// same Duration regardless of goroutine interleaving.
+// Coalesced timing must be deterministic: the same restore of a fragmented
+// recipe on fresh stores gives the same Stats, Duration included, however
+// the fetcher and the decode pool interleave.
 func TestParallelTimingDeterministic(t *testing.T) {
 	var prev Stats
 	for i := 0; i < 3; i++ {
@@ -279,7 +252,7 @@ func TestParallelTimingDeterministic(t *testing.T) {
 		datas := mkDatas(60, 300)
 		seq := ingest(t, s, "base", datas)
 		frag := interleave(seq, "frag")
-		st, err := RunPipelined(context.Background(), s, frag, PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Workers: 4, Coalesce: true}, nil)
+		st, err := RunPipelined(context.Background(), s, frag, PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Coalesce: true}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,8 +264,8 @@ func TestParallelTimingDeterministic(t *testing.T) {
 	}
 }
 
-// Race-hygiene stress: several concurrent pipelined restores at workers=8
-// with verification on a shared store (run under go test -race).
+// Race-hygiene stress: several concurrent coalesced restores with
+// verification on a shared store (run under go test -race).
 func TestPipelinedConcurrentStress(t *testing.T) {
 	s := rig(t, true)
 	datas := mkDatas(80, 300)
@@ -308,7 +281,7 @@ func TestPipelinedConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			var out bytes.Buffer
 			st, err := RunPipelined(context.Background(), s, frag,
-				PipelineConfig{CacheContainers: 3, Policy: PolicyOPT, Workers: 8, Coalesce: true, Verify: true}, &out)
+				PipelineConfig{CacheContainers: 3, Policy: PolicyOPT, Coalesce: true, Verify: true}, &out)
 			if err != nil {
 				errs <- err
 				return
@@ -349,9 +322,9 @@ func TestPipelinedRejectsUnsealedAndHoleVerify(t *testing.T) {
 
 func TestPipelinedEmptyRecipe(t *testing.T) {
 	s := rig(t, false)
-	for _, workers := range []int{1, 4} {
+	for _, coalesce := range []bool{false, true} {
 		st, err := RunPipelined(context.Background(), s, &chunk.Recipe{Label: "empty"},
-			PipelineConfig{CacheContainers: 4, Workers: workers}, nil)
+			PipelineConfig{CacheContainers: 4, Coalesce: coalesce}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,11 +342,5 @@ func TestPipelinedVerifyCatchesCorruption(t *testing.T) {
 	cfg.Verify = true
 	if _, err := RunPipelined(context.Background(), s, rec, cfg, nil); err == nil {
 		t.Fatal("fingerprint mismatch must be detected")
-	}
-	// Same under parallel lanes: the early error must not deadlock the
-	// scheduler or fetchers.
-	cfg.Workers = 8
-	if _, err := RunPipelined(context.Background(), s, rec, cfg, nil); err == nil {
-		t.Fatal("fingerprint mismatch must be detected in parallel mode")
 	}
 }

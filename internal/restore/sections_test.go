@@ -203,7 +203,7 @@ func TestFileRestoreReusesSectionsInEveryShape(t *testing.T) {
 	for _, policy := range []CachePolicy{PolicyLRU, PolicyOPT, PolicyFAA} {
 		for _, coalesce := range []bool{false, true} {
 			for _, dw := range []int{1, 2, 4} {
-				cfg := PipelineConfig{CacheContainers: 2, Policy: policy, Workers: 1, Coalesce: coalesce}
+				cfg := PipelineConfig{CacheContainers: 2, Policy: policy, Coalesce: coalesce}
 				// The ids keep a constant "chunkfalse": test history is keyed on them.
 				t.Run(fmt.Sprintf("%v-chunkfalse-coalesce%v-decode%d", policy, coalesce, dw), func(t *testing.T) {
 					setProcs(t, dw)
@@ -304,7 +304,7 @@ func TestSectionNotReusedWhileADecodeBatchViewsIt(t *testing.T) {
 				frag := interleave(seq, "frag")
 				w := &gateWriter{t: t, want: wantBytes(datas, frag, seq), spy: spy, more: 8}
 				st, err := RunPipelined(context.Background(), s, frag,
-					PipelineConfig{CacheContainers: 1, Policy: tc.policy, Workers: 1}, w)
+					PipelineConfig{CacheContainers: 1, Policy: tc.policy}, w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -358,7 +358,7 @@ func TestFileRestoreEarlyStops(t *testing.T) {
 					w = &failAfterWriter{n: tc.failAfter}
 				}
 				before := runtime.NumGoroutine()
-				cfg := PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Workers: 1, Verify: true}
+				cfg := PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Verify: true}
 				st, err := RunPipelined(context.Background(), s, frag, cfg, w)
 				if err == nil {
 					t.Fatalf("decode %d: the restore succeeded", dw)
@@ -407,7 +407,7 @@ func TestReleasedSectionsHaveNoViewers(t *testing.T) {
 		s, spy := fileRig(t)
 		seq := ingest(t, s, "base", datas)
 		frag := interleave(seq, "frag")
-		cfg := PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Workers: 1, Verify: true}
+		cfg := PipelineConfig{CacheContainers: 2, Policy: PolicyOPT, Verify: true}
 		cancelled, cancel := context.WithCancel(context.Background())
 		cancel()
 		for _, end := range []struct {

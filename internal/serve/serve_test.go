@@ -423,7 +423,7 @@ func TestRestoreIgnoresTheCacheParameter(t *testing.T) {
 		}}, Config{})
 	newest := ingestGenerations(t, store, 12)
 	wide, err := store.RestoreWith(context.Background(), newest, nil,
-		repro.RestoreOptions{CacheContainers: 100000, Policy: repro.RestoreOPT, Workers: 1})
+		repro.RestoreOptions{CacheContainers: 100000, Policy: repro.RestoreOPT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,9 +469,9 @@ func TestRestoreModeSelectsThePolicy(t *testing.T) {
 		}
 		return rs.ContainerReads
 	}
-	lru := reads(repro.RestoreOptions{CacheContainers: cache, Policy: repro.RestoreLRU, Workers: 1})
-	opt := reads(repro.RestoreOptions{CacheContainers: cache, Policy: repro.RestoreOPT, Workers: 1})
-	faa := reads(repro.RestoreOptions{CacheContainers: cache, Policy: repro.RestoreFAA, Workers: 1})
+	lru := reads(repro.RestoreOptions{CacheContainers: cache, Policy: repro.RestoreLRU})
+	opt := reads(repro.RestoreOptions{CacheContainers: cache, Policy: repro.RestoreOPT})
+	faa := reads(repro.RestoreOptions{CacheContainers: cache, Policy: repro.RestoreFAA})
 	if opt >= lru || faa == opt || faa == lru {
 		t.Fatalf("OPT-%d reads %d containers, LRU-%d %d, FAA-%d %d: the recipe cannot tell the modes apart", cache, opt, cache, lru, cache, faa)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/metrics"
-	"repro/internal/workload"
 )
 
 // LayoutInfo quantifies the de-linearization of one backup's placement —
@@ -47,14 +46,6 @@ func (b *Backup) Layout() LayoutInfo {
 // table.
 func RunLayoutAnalysis(cfg ExperimentConfig) (*FigureResult, error) {
 	cfg = cfg.withDefaults()
-	dd, sdd, err := cfg.single(DDFSLike, false, nil)
-	if err != nil {
-		return nil, err
-	}
-	de, sde, err := cfg.single(DeFrag, false, nil)
-	if err != nil {
-		return nil, err
-	}
 	_, lpc, _ := cfg.sizing(1, cfg.Generations)
 
 	res := &FigureResult{
@@ -66,25 +57,18 @@ func RunLayoutAnalysis(cfg ExperimentConfig) (*FigureResult, error) {
 		Summary: map[string]float64{},
 	}
 
-	analyzeNext := func(s *Store, sched workload.Schedule) (*analysis.Layout, error) {
-		b, err := backup(s, sched)
-		if err != nil {
+	// Each engine's store runs to the end on its own; the rows zip them.
+	var layouts [2][]*analysis.Layout
+	for i, kind := range []EngineKind{DDFSLike, DeFrag} {
+		if _, _, err := cfg.runSingle(kind, false, nil, nil, func(_ int, b *Backup, _ RestoreStats) error {
+			layouts[i] = append(layouts[i], analysis.Analyze(b.recipe()))
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		return analysis.Analyze(b.recipe()), nil
 	}
-
-	var lastDD, lastDE *analysis.Layout
-	for g := 0; g < cfg.Generations; g++ {
-		ld, err := analyzeNext(dd, sdd)
-		if err != nil {
-			return nil, err
-		}
-		le, err := analyzeNext(de, sde)
-		if err != nil {
-			return nil, err
-		}
-		lastDD, lastDE = ld, le
+	for g, ld := range layouts[0] {
+		le := layouts[1][g]
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprint(g + 1),
 			fmt.Sprint(ld.Fragments), fmt.Sprint(ld.ContainersTouched),
@@ -93,6 +77,7 @@ func RunLayoutAnalysis(cfg ExperimentConfig) (*FigureResult, error) {
 			metrics.F1(le.MeanStackDistance()), metrics.F3(le.PredictedHitRate(lpc)),
 		})
 	}
+	lastDD, lastDE := layouts[0][len(layouts[0])-1], layouts[1][len(layouts[1])-1]
 	res.Summary["ddfs_final_hitrate"] = lastDD.PredictedHitRate(lpc)
 	res.Summary["defrag_final_hitrate"] = lastDE.PredictedHitRate(lpc)
 	res.Summary["ddfs_final_stackdist"] = lastDD.MeanStackDistance()

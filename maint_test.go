@@ -257,7 +257,7 @@ func TestMaintenanceSpeedsUpRestoreOfLatest(t *testing.T) {
 	}
 	restoreLatest := func(s *Store, b *Backup) RestoreStats {
 		t.Helper()
-		rs, err := s.RestoreWith(ctx, b, nil, RestoreOptions{Policy: RestoreLRU, Workers: 1})
+		rs, err := s.RestoreWith(ctx, b, nil, RestoreOptions{Policy: RestoreLRU})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -133,9 +133,8 @@ func testBackendReadsAreReadOnly(t *testing.T, backend BackendKind) {
 		t.Helper()
 		var shapes []RestoreOptions
 		for _, policy := range []RestorePolicy{RestoreLRU, RestoreOPT, RestoreFAA} {
-			for _, lanes := range []int{1, 4} {
-				shapes = append(shapes, RestoreOptions{CacheContainers: 3, Policy: policy, Workers: lanes,
-					Coalesce: lanes > 1, Verify: true})
+			for _, coalesce := range []bool{false, true} {
+				shapes = append(shapes, RestoreOptions{CacheContainers: 3, Policy: policy, Coalesce: coalesce, Verify: true})
 			}
 		}
 		backups := s.Backups()

@@ -28,9 +28,9 @@ func allRestoreModes() []restoreMode {
 	return []restoreMode{
 		{"lru", with(RestoreOptions{})},
 		{"opt", with(RestoreOptions{Policy: RestoreOPT})},
-		{"pipelined", with(RestoreOptions{Policy: RestoreOPT, Coalesce: true, Workers: 2})},
+		{"pipelined", with(RestoreOptions{Policy: RestoreOPT, Coalesce: true})},
 		{"faa", with(RestoreOptions{Policy: RestoreFAA})},
-		{"faa-pipelined", with(RestoreOptions{CacheContainers: 1, Policy: RestoreFAA, Coalesce: true, Workers: 2})},
+		{"faa-pipelined", with(RestoreOptions{CacheContainers: 1, Policy: RestoreFAA, Coalesce: true})},
 	}
 }
 
