@@ -38,6 +38,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/chunk"
 	"repro/internal/cindex"
+	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/engine"
@@ -263,7 +264,8 @@ func (o Options) withDefaults() Options {
 //     whole run.
 //   - mu guards the retained-backup bookkeeping (backups, logical, closed),
 //     every append to the catalog log, and the cumulative maintenance
-//     counters.
+//     counters. Every change to the live table's counts is made under it,
+//     with the change to the retained set that causes it.
 //   - ingestMu serializes the ingests that run on the engine's master clock
 //     through the store's one serial container writer: Backup, a serial
 //     BackupStreams round, and IngestStream on an engine without lanes.
@@ -282,7 +284,8 @@ type Store struct {
 	mu          sync.RWMutex
 	backups     []*Backup
 	logical     int64
-	cat         *catalog.Log // the durable form of backups; nil on SimBackend
+	cat         *catalog.Log      // the durable form of backups; nil on SimBackend
+	live        *maintenance.Live // the retained recipes' references, counted
 	closed      bool
 	maintTotal  maintenance.Stats // cumulative across epochs and Compact runs
 	maintEpochs int
@@ -374,6 +377,7 @@ func Open(opts Options) (*Store, error) {
 		s.eng.SetOracle(s.oracle)
 	}
 	s.eng.Containers().StageTo(raw)
+	s.live = maintenance.NewLive(s.eng.Containers())
 	if err := s.adoptExisting(context.Background()); err != nil {
 		be.Close() //nolint:errcheck // surfacing the adoption error
 		return nil, err
@@ -467,6 +471,7 @@ func (s *Store) adoptExisting(ctx context.Context) error {
 		}
 		s.backups = append(s.backups, newBackup(e.Label, st, e.Recipe))
 		s.logical += st.LogicalBytes
+		s.live.Add(e.Recipe)
 	}
 	s.cat = log
 	return nil
@@ -624,6 +629,7 @@ func (s *Store) commitBackup(b *Backup, lane *disk.Clock) (*Backup, error) {
 	}
 	s.backups = append(s.backups, b)
 	s.logical += b.Stats.LogicalBytes
+	s.live.Add(b.recipe())
 	return b, nil
 }
 
@@ -656,6 +662,9 @@ func (s *Store) BackupStreams(ctx context.Context, inputs []StreamInput, concurr
 	defer span.End()
 	s.maintMu.RLock()
 	defer s.maintMu.RUnlock()
+	pins := s.eng.Containers().NewPins()
+	defer pins.Release()
+	ctx = container.WithPins(ctx, pins)
 	if engine.RunsSerially(s.eng, len(inputs), concurrency) {
 		s.ingestMu.Lock()
 		defer s.ingestMu.Unlock()
@@ -716,7 +725,8 @@ func (s *Store) indexOf(label string) int {
 // (dedup stores cannot free shared chunks eagerly — that is what
 // retention-aware garbage collection is for). The result reports whether
 // the label existed and how much physical garbage the store now carries,
-// so callers can decide whether a compaction pass is worth scheduling. On
+// read off the live table's counts, so callers can decide whether a
+// compaction pass is worth scheduling. On
 // durable backends the forget is a catalog record, durable before the backup
 // leaves the retained set; if it cannot be made so, the backup stays retained
 // and the result's Error says why.
@@ -752,6 +762,7 @@ func (s *Store) forgetLocked(i int) error {
 	}
 	s.backups = append(s.backups[:i:i], s.backups[i+1:]...)
 	s.logical -= b.Stats.LogicalBytes
+	s.live.Sub(b.recipe())
 	return nil
 }
 
@@ -899,10 +910,11 @@ type CompactStats struct {
 }
 
 // Compact garbage-collects containers whose live-data fraction is below
-// threshold. A copy is live while a retained recipe or the chunk index names
-// it: superseded copies (DeFrag rewrites) are dropped, but one that only
-// forgotten backups referenced is not while the index names it. Live chunks
-// move to fresh containers, the index is repointed, every recipe remapped.
+// threshold. A copy is live while a retained recipe references it (the live
+// table's count is above zero): superseded copies (DeFrag rewrites) and the
+// copies only forgotten backups referenced are dropped, with the index
+// entries that name them. Live chunks move to fresh containers, the index is
+// repointed, every recipe remapped.
 // Engines without an exposed chunk index (SiLo-Like) do not support
 // compaction.
 //
@@ -950,9 +962,10 @@ func (r CheckReport) OK() bool { return len(r.Problems) == 0 }
 
 // Check validates the store's internal consistency: container metadata
 // well-formedness, index entries (for engines that keep a full index),
-// and every backup's recipe references. verifyData additionally re-hashes
-// all referenced chunk content and requires Options.StoreData. Check
-// charges no simulated time.
+// every backup's recipe references, and the live table, whose counted bytes
+// per container must equal a walk of the retained recipes. verifyData
+// additionally re-hashes all referenced chunk content and requires
+// Options.StoreData. Check charges no simulated time.
 func (s *Store) Check(ctx context.Context, verifyData bool) (CheckReport, error) {
 	s.maintMu.RLock()
 	defer s.maintMu.RUnlock()
@@ -960,10 +973,15 @@ func (s *Store) Check(ctx context.Context, verifyData bool) (CheckReport, error)
 	if eng, ok := s.eng.(interface{ Index() *cindex.Index }); ok {
 		index = eng.Index()
 	}
-	rep, err := fsck.Check(ctx, s.eng.Containers(), index, s.snapshotRecipes(), verifyData)
+	s.mu.RLock()
+	recipes := s.recipesLocked()
+	counted := s.live.PerContainer()
+	s.mu.RUnlock()
+	rep, err := fsck.Check(ctx, s.eng.Containers(), index, recipes, verifyData)
 	if err != nil {
 		return CheckReport{}, err
 	}
+	rep.Problems = append(rep.Problems, maintenance.CountProblems(s.eng.Containers(), counted, recipes)...)
 	return CheckReport{
 		Containers:   rep.Containers,
 		MetaEntries:  rep.MetaEntries,
@@ -1032,6 +1050,7 @@ func (s *Store) Repair(ctx context.Context, verifyData bool) (RepairReport, erro
 		}
 		s.checkpointAfter("repair")
 	}
+	s.live.Drop(res.Quarantined)
 	return rep, err
 }
 
@@ -1039,6 +1058,11 @@ func (s *Store) Repair(ctx context.Context, verifyData bool) (RepairReport, erro
 func (s *Store) snapshotRecipes() []*chunk.Recipe {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.recipesLocked()
+}
+
+// recipesLocked copies the retained backups' recipes. Caller holds s.mu.
+func (s *Store) recipesLocked() []*chunk.Recipe {
 	recipes := make([]*chunk.Recipe, len(s.backups))
 	for i, b := range s.backups {
 		recipes[i] = b.recipe()

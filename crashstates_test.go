@@ -61,9 +61,11 @@ func TestCrashStates(t *testing.T) {
 		}
 	})
 	t.Logf("%d operations, %d crash states reopened, %v", len(sc.ops), checked, time.Since(start))
-	for _, phase := range []string{"backup", "maintenance", "compact"} {
+	for _, phase := range []string{"backup", "maintenance", "compact", "reclaim"} {
 		for _, state := range namedCrashStates {
-			if phase == "backup" && state != "seal-data" {
+			// A backup only seals; the reclaim only drops (it has nothing
+			// live to move).
+			if phase == "backup" && state != "seal-data" || phase == "reclaim" && state == "seal-data" {
 				continue
 			}
 			t.Run(phase+"/"+state, func(t *testing.T) {
@@ -129,8 +131,9 @@ func crashOptions(fsys *memFS) Options {
 
 // runCrashScenario records backups, a forget, a Repair that quarantines a
 // forgotten backup's container the medium corrupted, a MaintenanceEpoch
-// merge, a Compact after another forget, both logs' checkpoints, a backup on
-// the checkpointed logs and Close.
+// merge, a Compact after another forget, an epoch that reclaims what only a
+// forgotten backup held, both logs' checkpoints, a backup on the
+// checkpointed logs and Close.
 func runCrashScenario(t *testing.T) *crashScenario {
 	t.Helper()
 	ctx := context.Background()
@@ -220,6 +223,26 @@ func runCrashScenario(t *testing.T) *crashScenario {
 	fsys.setPhase("compact")
 	if cs, err := s.Compact(ctx, 1.0); err != nil || cs.ContainersCollected == 0 {
 		t.Fatalf("compact: %+v, %v; the scenario needs a merge", cs, err)
+	}
+
+	// Forget-then-reclaim: the containers of a backup no other backup shares
+	// a byte with are dead once it is forgotten, though the index names
+	// their copies, and the next epoch drops every one of them.
+	lonely := make([]byte, 1<<20)
+	rand.New(rand.NewSource(4)).Read(lonely) //nolint:errcheck // never fails
+	l := backup("lonely", lonely)
+	forget("lonely")
+	fsys.setPhase("reclaim")
+	if _, err := s.MaintenanceEpoch(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, ref := range l.recipe().Refs {
+		if s.eng.Containers().Sealed(ref.Loc.Container) {
+			t.Fatalf("container %d, which only the forgotten backup referenced, survived the epoch", ref.Loc.Container)
+		}
+	}
+	if rep, err := s.Check(ctx, true); err != nil || !rep.OK() {
+		t.Fatalf("check after the reclaim: %v %v", err, rep.Problems)
 	}
 
 	// Both logs' checkpoints, forced: the rule would take megabytes of

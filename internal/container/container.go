@@ -159,6 +159,8 @@ type Store struct {
 	// never will be (AwaitSealed). Both are awaited through await.
 	pending, settling map[uint32]chan struct{}
 	lost              func(id uint32, entries []Meta) // see OnLost
+	// pins counts, per container, the ingests in flight that hold it (Pins).
+	pins map[uint32]int32
 
 	serialW *Writer // the writer on the store's own clock, created lazily
 
@@ -192,7 +194,7 @@ func NewStoreWithBackend(dev *disk.Device, cfg Config, be blockstore.Backend) (*
 	if be == nil {
 		return nil, fmt.Errorf("container: nil backend")
 	}
-	s := &Store{cfg: cfg, dev: dev, be: be, pending: map[uint32]chan struct{}{}, settling: map[uint32]chan struct{}{}}
+	s := &Store{cfg: cfg, dev: dev, be: be, pending: map[uint32]chan struct{}{}, settling: map[uint32]chan struct{}{}, pins: map[uint32]int32{}}
 	s.stager, _ = be.(*blockstore.File) // under wrappers it has to be named: StageTo
 	return s, nil
 }
@@ -276,6 +278,90 @@ func (s *Store) AwaitSealed(ctx context.Context, refs []chunk.Ref) error {
 		}
 	}
 	return nil
+}
+
+// Pins is one ingest's hold on the containers its recipe names so far:
+// settle tracking follows a container from open until it is durable, and a
+// hold carries it on, with the containers the ingest deduplicated against,
+// until the recipe is counted live or the ingest aborts. The maintenance
+// merge picks no held container as a victim. A hold is per container, not per
+// copy: cheaper on the ingest path, and only more conservative. Safe for
+// concurrent use; a nil *Pins holds nothing.
+type Pins struct {
+	s    *Store
+	mu   sync.Mutex
+	held map[uint32]struct{}
+}
+
+// NewPins returns an empty hold on s's containers.
+func (s *Store) NewPins() *Pins { return &Pins{s: s, held: map[uint32]struct{}{}} }
+
+// Hold pins every container refs name that p does not hold yet.
+func (p *Pins) Hold(refs []chunk.Ref) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := range refs {
+		id := refs[i].Loc.Container
+		if i > 0 && id == refs[i-1].Loc.Container {
+			continue
+		}
+		if _, ok := p.held[id]; ok {
+			continue
+		}
+		p.held[id] = struct{}{}
+		p.s.mu.Lock()
+		p.s.pins[id]++
+		p.s.mu.Unlock()
+	}
+}
+
+// Release lets go of every container p holds.
+func (p *Pins) Release() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.s.mu.Lock()
+	for id := range p.held {
+		if p.s.pins[id]--; p.s.pins[id] == 0 {
+			delete(p.s.pins, id)
+		}
+	}
+	p.s.mu.Unlock()
+	clear(p.held)
+}
+
+// Pinned reports whether an ingest in flight holds container id.
+func (s *Store) Pinned(id uint32) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pins[id] > 0
+}
+
+// PinnedIDs returns the containers ingests in flight hold, in no order.
+func (s *Store) PinnedIDs() []uint32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ids := make([]uint32, 0, len(s.pins))
+	for id := range s.pins {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+type pinsKey struct{}
+
+// WithPins returns ctx carrying p: the ingest run under it holds what its
+// recipe names in p, segment by segment (PinsFrom).
+func WithPins(ctx context.Context, p *Pins) context.Context {
+	return context.WithValue(ctx, pinsKey{}, p)
+}
+
+// PinsFrom returns the hold ctx carries, or nil.
+func PinsFrom(ctx context.Context) *Pins {
+	p, _ := ctx.Value(pinsKey{}).(*Pins)
+	return p
 }
 
 // getBuf hands out an empty fill buffer of full capacity, so Writer.Write
@@ -1007,20 +1093,6 @@ func (s *Store) LiveFraction(id uint32) float64 {
 		return 1
 	}
 	return float64(s.liveBytes[id]) / float64(s.sealed[id].DataFill)
-}
-
-// DeadBytes returns the total superseded bytes across sealed containers —
-// the reclaimable garbage a compaction pass would free.
-func (s *Store) DeadBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var dead int64
-	for i := range s.sealed {
-		if s.sealedOK[i] {
-			dead += s.sealed[i].DataFill - s.liveBytes[i]
-		}
-	}
-	return dead
 }
 
 // Utilization returns the fraction of stored data bytes still live across

@@ -148,6 +148,7 @@ func (b *Base) backup(ctx context.Context, label string, r io.Reader, clk *disk.
 		defer span.End()
 	}
 	in.Ctx = ctx
+	pins := container.PinsFrom(ctx)
 
 	logical, chunks, segs, err := Pipeline(
 		ctx, r, b.cfg.ChunkParams, b.cfg.SegParams,
@@ -155,8 +156,10 @@ func (b *Base) backup(ctx context.Context, label string, r io.Reader, clk *disk.
 		func(seg *segment.Segment) error {
 			segID := b.segSeq.Add(1)
 			oracleDup := observeSegment(b.oracle, seg, &in.Stats)
-			deduped := in.Stats.DedupedBytes
-			if err := b.rule.Segment(in, segID, seg); err != nil {
+			deduped, placed := in.Stats.DedupedBytes, len(in.Recipe.Refs)
+			err := b.rule.Segment(in, segID, seg)
+			pins.Hold(in.Recipe.Refs[placed:])
+			if err != nil {
 				return err
 			}
 			accountPartialSegment(b.oracle, seg, oracleDup, in.Stats.DedupedBytes-deduped, &in.Stats)

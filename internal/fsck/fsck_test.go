@@ -205,9 +205,13 @@ func TestEngineAndGCLeaveConsistentState(t *testing.T) {
 	for _, g := range gens[3:] {
 		recipes = append(recipes, g.Recipe)
 	}
+	live := maintenance.NewLive(eng.Containers())
+	for _, r := range recipes {
+		live.Add(r)
+	}
 	pass, err := maintenance.New(maintenance.Config{
 		Containers: eng.Containers(), Index: eng.Index(), Recipes: recipes,
-		Gate: openGate{}, Dropper: eng, Clock: eng.Clock(),
+		Gate: openGate{}, Dropper: eng, Clock: eng.Clock(), Live: live,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -103,17 +103,21 @@ type Config struct {
 	Index      *cindex.Index
 	Recipes    RecipeStore
 	Gate       Gate
-	// Dropper, when set, purges per-container engine caches at commit.
+	// Live is the store's live table (see liveness.go): victim selection
+	// and the merge read it, and a drop forgets the victims' rows.
+	Live *Live
+	// Dropper, when set, purges a victim's index entries and per-container
+	// engine caches at commit; without one the pass purges Index itself.
 	Dropper IndexDropper
 	// Clock is the store's master simulated clock. Each run charges its I/O
 	// to a private lane starting at the master reading and advances the
 	// master on completion, like a concurrent ingest lane.
 	Clock *disk.Clock
 
-	// UtilThreshold: sealed containers whose live fraction (recipe pins plus
-	// index-authoritative copies) is below this are merge victims, and
-	// containers below it by the store's superseded-bytes accounting are
-	// reverse-remap candidates. Default 0.5.
+	// UtilThreshold: sealed containers whose live fraction (the live
+	// table's bytes: copies a retained recipe references) is below this are
+	// merge victims, and containers below it by the store's superseded-bytes
+	// accounting are reverse-remap candidates. Default 0.5.
 	UtilThreshold float64
 	// FillThreshold: containers whose data section is filled below this
 	// fraction of capacity (stream tails) are reverse-remap candidates too.
@@ -153,8 +157,8 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
-	if c.Containers == nil || c.Index == nil || c.Recipes == nil || c.Gate == nil {
-		return fmt.Errorf("maintenance: Containers, Index, Recipes and Gate are required")
+	if c.Containers == nil || c.Index == nil || c.Recipes == nil || c.Gate == nil || c.Live == nil {
+		return fmt.Errorf("maintenance: Containers, Index, Recipes, Gate and Live are required")
 	}
 	for _, t := range []float64{c.UtilThreshold, c.FillThreshold, c.SparseThreshold} {
 		if t < 0 || t > 1 {
@@ -209,12 +213,6 @@ func New(cfg Config) (*Pass, error) {
 		return nil, err
 	}
 	return &Pass{cfg: cfg, throttle: NewThrottle(cfg.ThrottleMBps * 1e6)}, nil
-}
-
-// liveCopy is one chunk copy that must survive a merge.
-type liveCopy struct {
-	meta          container.Meta
-	authoritative bool // the chunk index points at this copy
 }
 
 // run executes body on a private maintenance lane: the lane starts at the
@@ -369,11 +367,11 @@ func (p *Pass) rewriteRefs(ctx context.Context, relocate func(ref *chunk.Ref) (c
 //
 // A reference the first rule moves lands on the index's copy, where the
 // second cannot fire, so one pass leaves what the two did one after the
-// other. The abandoned copies lose their pins, and a later merge reclaims
+// other. The abandoned copies lose their counts, and a later merge reclaims
 // their containers. The rewrite is pure metadata and safe outside the gate:
-// the target copy is index-authoritative, so the liveness rule keeps it
-// resident, and any drop that might race this epoch revalidates under the
-// exclusive gate before committing.
+// Replace moves each rewritten reference's count onto its target copy, which
+// is live from then on, and no drop can come between the lookup and the
+// Replace, because maintenance operations run one at a time.
 func (p *Pass) remapRefs(ctx context.Context, st *Stats) error {
 	cs, ix := p.cfg.Containers, p.cfg.Index
 	candidate := make(map[uint32]bool)
@@ -403,45 +401,33 @@ func (p *Pass) remapRefs(ctx context.Context, st *Stats) error {
 	return err
 }
 
-// scanLiveness lists, per sealed container, the copies that must survive a
-// merge and their total bytes, plus how many bytes the latest retained
-// recipe references in each container.
-func (p *Pass) scanLiveness(recipes []*chunk.Recipe) (live map[uint32][]liveCopy, liveBytes, latestBytes map[uint32]int64) {
-	cs, ix := p.cfg.Containers, p.cfg.Index
-	pinned := pinnedCopies(recipes)
-	latestBytes = make(map[uint32]int64)
-	if len(recipes) > 0 {
-		latest := recipes[len(recipes)-1]
-		seen := make(map[copyKey]struct{}, latest.Len())
-		for i := range latest.Refs {
-			loc := latest.Refs[i].Loc
-			key := copyKey{loc.Container, loc.Offset}
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-			latestBytes[loc.Container] += int64(loc.Size)
-		}
+// latestBytes returns how many bytes the latest of recipes references in
+// each container, each copy counted once.
+func latestBytes(recipes []*chunk.Recipe) map[uint32]int64 {
+	out := make(map[uint32]int64)
+	if len(recipes) == 0 {
+		return out
 	}
-	live = make(map[uint32][]liveCopy)
-	liveBytes = make(map[uint32]int64)
-	n := uint32(cs.Slots())
-	for id := uint32(0); id < n; id++ {
-		if !cs.Sealed(id) {
+	latest := recipes[len(recipes)-1]
+	seen := make(map[copyKey]struct{}, latest.Len())
+	for i := range latest.Refs {
+		loc := latest.Refs[i].Loc
+		key := copyKey{loc.Container, loc.Offset}
+		if _, dup := seen[key]; dup {
 			continue
 		}
-		liveBytes[id] = eachLive(cs, ix, pinned, id, func(m container.Meta, authoritative bool) {
-			live[id] = append(live[id], liveCopy{meta: m, authoritative: authoritative})
-		})
+		seen[key] = struct{}{}
+		out[loc.Container] += int64(loc.Size)
 	}
-	return live, liveBytes, latestBytes
+	return out
 }
 
 // selectVictims picks up to MaxBatch sealed containers to merge away,
 // lowest live fraction first: hollowed-out containers (live fraction below
 // util) and containers the latest generation only grazes (referenced, but
-// for less than sparse of their data; 0 turns that rule off).
-func (p *Pass) selectVictims(liveBytes, latestBytes map[uint32]int64, util, sparse float64) []uint32 {
+// for less than sparse of their data; 0 turns that rule off). A container an
+// ingest in flight holds is never picked. liveBytes is indexed by container.
+func (p *Pass) selectVictims(liveBytes []int64, latestBytes map[uint32]int64, util, sparse float64) []uint32 {
 	cs := p.cfg.Containers
 	type cand struct {
 		id   uint32
@@ -450,14 +436,18 @@ func (p *Pass) selectVictims(liveBytes, latestBytes map[uint32]int64, util, spar
 	var cands []cand
 	n := uint32(cs.Slots())
 	for id := uint32(0); id < n; id++ {
-		if !cs.Sealed(id) {
+		if !cs.Sealed(id) || cs.Pinned(id) {
 			continue
 		}
 		total := cs.DataFill(id)
 		if total == 0 {
 			continue
 		}
-		frac := float64(liveBytes[id]) / float64(total)
+		var live int64
+		if int(id) < len(liveBytes) {
+			live = liveBytes[id]
+		}
+		frac := float64(live) / float64(total)
 		latestFrac := float64(latestBytes[id]) / float64(total)
 		hollow := frac < util
 		grazed := latestBytes[id] > 0 && latestFrac < sparse
@@ -492,14 +482,15 @@ func (p *Pass) merge(ctx context.Context, lane *disk.Clock, util, sparse float64
 	cs, ix := p.cfg.Containers, p.cfg.Index
 	recipes := p.cfg.Recipes.Snapshot()
 	st.RecipesScanned = len(recipes)
-	live, liveBytes, latestBytes := p.scanLiveness(recipes)
-	victims := p.selectVictims(liveBytes, latestBytes, util, sparse)
+	victims := p.selectVictims(p.cfg.Live.PerContainer(), latestBytes(recipes), util, sparse)
 	if len(victims) == 0 {
 		return 0, nil
 	}
 	victimSet := make(map[uint32]bool, len(victims))
+	live := make(map[uint32][]container.Meta, len(victims))
 	for _, id := range victims {
 		victimSet[id] = true
+		live[id] = p.cfg.Live.Copies(id)
 	}
 
 	// Order the copies: chunks the latest generation references come first,
@@ -507,21 +498,20 @@ func (p *Pass) merge(ctx context.Context, lane *disk.Clock, util, sparse float64
 	// read path lands in dense, sequential containers. Remaining live
 	// copies follow in (container, offset) order, preserving what locality
 	// they had. The order is a recipe of the copies' current locations.
-	copies := make(map[copyKey]liveCopy, 256) // the victims' live copies
+	copies := make(map[copyKey]container.Meta, 256) // the victims' live copies
 	for _, id := range victims {
-		for _, lc := range live[id] {
-			copies[copyKey{id, lc.meta.Offset}] = lc
+		for _, m := range live[id] {
+			copies[copyKey{id, m.Offset}] = m
 		}
 	}
 	var order []chunk.Ref
 	queued := make(map[copyKey]bool, len(copies))
 	queue := func(key copyKey) {
-		lc, ok := copies[key]
+		m, ok := copies[key]
 		if !ok || queued[key] {
 			return
 		}
 		queued[key] = true
-		m := lc.meta
 		loc := chunk.Location{Container: key.container, Segment: m.Segment, Offset: m.Offset, Size: m.Size}
 		order = append(order, chunk.Ref{FP: m.FP, Size: m.Size, Loc: loc})
 	}
@@ -532,8 +522,8 @@ func (p *Pass) merge(ctx context.Context, lane *disk.Clock, util, sparse float64
 		}
 	}
 	for _, id := range victims {
-		for _, lc := range live[id] {
-			queue(copyKey{id, lc.meta.Offset})
+		for _, m := range live[id] {
+			queue(copyKey{id, m.Offset})
 		}
 	}
 
@@ -578,13 +568,16 @@ func (p *Pass) merge(ctx context.Context, lane *disk.Clock, util, sparse float64
 		return 0, fmt.Errorf("maintenance: sealing merged containers: %w", err)
 	}
 
-	// Repoint the index at the moved authoritative copies, then durably
-	// remap every retained recipe BEFORE the drop commit: from here on both
-	// the old and new copies are valid, so a crash at any point leaves an
+	// Repoint the index at the moved copies it named, then durably remap
+	// every retained recipe BEFORE the drop commit: from here on both the
+	// old and new copies are valid, so a crash at any point leaves an
 	// fsck-clean store.
 	for _, ref := range order {
-		key := copyKey{ref.Loc.Container, ref.Loc.Offset}
-		if newLoc, ok := moved[key]; ok && copies[key].authoritative {
+		newLoc, ok := moved[copyKey{ref.Loc.Container, ref.Loc.Offset}]
+		if !ok {
+			continue
+		}
+		if loc, found := ix.Peek(ref.FP); found && loc.Container == ref.Loc.Container && loc.Offset == ref.Loc.Offset {
 			ix.Update(ref.FP, newLoc)
 		}
 	}
@@ -608,24 +601,39 @@ func (p *Pass) merge(ctx context.Context, lane *disk.Clock, util, sparse float64
 		if len(keep) == 0 {
 			return nil
 		}
-		if p.cfg.Dropper != nil {
-			for _, id := range keep {
-				p.cfg.Dropper.DropFromIndex(id)
-			}
-		}
+		// The index entries that still name a victim's copies go before the
+		// drop record, in the order Repair uses: they name dead copies now.
 		var reclaimed int64
 		for _, id := range keep {
+			p.dropFromIndex(id)
 			reclaimed += cs.DataFill(id)
 		}
 		if err := cs.Drop(ctx, keep, "maintenance merge"); err != nil {
 			return fmt.Errorf("maintenance: dropping merged containers: %w", err)
 		}
+		p.cfg.Live.Drop(keep)
 		dropped = len(keep)
 		st.ContainersMerged += dropped
 		st.BytesReclaimed += reclaimed
 		return nil
 	})
 	return dropped, err
+}
+
+// dropFromIndex purges every index entry that names a copy in container id,
+// through the Dropper (which purges the engine's caches of it too) when there
+// is one.
+func (p *Pass) dropFromIndex(id uint32) {
+	if p.cfg.Dropper != nil {
+		p.cfg.Dropper.DropFromIndex(id)
+		return
+	}
+	ix := p.cfg.Index
+	for _, m := range p.cfg.Containers.PeekMeta(id) {
+		if loc, ok := ix.Peek(m.FP); ok && loc.Container == id {
+			ix.Delete(m.FP)
+		}
+	}
 }
 
 // revalidate runs inside the gate: it remaps any recipe references that

@@ -77,11 +77,24 @@ func put(t *testing.T, s *container.Store, ix *cindex.Index, data []byte, seg ui
 	return c.FP, loc
 }
 
-// fakeRecipes is an in-memory RecipeStore.
+// fakeRecipes is an in-memory RecipeStore. Once a pass is built over it
+// (passFor) it keeps that pass's live table, as a store does: add counts a
+// recipe, Replace moves the counts of the references it changes.
 type fakeRecipes struct {
 	mu       sync.Mutex
 	recipes  []*chunk.Recipe
 	replaces int
+	live     *Live
+}
+
+// attach makes live the table f keeps, counting what f holds already.
+func (f *fakeRecipes) attach(live *Live) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.live = live
+	for _, r := range f.recipes {
+		live.Add(r)
+	}
 }
 
 func (f *fakeRecipes) Snapshot() []*chunk.Recipe {
@@ -97,6 +110,9 @@ func (f *fakeRecipes) Replace(ctx context.Context, updated []*chunk.Recipe) erro
 	for _, u := range updated {
 		for i, r := range f.recipes {
 			if r.Label == u.Label {
+				if f.live != nil {
+					f.live.Swap(r, u)
+				}
 				f.recipes[i] = u
 			}
 		}
@@ -108,6 +124,9 @@ func (f *fakeRecipes) add(r *chunk.Recipe) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.recipes = append(f.recipes, r)
+	if f.live != nil {
+		f.live.Add(r)
+	}
 }
 
 func (f *fakeRecipes) byLabel(label string) *chunk.Recipe {
@@ -140,7 +159,13 @@ func (g *plainGate) Exclusive(fn func() error) error {
 
 func passFor(t *testing.T, s *container.Store, ix *cindex.Index, clk *disk.Clock, rs RecipeStore, gate Gate, mut func(*Config)) *Pass {
 	t.Helper()
-	cfg := Config{Containers: s, Index: ix, Recipes: rs, Gate: gate, Clock: clk}
+	cfg := Config{Containers: s, Index: ix, Recipes: rs, Gate: gate, Clock: clk, Live: NewLive(s)}
+	if f, ok := rs.(*fakeRecipes); ok {
+		if f.live == nil {
+			f.attach(cfg.Live)
+		}
+		cfg.Live = f.live
+	}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -157,7 +182,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	s, ix, clk := rig(t, false)
 	rs := &fakeRecipes{}
-	if _, err := New(Config{Containers: s, Index: ix, Recipes: rs, Gate: &plainGate{}, Clock: clk, UtilThreshold: 1.5}); err == nil {
+	if _, err := New(Config{Containers: s, Index: ix, Recipes: rs, Gate: &plainGate{}, Clock: clk, Live: NewLive(s), UtilThreshold: 1.5}); err == nil {
 		t.Fatal("out-of-range threshold must fail")
 	}
 }
@@ -763,6 +788,9 @@ func TestCompactPolicy(t *testing.T) {
 				}
 				readBack(t, s, rs, "gen0", fill(1, 900), fill(3, 900))
 			}},
+		// Container 0 = {superseded A, pinned B}, container 1 = {A's newer
+		// copy, C}: no retained recipe references A or C, so container 1 is
+		// all dead though the index names both its copies.
 		{name: "superseded copy reclaimed, pinned copy moved copy-on-write", threshold: 0.9,
 			build: func(t *testing.T, s *container.Store, ix *cindex.Index, rs *fakeRecipes) {
 				fpDead, _ := put(t, s, ix, fill(1, 900), 1)
@@ -777,8 +805,8 @@ func TestCompactPolicy(t *testing.T) {
 				rs.add(pinned)
 			},
 			check: func(t *testing.T, s *container.Store, ix *cindex.Index, rs *fakeRecipes, st Stats) {
-				if st.ContainersMerged != 1 || st.BytesReclaimed != 1800 || st.BytesMoved != 900 || st.RefsPatched != 1 {
-					t.Fatalf("half-dead container: %+v", st)
+				if st.ContainersMerged != 2 || st.BytesReclaimed != 3600 || st.BytesMoved != 900 || st.RefsPatched != 1 {
+					t.Fatalf("half-dead and all-dead container: %+v", st)
 				}
 				ref := rs.byLabel("gen0").Refs[0]
 				if ref.Loc.Container == 0 {
@@ -792,22 +820,21 @@ func TestCompactPolicy(t *testing.T) {
 				}
 				readBack(t, s, rs, "gen0", fill(2, 900))
 			}},
-		{name: "no recipes: only index-authoritative copies survive", threshold: 0.9,
+		{name: "no recipes: nothing survives, nor its index entries", threshold: 0.9,
 			build: func(t *testing.T, s *container.Store, ix *cindex.Index, _ *fakeRecipes) {
 				put(t, s, ix, fill(4, 900), 1)
 				mustWrite(t, s, chunk.New(fill(5, 900)), 1) // never indexed
 				s.SerialWriter().Finish(context.Background())
 			},
 			check: func(t *testing.T, s *container.Store, ix *cindex.Index, _ *fakeRecipes, st Stats) {
-				if st.ContainersMerged != 1 || st.ChunksMoved != 1 || st.RefsPatched != 0 {
+				if st.ContainersMerged != 1 || st.ChunksMoved != 0 || st.BytesReclaimed != 1800 || st.RefsPatched != 0 {
 					t.Fatalf("zero-recipe compaction: %+v", st)
 				}
-				loc, ok := ix.Peek(chunk.New(fill(4, 900)).FP)
-				if !ok || loc.Container == 0 {
-					t.Fatalf("authoritative copy not repointed: %v", loc)
+				if loc, ok := ix.Peek(chunk.New(fill(4, 900)).FP); ok {
+					t.Fatalf("the index still names %v, a copy in a dropped container", loc)
 				}
-				if got, err := readChunk(s, loc); err != nil || !bytes.Equal(got, fill(4, 900)) {
-					t.Fatalf("moved authoritative copy unreadable: %v", err)
+				if s.NumContainers() != 0 {
+					t.Fatalf("%d containers left", s.NumContainers())
 				}
 			}},
 		{name: "all-dead store reclaims everything and moves nothing", threshold: 1,
@@ -839,6 +866,24 @@ func TestCompactPolicy(t *testing.T) {
 				row.check(t, s, ix, rs, st)
 			}
 		})
+	}
+}
+
+// TestHeldContainerIsNoVictim: a container an ingest in flight holds is no
+// merge victim however dead its copies are; released, it is.
+func TestHeldContainerIsNoVictim(t *testing.T) {
+	s, ix, clk := rig(t, true)
+	fp, loc := put(t, s, ix, fill(1, 900), 1) // indexed, and no recipe references it
+	s.SerialWriter().Finish(context.Background())
+	pins := s.NewPins()
+	pins.Hold([]chunk.Ref{{FP: fp, Size: 900, Loc: loc}})
+	p := passFor(t, s, ix, clk, &fakeRecipes{}, &plainGate{}, nil)
+	if st, err := p.Compact(context.Background(), 1); err != nil || st.ContainersMerged != 0 || !s.Sealed(loc.Container) {
+		t.Fatalf("a held container was merged: %+v, %v", st, err)
+	}
+	pins.Release()
+	if st, err := p.Compact(context.Background(), 1); err != nil || st.ContainersMerged != 1 || s.Sealed(loc.Container) {
+		t.Fatalf("a released dead container survived: %+v, %v", st, err)
 	}
 }
 

@@ -98,9 +98,10 @@ type ForgetResult struct {
 	Found bool `json:"found"`
 	// StoredBytes is the store's physical chunk-data footprint.
 	StoredBytes int64 `json:"storedBytes"`
-	// DeadBytes estimates how much of that footprint is no longer live:
-	// neither referenced by a retained recipe nor the index's current copy
-	// of its chunk.
+	// DeadBytes is how much of that footprint is no longer live: no retained
+	// recipe references it (the live table counts it zero) and no ingest in
+	// flight holds its container. What only forgotten backups referenced is
+	// dead, whatever the index names.
 	DeadBytes int64 `json:"deadBytes"`
 	// DeadFraction is DeadBytes/StoredBytes (0 when the store is empty).
 	DeadFraction float64 `json:"deadFraction"`
@@ -128,11 +129,12 @@ type storeRecipes struct{ s *Store }
 func (r storeRecipes) Snapshot() []*chunk.Recipe { return r.s.snapshotRecipes() }
 
 // Replace installs the updated recipes, each in place of the retained one
-// with its label. On durable backends the references whose location moved
-// become one catalog record first — all of the update durable, or none of it
-// installed — so a container the old locations named may be dropped as soon
-// as Replace returns nil. Restores in flight keep the snapshot they loaded;
-// new restores see the remapped recipes.
+// with its label, and moves the live table's counts of the references whose
+// location moved. On durable backends those references become one catalog
+// record first — all of the update durable, or none of it installed — so a
+// container the old locations named may be dropped as soon as Replace
+// returns nil. Restores in flight keep the snapshot they loaded; new restores
+// see the remapped recipes.
 func (r storeRecipes) Replace(ctx context.Context, updated []*chunk.Recipe) error {
 	s := r.s
 	s.mu.Lock()
@@ -148,9 +150,6 @@ func (r storeRecipes) Replace(ctx context.Context, updated []*chunk.Recipe) erro
 			continue // forgotten since the snapshot
 		}
 		targets[k] = s.backups[i]
-		if s.cat == nil {
-			continue // nothing to make durable
-		}
 		moves, err := movedRefs(targets[k].recipe(), u)
 		if err != nil {
 			return err
@@ -159,13 +158,14 @@ func (r storeRecipes) Replace(ctx context.Context, updated []*chunk.Recipe) erro
 			remaps = append(remaps, catalog.Remap{Label: u.Label, Moves: moves})
 		}
 	}
-	if len(remaps) > 0 {
+	if len(remaps) > 0 && s.cat != nil {
 		if err := s.cat.Remap(remaps); err != nil {
 			return fmt.Errorf("repro: persisting remapped recipes: %w", err)
 		}
 	}
 	for k, b := range targets {
 		if b != nil {
+			s.live.Swap(b.recipe(), updated[k])
 			b.rec.Store(updated[k])
 		}
 	}
@@ -213,6 +213,7 @@ func (s *Store) maintenancePass() (*maintenance.Pass, error) {
 		Index:           eng.Index(),
 		Recipes:         storeRecipes{s},
 		Gate:            storeGate{s},
+		Live:            s.live,
 		Clock:           s.eng.Clock(),
 		UtilThreshold:   m.UtilThreshold,
 		FillThreshold:   m.FillThreshold,
@@ -286,18 +287,19 @@ func (s *Store) MaintenanceEpoch(ctx context.Context) (MaintenanceStats, error) 
 	return fromMaintStats(st), err
 }
 
-// deadScan estimates the store's physical garbage: sealed-container data
-// bytes that are neither pinned by a retained recipe nor the index's
-// current copy of their chunk. For engines without an index it falls back
-// to the containers' superseded-bytes accounting.
+// deadScan reads the store's physical garbage off the live table:
+// sealed-container data bytes that no retained recipe references, outside
+// the containers ingests in flight hold. It walks no recipe.
 func (s *Store) deadScan() (stored, dead int64) {
 	cs := s.eng.Containers()
-	eng, ok := s.eng.(indexed)
-	if !ok {
-		return cs.StoredBytes(), cs.DeadBytes()
+	stored = cs.StoredBytes()
+	live := s.live.Total()
+	for _, id := range cs.PinnedIDs() {
+		if cs.Sealed(id) {
+			live += cs.DataFill(id) - s.live.Bytes(id)
+		}
 	}
-	total, live := maintenance.DeadScan(cs, eng.Index(), s.snapshotRecipes())
-	return total, total - live
+	return stored, max(stored-live, 0)
 }
 
 // MaintenanceReport returns the maintenance section of the store's

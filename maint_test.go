@@ -372,8 +372,8 @@ func TestForgetReportsDeadBytes(t *testing.T) {
 	if res.CompactRecommended != (res.DeadFraction >= 0.2) {
 		t.Fatalf("recommendation inconsistent with fraction: %+v", res)
 	}
-	// Forgetting every generation leaves only index-authoritative copies:
-	// the dead fraction must not shrink as pins disappear.
+	// Forgetting every generation leaves no copy live: the dead fraction
+	// must not shrink as references disappear.
 	before := res.DeadFraction
 	for _, b := range s.Backups() {
 		res = s.Forget(b.Label)

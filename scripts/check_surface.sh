@@ -79,11 +79,22 @@
 # perf rig sets it), the figures' own backup and restore helpers went, and
 # the maintenance scheduler lost the trigger path only a test used. Flags
 # stay at 57.
+#
+# Raised by 301 lines, 19,263 to 19,564, when liveness became a count: a
+# copy is live while a retained recipe references it, and what only
+# forgotten backups held is reclaimed. The store's live table
+# (maintenance.Live: a dense row of reference counts per container, added
+# at commit, subtracted at forget, moved at remap, rebuilt at open), the
+# ingests' holds on the containers they name (container.Pins, carried in
+# the context), the merge's purge of a victim's index entries and Check's
+# comparison of the counts with the walk came; DeadScan, scanLiveness, the
+# per-copy authoritative flag and container.Store.DeadBytes went. Flags stay
+# at 57.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 max_flags=57
-max_lines=19263
+max_lines=19564
 
 flags=$(grep -rhoE --include='*.go' --exclude='*_test.go' \
   '\bflag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|Text|Var)(Var)?\(' cmd internal/cli | wc -l)

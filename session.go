@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/chunk"
+	"repro/internal/container"
 	"repro/internal/disk"
 	"repro/internal/engine"
 	"repro/internal/telemetry"
@@ -47,6 +48,11 @@ func (s *Store) ingest(ctx context.Context, spanName, label string, r io.Reader,
 	}
 	s.maintMu.RLock()
 	defer s.maintMu.RUnlock()
+	// Hold what the recipe names, segment by segment, until it is counted
+	// (commitBackup) or the ingest fails.
+	pins := s.eng.Containers().NewPins()
+	defer pins.Release()
+	ctx = container.WithPins(ctx, pins)
 
 	var (
 		rec  *chunk.Recipe
