@@ -204,6 +204,9 @@ type Options struct {
 	// tune is the experiment harness's per-figure sizing (see newEngine).
 	tune engineTuning
 	fs   blockstore.FS // under Dir: blockstore.OS, or a test's that records crash states
+	// hashHinted hashes every hinted chunk on SimBackend too, as on
+	// FileBackend, where it is otherwise compared with its stored copy.
+	hashHinted bool
 }
 
 // engineTuning sizes an engine for one figure of the paper's evaluation
@@ -377,6 +380,11 @@ func Open(opts Options) (*Store, error) {
 		s.eng.SetOracle(s.oracle)
 	}
 	s.eng.Containers().StageTo(raw)
+	if opts.Backend == SimBackend && !opts.hashHinted {
+		// Sealed sections are in memory whatever wraps the backend: a hinted
+		// chunk is compared with its stored copy instead of hashed.
+		s.eng.Containers().LendFromMemory()
+	}
 	s.live = maintenance.NewLive(s.eng.Containers())
 	if err := s.adoptExisting(context.Background()); err != nil {
 		be.Close() //nolint:errcheck // surfacing the adoption error
@@ -893,7 +901,7 @@ type StoreStats struct {
 	LogicalBytes     int64   // bytes ingested across all backups
 	StoredBytes      int64   // physical chunk-data bytes after dedup
 	Containers       int     // sealed containers
-	Utilization      float64 // live fraction of stored bytes (rewrites create garbage)
+	Utilization      float64 // share of stored bytes no newer copy superseded (rewrites); what only forgotten backups held still counts: see MaintenanceReport.DeadFraction
 	CompressionRatio float64 // logical / stored
 	SpilledBytes     int64   // filter write-through bytes across retained backups
 	SpilledStreams   int     // retained backups the inline filter demoted to spill

@@ -42,9 +42,12 @@
 package container
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/blockstore"
@@ -168,6 +171,14 @@ type Store struct {
 	// the fill of their open containers as it accumulates (see Writer.stage).
 	stager *blockstore.File
 
+	// lends is set when the backend keeps sealed sections in memory and
+	// stores data (LendFromMemory); lent holds the sections Lend has read until
+	// their container is dropped or quarantined (unlend). Lend refuses a
+	// persist in flight, so a container a failed one unpublishes is not lent.
+	lends  bool
+	lentMu sync.RWMutex
+	lent   map[uint32]*lentSection
+
 	// spare is one DataCap-sized fill buffer kept between streams: a writer's
 	// first container fills it, and Finish hands it back, so the buffer is
 	// the store's and outlives the per-backup writers. Only one is kept: a
@@ -194,7 +205,7 @@ func NewStoreWithBackend(dev *disk.Device, cfg Config, be blockstore.Backend) (*
 	if be == nil {
 		return nil, fmt.Errorf("container: nil backend")
 	}
-	s := &Store{cfg: cfg, dev: dev, be: be, pending: map[uint32]chan struct{}{}, settling: map[uint32]chan struct{}{}, pins: map[uint32]int32{}}
+	s := &Store{cfg: cfg, dev: dev, be: be, pending: map[uint32]chan struct{}{}, settling: map[uint32]chan struct{}{}, pins: map[uint32]int32{}, lent: map[uint32]*lentSection{}}
 	s.stager, _ = be.(*blockstore.File) // under wrappers it has to be named: StageTo
 	return s, nil
 }
@@ -582,6 +593,7 @@ func (s *Store) Quarantine(ctx context.Context, id uint32, reason string) error 
 	s.liveBytes[id] = 0
 	s.sealed[id] = Info{ID: id}
 	s.mu.Unlock()
+	s.unlend(id)
 	telQuarantined.Inc()
 	return nil
 }
@@ -626,6 +638,9 @@ func (s *Store) Drop(ctx context.Context, ids []uint32, reason string) error {
 		s.sealed[id] = Info{ID: id}
 	}
 	s.mu.Unlock()
+	for _, id := range ids {
+		s.unlend(id)
+	}
 	telDropped.Add(int64(len(ids)))
 	return nil
 }
@@ -1036,6 +1051,118 @@ func (s *Store) AccountDataRange(ids []uint32, clk *disk.Clock) {
 	if len(ids) > 1 {
 		telRangedReads.Inc()
 	}
+}
+
+// Lent is a stored chunk lent for comparison with a chunk being ingested: a
+// read-only view of its bytes, read only inside blockstore.Guard, and the
+// mark that they have been shown to hash to the fingerprint they are stored
+// under. The zero Lent lends nothing.
+type Lent struct {
+	Data []byte
+	mark *atomic.Bool
+}
+
+// Verified reports whether Data has been shown to hash to its fingerprint.
+func (l Lent) Verified() bool { return l.mark != nil && l.mark.Load() }
+
+// Verify marks Data as shown to hash to its fingerprint: the caller has
+// seen bytes equal to Data hash to it. It reports whether the mark is new.
+func (l Lent) Verify() bool { return l.mark.CompareAndSwap(false, true) }
+
+// lentSection is a sealed section kept for Lend: the view the backend
+// returned the first time, which every later comparison reads, whatever a
+// later read would return, and one verified mark per entry.
+type lentSection struct {
+	data     []byte
+	start    int64 // the device offset of data[0]
+	entries  []Meta
+	verified []atomic.Bool
+}
+
+// LendFromMemory tells s that its backend keeps sealed sections in process
+// memory, under whatever wraps it, so that Lend hands them out at no cost.
+// On a metadata-only backend it does nothing. Call it before the first write.
+func (s *Store) LendFromMemory() { s.lends = s.be.StoresData() }
+
+// Lends reports whether Lend can lend anything (LendFromMemory).
+func (s *Store) Lends() bool { return s.lends }
+
+// Lend returns the copy of fp stored at loc, to compare a chunk with, without
+// charging simulated time: a view of its sealed section, the one read when
+// the container was first lent. It lends nothing unless s lends from memory,
+// the container's persist has landed (Lend never waits for one) and the entry
+// at loc holds fp.
+func (s *Store) Lend(fp chunk.Fingerprint, loc chunk.Location) (Lent, bool) {
+	if !s.lends {
+		return Lent{}, false
+	}
+	s.lentMu.RLock()
+	ls := s.lent[loc.Container]
+	s.lentMu.RUnlock()
+	if ls == nil {
+		if ls = s.lendSection(loc.Container); ls == nil {
+			return Lent{}, false
+		}
+	}
+	i, found := slices.BinarySearchFunc(ls.entries, loc.Offset, func(m Meta, off int64) int { return cmp.Compare(m.Offset, off) })
+	if !found || ls.entries[i].FP != fp || ls.entries[i].Size != loc.Size {
+		return Lent{}, false
+	}
+	rel := loc.Offset - ls.start
+	return Lent{Data: ls.data[rel : rel+int64(loc.Size)], mark: &ls.verified[i]}, true
+}
+
+// lendSection reads container id's section for Lend and keeps it, or returns
+// nil when the container is not sealed, its persist is in flight, or the
+// read fails or comes back short. It holds lentMu throughout, so a container
+// that stops being sealed is either refused here or unlent after. The read is
+// of memory: it takes no caller's context.
+func (s *Store) lendSection(id uint32) *lentSection {
+	s.lentMu.Lock()
+	defer s.lentMu.Unlock()
+	if ls := s.lent[id]; ls != nil {
+		return ls
+	}
+	s.mu.Lock()
+	ok := int(id) < len(s.sealedOK) && s.sealedOK[id] && s.pending[id] == nil
+	var info Info
+	if ok {
+		info = s.sealed[id]
+	}
+	s.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	data, err := s.be.ReadData(context.Background(), id)
+	if err != nil || int64(len(data)) != info.DataFill {
+		blockstore.Release(data)
+		return nil
+	}
+	ls := &lentSection{data: data, start: info.DataStart(s.cfg), entries: info.Entries, verified: make([]atomic.Bool, len(info.Entries))}
+	s.lent[id] = ls
+	return ls
+}
+
+// unlend forgets container id's lent section, once id is no longer sealed.
+func (s *Store) unlend(id uint32) {
+	s.lentMu.Lock()
+	ls := s.lent[id]
+	delete(s.lent, id)
+	s.lentMu.Unlock()
+	if ls != nil {
+		blockstore.Release(ls.data)
+	}
+}
+
+// LentIDs returns the containers whose sections Lend keeps, in no order.
+func (s *Store) LentIDs() []uint32 {
+	s.lentMu.RLock()
+	defer s.lentMu.RUnlock()
+	ids := make([]uint32, 0, len(s.lent))
+	for id := range s.lent {
+		ids = append(ids, id)
+	}
+	return ids
 }
 
 // Extract returns chunk data for loc out of loc.Container's data section as

@@ -246,6 +246,7 @@ func NewIndexed(name string, cfg Config, icfg IndexConfig, rule Rule) (*Indexed,
 		return nil, err
 	}
 	b.resolver = NewResolver(index, b.store, icfg.LPCContainers, icfg.ExpectedChunks)
+	b.hints.copies = &storedCopies{ix: index, store: b.store}
 	return &Indexed{b}, nil
 }
 

@@ -11,8 +11,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/blockstore"
 	"repro/internal/chunk"
 	"repro/internal/chunker"
+	"repro/internal/cindex"
+	"repro/internal/container"
 	"repro/internal/disk"
 	"repro/internal/fanout"
 	"repro/internal/segment"
@@ -31,7 +34,8 @@ const hashBatchChunks = 64
 // of them) and goes on with new bytes. Its chain of chunks runs from cuts[0]
 // to the last of cuts: chunk k is data[cuts[k]:cuts[k+1]], keys[k] is the
 // chunker.Key before it, fps[k] its fingerprint, and want[k], when not zero,
-// the fingerprint of the hint that placed it.
+// the fingerprint of the hint that placed it; src[k] is the stored copy of
+// want[k], when one is lent and holds chunk k's bytes.
 type hashJob struct {
 	data []byte // the window buffer, always used at full length
 	n    int    // valid bytes
@@ -43,7 +47,10 @@ type hashJob struct {
 	keys  []uint64
 	fps   []chunk.Fingerprint
 	want  []chunk.Fingerprint
-	views [][]byte // scratch for chunk.OfEach
+	src   []container.Lent
+	views [][]byte            // scratch for chunk.OfEach: the chunks to hash,
+	into  []int               // which chunk each is,
+	sums  []chunk.Fingerprint // and their fingerprints
 }
 
 // hashJobs recycles windows across every pipeline of the process, not per
@@ -88,15 +95,39 @@ func (j *hashJob) more(pos, maxChunk int) bool {
 
 // work is a hash worker's step: cut the window, fingerprint its chunks, and
 // re-cut the chunks whose hint the fingerprints disprove.
+//
+// A chunk a hint placed takes the hint's fingerprint without a hash when the
+// copy stored under it is lent (Hints.copies), holds the same bytes, and is
+// verified: a window before has seen bytes equal to it hash to that
+// fingerprint. Every other chunk is hashed, in one batch; a lent copy with the
+// same bytes becomes verified when its chunk's hash is the hint's.
 func (j *hashJob) work(c *chunker.Cutter, h *Hints, maxChunk int) {
 	t0 := time.Now()
 	j.chain(c, h, maxChunk)
-	j.views = j.views[:0]
-	for k := range len(j.cuts) - 1 {
-		j.views = append(j.views, j.data[j.cuts[k]:j.cuts[k+1]])
+	n := len(j.cuts) - 1
+	j.fps = slices.Grow(j.fps[:0], n)[:n]
+	j.src = slices.Grow(j.src[:0], n)[:n] // all zero: each window clears what it set
+	j.lend(h.copies)
+	j.views, j.into = j.views[:0], j.into[:0]
+	confirmed := int64(0)
+	for k := range n {
+		if j.src[k].Verified() {
+			j.fps[k] = j.want[k]
+			confirmed++
+		} else {
+			j.views, j.into = append(j.views, j.data[j.cuts[k]:j.cuts[k+1]]), append(j.into, k)
+		}
 	}
-	j.fps = slices.Grow(j.fps[:0], len(j.views))[:len(j.views)]
-	chunk.OfEach(j.views, j.fps)
+	j.sums = slices.Grow(j.sums[:0], len(j.views))[:len(j.views)]
+	chunk.OfEach(j.views, j.sums)
+	for x, k := range j.into {
+		j.fps[k] = j.sums[x]
+		if j.src[k].Data != nil && j.fps[k] == j.want[k] && j.src[k].Verify() {
+			telSourcesVerified.Inc()
+		}
+	}
+	telHintsCompared.Add(confirmed)
+	clear(j.src) // nor may a pooled window keep a Store's sections alive
 	for k := 0; k < len(j.fps); k++ {
 		if !j.want[k].IsZero() && j.want[k] != j.fps[k] {
 			telHintsRefuted.Inc()
@@ -104,6 +135,29 @@ func (j *hashJob) work(c *chunker.Cutter, h *Hints, maxChunk int) {
 		}
 	}
 	stageHash.Observe(t0) // one observation per window, cutting included
+}
+
+// lend sets src[k] for each chunk a hint placed whose stored copy copies
+// lends and whose bytes are the copy's. The lent views are read inside
+// blockstore.Guard; a fault in one leaves every chunk to be hashed.
+func (j *hashJob) lend(copies *storedCopies) {
+	if !copies.lending() {
+		return
+	}
+	err := blockstore.Guard(func() error {
+		for k, fp := range j.want {
+			if fp.IsZero() {
+				continue
+			}
+			if src, ok := copies.of(fp); ok && bytes.Equal(src.Data, j.data[j.cuts[k]:j.cuts[k+1]]) {
+				j.src[k] = src
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		clear(j.src)
+	}
 }
 
 // chain cuts the window from its first byte, by the gear search or, where the
@@ -406,13 +460,18 @@ func (p *ingest) release() {
 // (the RapidCDC idea): the hint table maps the chunker.Key before a cut to the
 // size and fingerprint of the chunk that followed it, and a worker whose key
 // hits takes the hinted end, when Cutter.Ends allows it, in place of the
-// search. The fingerprint it computes anyway decides: equal, the bytes are
+// search. The chunk's fingerprint decides: equal to the hint's, the bytes are
 // those of a chunk that Cut, with Max bytes in view, ended at the same length
 // and would again (a cut depends on the chunk's own bytes alone); unequal,
-// the chunk is cut again by search (resync). So chunks, recipes and simulated
-// time are bit-identical whatever the table holds, at any GOMAXPROCS — the CPU
-// cost model charges the same bytes; parallelism and hints buy wall-clock
-// time for the simulation itself, not simulated time.
+// the chunk is cut again by search (resync). Where the Store lends the copy
+// stored under the hint's fingerprint (on the in-memory sim backend), bytes
+// equal to a copy already seen to hash to it have that fingerprint with no
+// hash; the first chunk compared with a copy is hashed all the same, and only
+// then does the copy count as verified (work). So chunks, recipes and
+// simulated time are bit-identical whatever the table holds, at any
+// GOMAXPROCS — the CPU cost model charges the same bytes; parallelism, hints
+// and comparison buy wall-clock time for the simulation itself, not simulated
+// time.
 //
 // keepData controls whether chunk bytes are retained into the segments
 // (true when the engine's container backend stores data). Chunk Data slices
@@ -475,10 +534,31 @@ const hintBits = 16
 // key was seen. Backups read and write it at once without a lock: every word
 // is loaded and stored atomically, so a slot read mid-write may mix two
 // entries. Such a hint, like a stale one, is taken only when the bytes it
-// names have the fingerprint it carries, and a fingerprint names its bytes,
-// length included.
+// names have the fingerprint it carries — hashed, or equal to a stored copy
+// already seen to hash to it — and a fingerprint names its bytes, length
+// included.
 type Hints struct {
 	slots []hintSlot
+	// copies, when set, lends the stored copy a hinted fingerprint names, for
+	// a worker to compare with the chunk instead of hashing it (NewIndexed).
+	copies *storedCopies
+}
+
+// storedCopies finds the copy of a fingerprint a Store keeps: the index says
+// where it lives, without charging time, and the container store lends it.
+type storedCopies struct {
+	ix    *cindex.Index
+	store *container.Store
+}
+
+func (c *storedCopies) lending() bool { return c != nil && c.store.Lends() }
+
+func (c *storedCopies) of(fp chunk.Fingerprint) (container.Lent, bool) {
+	loc, ok := c.ix.Peek(fp)
+	if !ok {
+		return container.Lent{}, false
+	}
+	return c.store.Lend(fp, loc)
 }
 
 type hint struct {

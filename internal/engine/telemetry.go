@@ -31,6 +31,10 @@ var (
 		"chunks placed by a hint (the chunk that followed the same key in an earlier stream) instead of the gear search")
 	telHintsRefuted = telemetry.NewCounter("dedup_ingest_hints_refuted_total",
 		"hints whose chunk fingerprint differed, so the chunk was cut again by search")
+	telHintsCompared = telemetry.NewCounter("dedup_ingest_hints_compared_total",
+		"hinted chunks confirmed by comparing their bytes with the verified stored copy instead of hashing them")
+	telSourcesVerified = telemetry.NewCounter("dedup_ingest_hint_sources_verified_total",
+		"stored copies verified on first use: bytes equal to a hinted chunk whose hash was the hint's")
 	telWindowRepairs = telemetry.NewCounter("dedup_ingest_window_repairs_total",
 		"ingest windows whose worker-cut chain missed the previous window's last cut, re-cut from it by search")
 

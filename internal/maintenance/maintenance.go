@@ -296,7 +296,10 @@ func (p *Pass) Compact(ctx context.Context, threshold float64) (Stats, error) {
 
 // remapCandidate reports whether container id is worth reverse-remapping
 // away from: a stream tail (low fill) or a container rewrites have already
-// hollowed out (low utilization by the superseded-bytes accounting).
+// hollowed out (low utilization by the superseded-bytes accounting). That
+// accounting, container.Store.LiveFraction, counts only copies a newer one
+// superseded (MarkDead), not bytes that only forgotten backups held; the
+// live table's counts (the store's MaintenanceReport.DeadFraction) do.
 func (p *Pass) remapCandidate(id uint32) bool {
 	cs := p.cfg.Containers
 	if !cs.Sealed(id) {

@@ -10,8 +10,11 @@ import (
 
 // TrajectoryPoint is one generation of a benchmark trajectory: the
 // per-generation quantities `defragbench -json` emits, one JSONL record each
-// (throughput decay of paper Fig. 2, the rewrite ratio behind Fig. 6's
-// trade-off, and the fragment count of Eq. 1).
+// (the backup throughput Fig. 2 plots, the rewrite ratio behind Fig. 6's
+// trade-off, and the fragment count of Eq. 1). Each generation is restored
+// before the next is backed up, and the restore moves the simulated device
+// that the next backup is charged against, so from the second generation on
+// the throughput is not Fig. 2's, which restores nothing.
 type TrajectoryPoint struct {
 	Engine          string  `json:"engine"`
 	Gen             int     `json:"gen"` // 1-based generation number
@@ -30,8 +33,10 @@ type TrajectoryPoint struct {
 }
 
 // RunTrajectory ingests Generations backups of the single-user workload
-// into a fresh store of the given engine kind, restoring each generation,
-// and returns one TrajectoryPoint per generation.
+// into a fresh store of the given engine kind, restoring each generation
+// before the next backup (whose throughput the restore's device state
+// moves; see TrajectoryPoint), and returns one TrajectoryPoint per
+// generation.
 func RunTrajectory(cfg ExperimentConfig, kind EngineKind) ([]TrajectoryPoint, error) {
 	cfg = cfg.withDefaults()
 	store, err := Open(Options{
